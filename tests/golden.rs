@@ -1,0 +1,252 @@
+//! Golden digests: every scenario below is a tiny fixed-seed run whose
+//! full telemetry snapshot (or capacity estimate) is hashed and compared
+//! with the committed `tests/golden_digests.txt`.
+//!
+//! The determinism suite compares a run with another run of the *same*
+//! build; this file pins a build against its parent, which is the
+//! property a behaviour-preserving refactor needs. A deliberate
+//! behaviour change re-baselines by pasting the table the failing test
+//! prints over `tests/golden_digests.txt`.
+
+use legion_core::runner::{
+    run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
+};
+use legion_core::system::legion_setup;
+use legion_core::LegionConfig;
+use legion_fleet::{serve_fleet, FleetConfig};
+use legion_gnn::ModelKind;
+use legion_graph::dataset::{spec_by_name, Dataset};
+use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
+use legion_serve::{
+    estimate_capacity_rps, serve, ChurnConfig, ClassConfig, MutationSource, PolicyKind,
+    ReplanConfig, RouterPolicy, ServeConfig, StoreConfig,
+};
+use legion_telemetry::Snapshot;
+
+const COMMITTED: &str = include_str!("golden_digests.txt");
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn snapshot_digest(metrics: &Snapshot) -> u64 {
+    fnv1a(
+        serde_json::to_string(metrics)
+            .expect("serializable snapshot")
+            .as_bytes(),
+    )
+}
+
+fn dataset() -> Dataset {
+    spec_by_name("PR").unwrap().instantiate(500, 42)
+}
+
+/// Two NVLink cliques of two GPUs.
+fn clique_server() -> MultiGpuServer {
+    ServerSpec::custom(4, 1 << 30, 2).build()
+}
+
+fn serve_config(policy: PolicyKind) -> ServeConfig {
+    ServeConfig {
+        num_requests: 800,
+        max_batch: 16,
+        max_wait: 1e-4,
+        queue_capacity: 256,
+        cache_rows_per_gpu: 256,
+        warmup_requests: 128,
+        fanouts: vec![5, 3],
+        policy,
+        ..ServeConfig::default()
+    }
+}
+
+fn router_qos(mut cfg: ServeConfig) -> ServeConfig {
+    cfg.router.policy = RouterPolicy::Residency;
+    cfg.classes = ClassConfig {
+        mix: [0.2, 0.5, 0.3],
+        qos: true,
+        ..ClassConfig::default()
+    };
+    cfg
+}
+
+/// Replan under rotation drift with a DRAM budget far below the feature
+/// table: plans commit mid-run and their rows migrate across the
+/// DRAM/SSD boundary.
+fn oversub_drift_config() -> ServeConfig {
+    ServeConfig {
+        num_requests: 1600,
+        drift_period: 300,
+        drift_stride: 1024,
+        replan: ReplanConfig {
+            bucket_requests: 16,
+            window_buckets: 2,
+            cooldown_buckets: 0,
+            ..ReplanConfig::default()
+        },
+        store: StoreConfig {
+            dram_budget_bytes: Some(64 << 10),
+            staging_rows: 64,
+            prefetch_budget: 64,
+            ..StoreConfig::default()
+        },
+        ..serve_config(PolicyKind::Replan)
+    }
+}
+
+fn serve_digest(d: &Dataset, cfg: &ServeConfig) -> u64 {
+    let report = serve(&d.graph, &d.features, &clique_server(), cfg);
+    assert_eq!(report.completed + report.shed, report.offered);
+    snapshot_digest(&report.metrics)
+}
+
+fn epoch_config() -> LegionConfig {
+    LegionConfig {
+        fanouts: vec![5, 5],
+        batch_size: 64,
+        seed: 42,
+        ..Default::default()
+    }
+}
+
+fn scenarios() -> Vec<(&'static str, u64)> {
+    let d = dataset();
+    let mut rows: Vec<(&'static str, u64)> = Vec::new();
+
+    for (name, policy) in [
+        ("serve_static", PolicyKind::StaticHot),
+        ("serve_fifo", PolicyKind::Fifo),
+        ("serve_replan", PolicyKind::Replan),
+    ] {
+        rows.push((name, serve_digest(&d, &serve_config(policy))));
+    }
+    rows.push((
+        "serve_static_router_qos",
+        serve_digest(&d, &router_qos(serve_config(PolicyKind::StaticHot))),
+    ));
+    rows.push((
+        "serve_fifo_oversub",
+        serve_digest(
+            &d,
+            &ServeConfig {
+                policy: PolicyKind::Fifo,
+                ..oversub_drift_config()
+            },
+        ),
+    ));
+    {
+        let cfg = oversub_drift_config();
+        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        assert!(
+            report.metrics.counter("serve.replan.count") > 0,
+            "fixture must commit plans"
+        );
+        assert!(
+            report.metrics.counter("serve.store.migrations") > 0,
+            "fixture must migrate rows through the store"
+        );
+        rows.push((
+            "serve_replan_oversub_drift",
+            snapshot_digest(&report.metrics),
+        ));
+    }
+    rows.push((
+        "serve_replan_router_shards2",
+        serve_digest(
+            &d,
+            &ServeConfig {
+                shards: 2,
+                store: StoreConfig::default(),
+                ..router_qos(oversub_drift_config())
+            },
+        ),
+    ));
+    {
+        let mut cfg = serve_config(PolicyKind::StaticHot);
+        cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
+            ops_per_sec: 100_000.0,
+            compact_threshold: 64,
+            ..ChurnConfig::default()
+        }));
+        let fleet = FleetConfig {
+            num_servers: 2,
+            drain_rps: Some(100_000.0),
+            uplink: Some(UplinkConfig::default()),
+            coalesce: true,
+            ..FleetConfig::default()
+        };
+        let spec = ServerSpec::custom(4, 1 << 30, 2);
+        let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet);
+        assert!(r.remote_reads > 0, "two shards must go remote");
+        assert!(r.metrics.counter("fleet.mut.applied") > 0);
+        let mut json = serde_json::to_string(&r.metrics).unwrap();
+        for s in &r.per_server {
+            json.push_str(&serde_json::to_string(&s.metrics).unwrap());
+        }
+        rows.push(("fleet2_uplink_coalesce_churn", fnv1a(json.as_bytes())));
+    }
+
+    {
+        let ds = spec_by_name("PR").unwrap().instantiate(1000, 42);
+        let cfg = epoch_config();
+        let server = ServerSpec::custom(4, 16 << 20, 2).build();
+        let ctx = cfg.build_context(&ds, &server);
+        let setup = legion_setup(&ctx, &cfg).unwrap();
+        rows.push((
+            "epoch_legion_pipelined",
+            snapshot_digest(&run_epoch(&setup, &ctx, &cfg).metrics),
+        ));
+        let tight = EpochStoreConfig {
+            dram_budget_bytes: ds.feature_bytes() / 4,
+            staging_rows: 512,
+            ..EpochStoreConfig::default()
+        };
+        let spilled = run_epoch_with_store(&setup, &ctx, &cfg, ModelKind::GraphSage, &tight);
+        assert!(spilled.metrics.counter("store.nvme.bytes") > 0);
+        rows.push((
+            "epoch_legion_store_spill",
+            snapshot_digest(&spilled.metrics),
+        ));
+
+        let big = ServerSpec::custom(4, 1 << 30, 2).build();
+        let ctx = cfg.build_context(&ds, &big);
+        let gnnlab = legion_baselines::gnnlab::setup(&ctx, 1).unwrap();
+        rows.push((
+            "epoch_gnnlab_factored_gcn",
+            snapshot_digest(&run_epoch_with_model(&gnnlab, &ctx, &cfg, ModelKind::Gcn).metrics),
+        ));
+    }
+
+    {
+        let capacity = |cfg: &ServeConfig| {
+            let rps = estimate_capacity_rps(&d.graph, &d.features, &clique_server(), cfg);
+            fnv1a(&rps.to_bits().to_le_bytes())
+        };
+        let rr = serve_config(PolicyKind::Fifo);
+        rows.push(("capacity_round_robin", capacity(&rr)));
+        rows.push(("capacity_routed", capacity(&router_qos(rr.clone()))));
+        let store = ServeConfig {
+            policy: PolicyKind::Fifo,
+            ..oversub_drift_config()
+        };
+        rows.push(("capacity_store_aware", capacity(&store)));
+        rows.push(("capacity_routed_store_aware", capacity(&router_qos(store))));
+    }
+    rows
+}
+
+#[test]
+fn snapshots_match_the_committed_digests() {
+    let table: String = scenarios()
+        .iter()
+        .map(|(name, digest)| format!("{name} {digest:016x}\n"))
+        .collect();
+    assert!(
+        table == COMMITTED,
+        "golden digests moved. If the change is deliberate, replace \
+         tests/golden_digests.txt with:\n{table}"
+    );
+}
