@@ -9,11 +9,15 @@
 //! accounting flows through the metric registry and is preserved verbatim
 //! in [`EpochReport::metrics`].
 
+#![warn(clippy::too_many_lines)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use legion_baselines::{ScheduleKind, SystemSetup};
 use legion_gnn::{GnnModel, ModelKind};
+use legion_graph::dataset::Dataset;
+use legion_graph::{feature_bytes_for_dim, CsrGraph, VertexId};
 use legion_hw::pcm::{pcm_counter_name, TrafficKind};
 use legion_hw::traffic::{traffic_counter_name, Source};
 use legion_hw::MultiGpuServer;
@@ -25,7 +29,7 @@ use legion_sampling::access::{AccessEngine, BatchTotals};
 use legion_sampling::extract::HitStats;
 use legion_sampling::{BatchGenerator, KHopSampler, SampleScratch};
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
-use legion_telemetry::{Counter, Snapshot, NANOS_PER_SEC};
+use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
 
 use legion_baselines::BuildContext;
 
@@ -194,28 +198,67 @@ impl Default for EpochStoreConfig {
     }
 }
 
+/// What [`run_epoch_with_store`] adds to the epoch loop: the store
+/// knobs and the rows the DRAM budget left on the SSD.
+#[derive(Clone, Copy)]
+struct Spill<'a> {
+    cfg: &'a EpochStoreConfig,
+    ssd_rows: &'a [VertexId],
+}
+
 /// Per-GPU out-of-core state for the epoch runner: the NUMA-local
 /// store plus the shared epoch-level meters.
 struct EpochStore {
     store: VertexStore,
+    lookahead_batches: usize,
     prefetch_neighbors: usize,
     prefetch_budget: usize,
     prefetch_hits: Counter,
     late_stalls: Counter,
     cold_reads: Counter,
     nvme_bytes: Counter,
-    missed: Vec<legion_graph::VertexId>,
-    candidates: Vec<legion_graph::VertexId>,
+    missed: Vec<VertexId>,
+    candidates: Vec<VertexId>,
 }
 
 impl EpochStore {
+    /// One trainer's NUMA-local store over the shared tier assignment
+    /// (`ssd_rows` spill, everything else stays in DRAM); the warm fill
+    /// happens before the measured epoch, mirroring the HBM cache's
+    /// warmup pass.
+    fn new(spill: &Spill<'_>, dataset: &Dataset, registry: &Registry) -> Self {
+        let Spill { cfg, ssd_rows } = *spill;
+        let mut store = VertexStore::new(
+            NvmeModel::new(cfg.nvme),
+            dataset.graph.num_vertices(),
+            feature_bytes_for_dim(dataset.features.dim() as u64),
+            cfg.staging_rows,
+        );
+        for &v in ssd_rows {
+            store.assign(v, Tier::Ssd);
+        }
+        store.warm(ssd_rows.iter().copied());
+        Self {
+            store,
+            lookahead_batches: cfg.lookahead_batches,
+            prefetch_neighbors: cfg.prefetch_neighbors,
+            prefetch_budget: cfg.prefetch_budget,
+            prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
+            late_stalls: registry.counter("epoch.store.late_stalls"),
+            cold_reads: registry.counter("epoch.store.cold_reads"),
+            nvme_bytes: registry.counter("store.nvme.bytes"),
+            missed: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
     /// Resolves a batch's cache misses against the store at epoch time
     /// `at` and returns the extraction stall to charge.
     fn charge(
         &mut self,
         engine: &AccessEngine<'_>,
         gpu: usize,
-        inputs: &[legion_graph::VertexId],
+        inputs: &[VertexId],
         at: f64,
     ) -> f64 {
         self.missed.clear();
@@ -235,12 +278,7 @@ impl EpochStore {
 
     /// Stages an upcoming generator batch's seed rows (and each seed's
     /// leading neighbors) at epoch time `at`, ahead of its extraction.
-    fn prefetch_batch(
-        &mut self,
-        graph: &legion_graph::CsrGraph,
-        seeds: &[legion_graph::VertexId],
-        at: f64,
-    ) {
+    fn prefetch_batch(&mut self, graph: &CsrGraph, seeds: &[VertexId], at: f64) {
         if self.prefetch_budget == 0 {
             return;
         }
@@ -262,117 +300,78 @@ impl EpochStore {
     }
 }
 
-/// Reusable per-worker state for the shared sample→extract→train batch
-/// step. One instance lives per training GPU worker (one total in the
-/// sequential runner, one per thread in the parallel runner), so the
-/// sampler's scratch arena, the feature gather buffer, and the
-/// batch-local meter totals are allocated once and reused across every
-/// batch of the epoch.
+/// The sample→extract→train step of one mini-batch, with the working
+/// memory it reuses across every batch of the epoch (the sampler's
+/// scratch arena, the feature gather buffer, the batch-local meter
+/// totals).
 struct BatchStep<'a, 'b> {
     engine: &'a AccessEngine<'b>,
     time_model: &'a TimeModel,
     flops_model: &'a GnnModel,
-    server: &'a MultiGpuServer,
+    sampler: &'a KHopSampler,
+    schedule: &'a ScheduleKind,
     scratch: SampleScratch,
     features: Vec<f32>,
     totals: BatchTotals,
 }
 
-impl<'a, 'b> BatchStep<'a, 'b> {
-    fn new(
-        engine: &'a AccessEngine<'b>,
-        time_model: &'a TimeModel,
-        flops_model: &'a GnnModel,
-        server: &'a MultiGpuServer,
-    ) -> Self {
-        Self {
-            engine,
-            time_model,
-            flops_model,
-            server,
-            scratch: SampleScratch::new(),
-            features: Vec::new(),
-            totals: BatchTotals::new(server.num_gpus()),
-        }
-    }
-
+impl BatchStep<'_, '_> {
     /// Runs one mini-batch through sampling (charged to `sampling_gpu`),
     /// feature extraction, and training (charged to `trainer_gpu`),
-    /// returning the three stage times. Stage timing reads the PCM /
-    /// traffic deltas around each batched call, which is exact because
-    /// the batched paths flush their totals before returning.
+    /// returning the three stage times.
     ///
     /// When `store` carries an out-of-core tier (and the current epoch
     /// clock), the batch's HBM misses are resolved against it and any
     /// SSD stall is folded into the extraction time.
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
-        sampler: &KHopSampler,
         trainer_gpu: usize,
         sampling_gpu: usize,
-        batch: &[legion_graph::VertexId],
+        batch: &[VertexId],
         rng: &mut StdRng,
-        schedule: &ScheduleKind,
         store: Option<(&mut EpochStore, f64)>,
     ) -> (f64, f64, f64) {
-        // Stage 1: neighbor sampling (charged to the sampling GPU).
-        let topo_before = self
-            .server
-            .pcm()
-            .gpu_kind(sampling_gpu, TrafficKind::Topology);
-        let sample = sampler.sample_batch_with(
-            self.engine,
+        let (sample, topo_tx) = self.engine.sample_metered(
+            self.sampler,
             sampling_gpu,
             batch,
             rng,
             None,
             &mut self.scratch,
         );
-        let topo_tx = self
-            .server
-            .pcm()
-            .gpu_kind(sampling_gpu, TrafficKind::Topology)
-            - topo_before;
         let edges = sample.total_edges() as u64;
-        let sample_t = match schedule {
+        let sample_t = match self.schedule {
             ScheduleKind::CpuSampling => self.time_model.cpu_sample_seconds(edges),
             _ => self.time_model.sample_seconds(topo_tx, edges),
         };
-        // Stage 2: feature extraction (charged to the trainer GPU).
-        let n = self.server.num_gpus();
-        let feat_before = self
-            .server
-            .pcm()
-            .gpu_kind(trainer_gpu, TrafficKind::Feature);
-        let peer_before: u64 = (0..n)
-            .map(|s| self.server.traffic().gpu_to_gpu(s, trainer_gpu))
-            .sum();
-        self.engine.read_features_batch(
+        let (feat_tx, peer_bytes) = self.engine.gather_metered(
             trainer_gpu,
             sample.input_vertices(),
             &mut self.features,
             &mut self.totals,
         );
-        let feat_tx = self
-            .server
-            .pcm()
-            .gpu_kind(trainer_gpu, TrafficKind::Feature)
-            - feat_before;
-        let peer_after: u64 = (0..n)
-            .map(|s| self.server.traffic().gpu_to_gpu(s, trainer_gpu))
-            .sum();
-        let mut extract_t = self
-            .time_model
-            .extract_seconds(feat_tx, peer_after - peer_before);
+        let mut extract_t = self.time_model.extract_seconds(feat_tx, peer_bytes);
         if let Some((es, at)) = store {
             extract_t += es.charge(self.engine, trainer_gpu, sample.input_vertices(), at);
         }
-        // Stage 3: training.
         let train_t = self
             .time_model
             .train_seconds(self.flops_model.training_flops(&sample));
         (sample_t, extract_t, train_t)
+    }
+
+    /// How the schedule composes one batch's stage times.
+    fn cost(&self, sample_t: f64, extract_t: f64, train_t: f64) -> BatchCost {
+        match self.schedule {
+            ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
+            // Factored: samplers only sample; trainers extract + train
+            // (GNNLab's feature cache lives on the trainer GPUs).
+            ScheduleKind::Factored { .. } => BatchCost {
+                prep: sample_t,
+                train: extract_t + train_t,
+            },
+            _ => BatchCost::overlapped(sample_t, extract_t, train_t),
+        }
     }
 }
 
@@ -397,13 +396,70 @@ pub fn run_epoch_with_model(
     config: &LegionConfig,
     model_kind: ModelKind,
 ) -> EpochReport {
+    epoch_loop(setup, ctx, config, model_kind, None)
+}
+
+/// [`run_epoch_with_model`] with an out-of-core feature tier: host DRAM
+/// holds only `store_cfg.dram_budget_bytes` of feature rows and the
+/// cold tail lives on the simulated NVMe device, fronted per trainer
+/// GPU by a staging window and a batch-generator lookahead prefetcher
+/// (the epoch runner knows its future mini-batches exactly, so the
+/// prefetcher stages upcoming seeds and their leading neighbors while
+/// the current batch trains). SSD stalls fold into extraction time and
+/// flow through the same §5 pipeline model as every other stage.
+///
+/// When the budget covers every row the store never sees a request and
+/// the run degenerates to [`run_epoch_with_model`] byte-for-byte.
+pub fn run_epoch_with_store(
+    setup: &SystemSetup,
+    ctx: &BuildContext<'_>,
+    config: &LegionConfig,
+    model_kind: ModelKind,
+    store_cfg: &EpochStoreConfig,
+) -> EpochReport {
+    let graph = &ctx.dataset.graph;
+    let num_vertices = graph.num_vertices();
+    let row_bytes = feature_bytes_for_dim(ctx.dataset.features.dim() as u64);
+    let dram_rows =
+        (store_cfg.dram_budget_bytes / row_bytes.max(1)).min(num_vertices as u64) as usize;
+    if dram_rows >= num_vertices {
+        return epoch_loop(setup, ctx, config, model_kind, None);
+    }
+    // Host-DRAM fill by degree: sampled neighborhoods concentrate on
+    // high-degree rows (the same structural hotness the HBM cost model
+    // ranks by), so the head stays resident and the long tail spills.
+    // The sort is stable, keeping the placement deterministic across
+    // runs for equal-degree rows.
+    let mut order: Vec<VertexId> = (0..num_vertices as VertexId).collect();
+    order.sort_by_key(|&v| std::cmp::Reverse(graph.neighbors(v).len()));
+    let spill = Spill {
+        cfg: store_cfg,
+        ssd_rows: &order[dram_rows..],
+    };
+    epoch_loop(setup, ctx, config, model_kind, Some(spill))
+}
+
+/// The one epoch loop: every trainer GPU walks its shuffled batches
+/// through [`BatchStep::run`], and the schedule's pipeline model turns
+/// the per-batch costs into the epoch time. `spill` — the out-of-core
+/// knobs and the rows placed on the SSD — adds a per-trainer store, its
+/// lookahead prefetch and the serial per-GPU clock the device horizon
+/// needs; `None` is the all-resident runner.
+fn epoch_loop(
+    setup: &SystemSetup,
+    ctx: &BuildContext<'_>,
+    config: &LegionConfig,
+    model_kind: ModelKind,
+    spill: Option<Spill<'_>>,
+) -> EpochReport {
     let server = ctx.server;
+    let graph = &ctx.dataset.graph;
     // Clear all metrics (PCM, traffic, cache, stage counters) so the
     // snapshot covers exactly this epoch.
     server.telemetry().reset();
     let time_model = TimeModel::new(server.spec());
     let engine = AccessEngine::new(
-        &ctx.dataset.graph,
+        graph,
         &ctx.dataset.features,
         &setup.layout,
         server,
@@ -428,180 +484,39 @@ pub fn run_epoch_with_model(
         .map(|g| StageRecorder::for_gpu(server.telemetry(), g))
         .collect();
     let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-
     // Round-robin cursor over dedicated samplers (factored design).
     let mut sampler_cursor = 0usize;
-    let mut step = BatchStep::new(&engine, &time_model, &flops_model, server);
-    for gpu in 0..n {
-        if setup.tablets[gpu].is_empty() {
-            continue;
-        }
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
-        let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
-            .with_telemetry(server.telemetry(), gpu);
-        for batch in generator.epoch(&mut rng) {
-            let sampling_gpu = match &setup.schedule {
-                ScheduleKind::Factored { samplers, .. } => {
-                    let g = samplers[sampler_cursor % samplers.len()];
-                    sampler_cursor += 1;
-                    g
-                }
-                _ => gpu,
-            };
-            let (sample_t, extract_t, train_t) = step.run(
-                &sampler,
-                gpu,
-                sampling_gpu,
-                &batch,
-                &mut rng,
-                &setup.schedule,
-                None,
-            );
-
-            // Stage times accrue to the trainer GPU's counters (for a
-            // factored schedule the sampling ran elsewhere, but the batch
-            // belongs to this trainer).
-            recorders[gpu].record(sample_t, extract_t, train_t);
-            let cost = match setup.schedule {
-                ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                // Factored: samplers only sample; trainers extract + train
-                // (GNNLab's feature cache lives on the trainer GPUs).
-                ScheduleKind::Factored { .. } => BatchCost {
-                    prep: sample_t,
-                    train: extract_t + train_t,
-                },
-                _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-            };
-            per_gpu_costs[gpu].push(cost);
-        }
-    }
-
-    let epoch_seconds = match &setup.schedule {
-        ScheduleKind::Pipelined | ScheduleKind::CpuSampling => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Factored { samplers, trainers } => {
-            let all: Vec<BatchCost> = per_gpu_costs.iter().flatten().copied().collect();
-            epoch_time_factored(&all, samplers.len(), trainers.len())
-        }
+    let mut step = BatchStep {
+        engine: &engine,
+        time_model: &time_model,
+        flops_model: &flops_model,
+        sampler: &sampler,
+        schedule: &setup.schedule,
+        scratch: SampleScratch::new(),
+        features: Vec::new(),
+        totals: BatchTotals::new(n),
     };
-
-    finalize_report(setup.name.clone(), server, epoch_seconds)
-}
-
-/// [`run_epoch_with_model`] with an out-of-core feature tier: host DRAM
-/// holds only `store_cfg.dram_budget_bytes` of feature rows and the
-/// cold tail lives on the simulated NVMe device, fronted per trainer
-/// GPU by a staging window and a batch-generator lookahead prefetcher
-/// (the epoch runner knows its future mini-batches exactly, so the
-/// prefetcher stages upcoming seeds and their leading neighbors while
-/// the current batch trains). SSD stalls fold into extraction time and
-/// flow through the same §5 pipeline model as every other stage.
-///
-/// When the budget covers every row the store never sees a request and
-/// the run degenerates to [`run_epoch_with_model`] byte-for-byte.
-pub fn run_epoch_with_store(
-    setup: &SystemSetup,
-    ctx: &BuildContext<'_>,
-    config: &LegionConfig,
-    model_kind: ModelKind,
-    store_cfg: &EpochStoreConfig,
-) -> EpochReport {
-    let graph = &ctx.dataset.graph;
-    let num_vertices = graph.num_vertices();
-    let row_bytes = legion_graph::feature_bytes_for_dim(ctx.dataset.features.dim() as u64);
-    let dram_rows =
-        (store_cfg.dram_budget_bytes / row_bytes.max(1)).min(num_vertices as u64) as usize;
-    if dram_rows >= num_vertices {
-        // Nothing spills: the store would never see a request, so the
-        // legacy runner's timeline is reproduced exactly.
-        return run_epoch_with_model(setup, ctx, config, model_kind);
-    }
-    // Host-DRAM fill by degree: sampled neighborhoods concentrate on
-    // high-degree rows (the same structural hotness the HBM cost model
-    // ranks by), so the head stays resident and the long tail spills.
-    // The sort is stable, keeping the placement deterministic across
-    // runs for equal-degree rows.
-    let mut order: Vec<legion_graph::VertexId> =
-        (0..num_vertices as legion_graph::VertexId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(graph.neighbors(v).len()));
-    let ssd_rows = &order[dram_rows..];
-
-    let server = ctx.server;
-    server.telemetry().reset();
-    let registry = server.telemetry();
-    let time_model = TimeModel::new(server.spec());
-    let engine = AccessEngine::new(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        &setup.layout,
-        server,
-        setup.topology_placement,
-    );
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut flops_rng = StdRng::seed_from_u64(config.seed);
-    let num_classes = 16usize;
-    let flops_model = GnnModel::new(
-        model_kind,
-        ctx.dataset.features.dim(),
-        config.hidden_dim,
-        num_classes,
-        config.fanouts.len(),
-        &mut flops_rng,
-    );
-
-    let n = server.num_gpus();
-    let recorders: Vec<StageRecorder> = (0..n)
-        .map(|g| StageRecorder::for_gpu(server.telemetry(), g))
-        .collect();
-    let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-
-    let mut sampler_cursor = 0usize;
-    let mut step = BatchStep::new(&engine, &time_model, &flops_model, server);
     for gpu in 0..n {
         if setup.tablets[gpu].is_empty() {
             continue;
         }
-        // Each trainer owns a NUMA-local store over the shared tier
-        // assignment; the warm fill happens before the measured epoch,
-        // mirroring the HBM cache's warmup pass.
-        let nvme = NvmeModel::new(store_cfg.nvme);
-        let mut store = VertexStore::new(nvme, num_vertices, row_bytes, store_cfg.staging_rows);
-        for &v in ssd_rows {
-            store.assign(v, Tier::Ssd);
-        }
-        store.warm(ssd_rows.iter().copied());
-        let mut es = EpochStore {
-            store,
-            prefetch_neighbors: store_cfg.prefetch_neighbors,
-            prefetch_budget: store_cfg.prefetch_budget,
-            prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
-            late_stalls: registry.counter("epoch.store.late_stalls"),
-            cold_reads: registry.counter("epoch.store.cold_reads"),
-            nvme_bytes: registry.counter("store.nvme.bytes"),
-            missed: Vec::new(),
-            candidates: Vec::new(),
-        };
-
+        let mut store = spill.map(|s| EpochStore::new(&s, ctx.dataset, server.telemetry()));
         let mut rng = StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
         let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
             .with_telemetry(server.telemetry(), gpu);
-        // The epoch schedule is materialized up front so the prefetcher
-        // can look past the batch in flight — the offline analogue of
-        // the serving tier's queue lookahead.
         let batches = generator.epoch(&mut rng);
         // Per-GPU serial clock: the store's device horizon needs a
         // monotone notion of "now", and the per-GPU batch stream is
         // serial regardless of the cross-stage overlap model.
         let mut clock = 0.0f64;
         for (i, batch) in batches.iter().enumerate() {
-            for ahead in batches.iter().skip(i + 1).take(store_cfg.lookahead_batches) {
-                es.prefetch_batch(graph, ahead, clock);
+            // The epoch schedule is known up front, so the prefetcher
+            // looks past the batch in flight — the offline analogue of
+            // the serving tier's queue lookahead.
+            if let Some(es) = store.as_mut() {
+                for ahead in batches.iter().skip(i + 1).take(es.lookahead_batches) {
+                    es.prefetch_batch(graph, ahead, clock);
+                }
             }
             let sampling_gpu = match &setup.schedule {
                 ScheduleKind::Factored { samplers, .. } => {
@@ -611,151 +526,32 @@ pub fn run_epoch_with_store(
                 }
                 _ => gpu,
             };
-            let (sample_t, extract_t, train_t) = step.run(
-                &sampler,
-                gpu,
-                sampling_gpu,
-                batch,
-                &mut rng,
-                &setup.schedule,
-                Some((&mut es, clock)),
-            );
+            let at = store.as_mut().map(|es| (es, clock));
+            let (sample_t, extract_t, train_t) = step.run(gpu, sampling_gpu, batch, &mut rng, at);
             clock += sample_t + extract_t + train_t;
-
+            // Stage times accrue to the trainer GPU's counters (for a
+            // factored schedule the sampling ran elsewhere, but the batch
+            // belongs to this trainer).
             recorders[gpu].record(sample_t, extract_t, train_t);
-            let cost = match setup.schedule {
-                ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                ScheduleKind::Factored { .. } => BatchCost {
-                    prep: sample_t,
-                    train: extract_t + train_t,
-                },
-                _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-            };
-            per_gpu_costs[gpu].push(cost);
+            per_gpu_costs[gpu].push(step.cost(sample_t, extract_t, train_t));
         }
     }
 
+    let slowest_gpu = |epoch_time: fn(&[BatchCost]) -> f64| {
+        per_gpu_costs
+            .iter()
+            .map(|c| epoch_time(c))
+            .fold(0.0, f64::max)
+    };
     let epoch_seconds = match &setup.schedule {
-        ScheduleKind::Pipelined | ScheduleKind::CpuSampling => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
+        ScheduleKind::Pipelined | ScheduleKind::CpuSampling => slowest_gpu(epoch_time_pipelined),
+        ScheduleKind::Serial => slowest_gpu(epoch_time_serial),
         ScheduleKind::Factored { samplers, trainers } => {
             let all: Vec<BatchCost> = per_gpu_costs.iter().flatten().copied().collect();
             epoch_time_factored(&all, samplers.len(), trainers.len())
         }
     };
 
-    finalize_report(setup.name.clone(), server, epoch_seconds)
-}
-
-/// Multi-threaded variant of [`run_epoch_with_model`]: one host thread
-/// per training GPU, mirroring the real system's concurrent execution.
-/// All counters are thread-safe; per-GPU stage timing remains exact
-/// because each GPU's PCM row is only written by its own worker.
-///
-/// Results are bit-identical to the sequential runner (same per-GPU RNG
-/// streams, commutative counter updates).
-///
-/// # Panics
-///
-/// Panics for factored schedules, whose shared sampler GPUs would race on
-/// per-stage counter snapshots — use the sequential runner for GNNLab.
-pub fn run_epoch_parallel(
-    setup: &SystemSetup,
-    ctx: &BuildContext<'_>,
-    config: &LegionConfig,
-    model_kind: ModelKind,
-) -> EpochReport {
-    assert!(
-        !matches!(setup.schedule, ScheduleKind::Factored { .. }),
-        "parallel runner does not support factored schedules"
-    );
-    let server = ctx.server;
-    server.telemetry().reset();
-    let time_model = TimeModel::new(server.spec());
-    let engine = AccessEngine::new(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        &setup.layout,
-        server,
-        setup.topology_placement,
-    );
-    let mut flops_rng = StdRng::seed_from_u64(config.seed);
-    let flops_model = GnnModel::new(
-        model_kind,
-        ctx.dataset.features.dim(),
-        config.hidden_dim,
-        16,
-        config.fanouts.len(),
-        &mut flops_rng,
-    );
-    let n = server.num_gpus();
-
-    struct GpuResult {
-        gpu: usize,
-        costs: Vec<BatchCost>,
-    }
-
-    let results: Vec<GpuResult> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .filter(|&gpu| !setup.tablets[gpu].is_empty())
-            .map(|gpu| {
-                let engine = &engine;
-                let time_model = &time_model;
-                let flops_model = &flops_model;
-                let tablet = setup.tablets[gpu].clone();
-                let schedule = setup.schedule.clone();
-                scope.spawn(move |_| {
-                    let sampler = KHopSampler::new(config.fanouts.clone());
-                    let recorder = StageRecorder::for_gpu(server.telemetry(), gpu);
-                    let mut rng =
-                        StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
-                    let mut generator = BatchGenerator::new(tablet, ctx.batch_size)
-                        .with_telemetry(server.telemetry(), gpu);
-                    let mut step = BatchStep::new(engine, time_model, flops_model, server);
-                    let mut result = GpuResult {
-                        gpu,
-                        costs: Vec::new(),
-                    };
-                    for batch in generator.epoch(&mut rng) {
-                        let (sample_t, extract_t, train_t) =
-                            step.run(&sampler, gpu, gpu, &batch, &mut rng, &schedule, None);
-                        recorder.record(sample_t, extract_t, train_t);
-                        result.costs.push(match schedule {
-                            ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-                            _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-                        });
-                    }
-                    result
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("GPU worker panicked"))
-            .collect()
-    })
-    .expect("epoch scope");
-
-    let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
-    for r in results {
-        per_gpu_costs[r.gpu] = r.costs;
-    }
-    let epoch_seconds = match setup.schedule {
-        ScheduleKind::Serial => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_serial(c))
-            .fold(0.0, f64::max),
-        _ => per_gpu_costs
-            .iter()
-            .map(|c| epoch_time_pipelined(c))
-            .fold(0.0, f64::max),
-    };
     finalize_report(setup.name.clone(), server, epoch_seconds)
 }
 
@@ -914,34 +710,6 @@ mod tests {
             again.metrics.counter("epoch.store.prefetch_hits"),
             over.metrics.counter("epoch.store.prefetch_hits")
         );
-    }
-
-    #[test]
-    fn parallel_runner_matches_sequential() {
-        let ds = spec_by_name("PR").unwrap().instantiate(2000, 3);
-        let config = LegionConfig::small();
-        let server = ServerSpec::custom(4, 32 << 20, 2).build();
-        let ctx = config.build_context(&ds, &server);
-        let setup = legion_setup(&ctx, &config).unwrap();
-        let seq = run_epoch_with_model(&setup, &ctx, &config, ModelKind::GraphSage);
-        let par = run_epoch_parallel(&setup, &ctx, &config, ModelKind::GraphSage);
-        assert_eq!(seq.pcie_total, par.pcie_total);
-        assert_eq!(seq.pcie_max_gpu, par.pcie_max_gpu);
-        assert_eq!(seq.cpu_bytes, par.cpu_bytes);
-        assert_eq!(seq.peer_bytes, par.peer_bytes);
-        assert_eq!(seq.epoch_seconds, par.epoch_seconds);
-        assert_eq!(seq.per_gpu_hit_rates(), par.per_gpu_hit_rates());
-    }
-
-    #[test]
-    #[should_panic(expected = "factored")]
-    fn parallel_runner_rejects_factored() {
-        let ds = spec_by_name("PR").unwrap().instantiate(2000, 3);
-        let config = LegionConfig::small();
-        let server = ServerSpec::custom(4, 1 << 30, 2).build();
-        let ctx = config.build_context(&ds, &server);
-        let setup = legion_baselines::gnnlab::setup(&ctx, 1).unwrap();
-        let _ = run_epoch_parallel(&setup, &ctx, &config, ModelKind::GraphSage);
     }
 
     #[test]

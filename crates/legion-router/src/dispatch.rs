@@ -52,17 +52,6 @@ pub struct RouterConfig {
     /// Fraction of per-GPU queue capacity at which a clique counts as
     /// saturated and requests spill, in `(0, 1]`.
     pub spill_threshold: f64,
-    /// Fraction of each clique's pooled cache budget spent replicating
-    /// the globally hottest vertices across cliques (the rest holds the
-    /// clique's own partition's hottest), in `[0, 1]`. Only consulted
-    /// when `adaptive_replication` is off — the adaptive rule sizes the
-    /// replicated head from measured warmup hotness instead.
-    pub replicate_frac: f64,
-    /// Size the replicated head adaptively: grow it one vertex at a
-    /// time while the marginal routed-coverage gain of another replica
-    /// exceeds the partitioned row it displaces, instead of spending a
-    /// fixed `replicate_frac` of the pool.
-    pub adaptive_replication: bool,
 }
 
 impl Default for RouterConfig {
@@ -71,8 +60,6 @@ impl Default for RouterConfig {
             policy: RouterPolicy::RoundRobin,
             probe_neighbors: 8,
             spill_threshold: 0.75,
-            replicate_frac: 0.5,
-            adaptive_replication: true,
         }
     }
 }
@@ -88,10 +75,6 @@ impl RouterConfig {
         assert!(
             self.spill_threshold > 0.0 && self.spill_threshold <= 1.0,
             "spill_threshold must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.replicate_frac),
-            "replicate_frac must be in [0, 1]"
         );
     }
 }

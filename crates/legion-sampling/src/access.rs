@@ -35,6 +35,8 @@ use legion_hw::traffic::Source;
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_telemetry::{Counter, Histogram};
 
+use crate::sampler::{KHopSampler, MiniBatchSample, SampleScratch};
+
 /// Bucket bounds (edge counts) of the `subgraph.block_edges` histogram.
 pub const BLOCK_EDGE_BUCKETS: [u64; 8] = [1, 4, 16, 64, 256, 1024, 4096, 16384];
 
@@ -468,6 +470,55 @@ impl<'a> AccessEngine<'a> {
         self.flush_totals(gpu, totals);
     }
 
+    /// [`KHopSampler::sample_batch_with`] plus the topology PCIe
+    /// transactions it charged to `gpu` — the quantity the §5 time model
+    /// derives sampling time from.
+    ///
+    /// The count is the PCM counter's movement around the call. That is
+    /// exact because the batched sampler flushes its [`BatchTotals`]
+    /// before returning, and it holds only while no other thread charges
+    /// `gpu`'s topology row (every caller gives a GPU one writer).
+    pub fn sample_metered<R: Rng + ?Sized>(
+        &self,
+        sampler: &KHopSampler,
+        gpu: GpuId,
+        seeds: &[VertexId],
+        rng: &mut R,
+        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        scratch: &mut SampleScratch,
+    ) -> (MiniBatchSample, u64) {
+        let before = self.server.pcm().gpu_kind(gpu, TrafficKind::Topology);
+        let sample = sampler.sample_batch_with(self, gpu, seeds, rng, on_edge, scratch);
+        let topology_tx = self.server.pcm().gpu_kind(gpu, TrafficKind::Topology) - before;
+        (sample, topology_tx)
+    }
+
+    /// [`Self::read_features_batch`] plus what the gather cost `gpu`:
+    /// `(feature_tx, peer_bytes)` — PCIe feature transactions and NVLink
+    /// bytes read from peer GPUs, the two inputs of the extraction time.
+    ///
+    /// Both are counter movements around the call, exact for the same
+    /// reason as [`Self::sample_metered`]: the batch flushes before it
+    /// returns and `gpu` has a single writer.
+    pub fn gather_metered(
+        &self,
+        gpu: GpuId,
+        vertices: &[VertexId],
+        out: &mut Vec<f32>,
+        totals: &mut BatchTotals,
+    ) -> (u64, u64) {
+        let peer_into_gpu = || -> u64 {
+            (0..self.meters.len())
+                .map(|src| self.server.traffic().gpu_to_gpu(src, gpu))
+                .sum()
+        };
+        let tx_before = self.server.pcm().gpu_kind(gpu, TrafficKind::Feature);
+        let peer_before = peer_into_gpu();
+        self.read_features_batch(gpu, vertices, out, totals);
+        let feature_tx = self.server.pcm().gpu_kind(gpu, TrafficKind::Feature) - tx_before;
+        (feature_tx, peer_into_gpu() - peer_before)
+    }
+
     /// Flushes locally accumulated `totals` into the shared meters: one
     /// atomic add per non-zero counter, then clears `totals` for reuse.
     pub fn flush_totals(&self, gpu: GpuId, totals: &mut BatchTotals) {
@@ -829,6 +880,55 @@ mod tests {
 
         // A clean vertex still hits the cache machinery untouched.
         assert!(!engine.topology_dirty(3));
+    }
+
+    /// The metered helpers return exactly what the call moved on the
+    /// PCM counters and the traffic matrix, and a reused scratch /
+    /// [`BatchTotals`] carries nothing from one call into the next.
+    #[test]
+    fn metered_helpers_return_the_counter_movement_of_one_call() {
+        let g = star_graph();
+        let f = FeatureTable::zeros(40, 16);
+        // Two cliques of two; in GPU 0's clique row 3 lives on its peer
+        // and row 4 is local.
+        let mut near = CliqueCache::new(vec![0, 1], 40, 16);
+        near.insert_feature(1, 3, f.row(3));
+        near.insert_feature(0, 4, f.row(4));
+        let far = CliqueCache::new(vec![2, 3], 40, 16);
+        let layout = CacheLayout::from_cliques(4, vec![near, far]);
+        let server = ServerSpec::custom(4, 1 << 30, 2).build();
+        let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
+        let sampler = KHopSampler::new(vec![5]);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut scratch = SampleScratch::new();
+        let mut totals = BatchTotals::new(4);
+        let mut rows = Vec::new();
+        let row_tx = server.pcie().transactions_for_payload(f.row_bytes());
+        let topo = || server.pcm().gpu_kind(0, TrafficKind::Topology);
+        let feat = || server.pcm().gpu_kind(0, TrafficKind::Feature);
+        let peer = || server.traffic().gpu_to_gpu(1, 0);
+        for _ in 0..2 {
+            let (topo0, feat0, peer0) = (topo(), feat(), peer());
+            let (sample, topology_tx) =
+                engine.sample_metered(&sampler, 0, &[0], &mut rng, None, &mut scratch);
+            assert_eq!(sample.total_edges(), 5);
+            assert_eq!(topology_tx, topo() - topo0);
+            assert_eq!(topology_tx, 1 + 5, "row offset plus one per sampled edge");
+
+            let (feature_tx, peer_bytes) =
+                engine.gather_metered(0, &[3, 4, 5, 6], &mut rows, &mut totals);
+            assert_eq!(feature_tx, feat() - feat0);
+            assert_eq!(feature_tx, 2 * row_tx, "rows 5 and 6 cross PCIe");
+            assert_eq!(peer_bytes, peer() - peer0);
+            assert_eq!(peer_bytes, f.row_bytes(), "row 3 crosses NVLink once");
+            assert_eq!(rows.len(), 4 * 16);
+            assert!(totals.is_empty(), "the gather flushes before returning");
+        }
+        // Another GPU's reads do not move GPU 0's reading.
+        let (feat0, peer0) = (feat(), peer());
+        let (other_tx, other_peer) = engine.gather_metered(2, &[3, 4], &mut rows, &mut totals);
+        assert_eq!((other_tx, other_peer), (2 * row_tx, 0));
+        assert_eq!((feat(), peer()), (feat0, peer0));
     }
 
     #[test]

@@ -60,20 +60,10 @@ impl PolicyKind {
 /// neighbors per frontier vertex at hop `h` — but runs directly on the
 /// CPU-resident graph: warmup profiling is an offline planning step and
 /// must not charge the simulated server's traffic counters.
-pub fn warmup_hot_vertices(
-    graph: &CsrGraph,
-    targets: &mut TargetSampler,
-    warmup_requests: usize,
-    fanouts: &[usize],
-    seed: u64,
-) -> Vec<VertexId> {
-    warmup_hot_vertices_weighted(graph, targets, warmup_requests, fanouts, seed).0
-}
-
-/// Like [`warmup_hot_vertices`] but also returns the raw per-vertex
-/// touch counts the ranking was derived from — the hotness weights the
-/// adaptive replication rule compares replicas against displaced
-/// partitioned rows with.
+///
+/// Returns the ranking and the raw per-vertex touch counts it was
+/// derived from — the hotness weights the adaptive replication rule
+/// compares replicas against displaced partitioned rows with.
 pub fn warmup_hot_vertices_weighted(
     graph: &CsrGraph,
     targets: &mut TargetSampler,
@@ -146,37 +136,17 @@ pub fn build_static_layout(
 
 /// Builds the clique-partitioned hybrid layout the residency router
 /// dispatches over: each NVLink clique pools its members' cache budgets
-/// (`rows_per_gpu` rows per member GPU), spends `replicate_frac` of the
-/// pool replicating the globally hottest vertices into *every* clique
-/// (so the ultra-hot head is always a local hit regardless of routing),
-/// and fills the remainder with the hottest vertices the LDG
-/// partitioner (§4.1) assigned to that clique — backfilled from the
-/// global hotness ranking when the clique's partition runs short. Rows
-/// are striped round-robin across the clique's member slots, so each
-/// GPU stores an equal share and a within-clique remote row costs one
-/// NVLink read instead of a PCIe fetch.
+/// (`rows_per_gpu` rows per member GPU), replicates the globally hottest
+/// vertices into *every* clique (so the ultra-hot head is always a local
+/// hit regardless of routing), and fills the remainder with the hottest
+/// vertices the LDG partitioner (§4.1) assigned to that clique —
+/// backfilled from the global hotness ranking when the clique's
+/// partition runs short. Rows are striped round-robin across the
+/// clique's member slots, so each GPU stores an equal share and a
+/// within-clique remote row costs one NVLink read instead of a PCIe
+/// fetch.
 ///
-/// Returns the layout plus the clique membership (`groups[g]` is the
-/// list of GPU ids in route group `g`) for the dispatcher.
-///
-/// # Panics
-///
-/// Panics if a GPU cannot fit its share of the pooled rows.
-pub fn build_partitioned_layout(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    hot: &[VertexId],
-    rows_per_gpu: usize,
-    replicate_frac: f64,
-) -> (CacheLayout, Vec<Vec<GpuId>>) {
-    fill_partitioned(graph, features, server, hot, rows_per_gpu, &mut |budget| {
-        (budget as f64 * replicate_frac).floor() as usize
-    })
-}
-
-/// Builds the clique-partitioned hybrid layout with the replicated head
-/// sized *adaptively* instead of by a fixed fraction: the head grows one
+/// The replicated head is sized from measured hotness: it grows one
 /// vertex at a time while the marginal routed-coverage gain of another
 /// replica exceeds the partitioned row it displaces.
 ///
@@ -198,8 +168,9 @@ pub fn build_partitioned_layout(
 /// per-vertex touch count from [`warmup_hot_vertices_weighted`], indexed
 /// by vertex id.
 ///
-/// Returns the layout, the clique membership, and the replicated head
-/// size chosen for each clique (for telemetry).
+/// Returns the layout, the clique membership (`groups[g]` is the list
+/// of GPU ids in route group `g`, for the dispatcher), and the
+/// replicated head size chosen for each clique (for telemetry).
 ///
 /// # Panics
 ///
@@ -212,61 +183,15 @@ pub fn build_partitioned_layout_adaptive(
     weight: &[u64],
     rows_per_gpu: usize,
 ) -> (CacheLayout, Vec<Vec<GpuId>>, Vec<usize>) {
-    let num_cliques = detect_cliques(server.nvlink()).len();
-    let mut replicated_per_clique = Vec::new();
-    let (layout, groups) =
-        fill_partitioned(graph, features, server, hot, rows_per_gpu, &mut |budget| {
-            let r = adaptive_replicated_rows(hot, weight, budget, num_cliques);
-            replicated_per_clique.push(r);
-            r
-        });
-    (layout, groups, replicated_per_clique)
-}
-
-/// The greedy head-sizing rule behind
-/// [`build_partitioned_layout_adaptive`], exposed for direct testing:
-/// returns how many of the hottest vertices to replicate into every
-/// clique given a per-clique row `budget` and `num_cliques` cliques.
-pub fn adaptive_replicated_rows(
-    hot: &[VertexId],
-    weight: &[u64],
-    budget: usize,
-    num_cliques: usize,
-) -> usize {
-    if num_cliques <= 1 {
-        return 0;
-    }
-    let b = budget.min(hot.len());
-    let (g, mut r) = (num_cliques as u64, 0usize);
-    while r < b {
-        let gain = (g - 1) * weight[hot[r] as usize];
-        let loss = g * weight[hot[b - 1 - r] as usize];
-        if gain < loss || gain == 0 {
-            break;
-        }
-        r += 1;
-    }
-    r
-}
-
-/// Shared fill behind the fixed-fraction and adaptive partitioned
-/// layouts: `replicated_for(budget)` decides the replicated head size
-/// for a clique with `budget` pooled rows.
-fn fill_partitioned(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    hot: &[VertexId],
-    rows_per_gpu: usize,
-    replicated_for: &mut dyn FnMut(usize) -> usize,
-) -> (CacheLayout, Vec<Vec<GpuId>>) {
     let groups = detect_cliques(server.nvlink());
     let part = LdgPartitioner::default().partition(graph, groups.len());
     let num_gpus = server.num_gpus();
     let mut cliques = Vec::with_capacity(groups.len());
+    let mut replicated_per_clique = Vec::with_capacity(groups.len());
     for (gi, members) in groups.iter().enumerate() {
         let budget = (rows_per_gpu * members.len()).min(hot.len());
-        let replicated = replicated_for(budget).min(budget);
+        let replicated = adaptive_replicated_rows(hot, weight, budget, groups.len());
+        replicated_per_clique.push(replicated);
         let mut taken = vec![false; graph.num_vertices()];
         let mut chosen: Vec<VertexId> = Vec::with_capacity(budget);
         for &v in &hot[..replicated] {
@@ -310,7 +235,34 @@ fn fill_partitioned(
         }
         cliques.push(cc);
     }
-    (CacheLayout::from_cliques(num_gpus, cliques), groups)
+    let layout = CacheLayout::from_cliques(num_gpus, cliques);
+    (layout, groups, replicated_per_clique)
+}
+
+/// The greedy head-sizing rule behind
+/// [`build_partitioned_layout_adaptive`], exposed for direct testing:
+/// returns how many of the hottest vertices to replicate into every
+/// clique given a per-clique row `budget` and `num_cliques` cliques.
+pub fn adaptive_replicated_rows(
+    hot: &[VertexId],
+    weight: &[u64],
+    budget: usize,
+    num_cliques: usize,
+) -> usize {
+    if num_cliques <= 1 {
+        return 0;
+    }
+    let b = budget.min(hot.len());
+    let (g, mut r) = (num_cliques as u64, 0usize);
+    while r < b {
+        let gain = (g - 1) * weight[hot[r] as usize];
+        let loss = g * weight[hot[b - 1 - r] as usize];
+        if gain < loss || gain == 0 {
+            break;
+        }
+        r += 1;
+    }
+    r
 }
 
 #[cfg(test)]
@@ -342,7 +294,7 @@ mod tests {
         // Skewed targets over the non-hub vertices: all of them sample
         // the hub as a neighbor.
         let mut targets = TargetSampler::new((1..32).collect(), 1.0, 0, 0);
-        let ranked = warmup_hot_vertices(&g, &mut targets, 200, &[2], 7);
+        let ranked = warmup_hot_vertices_weighted(&g, &mut targets, 200, &[2], 7).0;
         assert_eq!(ranked.len(), 32);
         assert_eq!(ranked[0], 0, "hub must be hottest");
     }
@@ -352,7 +304,7 @@ mod tests {
         let g = chain_with_hub();
         let run = || {
             let mut t = TargetSampler::new((1..32).collect(), 1.1, 16, 3);
-            warmup_hot_vertices(&g, &mut t, 100, &[2, 2], 11)
+            warmup_hot_vertices_weighted(&g, &mut t, 100, &[2, 2], 11)
         };
         assert_eq!(run(), run());
     }
@@ -363,7 +315,7 @@ mod tests {
         let f = FeatureTable::zeros(32, 8);
         let server = ServerSpec::custom(2, 1 << 20, 1).build();
         let mut targets = TargetSampler::new((1..32).collect(), 1.0, 0, 0);
-        let hot = warmup_hot_vertices(&g, &mut targets, 100, &[2], 3);
+        let hot = warmup_hot_vertices_weighted(&g, &mut targets, 100, &[2], 3).0;
         let layout = build_static_layout(&g, &f, &server, &hot, 4);
         for gpu in 0..2 {
             let (cache, slot) = layout.for_gpu(gpu).expect("gpu has a cache");
@@ -397,35 +349,6 @@ mod tests {
         }
         b.push_edge(0, 32);
         b.build()
-    }
-
-    #[test]
-    fn partitioned_layout_replicates_the_head_and_stripes_the_rest() {
-        let g = two_communities();
-        let f = FeatureTable::zeros(64, 8);
-        let server = ServerSpec::custom(4, 1 << 20, 2).build();
-        let hot: Vec<VertexId> = (0..64).collect();
-        let (layout, groups) = build_partitioned_layout(&g, &f, &server, &hot, 8, 0.5);
-        assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
-        // Budget per clique: 8 rows/GPU x 2 GPUs = 16, half replicated.
-        let caches: Vec<_> = [0, 2]
-            .iter()
-            .map(|&gpu| layout.for_gpu(gpu).expect("gpu has a cache").0)
-            .collect();
-        for cache in &caches {
-            let resident = cache.feature_vertices();
-            assert_eq!(resident.len(), 16);
-            for v in 0..8u32 {
-                assert!(resident.contains(&v), "head vertex {v} must replicate");
-            }
-        }
-        // Beyond the replicated head the cliques diverge: they own
-        // different partitions of the warm tail.
-        assert_ne!(caches[0].feature_vertices(), caches[1].feature_vertices());
-        // Rows are striped evenly, and each GPU is charged its share.
-        for gpu in 0..4 {
-            assert_eq!(server.allocated_bytes(gpu), 8 * f.row_bytes());
-        }
     }
 
     #[test]
@@ -472,21 +395,9 @@ mod tests {
             );
         }
         // Beyond the one-vertex head the cliques hold disjoint
-        // partitions, like the fixed-fraction layout's tail.
+        // partitions.
         let a = layout.for_gpu(0).unwrap().0.feature_vertices();
         let b = layout.for_gpu(2).unwrap().0.feature_vertices();
         assert_ne!(a, b, "tails must stay partitioned");
-    }
-
-    #[test]
-    fn full_replication_makes_cliques_identical() {
-        let g = two_communities();
-        let f = FeatureTable::zeros(64, 8);
-        let server = ServerSpec::custom(4, 1 << 20, 2).build();
-        let hot: Vec<VertexId> = (0..64).collect();
-        let (layout, _) = build_partitioned_layout(&g, &f, &server, &hot, 8, 1.0);
-        let a = layout.for_gpu(0).unwrap().0.feature_vertices();
-        let b = layout.for_gpu(2).unwrap().0.feature_vertices();
-        assert_eq!(a, b, "replicate_frac 1.0 means one shared hot set");
     }
 }

@@ -71,10 +71,12 @@ use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::batcher::BatchPolicy;
 use crate::cache_policy::{
-    build_partitioned_layout, build_partitioned_layout_adaptive, build_static_layout,
-    warmup_hot_vertices_weighted, PolicyKind,
+    build_partitioned_layout_adaptive, build_static_layout, warmup_hot_vertices_weighted,
+    PolicyKind,
 };
-use crate::replan::{plan_layout, profile_warmup, ReplanState, SwapDelta, WarmupProfile};
+use crate::replan::{
+    plan_layout, profile_warmup, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
+};
 use crate::shard;
 use crate::slo::{latency_buckets, SloBatch, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
@@ -144,16 +146,28 @@ pub(crate) struct FifoMeters {
     rows: Counter,
 }
 
-/// Global meters of the re-planning loop, registered only for
-/// [`PolicyKind::Replan`] runs. `mid_batch` audits plan-commit
-/// visibility: it counts batches whose plan version changed *after* the
-/// batch-top commit point — [`ReplanState::roll`] only stages, so the
-/// counter must stay 0 in every run, sharded or not.
+/// Run-wide meters of the re-planning loop, registered only for
+/// [`PolicyKind::Replan`] runs; every worker holds handles to the same
+/// atomics. `mid_batch` audits plan-commit visibility: it counts
+/// batches whose plan version changed *after* the batch-top commit
+/// point — [`ReplanState::roll`] only stages, so the counter must stay
+/// 0 in every run, sharded or not.
 struct ReplanMeters {
     count: Counter,
     swap_bytes: Counter,
     recover: Histogram,
     mid_batch: Counter,
+}
+
+impl ReplanMeters {
+    fn new(registry: &Registry) -> Self {
+        Self {
+            count: registry.counter("serve.replan.count"),
+            swap_bytes: registry.counter("serve.replan.swap_bytes"),
+            recover: registry.histogram("serve.replan.recover_us", &latency_buckets()),
+            mid_batch: registry.counter("serve.replan.mid_batch_commits"),
+        }
+    }
 }
 
 /// Shared meters of the out-of-core store, registered only when the
@@ -206,27 +220,17 @@ pub(crate) struct StorePlacement {
 /// HBM budget (`cache_rows_per_gpu` rows) and the configured DRAM
 /// budget. Vertices the warmup never touched soak up whatever DRAM
 /// budget the warm prefix left over (ascending id); the rest start on
-/// the SSD. Returns `None` when the store is disabled *or* when the
-/// budget swallows the whole table — the all-resident degenerate case
-/// runs the legacy two-tier path with zero store state.
+/// the SSD. Returns `None` when the budget swallows the whole table —
+/// the all-resident degenerate case runs the two-tier path with zero
+/// store state.
 fn plan_store_placement(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    config: &ServeConfig,
-    all_targets: &[VertexId],
-    row_bytes: u64,
+    ctx: &ServeContext<'_>,
+    profile: &WarmupProfile,
+    dram_budget: u64,
 ) -> Option<StorePlacement> {
-    let dram_budget = config.store.dram_budget_bytes?;
+    let (graph, features, server, config) = (ctx.graph, ctx.features, ctx.server, ctx.config);
+    let row_bytes = ctx.row_bytes;
     let nvme = NvmeModel::new(config.store.nvme);
-    let mut warm = TargetSampler::new(all_targets.to_vec(), config.zipf_exponent, 0, 0);
-    let profile = profile_warmup(
-        graph,
-        &mut warm,
-        config.warmup_requests,
-        &config.fanouts,
-        config.seed,
-    );
     let t = cslp(&profile.topo);
     let f = cslp(&profile.feat);
     let model = CostModel::new(
@@ -515,24 +519,17 @@ struct CoalesceState {
 
 impl RemoteWorker {
     fn new(rc: &crate::RemoteConfig, row_bytes: u64, registry: &Arc<Registry>) -> Self {
-        let coalesce = rc.coalesce.as_ref().map(|cc| {
-            assert_eq!(
-                cc.shard.len(),
-                rc.owned.len(),
-                "coalescing shard map must cover every vertex"
-            );
-            CoalesceState {
-                shard: Arc::clone(&cc.shard),
-                last_fetch: vec![u64::MAX; cc.shard.len()],
-                window_batches: cc.window_batches,
-                batch_idx: 0,
-                owner_rows: vec![0; cc.num_servers],
-                touched: Vec::new(),
-                payloads: Vec::new(),
-                coalesced_msgs: registry.counter("serve.remote.coalesced_msgs"),
-                dedup_hits: registry.counter("serve.remote.dedup_hits"),
-                per_owner_bytes: registry.counter("serve.remote.per_owner_bytes"),
-            }
+        let coalesce = rc.coalesce.as_ref().map(|cc| CoalesceState {
+            shard: Arc::clone(&cc.shard),
+            last_fetch: vec![u64::MAX; cc.shard.len()],
+            window_batches: cc.window_batches,
+            batch_idx: 0,
+            owner_rows: vec![0; cc.num_servers],
+            touched: Vec::new(),
+            payloads: Vec::new(),
+            coalesced_msgs: registry.counter("serve.remote.coalesced_msgs"),
+            dedup_hits: registry.counter("serve.remote.dedup_hits"),
+            per_owner_bytes: registry.counter("serve.remote.per_owner_bytes"),
         });
         Self {
             owned: Arc::clone(&rc.owned),
@@ -701,6 +698,7 @@ impl BatchScratch {
 /// plan double-buffer, and this GPU's swap/hit meters.
 pub(crate) struct ReplanWorker {
     pub(crate) state: ReplanState,
+    meters: ReplanMeters,
     gpu_replans: Counter,
     gpu_swap_bytes: Counter,
     window_gauge: Gauge,
@@ -710,10 +708,15 @@ pub(crate) struct ReplanWorker {
 
 /// Cache-policy-specific batch machinery of one worker.
 pub(crate) enum WorkerPolicy {
-    /// StaticHot and Fifo: a fixed layout (possibly empty) plus the
-    /// manual FIFO cache and its meters.
-    Flat { fifo: FifoCache, meters: FifoMeters },
-    /// Replan: the per-GPU re-planning loop.
+    /// A fixed layout filled once from warmup traffic; no per-worker
+    /// state.
+    StaticHot,
+    /// The manual FIFO cache and its meters.
+    Fifo {
+        cache: FifoCache,
+        meters: FifoMeters,
+    },
+    /// The per-GPU re-planning loop.
     Replan(Box<ReplanWorker>),
 }
 
@@ -726,22 +729,49 @@ impl WorkerPolicy {
                 rw.state.plan.version(),
                 rw.state.plan.active().contents.feat.as_slice(),
             )),
-            WorkerPolicy::Flat { .. } => None,
+            _ => None,
         }
     }
 }
 
-/// One GPU of the event loop: its admission queue, busy horizon, RNG
-/// stream, scratch, meters, and policy state. Exactly one shard (or the
-/// sequential loop) owns a worker at any time — all of this state is
-/// single-writer by construction.
+/// What a batch's operators mutate whatever the cache policy: the RNG
+/// stream, the scratch, and the tiers below the HBM cache. Split from
+/// [`WorkerPolicy`] so a Replan batch can read its plan's layout while
+/// the shared body runs.
+struct BatchLane {
+    rng: StdRng,
+    scratch: BatchScratch,
+    /// Out-of-core store state; `None` unless the run's tiered
+    /// placement put rows on the SSD.
+    store: Option<Box<StoreWorker>>,
+    /// Fleet state; `None` unless this run is one server of a fleet.
+    remote: Option<Box<RemoteWorker>>,
+}
+
+impl BatchLane {
+    /// Triage of one HBM miss: a row another server owns joins the
+    /// remote wave and the local tiers never see it; any other miss is
+    /// the store's to resolve (when there is one).
+    fn note_miss(&mut self, v: VertexId) {
+        if self.remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
+            return;
+        }
+        if let Some(sw) = self.store.as_deref_mut() {
+            sw.missed.push(v);
+        }
+    }
+}
+
+/// One GPU of the event loop: its admission queue, busy horizon, batch
+/// lane, meters, and policy state. Exactly one shard (or the sequential
+/// loop) owns a worker at any time — all of this state is single-writer
+/// by construction.
 pub(crate) struct Worker {
     pub(crate) gpu: GpuId,
     pub(crate) queue: ClassedQueue<Request>,
     pub(crate) free_at: f64,
     pub(crate) makespan: f64,
-    rng: StdRng,
-    scratch: BatchScratch,
+    lane: BatchLane,
     batches: Counter,
     busy: Counter,
     pub(crate) gpu_shed: Counter,
@@ -751,11 +781,6 @@ pub(crate) struct Worker {
     slo_batch: SloBatch,
     class_batches: Option<Vec<SloBatch>>,
     pub(crate) policy: WorkerPolicy,
-    /// Out-of-core store state; `None` unless the run's tiered
-    /// placement put rows on the SSD.
-    pub(crate) store: Option<Box<StoreWorker>>,
-    /// Fleet state; `None` unless this run is one server of a fleet.
-    pub(crate) remote: Option<Box<RemoteWorker>>,
     /// Plan version last pushed into the router's residency index
     /// (Replan + Residency runs only).
     pub(crate) last_plan_version: u64,
@@ -846,14 +871,17 @@ impl RouterState {
     }
 }
 
-/// One micro-batch's stage durations, simulated seconds. Service time
-/// follows the §5 intra-batch overlap: sampling and extraction run
-/// concurrently, inference (and any plan-swap refill) serializes after.
-pub(crate) struct BatchTiming {
+/// One micro-batch's stage durations, simulated seconds, and the
+/// topology transactions its sampling caused (the re-planner's `N_TSUM`
+/// input). Service time follows the §5 intra-batch overlap: sampling and
+/// extraction run concurrently, inference (and any plan-swap refill)
+/// serializes after.
+struct BatchTiming {
     sample_s: f64,
     extract_s: f64,
     infer_s: f64,
     swap_s: f64,
+    topo_tx: u64,
 }
 
 impl BatchTiming {
@@ -863,27 +891,138 @@ impl BatchTiming {
     }
 }
 
+/// How a batch's feature rows are fetched and metered — the one place
+/// the cache policies differ inside a batch.
+enum Extract<'a> {
+    /// The engine's layout holds the cache (StaticHot's fill, Replan's
+    /// active plan), so the normal extraction path meters hits, misses
+    /// and NVLink traffic. A Replan batch also feeds its window
+    /// estimator from the sampler.
+    Layout {
+        window: Option<&'a mut WindowEstimator>,
+    },
+    /// Dynamic cache: the resident set mutates per access, so the
+    /// extraction is metered manually with the same counter names and
+    /// per-row transaction charge as the engine's path, accumulated
+    /// locally and flushed with one add per counter. Replacement
+    /// bookkeeping itself is not charged to time (an intentional
+    /// simplification; see DESIGN.md).
+    Fifo {
+        cache: &'a mut FifoCache,
+        meters: &'a FifoMeters,
+    },
+}
+
+/// The batch step every policy shares: sample the deduplicated seeds
+/// (charged to `gpu` through `engine`), fetch the sampled vertices' rows
+/// as `how` says, send every HBM miss down the tiers
+/// ([`BatchLane::note_miss`]), and derive the stage times from the
+/// traffic each stage caused. Remote and SSD stalls extend extraction,
+/// exactly like a slower PCIe crossing would.
+fn metered_batch(
+    ctx: &ServeContext<'_>,
+    engine: &AccessEngine<'_>,
+    gpu: GpuId,
+    lane: &mut BatchLane,
+    at: f64,
+    mut how: Extract<'_>,
+) -> BatchTiming {
+    let mut window = match &mut how {
+        Extract::Layout { window } => window.as_deref_mut(),
+        Extract::Fifo { .. } => None,
+    };
+    let mut note_edge = window
+        .as_deref_mut()
+        .map(|w| move |v: VertexId| w.note_edge(v));
+    let (sample, topo_tx) = engine.sample_metered(
+        &ctx.sampler,
+        gpu,
+        &lane.scratch.seeds,
+        &mut lane.rng,
+        note_edge.as_mut().map(|f| f as &mut dyn FnMut(VertexId)),
+        &mut lane.scratch.sample,
+    );
+    if let Some(w) = window {
+        for &v in &sample.all_vertices {
+            w.note_feature(v);
+        }
+    }
+    let sample_s = ctx
+        .time_model
+        .sample_seconds(topo_tx, sample.total_edges() as u64);
+
+    let (feat_tx, peer_bytes) = match how {
+        Extract::Layout { .. } => {
+            let cost = engine.gather_metered(
+                gpu,
+                &sample.all_vertices,
+                &mut lane.scratch.features,
+                &mut lane.scratch.totals,
+            );
+            if lane.store.is_some() || lane.remote.is_some() {
+                for &v in &sample.all_vertices {
+                    if !engine.feature_would_hit(gpu, v) {
+                        lane.note_miss(v);
+                    }
+                }
+            }
+            cost
+        }
+        Extract::Fifo { cache, meters } => {
+            let row_tx = ctx.server.pcie().transactions_for_payload(ctx.row_bytes);
+            let mut hits = 0u64;
+            let mut misses = 0u64;
+            for &v in &sample.all_vertices {
+                if cache.access(v) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    lane.note_miss(v);
+                }
+            }
+            meters.rows.add(sample.all_vertices.len() as u64);
+            meters.hits.add(hits);
+            meters.misses.add(misses);
+            ctx.server
+                .pcm()
+                .add(gpu, TrafficKind::Feature, misses * row_tx);
+            ctx.server
+                .traffic()
+                .add(gpu, Source::Cpu, misses * ctx.row_bytes);
+            (misses * row_tx, 0)
+        }
+    };
+    let mut extract_s = ctx.time_model.extract_seconds(feat_tx, peer_bytes);
+    if let Some(rw) = lane.remote.as_deref_mut() {
+        extract_s += rw.charge_batch();
+    }
+    if let Some(sw) = lane.store.as_deref_mut() {
+        extract_s += sw.charge_batch(at);
+    }
+    BatchTiming {
+        sample_s,
+        extract_s,
+        infer_s: ctx
+            .time_model
+            .train_seconds(ctx.model.inference_flops(&sample)),
+        swap_s: 0.0,
+        topo_tx,
+    }
+}
+
 /// Charges a committed plan swap: the entries the new plan holds that
 /// the old one did not are refilled from CPU memory (PCM transactions +
 /// traffic-matrix bytes), the GPU's memory budget is moved to the new
 /// footprint, and the PCIe transfer time is returned so the committing
 /// batch pays for it.
-#[allow(clippy::too_many_arguments)]
-fn charge_swap(
-    server: &MultiGpuServer,
-    graph: &CsrGraph,
-    time_model: &TimeModel,
-    gpu: GpuId,
-    row_bytes: u64,
-    delta: &SwapDelta,
-    swap_bytes_total: &Counter,
-    gpu_swap_bytes: &Counter,
-) -> f64 {
-    let feat_tx = delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(row_bytes);
-    let mut bytes = delta.new_feat.len() as u64 * row_bytes;
+fn charge_swap(ctx: &ServeContext<'_>, gpu: GpuId, delta: &SwapDelta, rw: &ReplanWorker) -> f64 {
+    let server = ctx.server;
+    let feat_tx =
+        delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(ctx.row_bytes);
+    let mut bytes = delta.new_feat.len() as u64 * ctx.row_bytes;
     let mut topo_tx = 0u64;
     for &v in &delta.new_topo {
-        let b = topology_bytes_for_degree(graph.degree(v));
+        let b = topology_bytes_for_degree(ctx.graph.degree(v));
         bytes += b;
         topo_tx += server.pcie().transactions_for_payload(b);
     }
@@ -896,59 +1035,38 @@ fn charge_swap(
     server
         .alloc(gpu, delta.new_bytes)
         .expect("replanned cache exceeds GPU memory");
-    swap_bytes_total.add(bytes);
-    gpu_swap_bytes.add(bytes);
-    time_model.extract_seconds(feat_tx + topo_tx, 0)
+    rw.meters.swap_bytes.add(bytes);
+    rw.gpu_swap_bytes.add(bytes);
+    ctx.time_model.extract_seconds(feat_tx + topo_tx, 0)
 }
 
 /// Runs one replan-policy micro-batch: commit any staged plan (paying
-/// the swap), sample and extract against the active plan's layout while
-/// feeding the window estimator, roll the window (possibly staging the
-/// next plan), and return the batch's service time.
-#[allow(clippy::too_many_arguments)]
+/// the swap), run the shared batch step against the active plan's
+/// layout while feeding the window estimator, then roll the window
+/// (possibly staging the next plan).
 fn replan_batch_service(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    time_model: &TimeModel,
-    sampler: &KHopSampler,
-    model: &GnnModel,
-    replan_meters: &ReplanMeters,
-    row_bytes: u64,
+    ctx: &ServeContext<'_>,
     gpu: GpuId,
+    lane: &mut BatchLane,
     rw: &mut ReplanWorker,
-    batch: &[Request],
+    requests: usize,
     at: f64,
-    rng: &mut StdRng,
-    scratch: &mut BatchScratch,
-    mut store: Option<&mut StoreWorker>,
-    mut remote: Option<&mut RemoteWorker>,
-    overlay: Option<&DeltaOverlay>,
 ) -> BatchTiming {
     // Batch-boundary swap: in-flight requests finished against the old
     // plan; this batch starts on the new one and pays its refill.
-    let mut swap_t = 0.0f64;
-    let old_feat = (store.is_some() && rw.state.plan.has_staged())
+    let mut swap_s = 0.0f64;
+    let old_feat = (lane.store.is_some() && rw.state.plan.has_staged())
         .then(|| rw.state.plan.active().contents.feat.clone());
     if let Some(delta) = rw.state.commit() {
         rw.gpu_replans.inc();
-        replan_meters.count.inc();
-        swap_t = charge_swap(
-            server,
-            graph,
-            time_model,
-            gpu,
-            row_bytes,
-            &delta,
-            &replan_meters.swap_bytes,
-            &rw.gpu_swap_bytes,
-        );
+        rw.meters.count.inc();
+        swap_s = charge_swap(ctx, gpu, &delta, rw);
         // Rows the new plan pulls into HBM come up off the SSD; rows
         // that left it fall back to their placement-time tier. Swap
         // bytes are charged to the NVMe model and the committing batch
         // pays the device time.
-        if let (Some(sw), Some(old)) = (store.as_deref_mut(), old_feat) {
-            swap_t += sw.migrate_commit(
+        if let (Some(sw), Some(old)) = (lane.store.as_deref_mut(), old_feat) {
+            swap_s += sw.migrate_commit(
                 at,
                 &old,
                 &rw.state.plan.active().contents.feat,
@@ -960,86 +1078,39 @@ fn replan_batch_service(
     // the version must not move — `roll` below only *stages* the next
     // plan, and no other thread ever touches this worker's buffer.
     let version_in_batch = rw.state.plan.version();
-    let plan_engine = AccessEngine::new(
-        graph,
-        features,
-        rw.state.plan.active_layout(),
-        server,
-        TopologyPlacement::CpuUva,
-    )
-    .with_overlay(overlay);
-    batch_seeds(batch, &mut scratch.seeds);
-    let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-    let window = &mut rw.state.window;
-    let mut on_edge = |v: VertexId| window.note_edge(v);
-    let sample = sampler.sample_batch_with(
-        &plan_engine,
-        gpu,
-        &scratch.seeds,
-        rng,
-        Some(&mut on_edge),
-        &mut scratch.sample,
-    );
-    for &v in &sample.all_vertices {
-        window.note_feature(v);
-    }
-    let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-    let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-    let feat_tx_before = server.pcm().gpu_kind(gpu, TrafficKind::Feature);
     let (h0, m0) = (rw.feat_hits.get(), rw.feat_misses.get());
-    plan_engine.read_features_batch(
-        gpu,
-        &sample.all_vertices,
-        &mut scratch.features,
-        &mut scratch.totals,
-    );
-    let feat_tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - feat_tx_before;
-    let mut extract_t = time_model.extract_seconds(feat_tx, 0);
-    if store.is_some() || remote.is_some() {
-        if let Some(sw) = store.as_deref_mut() {
-            sw.missed.clear();
-        }
-        for &v in &sample.all_vertices {
-            if plan_engine.feature_would_hit(gpu, v) {
-                continue;
-            }
-            if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                continue;
-            }
-            if let Some(sw) = store.as_deref_mut() {
-                sw.missed.push(v);
-            }
-        }
-        if let Some(rw) = remote {
-            extract_t += rw.charge_batch();
-        }
-        if let Some(sw) = store {
-            extract_t += sw.charge_batch(at);
-        }
-    }
+    let mut timing = {
+        let ReplanState { window, plan, .. } = &mut rw.state;
+        let plan_engine = AccessEngine::new(
+            ctx.graph,
+            ctx.features,
+            plan.active_layout(),
+            ctx.server,
+            TopologyPlacement::CpuUva,
+        )
+        .with_overlay(ctx.engine.overlay());
+        let how = Extract::Layout {
+            window: Some(window),
+        };
+        metered_batch(ctx, &plan_engine, gpu, lane, at, how)
+    };
+    timing.swap_s = swap_s;
     rw.state.window.note_batch(
-        batch.len(),
+        requests,
         rw.feat_hits.get() - h0,
         rw.feat_misses.get() - m0,
-        topo_tx,
+        timing.topo_tx,
     );
-    drop(plan_engine);
-    if let Some(outcome) = rw.state.roll(at, graph, features) {
+    if let Some(outcome) = rw.state.roll(at, ctx.graph, ctx.features) {
         rw.window_gauge.set(outcome.window_hit_rate);
         if let Some(dt) = outcome.recovered_after {
-            replan_meters.recover.observe((dt * 1e6).round() as u64);
+            rw.meters.recover.observe((dt * 1e6).round() as u64);
         }
     }
     if rw.state.plan.version() != version_in_batch {
-        replan_meters.mid_batch.inc();
+        rw.meters.mid_batch.inc();
     }
-    let infer_t = time_model.train_seconds(model.inference_flops(&sample));
-    BatchTiming {
-        sample_s: sample_t,
-        extract_s: extract_t,
-        infer_s: infer_t,
-        swap_s: swap_t,
-    }
+    timing
 }
 
 /// Everything the batch path reads but never mutates: the dataset, the
@@ -1062,7 +1133,6 @@ pub(crate) struct ServeContext<'a> {
     shed_total: Counter,
     pub(crate) batch_policy: BatchPolicy,
     row_bytes: u64,
-    replan_shared: Option<(WarmupProfile, ReplanMeters)>,
 }
 
 /// Offers one routed request to its worker's admission queue, metering
@@ -1086,7 +1156,7 @@ pub(crate) fn offer_request(
         }
     };
     if admitted {
-        if let Some(sw) = w.store.as_deref_mut() {
+        if let Some(sw) = w.lane.store.as_deref_mut() {
             sw.prefetch_admitted(ctx.graph, r.target, r.arrival);
         }
     }
@@ -1099,55 +1169,28 @@ pub(crate) fn offer_request(
 pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) -> usize {
     w.depth.observe(w.queue.len());
     let batch = w.queue.take(ctx.config.max_batch);
-    if let Some(sw) = w.store.as_deref_mut() {
+    if let Some(sw) = w.lane.store.as_deref_mut() {
         sw.meters.inflight.observe(sw.store.inflight(at) as u64);
     }
     let before = w.phase.as_ref().map(|p| p.totals());
+    batch_seeds(&batch, &mut w.lane.scratch.seeds);
     let timing = match &mut w.policy {
-        WorkerPolicy::Flat { fifo, meters } => batch_service_seconds(
-            &ctx.engine,
-            ctx.server,
-            &ctx.time_model,
-            &ctx.sampler,
-            &ctx.model,
-            ctx.config.policy,
-            fifo,
-            meters,
-            w.gpu,
-            &batch,
-            at,
-            &mut w.rng,
-            &mut w.scratch,
-            w.store.as_deref_mut(),
-            w.remote.as_deref_mut(),
-        ),
+        WorkerPolicy::StaticHot => {
+            let how = Extract::Layout { window: None };
+            metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
+        }
+        WorkerPolicy::Fifo { cache, meters } => {
+            let how = Extract::Fifo { cache, meters };
+            metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
+        }
         WorkerPolicy::Replan(rw) => {
-            let (_, replan_meters) = ctx.replan_shared.as_ref().expect("replan meters");
-            replan_batch_service(
-                ctx.graph,
-                ctx.features,
-                ctx.server,
-                &ctx.time_model,
-                &ctx.sampler,
-                &ctx.model,
-                replan_meters,
-                ctx.row_bytes,
-                w.gpu,
-                rw,
-                &batch,
-                at,
-                &mut w.rng,
-                &mut w.scratch,
-                w.store.as_deref_mut(),
-                w.remote.as_deref_mut(),
-                ctx.engine.overlay(),
-            )
+            replan_batch_service(ctx, w.gpu, &mut w.lane, rw, batch.len(), at)
         }
     };
     // Lookahead prefetch: the requests still queued behind the batch
     // just drained are exactly what the next few batches will ask for —
     // stage their SSD rows now so those launches find warm staging.
-    if let Some(sw) = w.store.as_deref_mut() {
+    if let Some(sw) = w.lane.store.as_deref_mut() {
         sw.prefetch_lookahead(ctx.graph, &w.queue, at);
     }
     if let (Some(p), Some((h0, m0))) = (w.phase.as_ref(), before) {
@@ -1262,7 +1305,7 @@ impl<'a> MutationDriver<'a> {
                     .cliques
                     .iter()
                     .any(|c| c.has_topology(v)),
-                WorkerPolicy::Flat { .. } => false,
+                _ => false,
             });
         if cached {
             self.invalidate_topo.inc();
@@ -1437,71 +1480,20 @@ pub fn serve_requests(
 ) -> ServeReport {
     config.validate();
     if let Some(rc) = config.remote.as_ref() {
-        assert_eq!(
-            rc.owned.len(),
-            graph.num_vertices(),
-            "remote ownership map must cover every vertex"
+        rc.validate(graph.num_vertices());
+    }
+    if let Some(i) = requests
+        .windows(2)
+        .position(|w| w[1].arrival < w[0].arrival)
+    {
+        panic!(
+            "requests must be sorted by arrival time: request {} arrives before request {i}",
+            i + 1
         );
     }
     server.reset();
-    let num_gpus = server.num_gpus();
-    let all_targets: Vec<u32> = (0..graph.num_vertices() as u32).collect();
 
-    let residency = config.router.policy == RouterPolicy::Residency;
-
-    // Cache layout per policy. The static planner profiles warmup traffic
-    // drawn from the *initial* (pre-drift) skew — it cannot see the
-    // future, which is exactly the handicap under drift. The replan
-    // policy starts from the same handicapped position (a warmup-profiled
-    // plan) but may revise it from observed traffic. Under the residency
-    // router the static plan becomes clique-partitioned: a pooled
-    // per-clique cache holding a replicated global head plus the
-    // clique's own partition of the warm tail.
-    let mut static_groups: Option<Vec<Vec<GpuId>>> = None;
-    let layout = match config.policy {
-        PolicyKind::StaticHot => {
-            let mut warm = TargetSampler::new(all_targets.clone(), config.zipf_exponent, 0, 0);
-            let (hot, weight) = warmup_hot_vertices_weighted(
-                graph,
-                &mut warm,
-                config.warmup_requests,
-                &config.fanouts,
-                config.seed,
-            );
-            if residency {
-                // The replicated head is sized adaptively from measured
-                // warmup hotness by default; `adaptive_replication:
-                // false` restores the fixed `replicate_frac` split.
-                let (layout, groups) = if config.router.adaptive_replication {
-                    let (layout, groups, replicated) = build_partitioned_layout_adaptive(
-                        graph,
-                        features,
-                        server,
-                        &hot,
-                        &weight,
-                        config.cache_rows_per_gpu,
-                    );
-                    let meter = server.telemetry().counter("serve.route.replicated_rows");
-                    meter.add(replicated.iter().map(|&r| r as u64).sum());
-                    (layout, groups)
-                } else {
-                    build_partitioned_layout(
-                        graph,
-                        features,
-                        server,
-                        &hot,
-                        config.cache_rows_per_gpu,
-                        config.router.replicate_frac,
-                    )
-                };
-                static_groups = Some(groups);
-                layout
-            } else {
-                build_static_layout(graph, features, server, &hot, config.cache_rows_per_gpu)
-            }
-        }
-        PolicyKind::Fifo | PolicyKind::Replan => CacheLayout::none(num_gpus),
-    };
+    let (layout, static_groups) = build_layout(graph, features, server, config);
     // Streaming mutations: the delta-CSR overlay shared by every
     // sampler path. `None` — the default — leaves the engine overlay-
     // free and the run byte-identical to the frozen-graph engine.
@@ -1511,8 +1503,6 @@ pub fn serve_requests(
         .map(|_| DeltaOverlay::new(graph.num_vertices()));
     let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva)
         .with_overlay(overlay.as_ref());
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
     let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x6d5f_3a21_9b4e_c087);
     let model = GnnModel::new(
         ModelKind::GraphSage,
@@ -1537,41 +1527,6 @@ pub fn serve_requests(
             .collect()
     });
     registry.counter("serve.offered").add(requests.len() as u64);
-    let shed_total = registry.counter("serve.shed");
-    let batch_policy = BatchPolicy::new(config.max_batch, config.max_wait);
-    let row_bytes = features.row_bytes();
-
-    // Out-of-core placement: the three-tier cost-model sweep decides,
-    // per vertex, whether its feature row lives in HBM (the GPU plan),
-    // host DRAM, or on the simulated SSD. `None` — the default config,
-    // or any DRAM budget that swallows the whole table — leaves every
-    // worker storeless, so the legacy two-tier path (and its snapshot)
-    // is byte-identical.
-    let store_placement =
-        plan_store_placement(graph, features, server, config, &all_targets, row_bytes);
-
-    // Replan-only shared state: the warmup-profiled initial hotness and
-    // the global swap meters. The budget equals the other policies'
-    // footprint (`cache_rows_per_gpu` feature rows); the cost model's α
-    // splits it between topology and features.
-    let replan_budget = config.cache_rows_per_gpu as u64 * row_bytes;
-    let replan_shared = (config.policy == PolicyKind::Replan).then(|| {
-        let mut warm = TargetSampler::new(all_targets, config.zipf_exponent, 0, 0);
-        let profile = profile_warmup(
-            graph,
-            &mut warm,
-            config.warmup_requests,
-            &config.fanouts,
-            config.seed,
-        );
-        let meters = ReplanMeters {
-            count: registry.counter("serve.replan.count"),
-            swap_bytes: registry.counter("serve.replan.swap_bytes"),
-            recover: registry.histogram("serve.replan.recover_us", &latency_buckets()),
-            mid_batch: registry.counter("serve.replan.mid_batch_commits"),
-        };
-        (profile, meters)
-    });
 
     // Everything the batch path reads but never mutates, bundled so the
     // sequential loop and the shard threads share one `&ServeContext`.
@@ -1584,152 +1539,19 @@ pub fn serve_requests(
         server,
         config,
         engine,
-        time_model,
-        sampler,
+        time_model: TimeModel::new(server.spec()),
+        sampler: KHopSampler::new(config.fanouts.clone()),
         model,
         registry: Arc::clone(registry),
         slo,
         class_slos,
-        shed_total,
-        batch_policy,
-        row_bytes,
-        replan_shared,
+        shed_total: registry.counter("serve.shed"),
+        batch_policy: BatchPolicy::new(config.max_batch, config.max_wait),
+        row_bytes: features.row_bytes(),
     };
-
-    let mut workers: Vec<Worker> = (0..num_gpus)
-        .map(|gpu| {
-            let queue = if config.classes.qos {
-                ClassedQueue::new_qos(config.queue_capacity, config.classes.qos_weights)
-                    .with_service_floors(config.classes.qos_floors)
-            } else {
-                ClassedQueue::new_fifo(config.queue_capacity)
-            };
-            let policy = match config.policy {
-                PolicyKind::StaticHot | PolicyKind::Fifo => WorkerPolicy::Flat {
-                    fifo: FifoCache::new(config.cache_rows_per_gpu),
-                    meters: FifoMeters {
-                        hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-                        misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
-                        rows: registry.counter(&format!("extract.gpu{gpu}.rows")),
-                    },
-                },
-                PolicyKind::Replan => {
-                    let (profile, _) = ctx.replan_shared.as_ref().expect("replan profile");
-                    let cls = server.pcie().cls();
-                    let initial = plan_layout(
-                        gpu,
-                        num_gpus,
-                        graph,
-                        features,
-                        &profile.topo,
-                        &profile.feat,
-                        profile.n_tsum,
-                        replan_budget,
-                        config.replan.delta_alpha,
-                        cls,
-                    );
-                    server
-                        .alloc(gpu, initial.contents.total_bytes())
-                        .expect("replanned cache exceeds GPU memory");
-                    let state = ReplanState::new(
-                        config.replan.clone(),
-                        initial,
-                        graph.num_vertices(),
-                        gpu,
-                        num_gpus,
-                        replan_budget,
-                        cls,
-                    );
-                    WorkerPolicy::Replan(Box::new(ReplanWorker {
-                        state,
-                        gpu_replans: registry.counter(&format!("serve.gpu{gpu}.replans")),
-                        gpu_swap_bytes: registry
-                            .counter(&format!("serve.gpu{gpu}.replan.swap_bytes")),
-                        window_gauge: registry.gauge(&format!("serve.gpu{gpu}.window_hit_rate")),
-                        feat_hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-                        feat_misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
-                    }))
-                }
-            };
-            Worker {
-                gpu,
-                queue,
-                free_at: 0.0,
-                makespan: 0.0,
-                rng: StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7)),
-                scratch: BatchScratch::new(num_gpus),
-                batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
-                busy: registry.counter(&format!("serve.gpu{gpu}.busy_ns")),
-                gpu_shed: registry.counter(&format!("serve.gpu{gpu}.shed")),
-                phase: (config.drift_period > 0)
-                    .then(|| PhaseMeter::new(registry, config.drift_period, gpu)),
-                depth: QueueDepthMeter::for_gpu(registry, gpu),
-                stages: StageRecorder::for_gpu(registry, gpu),
-                slo_batch: ctx.slo.batch(),
-                class_batches: ctx
-                    .class_slos
-                    .as_ref()
-                    .map(|trackers| trackers.iter().map(SloTracker::batch).collect()),
-                policy,
-                store: store_placement
-                    .as_ref()
-                    .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
-                remote: config
-                    .remote
-                    .as_ref()
-                    .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
-                last_plan_version: 0,
-            }
-        })
-        .collect();
-
-    // Residency router: route groups and their initial residency sets
-    // are policy-specific. StaticHot exports the partitioned clique
-    // caches; Fifo approximates each clique's future content with its
-    // LDG partition (§4.1 ownership); Replan runs per-GPU groups seeded
-    // from each worker's initial plan and refreshed on every commit.
-    let mut router = residency.then(|| {
-        let groups = match config.policy {
-            PolicyKind::StaticHot => static_groups.take().expect("partitioned layout built"),
-            PolicyKind::Fifo => detect_cliques(server.nvlink()),
-            PolicyKind::Replan => (0..num_gpus).map(|g| vec![g]).collect(),
-        };
-        let spill_len =
-            (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
-        let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-        match config.policy {
-            PolicyKind::StaticHot => {
-                for g in 0..dispatcher.num_groups() {
-                    let member = dispatcher.group_members(g)[0];
-                    let resident = layout
-                        .for_gpu(member)
-                        .expect("partitioned layout covers every GPU")
-                        .0
-                        .feature_vertices();
-                    dispatcher.refresh_group(g, &resident);
-                }
-            }
-            PolicyKind::Fifo => {
-                let part = LdgPartitioner::default().partition(graph, dispatcher.num_groups());
-                for g in 0..dispatcher.num_groups() {
-                    let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-                        .filter(|&v| part[v as usize] as usize == g)
-                        .collect();
-                    dispatcher.refresh_group(g, &owned);
-                }
-            }
-            PolicyKind::Replan => {
-                for w in &mut workers {
-                    if let WorkerPolicy::Replan(rw) = &w.policy {
-                        let g = dispatcher.group_of(w.gpu);
-                        dispatcher.refresh_group(g, &rw.state.plan.active().contents.feat);
-                        w.last_plan_version = rw.state.plan.version();
-                    }
-                }
-            }
-        }
-        RouterState::new(registry, dispatcher, config.router.probe_neighbors)
-    });
+    let mut workers = build_workers(&ctx);
+    let mut router = (config.router.policy == RouterPolicy::Residency)
+        .then(|| build_router(&ctx, &layout, static_groups, &mut workers));
 
     // Event-loop dispatch: the sequential global loop at `shards <= 1`
     // (and whenever the topology collapses to one usable shard),
@@ -1761,10 +1583,249 @@ pub fn serve_requests(
     } else {
         shard::run_roundrobin_sharded(&ctx, &mut workers, requests, eff_shards);
     }
-    let makespan = workers.iter().fold(0.0f64, |m, w| m.max(w.makespan));
+    build_report(&ctx, &workers, router.as_ref(), requests.len() as u64)
+}
 
+/// Layout phase: the cache layout per policy, plus the route groups a
+/// clique-partitioned static layout defines. The static planner
+/// profiles warmup traffic drawn from the *initial* (pre-drift) skew —
+/// it cannot see the future, which is exactly the handicap under drift.
+/// Under the residency router the static plan becomes
+/// clique-partitioned: a pooled per-clique cache holding a replicated
+/// global head (sized from measured warmup hotness) plus the clique's
+/// own partition of the warm tail. Fifo and Replan start from an empty
+/// engine layout: their caches live in the workers.
+fn build_layout(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    server: &MultiGpuServer,
+    config: &ServeConfig,
+) -> (CacheLayout, Option<Vec<Vec<GpuId>>>) {
+    if config.policy != PolicyKind::StaticHot {
+        return (CacheLayout::none(server.num_gpus()), None);
+    }
+    let (hot, weight) = warmup_hot_vertices_weighted(
+        graph,
+        &mut warmup_targets(graph, config),
+        config.warmup_requests,
+        &config.fanouts,
+        config.seed,
+    );
+    if config.router.policy != RouterPolicy::Residency {
+        let layout = build_static_layout(graph, features, server, &hot, config.cache_rows_per_gpu);
+        return (layout, None);
+    }
+    let (layout, groups, replicated) = build_partitioned_layout_adaptive(
+        graph,
+        features,
+        server,
+        &hot,
+        &weight,
+        config.cache_rows_per_gpu,
+    );
+    let meter = server.telemetry().counter("serve.route.replicated_rows");
+    meter.add(replicated.iter().map(|&r| r as u64).sum());
+    (layout, Some(groups))
+}
+
+/// The target stream every warmup pass profiles: the run's skew with
+/// drift off.
+fn warmup_targets(graph: &CsrGraph, config: &ServeConfig) -> TargetSampler {
+    let all_targets = (0..graph.num_vertices() as u32).collect();
+    TargetSampler::new(all_targets, config.zipf_exponent, 0, 0)
+}
+
+/// Worker phase: one [`Worker`] per GPU with its queue, meters, policy
+/// state and the tiers below the HBM cache.
+///
+/// The out-of-core placement decides, per vertex, whether its feature
+/// row lives in HBM (the GPU plan), host DRAM, or on the simulated SSD;
+/// `None` — the default config, or any DRAM budget that swallows the
+/// whole table — leaves every worker storeless, so the two-tier path
+/// (and its snapshot) is byte-identical. A Replan worker starts from
+/// the same handicapped position as the static planner (a
+/// warmup-profiled plan) but may revise it from observed traffic; its
+/// budget equals the other policies' footprint (`cache_rows_per_gpu`
+/// feature rows), which the cost model's α splits between topology and
+/// features. Placement and initial plans read one warmup profile.
+fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
+    let (graph, features, server, config) = (ctx.graph, ctx.features, ctx.server, ctx.config);
+    let (registry, row_bytes) = (&ctx.registry, ctx.row_bytes);
+    let num_gpus = server.num_gpus();
+    let replan = config.policy == PolicyKind::Replan;
+    let profile = (replan || config.store.active()).then(|| {
+        profile_warmup(
+            graph,
+            &mut warmup_targets(graph, config),
+            config.warmup_requests,
+            &config.fanouts,
+            config.seed,
+        )
+    });
+    let store_placement = config
+        .store
+        .dram_budget_bytes
+        .zip(profile.as_ref())
+        .and_then(|(budget, profile)| plan_store_placement(ctx, profile, budget));
+    let replan_budget = config.cache_rows_per_gpu as u64 * row_bytes;
+    (0..num_gpus)
+        .map(|gpu| {
+            let queue = if config.classes.qos {
+                ClassedQueue::new_qos(config.queue_capacity, config.classes.qos_weights)
+                    .with_service_floors(config.classes.qos_floors)
+            } else {
+                ClassedQueue::new_fifo(config.queue_capacity)
+            };
+            let policy = match config.policy {
+                PolicyKind::StaticHot => WorkerPolicy::StaticHot,
+                PolicyKind::Fifo => WorkerPolicy::Fifo {
+                    cache: FifoCache::new(config.cache_rows_per_gpu),
+                    meters: FifoMeters {
+                        hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
+                        misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
+                        rows: registry.counter(&format!("extract.gpu{gpu}.rows")),
+                    },
+                },
+                PolicyKind::Replan => {
+                    let profile = profile.as_ref().expect("replan runs profile warmup");
+                    let cls = server.pcie().cls();
+                    let initial = plan_layout(
+                        gpu,
+                        num_gpus,
+                        graph,
+                        features,
+                        &profile.topo,
+                        &profile.feat,
+                        profile.n_tsum,
+                        replan_budget,
+                        config.replan.delta_alpha,
+                        cls,
+                    );
+                    server
+                        .alloc(gpu, initial.contents.total_bytes())
+                        .expect("replanned cache exceeds GPU memory");
+                    let state = ReplanState::new(
+                        config.replan.clone(),
+                        initial,
+                        graph.num_vertices(),
+                        gpu,
+                        num_gpus,
+                        replan_budget,
+                        cls,
+                    );
+                    WorkerPolicy::Replan(Box::new(ReplanWorker {
+                        state,
+                        meters: ReplanMeters::new(registry),
+                        gpu_replans: registry.counter(&format!("serve.gpu{gpu}.replans")),
+                        gpu_swap_bytes: registry
+                            .counter(&format!("serve.gpu{gpu}.replan.swap_bytes")),
+                        window_gauge: registry.gauge(&format!("serve.gpu{gpu}.window_hit_rate")),
+                        feat_hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
+                        feat_misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
+                    }))
+                }
+            };
+            Worker {
+                gpu,
+                queue,
+                free_at: 0.0,
+                makespan: 0.0,
+                lane: BatchLane {
+                    rng: StdRng::seed_from_u64(
+                        config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7),
+                    ),
+                    scratch: BatchScratch::new(num_gpus),
+                    store: store_placement
+                        .as_ref()
+                        .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
+                    remote: config
+                        .remote
+                        .as_ref()
+                        .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
+                },
+                batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
+                busy: registry.counter(&format!("serve.gpu{gpu}.busy_ns")),
+                gpu_shed: registry.counter(&format!("serve.gpu{gpu}.shed")),
+                phase: (config.drift_period > 0)
+                    .then(|| PhaseMeter::new(registry, config.drift_period, gpu)),
+                depth: QueueDepthMeter::for_gpu(registry, gpu),
+                stages: StageRecorder::for_gpu(registry, gpu),
+                slo_batch: ctx.slo.batch(),
+                class_batches: ctx
+                    .class_slos
+                    .as_ref()
+                    .map(|trackers| trackers.iter().map(SloTracker::batch).collect()),
+                policy,
+                last_plan_version: 0,
+            }
+        })
+        .collect()
+}
+
+/// Router phase: route groups and their initial residency sets are
+/// policy-specific. StaticHot exports the partitioned clique caches;
+/// Fifo approximates each clique's future content with its LDG
+/// partition (§4.1 ownership); Replan runs per-GPU groups seeded from
+/// each worker's initial plan and refreshed on every commit.
+fn build_router(
+    ctx: &ServeContext<'_>,
+    layout: &CacheLayout,
+    static_groups: Option<Vec<Vec<GpuId>>>,
+    workers: &mut [Worker],
+) -> RouterState {
+    let (graph, config) = (ctx.graph, ctx.config);
+    let groups = match config.policy {
+        PolicyKind::StaticHot => static_groups.expect("partitioned layout built"),
+        PolicyKind::Fifo => detect_cliques(ctx.server.nvlink()),
+        PolicyKind::Replan => (0..workers.len()).map(|g| vec![g]).collect(),
+    };
+    let spill_len = (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
+    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
+    match config.policy {
+        PolicyKind::StaticHot => {
+            for g in 0..dispatcher.num_groups() {
+                let member = dispatcher.group_members(g)[0];
+                let resident = layout
+                    .for_gpu(member)
+                    .expect("partitioned layout covers every GPU")
+                    .0
+                    .feature_vertices();
+                dispatcher.refresh_group(g, &resident);
+            }
+        }
+        PolicyKind::Fifo => {
+            let part = LdgPartitioner::default().partition(graph, dispatcher.num_groups());
+            for g in 0..dispatcher.num_groups() {
+                let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+                    .filter(|&v| part[v as usize] as usize == g)
+                    .collect();
+                dispatcher.refresh_group(g, &owned);
+            }
+        }
+        PolicyKind::Replan => {
+            for w in workers {
+                if let WorkerPolicy::Replan(rw) = &w.policy {
+                    let g = dispatcher.group_of(w.gpu);
+                    dispatcher.refresh_group(g, &rw.state.plan.active().contents.feat);
+                    w.last_plan_version = rw.state.plan.version();
+                }
+            }
+        }
+    }
+    RouterState::new(&ctx.registry, dispatcher, config.router.probe_neighbors)
+}
+
+/// Report phase: exports the run-summary gauges and per-class / route
+/// accounting, then snapshots the registry.
+fn build_report(
+    ctx: &ServeContext<'_>,
+    workers: &[Worker],
+    router: Option<&RouterState>,
+    offered: u64,
+) -> ServeReport {
+    let registry = &ctx.registry;
     let slo = &ctx.slo;
-    let class_slos = &ctx.class_slos;
+    let makespan = workers.iter().fold(0.0f64, |m, w| m.max(w.makespan));
     let completed = slo.completed();
     let throughput = if makespan > 0.0 {
         completed as f64 / makespan
@@ -1788,7 +1849,7 @@ pub fn serve_requests(
     // run; latency trackers and their exported gauges exist only for
     // multi-class runs.
     let mut class_shed = [0u64; CLASS_COUNT];
-    for w in &workers {
+    for w in workers {
         for (c, shed) in class_shed.iter_mut().enumerate() {
             *shed += w.queue.shed(PriorityClass::from_index(c));
         }
@@ -1796,7 +1857,7 @@ pub fn serve_requests(
     let mut class_completed = [0u64; CLASS_COUNT];
     let mut class_p99_us = [0u64; CLASS_COUNT];
     let mut class_slo_attainment = [1.0f64; CLASS_COUNT];
-    if let Some(trackers) = class_slos.as_ref() {
+    if let Some(trackers) = ctx.class_slos.as_ref() {
         for (c, t) in trackers.iter().enumerate() {
             class_completed[c] = t.completed();
             class_p99_us[c] = t.quantile_us(0.99);
@@ -1813,7 +1874,7 @@ pub fn serve_requests(
         }
     }
 
-    let (routed, spilled, route_locality) = match router.as_ref() {
+    let (routed, spilled, route_locality) = match router {
         Some(rs) => {
             let routed: u64 = rs.routed.iter().map(Counter::get).sum();
             let spilled: u64 = rs.spilled.iter().map(Counter::get).sum();
@@ -1831,8 +1892,8 @@ pub fn serve_requests(
     };
 
     ServeReport {
-        policy: config.policy,
-        offered: requests.len() as u64,
+        policy: ctx.config.policy,
+        offered,
         completed,
         shed: ctx.shed_total.get(),
         p50_us: slo.quantile_us(0.50),
@@ -1849,135 +1910,6 @@ pub fn serve_requests(
         spilled,
         route_locality,
         metrics: registry.snapshot(),
-    }
-}
-
-/// Runs one micro-batch through the real operators and returns its
-/// stage timing; service time is `max(sample, extract) + infer` (§5
-/// intra-batch overlap; batches on one GPU are serial).
-#[allow(clippy::too_many_arguments)]
-fn batch_service_seconds(
-    engine: &AccessEngine<'_>,
-    server: &MultiGpuServer,
-    time_model: &TimeModel,
-    sampler: &KHopSampler,
-    model: &GnnModel,
-    policy: PolicyKind,
-    fifo: &mut FifoCache,
-    meters: &FifoMeters,
-    gpu: GpuId,
-    batch: &[Request],
-    at: f64,
-    rng: &mut StdRng,
-    scratch: &mut BatchScratch,
-    mut store: Option<&mut StoreWorker>,
-    mut remote: Option<&mut RemoteWorker>,
-) -> BatchTiming {
-    batch_seeds(batch, &mut scratch.seeds);
-
-    let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-    let sample =
-        sampler.sample_batch_with(engine, gpu, &scratch.seeds, rng, None, &mut scratch.sample);
-    let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
-    let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-
-    let (feat_tx, peer_bytes) = match policy {
-        PolicyKind::StaticHot => {
-            // The engine's layout holds the static caches; the normal
-            // extraction path meters hits, misses and NVLink traffic.
-            let tx_before = server.pcm().gpu_kind(gpu, TrafficKind::Feature);
-            let peer_before: u64 = (0..server.num_gpus())
-                .map(|s| server.traffic().gpu_to_gpu(s, gpu))
-                .sum();
-            engine.read_features_batch(
-                gpu,
-                &sample.all_vertices,
-                &mut scratch.features,
-                &mut scratch.totals,
-            );
-            let tx = server.pcm().gpu_kind(gpu, TrafficKind::Feature) - tx_before;
-            let peer: u64 = (0..server.num_gpus())
-                .map(|s| server.traffic().gpu_to_gpu(s, gpu))
-                .sum::<u64>()
-                - peer_before;
-            if store.is_some() || remote.is_some() {
-                if let Some(sw) = store.as_deref_mut() {
-                    sw.missed.clear();
-                }
-                for &v in &sample.all_vertices {
-                    if engine.feature_would_hit(gpu, v) {
-                        continue;
-                    }
-                    // Unowned rows live on another server: the remote
-                    // wave takes them and the local tiers never see them.
-                    if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                        continue;
-                    }
-                    if let Some(sw) = store.as_deref_mut() {
-                        sw.missed.push(v);
-                    }
-                }
-            }
-            (tx, peer)
-        }
-        PolicyKind::Fifo => {
-            // Dynamic cache: the resident set mutates per access, so the
-            // extraction is metered manually with the same counter names
-            // and per-row transaction charge as the engine's path,
-            // accumulated locally and flushed with one add per counter.
-            // Replacement bookkeeping itself is not charged to time
-            // (an intentional simplification; see DESIGN.md).
-            let row_bytes = engine.features().row_bytes();
-            let row_tx = server.pcie().transactions_for_payload(row_bytes);
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            let mut tx = 0u64;
-            let mut bytes = 0u64;
-            if let Some(sw) = store.as_deref_mut() {
-                sw.missed.clear();
-            }
-            for &v in &sample.all_vertices {
-                if fifo.access(v) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    tx += row_tx;
-                    bytes += row_bytes;
-                    if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-                        continue;
-                    }
-                    if let Some(sw) = store.as_deref_mut() {
-                        sw.missed.push(v);
-                    }
-                }
-            }
-            meters.rows.add(sample.all_vertices.len() as u64);
-            meters.hits.add(hits);
-            meters.misses.add(misses);
-            server.pcm().add(gpu, TrafficKind::Feature, tx);
-            server.traffic().add(gpu, Source::Cpu, bytes);
-            (tx, 0)
-        }
-        PolicyKind::Replan => unreachable!("replan batches run through replan_batch_service"),
-    };
-    let mut extract_t = time_model.extract_seconds(feat_tx, peer_bytes);
-    if let Some(rw) = remote {
-        // Cross-server rows arrive as one batched RPC wave; the stall
-        // extends extraction just like a slower PCIe crossing would.
-        extract_t += rw.charge_batch();
-    }
-    if let Some(sw) = store {
-        // SSD-tier misses resolve against the staging window or the
-        // device; the stall extends extraction, exactly like a slower
-        // PCIe crossing would.
-        extract_t += sw.charge_batch(at);
-    }
-    let infer_t = time_model.train_seconds(model.inference_flops(&sample));
-    BatchTiming {
-        sample_s: sample_t,
-        extract_s: extract_t,
-        infer_s: infer_t,
-        swap_s: 0.0,
     }
 }
 
@@ -2166,6 +2098,25 @@ mod tests {
         assert_eq!(counter("cache.gpu0.topology_misses"), batches);
         assert_eq!(counter("cache.gpu0.feature_hits"), batches);
         assert_eq!(counter("cache.gpu0.feature_misses"), 0);
+
+        // The replan policy runs the same shared batch step against its
+        // plan's layout: one expansion and one row read per batch.
+        let mut replan_config = config.clone();
+        replan_config.policy = PolicyKind::Replan;
+        let metrics = serve(&g, &f, &server, &replan_config).metrics;
+        let batches = metrics.counter("serve.gpu0.batches");
+        assert!(batches < 40, "fixture must batch duplicates together");
+        assert_eq!(
+            metrics.counter("cache.gpu0.topology_hits")
+                + metrics.counter("cache.gpu0.topology_misses"),
+            batches
+        );
+        assert_eq!(
+            metrics.counter("cache.gpu0.feature_hits")
+                + metrics.counter("cache.gpu0.feature_misses"),
+            batches
+        );
+        assert_eq!(metrics.counter("extract.gpu0.rows"), batches);
     }
 
     /// The replan policy must actually re-plan under rotation drift and
@@ -2661,6 +2612,45 @@ mod tests {
             "commits must move rows across the DRAM/SSD boundary"
         );
         assert!(counter("serve.store.migrated_bytes") > 0);
+    }
+
+    /// `serve_requests` validates the fleet tier's maps at entry: a
+    /// shard id past the fleet is a message, not an index panic inside
+    /// a batch.
+    #[test]
+    #[should_panic(expected = "coalescing shard map sends vertex 7 to server 2 of 2")]
+    fn remote_config_is_validated_at_entry() {
+        let (g, f) = tiny_graph();
+        let server = ServerSpec::custom(2, 1 << 30, 1).build();
+        let mut shard = vec![1; 256];
+        shard[7] = 2;
+        let mut config = tiny_config(PolicyKind::Fifo);
+        config.remote = Some(crate::RemoteConfig {
+            owned: Arc::new(vec![false; 256]),
+            net: crate::NetModel::rdma(crate::NetGeneration::Eth400G),
+            coalesce: Some(crate::CoalesceConfig {
+                shard: Arc::new(shard),
+                num_servers: 2,
+                window_batches: 0,
+            }),
+            concurrent_servers: 2,
+        });
+        serve(&g, &f, &server, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 2 arrives before request 1")]
+    fn unsorted_arrivals_invalid() {
+        let (g, f) = tiny_graph();
+        let server = ServerSpec::custom(2, 1 << 30, 1).build();
+        let request = |id: u64, arrival: f64| Request {
+            id,
+            arrival,
+            target: 0,
+            class: PriorityClass::Standard,
+        };
+        let requests = [request(0, 0.0), request(1, 2e-3), request(2, 1e-3)];
+        serve_requests(&g, &f, &server, &tiny_config(PolicyKind::Fifo), &requests);
     }
 
     /// A multi-class FIFO run (no QoS) still attributes sheds by class

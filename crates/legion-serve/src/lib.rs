@@ -108,6 +108,8 @@
 //! `graph.mut.*` / `serve.invalidate.*` families only when
 //! [`ServeConfig::mutations`] streams churn into the run.)
 
+#![warn(clippy::too_many_lines)]
+
 pub mod batcher;
 pub mod cache_policy;
 pub mod engine;
@@ -120,8 +122,8 @@ pub mod workload;
 
 pub use batcher::{BatchPolicy, PendingWindow};
 pub use cache_policy::{
-    adaptive_replicated_rows, build_partitioned_layout, build_partitioned_layout_adaptive,
-    build_static_layout, warmup_hot_vertices, warmup_hot_vertices_weighted, PolicyKind,
+    adaptive_replicated_rows, build_partitioned_layout_adaptive, build_static_layout,
+    warmup_hot_vertices_weighted, PolicyKind,
 };
 pub use engine::{serve, serve_requests, ServeReport};
 pub use legion_dyn::{
@@ -188,17 +190,6 @@ pub struct ServeConfig {
     /// `1` (the default) runs the sequential global loop, byte-identical
     /// to the pre-sharding engine.
     pub shards: usize,
-    /// Coordination quantum of the sharded residency-routed loop,
-    /// simulated seconds: the coordinator routes arrivals and drains the
-    /// steal pool once per quantum. Ignored at `shards <= 1` and under
-    /// round-robin routing (which needs no coordination). When
-    /// `adaptive_quantum` is set this value is the initial/maximum
-    /// quantum the EWMA adapts below.
-    pub shard_quantum: f64,
-    /// Whether the sharded residency coordinator adapts its quantum to
-    /// the measured batch service time (EWMA) instead of stepping at the
-    /// fixed `shard_quantum`.
-    pub adaptive_quantum: bool,
     /// Out-of-core feature store (SSD tier below host DRAM).
     pub store: StoreConfig,
     /// Cross-server residency of the fleet tier; `None` (the default)
@@ -242,6 +233,38 @@ pub struct RemoteConfig {
     /// `net` carries an [`legion_hw::UplinkConfig`]; `1` (or a `net`
     /// without contention) charges the uncontended fabric.
     pub concurrent_servers: usize,
+}
+
+impl RemoteConfig {
+    /// Checks the maps the fleet tier handed down against the graph
+    /// they index: a short `owned` map or a shard id past the fleet
+    /// would otherwise surface as a bare index panic deep inside a
+    /// batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a descriptive message on the first violated
+    /// invariant.
+    pub fn validate(&self, num_vertices: usize) {
+        assert_eq!(
+            self.owned.len(),
+            num_vertices,
+            "remote ownership map must cover every vertex"
+        );
+        let Some(cc) = &self.coalesce else { return };
+        assert!(cc.num_servers > 0, "coalescing needs at least one server");
+        assert_eq!(
+            cc.shard.len(),
+            num_vertices,
+            "coalescing shard map must cover every vertex"
+        );
+        if let Some(v) = cc.shard.iter().position(|&s| s as usize >= cc.num_servers) {
+            panic!(
+                "coalescing shard map sends vertex {v} to server {} of {}",
+                cc.shard[v], cc.num_servers
+            );
+        }
+    }
 }
 
 /// Per-owner coalescing of the cross-server remote-read wave.
@@ -455,8 +478,6 @@ impl Default for ServeConfig {
             router: RouterConfig::default(),
             classes: ClassConfig::default(),
             shards: 1,
-            shard_quantum: 1e-3,
-            adaptive_quantum: false,
             store: StoreConfig::default(),
             remote: None,
             mutations: None,
@@ -485,7 +506,6 @@ impl ServeConfig {
             "arrival rate must be positive"
         );
         assert!(self.shards > 0, "shards must be positive");
-        assert!(self.shard_quantum > 0.0, "shard_quantum must be positive");
         if let Some(m) = &self.mutations {
             if let Err(e) = m.validate() {
                 panic!("mutations: {e}");
@@ -536,6 +556,48 @@ mod tests {
             ..ServeConfig::default()
         }
         .validate();
+    }
+
+    fn remote(owned_len: usize, shard: Vec<u32>, num_servers: usize) -> RemoteConfig {
+        RemoteConfig {
+            owned: std::sync::Arc::new(vec![false; owned_len]),
+            net: NetModel::rdma(NetGeneration::Eth400G),
+            coalesce: Some(CoalesceConfig {
+                shard: std::sync::Arc::new(shard),
+                num_servers,
+                window_batches: 0,
+            }),
+            concurrent_servers: 2,
+        }
+    }
+
+    #[test]
+    fn remote_maps_that_fit_the_graph_are_valid() {
+        remote(8, vec![0, 1, 0, 1, 0, 1, 0, 1], 2).validate(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote ownership map must cover every vertex")]
+    fn short_ownership_map_invalid() {
+        remote(7, vec![0; 8], 2).validate(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "coalescing shard map must cover every vertex")]
+    fn short_shard_map_invalid() {
+        remote(8, vec![0; 7], 2).validate(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "coalescing shard map sends vertex 3 to server 2 of 2")]
+    fn shard_id_past_the_fleet_invalid() {
+        remote(8, vec![0, 1, 0, 2, 0, 1, 0, 1], 2).validate(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "coalescing needs at least one server")]
+    fn coalescing_without_servers_invalid() {
+        remote(8, vec![0; 8], 0).validate(8);
     }
 
     #[test]

@@ -504,7 +504,7 @@ pub struct WarmupProfile {
 
 /// Profiles `warmup_requests` request neighborhoods on the CPU-resident
 /// graph (no simulated traffic is charged — this is an offline planning
-/// step, like [`warmup_hot_vertices`](crate::cache_policy::warmup_hot_vertices)).
+/// step, like [`warmup_hot_vertices_weighted`](crate::cache_policy::warmup_hot_vertices_weighted)).
 pub fn profile_warmup(
     graph: &CsrGraph,
     targets: &mut TargetSampler,

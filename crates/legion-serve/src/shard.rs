@@ -22,8 +22,7 @@
 //! * **Residency routing** ([`run_residency_sharded`]): the dispatcher
 //!   reads *all* queue depths per decision, which would couple every
 //!   arrival to every shard. Instead a coordinator steps simulated time
-//!   in quanta ([`ServeConfig::shard_quantum`](crate::ServeConfig::shard_quantum)):
-//!   it routes the quantum's arrivals against *projected* depths (last
+//!   in quanta of [`SHARD_QUANTUM`] simulated seconds: it routes the quantum's arrivals against *projected* depths (last
 //!   reported at the previous boundary, incremented per placement),
 //!   parks spilled requests in a [`SpillPool`], and drains the pool to
 //!   the least-loaded GPU at the next boundary — work stealing, metered
@@ -32,14 +31,7 @@
 //!   plan double-buffer it mirrors — only ever changes between batches,
 //!   never mid-batch. Runs are deterministic for a fixed seed and shard
 //!   count, but *not* byte-identical to the sequential loop: projected
-//!   depths lag true depths by up to one quantum. With
-//!   [`ServeConfig::adaptive_quantum`](crate::ServeConfig::adaptive_quantum)
-//!   the quantum is not fixed: shards report their batch-service totals
-//!   at each boundary and the coordinator steps the next quantum to a
-//!   few EWMA-smoothed mean batch service times, clamped between
-//!   `shard_quantum / 64` and `shard_quantum` — tight quanta (fresh
-//!   depth information) when batches are short, long quanta (less
-//!   coordination) when batches are slow.
+//!   depths lag true depths by up to one quantum.
 //!
 //! Per-shard totals land in `serve.shard{s}.batches` /
 //! `serve.shard{s}.completed`, registered only when sharding is active
@@ -57,6 +49,11 @@ use legion_telemetry::Counter;
 
 use crate::engine::{offer_request, run_worker_batch, RouterState, ServeContext, Worker};
 use crate::workload::Request;
+
+/// Coordination quantum of the sharded residency-routed loop, simulated
+/// seconds: the coordinator routes arrivals and drains the steal pool
+/// once per quantum.
+const SHARD_QUANTUM: f64 = 1e-3;
 
 /// One arrival event queued for a shard: the request plus the simulated
 /// time it is offered (its true arrival, or the quantum boundary for a
@@ -80,17 +77,12 @@ enum Down {
     Finish,
 }
 
-/// Shard → coordinator, once per quantum: the shard's true queue depths,
-/// any plan commits since the last boundary (new residency sets for the
-/// dispatcher), and the quantum's batch-service totals for the adaptive
-/// quantum controller. Service time travels as integer nanoseconds so
-/// the coordinator's cross-shard sum commutes — the nondeterministic
-/// channel arrival order cannot perturb the EWMA.
+/// Shard → coordinator, once per quantum: the shard's true queue depths
+/// and any plan commits since the last boundary (new residency sets for
+/// the dispatcher).
 struct Up {
     queue_lens: Vec<(GpuId, usize)>,
     plan_updates: Vec<(GpuId, u64, Vec<VertexId>)>,
-    batches: u64,
-    service_ns: u64,
 }
 
 /// How many shard threads a request for `shards` actually yields: one
@@ -125,10 +117,7 @@ fn shard_map(server: &legion_hw::MultiGpuServer, eff: usize) -> Vec<usize> {
 /// (and into the request's measured latency). `start == 0.0` for the
 /// free-running paths, where no event can predate its offer.
 ///
-/// Returns `(batches, completed, service_ns)` — the batch / completion
-/// totals for the shard meters plus the summed batch service time
-/// (launch to the worker's new busy horizon) in integer nanoseconds,
-/// feeding the coordinator's adaptive-quantum EWMA.
+/// Returns `(batches, completed)` — the totals for the shard meters.
 fn run_shard_loop(
     ctx: &ServeContext<'_>,
     workers: &mut [Worker],
@@ -136,11 +125,10 @@ fn run_shard_loop(
     start: f64,
     horizon: Option<f64>,
     route_shed: Option<&[Counter]>,
-) -> (u64, u64, u64) {
+) -> (u64, u64) {
     let mut next = 0usize;
     let mut batches = 0u64;
     let mut completed = 0u64;
-    let mut service_ns = 0u64;
     loop {
         let mut launch: Option<(f64, usize)> = None;
         for (wi, w) in workers.iter().enumerate() {
@@ -159,12 +147,11 @@ fn run_shard_loop(
             (_, Some((at, wi))) => {
                 completed += run_worker_batch(ctx, &mut workers[wi], at) as u64;
                 batches += 1;
-                service_ns += ((workers[wi].free_at - at) * 1e9).round() as u64;
             }
             _ => break,
         }
     }
-    (batches, completed, service_ns)
+    (batches, completed)
 }
 
 /// Splits `workers` into per-shard ownership lists, recording each
@@ -237,7 +224,7 @@ pub(crate) fn run_roundrobin_sharded(
             .map(|(si, (mut ws, arr))| {
                 let (batches, completed) = meters[si].clone();
                 scope.spawn(move || {
-                    let (b, c, _) = run_shard_loop(ctx, &mut ws, &arr, 0.0, None, None);
+                    let (b, c) = run_shard_loop(ctx, &mut ws, &arr, 0.0, None, None);
                     batches.add(b);
                     completed.add(c);
                     (si, ws)
@@ -279,19 +266,6 @@ pub(crate) fn run_residency_sharded(
         .collect();
     let meters = shard_meters(ctx, eff);
     let steals = ctx.registry.counter("serve.route.steals");
-    // With `adaptive_quantum` the configured `shard_quantum` is only the
-    // seed and ceiling: the coordinator tracks an EWMA of the mean batch
-    // service time across all shards and steps the quantum to roughly
-    // `QUANTUM_BATCHES` batches of work, floored so a pathologically
-    // fast batch cannot grind coordination to a halt. Disabled (the
-    // default), the quantum is the fixed configured value and the run is
-    // byte-identical to the pre-adaptive loop.
-    const EWMA_ALPHA: f64 = 0.25;
-    const QUANTUM_BATCHES: f64 = 4.0;
-    let mut quantum = ctx.config.shard_quantum;
-    let quantum_floor = ctx.config.shard_quantum / 64.0;
-    let mut service_ewma: Option<f64> = None;
-
     let (up_tx, up_rx) = mpsc::channel::<Up>();
     let (down_txs, down_rxs): (Vec<_>, Vec<_>) = (0..eff).map(|_| mpsc::channel::<Down>()).unzip();
 
@@ -313,7 +287,7 @@ pub(crate) fn run_residency_sharded(
                     match msg {
                         Down::Quantum { start, end, work } => {
                             last_end = end;
-                            let (b, c, sns) =
+                            let (b, c) =
                                 run_shard_loop(ctx, &mut ws, &work, start, Some(end), Some(&shed));
                             batches += b;
                             completed += c;
@@ -340,8 +314,6 @@ pub(crate) fn run_residency_sharded(
                                 .send(Up {
                                     queue_lens,
                                     plan_updates,
-                                    batches: b,
-                                    service_ns: sns,
                                 })
                                 .expect("coordinator alive");
                         }
@@ -350,7 +322,7 @@ pub(crate) fn run_residency_sharded(
                 }
                 // End-of-stream drain: whatever is still queued launches
                 // with no horizon, but never before the last boundary.
-                let (b, c, _) = run_shard_loop(ctx, &mut ws, &[], last_end, None, Some(&shed));
+                let (b, c) = run_shard_loop(ctx, &mut ws, &[], last_end, None, Some(&shed));
                 batches += b;
                 completed += c;
                 batch_meter.add(batches);
@@ -369,7 +341,7 @@ pub(crate) fn run_residency_sharded(
         let mut next_req = 0usize;
         let mut qstart = 0.0f64;
         loop {
-            let qend = qstart + quantum;
+            let qend = qstart + SHARD_QUANTUM;
             let mut work: Vec<Vec<ShardArrival>> = (0..eff).map(|_| Vec::new()).collect();
             let mut proj = reported.clone();
             pool.drain_to(&mut proj, |r, gpu| {
@@ -421,25 +393,12 @@ pub(crate) fn run_residency_sharded(
             // by GPU and applied in GPU order, so the nondeterministic
             // channel arrival order cannot leak into the run.
             let mut plan_updates: Vec<(GpuId, u64, Vec<VertexId>)> = Vec::new();
-            let mut q_batches = 0u64;
-            let mut q_service_ns = 0u64;
             for _ in 0..eff {
                 let up = up_rx.recv().expect("shard reports");
                 for (gpu, len) in up.queue_lens {
                     reported[gpu] = len;
                 }
                 plan_updates.extend(up.plan_updates);
-                q_batches += up.batches;
-                q_service_ns += up.service_ns;
-            }
-            if ctx.config.adaptive_quantum && q_batches > 0 {
-                let mean_s = q_service_ns as f64 / q_batches as f64 / 1e9;
-                let ewma = match service_ewma {
-                    Some(prev) => EWMA_ALPHA * mean_s + (1.0 - EWMA_ALPHA) * prev,
-                    None => mean_s,
-                };
-                service_ewma = Some(ewma);
-                quantum = (QUANTUM_BATCHES * ewma).clamp(quantum_floor, ctx.config.shard_quantum);
             }
             plan_updates.sort_by_key(|&(gpu, _, _)| gpu);
             for (gpu, _version, feat) in plan_updates {

@@ -14,11 +14,10 @@ use serde::Serialize;
 
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{CsrGraph, FeatureTable};
-use legion_hw::pcm::TrafficKind;
 use legion_hw::MultiGpuServer;
 use legion_pipeline::TimeModel;
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-use legion_sampling::KHopSampler;
+use legion_sampling::{KHopSampler, SampleScratch};
 
 use legion_graph::VertexId;
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
@@ -140,14 +139,20 @@ impl ProbeStore {
 /// probe is byte-identical to the original single-class estimator
 /// (pinned by `legacy_probe_is_byte_identical_for_single_class`).
 ///
-/// When the residency router is enabled
-/// ([`RouterPolicy::Residency`]), the probe routes its seeds through
-/// the same [`Dispatcher`] scoring the engine uses instead of timing
-/// round-robin single-GPU batches — routed runs concentrate each
-/// clique's partition on its own caches, so their steady-state service
-/// rate (and therefore the knee a sweep should anchor to) is higher
-/// than the round-robin probe reports. The router-off path is
-/// byte-identical to the original probe.
+/// The two routing policies differ only in how a round's seeds reach
+/// GPUs. Round-robin batches are independent single-GPU batches, so a
+/// round is one `max_batch` batch timed on GPU 0. With the residency
+/// router ([`RouterPolicy::Residency`]) a round draws
+/// `num_gpus * max_batch` seeds and deals them through the same
+/// [`Dispatcher`] scoring the engine uses, against *projected* depths
+/// (incremented per placement within the round, the same projection the
+/// sharded coordinator uses); every GPU's routed sub-batch is timed
+/// against its own warmed FIFO cache, GPUs run concurrently, and the
+/// round's service time is the *max* over GPUs. Routed runs concentrate
+/// each clique's partition on its own caches, so their steady-state
+/// service rate (and therefore the knee a sweep should anchor to) is
+/// higher than the round-robin probe reports. Either way capacity is
+/// `num_gpus * max_batch / mean_round`.
 ///
 /// With an active out-of-core store whose DRAM budget cannot hold the
 /// feature table, each probe batch additionally pays the NVMe staging
@@ -163,100 +168,6 @@ pub fn estimate_capacity_rps(
     config: &ServeConfig,
 ) -> f64 {
     config.validate();
-    if config.router.policy == RouterPolicy::Residency {
-        return routed_capacity_rps(graph, features, server, config);
-    }
-    server.reset();
-    let layout = CacheLayout::none(server.num_gpus());
-    let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva);
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x51ee_7d00_c0de_cafe);
-    let model = GnnModel::new(
-        ModelKind::GraphSage,
-        features.dim(),
-        config.hidden_dim,
-        config.num_classes,
-        config.fanouts.len(),
-        &mut model_rng,
-    );
-    let mut targets = TargetSampler::new(
-        (0..graph.num_vertices() as u32).collect(),
-        config.zipf_exponent,
-        0,
-        0,
-    );
-    if config.classes.mix[0] > 0.0 {
-        targets = targets.with_interactive_boost(config.classes.interactive_boost);
-    }
-    let mut classes = ClassSampler::new(config.classes.mix, config.seed ^ 0x0bad_cafe_f00d_beef);
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0bad_cafe_f00d_beef);
-    let mut fifo = legion_cache::FifoCache::new(config.cache_rows_per_gpu);
-    let row_bytes = features.row_bytes();
-    let row_tx = server.pcie().transactions_for_payload(row_bytes);
-    let mut store = ProbeStore::new(config, graph.num_vertices(), row_bytes);
-
-    const WARMUP_BATCHES: usize = 8;
-    const PROBES: usize = 4;
-    let mut total = 0.0f64;
-    for i in 0..WARMUP_BATCHES + PROBES {
-        let mut seeds: Vec<u32> = (0..config.max_batch)
-            .map(|_| targets.next_for_class(classes.sample(), &mut rng))
-            .collect();
-        // Same dedupe as the engine: duplicate targets expand once.
-        seeds.sort_unstable();
-        seeds.dedup();
-        let topo_before = server.pcm().gpu_kind(0, TrafficKind::Topology);
-        let sample = sampler.sample_batch(&engine, 0, &seeds, &mut rng, None);
-        let topo_tx = server.pcm().gpu_kind(0, TrafficKind::Topology) - topo_before;
-        let mut feat_miss = 0u64;
-        for &v in &sample.all_vertices {
-            if !fifo.access(v) {
-                feat_miss += 1;
-                if let Some(s) = store.as_mut() {
-                    s.miss(v);
-                }
-            }
-        }
-        let feat_tx = feat_miss * row_tx;
-        let stage_t = store.as_mut().map_or(0.0, ProbeStore::stage_seconds);
-        if i < WARMUP_BATCHES {
-            continue;
-        }
-        let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-        let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
-        total += sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
-    }
-    server.reset();
-    let mean_service = total / PROBES as f64;
-    assert!(mean_service > 0.0, "probe batches took no simulated time");
-    server.num_gpus() as f64 * config.max_batch as f64 / mean_service
-}
-
-/// Dispatcher-routed capacity probe for residency-router runs.
-///
-/// Builds the same routing state the engine does — clique groups from
-/// the NVLink topology with each clique's residency approximated by its
-/// LDG partition (a uniform stand-in for all three cache policies, whose
-/// steady-state clique content tracks ownership) — then, per round,
-/// draws `num_gpus * max_batch` seeds, routes each through
-/// [`Dispatcher::route`] against *projected* depths (incremented per
-/// placement within the round, the same projection the sharded
-/// coordinator uses), and times every GPU's routed sub-batch against a
-/// per-GPU warmed FIFO cache. The probe's spill threshold is one batch
-/// per GPU: a capacity probe models the system *at* saturation, where a
-/// clique past its fair share spills to the globally least-loaded GPU —
-/// without it, coverage skew would serialize whole rounds onto the hot
-/// clique and undershoot aggregate capacity. GPUs run concurrently, so
-/// the round's service time is the *max* over GPUs and capacity is
-/// `num_gpus * max_batch / mean_round`. Resets the server before and
-/// after, like the round-robin probe.
-fn routed_capacity_rps(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    config: &ServeConfig,
-) -> f64 {
     server.reset();
     let num_gpus = server.num_gpus();
     let layout = CacheLayout::none(num_gpus);
@@ -284,32 +195,23 @@ fn routed_capacity_rps(
     let mut classes = ClassSampler::new(config.classes.mix, config.seed ^ 0x0bad_cafe_f00d_beef);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0bad_cafe_f00d_beef);
 
-    let groups = detect_cliques(server.nvlink());
-    let part = LdgPartitioner::default().partition(graph, groups.len());
-    // One batch of backlog per GPU is the probe's saturation point: a
-    // clique whose projected depths all reach it spills, exactly like a
-    // saturated admission queue in the engine.
-    let spill_len = config.max_batch.max(1);
-    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-    for g in 0..dispatcher.num_groups() {
-        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-            .filter(|&v| part[v as usize] as usize == g)
-            .collect();
-        dispatcher.refresh_group(g, &owned);
-    }
-
-    let mut fifos: Vec<legion_cache::FifoCache> = (0..num_gpus)
-        .map(|_| legion_cache::FifoCache::new(config.cache_rows_per_gpu))
-        .collect();
+    let dispatcher = (config.router.policy == RouterPolicy::Residency)
+        .then(|| probe_dispatcher(graph, server, config));
+    let lanes = if dispatcher.is_some() { num_gpus } else { 1 };
     let row_bytes = features.row_bytes();
     let row_tx = server.pcie().transactions_for_payload(row_bytes);
-    // One probe store per GPU, like the engine's per-worker stores.
-    let mut stores: Vec<Option<ProbeStore>> = (0..num_gpus)
+    // One FIFO cache and one probe store per timed GPU, like the
+    // engine's per-worker state.
+    let mut fifos: Vec<legion_cache::FifoCache> = (0..lanes)
+        .map(|_| legion_cache::FifoCache::new(config.cache_rows_per_gpu))
+        .collect();
+    let mut stores: Vec<Option<ProbeStore>> = (0..lanes)
         .map(|_| ProbeStore::new(config, graph.num_vertices(), row_bytes))
         .collect();
-    let mut lens = vec![0usize; num_gpus];
+    let mut lens = vec![0usize; lanes];
     let mut probe: Vec<VertexId> = Vec::new();
-    let mut per_gpu: Vec<Vec<u32>> = vec![Vec::new(); num_gpus];
+    let mut per_gpu: Vec<Vec<u32>> = vec![Vec::new(); lanes];
+    let mut scratch = SampleScratch::new();
 
     const WARMUP_BATCHES: usize = 8;
     const PROBES: usize = 4;
@@ -319,23 +221,27 @@ fn routed_capacity_rps(
             sub.clear();
         }
         lens.fill(0);
-        for _ in 0..num_gpus * config.max_batch {
+        for _ in 0..lanes * config.max_batch {
             let t = targets.next_for_class(classes.sample(), &mut rng);
-            probe.clear();
-            probe.push(t);
-            probe.extend(
-                graph
-                    .neighbors(t)
-                    .iter()
-                    .take(config.router.probe_neighbors)
-                    .copied(),
-            );
-            // Projected depths, exactly like the sharded coordinator:
-            // each placement deepens its GPU, spreading a clique's
-            // round across its members and spilling past one batch.
-            let dec = dispatcher.route(&probe, &lens);
-            lens[dec.gpu] += 1;
-            per_gpu[dec.gpu].push(t);
+            let gpu = dispatcher.as_ref().map_or(0, |d| {
+                probe.clear();
+                probe.push(t);
+                probe.extend(
+                    graph
+                        .neighbors(t)
+                        .iter()
+                        .take(config.router.probe_neighbors)
+                        .copied(),
+                );
+                // Projected depths, exactly like the sharded
+                // coordinator: each placement deepens its GPU,
+                // spreading a clique's round across its members and
+                // spilling past one batch.
+                let dec = d.route(&probe, &lens);
+                lens[dec.gpu] += 1;
+                dec.gpu
+            });
+            per_gpu[gpu].push(t);
         }
         let mut round = 0.0f64;
         for (gpu, seeds) in per_gpu.iter_mut().enumerate() {
@@ -345,9 +251,8 @@ fn routed_capacity_rps(
             // Same dedupe as the engine: duplicate targets expand once.
             seeds.sort_unstable();
             seeds.dedup();
-            let topo_before = server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-            let sample = sampler.sample_batch(&engine, gpu, seeds, &mut rng, None);
-            let topo_tx = server.pcm().gpu_kind(gpu, TrafficKind::Topology) - topo_before;
+            let (sample, topo_tx) =
+                engine.sample_metered(&sampler, gpu, seeds, &mut rng, None, &mut scratch);
             let mut feat_miss = 0u64;
             for &v in &sample.all_vertices {
                 if !fifos[gpu].access(v) {
@@ -357,10 +262,9 @@ fn routed_capacity_rps(
                     }
                 }
             }
-            let feat_tx = feat_miss * row_tx;
             let stage_t = stores[gpu].as_mut().map_or(0.0, ProbeStore::stage_seconds);
             let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-            let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
+            let extract_t = time_model.extract_seconds(feat_miss * row_tx, 0) + stage_t;
             let service =
                 sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
             round = round.max(service);
@@ -371,11 +275,31 @@ fn routed_capacity_rps(
     }
     server.reset();
     let mean_round = total / PROBES as f64;
-    assert!(
-        mean_round > 0.0,
-        "routed probe rounds took no simulated time"
-    );
+    assert!(mean_round > 0.0, "probe rounds took no simulated time");
     num_gpus as f64 * config.max_batch as f64 / mean_round
+}
+
+/// The routed probe's dispatcher: the same routing state the engine
+/// builds — clique groups from the NVLink topology with each clique's
+/// residency approximated by its LDG partition (a uniform stand-in for
+/// all three cache policies, whose steady-state clique content tracks
+/// ownership). The spill threshold is one batch per GPU: a capacity
+/// probe models the system *at* saturation, where a clique past its
+/// fair share spills to the globally least-loaded GPU — without it,
+/// coverage skew would serialize whole rounds onto the hot clique and
+/// undershoot aggregate capacity.
+fn probe_dispatcher(graph: &CsrGraph, server: &MultiGpuServer, config: &ServeConfig) -> Dispatcher {
+    let groups = detect_cliques(server.nvlink());
+    let part = LdgPartitioner::default().partition(graph, groups.len());
+    let spill_len = config.max_batch.max(1);
+    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
+    for g in 0..dispatcher.num_groups() {
+        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+            .filter(|&v| part[v as usize] as usize == g)
+            .collect();
+        dispatcher.refresh_group(g, &owned);
+    }
+    dispatcher
 }
 
 /// Runs `base` at each multiplier of `capacity_rps`, preserving the

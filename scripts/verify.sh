@@ -29,6 +29,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> bench/ builds and its own tests pass (a renamed public item must break here)"
+cargo build --release --offline --manifest-path bench/Cargo.toml
+cargo test --offline --manifest-path bench/Cargo.toml
+
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run -q -p legion-bench
 
@@ -50,8 +54,8 @@ cargo run --release -q -p legion-bench --bin servectl -- --smoke --fleet 2
 echo "==> servectl --smoke --churn (streaming mutations: margins, overlay correctness, replay)"
 cargo run --release -q -p legion-bench --bin servectl -- --smoke --churn
 
-echo "==> sharded-vs-sequential equivalence (determinism suite)"
-cargo test -q -p legion-core --test determinism
+echo "==> sharded-vs-sequential equivalence + golden digests (determinism suites)"
+cargo test -q -p legion-core --test determinism --test golden
 
 echo "==> bench_compare --warn-only (fresh smoke hotpath run vs committed BENCH_hotpath.json)"
 BENCH_TMP="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"

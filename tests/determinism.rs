@@ -417,29 +417,6 @@ mod sharded_serving {
         assert!(a.contains("serve.route.steals"), "steal counter missing");
     }
 
-    /// The adaptive quantum (EWMA of measured batch service time) feeds
-    /// only on integer-nanosecond totals summed commutatively across
-    /// shards, so same-seed runs must still replay bit-for-bit — and
-    /// the run must complete every offered request, exactly like the
-    /// fixed-quantum loop.
-    #[test]
-    fn adaptive_quantum_residency_runs_are_deterministic_per_seed() {
-        let d = dataset();
-        let run = || {
-            let server = clique_server();
-            let mut cfg = base_config(PolicyKind::StaticHot);
-            cfg.router.policy = RouterPolicy::Residency;
-            cfg.shards = 2;
-            cfg.adaptive_quantum = true;
-            let report = serve(&d.graph, &d.features, &server, &cfg);
-            assert_eq!(report.routed + report.spilled, report.offered);
-            serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot")
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same-seed adaptive-quantum runs must replay");
-    }
-
     /// Satellite 3's audit: a `PlanBuffer` version bump must never be
     /// observed mid-batch by any shard. The engine counts every commit
     /// whose version becomes visible inside an open batch; with commits
