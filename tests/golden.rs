@@ -8,6 +8,7 @@
 //! behaviour change re-baselines by pasting the table the failing test
 //! prints over `tests/golden_digests.txt`.
 
+use legion_cache::{cslp, HotnessMatrix};
 use legion_core::runner::{
     run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
 };
@@ -17,9 +18,11 @@ use legion_fleet::{serve_fleet, FleetConfig};
 use legion_gnn::ModelKind;
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
+use legion_partition::{LdgPartitioner, Partitioner};
 use legion_serve::{
-    estimate_capacity_rps, serve, ChurnConfig, ClassConfig, MutationSource, PolicyKind,
-    ReplanConfig, RouterPolicy, ServeConfig, StoreConfig,
+    estimate_capacity_rps, plan_layout, profile_warmup, serve, ChurnConfig, ClassConfig,
+    MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig, StoreConfig,
+    TargetSampler,
 };
 use legion_telemetry::Snapshot;
 
@@ -38,6 +41,85 @@ fn snapshot_digest(metrics: &Snapshot) -> u64 {
             .expect("serializable snapshot")
             .as_bytes(),
     )
+}
+
+fn ids_digest(ids: &[u32]) -> u64 {
+    fnv1a(
+        &ids.iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// A `gpus x n` hotness matrix from a fixed LCG: a cell is non-zero with
+/// probability `1 / one_in`, with small values so ties are common.
+fn lcg_hotness(gpus: usize, n: usize, one_in: u64, seed: u64) -> HotnessMatrix {
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let mut h = HotnessMatrix::new(gpus, n);
+    for gpu in 0..gpus {
+        for v in 0..n as u32 {
+            if next() % one_in == 0 {
+                h.add(gpu, v, 1 + next() % 7);
+            }
+        }
+    }
+    h
+}
+
+/// The planning routines' own outputs, pinned beside the run snapshots:
+/// the LDG assignment, the CSLP clique order, and one window plan.
+fn planning_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
+    for (name, k) in [("ldg_partition_k2", 2), ("ldg_partition_k4", 4)] {
+        rows.push((
+            name,
+            ids_digest(&LdgPartitioner::default().partition(&d.graph, k)),
+        ));
+    }
+    rows.push((
+        "cslp_sparse_1row",
+        ids_digest(&cslp(&lcg_hotness(1, 5000, 40, 7)).clique_order),
+    ));
+    rows.push((
+        "cslp_dense_4row",
+        ids_digest(&cslp(&lcg_hotness(4, 1200, 2, 11)).clique_order),
+    ));
+
+    let n = d.graph.num_vertices();
+    let mut targets = TargetSampler::new((0..n as u32).collect(), 1.1, 0, 0);
+    let window = profile_warmup(&d.graph, &mut targets, 400, &[5, 3], 42);
+    let plan = plan_layout(
+        0,
+        4,
+        &d.graph,
+        &d.features,
+        &window.topo,
+        &window.feat,
+        window.n_tsum,
+        256 * d.features.row_bytes(),
+        0.05,
+        64,
+    );
+    assert!(!plan.contents.topo.is_empty() && !plan.contents.feat.is_empty());
+    let mut bytes = Vec::new();
+    for part in [&plan.contents.topo, &plan.contents.feat] {
+        bytes.extend_from_slice(&(part.len() as u64).to_le_bytes());
+        bytes.extend(part.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    for word in [
+        plan.contents.topo_bytes,
+        plan.contents.feat_bytes,
+        plan.evaluation.alpha.to_bits(),
+        plan.evaluation.n_total().to_bits(),
+    ] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    rows.push(("plan_layout_window400", fnv1a(&bytes)));
 }
 
 fn dataset() -> Dataset {
@@ -235,6 +317,7 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         rows.push(("capacity_store_aware", capacity(&store)));
         rows.push(("capacity_routed_store_aware", capacity(&router_qos(store))));
     }
+    planning_rows(&d, &mut rows);
     rows
 }
 
