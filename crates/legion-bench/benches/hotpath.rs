@@ -15,15 +15,20 @@ use criterion::{take_results, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use legion_cache::CliqueCache;
+use legion_cache::{cslp, CliqueCache};
+use legion_graph::dataset::spec_by_name;
 use legion_graph::generate::ChungLuConfig;
 use legion_graph::{CsrGraph, FeatureTable};
 use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
+use legion_partition::{LdgPartitioner, Partitioner};
 use legion_router::{ClassedQueue, Dispatcher, PriorityClass, QueuedRequest};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::extract::extract_features;
 use legion_sampling::{BatchTotals, KHopSampler, SampleScratch};
-use legion_serve::{serve, ChurnConfig, DeltaOverlay, MutationLog, PolicyKind, ServeConfig};
+use legion_serve::{
+    plan_layout, profile_warmup, serve, ChurnConfig, DeltaOverlay, MutationLog, PolicyKind,
+    ServeConfig, TargetSampler,
+};
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 
 fn bench_graph(num_vertices: usize, num_edges: usize) -> CsrGraph {
@@ -445,6 +450,51 @@ fn bench_net(c: &mut Criterion, smoke: bool) {
     group.finish();
 }
 
+/// The planning path every serving pass and re-plan walks, on the
+/// PR-shaped graph the end-to-end benchmark serves (PR/50; PR/500 in
+/// smoke mode): the symmetrisation under every partitioner, the LDG
+/// partition `plan_fleet` and the routed layouts call, and CSLP plus the
+/// whole `plan_layout` over a 400-request window that touches a small
+/// share of the vertices.
+fn bench_plan(c: &mut Criterion, smoke: bool) {
+    let spec = spec_by_name("PR").expect("PR is a Table 2 dataset");
+    let ds = spec.instantiate(if smoke { 500 } else { 50 }, 42);
+    let n = ds.graph.num_vertices();
+    let mut targets = TargetSampler::new((0..n as u32).collect(), 1.1, 0, 0);
+    let window = profile_warmup(&ds.graph, &mut targets, 400, &[5, 3], 42);
+    let budget = 256 * ds.features.row_bytes();
+
+    let mut group = c.benchmark_group("bench_plan");
+    group.bench_function(BenchmarkId::new("symmetrize", n), |b| {
+        b.iter(|| ds.graph.symmetrize().num_edges())
+    });
+    group.bench_function(BenchmarkId::new("ldg_k2", n), |b| {
+        b.iter(|| LdgPartitioner::default().partition(&ds.graph, 2))
+    });
+    group.bench_function(BenchmarkId::new("cslp_sparse_window", n), |b| {
+        b.iter(|| cslp(&window.feat).clique_order.len())
+    });
+    group.bench_function(BenchmarkId::new("plan_layout_window", n), |b| {
+        b.iter(|| {
+            plan_layout(
+                0,
+                4,
+                &ds.graph,
+                &ds.features,
+                &window.topo,
+                &window.feat,
+                window.n_tsum,
+                budget,
+                0.05,
+                64,
+            )
+            .contents
+            .total_bytes()
+        })
+    });
+    group.finish();
+}
+
 #[derive(serde::Serialize)]
 struct BenchEntry {
     name: String,
@@ -477,6 +527,7 @@ fn main() {
     bench_router(&mut c, smoke);
     bench_mutate(&mut c, smoke);
     bench_net(&mut c, smoke);
+    bench_plan(&mut c, smoke);
 
     let mut groups: Vec<BenchGroup> = Vec::new();
     for r in take_results() {

@@ -247,8 +247,9 @@ impl CostModel {
     /// Sweeps `alpha` from 0 to 1 in steps of `delta_alpha` (§4.3.3; the
     /// paper's default interval is 0.01) and returns every evaluation.
     ///
-    /// The sweep is embarrassingly parallel; chunks are evaluated on
-    /// scoped worker threads, mirroring the paper's parallel search.
+    /// Each point is two binary searches over the prefix sums, so the
+    /// whole sweep (at most 101 points at the default interval) is a
+    /// plain loop.
     pub fn sweep(&self, budget: u64, delta_alpha: f64) -> Vec<PlanEvaluation> {
         assert!(
             delta_alpha > 0.0 && delta_alpha <= 1.0,
@@ -257,39 +258,16 @@ impl CostModel {
         // Integer-indexed steps: accumulating `a += delta_alpha` drifts
         // (0.01 is not exact in binary), which can emit a near-1.0
         // duplicate of the endpoint or skip it entirely.
-        let steps: Vec<f64> = {
-            let n = (1.0 / delta_alpha).round() as u64;
-            let mut s: Vec<f64> = (0..=n).map(|i| (i as f64 * delta_alpha).min(1.0)).collect();
-            if *s.last().expect("at least alpha=0") < 1.0 {
-                s.push(1.0);
-            }
-            s.dedup();
-            s
-        };
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(steps.len().max(1));
-        let chunk = steps.len().div_ceil(workers);
-        let mut out: Vec<PlanEvaluation> = Vec::with_capacity(steps.len());
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = steps
-                .chunks(chunk)
-                .map(|alphas| {
-                    scope.spawn(move |_| {
-                        alphas
-                            .iter()
-                            .map(|&a| self.evaluate(budget, a))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("sweep worker panicked"));
-            }
-        })
-        .expect("sweep scope");
-        out
+        let n = (1.0 / delta_alpha).round() as u64;
+        let mut alphas: Vec<f64> = (0..=n).map(|i| (i as f64 * delta_alpha).min(1.0)).collect();
+        if *alphas.last().expect("at least alpha=0") < 1.0 {
+            alphas.push(1.0);
+        }
+        alphas.dedup();
+        alphas
+            .into_iter()
+            .map(|a| self.evaluate(budget, a))
+            .collect()
     }
 
     /// The plan with minimal predicted `N_total` over the sweep. Ties

@@ -33,13 +33,18 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     let kg = h.num_gpus();
     // Step 1: accumulate each vertex's hotness from the K_g GPUs.
     let accumulated = h.column_wise_sum();
-    // Step 2: sort vertices by descending hotness.
-    let mut clique_order: Vec<VertexId> = (0..n as VertexId).collect();
-    clique_order.sort_by(|&a, &b| {
+    // Step 2: sort vertices by descending hotness. Only the non-zero
+    // support needs sorting — `O(V + s log s)`: zero-hotness vertices all
+    // tie, so they follow it in id order.
+    let is_hot = |v: &VertexId| accumulated[*v as usize] > 0;
+    let mut clique_order: Vec<VertexId> = Vec::with_capacity(n);
+    clique_order.extend((0..n as VertexId).filter(is_hot));
+    clique_order.sort_unstable_by(|&a, &b| {
         accumulated[b as usize]
             .cmp(&accumulated[a as usize])
             .then(a.cmp(&b))
     });
+    clique_order.extend((0..n as VertexId).filter(|v| !is_hot(v)));
     // Step 3: assign each vertex to the GPU with the highest local hotness.
     let mut per_gpu: Vec<Vec<VertexId>> = vec![Vec::new(); kg];
     let mut owner = vec![0u32; n];

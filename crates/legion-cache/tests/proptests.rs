@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use legion_cache::{cslp, CostModel, HotnessMatrix};
+use legion_cache::{cslp, CostModel, CslpOutput, HotnessMatrix};
 use legion_graph::builder::from_edges;
 use legion_graph::{feature_bytes_for_dim, topology_bytes_for_degree, CsrGraph, VertexId};
 
@@ -22,8 +22,59 @@ fn hotness_strategy() -> impl Strategy<Value = HotnessMatrix> {
     })
 }
 
+/// Sparse matrices over a tiny value range: 1 to 4 GPU rows, 0 to 59
+/// vertices, most cells zero (whole matrices come out all-zero) and
+/// non-zero cells in `1..4`, so hotness ties are the common case.
+fn sparse_tied_hotness() -> impl Strategy<Value = HotnessMatrix> {
+    (1usize..5, 0usize..60, 1u64..12).prop_flat_map(|(gpus, n, one_in)| {
+        proptest::collection::vec((0..one_in, 1u64..4), gpus * n).prop_map(move |cells| {
+            let mut h = HotnessMatrix::new(gpus, n);
+            for (i, &(roll, value)) in cells.iter().enumerate() {
+                if roll == 0 {
+                    h.add(i / n, (i % n) as VertexId, value);
+                }
+            }
+            h
+        })
+    })
+}
+
+/// Algorithm 1 as first written: one stable sort over every vertex.
+fn cslp_by_full_sort(h: &HotnessMatrix) -> CslpOutput {
+    let accumulated = h.column_wise_sum();
+    let mut clique_order: Vec<VertexId> = (0..h.num_vertices() as VertexId).collect();
+    clique_order.sort_by(|&a, &b| {
+        accumulated[b as usize]
+            .cmp(&accumulated[a as usize])
+            .then(a.cmp(&b))
+    });
+    let mut per_gpu = vec![Vec::new(); h.num_gpus()];
+    let mut owner = vec![0u32; h.num_vertices()];
+    for &v in &clique_order {
+        let g = h.argmax_gpu(v);
+        per_gpu[g].push(v);
+        owner[v as usize] = g as u32;
+    }
+    CslpOutput {
+        accumulated,
+        clique_order,
+        per_gpu,
+        owner,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cslp_matches_the_full_sort_oracle_dense(h in hotness_strategy()) {
+        prop_assert_eq!(cslp(&h), cslp_by_full_sort(&h));
+    }
+
+    #[test]
+    fn cslp_matches_the_full_sort_oracle_sparse_with_ties(h in sparse_tied_hotness()) {
+        prop_assert_eq!(cslp(&h), cslp_by_full_sort(&h));
+    }
 
     #[test]
     fn cslp_clique_order_is_a_hotness_sorted_permutation(h in hotness_strategy()) {

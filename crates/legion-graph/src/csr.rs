@@ -211,28 +211,53 @@ impl CsrGraph {
         }
     }
 
+    /// Whether every adjacency row is in non-decreasing order (the builder
+    /// guarantees it; [`from_parts`](Self::from_parts) does not).
+    fn rows_sorted(&self) -> bool {
+        (0..self.num_vertices() as VertexId)
+            .all(|v| self.neighbors(v).windows(2).all(|w| w[0] <= w[1]))
+    }
+
     /// Returns the symmetrized graph: for every edge `(u, v)` both `(u, v)`
-    /// and `(v, u)` exist exactly once (self-loops kept once). Partitioners
-    /// operate on the symmetric structure.
+    /// and `(v, u)` exist exactly once (self-loops kept once), every row
+    /// sorted ascending. Partitioners operate on the symmetric structure.
+    ///
+    /// `O(V + E)`: the counting-sort [`transpose`](Self::transpose) emits
+    /// each row in ascending source order, so row `v` of the result is the
+    /// deduplicating merge of two sorted rows — `v`'s in-neighbors and its
+    /// out-neighbors. Unsorted input rows are sorted by transposing twice.
     pub fn symmetrize(&self) -> CsrGraph {
         let n = self.num_vertices();
-        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(self.num_edges() * 2);
-        for (u, v) in self.edges() {
-            pairs.push((u, v));
-            if u != v {
-                pairs.push((v, u));
+        let reverse = self.transpose();
+        let resorted;
+        let forward = if self.rows_sorted() {
+            self
+        } else {
+            resorted = reverse.transpose();
+            &resorted
+        };
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u64);
+        let mut cols: Vec<VertexId> = Vec::with_capacity(2 * self.num_edges());
+        for v in 0..n as VertexId {
+            let row_start = cols.len();
+            let (a, b) = (forward.neighbors(v), reverse.neighbors(v));
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() || j < b.len() {
+                let next = if j == b.len() || (i < a.len() && a[i] <= b[j]) {
+                    i += 1;
+                    a[i - 1]
+                } else {
+                    j += 1;
+                    b[j - 1]
+                };
+                if cols.len() == row_start || cols[cols.len() - 1] != next {
+                    cols.push(next);
+                }
             }
+            offsets.push(cols.len() as u64);
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, _) in &pairs {
-            offsets[u as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let cols = pairs.into_iter().map(|(_, v)| v).collect();
+        cols.shrink_to_fit();
         CsrGraph {
             row_offsets: offsets,
             col_indices: cols,
@@ -271,6 +296,75 @@ impl CsrGraph {
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// The pair-sort symmetrisation `symmetrize` replaced, kept as the
+    /// reference: materialise both directions, sort, dedup.
+    fn symmetrize_by_pair_sort(g: &CsrGraph) -> CsrGraph {
+        let n = g.num_vertices();
+        let mut pairs: Vec<(VertexId, VertexId)> = Vec::with_capacity(g.num_edges() * 2);
+        for (u, v) in g.edges() {
+            pairs.push((u, v));
+            if u != v {
+                pairs.push((v, u));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut offsets = vec![0u64; n + 1];
+        for &(u, _) in &pairs {
+            offsets[u as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let cols = pairs.into_iter().map(|(_, v)| v).collect();
+        CsrGraph {
+            row_offsets: offsets,
+            col_indices: cols,
+        }
+    }
+
+    /// Rows in insertion order: unsorted, parallel edges and self-loops
+    /// kept — everything `from_parts` accepts and the builder never emits.
+    fn raw_rows(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
+        let mut offsets = vec![0u64];
+        let mut cols = Vec::with_capacity(edges.len());
+        for v in 0..n as u32 {
+            cols.extend(edges.iter().filter(|e| e.0 == v).map(|e| e.1));
+            offsets.push(cols.len() as u64);
+        }
+        CsrGraph::from_parts(offsets, cols).unwrap()
+    }
+
+    /// `n` in `0..40` (so `n = 0` and isolated vertices occur) with up to
+    /// 160 edges drawn with repetition (so multi-edges and self-loops do).
+    fn edge_lists() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+        (0usize..40).prop_flat_map(|n| {
+            let hi = n.max(1) as u32;
+            let max_edges = if n == 0 { 1 } else { 160 };
+            (
+                Just(n),
+                proptest::collection::vec((0..hi, 0..hi), 0..max_edges),
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn symmetrize_matches_the_pair_sort_oracle((n, edges) in edge_lists()) {
+            let mut multi = GraphBuilder::new(n).keep_duplicates();
+            multi.extend_edges(edges.iter().copied());
+            for g in [raw_rows(n, &edges), multi.build()] {
+                let s = g.symmetrize();
+                prop_assert_eq!(&s, &symmetrize_by_pair_sort(&g));
+                for v in 0..n as VertexId {
+                    prop_assert!(s.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+                }
+                prop_assert_eq!(&s.symmetrize(), &s);
+            }
+        }
+    }
 
     fn diamond() -> CsrGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3

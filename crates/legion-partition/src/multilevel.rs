@@ -70,22 +70,14 @@ fn finest_level(g: &CsrGraph) -> Level {
     let n = sym.num_vertices();
     let mut adj: Vec<Vec<(u32, u64)>> = Vec::with_capacity(n);
     for v in 0..n as VertexId {
-        let mut row: Vec<(u32, u64)> = sym
-            .neighbors(v)
-            .iter()
-            .filter(|&&u| u != v)
-            .map(|&u| (u, 1u64))
-            .collect();
-        row.sort_unstable();
-        row.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 += a.1;
-                true
-            } else {
-                false
-            }
-        });
-        adj.push(row);
+        // `symmetrize` rows are sorted and unique; only self-loops go.
+        adj.push(
+            sym.neighbors(v)
+                .iter()
+                .filter(|&&u| u != v)
+                .map(|&u| (u, 1u64))
+                .collect(),
+        );
     }
     Level {
         adj,

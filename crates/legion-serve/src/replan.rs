@@ -17,7 +17,10 @@
 //!   under a threshold;
 //! * [`plan_layout`] — CSLP + [`CostModel::best_plan`] over the window,
 //!   materialized as a single-GPU [`CliqueCache`] holding both topology
-//!   and feature entries (the serving analogue of Algorithm 1's output);
+//!   and feature entries (the serving analogue of Algorithm 1's output).
+//!   Planning reads only the window's *support* (the vertices with
+//!   non-zero hotness, which the live buckets already list), so a
+//!   re-plan costs what the window holds, not what the graph holds;
 //! * [`PlanBuffer`] — a versioned double buffer: a staged plan becomes
 //!   visible only at a batch boundary via [`PlanBuffer::commit`], so
 //!   every request is served entirely against one plan version;
@@ -34,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{cslp, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
+use legion_cache::{CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
 use legion_sampling::access::{sample_from, CacheLayout};
@@ -286,16 +289,64 @@ impl WindowEstimator {
     /// The window's `top_k` hottest feature vertices (ties break toward
     /// the smaller vertex id), used by [`DriftDetector::RankOverlap`].
     pub fn top_feature_vertices(&self, top_k: usize) -> Vec<VertexId> {
-        let row = self.feat.row(0);
-        let mut hot: Vec<VertexId> = row
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h > 0)
-            .map(|(v, _)| v as VertexId)
-            .collect();
-        hot.sort_by(|&a, &b| row[b as usize].cmp(&row[a as usize]).then(a.cmp(&b)));
+        let mut hot = self.ranked_feat().order;
         hot.truncate(top_k);
         hot
+    }
+
+    /// One windowed hotness row ranked over its support. A vertex has
+    /// non-zero windowed hotness exactly when a live bucket (or the open
+    /// one) holds a delta for it, so the buckets' keys list the support
+    /// without a pass over the `|V|`-sized row.
+    fn ranked<'a>(
+        &'a self,
+        row: &'a HotnessMatrix,
+        deltas: impl Fn(&Bucket) -> &HashMap<VertexId, u64>,
+    ) -> Ranked<'a> {
+        let listed = self
+            .ring
+            .iter()
+            .chain(std::iter::once(&self.current))
+            .flat_map(|b| deltas(b).keys().copied())
+            .collect();
+        Ranked::new(row.row(0), listed)
+    }
+
+    fn ranked_topo(&self) -> Ranked<'_> {
+        self.ranked(&self.topo, |b| &b.topo)
+    }
+
+    fn ranked_feat(&self) -> Ranked<'_> {
+        self.ranked(&self.feat, |b| &b.feat)
+    }
+}
+
+/// One GPU's hotness row with its non-zero support in cache-priority
+/// order: descending hotness, ties toward the smaller vertex id. This is
+/// CSLP's clique order for a one-GPU clique, cut where the hotness
+/// reaches zero — the part of the order a plan can ever cache.
+struct Ranked<'a> {
+    hot: &'a [u64],
+    order: Vec<VertexId>,
+}
+
+impl<'a> Ranked<'a> {
+    /// Ranks `listed`: every vertex with non-zero `hot`, in any order,
+    /// repeats allowed.
+    fn new(hot: &'a [u64], mut listed: Vec<VertexId>) -> Self {
+        listed.sort_unstable_by(|&a, &b| hot[b as usize].cmp(&hot[a as usize]).then(a.cmp(&b)));
+        listed.dedup();
+        Self { hot, order: listed }
+    }
+
+    /// Finds the support by scanning `matrix`'s single row.
+    fn scan(matrix: &'a HotnessMatrix) -> Self {
+        assert_eq!(matrix.num_gpus(), 1, "serving plans one GPU's hotness row");
+        let hot = matrix.row(0);
+        let listed = (0..hot.len() as VertexId)
+            .filter(|&v| hot[v as usize] > 0)
+            .collect();
+        Self::new(hot, listed)
     }
 }
 
@@ -424,12 +475,17 @@ fn sorted_difference(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     out
 }
 
-/// Runs the planning pass over one GPU's windowed hotness: CSLP orders
-/// the candidates (Algorithm 1 with a one-GPU "clique"), the cost model
-/// sweeps `α` (§4.3.3), and the winning `(B, α)` prefix of each order is
+/// Runs the planning pass over one GPU's hotness rows (1 x `|V|`
+/// matrices, e.g. a [`WarmupProfile`]): CSLP orders the candidates
+/// (Algorithm 1 with a one-GPU "clique"), the cost model sweeps `α`
+/// (§4.3.3), and the winning `(B, α)` prefix of each order is
 /// materialized into a fresh [`CliqueCache`] holding topology *and*
-/// feature entries. Zero-hotness vertices are never cached even when the
-/// budget would admit them.
+/// feature entries. Zero-hotness vertices are never candidates, so they
+/// are never cached even when the budget would admit them.
+///
+/// # Panics
+///
+/// Panics if `topo` or `feat` has more than one GPU row.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_layout(
     gpu: GpuId,
@@ -443,35 +499,57 @@ pub fn plan_layout(
     delta_alpha: f64,
     cls: u64,
 ) -> Plan {
-    let t = cslp(topo);
-    let f = cslp(feat);
+    plan_ranked(
+        gpu,
+        num_gpus,
+        graph,
+        features,
+        &Ranked::scan(topo),
+        &Ranked::scan(feat),
+        n_tsum,
+        budget,
+        delta_alpha,
+        cls,
+    )
+}
+
+/// The planner behind [`plan_layout`] and every re-plan. The cost model
+/// takes the support-only orders as they are: the zero-hotness tail it
+/// never sees adds nothing to Equations 4 and 7, so `α`, `N_T` and `N_F`
+/// equal the full-order result, and the cached-vertex counts are exactly
+/// what the plan holds.
+#[allow(clippy::too_many_arguments)]
+fn plan_ranked(
+    gpu: GpuId,
+    num_gpus: usize,
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    topo: &Ranked<'_>,
+    feat: &Ranked<'_>,
+    n_tsum: u64,
+    budget: u64,
+    delta_alpha: f64,
+    cls: u64,
+) -> Plan {
     let model = CostModel::new(
         graph,
-        &t.clique_order,
-        &t.accumulated,
-        &f.clique_order,
-        &f.accumulated,
+        &topo.order,
+        topo.hot,
+        &feat.order,
+        feat.hot,
         n_tsum,
         features.dim(),
         cls,
     );
     let evaluation = model.best_plan(budget, delta_alpha);
     let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
-    let mut topo_set = Vec::new();
-    for &v in t.clique_order.iter().take(evaluation.topo_cached_vertices) {
-        if t.accumulated[v as usize] == 0 {
-            break;
-        }
+    let mut topo_set = topo.order[..evaluation.topo_cached_vertices].to_vec();
+    for &v in &topo_set {
         cc.insert_topology(0, v, graph.neighbors(v));
-        topo_set.push(v);
     }
-    let mut feat_set = Vec::new();
-    for &v in f.clique_order.iter().take(evaluation.feat_cached_vertices) {
-        if f.accumulated[v as usize] == 0 {
-            break;
-        }
+    let mut feat_set = feat.order[..evaluation.feat_cached_vertices].to_vec();
+    for &v in &feat_set {
         cc.insert_feature(0, v, features.row(v));
-        feat_set.push(v);
     }
     topo_set.sort_unstable();
     feat_set.sort_unstable();
@@ -572,6 +650,9 @@ pub struct ReplanState {
     num_gpus: usize,
     budget: u64,
     cls: u64,
+    /// `LEGION_REPLAN_DEBUG` was set when the controller was built: log
+    /// every staged plan to stderr.
+    debug: bool,
     ewma: Option<f64>,
     reference: f64,
     watermark: f64,
@@ -605,6 +686,7 @@ impl ReplanState {
             num_gpus,
             budget,
             cls,
+            debug: std::env::var_os("LEGION_REPLAN_DEBUG").is_some(),
             ewma: None,
             reference: 0.0,
             watermark: 0.0,
@@ -696,19 +778,19 @@ impl ReplanState {
             && !self.plan.has_staged()
             && self.buckets_since_swap > self.config.cooldown_buckets
         {
-            let plan = plan_layout(
+            let plan = plan_ranked(
                 self.gpu,
                 self.num_gpus,
                 graph,
                 features,
-                self.window.topo(),
-                self.window.feat(),
+                &self.window.ranked_topo(),
+                &self.window.ranked_feat(),
                 self.window.n_tsum(),
                 self.budget,
                 self.config.delta_alpha,
                 self.cls,
             );
-            if std::env::var("LEGION_REPLAN_DEBUG").is_ok() {
+            if self.debug {
                 eprintln!(
                     "[replan gpu{} t={now:.4}] rate {rate:.3} ewma {ewma:.3} ref {:.3} | alpha {:.2} topo {} feat {} (active feat {})",
                     self.gpu,
@@ -746,6 +828,7 @@ impl ReplanState {
 mod tests {
     use super::*;
     use legion_graph::GraphBuilder;
+    use rand::Rng;
 
     fn ring_graph(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new(n);
@@ -827,6 +910,139 @@ mod tests {
         for &v in &plan.contents.topo {
             assert!(cache.lookup_topology(0, v).is_some());
         }
+    }
+
+    /// The planner as it stood before it read the support only: full
+    /// `cslp` orders over every vertex, the cost model over those, and a
+    /// materialisation that stops at the first zero-hotness vertex.
+    fn plan_dense(
+        graph: &CsrGraph,
+        topo: &HotnessMatrix,
+        feat: &HotnessMatrix,
+        n_tsum: u64,
+        budget: u64,
+    ) -> (PlanEvaluation, Vec<VertexId>, Vec<VertexId>) {
+        let (t, f) = (legion_cache::cslp(topo), legion_cache::cslp(feat));
+        let model = CostModel::new(
+            graph,
+            &t.clique_order,
+            &t.accumulated,
+            &f.clique_order,
+            &f.accumulated,
+            n_tsum,
+            4,
+            64,
+        );
+        let evaluation = model.best_plan(budget, 0.05);
+        let cached = |order: &[VertexId], hot: &[u64], count: usize| {
+            let mut set: Vec<VertexId> = order[..count]
+                .iter()
+                .copied()
+                .take_while(|&v| hot[v as usize] > 0)
+                .collect();
+            set.sort_unstable();
+            set
+        };
+        (
+            evaluation,
+            cached(
+                &t.clique_order,
+                &t.accumulated,
+                evaluation.topo_cached_vertices,
+            ),
+            cached(
+                &f.clique_order,
+                &f.accumulated,
+                evaluation.feat_cached_vertices,
+            ),
+        )
+    }
+
+    /// Drives `w` through `batches` random batches over vertices
+    /// `0..span`, sealing whenever a bucket is due.
+    fn feed(w: &mut WindowEstimator, rng: &mut StdRng, span: u32, batches: usize) {
+        for _ in 0..batches {
+            for _ in 0..rng.gen_range(0..6) {
+                w.note_edge(rng.gen_range(0..span));
+            }
+            for _ in 0..rng.gen_range(0..6) {
+                w.note_feature(rng.gen_range(0..span));
+            }
+            w.note_batch(rng.gen_range(1..4), 1, 1, rng.gen_range(0..9));
+            w.seal_if_due();
+        }
+    }
+
+    #[test]
+    fn window_support_is_exactly_the_nonzero_hotness() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for case in 0..40 {
+            let mut w = WindowEstimator::new(64, 1 + case % 5, 1 + case % 3);
+            for _ in 0..12 {
+                feed(&mut w, &mut rng, 64, 5);
+                for (ranked, matrix) in [(w.ranked_topo(), w.topo()), (w.ranked_feat(), w.feat())] {
+                    let mut support = ranked.order;
+                    support.sort_unstable();
+                    let nonzero: Vec<VertexId> =
+                        (0..64).filter(|&v| matrix.get(0, v) > 0).collect();
+                    assert_eq!(support, nonzero);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn support_only_plan_equals_the_dense_plan() {
+        let g = ring_graph(64);
+        let feats = FeatureTable::zeros(64, 4);
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut roomy = 0;
+        for case in 0..60u64 {
+            let mut w = WindowEstimator::new(64, 3, 2);
+            // Narrow spans leave most of the graph cold, so the larger
+            // budgets reach past the support into the zero-hotness tail.
+            feed(&mut w, &mut rng, 4 + (case % 16) as u32 * 4, 12);
+            let budget = 32 << (case % 5);
+            let window = plan_ranked(
+                0,
+                1,
+                &g,
+                &feats,
+                &w.ranked_topo(),
+                &w.ranked_feat(),
+                w.n_tsum(),
+                budget,
+                0.05,
+                64,
+            );
+            let scanned = plan_layout(
+                0,
+                1,
+                &g,
+                &feats,
+                w.topo(),
+                w.feat(),
+                w.n_tsum(),
+                budget,
+                0.05,
+                64,
+            );
+            let (dense, dense_topo, dense_feat) =
+                plan_dense(&g, w.topo(), w.feat(), w.n_tsum(), budget);
+            for plan in [&window, &scanned] {
+                assert_eq!(plan.contents.topo, dense_topo);
+                assert_eq!(plan.contents.feat, dense_feat);
+                assert_eq!(plan.evaluation.alpha, dense.alpha);
+                assert_eq!(plan.evaluation.n_t, dense.n_t);
+                assert_eq!(plan.evaluation.n_f, dense.n_f);
+                assert_eq!(plan.evaluation.topo_cached_vertices, dense_topo.len());
+                assert_eq!(plan.evaluation.feat_cached_vertices, dense_feat.len());
+            }
+            if dense.feat_cached_vertices > dense_feat.len() {
+                roomy += 1;
+            }
+        }
+        assert!(roomy > 0, "some budget must out-size its window's support");
     }
 
     #[test]
