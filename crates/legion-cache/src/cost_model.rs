@@ -176,7 +176,9 @@ impl CostModel {
     }
 
     /// Total feature hotness `sum_{v in V} a_F(v)` — but restricted to the
-    /// vertices present in `Q_F` (which CSLP makes all of `V`).
+    /// vertices present in `Q_F`: all of `V` for a CSLP order; a truncated
+    /// order must keep every vertex with non-zero hotness for Equations 4
+    /// and 7 to see the true totals.
     fn total_feat_hotness(&self) -> u64 {
         *self.feat_hotness_prefix.last().unwrap_or(&0)
     }
@@ -248,8 +250,7 @@ impl CostModel {
     /// paper's default interval is 0.01) and returns every evaluation.
     ///
     /// Each point is two binary searches over the prefix sums, so the
-    /// whole sweep (at most 101 points at the default interval) is a
-    /// plain loop.
+    /// whole sweep (101 points at the paper's interval) is a plain loop.
     pub fn sweep(&self, budget: u64, delta_alpha: f64) -> Vec<PlanEvaluation> {
         assert!(
             delta_alpha > 0.0 && delta_alpha <= 1.0,
