@@ -33,18 +33,8 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     let kg = h.num_gpus();
     // Step 1: accumulate each vertex's hotness from the K_g GPUs.
     let accumulated = h.column_wise_sum();
-    // Step 2: sort vertices by descending hotness. Only the non-zero
-    // support needs sorting — `O(V + s log s)`: zero-hotness vertices all
-    // tie, so they follow it in id order.
-    let is_hot = |v: &VertexId| accumulated[*v as usize] > 0;
-    let mut clique_order: Vec<VertexId> = Vec::with_capacity(n);
-    clique_order.extend((0..n as VertexId).filter(is_hot));
-    clique_order.sort_unstable_by(|&a, &b| {
-        accumulated[b as usize]
-            .cmp(&accumulated[a as usize])
-            .then(a.cmp(&b))
-    });
-    clique_order.extend((0..n as VertexId).filter(|v| !is_hot(v)));
+    // Step 2: sort vertices by descending hotness.
+    let clique_order = hotness_order(&accumulated);
     // Step 3: assign each vertex to the GPU with the highest local hotness.
     let mut per_gpu: Vec<Vec<VertexId>> = vec![Vec::new(); kg];
     let mut owner = vec![0u32; n];
@@ -59,6 +49,28 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
         per_gpu,
         owner,
     }
+}
+
+/// Sorts `ids` by descending `hotness[id]`, ties toward the smaller id
+/// (a total order on distinct ids, so the result is deterministic).
+pub fn sort_by_hotness(ids: &mut [VertexId], hotness: &[u64]) {
+    ids.sort_unstable_by(|&a, &b| {
+        hotness[b as usize]
+            .cmp(&hotness[a as usize])
+            .then(a.cmp(&b))
+    });
+}
+
+/// Every vertex `0..hotness.len()` in [`sort_by_hotness`] order. Only the
+/// non-zero support is sorted — `O(V + s log s)`: zero-hotness vertices
+/// all tie, so they follow it in id order.
+pub fn hotness_order(hotness: &[u64]) -> Vec<VertexId> {
+    let ids = 0..hotness.len() as VertexId;
+    let mut order: Vec<VertexId> = Vec::with_capacity(hotness.len());
+    order.extend(ids.clone().filter(|&v| hotness[v as usize] > 0));
+    sort_by_hotness(&mut order, hotness);
+    order.extend(ids.filter(|&v| hotness[v as usize] == 0));
+    order
 }
 
 impl CslpOutput {

@@ -58,7 +58,7 @@ pub mod planner;
 pub mod unified;
 
 pub use cost_model::{CostModel, PlanEvaluation, TieredPlanEvaluation};
-pub use cslp::{cslp, CslpOutput};
+pub use cslp::{cslp, hotness_order, sort_by_hotness, CslpOutput};
 pub use dynamic::{CacheStats, FifoCache, LruCache};
 pub use fill::build_clique_cache;
 pub use hotness::HotnessMatrix;

@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::CliqueCache;
+use legion_cache::{hotness_order, CliqueCache};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
@@ -90,13 +90,7 @@ pub fn warmup_hot_vertices_weighted(
             frontier = next;
         }
     }
-    let mut ranked: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    ranked.sort_by(|&a, &b| {
-        touches[b as usize]
-            .cmp(&touches[a as usize])
-            .then(a.cmp(&b))
-    });
-    (ranked, touches)
+    (hotness_order(&touches), touches)
 }
 
 /// Builds the static-hotness layout: every GPU gets its own single-GPU

@@ -37,7 +37,7 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
+use legion_cache::{sort_by_hotness, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
 use legion_sampling::access::{sample_from, CacheLayout};
@@ -334,7 +334,7 @@ impl<'a> Ranked<'a> {
     /// Ranks `listed`: every vertex with non-zero `hot`, in any order,
     /// repeats allowed.
     fn new(hot: &'a [u64], mut listed: Vec<VertexId>) -> Self {
-        listed.sort_unstable_by(|&a, &b| hot[b as usize].cmp(&hot[a as usize]).then(a.cmp(&b)));
+        sort_by_hotness(&mut listed, hot);
         listed.dedup();
         Self { hot, order: listed }
     }

@@ -11,6 +11,9 @@
 # The `bench_mutate` group prices the delta-CSR overlay: applying a
 # mutation stream, merging dirty rows at sample time, compaction, and
 # the from-scratch rebuild oracle.
+# The `bench_plan` group prices the planning path on the PR-shaped graph
+# the end-to-end benchmark serves: symmetrisation, the LDG partition,
+# CSLP over a sparse window, and `plan_layout` on that window.
 # Seeds are fixed, so the output is deterministic modulo the timing
 # fields.
 #
