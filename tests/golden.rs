@@ -1,6 +1,7 @@
 //! Golden digests: every scenario below is a tiny fixed-seed run whose
-//! full telemetry snapshot (or capacity estimate) is hashed and compared
-//! with the committed `tests/golden_digests.txt`.
+//! full telemetry snapshot (or capacity estimate, planner output, or
+//! sampled mini-batch) is hashed and compared with the committed
+//! `tests/golden_digests.txt`.
 //!
 //! The determinism suite compares a run with another run of the *same*
 //! build; this file pins a build against its parent, which is the
@@ -8,7 +9,7 @@
 //! behaviour change re-baselines by pasting the table the failing test
 //! prints over `tests/golden_digests.txt`.
 
-use legion_cache::{cslp, HotnessMatrix};
+use legion_cache::{cslp, CliqueCache, HotnessMatrix};
 use legion_core::runner::{
     run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
 };
@@ -19,12 +20,16 @@ use legion_gnn::ModelKind;
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
+use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+use legion_sampling::{KHopSampler, SampleScratch};
 use legion_serve::{
     estimate_capacity_rps, plan_layout, profile_warmup, serve, ChurnConfig, ClassConfig,
-    MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig, StoreConfig,
-    TargetSampler,
+    DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig,
+    StoreConfig, TargetSampler,
 };
 use legion_telemetry::Snapshot;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const COMMITTED: &str = include_str!("golden_digests.txt");
 
@@ -120,6 +125,169 @@ fn planning_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
         bytes.extend_from_slice(&word.to_le_bytes());
     }
     rows.push(("plan_layout_window400", fnv1a(&bytes)));
+}
+
+/// Two filled clique caches over a 4-GPU server: from any GPU a batch
+/// meets local hits, NVLink peer hits and CPU misses of both kinds.
+fn filled_layout(d: &Dataset) -> CacheLayout {
+    let n = d.graph.num_vertices();
+    let cliques = [vec![0, 1], vec![2, 3]]
+        .into_iter()
+        .enumerate()
+        .map(|(c, gpus)| {
+            let mut cc = CliqueCache::new(gpus, n, d.features.dim());
+            for v in (0..n as u32).filter(|v| (*v as usize + c) % 3 != 0) {
+                cc.insert_topology((v as usize / 3) % 2, v, d.graph.neighbors(v));
+            }
+            for v in (0..n as u32).filter(|v| (*v as usize + c) % 4 != 1) {
+                cc.insert_feature((v as usize / 4) % 2, v, d.features.row(v));
+            }
+            cc
+        })
+        .collect();
+    CacheLayout::from_cliques(4, cliques)
+}
+
+/// The k-hop sampler's whole observable output, pinned beside the run
+/// snapshots: every block and `all_vertices` of three batches run
+/// through one scratch (GPU 0, GPU 3 in the other clique, then a single
+/// seed on GPU 1), the `on_edge` argument sequence, the RNG position
+/// after each call and the engine's counters — for a filled 2-clique layout, a GPU-replicated topology,
+/// an overlay whose dirty rows sit on both sides of every power-of-two
+/// frontier position up to 64, and duplicate seeds.
+fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
+    let n = d.graph.num_vertices() as u32;
+    let seeds: Vec<u32> = d.train_vertices.iter().copied().take(150).collect();
+    assert_eq!(seeds.len(), 150, "fixture needs 150 training vertices");
+    let layout = filled_layout(d);
+    let none = CacheLayout::none(4);
+    let overlay = DeltaOverlay::new(n as usize);
+    for &i in &[3usize, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
+        let v = seeds[i];
+        let op = match i % 3 {
+            0 => MutationOp::ChurnVertex { v },
+            1 => MutationOp::DeleteEdge {
+                src: v,
+                dst: d.graph.neighbors(v)[0],
+            },
+            _ => MutationOp::InsertEdge {
+                src: v,
+                dst: (v * 7 + 1) % n,
+            },
+        };
+        overlay.apply(&d.graph, &op);
+        overlay.apply(
+            &d.graph,
+            &MutationOp::InsertEdge {
+                src: v,
+                dst: (v * 13 + 5) % n,
+            },
+        );
+    }
+    // Second-hop dirty rows: mutate a stride of the whole id range.
+    for v in (0..n).step_by(9) {
+        overlay.apply(
+            &d.graph,
+            &MutationOp::InsertEdge {
+                src: v,
+                dst: (v * 31 + 2) % n,
+            },
+        );
+    }
+    let mut dup = seeds[..90].to_vec();
+    for i in (0..90).step_by(4) {
+        dup[i] = seeds[(i * 7) % 30];
+    }
+
+    type Case<'a> = (
+        &'static str,
+        &'static str,
+        &'a CacheLayout,
+        TopologyPlacement,
+        Option<&'a DeltaOverlay>,
+        &'a [u32],
+    );
+    let cases: [Case<'_>; 4] = [
+        (
+            "sampler_clique_25_10",
+            "sampler_clique_8",
+            &layout,
+            TopologyPlacement::CpuUva,
+            None,
+            &seeds,
+        ),
+        (
+            "sampler_replicated_25_10",
+            "sampler_replicated_8",
+            &none,
+            TopologyPlacement::ReplicatedGpu,
+            None,
+            &seeds,
+        ),
+        (
+            "sampler_overlay_25_10",
+            "sampler_overlay_8",
+            &layout,
+            TopologyPlacement::CpuUva,
+            Some(&overlay),
+            &seeds,
+        ),
+        (
+            "sampler_dup_seeds_25_10",
+            "sampler_dup_seeds_8",
+            &layout,
+            TopologyPlacement::CpuUva,
+            None,
+            &dup,
+        ),
+    ];
+    for (two_hop, one_hop, layout, placement, overlay, seeds) in cases {
+        for (name, fanouts) in [(two_hop, vec![25, 10]), (one_hop, vec![8])] {
+            let server = clique_server();
+            let engine = AccessEngine::new(&d.graph, &d.features, layout, &server, placement)
+                .with_overlay(overlay);
+            let sampler = KHopSampler::new(fanouts);
+            let mut rng = StdRng::seed_from_u64(0x5EED);
+            let mut scratch = SampleScratch::new();
+            let mut words: Vec<u64> = Vec::new();
+            let batches = [
+                (0, &seeds[..]),
+                (3, &seeds[seeds.len() / 3..]),
+                (1, &seeds[5..6]),
+            ];
+            for (gpu, batch) in batches {
+                let mut traversed: Vec<u32> = Vec::new();
+                let mut on_edge = |v: u32| traversed.push(v);
+                let sample = sampler.sample_batch_with(
+                    &engine,
+                    gpu,
+                    batch,
+                    &mut rng,
+                    Some(&mut on_edge),
+                    &mut scratch,
+                );
+                for b in &sample.blocks {
+                    words.push(b.num_dst as u64);
+                    for part in [&b.src_vertices, &b.edge_dst, &b.edge_src] {
+                        words.push(part.len() as u64);
+                        words.extend(part.iter().map(|&x| x as u64));
+                    }
+                }
+                for part in [&sample.all_vertices, &traversed] {
+                    words.push(part.len() as u64);
+                    words.extend(part.iter().map(|&x| x as u64));
+                }
+                words.push(rng.gen::<u64>());
+            }
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.extend_from_slice(
+                serde_json::to_string(&server.telemetry().snapshot())
+                    .expect("serializable snapshot")
+                    .as_bytes(),
+            );
+            rows.push((name, fnv1a(&bytes)));
+        }
+    }
 }
 
 fn dataset() -> Dataset {
@@ -318,6 +486,7 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         rows.push(("capacity_routed_store_aware", capacity(&router_qos(store))));
     }
     planning_rows(&d, &mut rows);
+    sampler_rows(&d, &mut rows);
     rows
 }
 
