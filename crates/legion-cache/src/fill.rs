@@ -102,6 +102,7 @@ mod tests {
     use crate::cost_model::CostModel;
     use crate::cslp::cslp;
     use crate::hotness::HotnessMatrix;
+    use crate::unified::CacheHit;
 
     use legion_graph::generate::ChungLuConfig;
     use legion_hw::ServerSpec;
@@ -189,8 +190,8 @@ mod tests {
             let cached = cache.cache(slot).feature_entries();
             for (i, &v) in q.iter().enumerate() {
                 assert_eq!(
-                    cache.cache(slot).feature(v).is_some(),
-                    i < cached,
+                    cache.lookup_feature(slot, v).map(|(hit, row)| (hit, row.to_vec())),
+                    (i < cached).then(|| (CacheHit::Local, s.1.row(v).to_vec())),
                     "vertex {v} at priority {i}"
                 );
             }

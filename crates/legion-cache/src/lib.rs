@@ -49,6 +49,8 @@
 //! assert!(model.evaluate(1024, 0.5).n_total() <= model.evaluate(0, 0.5).n_total());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cost_model;
 pub mod cslp;
 pub mod dynamic;

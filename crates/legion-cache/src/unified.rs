@@ -6,15 +6,17 @@
 //! vertices in the format of a 2D array... the selected vertices in the
 //! topology and feature caches could be different."
 //!
-//! [`GpuUnifiedCache`] is one GPU's cache; [`CliqueCache`] groups the
-//! caches of an NVLink clique and resolves lookups to *local hit*, *peer
-//! (NVLink) hit* or *miss* — the classification the traffic accounting in
-//! `legion-sampling` turns into PCIe/NVLink transactions.
+//! [`GpuUnifiedCache`] is one GPU's row storage; [`CliqueCache`] groups
+//! the caches of an NVLink clique and resolves lookups to *local hit*,
+//! *peer (NVLink) hit* or *miss* — the classification the traffic
+//! accounting in `legion-sampling` turns into PCIe/NVLink transactions.
 //!
 //! Lookups are on the simulator's hottest path (one per simulated vertex
-//! read), so vertex→slot indexing is a dense array per cache — mirroring
-//! the dense `topo_owner`/`feat_owner` arrays of [`CliqueCache`] — rather
-//! than a hash map: a lookup is two array loads and a branch.
+//! read), so the clique owns one dense directory per kind,
+//! `dir[v] = owner_slot << 24 | row`, and the per-GPU caches are
+//! addressed by row only: a lookup is one directory load, then the row.
+//! The directory is the only vertex-indexed table — 4 bytes per vertex
+//! per kind whatever the clique size.
 
 use legion_graph::{topology_bytes_for_degree, VertexId};
 use legion_hw::GpuId;
@@ -28,39 +30,29 @@ pub enum CacheHit {
     Peer(GpuId),
 }
 
-/// Sentinel slot meaning "vertex not cached" in the dense slot tables.
-const NO_SLOT: u32 = u32::MAX;
-
-/// One GPU's topology + feature cache.
+/// One GPU's topology + feature cache: rows addressed by the slot the
+/// insert returned. Which vertex a row belongs to is the clique
+/// directory's knowledge, not the cache's.
 #[derive(Debug, Clone)]
 pub struct GpuUnifiedCache {
     gpu: GpuId,
     feature_dim: usize,
-    // Topology cache: CSR over the cached vertices only. `topo_slot[v]`
-    // is the vertex's CSR row, or `NO_SLOT`.
-    topo_slot: Vec<u32>,
-    topo_entries: usize,
+    // Topology cache: CSR over the cached rows only.
     topo_offsets: Vec<u64>,
     topo_cols: Vec<VertexId>,
-    // Feature cache: 2-D array over the cached vertices only.
-    // `feat_slot[v]` is the vertex's row, or `NO_SLOT`.
-    feat_slot: Vec<u32>,
+    // Feature cache: 2-D array over the cached rows only.
     feat_entries: usize,
     feat_data: Vec<f32>,
 }
 
 impl GpuUnifiedCache {
-    /// An empty cache for `gpu` over a graph of `num_vertices` vertices,
-    /// holding `feature_dim`-wide feature rows.
-    pub fn new(gpu: GpuId, num_vertices: usize, feature_dim: usize) -> Self {
+    /// An empty cache for `gpu` holding `feature_dim`-wide feature rows.
+    pub fn new(gpu: GpuId, feature_dim: usize) -> Self {
         Self {
             gpu,
             feature_dim,
-            topo_slot: vec![NO_SLOT; num_vertices],
-            topo_entries: 0,
             topo_offsets: vec![0],
             topo_cols: Vec::new(),
-            feat_slot: vec![NO_SLOT; num_vertices],
             feat_entries: 0,
             feat_data: Vec::new(),
         }
@@ -71,67 +63,43 @@ impl GpuUnifiedCache {
         self.gpu
     }
 
-    /// Inserts `v`'s adjacency into the topology cache. Re-inserting an
-    /// already cached vertex is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is outside the vertex range given at construction.
-    pub fn insert_topology(&mut self, v: VertexId, neighbors: &[VertexId]) {
-        if self.topo_slot[v as usize] != NO_SLOT {
-            return;
-        }
-        let slot = self.topo_offsets.len() as u32 - 1;
+    /// Appends an adjacency row; its slot is the entry count before the
+    /// call.
+    fn push_topology(&mut self, neighbors: &[VertexId]) {
         self.topo_cols.extend_from_slice(neighbors);
         self.topo_offsets.push(self.topo_cols.len() as u64);
-        self.topo_slot[v as usize] = slot;
-        self.topo_entries += 1;
     }
 
-    /// Inserts `v`'s feature row. Re-inserting is a no-op.
+    /// Appends a feature row; its slot is the entry count before the
+    /// call.
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != feature_dim` or `v` is out of range.
-    pub fn insert_feature(&mut self, v: VertexId, row: &[f32]) {
+    /// Panics if `row.len() != feature_dim`.
+    fn push_feature(&mut self, row: &[f32]) {
         assert_eq!(row.len(), self.feature_dim, "feature dim mismatch");
-        if self.feat_slot[v as usize] != NO_SLOT {
-            return;
-        }
-        let slot = (self.feat_data.len() / self.feature_dim.max(1)) as u32;
         self.feat_data.extend_from_slice(row);
-        self.feat_slot[v as usize] = slot;
         self.feat_entries += 1;
     }
 
-    /// Cached adjacency of `v`, if present.
+    /// The adjacency row in `slot`.
     #[inline]
-    pub fn topology(&self, v: VertexId) -> Option<&[VertexId]> {
-        match self.topo_slot.get(v as usize).copied() {
-            Some(slot) if slot != NO_SLOT => {
-                let lo = self.topo_offsets[slot as usize] as usize;
-                let hi = self.topo_offsets[slot as usize + 1] as usize;
-                Some(&self.topo_cols[lo..hi])
-            }
-            _ => None,
-        }
+    fn topology_row(&self, slot: usize) -> &[VertexId] {
+        let lo = self.topo_offsets[slot] as usize;
+        let hi = self.topo_offsets[slot + 1] as usize;
+        &self.topo_cols[lo..hi]
     }
 
-    /// Cached feature row of `v`, if present.
+    /// The feature row in `slot`.
     #[inline]
-    pub fn feature(&self, v: VertexId) -> Option<&[f32]> {
-        match self.feat_slot.get(v as usize).copied() {
-            Some(slot) if slot != NO_SLOT => {
-                let lo = slot as usize * self.feature_dim;
-                Some(&self.feat_data[lo..lo + self.feature_dim])
-            }
-            _ => None,
-        }
+    fn feature_row(&self, slot: usize) -> &[f32] {
+        let lo = slot * self.feature_dim;
+        &self.feat_data[lo..lo + self.feature_dim]
     }
 
     /// Number of vertices in the topology cache.
     pub fn topology_entries(&self) -> usize {
-        self.topo_entries
+        self.topo_offsets.len() - 1
     }
 
     /// Number of vertices in the feature cache.
@@ -141,7 +109,7 @@ impl GpuUnifiedCache {
 
     /// Bytes of topology payload cached, per Equation 3 accounting.
     pub fn topology_bytes(&self) -> u64 {
-        self.topo_entries as u64 * legion_graph::ROW_OFFSET_BYTES
+        self.topology_entries() as u64 * legion_graph::ROW_OFFSET_BYTES
             + self.topo_cols.len() as u64 * legion_graph::COL_INDEX_BYTES
     }
 
@@ -156,21 +124,54 @@ impl GpuUnifiedCache {
     }
 }
 
-/// The caches of one NVLink clique, with owner maps for O(1) clique-level
-/// lookup.
+/// Directory entry of a vertex the clique does not cache.
+const ABSENT: u32 = u32::MAX;
+/// Low bits of a directory entry holding the row slot; the owner's
+/// clique slot sits above them.
+const ROW_BITS: u32 = 24;
+const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
+/// Clique slots must stay below this so that no live entry equals
+/// [`ABSENT`].
+const MAX_SLOTS: usize = (u32::MAX >> ROW_BITS) as usize;
+
+/// Packs an owner slot and a row slot into a directory entry.
+///
+/// # Panics
+///
+/// Panics if `row` does not fit the entry's 24-bit row field.
+fn encode(owner: usize, row: usize) -> u32 {
+    assert!(
+        row <= ROW_MASK as usize,
+        "cache row slot {row} does not fit the directory's {ROW_BITS}-bit row field"
+    );
+    (owner as u32) << ROW_BITS | row as u32
+}
+
+/// `(owner slot, row slot)` of a directory entry, `None` when absent.
+#[inline]
+fn decode(entry: u32) -> Option<(usize, usize)> {
+    (entry != ABSENT).then_some(((entry >> ROW_BITS) as usize, (entry & ROW_MASK) as usize))
+}
+
+/// The caches of one NVLink clique behind one vertex→row directory per
+/// kind.
+///
+/// A vertex is cached at most once per clique and kind: the first
+/// insert wins and names the owner; inserting the vertex again, under
+/// the same or another slot, is a no-op.
 #[derive(Debug, Clone)]
 pub struct CliqueCache {
     /// GPU ids of the clique members, in slot order.
     gpus: Vec<GpuId>,
     /// One cache per clique slot.
     caches: Vec<GpuUnifiedCache>,
-    /// `topo_owner[v]` = clique slot caching `v`'s topology, or `NONE`.
-    topo_owner: Vec<u8>,
-    /// `feat_owner[v]` = clique slot caching `v`'s features, or `NONE`.
-    feat_owner: Vec<u8>,
+    /// `topo_dir[v]` = owner and row of `v`'s cached adjacency, or
+    /// [`ABSENT`].
+    topo_dir: Vec<u32>,
+    /// `feat_dir[v]` = owner and row of `v`'s cached features, or
+    /// [`ABSENT`].
+    feat_dir: Vec<u32>,
 }
-
-const NONE: u8 = u8::MAX;
 
 impl CliqueCache {
     /// Empty clique cache for the given GPU members over a graph with
@@ -181,16 +182,16 @@ impl CliqueCache {
     /// Panics if the clique is empty or has more than 255 GPUs.
     pub fn new(gpus: Vec<GpuId>, num_vertices: usize, feature_dim: usize) -> Self {
         assert!(!gpus.is_empty(), "clique must have at least one GPU");
-        assert!(gpus.len() < NONE as usize, "clique too large");
+        assert!(gpus.len() <= MAX_SLOTS, "clique too large");
         let caches = gpus
             .iter()
-            .map(|&g| GpuUnifiedCache::new(g, num_vertices, feature_dim))
+            .map(|&g| GpuUnifiedCache::new(g, feature_dim))
             .collect();
         Self {
             gpus,
             caches,
-            topo_owner: vec![NONE; num_vertices],
-            feat_owner: vec![NONE; num_vertices],
+            topo_dir: vec![ABSENT; num_vertices],
+            feat_dir: vec![ABSENT; num_vertices],
         }
     }
 
@@ -210,15 +211,43 @@ impl CliqueCache {
     }
 
     /// Inserts `v`'s topology into `slot`'s cache and records ownership.
+    /// A vertex the clique already caches is left where it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is outside the vertex range given at construction,
+    /// or if the cache already holds 2²⁴ topology rows.
     pub fn insert_topology(&mut self, slot: usize, v: VertexId, neighbors: &[VertexId]) {
-        self.caches[slot].insert_topology(v, neighbors);
-        self.topo_owner[v as usize] = slot as u8;
+        if self.topo_dir[v as usize] != ABSENT {
+            return;
+        }
+        let entry = encode(slot, self.caches[slot].topology_entries());
+        self.caches[slot].push_topology(neighbors);
+        self.topo_dir[v as usize] = entry;
     }
 
     /// Inserts `v`'s features into `slot`'s cache and records ownership.
+    /// A vertex the clique already caches is left where it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != feature_dim`, if `v` is out of range, or
+    /// if the cache already holds 2²⁴ feature rows.
     pub fn insert_feature(&mut self, slot: usize, v: VertexId, row: &[f32]) {
-        self.caches[slot].insert_feature(v, row);
-        self.feat_owner[v as usize] = slot as u8;
+        if self.feat_dir[v as usize] != ABSENT {
+            return;
+        }
+        let entry = encode(slot, self.caches[slot].feature_entries());
+        self.caches[slot].push_feature(row);
+        self.feat_dir[v as usize] = entry;
+    }
+
+    fn hit(&self, from_slot: usize, owner: usize) -> CacheHit {
+        if owner == from_slot {
+            CacheHit::Local
+        } else {
+            CacheHit::Peer(self.gpus[owner])
+        }
     }
 
     /// Resolves a topology lookup from `from_slot`: local hit, peer hit,
@@ -229,73 +258,53 @@ impl CliqueCache {
         from_slot: usize,
         v: VertexId,
     ) -> Option<(CacheHit, &[VertexId])> {
-        let owner = self.topo_owner[v as usize];
-        if owner == NONE {
-            return None;
-        }
-        let owner = owner as usize;
-        let data = self.caches[owner]
-            .topology(v)
-            .expect("owner map and cache agree");
-        let hit = if owner == from_slot {
-            CacheHit::Local
-        } else {
-            CacheHit::Peer(self.gpus[owner])
-        };
-        Some((hit, data))
+        let (owner, row) = decode(self.topo_dir[v as usize])?;
+        debug_assert!(
+            owner < self.caches.len() && row < self.caches[owner].topology_entries(),
+            "topology directory entry of vertex {v} names no live row"
+        );
+        Some((
+            self.hit(from_slot, owner),
+            self.caches[owner].topology_row(row),
+        ))
     }
 
     /// Resolves a feature lookup from `from_slot`.
     #[inline]
     pub fn lookup_feature(&self, from_slot: usize, v: VertexId) -> Option<(CacheHit, &[f32])> {
-        let owner = self.feat_owner[v as usize];
-        if owner == NONE {
-            return None;
-        }
-        let owner = owner as usize;
-        let data = self.caches[owner]
-            .feature(v)
-            .expect("owner map and cache agree");
-        let hit = if owner == from_slot {
-            CacheHit::Local
-        } else {
-            CacheHit::Peer(self.gpus[owner])
-        };
-        Some((hit, data))
+        let (owner, row) = decode(self.feat_dir[v as usize])?;
+        debug_assert!(
+            owner < self.caches.len() && row < self.caches[owner].feature_entries(),
+            "feature directory entry of vertex {v} names no live row"
+        );
+        Some((
+            self.hit(from_slot, owner),
+            self.caches[owner].feature_row(row),
+        ))
     }
 
     /// Whether `v`'s topology is cached anywhere in the clique.
     #[inline]
     pub fn has_topology(&self, v: VertexId) -> bool {
-        self.topo_owner[v as usize] != NONE
+        self.topo_dir[v as usize] != ABSENT
     }
 
     /// Whether `v`'s features are cached anywhere in the clique.
     #[inline]
     pub fn has_feature(&self, v: VertexId) -> bool {
-        self.feat_owner[v as usize] != NONE
+        self.feat_dir[v as usize] != ABSENT
     }
 
     /// All vertices whose topology is cached anywhere in the clique,
     /// in ascending id order. Residency export for the serving router.
     pub fn topology_vertices(&self) -> Vec<VertexId> {
-        self.topo_owner
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o != NONE)
-            .map(|(v, _)| v as VertexId)
-            .collect()
+        present(&self.topo_dir)
     }
 
     /// All vertices whose features are cached anywhere in the clique,
     /// in ascending id order. Residency export for the serving router.
     pub fn feature_vertices(&self) -> Vec<VertexId> {
-        self.feat_owner
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o != NONE)
-            .map(|(v, _)| v as VertexId)
-            .collect()
+        present(&self.feat_dir)
     }
 
     /// Total topology bytes cached across the clique.
@@ -309,18 +318,26 @@ impl CliqueCache {
     }
 }
 
+/// The vertices a directory holds an entry for, in ascending id order.
+fn present(dir: &[u32]) -> Vec<VertexId> {
+    dir.iter()
+        .enumerate()
+        .filter(|(_, &e)| e != ABSENT)
+        .map(|(v, _)| v as VertexId)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn gpu_cache_topology_roundtrip() {
-        let mut c = GpuUnifiedCache::new(0, 16, 2);
-        c.insert_topology(5, &[1, 2, 3]);
-        c.insert_topology(9, &[]);
-        assert_eq!(c.topology(5), Some(&[1, 2, 3][..]));
-        assert_eq!(c.topology(9), Some(&[][..]));
-        assert_eq!(c.topology(1), None);
+        let mut c = GpuUnifiedCache::new(0, 2);
+        c.push_topology(&[1, 2, 3]);
+        c.push_topology(&[]);
+        assert_eq!(c.topology_row(0), &[1, 2, 3][..]);
+        assert_eq!(c.topology_row(1), &[][..]);
         assert_eq!(c.topology_entries(), 2);
         // 2 row offsets + 3 cols.
         assert_eq!(c.topology_bytes(), 2 * 8 + 3 * 4);
@@ -328,29 +345,64 @@ mod tests {
 
     #[test]
     fn gpu_cache_feature_roundtrip() {
-        let mut c = GpuUnifiedCache::new(0, 16, 3);
-        c.insert_feature(7, &[1.0, 2.0, 3.0]);
-        assert_eq!(c.feature(7), Some(&[1.0, 2.0, 3.0][..]));
-        assert_eq!(c.feature(8), None);
-        assert_eq!(c.feature_bytes(), 12);
+        let mut c = GpuUnifiedCache::new(0, 3);
+        c.push_feature(&[1.0, 2.0, 3.0]);
+        c.push_feature(&[4.0, 5.0, 6.0]);
+        assert_eq!(c.feature_row(1), &[4.0, 5.0, 6.0][..]);
+        assert_eq!(c.feature_entries(), 2);
+        assert_eq!(c.feature_bytes(), 24);
     }
 
     #[test]
     fn reinsert_is_noop() {
-        let mut c = GpuUnifiedCache::new(0, 4, 1);
-        c.insert_topology(1, &[0]);
-        c.insert_topology(1, &[0, 0, 0]);
-        assert_eq!(c.topology(1), Some(&[0][..]));
-        c.insert_feature(1, &[4.0]);
-        c.insert_feature(1, &[9.0]);
-        assert_eq!(c.feature(1), Some(&[4.0][..]));
+        let mut cc = CliqueCache::new(vec![0], 4, 1);
+        cc.insert_topology(0, 1, &[0]);
+        cc.insert_topology(0, 1, &[0, 0, 0]);
+        assert_eq!(cc.lookup_topology(0, 1).map(|(_, d)| d), Some(&[0][..]));
+        cc.insert_feature(0, 1, &[4.0]);
+        cc.insert_feature(0, 1, &[9.0]);
+        assert_eq!(cc.lookup_feature(0, 1).map(|(_, d)| d), Some(&[4.0][..]));
+        assert_eq!(cc.cache(0).topology_entries(), 1);
+        assert_eq!(cc.cache(0).feature_entries(), 1);
+        assert_eq!(cc.total_topology_bytes(), 8 + 4);
+    }
+
+    #[test]
+    fn first_insert_owns_a_vertex_offered_under_two_slots() {
+        let mut cc = CliqueCache::new(vec![4, 5], 4, 1);
+        cc.insert_topology(1, 2, &[3]);
+        cc.insert_topology(0, 2, &[0, 1]);
+        cc.insert_feature(0, 2, &[1.0]);
+        cc.insert_feature(1, 2, &[2.0]);
+        assert_eq!(
+            cc.lookup_topology(0, 2),
+            Some((CacheHit::Peer(5), &[3][..]))
+        );
+        assert_eq!(cc.lookup_feature(0, 2), Some((CacheHit::Local, &[1.0][..])));
+        // The losing slot stored nothing.
+        assert_eq!(cc.cache(0).topology_entries(), 0);
+        assert_eq!(cc.cache(1).feature_entries(), 0);
+    }
+
+    #[test]
+    fn directory_entries_round_trip_up_to_the_field_bounds() {
+        for (owner, row) in [(0, 0), (3, 17), (MAX_SLOTS - 1, ROW_MASK as usize)] {
+            assert_eq!(decode(encode(owner, row)), Some((owner, row)));
+        }
+        assert_eq!(decode(ABSENT), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the directory")]
+    fn row_slot_past_the_directory_field_is_a_panic_not_a_truncation() {
+        let _ = encode(0, 1 << ROW_BITS);
     }
 
     #[test]
     #[should_panic(expected = "dim mismatch")]
     fn feature_dim_enforced() {
-        let mut c = GpuUnifiedCache::new(0, 16, 2);
-        c.insert_feature(0, &[1.0]);
+        let mut cc = CliqueCache::new(vec![0], 16, 2);
+        cc.insert_feature(0, 0, &[1.0]);
     }
 
     #[test]

@@ -12,17 +12,20 @@
 //! * feature reads move whole rows: a CPU read books
 //!   `ceil(D * 4 / CLS)` transactions (Equation 8).
 //!
-//! # Scalar vs. batched reads
+//! # One metered path
 //!
-//! The scalar entry points ([`AccessEngine::sample_neighbors`],
-//! [`AccessEngine::read_feature`]) update every meter with one atomic RMW
-//! per vertex read. The batched entry points
-//! ([`AccessEngine::sample_neighbors_into`],
-//! [`AccessEngine::read_features_batch`]) accumulate the same quantities
-//! in a caller-owned [`BatchTotals`] of plain `u64`s and flush each
-//! counter with **one** atomic add per batch — observationally identical
-//! totals (the counters are commutative sums), but the per-vertex hot
-//! loop touches no shared cache lines and allocates nothing.
+//! Every read accumulates its meter deltas in a caller-owned
+//! [`BatchTotals`] of plain `u64`s; [`AccessEngine::flush_totals`] then
+//! moves each counter with **one** atomic add per batch — the counters
+//! are commutative sums, so the totals are the same as per-read updates
+//! would give, but the per-vertex loop touches no shared cache line and
+//! allocates nothing. Topology reads are classified in exactly one
+//! place, [`AccessEngine::resolve_topology`], which the k-hop sampler
+//! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
+//! for a single vertex; feature reads in
+//! [`AccessEngine::read_features_batch`].
+
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -142,6 +145,17 @@ impl BatchTotals {
         }
     }
 
+    /// Books a fine-grained CPU (UVA) read of one adjacency row: one
+    /// transaction for the row offsets plus one 4-byte transaction per
+    /// sampled edge (§3.2).
+    #[inline]
+    fn charge_cpu_topology(&mut self, edges_read: u64) {
+        self.sampled_edges += edges_read;
+        self.topology_misses += 1;
+        self.topology_tx += 1 + edges_read;
+        self.cpu_bytes += edges_read * 4 + 8;
+    }
+
     /// Whether nothing has been accumulated since the last flush.
     pub fn is_empty(&self) -> bool {
         self.topology_hits == 0
@@ -175,7 +189,9 @@ pub struct AccessEngine<'a> {
     /// cached topology copies (local, peer, or replicated) are stale the
     /// moment the row mutates.
     overlay: Option<&'a DeltaOverlay>,
-    meters: Vec<GpuMeters>,
+    /// Bound once per server; engines derived by [`Self::with_layout`]
+    /// share them.
+    meters: Arc<[GpuMeters]>,
     block_edges: Histogram,
 }
 
@@ -223,6 +239,26 @@ impl<'a> AccessEngine<'a> {
         self
     }
 
+    /// The same engine over another cache layout: same graph, features,
+    /// server, placement and overlay, and the already-bound meters —
+    /// shared, not looked up again. For callers whose layout changes
+    /// between batches (the serving re-planner).
+    pub fn with_layout<'b>(&self, layout: &'b CacheLayout) -> AccessEngine<'b>
+    where
+        'a: 'b,
+    {
+        AccessEngine {
+            graph: self.graph,
+            features: self.features,
+            layout,
+            server: self.server,
+            topology_placement: self.topology_placement,
+            overlay: self.overlay,
+            meters: Arc::clone(&self.meters),
+            block_edges: self.block_edges.clone(),
+        }
+    }
+
     /// The attached overlay, if any.
     pub fn overlay(&self) -> Option<&'a DeltaOverlay> {
         self.overlay
@@ -267,6 +303,9 @@ impl<'a> AccessEngine<'a> {
     /// Samples up to `fanout` distinct neighbors of `v` on behalf of
     /// `gpu`, booking the traffic of the topology read. Returns the
     /// sampled neighbor ids (all neighbors when `degree <= fanout`).
+    ///
+    /// The one-vertex form of what [`KHopSampler::sample_batch_with`]
+    /// does per wave: same resolve, same draw, flushed immediately.
     pub fn sample_neighbors<R: Rng + ?Sized>(
         &self,
         gpu: GpuId,
@@ -274,168 +313,96 @@ impl<'a> AccessEngine<'a> {
         fanout: usize,
         rng: &mut R,
     ) -> Vec<VertexId> {
-        if self.topology_dirty(v) {
-            let mut merged = Vec::new();
-            self.overlay
-                .expect("dirty implies overlay")
-                .merge_into(self.graph, v, &mut merged);
-            let edges_read = merged.len().min(fanout) as u64;
-            let meters = &self.meters[gpu];
-            meters.sampled_edges.add(edges_read);
-            meters.topology_misses.inc();
-            self.server
-                .pcm()
-                .add(gpu, TrafficKind::Topology, 1 + edges_read);
-            self.server
-                .traffic()
-                .add(gpu, Source::Cpu, edges_read * 4 + 8);
-            return sample_from(&merged, fanout, rng);
-        }
-        let neighbors = self.read_topology(gpu, v, fanout);
-        sample_from(neighbors, fanout, rng)
-    }
-
-    /// Resolves a topology read for `v` from `gpu`, charging traffic for
-    /// `sampled` edge reads, and returns the adjacency slice.
-    fn read_topology(&self, gpu: GpuId, v: VertexId, fanout: usize) -> &[VertexId] {
-        let degree = self.graph.degree(v) as usize;
-        let edges_read = degree.min(fanout) as u64;
-        let meters = &self.meters[gpu];
-        meters.sampled_edges.add(edges_read);
-        if self.topology_placement == TopologyPlacement::ReplicatedGpu {
-            // Local replica: no interconnect traffic at all.
-            meters.topology_hits.inc();
-            return self.graph.neighbors(v);
-        }
-        if let Some((cache, slot)) = self.layout.for_gpu(gpu) {
-            if let Some((hit, data)) = cache.lookup_topology(slot, v) {
-                if let CacheHit::Peer(owner) = hit {
-                    // NVLink bytes: sampled edge ids + the offset pair.
-                    self.server
-                        .traffic()
-                        .add(gpu, Source::Gpu(owner), edges_read * 4 + 8);
-                }
-                meters.topology_hits.inc();
-                return data;
+        let mut totals = BatchTotals::new(self.num_gpus());
+        let mut merged = Vec::new();
+        let row = match self.resolve_topology(self.cache_for(gpu), v, fanout, &mut totals) {
+            Some(row) => row,
+            None => {
+                self.merge_dirty_row(v, fanout, &mut totals, &mut merged);
+                &merged
             }
-        }
-        // CPU fallback over UVA: fine-grained reads. One transaction for
-        // the row offsets, one 4-byte transaction per sampled edge.
-        meters.topology_misses.inc();
-        self.server
-            .pcm()
-            .add(gpu, TrafficKind::Topology, 1 + edges_read);
-        self.server
-            .traffic()
-            .add(gpu, Source::Cpu, edges_read * 4 + 8);
-        self.graph.neighbors(v)
+        };
+        self.flush_totals(gpu, &mut totals);
+        sample_from(row, fanout, rng)
     }
 
-    /// Reads `v`'s feature row on behalf of `gpu`, booking traffic.
-    pub fn read_feature(&self, gpu: GpuId, v: VertexId) -> &[f32] {
-        let row_bytes = self.features.row_bytes();
-        let meters = &self.meters[gpu];
-        meters.extracted_rows.inc();
-        if let Some((cache, slot)) = self.layout.for_gpu(gpu) {
-            if let Some((hit, data)) = cache.lookup_feature(slot, v) {
-                if let CacheHit::Peer(owner) = hit {
-                    self.server
-                        .traffic()
-                        .add(gpu, Source::Gpu(owner), row_bytes);
-                }
-                meters.feature_hits.inc();
-                return data;
-            }
-        }
-        meters.feature_misses.inc();
-        let tx = self.server.pcie().transactions_for_payload(row_bytes);
-        self.server.pcm().add(gpu, TrafficKind::Feature, tx);
-        self.server.traffic().add(gpu, Source::Cpu, row_bytes);
-        self.features.row(v)
-    }
-
-    /// Batched variant of [`Self::sample_neighbors`]: appends the sampled
-    /// neighbors of `v` to `out` (after clearing it) and accumulates all
-    /// meter deltas into `totals` instead of touching the shared atomics.
-    ///
-    /// Draws the exact same RNG sequence and produces the exact same
-    /// neighbor list as the scalar path; the caller must eventually
-    /// [`AccessEngine::flush_totals`] so the registry converges to
-    /// identical values.
+    /// The clique cache and slot serving `gpu` — resolved once per batch
+    /// and handed to [`Self::resolve_topology`] per vertex.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_neighbors_into<R: Rng + ?Sized>(
+    pub(crate) fn cache_for(&self, gpu: GpuId) -> Option<(&'a CliqueCache, usize)> {
+        self.layout.for_gpu(gpu)
+    }
+
+    /// Classifies one topology read of `v` by the GPU that `cache`
+    /// serves — GPU replica, local or peer cache hit, CPU fallback — and
+    /// meters it into `totals` for up to `fanout` sampled edges. Returns
+    /// the adjacency row, zero-copy on the base CSR or the cache.
+    ///
+    /// `None` means the overlay marks the row dirty: nothing was metered
+    /// and the caller serves it through [`Self::merge_dirty_row`].
+    #[inline]
+    pub(crate) fn resolve_topology(
         &self,
-        gpu: GpuId,
+        cache: Option<(&'a CliqueCache, usize)>,
         v: VertexId,
         fanout: usize,
-        rng: &mut R,
-        seen: &mut FloydSet,
-        out: &mut Vec<VertexId>,
+        totals: &mut BatchTotals,
+    ) -> Option<&'a [VertexId]> {
+        if self.topology_dirty(v) {
+            return None;
+        }
+        if self.topology_placement == TopologyPlacement::ReplicatedGpu {
+            // Local replica: no interconnect traffic at all.
+            let row = self.graph.neighbors(v);
+            totals.sampled_edges += row.len().min(fanout) as u64;
+            totals.topology_hits += 1;
+            return Some(row);
+        }
+        if let Some((hit, row)) = cache.and_then(|(c, slot)| c.lookup_topology(slot, v)) {
+            debug_assert_eq!(
+                row.len() as u64,
+                self.graph.degree(v),
+                "cached adjacency of vertex {v} is not a copy of its base row"
+            );
+            let edges_read = row.len().min(fanout) as u64;
+            totals.sampled_edges += edges_read;
+            totals.topology_hits += 1;
+            if let CacheHit::Peer(owner) = hit {
+                // NVLink bytes: sampled edge ids + the offset pair.
+                totals.ensure_gpus(owner + 1);
+                totals.peer_bytes[owner] += edges_read * 4 + 8;
+            }
+            return Some(row);
+        }
+        let row = self.graph.neighbors(v);
+        totals.charge_cpu_topology(row.len().min(fanout) as u64);
+        Some(row)
+    }
+
+    /// Serves an overlay-dirty row: merges the delta-CSR of `v` into
+    /// `merge` and meters the fine-grained CPU read of the merged row. A
+    /// mutated row is never trusted from any cached copy (local, peer,
+    /// or GPU replica).
+    pub(crate) fn merge_dirty_row(
+        &self,
+        v: VertexId,
+        fanout: usize,
         totals: &mut BatchTotals,
         merge: &mut Vec<VertexId>,
     ) {
-        let neighbors = self.read_topology_batched(gpu, v, fanout, totals, merge);
-        out.clear();
-        sample_from_into(neighbors, fanout, rng, seen, out);
-    }
-
-    /// Topology read metered into `totals` (no atomics touched). Dirty
-    /// rows merge the overlay into `merge` and are served from there;
-    /// clean rows stay zero-copy on the base CSR or cache.
-    #[inline]
-    fn read_topology_batched<'m>(
-        &'m self,
-        gpu: GpuId,
-        v: VertexId,
-        fanout: usize,
-        totals: &mut BatchTotals,
-        merge: &'m mut Vec<VertexId>,
-    ) -> &'m [VertexId] {
-        if self.topology_dirty(v) {
-            // A mutated row is never trusted from any cached copy
-            // (local, peer, or GPU replica): merge the delta-CSR and
-            // charge the fine-grained CPU UVA read of the merged row.
-            self.overlay
-                .expect("dirty implies overlay")
-                .merge_into(self.graph, v, merge);
-            let edges_read = merge.len().min(fanout) as u64;
-            totals.sampled_edges += edges_read;
-            totals.topology_misses += 1;
-            totals.topology_tx += 1 + edges_read;
-            totals.cpu_bytes += edges_read * 4 + 8;
-            return &merge[..];
-        }
-        let degree = self.graph.degree(v) as usize;
-        let edges_read = degree.min(fanout) as u64;
-        totals.sampled_edges += edges_read;
-        if self.topology_placement == TopologyPlacement::ReplicatedGpu {
-            totals.topology_hits += 1;
-            return self.graph.neighbors(v);
-        }
-        if let Some((cache, slot)) = self.layout.for_gpu(gpu) {
-            if let Some((hit, data)) = cache.lookup_topology(slot, v) {
-                if let CacheHit::Peer(owner) = hit {
-                    totals.ensure_gpus(owner + 1);
-                    totals.peer_bytes[owner] += edges_read * 4 + 8;
-                }
-                totals.topology_hits += 1;
-                return data;
-            }
-        }
-        totals.topology_misses += 1;
-        totals.topology_tx += 1 + edges_read;
-        totals.cpu_bytes += edges_read * 4 + 8;
-        self.graph.neighbors(v)
+        self.overlay
+            .expect("dirty implies overlay")
+            .merge_into(self.graph, v, merge);
+        totals.charge_cpu_topology(merge.len().min(fanout) as u64);
     }
 
     /// Batched feature gather: clears `out` and fills it with the
     /// row-major features of `vertices` (in order), metering every row
     /// read locally and flushing each counter with one atomic add.
     ///
-    /// Counter totals are identical to `vertices.len()` scalar
-    /// [`Self::read_feature`] calls; the per-row loop performs no atomic
-    /// RMW and no allocation beyond `out`'s amortized growth.
+    /// Counter totals do not depend on how a vertex list is cut into
+    /// calls; the per-row loop performs no atomic RMW and no allocation
+    /// beyond `out`'s amortized growth.
     pub fn read_features_batch(
         &self,
         gpu: GpuId,
@@ -600,8 +567,9 @@ impl<'a> AccessEngine<'a> {
 /// making `sample_from` O(fanout²); this probe table answers the same
 /// membership query in expected O(1) without sorting — sorting would
 /// reorder the output and change the sampled id sequence. The table is
-/// reused across calls (cleared in O(capacity) ≈ O(fanout)) so the
-/// batched sampling path allocates nothing per vertex.
+/// reused across calls (cleared in O(capacity) ≈ O(fanout), whatever
+/// larger fan-out it served before) so the sampling path allocates
+/// nothing per vertex.
 #[derive(Debug, Clone, Default)]
 pub struct FloydSet {
     /// Linear-probe table of chosen indices; `usize::MAX` = empty.
@@ -623,10 +591,12 @@ impl FloydSet {
     fn reset(&mut self, fanout: usize) {
         let capacity = (fanout * 2).next_power_of_two().max(8);
         if self.table.len() < capacity {
-            self.table = vec![Self::EMPTY; capacity];
-        } else {
-            self.table.fill(Self::EMPTY);
+            self.table.resize(capacity, Self::EMPTY);
         }
+        // Probes are masked to the first `capacity` slots; whatever lies
+        // beyond them (a high-water mark of some larger fan-out) is
+        // never read before its own reset.
+        self.table[..capacity].fill(Self::EMPTY);
         self.mask = capacity - 1;
     }
 
@@ -851,31 +821,17 @@ mod tests {
         assert!(engine.topology_cached_anywhere(0));
 
         let mut rng = StdRng::seed_from_u64(9);
-        // Scalar path: the stale cached row (39 neighbors) must not leak.
+        // The stale cached row (39 neighbors) must not leak.
         let s = engine.sample_neighbors(0, 0, 10, &mut rng);
         assert_eq!(s, vec![7]);
         // Metered as a CPU UVA miss of the merged (1-edge) row.
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Topology), 2);
         assert_eq!(server.traffic().cpu_to_gpu(0), 4 + 8);
 
-        // Batched path agrees.
+        // The batch sampler resolves the row the same way.
         server.reset();
-        let mut seen = FloydSet::new();
-        let mut out = Vec::new();
-        let mut totals = BatchTotals::new(1);
-        let mut merge = Vec::new();
-        engine.sample_neighbors_into(
-            0,
-            0,
-            10,
-            &mut rng,
-            &mut seen,
-            &mut out,
-            &mut totals,
-            &mut merge,
-        );
-        assert_eq!(out, vec![7]);
-        engine.flush_totals(0, &mut totals);
+        let sample = KHopSampler::new(vec![10]).sample_batch(&engine, 0, &[0], &mut rng, None);
+        assert_eq!(sample.blocks[0].src_vertices, vec![0, 7]);
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Topology), 2);
 
         // A clean vertex still hits the cache machinery untouched.
@@ -939,7 +895,8 @@ mod tests {
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
-        let _ = engine.read_feature(0, 7);
+        let (mut rows, mut totals) = (Vec::new(), BatchTotals::new(1));
+        engine.read_features_batch(0, &[7], &mut rows, &mut totals);
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Feature), 8);
         assert_eq!(server.traffic().cpu_to_gpu(0), 512);
     }
@@ -953,17 +910,18 @@ mod tests {
         let layout = CacheLayout::from_cliques(2, vec![cc]);
         let server = ServerSpec::custom(2, 1 << 30, 2).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
+        let (mut rows, mut totals) = (Vec::new(), BatchTotals::new(2));
         // Peer hit: NVLink row bytes.
-        let _ = engine.read_feature(0, 3);
+        engine.read_features_batch(0, &[3], &mut rows, &mut totals);
         assert_eq!(server.pcm().total(), 0);
         assert_eq!(server.traffic().gpu_to_gpu(1, 0), 16);
         // Local hit: nothing at all.
         server.reset();
-        let _ = engine.read_feature(1, 3);
+        engine.read_features_batch(1, &[3], &mut rows, &mut totals);
         assert_eq!(server.pcm().total(), 0);
         assert_eq!(server.traffic().total_peer_bytes(), 0);
         // Miss: PCIe.
-        let _ = engine.read_feature(0, 5);
+        engine.read_features_batch(0, &[5], &mut rows, &mut totals);
         assert_eq!(server.traffic().cpu_to_gpu(0), 16);
         assert!(engine.feature_would_hit(0, 3));
         assert!(!engine.feature_would_hit(0, 5));

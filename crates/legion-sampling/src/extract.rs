@@ -7,24 +7,23 @@
 use legion_graph::{FeatureTable, VertexId};
 use legion_hw::GpuId;
 
-use crate::access::AccessEngine;
+use crate::access::{AccessEngine, BatchTotals};
 
 /// Gathers features for `vertices` on behalf of `gpu`.
 ///
 /// Returns the dense `(len, D)` matrix in `vertices` order. Traffic is
-/// booked per row on the engine's server.
+/// booked per row on the engine's server. Convenience form of
+/// [`AccessEngine::read_features_batch`] for callers that want an owned
+/// table per call rather than a reused buffer.
 pub fn extract_features(
     engine: &AccessEngine<'_>,
     gpu: GpuId,
     vertices: &[VertexId],
 ) -> FeatureTable {
-    let dim = engine.feature_dim();
-    let mut out = FeatureTable::zeros(vertices.len(), dim);
-    for (i, &v) in vertices.iter().enumerate() {
-        let row = engine.read_feature(gpu, v);
-        out.row_mut(i as VertexId).copy_from_slice(row);
-    }
-    out
+    let mut rows = Vec::new();
+    let mut totals = BatchTotals::new(engine.num_gpus());
+    engine.read_features_batch(gpu, vertices, &mut rows, &mut totals);
+    FeatureTable::from_flat(rows, engine.feature_dim())
 }
 
 /// Hit statistics for a hypothetical extraction, without charging traffic.

@@ -38,6 +38,9 @@
 //! assert!(sample.all_vertices.contains(&0));
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(clippy::too_many_lines)]
+
 pub mod access;
 pub mod batch;
 pub mod extract;

@@ -1,19 +1,40 @@
 //! L-hop fixed-fanout neighbor sampling (Figure 1's workflow, step 2) and
 //! message-flow-graph construction (the §5 "graph constructor" operator).
 //!
-//! Sampling is the simulator's hottest loop (the paper's "random and
-//! fine-grained" reads, §3.2), so the per-hop source-index is a dense
-//! epoch-stamped marker array in a reusable [`SampleScratch`] rather than
-//! a per-hop `HashMap`, neighbor draws land in a reused buffer instead of
-//! a fresh `Vec` per vertex, and all meters accumulate locally and flush
-//! once per batch ([`crate::access::BatchTotals`]).
+//! Sampling is the simulator's hottest loop, and its reads are the
+//! paper's "random and fine-grained" ones (§3.2): expanding one vertex
+//! is a chain of dependent cache misses (directory → row offsets → row →
+//! one mark per drawn neighbor). A GPU hides that latency with thousands
+//! of threads in flight; here each hop's frontier is cut into waves of
+//! [`WAVE`] destinations and every wave runs three passes — resolve all
+//! rows, draw all neighbors, mark all sources — so the chains of one wave
+//! are independent loads the out-of-order core overlaps. State whose
+//! order is observable (the RNG, the `on_edge` callback, the overlay
+//! merge buffer) is touched only by the draw and mark passes, in
+//! destination order, so a batch is bit-identical to expanding one
+//! vertex at a time. The per-hop source index is a dense epoch-tagged
+//! mark array in a reusable [`SampleScratch`], and all meters accumulate
+//! locally and flush once per batch ([`crate::access::BatchTotals`]).
 
 use rand::Rng;
 
+use legion_cache::CliqueCache;
 use legion_graph::VertexId;
 use legion_hw::GpuId;
 
-use crate::access::{AccessEngine, BatchTotals, FloydSet};
+use crate::access::{sample_from_into, AccessEngine, BatchTotals, FloydSet};
+
+/// Destinations resolved, drawn and marked together: wide enough that a
+/// wave's misses overlap, small enough that its rows and marks are still
+/// in L1/L2 when the next pass reads them. Swept over {8, 16, 32, 64};
+/// DESIGN.md §5a has the table.
+const WAVE: usize = 32;
+
+/// A batch that collected fewer than `|V| / SPARSE_UNION_DIVISOR`
+/// vertices sorts them for [`MiniBatchSample::all_vertices`]; a denser
+/// one sets bits and scans the `|V|`-bit map, which costs `|V| / 64`
+/// word reads whatever the batch size.
+const SPARSE_UNION_DIVISOR: usize = 512;
 
 /// One hop's bipartite message block: edges from source vertices (the next
 /// hop's frontier) into destination vertices (this hop's frontier).
@@ -69,28 +90,30 @@ impl MiniBatchSample {
 
 /// Reusable working memory for [`KHopSampler::sample_batch_with`].
 ///
-/// Holds the dense epoch-stamped vertex→source-index marker (replacing
-/// the per-hop `HashMap<VertexId, u32>`), the per-vertex neighbor draw
-/// buffer, the Floyd's-sampler membership scratch, and the batch meter
-/// accumulator. One scratch per worker keeps the steady-state sampling
-/// path free of per-vertex heap allocation and per-vertex atomic RMWs.
+/// Holds the dense epoch-tagged vertex→source-index marks (replacing a
+/// per-hop `HashMap<VertexId, u32>`), the wave's neighbor draw buffer,
+/// the Floyd's-sampler membership scratch, the union bitmap and the
+/// batch meter accumulator. One scratch per worker keeps the
+/// steady-state sampling path free of per-vertex heap allocation and
+/// per-vertex atomic RMWs.
 #[derive(Debug, Clone, Default)]
 pub struct SampleScratch {
-    /// `stamp[v] == epoch` ⇔ `v` is a source of the current hop.
-    stamp: Vec<u32>,
-    /// `index[v]` = `v`'s index in the current hop's `src_vertices`
-    /// (valid only when the stamp matches).
-    index: Vec<u32>,
-    /// The current hop's stamp; bumped per hop, never reused.
+    /// `marks[v] == epoch << 32 | i` ⇔ `v` is source `i` of the current
+    /// hop: one load answers both "seen?" and "where?".
+    marks: Vec<u64>,
+    /// The current hop's tag; bumped per hop, never reused.
     epoch: u32,
-    /// Neighbor ids drawn for the vertex being expanded.
-    neighbors: Vec<VertexId>,
+    /// Neighbor ids drawn for the wave being expanded, in destination
+    /// order.
+    picks: Vec<VertexId>,
     /// Membership scratch for Floyd's distinct-index sampling.
     seen: FloydSet,
     /// Locally accumulated meter deltas, flushed once per batch.
     totals: BatchTotals,
     /// Merge buffer for delta-CSR overlay rows (empty on frozen graphs).
     merge: Vec<VertexId>,
+    /// One bit per vertex for the dense union; all zero between batches.
+    union_bits: Vec<u64>,
 }
 
 impl SampleScratch {
@@ -99,25 +122,48 @@ impl SampleScratch {
         Self::default()
     }
 
-    /// Sizes the marker arrays for the engine's graph and the totals for
-    /// its server. No-op once sized.
-    fn ensure(&mut self, engine: &AccessEngine<'_>) {
-        let n = engine.graph().num_vertices();
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.index.resize(n, 0);
+    /// Sizes the mark array and the union bitmap for a graph of
+    /// `num_vertices` and the totals for `num_gpus`. No-op once sized; a
+    /// scratch that served a larger graph keeps its larger tables.
+    fn ensure(&mut self, num_vertices: usize, num_gpus: usize) {
+        if self.marks.len() < num_vertices {
+            self.marks.resize(num_vertices, 0);
+            self.union_bits.resize(num_vertices.div_ceil(64), 0);
         }
-        self.totals.ensure_gpus(engine.num_gpus());
+        self.totals.ensure_gpus(num_gpus);
     }
 
-    /// Starts a new hop: returns a stamp no marker currently holds.
+    /// Starts a new hop: returns a tag no mark currently holds.
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            self.marks.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
         self.epoch
+    }
+
+    /// Sorts and de-duplicates `all`, in place.
+    fn union(&mut self, mut all: Vec<VertexId>, num_vertices: usize) -> Vec<VertexId> {
+        if all.len() < num_vertices / SPARSE_UNION_DIVISOR {
+            all.sort_unstable();
+            all.dedup();
+            return all;
+        }
+        let words = &mut self.union_bits[..num_vertices.div_ceil(64)];
+        for &v in &all {
+            words[v as usize / 64] |= 1 << (v % 64);
+        }
+        all.clear();
+        for (w, word) in words.iter_mut().enumerate() {
+            // Taking the word leaves the map clear for the next batch.
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                all.push(w as VertexId * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        all
     }
 }
 
@@ -167,7 +213,8 @@ impl KHopSampler {
     /// [`Self::sample_batch`] with caller-owned working memory: no heap
     /// allocation per vertex, no per-vertex atomic RMW (meters accumulate
     /// in the scratch's [`BatchTotals`] and flush once at the end), and
-    /// an identical RNG draw sequence and result to the scalar path.
+    /// the RNG draw sequence and result of expanding the frontier one
+    /// vertex at a time with [`AccessEngine::sample_neighbors`].
     pub fn sample_batch_with<R: Rng + ?Sized>(
         &self,
         engine: &AccessEngine<'_>,
@@ -177,74 +224,163 @@ impl KHopSampler {
         mut on_edge: Option<&mut dyn FnMut(VertexId)>,
         scratch: &mut SampleScratch,
     ) -> MiniBatchSample {
-        scratch.ensure(engine);
+        let num_vertices = engine.graph().num_vertices();
+        scratch.ensure(num_vertices, engine.num_gpus());
+        let cache = engine.cache_for(gpu);
         let mut blocks: Vec<Block> = Vec::with_capacity(self.fanouts.len());
         let mut all: Vec<VertexId> = seeds.to_vec();
         for (hop, &fanout) in self.fanouts.iter().enumerate() {
-            let epoch = scratch.next_epoch();
-            let SampleScratch {
-                stamp,
-                index,
-                neighbors,
-                seen,
-                totals,
-                merge,
-                ..
-            } = scratch;
-            // This hop's destinations are the previous hop's sources; its
-            // source list starts with a copy of them (the MFG layout
-            // convention), extended by newly discovered vertices.
+            // This hop's destinations are the previous hop's sources.
             let frontier: &[VertexId] = match hop {
                 0 => seeds,
                 _ => &blocks[hop - 1].src_vertices,
             };
-            let num_dst = frontier.len();
-            let mut src_vertices: Vec<VertexId> =
-                Vec::with_capacity(num_dst + num_dst * fanout / 2);
-            src_vertices.extend_from_slice(frontier);
-            for (i, &v) in src_vertices.iter().enumerate() {
-                stamp[v as usize] = epoch;
-                index[v as usize] = i as u32;
-            }
-            let mut edge_dst: Vec<u32> = Vec::with_capacity(num_dst * fanout / 2);
-            let mut edge_src: Vec<u32> = Vec::with_capacity(num_dst * fanout / 2);
-            for di in 0..num_dst {
-                let dst = src_vertices[di];
-                engine.sample_neighbors_into(gpu, dst, fanout, rng, seen, neighbors, totals, merge);
-                for &s in neighbors.iter() {
-                    if let Some(f) = on_edge.as_deref_mut() {
-                        f(dst);
-                    }
-                    let si = if stamp[s as usize] == epoch {
-                        index[s as usize]
-                    } else {
-                        let i = src_vertices.len() as u32;
-                        src_vertices.push(s);
-                        stamp[s as usize] = epoch;
-                        index[s as usize] = i;
-                        i
-                    };
-                    edge_dst.push(di as u32);
-                    edge_src.push(si);
-                }
-            }
-            all.extend_from_slice(&src_vertices[num_dst..]);
-            engine.note_block(gpu, edge_dst.len() as u64);
-            blocks.push(Block {
-                num_dst,
-                src_vertices,
-                edge_dst,
-                edge_src,
-            });
+            let block = sample_hop(engine, cache, frontier, fanout, rng, &mut on_edge, scratch);
+            all.extend_from_slice(&block.src_vertices[block.num_dst..]);
+            engine.note_block(gpu, block.num_edges() as u64);
+            blocks.push(block);
         }
         engine.flush_totals(gpu, &mut scratch.totals);
-        all.sort_unstable();
-        all.dedup();
         MiniBatchSample {
             seeds: seeds.to_vec(),
             blocks,
-            all_vertices: all,
+            all_vertices: scratch.union(all, num_vertices),
         }
+    }
+}
+
+/// The rows a wave resolved; `None` marks an overlay-dirty row, which
+/// the draw pass merges.
+type WaveRows<'e> = [Option<&'e [VertexId]>; WAVE];
+
+/// Expands one hop: `frontier` is the destination list, and the block's
+/// source list starts with a copy of it (the MFG layout convention),
+/// extended by newly discovered vertices in discovery order.
+fn sample_hop<'e, R: Rng + ?Sized>(
+    engine: &AccessEngine<'e>,
+    cache: Option<(&'e CliqueCache, usize)>,
+    frontier: &[VertexId],
+    fanout: usize,
+    rng: &mut R,
+    on_edge: &mut Option<&mut dyn FnMut(VertexId)>,
+    scratch: &mut SampleScratch,
+) -> Block {
+    let tag = (scratch.next_epoch() as u64) << 32;
+    let num_dst = frontier.len();
+    let mut block = Block {
+        num_dst,
+        src_vertices: Vec::with_capacity(num_dst + num_dst * fanout / 2),
+        edge_dst: Vec::with_capacity(num_dst * fanout / 2),
+        edge_src: Vec::with_capacity(num_dst * fanout / 2),
+    };
+    block.src_vertices.extend_from_slice(frontier);
+    for (i, &v) in frontier.iter().enumerate() {
+        scratch.marks[v as usize] = tag | i as u64;
+    }
+    let mut rows: WaveRows<'e> = [None; WAVE];
+    let mut ends = [0usize; WAVE];
+    for (w, wave) in frontier.chunks(WAVE).enumerate() {
+        resolve_wave(engine, cache, wave, fanout, &mut scratch.totals, &mut rows);
+        draw_wave(engine, wave, &rows, fanout, rng, scratch, &mut ends);
+        mark_wave(wave, w * WAVE, &ends, tag, on_edge, scratch, &mut block);
+    }
+    block
+}
+
+/// Pass 1 — resolve: one metered topology resolve per destination, then
+/// a read of every row's first element. Nothing here depends on another
+/// destination, so the wave's miss chains (directory entry → row offsets
+/// → row) are in flight together instead of being met one after another
+/// by the draw pass.
+fn resolve_wave<'e>(
+    engine: &AccessEngine<'e>,
+    cache: Option<(&'e CliqueCache, usize)>,
+    wave: &[VertexId],
+    fanout: usize,
+    totals: &mut BatchTotals,
+    rows: &mut WaveRows<'e>,
+) {
+    for (row, &v) in rows.iter_mut().zip(wave) {
+        *row = engine.resolve_topology(cache, v, fanout, totals);
+    }
+    let heads = rows[..wave.len()]
+        .iter()
+        .filter_map(|row| row.and_then(<[VertexId]>::first))
+        .fold(0, |acc, &head| acc ^ head);
+    std::hint::black_box(heads);
+}
+
+/// Pass 2 — draw: Floyd picks for the whole wave into `scratch.picks`,
+/// in destination order, `ends[i]` closing destination `i`'s picks. The
+/// RNG advances exactly as it would vertex by vertex. A dirty row is
+/// merged and drawn here because `scratch.merge` holds one row at a
+/// time.
+fn draw_wave<R: Rng + ?Sized>(
+    engine: &AccessEngine<'_>,
+    wave: &[VertexId],
+    rows: &WaveRows<'_>,
+    fanout: usize,
+    rng: &mut R,
+    scratch: &mut SampleScratch,
+    ends: &mut [usize; WAVE],
+) {
+    let SampleScratch {
+        picks,
+        seen,
+        totals,
+        merge,
+        ..
+    } = scratch;
+    picks.clear();
+    for ((&v, row), end) in wave.iter().zip(rows).zip(ends.iter_mut()) {
+        let row: &[VertexId] = match row {
+            Some(row) => row,
+            None => {
+                engine.merge_dirty_row(v, fanout, totals, merge);
+                merge
+            }
+        };
+        sample_from_into(row, fanout, rng, seen, picks);
+        *end = picks.len();
+    }
+}
+
+/// Pass 3 — mark: reads the mark of every pick (independent loads, in
+/// flight together), then walks the picks in order, giving each new
+/// vertex the next source index and firing `on_edge(dst)` per edge.
+/// `first_dst` is the wave's offset in the frontier.
+fn mark_wave(
+    wave: &[VertexId],
+    first_dst: usize,
+    ends: &[usize; WAVE],
+    tag: u64,
+    on_edge: &mut Option<&mut dyn FnMut(VertexId)>,
+    scratch: &mut SampleScratch,
+    block: &mut Block,
+) {
+    let SampleScratch { marks, picks, .. } = scratch;
+    let touched = picks.iter().fold(0, |acc, &s| acc ^ marks[s as usize]);
+    std::hint::black_box(touched);
+    let mut lo = 0;
+    for (i, (&dst, &hi)) in wave.iter().zip(ends).enumerate() {
+        let di = (first_dst + i) as u32;
+        for &s in &picks[lo..hi] {
+            if let Some(f) = on_edge.as_deref_mut() {
+                f(dst);
+            }
+            let mark = marks[s as usize];
+            let si = if mark >> 32 == tag >> 32 {
+                mark as u32
+            } else {
+                let si = block.src_vertices.len() as u32;
+                block.src_vertices.push(s);
+                marks[s as usize] = tag | si as u64;
+                si
+            };
+            block.edge_dst.push(di);
+            block.edge_src.push(si);
+        }
+        lo = hi;
     }
 }
 
@@ -252,10 +388,14 @@ impl KHopSampler {
 mod tests {
     use super::*;
     use crate::access::{CacheLayout, TopologyPlacement};
-    use legion_graph::{FeatureTable, GraphBuilder};
+    use legion_dyn::{DeltaOverlay, MutationOp};
+    use legion_graph::{CsrGraph, FeatureTable, GraphBuilder};
     use legion_hw::ServerSpec;
+    use legion_telemetry::Snapshot;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     fn engine_fixture() -> (
         legion_graph::CsrGraph,
@@ -379,5 +519,286 @@ mod tests {
         let b = &s.blocks[0];
         assert_eq!(b.src_vertices, vec![0, 1, 2]);
         assert_eq!(b.num_edges(), 2);
+    }
+
+    /// The sampler the wave loop must equal, written straight down: one
+    /// metered resolve per vertex, `HashMap` dedup, sort + dedup union.
+    fn reference_sample(
+        fanouts: &[usize],
+        engine: &AccessEngine<'_>,
+        gpu: GpuId,
+        seeds: &[VertexId],
+        rng: &mut StdRng,
+        on_edge: &mut dyn FnMut(VertexId),
+    ) -> MiniBatchSample {
+        let mut blocks: Vec<Block> = Vec::new();
+        let mut all = seeds.to_vec();
+        for &fanout in fanouts {
+            let frontier = blocks
+                .last()
+                .map_or_else(|| seeds.to_vec(), |b| b.src_vertices.clone());
+            let mut src_vertices = frontier.clone();
+            // A duplicated destination answers to its last position.
+            let mut index: HashMap<VertexId, u32> = frontier
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, i as u32))
+                .collect();
+            let (mut edge_dst, mut edge_src) = (Vec::new(), Vec::new());
+            for (di, &dst) in frontier.iter().enumerate() {
+                for s in engine.sample_neighbors(gpu, dst, fanout, rng) {
+                    on_edge(dst);
+                    let si = *index.entry(s).or_insert_with(|| {
+                        src_vertices.push(s);
+                        src_vertices.len() as u32 - 1
+                    });
+                    edge_dst.push(di as u32);
+                    edge_src.push(si);
+                }
+            }
+            all.extend_from_slice(&src_vertices[frontier.len()..]);
+            engine.note_block(gpu, edge_dst.len() as u64);
+            blocks.push(Block {
+                num_dst: frontier.len(),
+                src_vertices,
+                edge_dst,
+                edge_src,
+            });
+        }
+        all.sort_unstable();
+        all.dedup();
+        MiniBatchSample {
+            seeds: seeds.to_vec(),
+            blocks,
+            all_vertices: all,
+        }
+    }
+
+    /// A graph whose `ACTIVE` connected vertices are spread over the id
+    /// range `0..n`, with degrees cycling below, at and above `fanout`,
+    /// a 2-GPU clique caching two thirds of their rows (alternating
+    /// slots, so GPU 0 sees local hits, peer hits and misses side by
+    /// side) and an overlay dirtying every fifth.
+    struct Fixture {
+        graph: CsrGraph,
+        features: FeatureTable,
+        layout: CacheLayout,
+        overlay: DeltaOverlay,
+        active: Vec<VertexId>,
+    }
+
+    const ACTIVE: usize = 160;
+
+    fn fixture(n: usize, fanout: usize, seed: u64) -> Fixture {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let active: Vec<VertexId> = (0..ACTIVE)
+            .map(|k| (k * (n / ACTIVE)) as VertexId)
+            .collect();
+        let degrees = [
+            0,
+            1,
+            fanout.saturating_sub(1),
+            fanout,
+            fanout + 1,
+            3 * fanout,
+        ];
+        let mut builder = GraphBuilder::new(n);
+        for (k, &v) in active.iter().enumerate() {
+            let first = rng.gen_range(0..ACTIVE);
+            for j in 0..degrees[k % degrees.len()] {
+                builder.push_edge(v, active[(first + j * 7) % ACTIVE]);
+            }
+        }
+        let graph = builder.build();
+        let features = FeatureTable::zeros(n, 2);
+        let mut cache = CliqueCache::new(vec![0, 1], n, 2);
+        let overlay = DeltaOverlay::new(n);
+        for (k, &v) in active.iter().enumerate() {
+            if k % 3 < 2 {
+                cache.insert_topology(k % 3, v, graph.neighbors(v));
+            }
+            if k % 5 == 0 {
+                let dst = active[(k * 11 + 3) % ACTIVE];
+                let op = match k % 2 {
+                    0 => MutationOp::InsertEdge { src: v, dst },
+                    _ => MutationOp::ChurnVertex { v },
+                };
+                overlay.apply(&graph, &op);
+                overlay.apply(&graph, &MutationOp::InsertEdge { src: v, dst: v });
+            }
+        }
+        Fixture {
+            graph,
+            features,
+            layout: CacheLayout::from_cliques(2, vec![cache]),
+            overlay,
+            active,
+        }
+    }
+
+    /// Everything one sampler call lets a caller observe.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        sample: MiniBatchSample,
+        traversed: Vec<VertexId>,
+        next_draw: u64,
+        counters: Snapshot,
+    }
+
+    /// Runs `batches` through `f` on a fresh server, `f` being either
+    /// sampler under test.
+    fn observe(
+        fx: &Fixture,
+        placement: TopologyPlacement,
+        batches: &[(GpuId, Vec<VertexId>)],
+        mut f: impl FnMut(
+            &AccessEngine<'_>,
+            GpuId,
+            &[VertexId],
+            &mut StdRng,
+            &mut dyn FnMut(VertexId),
+        ) -> MiniBatchSample,
+    ) -> Vec<Observed> {
+        use rand::Rng;
+        let server = ServerSpec::custom(2, 1 << 30, 2).build();
+        let engine = AccessEngine::new(&fx.graph, &fx.features, &fx.layout, &server, placement)
+            .with_overlay(Some(&fx.overlay));
+        let mut rng = StdRng::seed_from_u64(99);
+        batches
+            .iter()
+            .map(|(gpu, seeds)| {
+                let mut traversed = Vec::new();
+                let sample = f(&engine, *gpu, seeds, &mut rng, &mut |v| traversed.push(v));
+                Observed {
+                    sample,
+                    traversed,
+                    next_draw: rng.gen(),
+                    counters: server.telemetry().snapshot(),
+                }
+            })
+            .collect()
+    }
+
+    /// Wave sampler against reference on the same batches, one scratch
+    /// across them.
+    fn assert_equals_reference(
+        fx: &Fixture,
+        placement: TopologyPlacement,
+        fanouts: &[usize],
+        batches: &[(GpuId, Vec<VertexId>)],
+        scratch: &mut SampleScratch,
+    ) {
+        let sampler = KHopSampler::new(fanouts.to_vec());
+        let wave = observe(
+            fx,
+            placement,
+            batches,
+            |engine, gpu, seeds, rng, on_edge| {
+                sampler.sample_batch_with(engine, gpu, seeds, rng, Some(on_edge), scratch)
+            },
+        );
+        let reference = observe(
+            fx,
+            placement,
+            batches,
+            |engine, gpu, seeds, rng, on_edge| {
+                reference_sample(fanouts, engine, gpu, seeds, rng, on_edge)
+            },
+        );
+        assert_eq!(wave, reference);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Blocks, `all_vertices`, RNG position, `on_edge` sequence and
+        /// every counter equal the reference — for frontiers around the
+        /// wave width, degrees around the fan-out, every row class in
+        /// one wave, duplicate seeds, and graphs small enough that every
+        /// union is a bitmap scan or large enough that a short frontier
+        /// sorts.
+        #[test]
+        fn wave_sampler_equals_the_reference(
+            num_seeds in prop_oneof![
+                Just(0usize), Just(1), Just(WAVE - 1), Just(WAVE), Just(WAVE + 1), Just(3 * WAVE + 5)
+            ],
+            n in prop_oneof![Just(ACTIVE), Just(ACTIVE * 700)],
+            fanouts in prop_oneof![Just(vec![3usize]), Just(vec![4, 2]), Just(vec![1, 1, 5])],
+            replicated in any::<bool>(),
+            duplicate in any::<bool>(),
+            seed in 0u64..1 << 20,
+        ) {
+            let fx = fixture(n, fanouts[0], seed);
+            let mut seeds: Vec<VertexId> = (0..num_seeds)
+                .map(|i| fx.active[(seed as usize + i * 3) % ACTIVE])
+                .collect();
+            if duplicate {
+                for i in (1..num_seeds).step_by(2) {
+                    seeds[i] = seeds[i / 2];
+                }
+            }
+            let placement = match replicated {
+                true => TopologyPlacement::ReplicatedGpu,
+                false => TopologyPlacement::CpuUva,
+            };
+            let tail = seeds[num_seeds / 2..].to_vec();
+            let batches = [(0, seeds), (1, tail)];
+            assert_equals_reference(&fx, placement, &fanouts, &batches, &mut SampleScratch::new());
+        }
+    }
+
+    #[test]
+    fn union_sorts_below_the_density_threshold_and_scans_from_it_on() {
+        let n = 64 * SPARSE_UNION_DIVISOR;
+        let mut scratch = SampleScratch::new();
+        scratch.ensure(n, 1);
+        for len in [0, 1, 63, 64, 65, 500] {
+            let all: Vec<VertexId> = (0..len)
+                .map(|i| (i * 7919 % 300 * 100) as VertexId)
+                .collect();
+            let mut expected = all.clone();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(scratch.union(all, n), expected, "{len} collected vertices");
+            assert!(scratch.union_bits.iter().all(|&w| w == 0), "map left clear");
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_clears_every_stale_mark() {
+        let fx = fixture(ACTIVE, 4, 5);
+        let cpu = TopologyPlacement::CpuUva;
+        let mut scratch = SampleScratch::new();
+        // Leave marks tagged 1 on most of the graph, then jump to the end
+        // of the tag space: the next two hops are tagged `u32::MAX` and —
+        // wrapped — 1 again, which those marks must not answer to.
+        let warm = [(0, fx.active[..120].to_vec())];
+        assert_equals_reference(&fx, cpu, &[4], &warm, &mut scratch);
+        scratch.epoch = u32::MAX - 1;
+        let batches = [(0, fx.active[..1].to_vec()), (1, fx.active[120..].to_vec())];
+        assert_equals_reference(&fx, cpu, &[4], &batches, &mut scratch);
+        assert_eq!(scratch.epoch, 1, "wrapped");
+    }
+
+    #[test]
+    fn one_scratch_serves_graphs_of_different_size() {
+        let big = fixture(ACTIVE * 700, 3, 1);
+        let small = fixture(ACTIVE, 3, 2);
+        let mut scratch = SampleScratch::new();
+        for fx in [&big, &small, &big] {
+            let batches = [
+                (0, fx.active[..50].to_vec()),
+                (1, fx.active[100..103].to_vec()),
+            ];
+            assert_equals_reference(
+                fx,
+                TopologyPlacement::CpuUva,
+                &[3, 3],
+                &batches,
+                &mut scratch,
+            );
+        }
+        assert_eq!(scratch.marks.len(), ACTIVE * 700);
     }
 }

@@ -1081,14 +1081,7 @@ fn replan_batch_service(
     let (h0, m0) = (rw.feat_hits.get(), rw.feat_misses.get());
     let mut timing = {
         let ReplanState { window, plan, .. } = &mut rw.state;
-        let plan_engine = AccessEngine::new(
-            ctx.graph,
-            ctx.features,
-            plan.active_layout(),
-            ctx.server,
-            TopologyPlacement::CpuUva,
-        )
-        .with_overlay(ctx.engine.overlay());
+        let plan_engine = ctx.engine.with_layout(plan.active_layout());
         let how = Extract::Layout {
             window: Some(window),
         };

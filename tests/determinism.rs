@@ -72,16 +72,18 @@ fn different_seed_different_traffic() {
     assert_ne!(a.1, b.1, "different seeds should change sampling traffic");
 }
 
-/// The batched engine entry points must be observationally identical to
-/// the retained scalar paths: same outputs, same RNG stream, and a
-/// byte-identical telemetry snapshot once the totals flush.
+/// Reads are observationally independent of how they are batched: one
+/// vertex at a time ([`AccessEngine::sample_neighbors`], one-row
+/// gathers) or a whole frontier through the wave sampler and one gather
+/// — same outputs, same RNG stream, and a byte-identical telemetry
+/// snapshot once the totals flush.
 #[test]
 fn batched_reads_match_scalar_reads_byte_identically() {
     use legion_cache::CliqueCache;
     use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-    use legion_sampling::{BatchTotals, FloydSet};
+    use legion_sampling::{BatchTotals, KHopSampler, SampleScratch};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     let ds = spec_by_name("PR").unwrap().instantiate(1000, 9);
     let n = ds.graph.num_vertices();
@@ -99,7 +101,7 @@ fn batched_reads_match_scalar_reads_byte_identically() {
         CacheLayout::from_cliques(2, vec![cc])
     };
 
-    // Scalar run.
+    // One vertex per call.
     let server_a = ServerSpec::custom(2, 64 << 20, 2).build();
     let layout_a = build_layout();
     let engine_a = AccessEngine::new(
@@ -110,13 +112,17 @@ fn batched_reads_match_scalar_reads_byte_identically() {
         TopologyPlacement::CpuUva,
     );
     let mut rng_a = StdRng::seed_from_u64(77);
-    let mut scalar_neighbors = Vec::new();
+    let mut totals = BatchTotals::new(2);
+    let mut scalar_neighbors: Vec<u32> = Vec::new();
     for &v in &vertices {
-        scalar_neighbors.push(engine_a.sample_neighbors(0, v, 8, &mut rng_a));
+        scalar_neighbors.extend(engine_a.sample_neighbors(0, v, 8, &mut rng_a));
     }
+    engine_a.note_block(0, scalar_neighbors.len() as u64);
     let mut scalar_rows: Vec<f32> = Vec::new();
+    let mut one_row: Vec<f32> = Vec::new();
     for &v in &vertices {
-        scalar_rows.extend_from_slice(engine_a.read_feature(1, v));
+        engine_a.read_features_batch(1, &[v], &mut one_row, &mut totals);
+        scalar_rows.extend_from_slice(&one_row);
     }
     let snap_a = serde_json::to_string_pretty(&server_a.telemetry().snapshot()).unwrap();
 
@@ -131,24 +137,24 @@ fn batched_reads_match_scalar_reads_byte_identically() {
         TopologyPlacement::CpuUva,
     );
     let mut rng_b = StdRng::seed_from_u64(77);
-    let mut seen = FloydSet::new();
-    let mut out = Vec::new();
-    let mut totals = BatchTotals::new(2);
-    let mut merge = Vec::new();
-    for (i, &v) in vertices.iter().enumerate() {
-        engine_b.sample_neighbors_into(
+    let block = KHopSampler::new(vec![8])
+        .sample_batch_with(
+            &engine_b,
             0,
-            v,
-            8,
+            &vertices,
             &mut rng_b,
-            &mut seen,
-            &mut out,
-            &mut totals,
-            &mut merge,
-        );
-        assert_eq!(out, scalar_neighbors[i], "neighbors differ at vertex {v}");
-    }
-    engine_b.flush_totals(0, &mut totals);
+            None,
+            &mut SampleScratch::new(),
+        )
+        .blocks
+        .remove(0);
+    let batched_neighbors: Vec<u32> = block
+        .edge_src
+        .iter()
+        .map(|&si| block.src_vertices[si as usize])
+        .collect();
+    assert_eq!(batched_neighbors, scalar_neighbors, "sampled ids differ");
+    assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams differ");
     let mut batched_rows: Vec<f32> = Vec::new();
     engine_b.read_features_batch(1, &vertices, &mut batched_rows, &mut totals);
     assert_eq!(batched_rows, scalar_rows, "gathered feature rows differ");
