@@ -120,8 +120,11 @@ fn bench_k_hop(c: &mut Criterion, smoke: bool) {
     group.finish();
 }
 
-/// Feature gather, scalar vs batched, against a half-cached clique so the
-/// loop exercises hit, peer-hit, and CPU-miss rows.
+/// Feature gather against a half-cached clique so the loop exercises
+/// hit, peer-hit, and CPU-miss rows. Both rows run the one gather path:
+/// `scalar` (the id `BENCH_hotpath.json` knows it by) is
+/// `extract_features`, which allocates its table per call; `batched`
+/// reuses one output buffer.
 fn bench_feature_extraction(c: &mut Criterion, smoke: bool) {
     let n = if smoke { 10_000 } else { 100_000 };
     let rows = if smoke { 1_000 } else { 10_000 };

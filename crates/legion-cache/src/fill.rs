@@ -190,7 +190,9 @@ mod tests {
             let cached = cache.cache(slot).feature_entries();
             for (i, &v) in q.iter().enumerate() {
                 assert_eq!(
-                    cache.lookup_feature(slot, v).map(|(hit, row)| (hit, row.to_vec())),
+                    cache
+                        .lookup_feature(slot, v)
+                        .map(|(hit, row)| (hit, row.to_vec())),
                     (i < cached).then(|| (CacheHit::Local, s.1.row(v).to_vec())),
                     "vertex {v} at priority {i}"
                 );

@@ -20,7 +20,7 @@
 //! are commutative sums, so the totals are the same as per-read updates
 //! would give, but the per-vertex loop touches no shared cache line and
 //! allocates nothing. Topology reads are classified in exactly one
-//! place, [`AccessEngine::resolve_topology`], which the k-hop sampler
+//! place, `AccessEngine::resolve_topology`, which the k-hop sampler
 //! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
 //! for a single vertex; feature reads in
 //! [`AccessEngine::read_features_batch`].
@@ -109,7 +109,7 @@ struct GpuMeters {
 
 /// Locally accumulated meter deltas for one batch of reads.
 ///
-/// Every field mirrors a counter the scalar read path updates per vertex;
+/// Every field mirrors a shared counter a read moves;
 /// [`AccessEngine::flush_totals`] empties the struct into the shared
 /// atomics with one `fetch_add` per non-zero field. Reusing one
 /// `BatchTotals` across batches keeps the hot path allocation-free

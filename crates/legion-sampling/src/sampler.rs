@@ -6,7 +6,7 @@
 //! is a chain of dependent cache misses (directory → row offsets → row →
 //! one mark per drawn neighbor). A GPU hides that latency with thousands
 //! of threads in flight; here each hop's frontier is cut into waves of
-//! [`WAVE`] destinations and every wave runs three passes — resolve all
+//! `WAVE` destinations and every wave runs three passes — resolve all
 //! rows, draw all neighbors, mark all sources — so the chains of one wave
 //! are independent loads the out-of-order core overlaps. State whose
 //! order is observable (the RNG, the `on_edge` callback, the overlay

@@ -33,6 +33,9 @@ echo "==> bench/ builds and its own tests pass (a renamed public item must break
 cargo build --release --offline --manifest-path bench/Cargo.toml
 cargo test --offline --manifest-path bench/Cargo.toml
 
+echo "==> bench/run.sh --quick (four workloads, both phases: byte-identical passes, bypass matrix, traced replay == run_epoch)"
+bash bench/run.sh --quick >/dev/null
+
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --no-run -q -p legion-bench
 

@@ -136,7 +136,7 @@ fn filled_layout(d: &Dataset) -> CacheLayout {
         .enumerate()
         .map(|(c, gpus)| {
             let mut cc = CliqueCache::new(gpus, n, d.features.dim());
-            for v in (0..n as u32).filter(|v| (*v as usize + c) % 3 != 0) {
+            for v in (0..n as u32).filter(|v| !(*v as usize + c).is_multiple_of(3)) {
                 cc.insert_topology((v as usize / 3) % 2, v, d.graph.neighbors(v));
             }
             for v in (0..n as u32).filter(|v| (*v as usize + c) % 4 != 1) {
@@ -251,7 +251,7 @@ fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
             let mut scratch = SampleScratch::new();
             let mut words: Vec<u64> = Vec::new();
             let batches = [
-                (0, &seeds[..]),
+                (0, seeds),
                 (3, &seeds[seeds.len() / 3..]),
                 (1, &seeds[5..6]),
             ];
