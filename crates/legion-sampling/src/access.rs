@@ -317,10 +317,7 @@ impl<'a> AccessEngine<'a> {
         let mut merged = Vec::new();
         let row = match self.resolve_topology(self.cache_for(gpu), v, fanout, &mut totals) {
             Some(row) => row,
-            None => {
-                self.merge_dirty_row(v, fanout, &mut totals, &mut merged);
-                &merged
-            }
+            None => self.merge_dirty_row(v, fanout, &mut totals, &mut merged),
         };
         self.flush_totals(gpu, &mut totals);
         sample_from(row, fanout, rng)
@@ -351,49 +348,48 @@ impl<'a> AccessEngine<'a> {
         if self.topology_dirty(v) {
             return None;
         }
-        if self.topology_placement == TopologyPlacement::ReplicatedGpu {
+        let hit = match self.topology_placement {
             // Local replica: no interconnect traffic at all.
+            TopologyPlacement::ReplicatedGpu => Some((CacheHit::Local, self.graph.neighbors(v))),
+            TopologyPlacement::CpuUva => cache.and_then(|(c, slot)| c.lookup_topology(slot, v)),
+        };
+        let Some((hit, row)) = hit else {
             let row = self.graph.neighbors(v);
-            totals.sampled_edges += row.len().min(fanout) as u64;
-            totals.topology_hits += 1;
+            totals.charge_cpu_topology(row.len().min(fanout) as u64);
             return Some(row);
+        };
+        debug_assert_eq!(
+            row.len() as u64,
+            self.graph.degree(v),
+            "cached adjacency of vertex {v} is not a copy of its base row"
+        );
+        let edges_read = row.len().min(fanout) as u64;
+        totals.sampled_edges += edges_read;
+        totals.topology_hits += 1;
+        if let CacheHit::Peer(owner) = hit {
+            // NVLink bytes: sampled edge ids + the offset pair.
+            totals.ensure_gpus(owner + 1);
+            totals.peer_bytes[owner] += edges_read * 4 + 8;
         }
-        if let Some((hit, row)) = cache.and_then(|(c, slot)| c.lookup_topology(slot, v)) {
-            debug_assert_eq!(
-                row.len() as u64,
-                self.graph.degree(v),
-                "cached adjacency of vertex {v} is not a copy of its base row"
-            );
-            let edges_read = row.len().min(fanout) as u64;
-            totals.sampled_edges += edges_read;
-            totals.topology_hits += 1;
-            if let CacheHit::Peer(owner) = hit {
-                // NVLink bytes: sampled edge ids + the offset pair.
-                totals.ensure_gpus(owner + 1);
-                totals.peer_bytes[owner] += edges_read * 4 + 8;
-            }
-            return Some(row);
-        }
-        let row = self.graph.neighbors(v);
-        totals.charge_cpu_topology(row.len().min(fanout) as u64);
         Some(row)
     }
 
     /// Serves an overlay-dirty row: merges the delta-CSR of `v` into
-    /// `merge` and meters the fine-grained CPU read of the merged row. A
-    /// mutated row is never trusted from any cached copy (local, peer,
-    /// or GPU replica).
-    pub(crate) fn merge_dirty_row(
+    /// `merge`, meters the fine-grained CPU read of the merged row and
+    /// returns it. A mutated row is never trusted from any cached copy
+    /// (local, peer, or GPU replica).
+    pub(crate) fn merge_dirty_row<'m>(
         &self,
         v: VertexId,
         fanout: usize,
         totals: &mut BatchTotals,
-        merge: &mut Vec<VertexId>,
-    ) {
+        merge: &'m mut Vec<VertexId>,
+    ) -> &'m [VertexId] {
         self.overlay
             .expect("dirty implies overlay")
             .merge_into(self.graph, v, merge);
         totals.charge_cpu_topology(merge.len().min(fanout) as u64);
+        merge
     }
 
     /// Batched feature gather: clears `out` and fills it with the

@@ -335,10 +335,7 @@ fn draw_wave<R: Rng + ?Sized>(
     for ((&v, row), end) in wave.iter().zip(rows).zip(ends.iter_mut()) {
         let row: &[VertexId] = match row {
             Some(row) => row,
-            None => {
-                engine.merge_dirty_row(v, fanout, totals, merge);
-                merge
-            }
+            None => engine.merge_dirty_row(v, fanout, totals, merge),
         };
         sample_from_into(row, fanout, rng, seen, picks);
         *end = picks.len();
