@@ -23,9 +23,9 @@ use legion_partition::{LdgPartitioner, Partitioner};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
 use legion_serve::{
-    estimate_capacity_rps, plan_layout, profile_warmup, serve, ChurnConfig, ClassConfig,
+    estimate_capacity_rps, plan_layout, profile_warmup, run_sweep, serve, ChurnConfig, ClassConfig,
     DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig,
-    StoreConfig, TargetSampler,
+    StoreConfig, TargetSampler, SMOKE_MULTIPLIERS,
 };
 use legion_telemetry::Snapshot;
 use rand::rngs::StdRng;
@@ -437,6 +437,56 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             json.push_str(&serde_json::to_string(&s.metrics).unwrap());
         }
         rows.push(("fleet2_uplink_coalesce_churn", fnv1a(json.as_bytes())));
+    }
+    {
+        // Every load point of one sweep, run back to back on one server.
+        let cfg = router_qos(serve_config(PolicyKind::StaticHot));
+        let server = clique_server();
+        let capacity = estimate_capacity_rps(&d.graph, &d.features, &server, &cfg);
+        let points = run_sweep(
+            &d.graph,
+            &d.features,
+            &server,
+            &cfg,
+            capacity,
+            &SMOKE_MULTIPLIERS,
+        );
+        assert!(points.iter().all(|p| p.routed + p.spilled == p.offered));
+        let json = serde_json::to_string(&points).unwrap();
+        rows.push(("sweep_static_router", fnv1a(json.as_bytes())));
+    }
+    {
+        // Three members, each re-planning, routing and migrating through
+        // its own oversubscribed store while the front tier resizes the
+        // replicated head under them.
+        let mut cfg = router_qos(oversub_drift_config());
+        cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
+            ops_per_sec: 100_000.0,
+            compact_threshold: 64,
+            ..ChurnConfig::default()
+        }));
+        let fleet = FleetConfig {
+            num_servers: 3,
+            drain_rps: Some(100_000.0),
+            coalesce: true,
+            resize_on_drift: true,
+            ..FleetConfig::default()
+        };
+        let spec = ServerSpec::custom(4, 1 << 30, 2);
+        let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet);
+        let members =
+            |name: &str| -> u64 { r.per_server.iter().map(|s| s.metrics.counter(name)).sum() };
+        assert!(members("serve.replan.count") > 0, "members must re-plan");
+        assert!(
+            members("serve.store.migrations") > 0,
+            "commits must migrate rows through the members' stores"
+        );
+        assert!(r.resizes > 0, "drift must resize the replicated head");
+        let mut json = serde_json::to_string(&r.metrics).unwrap();
+        for s in &r.per_server {
+            json.push_str(&serde_json::to_string(&s.metrics).unwrap());
+        }
+        rows.push(("fleet3_replan_router_store_resize", fnv1a(json.as_bytes())));
     }
 
     {
