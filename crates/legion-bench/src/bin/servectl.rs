@@ -58,10 +58,10 @@ use legion_fleet::{serve_fleet, FleetConfig, FleetPolicy, FleetReport};
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
 use legion_serve::{
-    estimate_capacity_rps, generate_workload_classed, run_sweep, serve, ArrivalProcess,
-    ChurnConfig, ClassConfig, ClassSampler, DeltaOverlay, LoadPoint, MutationLog, MutationSource,
-    PolicyKind, PriorityClass, ReplanConfig, RouterPolicy, ServeConfig, ServeReport, StoreConfig,
-    TargetSampler, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
+    estimate_capacity_rps, generate_requests, run_sweep, serve, ArrivalProcess, ChurnConfig,
+    ClassConfig, DeltaOverlay, LoadPoint, MutationLog, MutationSource, PolicyKind, PriorityClass,
+    ReplanConfig, RouterPolicy, ServeConfig, ServeReport, StoreConfig, SMOKE_MULTIPLIERS,
+    SWEEP_MULTIPLIERS,
 };
 use legion_telemetry::Snapshot;
 
@@ -1277,25 +1277,15 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
     // (same seed, horizon = last arrival), round-trip it through JSON,
     // and replay it — the snapshot must match the generated run
     // byte-for-byte.
-    let requests = {
-        let mut target_sampler = TargetSampler::new(
-            (0..dataset.graph.num_vertices() as u32).collect(),
-            base.zipf_exponent,
-            base.drift_period,
-            base.drift_stride,
-        );
-        let mut class_sampler = ClassSampler::new(base.classes.mix, base.seed);
-        let mut rng = StdRng::seed_from_u64(base.seed);
-        // The head-to-head overrides the arrival process, so the
-        // horizon must come from the stream the runs actually saw.
-        generate_workload_classed(
-            &ArrivalProcess::Poisson { rate },
-            &mut target_sampler,
-            &mut class_sampler,
-            base.num_requests,
-            &mut rng,
-        )
-    };
+    // The head-to-head overrides the arrival process, so the horizon
+    // must come from the stream the runs actually saw.
+    let requests = generate_requests(
+        &dataset.graph,
+        &ServeConfig {
+            arrival: ArrivalProcess::Poisson { rate },
+            ..base.clone()
+        },
+    );
     let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
     let log = MutationLog::generate(&dataset.graph, &churn_cfg, base.seed, horizon);
     let json = serde_json::to_string(&log).expect("serializable mutation log");

@@ -18,7 +18,7 @@
 //! The directory is the only vertex-indexed table — 4 bytes per vertex
 //! per kind whatever the clique size.
 
-use legion_graph::{topology_bytes_for_degree, VertexId};
+use legion_graph::VertexId;
 use legion_hw::GpuId;
 
 /// Where a cached item was found within a clique.
@@ -116,11 +116,6 @@ impl GpuUnifiedCache {
     /// Bytes of feature payload cached, per Equation 6 accounting.
     pub fn feature_bytes(&self) -> u64 {
         self.feat_entries as u64 * legion_graph::feature_bytes_for_dim(self.feature_dim as u64)
-    }
-
-    /// Bytes `v`'s adjacency would add to this cache.
-    pub fn topology_cost(degree: u64) -> u64 {
-        topology_bytes_for_degree(degree)
     }
 }
 

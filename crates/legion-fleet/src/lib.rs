@@ -27,14 +27,18 @@
 //! * **Cross-server reads** — a routed server still misses sometimes;
 //!   rows it does not own are charged through
 //!   [`legion_hw::NetModel`] (per-message overhead + bandwidth
-//!   saturation + round-trip waves, integer-ns quantized) via
-//!   [`legion_serve::RemoteConfig`], so mis-routed traffic costs wire
-//!   time instead of being silently local.
+//!   saturation + round-trip waves, integer-ns quantized) via the
+//!   [`legion_serve::RemoteConfig`] each server's run is given, so
+//!   mis-routed traffic costs wire time instead of being silently
+//!   local.
 //!
-//! Each server then runs the full single-machine engine
-//! ([`legion_serve::serve_requests`]) — its own cliques, caches,
-//! admission queues, and (optionally) out-of-core store — over its
-//! routed slice of the global request stream.
+//! The machine tier is planned once for the fleet
+//! ([`legion_serve::plan_deployment`]: every member has the same config,
+//! warm-up stream and server shape) and each server is one
+//! [`legion_serve::Deployment::serve`] of that plan — its own cliques,
+//! caches, admission queues, and (optionally) out-of-core store — over
+//! its routed slice of the global request stream, with its own
+//! ownership map as the run's remote tier.
 //!
 //! # Determinism
 //!
@@ -67,6 +71,8 @@
 //! | `fleet.resize.count` / `.refill_rows` / `.refill_bytes` / `.refill_us` | counter | drift-driven head resizes committed, replica rows refilled, their wire bytes and integer-µs refill time (only when [`FleetConfig::resize_on_drift`] is on) |
 //! | `fleet.resize.head_rows` | gauge | replicated-head rows after the final resize (same condition) |
 
+#![warn(clippy::too_many_lines)]
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -77,9 +83,9 @@ use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
 use legion_router::Dispatcher;
 use legion_serve::{
-    adaptive_replicated_rows, estimate_capacity_rps, generate_workload_classed, latency_buckets,
-    serve_requests, warmup_hot_vertices_weighted, ClassSampler, CoalesceConfig, MutationOp,
-    MutationSource, PriorityClass, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
+    adaptive_replicated_rows, estimate_capacity_rps, generate_requests, latency_buckets,
+    plan_deployment, warmup_hot_vertices_weighted, CoalesceConfig, MutationLog, MutationOp,
+    MutationSource, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
     WindowEstimator,
 };
 use legion_telemetry::{Registry, Snapshot};
@@ -517,18 +523,7 @@ impl HeadResizer {
         self.head = new_head;
         self.resizes += 1;
         // Re-route: every server's owned set changed shape.
-        let mut owned_list = Vec::new();
-        for (s, owned_s) in owned.iter().enumerate() {
-            owned_list.clear();
-            owned_list.extend(
-                owned_s
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &o)| o)
-                    .map(|(v, _)| v as VertexId),
-            );
-            dispatcher.refresh_group(s, &owned_list);
-        }
+        refresh_owned_groups(dispatcher, owned);
         true
     }
 
@@ -560,84 +555,9 @@ impl HeadResizer {
     }
 }
 
-/// Runs the full fleet simulation: plan placement, generate the global
-/// workload from `base.seed` (byte-identical to
-/// [`legion_serve::serve`]'s stream), route every request through the
-/// front tier, run each server's engine over its slice, and merge the
-/// results.
-///
-/// Each server is built fresh from `spec`. A single-server fleet skips
-/// the remote tier entirely, so its one [`ServeReport`] is
-/// byte-identical to `legion_serve::serve` on the same config.
-///
-/// # Panics
-///
-/// Panics if `base` or `fleet` is invalid, or if `base.remote` is
-/// already set (the fleet owns that field).
-pub fn serve_fleet(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    spec: &ServerSpec,
-    base: &ServeConfig,
-    fleet: &FleetConfig,
-) -> FleetReport {
-    base.validate();
-    fleet.validate();
-    assert!(
-        base.remote.is_none(),
-        "base.remote is owned by the fleet tier"
-    );
-    let n = fleet.num_servers;
-    let plan = plan_fleet(graph, base, fleet);
-
-    // The global open-loop workload — the exact stream `serve` would
-    // generate for this config.
-    let all_targets: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    let mut target_sampler = TargetSampler::new(
-        all_targets,
-        base.zipf_exponent,
-        base.drift_period,
-        base.drift_stride,
-    );
-    if base.classes.mix[PriorityClass::Interactive.index()] > 0.0 {
-        target_sampler = target_sampler.with_interactive_boost(base.classes.interactive_boost);
-    }
-    let mut class_sampler = ClassSampler::new(base.classes.mix, base.seed);
-    let mut workload_rng = StdRng::seed_from_u64(base.seed);
-    let requests = generate_workload_classed(
-        &base.arrival,
-        &mut target_sampler,
-        &mut class_sampler,
-        base.num_requests,
-        &mut workload_rng,
-    );
-
-    // Streaming mutations under the fleet: topology is replicated on
-    // every server (only features are sharded), so the global stream is
-    // resolved ONCE — from the base seed and the global horizon — and
-    // every engine replays the identical log. The shard owner of each
-    // mutated vertex applies the op authoritatively and notifies the
-    // other `n - 1` servers; that fan-out is charged to the fabric
-    // below as fixed-size control messages.
-    let fleet_mutations = base.mutations.as_ref().map(|src| {
-        let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
-        src.resolve(graph, base.seed, horizon)
-    });
-
-    // Front tier: a Dispatcher over single-server groups, scored on
-    // each server's owned set. Projected load is analytic — a server's
-    // backlog is what the front tier sent it minus what a server
-    // draining at `drain_rps` since time zero could have retired —
-    // because the fleet router cannot see inside remote machines'
-    // queues, only its own bookkeeping.
-    let server_backlog = base.queue_capacity * spec.num_gpus;
-    let spill_len = (fleet.spill_threshold * server_backlog as f64).ceil() as usize;
-    let groups: Vec<Vec<usize>> = (0..n).map(|s| vec![s]).collect();
-    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-    // Ownership bitmaps start as the plan's; drift-driven resizing
-    // (below) mutates this copy at bucket boundaries, so the engines
-    // later receive the post-resize maps.
-    let mut owned: Vec<Arc<Vec<bool>>> = plan.owned.clone();
+/// Points every single-server group of the front tier's dispatcher at
+/// that server's owned set.
+fn refresh_owned_groups(dispatcher: &mut Dispatcher, owned: &[Arc<Vec<bool>>]) {
     let mut owned_list = Vec::new();
     for (s, owned_s) in owned.iter().enumerate() {
         owned_list.clear();
@@ -650,14 +570,50 @@ pub fn serve_fleet(
         );
         dispatcher.refresh_group(s, &owned_list);
     }
+}
+
+/// What the front tier decided for one global stream: each server's
+/// slice, the routing tallies, and the ownership maps as the last head
+/// resize left them (what the members' engines receive).
+struct FrontTier {
+    streams: Vec<Vec<Request>>,
+    routed: Vec<u64>,
+    spilled: Vec<u64>,
+    locality: f64,
+    owned: Vec<Arc<Vec<bool>>>,
+    resizer: Option<HeadResizer>,
+}
+
+/// Front tier: a Dispatcher over single-server groups, scored on each
+/// server's owned set. Projected load is analytic — a server's backlog
+/// is what the front tier sent it minus what a server draining at
+/// `drain_rps` since time zero could have retired — because the fleet
+/// router cannot see inside remote machines' queues, only its own
+/// bookkeeping.
+fn route_front_tier(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    spec: &ServerSpec,
+    base: &ServeConfig,
+    fleet: &FleetConfig,
+    plan: &FleetPlan,
+    requests: &[Request],
+) -> FrontTier {
+    let n = fleet.num_servers;
+    let server_backlog = base.queue_capacity * spec.num_gpus;
+    let spill_len = (fleet.spill_threshold * server_backlog as f64).ceil() as usize;
+    let groups: Vec<Vec<usize>> = (0..n).map(|s| vec![s]).collect();
+    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
+    // Ownership bitmaps start as the plan's; drift-driven resizing
+    // mutates this copy at bucket boundaries.
+    let mut owned: Vec<Arc<Vec<bool>>> = plan.owned.clone();
+    refresh_owned_groups(&mut dispatcher, &owned);
     let drain = fleet
         .drain_rps
         .unwrap_or_else(|| estimate_capacity_rps(graph, features, &spec.build(), base));
-    let net = fleet.effective_net();
-    let row_bytes = features.row_bytes();
-    let shard_arc = fleet.coalesce.then(|| Arc::new(plan.shard.clone()));
+    let (num_vertices, row_bytes) = (graph.num_vertices(), features.row_bytes());
     let mut resizer = (fleet.resize_on_drift && n > 1)
-        .then(|| HeadResizer::new(&plan, base, fleet, graph.num_vertices(), row_bytes));
+        .then(|| HeadResizer::new(plan, base, fleet, num_vertices, row_bytes));
 
     let mut routed = vec![0u64; n];
     let mut spilled = vec![0u64; n];
@@ -668,7 +624,7 @@ pub fn serve_fleet(
     let mut covered = 0u64;
     let mut probed = 0u64;
     let mut random_rng = StdRng::seed_from_u64(base.seed ^ RANDOM_ROUTE_SALT);
-    for r in &requests {
+    for r in requests {
         probe.clear();
         probe.push(r.target);
         probe.extend(
@@ -712,37 +668,116 @@ pub fn serve_fleet(
     } else {
         1.0
     };
+    FrontTier {
+        streams,
+        routed,
+        spilled,
+        locality,
+        owned,
+        resizer,
+    }
+}
 
-    // Run each server's full single-machine engine over its slice. A
-    // single-server fleet gets no remote tier: every row is local, the
-    // engine is the non-fleet engine byte-for-byte.
-    let reports: Vec<ServeReport> = (0..n)
+/// Runs each server's full single-machine engine over its slice: one
+/// [`plan_deployment`] for the fleet (members share `config` and the
+/// server shape), one run per member with that member's ownership map
+/// as its remote tier. A single-server fleet gets no remote tier: every
+/// row is local, the engine is the non-fleet engine byte-for-byte.
+fn serve_members(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    spec: &ServerSpec,
+    config: &ServeConfig,
+    fleet: &FleetConfig,
+    plan: &FleetPlan,
+    front: &FrontTier,
+) -> Vec<ServeReport> {
+    let n = fleet.num_servers;
+    let deployment = plan_deployment(graph, features, &spec.build(), config);
+    let net = fleet.effective_net();
+    let shard = fleet.coalesce.then(|| Arc::new(plan.shard.clone()));
+    (0..n)
         .map(|s| {
-            let server = spec.build();
-            let mut cfg = base.clone();
-            cfg.remote = (n > 1).then(|| RemoteConfig {
-                owned: Arc::clone(&owned[s]),
+            let remote = (n > 1).then(|| RemoteConfig {
+                owned: Arc::clone(&front.owned[s]),
                 net,
-                coalesce: shard_arc.as_ref().map(|shard| CoalesceConfig {
+                coalesce: shard.as_ref().map(|shard| CoalesceConfig {
                     shard: Arc::clone(shard),
                     num_servers: n,
                     window_batches: fleet.coalesce_window,
                 }),
                 concurrent_servers: n,
             });
-            if let Some((log, compact_threshold)) = &fleet_mutations {
-                cfg.mutations = Some(MutationSource::Replay {
-                    log: Arc::clone(log),
-                    compact_threshold: *compact_threshold,
-                });
-            }
-            serve_requests(graph, features, &server, &cfg, &streams[s])
+            deployment.serve(&spec.build(), &front.streams[s], remote.as_ref())
         })
-        .collect();
+        .collect()
+}
 
-    // Fleet registry: routing outcomes, per-server summaries, and the
-    // merged latency histogram. Counters and histogram buckets are
-    // integers; every gauge is written exactly once.
+/// Runs the full fleet simulation: plan placement, generate the global
+/// workload from `base.seed` (byte-identical to
+/// [`legion_serve::serve`]'s stream), route every request through the
+/// front tier, run each server's engine over its slice, and merge the
+/// results.
+///
+/// Each server is built fresh from `spec`. A single-server fleet skips
+/// the remote tier entirely, so its one [`ServeReport`] is
+/// byte-identical to `legion_serve::serve` on the same config.
+///
+/// # Panics
+///
+/// Panics if `base` or `fleet` is invalid.
+pub fn serve_fleet(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    spec: &ServerSpec,
+    base: &ServeConfig,
+    fleet: &FleetConfig,
+) -> FleetReport {
+    base.validate();
+    fleet.validate();
+    let plan = plan_fleet(graph, base, fleet);
+    let requests = generate_requests(graph, base);
+
+    // Streaming mutations under the fleet: topology is replicated on
+    // every server (only features are sharded), so the global stream is
+    // resolved ONCE — from the base seed and the global horizon — and
+    // every engine replays the identical log. The shard owner of each
+    // mutated vertex applies the op authoritatively and notifies the
+    // other `n - 1` servers; that fan-out is charged to the fabric
+    // in the roll-up as fixed-size control messages.
+    let mutations = base.mutations.as_ref().map(|src| {
+        let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
+        src.resolve(graph, base.seed, horizon)
+    });
+    let replayed = mutations
+        .as_ref()
+        .map(|(log, compact_threshold)| ServeConfig {
+            mutations: Some(MutationSource::Replay {
+                log: Arc::clone(log),
+                compact_threshold: *compact_threshold,
+            }),
+            ..base.clone()
+        });
+    let member_config = replayed.as_ref().unwrap_or(base);
+
+    let front = route_front_tier(graph, features, spec, base, fleet, &plan, &requests);
+    let reports = serve_members(graph, features, spec, member_config, fleet, &plan, &front);
+    let log = mutations.as_ref().map(|(log, _)| &**log);
+    roll_up(fleet, &plan, requests.len() as u64, &front, reports, log)
+}
+
+/// Fleet registry: routing outcomes, per-server summaries, and the
+/// merged latency histogram. Counters and histogram buckets are
+/// integers; every gauge is written exactly once.
+fn roll_up(
+    fleet: &FleetConfig,
+    plan: &FleetPlan,
+    offered: u64,
+    front: &FrontTier,
+    reports: Vec<ServeReport>,
+    mutation_log: Option<&MutationLog>,
+) -> FleetReport {
+    let n = fleet.num_servers;
     let registry = Registry::new();
     let mut completed = 0u64;
     let mut shed = 0u64;
@@ -762,38 +797,23 @@ pub fn serve_fleet(
         remote_bytes += bytes;
         coalesced_msgs += report.metrics.counter("serve.remote.coalesced_msgs");
         dedup_hits += report.metrics.counter("serve.remote.dedup_hits");
-        registry
-            .counter(&format!("fleet.server{s}.routed"))
-            .add(routed[s]);
-        registry
-            .counter(&format!("fleet.server{s}.spilled"))
-            .add(spilled[s]);
-        registry
-            .counter(&format!("fleet.server{s}.shed"))
-            .add(report.shed);
-        registry
-            .counter(&format!("fleet.server{s}.remote_reads"))
-            .add(reads);
-        registry
-            .counter(&format!("fleet.server{s}.remote_bytes"))
-            .add(bytes);
+        let server = |what: &str| registry.counter(&format!("fleet.server{s}.{what}"));
+        server("routed").add(front.routed[s]);
+        server("spilled").add(front.spilled[s]);
+        server("shed").add(report.shed);
+        server("remote_reads").add(reads);
+        server("remote_bytes").add(bytes);
         registry
             .counter(&format!("fleet.shard{s}.vertices"))
             .add(plan.shard_sizes[s] as u64);
-        let hits: u64 = report
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("cache.gpu") && c.name.ends_with(".feature_hits"))
-            .map(|c| c.value)
-            .sum();
-        let misses: u64 = report
-            .metrics
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("cache.gpu") && c.name.ends_with(".feature_misses"))
-            .map(|c| c.value)
-            .sum();
+        let over_gpus = |suffix: &str| -> u64 {
+            let counters = report.metrics.counters.iter();
+            counters
+                .filter(|c| c.name.starts_with("cache.gpu") && c.name.ends_with(suffix))
+                .map(|c| c.value)
+                .sum()
+        };
+        let (hits, misses) = (over_gpus(".feature_hits"), over_gpus(".feature_misses"));
         let rate = if hits + misses > 0 {
             hits as f64 / (hits + misses) as f64
         } else {
@@ -806,7 +826,7 @@ pub fn serve_fleet(
             merged.merge_counts(&h.counts, h.sum);
         }
     }
-    registry.counter("fleet.offered").add(requests.len() as u64);
+    registry.counter("fleet.offered").add(offered);
     registry.counter("fleet.completed").add(completed);
     registry.counter("fleet.shed").add(shed);
     registry
@@ -835,7 +855,7 @@ pub fn serve_fleet(
     // broadcast to the other servers as a fixed-size control message
     // charged through the fabric model. Registered only when churn is
     // on, so frozen-fleet snapshots keep their exact name set.
-    if let Some((log, _)) = &fleet_mutations {
+    if let Some(log) = mutation_log {
         let applied = log.ops.len() as u64;
         let mut owned_ops = vec![0u64; n];
         for m in &log.ops {
@@ -846,7 +866,10 @@ pub fn serve_fleet(
             owned_ops[plan.shard[v as usize] as usize] += 1;
         }
         let notify_msgs = applied * (n as u64 - 1);
-        let notify_bytes = notify_msgs * net.bytes_for_payload(MUTATION_NOTIFY_PAYLOAD_BYTES);
+        let notify_bytes = notify_msgs
+            * fleet
+                .effective_net()
+                .bytes_for_payload(MUTATION_NOTIFY_PAYLOAD_BYTES);
         registry.counter("fleet.mut.applied").add(applied);
         registry.counter("fleet.mut.notify_msgs").add(notify_msgs);
         registry.counter("fleet.mut.notify_bytes").add(notify_bytes);
@@ -856,8 +879,7 @@ pub fn serve_fleet(
                 .add(*count);
         }
     }
-    let resizes = resizer.as_ref().map_or(0, |rz| rz.resizes);
-    if let Some(rz) = &resizer {
+    if let Some(rz) = &front.resizer {
         registry.counter("fleet.resize.count").add(rz.resizes);
         registry
             .counter("fleet.resize.refill_rows")
@@ -877,23 +899,18 @@ pub fn serve_fleet(
     } else {
         0.0
     };
-    registry.gauge("fleet.locality").set(locality);
-    registry
-        .gauge("fleet.p50_us")
-        .set(merged.quantile(0.50) as f64);
-    registry
-        .gauge("fleet.p95_us")
-        .set(merged.quantile(0.95) as f64);
-    registry
-        .gauge("fleet.p99_us")
-        .set(merged.quantile(0.99) as f64);
+    registry.gauge("fleet.locality").set(front.locality);
+    for (name, q) in [("p50_us", 0.50), ("p95_us", 0.95), ("p99_us", 0.99)] {
+        let gauge = registry.gauge(&format!("fleet.{name}"));
+        gauge.set(merged.quantile(q) as f64);
+    }
     registry.gauge("fleet.makespan_s").set(makespan);
     registry.gauge("fleet.throughput_rps").set(throughput);
 
     FleetReport {
         policy: fleet.policy,
         num_servers: n,
-        offered: requests.len() as u64,
+        offered,
         completed,
         shed,
         p50_us: merged.quantile(0.50),
@@ -901,7 +918,7 @@ pub fn serve_fleet(
         p99_us: merged.quantile(0.99),
         makespan_s: makespan,
         throughput_rps: throughput,
-        locality,
+        locality: front.locality,
         replicated_rows: plan.replicated.len(),
         remote_reads,
         remote_bytes,
@@ -911,7 +928,7 @@ pub fn serve_fleet(
             remote_reads
         },
         dedup_hits,
-        resizes,
+        resizes: front.resizer.as_ref().map_or(0, |rz| rz.resizes),
         per_server: reports,
         metrics: registry.snapshot(),
     }

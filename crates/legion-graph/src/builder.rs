@@ -62,11 +62,6 @@ impl GraphBuilder {
         self.edges.extend(it);
     }
 
-    /// Number of edges buffered so far (before dedup).
-    pub fn buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a CSR graph.
     ///
     /// # Panics

@@ -113,11 +113,6 @@ impl PcmCounters {
         (0..self.num_gpus()).map(|g| self.gpu_total(g)).sum()
     }
 
-    /// Total of one kind across the whole server.
-    pub fn total_kind(&self, kind: TrafficKind) -> u64 {
-        (0..self.num_gpus()).map(|g| self.gpu_kind(g, kind)).sum()
-    }
-
     /// Maximum per-GPU total — the paper reports "the maximum PCIe counter
     /// value across different sockets"; with one GPU group per socket this
     /// is the per-socket maximum.

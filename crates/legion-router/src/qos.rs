@@ -107,16 +107,6 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         self
     }
 
-    /// The configured per-class minimum service shares.
-    pub fn service_floors(&self) -> [f64; CLASS_COUNT] {
-        self.floors
-    }
-
-    /// Whether this queue runs the QoS (priority) discipline.
-    pub fn is_qos(&self) -> bool {
-        self.qos
-    }
-
     /// Total queued requests across all classes.
     pub fn len(&self) -> usize {
         self.deques.iter().map(VecDeque::len).sum()

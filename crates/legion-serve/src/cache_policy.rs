@@ -25,6 +25,7 @@ use legion_cache::{hotness_order, CliqueCache};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
+use legion_router::Dispatcher;
 use legion_sampling::access::{sample_from, CacheLayout};
 
 use crate::workload::TargetSampler;
@@ -91,6 +92,33 @@ pub fn warmup_hot_vertices_weighted(
         }
     }
     (hotness_order(&touches), touches)
+}
+
+/// The §4.1 edge-cut partition — the one place this crate names the
+/// partitioner, so layout, router seeds and capacity probe agree on it.
+fn edge_cut_partition(graph: &CsrGraph, k: usize) -> Vec<u32> {
+    LdgPartitioner::default().partition(graph, k)
+}
+
+/// A dispatcher over the server's NVLink cliques whose residency is each
+/// clique's edge-cut partition: the stand-in for cache content that
+/// tracks ownership (the Fifo policy's router seeds, and the capacity
+/// probe's uniform approximation of all three policies).
+pub(crate) fn ownership_dispatcher(
+    graph: &CsrGraph,
+    server: &MultiGpuServer,
+    spill_len: usize,
+) -> Dispatcher {
+    let groups = detect_cliques(server.nvlink());
+    let part = edge_cut_partition(graph, groups.len());
+    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
+    for g in 0..dispatcher.num_groups() {
+        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
+            .filter(|&v| part[v as usize] as usize == g)
+            .collect();
+        dispatcher.refresh_group(g, &owned);
+    }
+    dispatcher
 }
 
 /// Builds the static-hotness layout: every GPU gets its own single-GPU
@@ -178,7 +206,7 @@ pub fn build_partitioned_layout_adaptive(
     rows_per_gpu: usize,
 ) -> (CacheLayout, Vec<Vec<GpuId>>, Vec<usize>) {
     let groups = detect_cliques(server.nvlink());
-    let part = LdgPartitioner::default().partition(graph, groups.len());
+    let part = edge_cut_partition(graph, groups.len());
     let num_gpus = server.num_gpus();
     let mut cliques = Vec::with_capacity(groups.len());
     let mut replicated_per_clique = Vec::with_capacity(groups.len());

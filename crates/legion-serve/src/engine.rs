@@ -59,7 +59,7 @@ use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::pcm::TrafficKind;
 use legion_hw::traffic::Source;
 use legion_hw::{GpuId, MultiGpuServer};
-use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
+use legion_partition::detect_cliques;
 use legion_pipeline::{QueueDepthMeter, StageRecorder, TimeModel};
 use legion_router::{
     Admission, ClassedQueue, Dispatcher, PriorityClass, RouteDecision, RouterPolicy, CLASS_COUNT,
@@ -71,16 +71,16 @@ use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::batcher::BatchPolicy;
 use crate::cache_policy::{
-    build_partitioned_layout_adaptive, build_static_layout, warmup_hot_vertices_weighted,
-    PolicyKind,
+    build_partitioned_layout_adaptive, build_static_layout, ownership_dispatcher,
+    warmup_hot_vertices_weighted, PolicyKind,
 };
 use crate::replan::{
-    plan_layout, profile_warmup, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
+    plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
 };
 use crate::shard;
 use crate::slo::{latency_buckets, SloBatch, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
-use crate::{ServeConfig, StoreConfig};
+use crate::{RemoteConfig, ServeConfig, StoreConfig};
 
 /// Bucket bounds of the store's depth-shaped histograms
 /// (`serve.store.inflight`, `store.nvme.queue_depth`).
@@ -206,7 +206,8 @@ impl StoreMeters {
 
 /// The tier assignment shared by every per-GPU store: where each
 /// vertex's feature row lives, as chosen by the three-tier cost-model
-/// sweep, plus the device model. Built once per run.
+/// sweep, plus the device model. Planned once per [`Deployment`]; runs
+/// share it read-only.
 pub(crate) struct StorePlacement {
     nvme: NvmeModel,
     tiers: Arc<Vec<Tier>>,
@@ -224,12 +225,14 @@ pub(crate) struct StorePlacement {
 /// the all-resident degenerate case runs the two-tier path with zero
 /// store state.
 fn plan_store_placement(
-    ctx: &ServeContext<'_>,
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    server: &MultiGpuServer,
+    config: &ServeConfig,
     profile: &WarmupProfile,
     dram_budget: u64,
 ) -> Option<StorePlacement> {
-    let (graph, features, server, config) = (ctx.graph, ctx.features, ctx.server, ctx.config);
-    let row_bytes = ctx.row_bytes;
+    let row_bytes = features.row_bytes();
     let nvme = NvmeModel::new(config.store.nvme);
     let t = cslp(&profile.topo);
     let f = cslp(&profile.feat);
@@ -518,7 +521,7 @@ struct CoalesceState {
 }
 
 impl RemoteWorker {
-    fn new(rc: &crate::RemoteConfig, row_bytes: u64, registry: &Arc<Registry>) -> Self {
+    fn new(rc: &RemoteConfig, row_bytes: u64, registry: &Arc<Registry>) -> Self {
         let coalesce = rc.coalesce.as_ref().map(|cc| CoalesceState {
             shard: Arc::clone(&cc.shard),
             last_fetch: vec![u64::MAX; cc.shard.len()],
@@ -1413,26 +1416,14 @@ fn run_sequential(
     }
 }
 
-/// Runs the full serving simulation for `config` against `server`.
-///
-/// Generates the open-loop workload from the config's seed and hands it
-/// to [`serve_requests`]; the server is reset first (memory and all
-/// counters) and on return its registry holds the run's complete
-/// metrics.
-pub fn serve(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    config: &ServeConfig,
-) -> ServeReport {
-    config.validate();
+/// The open-loop request stream `config` describes: arrivals, priority
+/// classes and (drifting) targets, every stream derived from the
+/// config's seed. The class stream is seeded independently, and the
+/// target sampler only gets the boosted Interactive head when the mix
+/// can actually produce Interactive requests — so the default
+/// single-class config reproduces the legacy stream byte-for-byte.
+pub fn generate_requests(graph: &CsrGraph, config: &ServeConfig) -> Vec<Request> {
     let all_targets: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-
-    // Open-loop workload: arrivals, priority classes, and (drifting)
-    // targets. The class stream is seeded independently, and the target
-    // sampler only gets the boosted Interactive head when the mix can
-    // actually produce Interactive requests — so the default
-    // single-class config reproduces the legacy stream byte-for-byte.
     let mut target_sampler = TargetSampler::new(
         all_targets,
         config.zipf_exponent,
@@ -1444,26 +1435,37 @@ pub fn serve(
     }
     let mut class_sampler = ClassSampler::new(config.classes.mix, config.seed);
     let mut workload_rng = StdRng::seed_from_u64(config.seed);
-    let requests = generate_workload_classed(
+    generate_workload_classed(
         &config.arrival,
         &mut target_sampler,
         &mut class_sampler,
         config.num_requests,
         &mut workload_rng,
-    );
+    )
+}
+
+/// Runs the full serving simulation for `config` against `server`:
+/// [`generate_requests`] from the config's seed, then
+/// [`serve_requests`]. The server is reset first (memory and all
+/// counters) and on return its registry holds the run's complete
+/// metrics.
+pub fn serve(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    server: &MultiGpuServer,
+    config: &ServeConfig,
+) -> ServeReport {
+    config.validate();
+    let requests = generate_requests(graph, config);
     serve_requests(graph, features, server, config, &requests)
 }
 
-/// Runs the serving simulation over a *pre-generated* request stream.
+/// Runs the serving simulation over a *pre-generated* request stream:
+/// one [`plan_deployment`], one [`Deployment::serve`].
 ///
-/// This is [`serve`] with the workload supplied by the caller instead
-/// of drawn from the config's seed — the entry point the fleet tier
-/// uses to hand each simulated server its routed slice of the global
-/// stream. Arrivals must be sorted by time. An empty slice is legal
-/// (a fleet server may receive no traffic) and produces an all-zero
-/// report. Everything after workload generation is shared with
-/// [`serve`], so `serve(cfg) == serve_requests(cfg, generated)`
-/// byte-for-byte.
+/// Arrivals must be sorted by time. An empty slice is legal and
+/// produces an all-zero report. `serve(cfg) == serve_requests(cfg,
+/// generate_requests(cfg))` byte-for-byte.
 pub fn serve_requests(
     graph: &CsrGraph,
     features: &FeatureTable,
@@ -1471,154 +1473,34 @@ pub fn serve_requests(
     config: &ServeConfig,
     requests: &[Request],
 ) -> ServeReport {
-    config.validate();
-    if let Some(rc) = config.remote.as_ref() {
-        rc.validate(graph.num_vertices());
-    }
-    if let Some(i) = requests
-        .windows(2)
-        .position(|w| w[1].arrival < w[0].arrival)
-    {
-        panic!(
-            "requests must be sorted by arrival time: request {} arrives before request {i}",
-            i + 1
-        );
-    }
-    server.reset();
-
-    let (layout, static_groups) = build_layout(graph, features, server, config);
-    // Streaming mutations: the delta-CSR overlay shared by every
-    // sampler path. `None` — the default — leaves the engine overlay-
-    // free and the run byte-identical to the frozen-graph engine.
-    let overlay: Option<DeltaOverlay> = config
-        .mutations
-        .as_ref()
-        .map(|_| DeltaOverlay::new(graph.num_vertices()));
-    let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva)
-        .with_overlay(overlay.as_ref());
-    let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x6d5f_3a21_9b4e_c087);
-    let model = GnnModel::new(
-        ModelKind::GraphSage,
-        features.dim(),
-        config.hidden_dim,
-        config.num_classes,
-        config.fanouts.len(),
-        &mut model_rng,
-    );
-
-    let registry = server.telemetry();
-    let slo = SloTracker::new(registry, config.slo_us);
-    let class_slos: Option<Vec<SloTracker>> = config.classes.multi_class().then(|| {
-        (0..CLASS_COUNT)
-            .map(|c| {
-                SloTracker::named(
-                    registry,
-                    &format!("serve.class{c}"),
-                    config.classes.slo_us[c],
-                )
-            })
-            .collect()
-    });
-    registry.counter("serve.offered").add(requests.len() as u64);
-
-    // Everything the batch path reads but never mutates, bundled so the
-    // sequential loop and the shard threads share one `&ServeContext`.
-    // All interior mutability below this point is commuting integer
-    // atomics (counters, histograms, the server's meters) — the reason
-    // sharded runs can flush batch-wise without changing any total.
-    let ctx = ServeContext {
-        graph,
-        features,
-        server,
-        config,
-        engine,
-        time_model: TimeModel::new(server.spec()),
-        sampler: KHopSampler::new(config.fanouts.clone()),
-        model,
-        registry: Arc::clone(registry),
-        slo,
-        class_slos,
-        shed_total: registry.counter("serve.shed"),
-        batch_policy: BatchPolicy::new(config.max_batch, config.max_wait),
-        row_bytes: features.row_bytes(),
-    };
-    let mut workers = build_workers(&ctx);
-    let mut router = (config.router.policy == RouterPolicy::Residency)
-        .then(|| build_router(&ctx, &layout, static_groups, &mut workers));
-
-    // Event-loop dispatch: the sequential global loop at `shards <= 1`
-    // (and whenever the topology collapses to one usable shard),
-    // free-running shard threads under round-robin routing, and the
-    // quantum-stepped coordinator under residency routing.
-    let eff_shards = if config.shards > 1 {
-        shard::effective_shards(server, config.shards)
-    } else {
-        1
-    };
-    // Mutation stream: resolved once per run (generated from the
-    // config's churn knobs up to the last arrival, or replayed from a
-    // logged stream) and interleaved into the sequential loop. The
-    // config validator pins churn runs to `shards <= 1`.
-    let mutation_driver = config.mutations.as_ref().map(|src| {
-        let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
-        let (log, compact_threshold) = src.resolve(graph, config.seed, horizon);
-        MutationDriver::new(
-            log,
-            compact_threshold,
-            overlay.as_ref().expect("churn runs build an overlay"),
-            registry,
-        )
-    });
-    if eff_shards <= 1 {
-        run_sequential(&ctx, &mut workers, &mut router, requests, mutation_driver);
-    } else if let Some(rs) = router.as_mut() {
-        shard::run_residency_sharded(&ctx, &mut workers, rs, requests, eff_shards);
-    } else {
-        shard::run_roundrobin_sharded(&ctx, &mut workers, requests, eff_shards);
-    }
-    build_report(&ctx, &workers, router.as_ref(), requests.len() as u64)
+    plan_deployment(graph, features, server, config).serve(server, requests, None)
 }
 
-/// Layout phase: the cache layout per policy, plus the route groups a
-/// clique-partitioned static layout defines. The static planner
-/// profiles warmup traffic drawn from the *initial* (pre-drift) skew —
-/// it cannot see the future, which is exactly the handicap under drift.
-/// Under the residency router the static plan becomes
-/// clique-partitioned: a pooled per-clique cache holding a replicated
-/// global head (sized from measured warmup hotness) plus the clique's
-/// own partition of the warm tail. Fifo and Replan start from an empty
-/// engine layout: their caches live in the workers.
-fn build_layout(
-    graph: &CsrGraph,
-    features: &FeatureTable,
-    server: &MultiGpuServer,
-    config: &ServeConfig,
-) -> (CacheLayout, Option<Vec<Vec<GpuId>>>) {
-    if config.policy != PolicyKind::StaticHot {
-        return (CacheLayout::none(server.num_gpus()), None);
-    }
-    let (hot, weight) = warmup_hot_vertices_weighted(
-        graph,
-        &mut warmup_targets(graph, config),
-        config.warmup_requests,
-        &config.fanouts,
-        config.seed,
-    );
-    if config.router.policy != RouterPolicy::Residency {
-        let layout = build_static_layout(graph, features, server, &hot, config.cache_rows_per_gpu);
-        return (layout, None);
-    }
-    let (layout, groups, replicated) = build_partitioned_layout_adaptive(
-        graph,
-        features,
-        server,
-        &hot,
-        &weight,
-        config.cache_rows_per_gpu,
-    );
-    let meter = server.telemetry().counter("serve.route.replicated_rows");
-    meter.add(replicated.iter().map(|&r| r as u64).sum());
-    (layout, Some(groups))
+/// Everything about a serving run that is decided before its first
+/// request — what `legion_core`'s `SystemSetup` is to a training epoch.
+/// [`plan_deployment`] computes it once; [`serve`](Self::serve) runs any
+/// number of request streams against it, each from the same starting
+/// state, because a run clones what it mutates and borrows the rest.
+pub struct Deployment<'a> {
+    graph: &'a CsrGraph,
+    features: &'a FeatureTable,
+    config: &'a ServeConfig,
+    /// A private twin of the server the plan was made for. Planning
+    /// fills caches against it, so it holds the plan's per-GPU footprint
+    /// and the shape a run's server must match.
+    twin: MultiGpuServer,
+    /// StaticHot's warm-up fill; empty for Fifo and Replan, whose caches
+    /// live in the workers.
+    layout: CacheLayout,
+    /// Replan's warm-up plan per GPU: where its plan buffer starts.
+    initial_plans: Vec<Plan>,
+    /// `None` unless the config's DRAM budget leaves rows on the SSD.
+    store: Option<StorePlacement>,
+    /// Residency router only: the route groups, seeded with the resident
+    /// sets they start from.
+    dispatcher: Option<Dispatcher>,
+    /// Rows the clique-partitioned static layout replicated, all cliques.
+    replicated_rows: Option<u64>,
 }
 
 /// The target stream every warmup pass profiles: the run's skew with
@@ -1628,25 +1510,48 @@ fn warmup_targets(graph: &CsrGraph, config: &ServeConfig) -> TargetSampler {
     TargetSampler::new(all_targets, config.zipf_exponent, 0, 0)
 }
 
-/// Worker phase: one [`Worker`] per GPU with its queue, meters, policy
-/// state and the tiers below the HBM cache.
+/// What a plan depends on in the server it is made for, printable.
+fn server_shape(server: &MultiGpuServer) -> [(&'static str, String); 4] {
+    let cliques = detect_cliques(server.nvlink());
+    [
+        ("GPU count", server.num_gpus().to_string()),
+        ("NVLink clique grouping", format!("{cliques:?}")),
+        ("host link", format!("{:?}", server.pcie())),
+        (
+            "per-GPU memory in bytes",
+            server.spec().gpu_memory.to_string(),
+        ),
+    ]
+}
+
+/// Plans a deployment of `config` on a server shaped like `server` (GPU
+/// count, NVLink cliques, host link, memory per GPU): a pure function of
+/// its arguments that allocates nothing on `server` and registers no
+/// metric. DESIGN.md §5a "Planning and running" lists what each policy
+/// plans.
 ///
-/// The out-of-core placement decides, per vertex, whether its feature
-/// row lives in HBM (the GPU plan), host DRAM, or on the simulated SSD;
-/// `None` — the default config, or any DRAM budget that swallows the
-/// whole table — leaves every worker storeless, so the two-tier path
-/// (and its snapshot) is byte-identical. A Replan worker starts from
-/// the same handicapped position as the static planner (a
-/// warmup-profiled plan) but may revise it from observed traffic; its
-/// budget equals the other policies' footprint (`cache_rows_per_gpu`
-/// feature rows), which the cost model's α splits between topology and
-/// features. Placement and initial plans read one warmup profile.
-fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
-    let (graph, features, server, config) = (ctx.graph, ctx.features, ctx.server, ctx.config);
-    let (registry, row_bytes) = (&ctx.registry, ctx.row_bytes);
-    let num_gpus = server.num_gpus();
-    let replan = config.policy == PolicyKind::Replan;
-    let profile = (replan || config.store.active()).then(|| {
+/// Every planner profiles warm-up traffic drawn from the *initial*
+/// (pre-drift) skew — it cannot see the future, which is exactly the
+/// handicap under drift; a Replan GPU starts from the same position, on
+/// the other policies' byte budget (`cache_rows_per_gpu` feature rows,
+/// split by the cost model's α), but may revise it. A DRAM budget that
+/// swallows the whole table plans no store: the two-tier run exactly.
+///
+/// # Panics
+///
+/// Panics if `config` is invalid or a planned cache exceeds GPU memory.
+pub fn plan_deployment<'a>(
+    graph: &'a CsrGraph,
+    features: &'a FeatureTable,
+    server: &MultiGpuServer,
+    config: &'a ServeConfig,
+) -> Deployment<'a> {
+    config.validate();
+    let twin = server.spec().build();
+    let (num_gpus, num_vertices) = (twin.num_gpus(), graph.num_vertices());
+    let routed = config.router.policy == RouterPolicy::Residency;
+    let spill_len = (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
+    let profile = (config.policy == PolicyKind::Replan || config.store.active()).then(|| {
         profile_warmup(
             graph,
             &mut warmup_targets(graph, config),
@@ -1655,12 +1560,251 @@ fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
             config.seed,
         )
     });
-    let store_placement = config
+    let store = config
         .store
         .dram_budget_bytes
         .zip(profile.as_ref())
-        .and_then(|(budget, profile)| plan_store_placement(ctx, profile, budget));
-    let replan_budget = config.cache_rows_per_gpu as u64 * row_bytes;
+        .and_then(|(budget, profile)| {
+            plan_store_placement(graph, features, &twin, config, profile, budget)
+        });
+
+    let mut planned = Deployment {
+        graph,
+        features,
+        config,
+        layout: CacheLayout::none(num_gpus),
+        initial_plans: Vec::new(),
+        store,
+        dispatcher: None,
+        replicated_rows: None,
+        twin,
+    };
+    let twin = &planned.twin;
+    match config.policy {
+        PolicyKind::StaticHot => {
+            let (hot, weight) = warmup_hot_vertices_weighted(
+                graph,
+                &mut warmup_targets(graph, config),
+                config.warmup_requests,
+                &config.fanouts,
+                config.seed,
+            );
+            let rows = config.cache_rows_per_gpu;
+            if routed {
+                // Routed runs pool each clique's caches; the cliques are
+                // the route groups, seeded with what their pools hold.
+                let (partitioned, groups, replicated) =
+                    build_partitioned_layout_adaptive(graph, features, twin, &hot, &weight, rows);
+                let mut seeded = Dispatcher::new(groups, num_vertices, spill_len);
+                for (g, clique) in partitioned.cliques.iter().enumerate() {
+                    seeded.refresh_group(g, &clique.feature_vertices());
+                }
+                planned.layout = partitioned;
+                planned.dispatcher = Some(seeded);
+                planned.replicated_rows = Some(replicated.iter().map(|&r| r as u64).sum());
+            } else {
+                planned.layout = build_static_layout(graph, features, twin, &hot, rows);
+            }
+        }
+        // Fifo's cache starts empty: route on each clique's §4.1
+        // ownership, which its content will come to track.
+        PolicyKind::Fifo => {
+            planned.dispatcher = routed.then(|| ownership_dispatcher(graph, twin, spill_len));
+        }
+        PolicyKind::Replan => {
+            let profile = profile.as_ref().expect("replan runs profile warmup");
+            let budget = config.cache_rows_per_gpu as u64 * features.row_bytes();
+            for gpu in 0..num_gpus {
+                let plan = plan_layout(
+                    gpu,
+                    num_gpus,
+                    graph,
+                    features,
+                    &profile.topo,
+                    &profile.feat,
+                    profile.n_tsum,
+                    budget,
+                    config.replan.delta_alpha,
+                    twin.pcie().cls(),
+                );
+                twin.alloc(gpu, plan.contents.total_bytes())
+                    .expect("replanned cache exceeds GPU memory");
+                planned.initial_plans.push(plan);
+            }
+            // One route group per GPU, seeded from its initial plan and
+            // refreshed on every commit.
+            planned.dispatcher = routed.then(|| {
+                let groups = (0..num_gpus).map(|g| vec![g]).collect();
+                let mut seeded = Dispatcher::new(groups, num_vertices, spill_len);
+                for (gpu, plan) in planned.initial_plans.iter().enumerate() {
+                    seeded.refresh_group(seeded.group_of(gpu), &plan.contents.feat);
+                }
+                seeded
+            });
+        }
+    }
+    planned
+}
+
+impl Deployment<'_> {
+    /// Runs one request stream against the plan on `server`, which is
+    /// reset first (memory and all counters) and on return holds the
+    /// run's complete metrics. `remote` marks the run as one server of a
+    /// fleet (members share a plan and differ in what they own); `None`
+    /// means every feature row is machine-local.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before touching `server`, if its shape is not the planned
+    /// one, if `remote`'s maps do not fit the graph, or if `requests` is
+    /// not sorted by arrival time.
+    pub fn serve(
+        &self,
+        server: &MultiGpuServer,
+        requests: &[Request],
+        remote: Option<&RemoteConfig>,
+    ) -> ServeReport {
+        let (graph, features, config) = (self.graph, self.features, self.config);
+        let (planned, found) = (server_shape(&self.twin), server_shape(server));
+        for ((what, planned), (_, found)) in planned.into_iter().zip(found) {
+            assert!(
+                planned == found,
+                "deployment was planned for a server whose {what} is {planned}, \
+                 this one's is {found}"
+            );
+        }
+        if let Some(rc) = remote {
+            rc.validate(graph.num_vertices());
+        }
+        if let Some(i) = requests
+            .windows(2)
+            .position(|w| w[1].arrival < w[0].arrival)
+        {
+            panic!(
+                "requests must be sorted by arrival time: request {} arrives before request {i}",
+                i + 1
+            );
+        }
+        server.reset();
+        for gpu in 0..server.num_gpus() {
+            let planned = self.twin.allocated_bytes(gpu);
+            server.alloc(gpu, planned).expect("same shape, so it fits");
+        }
+        let registry = server.telemetry();
+        if let Some(rows) = self.replicated_rows {
+            registry.counter("serve.route.replicated_rows").add(rows);
+        }
+
+        // Streaming mutations: the delta-CSR overlay shared by every
+        // sampler path. `None` — the default — leaves the engine overlay-
+        // free and the run byte-identical to the frozen-graph engine.
+        let overlay: Option<DeltaOverlay> = config
+            .mutations
+            .as_ref()
+            .map(|_| DeltaOverlay::new(graph.num_vertices()));
+        let engine = AccessEngine::new(
+            graph,
+            features,
+            &self.layout,
+            server,
+            TopologyPlacement::CpuUva,
+        )
+        .with_overlay(overlay.as_ref());
+        let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x6d5f_3a21_9b4e_c087);
+        let model = GnnModel::new(
+            ModelKind::GraphSage,
+            features.dim(),
+            config.hidden_dim,
+            config.num_classes,
+            config.fanouts.len(),
+            &mut model_rng,
+        );
+        let slo = SloTracker::new(registry, config.slo_us);
+        let class_slos: Option<Vec<SloTracker>> = config.classes.multi_class().then(|| {
+            (0..CLASS_COUNT)
+                .map(|c| {
+                    SloTracker::named(
+                        registry,
+                        &format!("serve.class{c}"),
+                        config.classes.slo_us[c],
+                    )
+                })
+                .collect()
+        });
+        registry.counter("serve.offered").add(requests.len() as u64);
+
+        // Everything the batch path reads but never mutates, bundled so
+        // the sequential loop and the shard threads share one
+        // `&ServeContext`. All interior mutability below this point is
+        // commuting integer atomics (counters, histograms, the server's
+        // meters) — the reason sharded runs can flush batch-wise without
+        // changing any total.
+        let ctx = ServeContext {
+            graph,
+            features,
+            server,
+            config,
+            engine,
+            time_model: TimeModel::new(server.spec()),
+            sampler: KHopSampler::new(config.fanouts.clone()),
+            model,
+            registry: Arc::clone(registry),
+            slo,
+            class_slos,
+            shed_total: registry.counter("serve.shed"),
+            batch_policy: BatchPolicy::new(config.max_batch, config.max_wait),
+            row_bytes: features.row_bytes(),
+        };
+        let mut workers = build_workers(&ctx, self, remote);
+        let mut router = self.dispatcher.as_ref().map(|seeded| {
+            RouterState::new(registry, seeded.clone(), config.router.probe_neighbors)
+        });
+
+        // Event-loop dispatch: the sequential global loop at
+        // `shards <= 1` (and whenever the topology collapses to one
+        // usable shard), free-running shard threads under round-robin
+        // routing, and the quantum-stepped coordinator under residency
+        // routing.
+        let eff_shards = if config.shards > 1 {
+            shard::effective_shards(server, config.shards)
+        } else {
+            1
+        };
+        // Mutation stream: resolved once per run (generated from the
+        // config's churn knobs up to the last arrival, or replayed from
+        // a logged stream) and interleaved into the sequential loop. The
+        // config validator pins churn runs to `shards <= 1`.
+        let mutation_driver = config.mutations.as_ref().map(|src| {
+            let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
+            let (log, compact_threshold) = src.resolve(graph, config.seed, horizon);
+            MutationDriver::new(
+                log,
+                compact_threshold,
+                overlay.as_ref().expect("churn runs build an overlay"),
+                registry,
+            )
+        });
+        if eff_shards <= 1 {
+            run_sequential(&ctx, &mut workers, &mut router, requests, mutation_driver);
+        } else if let Some(rs) = router.as_mut() {
+            shard::run_residency_sharded(&ctx, &mut workers, rs, requests, eff_shards);
+        } else {
+            shard::run_roundrobin_sharded(&ctx, &mut workers, requests, eff_shards);
+        }
+        build_report(&ctx, &workers, router.as_ref(), requests.len() as u64)
+    }
+}
+
+/// One [`Worker`] per GPU with its queue, meters, the run's own copy
+/// of the policy state and the tiers below the HBM cache.
+fn build_workers(
+    ctx: &ServeContext<'_>,
+    deployment: &Deployment<'_>,
+    remote: Option<&RemoteConfig>,
+) -> Vec<Worker> {
+    let (graph, server, config) = (ctx.graph, ctx.server, ctx.config);
+    let (registry, row_bytes) = (&ctx.registry, ctx.row_bytes);
+    let num_gpus = server.num_gpus();
     (0..num_gpus)
         .map(|gpu| {
             let queue = if config.classes.qos {
@@ -1680,31 +1824,14 @@ fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
                     },
                 },
                 PolicyKind::Replan => {
-                    let profile = profile.as_ref().expect("replan runs profile warmup");
-                    let cls = server.pcie().cls();
-                    let initial = plan_layout(
-                        gpu,
-                        num_gpus,
-                        graph,
-                        features,
-                        &profile.topo,
-                        &profile.feat,
-                        profile.n_tsum,
-                        replan_budget,
-                        config.replan.delta_alpha,
-                        cls,
-                    );
-                    server
-                        .alloc(gpu, initial.contents.total_bytes())
-                        .expect("replanned cache exceeds GPU memory");
                     let state = ReplanState::new(
                         config.replan.clone(),
-                        initial,
+                        deployment.initial_plans[gpu].clone(),
                         graph.num_vertices(),
                         gpu,
                         num_gpus,
-                        replan_budget,
-                        cls,
+                        config.cache_rows_per_gpu as u64 * row_bytes,
+                        server.pcie().cls(),
                     );
                     WorkerPolicy::Replan(Box::new(ReplanWorker {
                         state,
@@ -1728,13 +1855,11 @@ fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
                         config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7),
                     ),
                     scratch: BatchScratch::new(num_gpus),
-                    store: store_placement
+                    store: deployment
+                        .store
                         .as_ref()
                         .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
-                    remote: config
-                        .remote
-                        .as_ref()
-                        .map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
+                    remote: remote.map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
                 },
                 batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
                 busy: registry.counter(&format!("serve.gpu{gpu}.busy_ns")),
@@ -1753,59 +1878,6 @@ fn build_workers(ctx: &ServeContext<'_>) -> Vec<Worker> {
             }
         })
         .collect()
-}
-
-/// Router phase: route groups and their initial residency sets are
-/// policy-specific. StaticHot exports the partitioned clique caches;
-/// Fifo approximates each clique's future content with its LDG
-/// partition (§4.1 ownership); Replan runs per-GPU groups seeded from
-/// each worker's initial plan and refreshed on every commit.
-fn build_router(
-    ctx: &ServeContext<'_>,
-    layout: &CacheLayout,
-    static_groups: Option<Vec<Vec<GpuId>>>,
-    workers: &mut [Worker],
-) -> RouterState {
-    let (graph, config) = (ctx.graph, ctx.config);
-    let groups = match config.policy {
-        PolicyKind::StaticHot => static_groups.expect("partitioned layout built"),
-        PolicyKind::Fifo => detect_cliques(ctx.server.nvlink()),
-        PolicyKind::Replan => (0..workers.len()).map(|g| vec![g]).collect(),
-    };
-    let spill_len = (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
-    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-    match config.policy {
-        PolicyKind::StaticHot => {
-            for g in 0..dispatcher.num_groups() {
-                let member = dispatcher.group_members(g)[0];
-                let resident = layout
-                    .for_gpu(member)
-                    .expect("partitioned layout covers every GPU")
-                    .0
-                    .feature_vertices();
-                dispatcher.refresh_group(g, &resident);
-            }
-        }
-        PolicyKind::Fifo => {
-            let part = LdgPartitioner::default().partition(graph, dispatcher.num_groups());
-            for g in 0..dispatcher.num_groups() {
-                let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-                    .filter(|&v| part[v as usize] as usize == g)
-                    .collect();
-                dispatcher.refresh_group(g, &owned);
-            }
-        }
-        PolicyKind::Replan => {
-            for w in workers {
-                if let WorkerPolicy::Replan(rw) = &w.policy {
-                    let g = dispatcher.group_of(w.gpu);
-                    dispatcher.refresh_group(g, &rw.state.plan.active().contents.feat);
-                    w.last_plan_version = rw.state.plan.version();
-                }
-            }
-        }
-    }
-    RouterState::new(&ctx.registry, dispatcher, config.router.probe_neighbors)
 }
 
 /// Report phase: exports the run-summary gauges and per-class / route
@@ -2497,23 +2569,7 @@ mod tests {
         // Replaying the logged stream reproduces the generated run
         // byte-for-byte: rebuild the log exactly as the engine resolved
         // it (same seed, horizon = last arrival) and swap the source.
-        let requests = {
-            let mut target_sampler = TargetSampler::new(
-                (0..g.num_vertices() as u32).collect(),
-                config.zipf_exponent,
-                config.drift_period,
-                config.drift_stride,
-            );
-            let mut class_sampler = ClassSampler::new(config.classes.mix, config.seed);
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            generate_workload_classed(
-                &config.arrival,
-                &mut target_sampler,
-                &mut class_sampler,
-                config.num_requests,
-                &mut rng,
-            )
-        };
+        let requests = generate_requests(&g, &config);
         let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
         let log = Arc::new(MutationLog::generate(&g, &churn, config.seed, horizon));
         assert!(!log.ops.is_empty(), "churn fixture must generate mutations");
@@ -2617,8 +2673,8 @@ mod tests {
         let server = ServerSpec::custom(2, 1 << 30, 1).build();
         let mut shard = vec![1; 256];
         shard[7] = 2;
-        let mut config = tiny_config(PolicyKind::Fifo);
-        config.remote = Some(crate::RemoteConfig {
+        let config = tiny_config(PolicyKind::Fifo);
+        let remote = RemoteConfig {
             owned: Arc::new(vec![false; 256]),
             net: crate::NetModel::rdma(crate::NetGeneration::Eth400G),
             coalesce: Some(crate::CoalesceConfig {
@@ -2627,8 +2683,48 @@ mod tests {
                 window_batches: 0,
             }),
             concurrent_servers: 2,
+        };
+        let requests = generate_requests(&g, &config);
+        plan_deployment(&g, &f, &server, &config).serve(&server, &requests, Some(&remote));
+    }
+
+    /// Plans on two single-GPU cliques of 1 GiB GPUs behind a Gen3
+    /// link, then serves on `other`.
+    fn serve_on_a_server_unlike_the_planned_one(other: ServerSpec) {
+        let (g, f) = tiny_graph();
+        let config = tiny_config(PolicyKind::StaticHot);
+        let planned_for = ServerSpec::custom(2, 1 << 30, 1).build();
+        let deployment = plan_deployment(&g, &f, &planned_for, &config);
+        deployment.serve(&other.build(), &generate_requests(&g, &config), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "whose GPU count is 2, this one's is 4")]
+    fn deployment_rejects_another_gpu_count() {
+        serve_on_a_server_unlike_the_planned_one(ServerSpec::custom(4, 1 << 30, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "whose NVLink clique grouping is [[0], [1]], this one's is [[0, 1]]")]
+    fn deployment_rejects_other_nvlink_cliques() {
+        serve_on_a_server_unlike_the_planned_one(ServerSpec::custom(2, 1 << 30, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "whose host link is PcieModel { generation: Gen3x16, cls: 64")]
+    fn deployment_rejects_another_host_link() {
+        serve_on_a_server_unlike_the_planned_one(ServerSpec {
+            pcie: legion_hw::PcieGeneration::Gen4x16,
+            ..ServerSpec::custom(2, 1 << 30, 1)
         });
-        serve(&g, &f, &server, &config);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "whose per-GPU memory in bytes is 1073741824, this one's is 536870912"
+    )]
+    fn deployment_rejects_other_gpu_memory() {
+        serve_on_a_server_unlike_the_planned_one(ServerSpec::custom(2, 1 << 29, 1));
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!   estimator feeding CSLP + the `(B, α)` cost-model sweep, swapped in
 //!   through a versioned double buffer at batch boundaries
 //!   ([`ReplanState`]);
-//! * [`engine`] — the discrete-event loop that runs real
+//! * [`engine`] — planning once ([`plan_deployment`]: layout, store
+//!   placement, initial plans, router seeds) and running any number of
+//!   times ([`Deployment::serve`]: the discrete-event loop that runs real
 //!   sample→extract→infer operators against the metered server and the
-//!   `legion-pipeline` time model ([`serve`]);
+//!   `legion-pipeline` time model); [`serve`] is plan + one run;
 //! * [`slo`] — per-request latency histograms and SLO attainment
 //!   ([`SloTracker`]);
 //! * [`sweep`] — capacity-anchored offered-load sweeps producing
@@ -101,8 +103,8 @@
 //! them: per-class metrics for multi-class mixes, route metrics for the
 //! residency router, shard metrics for `--shards > 1`,
 //! `serve.store.*` / `store.nvme.*` only when [`StoreConfig`] actually
-//! places rows on the SSD tier, `serve.remote.*` only when
-//! [`RemoteConfig`] marks the run as one server of a fleet, the
+//! places rows on the SSD tier, `serve.remote.*` only when the run is
+//! passed a [`RemoteConfig`], marking it as one server of a fleet, the
 //! `serve.remote.{coalesced_msgs,dedup_hits,per_owner_bytes}` triple
 //! only when that config enables per-owner coalescing, and the
 //! `graph.mut.*` / `serve.invalidate.*` families only when
@@ -125,7 +127,9 @@ pub use cache_policy::{
     adaptive_replicated_rows, build_partitioned_layout_adaptive, build_static_layout,
     warmup_hot_vertices_weighted, PolicyKind,
 };
-pub use engine::{serve, serve_requests, ServeReport};
+pub use engine::{
+    generate_requests, plan_deployment, serve, serve_requests, Deployment, ServeReport,
+};
 pub use legion_dyn::{
     ChurnConfig, DeltaOverlay, Mutation, MutationLog, MutationOp, MutationSource,
 };
@@ -192,10 +196,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Out-of-core feature store (SSD tier below host DRAM).
     pub store: StoreConfig,
-    /// Cross-server residency of the fleet tier; `None` (the default)
-    /// means every feature row is machine-local — the pre-fleet engine,
-    /// byte-identical.
-    pub remote: Option<RemoteConfig>,
     /// Streaming graph mutations applied while serving (edge
     /// inserts/deletes, vertex churn) through a delta-CSR overlay with
     /// fast-path cache/residency invalidation. `None` (the default)
@@ -206,14 +206,16 @@ pub struct ServeConfig {
     pub seed: u64,
 }
 
-/// Cross-server residency handed down by the fleet tier.
+/// Cross-server residency handed down by the fleet tier: an argument of
+/// [`Deployment::serve`], because every member runs the same plan with
+/// its own maps.
 ///
 /// When a serving run is one server of a fleet, some feature rows live
 /// on *other* servers' shards. Every HBM-cache miss whose vertex is not
 /// locally owned is charged through the cluster-interconnect model
 /// instead of the local memory hierarchy, and metered under
-/// `serve.remote.{reads,bytes}`. The default `None` in [`ServeConfig`]
-/// keeps the single-machine engine (and its snapshots) byte-identical.
+/// `serve.remote.{reads,bytes}`. Passing `None` keeps the
+/// single-machine engine (and its snapshots) byte-identical.
 #[derive(Debug, Clone)]
 pub struct RemoteConfig {
     /// `owned[v]` — whether vertex `v`'s feature row is resident on
@@ -479,7 +481,6 @@ impl Default for ServeConfig {
             classes: ClassConfig::default(),
             shards: 1,
             store: StoreConfig::default(),
-            remote: None,
             mutations: None,
             seed: 42,
         }

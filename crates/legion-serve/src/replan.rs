@@ -373,7 +373,7 @@ impl PlanContents {
 
 /// One materialized cache plan: the layout the access engine serves
 /// from, its contents summary, and the cost model's prediction for it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Plan {
     /// Cache layout (a single-GPU clique at the owning GPU's slot).
     pub layout: CacheLayout,

@@ -20,10 +20,10 @@ use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
 
 use legion_graph::VertexId;
-use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
-use legion_router::{Dispatcher, RouterPolicy, CLASS_COUNT};
+use legion_router::{RouterPolicy, CLASS_COUNT};
 
-use crate::engine::serve;
+use crate::cache_policy::ownership_dispatcher;
+use crate::engine::{generate_requests, plan_deployment};
 use crate::workload::{ClassSampler, TargetSampler};
 use crate::ServeConfig;
 
@@ -144,9 +144,10 @@ impl ProbeStore {
 /// round is one `max_batch` batch timed on GPU 0. With the residency
 /// router ([`RouterPolicy::Residency`]) a round draws
 /// `num_gpus * max_batch` seeds and deals them through the same
-/// [`Dispatcher`] scoring the engine uses, against *projected* depths
-/// (incremented per placement within the round, the same projection the
-/// sharded coordinator uses); every GPU's routed sub-batch is timed
+/// [`Dispatcher`](legion_router::Dispatcher) scoring the engine uses,
+/// against *projected* depths (incremented per placement within the
+/// round, the same projection the sharded coordinator uses); every
+/// GPU's routed sub-batch is timed
 /// against its own warmed FIFO cache, GPUs run concurrently, and the
 /// round's service time is the *max* over GPUs. Routed runs concentrate
 /// each clique's partition on its own caches, so their steady-state
@@ -195,8 +196,13 @@ pub fn estimate_capacity_rps(
     let mut classes = ClassSampler::new(config.classes.mix, config.seed ^ 0x0bad_cafe_f00d_beef);
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0bad_cafe_f00d_beef);
 
+    // The spill threshold is one batch per GPU: a capacity probe models
+    // the system *at* saturation, where a clique past its fair share
+    // spills to the globally least-loaded GPU — without it, coverage
+    // skew would serialize whole rounds onto the hot clique and
+    // undershoot aggregate capacity.
     let dispatcher = (config.router.policy == RouterPolicy::Residency)
-        .then(|| probe_dispatcher(graph, server, config));
+        .then(|| ownership_dispatcher(graph, server, config.max_batch.max(1)));
     let lanes = if dispatcher.is_some() { num_gpus } else { 1 };
     let row_bytes = features.row_bytes();
     let row_tx = server.pcie().transactions_for_payload(row_bytes);
@@ -279,32 +285,10 @@ pub fn estimate_capacity_rps(
     num_gpus as f64 * config.max_batch as f64 / mean_round
 }
 
-/// The routed probe's dispatcher: the same routing state the engine
-/// builds — clique groups from the NVLink topology with each clique's
-/// residency approximated by its LDG partition (a uniform stand-in for
-/// all three cache policies, whose steady-state clique content tracks
-/// ownership). The spill threshold is one batch per GPU: a capacity
-/// probe models the system *at* saturation, where a clique past its
-/// fair share spills to the globally least-loaded GPU — without it,
-/// coverage skew would serialize whole rounds onto the hot clique and
-/// undershoot aggregate capacity.
-fn probe_dispatcher(graph: &CsrGraph, server: &MultiGpuServer, config: &ServeConfig) -> Dispatcher {
-    let groups = detect_cliques(server.nvlink());
-    let part = LdgPartitioner::default().partition(graph, groups.len());
-    let spill_len = config.max_batch.max(1);
-    let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
-    for g in 0..dispatcher.num_groups() {
-        let owned: Vec<VertexId> = (0..graph.num_vertices() as VertexId)
-            .filter(|&v| part[v as usize] as usize == g)
-            .collect();
-        dispatcher.refresh_group(g, &owned);
-    }
-    dispatcher
-}
-
 /// Runs `base` at each multiplier of `capacity_rps`, preserving the
 /// arrival-process shape (Poisson stays Poisson, bursty stays bursty)
-/// while scaling its mean rate.
+/// while scaling its mean rate. Only the request stream changes between
+/// points, so all of them run against one [`plan_deployment`].
 pub fn run_sweep(
     graph: &CsrGraph,
     features: &FeatureTable,
@@ -314,15 +298,17 @@ pub fn run_sweep(
     multipliers: &[f64],
 ) -> Vec<LoadPoint> {
     assert!(capacity_rps > 0.0, "capacity must be positive");
+    let deployment = plan_deployment(graph, features, server, base);
     multipliers
         .iter()
         .map(|&m| {
             let offered_rps = m * capacity_rps;
             let mut config = base.clone();
             config.arrival = base.arrival.scaled(offered_rps / base.arrival.mean_rate());
-            let report = serve(graph, features, server, &config);
+            let requests = generate_requests(graph, &config);
+            let report = deployment.serve(server, &requests, None);
             LoadPoint {
-                policy: config.policy.as_str(),
+                policy: base.policy.as_str(),
                 load_multiplier: m,
                 offered_rps,
                 offered: report.offered,

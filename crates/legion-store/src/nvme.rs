@@ -85,26 +85,9 @@ impl NvmeModel {
         }
     }
 
-    /// Overrides the block (LBA) size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes == 0`.
-    pub fn with_block_bytes(mut self, block_bytes: u64) -> Self {
-        assert!(block_bytes > 0, "block size must be positive");
-        self.block_bytes = block_bytes;
-        self
-    }
-
     /// Overrides the per-command overhead.
     pub fn with_overhead(mut self, bytes: f64) -> Self {
         self.overhead_bytes = bytes;
-        self
-    }
-
-    /// Overrides the per-wave read latency.
-    pub fn with_read_latency(mut self, seconds: f64) -> Self {
-        self.read_latency_s = seconds;
         self
     }
 

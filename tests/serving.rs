@@ -4,8 +4,9 @@
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec};
 use legion_serve::{
-    estimate_capacity_rps, run_sweep, serve, ClassConfig, PolicyKind, PriorityClass, ReplanConfig,
-    RouterConfig, RouterPolicy, ServeConfig,
+    estimate_capacity_rps, generate_requests, plan_deployment, run_sweep, serve, serve_requests,
+    ChurnConfig, ClassConfig, MutationSource, PolicyKind, PriorityClass, ReplanConfig,
+    RouterConfig, RouterPolicy, ServeConfig, StoreConfig,
 };
 
 fn pr_dataset() -> Dataset {
@@ -124,6 +125,82 @@ fn same_seed_router_runs_are_byte_identical() {
             a.contains("serve.route.clique0.routed"),
             "route counters missing"
         );
+    }
+}
+
+/// A plan is not consumed by a run: two runs of one `Deployment` are
+/// byte-identical, and both equal planning afresh. Each leg has state a
+/// run mutates — the seeded dispatcher, the store's tier map, every
+/// GPU's plan buffer, the overlay — so a run that moved or wrote through
+/// the plan's copy instead of cloning it would start its successor from
+/// somewhere else.
+#[test]
+fn deployment_serves_twice_byte_identically() {
+    let d = pr_dataset();
+    let oversubscribed = |policy| ServeConfig {
+        drift_period: 300,
+        drift_stride: 1024,
+        cache_rows_per_gpu: 256,
+        max_wait: 1e-4,
+        replan: ReplanConfig {
+            bucket_requests: 16,
+            window_buckets: 2,
+            cooldown_buckets: 0,
+            ..ReplanConfig::default()
+        },
+        store: StoreConfig {
+            dram_budget_bytes: Some(64 << 10),
+            staging_rows: 64,
+            prefetch_budget: 64,
+            ..StoreConfig::default()
+        },
+        ..config(policy)
+    };
+    let legs = [
+        (
+            "static + router + qos",
+            router_config(PolicyKind::StaticHot),
+        ),
+        ("fifo + store", oversubscribed(PolicyKind::Fifo)),
+        ("replan + store + drift", oversubscribed(PolicyKind::Replan)),
+        (
+            "static + churn",
+            ServeConfig {
+                mutations: Some(MutationSource::Generate(ChurnConfig {
+                    ops_per_sec: 100_000.0,
+                    compact_threshold: 64,
+                    ..ChurnConfig::default()
+                })),
+                ..config(PolicyKind::StaticHot)
+            },
+        ),
+    ];
+    for (leg, cfg) in legs {
+        let requests = generate_requests(&d.graph, &cfg);
+        let server = clique_server();
+        let deployment = plan_deployment(&d.graph, &d.features, &server, &cfg);
+        let first = deployment.serve(&server, &requests, None).metrics;
+        let second = deployment.serve(&server, &requests, None).metrics;
+        let fresh =
+            serve_requests(&d.graph, &d.features, &clique_server(), &cfg, &requests).metrics;
+        assert_eq!(first, second, "{leg}: the second run saw a used plan");
+        assert_eq!(
+            first, fresh,
+            "{leg}: serving a plan differs from plan + serve"
+        );
+        if cfg.policy == PolicyKind::Replan {
+            assert!(first.counter("serve.replan.count") > 0, "{leg}: no re-plan");
+            assert!(
+                first.counter("serve.store.migrations") > 0,
+                "{leg}: no row migrated"
+            );
+        }
+        if cfg.store.active() {
+            assert!(first.counter("store.nvme.bytes") > 0, "{leg}: store idle");
+        }
+        if cfg.mutations.is_some() {
+            assert!(first.counter("graph.mut.inserts") > 0, "{leg}: no churn");
+        }
     }
 }
 
