@@ -18,6 +18,7 @@ use legion_core::LegionConfig;
 use legion_fleet::{serve_fleet, FleetConfig};
 use legion_gnn::ModelKind;
 use legion_graph::dataset::{spec_by_name, Dataset};
+use legion_graph::CsrGraph;
 use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
@@ -27,6 +28,7 @@ use legion_serve::{
     DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig,
     StoreConfig, TargetSampler, SMOKE_MULTIPLIERS,
 };
+use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 use legion_telemetry::Snapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,20 +58,25 @@ fn ids_digest(ids: &[u32]) -> u64 {
     )
 }
 
-/// A `gpus x n` hotness matrix from a fixed LCG: a cell is non-zero with
-/// probability `1 / one_in`, with small values so ties are common.
-fn lcg_hotness(gpus: usize, n: usize, one_in: u64, seed: u64) -> HotnessMatrix {
+/// A fixed 31-bit LCG stream.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed;
-    let mut next = move || {
+    move || {
         state = state
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         state >> 33
-    };
+    }
+}
+
+/// A `gpus x n` hotness matrix from a fixed LCG: a cell is non-zero with
+/// probability `1 / one_in`, with small values so ties are common.
+fn lcg_hotness(gpus: usize, n: usize, one_in: u64, seed: u64) -> HotnessMatrix {
+    let mut next = lcg(seed);
     let mut h = HotnessMatrix::new(gpus, n);
     for gpu in 0..gpus {
         for v in 0..n as u32 {
-            if next() % one_in == 0 {
+            if next().is_multiple_of(one_in) {
                 h.add(gpu, v, 1 + next() % 7);
             }
         }
@@ -288,6 +295,148 @@ fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
             rows.push((name, fnv1a(&bytes)));
         }
     }
+}
+
+/// More of the LDG partitioner's surface than `ldg_partition_k2` / `_k4`:
+/// an odd `k`, a `k` past eight parts, a single pass, and a raw
+/// `from_parts` multigraph — unsorted rows, self-loops (some twice),
+/// parallel edges, mutual edges, vertices with no edge at all — under
+/// four `(k, passes, slack)` settings.
+fn ldg_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
+    for (name, k) in [("ldg_partition_k3", 3), ("ldg_partition_k9", 9)] {
+        rows.push((
+            name,
+            ids_digest(&LdgPartitioner::default().partition(&d.graph, k)),
+        ));
+    }
+    let one_pass = LdgPartitioner {
+        passes: 1,
+        ..LdgPartitioner::default()
+    };
+    rows.push((
+        "ldg_partition_k3_pass1",
+        ids_digest(&one_pass.partition(&d.graph, 3)),
+    ));
+
+    let n = 64u32;
+    let mut next = lcg(0x1D6);
+    let mut offsets = vec![0u64];
+    let mut cols: Vec<u32> = Vec::new();
+    for v in 0..n {
+        // Rows 56.. have no out-edge and no drawn in-edge.
+        if v < 56 {
+            for _ in 0..next() % 9 {
+                cols.push((next() % 56) as u32);
+            }
+            if v % 5 == 0 {
+                cols.push(v);
+            }
+            if v % 10 == 0 {
+                cols.push(v);
+            }
+            if v % 7 == 3 {
+                cols.extend([v + 1, v + 1]);
+            }
+            if v % 7 == 4 {
+                cols.push(v - 1);
+            }
+        }
+        offsets.push(cols.len() as u64);
+    }
+    let g = CsrGraph::from_parts(offsets, cols).expect("valid raw rows");
+    assert!(
+        (0..n).any(|v| g.neighbors(v).windows(2).any(|w| w[0] > w[1])),
+        "fixture needs an unsorted row"
+    );
+    let mut ids: Vec<u32> = Vec::new();
+    for (k, passes, capacity_slack) in [(2, 3, 1.05), (3, 1, 1.0), (5, 2, 1.3), (9, 3, 1.05)] {
+        let ldg = LdgPartitioner {
+            passes,
+            capacity_slack,
+        };
+        ids.extend(ldg.partition(&g, k));
+    }
+    rows.push(("ldg_multigraph_from_parts", ids_digest(&ids)));
+}
+
+/// Every value a `VertexStore` hands back over a fixed script: one warm
+/// start, then 800 steps of prefetch / read / migrate on a 24-row window
+/// with a hot range that rotates, a clock that mostly advances and
+/// sometimes steps back, and `inflight` queried at every step. (The
+/// engine-level `serve.store.inflight` histogram is already pinned by
+/// `serve_fifo_oversub` and `serve_replan_oversub_drift`.)
+fn store_rows(rows: &mut Vec<(&'static str, u64)>) {
+    let n = 192u64;
+    let mut s = VertexStore::new(NvmeModel::new(NvmeGeneration::Gen3x4), n as usize, 512, 24);
+    for v in (0..n as u32).filter(|v| v % 4 != 0) {
+        s.assign(v, Tier::Ssd);
+    }
+    let mut next = lcg(0x57A6E);
+    let mut words: Vec<u64> = vec![s.warm((0..20u32).map(|i| (i * 7) % 96))];
+    let (mut hits, mut late, mut cold, mut evicted, mut moved, mut flying) = (0, 0, 0, 0, 0, 0);
+    let mut clock_ns = 0u64;
+    for step in 0..800u64 {
+        clock_ns = if next().is_multiple_of(11) {
+            clock_ns.saturating_sub(next() % 200_000)
+        } else {
+            clock_ns + next() % 60_000
+        };
+        let at = clock_ns as f64 * 1e-9;
+        let base = step / 100 * 24;
+        let mut draw = |count: u64| -> Vec<u32> {
+            (0..count)
+                .map(|_| ((base + next() % 64) % n) as u32)
+                .collect()
+        };
+        match step % 8 {
+            0..=2 => {
+                let candidates = draw(1 + step % 6);
+                let out = s.prefetch(at, candidates, (step % 5) as usize);
+                evicted += out.evictions;
+                words.extend([out.issued, out.evictions, out.nvme_bytes, out.read_us]);
+            }
+            3..=5 => {
+                let mut missed = draw(1 + step % 7);
+                missed.sort_unstable();
+                missed.dedup();
+                let out = s.read(at, &missed);
+                hits += out.prefetch_hits;
+                late += out.late_stalls;
+                cold += out.cold_reads;
+                evicted += out.evictions;
+                words.extend([
+                    out.prefetch_hits,
+                    out.late_stalls,
+                    out.cold_reads,
+                    out.evictions,
+                    out.nvme_reads,
+                    out.nvme_bytes,
+                    out.stall_s.to_bits(),
+                    out.read_us,
+                ]);
+            }
+            6 => {
+                let (promote, demote) = (draw(step % 4), draw(step % 3));
+                let out = s.migrate(at, &promote, &demote);
+                moved += out.promoted.min(out.demoted);
+                words.extend([
+                    out.promoted,
+                    out.demoted,
+                    out.nvme_bytes,
+                    out.swap_s.to_bits(),
+                ]);
+            }
+            _ => {}
+        }
+        flying += s.inflight(at);
+        words.extend([s.inflight(at) as u64, s.staged_rows() as u64]);
+    }
+    assert!(
+        hits > 0 && late > 0 && cold > 0 && evicted > 0 && moved > 0 && flying > 0,
+        "script must reach every outcome: {hits} {late} {cold} {evicted} {moved} {flying}"
+    );
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    rows.push(("store_op_sequence", fnv1a(&bytes)));
 }
 
 fn dataset() -> Dataset {
@@ -537,6 +686,8 @@ fn scenarios() -> Vec<(&'static str, u64)> {
     }
     planning_rows(&d, &mut rows);
     sampler_rows(&d, &mut rows);
+    ldg_rows(&d, &mut rows);
+    store_rows(&mut rows);
     rows
 }
 
