@@ -598,21 +598,15 @@ impl DeltaOverlay {
     pub fn compact(&self, graph: &CsrGraph) -> usize {
         let mut inner = self.inner.write();
         let mut folded = 0usize;
-        let rows = std::mem::take(&mut inner.rows);
-        let mut new_rows = HashMap::with_capacity(rows.len());
-        for (v, mut row) in rows {
-            if row.pending() > 0 {
-                let mut merged = Vec::with_capacity(row.merged_len(graph, v));
-                row.merge_into(graph, v, &mut merged);
-                row = DeltaRow {
-                    compacted: Some(merged),
-                    ..DeltaRow::default()
-                };
-                folded += 1;
-            }
-            new_rows.insert(v, row);
+        for (&v, row) in inner.rows.iter_mut().filter(|(_, row)| row.pending() > 0) {
+            let mut merged = Vec::with_capacity(row.merged_len(graph, v));
+            row.merge_into(graph, v, &mut merged);
+            *row = DeltaRow {
+                compacted: Some(merged),
+                ..DeltaRow::default()
+            };
+            folded += 1;
         }
-        inner.rows = new_rows;
         inner.pending_delta_edges = 0;
         if folded > 0 {
             self.compactions.fetch_add(1, Ordering::Relaxed);

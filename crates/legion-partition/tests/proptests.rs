@@ -1,8 +1,11 @@
 //! Property-based tests for the partitioners and clique detection.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use legion_graph::builder::from_edges;
+use legion_graph::{CsrGraph, GraphBuilder};
 use legion_hw::NvLinkTopology;
 use legion_partition::quality::{balance, part_sizes};
 use legion_partition::{
@@ -17,8 +20,103 @@ fn graph_strategy() -> impl Strategy<Value = legion_graph::CsrGraph> {
     })
 }
 
+/// LDG as its definition reads: a `HashSet` union of in- and
+/// out-neighbours per vertex, then the scoring loop.
+fn ldg_oracle(g: &CsrGraph, k: usize, passes: usize, slack: f64) -> Vec<u32> {
+    let n = g.num_vertices();
+    let mut neighbours = vec![HashSet::new(); n];
+    for (u, v) in g.edges() {
+        neighbours[u as usize].insert(v as usize);
+        neighbours[v as usize].insert(u as usize);
+    }
+    let capacity = (slack * n as f64 / k as f64).max(1.0);
+    let (mut part, mut sizes) = (vec![u32::MAX; n], vec![0usize; k]);
+    for pass in 0..passes {
+        for v in 0..n {
+            if pass > 0 {
+                sizes[part[v] as usize] -= 1;
+            }
+            let mut score = vec![0f64; k];
+            for &u in neighbours[v].iter().filter(|&&u| part[u] != u32::MAX) {
+                score[part[u] as usize] += 1.0;
+            }
+            let (mut best, mut best_score) = (0, f64::NEG_INFINITY);
+            for p in 0..k {
+                let penalty = 1.0 - sizes[p] as f64 / capacity;
+                let total = if sizes[p] as f64 >= capacity {
+                    f64::NEG_INFINITY
+                } else {
+                    score[p] * penalty.max(0.0) + 1e-9 * penalty
+                };
+                if total > best_score {
+                    (best, best_score) = (p, total);
+                }
+            }
+            if best_score == f64::NEG_INFINITY {
+                best = (0..k).min_by_key(|&p| sizes[p]).unwrap();
+            }
+            part[v] = best as u32;
+            sizes[best] += 1;
+        }
+    }
+    part
+}
+
+/// Rows in insertion order: unsorted, parallel edges and self-loops
+/// kept — everything `from_parts` accepts and the builder never emits.
+fn raw_rows(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
+    let mut offsets = vec![0u64];
+    let mut cols = Vec::with_capacity(edges.len());
+    for v in 0..n as u32 {
+        cols.extend(edges.iter().filter(|e| e.0 == v).map(|e| e.1));
+        offsets.push(cols.len() as u64);
+    }
+    CsrGraph::from_parts(offsets, cols).unwrap()
+}
+
+/// Directed multigraphs: `n` in `0..40` (so `n = 0` and isolated
+/// vertices occur) with up to 160 edges drawn with repetition (so
+/// parallel edges, mutual edges and self-loops do); or, half the time,
+/// 260 to 330 vertices around a hub adjacent to every one of them, each
+/// hub edge in a random direction — a row longer than one flush of the
+/// kernel's eight-bit lanes.
+fn multigraphs() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
+    (any::<bool>(), 0usize..40, 260usize..330).prop_flat_map(|(with_hub, small, large)| {
+        let n = if with_hub { large } else { small };
+        let hi = n.max(1) as u32;
+        let max_edges = if n == 0 { 1 } else { 160 };
+        (
+            0..hi,
+            proptest::collection::vec(any::<bool>(), n),
+            proptest::collection::vec((0..hi, 0..hi), 0..max_edges),
+        )
+            .prop_map(move |(hub, outward, mut edges)| {
+                if with_hub {
+                    let spokes = (0..hi).zip(outward);
+                    edges.extend(spokes.map(|(v, out)| if out { (hub, v) } else { (v, hub) }));
+                }
+                (n, edges)
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ldg_matches_the_hash_set_oracle(
+        (n, edges) in multigraphs(),
+        k in 1usize..=17,
+        passes in 1usize..=3,
+        capacity_slack in 1.0f64..=1.3,
+    ) {
+        let mut multi = GraphBuilder::new(n).keep_duplicates();
+        multi.extend_edges(edges.iter().copied());
+        let ldg = LdgPartitioner { passes, capacity_slack };
+        for g in [raw_rows(n, &edges), multi.build()] {
+            prop_assert_eq!(ldg.partition(&g, k), ldg_oracle(&g, k, passes, capacity_slack));
+        }
+    }
 
     #[test]
     fn every_partitioner_outputs_valid_assignment(g in graph_strategy(), k in 1usize..6) {

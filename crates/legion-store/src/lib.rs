@@ -16,8 +16,9 @@
 //! * [`TierMap`] — where each vertex's feature row lives
 //!   ([`Tier::Hbm`] / [`Tier::Dram`] / [`Tier::Ssd`]), as decided by
 //!   the three-tier cost-model sweep in `legion-cache`.
-//! * [`StagingBuffer`] + [`VertexStore`] — the runtime: a bounded DRAM
-//!   staging window with FIFO eviction and in-flight dedup, an async
+//! * [`VertexStore`] — the runtime: a bounded DRAM staging window with
+//!   FIFO eviction and in-flight dedup (kept in ready-time order, so
+//!   "how many reads are in flight" is a binary search), an async
 //!   prefetch path that hides flash latency behind the batch queue's
 //!   lookahead, and batch-boundary DRAM↔SSD migration for the online
 //!   re-planner.
@@ -35,6 +36,5 @@ pub use nvme::{
     NvmeGeneration, NvmeModel, DEFAULT_BLOCK_BYTES, DEFAULT_COMMAND_OVERHEAD_BYTES,
     DEFAULT_MAX_QUEUE_DEPTH, DEFAULT_READ_LATENCY_S,
 };
-pub use staging::{Staged, StagingBuffer};
 pub use store::{MigrateOutcome, PrefetchOutcome, ReadOutcome, VertexStore};
 pub use tier::{Tier, TierMap};

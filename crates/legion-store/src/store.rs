@@ -94,7 +94,15 @@ pub struct VertexStore {
     tiers: TierMap,
     staging: StagingBuffer,
     row_bytes: u64,
+    /// The device's busy horizon. It only moves forward and a wave's
+    /// rows are staged ready at the horizon it leaves behind, so ready
+    /// times never decrease from one staged row to the next — the order
+    /// the staging window relies on.
     free_at_ns: u64,
+    /// Per vertex, the prefetch wave that last took it (`waves` counts
+    /// them), so a repeated candidate is dropped with one load.
+    last_wave: Vec<u64>,
+    waves: u64,
 }
 
 impl VertexStore {
@@ -105,9 +113,11 @@ impl VertexStore {
         Self {
             nvme,
             tiers: TierMap::new(num_vertices, Tier::Dram),
-            staging: StagingBuffer::new(staging_rows),
+            staging: StagingBuffer::new(num_vertices, staging_rows),
             row_bytes,
             free_at_ns: 0,
+            last_wave: vec![0; num_vertices],
+            waves: 0,
         }
     }
 
@@ -205,6 +215,12 @@ impl VertexStore {
     /// warmup fill — a deployment stages the warm tail during the
     /// warmup epoch, outside the measured window. Returns the number of
     /// rows warmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it has to stage a row after a [`read`](Self::read) or
+    /// [`prefetch`](Self::prefetch) staged one that is ready later than
+    /// t=0: warming comes first.
     pub fn warm<I>(&mut self, candidates: I) -> u64
     where
         I: IntoIterator<Item = VertexId>,
@@ -234,12 +250,17 @@ impl VertexStore {
         if budget == 0 || self.staging.capacity() == 0 || self.tiers.all_resident() {
             return out;
         }
+        self.waves += 1;
         let mut wave: Vec<VertexId> = Vec::new();
         for v in candidates {
             if wave.len() == budget {
                 break;
             }
-            if self.tiers.tier(v) == Tier::Ssd && !self.staging.contains(v) && !wave.contains(&v) {
+            if self.tiers.tier(v) == Tier::Ssd
+                && !self.staging.contains(v)
+                && self.last_wave[v as usize] != self.waves
+            {
+                self.last_wave[v as usize] = self.waves;
                 wave.push(v);
             }
         }

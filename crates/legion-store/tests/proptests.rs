@@ -1,0 +1,213 @@
+//! `VertexStore` against a naive model: the staging window as a plain
+//! list in stage order, every membership test, eviction, removal and
+//! in-flight count a linear scan.
+
+use legion_store::{
+    MigrateOutcome, NvmeGeneration, NvmeModel, PrefetchOutcome, ReadOutcome, Tier, VertexStore,
+};
+use proptest::prelude::*;
+
+const N: u32 = 24;
+const ROW_BYTES: u64 = 512;
+
+fn to_ns(seconds: f64) -> u64 {
+    (seconds * 1e9).round() as u64
+}
+
+struct NaiveStore {
+    nvme: NvmeModel,
+    ssd: Vec<bool>,
+    capacity: usize,
+    /// `(vertex, ready_ns)`, oldest first.
+    staged: Vec<(u32, u64)>,
+    free_at_ns: u64,
+}
+
+impl NaiveStore {
+    fn ready(&self, v: u32) -> Option<u64> {
+        self.staged.iter().find(|r| r.0 == v).map(|r| r.1)
+    }
+
+    /// Stages `v` unless it is staged already; true when a row was
+    /// evicted for it.
+    fn stage(&mut self, v: u32, ready: u64) -> bool {
+        if self.capacity == 0 || self.ready(v).is_some() {
+            return false;
+        }
+        let full = self.staged.len() == self.capacity;
+        if full {
+            self.staged.remove(0);
+        }
+        self.staged.push((v, ready));
+        full
+    }
+
+    /// Charges a wave of `rows` block reads issued at `now_ns`; returns
+    /// `(done_ns, dur_ns)`.
+    fn device_wave(&mut self, now_ns: u64, rows: u64) -> (u64, u64) {
+        let dur = to_ns(self.nvme.read_seconds(rows, ROW_BYTES));
+        self.free_at_ns = self.free_at_ns.max(now_ns) + dur;
+        (self.free_at_ns, dur)
+    }
+
+    fn warm(&mut self, candidates: &[u32]) -> u64 {
+        let mut warmed = 0;
+        for &v in candidates {
+            if warmed as usize == self.capacity {
+                break;
+            }
+            if self.ssd[v as usize] && self.ready(v).is_none() {
+                self.stage(v, 0);
+                warmed += 1;
+            }
+        }
+        warmed
+    }
+
+    fn prefetch(&mut self, at_s: f64, candidates: &[u32], budget: usize) -> PrefetchOutcome {
+        let mut out = PrefetchOutcome::default();
+        let mut wave: Vec<u32> = Vec::new();
+        for &v in candidates {
+            if wave.len() == budget || self.capacity == 0 {
+                break;
+            }
+            if self.ssd[v as usize] && self.ready(v).is_none() && !wave.contains(&v) {
+                wave.push(v);
+            }
+        }
+        if wave.is_empty() {
+            return out;
+        }
+        let (done, dur) = self.device_wave(to_ns(at_s), wave.len() as u64);
+        out.issued = wave.len() as u64;
+        out.nvme_bytes = out.issued * self.nvme.bytes_for_payload(ROW_BYTES);
+        out.read_us = dur / 1_000;
+        for v in wave {
+            out.evictions += self.stage(v, done) as u64;
+        }
+        out
+    }
+
+    fn read(&mut self, at_s: f64, missed: &[u32]) -> ReadOutcome {
+        let mut out = ReadOutcome::default();
+        let now = to_ns(at_s);
+        let mut stall = 0u64;
+        let mut cold: Vec<u32> = Vec::new();
+        for &v in missed.iter().filter(|&&v| self.ssd[v as usize]) {
+            match self.ready(v) {
+                Some(ready) if ready <= now => out.prefetch_hits += 1,
+                Some(ready) => {
+                    out.late_stalls += 1;
+                    stall = stall.max(ready - now);
+                }
+                None => cold.push(v),
+            }
+        }
+        if !cold.is_empty() {
+            let (done, dur) = self.device_wave(now, cold.len() as u64);
+            out.cold_reads = cold.len() as u64;
+            out.nvme_reads = out.cold_reads;
+            out.nvme_bytes = out.cold_reads * self.nvme.bytes_for_payload(ROW_BYTES);
+            out.read_us = dur / 1_000;
+            stall = stall.max(done - now);
+            for v in cold {
+                out.evictions += self.stage(v, done) as u64;
+            }
+        }
+        out.stall_s = stall as f64 * 1e-9;
+        out
+    }
+
+    fn migrate(&mut self, at_s: f64, promote: &[u32], demote: &[u32]) -> MigrateOutcome {
+        let mut out = MigrateOutcome::default();
+        for &v in promote {
+            if std::mem::replace(&mut self.ssd[v as usize], false) {
+                out.promoted += 1;
+                self.staged.retain(|r| r.0 != v);
+            }
+        }
+        for &v in demote {
+            if !std::mem::replace(&mut self.ssd[v as usize], true) {
+                out.demoted += 1;
+            }
+        }
+        let moves = out.promoted + out.demoted;
+        if moves > 0 {
+            let (_, dur) = self.device_wave(to_ns(at_s), moves);
+            out.nvme_bytes = moves * self.nvme.bytes_for_payload(ROW_BYTES);
+            out.swap_s = dur as f64 * 1e-9;
+        }
+        out
+    }
+
+    fn inflight(&self, at_s: f64) -> usize {
+        let now = to_ns(at_s);
+        self.staged.iter().filter(|r| r.1 > now).count()
+    }
+}
+
+/// One scripted call: an op selector, two vertex lists, a budget and a
+/// query time in microseconds.
+type Op = (u8, Vec<u32>, Vec<u32>, usize, u32);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let ids = || proptest::collection::vec(0..N, 0..7);
+    proptest::collection::vec((0u8..4, ids(), ids(), 0usize..6, 0u32..900), 0..60)
+}
+
+proptest! {
+    /// Warm starts first (they stage at t=0), then prefetch / read /
+    /// migrate in any order at arbitrary — not monotone — query times:
+    /// every outcome, every eviction victim and every in-flight count
+    /// equals the naive model's.
+    #[test]
+    fn store_matches_the_naive_model(
+        capacity in 0usize..6,
+        ssd in proptest::collection::vec(0u8..4, N as usize),
+        warm in proptest::collection::vec(proptest::collection::vec(0..N, 0..10), 0..3),
+        script in ops(),
+    ) {
+        let nvme = NvmeModel::new(NvmeGeneration::Gen3x4);
+        let mut store = VertexStore::new(nvme, N as usize, ROW_BYTES, capacity);
+        let mut naive = NaiveStore {
+            nvme,
+            ssd: ssd.iter().map(|&t| t != 0).collect(),
+            capacity,
+            staged: Vec::new(),
+            free_at_ns: 0,
+        };
+        for v in (0..N).filter(|&v| naive.ssd[v as usize]) {
+            store.assign(v, Tier::Ssd);
+        }
+        for w in &warm {
+            prop_assert_eq!(store.warm(w.iter().copied()), naive.warm(w));
+        }
+        for (op, a, b, budget, at_us) in script {
+            let at = at_us as f64 * 1e-6;
+            match op {
+                0 => {
+                    let real = store.prefetch(at, a.iter().copied(), budget);
+                    prop_assert_eq!(real, naive.prefetch(at, &a, budget));
+                }
+                1 | 2 => {
+                    let mut missed = a;
+                    missed.sort_unstable();
+                    missed.dedup();
+                    prop_assert_eq!(store.read(at, &missed), naive.read(at, &missed));
+                }
+                _ => prop_assert_eq!(store.migrate(at, &a, &b), naive.migrate(at, &a, &b)),
+            }
+            prop_assert_eq!(store.staged_rows(), naive.staged.len());
+            for probe in [at, at + 1e-4, at_us as f64 * 3e-6] {
+                prop_assert_eq!(store.inflight(probe), naive.inflight(probe));
+            }
+            // Read long after every wave has landed, a row the model
+            // holds is a hit and one it evicted is a cold read: the two
+            // windows hold the same rows, so they chose the same victims.
+            for v in (0..N).filter(|&v| naive.ssd[v as usize]) {
+                let cold = store.clone().read(1e3, &[v]).cold_reads;
+                prop_assert_eq!(cold == 0, naive.ready(v).is_some(), "row {}", v);
+            }
+        }
+    }
+}

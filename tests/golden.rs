@@ -428,8 +428,9 @@ fn store_rows(rows: &mut Vec<(&'static str, u64)>) {
             }
             _ => {}
         }
-        flying += s.inflight(at);
-        words.extend([s.inflight(at) as u64, s.staged_rows() as u64]);
+        let inflight = s.inflight(at);
+        flying += inflight;
+        words.extend([inflight as u64, s.staged_rows() as u64]);
     }
     assert!(
         hits > 0 && late > 0 && cold > 0 && evicted > 0 && moved > 0 && flying > 0,
