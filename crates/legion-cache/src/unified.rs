@@ -264,14 +264,29 @@ impl CliqueCache {
         ))
     }
 
-    /// Resolves a feature lookup from `from_slot`.
+    /// `v`'s feature directory entry, `(owner slot, row)`.
     #[inline]
-    pub fn lookup_feature(&self, from_slot: usize, v: VertexId) -> Option<(CacheHit, &[f32])> {
+    fn feature_entry(&self, v: VertexId) -> Option<(usize, usize)> {
         let (owner, row) = decode(self.feat_dir[v as usize])?;
         debug_assert!(
             owner < self.caches.len() && row < self.caches[owner].feature_entries(),
             "feature directory entry of vertex {v} names no live row"
         );
+        Some((owner, row))
+    }
+
+    /// Where a feature lookup from `from_slot` would find `v`'s row, from
+    /// the directory alone: the row is not touched.
+    #[inline]
+    pub fn probe_feature(&self, from_slot: usize, v: VertexId) -> Option<CacheHit> {
+        let (owner, _) = self.feature_entry(v)?;
+        Some(self.hit(from_slot, owner))
+    }
+
+    /// Resolves a feature lookup from `from_slot`.
+    #[inline]
+    pub fn lookup_feature(&self, from_slot: usize, v: VertexId) -> Option<(CacheHit, &[f32])> {
+        let (owner, row) = self.feature_entry(v)?;
         Some((
             self.hit(from_slot, owner),
             self.caches[owner].feature_row(row),

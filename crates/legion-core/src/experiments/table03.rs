@@ -136,23 +136,26 @@ mod tests {
         assert!(col.lp_epoch_seconds > 10.0 * col.nc_epoch_seconds);
     }
 
+    /// UKL/40000 (16 K vertices, 0.7 M edges), not the /4000 the other
+    /// experiments pin: multilevel partitioning grows about E^1.6 on this
+    /// power-law graph, so the full-graph call at /4000 (13.2 M edges) was
+    /// 55 s of this crate's 63 s of unit tests. The ordering under test
+    /// is the same at both scales — the 25 % sample partitions about 3.4x
+    /// faster (0.12 s against 0.41 s here).
     #[test]
     fn edge_sampling_speeds_up_partitioning() {
+        const DIVISOR: u64 = 40_000;
         let config = LegionConfig::small();
-        let full = run_for_dataset(
-            &scaled_server(&ServerSpec::siton(), 4000),
-            4000,
-            "UKL",
-            &config,
-            1.0,
-        );
-        let sampled = run_for_dataset(
-            &scaled_server(&ServerSpec::siton(), 4000),
-            4000,
-            "UKL",
-            &config,
-            0.25,
-        );
+        let column = |edge_fraction| {
+            run_for_dataset(
+                &scaled_server(&ServerSpec::siton(), DIVISOR),
+                DIVISOR,
+                "UKL",
+                &config,
+                edge_fraction,
+            )
+        };
+        let (full, sampled) = (column(1.0), column(0.25));
         assert!(
             sampled.partition_seconds < full.partition_seconds,
             "sampled {} full {}",

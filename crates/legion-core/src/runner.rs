@@ -252,23 +252,12 @@ impl EpochStore {
         }
     }
 
-    /// Resolves a batch's cache misses against the store at epoch time
-    /// `at` and returns the extraction stall to charge.
-    fn charge(
-        &mut self,
-        engine: &AccessEngine<'_>,
-        gpu: usize,
-        inputs: &[VertexId],
-        at: f64,
-    ) -> f64 {
-        self.missed.clear();
-        self.missed.extend(
-            inputs
-                .iter()
-                .copied()
-                .filter(|&v| !engine.feature_would_hit(gpu, v)),
-        );
+    /// Resolves the batch's cache misses (collected in `self.missed` by
+    /// the extraction pass) against the store at epoch time `at` and
+    /// returns the extraction stall to charge.
+    fn charge(&mut self, at: f64) -> f64 {
         let out = self.store.read(at, &self.missed);
+        self.missed.clear();
         self.prefetch_hits.add(out.prefetch_hits);
         self.late_stalls.add(out.late_stalls);
         self.cold_reads.add(out.cold_reads);
@@ -302,8 +291,7 @@ impl EpochStore {
 
 /// The sample→extract→train step of one mini-batch, with the working
 /// memory it reuses across every batch of the epoch (the sampler's
-/// scratch arena, the feature gather buffer, the batch-local meter
-/// totals).
+/// scratch arena and the batch-local meter totals).
 struct BatchStep<'a, 'b> {
     engine: &'a AccessEngine<'b>,
     time_model: &'a TimeModel,
@@ -311,7 +299,6 @@ struct BatchStep<'a, 'b> {
     sampler: &'a KHopSampler,
     schedule: &'a ScheduleKind,
     scratch: SampleScratch,
-    features: Vec<f32>,
     totals: BatchTotals,
 }
 
@@ -320,7 +307,9 @@ impl BatchStep<'_, '_> {
     /// feature extraction, and training (charged to `trainer_gpu`),
     /// returning the three stage times.
     ///
-    /// When `store` carries an out-of-core tier (and the current epoch
+    /// Extraction is metered, not performed: nothing downstream reads
+    /// the rows, and the stage time comes from the counts alone. When
+    /// `store` carries an out-of-core tier (and the current epoch
     /// clock), the batch's HBM misses are resolved against it and any
     /// SSD stall is folded into the extraction time.
     fn run(
@@ -329,7 +318,7 @@ impl BatchStep<'_, '_> {
         sampling_gpu: usize,
         batch: &[VertexId],
         rng: &mut StdRng,
-        store: Option<(&mut EpochStore, f64)>,
+        mut store: Option<(&mut EpochStore, f64)>,
     ) -> (f64, f64, f64) {
         let (sample, topo_tx) = self.engine.sample_metered(
             self.sampler,
@@ -344,15 +333,19 @@ impl BatchStep<'_, '_> {
             ScheduleKind::CpuSampling => self.time_model.cpu_sample_seconds(edges),
             _ => self.time_model.sample_seconds(topo_tx, edges),
         };
-        let (feat_tx, peer_bytes) = self.engine.gather_metered(
+        let (feat_tx, peer_bytes) = self.engine.extract_metered(
             trainer_gpu,
             sample.input_vertices(),
-            &mut self.features,
             &mut self.totals,
+            |v| {
+                if let Some((es, _)) = store.as_mut() {
+                    es.missed.push(v);
+                }
+            },
         );
         let mut extract_t = self.time_model.extract_seconds(feat_tx, peer_bytes);
         if let Some((es, at)) = store {
-            extract_t += es.charge(self.engine, trainer_gpu, sample.input_vertices(), at);
+            extract_t += es.charge(at);
         }
         let train_t = self
             .time_model
@@ -493,7 +486,6 @@ fn epoch_loop(
         sampler: &sampler,
         schedule: &setup.schedule,
         scratch: SampleScratch::new(),
-        features: Vec::new(),
         totals: BatchTotals::new(n),
     };
     for gpu in 0..n {

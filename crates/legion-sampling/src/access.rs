@@ -23,7 +23,8 @@
 //! place, `AccessEngine::resolve_topology`, which the k-hop sampler
 //! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
 //! for a single vertex; feature reads in
-//! [`AccessEngine::read_features_batch`].
+//! [`AccessEngine::extract_metered_by`], the walk under both a timing
+//! run's metering pass and [`AccessEngine::read_features_batch`].
 
 use std::sync::Arc;
 
@@ -154,6 +155,27 @@ impl BatchTotals {
         self.topology_misses += 1;
         self.topology_tx += 1 + edges_read;
         self.cpu_bytes += edges_read * 4 + 8;
+    }
+
+    /// Books one feature row of `row_bytes` — the one place a feature
+    /// read is priced. A local hit moves nothing, a peer hit crosses
+    /// NVLink, a miss crosses PCIe as `row_tx` transactions (Equation 8).
+    #[inline]
+    fn charge_feature_row(&mut self, hit: Option<CacheHit>, row_bytes: u64, row_tx: u64) {
+        self.extracted_rows += 1;
+        match hit {
+            Some(CacheHit::Local) => self.feature_hits += 1,
+            Some(CacheHit::Peer(owner)) => {
+                self.feature_hits += 1;
+                self.ensure_gpus(owner + 1);
+                self.peer_bytes[owner] += row_bytes;
+            }
+            None => {
+                self.feature_misses += 1;
+                self.feature_tx += row_tx;
+                self.cpu_bytes += row_bytes;
+            }
+        }
     }
 
     /// Whether nothing has been accumulated since the last flush.
@@ -396,9 +418,11 @@ impl<'a> AccessEngine<'a> {
     /// row-major features of `vertices` (in order), metering every row
     /// read locally and flushing each counter with one atomic add.
     ///
-    /// Counter totals do not depend on how a vertex list is cut into
-    /// calls; the per-row loop performs no atomic RMW and no allocation
-    /// beyond `out`'s amortized growth.
+    /// For callers that consume the rows; a timing run wants
+    /// [`Self::extract_metered`], which charges the same and moves no
+    /// payload. Counter totals do not depend on how a vertex list is cut
+    /// into calls; the per-row loop performs no atomic RMW and no
+    /// allocation beyond `out`'s amortized growth.
     pub fn read_features_batch(
         &self,
         gpu: GpuId,
@@ -406,31 +430,65 @@ impl<'a> AccessEngine<'a> {
         out: &mut Vec<f32>,
         totals: &mut BatchTotals,
     ) {
-        let row_bytes = self.features.row_bytes();
-        let dim = self.features.dim();
         out.clear();
-        out.reserve(vertices.len() * dim);
-        totals.extracted_rows += vertices.len() as u64;
-        let row_tx = self.server.pcie().transactions_for_payload(row_bytes);
+        out.reserve(vertices.len() * self.features.dim());
         let cache_slot = self.layout.for_gpu(gpu);
-        for &v in vertices {
-            if let Some((cache, slot)) = cache_slot {
-                if let Some((hit, data)) = cache.lookup_feature(slot, v) {
-                    if let CacheHit::Peer(owner) = hit {
-                        totals.ensure_gpus(owner + 1);
-                        totals.peer_bytes[owner] += row_bytes;
-                    }
-                    totals.feature_hits += 1;
-                    out.extend_from_slice(data);
-                    continue;
-                }
+        let classify = |v| match cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v)) {
+            Some((hit, data)) => {
+                out.extend_from_slice(data);
+                Some(hit)
             }
-            totals.feature_misses += 1;
-            totals.feature_tx += row_tx;
-            totals.cpu_bytes += row_bytes;
-            out.extend_from_slice(self.features.row(v));
+            None => {
+                out.extend_from_slice(self.features.row(v));
+                None
+            }
+        };
+        self.extract_metered_by(gpu, vertices, totals, classify, |_| {});
+    }
+
+    /// The extraction stage of a timing run: classifies each vertex from
+    /// `gpu`'s clique directory, charges it as [`Self::read_features_batch`]
+    /// would, hands every miss to `on_miss` (in input order) and returns
+    /// `(feature_tx, peer_bytes)`, the two inputs of the extraction time.
+    /// No row is read: stage times come from these counts alone.
+    pub fn extract_metered(
+        &self,
+        gpu: GpuId,
+        vertices: &[VertexId],
+        totals: &mut BatchTotals,
+        on_miss: impl FnMut(VertexId),
+    ) -> (u64, u64) {
+        let cache_slot = self.layout.for_gpu(gpu);
+        let classify = |v| cache_slot.and_then(|(c, slot)| c.probe_feature(slot, v));
+        self.extract_metered_by(gpu, vertices, totals, classify, on_miss)
+    }
+
+    /// [`Self::extract_metered`] with the caller's residency test in place
+    /// of the layout's directory (a cache whose resident set moves per
+    /// access): `classify` says where a row comes from, `None` being CPU
+    /// memory. The cost is read off the batch-local `totals` before the
+    /// flush, so they must come in empty, as every metered call leaves them.
+    pub fn extract_metered_by(
+        &self,
+        gpu: GpuId,
+        vertices: &[VertexId],
+        totals: &mut BatchTotals,
+        mut classify: impl FnMut(VertexId) -> Option<CacheHit>,
+        mut on_miss: impl FnMut(VertexId),
+    ) -> (u64, u64) {
+        debug_assert!(totals.is_empty(), "unflushed totals would be billed here");
+        let row_bytes = self.features.row_bytes();
+        let row_tx = self.server.pcie().transactions_for_payload(row_bytes);
+        for &v in vertices {
+            let hit = classify(v);
+            totals.charge_feature_row(hit, row_bytes, row_tx);
+            if hit.is_none() {
+                on_miss(v);
+            }
         }
+        let cost = (totals.feature_tx, totals.peer_bytes.iter().sum());
         self.flush_totals(gpu, totals);
+        cost
     }
 
     /// [`KHopSampler::sample_batch_with`] plus the topology PCIe
@@ -456,35 +514,14 @@ impl<'a> AccessEngine<'a> {
         (sample, topology_tx)
     }
 
-    /// [`Self::read_features_batch`] plus what the gather cost `gpu`:
-    /// `(feature_tx, peer_bytes)` — PCIe feature transactions and NVLink
-    /// bytes read from peer GPUs, the two inputs of the extraction time.
-    ///
-    /// Both are counter movements around the call, exact for the same
-    /// reason as [`Self::sample_metered`]: the batch flushes before it
-    /// returns and `gpu` has a single writer.
-    pub fn gather_metered(
-        &self,
-        gpu: GpuId,
-        vertices: &[VertexId],
-        out: &mut Vec<f32>,
-        totals: &mut BatchTotals,
-    ) -> (u64, u64) {
-        let peer_into_gpu = || -> u64 {
-            (0..self.meters.len())
-                .map(|src| self.server.traffic().gpu_to_gpu(src, gpu))
-                .sum()
-        };
-        let tx_before = self.server.pcm().gpu_kind(gpu, TrafficKind::Feature);
-        let peer_before = peer_into_gpu();
-        self.read_features_batch(gpu, vertices, out, totals);
-        let feature_tx = self.server.pcm().gpu_kind(gpu, TrafficKind::Feature) - tx_before;
-        (feature_tx, peer_into_gpu() - peer_before)
-    }
-
     /// Flushes locally accumulated `totals` into the shared meters: one
     /// atomic add per non-zero counter, then clears `totals` for reuse.
     pub fn flush_totals(&self, gpu: GpuId, totals: &mut BatchTotals) {
+        debug_assert_eq!(
+            totals.feature_hits + totals.feature_misses,
+            totals.extracted_rows,
+            "every extracted row is a hit or a miss"
+        );
         let meters = &self.meters[gpu];
         meters.topology_hits.add(totals.topology_hits);
         meters.topology_misses.add(totals.topology_misses);
@@ -512,16 +549,12 @@ impl<'a> AccessEngine<'a> {
                 self.server.traffic().add(gpu, Source::Gpu(owner), bytes);
             }
         }
-        totals.topology_hits = 0;
-        totals.topology_misses = 0;
-        totals.feature_hits = 0;
-        totals.feature_misses = 0;
-        totals.sampled_edges = 0;
-        totals.extracted_rows = 0;
-        totals.topology_tx = 0;
-        totals.feature_tx = 0;
-        totals.cpu_bytes = 0;
-        totals.peer_bytes.fill(0);
+        let mut peer_bytes = std::mem::take(&mut totals.peer_bytes);
+        peer_bytes.fill(0);
+        *totals = BatchTotals {
+            peer_bytes,
+            ..BatchTotals::default()
+        };
     }
 
     /// Records a completed subgraph block (one hop of one mini-batch) of
@@ -854,7 +887,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut scratch = SampleScratch::new();
         let mut totals = BatchTotals::new(4);
-        let mut rows = Vec::new();
+        let mut missed = Vec::new();
         let row_tx = server.pcie().transactions_for_payload(f.row_bytes());
         let topo = || server.pcm().gpu_kind(0, TrafficKind::Topology);
         let feat = || server.pcm().gpu_kind(0, TrafficKind::Feature);
@@ -867,18 +900,19 @@ mod tests {
             assert_eq!(topology_tx, topo() - topo0);
             assert_eq!(topology_tx, 1 + 5, "row offset plus one per sampled edge");
 
+            missed.clear();
             let (feature_tx, peer_bytes) =
-                engine.gather_metered(0, &[3, 4, 5, 6], &mut rows, &mut totals);
+                engine.extract_metered(0, &[3, 4, 5, 6], &mut totals, |v| missed.push(v));
             assert_eq!(feature_tx, feat() - feat0);
             assert_eq!(feature_tx, 2 * row_tx, "rows 5 and 6 cross PCIe");
             assert_eq!(peer_bytes, peer() - peer0);
             assert_eq!(peer_bytes, f.row_bytes(), "row 3 crosses NVLink once");
-            assert_eq!(rows.len(), 4 * 16);
-            assert!(totals.is_empty(), "the gather flushes before returning");
+            assert_eq!(missed, [5, 6]);
+            assert!(totals.is_empty(), "the pass flushes before returning");
         }
         // Another GPU's reads do not move GPU 0's reading.
         let (feat0, peer0) = (feat(), peer());
-        let (other_tx, other_peer) = engine.gather_metered(2, &[3, 4], &mut rows, &mut totals);
+        let (other_tx, other_peer) = engine.extract_metered(2, &[3, 4], &mut totals, |_| {});
         assert_eq!((other_tx, other_peer), (2 * row_tx, 0));
         assert_eq!((feat(), peer()), (feat0, peer0));
     }

@@ -52,6 +52,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use legion_cache::unified::CacheHit;
 use legion_cache::{cslp, CostModel, FifoCache};
 use legion_dyn::{DeltaOverlay, MutationLog, MutationOp};
 use legion_gnn::{GnnModel, ModelKind};
@@ -135,15 +136,6 @@ pub struct ServeReport {
     pub route_locality: f64,
     /// Full telemetry snapshot of the run.
     pub metrics: Snapshot,
-}
-
-/// Pre-resolved handles for the FIFO policy's manual feature metering;
-/// uses the same counter names as [`AccessEngine`], so snapshots are
-/// comparable across policies.
-pub(crate) struct FifoMeters {
-    hits: Counter,
-    misses: Counter,
-    rows: Counter,
 }
 
 /// Run-wide meters of the re-planning loop, registered only for
@@ -676,13 +668,12 @@ fn batch_seeds(batch: &[Request], seeds: &mut Vec<VertexId>) {
 }
 
 /// Per-GPU scratch reused across every micro-batch of the event loop:
-/// the deduplicated seed list, the sampler's arena, the feature gather
-/// buffer, and the batch-local meter totals. Steady-state batches
-/// therefore run without per-vertex heap allocation or atomic RMWs.
+/// the deduplicated seed list, the sampler's arena, and the batch-local
+/// meter totals. Steady-state batches therefore run without per-vertex
+/// heap allocation or atomic RMWs.
 struct BatchScratch {
     seeds: Vec<VertexId>,
     sample: SampleScratch,
-    features: Vec<f32>,
     totals: BatchTotals,
 }
 
@@ -691,7 +682,6 @@ impl BatchScratch {
         Self {
             seeds: Vec::new(),
             sample: SampleScratch::new(),
-            features: Vec::new(),
             totals: BatchTotals::new(num_gpus),
         }
     }
@@ -714,11 +704,8 @@ pub(crate) enum WorkerPolicy {
     /// A fixed layout filled once from warmup traffic; no per-worker
     /// state.
     StaticHot,
-    /// The manual FIFO cache and its meters.
-    Fifo {
-        cache: FifoCache,
-        meters: FifoMeters,
-    },
+    /// The manual FIFO cache.
+    Fifo(FifoCache),
     /// The per-GPU re-planning loop.
     Replan(Box<ReplanWorker>),
 }
@@ -749,20 +736,6 @@ struct BatchLane {
     store: Option<Box<StoreWorker>>,
     /// Fleet state; `None` unless this run is one server of a fleet.
     remote: Option<Box<RemoteWorker>>,
-}
-
-impl BatchLane {
-    /// Triage of one HBM miss: a row another server owns joins the
-    /// remote wave and the local tiers never see it; any other miss is
-    /// the store's to resolve (when there is one).
-    fn note_miss(&mut self, v: VertexId) {
-        if self.remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-            return;
-        }
-        if let Some(sw) = self.store.as_deref_mut() {
-            sw.missed.push(v);
-        }
-    }
 }
 
 /// One GPU of the event loop: its admission queue, busy horizon, batch
@@ -894,34 +867,31 @@ impl BatchTiming {
     }
 }
 
-/// How a batch's feature rows are fetched and metered — the one place
-/// the cache policies differ inside a batch.
+/// How a batch's feature rows are classified — the one place the cache
+/// policies differ inside a batch. Either way the rows are metered by
+/// the engine's extraction pass and never read: the stage time comes
+/// from the counts.
 enum Extract<'a> {
     /// The engine's layout holds the cache (StaticHot's fill, Replan's
-    /// active plan), so the normal extraction path meters hits, misses
-    /// and NVLink traffic. A Replan batch also feeds its window
-    /// estimator from the sampler.
+    /// active plan), so its clique directory says hit, peer hit or
+    /// miss. A Replan batch also feeds its window estimator from the
+    /// sampler.
     Layout {
         window: Option<&'a mut WindowEstimator>,
     },
-    /// Dynamic cache: the resident set mutates per access, so the
-    /// extraction is metered manually with the same counter names and
-    /// per-row transaction charge as the engine's path, accumulated
-    /// locally and flushed with one add per counter. Replacement
+    /// Dynamic cache: the resident set mutates per access, so each row
+    /// is a local hit or a miss as the FIFO says. Replacement
     /// bookkeeping itself is not charged to time (an intentional
     /// simplification; see DESIGN.md).
-    Fifo {
-        cache: &'a mut FifoCache,
-        meters: &'a FifoMeters,
-    },
+    Fifo(&'a mut FifoCache),
 }
 
 /// The batch step every policy shares: sample the deduplicated seeds
-/// (charged to `gpu` through `engine`), fetch the sampled vertices' rows
-/// as `how` says, send every HBM miss down the tiers
-/// ([`BatchLane::note_miss`]), and derive the stage times from the
-/// traffic each stage caused. Remote and SSD stalls extend extraction,
-/// exactly like a slower PCIe crossing would.
+/// (charged to `gpu` through `engine`), meter the sampled vertices' rows
+/// as `how` classifies them, send every HBM miss down the tiers in the
+/// same walk, and derive the stage times from the traffic each stage
+/// caused. Remote and SSD stalls extend extraction, exactly like a
+/// slower PCIe crossing would.
 fn metered_batch(
     ctx: &ServeContext<'_>,
     engine: &AccessEngine<'_>,
@@ -930,9 +900,15 @@ fn metered_batch(
     at: f64,
     mut how: Extract<'_>,
 ) -> BatchTiming {
+    let BatchLane {
+        rng,
+        scratch,
+        store,
+        remote,
+    } = lane;
     let mut window = match &mut how {
         Extract::Layout { window } => window.as_deref_mut(),
-        Extract::Fifo { .. } => None,
+        Extract::Fifo(_) => None,
     };
     let mut note_edge = window
         .as_deref_mut()
@@ -940,10 +916,10 @@ fn metered_batch(
     let (sample, topo_tx) = engine.sample_metered(
         &ctx.sampler,
         gpu,
-        &lane.scratch.seeds,
-        &mut lane.rng,
+        &scratch.seeds,
+        rng,
         note_edge.as_mut().map(|f| f as &mut dyn FnMut(VertexId)),
-        &mut lane.scratch.sample,
+        &mut scratch.sample,
     );
     if let Some(w) = window {
         for &v in &sample.all_vertices {
@@ -954,52 +930,30 @@ fn metered_batch(
         .time_model
         .sample_seconds(topo_tx, sample.total_edges() as u64);
 
-    let (feat_tx, peer_bytes) = match how {
-        Extract::Layout { .. } => {
-            let cost = engine.gather_metered(
-                gpu,
-                &sample.all_vertices,
-                &mut lane.scratch.features,
-                &mut lane.scratch.totals,
-            );
-            if lane.store.is_some() || lane.remote.is_some() {
-                for &v in &sample.all_vertices {
-                    if !engine.feature_would_hit(gpu, v) {
-                        lane.note_miss(v);
-                    }
-                }
-            }
-            cost
+    // Triage of one HBM miss: a row another server owns joins the
+    // remote wave and the local tiers never see it; any other miss is
+    // the store's to resolve (when there is one).
+    let note_miss = |v: VertexId| {
+        if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
+            return;
         }
-        Extract::Fifo { cache, meters } => {
-            let row_tx = ctx.server.pcie().transactions_for_payload(ctx.row_bytes);
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            for &v in &sample.all_vertices {
-                if cache.access(v) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    lane.note_miss(v);
-                }
-            }
-            meters.rows.add(sample.all_vertices.len() as u64);
-            meters.hits.add(hits);
-            meters.misses.add(misses);
-            ctx.server
-                .pcm()
-                .add(gpu, TrafficKind::Feature, misses * row_tx);
-            ctx.server
-                .traffic()
-                .add(gpu, Source::Cpu, misses * ctx.row_bytes);
-            (misses * row_tx, 0)
+        if let Some(sw) = store.as_deref_mut() {
+            sw.missed.push(v);
+        }
+    };
+    let (rows, totals) = (&sample.all_vertices, &mut scratch.totals);
+    let (feat_tx, peer_bytes) = match how {
+        Extract::Layout { .. } => engine.extract_metered(gpu, rows, totals, note_miss),
+        Extract::Fifo(cache) => {
+            let classify = |v| cache.access(v).then_some(CacheHit::Local);
+            engine.extract_metered_by(gpu, rows, totals, classify, note_miss)
         }
     };
     let mut extract_s = ctx.time_model.extract_seconds(feat_tx, peer_bytes);
-    if let Some(rw) = lane.remote.as_deref_mut() {
+    if let Some(rw) = remote.as_deref_mut() {
         extract_s += rw.charge_batch();
     }
-    if let Some(sw) = lane.store.as_deref_mut() {
+    if let Some(sw) = store.as_deref_mut() {
         extract_s += sw.charge_batch(at);
     }
     BatchTiming {
@@ -1175,8 +1129,8 @@ pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) 
             let how = Extract::Layout { window: None };
             metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
         }
-        WorkerPolicy::Fifo { cache, meters } => {
-            let how = Extract::Fifo { cache, meters };
+        WorkerPolicy::Fifo(cache) => {
+            let how = Extract::Fifo(cache);
             metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
         }
         WorkerPolicy::Replan(rw) => {
@@ -1815,14 +1769,7 @@ fn build_workers(
             };
             let policy = match config.policy {
                 PolicyKind::StaticHot => WorkerPolicy::StaticHot,
-                PolicyKind::Fifo => WorkerPolicy::Fifo {
-                    cache: FifoCache::new(config.cache_rows_per_gpu),
-                    meters: FifoMeters {
-                        hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
-                        misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
-                        rows: registry.counter(&format!("extract.gpu{gpu}.rows")),
-                    },
-                },
+                PolicyKind::Fifo => WorkerPolicy::Fifo(FifoCache::new(config.cache_rows_per_gpu)),
                 PolicyKind::Replan => {
                     let state = ReplanState::new(
                         config.replan.clone(),

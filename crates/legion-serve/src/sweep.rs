@@ -12,11 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
+use legion_cache::unified::CacheHit;
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{CsrGraph, FeatureTable};
 use legion_hw::MultiGpuServer;
 use legion_pipeline::TimeModel;
-use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
 
 use legion_graph::VertexId;
@@ -205,7 +206,6 @@ pub fn estimate_capacity_rps(
         .then(|| ownership_dispatcher(graph, server, config.max_batch.max(1)));
     let lanes = if dispatcher.is_some() { num_gpus } else { 1 };
     let row_bytes = features.row_bytes();
-    let row_tx = server.pcie().transactions_for_payload(row_bytes);
     // One FIFO cache and one probe store per timed GPU, like the
     // engine's per-worker state.
     let mut fifos: Vec<legion_cache::FifoCache> = (0..lanes)
@@ -218,6 +218,7 @@ pub fn estimate_capacity_rps(
     let mut probe: Vec<VertexId> = Vec::new();
     let mut per_gpu: Vec<Vec<u32>> = vec![Vec::new(); lanes];
     let mut scratch = SampleScratch::new();
+    let mut totals = BatchTotals::new(num_gpus);
 
     const WARMUP_BATCHES: usize = 8;
     const PROBES: usize = 4;
@@ -259,18 +260,21 @@ pub fn estimate_capacity_rps(
             seeds.dedup();
             let (sample, topo_tx) =
                 engine.sample_metered(&sampler, gpu, seeds, &mut rng, None, &mut scratch);
-            let mut feat_miss = 0u64;
-            for &v in &sample.all_vertices {
-                if !fifos[gpu].access(v) {
-                    feat_miss += 1;
-                    if let Some(s) = stores[gpu].as_mut() {
+            let (fifo, store) = (&mut fifos[gpu], &mut stores[gpu]);
+            let (feat_tx, _) = engine.extract_metered_by(
+                gpu,
+                &sample.all_vertices,
+                &mut totals,
+                |v| fifo.access(v).then_some(CacheHit::Local),
+                |v| {
+                    if let Some(s) = store.as_mut() {
                         s.miss(v);
                     }
-                }
-            }
-            let stage_t = stores[gpu].as_mut().map_or(0.0, ProbeStore::stage_seconds);
+                },
+            );
+            let stage_t = store.as_mut().map_or(0.0, ProbeStore::stage_seconds);
             let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-            let extract_t = time_model.extract_seconds(feat_miss * row_tx, 0) + stage_t;
+            let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
             let service =
                 sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
             round = round.max(service);

@@ -24,6 +24,8 @@
 #                is wider than the bound and the runs overlap
 #   within       none of the above: no worse than the bound allows
 #
+# the change side's median pass length per workload (flagged when it is
+# below the benchmark's 0.2 s sizing rule, i.e. when a re-size is owed),
 # and the share of failed operations on each side. Only bench/'s command
 # line is used. AB_DIR names the scratch directory (default: a fresh
 # mktemp one; results stay in $AB_DIR/out). AB_SEEDS / AB_SECONDS shorten
@@ -119,6 +121,27 @@ for w in "${workloads[@]}"; do
                     w, name, pm, pq1, pq3, cm, cq1, cq3, pm != 0 ? cm / pm : 1, ahead, np, verdict
             }'
     done <<<"$metrics"
+done
+
+# The change side's median pass length per workload, from each result
+# file: operations per pass (`attempted` / passes) over the un-normalised
+# `host_seeds_per_s`. bench/README.md sizes a pass at 0.2 s or more.
+echo
+for w in "${workloads[@]}"; do
+    for seed in "${seeds[@]}"; do
+        awk '
+            /"attempted":/          { gsub(/,/, ""); attempted = $2 }
+            /"host_seeds_per_s": *{/ { on = 1 }
+            on && /"n":/            { gsub(/,/, ""); n = $2 }
+            on && /"raw_value":/    { print attempted / n / $2; exit }
+        ' "$work/out/$w.change.$seed.json"
+    done | sort -g | awk -v w="$w" '
+        { a[NR] = $1 }
+        END {
+            m = NR % 2 ? a[(NR + 1) / 2] : (a[NR / 2] + a[NR / 2 + 1]) / 2
+            printf "%s change: median pass %.3f s%s\n", w, m, \
+                m < 0.2 ? " -- below the 0.2 s sizing rule: the benchmark owes a re-size (ROADMAP 3(a))" : ""
+        }'
 done
 
 echo

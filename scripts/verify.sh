@@ -7,6 +7,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Tier-1 wall guard: one 56 s test once hid in a 63 s binary for a whole
+# round; no test binary may run longer than this.
+TEST_BINARY_LIMIT_S=30
+
 FIRST_PARTY=()
 for c in crates/*; do
     FIRST_PARTY+=(-p "$(basename "$c")")
@@ -26,8 +30,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet "${FIRST_PARTY[@]}"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q (no test binary over ${TEST_BINARY_LIMIT_S}s)"
+test_out="$(cargo test -q 2>&1 | tee /dev/stderr)"
+# `-q` names no binary: the k-th result line belongs to the k-th
+# executable `cargo test --no-run` lists; doc-test runs follow them.
+slow="$(grep '^test result:' <<<"$test_out" | awk -v limit="$TEST_BINARY_LIMIT_S" \
+    '{ s = $NF; sub(/s$/, "", s); if (s + 0 > limit) print NR, s }')"
+if [[ -n "$slow" ]]; then
+    mapfile -t bins < <(cargo test --no-run 2>&1 | sed -n 's/^ *Executable //p')
+    while read -r k secs; do
+        echo "verify: FAILED: a test binary ran ${secs}s: ${bins[k - 1]:-a doc-test run}" >&2
+    done <<<"$slow"
+    exit 1
+fi
 
 echo "==> bench/ builds and its own tests pass (a renamed public item must break here)"
 cargo build --release --offline --manifest-path bench/Cargo.toml

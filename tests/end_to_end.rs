@@ -115,3 +115,98 @@ fn unified_cache_serves_both_topology_and_features() {
         "hottest vertex topology not cached"
     );
 }
+
+/// Every extracted row is metered as exactly one hit or one miss, on
+/// every GPU and on every extraction path: the epoch runner's layout
+/// pass, the serving engine's layout pass (static, and re-planned above
+/// an oversubscribed store), and fleet members under churn. Read off
+/// the snapshots, so it holds in a release build too — `flush_totals`
+/// asserts the same per batch, in debug builds only.
+#[test]
+fn extracted_rows_are_conserved_as_hits_plus_misses() {
+    use legion_fleet::{serve_fleet, FleetConfig};
+    use legion_serve::{
+        serve, ChurnConfig, MutationSource, PolicyKind, ReplanConfig, ServeConfig, StoreConfig,
+    };
+    use legion_telemetry::Snapshot;
+
+    fn check(what: &str, snapshot: &Snapshot) {
+        let mut rows = 0;
+        for g in 0..4 {
+            let hits = snapshot.counter(&format!("cache.gpu{g}.feature_hits"));
+            let misses = snapshot.counter(&format!("cache.gpu{g}.feature_misses"));
+            let extracted = snapshot.counter(&format!("extract.gpu{g}.rows"));
+            assert_eq!(hits + misses, extracted, "{what}, GPU {g}");
+            rows += extracted;
+        }
+        assert!(rows > 0, "{what}: fixture extracted nothing");
+    }
+
+    let dataset = spec_by_name("PR").unwrap().instantiate(1000, 99);
+    let spec = ServerSpec::custom(4, 16 << 20, 2);
+    let server = spec.build();
+    let cfg = config();
+    let ctx = cfg.build_context(&dataset, &server);
+    let (setup, _) = legion_setup_with_plans(&ctx, &cfg).expect("setup succeeds");
+    check("training epoch", &run_epoch(&setup, &ctx, &cfg).metrics);
+
+    let (graph, features) = (&dataset.graph, &dataset.features);
+    let static_hot = ServeConfig {
+        num_requests: 800,
+        max_batch: 16,
+        max_wait: 1e-4,
+        cache_rows_per_gpu: 256,
+        warmup_requests: 128,
+        fanouts: vec![5, 3],
+        policy: PolicyKind::StaticHot,
+        ..ServeConfig::default()
+    };
+    let spec = ServerSpec::custom(4, 1 << 30, 2);
+    check(
+        "static serving",
+        &serve(graph, features, &spec.build(), &static_hot).metrics,
+    );
+
+    let replan_store = ServeConfig {
+        policy: PolicyKind::Replan,
+        drift_period: 300,
+        drift_stride: 1024,
+        replan: ReplanConfig {
+            bucket_requests: 16,
+            window_buckets: 2,
+            cooldown_buckets: 0,
+            ..ReplanConfig::default()
+        },
+        store: StoreConfig {
+            dram_budget_bytes: Some(64 << 10),
+            staging_rows: 64,
+            prefetch_budget: 64,
+            ..StoreConfig::default()
+        },
+        ..static_hot.clone()
+    };
+    let report = serve(graph, features, &spec.build(), &replan_store);
+    assert!(report.metrics.counter("serve.replan.count") > 0);
+    assert!(report.metrics.counter("store.nvme.bytes") > 0);
+    check("re-planned serving over a store", &report.metrics);
+
+    let churned = ServeConfig {
+        mutations: Some(MutationSource::Generate(ChurnConfig {
+            ops_per_sec: 100_000.0,
+            compact_threshold: 64,
+            ..ChurnConfig::default()
+        })),
+        ..static_hot
+    };
+    let fleet = FleetConfig {
+        num_servers: 2,
+        drain_rps: Some(100_000.0),
+        coalesce: true,
+        ..FleetConfig::default()
+    };
+    let report = serve_fleet(graph, features, &spec, &churned, &fleet);
+    assert!(report.metrics.counter("fleet.mut.applied") > 0);
+    for (i, member) in report.per_server.iter().enumerate() {
+        check(&format!("fleet member {i} under churn"), &member.metrics);
+    }
+}
