@@ -565,6 +565,23 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         ),
     ));
     {
+        // Re-plan + residency router + QoS + drift on one server, no store.
+        let cfg = ServeConfig {
+            store: StoreConfig::default(),
+            ..router_qos(oversub_drift_config())
+        };
+        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        assert!(
+            report.metrics.counter("serve.replan.count") > 0,
+            "fixture must commit plans"
+        );
+        assert_eq!(report.routed + report.spilled, report.offered);
+        rows.push((
+            "serve_replan_router_qos_drift",
+            snapshot_digest(&report.metrics),
+        ));
+    }
+    {
         let mut cfg = serve_config(PolicyKind::StaticHot);
         cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
             ops_per_sec: 100_000.0,
