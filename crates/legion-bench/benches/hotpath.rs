@@ -186,44 +186,6 @@ fn bench_serve_tick(c: &mut Criterion, smoke: bool) {
     group.finish();
 }
 
-/// Sharded vs. sequential serving on a 2x2-clique server: the same
-/// round-robin workload driven by the single global event loop
-/// (`--sequential`) and by one shard thread per clique (`--shards 2`).
-/// The emitted ops/sec are whole serve runs per wall-clock second, so
-/// the `sequential/sharded2` ratio IS the tick-throughput speedup; a
-/// summary line prints it after the run. On a single-core host the
-/// shards time-slice one CPU and the ratio collapses toward (or below)
-/// 1.0 — the bench reports what it measures either way.
-fn bench_shard(c: &mut Criterion, smoke: bool) {
-    let n = if smoke { 2_000 } else { 20_000 };
-    let graph = bench_graph(n, n * 8);
-    let features = FeatureTable::zeros(n, 16);
-    let mut config = ServeConfig {
-        num_requests: if smoke { 400 } else { 4_000 },
-        max_batch: 16,
-        cache_rows_per_gpu: n / 8,
-        warmup_requests: 128,
-        fanouts: vec![5, 5],
-        policy: PolicyKind::StaticHot,
-        ..ServeConfig::default()
-    };
-
-    let mut group = c.benchmark_group("bench_shard");
-    group.bench_function(BenchmarkId::new("sequential", config.num_requests), |b| {
-        let server = ServerSpec::custom(4, 1 << 40, 2).build();
-        config.shards = 1;
-        let cfg = config.clone();
-        b.iter(|| serve(&graph, &features, &server, &cfg).completed)
-    });
-    group.bench_function(BenchmarkId::new("sharded2", config.num_requests), |b| {
-        let server = ServerSpec::custom(4, 1 << 40, 2).build();
-        config.shards = 2;
-        let cfg = config.clone();
-        b.iter(|| serve(&graph, &features, &server, &cfg).completed)
-    });
-    group.finish();
-}
-
 /// The out-of-core store's per-batch host cost, resolving one batch of
 /// HBM misses in three regimes: `staged` (every row pre-staged by the
 /// prefetcher — the hit fast path), `cold` (a tiny staging window, so
@@ -525,7 +487,6 @@ fn main() {
     bench_k_hop(&mut c, smoke);
     bench_feature_extraction(&mut c, smoke);
     bench_serve_tick(&mut c, smoke);
-    bench_shard(&mut c, smoke);
     bench_store(&mut c, smoke);
     bench_router(&mut c, smoke);
     bench_mutate(&mut c, smoke);
@@ -553,23 +514,6 @@ fn main() {
                 group: group.to_string(),
                 benches: vec![entry],
             }),
-        }
-    }
-    if let Some(shard) = groups.iter().find(|g| g.group == "bench_shard") {
-        let ops = |prefix: &str| {
-            shard
-                .benches
-                .iter()
-                .find(|b| b.name.starts_with(prefix))
-                .map(|b| b.ops_per_sec)
-        };
-        if let (Some(seq), Some(sharded)) = (ops("sequential"), ops("sharded2")) {
-            println!(
-                "bench_shard: sequential {seq:.2} runs/s, --shards 2 {sharded:.2} runs/s, \
-                 speedup {:.2}x over {} cpu(s)",
-                sharded / seq,
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            );
         }
     }
     let output = BenchOutput {

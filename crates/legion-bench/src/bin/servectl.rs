@@ -7,7 +7,7 @@
 //! cargo run --release -p legion-bench --bin servectl           # full sweep
 //! cargo run --release -p legion-bench --bin servectl -- --smoke # fast path
 //! cargo run --release -p legion-bench --bin servectl -- --drift-only # skip the sweep
-//! cargo run --release -p legion-bench --bin servectl -- --router --shards 2 # sharded loop
+//! cargo run --release -p legion-bench --bin servectl -- --router # routing + QoS head-to-head
 //! cargo run --release -p legion-bench --bin servectl -- --oversubscribe # out-of-core sweep
 //! cargo run --release -p legion-bench --bin servectl -- --fleet 16 # scale-out fleet
 //! cargo run --release -p legion-bench --bin servectl -- --churn # streaming mutations
@@ -34,11 +34,6 @@
 //! sampled neighborhoods agree exactly with a from-scratch rebuilt CSR,
 //! and that replaying the logged stream (after a JSON round trip) is
 //! byte-identical to generating it.
-//!
-//! `--shards N` runs the serving loop with one shard thread per NVLink
-//! clique (clamped to the clique count) and appends a sequential-vs-
-//! sharded head-to-head on the 2x2-clique server; `--sequential` forces
-//! the single global event loop regardless of `--shards`.
 //!
 //! Offered loads are multiples of a measured capacity estimate, so the
 //! curve always crosses its saturation knee. With `LEGION_RESULTS_DIR`
@@ -160,14 +155,6 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
     let cfg_for = |router: RouterPolicy, qos: bool| {
         let mut cfg = base.clone();
         cfg.policy = PolicyKind::StaticHot;
-        // The head-to-head pins the routing/QoS tier's contract, which
-        // is defined on the sequential loop: a spilled request is
-        // offered to the least-loaded GPU *immediately* and sheds if
-        // that queue is full. The sharded coordinator deliberately
-        // relaxes this (spills park in the pool until the next quantum
-        // boundary), so its overload numbers live in the shard
-        // head-to-head instead.
-        cfg.shards = 1;
         cfg.router.policy = router;
         cfg.classes = ClassConfig {
             mix: [0.2, 0.5, 0.3],
@@ -344,88 +331,6 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
     rows
 }
 
-/// Sequential vs sharded head-to-head on the 2x2-clique server: the
-/// same round-robin workload driven by the single global event loop and
-/// by one shard thread per clique. Asserts the sharded run reproduces
-/// the sequential telemetry snapshot byte-for-byte (minus the
-/// shard-local tallies that only exist when sharding is active), then
-/// reports measured wall-clock tick throughput for both. On hosts with
-/// fewer cores than shards the threads time-slice and the speedup
-/// collapses toward 1.0 — the numbers report what was measured.
-fn shard_head_to_head(dataset: &Dataset, base: &ServeConfig, shards: usize) {
-    let run = |n_shards: usize| {
-        let server = ServerSpec::custom(4, 1 << 30, 2).build();
-        let mut cfg = base.clone();
-        cfg.policy = PolicyKind::StaticHot;
-        cfg.router.policy = RouterPolicy::RoundRobin;
-        cfg.shards = n_shards;
-        let t0 = std::time::Instant::now();
-        let mut report = serve(&dataset.graph, &dataset.features, &server, &cfg);
-        let wall = t0.elapsed().as_secs_f64();
-        report
-            .metrics
-            .counters
-            .retain(|c| !c.name.starts_with("serve.shard"));
-        (report, wall)
-    };
-    let (seq, seq_wall) = run(1);
-    let (shr, shr_wall) = run(shards);
-    let snap = |r: &ServeReport| serde_json::to_string(&r.metrics).expect("serializable snapshot");
-    assert_eq!(
-        snap(&seq),
-        snap(&shr),
-        "sharded round-robin run must be byte-identical to the sequential loop"
-    );
-    assert_eq!(seq.completed, shr.completed);
-    let rate = |completed: u64, wall: f64| completed as f64 / wall.max(1e-9);
-    println!(
-        "\nshard head-to-head on 2x2-clique server ({} requests, round-robin, byte-identical snapshots):",
-        seq.offered
-    );
-    println!(
-        "  sequential: {:>10.0} ticks/s wall   --shards {}: {:>10.0} ticks/s wall   speedup {:.2}x over {} cpu(s)",
-        rate(seq.completed, seq_wall),
-        shards,
-        rate(shr.completed, shr_wall),
-        if shr_wall > 0.0 { seq_wall / shr_wall } else { 0.0 },
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    );
-
-    // Residency routing under sharding: the quantum-stepped coordinator
-    // routes against projected depths and steals parked spills at
-    // boundaries, so it is deterministic but not byte-identical to the
-    // sequential loop — report both, assert only conservation.
-    let run_res = |n_shards: usize| {
-        let server = ServerSpec::custom(4, 1 << 30, 2).build();
-        let mut cfg = base.clone();
-        cfg.policy = PolicyKind::StaticHot;
-        cfg.router.policy = RouterPolicy::Residency;
-        cfg.shards = n_shards;
-        serve(&dataset.graph, &dataset.features, &server, &cfg)
-    };
-    let res_seq = run_res(1);
-    let res_shr = run_res(shards);
-    for r in [&res_seq, &res_shr] {
-        assert_eq!(
-            r.routed + r.spilled,
-            r.offered,
-            "router must see every request"
-        );
-        assert_eq!(r.completed + r.shed, r.offered, "request conservation");
-    }
-    println!(
-        "  residency:  sequential hits {:>5.1}% p99 {:>6} us spilled {:>5}   --shards {}: hits {:>5.1}% p99 {:>6} us spilled {:>5} steals {}",
-        feature_hit_rate(&res_seq.metrics) * 100.0,
-        res_seq.p99_us,
-        res_seq.spilled,
-        shards,
-        feature_hit_rate(&res_shr.metrics) * 100.0,
-        res_shr.p99_us,
-        res_shr.spilled,
-        counter(&res_shr.metrics, "serve.route.steals"),
-    );
-}
-
 /// One row of the oversubscription sweep: a (config, load) cell with
 /// the latency tail and the SSD-tier traffic that explains it.
 #[derive(serde::Serialize)]
@@ -479,7 +384,6 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
     let cfg_for = |store: StoreConfig| {
         let mut cfg = base.clone();
         cfg.policy = PolicyKind::StaticHot;
-        cfg.shards = 1;
         cfg.zipf_exponent = 1.8;
         cfg.drift_period = 0;
         cfg.fanouts = vec![8];
@@ -707,13 +611,12 @@ fn fleet_head_to_head(
 ) -> Vec<FleetRow> {
     let spec = ServerSpec::dgx_v100().truncated(4);
     // The fleet comparison pins the per-server engine to the static
-    // planned cache on the sequential loop: plan quality is fixed, so
+    // planned cache: plan quality is fixed, so
     // the only degrees of freedom are *which server* a request lands on
     // and what its misses cost on the wire.
     let cfg = {
         let mut cfg = base.clone();
         cfg.policy = PolicyKind::StaticHot;
-        cfg.shards = 1;
         cfg
     };
     let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &spec.build(), &cfg);
@@ -1019,7 +922,6 @@ fn fleet_drift_resize(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<Dr
     let cfg = {
         let mut cfg = base.clone();
         cfg.policy = PolicyKind::StaticHot;
-        cfg.shards = 1;
         cfg
     };
     let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &spec.build(), &cfg);
@@ -1362,35 +1264,53 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
     rows
 }
 
+const USAGE: &str =
+    "usage: servectl [--smoke] [--drift-only] [--router] [--oversubscribe] [--churn] [--fleet N]";
+
+/// The scenario flags of one invocation.
+#[derive(Default)]
+struct Cli {
+    smoke: bool,
+    drift_only: bool,
+    router_only: bool,
+    oversubscribe: bool,
+    churn: bool,
+    fleet: Option<usize>,
+}
+
+/// Parses the command line; `Err` says which argument is unknown or
+/// lacks its positive-integer value.
+fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--drift-only" => cli.drift_only = true,
+            "--router" => cli.router_only = true,
+            "--oversubscribe" => cli.oversubscribe = true,
+            "--churn" => cli.churn = true,
+            "--fleet" => match args.next().map(|v| v.parse::<usize>()) {
+                Some(Ok(n)) if n > 0 => cli.fleet = Some(n),
+                _ => return Err("--fleet takes a positive integer".to_string()),
+            },
+            other => return Err(format!("unrecognised argument `{other}`")),
+        }
+    }
+    Ok(cli)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let drift_only = args.iter().any(|a| a == "--drift-only");
-    let router_only = args.iter().any(|a| a == "--router");
-    let oversubscribe = args.iter().any(|a| a == "--oversubscribe");
-    let churn = args.iter().any(|a| a == "--churn");
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let fleet = args
-        .iter()
-        .position(|a| a == "--fleet")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            let n = v
-                .parse::<usize>()
-                .expect("--fleet takes a positive integer");
-            assert!(n > 0, "--fleet takes a positive integer");
-            n
-        });
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>()
-                .expect("--shards takes a positive integer")
-        })
-        .unwrap_or(1);
-    let shards = if sequential { 1 } else { shards.max(1) };
+    let Cli {
+        smoke,
+        drift_only,
+        router_only,
+        oversubscribe,
+        churn,
+        fleet,
+    } = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("servectl: {e}; {USAGE}");
+        std::process::exit(2);
+    });
     let dataset_name = "PR";
     let divisor = if smoke {
         legion_bench::dataset_divisor(dataset_name).max(500)
@@ -1420,7 +1340,6 @@ fn main() {
     } else {
         ServeConfig::default()
     };
-    let base = ServeConfig { shards, ..base };
     let multipliers: &[f64] = if smoke {
         &SMOKE_MULTIPLIERS
     } else {
@@ -1448,9 +1367,6 @@ fn main() {
     if router_only {
         let rows = router_head_to_head(&dataset, &base);
         legion_bench::save_json("servectl_router", &rows);
-        if shards > 1 {
-            shard_head_to_head(&dataset, &base, shards);
-        }
         println!("\nservectl: OK");
         return;
     }
@@ -1688,9 +1604,6 @@ fn main() {
         legion_bench::save_json("servectl_curves", &rows);
         let router_rows = router_head_to_head(&dataset, &base);
         legion_bench::save_json("servectl_router", &router_rows);
-    }
-    if shards > 1 {
-        shard_head_to_head(&dataset, &base, shards);
     }
     println!("\nservectl: OK");
 }

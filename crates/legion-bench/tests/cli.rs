@@ -1,0 +1,27 @@
+//! `servectl`'s command line: an argument it does not know, or a flag
+//! missing its value, is an error — never a silently different run.
+
+use std::process::Command;
+
+#[test]
+fn servectl_rejects_unknown_and_valueless_arguments() {
+    let rejected: [&[&str]; 4] = [
+        &["--shards", "2"],
+        &["--sequential"],
+        &["--bogus"],
+        &["--fleet"],
+    ];
+    for args in rejected {
+        let out = Command::new(env!("CARGO_BIN_EXE_servectl"))
+            .args(args)
+            .output()
+            .expect("servectl starts");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        // The banner precedes dataset generation, so an empty stdout
+        // means the run stopped before doing any work.
+        assert!(out.stdout.is_empty(), "{args:?} got past argument parsing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: servectl"), "{args:?}: {stderr}");
+    }
+}

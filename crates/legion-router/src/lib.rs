@@ -27,25 +27,19 @@
 //!   before `Interactive`), priority-ordered drain, and optional
 //!   weighted-fair minimum service shares
 //!   ([`ClassedQueue::with_service_floors`]) so sustained
-//!   `Interactive` overload cannot starve `Batch`;
-//! * [`steal`] — the spill pool ([`SpillPool`]) backing cross-shard
-//!   work stealing when the serving event loop runs one thread per
-//!   clique: spilled requests park FIFO and drain to the least-loaded
-//!   GPU at quantum boundaries.
+//!   `Interactive` overload cannot starve `Batch`.
 //!
 //! Everything here is deterministic and RNG-free: routing scores, load
-//! tie-breaks, shed decisions and steal order depend only on the
-//! request stream and queue states, so a seeded serving run reproduces
-//! byte-identical metric snapshots.
+//! tie-breaks and shed decisions depend only on the request stream and
+//! queue states, so a seeded serving run reproduces byte-identical
+//! metric snapshots.
 
 pub mod class;
 pub mod dispatch;
 pub mod qos;
 pub mod residency;
-pub mod steal;
 
 pub use class::{PriorityClass, QueuedRequest, CLASS_COUNT};
 pub use dispatch::{Dispatcher, RouteDecision, RouterConfig, RouterPolicy};
 pub use qos::{Admission, ClassedQueue};
 pub use residency::ResidencyIndex;
-pub use steal::SpillPool;

@@ -30,19 +30,6 @@
 //! that batch's service time, and the router's residency index for that
 //! GPU is rebuilt from the newly active plan.
 //!
-//! At [`ServeConfig::shards`](crate::ServeConfig::shards) `> 1` the
-//! event loop re-shards across OS threads, one shard per NVLink clique
-//! (see `shard.rs`): each shard owns its
-//! clique's admission queues, batcher state and sampler/extractor
-//! scratch outright, and shared meters accumulate batch-wise through
-//! commuting integer adds. Round-robin routing shards free-running
-//! (byte-identical to the sequential loop); residency routing runs a
-//! quantum-stepped coordinator that routes arrivals against projected
-//! queue depths and drains spilled requests to the least-loaded GPU at
-//! quantum boundaries (work stealing). `shards == 1` — the default and
-//! `--sequential` — is the unsharded global loop below, byte-identical
-//! to the pre-sharding engine.
-//!
 //! Everything is driven by seeded RNG streams and integer telemetry, so
 //! the same `(config, dataset, server)` triple reproduces a run down to
 //! byte-identical metric snapshots.
@@ -63,7 +50,7 @@ use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::detect_cliques;
 use legion_pipeline::{QueueDepthMeter, StageRecorder, TimeModel};
 use legion_router::{
-    Admission, ClassedQueue, Dispatcher, PriorityClass, RouteDecision, RouterPolicy, CLASS_COUNT,
+    Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
 use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
@@ -78,7 +65,6 @@ use crate::cache_policy::{
 use crate::replan::{
     plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
 };
-use crate::shard;
 use crate::slo::{latency_buckets, SloBatch, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
 use crate::{RemoteConfig, ServeConfig, StoreConfig};
@@ -143,7 +129,7 @@ pub struct ServeReport {
 /// atomics. `mid_batch` audits plan-commit visibility: it counts
 /// batches whose plan version changed *after* the batch-top commit
 /// point — [`ReplanState::roll`] only stages, so the counter must stay
-/// 0 in every run, sharded or not.
+/// 0 in every run.
 struct ReplanMeters {
     count: Counter,
     swap_bytes: Counter,
@@ -164,8 +150,8 @@ impl ReplanMeters {
 
 /// Shared meters of the out-of-core store, registered only when the
 /// tiered placement actually put rows on the SSD. All counters and
-/// histogram buckets are commuting integer adds, so per-GPU stores on
-/// shard threads flush into the same names without ordering effects.
+/// histogram buckets are commuting integer adds, so per-GPU stores
+/// flush into the same names without ordering effects.
 struct StoreMeters {
     prefetch_hits: Counter,
     late_stalls: Counter,
@@ -689,8 +675,8 @@ impl BatchScratch {
 
 /// Replan-only per-worker state: the sliding-window estimator plus the
 /// plan double-buffer, and this GPU's swap/hit meters.
-pub(crate) struct ReplanWorker {
-    pub(crate) state: ReplanState,
+struct ReplanWorker {
+    state: ReplanState,
     meters: ReplanMeters,
     gpu_replans: Counter,
     gpu_swap_bytes: Counter,
@@ -700,7 +686,7 @@ pub(crate) struct ReplanWorker {
 }
 
 /// Cache-policy-specific batch machinery of one worker.
-pub(crate) enum WorkerPolicy {
+enum WorkerPolicy {
     /// A fixed layout filled once from warmup traffic; no per-worker
     /// state.
     StaticHot,
@@ -713,7 +699,7 @@ pub(crate) enum WorkerPolicy {
 impl WorkerPolicy {
     /// The active plan's `(version, resident feature set)` if this is a
     /// replan worker — what the residency index needs after a commit.
-    pub(crate) fn plan_residency(&self) -> Option<(u64, &[VertexId])> {
+    fn plan_residency(&self) -> Option<(u64, &[VertexId])> {
         match self {
             WorkerPolicy::Replan(rw) => Some((
                 rw.state.plan.version(),
@@ -739,36 +725,34 @@ struct BatchLane {
 }
 
 /// One GPU of the event loop: its admission queue, busy horizon, batch
-/// lane, meters, and policy state. Exactly one shard (or the sequential
-/// loop) owns a worker at any time — all of this state is single-writer
-/// by construction.
-pub(crate) struct Worker {
-    pub(crate) gpu: GpuId,
-    pub(crate) queue: ClassedQueue<Request>,
-    pub(crate) free_at: f64,
-    pub(crate) makespan: f64,
+/// lane, meters, and policy state.
+struct Worker {
+    gpu: GpuId,
+    queue: ClassedQueue<Request>,
+    free_at: f64,
+    makespan: f64,
     lane: BatchLane,
     batches: Counter,
     busy: Counter,
-    pub(crate) gpu_shed: Counter,
+    gpu_shed: Counter,
     phase: Option<PhaseMeter>,
     depth: QueueDepthMeter,
     stages: StageRecorder,
     slo_batch: SloBatch,
     class_batches: Option<Vec<SloBatch>>,
-    pub(crate) policy: WorkerPolicy,
+    policy: WorkerPolicy,
     /// Plan version last pushed into the router's residency index
     /// (Replan + Residency runs only).
-    pub(crate) last_plan_version: u64,
+    last_plan_version: u64,
 }
 
 /// Residency-routing state of one run: the dispatcher plus per-clique
 /// route counters and the locality accumulator.
-pub(crate) struct RouterState {
-    pub(crate) dispatcher: Dispatcher,
-    pub(crate) routed: Vec<Counter>,
-    pub(crate) spilled: Vec<Counter>,
-    pub(crate) shed: Vec<Counter>,
+struct RouterState {
+    dispatcher: Dispatcher,
+    routed: Vec<Counter>,
+    spilled: Vec<Counter>,
+    shed: Vec<Counter>,
     probe_neighbors: usize,
     covered: u64,
     probed: u64,
@@ -796,17 +780,14 @@ impl RouterState {
         }
     }
 
-    /// Scores one request against the cliques at the given queue depths
-    /// and returns the raw decision, accumulating the locality meters
-    /// but *not* the routed/spilled counters — the caller decides
-    /// whether the request is placed now ([`note_routed`](Self::note_routed))
-    /// or parked for stealing (sharded spills).
-    pub(crate) fn decide(
-        &mut self,
-        graph: &CsrGraph,
-        queue_lens: &[usize],
-        r: &Request,
-    ) -> RouteDecision {
+    /// Routes one request: builds the probe (target + leading
+    /// neighbors), scores the cliques against current queue depths, and
+    /// returns the destination GPU, metering the decision and the
+    /// locality accumulator.
+    fn route(&mut self, graph: &CsrGraph, workers: &[Worker], r: &Request) -> GpuId {
+        self.queue_lens.clear();
+        self.queue_lens
+            .extend(workers.iter().map(|w| w.queue.len()));
         self.probe.clear();
         self.probe.push(r.target);
         self.probe.extend(
@@ -816,33 +797,14 @@ impl RouterState {
                 .take(self.probe_neighbors)
                 .copied(),
         );
-        let dec = self.dispatcher.route(&self.probe, queue_lens);
+        let dec = self.dispatcher.route(&self.probe, &self.queue_lens);
         self.covered += self.dispatcher.score(dec.group, &self.probe) as u64;
         self.probed += self.probe.len() as u64;
-        dec
-    }
-
-    /// Meters a decision that placed the request immediately.
-    pub(crate) fn note_routed(&self, dec: &RouteDecision) {
         if dec.spilled {
             self.spilled[dec.group].inc();
         } else {
             self.routed[dec.group].inc();
         }
-    }
-
-    /// Routes one request in the sequential loop: builds the probe
-    /// (target + leading neighbors), scores the cliques against current
-    /// queue depths, and returns the destination GPU, metering the
-    /// decision.
-    fn route(&mut self, graph: &CsrGraph, workers: &[Worker], r: &Request) -> GpuId {
-        self.queue_lens.clear();
-        self.queue_lens
-            .extend(workers.iter().map(|w| w.queue.len()));
-        let lens = std::mem::take(&mut self.queue_lens);
-        let dec = self.decide(graph, &lens, r);
-        self.queue_lens = lens;
-        self.note_routed(&dec);
         dec.gpu
     }
 }
@@ -1033,7 +995,7 @@ fn replan_batch_service(
     }
     // Plan-commit visibility audit: from here to the end of the batch
     // the version must not move — `roll` below only *stages* the next
-    // plan, and no other thread ever touches this worker's buffer.
+    // plan, and nothing else touches this worker's buffer.
     let version_in_batch = rw.state.plan.version();
     let (h0, m0) = (rw.feat_hits.get(), rw.feat_misses.get());
     let mut timing = {
@@ -1065,35 +1027,29 @@ fn replan_batch_service(
 
 /// Everything the batch path reads but never mutates: the dataset, the
 /// metered server, the run config, and the shared trackers whose
-/// interior mutability is limited to commuting integer atomics. One
-/// `&ServeContext` is shared by the sequential loop and by every shard
-/// thread; all single-writer state lives in [`Worker`].
-pub(crate) struct ServeContext<'a> {
-    pub(crate) graph: &'a CsrGraph,
-    pub(crate) features: &'a FeatureTable,
-    pub(crate) server: &'a MultiGpuServer,
-    pub(crate) config: &'a ServeConfig,
+/// interior mutability is limited to commuting integer atomics. All
+/// per-GPU mutable state lives in [`Worker`].
+struct ServeContext<'a> {
+    graph: &'a CsrGraph,
+    features: &'a FeatureTable,
+    server: &'a MultiGpuServer,
+    config: &'a ServeConfig,
     engine: AccessEngine<'a>,
     time_model: TimeModel,
     sampler: KHopSampler,
     model: GnnModel,
-    pub(crate) registry: Arc<Registry>,
+    registry: Arc<Registry>,
     slo: SloTracker,
     class_slos: Option<Vec<SloTracker>>,
     shed_total: Counter,
-    pub(crate) batch_policy: BatchPolicy,
+    batch_policy: BatchPolicy,
     row_bytes: u64,
 }
 
 /// Offers one routed request to its worker's admission queue, metering
 /// sheds (global, per-GPU, and — when routing is on — per-clique via
 /// `route_shed`).
-pub(crate) fn offer_request(
-    ctx: &ServeContext<'_>,
-    w: &mut Worker,
-    r: Request,
-    route_shed: Option<&Counter>,
-) {
+fn offer_request(ctx: &ServeContext<'_>, w: &mut Worker, r: Request, route_shed: Option<&Counter>) {
     let admitted = match w.queue.offer(r) {
         Admission::Admitted => true,
         admission @ (Admission::AdmittedEvicting(_) | Admission::Shed) => {
@@ -1115,8 +1071,8 @@ pub(crate) fn offer_request(
 /// Runs one worker's micro-batch launched at `at`: drains the queue,
 /// runs the policy's operators, records stage times and batch-local
 /// latency tallies (flushed to the shared trackers once per batch), and
-/// advances the worker's busy horizon. Returns the batch length.
-pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) -> usize {
+/// advances the worker's busy horizon.
+fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
     w.depth.observe(w.queue.len());
     let batch = w.queue.take(ctx.config.max_batch);
     if let Some(sw) = w.lane.store.as_deref_mut() {
@@ -1168,10 +1124,9 @@ pub(crate) fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) 
     }
     w.free_at = completion;
     w.makespan = w.makespan.max(completion);
-    batch.len()
 }
 
-/// Drives a resolved mutation stream through the sequential event loop:
+/// Drives a resolved mutation stream through the event loop:
 /// applies each op to the [`DeltaOverlay`] at its timestamp, meters the
 /// `graph.mut.*` family, and runs the fast invalidation path — stale
 /// cached topology rows are counted, the router's residency bits for
@@ -1290,7 +1245,7 @@ impl<'a> MutationDriver<'a> {
     }
 }
 
-/// The sequential global event loop (`shards <= 1`): repeatedly take
+/// The global event loop: repeatedly take
 /// the earliest event — the next arrival or the earliest batch launch
 /// across all workers (launch ties go to the lowest GPU; an arrival
 /// tying a launch yields to it, the same rule the per-GPU loops used).
@@ -1687,12 +1642,9 @@ impl Deployment<'_> {
         });
         registry.counter("serve.offered").add(requests.len() as u64);
 
-        // Everything the batch path reads but never mutates, bundled so
-        // the sequential loop and the shard threads share one
-        // `&ServeContext`. All interior mutability below this point is
-        // commuting integer atomics (counters, histograms, the server's
-        // meters) — the reason sharded runs can flush batch-wise without
-        // changing any total.
+        // Everything the batch path reads but never mutates. All
+        // interior mutability below this point is commuting integer
+        // atomics (counters, histograms, the server's meters).
         let ctx = ServeContext {
             graph,
             features,
@@ -1714,20 +1666,9 @@ impl Deployment<'_> {
             RouterState::new(registry, seeded.clone(), config.router.probe_neighbors)
         });
 
-        // Event-loop dispatch: the sequential global loop at
-        // `shards <= 1` (and whenever the topology collapses to one
-        // usable shard), free-running shard threads under round-robin
-        // routing, and the quantum-stepped coordinator under residency
-        // routing.
-        let eff_shards = if config.shards > 1 {
-            shard::effective_shards(server, config.shards)
-        } else {
-            1
-        };
         // Mutation stream: resolved once per run (generated from the
         // config's churn knobs up to the last arrival, or replayed from
-        // a logged stream) and interleaved into the sequential loop. The
-        // config validator pins churn runs to `shards <= 1`.
+        // a logged stream) and interleaved into the event loop.
         let mutation_driver = config.mutations.as_ref().map(|src| {
             let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
             let (log, compact_threshold) = src.resolve(graph, config.seed, horizon);
@@ -1738,13 +1679,7 @@ impl Deployment<'_> {
                 registry,
             )
         });
-        if eff_shards <= 1 {
-            run_sequential(&ctx, &mut workers, &mut router, requests, mutation_driver);
-        } else if let Some(rs) = router.as_mut() {
-            shard::run_residency_sharded(&ctx, &mut workers, rs, requests, eff_shards);
-        } else {
-            shard::run_roundrobin_sharded(&ctx, &mut workers, requests, eff_shards);
-        }
+        run_sequential(&ctx, &mut workers, &mut router, requests, mutation_driver);
         build_report(&ctx, &workers, router.as_ref(), requests.len() as u64)
     }
 }

@@ -73,8 +73,6 @@
 //! | `serve.class{c}.p99_us` / `.slo_attainment` | gauge | per-class run summary |
 //! | `serve.route.clique{q}.{routed,spilled,shed}` | counter | per-clique routing outcomes (`--router` runs) |
 //! | `serve.route.locality` | gauge | mean fraction of the routed probe resident in the chosen clique |
-//! | `serve.route.steals` | counter | spilled requests re-assigned by quantum-boundary work stealing (sharded router runs) |
-//! | `serve.shard{s}.{batches,completed}` | counter | per-shard event-loop totals (`--shards > 1` runs only) |
 //! | `serve.replan.mid_batch_commits` | counter | audit: plan-version bumps observed mid-batch (always 0 — commits are batch-boundary only) |
 //! | `stage.gpu{g}.{sample,extract,train}_ns` | counter | per-batch stage times (shared with `legion-pipeline`; `train` holds inference) |
 //! | `pipeline.gpu{g}.queue_depth` | histogram | admission-queue depth at each batch launch |
@@ -98,10 +96,9 @@
 //! (`{g}` is a zero-based GPU index; `{k}` a zero-padded drift-phase
 //! index, e.g. `serve.phase003.feature_hits`; `{c}` a class priority
 //! index — 0 = `Interactive`, 1 = `Standard`, 2 = `Batch`; `{q}` a
-//! route-group / clique index; `{s}` an event-loop shard index. Class
-//! and route metrics are registered only when the run actually uses
-//! them: per-class metrics for multi-class mixes, route metrics for the
-//! residency router, shard metrics for `--shards > 1`,
+//! route-group / clique index. Class and route metrics are registered
+//! only when the run actually uses them: per-class metrics for
+//! multi-class mixes, route metrics for the residency router,
 //! `serve.store.*` / `store.nvme.*` only when [`StoreConfig`] actually
 //! places rows on the SSD tier, `serve.remote.*` only when the run is
 //! passed a [`RemoteConfig`], marking it as one server of a fleet, the
@@ -117,7 +114,6 @@ pub mod cache_policy;
 pub mod engine;
 pub mod queue;
 pub mod replan;
-mod shard;
 pub mod slo;
 pub mod sweep;
 pub mod workload;
@@ -190,10 +186,6 @@ pub struct ServeConfig {
     pub router: RouterConfig,
     /// Priority-class mix and QoS knobs.
     pub classes: ClassConfig,
-    /// Event-loop shards (OS threads), one per NVLink clique at most;
-    /// `1` (the default) runs the sequential global loop, byte-identical
-    /// to the pre-sharding engine.
-    pub shards: usize,
     /// Out-of-core feature store (SSD tier below host DRAM).
     pub store: StoreConfig,
     /// Streaming graph mutations applied while serving (edge
@@ -479,7 +471,6 @@ impl Default for ServeConfig {
             num_classes: 16,
             router: RouterConfig::default(),
             classes: ClassConfig::default(),
-            shards: 1,
             store: StoreConfig::default(),
             mutations: None,
             seed: 42,
@@ -506,15 +497,10 @@ impl ServeConfig {
             self.arrival.mean_rate() > 0.0,
             "arrival rate must be positive"
         );
-        assert!(self.shards > 0, "shards must be positive");
         if let Some(m) = &self.mutations {
             if let Err(e) = m.validate() {
                 panic!("mutations: {e}");
             }
-            assert!(
-                self.shards <= 1,
-                "mutations require the sequential event loop (shards <= 1)"
-            );
         }
         self.replan.validate();
         self.router.validate();

@@ -9,10 +9,9 @@
 //!
 //! The steady-state path records through [`SloBatch`], a batch-local
 //! tally flushed once per micro-batch — three shared-atomic adds per
-//! *batch* instead of three per *request*, which is what lets shard
-//! threads complete requests without contending on the shared
-//! histogram. Commutativity makes the flushed totals bit-identical to
-//! per-request [`SloTracker::record`] calls.
+//! *batch* instead of three per *request*. Commutativity makes the
+//! flushed totals bit-identical to per-request [`SloTracker::record`]
+//! calls.
 
 use std::sync::Arc;
 
@@ -136,8 +135,8 @@ impl SloTracker {
 }
 
 /// Batch-local latency tally for one [`SloTracker`]: per-bucket counts
-/// plus the completed / SLO-ok scalars, owned by a single worker or
-/// shard and flushed at batch boundaries.
+/// plus the completed / SLO-ok scalars, owned by a single worker and
+/// flushed at batch boundaries.
 #[derive(Debug, Clone)]
 pub struct SloBatch {
     counts: Vec<u64>,

@@ -147,10 +147,9 @@ impl ProbeStore {
 /// `num_gpus * max_batch` seeds and deals them through the same
 /// [`Dispatcher`](legion_router::Dispatcher) scoring the engine uses,
 /// against *projected* depths (incremented per placement within the
-/// round, the same projection the sharded coordinator uses); every
-/// GPU's routed sub-batch is timed
-/// against its own warmed FIFO cache, GPUs run concurrently, and the
-/// round's service time is the *max* over GPUs. Routed runs concentrate
+/// round); every GPU's routed sub-batch is timed against its own warmed
+/// FIFO cache, GPUs run concurrently, and the round's service time is
+/// the *max* over GPUs. Routed runs concentrate
 /// each clique's partition on its own caches, so their steady-state
 /// service rate (and therefore the knee a sweep should anchor to) is
 /// higher than the round-robin probe reports. Either way capacity is
@@ -240,8 +239,7 @@ pub fn estimate_capacity_rps(
                         .take(config.router.probe_neighbors)
                         .copied(),
                 );
-                // Projected depths, exactly like the sharded
-                // coordinator: each placement deepens its GPU,
+                // Projected depths: each placement deepens its GPU,
                 // spreading a clique's round across its members and
                 // spilling past one batch.
                 let dec = d.route(&probe, &lens);

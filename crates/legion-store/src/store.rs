@@ -3,8 +3,7 @@
 //!
 //! One `VertexStore` sits behind each GPU worker's extraction path
 //! (its NVMe namespace and pinned staging window are NUMA-local, so
-//! workers never share mutable store state — the same single-writer
-//! discipline the sharded event loop relies on). The extractor keeps
+//! workers never share mutable store state). The extractor keeps
 //! using its existing batch interface; after the HBM lookup it hands
 //! the missed vertices here, and the store answers with deterministic
 //! timing:

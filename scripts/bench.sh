@@ -2,9 +2,7 @@
 # Hot-path microbenchmark runner: builds and runs the `hotpath` criterion
 # suite and leaves machine-readable results in BENCH_hotpath.json at the
 # repo root (schema: legion-bench-hotpath/v1; ns/op and ops/sec per
-# bench, grouped). The `bench_shard` group times whole serve runs
-# sequential vs `--shards 2` on the 2x2-clique server and prints the
-# measured speedup. The `bench_store` group compares out-of-core reads
+# bench, grouped). The `bench_store` group compares out-of-core reads
 # against the SSD tier: staged (prefetched), cold, and DRAM-resident.
 # The `bench_net` group prices the fleet fabric's remote-charging path:
 # per-row vs coalesced per-owner, with and without uplink contention.

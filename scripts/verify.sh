@@ -60,9 +60,6 @@ cargo run --release -q -p legion-bench --bin servectl -- --smoke
 echo "==> servectl --smoke --router"
 cargo run --release -q -p legion-bench --bin servectl -- --smoke --router
 
-echo "==> servectl --smoke --router --shards 2 (sharded loop + head-to-head)"
-cargo run --release -q -p legion-bench --bin servectl -- --smoke --router --shards 2
-
 echo "==> servectl --smoke --oversubscribe (SSD tier sweep + DRAM-resident equivalence)"
 cargo run --release -q -p legion-bench --bin servectl -- --smoke --oversubscribe
 
@@ -72,7 +69,7 @@ cargo run --release -q -p legion-bench --bin servectl -- --smoke --fleet 2
 echo "==> servectl --smoke --churn (streaming mutations: margins, overlay correctness, replay)"
 cargo run --release -q -p legion-bench --bin servectl -- --smoke --churn
 
-echo "==> sharded-vs-sequential equivalence + golden digests (determinism suites)"
+echo "==> same-seed replay, store/fleet equivalence + golden digests (determinism suites)"
 cargo test -q -p legion-core --test determinism --test golden
 
 echo "==> bench_compare --warn-only (fresh smoke hotpath run vs committed BENCH_hotpath.json)"

@@ -280,16 +280,14 @@ fn sample_batch_with_matches_reference_scalar_sampler() {
     assert_eq!(reference2, batched2);
 }
 
-/// Sharded-serving invariants. Round-robin sharding is free-running and
-/// must reproduce the sequential loop byte-for-byte; residency sharding
-/// is quantum-stepped and must be deterministic per seed and shard
-/// count; plan commits must land only on batch boundaries on every
-/// shard.
-mod sharded_serving {
+/// Re-planning behind the residency router on a two-clique server:
+/// same-seed runs replay byte-for-byte, and plan commits land only on
+/// batch boundaries.
+mod routed_replan_serving {
     use legion_graph::dataset::{spec_by_name, Dataset};
     use legion_hw::{MultiGpuServer, ServerSpec};
     use legion_serve::{
-        serve, ClassConfig, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig, CLASS_COUNT,
+        serve, ClassConfig, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig, ServeReport,
     };
 
     fn dataset() -> Dataset {
@@ -297,14 +295,14 @@ mod sharded_serving {
     }
 
     /// Two NVLink cliques of two GPUs — the smallest server where
-    /// `--shards 2` actually splits the loop.
+    /// clique residency differs from per-GPU or global state.
     fn clique_server() -> MultiGpuServer {
         ServerSpec::custom(4, 1 << 30, 2).build()
     }
 
-    /// Multi-class mix so the comparison covers per-class counters, not
-    /// just the aggregate latency surface.
-    fn base_config(policy: PolicyKind) -> ServeConfig {
+    /// A multi-class QoS mix behind the residency router, with forced
+    /// drift and an eager detector so plans actually commit mid-run.
+    fn config() -> ServeConfig {
         let mut cfg = ServeConfig {
             num_requests: 1600,
             max_batch: 16,
@@ -313,7 +311,15 @@ mod sharded_serving {
             cache_rows_per_gpu: 512,
             warmup_requests: 128,
             fanouts: vec![5, 3],
-            policy,
+            policy: PolicyKind::Replan,
+            drift_period: 300,
+            drift_stride: 1024,
+            replan: ReplanConfig {
+                bucket_requests: 16,
+                window_buckets: 2,
+                cooldown_buckets: 0,
+                ..ReplanConfig::default()
+            },
             classes: ClassConfig {
                 mix: [0.2, 0.5, 0.3],
                 qos: true,
@@ -321,139 +327,50 @@ mod sharded_serving {
             },
             ..ServeConfig::default()
         };
-        if policy == PolicyKind::Replan {
-            // Force drift and an eager detector so plans actually commit
-            // mid-run and the sharded loop exercises the swap path.
-            cfg.drift_period = 300;
-            cfg.drift_stride = 1024;
-            cfg.replan = ReplanConfig {
-                bucket_requests: 16,
-                window_buckets: 2,
-                cooldown_buckets: 0,
-                ..ReplanConfig::default()
-            };
-        }
+        cfg.router.policy = RouterPolicy::Residency;
         cfg
     }
 
-    /// Everything the equivalence check compares: the full telemetry
-    /// snapshot (minus shard-local tallies, which only exist when
-    /// sharding is active) plus the report's routed/spilled and
-    /// per-class totals.
-    #[allow(clippy::type_complexity)]
-    fn observable(
-        policy: PolicyKind,
-        shards: usize,
-    ) -> (String, [u64; CLASS_COUNT], [u64; CLASS_COUNT], u64, u64) {
-        let d = dataset();
-        let server = clique_server();
-        let mut cfg = base_config(policy);
-        cfg.shards = shards;
-        let mut report = serve(&d.graph, &d.features, &server, &cfg);
+    /// One run of the fixture, checked to have committed plans.
+    fn run(d: &Dataset) -> ServeReport {
+        let report = serve(&d.graph, &d.features, &clique_server(), &config());
+        assert_eq!(report.routed + report.spilled, report.offered);
+        assert!(
+            report.metrics.counter("serve.replan.count") > 0,
+            "fixture must commit plans mid-run"
+        );
         report
-            .metrics
-            .counters
-            .retain(|c| !c.name.starts_with("serve.shard") && c.name != "serve.route.steals");
-        if policy == PolicyKind::Replan {
-            let replans: u64 = report
-                .metrics
-                .counters
-                .iter()
-                .filter(|c| c.name.ends_with(".replans"))
-                .map(|c| c.value)
-                .sum();
-            assert!(replans > 0, "fixture must exercise mid-run plan commits");
-        }
-        (
-            serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot"),
-            report.class_completed,
-            report.class_shed,
-            report.routed,
-            report.spilled,
-        )
     }
 
-    /// The tentpole's contract: under round-robin routing the per-worker
-    /// event sequences are independent of thread interleaving, so the
-    /// sharded loop must reproduce the sequential one bit-for-bit —
-    /// full snapshot JSON, per-class counters, and routed/spilled
-    /// totals — for every cache policy.
     #[test]
-    fn sharded_round_robin_matches_sequential_byte_for_byte() {
-        for policy in [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan] {
-            let seq = observable(policy, 1);
-            let sharded = observable(policy, 2);
-            assert_eq!(
-                seq.0,
-                sharded.0,
-                "snapshot drift between sequential and sharded under {}",
-                policy.as_str()
-            );
-            assert_eq!(
-                seq.1,
-                sharded.1,
-                "class_completed drift ({})",
-                policy.as_str()
-            );
-            assert_eq!(seq.2, sharded.2, "class_shed drift ({})", policy.as_str());
-            assert_eq!(seq.3, sharded.3, "routed drift ({})", policy.as_str());
-            assert_eq!(seq.4, sharded.4, "spilled drift ({})", policy.as_str());
-        }
-    }
-
-    /// Residency-routed sharding steps on quanta, so it is not
-    /// byte-identical to the sequential loop — but same seed and shard
-    /// count must replay bit-for-bit, including the steal counter.
-    #[test]
-    fn sharded_residency_runs_are_deterministic_per_seed() {
+    fn residency_replan_runs_are_deterministic_per_seed() {
         let d = dataset();
-        let run = || {
-            let server = clique_server();
-            let mut cfg = base_config(PolicyKind::StaticHot);
-            cfg.router.policy = RouterPolicy::Residency;
-            cfg.shards = 2;
-            let report = serve(&d.graph, &d.features, &server, &cfg);
-            assert_eq!(report.routed + report.spilled, report.offered);
-            serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot")
+        let snapshot = |r: ServeReport| {
+            serde_json::to_string_pretty(&r.metrics).expect("serializable snapshot")
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same-seed sharded residency runs must replay");
-        assert!(a.contains("serve.shard0.batches"), "shard tallies missing");
-        assert!(a.contains("serve.route.steals"), "steal counter missing");
+        assert_eq!(
+            snapshot(run(&d)),
+            snapshot(run(&d)),
+            "same-seed residency + re-plan runs must replay"
+        );
     }
 
-    /// Satellite 3's audit: a `PlanBuffer` version bump must never be
-    /// observed mid-batch by any shard. The engine counts every commit
-    /// whose version becomes visible inside an open batch; with commits
-    /// pinned to batch starts that count stays zero even under forced
-    /// drift on the sharded residency path.
+    /// The plan-commit visibility audit: a `PlanBuffer` version bump
+    /// must never be observed inside an open batch. The engine counts
+    /// every commit whose version becomes visible mid-batch; with
+    /// commits pinned to batch starts that count stays zero even under
+    /// forced drift.
     #[test]
-    fn sharded_replan_commits_only_at_batch_boundaries() {
-        let d = dataset();
-        let server = clique_server();
-        let mut cfg = base_config(PolicyKind::Replan);
-        cfg.router.policy = RouterPolicy::Residency;
-        cfg.shards = 2;
-        let report = serve(&d.graph, &d.features, &server, &cfg);
-        let value = |name: &str| {
-            report
-                .metrics
-                .counters
-                .iter()
-                .find(|c| c.name == name)
-                .map(|c| c.value)
-        };
-        let replans: u64 = report
+    fn replan_commits_only_at_batch_boundaries() {
+        let report = run(&dataset());
+        let audit = report
             .metrics
             .counters
             .iter()
-            .filter(|c| c.name.ends_with(".replans"))
-            .map(|c| c.value)
-            .sum();
-        assert!(replans > 0, "fixture must commit plans mid-run");
+            .find(|c| c.name == "serve.replan.mid_batch_commits")
+            .map(|c| c.value);
         assert_eq!(
-            value("serve.replan.mid_batch_commits"),
+            audit,
             Some(0),
             "a plan version bump leaked into an open batch"
         );

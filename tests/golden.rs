@@ -553,17 +553,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             snapshot_digest(&report.metrics),
         ));
     }
-    rows.push((
-        "serve_replan_router_shards2",
-        serve_digest(
-            &d,
-            &ServeConfig {
-                shards: 2,
-                store: StoreConfig::default(),
-                ..router_qos(oversub_drift_config())
-            },
-        ),
-    ));
     {
         // Re-plan + residency router + QoS + drift on one server, no store.
         let cfg = ServeConfig {

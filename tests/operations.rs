@@ -226,6 +226,12 @@ fn documented_core_metrics_are_observed_live() {
             "documented pattern `{expected}` matched no live metric"
         );
     }
+    // The serving tier has one event loop, so nothing can emit a
+    // per-loop-shard tally; a row for one would be phantom documentation.
+    assert!(
+        !patterns.iter().any(|p| p.starts_with("serve.shard")),
+        "glossary documents event-loop shard metrics that no run registers"
+    );
 }
 
 /// The pattern matcher itself: placeholders, alternation, anchoring.
