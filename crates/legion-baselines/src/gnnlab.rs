@@ -14,10 +14,11 @@
 //!   flat-lining curves of Figure 2),
 //! * only the trainer subset contributes training throughput (§6.2).
 
+use legion_cache::hotness_order;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 use legion_sampling::{presample, KHopSampler};
 
-use crate::policy::{build_feature_caches_replicated, hotness_order};
+use crate::policy::build_feature_caches_replicated;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Builds the GNNLab setup with `num_samplers` dedicated sampling GPUs.

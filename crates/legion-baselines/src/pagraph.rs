@@ -14,6 +14,7 @@
 //! sampling, pipelined). It fixes the duplication but keeps per-GPU
 //! caches, whose hit rates are unbalanced across partitions (Figure 3).
 
+use legion_cache::hotness_order;
 use legion_graph::VertexId;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 use legion_sampling::{presample, KHopSampler};
@@ -21,7 +22,7 @@ use legion_sampling::{presample, KHopSampler};
 use legion_partition::pagraph::pagraph_partition;
 use legion_partition::{HashPartitioner, LdgPartitioner, Partitioner};
 
-use crate::policy::{build_feature_cache_single, hotness_order, in_degree_hotness};
+use crate::policy::{build_feature_cache_single, in_degree_hotness};
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Host-memory inflation factor for PaGraph's redundant intermediate

@@ -5,17 +5,6 @@ use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
 use legion_partition::hash::hash_part_salted;
 
-/// Orders all vertices by descending hotness (ties: ascending id).
-pub fn hotness_order(hotness: &[u64]) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..hotness.len() as VertexId).collect();
-    order.sort_by(|&a, &b| {
-        hotness[b as usize]
-            .cmp(&hotness[a as usize])
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 /// In-degree of every vertex — PaGraph's and Quiver's original hotness
 /// metric ("PaGraph and Quiver use the in-degree of vertexes as the
 /// hotness metric", §7).
@@ -112,11 +101,6 @@ mod tests {
 
     fn features(n: usize) -> FeatureTable {
         FeatureTable::from_flat((0..n * 2).map(|x| x as f32).collect(), 2)
-    }
-
-    #[test]
-    fn hotness_order_sorts_desc_with_id_ties() {
-        assert_eq!(hotness_order(&[5, 9, 9, 1]), vec![1, 2, 0, 3]);
     }
 
     #[test]

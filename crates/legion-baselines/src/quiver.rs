@@ -8,11 +8,12 @@
 //! with the clique size but stops growing beyond it — the Figure 2
 //! flat-line once GPU count exceeds `K_g`.
 
+use legion_cache::hotness_order;
 use legion_partition::detect_cliques;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 use legion_sampling::{presample, KHopSampler};
 
-use crate::policy::{build_feature_cache_hashed, hotness_order, in_degree_hotness};
+use crate::policy::{build_feature_cache_hashed, in_degree_hotness};
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Hotness metric for the Quiver cache.

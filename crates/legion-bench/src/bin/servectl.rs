@@ -13,6 +13,11 @@
 //! cargo run --release -p legion-bench --bin servectl -- --churn # streaming mutations
 //! ```
 //!
+//! The scenario flags (`--fleet N`, `--router`, `--oversubscribe`,
+//! `--churn`) compose: each one named runs once, in that order, on the
+//! one instantiated dataset, in place of the base sweep. `--drift-only`
+//! trims the base sweep, so naming it beside a scenario is an error.
+//!
 //! `--fleet N` runs the scale-out head-to-head: the same open-loop
 //! stream over `N` simulated servers, routed by shard residency +
 //! projected load versus a uniform random-server baseline, with
@@ -1267,26 +1272,49 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
 const USAGE: &str =
     "usage: servectl [--smoke] [--drift-only] [--router] [--oversubscribe] [--churn] [--fleet N]";
 
-/// The scenario flags of one invocation.
+/// A named scenario; each runs instead of the base sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scenario {
+    Fleet(usize),
+    Router,
+    Oversubscribe,
+    Churn,
+}
+
+/// The flags of one invocation.
 #[derive(Default)]
 struct Cli {
     smoke: bool,
     drift_only: bool,
-    router_only: bool,
+    router: bool,
     oversubscribe: bool,
     churn: bool,
     fleet: Option<usize>,
 }
 
-/// Parses the command line; `Err` says which argument is unknown or
-/// lacks its positive-integer value.
+impl Cli {
+    /// Every scenario the command line named, once each, in the fixed
+    /// run order (not the order typed). Empty means the base sweep.
+    fn scenarios(&self) -> Vec<Scenario> {
+        let named = [
+            self.fleet.map(Scenario::Fleet),
+            self.router.then_some(Scenario::Router),
+            self.oversubscribe.then_some(Scenario::Oversubscribe),
+            self.churn.then_some(Scenario::Churn),
+        ];
+        named.into_iter().flatten().collect()
+    }
+}
+
+/// Parses the command line; `Err` says which argument is unknown, lacks
+/// its positive-integer value, or cannot take effect.
 fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => cli.smoke = true,
             "--drift-only" => cli.drift_only = true,
-            "--router" => cli.router_only = true,
+            "--router" => cli.router = true,
             "--oversubscribe" => cli.oversubscribe = true,
             "--churn" => cli.churn = true,
             "--fleet" => match args.next().map(|v| v.parse::<usize>()) {
@@ -1296,21 +1324,18 @@ fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             other => return Err(format!("unrecognised argument `{other}`")),
         }
     }
+    if cli.drift_only && !cli.scenarios().is_empty() {
+        return Err("--drift-only has no effect beside a scenario flag".to_string());
+    }
     Ok(cli)
 }
 
 fn main() {
-    let Cli {
-        smoke,
-        drift_only,
-        router_only,
-        oversubscribe,
-        churn,
-        fleet,
-    } = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("servectl: {e}; {USAGE}");
         std::process::exit(2);
     });
+    let (smoke, drift_only) = (cli.smoke, cli.drift_only);
     let dataset_name = "PR";
     let divisor = if smoke {
         legion_bench::dataset_divisor(dataset_name).max(500)
@@ -1354,31 +1379,32 @@ fn main() {
     let dataset: Dataset = spec_by_name(dataset_name)
         .expect("PR is registered")
         .instantiate(divisor, base.seed);
-    if let Some(n) = fleet {
-        let rows = fleet_head_to_head(&dataset, &base, n, smoke);
-        legion_bench::save_json("servectl_fleet", &rows);
-        if n > 1 {
-            let drift_rows = fleet_drift_resize(&dataset, &base, n);
-            legion_bench::save_json("servectl_fleet_drift", &drift_rows);
+    let scenarios = cli.scenarios();
+    for &scenario in &scenarios {
+        match scenario {
+            Scenario::Fleet(n) => {
+                let rows = fleet_head_to_head(&dataset, &base, n, smoke);
+                legion_bench::save_json("servectl_fleet", &rows);
+                if n > 1 {
+                    let drift_rows = fleet_drift_resize(&dataset, &base, n);
+                    legion_bench::save_json("servectl_fleet_drift", &drift_rows);
+                }
+            }
+            Scenario::Router => {
+                let rows = router_head_to_head(&dataset, &base);
+                legion_bench::save_json("servectl_router", &rows);
+            }
+            Scenario::Oversubscribe => {
+                let rows = oversubscribe_sweep(&dataset, &base, smoke);
+                legion_bench::save_json("servectl_oversubscribe", &rows);
+            }
+            Scenario::Churn => {
+                let rows = churn_head_to_head(&dataset, &base, smoke);
+                legion_bench::save_json("servectl_churn", &rows);
+            }
         }
-        println!("\nservectl: OK");
-        return;
     }
-    if router_only {
-        let rows = router_head_to_head(&dataset, &base);
-        legion_bench::save_json("servectl_router", &rows);
-        println!("\nservectl: OK");
-        return;
-    }
-    if oversubscribe {
-        let rows = oversubscribe_sweep(&dataset, &base, smoke);
-        legion_bench::save_json("servectl_oversubscribe", &rows);
-        println!("\nservectl: OK");
-        return;
-    }
-    if churn {
-        let rows = churn_head_to_head(&dataset, &base, smoke);
-        legion_bench::save_json("servectl_churn", &rows);
+    if !scenarios.is_empty() {
         println!("\nservectl: OK");
         return;
     }
@@ -1606,4 +1632,44 @@ fn main() {
         legion_bench::save_json("servectl_router", &router_rows);
     }
     println!("\nservectl: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scenarios(args: &[&str]) -> Vec<Scenario> {
+        parse_cli(args.iter().map(|a| a.to_string()))
+            .unwrap_or_else(|e| panic!("{args:?}: {e}"))
+            .scenarios()
+    }
+
+    #[test]
+    fn scenario_flags_compose_in_fixed_order() {
+        assert_eq!(
+            scenarios(&["--router", "--churn"]),
+            [Scenario::Router, Scenario::Churn]
+        );
+        assert_eq!(
+            scenarios(&[
+                "--smoke",
+                "--churn",
+                "--oversubscribe",
+                "--router",
+                "--fleet",
+                "2"
+            ]),
+            [
+                Scenario::Fleet(2),
+                Scenario::Router,
+                Scenario::Oversubscribe,
+                Scenario::Churn
+            ]
+        );
+        // A repeated flag names its scenario once.
+        assert_eq!(scenarios(&["--churn", "--churn"]), [Scenario::Churn]);
+        // No scenario flag: the base sweep, whole or trimmed.
+        assert!(scenarios(&["--smoke"]).is_empty());
+        assert!(scenarios(&["--smoke", "--drift-only"]).is_empty());
+    }
 }

@@ -1,15 +1,19 @@
-//! `servectl`'s command line: an argument it does not know, or a flag
-//! missing its value, is an error — never a silently different run.
+//! `servectl`'s command line: an argument it does not know, a flag
+//! missing its value, or a flag that could not take effect is an error —
+//! never a silently different run.
 
 use std::process::Command;
 
 #[test]
 fn servectl_rejects_unknown_and_valueless_arguments() {
-    let rejected: [&[&str]; 4] = [
+    let rejected: [&[&str]; 7] = [
         &["--shards", "2"],
         &["--sequential"],
         &["--bogus"],
         &["--fleet"],
+        &["--fleet", "0"],
+        &["--router", "--churn", "--bogus"],
+        &["--drift-only", "--router"],
     ];
     for args in rejected {
         let out = Command::new(env!("CARGO_BIN_EXE_servectl"))

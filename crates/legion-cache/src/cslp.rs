@@ -151,6 +151,13 @@ mod tests {
     }
 
     #[test]
+    fn hotness_order_sorts_desc_with_id_ties() {
+        assert_eq!(hotness_order(&[5, 9, 9, 1]), vec![1, 2, 0, 3]);
+        // Zero-hotness vertices skip the sort and follow in id order.
+        assert_eq!(hotness_order(&[0, 3, 0, 3, 7]), vec![4, 1, 3, 0, 2]);
+    }
+
+    #[test]
     fn all_zero_hotness_is_deterministic() {
         let h = HotnessMatrix::new(2, 3);
         let out = cslp(&h);

@@ -7,8 +7,9 @@
 //! UVA, and the pipelined schedule; they differ only in partitioning and
 //! cache placement — exactly the axes Figures 2, 3, 9 and 10 vary.
 
-use legion_baselines::policy::{build_feature_caches_replicated, hotness_order};
+use legion_baselines::policy::build_feature_caches_replicated;
 use legion_baselines::{pagraph, quiver, BuildContext, ScheduleKind, SystemError, SystemSetup};
+use legion_cache::hotness_order;
 use legion_partition::pagraph::pagraph_partition;
 use legion_partition::HashPartitioner;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};

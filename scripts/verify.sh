@@ -51,31 +51,10 @@ cargo test --offline --manifest-path bench/Cargo.toml
 echo "==> bench/run.sh --quick (four workloads, both phases: byte-identical passes, bypass matrix, traced replay == run_epoch)"
 bash bench/run.sh --quick >/dev/null
 
-echo "==> cargo bench --no-run (benches must compile)"
-cargo bench --no-run -q -p legion-bench
-
 echo "==> servectl --smoke"
 cargo run --release -q -p legion-bench --bin servectl -- --smoke
 
-echo "==> servectl --smoke --router"
-cargo run --release -q -p legion-bench --bin servectl -- --smoke --router
-
-echo "==> servectl --smoke --oversubscribe (SSD tier sweep + DRAM-resident equivalence)"
-cargo run --release -q -p legion-bench --bin servectl -- --smoke --oversubscribe
-
-echo "==> servectl --smoke --fleet 2 (scale-out + contention/coalescing head-to-head + drift resize)"
-cargo run --release -q -p legion-bench --bin servectl -- --smoke --fleet 2
-
-echo "==> servectl --smoke --churn (streaming mutations: margins, overlay correctness, replay)"
-cargo run --release -q -p legion-bench --bin servectl -- --smoke --churn
-
-echo "==> same-seed replay, store/fleet equivalence + golden digests (determinism suites)"
-cargo test -q -p legion-core --test determinism --test golden
-
-echo "==> bench_compare --warn-only (fresh smoke hotpath run vs committed BENCH_hotpath.json)"
-BENCH_TMP="$(mktemp /tmp/bench_hotpath.XXXXXX.json)"
-trap 'rm -f "$BENCH_TMP"' EXIT
-LEGION_BENCH_SMOKE=1 LEGION_BENCH_OUT="$BENCH_TMP" cargo bench -q -p legion-bench --bench hotpath
-scripts/bench_compare BENCH_hotpath.json "$BENCH_TMP" --warn-only
+echo "==> servectl --smoke --router --oversubscribe --fleet 2 --churn (every scenario, one dataset build)"
+cargo run --release -q -p legion-bench --bin servectl -- --smoke --router --oversubscribe --fleet 2 --churn
 
 echo "verify: OK"

@@ -13,6 +13,9 @@
 //!   must be observed live, so renaming a counter without updating the
 //!   glossary fails here too.
 //!
+//! It also checks that every `scripts/…` and `bench/….sh` path the four
+//! top-level docs name is a file in the tree.
+//!
 //! Pattern language: literal dot-separated names with `{g}`-style
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
 //! lists matching any alternative.
@@ -254,4 +257,52 @@ fn pattern_matcher_semantics() {
         "traffic.dst0.src3_bytes"
     ));
     assert!(!matches("fleet.server{s}.routed", "fleet.serverX.routed"));
+}
+
+/// Every `scripts/<name>` and `bench/<name>.sh` path in `doc`, in order
+/// of appearance: the words of path characters that start with one of
+/// the two directories (so `crates/legion-bench/x.sh` is not one), less
+/// a leading `./` and a sentence's full stop.
+fn script_paths(doc: &str) -> Vec<&str> {
+    doc.split(|c: char| !(c.is_ascii_alphanumeric() || "_-./".contains(c)))
+        .map(|word| word.trim_start_matches("./").trim_end_matches('.'))
+        .filter(|path| {
+            path.strip_prefix("scripts/")
+                .is_some_and(|name| !name.is_empty())
+                || (path.starts_with("bench/") && path.ends_with(".sh"))
+        })
+        .collect()
+}
+
+/// A doc cannot outlive the script it tells the reader to run.
+#[test]
+fn documented_scripts_exist() {
+    assert_eq!(
+        script_paths(
+            "run `scripts/a_b.sh`, ./bench/run.sh --quick, then scripts/ab.sh. \
+             Not crates/legion-bench/x.sh, bench/src/x.rs, scripts/ or bench/."
+        ),
+        ["scripts/a_b.sh", "bench/run.sh", "scripts/ab.sh"]
+    );
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let docs = [
+        ("README.md", include_str!("../README.md")),
+        ("OPERATIONS.md", include_str!("../OPERATIONS.md")),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+        ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+    ];
+    let mut named = 0;
+    for (doc_name, doc) in docs {
+        for path in script_paths(doc) {
+            named += 1;
+            assert!(
+                root.join(path).is_file(),
+                "{doc_name} names `{path}`, which is not in the tree"
+            );
+        }
+    }
+    assert!(
+        named >= 4,
+        "script-path parse collapsed: only {named} found"
+    );
 }
