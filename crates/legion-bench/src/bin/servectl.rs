@@ -67,15 +67,6 @@ use legion_telemetry::Snapshot;
 
 const POLICIES: [PolicyKind; 3] = [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan];
 
-/// Reads one counter from a snapshot (0 when absent).
-fn counter(metrics: &Snapshot, name: &str) -> u64 {
-    metrics
-        .counters
-        .iter()
-        .find(|c| c.name == name)
-        .map_or(0, |c| c.value)
-}
-
 /// Feature-cache hit rate across all GPUs, from a run's snapshot.
 fn feature_hit_rate(metrics: &Snapshot) -> f64 {
     let sum = |suffix: &str| {
@@ -359,10 +350,10 @@ struct OversubRow {
 /// needed that the plan placed on NVMe, the fraction already staged in
 /// DRAM when the extractor asked for them.
 fn prefetch_hit_ratio(metrics: &Snapshot) -> f64 {
-    let hits = counter(metrics, "serve.store.prefetch_hits");
+    let hits = metrics.counter("serve.store.prefetch_hits");
     let total = hits
-        + counter(metrics, "serve.store.late_stalls")
-        + counter(metrics, "serve.store.cold_reads");
+        + metrics.counter("serve.store.late_stalls")
+        + metrics.counter("serve.store.cold_reads");
     if total == 0 {
         1.0
     } else {
@@ -486,12 +477,12 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
             shed: r.shed,
             p50_us: r.p50_us,
             p99_us: r.p99_us,
-            prefetch_hits: counter(&r.metrics, "serve.store.prefetch_hits"),
-            late_stalls: counter(&r.metrics, "serve.store.late_stalls"),
-            cold_reads: counter(&r.metrics, "serve.store.cold_reads"),
+            prefetch_hits: r.metrics.counter("serve.store.prefetch_hits"),
+            late_stalls: r.metrics.counter("serve.store.late_stalls"),
+            cold_reads: r.metrics.counter("serve.store.cold_reads"),
             prefetch_hit_ratio: prefetch_hit_ratio(&r.metrics),
-            nvme_bytes: counter(&r.metrics, "store.nvme.bytes"),
-            migrations: counter(&r.metrics, "serve.store.migrations"),
+            nvme_bytes: r.metrics.counter("store.nvme.bytes"),
+            migrations: r.metrics.counter("serve.store.migrations"),
         };
         println!(
             "  {:<10} {:>5.2}x {:>9} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8} {:>8.1}% {:>11.2}",
@@ -1121,12 +1112,12 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
             p50_us: r.p50_us,
             p99_us: r.p99_us,
             hit_rate: feature_hit_rate(&r.metrics),
-            mut_inserts: counter(&r.metrics, "graph.mut.inserts"),
-            mut_deletes: counter(&r.metrics, "graph.mut.deletes"),
-            compactions: counter(&r.metrics, "graph.mut.compactions"),
-            overlay_rows: counter(&r.metrics, "graph.mut.overlay_rows"),
-            invalidate_topo_rows: counter(&r.metrics, "serve.invalidate.topo_rows"),
-            invalidate_residency_bits: counter(&r.metrics, "serve.invalidate.residency_bits"),
+            mut_inserts: r.metrics.counter("graph.mut.inserts"),
+            mut_deletes: r.metrics.counter("graph.mut.deletes"),
+            compactions: r.metrics.counter("graph.mut.compactions"),
+            overlay_rows: r.metrics.counter("graph.mut.overlay_rows"),
+            invalidate_topo_rows: r.metrics.counter("serve.invalidate.topo_rows"),
+            invalidate_residency_bits: r.metrics.counter("serve.invalidate.residency_bits"),
         };
         println!(
             "{:<8} {:<8} {:>9} {:>7} {:>8.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>9}",
@@ -1168,8 +1159,8 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
             frozen.p99_us
         );
         assert!(
-            counter(&churned.metrics, "graph.mut.inserts")
-                + counter(&churned.metrics, "graph.mut.deletes")
+            churned.metrics.counter("graph.mut.inserts")
+                + churned.metrics.counter("graph.mut.deletes")
                 > 0,
             "churn run must apply mutations"
         );
@@ -1559,8 +1550,8 @@ fn main() {
         if policy == PolicyKind::Replan {
             print!(
                 "  ({} replans, {:.1} MiB swapped)",
-                counter(&report.metrics, "serve.replan.count"),
-                counter(&report.metrics, "serve.replan.swap_bytes") as f64 / (1 << 20) as f64,
+                report.metrics.counter("serve.replan.count"),
+                report.metrics.counter("serve.replan.swap_bytes") as f64 / (1 << 20) as f64,
             );
         }
         println!();
@@ -1595,8 +1586,8 @@ fn main() {
     }
 
     let replan_metrics = &drift_reports[2].1.metrics;
-    let replans = counter(replan_metrics, "serve.replan.count");
-    let swap_bytes = counter(replan_metrics, "serve.replan.swap_bytes");
+    let replans = replan_metrics.counter("serve.replan.count");
+    let swap_bytes = replan_metrics.counter("serve.replan.swap_bytes");
     let last_phase = *phases.iter().next_back().expect("drift runs have phases");
     let end_rate = |i: usize| *tails[i].get(&last_phase).unwrap_or(&0.0);
     let fresh = *tails[2].get(&0).unwrap_or(&0.0);

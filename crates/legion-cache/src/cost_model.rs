@@ -192,11 +192,6 @@ impl CostModel {
         self.n_tsum
     }
 
-    /// Equation 8's per-vertex transaction factor.
-    pub fn feature_transactions_per_vertex(&self) -> u64 {
-        self.feat_tx_per_vertex
-    }
-
     /// Largest prefix of `prefix_bytes` fitting in `budget` (binary
     /// search on the inclusive prefix-sum array).
     fn boundary(prefix_bytes: &[u64], budget: u64) -> usize {
@@ -457,7 +452,6 @@ mod tests {
         let (g, q_t, a_t, q_f, a_f) = fixture();
         // D = 128 floats = 512 bytes -> 8 transactions per vertex.
         let m = CostModel::new(&g, &q_t, &a_t, &q_f, &a_f, 0, 128, 64);
-        assert_eq!(m.feature_transactions_per_vertex(), 8);
         let e = m.evaluate(0, 0.0);
         assert_eq!(e.n_f, 8.0 * 182.0);
     }

@@ -73,14 +73,6 @@ pub fn hotness_order(hotness: &[u64]) -> Vec<VertexId> {
     order
 }
 
-impl CslpOutput {
-    /// Total accumulated hotness (`sum_{v in V} a(v)`, the denominator of
-    /// Equation 4).
-    pub fn total_hotness(&self) -> u64 {
-        self.accumulated.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +97,6 @@ mod tests {
         let out = cslp(&example());
         assert_eq!(out.accumulated, vec![6, 7, 4, 1]);
         assert_eq!(out.clique_order, vec![1, 0, 2, 3]);
-        assert_eq!(out.total_hotness(), 18);
     }
 
     #[test]
@@ -170,6 +161,6 @@ mod tests {
         let h = HotnessMatrix::new(2, 0);
         let out = cslp(&h);
         assert!(out.clique_order.is_empty());
-        assert_eq!(out.total_hotness(), 0);
+        assert!(out.accumulated.is_empty());
     }
 }

@@ -132,31 +132,6 @@ impl FifoCache {
     }
 }
 
-/// Replays an access trace through a FIFO cache and, for comparison,
-/// through a static cache of the same capacity preloaded with the
-/// hotness-ranked top vertices (Legion's policy). Returns
-/// `(fifo_hit_rate, static_hit_rate, fifo_evictions)`.
-pub fn compare_fifo_vs_static(
-    trace: &[VertexId],
-    capacity: usize,
-    hotness_order: &[VertexId],
-) -> (f64, f64, u64) {
-    let mut fifo = FifoCache::new(capacity);
-    for &v in trace {
-        fifo.access(v);
-    }
-    let static_set: std::collections::HashSet<VertexId> =
-        hotness_order.iter().take(capacity).copied().collect();
-    let static_hits = trace.iter().filter(|v| static_set.contains(v)).count();
-    let static_rate = if trace.is_empty() {
-        0.0
-    } else {
-        static_hits as f64 / trace.len() as f64
-    };
-    let stats = fifo.stats();
-    (stats.hit_rate(), static_rate, stats.evictions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,54 +168,6 @@ mod tests {
             assert!(c.access(7));
         }
         assert!((c.hit_rate() - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn static_cache_wins_on_skewed_stationary_traces() {
-        // A Zipf-ish stationary trace: the static top-k cache should meet
-        // or beat FIFO, which wastes capacity on one-off cold vertices.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let zipf = legion_graph::generate::Zipf::new(500, 1.1);
-        let mut rng = StdRng::seed_from_u64(9);
-        let trace: Vec<VertexId> = (0..20_000).map(|_| zipf.sample(&mut rng) as u32).collect();
-        // Hotness order = frequency order (what pre-sampling estimates).
-        let mut counts = vec![0u64; 500];
-        for &v in &trace {
-            counts[v as usize] += 1;
-        }
-        let mut order: Vec<VertexId> = (0..500).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(counts[v as usize]));
-        let (fifo, statik, evictions) = compare_fifo_vs_static(&trace, 50, &order);
-        assert!(
-            statik >= fifo,
-            "static {statik} should beat FIFO {fifo} on stationary skew"
-        );
-        // And FIFO paid for thousands of replacements doing it.
-        assert!(evictions > 1000, "evictions {evictions}");
-    }
-
-    #[test]
-    fn fifo_adapts_to_phase_changes() {
-        // Where FIFO earns its keep: a trace whose hot set shifts.
-        // Static top-k (ranked on the whole trace) splits capacity across
-        // both phases; FIFO tracks the current phase.
-        let mut trace = Vec::new();
-        for round in 0..100 {
-            for v in 0..20u32 {
-                trace.push(v + if round < 50 { 0 } else { 1000 });
-            }
-        }
-        let mut order: Vec<VertexId> = (0..20).chain(1000..1020).collect();
-        order.sort_unstable();
-        let (fifo, statik, _) = compare_fifo_vs_static(&trace, 20, &order);
-        assert!(fifo > statik, "fifo {fifo} static {statik}");
-    }
-
-    #[test]
-    fn empty_trace() {
-        let (f, s, e) = compare_fifo_vs_static(&[], 4, &[]);
-        assert_eq!((f, s, e), (0.0, 0.0, 0));
     }
 }
 

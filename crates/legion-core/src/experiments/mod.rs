@@ -42,11 +42,6 @@ pub fn rows_for_ratio(dataset: &Dataset, ratio: f64) -> usize {
     ((dataset.graph.num_vertices() as f64) * ratio).round() as usize
 }
 
-/// Per-GPU cache bytes for a cache ratio.
-pub fn budget_for_ratio(dataset: &Dataset, ratio: f64) -> u64 {
-    rows_for_ratio(dataset, ratio) as u64 * dataset.features.row_bytes()
-}
-
 /// A batch size that keeps every GPU's tablet several batches long even
 /// at the sweep's maximum GPU count. In the paper the training set dwarfs
 /// the 8000-seed batch, so per-batch neighborhood dedup is identical at
@@ -85,10 +80,6 @@ mod tests {
         assert_eq!(
             rows,
             (ds.graph.num_vertices() as f64 * 0.05).round() as usize
-        );
-        assert_eq!(
-            budget_for_ratio(&ds, 0.05),
-            rows as u64 * ds.features.row_bytes()
         );
     }
 }

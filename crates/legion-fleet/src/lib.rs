@@ -81,7 +81,7 @@ use rand::{Rng, SeedableRng};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
-use legion_router::Dispatcher;
+use legion_router::{fill_probe, Dispatcher};
 use legion_serve::{
     adaptive_replicated_rows, estimate_capacity_rps, generate_requests, latency_buckets,
     plan_deployment, warmup_hot_vertices_weighted, CoalesceConfig, MutationLog, MutationOp,
@@ -625,15 +625,7 @@ fn route_front_tier(
     let mut probed = 0u64;
     let mut random_rng = StdRng::seed_from_u64(base.seed ^ RANDOM_ROUTE_SALT);
     for r in requests {
-        probe.clear();
-        probe.push(r.target);
-        probe.extend(
-            graph
-                .neighbors(r.target)
-                .iter()
-                .take(fleet.probe_neighbors)
-                .copied(),
-        );
+        fill_probe(graph, r.target, fleet.probe_neighbors, &mut probe);
         let s = match fleet.policy {
             FleetPolicy::Residency => {
                 let could_drain = (r.arrival * drain) as u64;

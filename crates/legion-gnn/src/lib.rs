@@ -5,16 +5,11 @@
 //! fan-outs are 25 and 10. The dimension of the hidden layers in both
 //! models is set to 256" (§6.1). This crate implements both models over
 //! the message-flow blocks produced by `legion-sampling`, with real
-//! gradients via `legion-tensor`, plus the training/evaluation loops the
-//! convergence experiment (Figure 11) needs.
+//! gradients via `legion-tensor`. The training loop of the convergence
+//! experiment (Figure 11) is `legion-core`'s `fig11::train_curve`.
 
 pub mod link_prediction;
 pub mod model;
-pub mod trainer;
 
 pub use link_prediction::{auc, sample_link_batch, LinkBatch};
 pub use model::{GnnModel, ModelKind};
-pub use trainer::{evaluate_accuracy, train_epoch, EpochMetrics, TrainerConfig};
-
-/// The paper's hidden dimension for both models (§6.1).
-pub const PAPER_HIDDEN_DIM: usize = 256;

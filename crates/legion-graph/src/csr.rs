@@ -4,7 +4,7 @@
 //! row offsets are `u64` and the column (neighbor) indices are `u32`, exactly
 //! the data types the paper's cost model assumes in Equation 3.
 
-use crate::{topology_bytes_for_degree, EdgeIndex, VertexId, COL_INDEX_BYTES, ROW_OFFSET_BYTES};
+use crate::{EdgeIndex, VertexId, COL_INDEX_BYTES, ROW_OFFSET_BYTES};
 
 /// A directed graph in compressed-sparse-row layout.
 ///
@@ -176,13 +176,6 @@ impl CsrGraph {
         self.num_vertices() as u64 * ROW_OFFSET_BYTES + self.num_edges() as u64 * COL_INDEX_BYTES
     }
 
-    /// Bytes this single vertex's adjacency occupies in a topology cache
-    /// (Equation 3 of the paper).
-    #[inline]
-    pub fn vertex_topology_bytes(&self, v: VertexId) -> u64 {
-        topology_bytes_for_degree(self.degree(v))
-    }
-
     /// Returns the transposed (reverse-edge) graph. Used to convert between
     /// out-edge CSR and in-edge CSC views, e.g. for in-degree hotness
     /// metrics (PaGraph's cache policy) and GCN normalization.
@@ -258,33 +251,6 @@ impl CsrGraph {
             offsets.push(cols.len() as u64);
         }
         cols.shrink_to_fit();
-        CsrGraph {
-            row_offsets: offsets,
-            col_indices: cols,
-        }
-    }
-
-    /// Extracts the subgraph induced on `vertices`, relabeling vertices to
-    /// `0..vertices.len()` in the given order. Edges whose endpoint is not
-    /// in `vertices` are dropped. Used by PaGraph-style self-reliant
-    /// partitions.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> CsrGraph {
-        let mut remap = vec![VertexId::MAX; self.num_vertices()];
-        for (new, &old) in vertices.iter().enumerate() {
-            remap[old as usize] = new as VertexId;
-        }
-        let mut offsets = Vec::with_capacity(vertices.len() + 1);
-        offsets.push(0u64);
-        let mut cols = Vec::new();
-        for &old in vertices {
-            for &nb in self.neighbors(old) {
-                let r = remap[nb as usize];
-                if r != VertexId::MAX {
-                    cols.push(r);
-                }
-            }
-            offsets.push(cols.len() as u64);
-        }
         CsrGraph {
             row_offsets: offsets,
             col_indices: cols,
@@ -469,21 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_relabels_and_filters() {
-        let g = diamond();
-        let sub = g.induced_subgraph(&[0, 1, 3]);
-        assert_eq!(sub.num_vertices(), 3);
-        // 0 -> 1 survives (0->1), 0 -> 2 dropped, 1 -> 3 becomes 1 -> 2.
-        assert_eq!(sub.neighbors(0), &[1]);
-        assert_eq!(sub.neighbors(1), &[2]);
-        assert_eq!(sub.neighbors(2), &[] as &[VertexId]);
-    }
-
-    #[test]
     fn topology_bytes_accounts_rows_and_cols() {
         let g = diamond();
         assert_eq!(g.topology_bytes(), 4 * 8 + 4 * 4);
-        assert_eq!(g.vertex_topology_bytes(0), 2 * 4 + 8);
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub mod csr;
 pub mod dataset;
 pub mod features;
 pub mod generate;
-pub mod io;
-pub mod reorder;
 pub mod stats;
 pub mod traversal;
 

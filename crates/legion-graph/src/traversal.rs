@@ -5,27 +5,6 @@ use std::collections::VecDeque;
 use crate::csr::CsrGraph;
 use crate::VertexId;
 
-/// Breadth-first search from `source`, returning hop distance per vertex
-/// (`u32::MAX` for unreachable vertices).
-pub fn bfs_distances(g: &CsrGraph, source: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut dist = vec![u32::MAX; n];
-    let mut queue = VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &u in g.neighbors(v) {
-            if dist[u as usize] == u32::MAX {
-                dist[u as usize] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
 /// Collects all vertices within `hops` hops of any seed (including seeds).
 /// This is the "L-hop neighbor inclusion" PaGraph applies when extending
 /// partitions (§3.1), and the source of its cache duplication.
@@ -58,33 +37,6 @@ pub fn l_hop_closure(g: &CsrGraph, seeds: &[VertexId], hops: u32) -> Vec<VertexI
     out
 }
 
-/// Weakly connected components over the symmetrized graph. Returns
-/// `(component_id_per_vertex, component_count)`.
-pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
-    let sym = g.symmetrize();
-    let n = sym.num_vertices();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..n as VertexId {
-        if comp[start as usize] != u32::MAX {
-            continue;
-        }
-        comp[start as usize] = next;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            for &u in sym.neighbors(v) {
-                if comp[u as usize] == u32::MAX {
-                    comp[u as usize] = next;
-                    queue.push_back(u);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +51,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_on_path() {
-        let g = path4();
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3]);
-        // Directed: nothing reachable backwards from 3.
-        let d = bfs_distances(&g, 3);
-        assert_eq!(d[3], 0);
-        assert_eq!(d[0], u32::MAX);
-    }
-
-    #[test]
     fn l_hop_closure_bounds_depth() {
         let g = path4();
         assert_eq!(l_hop_closure(&g, &[0], 0), vec![0]);
@@ -120,23 +62,5 @@ mod tests {
     fn l_hop_closure_merges_seeds() {
         let g = path4();
         assert_eq!(l_hop_closure(&g, &[0, 3], 1), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn components_on_disconnected_graph() {
-        let g = GraphBuilder::new(5).edge(0, 1).edge(3, 4).build();
-        let (comp, count) = connected_components(&g);
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[3], comp[4]);
-        assert_ne!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-    }
-
-    #[test]
-    fn components_single_component() {
-        let (comp, count) = connected_components(&path4());
-        assert_eq!(count, 1);
-        assert!(comp.iter().all(|&c| c == 0));
     }
 }

@@ -61,26 +61,6 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_never_leaks_outside_vertices(
-        (n, edges) in edges_strategy(48, 128),
-        keep_mask in proptest::collection::vec(any::<bool>(), 48),
-    ) {
-        let g = from_edges(n, &edges);
-        let keep: Vec<VertexId> = (0..n as VertexId)
-            .filter(|&v| keep_mask.get(v as usize).copied().unwrap_or(false))
-            .collect();
-        let sub = g.induced_subgraph(&keep);
-        prop_assert_eq!(sub.num_vertices(), keep.len());
-        // All edges stay within range, and every subgraph edge maps back
-        // to an original edge.
-        for (s, d) in sub.edges() {
-            let os = keep[s as usize];
-            let od = keep[d as usize];
-            prop_assert!(g.neighbors(os).binary_search(&od).is_ok());
-        }
-    }
-
-    #[test]
     fn edge_cut_bounds((n, edges) in edges_strategy(48, 128), k in 1u32..5) {
         let g = from_edges(n, &edges);
         let assignment: Vec<u32> = (0..n as u32).map(|v| v % k).collect();

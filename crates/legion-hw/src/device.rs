@@ -93,11 +93,6 @@ impl GpuDevice {
         Self::new(id, 16 * GIB)
     }
 
-    /// A 40 GB A100-class device (the paper caps DGX-A100 GPUs at 40 GB).
-    pub fn a100_40g(id: GpuId) -> Self {
-        Self::new(id, 40 * GIB)
-    }
-
     /// Device index within its server.
     #[inline]
     pub fn id(&self) -> GpuId {
@@ -202,7 +197,6 @@ mod tests {
     #[test]
     fn presets_have_table1_capacities() {
         assert_eq!(GpuDevice::v100(0).capacity(), 16 * GIB);
-        assert_eq!(GpuDevice::a100_40g(0).capacity(), 40 * GIB);
     }
 
     #[test]

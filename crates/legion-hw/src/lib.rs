@@ -42,6 +42,3 @@ pub type GpuId = usize;
 
 /// One gibibyte, for readable capacity constants.
 pub const GIB: u64 = 1024 * 1024 * 1024;
-
-/// One mebibyte.
-pub const MIB: u64 = 1024 * 1024;

@@ -118,15 +118,6 @@ impl PcieModel {
     pub fn transactions_for_payload(&self, payload_bytes: u64) -> u64 {
         payload_bytes.div_ceil(self.cls)
     }
-
-    /// Seconds to move `total_bytes` issued as requests of
-    /// `payload_bytes` each.
-    pub fn transfer_seconds(&self, total_bytes: u64, payload_bytes: f64) -> f64 {
-        if total_bytes == 0 {
-            return 0.0;
-        }
-        total_bytes as f64 / self.effective_bandwidth(payload_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -180,15 +171,6 @@ mod tests {
     fn custom_cls_respected() {
         let m = PcieModel::new(PcieGeneration::Gen3x16).with_cls(32);
         assert_eq!(m.transactions_for_payload(64), 2);
-    }
-
-    #[test]
-    fn transfer_seconds_scale_linearly() {
-        let m = PcieModel::new(PcieGeneration::Gen3x16);
-        let t1 = m.transfer_seconds(1_000_000, 4096.0);
-        let t2 = m.transfer_seconds(2_000_000, 4096.0);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-        assert_eq!(m.transfer_seconds(0, 4096.0), 0.0);
     }
 
     #[test]

@@ -113,16 +113,6 @@ impl PcmCounters {
         (0..self.num_gpus()).map(|g| self.gpu_total(g)).sum()
     }
 
-    /// Maximum per-GPU total — the paper reports "the maximum PCIe counter
-    /// value across different sockets"; with one GPU group per socket this
-    /// is the per-socket maximum.
-    pub fn max_gpu_total(&self) -> u64 {
-        (0..self.num_gpus())
-            .map(|g| self.gpu_total(g))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Clears all counters.
     pub fn reset(&self) {
         for c in self.topology.iter().chain(self.feature.iter()) {
@@ -156,14 +146,13 @@ mod tests {
     }
 
     #[test]
-    fn max_gpu_total_and_reset() {
+    fn reset_clears_every_counter() {
         let pcm = PcmCounters::new(3);
         pcm.add(2, TrafficKind::Topology, 100);
         pcm.add(0, TrafficKind::Feature, 1);
-        assert_eq!(pcm.max_gpu_total(), 100);
+        assert_eq!(pcm.total(), 101);
         pcm.reset();
         assert_eq!(pcm.total(), 0);
-        assert_eq!(pcm.max_gpu_total(), 0);
     }
 
     #[test]
@@ -187,9 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_server_max_is_zero() {
+    fn empty_server_total_is_zero() {
         let pcm = PcmCounters::new(0);
-        assert_eq!(pcm.max_gpu_total(), 0);
         assert_eq!(pcm.total(), 0);
     }
 }

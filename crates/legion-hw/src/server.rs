@@ -243,16 +243,6 @@ impl MultiGpuServer {
         self.devices.lock()[gpu].allocated_bytes()
     }
 
-    /// Maximum per-socket PCIe transaction total — the exact metric the
-    /// paper's Figure 8 reports from PCM.
-    pub fn max_socket_transactions(&self) -> u64 {
-        let mut per_socket = vec![0u64; self.spec.sockets.max(1)];
-        for gpu in 0..self.spec.num_gpus {
-            per_socket[self.spec.socket_of(gpu)] += self.pcm.gpu_total(gpu);
-        }
-        per_socket.into_iter().max().unwrap_or(0)
-    }
-
     /// Releases all device memory and clears all counters — including any
     /// metrics other components registered on [`Self::telemetry`].
     pub fn reset(&self) {
@@ -329,17 +319,6 @@ mod tests {
         assert_eq!(s.socket_of(7), 1);
         let single = ServerSpec::custom(4, 1, 1);
         assert_eq!(single.socket_of(3), 0);
-    }
-
-    #[test]
-    fn max_socket_transactions_sums_per_socket() {
-        use crate::pcm::TrafficKind;
-        let srv = ServerSpec::dgx_v100().build();
-        // Socket 0 gets 10 + 5, socket 1 gets 7.
-        srv.pcm().add(0, TrafficKind::Feature, 10);
-        srv.pcm().add(2, TrafficKind::Topology, 5);
-        srv.pcm().add(6, TrafficKind::Feature, 7);
-        assert_eq!(srv.max_socket_transactions(), 15);
     }
 
     #[test]

@@ -31,16 +31,6 @@ impl HierarchicalPlan {
     pub fn num_cliques(&self) -> usize {
         self.cliques.len()
     }
-
-    /// Training vertices of one clique, in GPU-tablet order.
-    pub fn clique_train_vertices(&self, clique: usize) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        for &g in &self.cliques[clique] {
-            out.extend_from_slice(&self.tablets[g]);
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 /// Runs hierarchical partitioning (S1–S4).
@@ -198,16 +188,6 @@ mod tests {
             let min = *sizes.iter().min().unwrap() as f64;
             assert!(max / min.max(1.0) < 1.5, "sizes {sizes:?}");
         }
-    }
-
-    #[test]
-    fn clique_train_vertices_matches_tablets() {
-        let (g, train) = setup(500);
-        let topo = NvLinkTopology::disjoint_cliques(4, 2);
-        let plan = hierarchical_partition(&g, &train, &topo, &HashPartitioner);
-        let c0 = plan.clique_train_vertices(0);
-        let direct: usize = plan.cliques[0].iter().map(|&g| plan.tablets[g].len()).sum();
-        assert_eq!(c0.len(), direct);
     }
 
     #[test]

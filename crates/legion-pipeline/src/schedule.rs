@@ -76,28 +76,6 @@ pub fn epoch_time_factored(batches: &[BatchCost], samplers: usize, trainers: usi
     fill + prep_rate.max(train_rate)
 }
 
-/// Picks the `(samplers, trainers)` split of `total_gpus` minimizing the
-/// factored epoch time — the paper's "we adjust the numbers of sampling
-/// and training GPUs such that the overall throughput is maximized"
-/// (§6.2). Returns `(samplers, trainers, epoch_time)`.
-///
-/// `batches` must be the per-batch costs of the whole epoch measured on a
-/// single GPU pair; the split scales them.
-///
-/// # Panics
-///
-/// Panics if `total_gpus < 2`.
-pub fn best_factored_split(batches: &[BatchCost], total_gpus: usize) -> (usize, usize, f64) {
-    assert!(total_gpus >= 2, "factored design needs at least 2 GPUs");
-    (1..total_gpus)
-        .map(|s| {
-            let t = total_gpus - s;
-            (s, t, epoch_time_factored(batches, s, t))
-        })
-        .min_by(|a, b| a.2.partial_cmp(&b.2).expect("finite times"))
-        .expect("at least one split")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,27 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn best_split_beats_fixed_splits() {
-        let b = uniform(50, 2.0, 3.0);
-        let (s, t, best) = best_factored_split(&b, 8);
-        assert_eq!(s + t, 8);
-        for s2 in 1..8 {
-            let other = epoch_time_factored(&b, s2, 8 - s2);
-            assert!(best <= other + 1e-9);
-        }
-    }
-
-    #[test]
     fn overlapped_batchcost_takes_max() {
         let b = BatchCost::overlapped(2.0, 5.0, 1.0);
         assert_eq!(b.prep, 5.0);
         let s = BatchCost::serial(2.0, 5.0, 1.0);
         assert_eq!(s.prep, 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 GPUs")]
-    fn best_split_needs_two_gpus() {
-        let _ = best_factored_split(&uniform(1, 1.0, 1.0), 1);
     }
 }

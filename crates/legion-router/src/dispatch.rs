@@ -16,7 +16,7 @@
 //! Routing is deterministic: scores, loads, and all tie-breaks depend
 //! only on the request stream and queue states, never on an RNG.
 
-use legion_graph::VertexId;
+use legion_graph::{CsrGraph, VertexId};
 use legion_hw::GpuId;
 
 use crate::residency::ResidencyIndex;
@@ -77,6 +77,15 @@ impl RouterConfig {
             "spill_threshold must be in (0, 1]"
         );
     }
+}
+
+/// Refills `probe` with the routing probe of a request for `target`:
+/// the target itself, then its first `neighbors` neighbors in CSR
+/// order. The buffer is cleared first, so callers keep one per stream.
+pub fn fill_probe(graph: &CsrGraph, target: VertexId, neighbors: usize, probe: &mut Vec<VertexId>) {
+    probe.clear();
+    probe.push(target);
+    probe.extend(graph.neighbors(target).iter().take(neighbors).copied());
 }
 
 /// Where one request was routed.

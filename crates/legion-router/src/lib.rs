@@ -40,6 +40,6 @@ pub mod qos;
 pub mod residency;
 
 pub use class::{PriorityClass, QueuedRequest, CLASS_COUNT};
-pub use dispatch::{Dispatcher, RouteDecision, RouterConfig, RouterPolicy};
+pub use dispatch::{fill_probe, Dispatcher, RouteDecision, RouterConfig, RouterPolicy};
 pub use qos::{Admission, ClassedQueue};
 pub use residency::ResidencyIndex;

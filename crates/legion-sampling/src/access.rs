@@ -572,21 +572,6 @@ impl<'a> AccessEngine<'a> {
             .map(|(cache, _)| cache.has_feature(v))
             .unwrap_or(false)
     }
-
-    /// Whether a topology read of `v` from `gpu` avoids PCIe. Dirty
-    /// overlay rows never hit: their cached copies are stale.
-    pub fn topology_would_hit(&self, gpu: GpuId, v: VertexId) -> bool {
-        if self.topology_dirty(v) {
-            return false;
-        }
-        if self.topology_placement == TopologyPlacement::ReplicatedGpu {
-            return true;
-        }
-        self.layout
-            .for_gpu(gpu)
-            .map(|(cache, _)| cache.has_topology(v))
-            .unwrap_or(false)
-    }
 }
 
 /// Open-addressing membership set over the indices Floyd's algorithm has
@@ -846,7 +831,6 @@ mod tests {
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva)
             .with_overlay(Some(&ov));
         assert!(engine.topology_dirty(0));
-        assert!(!engine.topology_would_hit(0, 0), "dirty rows never hit");
         assert!(engine.topology_cached_anywhere(0));
 
         let mut rng = StdRng::seed_from_u64(9);

@@ -26,8 +26,8 @@ pub fn extract_features(
     FeatureTable::from_flat(rows, engine.feature_dim())
 }
 
-/// Hit statistics for a hypothetical extraction, without charging traffic.
-/// Used by the Figure 3 / Figure 9 cache hit-rate experiments.
+/// Feature-cache hit statistics of one GPU's extractions, as the epoch
+/// report carries them (built from the `cache.gpu{g}.feature_*` counters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HitStats {
     /// Reads served from the clique cache (local or NVLink peer).
@@ -54,24 +54,10 @@ impl HitStats {
     }
 }
 
-/// Counts cache hits/misses for a feature gather without performing it.
-pub fn feature_hit_stats(engine: &AccessEngine<'_>, gpu: GpuId, vertices: &[VertexId]) -> HitStats {
-    let mut stats = HitStats::default();
-    for &v in vertices {
-        if engine.feature_would_hit(gpu, v) {
-            stats.hits += 1;
-        } else {
-            stats.misses += 1;
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::{CacheLayout, TopologyPlacement};
-    use legion_cache::CliqueCache;
     use legion_graph::{CsrGraph, FeatureTable};
     use legion_hw::ServerSpec;
 
@@ -90,24 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_stats_reflect_cache_contents() {
-        let g = CsrGraph::empty(4);
-        let f = FeatureTable::zeros(4, 2);
-        let mut cc = CliqueCache::new(vec![0], 4, 2);
-        cc.insert_feature(0, 1, f.row(1));
-        cc.insert_feature(0, 2, f.row(2));
-        let layout = CacheLayout::from_cliques(1, vec![cc]);
-        let server = ServerSpec::custom(1, 1 << 30, 1).build();
-        let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
-        let stats = feature_hit_stats(&engine, 0, &[0, 1, 2, 3]);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 2);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        // Stats collection charges nothing.
-        assert_eq!(server.pcm().total(), 0);
-    }
-
-    #[test]
     fn empty_gather() {
         let g = CsrGraph::empty(1);
         let f = FeatureTable::zeros(1, 3);
@@ -116,7 +84,6 @@ mod tests {
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
         let out = extract_features(&engine, 0, &[]);
         assert_eq!(out.num_rows(), 0);
-        assert_eq!(feature_hit_stats(&engine, 0, &[]).hit_rate(), 0.0);
     }
 
     #[test]

@@ -51,7 +51,3 @@ pub use access::{AccessEngine, BatchTotals, CacheLayout, FloydSet, TopologyPlace
 pub use batch::BatchGenerator;
 pub use presample::{presample, PresampleOutput};
 pub use sampler::{Block, KHopSampler, MiniBatchSample, SampleScratch};
-
-/// The paper's GraphSAGE/GCN sampling fan-outs: "The sampling fan-outs are
-/// 25 and 10" for 2-hop models (§6.1).
-pub const PAPER_FANOUTS: [usize; 2] = [25, 10];

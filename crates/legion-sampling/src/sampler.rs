@@ -186,11 +186,6 @@ impl KHopSampler {
         Self { fanouts }
     }
 
-    /// The paper's 2-hop `[25, 10]` sampler.
-    pub fn paper_default() -> Self {
-        Self::new(crate::PAPER_FANOUTS.to_vec())
-    }
-
     /// Samples the multi-hop neighborhood of `seeds` on behalf of `gpu`,
     /// charging all topology traffic through `engine`. Optionally records
     /// per-edge-traversal hotness through `on_edge(source_vertex)`.
@@ -489,7 +484,7 @@ mod tests {
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
-        let sampler = KHopSampler::paper_default();
+        let sampler = KHopSampler::new(vec![25, 10]);
         let mut rng = StdRng::seed_from_u64(4);
         let s = sampler.sample_batch(&engine, 0, &[1], &mut rng, None);
         assert_eq!(s.total_edges(), 0);

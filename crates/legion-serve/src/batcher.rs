@@ -9,48 +9,7 @@
 
 use legion_router::ClassedQueue;
 
-use crate::queue::AdmissionQueue;
 use crate::workload::Request;
-
-/// What the batcher needs to see of a pending-request queue: how many
-/// requests wait, when a size-`k` batch became available, and the true
-/// age of the oldest request. Implemented by the legacy FIFO
-/// [`AdmissionQueue`] and by the router's [`ClassedQueue`] (whose drain
-/// order may differ from arrival order under QoS).
-pub trait PendingWindow {
-    /// Requests currently pending.
-    fn pending(&self) -> usize;
-    /// Latest arrival among the first `k` requests in drain order, or
-    /// `None` when fewer than `k` are pending.
-    fn filled_at(&self, k: usize) -> Option<f64>;
-    /// Earliest arrival among all pending requests.
-    fn oldest_arrival(&self) -> Option<f64>;
-}
-
-impl PendingWindow for AdmissionQueue {
-    fn pending(&self) -> usize {
-        self.len()
-    }
-    fn filled_at(&self, k: usize) -> Option<f64> {
-        // FIFO order: the k-th oldest is the latest of the first k.
-        k.checked_sub(1).and_then(|i| self.arrival(i))
-    }
-    fn oldest_arrival(&self) -> Option<f64> {
-        self.arrival(0)
-    }
-}
-
-impl PendingWindow for ClassedQueue<Request> {
-    fn pending(&self) -> usize {
-        self.len()
-    }
-    fn filled_at(&self, k: usize) -> Option<f64> {
-        ClassedQueue::filled_at(self, k)
-    }
-    fn oldest_arrival(&self) -> Option<f64> {
-        ClassedQueue::oldest_arrival(self)
-    }
-}
 
 /// The close-batch policy: size trigger plus age trigger.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,12 +38,12 @@ impl BatchPolicy {
     /// nothing is pending.
     ///
     /// * full batch — launch when the GPU is free and the `max_batch`-th
-    ///   request has arrived (which, for a queue of already-arrived
-    ///   requests, is simply its recorded arrival time);
-    /// * partial batch — launch when the oldest request's wait expires,
-    ///   clamped to the GPU-free time.
-    pub fn launch_time<Q: PendingWindow>(&self, queue: &Q, free_at: f64) -> Option<f64> {
-        if queue.pending() >= self.max_batch {
+    ///   request in drain order has arrived (under QoS the drain order
+    ///   may differ from arrival order);
+    /// * partial batch — launch when the truly oldest request's wait
+    ///   expires, clamped to the GPU-free time.
+    pub fn launch_time(&self, queue: &ClassedQueue<Request>, free_at: f64) -> Option<f64> {
+        if queue.len() >= self.max_batch {
             let filled_at = queue
                 .filled_at(self.max_batch)
                 .expect("queue holds at least max_batch requests");
@@ -102,8 +61,8 @@ mod tests {
     use super::*;
     use legion_router::PriorityClass;
 
-    fn queue_with(arrivals: &[f64]) -> AdmissionQueue {
-        let mut q = AdmissionQueue::new(64);
+    fn queue_with(arrivals: &[f64]) -> ClassedQueue<Request> {
+        let mut q = ClassedQueue::new_fifo(64);
         for (i, &a) in arrivals.iter().enumerate() {
             q.offer(Request {
                 id: i as u64,

@@ -50,7 +50,7 @@ use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::detect_cliques;
 use legion_pipeline::{QueueDepthMeter, StageRecorder, TimeModel};
 use legion_router::{
-    Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
+    fill_probe, Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
 use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
@@ -788,15 +788,7 @@ impl RouterState {
         self.queue_lens.clear();
         self.queue_lens
             .extend(workers.iter().map(|w| w.queue.len()));
-        self.probe.clear();
-        self.probe.push(r.target);
-        self.probe.extend(
-            graph
-                .neighbors(r.target)
-                .iter()
-                .take(self.probe_neighbors)
-                .copied(),
-        );
+        fill_probe(graph, r.target, self.probe_neighbors, &mut self.probe);
         let dec = self.dispatcher.route(&self.probe, &self.queue_lens);
         self.covered += self.dispatcher.score(dec.group, &self.probe) as u64;
         self.probed += self.probe.len() as u64;

@@ -11,9 +11,9 @@
 //! * [`workload`] — Poisson / bursty arrival processes and Zipf-skewed,
 //!   drifting target-vertex sampling ([`ArrivalProcess`],
 //!   [`TargetSampler`]);
-//! * [`queue`] — bounded per-GPU admission queues that shed load
-//!   explicitly instead of queueing without bound ([`AdmissionQueue`]);
-//! * [`batcher`] — the dynamic micro-batching policy: close at
+//! * [`batcher`] — the dynamic micro-batching policy over the bounded
+//!   per-GPU admission queue (`legion-router`'s `ClassedQueue`, which
+//!   sheds load explicitly instead of queueing without bound): close at
 //!   `max_batch` requests or `max_wait` simulated seconds
 //!   ([`BatchPolicy`]);
 //! * [`cache_policy`] — the serving-time cache trade-off: a statically
@@ -112,13 +112,12 @@
 pub mod batcher;
 pub mod cache_policy;
 pub mod engine;
-pub mod queue;
 pub mod replan;
 pub mod slo;
 pub mod sweep;
 pub mod workload;
 
-pub use batcher::{BatchPolicy, PendingWindow};
+pub use batcher::BatchPolicy;
 pub use cache_policy::{
     adaptive_replicated_rows, build_partitioned_layout_adaptive, build_static_layout,
     warmup_hot_vertices_weighted, PolicyKind,
@@ -132,7 +131,6 @@ pub use legion_dyn::{
 pub use legion_hw::{NetGeneration, NetModel};
 pub use legion_router::{PriorityClass, RouterConfig, RouterPolicy, CLASS_COUNT};
 pub use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
-pub use queue::AdmissionQueue;
 pub use replan::{
     plan_layout, profile_warmup, DriftDetector, PlanBuffer, ReplanConfig, ReplanState,
     WindowEstimator,
@@ -142,8 +140,7 @@ pub use sweep::{
     estimate_capacity_rps, run_sweep, LoadPoint, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
 };
 pub use workload::{
-    generate_workload, generate_workload_classed, ArrivalProcess, ClassSampler, Request,
-    TargetSampler,
+    generate_workload_classed, ArrivalProcess, ClassSampler, Request, TargetSampler,
 };
 
 /// Full configuration of one serving run.

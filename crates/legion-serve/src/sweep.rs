@@ -21,7 +21,7 @@ use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPl
 use legion_sampling::{KHopSampler, SampleScratch};
 
 use legion_graph::VertexId;
-use legion_router::{RouterPolicy, CLASS_COUNT};
+use legion_router::{fill_probe, RouterPolicy, CLASS_COUNT};
 
 use crate::cache_policy::ownership_dispatcher;
 use crate::engine::{generate_requests, plan_deployment};
@@ -230,15 +230,7 @@ pub fn estimate_capacity_rps(
         for _ in 0..lanes * config.max_batch {
             let t = targets.next_for_class(classes.sample(), &mut rng);
             let gpu = dispatcher.as_ref().map_or(0, |d| {
-                probe.clear();
-                probe.push(t);
-                probe.extend(
-                    graph
-                        .neighbors(t)
-                        .iter()
-                        .take(config.router.probe_neighbors)
-                        .copied(),
-                );
+                fill_probe(graph, t, config.router.probe_neighbors, &mut probe);
                 // Projected depths: each placement deepens its GPU,
                 // spreading a clique's round across its members and
                 // spilling past one batch.

@@ -11,8 +11,9 @@
 //! Requests also carry a [`PriorityClass`]. Class assignment draws from
 //! its *own* seeded RNG stream ([`ClassSampler`]), and a classed target
 //! draw consumes exactly one uniform from the main stream either way —
-//! so adding classes leaves the legacy arrival/target draw order intact
-//! (pinned by `classed_default_mix_matches_legacy_workload`), and
+//! so a class mix leaves the arrival/target draw order of the
+//! all-`Standard` stream intact (pinned by
+//! `class_mix_preserves_main_stream_draw_order`), and
 //! `Interactive` traffic can be drawn from a hotter Zipf head without
 //! disturbing the other classes' targets.
 
@@ -278,33 +279,12 @@ impl TargetSampler {
     }
 }
 
-/// Generates `num_requests` open-loop requests starting at time 0, all
-/// of the implicit `Standard` class (the legacy single-class stream).
-pub fn generate_workload<R: Rng + ?Sized>(
-    arrival: &ArrivalProcess,
-    targets: &mut TargetSampler,
-    num_requests: usize,
-    rng: &mut R,
-) -> Vec<Request> {
-    let mut now = 0.0f64;
-    let mut out = Vec::with_capacity(num_requests);
-    for id in 0..num_requests as u64 {
-        now += arrival.next_gap(now, rng);
-        out.push(Request {
-            id,
-            arrival: now,
-            target: targets.next(rng),
-            class: PriorityClass::Standard,
-        });
-    }
-    out
-}
-
-/// Generates `num_requests` open-loop requests with per-request classes
-/// drawn from `classes`. The main `rng` stream sees the identical draw
-/// sequence as [`generate_workload`] — one gap, one target per request
-/// — so arrival times always match the legacy generator, and with the
-/// default all-`Standard` mix the targets match byte-for-byte too.
+/// Generates `num_requests` open-loop requests starting at time 0, with
+/// per-request classes drawn from `classes`. The main `rng` stream sees
+/// one gap and one target draw per request whatever the mix — classes
+/// come from the sampler's own side stream — so arrival times never
+/// depend on the mix, and every non-`Interactive` request keeps the
+/// target the all-`Standard` stream of the same seed would have drawn.
 pub fn generate_workload_classed<R: Rng + ?Sized>(
     arrival: &ArrivalProcess,
     targets: &mut TargetSampler,
@@ -401,13 +381,25 @@ mod tests {
         assert_eq!(s.offset(), 0, "stride wraps around the target list");
     }
 
+    /// The all-`Standard` stream: one class, so nothing is read from
+    /// the class sampler's side stream that could change a request.
+    fn single_class(
+        arrival: &ArrivalProcess,
+        targets: &mut TargetSampler,
+        num_requests: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Request> {
+        let mut classes = ClassSampler::new([0.0, 1.0, 0.0], 0);
+        generate_workload_classed(arrival, targets, &mut classes, num_requests, rng)
+    }
+
     #[test]
     fn workload_is_deterministic_and_time_ordered() {
         let arrival = ArrivalProcess::Poisson { rate: 1000.0 };
         let gen = |seed| {
             let mut targets = TargetSampler::new((0..50).collect(), 1.1, 20, 5);
             let mut rng = StdRng::seed_from_u64(seed);
-            generate_workload(&arrival, &mut targets, 200, &mut rng)
+            single_class(&arrival, &mut targets, 200, &mut rng)
         };
         let a = gen(7);
         let b = gen(7);
@@ -416,17 +408,16 @@ mod tests {
         assert_ne!(gen(8), a);
     }
 
-    /// Same-seed snapshot pin: the classed generator with the default
-    /// all-`Standard` mix reproduces the legacy stream byte-for-byte
-    /// (ids, arrivals, targets) — old configs keep their exact RNG draw
-    /// order.
+    /// Same-seed snapshot pin: the default all-`Standard` mix gives the
+    /// same stream (ids, arrivals, targets) whatever the class sampler
+    /// is seeded with — the class draws never touch the main RNG.
     #[test]
-    fn classed_default_mix_matches_legacy_workload() {
+    fn default_mix_stream_ignores_the_class_seed() {
         let arrival = ArrivalProcess::Poisson { rate: 800.0 };
-        let legacy = {
+        let single = {
             let mut targets = TargetSampler::new((0..64).collect(), 1.2, 15, 7);
             let mut rng = StdRng::seed_from_u64(21);
-            generate_workload(&arrival, &mut targets, 300, &mut rng)
+            single_class(&arrival, &mut targets, 300, &mut rng)
         };
         let classed = {
             let mut targets = TargetSampler::new((0..64).collect(), 1.2, 15, 7);
@@ -434,20 +425,22 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(21);
             generate_workload_classed(&arrival, &mut targets, &mut classes, 300, &mut rng)
         };
-        assert_eq!(legacy, classed);
+        assert_eq!(single, classed);
+        assert!(single.iter().all(|r| r.class == PriorityClass::Standard));
     }
 
     /// A multi-class mix must not perturb the main stream: arrivals are
-    /// identical to the legacy generator's, and every non-`Interactive`
-    /// request keeps the exact target the legacy stream would have
-    /// drawn (the class and boosted-head draws live on side streams).
+    /// identical to the all-`Standard` stream's, and every
+    /// non-`Interactive` request keeps the exact target that stream
+    /// would have drawn (the class and boosted-head draws live on side
+    /// streams).
     #[test]
     fn class_mix_preserves_main_stream_draw_order() {
         let arrival = ArrivalProcess::Poisson { rate: 800.0 };
-        let legacy = {
+        let single = {
             let mut targets = TargetSampler::new((0..64).collect(), 1.2, 0, 0);
             let mut rng = StdRng::seed_from_u64(33);
-            generate_workload(&arrival, &mut targets, 400, &mut rng)
+            single_class(&arrival, &mut targets, 400, &mut rng)
         };
         let mixed = {
             let mut targets =
@@ -457,7 +450,7 @@ mod tests {
             generate_workload_classed(&arrival, &mut targets, &mut classes, 400, &mut rng)
         };
         let mut saw_all = [false; CLASS_COUNT];
-        for (l, m) in legacy.iter().zip(&mixed) {
+        for (l, m) in single.iter().zip(&mixed) {
             assert_eq!(l.id, m.id);
             assert_eq!(l.arrival, m.arrival, "arrival stream must be untouched");
             saw_all[m.class.index()] = true;

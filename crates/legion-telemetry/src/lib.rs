@@ -1,5 +1,5 @@
 //! Telemetry for the Legion simulator: a lock-free metric registry with
-//! counters, gauges, fixed-bucket histograms, and scoped stage timers.
+//! counters, gauges and fixed-bucket histograms.
 //!
 //! # Design
 //!
@@ -19,9 +19,8 @@
 //! durations are therefore stored as integer **nanoseconds**
 //! ([`Counter::add_secs`]) rather than accumulated floats. Gauges store
 //! `f64` bits and are meant for values written once from a single
-//! thread (epoch totals, model outputs). [`StageTimer`] measures real
-//! wall-clock time; keep wall metrics out of snapshots you intend to
-//! compare across runs.
+//! thread (epoch totals, model outputs). Nothing in the registry reads
+//! the wall clock.
 //!
 //! Metric names follow a dotted scheme with zero-based device indices,
 //! e.g. `pcm.gpu0.topology_tx`, `traffic.dst1.src0_bytes`,
@@ -29,7 +28,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -394,16 +392,6 @@ impl Registry {
             .sum()
     }
 
-    /// Starts a wall-clock timer that adds elapsed nanoseconds to
-    /// `name` when dropped. Wall metrics are nondeterministic; keep
-    /// them out of snapshots compared across runs.
-    pub fn stage_timer(&self, name: &str) -> StageTimer {
-        StageTimer {
-            counter: self.counter(name),
-            start: Instant::now(),
-        }
-    }
-
     /// Resets every registered metric to zero, keeping registrations
     /// (and therefore handle bindings) intact.
     pub fn reset(&self) {
@@ -458,27 +446,6 @@ impl Registry {
             gauges,
             histograms,
         }
-    }
-}
-
-/// Scoped wall-clock timer returned by [`Registry::stage_timer`].
-///
-/// Adds the elapsed nanoseconds to its counter when dropped.
-pub struct StageTimer {
-    counter: Counter,
-    start: Instant,
-}
-
-impl StageTimer {
-    /// Stops the timer early, recording the elapsed time now.
-    pub fn stop(self) {}
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        self.counter
-            .add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
@@ -683,16 +650,6 @@ mod tests {
         let snap = a.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn stage_timer_records_on_drop() {
-        let reg = Registry::new();
-        {
-            let _t = reg.stage_timer("wall.test_ns");
-        }
-        // Can't assert much about wall time beyond "it ran".
-        assert!(reg.counter_value("wall.test_ns") > 0 || cfg!(miri));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   BLAS-ish kernels GNN layers need,
 //! * [`tape::Tape`] — reverse-mode autograd over those kernels, including
 //!   the graph-specific edge-mean aggregation used by GraphSAGE/GCN,
-//! * [`optim`] — SGD and Adam, and
+//! * [`optim`] — Adam, and
 //! * loss-related ops (log-softmax + NLL) implemented as tape ops.
 //!
 //! Gradients are verified against finite differences in the test suite.
@@ -35,5 +35,5 @@ pub mod optim;
 pub mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use tape::{Tape, VarId};

@@ -1,4 +1,4 @@
-//! SGD and Adam optimizers over flat parameter lists.
+//! The Adam optimizer over flat parameter lists.
 
 use crate::matrix::Matrix;
 
@@ -10,22 +10,6 @@ pub trait Optimizer {
     ///
     /// Panics if lengths or shapes mismatch.
     fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [Matrix], grads: &[Matrix]) {
-        assert_eq!(params.len(), grads.len(), "one grad per param");
-        for (p, g) in params.iter_mut().zip(grads) {
-            p.add_scaled(g, -self.lr);
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -108,17 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut params = vec![Matrix::from_rows(&[&[0.0f32]])];
-        let mut opt = Sgd { lr: 0.1 };
-        for _ in 0..100 {
-            let g = quadratic_grad(&params[0]);
-            opt.step(&mut params, &[g]);
-        }
-        assert!((params[0].get(0, 0) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut params = vec![Matrix::from_rows(&[&[0.0f32]])];
         let mut opt = Adam::new(0.2);
@@ -147,6 +120,6 @@ mod tests {
     #[should_panic(expected = "one grad per param")]
     fn mismatched_lengths_panic() {
         let mut params = vec![Matrix::zeros(1, 1)];
-        Sgd { lr: 0.1 }.step(&mut params, &[]);
+        Adam::new(0.1).step(&mut params, &[]);
     }
 }

@@ -44,9 +44,11 @@ if [[ -n "$slow" ]]; then
     exit 1
 fi
 
-echo "==> bench/ builds and its own tests pass (a renamed public item must break here)"
-cargo build --release --offline --manifest-path bench/Cargo.toml
-cargo test --offline --manifest-path bench/Cargo.toml
+# --locked: a first-party manifest edge that would rewrite the committed
+# bench/Cargo.lock fails here instead of silently editing a file under bench/.
+echo "==> bench/ builds and its own tests pass, --locked (a renamed public item or a moved lock file must break here)"
+cargo build --release --offline --locked --manifest-path bench/Cargo.toml
+cargo test --offline --locked --manifest-path bench/Cargo.toml
 
 echo "==> bench/run.sh --quick (four workloads, both phases: byte-identical passes, bypass matrix, traced replay == run_epoch)"
 bash bench/run.sh --quick >/dev/null

@@ -14,7 +14,9 @@
 //!   glossary fails here too.
 //!
 //! It also checks that every `scripts/…` and `bench/….sh` path the four
-//! top-level docs name is a file in the tree.
+//! top-level docs name is a file in the tree, and that every
+//! `` `legion-<crate>::<name>` `` README.md and DESIGN.md write is a
+//! module file or a `pub` item of that crate.
 //!
 //! Pattern language: literal dot-separated names with `{g}`-style
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
@@ -304,5 +306,106 @@ fn documented_scripts_exist() {
     assert!(
         named >= 4,
         "script-path parse collapsed: only {named} found"
+    );
+}
+
+/// Every backticked `legion-<crate>::<path>` in `doc` as a
+/// `(crate, path)` pair; a trailing `{a,b}` list gives one pair per
+/// alternative.
+fn crate_item_paths(doc: &str) -> Vec<(&str, String)> {
+    let mut out = Vec::new();
+    for (at, _) in doc.match_indices("`legion-") {
+        let rest = &doc[at + 1..];
+        let Some((krate, path)) = rest
+            .find('`')
+            .and_then(|close| rest[..close].split_once("::"))
+        else {
+            continue;
+        };
+        let (stem, alternatives) = path.split_once('{').unwrap_or((path, ""));
+        for alt in alternatives.trim_end_matches('}').split(',') {
+            out.push((krate, format!("{stem}{alt}")));
+        }
+    }
+    out
+}
+
+/// The `.rs` files under `dir`, recursively (none if it is no directory).
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `path` (segments joined by `::`) is a module file under the
+/// crate sources `src`, or a `pub` item declared in the module its
+/// leading segments name (the whole crate when there are none).
+fn is_module_or_pub_item(src: &std::path::Path, path: &str) -> bool {
+    let rel = path.replace("::", "/");
+    if src.join(format!("{rel}.rs")).is_file() || src.join(&rel).join("mod.rs").is_file() {
+        return true;
+    }
+    let (scope, name) = match rel.rsplit_once('/') {
+        Some((scope, name)) => (src.join(scope), name),
+        None => (src.to_path_buf(), rel.as_str()),
+    };
+    let mut files = vec![scope.with_extension("rs")];
+    rust_files(&scope, &mut files);
+    let declares = |line: &str| {
+        let mut words = line
+            .trim_start()
+            .strip_prefix("pub ")
+            .unwrap_or("")
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        matches!(
+            words.next(),
+            Some("fn" | "struct" | "enum" | "trait" | "const" | "type" | "static" | "mod")
+        ) && words.next() == Some(name)
+    };
+    files
+        .iter()
+        .filter_map(|file| std::fs::read_to_string(file).ok())
+        .any(|text| text.lines().any(declares))
+}
+
+/// A doc cannot name a module or item the crate no longer has.
+#[test]
+fn documented_crate_items_exist() {
+    assert_eq!(
+        crate_item_paths("`legion-hw::PcieModel` in `legion-hw`, `legion-cache::{a,b::c}`"),
+        [
+            ("legion-hw", "PcieModel"),
+            ("legion-cache", "a"),
+            ("legion-cache", "b::c")
+        ]
+        .map(|(krate, path)| (krate, path.to_string()))
+    );
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let hw = crates.join("legion-hw/src");
+    assert!(is_module_or_pub_item(&hw, "pcie"));
+    assert!(is_module_or_pub_item(&hw, "pcie::PcieModel"));
+    assert!(!is_module_or_pub_item(&hw, "pcie::NetModel"));
+    let docs = [
+        ("README.md", include_str!("../README.md")),
+        ("DESIGN.md", include_str!("../DESIGN.md")),
+    ];
+    let mut named = 0;
+    for (doc_name, doc) in docs {
+        for (krate, path) in crate_item_paths(doc) {
+            named += 1;
+            assert!(
+                is_module_or_pub_item(&crates.join(krate).join("src"), &path),
+                "{doc_name} names `{krate}::{path}`, which is neither a module file nor a pub item of {krate}"
+            );
+        }
+    }
+    assert!(
+        named >= 10,
+        "crate-path parse collapsed: only {named} found"
     );
 }
