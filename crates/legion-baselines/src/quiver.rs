@@ -2,8 +2,9 @@
 //! (§3.1, §6.3.1).
 //!
 //! "Quiver replicates feature cache between NVLink cliques and averagely
-//! hashes the features among GPUs in the same NVLink clique." The plus
-//! variant swaps Quiver's in-degree hotness for the pre-sampling metric
+//! hashes the features among GPUs in the same NVLink clique." This is
+//! the plus variant, which swaps Quiver's in-degree hotness for the
+//! pre-sampling metric
 //! (as the paper does for the Figure 9 comparison). Cache capacity scales
 //! with the clique size but stops growing beyond it — the Figure 2
 //! flat-line once GPU count exceeds `K_g`.
@@ -13,24 +14,15 @@ use legion_partition::detect_cliques;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 use legion_sampling::{presample, KHopSampler};
 
-use crate::policy::{build_feature_cache_hashed, in_degree_hotness};
+use crate::policy::build_feature_cache_hashed;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
-/// Hotness metric for the Quiver cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuiverHotness {
-    /// Original Quiver: vertex in-degree.
-    InDegree,
-    /// Quiver-plus: pre-sampling access frequency.
-    Presampling,
-}
-
-/// Builds the Quiver(-plus) setup.
+/// Builds the Quiver-plus setup.
 ///
 /// # Errors
 ///
 /// [`SystemError::GpuOom`] / [`SystemError::CpuOom`] on capacity failures.
-pub fn setup(ctx: &BuildContext<'_>, hotness: QuiverHotness) -> Result<SystemSetup, SystemError> {
+pub fn setup(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
     let n = ctx.server.num_gpus();
     let needed = ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes();
     let available = ctx.server.spec().cpu_memory;
@@ -39,26 +31,20 @@ pub fn setup(ctx: &BuildContext<'_>, hotness: QuiverHotness) -> Result<SystemSet
     }
     let cliques = detect_cliques(ctx.server.nvlink());
     let tablets = ctx.even_tablets(n);
-    let global_hotness = match hotness {
-        QuiverHotness::InDegree => in_degree_hotness(&ctx.dataset.graph),
-        QuiverHotness::Presampling => {
-            let gpus: Vec<usize> = (0..n).collect();
-            let sampler = KHopSampler::new(ctx.fanouts.clone());
-            let pres = presample(
-                &ctx.dataset.graph,
-                &ctx.dataset.features,
-                ctx.server,
-                &gpus,
-                &tablets,
-                &sampler,
-                ctx.batch_size,
-                ctx.presample_epochs,
-                ctx.seed,
-            );
-            pres.h_f.column_wise_sum()
-        }
-    };
-    let order = hotness_order(&global_hotness);
+    let gpus: Vec<usize> = (0..n).collect();
+    let sampler = KHopSampler::new(ctx.fanouts.clone());
+    let pres = presample(
+        &ctx.dataset.graph,
+        &ctx.dataset.features,
+        ctx.server,
+        &gpus,
+        &tablets,
+        &sampler,
+        ctx.batch_size,
+        ctx.presample_epochs,
+        ctx.seed,
+    );
+    let order = hotness_order(&pres.h_f.column_wise_sum());
     let budget = ctx.per_gpu_cache_budget();
     // The same clique-level cache content is replicated in every clique.
     let clique_caches = cliques
@@ -76,10 +62,7 @@ pub fn setup(ctx: &BuildContext<'_>, hotness: QuiverHotness) -> Result<SystemSet
         .collect::<Result<Vec<_>, _>>()
         .map_err(SystemError::GpuOom)?;
     Ok(SystemSetup {
-        name: match hotness {
-            QuiverHotness::InDegree => "Quiver".to_string(),
-            QuiverHotness::Presampling => "Quiver-plus".to_string(),
-        },
+        name: "Quiver-plus".to_string(),
         layout: CacheLayout::from_cliques(n, clique_caches),
         tablets,
         topology_placement: TopologyPlacement::CpuUva,
@@ -115,7 +98,7 @@ mod tests {
         let mut spec = ServerSpec::custom(4, 1 << 30, 2);
         spec.gpu_memory = 32 * 1024;
         let server = spec.build();
-        let s = setup(&ctx_on(&ds, &server), QuiverHotness::Presampling).unwrap();
+        let s = setup(&ctx_on(&ds, &server)).unwrap();
         assert_eq!(s.layout.cliques.len(), 2, "two NVLink pairs");
         // Same vertex set cached in both cliques (replication).
         let nv = ds.graph.num_vertices() as u32;
@@ -133,25 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn in_degree_variant_differs_from_presampling() {
-        let ds = spec_by_name("PA").unwrap().instantiate(2000, 1);
-        let mut spec = ServerSpec::custom(2, 1 << 30, 2);
-        spec.gpu_memory = 16 * 1024;
-        let server = spec.build();
-        let a = setup(&ctx_on(&ds, &server), QuiverHotness::InDegree).unwrap();
-        server.reset();
-        let b = setup(&ctx_on(&ds, &server), QuiverHotness::Presampling).unwrap();
-        assert_eq!(a.name, "Quiver");
-        assert_eq!(b.name, "Quiver-plus");
-    }
-
-    #[test]
     fn single_clique_server_has_one_cache() {
         let ds = spec_by_name("PR").unwrap().instantiate(2000, 1);
         let mut spec = ServerSpec::dgx_a100();
         spec.gpu_memory = 1 << 20;
         let server = spec.build();
-        let s = setup(&ctx_on(&ds, &server), QuiverHotness::Presampling).unwrap();
+        let s = setup(&ctx_on(&ds, &server)).unwrap();
         assert_eq!(s.layout.cliques.len(), 1);
         assert_eq!(s.layout.cliques[0].gpus().len(), 8);
     }

@@ -1069,14 +1069,13 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
         // Low enough that batch-boundary compaction actually fires
         // within a smoke-length stream.
         compact_threshold: 512,
-        ..ChurnConfig::default()
     };
     println!(
         "\nchurn head-to-head at 0.9x capacity ({rate:.0} req/s): {:.0} mutations/s \
          ({}% inserts, {}% vertex churn), compaction threshold {} delta edges",
         churn_cfg.ops_per_sec,
-        (churn_cfg.insert_frac * 100.0) as u32,
-        (churn_cfg.churn_frac * 100.0) as u32,
+        (legion_serve::INSERT_FRAC * 100.0) as u32,
+        (legion_serve::CHURN_FRAC * 100.0) as u32,
         churn_cfg.compact_threshold,
     );
     println!(
@@ -1412,10 +1411,11 @@ fn main() {
         base.cache_rows_per_gpu,
     );
     println!(
-        "replan knobs: bucket {} requests, window {} buckets, detector {:?}, cooldown {} buckets",
+        "replan knobs: bucket {} requests, window {} buckets, detector hit-rate EWMA (alpha {}, drop {}), cooldown {} buckets",
         base.replan.bucket_requests,
         base.replan.window_buckets,
-        base.replan.detector,
+        legion_serve::replan::EWMA_ALPHA,
+        legion_serve::replan::EWMA_DROP,
         base.replan.cooldown_buckets,
     );
 

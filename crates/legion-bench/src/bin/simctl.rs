@@ -110,7 +110,7 @@ fn main() {
             "PaGraph" => pagraph::setup(&ctx),
             "PaGraph-plus" => pagraph::setup_plus(&ctx),
             "GNNLab" => gnnlab::setup(&ctx, (scaled.num_gpus / 4).max(1)),
-            "Quiver" => quiver::setup(&ctx, quiver::QuiverHotness::Presampling),
+            "Quiver" => quiver::setup(&ctx),
             "Legion" => legion_setup_with_plans(&ctx, &legion_config).map(|(s, plans)| {
                 println!(
                     "  [legion] auto cache plan: alpha = {:.2}, clique budget {} MiB",

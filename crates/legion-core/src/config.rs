@@ -30,14 +30,8 @@ impl PartitionerKind {
     pub fn build(self, seed: u64) -> Box<dyn Partitioner> {
         match self {
             PartitionerKind::Ldg => Box::new(LdgPartitioner::default()),
-            PartitionerKind::Multilevel => Box::new(MultilevelPartitioner {
-                seed,
-                ..Default::default()
-            }),
-            PartitionerKind::LabelProp => Box::new(LabelPropPartitioner {
-                seed,
-                ..Default::default()
-            }),
+            PartitionerKind::Multilevel => Box::new(MultilevelPartitioner { seed }),
+            PartitionerKind::LabelProp => Box::new(LabelPropPartitioner { seed }),
             PartitionerKind::Hash => Box::new(HashPartitioner),
         }
     }
@@ -52,8 +46,6 @@ pub struct LegionConfig {
     pub batch_size: usize,
     /// Pre-sampling epochs for hotness estimation.
     pub presample_epochs: usize,
-    /// Bytes reserved per GPU for model weights and intermediate buffers.
-    pub reserved_per_gpu: u64,
     /// When set, caps every per-GPU cache budget (fixed-cache-ratio
     /// experiments).
     pub cache_budget_override: Option<u64>,
@@ -73,7 +65,6 @@ impl Default for LegionConfig {
             fanouts: vec![25, 10],
             batch_size: 1000,
             presample_epochs: 1,
-            reserved_per_gpu: 0,
             cache_budget_override: None,
             delta_alpha: 0.01,
             hidden_dim: 256,
@@ -94,7 +85,9 @@ impl LegionConfig {
         }
     }
 
-    /// Builds the [`BuildContext`] handed to setup builders.
+    /// Builds the [`BuildContext`] handed to setup builders. It reserves
+    /// no GPU memory for model weights; an experiment that needs a
+    /// reservation (Fig. 12's replicated topology) raises the context's.
     pub fn build_context<'a>(
         &self,
         dataset: &'a Dataset,
@@ -106,7 +99,7 @@ impl LegionConfig {
             fanouts: self.fanouts.clone(),
             batch_size: self.batch_size,
             presample_epochs: self.presample_epochs,
-            reserved_per_gpu: self.reserved_per_gpu,
+            reserved_per_gpu: 0,
             cache_budget_override: self.cache_budget_override,
             seed: self.seed,
         }

@@ -81,7 +81,7 @@ pub fn build_policy(
     };
     match policy {
         CachePolicy::GnnLabReplicated => gnnlab_replicated(&capped, budget),
-        CachePolicy::QuiverPlus => quiver::setup(&capped, quiver::QuiverHotness::Presampling),
+        CachePolicy::QuiverPlus => quiver::setup(&capped),
         CachePolicy::PaGraph => pagraph_policy(&capped, budget),
         CachePolicy::PaGraphPlus => pagraph::setup_plus(&capped),
         CachePolicy::Legion => legion_feature_cache_setup(&capped, config, rows_per_gpu),

@@ -163,10 +163,21 @@ fn finalize_report(name: String, server: &MultiGpuServer, epoch_seconds: f64) ->
     }
 }
 
+/// Upcoming generator batches the epoch store stages ahead of
+/// extraction.
+const LOOKAHEAD_BATCHES: usize = 2;
+
+/// Leading adjacency rows the epoch store stages per seed vertex.
+const PREFETCH_NEIGHBORS: usize = 16;
+
+/// Maximum rows one epoch-store prefetch call may issue.
+const PREFETCH_BUDGET: usize = 1024;
+
 /// Out-of-core configuration for the offline epoch runner: a host-DRAM
-/// budget for feature rows with the cold tail on the simulated NVMe
-/// tier, plus the batch-generator lookahead prefetcher's knobs. The
-/// training-side analogue of `legion_serve::StoreConfig`.
+/// budget for feature rows with the cold tail on a simulated PCIe 3.0
+/// x4 NVMe tier, staged ahead by a batch-generator lookahead
+/// prefetcher. The training-side analogue of
+/// `legion_serve::StoreConfig`.
 #[derive(Debug, Clone)]
 pub struct EpochStoreConfig {
     /// Host-DRAM budget for feature rows, in bytes. Rows are ranked by
@@ -175,14 +186,6 @@ pub struct EpochStoreConfig {
     pub dram_budget_bytes: u64,
     /// Staging-window rows per trainer GPU (bounded DRAM pin).
     pub staging_rows: usize,
-    /// Simulated device class.
-    pub nvme: NvmeGeneration,
-    /// Upcoming generator batches staged ahead of extraction.
-    pub lookahead_batches: usize,
-    /// Leading adjacency rows staged per seed vertex.
-    pub prefetch_neighbors: usize,
-    /// Maximum rows one prefetch call may issue.
-    pub prefetch_budget: usize,
 }
 
 impl Default for EpochStoreConfig {
@@ -190,10 +193,6 @@ impl Default for EpochStoreConfig {
         Self {
             dram_budget_bytes: u64::MAX,
             staging_rows: 4096,
-            nvme: NvmeGeneration::Gen3x4,
-            lookahead_batches: 2,
-            prefetch_neighbors: 16,
-            prefetch_budget: 1024,
         }
     }
 }
@@ -210,9 +209,6 @@ struct Spill<'a> {
 /// store plus the shared epoch-level meters.
 struct EpochStore {
     store: VertexStore,
-    lookahead_batches: usize,
-    prefetch_neighbors: usize,
-    prefetch_budget: usize,
     prefetch_hits: Counter,
     late_stalls: Counter,
     cold_reads: Counter,
@@ -229,7 +225,7 @@ impl EpochStore {
     fn new(spill: &Spill<'_>, dataset: &Dataset, registry: &Registry) -> Self {
         let Spill { cfg, ssd_rows } = *spill;
         let mut store = VertexStore::new(
-            NvmeModel::new(cfg.nvme),
+            NvmeModel::new(NvmeGeneration::Gen3x4),
             dataset.graph.num_vertices(),
             feature_bytes_for_dim(dataset.features.dim() as u64),
             cfg.staging_rows,
@@ -240,9 +236,6 @@ impl EpochStore {
         store.warm(ssd_rows.iter().copied());
         Self {
             store,
-            lookahead_batches: cfg.lookahead_batches,
-            prefetch_neighbors: cfg.prefetch_neighbors,
-            prefetch_budget: cfg.prefetch_budget,
             prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
             late_stalls: registry.counter("epoch.store.late_stalls"),
             cold_reads: registry.counter("epoch.store.cold_reads"),
@@ -268,23 +261,15 @@ impl EpochStore {
     /// Stages an upcoming generator batch's seed rows (and each seed's
     /// leading neighbors) at epoch time `at`, ahead of its extraction.
     fn prefetch_batch(&mut self, graph: &CsrGraph, seeds: &[VertexId], at: f64) {
-        if self.prefetch_budget == 0 {
-            return;
-        }
         self.candidates.clear();
         for &s in seeds {
             self.candidates.push(s);
-            self.candidates.extend(
-                graph
-                    .neighbors(s)
-                    .iter()
-                    .take(self.prefetch_neighbors)
-                    .copied(),
-            );
+            self.candidates
+                .extend(graph.neighbors(s).iter().take(PREFETCH_NEIGHBORS).copied());
         }
         let out = self
             .store
-            .prefetch(at, self.candidates.drain(..), self.prefetch_budget);
+            .prefetch(at, self.candidates.drain(..), PREFETCH_BUDGET);
         self.nvme_bytes.add(out.nvme_bytes);
     }
 }
@@ -506,7 +491,7 @@ fn epoch_loop(
             // looks past the batch in flight — the offline analogue of
             // the serving tier's queue lookahead.
             if let Some(es) = store.as_mut() {
-                for ahead in batches.iter().skip(i + 1).take(es.lookahead_batches) {
+                for ahead in batches.iter().skip(i + 1).take(LOOKAHEAD_BATCHES) {
                     es.prefetch_batch(graph, ahead, clock);
                 }
             }
@@ -674,7 +659,6 @@ mod tests {
         let tight = EpochStoreConfig {
             dram_budget_bytes: ds.feature_bytes() / 4,
             staging_rows: 512,
-            ..EpochStoreConfig::default()
         };
         let over = run_epoch_with_store(&setup, &ctx, &config, ModelKind::GraphSage, &tight);
         assert!(over.metrics.counter("store.nvme.bytes") > 0);

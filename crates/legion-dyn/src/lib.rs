@@ -46,6 +46,19 @@ const MUTATION_STREAM_SALT: u64 = 0xd9a7_51f3_8c2e_b645;
 /// vertex). Deterministic: on exhaustion the tick emits nothing.
 const ENDPOINT_RETRIES: usize = 8;
 
+/// Fraction of generated ops that are edge inserts.
+pub const INSERT_FRAC: f64 = 0.6;
+
+/// Fraction of generated ops that churn a whole vertex (drop all its
+/// edges). The remainder (`1 - INSERT_FRAC - CHURN_FRAC`) are edge
+/// deletes.
+pub const CHURN_FRAC: f64 = 0.05;
+
+/// Zipf exponent over degree-ranked vertices for endpoint choice —
+/// high-degree (hot) vertices mutate more, mirroring follow-graph churn
+/// concentrating on popular accounts.
+const ENDPOINT_EXPONENT: f64 = 0.8;
+
 // ---------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------
@@ -55,15 +68,6 @@ const ENDPOINT_RETRIES: usize = 8;
 pub struct ChurnConfig {
     /// Mutation arrival rate (Poisson, ops per simulated second).
     pub ops_per_sec: f64,
-    /// Fraction of ops that are edge inserts.
-    pub insert_frac: f64,
-    /// Fraction of ops that churn a whole vertex (drop all its edges).
-    /// The remainder (`1 - insert_frac - churn_frac`) are edge deletes.
-    pub churn_frac: f64,
-    /// Zipf exponent over degree-ranked vertices for endpoint choice —
-    /// high-degree (hot) vertices mutate more, mirroring follow-graph
-    /// churn concentrating on popular accounts.
-    pub endpoint_exponent: f64,
     /// Pending delta edges (insert list + tombstone entries) that
     /// trigger a batch-boundary compaction. `0` disables compaction.
     pub compact_threshold: usize,
@@ -73,45 +77,22 @@ impl Default for ChurnConfig {
     fn default() -> Self {
         Self {
             ops_per_sec: 10_000.0,
-            insert_frac: 0.6,
-            churn_frac: 0.05,
-            endpoint_exponent: 0.8,
             compact_threshold: 4096,
         }
     }
 }
 
 impl ChurnConfig {
-    /// Validates rate and fraction ranges.
+    /// Validates the rate.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field.
+    /// Returns a description of the invalid field.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.ops_per_sec.is_finite() && self.ops_per_sec > 0.0) {
             return Err(format!(
                 "ops_per_sec must be positive: {}",
                 self.ops_per_sec
-            ));
-        }
-        for (name, f) in [
-            ("insert_frac", self.insert_frac),
-            ("churn_frac", self.churn_frac),
-        ] {
-            if !(0.0..=1.0).contains(&f) {
-                return Err(format!("{name} must be in [0, 1]: {f}"));
-            }
-        }
-        if self.insert_frac + self.churn_frac > 1.0 {
-            return Err(format!(
-                "insert_frac + churn_frac must not exceed 1: {} + {}",
-                self.insert_frac, self.churn_frac
-            ));
-        }
-        if !(self.endpoint_exponent.is_finite() && self.endpoint_exponent >= 0.0) {
-            return Err(format!(
-                "endpoint_exponent must be non-negative: {}",
-                self.endpoint_exponent
             ));
         }
         Ok(())
@@ -240,7 +221,7 @@ impl MutationLog {
         // Degree-ranked endpoint table: rank 0 = hottest vertex.
         let mut rank: Vec<VertexId> = (0..n as VertexId).collect();
         rank.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
-        let zipf = Zipf::new(n, cfg.endpoint_exponent);
+        let zipf = Zipf::new(n, ENDPOINT_EXPONENT);
 
         let scratch = DeltaOverlay::new(n);
         let mut row_buf = Vec::new();
@@ -253,14 +234,14 @@ impl MutationLog {
                 break;
             }
             let kind: f64 = rng.gen();
-            let op = if kind < cfg.insert_frac {
+            let op = if kind < INSERT_FRAC {
                 (0..ENDPOINT_RETRIES).find_map(|_| {
                     let src = rank[zipf.sample(&mut rng)];
                     let dst = rank[zipf.sample(&mut rng)];
                     (src != dst && !scratch.edge_present(graph, src, dst))
                         .then_some(MutationOp::InsertEdge { src, dst })
                 })
-            } else if kind < cfg.insert_frac + cfg.churn_frac {
+            } else if kind < INSERT_FRAC + CHURN_FRAC {
                 (0..ENDPOINT_RETRIES).find_map(|_| {
                     let v = rank[zipf.sample(&mut rng)];
                     (scratch.merged_degree(graph, v) > 0).then_some(MutationOp::ChurnVertex { v })
@@ -795,21 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn generate_respects_op_mix() {
-        let g = ring_graph(128);
-        let cfg = ChurnConfig {
-            insert_frac: 1.0,
-            churn_frac: 0.0,
-            ..ChurnConfig::default()
-        };
-        let log = MutationLog::generate(&g, &cfg, 7, 0.02);
-        assert!(log
-            .ops
-            .iter()
-            .all(|m| matches!(m.op, MutationOp::InsertEdge { .. })));
-    }
-
-    #[test]
     fn log_json_roundtrip_is_lossless() {
         let g = ring_graph(64);
         let log = MutationLog::generate(&g, &ChurnConfig::default(), 11, 0.005);
@@ -842,25 +808,6 @@ mod tests {
         assert!(ok.validate().is_ok());
         assert!(ChurnConfig {
             ops_per_sec: 0.0,
-            ..ok.clone()
-        }
-        .validate()
-        .is_err());
-        assert!(ChurnConfig {
-            insert_frac: 1.5,
-            ..ok.clone()
-        }
-        .validate()
-        .is_err());
-        assert!(ChurnConfig {
-            insert_frac: 0.8,
-            churn_frac: 0.3,
-            ..ok.clone()
-        }
-        .validate()
-        .is_err());
-        assert!(ChurnConfig {
-            endpoint_exponent: f64::NAN,
             ..ok
         }
         .validate()

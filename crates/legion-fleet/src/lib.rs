@@ -126,10 +126,6 @@ impl FleetPolicy {
 pub struct FleetConfig {
     /// Simulated servers in the fleet.
     pub num_servers: usize,
-    /// Cluster fabric connecting them; defaults to a kernel-bypass
-    /// RDMA fabric at 400 G line rate ([`NetModel::rdma`]) — the class
-    /// of interconnect billion-scale GPU clusters deploy.
-    pub net: NetModel,
     /// Front-tier routing policy.
     pub policy: FleetPolicy,
     /// Leading neighbors of each target added to the routing probe
@@ -139,9 +135,6 @@ pub struct FleetConfig {
     /// (`queue_capacity * num_gpus`) at which the front tier spills to
     /// the least-loaded server.
     pub spill_threshold: f64,
-    /// Fixed replicated-head size; `None` (the default) sizes it
-    /// adaptively from the warmup hotness curve.
-    pub replicate_rows: Option<usize>,
     /// Per-server drain rate the projected-load model assumes,
     /// requests/s; `None` measures it with
     /// [`legion_serve::estimate_capacity_rps`] on one probe server.
@@ -158,9 +151,6 @@ pub struct FleetConfig {
     /// keeps the flat per-row pool, byte-identical to the
     /// pre-coalescing fleet.
     pub coalesce: bool,
-    /// Batches a fetched remote row stays deduplicable in the
-    /// coalescing staging window (ignored unless `coalesce`).
-    pub coalesce_window: u64,
     /// Drift-driven replica resizing: feed the front tier's routed
     /// probes into a [`legion_serve::WindowEstimator`], and when the
     /// windowed hot set drifts away from the replicated head
@@ -177,15 +167,12 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             num_servers: 2,
-            net: NetModel::rdma(NetGeneration::Eth400G),
             policy: FleetPolicy::Residency,
             probe_neighbors: 8,
             spill_threshold: 0.75,
-            replicate_rows: None,
             drain_rps: None,
             uplink: None,
             coalesce: false,
-            coalesce_window: 4,
             resize_on_drift: false,
         }
     }
@@ -212,12 +199,15 @@ impl FleetConfig {
         }
     }
 
-    /// The cluster network model with the uplink contention term
-    /// attached (when configured).
+    /// The cluster network model — a kernel-bypass RDMA fabric at 400 G
+    /// line rate ([`NetModel::rdma`]), the class of interconnect
+    /// billion-scale GPU clusters deploy — with the uplink contention
+    /// term attached (when configured).
     pub fn effective_net(&self) -> NetModel {
+        let net = NetModel::rdma(NetGeneration::Eth400G);
         match self.uplink {
-            Some(up) => self.net.with_contention(up),
-            None => self.net,
+            Some(up) => net.with_contention(up),
+            None => net,
         }
     }
 }
@@ -240,8 +230,7 @@ pub struct FleetPlan {
 
 /// Shards the graph across `fleet.num_servers` servers with the LDG
 /// edge-cut partitioner and replicates the warmup-hot head to every
-/// server, sized by the adaptive marginal-gain rule (or the fixed
-/// [`FleetConfig::replicate_rows`] override). Deterministic: the
+/// server, sized by the adaptive marginal-gain rule. Deterministic: the
 /// partitioner is RNG-free and the hotness curve derives from
 /// `base.seed`.
 pub fn plan_fleet(graph: &CsrGraph, base: &ServeConfig, fleet: &FleetConfig) -> FleetPlan {
@@ -272,10 +261,7 @@ pub fn plan_fleet(graph: &CsrGraph, base: &ServeConfig, fleet: &FleetConfig) -> 
         // same size, which is exactly the trade the adaptive rule
         // prices (`G` = servers instead of cliques).
         let budget = shard_sizes.iter().copied().max().unwrap_or(0);
-        let rows = fleet
-            .replicate_rows
-            .unwrap_or_else(|| adaptive_replicated_rows(&hot, &weight, budget, n))
-            .min(hot.len());
+        let rows = adaptive_replicated_rows(&hot, &weight, budget, n).min(hot.len());
         hot.into_iter().take(rows).collect()
     } else {
         Vec::new()
@@ -696,7 +682,6 @@ fn serve_members(
                 coalesce: shard.as_ref().map(|shard| CoalesceConfig {
                     shard: Arc::clone(shard),
                     num_servers: n,
-                    window_batches: fleet.coalesce_window,
                 }),
                 concurrent_servers: n,
             });

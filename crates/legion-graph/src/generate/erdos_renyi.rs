@@ -10,15 +10,13 @@ use crate::csr::CsrGraph;
 use crate::GraphBuilder;
 use crate::VertexId;
 
-/// Configuration for the `G(n, m)` generator.
+/// Configuration for the loop-free `G(n, m)` generator.
 #[derive(Debug, Clone, Copy)]
 pub struct ErdosRenyiConfig {
     /// Number of vertices.
     pub num_vertices: usize,
     /// Target number of directed edges (before de-duplication).
     pub num_edges: usize,
-    /// Allow self-loops (default: false).
-    pub self_loops: bool,
 }
 
 impl Default for ErdosRenyiConfig {
@@ -26,22 +24,21 @@ impl Default for ErdosRenyiConfig {
         Self {
             num_vertices: 1000,
             num_edges: 8000,
-            self_loops: false,
         }
     }
 }
 
 impl ErdosRenyiConfig {
-    /// Generates the graph.
+    /// Generates the graph; self-loops are never drawn.
     ///
     /// # Panics
     ///
-    /// Panics if `num_vertices == 0`, or if self-loops are disabled and
-    /// `num_vertices == 1` while edges are requested.
+    /// Panics if `num_vertices == 0`, or if `num_vertices == 1` while
+    /// edges are requested.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> CsrGraph {
         assert!(self.num_vertices > 0, "graph must have vertices");
         assert!(
-            self.self_loops || self.num_vertices > 1 || self.num_edges == 0,
+            self.num_vertices > 1 || self.num_edges == 0,
             "cannot draw loop-free edges on a single vertex"
         );
         let n = self.num_vertices as VertexId;
@@ -50,7 +47,7 @@ impl ErdosRenyiConfig {
         while produced < self.num_edges {
             let s = rng.gen_range(0..n);
             let d = rng.gen_range(0..n);
-            if !self.self_loops && s == d {
+            if s == d {
                 continue;
             }
             builder.push_edge(s, d);
@@ -81,7 +78,6 @@ mod tests {
         let g = ErdosRenyiConfig {
             num_vertices: 2000,
             num_edges: 40_000,
-            self_loops: false,
         }
         .generate(&mut rng);
         let s = degree_stats(&g);
@@ -100,7 +96,6 @@ mod tests {
         let g = ErdosRenyiConfig {
             num_vertices: 5,
             num_edges: 0,
-            self_loops: false,
         }
         .generate(&mut rng);
         assert_eq!(g.num_edges(), 0);
@@ -113,7 +108,6 @@ mod tests {
         let _ = ErdosRenyiConfig {
             num_vertices: 1,
             num_edges: 1,
-            self_loops: false,
         }
         .generate(&mut rng);
     }

@@ -16,8 +16,6 @@
 /// Network fabric class connecting the servers of a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetGeneration {
-    /// 100 GbE RoCE-style fabric — ~12.5 GB/s per-link line rate.
-    Eth100G,
     /// 400 GbE / NDR-class fabric — ~50 GB/s per-link line rate.
     Eth400G,
 }
@@ -27,7 +25,6 @@ impl NetGeneration {
     /// well-batched transfers.
     pub fn peak_bandwidth(self) -> f64 {
         match self {
-            NetGeneration::Eth100G => 12.5e9,
             NetGeneration::Eth400G => 50.0e9,
         }
     }
@@ -142,7 +139,7 @@ impl UplinkConfig {
 /// ```
 /// use legion_hw::{NetGeneration, NetModel};
 ///
-/// let net = NetModel::new(NetGeneration::Eth100G);
+/// let net = NetModel::new(NetGeneration::Eth400G);
 /// // One remote 512 B feature row is latency-bound, far below peak.
 /// assert!(net.effective_bandwidth(512.0) < 0.2 * net.peak_bandwidth());
 /// // A single remote read pays at least one round trip.
@@ -331,13 +328,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn peak_bandwidths_ordered_by_generation() {
-        assert!(NetGeneration::Eth400G.peak_bandwidth() > NetGeneration::Eth100G.peak_bandwidth());
-    }
-
-    #[test]
     fn effective_bandwidth_monotone_in_payload() {
-        let m = NetModel::new(NetGeneration::Eth100G);
+        let m = NetModel::new(NetGeneration::Eth400G);
         let mut prev = 0.0;
         for p in [64.0, 512.0, 4096.0, 65536.0, 1048576.0] {
             let bw = m.effective_bandwidth(p);
@@ -351,14 +343,14 @@ mod tests {
     fn network_is_slower_than_the_local_pcie_link() {
         // Remote reads only hurt if the fabric per-row cost exceeds the
         // local extraction cost; a single row must be latency-bound.
-        let m = NetModel::new(NetGeneration::Eth100G);
+        let m = NetModel::new(NetGeneration::Eth400G);
         assert!(m.read_seconds(1, 512) >= DEFAULT_RTT_S);
         assert_eq!(m.read_seconds(0, 512), 0.0);
     }
 
     #[test]
     fn inflight_window_bounds_concurrency() {
-        let m = NetModel::new(NetGeneration::Eth100G).with_max_inflight(8);
+        let m = NetModel::new(NetGeneration::Eth400G).with_max_inflight(8);
         let one_wave = m.read_seconds(8, 512);
         let two_waves = m.read_seconds(9, 512);
         assert!(two_waves > one_wave + 0.9 * DEFAULT_RTT_S);
@@ -369,7 +361,7 @@ mod tests {
 
     #[test]
     fn batched_reads_amortize_the_round_trip() {
-        let m = NetModel::new(NetGeneration::Eth100G);
+        let m = NetModel::new(NetGeneration::Eth400G);
         let solo = m.read_seconds(1, 512);
         let batch = m.read_seconds(64, 512);
         // 64 reads in one wave cost far less than 64 solo reads.
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn read_seconds_are_whole_nanoseconds() {
-        let m = NetModel::new(NetGeneration::Eth100G);
+        let m = NetModel::new(NetGeneration::Eth400G);
         for (n, p) in [(1u64, 512u64), (37, 128), (1000, 4096), (63, 260)] {
             let s = m.read_seconds(n, p);
             let ns = s * 1e9;
@@ -391,7 +383,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_include_header_overhead() {
-        let m = NetModel::new(NetGeneration::Eth100G);
+        let m = NetModel::new(NetGeneration::Eth400G);
         assert_eq!(m.bytes_for_payload(512), 512 + 4096);
     }
 
@@ -458,7 +450,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "oversubscription must be >= 1")]
     fn undersubscribed_uplink_invalid() {
-        NetModel::new(NetGeneration::Eth100G).with_contention(UplinkConfig {
+        NetModel::new(NetGeneration::Eth400G).with_contention(UplinkConfig {
             oversubscription: 0.5,
             nic_serialization: 0.0,
         });

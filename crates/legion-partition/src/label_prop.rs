@@ -16,24 +16,22 @@ use legion_graph::{CsrGraph, VertexId};
 
 use crate::Partitioner;
 
+/// Maximum propagation rounds.
+const ROUNDS: usize = 8;
+
+/// Capacity slack multiplier over the ideal part size.
+const CAPACITY_SLACK: f64 = 1.05;
+
 /// Balanced label-propagation configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LabelPropPartitioner {
-    /// Maximum propagation rounds.
-    pub rounds: usize,
-    /// Capacity slack multiplier over the ideal part size.
-    pub capacity_slack: f64,
     /// RNG seed for the initial assignment and visit order.
     pub seed: u64,
 }
 
 impl Default for LabelPropPartitioner {
     fn default() -> Self {
-        Self {
-            rounds: 8,
-            capacity_slack: 1.05,
-            seed: 0x1ab71,
-        }
+        Self { seed: 0x1ab71 }
     }
 }
 
@@ -59,10 +57,10 @@ impl Partitioner for LabelPropPartitioner {
         for &a in &assignment {
             sizes[a as usize] += 1;
         }
-        let capacity = (self.capacity_slack * n as f64 / k as f64).max(1.0) as usize;
+        let capacity = (CAPACITY_SLACK * n as f64 / k as f64).max(1.0) as usize;
         let mut counts = vec![0u32; k];
         let mut order: Vec<usize> = (0..n).collect();
-        for _ in 0..self.rounds {
+        for _ in 0..ROUNDS {
             // Random visit order each round avoids oscillation artifacts.
             for i in (1..n).rev() {
                 let j = rng.gen_range(0..=i);
@@ -152,10 +150,9 @@ mod tests {
     #[test]
     fn respects_capacity() {
         let g = community_graph();
-        let p = LabelPropPartitioner::default();
-        let a = p.partition(&g, 4);
+        let a = LabelPropPartitioner::default().partition(&g, 4);
         assert!(
-            balance(&a, 4) <= p.capacity_slack + 0.02,
+            balance(&a, 4) <= CAPACITY_SLACK + 0.02,
             "balance {}",
             balance(&a, 4)
         );

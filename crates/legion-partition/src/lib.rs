@@ -141,7 +141,6 @@ mod tests {
         let g = ErdosRenyiConfig {
             num_vertices: 200,
             num_edges: 2000,
-            self_loops: false,
         }
         .generate(&mut rng);
         let p = EdgeSampledPartitioner::new(HashPartitioner, 0.25, 7);

@@ -20,28 +20,26 @@ use legion_graph::{CsrGraph, VertexId};
 
 use crate::Partitioner;
 
+/// Coarsening stops once the graph has at most `COARSEN_TARGET * k`
+/// vertices.
+const COARSEN_TARGET: usize = 30;
+
+/// Boundary-refinement passes per level.
+const REFINEMENT_PASSES: usize = 4;
+
+/// Maximum allowed part weight as a multiple of the ideal weight.
+pub const BALANCE_TOLERANCE: f64 = 1.05;
+
 /// Multilevel partitioner configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MultilevelPartitioner {
-    /// Stop coarsening once the graph has at most `coarsen_target * k`
-    /// vertices.
-    pub coarsen_target: usize,
-    /// Boundary-refinement passes per level.
-    pub refinement_passes: usize,
-    /// Maximum allowed part weight as a multiple of the ideal weight.
-    pub balance_tolerance: f64,
     /// RNG seed (matching order and growth seeds).
     pub seed: u64,
 }
 
 impl Default for MultilevelPartitioner {
     fn default() -> Self {
-        Self {
-            coarsen_target: 30,
-            refinement_passes: 4,
-            balance_tolerance: 1.05,
-            seed: 0x1e91,
-        }
+        Self { seed: 0x1e91 }
     }
 }
 
@@ -223,15 +221,15 @@ fn initial_partition(level: &Level, k: usize, rng: &mut StdRng) -> Vec<u32> {
 
 /// FM-style boundary refinement: greedily move vertices to the part they
 /// are most connected to, while keeping every part under the tolerance.
-fn refine(level: &Level, assignment: &mut [u32], k: usize, passes: usize, tolerance: f64) {
+fn refine(level: &Level, assignment: &mut [u32], k: usize) {
     let total = level.total_weight();
-    let max_weight = (tolerance * total as f64 / k as f64).ceil() as u64;
+    let max_weight = (BALANCE_TOLERANCE * total as f64 / k as f64).ceil() as u64;
     let mut weights = vec![0u64; k];
     for (v, &p) in assignment.iter().enumerate() {
         weights[p as usize] += level.vweight[v];
     }
     let mut conn = vec![0u64; k];
-    for _ in 0..passes {
+    for _ in 0..REFINEMENT_PASSES {
         let mut moved = 0usize;
         for v in 0..level.num_vertices() {
             let from = assignment[v] as usize;
@@ -284,7 +282,7 @@ impl Partitioner for MultilevelPartitioner {
         // Phase 1: coarsen.
         let mut levels = vec![finest_level(g)];
         let mut maps: Vec<Vec<u32>> = Vec::new();
-        let stop_at = (self.coarsen_target * k).max(32);
+        let stop_at = (COARSEN_TARGET * k).max(32);
         loop {
             let top = levels.last().expect("at least the finest level");
             if top.num_vertices() <= stop_at {
@@ -306,13 +304,7 @@ impl Partitioner for MultilevelPartitioner {
         // Phase 2: initial partition on the coarsest level.
         let coarsest = levels.last().expect("non-empty");
         let mut assignment = initial_partition(coarsest, k, &mut rng);
-        refine(
-            coarsest,
-            &mut assignment,
-            k,
-            self.refinement_passes,
-            self.balance_tolerance,
-        );
+        refine(coarsest, &mut assignment, k);
         // Phase 3: project back and refine each level.
         for li in (0..maps.len()).rev() {
             let fine = &levels[li];
@@ -321,13 +313,7 @@ impl Partitioner for MultilevelPartitioner {
             for (v, &c) in map.iter().enumerate() {
                 fine_assignment[v] = assignment[c as usize];
             }
-            refine(
-                fine,
-                &mut fine_assignment,
-                k,
-                self.refinement_passes,
-                self.balance_tolerance,
-            );
+            refine(fine, &mut fine_assignment, k);
             assignment = fine_assignment;
         }
         assignment
@@ -384,10 +370,9 @@ mod tests {
     #[test]
     fn respects_balance_tolerance() {
         let g = community_graph(4000, 4);
-        let p = MultilevelPartitioner::default();
-        let a = p.partition(&g, 4);
+        let a = MultilevelPartitioner::default().partition(&g, 4);
         assert!(
-            balance(&a, 4) <= p.balance_tolerance + 0.05,
+            balance(&a, 4) <= BALANCE_TOLERANCE + 0.05,
             "balance {}",
             balance(&a, 4)
         );

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use legion_graph::builder::from_edges;
 use legion_graph::{CsrGraph, GraphBuilder};
 use legion_hw::NvLinkTopology;
+use legion_partition::multilevel::BALANCE_TOLERANCE;
 use legion_partition::quality::{balance, part_sizes};
 use legion_partition::{
     detect_cliques, hierarchical_partition, HashPartitioner, LdgPartitioner, MultilevelPartitioner,
@@ -146,12 +147,11 @@ proptest! {
 
     #[test]
     fn multilevel_balance_is_bounded(g in graph_strategy(), k in 2usize..5) {
-        let p = MultilevelPartitioner::default();
-        let a = p.partition(&g, k);
+        let a = MultilevelPartitioner::default().partition(&g, k);
         if g.num_vertices() >= 4 * k {
             // Tolerance plus coarsening granularity slop.
             prop_assert!(
-                balance(&a, k) <= p.balance_tolerance + 0.5,
+                balance(&a, k) <= BALANCE_TOLERANCE + 0.5,
                 "balance {}",
                 balance(&a, k)
             );

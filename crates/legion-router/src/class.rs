@@ -65,9 +65,6 @@ impl PriorityClass {
 /// `legion-serve`'s `Request` implements this; keeping it a trait lets
 /// the queue live below the crate that defines the request type.
 pub trait QueuedRequest: Copy {
-    /// Globally monotone sequence number (arrival order). Unique per
-    /// request; the FIFO drain merges on it.
-    fn seq(&self) -> u64;
     /// Arrival time in simulated seconds.
     fn arrival(&self) -> f64;
     /// The request's priority class.

@@ -1,16 +1,16 @@
 //! Classed admission queue with weighted quotas and inverse-priority
 //! shedding.
 //!
-//! [`ClassedQueue`] replaces the serving tier's flat bounded FIFO. It
-//! keeps one FIFO deque per [`PriorityClass`] under a single shared
-//! capacity and runs in one of two modes:
+//! [`ClassedQueue`] is the serving tier's bounded admission queue: FIFO
+//! deques under a single shared capacity, drained front to back in
+//! deque order. It runs in one of two modes:
 //!
-//! * **FIFO mode** (`qos = false`) reproduces the legacy queue exactly:
-//!   drain order is global arrival order (merged on the monotone
-//!   request sequence number) and a full queue sheds the arrival,
+//! * **FIFO mode** (`qos = false`) files every request in one deque, so
+//!   drain order is arrival order, and a full queue sheds the arrival,
 //!   whatever its class.
-//! * **QoS mode** (`qos = true`) drains in strict priority order (FIFO
-//!   within a class) and sheds in strict *inverse* priority order: a
+//! * **QoS mode** (`qos = true`) keeps one deque per [`PriorityClass`]
+//!   and so drains in strict priority order (FIFO within a class); it
+//!   sheds in strict *inverse* priority order: a
 //!   full queue evicts the newest request of the lowest-priority class
 //!   that is over its weighted quota, so `Batch` drains first and
 //!   `Interactive` tail latency survives overload. Quotas are floors,
@@ -63,8 +63,7 @@ pub struct ClassedQueue<R: QueuedRequest> {
 }
 
 impl<R: QueuedRequest> ClassedQueue<R> {
-    /// A legacy-compatible FIFO queue: global arrival-order drain,
-    /// shed-the-arrival when full.
+    /// A FIFO queue: arrival-order drain, shed-the-arrival when full.
     pub fn new_fifo(capacity: usize) -> Self {
         ClassedQueue {
             deques: std::array::from_fn(|_| VecDeque::new()),
@@ -117,16 +116,18 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         self.deques.iter().all(VecDeque::is_empty)
     }
 
-    /// Queued requests of one class.
+    /// Queued requests of one class (QoS mode; a FIFO queue files every
+    /// request under the first class).
     pub fn class_len(&self, c: PriorityClass) -> usize {
         self.deques[c.index()].len()
     }
 
-    /// Peeks up to `k` queued requests without draining them, in
-    /// priority order across classes and FIFO order within each — the
-    /// QoS drain order, and exact arrival order for single-class
-    /// queues. Lookahead prefetchers use this to see what the next
-    /// batches will ask for; it never mutates the queue.
+    /// Peeks up to `k` queued requests without draining them, in drain
+    /// order (ignoring [service floors](Self::with_service_floors)):
+    /// arrival order in FIFO mode, priority order across classes and
+    /// FIFO within each in QoS mode. Lookahead prefetchers use this to
+    /// see what the next batches will ask for; it never mutates the
+    /// queue.
     pub fn peek_upto(&self, k: usize) -> impl Iterator<Item = &R> {
         self.deques.iter().flat_map(VecDeque::iter).take(k)
     }
@@ -151,7 +152,8 @@ impl<R: QueuedRequest> ClassedQueue<R> {
     pub fn offer(&mut self, r: R) -> Admission {
         let class = r.class();
         if self.len() < self.capacity {
-            self.deques[class.index()].push_back(r);
+            let filed = if self.qos { class.index() } else { 0 };
+            self.deques[filed].push_back(r);
             self.admitted += 1;
             return Admission::Admitted;
         }
@@ -177,83 +179,42 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         Admission::Shed
     }
 
-    /// Arrival time of the `i`-th request in drain order (`i = 0` is
-    /// the next request [`take`](Self::take) would return).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn kth_arrival(&self, i: usize) -> f64 {
-        assert!(i < self.len(), "kth_arrival past end of queue");
-        if self.qos {
-            // Priority order, FIFO within class.
-            let mut i = i;
-            for dq in &self.deques {
-                if i < dq.len() {
-                    return dq[i].arrival();
-                }
-                i -= dq.len();
-            }
-            unreachable!("index checked against len");
-        }
-        // FIFO mode: i-th smallest sequence number across the deques.
-        let mut cursors = [0usize; CLASS_COUNT];
-        for _ in 0..i {
-            let next = self
-                .min_seq_class(&cursors)
-                .expect("index checked against len");
-            cursors[next] += 1;
-        }
-        let next = self
-            .min_seq_class(&cursors)
-            .expect("index checked against len");
-        self.deques[next][cursors[next]].arrival()
-    }
-
     /// Remove and return up to `k` requests in drain order.
     ///
-    /// QoS drain order is strict priority (FIFO within a class), except
-    /// that classes with a non-zero [service
-    /// floor](Self::with_service_floors) are first reserved their
-    /// minimum share of the batch; the emitted batch is always in
-    /// priority-class order regardless of which pass claimed each slot.
+    /// Drain order is deque order, FIFO within a deque, except that
+    /// classes with a non-zero [service floor](Self::with_service_floors)
+    /// are first reserved their minimum share of the batch; the emitted
+    /// batch is always in deque order regardless of which pass claimed
+    /// each slot.
     pub fn take(&mut self, k: usize) -> Vec<R> {
         let n = k.min(self.len());
         let mut out = Vec::with_capacity(n);
-        if self.qos {
-            // Pass 1: reserve minimum service shares, lowest priority
-            // first, so the strict fill cannot consume a floored
-            // class's slots. A class never reserves more than it has
-            // pending; unused reservations fall through to pass 2.
-            let mut claim = [0usize; CLASS_COUNT];
-            let mut remaining = n;
-            for c in (0..CLASS_COUNT).rev() {
-                if self.floors[c] > 0.0 {
-                    let want = (self.floors[c] * n as f64).ceil() as usize;
-                    let got = want.min(self.deques[c].len()).min(remaining);
-                    claim[c] = got;
-                    remaining -= got;
-                }
+        // Pass 1: reserve minimum service shares, lowest priority
+        // first, so the strict fill cannot consume a floored class's
+        // slots. A class never reserves more than it has pending;
+        // unused reservations fall through to pass 2.
+        let mut claim = [0usize; CLASS_COUNT];
+        let mut remaining = n;
+        for c in (0..CLASS_COUNT).rev() {
+            if self.floors[c] > 0.0 {
+                let want = (self.floors[c] * n as f64).ceil() as usize;
+                let got = want.min(self.deques[c].len()).min(remaining);
+                claim[c] = got;
+                remaining -= got;
             }
-            // Pass 2: strict priority order for everything unreserved.
-            for (c, claimed) in claim.iter_mut().enumerate() {
-                let extra = remaining.min(self.deques[c].len() - *claimed);
-                *claimed += extra;
-                remaining -= extra;
-            }
-            // Emit in priority-class order, FIFO within class — with
-            // zero floors this is exactly the legacy strict drain.
-            for (c, dq) in self.deques.iter_mut().enumerate() {
-                for _ in 0..claim[c] {
-                    out.push(dq.pop_front().expect("claim bounded by class len"));
-                }
-            }
-            return out;
         }
-        let cursors = [0usize; CLASS_COUNT];
-        while out.len() < n {
-            let next = self.min_seq_class(&cursors).expect("len checked");
-            out.push(self.deques[next].pop_front().expect("non-empty deque"));
+        // Pass 2: deque order for everything unreserved.
+        for (c, claimed) in claim.iter_mut().enumerate() {
+            let extra = remaining.min(self.deques[c].len() - *claimed);
+            *claimed += extra;
+            remaining -= extra;
+        }
+        // Emit in deque order, FIFO within a deque — with zero floors
+        // this is exactly the strict drain.
+        for (c, dq) in self.deques.iter_mut().enumerate() {
+            for _ in 0..claim[c] {
+                out.push(dq.pop_front().expect("claim bounded by class len"));
+            }
         }
         out
     }
@@ -278,41 +239,11 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         if k == 0 || self.len() < k {
             return None;
         }
-        if !self.qos {
-            // FIFO drain order is sequence order, and sequence numbers
-            // are assigned in arrival order, so the k-th request in
-            // drain order is the latest of the first k.
-            return Some(self.kth_arrival(k - 1));
-        }
-        let mut remaining = k;
-        let mut latest = f64::NEG_INFINITY;
-        for dq in &self.deques {
-            let take = remaining.min(dq.len());
-            for r in dq.iter().take(take) {
-                latest = latest.max(r.arrival());
-            }
-            remaining -= take;
-            if remaining == 0 {
-                break;
-            }
-        }
+        let latest = self
+            .peek_upto(k)
+            .map(QueuedRequest::arrival)
+            .fold(f64::NEG_INFINITY, f64::max);
         Some(latest)
-    }
-
-    /// Index of the deque whose element at `cursors[c]` has the
-    /// smallest sequence number, or `None` if all cursors are past
-    /// their deque's end.
-    fn min_seq_class(&self, cursors: &[usize; CLASS_COUNT]) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (c, dq) in self.deques.iter().enumerate() {
-            if let Some(r) = dq.get(cursors[c]) {
-                let seq = r.seq();
-                if best.is_none_or(|(s, _)| seq < s) {
-                    best = Some((seq, c));
-                }
-            }
-        }
-        best.map(|(_, c)| c)
     }
 }
 
@@ -328,9 +259,6 @@ mod tests {
     }
 
     impl QueuedRequest for TestReq {
-        fn seq(&self) -> u64 {
-            self.seq
-        }
         fn arrival(&self) -> f64 {
             self.arrival
         }
@@ -359,13 +287,30 @@ mod tests {
         ] {
             assert_eq!(q.offer(req(seq, class)), Admission::Admitted);
         }
-        assert_eq!(q.kth_arrival(0), 0.0);
-        assert_eq!(q.kth_arrival(3), 3e-3);
         let taken: Vec<u64> = q.take(4).iter().map(|r| r.seq).collect();
         assert_eq!(taken, vec![0, 1, 2, 3]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.take(4).len(), 1);
         assert!(q.is_empty());
+    }
+
+    /// The store's lookahead prefetcher reads `peek_upto`: on a
+    /// multi-class FIFO queue it must see the requests the next batch
+    /// drains, not the class-ordered ones.
+    #[test]
+    fn fifo_peek_yields_the_next_take() {
+        let mut q: ClassedQueue<TestReq> = ClassedQueue::new_fifo(8);
+        for (seq, class) in [
+            (0, PriorityClass::Batch),
+            (1, PriorityClass::Interactive),
+            (2, PriorityClass::Standard),
+            (3, PriorityClass::Batch),
+        ] {
+            q.offer(req(seq, class));
+        }
+        let peeked: Vec<u64> = q.peek_upto(3).map(|r| r.seq).collect();
+        let taken: Vec<u64> = q.take(3).iter().map(|r| r.seq).collect();
+        assert_eq!(peeked, taken);
     }
 
     #[test]
@@ -387,9 +332,10 @@ mod tests {
         q.offer(req(2, PriorityClass::Interactive));
         q.offer(req(3, PriorityClass::Interactive));
         q.offer(req(4, PriorityClass::Batch));
-        assert_eq!(q.kth_arrival(0), 2e-3);
+        let peeked: Vec<u64> = q.peek_upto(5).map(|r| r.seq).collect();
         let taken: Vec<u64> = q.take(5).iter().map(|r| r.seq).collect();
         assert_eq!(taken, vec![2, 3, 1, 0, 4]);
+        assert_eq!(peeked, taken);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! The pieces, in data-flow order:
 //!
-//! * [`workload`] — Poisson / bursty arrival processes and Zipf-skewed,
+//! * [`workload`] — Poisson arrivals and Zipf-skewed,
 //!   drifting target-vertex sampling ([`ArrivalProcess`],
 //!   [`TargetSampler`]);
 //! * [`batcher`] — the dynamic micro-batching policy over the bounded
@@ -126,14 +126,14 @@ pub use engine::{
     generate_requests, plan_deployment, serve, serve_requests, Deployment, ServeReport,
 };
 pub use legion_dyn::{
-    ChurnConfig, DeltaOverlay, Mutation, MutationLog, MutationOp, MutationSource,
+    ChurnConfig, DeltaOverlay, Mutation, MutationLog, MutationOp, MutationSource, CHURN_FRAC,
+    INSERT_FRAC,
 };
 pub use legion_hw::{NetGeneration, NetModel};
 pub use legion_router::{PriorityClass, RouterConfig, RouterPolicy, CLASS_COUNT};
 pub use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 pub use replan::{
-    plan_layout, profile_warmup, DriftDetector, PlanBuffer, ReplanConfig, ReplanState,
-    WindowEstimator,
+    plan_layout, profile_warmup, PlanBuffer, ReplanConfig, ReplanState, WindowEstimator,
 };
 pub use slo::{latency_buckets, SloTracker};
 pub use sweep::{
@@ -162,8 +162,6 @@ pub struct ServeConfig {
     pub max_wait: f64,
     /// Per-GPU admission-queue capacity; arrivals beyond it are shed.
     pub queue_capacity: usize,
-    /// Latency SLO target, microseconds.
-    pub slo_us: u64,
     /// Feature-cache policy.
     pub policy: PolicyKind,
     /// Online re-planning knobs (used only by [`PolicyKind::Replan`]).
@@ -265,9 +263,8 @@ impl RemoteConfig {
 /// engine buckets each batch's misses by *owning server* and charges
 /// one batched message per owner — the header and round-trip waves
 /// amortize across every row the owner ships. Rows fetched within the
-/// last [`window_batches`](Self::window_batches) batches are still
-/// resident in the remote staging buffer and are deduplicated instead
-/// of re-fetched. Metered under
+/// last four batches are still resident in the remote staging buffer
+/// and are deduplicated instead of re-fetched. Metered under
 /// `serve.remote.{coalesced_msgs,dedup_hits,per_owner_bytes}`.
 #[derive(Debug, Clone)]
 pub struct CoalesceConfig {
@@ -277,11 +274,6 @@ pub struct CoalesceConfig {
     pub shard: std::sync::Arc<Vec<u32>>,
     /// Servers in the fleet (bounds the shard ids).
     pub num_servers: usize,
-    /// How many batches a fetched remote row stays deduplicable in the
-    /// staging buffer; `0` restricts dedup to the current batch (where
-    /// the sampler's sorted-unique vertex set never repeats, so the
-    /// counter stays 0).
-    pub window_batches: u64,
 }
 
 /// Configuration of the SSD-backed out-of-core feature tier.
@@ -458,7 +450,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             max_wait: 2e-4,
             queue_capacity: 1024,
-            slo_us: 1000,
             policy: PolicyKind::Fifo,
             replan: ReplanConfig::default(),
             cache_rows_per_gpu: 4096,
@@ -549,7 +540,6 @@ mod tests {
             coalesce: Some(CoalesceConfig {
                 shard: std::sync::Arc::new(shard),
                 num_servers,
-                window_batches: 0,
             }),
             concurrent_servers: 2,
         }

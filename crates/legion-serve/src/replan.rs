@@ -11,10 +11,9 @@
 //!   holds its own sparse per-vertex deltas so retiring it subtracts
 //!   exactly what it added from the aggregate [`HotnessMatrix`] pair
 //!   (the window's `H_T` / `H_F`) and the windowed `N_TSUM`;
-//! * [`DriftDetector`] — either a hit-rate EWMA dropping below the best
-//!   level seen since the last swap, or the overlap between the window's
-//!   top-k feature vertices and the active plan's cached set falling
-//!   under a threshold;
+//! * the drift detector — an EWMA of per-bucket hit rates
+//!   ([`EWMA_ALPHA`]) dropping more than [`EWMA_DROP`] below the best
+//!   level seen since the last swap;
 //! * [`plan_layout`] — CSLP + [`CostModel::best_plan`] over the window,
 //!   materialized as a single-GPU [`CliqueCache`] holding both topology
 //!   and feature entries (the serving analogue of Algorithm 1's output).
@@ -44,28 +43,19 @@ use legion_sampling::access::{sample_from, CacheLayout};
 
 use crate::workload::TargetSampler;
 
-/// How a serving GPU decides its cache plan has gone stale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DriftDetector {
-    /// Trigger when the EWMA of per-bucket feature hit rates falls more
-    /// than `drop` below the best EWMA seen since the last swap.
-    HitRateEwma {
-        /// EWMA smoothing factor in `(0, 1]` (1 = last bucket only).
-        alpha: f64,
-        /// Tolerated hit-rate drop before re-planning, in absolute
-        /// hit-rate points (0.15 = 15 points).
-        drop: f64,
-    },
-    /// Trigger when fewer than `min_overlap` of the window's `top_k`
-    /// hottest feature vertices are present in the active plan's feature
-    /// cache — a rank-overlap proxy for the window-vs-plan correlation.
-    RankOverlap {
-        /// How many of the window's hottest feature vertices to check.
-        top_k: usize,
-        /// Minimum tolerated overlap fraction in `[0, 1]`.
-        min_overlap: f64,
-    },
-}
+/// Smoothing factor of the drift detector's EWMA over per-bucket
+/// feature hit rates (1 = last bucket only).
+pub const EWMA_ALPHA: f64 = 0.5;
+
+/// Hit-rate drop, in absolute points below the best EWMA seen since the
+/// last swap, that trips the drift detector (0.08 = 8 points).
+pub const EWMA_DROP: f64 = 0.08;
+
+/// How far below the all-time-high hit-rate watermark the rate may sit
+/// and still count as recovered (0.05 = within 5 points). The
+/// watermark — unlike the drop-detection reference — never resets, so
+/// the recovery bar cannot erode across successive episodes.
+const RECOVER_MARGIN: f64 = 0.05;
 
 /// Knobs of the re-planning loop; see module docs for the moving parts.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,19 +64,12 @@ pub struct ReplanConfig {
     pub bucket_requests: usize,
     /// Buckets the sliding window retains; older buckets retire.
     pub window_buckets: usize,
-    /// The drift-detection rule.
-    pub detector: DriftDetector,
     /// Sealed buckets that must pass after a swap before the detector
     /// may stage another plan (limits churn while a swap takes effect).
     pub cooldown_buckets: usize,
     /// `Δα` of the re-planning cost-model sweep (coarser than the
     /// offline default 0.01 — re-planning runs on the serving path).
     pub delta_alpha: f64,
-    /// How far below the all-time-high hit-rate watermark the rate may
-    /// sit and still count as recovered (0.05 = within 5 points). The
-    /// watermark — unlike the drop-detection reference — never resets,
-    /// so the recovery bar cannot erode across successive episodes.
-    pub recover_margin: f64,
     /// Re-plans allowed per drift episode (the detection-time plan plus
     /// refinements from fresher windows). When the cap is hit without
     /// the hit rate reaching the recovery target, the episode closes and
@@ -100,13 +83,8 @@ impl Default for ReplanConfig {
         Self {
             bucket_requests: 16,
             window_buckets: 4,
-            detector: DriftDetector::HitRateEwma {
-                alpha: 0.5,
-                drop: 0.08,
-            },
             cooldown_buckets: 1,
             delta_alpha: 0.05,
-            recover_margin: 0.05,
             max_episode_replans: 4,
         }
     }
@@ -125,24 +103,10 @@ impl ReplanConfig {
             self.delta_alpha > 0.0 && self.delta_alpha <= 1.0,
             "delta_alpha must be in (0, 1]"
         );
-        assert!(self.recover_margin >= 0.0, "recover_margin must be >= 0");
         assert!(
             self.max_episode_replans > 0,
             "max_episode_replans must be positive"
         );
-        match self.detector {
-            DriftDetector::HitRateEwma { alpha, drop } => {
-                assert!(alpha > 0.0 && alpha <= 1.0, "ewma alpha must be in (0, 1]");
-                assert!(drop > 0.0, "ewma drop must be positive");
-            }
-            DriftDetector::RankOverlap { top_k, min_overlap } => {
-                assert!(top_k > 0, "rank-overlap top_k must be positive");
-                assert!(
-                    (0.0..=1.0).contains(&min_overlap),
-                    "min_overlap must be in [0, 1]"
-                );
-            }
-        }
     }
 }
 
@@ -287,7 +251,7 @@ impl WindowEstimator {
     }
 
     /// The window's `top_k` hottest feature vertices (ties break toward
-    /// the smaller vertex id), used by [`DriftDetector::RankOverlap`].
+    /// the smaller vertex id), used by the fleet's head-resize check.
     pub fn top_feature_vertices(&self, top_k: usize) -> Vec<VertexId> {
         let mut hot = self.ranked_feat().order;
         hot.truncate(top_k);
@@ -650,9 +614,6 @@ pub struct ReplanState {
     num_gpus: usize,
     budget: u64,
     cls: u64,
-    /// `LEGION_REPLAN_DEBUG` was set when the controller was built: log
-    /// every staged plan to stderr.
-    debug: bool,
     ewma: Option<f64>,
     reference: f64,
     watermark: f64,
@@ -686,7 +647,6 @@ impl ReplanState {
             num_gpus,
             budget,
             cls,
-            debug: std::env::var_os("LEGION_REPLAN_DEBUG").is_some(),
             ewma: None,
             reference: 0.0,
             watermark: 0.0,
@@ -723,13 +683,9 @@ impl ReplanState {
     ) -> Option<BucketOutcome> {
         let stats = self.window.seal_if_due()?;
         let rate = stats.hit_rate;
-        let smoothing = match self.config.detector {
-            DriftDetector::HitRateEwma { alpha, .. } => alpha,
-            DriftDetector::RankOverlap { .. } => 0.5,
-        };
         let ewma = match self.ewma {
             None => rate,
-            Some(prev) => smoothing * rate + (1.0 - smoothing) * prev,
+            Some(prev) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * prev,
         };
         self.ewma = Some(ewma);
         let recovered_after = match self.drift_at {
@@ -743,22 +699,7 @@ impl ReplanState {
         self.reference = self.reference.max(ewma);
         self.watermark = self.watermark.max(ewma);
         self.buckets_since_swap += 1;
-        let drifted = match self.config.detector {
-            DriftDetector::HitRateEwma { drop, .. } => ewma < self.reference - drop,
-            DriftDetector::RankOverlap { top_k, min_overlap } => {
-                let top = self.window.top_feature_vertices(top_k);
-                if top.is_empty() {
-                    false
-                } else {
-                    let cached = &self.plan.active().contents.feat;
-                    let overlap = top
-                        .iter()
-                        .filter(|v| cached.binary_search(v).is_ok())
-                        .count();
-                    (overlap as f64 / top.len() as f64) < min_overlap
-                }
-            }
-        };
+        let drifted = ewma < self.reference - EWMA_DROP;
         // An episode that exhausted its re-plan budget without reaching
         // the recovery target closes here: the target is unreachable
         // under the new skew, so the detector re-baselines on the plan
@@ -790,17 +731,6 @@ impl ReplanState {
                 self.config.delta_alpha,
                 self.cls,
             );
-            if self.debug {
-                eprintln!(
-                    "[replan gpu{} t={now:.4}] rate {rate:.3} ewma {ewma:.3} ref {:.3} | alpha {:.2} topo {} feat {} (active feat {})",
-                    self.gpu,
-                    self.reference,
-                    plan.evaluation.alpha,
-                    plan.contents.topo.len(),
-                    plan.contents.feat.len(),
-                    self.plan.active().contents.feat.len(),
-                );
-            }
             self.plan.stage(plan);
             if self.drift_at.is_none() {
                 self.drift_at = Some(now);
@@ -809,7 +739,7 @@ impl ReplanState {
                 // rebuilt from a degraded plan would lower the bar every
                 // episode, letting refinement stop earlier at a worse
                 // plan each phase.
-                self.recover_target = self.watermark - self.config.recover_margin;
+                self.recover_target = self.watermark - RECOVER_MARGIN;
                 self.episode_replans = 0;
             }
             self.episode_replans += 1;
@@ -1096,10 +1026,6 @@ mod tests {
         let config = ReplanConfig {
             bucket_requests: 4,
             window_buckets: 2,
-            detector: DriftDetector::HitRateEwma {
-                alpha: 1.0,
-                drop: 0.3,
-            },
             cooldown_buckets: 0,
             ..ReplanConfig::default()
         };
@@ -1123,41 +1049,13 @@ mod tests {
     }
 
     #[test]
-    fn rank_overlap_detector_stages_on_disjoint_hot_set() {
-        let g = ring_graph(16);
-        let f = FeatureTable::zeros(16, 4);
-        let config = ReplanConfig {
-            bucket_requests: 2,
-            window_buckets: 2,
-            detector: DriftDetector::RankOverlap {
-                top_k: 2,
-                min_overlap: 0.5,
-            },
-            cooldown_buckets: 0,
-            ..ReplanConfig::default()
-        };
-        // Active plan caches vertex 1; the window is all about 8 and 9.
-        let mut state = ReplanState::new(config, plan_for(&[(1, 10)], 64), 16, 0, 1, 64, 64);
-        state.window.note_feature(8);
-        state.window.note_feature(9);
-        state.window.note_batch(2, 0, 2, 3);
-        let out = state.roll(0.5, &g, &f).expect("sealed");
-        assert!(out.staged, "disjoint top-k must stage a replan");
-    }
-
-    #[test]
     fn recovery_is_reported_once() {
         let g = ring_graph(16);
         let f = FeatureTable::zeros(16, 4);
         let config = ReplanConfig {
             bucket_requests: 2,
             window_buckets: 2,
-            detector: DriftDetector::HitRateEwma {
-                alpha: 1.0,
-                drop: 0.2,
-            },
             cooldown_buckets: 0,
-            recover_margin: 0.05,
             ..ReplanConfig::default()
         };
         let mut state = ReplanState::new(config, plan_for(&[(1, 10)], 64), 16, 0, 1, 64, 64);

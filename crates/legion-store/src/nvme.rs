@@ -17,8 +17,6 @@
 pub enum NvmeGeneration {
     /// PCIe 3.0 x4 datacenter drive — ~3.2 GB/s sequential read.
     Gen3x4,
-    /// PCIe 4.0 x4 datacenter drive — ~6.8 GB/s sequential read.
-    Gen4x4,
 }
 
 impl NvmeGeneration {
@@ -27,7 +25,6 @@ impl NvmeGeneration {
     pub fn peak_bandwidth(self) -> f64 {
         match self {
             NvmeGeneration::Gen3x4 => 3.2e9,
-            NvmeGeneration::Gen4x4 => 6.8e9,
         }
     }
 }
@@ -170,11 +167,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn peak_bandwidths_ordered_by_generation() {
-        assert!(NvmeGeneration::Gen4x4.peak_bandwidth() > NvmeGeneration::Gen3x4.peak_bandwidth());
-    }
-
-    #[test]
     fn effective_bandwidth_monotone_in_payload() {
         let m = NvmeModel::new(NvmeGeneration::Gen3x4);
         let mut prev = 0.0;
@@ -189,7 +181,7 @@ mod tests {
     #[test]
     fn nvme_is_slower_than_the_pcie_link_it_sits_behind() {
         // The store tier only makes sense if it is the slow tier.
-        let m = NvmeModel::new(NvmeGeneration::Gen4x4);
+        let m = NvmeModel::new(NvmeGeneration::Gen3x4);
         assert!(m.peak_bandwidth() < 13.0e9);
     }
 

@@ -194,7 +194,6 @@ fn extracted_rows_are_conserved_as_hits_plus_misses() {
         mutations: Some(MutationSource::Generate(ChurnConfig {
             ops_per_sec: 100_000.0,
             compact_threshold: 64,
-            ..ChurnConfig::default()
         })),
         ..static_hot
     };

@@ -575,7 +575,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
             ops_per_sec: 100_000.0,
             compact_threshold: 64,
-            ..ChurnConfig::default()
         }));
         let fleet = FleetConfig {
             num_servers: 2,
@@ -619,7 +618,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
             ops_per_sec: 100_000.0,
             compact_threshold: 64,
-            ..ChurnConfig::default()
         }));
         let fleet = FleetConfig {
             num_servers: 3,
@@ -658,7 +656,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         let tight = EpochStoreConfig {
             dram_budget_bytes: ds.feature_bytes() / 4,
             staging_rows: 512,
-            ..EpochStoreConfig::default()
         };
         let spilled = run_epoch_with_store(&setup, &ctx, &cfg, ModelKind::GraphSage, &tight);
         assert!(spilled.metrics.counter("store.nvme.bytes") > 0);

@@ -14,9 +14,11 @@
 //!   glossary fails here too.
 //!
 //! It also checks that every `scripts/…` and `bench/….sh` path the four
-//! top-level docs name is a file in the tree, and that every
+//! top-level docs name is a file in the tree, that every
 //! `` `legion-<crate>::<name>` `` README.md and DESIGN.md write is a
-//! module file or a `pub` item of that crate.
+//! module file or a `pub` item of that crate, and that the
+//! configuration-surface table has one row per `pub` field of the run
+//! configs.
 //!
 //! Pattern language: literal dot-separated names with `{g}`-style
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
@@ -28,16 +30,16 @@ use legion_hw::{ServerSpec, UplinkConfig};
 use legion_serve::{serve, ChurnConfig, MutationSource, PolicyKind, ServeConfig, StoreConfig};
 use legion_telemetry::Snapshot;
 
-/// The glossary rows of OPERATIONS.md: every backticked pattern in the
-/// first column of the tables between the machine-check markers.
-fn glossary_patterns() -> Vec<String> {
+/// Every backticked name in the first column of the OPERATIONS.md
+/// tables between the `<!-- {section}:begin -->` / `:end` markers.
+fn first_column_names(section: &str) -> Vec<String> {
     let doc = include_str!("../OPERATIONS.md");
     let start = doc
-        .find("<!-- glossary:begin -->")
-        .expect("OPERATIONS.md must keep the glossary:begin marker");
+        .find(&format!("<!-- {section}:begin -->"))
+        .unwrap_or_else(|| panic!("OPERATIONS.md must keep the {section}:begin marker"));
     let end = doc
-        .find("<!-- glossary:end -->")
-        .expect("OPERATIONS.md must keep the glossary:end marker");
+        .find(&format!("<!-- {section}:end -->"))
+        .unwrap_or_else(|| panic!("OPERATIONS.md must keep the {section}:end marker"));
     let mut patterns = Vec::new();
     for line in doc[start..end].lines() {
         let line = line.trim();
@@ -57,6 +59,12 @@ fn glossary_patterns() -> Vec<String> {
             rest = &after[close + 1..];
         }
     }
+    patterns
+}
+
+/// The glossary rows of OPERATIONS.md.
+fn glossary_patterns() -> Vec<String> {
+    let patterns = first_column_names("glossary");
     assert!(
         patterns.len() > 40,
         "glossary parse collapsed: only {} patterns",
@@ -237,6 +245,94 @@ fn documented_core_metrics_are_observed_live() {
         !patterns.iter().any(|p| p.starts_with("serve.shard")),
         "glossary documents event-loop shard metrics that no run registers"
     );
+}
+
+/// `Struct::field` for every `pub` field of `pub struct {name}` in
+/// `source`.
+fn pub_fields(source: &str, name: &str) -> Vec<String> {
+    let open = format!("pub struct {name} {{");
+    let body = source
+        .split_once(&open)
+        .unwrap_or_else(|| panic!("no `{open}` in the source"))
+        .1;
+    let body = &body[..body.find("\n}").expect("struct body closes")];
+    body.lines()
+        .filter_map(|line| line.trim().strip_prefix("pub "))
+        .filter_map(|decl| decl.split_once(':'))
+        .map(|(field, _)| format!("{name}::{field}"))
+        .collect()
+}
+
+/// The configuration-surface table lists exactly the `pub` fields of
+/// the run configs: a field added without a row, or a row left behind
+/// by a deleted field, fails here.
+#[test]
+fn config_surface_is_documented() {
+    assert_eq!(
+        pub_fields(
+            "pub struct S {\n    /// Doc.\n    pub a: u8,\n    b: u8,\n    pub c: Vec<u8>,\n}\n",
+            "S"
+        ),
+        ["S::a", "S::c"]
+    );
+    let structs = [
+        (
+            "ServeConfig",
+            include_str!("../crates/legion-serve/src/lib.rs"),
+        ),
+        (
+            "ClassConfig",
+            include_str!("../crates/legion-serve/src/lib.rs"),
+        ),
+        (
+            "StoreConfig",
+            include_str!("../crates/legion-serve/src/lib.rs"),
+        ),
+        (
+            "ReplanConfig",
+            include_str!("../crates/legion-serve/src/replan.rs"),
+        ),
+        (
+            "RouterConfig",
+            include_str!("../crates/legion-router/src/dispatch.rs"),
+        ),
+        (
+            "FleetConfig",
+            include_str!("../crates/legion-fleet/src/lib.rs"),
+        ),
+        (
+            "UplinkConfig",
+            include_str!("../crates/legion-hw/src/net.rs"),
+        ),
+        (
+            "ChurnConfig",
+            include_str!("../crates/legion-dyn/src/lib.rs"),
+        ),
+        (
+            "EpochStoreConfig",
+            include_str!("../crates/legion-core/src/runner.rs"),
+        ),
+        (
+            "LegionConfig",
+            include_str!("../crates/legion-core/src/config.rs"),
+        ),
+    ];
+    let fields: Vec<String> = structs
+        .iter()
+        .flat_map(|(name, source)| pub_fields(source, name))
+        .collect();
+    let rows = first_column_names("config");
+    let undocumented: Vec<&String> = fields.iter().filter(|f| !rows.contains(f)).collect();
+    assert!(
+        undocumented.is_empty(),
+        "pub config fields missing from the OPERATIONS.md configuration surface: {undocumented:?}"
+    );
+    let phantom: Vec<&String> = rows.iter().filter(|r| !fields.contains(r)).collect();
+    assert!(
+        phantom.is_empty(),
+        "OPERATIONS.md configuration surface documents fields no config has: {phantom:?}"
+    );
+    assert_eq!(rows.len(), fields.len(), "a field has two rows");
 }
 
 /// The pattern matcher itself: placeholders, alternation, anchoring.

@@ -169,7 +169,6 @@ fn deployment_serves_twice_byte_identically() {
                 mutations: Some(MutationSource::Generate(ChurnConfig {
                     ops_per_sec: 100_000.0,
                     compact_threshold: 64,
-                    ..ChurnConfig::default()
                 })),
                 ..config(PolicyKind::StaticHot)
             },
