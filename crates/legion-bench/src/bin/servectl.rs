@@ -215,13 +215,6 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
                 row.class_shed[1],
                 row.class_shed[2]
             );
-            if router == RouterPolicy::Residency {
-                assert_eq!(
-                    r.routed + r.spilled,
-                    r.offered,
-                    "router must see every request"
-                );
-            }
             rows.push(row);
         };
 
@@ -468,7 +461,6 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
             .arrival
             .scaled(mult * capacity / base.arrival.mean_rate());
         let r = serve(&dataset.graph, &dataset.features, &server, &cfg);
-        assert_eq!(r.completed + r.shed, r.offered, "request conservation");
         let row = OversubRow {
             config: label,
             load_multiplier: mult,
@@ -594,9 +586,10 @@ struct FleetRow {
 /// uniform random-server baseline, at multiples of the aggregate
 /// (`n` x single-machine) capacity. Cross-server reads cost wire time
 /// through the cluster network model, so mis-routing shows up as a
-/// lower knee. Asserts same-seed determinism, request conservation,
-/// the residency locality and remote-traffic wins, residency knee
-/// capacity strictly above random at a matched p99 ceiling, and — in
+/// lower knee. Asserts same-seed determinism (request conservation is
+/// the library's run checker's), the residency locality and
+/// remote-traffic wins, residency knee capacity strictly above random
+/// at a matched p99 ceiling, and — in
 /// full mode with `n >= 16` — a fleet knee at least 10x the
 /// single-machine capacity.
 fn fleet_head_to_head(
@@ -696,7 +689,6 @@ fn fleet_head_to_head(
         series.push(("random", FleetPolicy::Random, n));
     }
     let make_row = |label: &'static str, servers: usize, frac: f64, r: &FleetReport| -> FleetRow {
-        assert_eq!(r.completed + r.shed, r.offered, "request conservation");
         let row = FleetRow {
             policy: label,
             num_servers: servers,
@@ -1138,7 +1130,6 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
     for &policy in &POLICIES {
         let frozen = run(policy, None);
         let churned = run(policy, Some(MutationSource::Generate(churn_cfg.clone())));
-        assert_eq!(churned.completed + churned.shed, churned.offered);
         let (fh, ch) = (
             feature_hit_rate(&frozen.metrics),
             feature_hit_rate(&churned.metrics),
@@ -1449,9 +1440,6 @@ fn main() {
             multipliers,
         );
         print_points(&points);
-        for p in &points {
-            assert_eq!(p.completed + p.shed, p.offered, "request conservation");
-        }
         let (first, last) = (points.first().unwrap(), points.last().unwrap());
         let knee = last.p99_us >= 5 * first.p99_us;
         println!(

@@ -40,8 +40,8 @@
 //!   yields byte-identical metric snapshots. Everything that varies is
 //!   derived from [`ServeConfig::seed`]; counters and histograms are
 //!   integers; gauges are written once per run.
-//! * **Conservation** — `offered == completed + shed` for every run;
-//!   the engine's tests pin this.
+//! * **Conservation** — every run checks request conservation and the
+//!   other run identities, stated once in [`invariants`], before it returns.
 //! * **Open loop** — arrivals never wait for the server. Backpressure
 //!   exists only as bounded admission queues that shed excess load.
 //! * **Plan atomicity** — under [`PolicyKind::Replan`], plans change
@@ -112,6 +112,7 @@
 pub mod batcher;
 pub mod cache_policy;
 pub mod engine;
+pub mod invariants;
 pub mod replan;
 pub mod slo;
 pub mod sweep;

@@ -1,6 +1,8 @@
 //! Integration test: identical seeds reproduce identical systems and
 //! measurements; different seeds genuinely differ. Deterministic replay
-//! is what makes the figure regeneration meaningful.
+//! is what makes the figure regeneration meaningful. For serving, one
+//! config-lattice test states replay, degenerate-equals-off and
+//! off-registers-nothing for every feature at once.
 
 use legion_core::runner::run_epoch;
 use legion_core::system::legion_setup_with_plans;
@@ -280,421 +282,6 @@ fn sample_batch_with_matches_reference_scalar_sampler() {
     assert_eq!(reference2, batched2);
 }
 
-/// Re-planning behind the residency router on a two-clique server:
-/// same-seed runs replay byte-for-byte, and plan commits land only on
-/// batch boundaries.
-mod routed_replan_serving {
-    use legion_graph::dataset::{spec_by_name, Dataset};
-    use legion_hw::{MultiGpuServer, ServerSpec};
-    use legion_serve::{
-        serve, ClassConfig, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig, ServeReport,
-    };
-
-    fn dataset() -> Dataset {
-        spec_by_name("PR").unwrap().instantiate(500, 42)
-    }
-
-    /// Two NVLink cliques of two GPUs — the smallest server where
-    /// clique residency differs from per-GPU or global state.
-    fn clique_server() -> MultiGpuServer {
-        ServerSpec::custom(4, 1 << 30, 2).build()
-    }
-
-    /// A multi-class QoS mix behind the residency router, with forced
-    /// drift and an eager detector so plans actually commit mid-run.
-    fn config() -> ServeConfig {
-        let mut cfg = ServeConfig {
-            num_requests: 1600,
-            max_batch: 16,
-            max_wait: 0.0,
-            queue_capacity: 256,
-            cache_rows_per_gpu: 512,
-            warmup_requests: 128,
-            fanouts: vec![5, 3],
-            policy: PolicyKind::Replan,
-            drift_period: 300,
-            drift_stride: 1024,
-            replan: ReplanConfig {
-                bucket_requests: 16,
-                window_buckets: 2,
-                cooldown_buckets: 0,
-                ..ReplanConfig::default()
-            },
-            classes: ClassConfig {
-                mix: [0.2, 0.5, 0.3],
-                qos: true,
-                ..ClassConfig::default()
-            },
-            ..ServeConfig::default()
-        };
-        cfg.router.policy = RouterPolicy::Residency;
-        cfg
-    }
-
-    /// One run of the fixture, checked to have committed plans.
-    fn run(d: &Dataset) -> ServeReport {
-        let report = serve(&d.graph, &d.features, &clique_server(), &config());
-        assert_eq!(report.routed + report.spilled, report.offered);
-        assert!(
-            report.metrics.counter("serve.replan.count") > 0,
-            "fixture must commit plans mid-run"
-        );
-        report
-    }
-
-    #[test]
-    fn residency_replan_runs_are_deterministic_per_seed() {
-        let d = dataset();
-        let snapshot = |r: ServeReport| {
-            serde_json::to_string_pretty(&r.metrics).expect("serializable snapshot")
-        };
-        assert_eq!(
-            snapshot(run(&d)),
-            snapshot(run(&d)),
-            "same-seed residency + re-plan runs must replay"
-        );
-    }
-
-    /// The plan-commit visibility audit: a `PlanBuffer` version bump
-    /// must never be observed inside an open batch. The engine counts
-    /// every commit whose version becomes visible mid-batch; with
-    /// commits pinned to batch starts that count stays zero even under
-    /// forced drift.
-    #[test]
-    fn replan_commits_only_at_batch_boundaries() {
-        let report = run(&dataset());
-        let audit = report
-            .metrics
-            .counters
-            .iter()
-            .find(|c| c.name == "serve.replan.mid_batch_commits")
-            .map(|c| c.value);
-        assert_eq!(
-            audit,
-            Some(0),
-            "a plan version bump leaked into an open batch"
-        );
-    }
-}
-
-/// Three-tier (HBM/DRAM/SSD) serving invariants: same-seed replay of
-/// the full telemetry snapshot under an active out-of-core store, and
-/// exact degeneration to the two-tier engine when the DRAM budget is
-/// infinite.
-mod three_tier_store {
-    use legion_graph::dataset::{spec_by_name, Dataset};
-    use legion_hw::ServerSpec;
-    use legion_serve::{serve, PolicyKind, ServeConfig, StoreConfig};
-
-    fn dataset() -> Dataset {
-        spec_by_name("PR").unwrap().instantiate(500, 42)
-    }
-
-    fn config(policy: PolicyKind, dram_budget: Option<u64>) -> ServeConfig {
-        ServeConfig {
-            num_requests: 800,
-            max_batch: 16,
-            max_wait: 0.0,
-            queue_capacity: 256,
-            cache_rows_per_gpu: 128,
-            warmup_requests: 128,
-            fanouts: vec![5, 3],
-            policy,
-            store: StoreConfig {
-                dram_budget_bytes: dram_budget,
-                staging_rows: 64,
-                prefetch_budget: 64,
-                ..StoreConfig::default()
-            },
-            ..ServeConfig::default()
-        }
-    }
-
-    fn snapshot(policy: PolicyKind, dram_budget: Option<u64>) -> String {
-        let d = dataset();
-        let server = ServerSpec::custom(4, 1 << 30, 2).build();
-        let report = serve(&d.graph, &d.features, &server, &config(policy, dram_budget));
-        serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot")
-    }
-
-    /// Same seed, same config → the full snapshot replays byte for
-    /// byte even with NVMe staging, prefetch, and eviction in play.
-    #[test]
-    fn oversubscribed_runs_replay_byte_identically() {
-        for policy in [PolicyKind::StaticHot, PolicyKind::Fifo] {
-            // A DRAM budget far below the feature table forces real
-            // SSD residency and staging traffic.
-            let a = snapshot(policy, Some(4096));
-            let b = snapshot(policy, Some(4096));
-            assert_eq!(a, b, "three-tier snapshots must replay ({:?})", policy);
-            assert!(
-                a.contains("store.nvme.bytes"),
-                "oversubscribed run must meter NVMe traffic"
-            );
-            assert!(
-                a.contains("serve.store.prefetch_hits"),
-                "oversubscribed run must meter the prefetcher"
-            );
-        }
-    }
-
-    /// Pinning the SSD tier off with an infinite DRAM budget must
-    /// reproduce the two-tier engine's snapshot byte for byte — the
-    /// store tier is strictly additive.
-    #[test]
-    fn infinite_dram_budget_matches_two_tier_byte_for_byte() {
-        for policy in [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan] {
-            let with_store = snapshot(policy, Some(u64::MAX));
-            let without = snapshot(policy, None);
-            assert_eq!(
-                with_store, without,
-                "infinite DRAM budget must degenerate to two-tier exactly ({:?})",
-                policy
-            );
-            assert!(
-                !with_store.contains("serve.store."),
-                "an inert store must register no telemetry"
-            );
-        }
-    }
-}
-
-/// Fleet-tier (cluster → machine → clique → GPU) invariants: same-seed
-/// replay of the fleet snapshot, exact degeneration of a single-server
-/// fleet to the non-fleet engine, server-shard assignment pinned to
-/// the machine tier's edge-cut partitioner, and byte-identity of the
-/// defaults-off contention/coalescing/resize features.
-mod fleet_serving {
-    use legion_fleet::{plan_fleet, serve_fleet, FleetConfig};
-    use legion_graph::dataset::{spec_by_name, Dataset};
-    use legion_hw::{ServerSpec, UplinkConfig};
-    use legion_partition::{LdgPartitioner, Partitioner};
-    use legion_serve::{serve, PolicyKind, ServeConfig};
-
-    fn dataset() -> Dataset {
-        spec_by_name("PR").unwrap().instantiate(500, 42)
-    }
-
-    fn config() -> ServeConfig {
-        ServeConfig {
-            num_requests: 1200,
-            max_batch: 16,
-            max_wait: 1e-4,
-            queue_capacity: 256,
-            cache_rows_per_gpu: 512,
-            warmup_requests: 128,
-            fanouts: vec![5, 3],
-            policy: PolicyKind::StaticHot,
-            ..ServeConfig::default()
-        }
-    }
-
-    fn fleet(n: usize) -> FleetConfig {
-        FleetConfig {
-            num_servers: n,
-            // Pin the projected-drain rate so the test doesn't depend
-            // on the closed-loop capacity probe.
-            drain_rps: Some(100_000.0),
-            ..FleetConfig::default()
-        }
-    }
-
-    /// Same seed, same config → the fleet-level snapshot (routing
-    /// counters, merged latency histogram, locality gauge) and every
-    /// per-server snapshot replay byte for byte.
-    #[test]
-    fn fleet_runs_replay_byte_identically() {
-        let d = dataset();
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let run = || {
-            let r = serve_fleet(&d.graph, &d.features, &spec, &config(), &fleet(3));
-            assert_eq!(r.completed + r.shed, r.offered, "request conservation");
-            let per_server: Vec<String> = r
-                .per_server
-                .iter()
-                .map(|s| serde_json::to_string_pretty(&s.metrics).unwrap())
-                .collect();
-            (
-                serde_json::to_string_pretty(&r.metrics).unwrap(),
-                per_server,
-            )
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.0, b.0, "same-seed fleet snapshots must replay");
-        assert_eq!(a.1, b.1, "same-seed per-server snapshots must replay");
-        assert!(a.0.contains("fleet.latency_us"), "merged histogram missing");
-        assert!(a.0.contains("fleet.locality"), "locality gauge missing");
-    }
-
-    /// A single-server fleet must degenerate exactly: no remote tier,
-    /// and its one per-server snapshot byte-identical to the non-fleet
-    /// engine on the same config — the fleet tier is strictly additive.
-    #[test]
-    fn single_server_fleet_matches_non_fleet_engine_byte_for_byte() {
-        let d = dataset();
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let cfg = config();
-        let fleet_run = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet(1));
-        let solo = serve(&d.graph, &d.features, &spec.build(), &cfg);
-        assert_eq!(fleet_run.per_server.len(), 1);
-        let a = serde_json::to_string_pretty(&fleet_run.per_server[0].metrics).unwrap();
-        let b = serde_json::to_string_pretty(&solo.metrics).unwrap();
-        assert_eq!(a, b, "single-server fleet must match the plain engine");
-        assert_eq!(fleet_run.completed, solo.completed);
-        assert_eq!(fleet_run.shed, solo.shed);
-        assert_eq!(fleet_run.p99_us, solo.p99_us);
-        assert_eq!(fleet_run.remote_reads, 0, "one server has no remote reads");
-        assert!(
-            !a.contains("serve.remote."),
-            "a single-server fleet must register no remote meters"
-        );
-    }
-
-    /// With contention `None`, coalescing off, and resize off — the
-    /// defaults — the fleet must reproduce the pre-fabric snapshots
-    /// byte for byte: explicitly spelling the features off is the same
-    /// run as never mentioning them, and none of the fabric meters
-    /// (`serve.remote.coalesced_msgs`, `fleet.uplink.*`,
-    /// `fleet.resize.*`) may register.
-    #[test]
-    fn defaults_off_fabric_reproduces_the_flat_fleet_byte_for_byte() {
-        let d = dataset();
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let cfg = config();
-        let implicit = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet(3));
-        let explicit = serve_fleet(
-            &d.graph,
-            &d.features,
-            &spec,
-            &cfg,
-            &FleetConfig {
-                uplink: None,
-                coalesce: false,
-                resize_on_drift: false,
-                ..fleet(3)
-            },
-        );
-        let snap = |r: &legion_fleet::FleetReport| {
-            let fleet_json = serde_json::to_string_pretty(&r.metrics).unwrap();
-            let servers: Vec<String> = r
-                .per_server
-                .iter()
-                .map(|s| serde_json::to_string_pretty(&s.metrics).unwrap())
-                .collect();
-            (fleet_json, servers)
-        };
-        let a = snap(&implicit);
-        let b = snap(&explicit);
-        assert_eq!(a, b, "defaults-off must be the identical run");
-        for needle in ["fleet.uplink", "fleet.resize"] {
-            assert!(
-                !a.0.contains(needle),
-                "defaults-off fleet snapshot must not register {needle}"
-            );
-        }
-        for s in &a.1 {
-            assert!(
-                !s.contains("serve.remote.coalesced_msgs")
-                    && !s.contains("serve.remote.dedup_hits")
-                    && !s.contains("serve.remote.per_owner_bytes"),
-                "defaults-off server snapshots must not register coalescing meters"
-            );
-        }
-    }
-
-    /// The full fabric on — shared-uplink contention, per-owner
-    /// coalescing, drift-driven resize — replays byte for byte from
-    /// the same seed, and the coalescing meters satisfy their
-    /// conservation identity (a remote read is either a dedup hit or
-    /// a row inside some per-owner message).
-    #[test]
-    fn fabric_on_fleet_replays_byte_identically() {
-        let d = dataset();
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let cfg = config();
-        let fabric = FleetConfig {
-            uplink: Some(UplinkConfig::default()),
-            coalesce: true,
-            resize_on_drift: true,
-            ..fleet(3)
-        };
-        let run = || {
-            let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fabric);
-            assert_eq!(r.completed + r.shed, r.offered, "request conservation");
-            serde_json::to_string_pretty(&r.metrics).unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "fabric-on fleet snapshots must replay");
-        let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fabric);
-        assert!(r.remote_reads > 0, "three shards must go remote");
-        assert!(
-            r.remote_msgs < r.remote_reads,
-            "coalescing must put fewer messages than rows on the wire"
-        );
-        for s in &r.per_server {
-            let reads = s.metrics.counter("serve.remote.reads");
-            let msgs = s.metrics.counter("serve.remote.coalesced_msgs");
-            let dedup = s.metrics.counter("serve.remote.dedup_hits");
-            assert!(
-                msgs + dedup <= reads,
-                "each remote read is one row in a batch or a window hit: \
-                 {msgs} msgs + {dedup} dedup vs {reads} reads"
-            );
-        }
-        assert!(
-            a.contains("fleet.uplink.stretch"),
-            "contention-on snapshot must carry the uplink gauges"
-        );
-    }
-
-    /// The fleet plan reuses the machine tier's edge-cut partitioner
-    /// verbatim at the server level, and the server-shard assignment is
-    /// pinned per seed: the same dataset seed reproduces the identical
-    /// shard vector and replicated head.
-    #[test]
-    fn server_shards_are_pinned_to_the_edge_cut_partitioner_per_seed() {
-        let cfg = config();
-        let plan_for = |seed: u64| {
-            let d = spec_by_name("PR").unwrap().instantiate(500, seed);
-            plan_fleet(&d.graph, &cfg, &fleet(4))
-        };
-        let a = plan_for(42);
-        let b = plan_for(42);
-        assert_eq!(a.shard, b.shard, "same seed must pin the shard vector");
-        assert_eq!(a.replicated, b.replicated, "replicated head must pin too");
-        assert!(
-            !a.replicated.is_empty(),
-            "multi-server plan replicates a head"
-        );
-        let direct = LdgPartitioner::default().partition(&dataset().graph, 4);
-        assert_eq!(
-            a.shard, direct,
-            "fleet sharding must be the LDG edge-cut partition verbatim"
-        );
-        // LDG keeps the shards balanced: no server owns more than twice
-        // the mean shard.
-        let mean = a.shard.len() / 4;
-        for (s, &size) in a.shard_sizes.iter().enumerate() {
-            assert!(
-                size <= 2 * mean,
-                "shard {s} unbalanced: {size} vs mean {mean}"
-            );
-        }
-        // Ownership is exhaustive: every vertex is owned by its shard's
-        // server, and the replicated head is owned everywhere.
-        for (v, &s) in a.shard.iter().enumerate() {
-            assert!(a.owned[s as usize][v]);
-        }
-        for &v in &a.replicated {
-            for o in &a.owned {
-                assert!(o[v as usize]);
-            }
-        }
-    }
-}
-
 #[test]
 fn dataset_instantiation_is_stable_across_calls() {
     let d1 = spec_by_name("CO").unwrap().instantiate(4000, 7);
@@ -702,4 +289,293 @@ fn dataset_instantiation_is_stable_across_calls() {
     assert_eq!(d1.graph, d2.graph);
     assert_eq!(d1.train_vertices, d2.train_vertices);
     assert_eq!(d1.features.as_slice(), d2.features.as_slice());
+}
+
+/// The serving config lattice (ROADMAP 2(b)): fixed-seed draws over every
+/// serving feature at golden-digest scale (PR/500 on two NVLink cliques
+/// of two GPUs). The run checker (`legion_serve::invariants`) runs inside
+/// every run; on top of it each draw asserts that
+///
+/// * same-seed replay is byte-identical, per-server snapshots included;
+/// * degenerate settings equal off: a DRAM budget that holds the whole
+///   feature table is the store off, and a one-server fleet's member is
+///   `serve()`;
+/// * a feature's metric families are registered exactly when it is on.
+///
+/// No `validate` relates these axes to one another, so every drawn
+/// combination is legal.
+mod config_lattice {
+    use legion_fleet::{serve_fleet, FleetConfig};
+    use legion_graph::dataset::{spec_by_name, Dataset};
+    use legion_hw::{ServerSpec, UplinkConfig};
+    use legion_serve::{
+        serve, ArrivalProcess, ChurnConfig, ClassConfig, MutationSource, PolicyKind, ReplanConfig,
+        RouterPolicy, ServeConfig, StoreConfig,
+    };
+    use legion_telemetry::Snapshot;
+
+    /// Lattice points drawn per run of the test.
+    const DRAWS: usize = 96;
+
+    /// The axes and how many values each takes, in `Draw` field order.
+    /// The last three (the fleet fabric) exist only for fleets of two or
+    /// more servers (`servers` > 1).
+    const AXES: [(&str, u64); 11] = [
+        ("policy", 3),
+        ("residency", 2),
+        ("classes", 3),
+        ("store", 3),
+        ("churn", 2),
+        ("drift", 2),
+        ("overload", 2),
+        ("servers", 4),
+        ("uplink", 2),
+        ("coalesce", 2),
+        ("resize", 2),
+    ];
+    /// Where `servers` sits in [`AXES`].
+    const SERVERS: usize = 7;
+
+    /// A fixed 31-bit LCG stream.
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Classes {
+        Single,
+        Fifo3,
+        Qos3,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Store {
+        Off,
+        Oversubscribed,
+        HoldsTable,
+    }
+
+    /// One lattice point.
+    #[derive(Debug, Clone, Copy)]
+    struct Draw {
+        policy: PolicyKind,
+        residency: bool,
+        classes: Classes,
+        store: Store,
+        churn: bool,
+        drift: bool,
+        overload: bool,
+        /// 0 serves one machine through `serve`; otherwise `serve_fleet`
+        /// over this many servers.
+        servers: usize,
+        uplink: bool,
+        coalesce: bool,
+        resize: bool,
+    }
+
+    impl Draw {
+        /// The lattice point `pick` names, one value index per axis.
+        fn new(pick: [u64; 11]) -> Self {
+            let on = |axis: usize| pick[axis] == 1;
+            let policy = [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan];
+            let classes = [Classes::Single, Classes::Fifo3, Classes::Qos3];
+            let store = [Store::Off, Store::Oversubscribed, Store::HoldsTable];
+            Draw {
+                policy: policy[pick[0] as usize],
+                residency: on(1),
+                classes: classes[pick[2] as usize],
+                store: store[pick[3] as usize],
+                churn: on(4),
+                drift: on(5),
+                overload: on(6),
+                servers: pick[SERVERS] as usize,
+                uplink: on(8),
+                coalesce: on(9),
+                resize: on(10),
+            }
+        }
+
+        fn config(&self, table_bytes: u64) -> ServeConfig {
+            let mut cfg = ServeConfig {
+                num_requests: 600,
+                max_batch: 16,
+                max_wait: 1e-4,
+                queue_capacity: if self.overload { 32 } else { 256 },
+                cache_rows_per_gpu: 256,
+                warmup_requests: 128,
+                fanouts: vec![5, 3],
+                policy: self.policy,
+                drift_period: if self.drift { 300 } else { 0 },
+                drift_stride: 1024,
+                replan: ReplanConfig {
+                    bucket_requests: 16,
+                    window_buckets: 2,
+                    cooldown_buckets: 0,
+                    ..ReplanConfig::default()
+                },
+                store: StoreConfig {
+                    dram_budget_bytes: match self.store {
+                        Store::Off => None,
+                        Store::Oversubscribed => Some(64 << 10),
+                        Store::HoldsTable => Some(table_bytes),
+                    },
+                    staging_rows: 64,
+                    prefetch_budget: 64,
+                    ..StoreConfig::default()
+                },
+                mutations: self.churn.then_some(MutationSource::Generate(ChurnConfig {
+                    ops_per_sec: 100_000.0,
+                    compact_threshold: 64,
+                })),
+                ..ServeConfig::default()
+            };
+            // About a quarter of, and three times, the ~4 M req/s one
+            // machine of this fixture serves, per server.
+            let per_server = if self.overload { 1.2e7 } else { 1.0e6 };
+            cfg.arrival = ArrivalProcess::Poisson {
+                rate: per_server * self.servers.max(1) as f64,
+            };
+            if self.residency {
+                cfg.router.policy = RouterPolicy::Residency;
+            }
+            if self.classes != Classes::Single {
+                cfg.classes = ClassConfig {
+                    mix: [0.2, 0.5, 0.3],
+                    qos: self.classes == Classes::Qos3,
+                    ..ClassConfig::default()
+                };
+            }
+            cfg
+        }
+
+        fn fleet(&self) -> FleetConfig {
+            FleetConfig {
+                num_servers: self.servers,
+                // Pinned so no draw depends on the capacity probe.
+                drain_rps: Some(100_000.0),
+                uplink: self.uplink.then(UplinkConfig::default),
+                coalesce: self.coalesce,
+                resize_on_drift: self.resize,
+                ..FleetConfig::default()
+            }
+        }
+
+        /// Metric-name fragments, each with whether this draw's features
+        /// must register it: a family is registered exactly when its
+        /// feature is on.
+        fn families(&self) -> [(&'static str, bool); 15] {
+            let (oversubscribed, fleet) = (self.store == Store::Oversubscribed, self.servers > 0);
+            [
+                ("serve.store.", oversubscribed),
+                ("store.nvme.", oversubscribed),
+                ("graph.mut.", self.churn),
+                ("serve.invalidate.", self.churn),
+                ("fleet.mut.", self.churn && fleet),
+                (".mut_owned", self.churn && fleet),
+                ("serve.remote.", self.servers > 1),
+                ("coalesced_msgs", self.coalesce),
+                ("dedup_hits", self.coalesce),
+                ("fleet.uplink.stretch", self.uplink),
+                ("fleet.resize.", self.resize),
+                ("serve.replan.", self.policy == PolicyKind::Replan),
+                ("serve.route.", self.residency),
+                ("serve.class", self.classes != Classes::Single),
+                ("serve.phase", self.drift),
+            ]
+        }
+    }
+
+    /// One run of `cfg` deployed as `draw` says: the requests it shed,
+    /// and every snapshot it produced serialized (the fleet's first, then
+    /// each member's).
+    fn run(d: &Dataset, draw: &Draw, cfg: &ServeConfig) -> (u64, Vec<String>) {
+        let spec = ServerSpec::custom(4, 1 << 30, 2);
+        let json = |m: &Snapshot| serde_json::to_string(m).expect("serializable snapshot");
+        if draw.servers == 0 {
+            let r = serve(&d.graph, &d.features, &spec.build(), cfg);
+            return (r.shed, vec![json(&r.metrics)]);
+        }
+        let r = serve_fleet(&d.graph, &d.features, &spec, cfg, &draw.fleet());
+        let members = r.per_server.iter().map(|s| json(&s.metrics));
+        let snapshots = std::iter::once(json(&r.metrics)).chain(members);
+        (r.shed, snapshots.collect())
+    }
+
+    #[test]
+    fn fixed_seed_draws_replay_degenerate_to_off_and_register_only_what_is_on() {
+        let d = spec_by_name("PR").unwrap().instantiate(500, 42);
+        let table_bytes = d.graph.num_vertices() as u64 * d.features.row_bytes();
+        let mut next = lcg(26);
+        let mut draw_pick = || {
+            let mut pick = AXES.map(|(_, values)| next() % values);
+            if pick[SERVERS] < 2 {
+                pick[SERVERS + 1..].fill(0);
+            }
+            pick
+        };
+        let picks: Vec<[u64; 11]> = (0..DRAWS).map(|_| draw_pick()).collect();
+        let draws: Vec<Draw> = picks.iter().copied().map(Draw::new).collect();
+        for draw in &draws {
+            let cfg = draw.config(table_bytes);
+            let (shed, snaps) = run(&d, draw, &cfg);
+            assert_eq!(shed > 0, draw.overload, "{draw:?}: only overload sheds");
+            assert!(
+                run(&d, draw, &cfg).1 == snaps,
+                "{draw:?}: same-seed replay differs"
+            );
+            if draw.store == Store::HoldsTable {
+                let off = Draw {
+                    store: Store::Off,
+                    ..*draw
+                };
+                assert!(
+                    run(&d, &off, &off.config(table_bytes)).1 == snaps,
+                    "{draw:?}: a DRAM budget that holds the table must be the store off"
+                );
+            }
+            if draw.servers == 1 {
+                let solo = Draw {
+                    servers: 0,
+                    ..*draw
+                };
+                assert!(
+                    run(&d, &solo, &cfg).1[0] == snaps[1],
+                    "{draw:?}: a one-server fleet's member must be serve()"
+                );
+            }
+            for (family, on) in draw.families() {
+                let registered = snaps.iter().any(|s| s.contains(family));
+                assert_eq!(registered, on, "{draw:?}: is `{family}` registered?");
+            }
+        }
+        // Coverage: every axis value (fabric values only where a fabric
+        // exists), and the feature pairs ROADMAP 2(b) names.
+        for (axis, (name, values)) in AXES.into_iter().enumerate() {
+            let has_axis = |p: &&[u64; 11]| axis <= SERVERS || p[SERVERS] > 1;
+            let seen: Vec<u64> = picks.iter().filter(has_axis).map(|p| p[axis]).collect();
+            assert!(
+                (0..values).all(|v| seen.contains(&v)),
+                "a {name} never drawn"
+            );
+        }
+        type Pair = (&'static str, fn(&Draw) -> bool);
+        let pairs: [Pair; 3] = [
+            ("store x churn", |d| {
+                d.store == Store::Oversubscribed && d.churn
+            }),
+            ("coalesce x replan", |d| {
+                d.coalesce && d.policy == PolicyKind::Replan
+            }),
+            ("resize x churn", |d| d.resize && d.churn),
+        ];
+        for (pair, drawn) in pairs {
+            assert!(draws.iter().any(drawn), "never drew {pair}");
+        }
+    }
 }

@@ -498,9 +498,7 @@ fn oversub_drift_config() -> ServeConfig {
 }
 
 fn serve_digest(d: &Dataset, cfg: &ServeConfig) -> u64 {
-    let report = serve(&d.graph, &d.features, &clique_server(), cfg);
-    assert_eq!(report.completed + report.shed, report.offered);
-    snapshot_digest(&report.metrics)
+    snapshot_digest(&serve(&d.graph, &d.features, &clique_server(), cfg).metrics)
 }
 
 fn epoch_config() -> LegionConfig {
@@ -564,7 +562,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             report.metrics.counter("serve.replan.count") > 0,
             "fixture must commit plans"
         );
-        assert_eq!(report.routed + report.spilled, report.offered);
         rows.push((
             "serve_replan_router_qos_drift",
             snapshot_digest(&report.metrics),
@@ -606,7 +603,6 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             capacity,
             &SMOKE_MULTIPLIERS,
         );
-        assert!(points.iter().all(|p| p.routed + p.spilled == p.offered));
         let json = serde_json::to_string(&points).unwrap();
         rows.push(("sweep_static_router", fnv1a(json.as_bytes())));
     }

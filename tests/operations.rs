@@ -438,6 +438,63 @@ fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
+/// How often `text` writes the sum `first + … last`: `first`, a `+`
+/// between optional whitespace (line breaks included), then a path of
+/// word characters and dots ending in `last`.
+fn sums_written(text: &str, first: &str, last: &str) -> usize {
+    text.match_indices(first)
+        .filter(|&(at, _)| {
+            let rest = text[at + first.len()..].trim_start();
+            let Some(rest) = rest.strip_prefix('+') else {
+                return false;
+            };
+            let rest = rest.trim_start();
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '.'))
+                .unwrap_or(rest.len());
+            rest[..end].ends_with(last)
+        })
+        .count()
+}
+
+/// Request conservation and the routing identity are stated once, in
+/// `legion-serve`'s run checker (`invariants.rs`), which every run
+/// passes through; a test or binary that re-types either one fails
+/// here. `bench/` is outside the scan: it may only change in a
+/// benchmark-only PR, and ROADMAP 3(d) lists its copies.
+#[test]
+fn identities_are_stated_once() {
+    // Self-check on text that holds one sum, built so this file holds none.
+    let (a, b) = (concat!("x.compl", "eted +"), concat!("y.sh", "ed"));
+    let text = format!("{a}\n  {b}; {a} {b}_total; {b} + {a}");
+    assert_eq!(sums_written(&text, "completed", "shed"), 1);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    assert!(
+        files.len() > 50,
+        "source scan collapsed: {} files",
+        files.len()
+    );
+    let mut restated = Vec::new();
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with("legion-serve/src/invariants.rs"))
+    {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for (first, last) in [("completed", "shed"), ("routed", "spilled")] {
+            if sums_written(&text, first, last) > 0 {
+                restated.push(format!("{} (`{first} + … {last}`)", file.display()));
+            }
+        }
+    }
+    assert!(
+        restated.is_empty(),
+        "identities the run checker owns are restated: {restated:?}"
+    );
+}
+
 /// Whether `path` (segments joined by `::`) is a module file under the
 /// crate sources `src`, or a `pub` item declared in the module its
 /// leading segments name (the whole crate when there are none).

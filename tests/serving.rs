@@ -1,5 +1,7 @@
-//! Cross-crate serving invariants: deterministic metric snapshots and a
-//! sane throughput–latency curve on a scaled Products (PR) dataset.
+//! Cross-crate serving behaviour on a scaled Products (PR) dataset: plan
+//! reuse, routing and QoS head-to-heads, and a sane throughput–latency
+//! curve. Same-seed replay and the run identities are the config
+//! lattice's (`tests/determinism.rs`) and the run checker's.
 
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec};
@@ -36,22 +38,6 @@ fn config(policy: PolicyKind) -> ServeConfig {
 }
 
 #[test]
-fn same_seed_serving_runs_are_byte_identical() {
-    let d = pr_dataset();
-    for policy in [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan] {
-        let run = || {
-            let server = server();
-            let report = serve(&d.graph, &d.features, &server, &config(policy));
-            serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot")
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "snapshot drift under policy {}", policy.as_str());
-        assert!(a.contains("serve.latency_us"), "latency histogram missing");
-    }
-}
-
-#[test]
 fn different_seeds_change_the_metrics() {
     let d = pr_dataset();
     let server_a = server();
@@ -82,49 +68,6 @@ fn router_config(policy: PolicyKind) -> ServeConfig {
             ..ClassConfig::default()
         },
         ..config(policy)
-    }
-}
-
-#[test]
-fn same_seed_router_runs_are_byte_identical() {
-    let d = pr_dataset();
-    for policy in [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan] {
-        let run = || {
-            let server = clique_server();
-            let mut cfg = router_config(policy);
-            if policy == PolicyKind::Replan {
-                // Force drift and an eager detector so plans commit
-                // mid-run and the residency index actually refreshes.
-                cfg.drift_period = 300;
-                cfg.drift_stride = 1024;
-                cfg.replan = ReplanConfig {
-                    bucket_requests: 16,
-                    window_buckets: 2,
-                    cooldown_buckets: 0,
-                    ..ReplanConfig::default()
-                };
-            }
-            let report = serve(&d.graph, &d.features, &server, &cfg);
-            if policy == PolicyKind::Replan {
-                let replans = report
-                    .metrics
-                    .counters
-                    .iter()
-                    .filter(|c| c.name.ends_with(".replans"))
-                    .map(|c| c.value)
-                    .sum::<u64>();
-                assert!(replans > 0, "fixture must exercise mid-run plan commits");
-            }
-            assert_eq!(report.routed + report.spilled, report.offered);
-            serde_json::to_string_pretty(&report.metrics).expect("serializable snapshot")
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "router snapshot drift under {}", policy.as_str());
-        assert!(
-            a.contains("serve.route.clique0.routed"),
-            "route counters missing"
-        );
     }
 }
 
@@ -322,7 +265,6 @@ fn p99_is_monotone_across_the_load_sweep() {
         );
     }
     for p in &points {
-        assert_eq!(p.completed + p.shed, p.offered, "request conservation");
         assert!(p.slo_attainment >= 0.0 && p.slo_attainment <= 1.0);
     }
     // The overload point must actually be saturated: it sheds or its tail
