@@ -35,7 +35,7 @@ pub fn build_feature_cache_single(
     server.alloc(gpu, rows as u64 * features.row_bytes())?;
     let mut cc = CliqueCache::new(vec![gpu], num_vertices, features.dim());
     for &v in &order[..rows] {
-        cc.insert_feature(0, v, features.row(v));
+        cc.insert_feature(0, v);
     }
     Ok(cc)
 }
@@ -84,7 +84,7 @@ pub fn build_feature_cache_hashed(
             // distribution does not rebalance).
             continue;
         }
-        cc.insert_feature(slot, v, features.row(v));
+        cc.insert_feature(slot, v);
         filled[slot] += 1;
     }
     for (slot, &g) in clique_gpus.iter().enumerate() {

@@ -6,9 +6,11 @@
 //! GPU cache according to the corresponding cache orders in `G_T` and
 //! `G_F`."
 //!
-//! The fill allocates real (simulated) device memory on the
-//! [`MultiGpuServer`], so an over-committed plan fails with the same
-//! out-of-memory error a CUDA allocation would raise.
+//! The fill books each row's Equation 3 / Equation 6 bytes and allocates
+//! them on the [`MultiGpuServer`]'s simulated device memory, so an
+//! over-committed plan fails with the same out-of-memory error a CUDA
+//! allocation would raise. It copies no row: the cache records residency
+//! and the base CSR and feature table stay the only copy of the data.
 
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
@@ -72,7 +74,7 @@ pub fn build_clique_cache(
             .counter(&format!("cache_fill.gpu{gpu}.topology_bytes"))
             .add(used);
         for v in to_insert_topo {
-            cache.insert_topology(slot, v, graph.neighbors(v));
+            cache.insert_topology(slot, v, graph.degree(v));
         }
         // Feature fill-up in G_F order.
         let row_bytes = features.row_bytes();
@@ -90,7 +92,7 @@ pub fn build_clique_cache(
             .counter(&format!("cache_fill.gpu{gpu}.feature_bytes"))
             .add(rows.len() as u64 * row_bytes);
         for v in rows {
-            cache.insert_feature(slot, v, features.row(v));
+            cache.insert_feature(slot, v);
         }
     }
     Ok(cache)
@@ -190,13 +192,15 @@ mod tests {
             let cached = cache.cache(slot).feature_entries();
             for (i, &v) in q.iter().enumerate() {
                 assert_eq!(
-                    cache
-                        .lookup_feature(slot, v)
-                        .map(|(hit, row)| (hit, row.to_vec())),
-                    (i < cached).then(|| (CacheHit::Local, s.1.row(v).to_vec())),
+                    cache.lookup_feature(slot, v),
+                    (i < cached).then_some(CacheHit::Local),
                     "vertex {v} at priority {i}"
                 );
             }
+            assert_eq!(
+                cache.cache(slot).feature_bytes(),
+                cached as u64 * s.1.row_bytes()
+            );
         }
     }
 

@@ -14,8 +14,8 @@
 //! * [`hotness`] — the `H_T` / `H_F` matrices (rows = GPUs of a clique,
 //!   columns = vertices),
 //! * [`cslp()`] — Complete Sharing with Local Preference,
-//! * [`unified`] — per-GPU topology+feature cache storage and clique-level
-//!   lookup,
+//! * [`unified`] — per-GPU topology+feature residency and byte accounting,
+//!   and clique-level lookup,
 //! * [`cost_model`] — PCIe-traffic prediction for a cache plan `(B, α)`,
 //! * [`planner`] — the parallel α sweep that picks the optimal plan, and
 //! * [`fill`] — cache initialization and fill-up against the simulated

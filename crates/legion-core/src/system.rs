@@ -213,7 +213,7 @@ pub fn legion_feature_cache_setup_with(
                 .alloc(gpu, rows.len() as u64 * row_bytes)
                 .map_err(SystemError::GpuOom)?;
             for v in rows {
-                cache.insert_feature(slot, v, ctx.dataset.features.row(v));
+                cache.insert_feature(slot, v);
             }
         }
         cliques_out.push(cache);

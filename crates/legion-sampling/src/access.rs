@@ -355,7 +355,8 @@ impl<'a> AccessEngine<'a> {
     /// Classifies one topology read of `v` by the GPU that `cache`
     /// serves — GPU replica, local or peer cache hit, CPU fallback — and
     /// meters it into `totals` for up to `fanout` sampled edges. Returns
-    /// the adjacency row, zero-copy on the base CSR or the cache.
+    /// the adjacency row, zero-copy on the base CSR: a cache records
+    /// where a row lives, and the base row is its only copy.
     ///
     /// `None` means the overlay marks the row dirty: nothing was metered
     /// and the caller serves it through [`Self::merge_dirty_row`].
@@ -372,20 +373,15 @@ impl<'a> AccessEngine<'a> {
         }
         let hit = match self.topology_placement {
             // Local replica: no interconnect traffic at all.
-            TopologyPlacement::ReplicatedGpu => Some((CacheHit::Local, self.graph.neighbors(v))),
+            TopologyPlacement::ReplicatedGpu => Some(CacheHit::Local),
             TopologyPlacement::CpuUva => cache.and_then(|(c, slot)| c.lookup_topology(slot, v)),
         };
-        let Some((hit, row)) = hit else {
-            let row = self.graph.neighbors(v);
-            totals.charge_cpu_topology(row.len().min(fanout) as u64);
+        let row = self.graph.neighbors(v);
+        let edges_read = row.len().min(fanout) as u64;
+        let Some(hit) = hit else {
+            totals.charge_cpu_topology(edges_read);
             return Some(row);
         };
-        debug_assert_eq!(
-            row.len() as u64,
-            self.graph.degree(v),
-            "cached adjacency of vertex {v} is not a copy of its base row"
-        );
-        let edges_read = row.len().min(fanout) as u64;
         totals.sampled_edges += edges_read;
         totals.topology_hits += 1;
         if let CacheHit::Peer(owner) = hit {
@@ -415,8 +411,9 @@ impl<'a> AccessEngine<'a> {
     }
 
     /// Batched feature gather: clears `out` and fills it with the
-    /// row-major features of `vertices` (in order), metering every row
-    /// read locally and flushing each counter with one atomic add.
+    /// row-major features of `vertices` (in order), copied from the base
+    /// table for hits and misses alike, metering every row read locally
+    /// and flushing each counter with one atomic add.
     ///
     /// For callers that consume the rows; a timing run wants
     /// [`Self::extract_metered`], which charges the same and moves no
@@ -433,15 +430,9 @@ impl<'a> AccessEngine<'a> {
         out.clear();
         out.reserve(vertices.len() * self.features.dim());
         let cache_slot = self.layout.for_gpu(gpu);
-        let classify = |v| match cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v)) {
-            Some((hit, data)) => {
-                out.extend_from_slice(data);
-                Some(hit)
-            }
-            None => {
-                out.extend_from_slice(self.features.row(v));
-                None
-            }
+        let classify = |v| {
+            out.extend_from_slice(self.features.row(v));
+            cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v))
         };
         self.extract_metered_by(gpu, vertices, totals, classify, |_| {});
     }
@@ -459,7 +450,7 @@ impl<'a> AccessEngine<'a> {
         on_miss: impl FnMut(VertexId),
     ) -> (u64, u64) {
         let cache_slot = self.layout.for_gpu(gpu);
-        let classify = |v| cache_slot.and_then(|(c, slot)| c.probe_feature(slot, v));
+        let classify = |v| cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v));
         self.extract_metered_by(gpu, vertices, totals, classify, on_miss)
     }
 
@@ -799,7 +790,7 @@ mod tests {
         let g = star_graph();
         let f = FeatureTable::zeros(40, 16);
         let mut cc = CliqueCache::new(vec![0, 1], 40, 16);
-        cc.insert_topology(0, 0, g.neighbors(0));
+        cc.insert_topology(0, 0, g.degree(0));
         let layout = CacheLayout::from_cliques(2, vec![cc]);
         let server = ServerSpec::custom(2, 1 << 30, 2).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
@@ -821,7 +812,7 @@ mod tests {
         let f = FeatureTable::zeros(40, 16);
         // Cache vertex 0's (stale) topology row so a frozen engine hits.
         let mut cc = CliqueCache::new(vec![0], 40, 16);
-        cc.insert_topology(0, 0, g.neighbors(0));
+        cc.insert_topology(0, 0, g.degree(0));
         let layout = CacheLayout::from_cliques(1, vec![cc]);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
         let ov = DeltaOverlay::new(40);
@@ -861,8 +852,8 @@ mod tests {
         // Two cliques of two; in GPU 0's clique row 3 lives on its peer
         // and row 4 is local.
         let mut near = CliqueCache::new(vec![0, 1], 40, 16);
-        near.insert_feature(1, 3, f.row(3));
-        near.insert_feature(0, 4, f.row(4));
+        near.insert_feature(1, 3);
+        near.insert_feature(0, 4);
         let far = CliqueCache::new(vec![2, 3], 40, 16);
         let layout = CacheLayout::from_cliques(4, vec![near, far]);
         let server = ServerSpec::custom(4, 1 << 30, 2).build();
@@ -920,7 +911,7 @@ mod tests {
         let g = star_graph();
         let f = FeatureTable::zeros(40, 4);
         let mut cc = CliqueCache::new(vec![0, 1], 40, 4);
-        cc.insert_feature(1, 3, f.row(3));
+        cc.insert_feature(1, 3);
         let layout = CacheLayout::from_cliques(2, vec![cc]);
         let server = ServerSpec::custom(2, 1 << 30, 2).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);

@@ -608,7 +608,7 @@ mod tests {
         let overlay = DeltaOverlay::new(n);
         for (k, &v) in active.iter().enumerate() {
             if k % 3 < 2 {
-                cache.insert_topology(k % 3, v, graph.neighbors(v));
+                cache.insert_topology(k % 3, v, graph.degree(v));
             }
             if k % 5 == 0 {
                 let dst = active[(k * 11 + 3) % ACTIVE];

@@ -131,7 +131,7 @@ proptest! {
             .collect();
         for &(v, clique, slot) in &cached {
             if let Some(cc) = cliques.get_mut(clique) {
-                cc.insert_feature(slot, v % n, f.row(v % n));
+                cc.insert_feature(slot, v % n);
             }
         }
         let layout = CacheLayout::from_cliques(4, cliques);

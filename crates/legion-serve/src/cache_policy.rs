@@ -146,7 +146,7 @@ pub fn build_static_layout(
     for gpu in 0..num_gpus {
         let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
         for &v in &hot[..rows] {
-            cc.insert_feature(0, v, features.row(v));
+            cc.insert_feature(0, v);
         }
         server
             .alloc(gpu, rows as u64 * features.row_bytes())
@@ -247,7 +247,7 @@ pub fn build_partitioned_layout_adaptive(
         let mut slot_rows = vec![0u64; members.len()];
         for (idx, &v) in chosen.iter().enumerate() {
             let slot = idx % members.len();
-            cc.insert_feature(slot, v, features.row(v));
+            cc.insert_feature(slot, v);
             slot_rows[slot] += 1;
         }
         for (slot, &gpu) in members.iter().enumerate() {

@@ -509,12 +509,21 @@ fn plan_ranked(
     let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
     let mut topo_set = topo.order[..evaluation.topo_cached_vertices].to_vec();
     for &v in &topo_set {
-        cc.insert_topology(0, v, graph.neighbors(v));
+        cc.insert_topology(0, v, graph.degree(v));
     }
     let mut feat_set = feat.order[..evaluation.feat_cached_vertices].to_vec();
     for &v in &feat_set {
-        cc.insert_feature(0, v, features.row(v));
+        cc.insert_feature(0, v);
     }
+    // The cache holds exactly the vertices the cost model priced.
+    assert_eq!(
+        cc.cache(0).topology_entries(),
+        evaluation.topo_cached_vertices
+    );
+    assert_eq!(
+        cc.cache(0).feature_entries(),
+        evaluation.feat_cached_vertices
+    );
     topo_set.sort_unstable();
     feat_set.sort_unstable();
     let contents = PlanContents {

@@ -95,10 +95,10 @@ fn batched_reads_match_scalar_reads_byte_identically() {
     let build_layout = || {
         let mut cc = CliqueCache::new(vec![0, 1], n, ds.features.dim());
         for v in (0..n as u32).step_by(5) {
-            cc.insert_topology((v % 2) as usize, v, ds.graph.neighbors(v));
+            cc.insert_topology((v % 2) as usize, v, ds.graph.degree(v));
         }
         for v in (0..n as u32).step_by(4) {
-            cc.insert_feature(((v / 4) % 2) as usize, v, ds.features.row(v));
+            cc.insert_feature(((v / 4) % 2) as usize, v);
         }
         CacheLayout::from_cliques(2, vec![cc])
     };

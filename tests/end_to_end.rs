@@ -209,3 +209,70 @@ fn extracted_rows_are_conserved_as_hits_plus_misses() {
         check(&format!("fleet member {i} under churn"), &member.metrics);
     }
 }
+
+/// A cache's Equation 3 / Equation 6 byte counters are the only record
+/// of what it occupies, so they must equal what its fill allocated on
+/// the simulated GPU, per GPU and within the GPU's memory. Checked at
+/// golden scale on the three fill paths: Legion's training fill
+/// (`build_clique_cache`), the routed StaticHot layout and a Replan
+/// warm-up plan per GPU, allocated as a deployment allocates it.
+#[test]
+fn cache_byte_counters_equal_the_gpu_allocation() {
+    use legion_core::system::legion_setup;
+    use legion_hw::MultiGpuServer;
+    use legion_sampling::access::CacheLayout;
+    use legion_serve::{
+        build_partitioned_layout_adaptive, plan_layout, profile_warmup,
+        warmup_hot_vertices_weighted, TargetSampler,
+    };
+
+    fn check(what: &str, server: &MultiGpuServer, gpu: usize, layout: &CacheLayout) {
+        let (cc, slot) = layout.for_gpu(gpu).expect("every GPU has a cache");
+        let booked = cc.cache(slot).topology_bytes() + cc.cache(slot).feature_bytes();
+        assert!(booked > 0, "{what}, GPU {gpu}: fixture cached nothing");
+        assert_eq!(server.allocated_bytes(gpu), booked, "{what}, GPU {gpu}");
+        assert!(booked <= server.spec().gpu_memory, "{what}, GPU {gpu}");
+    }
+
+    let dataset = spec_by_name("PR").unwrap().instantiate(1000, 42);
+    let cfg = LegionConfig {
+        seed: 42,
+        ..config()
+    };
+    let server = ServerSpec::custom(4, 16 << 20, 2).build();
+    let setup = legion_setup(&cfg.build_context(&dataset, &server), &cfg).unwrap();
+    for gpu in 0..4 {
+        check("Legion training fill", &server, gpu, &setup.layout);
+    }
+
+    let d = spec_by_name("PR").unwrap().instantiate(500, 42);
+    let (graph, features) = (&d.graph, &d.features);
+    let spec = ServerSpec::custom(4, 1 << 30, 2);
+    let mut targets = TargetSampler::new((0..graph.num_vertices() as u32).collect(), 1.1, 0, 0);
+    let (hot, weight) = warmup_hot_vertices_weighted(graph, &mut targets, 128, &[5, 3], 42);
+    let server = spec.build();
+    let (layout, _, _) =
+        build_partitioned_layout_adaptive(graph, features, &server, &hot, &weight, 256);
+    for gpu in 0..4 {
+        check("routed StaticHot layout", &server, gpu, &layout);
+    }
+
+    let window = profile_warmup(graph, &mut targets, 128, &[5, 3], 42);
+    let server = spec.build();
+    for gpu in 0..4 {
+        let plan = plan_layout(
+            gpu,
+            4,
+            graph,
+            features,
+            &window.topo,
+            &window.feat,
+            window.n_tsum,
+            256 * features.row_bytes(),
+            0.05,
+            server.pcie().cls(),
+        );
+        server.alloc(gpu, plan.contents.total_bytes()).unwrap();
+        check("Replan warm-up plan", &server, gpu, &plan.layout);
+    }
+}

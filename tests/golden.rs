@@ -144,10 +144,10 @@ fn filled_layout(d: &Dataset) -> CacheLayout {
         .map(|(c, gpus)| {
             let mut cc = CliqueCache::new(gpus, n, d.features.dim());
             for v in (0..n as u32).filter(|v| !(*v as usize + c).is_multiple_of(3)) {
-                cc.insert_topology((v as usize / 3) % 2, v, d.graph.neighbors(v));
+                cc.insert_topology((v as usize / 3) % 2, v, d.graph.degree(v));
             }
             for v in (0..n as u32).filter(|v| (*v as usize + c) % 4 != 1) {
-                cc.insert_feature((v as usize / 4) % 2, v, d.features.row(v));
+                cc.insert_feature((v as usize / 4) % 2, v);
             }
             cc
         })
