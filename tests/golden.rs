@@ -24,9 +24,9 @@ use legion_partition::{LdgPartitioner, Partitioner};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
 use legion_serve::{
-    estimate_capacity_rps, plan_layout, profile_warmup, run_sweep, serve, ChurnConfig, ClassConfig,
-    DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig, RouterPolicy, ServeConfig,
-    StoreConfig, TargetSampler, SMOKE_MULTIPLIERS,
+    estimate_capacity_rps, plan_layout, profile_warmup, run_sweep, serve, ArrivalProcess,
+    ChurnConfig, ClassConfig, DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig,
+    RouterPolicy, ServeConfig, StoreConfig, TargetSampler, SMOKE_MULTIPLIERS,
 };
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 use legion_telemetry::Snapshot;
@@ -525,6 +525,25 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         "serve_static_router_qos",
         serve_digest(&d, &router_qos(serve_config(PolicyKind::StaticHot))),
     ));
+    {
+        // ≈ 3x what one golden-scale machine serves (≈ 4.1 M req/s): the
+        // queues stay deep, so batches close at `max_batch` and every
+        // serving wave carries many requests' frontiers.
+        let cfg = ServeConfig {
+            arrival: ArrivalProcess::Poisson { rate: 12e6 },
+            ..serve_config(PolicyKind::StaticHot)
+        };
+        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        let batches: u64 = (0..4)
+            .map(|g| report.metrics.counter(&format!("serve.gpu{g}.batches")))
+            .sum();
+        assert!(
+            report.completed >= (cfg.max_batch as u64 - 1) * batches,
+            "fixture batches must close full: {} requests in {batches} batches",
+            report.completed
+        );
+        rows.push(("serve_static_loaded", snapshot_digest(&report.metrics)));
+    }
     rows.push((
         "serve_fifo_oversub",
         serve_digest(
