@@ -19,7 +19,9 @@
 //! read), so the clique owns one dense directory per kind, `dir[v]` = the
 //! owner's clique slot: a lookup is one byte load. The directory is the
 //! only vertex-indexed table — one byte per vertex per kind whatever the
-//! clique size.
+//! clique size. A timing run's feature extraction asks one batch
+//! question instead of one per row: how many of these rows each slot
+//! owns, and which ones missed ([`CliqueCache::count_feature_owners`]).
 
 use legion_graph::{feature_bytes_for_dim, topology_bytes_for_degree, VertexId};
 use legion_hw::GpuId;
@@ -78,6 +80,9 @@ impl GpuUnifiedCache {
 const ABSENT: u8 = u8::MAX;
 /// Clique slots stay below this so that no owner equals [`ABSENT`].
 const MAX_SLOTS: usize = ABSENT as usize;
+/// Rows [`CliqueCache::count_feature_owners`] classifies between two
+/// drains of its miss buffer.
+const MISS_CHUNK: usize = 64;
 
 /// The caches of one NVLink clique behind one vertex→owner directory per
 /// kind.
@@ -164,13 +169,22 @@ impl CliqueCache {
         }
     }
 
+    /// What a row `owner` holds is to a reader at `from_slot`: a local
+    /// hit, a peer hit, or — for an owner past the last slot, as the
+    /// directory's absent entry and [`Self::count_feature_owners`]'s miss
+    /// bin are — a miss.
+    #[inline]
+    pub fn owner_hit(&self, from_slot: usize, owner: usize) -> Option<CacheHit> {
+        match self.gpus.get(owner) {
+            None => None,
+            Some(_) if owner == from_slot => Some(CacheHit::Local),
+            Some(&gpu) => Some(CacheHit::Peer(gpu)),
+        }
+    }
+
     #[inline]
     fn hit(&self, dir: &[u8], from_slot: usize, v: VertexId) -> Option<CacheHit> {
-        match dir[v as usize] {
-            ABSENT => None,
-            owner if owner as usize == from_slot => Some(CacheHit::Local),
-            owner => Some(CacheHit::Peer(self.gpus[owner as usize])),
-        }
+        self.owner_hit(from_slot, dir[v as usize] as usize)
     }
 
     /// Resolves a topology lookup from `from_slot`: local hit, peer hit,
@@ -184,6 +198,36 @@ impl CliqueCache {
     #[inline]
     pub fn lookup_feature(&self, from_slot: usize, v: VertexId) -> Option<CacheHit> {
         self.hit(&self.feat_dir, from_slot, v)
+    }
+
+    /// Feature lookups of a whole batch, counted by owner:
+    /// `tally[s]` rows live in slot `s`'s cache and `tally[k]`, for a
+    /// clique of `k` slots, are misses, which also go to `on_miss` in
+    /// input order. Read `tally[s]` through [`Self::owner_hit`].
+    ///
+    /// No branch depends on a row's owner: each lookup bumps
+    /// `tally[min(dir[v], k)]` and writes `v` to a miss buffer whose
+    /// cursor advances only on a miss; the buffer is drained every 64
+    /// rows.
+    pub fn count_feature_owners(
+        &self,
+        vertices: &[VertexId],
+        mut on_miss: impl FnMut(VertexId),
+    ) -> Vec<u64> {
+        let k = self.gpus.len();
+        let mut tally = vec![0u64; k + 1];
+        let mut missed = [0 as VertexId; MISS_CHUNK];
+        for chunk in vertices.chunks(MISS_CHUNK) {
+            let mut misses = 0;
+            for &v in chunk {
+                let owner = (self.feat_dir[v as usize] as usize).min(k);
+                tally[owner] += 1;
+                missed[misses] = v;
+                misses += usize::from(owner == k);
+            }
+            missed[..misses].iter().for_each(|&v| on_miss(v));
+        }
+        tally
     }
 
     /// Whether `v`'s topology is cached anywhere in the clique.
@@ -357,6 +401,36 @@ mod tests {
         assert!(cc.lookup_feature(0, 9).is_none());
         assert!(cc.has_topology(3));
         assert!(!cc.has_feature(9));
+    }
+
+    #[test]
+    fn batch_count_bins_rows_by_owner_and_keeps_miss_order() {
+        let mut cc = CliqueCache::new(vec![7, 8, 9], 200, 1);
+        for v in 0..150 {
+            if v % 4 != 3 {
+                cc.insert_feature(v as usize % 3, v);
+            }
+        }
+        // Longer than one miss-buffer drain, with repeats.
+        let vertices: Vec<VertexId> = (0..300).map(|i| (i * 37) % 200).collect();
+        let mut missed = Vec::new();
+        let tally = cc.count_feature_owners(&vertices, |v| missed.push(v));
+        let mut expected = vec![0; 4];
+        for &v in &vertices {
+            let owner = (0..3).find(|&s| cc.lookup_feature(s, v) == Some(CacheHit::Local));
+            expected[owner.unwrap_or(3)] += 1;
+        }
+        assert_eq!(tally, expected);
+        let misses: Vec<VertexId> = vertices
+            .iter()
+            .copied()
+            .filter(|&v| !cc.has_feature(v))
+            .collect();
+        assert_eq!(missed, misses);
+        assert_eq!(cc.owner_hit(1, 1), Some(CacheHit::Local));
+        assert_eq!(cc.owner_hit(1, 2), Some(CacheHit::Peer(9)));
+        assert_eq!(cc.owner_hit(1, 3), None);
+        assert_eq!(cc.owner_hit(1, ABSENT as usize), None);
     }
 
     #[test]

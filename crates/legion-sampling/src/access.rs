@@ -22,9 +22,13 @@
 //! allocates nothing. Topology reads are classified in exactly one
 //! place, `AccessEngine::resolve_topology`, which the k-hop sampler
 //! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
-//! for a single vertex; feature reads in
-//! [`AccessEngine::extract_metered_by`], the walk under both a timing
-//! run's metering pass and [`AccessEngine::read_features_batch`].
+//! for a single vertex. Feature reads are priced in exactly one place,
+//! `BatchTotals::charge_feature_rows`, which books a count of rows that
+//! come from one place: a timing run's [`AccessEngine::extract_metered`]
+//! counts a batch per owner slot in the clique directory and prices each
+//! count once; [`AccessEngine::extract_metered_by`] — under
+//! [`AccessEngine::read_features_batch`], a FIFO cache's classifier and
+//! a GPU without a cache — prices row by row.
 
 use std::sync::Arc;
 
@@ -157,23 +161,31 @@ impl BatchTotals {
         self.cpu_bytes += edges_read * 4 + 8;
     }
 
-    /// Books one feature row of `row_bytes` — the one place a feature
-    /// read is priced. A local hit moves nothing, a peer hit crosses
-    /// NVLink, a miss crosses PCIe as `row_tx` transactions (Equation 8).
+    /// Books `rows` feature rows of `row_bytes` that all come from the
+    /// same place — the one place a feature read is priced. A local hit
+    /// moves nothing, a peer hit crosses NVLink, a miss crosses PCIe as
+    /// `row_tx` transactions a row (Equation 8). Every field is a sum, so
+    /// booking a count at once equals booking its rows one by one.
     #[inline]
-    fn charge_feature_row(&mut self, hit: Option<CacheHit>, row_bytes: u64, row_tx: u64) {
-        self.extracted_rows += 1;
+    fn charge_feature_rows(
+        &mut self,
+        hit: Option<CacheHit>,
+        rows: u64,
+        row_bytes: u64,
+        row_tx: u64,
+    ) {
+        self.extracted_rows += rows;
         match hit {
-            Some(CacheHit::Local) => self.feature_hits += 1,
+            Some(CacheHit::Local) => self.feature_hits += rows,
             Some(CacheHit::Peer(owner)) => {
-                self.feature_hits += 1;
+                self.feature_hits += rows;
                 self.ensure_gpus(owner + 1);
-                self.peer_bytes[owner] += row_bytes;
+                self.peer_bytes[owner] += rows * row_bytes;
             }
             None => {
-                self.feature_misses += 1;
-                self.feature_tx += row_tx;
-                self.cpu_bytes += row_bytes;
+                self.feature_misses += rows;
+                self.feature_tx += rows * row_tx;
+                self.cpu_bytes += rows * row_bytes;
             }
         }
     }
@@ -437,11 +449,14 @@ impl<'a> AccessEngine<'a> {
         self.extract_metered_by(gpu, vertices, totals, classify, |_| {});
     }
 
-    /// The extraction stage of a timing run: classifies each vertex from
-    /// `gpu`'s clique directory, charges it as [`Self::read_features_batch`]
-    /// would, hands every miss to `on_miss` (in input order) and returns
-    /// `(feature_tx, peer_bytes)`, the two inputs of the extraction time.
-    /// No row is read: stage times come from these counts alone.
+    /// The extraction stage of a timing run: counts `vertices` by owner in
+    /// `gpu`'s clique directory ([`CliqueCache::count_feature_owners`]),
+    /// prices each owner's count once, charging what
+    /// [`Self::read_features_batch`] would, hands every miss to `on_miss`
+    /// (in input order) and returns `(feature_tx, peer_bytes)`, the two
+    /// inputs of the extraction time. No row is read: stage times come
+    /// from these counts alone. A GPU without a clique cache misses every
+    /// row, through [`Self::extract_metered_by`].
     pub fn extract_metered(
         &self,
         gpu: GpuId,
@@ -449,16 +464,21 @@ impl<'a> AccessEngine<'a> {
         totals: &mut BatchTotals,
         on_miss: impl FnMut(VertexId),
     ) -> (u64, u64) {
-        let cache_slot = self.layout.for_gpu(gpu);
-        let classify = |v| cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v));
-        self.extract_metered_by(gpu, vertices, totals, classify, on_miss)
+        let Some((cache, slot)) = self.layout.for_gpu(gpu) else {
+            return self.extract_metered_by(gpu, vertices, totals, |_| None, on_miss);
+        };
+        let (row_bytes, row_tx) = self.feature_row_price(totals);
+        let tally = cache.count_feature_owners(vertices, on_miss);
+        for (owner, &rows) in tally.iter().enumerate() {
+            totals.charge_feature_rows(cache.owner_hit(slot, owner), rows, row_bytes, row_tx);
+        }
+        self.flush_extraction(gpu, totals)
     }
 
     /// [`Self::extract_metered`] with the caller's residency test in place
     /// of the layout's directory (a cache whose resident set moves per
-    /// access): `classify` says where a row comes from, `None` being CPU
-    /// memory. The cost is read off the batch-local `totals` before the
-    /// flush, so they must come in empty, as every metered call leaves them.
+    /// access): `classify` says where each row comes from, `None` being
+    /// CPU memory, and each row is priced on its own.
     pub fn extract_metered_by(
         &self,
         gpu: GpuId,
@@ -467,16 +487,32 @@ impl<'a> AccessEngine<'a> {
         mut classify: impl FnMut(VertexId) -> Option<CacheHit>,
         mut on_miss: impl FnMut(VertexId),
     ) -> (u64, u64) {
-        debug_assert!(totals.is_empty(), "unflushed totals would be billed here");
-        let row_bytes = self.features.row_bytes();
-        let row_tx = self.server.pcie().transactions_for_payload(row_bytes);
+        let (row_bytes, row_tx) = self.feature_row_price(totals);
         for &v in vertices {
             let hit = classify(v);
-            totals.charge_feature_row(hit, row_bytes, row_tx);
+            totals.charge_feature_rows(hit, 1, row_bytes, row_tx);
             if hit.is_none() {
                 on_miss(v);
             }
         }
+        self.flush_extraction(gpu, totals)
+    }
+
+    /// A feature row's bytes and PCIe transactions. An extraction pass's
+    /// cost is read off its batch-local `totals` before the flush, so they
+    /// must come in empty, as every metered call leaves them.
+    fn feature_row_price(&self, totals: &BatchTotals) -> (u64, u64) {
+        debug_assert!(totals.is_empty(), "unflushed totals would be billed here");
+        let row_bytes = self.features.row_bytes();
+        (
+            row_bytes,
+            self.server.pcie().transactions_for_payload(row_bytes),
+        )
+    }
+
+    /// Ends an extraction pass: reads `(feature_tx, peer_bytes)` off
+    /// `totals`, then flushes them.
+    fn flush_extraction(&self, gpu: GpuId, totals: &mut BatchTotals) -> (u64, u64) {
         let cost = (totals.feature_tx, totals.peer_bytes.iter().sum());
         self.flush_totals(gpu, totals);
         cost
@@ -488,8 +524,8 @@ impl<'a> AccessEngine<'a> {
     ///
     /// The count is the PCM counter's movement around the call. That is
     /// exact because the batched sampler flushes its [`BatchTotals`]
-    /// before returning, and it holds only while no other thread charges
-    /// `gpu`'s topology row (every caller gives a GPU one writer).
+    /// before returning, and the program is one thread: nothing else
+    /// charges `gpu`'s topology row while the call runs.
     pub fn sample_metered<R: Rng + ?Sized>(
         &self,
         sampler: &KHopSampler,

@@ -15,6 +15,13 @@
 //! vertex at a time. The per-hop source index is a dense epoch-tagged
 //! mark array in a reusable [`SampleScratch`], and all meters accumulate
 //! locally and flush once per batch ([`crate::access::BatchTotals`]).
+//!
+//! Once the loads are overlapped, what is left to cost is mispredicted
+//! branches, so the per-item loops take no branch on the data: the mark
+//! pass writes every pick and advances its cursor by "not seen", and
+//! the union ([`MiniBatchSample::all_vertices`], taken from the last
+//! block's sources) is decoded from its bitmap four ids a step, a word's
+//! loop ending on the word's popcount.
 
 use rand::Rng;
 
@@ -30,8 +37,8 @@ use crate::access::{sample_from_into, AccessEngine, BatchTotals, FloydSet};
 /// DESIGN.md §5a has the table.
 const WAVE: usize = 32;
 
-/// A batch that collected fewer than `|V| / SPARSE_UNION_DIVISOR`
-/// vertices sorts them for [`MiniBatchSample::all_vertices`]; a denser
+/// A batch whose last block has fewer than `|V| / SPARSE_UNION_DIVISOR`
+/// sources sorts them for [`MiniBatchSample::all_vertices`]; a denser
 /// one sets bits and scans the `|V|`-bit map, which costs `|V| / 64`
 /// word reads whatever the batch size.
 const SPARSE_UNION_DIVISOR: usize = 512;
@@ -143,26 +150,46 @@ impl SampleScratch {
         self.epoch
     }
 
-    /// Sorts and de-duplicates `all`, in place.
-    fn union(&mut self, mut all: Vec<VertexId>, num_vertices: usize) -> Vec<VertexId> {
-        if all.len() < num_vertices / SPARSE_UNION_DIVISOR {
+    /// The sorted, de-duplicated ids of `vertices`.
+    ///
+    /// A dense list is decoded from the bitmap four ids per step into a
+    /// buffer with four ids of slack: each word's loop runs
+    /// `max(1, ⌈popcount / 4⌉)` steps, ids past the word's last member
+    /// land where the next word's ids (or the slack) overwrite them, and
+    /// the write cursor advances by the popcount. The loop exit thus
+    /// depends on the popcount, not on the bit pattern.
+    fn union(&mut self, vertices: &[VertexId], num_vertices: usize) -> Vec<VertexId> {
+        if vertices.len() < num_vertices / SPARSE_UNION_DIVISOR {
+            let mut all = vertices.to_vec();
             all.sort_unstable();
             all.dedup();
             return all;
         }
         let words = &mut self.union_bits[..num_vertices.div_ceil(64)];
-        for &v in &all {
+        for &v in vertices {
             words[v as usize / 64] |= 1 << (v % 64);
         }
-        all.clear();
+        let mut all = vec![0; vertices.len() + 4];
+        let mut len = 0;
         for (w, word) in words.iter_mut().enumerate() {
             // Taking the word leaves the map clear for the next batch.
             let mut bits = std::mem::take(word);
-            while bits != 0 {
-                all.push(w as VertexId * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
+            let members = bits.count_ones() as usize;
+            let base = w as VertexId * 64;
+            let mut at = len;
+            loop {
+                for slot in &mut all[at..at + 4] {
+                    *slot = base.wrapping_add(bits.trailing_zeros());
+                    bits &= bits.wrapping_sub(1);
+                }
+                at += 4;
+                if at >= len + members {
+                    break;
+                }
             }
+            len += members;
         }
+        all.truncate(len);
         all
     }
 }
@@ -223,7 +250,6 @@ impl KHopSampler {
         scratch.ensure(num_vertices, engine.num_gpus());
         let cache = engine.cache_for(gpu);
         let mut blocks: Vec<Block> = Vec::with_capacity(self.fanouts.len());
-        let mut all: Vec<VertexId> = seeds.to_vec();
         for (hop, &fanout) in self.fanouts.iter().enumerate() {
             // This hop's destinations are the previous hop's sources.
             let frontier: &[VertexId] = match hop {
@@ -231,15 +257,17 @@ impl KHopSampler {
                 _ => &blocks[hop - 1].src_vertices,
             };
             let block = sample_hop(engine, cache, frontier, fanout, rng, &mut on_edge, scratch);
-            all.extend_from_slice(&block.src_vertices[block.num_dst..]);
             engine.note_block(gpu, block.num_edges() as u64);
             blocks.push(block);
         }
         engine.flush_totals(gpu, &mut scratch.totals);
+        // Each block's sources start with its destinations, so the last
+        // block's sources are the seeds plus every vertex discovered.
+        let all_vertices = scratch.union(&blocks[blocks.len() - 1].src_vertices, num_vertices);
         MiniBatchSample {
             seeds: seeds.to_vec(),
             blocks,
-            all_vertices: scratch.union(all, num_vertices),
+            all_vertices,
         }
     }
 }
@@ -339,8 +367,15 @@ fn draw_wave<R: Rng + ?Sized>(
 
 /// Pass 3 — mark: reads the mark of every pick (independent loads, in
 /// flight together), then walks the picks in order, giving each new
-/// vertex the next source index and firing `on_edge(dst)` per edge.
-/// `first_dst` is the wave's offset in the frontier.
+/// vertex the next source index. No branch depends on whether a pick is
+/// new: every pick is written to the next free source slot (the wave
+/// reserves one per pick), the cursor advances by `!seen`, and the mark
+/// is stored either way (a seen pick stores the mark it read). Each
+/// destination's `edge_dst` entries are one run, written as wide as the
+/// wave's widest so the fill's trip count does not depend on the row
+/// (the next run, or the slack, overwrites the overhang). `on_edge(dst)`
+/// fires once per edge of that run — the argument sequence of firing it
+/// per pick. `first_dst` is the wave's offset in the frontier.
 fn mark_wave(
     wave: &[VertexId],
     first_dst: usize,
@@ -353,26 +388,46 @@ fn mark_wave(
     let SampleScratch { marks, picks, .. } = scratch;
     let touched = picks.iter().fold(0, |acc, &s| acc ^ marks[s as usize]);
     std::hint::black_box(touched);
+    let first_src = block.src_vertices.len();
+    let first_edge = block.edge_src.len();
+    block.src_vertices.resize(first_src + picks.len(), 0);
+    block.edge_src.resize(first_edge + picks.len(), 0);
+    let free = &mut block.src_vertices[first_src..];
+    let mut next = 0;
+    for (&s, si) in picks.iter().zip(&mut block.edge_src[first_edge..]) {
+        let mark = marks[s as usize];
+        let seen = mark >> 32 == tag >> 32;
+        free[next] = s;
+        *si = if seen {
+            mark as u32
+        } else {
+            (first_src + next) as u32
+        };
+        marks[s as usize] = tag | *si as u64;
+        next += usize::from(!seen);
+    }
+    block.src_vertices.truncate(first_src + next);
+
+    let ends = &ends[..wave.len()];
     let mut lo = 0;
-    for (i, (&dst, &hi)) in wave.iter().zip(ends).enumerate() {
-        let di = (first_dst + i) as u32;
-        for &s in &picks[lo..hi] {
-            if let Some(f) = on_edge.as_deref_mut() {
-                f(dst);
-            }
-            let mark = marks[s as usize];
-            let si = if mark >> 32 == tag >> 32 {
-                mark as u32
-            } else {
-                let si = block.src_vertices.len() as u32;
-                block.src_vertices.push(s);
-                marks[s as usize] = tag | si as u64;
-                si
-            };
-            block.edge_dst.push(di);
-            block.edge_src.push(si);
-        }
+    let widest = ends
+        .iter()
+        .map(|&hi| hi - std::mem::replace(&mut lo, hi))
+        .fold(0, usize::max);
+    block.edge_dst.resize(first_edge + picks.len() + widest, 0);
+    let runs = &mut block.edge_dst[first_edge..];
+    let mut lo = 0;
+    for (i, &hi) in ends.iter().enumerate() {
+        runs[lo..lo + widest].fill((first_dst + i) as u32);
         lo = hi;
+    }
+    block.edge_dst.truncate(first_edge + picks.len());
+    if let Some(f) = on_edge.as_deref_mut() {
+        let mut lo = 0;
+        for (&dst, &hi) in wave.iter().zip(ends) {
+            (lo..hi).for_each(|_| f(dst));
+            lo = hi;
+        }
     }
 }
 
@@ -745,16 +800,39 @@ mod tests {
         let n = 64 * SPARSE_UNION_DIVISOR;
         let mut scratch = SampleScratch::new();
         scratch.ensure(n, 1);
+        let mut check = |vertices: &[VertexId], n: usize, what: &str| {
+            let mut expected = vertices.to_vec();
+            expected.sort_unstable();
+            expected.dedup();
+            assert_eq!(scratch.union(vertices, n), expected, "{what}");
+            assert!(
+                scratch.union_bits.iter().all(|&w| w == 0),
+                "{what}: map left clear"
+            );
+        };
         for len in [0, 1, 63, 64, 65, 500] {
             let all: Vec<VertexId> = (0..len)
                 .map(|i| (i * 7919 % 300 * 100) as VertexId)
                 .collect();
-            let mut expected = all.clone();
-            expected.sort_unstable();
-            expected.dedup();
-            assert_eq!(scratch.union(all, n), expected, "{len} collected vertices");
-            assert!(scratch.union_bits.iter().all(|&w| w == 0), "map left clear");
+            check(&all, n, &format!("{len} collected vertices"));
         }
+        // The decode's step is four ids: words of 0, 1, 4, 5 and 64
+        // members (at the high end of the word, so a step runs past the
+        // last member), in a map whose last word is partial and whose
+        // last vertex is a member, listed backwards with repeats.
+        let odd = 64 * 40 + 23;
+        let mut dense: Vec<VertexId> = Vec::new();
+        for (word, members) in [(1, 0), (2, 1), (3, 4), (4, 5), (5, 64), (7, 5), (8, 4)] {
+            for j in 0..members {
+                dense.push(word * 64 + 63 - j * (64 / members));
+            }
+        }
+        dense.push(odd as VertexId - 1);
+        dense.extend_from_within(..9);
+        dense.reverse();
+        assert!(dense.len() >= odd / SPARSE_UNION_DIVISOR, "dense path");
+        check(&dense, odd, "mixed word populations");
+        check(&[odd as VertexId - 1; 6], odd, "only the last vertex");
     }
 
     #[test]

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use legion_cache::unified::CacheHit;
 use legion_cache::CliqueCache;
 use legion_dyn::{DeltaOverlay, MutationOp};
 use legion_graph::builder::from_edges;
@@ -112,8 +113,8 @@ proptest! {
     fn metering_pass_charges_what_the_copying_gather_charges(
         n in 8u32..40,
         dim in prop_oneof![Just(1usize), Just(4), Just(16), Just(33)],
-        layout_kind in 0usize..4,
-        cached in proptest::collection::vec((0u32..40, 0usize..2, 0usize..2), 0..30),
+        layout_kind in 0usize..5,
+        cached in proptest::collection::vec((0u32..40, 0usize..2, 0usize..4), 0..30),
         vertices in proptest::collection::vec(0u32..40, 0..80),
         gpu in 0usize..4,
     ) {
@@ -123,15 +124,34 @@ proptest! {
         let vertices: Vec<VertexId> = vertices.into_iter().map(|v| v % n).collect();
         // 0: no cache; 1: one clique, GPUs 2 and 3 uncached; 2: two
         // cliques, local and peer rows; 3: the same under a dirty overlay
-        // (topology-only: extraction must not see it).
-        let mut cliques: Vec<CliqueCache> = [vec![0, 1], vec![2, 3]]
+        // (topology-only: extraction must not see it); 4: one 4-GPU
+        // clique, where a peer row has three possible owners.
+        let groups = match layout_kind {
+            4 => vec![vec![0, 1, 2, 3]],
+            kind => [vec![0, 1], vec![2, 3]].into_iter().take(kind.min(2)).collect(),
+        };
+        let mut cliques: Vec<CliqueCache> = groups
             .into_iter()
-            .take(layout_kind.min(2))
             .map(|gpus| CliqueCache::new(gpus, n as usize, dim))
             .collect();
         for &(v, clique, slot) in &cached {
             if let Some(cc) = cliques.get_mut(clique) {
+                let slot = slot % cc.gpus().len();
                 cc.insert_feature(slot, v % n);
+            }
+        }
+        // NVLink bytes into `gpu` by source GPU, from each member's own
+        // view of the directory: a row is read from the peer that holds
+        // it locally.
+        let mut peer_expected = [0u64; 4];
+        if let Some(cc) = cliques.iter().find(|cc| cc.gpus().contains(&gpu)) {
+            for &v in &vertices {
+                let owner = cc.gpus().iter().enumerate().find(|&(slot, _)| {
+                    cc.lookup_feature(slot, v) == Some(CacheHit::Local)
+                });
+                if let Some((_, &src)) = owner.filter(|&(_, &src)| src != gpu) {
+                    peer_expected[src] += f.row_bytes();
+                }
             }
         }
         let layout = CacheLayout::from_cliques(4, cliques);
@@ -139,7 +159,8 @@ proptest! {
         for &v in vertices.iter().take(3) {
             overlay.apply(&g, &MutationOp::InsertEdge { src: v, dst: (v + 2) % n });
         }
-        let server = || ServerSpec::custom(4, 1 << 30, 2).build();
+        let clique_size = if layout_kind == 4 { 4 } else { 2 };
+        let server = || ServerSpec::custom(4, 1 << 30, clique_size).build();
         let (metered, copied) = (server(), server());
         let engine_on = |server| {
             AccessEngine::new(&g, &f, &layout, server, TopologyPlacement::CpuUva)
@@ -162,8 +183,13 @@ proptest! {
             prop_assert_eq!(&rows, &rows_of);
             let snapshot = metered.telemetry().snapshot();
             prop_assert_eq!(&snapshot, &copied.telemetry().snapshot());
-            // The returned cost is the counters' movement.
-            let peer_in: u64 = (0..4).map(|src| metered.traffic().gpu_to_gpu(src, gpu)).sum();
+            // The returned cost is the counters' movement, and each peer
+            // is billed for the rows it holds.
+            let peer_by_src: Vec<u64> =
+                (0..4).map(|src| metered.traffic().gpu_to_gpu(src, gpu)).collect();
+            let expected: Vec<u64> = peer_expected.iter().map(|b| b * round).collect();
+            prop_assert_eq!(&peer_by_src, &expected);
+            let peer_in: u64 = peer_by_src.iter().sum();
             let pcm_feature = metered.pcm().gpu_kind(gpu, TrafficKind::Feature);
             prop_assert_eq!((feature_tx * round, peer_bytes * round), (pcm_feature, peer_in));
             prop_assert_eq!(
