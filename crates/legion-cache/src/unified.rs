@@ -182,9 +182,16 @@ impl CliqueCache {
         }
     }
 
+    /// [`Self::owner_hit`] of `v`'s directory entry, written out: with
+    /// the absent test first, `train_pa` ran 1–3 % more seeds/s than
+    /// through a call to `owner_hit` (three pairs).
     #[inline]
     fn hit(&self, dir: &[u8], from_slot: usize, v: VertexId) -> Option<CacheHit> {
-        self.owner_hit(from_slot, dir[v as usize] as usize)
+        match dir[v as usize] {
+            ABSENT => None,
+            owner if owner as usize == from_slot => Some(CacheHit::Local),
+            owner => Some(CacheHit::Peer(self.gpus[owner as usize])),
+        }
     }
 
     /// Resolves a topology lookup from `from_slot`: local hit, peer hit,
