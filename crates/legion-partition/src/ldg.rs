@@ -4,10 +4,10 @@
 //! (the paper partitions UK-2014 with XtraPulp in 75 minutes; §6.6).
 //! LDG [Stanton & Kliot, KDD'12] streams vertices and places each on the
 //! part maximizing `|N(v) ∩ P_i| * (1 - |P_i| / C)` — neighbors pull a
-//! vertex toward a part, the penalty term keeps parts balanced. We run a
-//! configurable number of passes; later passes re-place vertices with full
-//! knowledge of the previous assignment, which substantially lowers the
-//! cut on power-law graphs.
+//! vertex toward a part, the penalty term keeps parts balanced. We run up
+//! to `passes` passes and stop at a fixed point; later passes re-place
+//! vertices with full knowledge of the previous assignment, which
+//! substantially lowers the cut on power-law graphs.
 
 use legion_graph::{CsrGraph, VertexId};
 
@@ -34,27 +34,6 @@ impl Default for LdgPartitioner {
 
 /// Not yet placed (first pass only).
 const UNASSIGNED: u32 = u32::MAX;
-
-/// Parts counted per 64-bit word: eight 8-bit lanes.
-const LANES: usize = 8;
-
-/// Neighbours a lane can count before it is flushed.
-const LANE_MAX: usize = u8::MAX as usize;
-
-/// `LANE_ONE[l]` adds one to lane `l`; index [`LANES`] is "some other
-/// word, or unassigned" and adds nothing. (A load, because a variable
-/// shift costs more than one on the baseline x86-64 target.)
-const LANE_ONE: [u64; LANES + 1] = [
-    1,
-    1 << 8,
-    1 << 16,
-    1 << 24,
-    1 << 32,
-    1 << 40,
-    1 << 48,
-    1 << 56,
-    0,
-];
 
 /// The undirected neighbour sets LDG sums over: row `v` lists every `u`
 /// with an edge `v -> u` or `u -> v` exactly once (a self-loop lists `v`
@@ -119,35 +98,6 @@ impl NeighbourSets {
     }
 }
 
-/// Adds to `counts[p]` the number of `row`'s vertices assigned to part
-/// `p`, for every part; unassigned vertices count nowhere.
-///
-/// Eight parts share a `u64` of 8-bit lanes held in a register, so the
-/// additions of one row do not wait on each other through memory the
-/// way `score[p] += 1.0` does. Part `p` lives in word `p / 8`; a row is
-/// walked once per word (once for `k <= 8`: a part is a GPU clique or a
-/// server of a small fleet) and in chunks of at most [`LANE_MAX`]
-/// neighbours, so no lane can carry into the next.
-#[inline]
-fn count_parts(row: &[VertexId], assignment: &[u32], counts: &mut [u32]) {
-    for (word, counts) in counts.chunks_mut(LANES).enumerate() {
-        let first_part = (word * LANES) as u32;
-        for chunk in row.chunks(LANE_MAX) {
-            let mut lanes = 0u64;
-            for &u in chunk {
-                // `first_part` is a multiple of eight, so the xor is the
-                // lane for this word's parts and at least eight for any
-                // other part and for `UNASSIGNED`.
-                let lane = assignment[u as usize] ^ first_part;
-                lanes += LANE_ONE[lane.min(LANES as u32) as usize];
-            }
-            for (lane, count) in counts.iter_mut().enumerate() {
-                *count += u32::from((lanes >> (lane * 8)) as u8);
-            }
-        }
-    }
-}
-
 impl Partitioner for LdgPartitioner {
     fn partition(&self, g: &CsrGraph, k: usize) -> Vec<u32> {
         assert!(k > 0, "cannot partition into zero parts");
@@ -163,20 +113,23 @@ impl Partitioner for LdgPartitioner {
         let capacity = (self.capacity_slack * n as f64 / k as f64).max(1.0);
         let mut assignment: Vec<u32> = vec![UNASSIGNED; n];
         let mut sizes = vec![0usize; k];
-        let mut counts = vec![0u32; k];
+        // `counts[v * k + p]`: how many of `v`'s neighbours are in part
+        // `p` now. Kept current by pushing each move to the mover's
+        // neighbours, so a visit reads `k` counts instead of its row.
+        let mut counts = vec![0u32; n * k];
 
         for pass in 0..self.passes {
+            let mut moved = false;
             for v in 0..n {
+                let old = assignment[v];
                 if pass > 0 {
                     // Re-placement: remove v from its current part first
                     // (a self-loop still counts v towards that part).
-                    sizes[assignment[v] as usize] -= 1;
+                    sizes[old as usize] -= 1;
                 }
-                counts.fill(0);
-                count_parts(neighbours.row(v), &assignment, &mut counts);
                 let mut best = 0usize;
                 let mut best_score = f64::NEG_INFINITY;
-                for (p, &count) in counts.iter().enumerate() {
+                for (p, &count) in counts[v * k..(v + 1) * k].iter().enumerate() {
                     let penalty = 1.0 - sizes[p] as f64 / capacity;
                     // A full part is never chosen unless all are full.
                     let total = if sizes[p] as f64 >= capacity {
@@ -193,8 +146,29 @@ impl Partitioner for LdgPartitioner {
                     // Everything at capacity: pick the smallest part.
                     best = (0..k).min_by_key(|&p| sizes[p]).expect("k > 0");
                 }
-                assignment[v] = best as u32;
                 sizes[best] += 1;
+                if best as u32 == old {
+                    continue;
+                }
+                // A self-loop lists `v` in its own row once, so its own
+                // count moves with it.
+                for &u in neighbours.row(v) {
+                    let row = u as usize * k;
+                    if old != UNASSIGNED {
+                        counts[row + old as usize] -= 1;
+                    }
+                    counts[row + best] += 1;
+                }
+                assignment[v] = best as u32;
+                moved = true;
+            }
+            // Fixed point: when a refinement pass moves nothing, every
+            // visit of it saw the assignment and sizes the pass started
+            // with, which are also the ones it ends with — so every visit
+            // of the next pass would see them again and decide the same.
+            // (Pass 0 moves every vertex, so it never stops here.)
+            if !moved {
+                break;
             }
         }
         assignment
@@ -210,6 +184,7 @@ mod tests {
     use super::*;
     use crate::quality::{balance, edge_cut_ratio};
     use crate::HashPartitioner;
+    use legion_graph::builder::from_edges;
     use legion_graph::generate::SbmConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -229,26 +204,29 @@ mod tests {
     }
 
     #[test]
-    fn count_parts_matches_a_plain_tally_on_long_rows_and_many_words() {
-        // 1000 neighbours: 600 in a row in part 0 (more than two lane
-        // flushes), the rest spread over 19 parts (three lane words)
-        // with every seventh one unassigned.
-        let assignment: Vec<u32> = (0..1000u32)
-            .map(|v| match v {
-                0..600 => 0,
-                _ if v % 7 == 3 => UNASSIGNED,
-                _ => v % 19,
-            })
-            .collect();
-        let row: Vec<VertexId> = (0..1000).rev().collect();
-        let mut counts = vec![0u32; 19];
-        count_parts(&row, &assignment, &mut counts);
-        let mut tally = vec![0u32; 19];
-        for &p in assignment.iter().filter(|&&p| p != UNASSIGNED) {
-            tally[p as usize] += 1;
+    fn stops_at_the_first_refinement_pass_that_moves_nothing() {
+        // A chain of eight 12-cliques, each joined to the next by one
+        // edge: pass 0 already puts every clique whole on one of the four
+        // parts, and no later pass takes a vertex off it.
+        let mut edges: Vec<_> = (0..84).step_by(12).map(|v| (v, v + 23)).collect();
+        for base in (0..96).step_by(12) {
+            for a in 0..12 {
+                edges.extend((a + 1..12).map(|b| (base + a, base + b)));
+            }
         }
-        assert_eq!(counts, tally);
-        assert!(tally[0] > 2 * LANE_MAX as u32);
+        let g = from_edges(96, &edges);
+        let run = |passes| {
+            LdgPartitioner {
+                passes,
+                ..LdgPartitioner::default()
+            }
+            .partition(&g, 4)
+        };
+        // One pass equal to two: the first refinement pass moved nothing.
+        let fixed_point = run(1);
+        for passes in [2, 3, 50] {
+            assert_eq!(run(passes), fixed_point, "passes = {passes}");
+        }
     }
 
     #[test]

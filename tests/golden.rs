@@ -298,8 +298,9 @@ fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
 }
 
 /// More of the LDG partitioner's surface than `ldg_partition_k2` / `_k4`:
-/// an odd `k`, a `k` past eight parts, a single pass, and a raw
-/// `from_parts` multigraph — unsorted rows, self-loops (some twice),
+/// an odd `k`, a `k` past eight parts, a single pass (no refinement to
+/// stop early), and a raw `from_parts` multigraph — unsorted rows,
+/// self-loops (some stored twice, counted once),
 /// parallel edges, mutual edges, vertices with no edge at all — under
 /// four `(k, passes, slack)` settings.
 fn ldg_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
