@@ -23,25 +23,23 @@
 //! projected load versus a uniform random-server baseline, with
 //! cross-server feature reads charged through the analytic cluster
 //! network model. Asserts residency capacity at matched p99 strictly
-//! beats random, byte-identical same-seed reruns, and (non-smoke,
-//! N >= 16) a fleet knee at least 10x the single-machine capacity.
+//! beats random and (non-smoke, N >= 16) a fleet knee at least 10x the
+//! single-machine capacity.
 //!
 //! `--oversubscribe` runs the legion-store envelope: the same skewed
 //! workload DRAM-resident versus a DRAM budget 10x smaller than the
 //! feature table (cold tail on the simulated NVMe tier), asserting the
-//! lookahead prefetcher hides the SSD below the knee and that an
-//! infinite DRAM budget is byte-identical to the store-off run.
+//! lookahead prefetcher hides the SSD below the knee.
 //!
 //! `--churn` runs the legion-dyn envelope: the same workload over a
 //! frozen graph versus production-rate streaming mutations through the
 //! delta-CSR overlay, asserting the hit rate stays within 15 points and
-//! the p99 within 3x of the frozen baseline, that merged and engine-
-//! sampled neighborhoods agree exactly with a from-scratch rebuilt CSR,
-//! and that replaying the logged stream (after a JSON round trip) is
-//! byte-identical to generating it.
+//! the p99 within 3x of the frozen baseline.
 //!
 //! Offered loads are multiples of a measured capacity estimate, so the
-//! curve always crosses its saturation knee. With `LEGION_RESULTS_DIR`
+//! curve always crosses its saturation knee. Every table is printed
+//! from serialized rows, and a scenario's rows are the ones its result
+//! file holds. With `LEGION_RESULTS_DIR`
 //! set, the run saves `servectl_curves.json` (all load points, all
 //! policies) and `servectl_{static,fifo,replan}.metrics.json` (full
 //! telemetry snapshots of the drift-comparison runs at 0.9x capacity).
@@ -54,35 +52,71 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use legion_fleet::scenarios::{clique_machine, fleet, router_qos};
 use legion_fleet::{serve_fleet, FleetConfig, FleetPolicy, FleetReport};
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
 use legion_serve::{
-    estimate_capacity_rps, generate_requests, run_sweep, serve, ArrivalProcess, ChurnConfig,
-    ClassConfig, DeltaOverlay, LoadPoint, MutationLog, MutationSource, PolicyKind, PriorityClass,
-    ReplanConfig, RouterPolicy, ServeConfig, ServeReport, StoreConfig, SMOKE_MULTIPLIERS,
-    SWEEP_MULTIPLIERS,
+    estimate_capacity_rps, run_sweep, serve, ArrivalProcess, ChurnConfig, LoadPoint,
+    MutationSource, PolicyKind, PriorityClass, ReplanConfig, RouterPolicy, ServeConfig,
+    ServeReport, StoreConfig, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
 };
 use legion_telemetry::Snapshot;
+use serde::{Serialize, Value};
 
 const POLICIES: [PolicyKind; 3] = [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan];
 
-/// Feature-cache hit rate across all GPUs, from a run's snapshot.
-fn feature_hit_rate(metrics: &Snapshot) -> f64 {
-    let sum = |suffix: &str| {
-        metrics
-            .counters
+/// Prints `rows` as a table: a header of field names, then one line per
+/// row with each serialized field as a cell, in field order. Text
+/// columns align left, numbers right; an array cell is its items joined
+/// by `/`, and an absent value prints as `-`.
+fn print_rows<T: Serialize>(rows: &[T]) {
+    fn cell(value: &Value) -> String {
+        match value {
+            Value::Str(s) => s.clone(),
+            Value::F64(x) if x.abs() < 1e3 => format!("{x:.3}"),
+            Value::F64(x) => format!("{x:.0}"),
+            Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join("/"),
+            Value::Null => "-".to_string(),
+            other => serde_json::to_string(other).expect("scalar cell"),
+        }
+    }
+    let table: Vec<Vec<(String, Value)>> = rows
+        .iter()
+        .map(|row| match row.serialize() {
+            Value::Object(fields) => fields,
+            other => panic!("a table row serializes to an object, not {other:?}"),
+        })
+        .collect();
+    let Some(first) = table.first() else { return };
+    let header: Vec<String> = first.iter().map(|(name, _)| name.clone()).collect();
+    let left: Vec<bool> = first
+        .iter()
+        .map(|(_, v)| matches!(v, Value::Str(_)))
+        .collect();
+    let cells: Vec<Vec<String>> = table
+        .iter()
+        .map(|row| row.iter().map(|(_, v)| cell(v)).collect())
+        .collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in &cells {
+        for (width, text) in widths.iter_mut().zip(row) {
+            *width = (*width).max(text.len());
+        }
+    }
+    for row in std::iter::once(&header).chain(&cells) {
+        let padded: Vec<String> = row
             .iter()
-            .filter(|c| c.name.starts_with("cache.") && c.name.ends_with(suffix))
-            .map(|c| c.value)
-            .sum::<u64>()
-    };
-    let hits = sum("feature_hits");
-    let total = hits + sum("feature_misses");
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
+            .zip(widths.iter().zip(&left))
+            .map(|(text, (&w, &left))| {
+                if left {
+                    format!("{text:<w$}")
+                } else {
+                    format!("{text:>w$}")
+                }
+            })
+            .collect();
+        println!("  {}", padded.join("  "));
     }
 }
 
@@ -145,48 +179,40 @@ struct RouterRow {
 /// class-blind FIFO admission under overload. Asserts the wins the
 /// router exists for.
 fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> {
-    // Two NVLink cliques of two — the smallest topology where clique
-    // residency is distinguishable from per-GPU or global state.
-    let clique_server = || ServerSpec::custom(4, 1 << 30, 2).build();
+    // The catalogue's routed corner on the 2x2-clique machine, with the
+    // router and QoS switched per run.
     let cfg_for = |router: RouterPolicy, qos: bool| {
-        let mut cfg = base.clone();
-        cfg.policy = PolicyKind::StaticHot;
+        let mut cfg = router_qos(ServeConfig {
+            policy: PolicyKind::StaticHot,
+            ..base.clone()
+        });
         cfg.router.policy = router;
-        cfg.classes = ClassConfig {
-            mix: [0.2, 0.5, 0.3],
-            qos,
-            slo_us: [base.classes.slo_us[0], 1000, 8000],
-            ..ClassConfig::default()
-        };
+        cfg.classes.qos = qos;
+        cfg.classes.slo_us = [base.classes.slo_us[0], 1000, 8000];
         cfg
     };
-    let server = clique_server();
     let capacity = estimate_capacity_rps(
         &dataset.graph,
         &dataset.features,
-        &server,
+        &clique_machine().build(),
         &cfg_for(RouterPolicy::Residency, true),
     );
     println!(
         "\nrouter head-to-head on 2x2-clique server (capacity {capacity:.0}/s, mix 20/50/30, interactive SLO {} us):",
         base.classes.slo_us[0]
     );
-    println!(
-        "  {:<22} {:>6} {:>8} {:>7} {:>9} {:>7} {:>9} {:>9} {:>16}",
-        "config", "load", "hits", "local", "spilled", "shed", "i_p99", "i_SLO", "shed I/S/B"
-    );
     let mut rows = Vec::new();
     let mut run =
         |label: &'static str, router: RouterPolicy, qos: bool, mult: f64, queue: usize| {
-            let server = clique_server();
             let mut cfg = cfg_for(router, qos);
             cfg.arrival = base
                 .arrival
                 .scaled(mult * capacity / base.arrival.mean_rate());
             cfg.queue_capacity = queue;
+            let server = clique_machine().build();
             let r = serve(&dataset.graph, &dataset.features, &server, &cfg);
             let i = PriorityClass::Interactive.index();
-            let row = RouterRow {
+            rows.push(RouterRow {
                 label,
                 router: router.as_str(),
                 qos,
@@ -194,28 +220,13 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
                 offered: r.offered,
                 completed: r.completed,
                 shed: r.shed,
-                hit_rate: feature_hit_rate(&r.metrics),
+                hit_rate: r.feature_hit_rate(),
                 route_locality: r.route_locality,
                 spilled: r.spilled,
                 interactive_p99_us: r.class_p99_us[i],
                 interactive_slo_attainment: r.class_slo_attainment[i],
                 class_shed: r.class_shed,
-            };
-            println!(
-                "  {:<22} {:>5.1}x {:>7.1}% {:>6.1}% {:>9} {:>7} {:>7}us {:>8.1}% {:>7}/{}/{}",
-                label,
-                mult,
-                row.hit_rate * 100.0,
-                row.route_locality * 100.0,
-                row.spilled,
-                row.shed,
-                row.interactive_p99_us,
-                row.interactive_slo_attainment * 100.0,
-                row.class_shed[0],
-                row.class_shed[1],
-                row.class_shed[2]
-            );
-            rows.push(row);
+            });
         };
 
     // Below saturation routing quality shows up purely as hit rate: the
@@ -248,6 +259,7 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
         128,
     );
     run("residency+qos @3x", RouterPolicy::Residency, true, 3.0, 128);
+    print_rows(&rows);
 
     let (rr_knee, res_knee) = (&rows[0], &rows[1]);
     let (rr_fifo, res_fifo, res_qos) = (&rows[3], &rows[4], &rows[5]);
@@ -359,9 +371,8 @@ fn prefetch_hit_ratio(metrics: &Snapshot) -> f64 {
 /// than the table, forcing the planner to spill the cold tail to the
 /// simulated NVMe tier. Asserts the envelope the store exists for:
 /// below the knee the lookahead prefetcher hides the SSD (hit ratio of
-/// at least 80%), the p99 at half the resident knee stays within 3x of
-/// the resident baseline, and an infinite DRAM budget reproduces the
-/// store-off run byte-for-byte.
+/// at least 80%) and the p99 at half the resident knee stays within 3x
+/// of the resident baseline.
 fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec<OversubRow> {
     // A stable head-heavy skew (the drift-comparison exponent, drift
     // off): out-of-core placement is only meaningful when hotness is a
@@ -434,20 +445,6 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
          ({:.2}x slowdown); loads are multiples of the oversubscribed knee",
         resident_cap / capacity,
     );
-    println!(
-        "  {:<10} {:>6} {:>9} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8} {:>9} {:>11}",
-        "config",
-        "load",
-        "done",
-        "shed",
-        "p50_us",
-        "p99_us",
-        "prefetch",
-        "stall",
-        "cold",
-        "hit%",
-        "nvme_MiB"
-    );
     let mut rows = Vec::new();
     let multipliers: &[f64] = if smoke {
         &[0.25, 0.5, 1.0]
@@ -461,7 +458,7 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
             .arrival
             .scaled(mult * capacity / base.arrival.mean_rate());
         let r = serve(&dataset.graph, &dataset.features, &server, &cfg);
-        let row = OversubRow {
+        rows.push(OversubRow {
             config: label,
             load_multiplier: mult,
             offered: r.offered,
@@ -475,27 +472,13 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
             prefetch_hit_ratio: prefetch_hit_ratio(&r.metrics),
             nvme_bytes: r.metrics.counter("store.nvme.bytes"),
             migrations: r.metrics.counter("serve.store.migrations"),
-        };
-        println!(
-            "  {:<10} {:>5.2}x {:>9} {:>7} {:>9} {:>9} {:>10} {:>8} {:>8} {:>8.1}% {:>11.2}",
-            label,
-            mult,
-            row.completed,
-            row.shed,
-            row.p50_us,
-            row.p99_us,
-            row.prefetch_hits,
-            row.late_stalls,
-            row.cold_reads,
-            row.prefetch_hit_ratio * 100.0,
-            row.nvme_bytes as f64 / (1 << 20) as f64,
-        );
-        rows.push(row);
+        });
     };
     for &mult in multipliers {
         run("resident", store_off(), mult);
         run("oversub", store_on(), mult);
     }
+    print_rows(&rows);
 
     // The envelope the store is built for, point by point.
     let point = |label: &str, mult: f64| {
@@ -532,30 +515,6 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
         over_half.p99_us as f64 / res_half.p99_us.max(1) as f64,
         over_half.prefetch_hit_ratio * 100.0,
     );
-
-    // Degeneration: an infinite DRAM budget admits every row, the
-    // placement collapses to the two-tier plan, and the run must be
-    // byte-identical to the store-off snapshot — the store adds nothing
-    // until the table outgrows DRAM.
-    let snap_for = |store: StoreConfig| {
-        let server = server();
-        let mut cfg = cfg_for(store);
-        cfg.arrival = base
-            .arrival
-            .scaled(0.5 * capacity / base.arrival.mean_rate());
-        let r = serve(&dataset.graph, &dataset.features, &server, &cfg);
-        serde_json::to_string(&r.metrics).expect("serializable snapshot")
-    };
-    let infinite = StoreConfig {
-        dram_budget_bytes: Some(u64::MAX),
-        ..store_on()
-    };
-    assert_eq!(
-        snap_for(infinite),
-        snap_for(store_off()),
-        "infinite DRAM budget must reproduce the store-off run byte-for-byte"
-    );
-    println!("  [store] infinite-DRAM-budget run byte-identical to store-off snapshot");
     rows
 }
 
@@ -586,12 +545,10 @@ struct FleetRow {
 /// uniform random-server baseline, at multiples of the aggregate
 /// (`n` x single-machine) capacity. Cross-server reads cost wire time
 /// through the cluster network model, so mis-routing shows up as a
-/// lower knee. Asserts same-seed determinism (request conservation is
-/// the library's run checker's), the residency locality and
-/// remote-traffic wins, residency knee capacity strictly above random
-/// at a matched p99 ceiling, and — in
-/// full mode with `n >= 16` — a fleet knee at least 10x the
-/// single-machine capacity.
+/// lower knee. Asserts the residency locality and remote-traffic wins,
+/// residency knee capacity strictly above random at a matched p99
+/// ceiling, and — in full mode with `n >= 16` — a fleet knee at least
+/// 10x the single-machine capacity.
 fn fleet_head_to_head(
     dataset: &Dataset,
     base: &ServeConfig,
@@ -603,10 +560,9 @@ fn fleet_head_to_head(
     // planned cache: plan quality is fixed, so
     // the only degrees of freedom are *which server* a request lands on
     // and what its misses cost on the wire.
-    let cfg = {
-        let mut cfg = base.clone();
-        cfg.policy = PolicyKind::StaticHot;
-        cfg
+    let cfg = ServeConfig {
+        policy: PolicyKind::StaticHot,
+        ..base.clone()
     };
     let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &spec.build(), &cfg);
     let run_on = |policy: FleetPolicy,
@@ -616,13 +572,12 @@ fn fleet_head_to_head(
                   coalesce: bool|
      -> FleetReport {
         let fleet = FleetConfig {
-            num_servers: servers,
             policy,
             // Both policies project against the same measured drain rate.
             drain_rps: Some(capacity),
             uplink,
             coalesce,
-            ..FleetConfig::default()
+            ..fleet(servers)
         };
         let mut cfg = cfg.clone();
         cfg.arrival = base
@@ -640,42 +595,11 @@ fn fleet_head_to_head(
         run_on(policy, servers, frac, None, false)
     };
 
-    // Same seed, same config: the fleet snapshot must be reproducible
-    // byte for byte (workload, partitioner, hotness, routing, and every
-    // per-server engine are all deterministic).
     let fractions: &[f64] = if smoke {
         &[0.3, 0.6, 0.9]
     } else {
         &[0.2, 0.4, 0.6, 0.8, 1.1]
     };
-    let probe = run(FleetPolicy::Residency, n, fractions[0]);
-    let again = run(FleetPolicy::Residency, n, fractions[0]);
-    let snap = |r: &FleetReport| serde_json::to_string(&r.metrics).expect("serializable snapshot");
-    assert_eq!(
-        snap(&probe),
-        snap(&again),
-        "same-seed fleet runs must produce byte-identical snapshots"
-    );
-    println!(
-        "\nfleet head-to-head: {} servers ({} x4), single-machine capacity probe {capacity:.0}/s, \
-         {} hot rows replicated per server; fleet loads are multiples of {}x that probe, and the \
-         scale-out yardstick is the measured single-machine (N=1) open-loop knee",
-        n, spec.name, probe.replicated_rows, n
-    );
-    println!(
-        "  {:<10} {:>6} {:>12} {:>9} {:>7} {:>9} {:>9} {:>14} {:>9} {:>12} {:>12}",
-        "policy",
-        "load",
-        "offered/s",
-        "done",
-        "shed",
-        "p50_us",
-        "p99_us",
-        "throughput/s",
-        "local",
-        "remote_rd",
-        "remote_MiB"
-    );
     let mut rows = Vec::new();
     // Series: the measured single-machine baseline (an N=1 fleet, which
     // is byte-identical to the plain engine), then the residency fleet,
@@ -688,51 +612,44 @@ fn fleet_head_to_head(
         series.push(("residency", FleetPolicy::Residency, n));
         series.push(("random", FleetPolicy::Random, n));
     }
-    let make_row = |label: &'static str, servers: usize, frac: f64, r: &FleetReport| -> FleetRow {
-        let row = FleetRow {
-            policy: label,
-            num_servers: servers,
-            load_multiplier: frac,
-            offered_rps: frac * servers as f64 * capacity,
-            offered: r.offered,
-            completed: r.completed,
-            shed: r.shed,
-            p50_us: r.p50_us,
-            p99_us: r.p99_us,
-            throughput_rps: r.throughput_rps,
-            locality: r.locality,
-            remote_reads: r.remote_reads,
-            remote_bytes: r.remote_bytes,
-            remote_msgs: r.remote_msgs,
-            dedup_hits: r.dedup_hits,
-            replicated_rows: r.replicated_rows,
-        };
-        println!(
-            "  {:<10} {:>5.2}x {:>12.0} {:>9} {:>7} {:>9} {:>9} {:>14.0} {:>8.1}% {:>12} {:>12.2}",
-            row.policy,
-            frac,
-            row.offered_rps,
-            row.completed,
-            row.shed,
-            row.p50_us,
-            row.p99_us,
-            row.throughput_rps,
-            row.locality * 100.0,
-            row.remote_reads,
-            row.remote_bytes as f64 / (1 << 20) as f64,
-        );
-        row
+    let make_row = |label: &'static str, servers: usize, frac: f64, r: &FleetReport| FleetRow {
+        policy: label,
+        num_servers: servers,
+        load_multiplier: frac,
+        offered_rps: frac * servers as f64 * capacity,
+        offered: r.offered,
+        completed: r.completed,
+        shed: r.shed,
+        p50_us: r.p50_us,
+        p99_us: r.p99_us,
+        throughput_rps: r.throughput_rps,
+        locality: r.locality,
+        remote_reads: r.remote_reads,
+        remote_bytes: r.remote_bytes,
+        remote_msgs: r.remote_msgs,
+        dedup_hits: r.dedup_hits,
+        replicated_rows: r.replicated_rows,
     };
     for &(label, policy, servers) in &series {
         for &frac in fractions {
             let r = run(policy, servers, frac);
-            let row = make_row(label, servers, frac, &r);
             if label == "residency" && frac == fractions[fractions.len() - 2] {
                 legion_bench::save_snapshot("servectl_fleet_residency", &r.metrics);
             }
-            rows.push(row);
+            rows.push(make_row(label, servers, frac, &r));
         }
     }
+    let replicated = rows
+        .iter()
+        .find(|r| r.num_servers == n)
+        .map_or(0, |r| r.replicated_rows);
+    println!(
+        "\nfleet head-to-head: {} servers ({} x4), single-machine capacity probe {capacity:.0}/s, \
+         {} hot rows replicated per server; fleet loads are multiples of {}x that probe, and the \
+         scale-out yardstick is the measured single-machine (N=1) open-loop knee",
+        n, spec.name, replicated, n
+    );
+    print_rows(&rows);
 
     // Knee capacity at a matched p99: the shared ceiling is 5x the
     // lowest-load single-machine tail; a series' knee is the best
@@ -822,12 +739,14 @@ fn fleet_head_to_head(
         ("rand+up", FleetPolicy::Random, false),
         ("rand+up+co", FleetPolicy::Random, true),
     ];
+    let uncontended = rows.len();
     for &(label, policy, coalesce) in &contended {
         for &frac in fractions {
             let r = run_on(policy, n, frac, Some(uplink), coalesce);
             rows.push(make_row(label, n, frac, &r));
         }
     }
+    print_rows(&rows[uncontended..]);
     let sum = |label: &str, f: fn(&FleetRow) -> u64| -> u64 {
         rows.iter().filter(|r| r.policy == label).map(f).sum()
     };
@@ -907,10 +826,9 @@ struct DriftFleetRow {
 /// fleet's.
 fn fleet_drift_resize(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<DriftFleetRow> {
     let spec = ServerSpec::dgx_v100().truncated(4);
-    let cfg = {
-        let mut cfg = base.clone();
-        cfg.policy = PolicyKind::StaticHot;
-        cfg
+    let cfg = ServeConfig {
+        policy: PolicyKind::StaticHot,
+        ..base.clone()
     };
     let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &spec.build(), &cfg);
     let mut drifting = cfg.clone();
@@ -930,13 +848,11 @@ fn fleet_drift_resize(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<Dr
     };
     let run = |cfg: &ServeConfig, resize: bool| -> FleetReport {
         let fleet = FleetConfig {
-            num_servers: n,
-            policy: FleetPolicy::Residency,
             drain_rps: Some(capacity),
             uplink: Some(UplinkConfig::default()),
             coalesce: true,
             resize_on_drift: resize,
-            ..FleetConfig::default()
+            ..fleet(n)
         };
         serve_fleet(&dataset.graph, &dataset.features, &spec, cfg, &fleet)
     };
@@ -947,43 +863,25 @@ fn fleet_drift_resize(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<Dr
         "\nfleet drift resize: {} servers, {} requests, hot set rotates {} positions at request {}",
         n, drifting.num_requests, drifting.drift_stride, drifting.drift_period
     );
-    println!(
-        "  {:<8} {:>9} {:>8} {:>12} {:>10} {:>10} {:>9}",
-        "scenario", "locality", "resizes", "refill_rows", "head_rows", "completed", "p99_us"
-    );
-    let mut rows = Vec::new();
-    for (label, r) in [
+    let rows: Vec<DriftFleetRow> = [
         ("fresh", &fresh),
         ("frozen", &frozen),
         ("resized", &resized),
-    ] {
-        let row = DriftFleetRow {
-            scenario: label,
-            locality: r.locality,
-            resizes: r.resizes,
-            refill_rows: r.metrics.counter("fleet.resize.refill_rows"),
-            replicated_rows: r.replicated_rows,
-            head_rows: r.metrics.gauge("fleet.resize.head_rows") as u64,
-            completed: r.completed,
-            shed: r.shed,
-            p99_us: r.p99_us,
-        };
-        println!(
-            "  {:<8} {:>8.1}% {:>8} {:>12} {:>10} {:>10} {:>9}",
-            row.scenario,
-            row.locality * 100.0,
-            row.resizes,
-            row.refill_rows,
-            if label == "resized" {
-                row.head_rows
-            } else {
-                row.replicated_rows as u64
-            },
-            row.completed,
-            row.p99_us,
-        );
-        rows.push(row);
-    }
+    ]
+    .into_iter()
+    .map(|(label, r)| DriftFleetRow {
+        scenario: label,
+        locality: r.locality,
+        resizes: r.resizes,
+        refill_rows: r.metrics.counter("fleet.resize.refill_rows"),
+        replicated_rows: r.replicated_rows,
+        head_rows: r.metrics.gauge("fleet.resize.head_rows") as u64,
+        completed: r.completed,
+        shed: r.shed,
+        p99_us: r.p99_us,
+    })
+    .collect();
+    print_rows(&rows);
     assert!(
         resized.resizes >= 1,
         "the mid-stream rotation must trigger at least one head resize"
@@ -997,24 +895,6 @@ fn fleet_drift_resize(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<Dr
         frozen.locality
     );
     rows
-}
-
-fn print_points(points: &[LoadPoint]) {
-    for p in points {
-        println!(
-            "{:<8} {:>6.2} {:>12.0} {:>9} {:>7} {:>14.0} {:>9} {:>9} {:>9} {:>8.1}%",
-            p.policy,
-            p.load_multiplier,
-            p.offered_rps,
-            p.completed,
-            p.shed,
-            p.throughput_rps,
-            p.p50_us,
-            p.p95_us,
-            p.p99_us,
-            p.slo_attainment * 100.0
-        );
-    }
 }
 
 /// One row of the churn head-to-head: a (policy, config) cell with the
@@ -1043,18 +923,10 @@ struct ChurnRow {
 /// (edge inserts/deletes/vertex churn at a quarter of the request
 /// rate) streamed through the delta-CSR overlay. Asserts, per policy,
 /// that churn keeps the hit rate within 15 points and the p99 within
-/// 3x of the frozen baseline; that the overlay's merged neighborhoods
-/// — including the engine's actual sampled ids — agree exactly with a
-/// from-scratch rebuilt CSR (no deleted edge survives, no applied
-/// insert goes missing); and that replaying the logged stream after a
-/// JSON round trip reproduces the generated run byte-for-byte.
-fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec<ChurnRow> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
+/// 3x of the frozen baseline.
+fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<ChurnRow> {
     let spec = ServerSpec::dgx_v100().truncated(4);
-    let server = spec.build();
-    let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &server, base);
+    let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &spec.build(), base);
     let rate = 0.9 * capacity;
     let churn_cfg = ChurnConfig {
         ops_per_sec: (0.25 * rate).max(2_000.0),
@@ -1070,70 +942,35 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
         (legion_serve::CHURN_FRAC * 100.0) as u32,
         churn_cfg.compact_threshold,
     );
-    println!(
-        "{:<8} {:<8} {:>9} {:>7} {:>8} {:>9} {:>9} {:>9} {:>8} {:>7} {:>9}",
-        "policy",
-        "graph",
-        "done",
-        "shed",
-        "hit%",
-        "p99_us",
-        "inserts",
-        "deletes",
-        "compact",
-        "rows",
-        "invalid"
-    );
     let run = |policy: PolicyKind, mutations: Option<MutationSource>| {
-        let server = spec.build();
         let mut cfg = base.clone();
         cfg.policy = policy;
         cfg.arrival = ArrivalProcess::Poisson { rate };
         cfg.mutations = mutations;
-        serve(&dataset.graph, &dataset.features, &server, &cfg)
+        serve(&dataset.graph, &dataset.features, &spec.build(), &cfg)
+    };
+    let row = |policy: PolicyKind, config: &'static str, r: &ServeReport| ChurnRow {
+        policy: policy.as_str(),
+        config,
+        offered: r.offered,
+        completed: r.completed,
+        shed: r.shed,
+        p50_us: r.p50_us,
+        p99_us: r.p99_us,
+        hit_rate: r.feature_hit_rate(),
+        mut_inserts: r.metrics.counter("graph.mut.inserts"),
+        mut_deletes: r.metrics.counter("graph.mut.deletes"),
+        compactions: r.metrics.counter("graph.mut.compactions"),
+        overlay_rows: r.metrics.counter("graph.mut.overlay_rows"),
+        invalidate_topo_rows: r.metrics.counter("serve.invalidate.topo_rows"),
+        invalidate_residency_bits: r.metrics.counter("serve.invalidate.residency_bits"),
     };
     let mut rows = Vec::new();
-    let mut record = |policy: PolicyKind, config: &'static str, r: &ServeReport| {
-        let row = ChurnRow {
-            policy: policy.as_str(),
-            config,
-            offered: r.offered,
-            completed: r.completed,
-            shed: r.shed,
-            p50_us: r.p50_us,
-            p99_us: r.p99_us,
-            hit_rate: feature_hit_rate(&r.metrics),
-            mut_inserts: r.metrics.counter("graph.mut.inserts"),
-            mut_deletes: r.metrics.counter("graph.mut.deletes"),
-            compactions: r.metrics.counter("graph.mut.compactions"),
-            overlay_rows: r.metrics.counter("graph.mut.overlay_rows"),
-            invalidate_topo_rows: r.metrics.counter("serve.invalidate.topo_rows"),
-            invalidate_residency_bits: r.metrics.counter("serve.invalidate.residency_bits"),
-        };
-        println!(
-            "{:<8} {:<8} {:>9} {:>7} {:>8.1} {:>9} {:>9} {:>9} {:>8} {:>7} {:>9}",
-            row.policy,
-            row.config,
-            row.completed,
-            row.shed,
-            row.hit_rate * 100.0,
-            row.p99_us,
-            row.mut_inserts,
-            row.mut_deletes,
-            row.compactions,
-            row.overlay_rows,
-            row.invalidate_topo_rows + row.invalidate_residency_bits,
-        );
-        rows.push(row);
-    };
-    let mut churn_static: Option<ServeReport> = None;
+    let mut envelope = Vec::new();
     for &policy in &POLICIES {
         let frozen = run(policy, None);
         let churned = run(policy, Some(MutationSource::Generate(churn_cfg.clone())));
-        let (fh, ch) = (
-            feature_hit_rate(&frozen.metrics),
-            feature_hit_rate(&churned.metrics),
-        );
+        let (fh, ch) = (frozen.feature_hit_rate(), churned.feature_hit_rate());
         assert!(
             ch >= fh - 0.15,
             "{}: churn hit rate {:.3} fell more than 15 points below frozen {:.3}",
@@ -1154,98 +991,21 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec
                 > 0,
             "churn run must apply mutations"
         );
-        record(policy, "frozen", &frozen);
-        record(policy, "churn", &churned);
-        if policy == PolicyKind::StaticHot {
-            churn_static = Some(churned);
-        }
+        envelope.push(format!(
+            "{} {:.1}% -> {:.1}%, {} -> {} us",
+            policy.as_str(),
+            fh * 100.0,
+            ch * 100.0,
+            frozen.p99_us,
+            churned.p99_us
+        ));
+        rows.push(row(policy, "frozen", &frozen));
+        rows.push(row(policy, "churn", &churned));
     }
-
-    // Replay byte-identity: rebuild the exact log the engine resolved
-    // (same seed, horizon = last arrival), round-trip it through JSON,
-    // and replay it — the snapshot must match the generated run
-    // byte-for-byte.
-    // The head-to-head overrides the arrival process, so the horizon
-    // must come from the stream the runs actually saw.
-    let requests = generate_requests(
-        &dataset.graph,
-        &ServeConfig {
-            arrival: ArrivalProcess::Poisson { rate },
-            ..base.clone()
-        },
-    );
-    let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
-    let log = MutationLog::generate(&dataset.graph, &churn_cfg, base.seed, horizon);
-    let json = serde_json::to_string(&log).expect("serializable mutation log");
-    let replayed_log: MutationLog = serde_json::from_str(&json).expect("round-trippable log");
-    assert_eq!(log, replayed_log, "JSON round trip must preserve the log");
-    let replayed = run(
-        PolicyKind::StaticHot,
-        Some(MutationSource::Replay {
-            log: std::sync::Arc::new(replayed_log),
-            compact_threshold: churn_cfg.compact_threshold,
-        }),
-    );
-    let snap = |r: &ServeReport| serde_json::to_string(&r.metrics).expect("serializable snapshot");
-    let generated = churn_static.expect("StaticHot churn run recorded");
-    assert_eq!(
-        snap(&generated),
-        snap(&replayed),
-        "replaying the logged stream must be byte-identical to generating it"
-    );
-
-    // Sampled-neighborhood correctness: replay the full log into a
-    // fresh overlay and compare every merged row against a from-scratch
-    // rebuilt CSR — then drive the engine's real sampling path over the
-    // dirty rows with a saturating fanout and check the sampled ids.
-    let overlay = DeltaOverlay::new(dataset.graph.num_vertices());
-    for m in &log.ops {
-        overlay.apply(&dataset.graph, &m.op);
-    }
-    let rebuilt = overlay.rebuild_csr(&dataset.graph);
-    let mut merged = Vec::new();
-    let mut dirty: Vec<u32> = Vec::new();
-    for v in 0..dataset.graph.num_vertices() as u32 {
-        overlay.merge_into(&dataset.graph, v, &mut merged);
-        let mut got = merged.clone();
-        got.sort_unstable();
-        assert_eq!(
-            got,
-            rebuilt.neighbors(v),
-            "merged row {v} must equal the rebuilt CSR row"
-        );
-        if overlay.is_dirty(v) {
-            dirty.push(v);
-        }
-    }
-    use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-    let layout = CacheLayout::none(server.num_gpus());
-    let engine = AccessEngine::new(
-        &dataset.graph,
-        &dataset.features,
-        &layout,
-        &server,
-        TopologyPlacement::CpuUva,
-    )
-    .with_overlay(Some(&overlay));
-    let mut rng = StdRng::seed_from_u64(base.seed ^ 0x5a5a_5a5a);
-    let spot = if smoke { 64 } else { 512 };
-    for &v in dirty.iter().take(spot) {
-        let want = rebuilt.neighbors(v);
-        let mut got = engine.sample_neighbors(0, v, want.len().max(1), &mut rng);
-        got.sort_unstable();
-        assert_eq!(
-            got, want,
-            "sampling vertex {v} at saturating fanout must return exactly the live \
-             neighborhood: no deleted edges, no missing inserts"
-        );
-    }
+    print_rows(&rows);
     println!(
-        "  [churn] replay byte-identical after JSON round trip ({} ops); {} merged rows == rebuilt CSR; \
-         {} dirty rows spot-checked through the sampler",
-        log.ops.len(),
-        dataset.graph.num_vertices(),
-        dirty.len().min(spot),
+        "  [churn] hit rate and p99, frozen -> churned: {}",
+        envelope.join("; ")
     );
     rows
 }
@@ -1380,7 +1140,7 @@ fn main() {
                 legion_bench::save_json("servectl_oversubscribe", &rows);
             }
             Scenario::Churn => {
-                let rows = churn_head_to_head(&dataset, &base, smoke);
+                let rows = churn_head_to_head(&dataset, &base);
                 legion_bench::save_json("servectl_churn", &rows);
             }
         }
@@ -1412,19 +1172,6 @@ fn main() {
 
     let capacity = estimate_capacity_rps(&dataset.graph, &dataset.features, &server, &base);
     println!("estimated capacity: {capacity:.0} requests/s (warmed closed-loop probe)\n");
-    println!(
-        "{:<8} {:>6} {:>12} {:>9} {:>7} {:>14} {:>9} {:>9} {:>9} {:>8}",
-        "policy",
-        "load",
-        "offered/s",
-        "done",
-        "shed",
-        "throughput/s",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-        "SLO"
-    );
 
     let mut rows: Vec<LoadPoint> = Vec::new();
     let sweep_policies: &[PolicyKind] = if drift_only { &[] } else { &POLICIES };
@@ -1439,7 +1186,7 @@ fn main() {
             capacity,
             multipliers,
         );
-        print_points(&points);
+        print_rows(&points);
         let (first, last) = (points.first().unwrap(), points.last().unwrap());
         let knee = last.p99_us >= 5 * first.p99_us;
         println!(
@@ -1530,7 +1277,7 @@ fn main() {
         print!(
             "  {:<8} feature hit rate {:>5.1}%  p99 {:>7} us  SLO {:>5.1}%  throughput {:>8.0}/s",
             policy.as_str(),
-            feature_hit_rate(&report.metrics) * 100.0,
+            report.feature_hit_rate() * 100.0,
             report.p99_us,
             report.slo_attainment * 100.0,
             report.throughput_rps
@@ -1555,23 +1302,19 @@ fn main() {
         .collect();
     let phases: BTreeSet<u64> = tails.iter().flat_map(|t| t.keys().copied()).collect();
     println!("\n  per-phase tail feature hit rate (settled second half of each phase):");
-    println!(
-        "  {:>5} {:>8} {:>8} {:>8}",
-        "phase", "static", "fifo", "replan"
-    );
-    for &k in &phases {
-        let cell = |t: &BTreeMap<u64, f64>| {
-            t.get(&k)
-                .map_or("   -".to_string(), |r| format!("{:>6.1}%", r * 100.0))
-        };
-        println!(
-            "  {:>5} {:>8} {:>8} {:>8}",
-            k,
-            cell(&tails[0]),
-            cell(&tails[1]),
-            cell(&tails[2])
-        );
-    }
+    let phase_rows: Vec<Value> = phases
+        .iter()
+        .map(|&k| {
+            let rates = POLICIES.iter().zip(&tails);
+            let cells = rates.map(|(p, t)| (p.as_str().to_string(), t.get(&k).serialize()));
+            Value::Object(
+                std::iter::once(("phase".to_string(), k.serialize()))
+                    .chain(cells)
+                    .collect(),
+            )
+        })
+        .collect();
+    print_rows(&phase_rows);
 
     let replan_metrics = &drift_reports[2].1.metrics;
     let replans = replan_metrics.counter("serve.replan.count");

@@ -127,6 +127,16 @@ pub enum MutationOp {
     },
 }
 
+impl MutationOp {
+    /// The vertex whose out-row the op changes.
+    pub fn vertex(&self) -> VertexId {
+        match *self {
+            MutationOp::InsertEdge { src, .. } | MutationOp::DeleteEdge { src, .. } => src,
+            MutationOp::ChurnVertex { v } => v,
+        }
+    }
+}
+
 // The vendored serde_derive does not handle enums, so the op tags are
 // written by hand against the `Value` data model.
 impl Serialize for MutationOp {

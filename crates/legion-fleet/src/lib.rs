@@ -73,6 +73,8 @@
 
 #![warn(clippy::too_many_lines)]
 
+pub mod scenarios;
+
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -85,7 +87,7 @@ use legion_router::{fill_probe, Dispatcher};
 use legion_serve::{
     adaptive_replicated_rows, estimate_capacity_rps, generate_requests, invariants,
     latency_buckets, plan_deployment, warmup_hot_vertices_weighted, CoalesceConfig, MutationLog,
-    MutationOp, MutationSource, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
+    MutationSource, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
     WindowEstimator,
 };
 use legion_telemetry::{Registry, Snapshot};
@@ -785,22 +787,9 @@ fn roll_up(
         registry
             .counter(&format!("fleet.shard{s}.vertices"))
             .add(plan.shard_sizes[s] as u64);
-        let over_gpus = |suffix: &str| -> u64 {
-            let counters = report.metrics.counters.iter();
-            counters
-                .filter(|c| c.name.starts_with("cache.gpu") && c.name.ends_with(suffix))
-                .map(|c| c.value)
-                .sum()
-        };
-        let (hits, misses) = (over_gpus(".feature_hits"), over_gpus(".feature_misses"));
-        let rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
         registry
             .gauge(&format!("fleet.server{s}.hit_rate"))
-            .set(rate);
+            .set(report.feature_hit_rate());
         if let Some(h) = report.metrics.histogram("serve.latency_us") {
             merged.merge_counts(&h.counts, h.sum);
         }
@@ -838,11 +827,7 @@ fn roll_up(
         let applied = log.ops.len() as u64;
         let mut owned_ops = vec![0u64; n];
         for m in &log.ops {
-            let v = match m.op {
-                MutationOp::InsertEdge { src, .. } | MutationOp::DeleteEdge { src, .. } => src,
-                MutationOp::ChurnVertex { v } => v,
-            };
-            owned_ops[plan.shard[v as usize] as usize] += 1;
+            owned_ops[plan.shard[m.op.vertex() as usize] as usize] += 1;
         }
         let notify_msgs = applied * (n as u64 - 1);
         let notify_bytes = notify_msgs

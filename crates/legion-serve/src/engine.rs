@@ -129,6 +129,27 @@ pub struct ServeReport {
     pub metrics: Snapshot,
 }
 
+impl ServeReport {
+    /// GPU feature-cache hit rate over every GPU of the run
+    /// (`cache.gpu{g}.feature_hits` over hits plus misses); 0 when
+    /// nothing was extracted.
+    pub fn feature_hit_rate(&self) -> f64 {
+        let over_gpus = |suffix: &str| -> u64 {
+            let counters = self.metrics.counters.iter();
+            counters
+                .filter(|c| c.name.starts_with("cache.gpu") && c.name.ends_with(suffix))
+                .map(|c| c.value)
+                .sum()
+        };
+        let (hits, misses) = (over_gpus(".feature_hits"), over_gpus(".feature_misses"));
+        if hits + misses > 0 {
+            hits as f64 / (hits + misses) as f64
+        } else {
+            0.0
+        }
+    }
+}
+
 /// Run-wide meters of the re-planning loop, registered only for
 /// [`PolicyKind::Replan`] runs; every worker holds handles to the same
 /// atomics. `mid_batch` audits plan-commit visibility: it counts
@@ -1194,10 +1215,7 @@ impl<'a> MutationDriver<'a> {
         if !effect.changed() {
             return;
         }
-        let v = match m.op {
-            MutationOp::InsertEdge { src, .. } | MutationOp::DeleteEdge { src, .. } => src,
-            MutationOp::ChurnVertex { v } => v,
-        };
+        let v = m.op.vertex();
         // A cached copy of the mutated row — in the serving layout or in
         // any replan worker's active plan — is now stale; samplers
         // detect this through the overlay's dirty bit and fall back to

@@ -305,12 +305,14 @@ fn dataset_instantiation_is_stable_across_calls() {
 /// No `validate` relates these axes to one another, so every drawn
 /// combination is legal.
 mod config_lattice {
+    use legion_fleet::scenarios::{
+        churn, clique_machine, fleet, golden, golden_dataset, oversub_drift, router_qos,
+    };
     use legion_fleet::{serve_fleet, FleetConfig};
-    use legion_graph::dataset::{spec_by_name, Dataset};
-    use legion_hw::{ServerSpec, UplinkConfig};
+    use legion_graph::dataset::Dataset;
+    use legion_hw::UplinkConfig;
     use legion_serve::{
-        serve, ArrivalProcess, ChurnConfig, ClassConfig, MutationSource, PolicyKind, ReplanConfig,
-        RouterPolicy, ServeConfig, StoreConfig,
+        serve, ArrivalProcess, ClassConfig, MutationSource, PolicyKind, ServeConfig,
     };
     use legion_telemetry::Snapshot;
 
@@ -401,54 +403,41 @@ mod config_lattice {
             }
         }
 
+        /// The catalogue's oversubscribed-drift corner,
+        /// `oversub_drift(golden(policy))`, with each axis applied. The
+        /// values the catalogue does not name are the lattice's own:
+        /// drift off, the store off or holding the whole table, the
+        /// 32-deep overload queue and the per-server offered rates.
         fn config(&self, table_bytes: u64) -> ServeConfig {
-            let mut cfg = ServeConfig {
-                num_requests: 600,
-                max_batch: 16,
-                max_wait: 1e-4,
-                queue_capacity: if self.overload { 32 } else { 256 },
-                cache_rows_per_gpu: 256,
-                warmup_requests: 128,
-                fanouts: vec![5, 3],
-                policy: self.policy,
-                drift_period: if self.drift { 300 } else { 0 },
-                drift_stride: 1024,
-                replan: ReplanConfig {
-                    bucket_requests: 16,
-                    window_buckets: 2,
-                    cooldown_buckets: 0,
-                    ..ReplanConfig::default()
-                },
-                store: StoreConfig {
-                    dram_budget_bytes: match self.store {
-                        Store::Off => None,
-                        Store::Oversubscribed => Some(64 << 10),
-                        Store::HoldsTable => Some(table_bytes),
-                    },
-                    staging_rows: 64,
-                    prefetch_budget: 64,
-                    ..StoreConfig::default()
-                },
-                mutations: self.churn.then_some(MutationSource::Generate(ChurnConfig {
-                    ops_per_sec: 100_000.0,
-                    compact_threshold: 64,
-                })),
-                ..ServeConfig::default()
+            let mut cfg = oversub_drift(golden(self.policy));
+            if self.overload {
+                cfg.queue_capacity = 32;
+            }
+            if !self.drift {
+                cfg.drift_period = 0;
+            }
+            cfg.store.dram_budget_bytes = match self.store {
+                Store::Off => None,
+                Store::Oversubscribed => cfg.store.dram_budget_bytes,
+                Store::HoldsTable => Some(table_bytes),
             };
+            if self.churn {
+                cfg.mutations = Some(MutationSource::Generate(churn()));
+            }
             // About a quarter of, and three times, the ~4 M req/s one
             // machine of this fixture serves, per server.
             let per_server = if self.overload { 1.2e7 } else { 1.0e6 };
             cfg.arrival = ArrivalProcess::Poisson {
                 rate: per_server * self.servers.max(1) as f64,
             };
+            let routed = router_qos(cfg.clone());
             if self.residency {
-                cfg.router.policy = RouterPolicy::Residency;
+                cfg.router = routed.router;
             }
             if self.classes != Classes::Single {
                 cfg.classes = ClassConfig {
-                    mix: [0.2, 0.5, 0.3],
                     qos: self.classes == Classes::Qos3,
-                    ..ClassConfig::default()
+                    ..routed.classes
                 };
             }
             cfg
@@ -456,13 +445,10 @@ mod config_lattice {
 
         fn fleet(&self) -> FleetConfig {
             FleetConfig {
-                num_servers: self.servers,
-                // Pinned so no draw depends on the capacity probe.
-                drain_rps: Some(100_000.0),
                 uplink: self.uplink.then(UplinkConfig::default),
                 coalesce: self.coalesce,
                 resize_on_drift: self.resize,
-                ..FleetConfig::default()
+                ..fleet(self.servers)
             }
         }
 
@@ -495,7 +481,7 @@ mod config_lattice {
     /// and every snapshot it produced serialized (the fleet's first, then
     /// each member's).
     fn run(d: &Dataset, draw: &Draw, cfg: &ServeConfig) -> (u64, Vec<String>) {
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
+        let spec = clique_machine();
         let json = |m: &Snapshot| serde_json::to_string(m).expect("serializable snapshot");
         if draw.servers == 0 {
             let r = serve(&d.graph, &d.features, &spec.build(), cfg);
@@ -509,7 +495,7 @@ mod config_lattice {
 
     #[test]
     fn fixed_seed_draws_replay_degenerate_to_off_and_register_only_what_is_on() {
-        let d = spec_by_name("PR").unwrap().instantiate(500, 42);
+        let d = golden_dataset();
         let table_bytes = d.graph.num_vertices() as u64 * d.features.row_bytes();
         let mut next = lcg(26);
         let mut draw_pick = || {

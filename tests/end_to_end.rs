@@ -124,10 +124,9 @@ fn unified_cache_serves_both_topology_and_features() {
 /// asserts the same per batch, in debug builds only.
 #[test]
 fn extracted_rows_are_conserved_as_hits_plus_misses() {
+    use legion_fleet::scenarios::{churn, clique_machine, fleet, golden, oversub_drift};
     use legion_fleet::{serve_fleet, FleetConfig};
-    use legion_serve::{
-        serve, ChurnConfig, MutationSource, PolicyKind, ReplanConfig, ServeConfig, StoreConfig,
-    };
+    use legion_serve::{serve, MutationSource, PolicyKind, ServeConfig};
     use legion_telemetry::Snapshot;
 
     fn check(what: &str, snapshot: &Snapshot) {
@@ -151,57 +150,26 @@ fn extracted_rows_are_conserved_as_hits_plus_misses() {
     check("training epoch", &run_epoch(&setup, &ctx, &cfg).metrics);
 
     let (graph, features) = (&dataset.graph, &dataset.features);
-    let static_hot = ServeConfig {
-        num_requests: 800,
-        max_batch: 16,
-        max_wait: 1e-4,
-        cache_rows_per_gpu: 256,
-        warmup_requests: 128,
-        fanouts: vec![5, 3],
-        policy: PolicyKind::StaticHot,
-        ..ServeConfig::default()
-    };
-    let spec = ServerSpec::custom(4, 1 << 30, 2);
+    let static_hot = golden(PolicyKind::StaticHot);
+    let spec = clique_machine();
     check(
         "static serving",
         &serve(graph, features, &spec.build(), &static_hot).metrics,
     );
 
-    let replan_store = ServeConfig {
-        policy: PolicyKind::Replan,
-        drift_period: 300,
-        drift_stride: 1024,
-        replan: ReplanConfig {
-            bucket_requests: 16,
-            window_buckets: 2,
-            cooldown_buckets: 0,
-            ..ReplanConfig::default()
-        },
-        store: StoreConfig {
-            dram_budget_bytes: Some(64 << 10),
-            staging_rows: 64,
-            prefetch_budget: 64,
-            ..StoreConfig::default()
-        },
-        ..static_hot.clone()
-    };
+    let replan_store = oversub_drift(golden(PolicyKind::Replan));
     let report = serve(graph, features, &spec.build(), &replan_store);
     assert!(report.metrics.counter("serve.replan.count") > 0);
     assert!(report.metrics.counter("store.nvme.bytes") > 0);
     check("re-planned serving over a store", &report.metrics);
 
     let churned = ServeConfig {
-        mutations: Some(MutationSource::Generate(ChurnConfig {
-            ops_per_sec: 100_000.0,
-            compact_threshold: 64,
-        })),
+        mutations: Some(MutationSource::Generate(churn())),
         ..static_hot
     };
     let fleet = FleetConfig {
-        num_servers: 2,
-        drain_rps: Some(100_000.0),
         coalesce: true,
-        ..FleetConfig::default()
+        ..fleet(2)
     };
     let report = serve_fleet(graph, features, &spec, &churned, &fleet);
     assert!(report.metrics.counter("fleet.mut.applied") > 0);
@@ -219,6 +187,7 @@ fn extracted_rows_are_conserved_as_hits_plus_misses() {
 #[test]
 fn cache_byte_counters_equal_the_gpu_allocation() {
     use legion_core::system::legion_setup;
+    use legion_fleet::scenarios::{clique_machine, golden_dataset};
     use legion_hw::MultiGpuServer;
     use legion_sampling::access::CacheLayout;
     use legion_serve::{
@@ -245,9 +214,9 @@ fn cache_byte_counters_equal_the_gpu_allocation() {
         check("Legion training fill", &server, gpu, &setup.layout);
     }
 
-    let d = spec_by_name("PR").unwrap().instantiate(500, 42);
+    let d = golden_dataset();
     let (graph, features) = (&d.graph, &d.features);
-    let spec = ServerSpec::custom(4, 1 << 30, 2);
+    let spec = clique_machine();
     let mut targets = TargetSampler::new((0..graph.num_vertices() as u32).collect(), 1.1, 0, 0);
     let (hot, weight) = warmup_hot_vertices_weighted(graph, &mut targets, 128, &[5, 3], 42);
     let server = spec.build();

@@ -15,18 +15,21 @@ use legion_core::runner::{
 };
 use legion_core::system::legion_setup;
 use legion_core::LegionConfig;
+use legion_fleet::scenarios::{
+    churn, clique_machine, fleet, golden, golden_dataset, oversub_drift, router_qos,
+};
 use legion_fleet::{serve_fleet, FleetConfig};
 use legion_gnn::ModelKind;
 use legion_graph::dataset::{spec_by_name, Dataset};
 use legion_graph::CsrGraph;
-use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
+use legion_hw::{ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{KHopSampler, SampleScratch};
 use legion_serve::{
     estimate_capacity_rps, plan_layout, profile_warmup, run_sweep, serve, ArrivalProcess,
-    ChurnConfig, ClassConfig, DeltaOverlay, MutationOp, MutationSource, PolicyKind, ReplanConfig,
-    RouterPolicy, ServeConfig, StoreConfig, TargetSampler, SMOKE_MULTIPLIERS,
+    DeltaOverlay, MutationOp, MutationSource, PolicyKind, ServeConfig, StoreConfig, TargetSampler,
+    SMOKE_MULTIPLIERS,
 };
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 use legion_telemetry::Snapshot;
@@ -250,7 +253,7 @@ fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
     ];
     for (two_hop, one_hop, layout, placement, overlay, seeds) in cases {
         for (name, fanouts) in [(two_hop, vec![25, 10]), (one_hop, vec![8])] {
-            let server = clique_server();
+            let server = clique_machine().build();
             let engine = AccessEngine::new(&d.graph, &d.features, layout, &server, placement)
                 .with_overlay(overlay);
             let sampler = KHopSampler::new(fanouts);
@@ -441,65 +444,17 @@ fn store_rows(rows: &mut Vec<(&'static str, u64)>) {
     rows.push(("store_op_sequence", fnv1a(&bytes)));
 }
 
-fn dataset() -> Dataset {
-    spec_by_name("PR").unwrap().instantiate(500, 42)
-}
-
-/// Two NVLink cliques of two GPUs.
-fn clique_server() -> MultiGpuServer {
-    ServerSpec::custom(4, 1 << 30, 2).build()
-}
-
-fn serve_config(policy: PolicyKind) -> ServeConfig {
-    ServeConfig {
-        num_requests: 800,
-        max_batch: 16,
-        max_wait: 1e-4,
-        queue_capacity: 256,
-        cache_rows_per_gpu: 256,
-        warmup_requests: 128,
-        fanouts: vec![5, 3],
-        policy,
-        ..ServeConfig::default()
-    }
-}
-
-fn router_qos(mut cfg: ServeConfig) -> ServeConfig {
-    cfg.router.policy = RouterPolicy::Residency;
-    cfg.classes = ClassConfig {
-        mix: [0.2, 0.5, 0.3],
-        qos: true,
-        ..ClassConfig::default()
-    };
-    cfg
-}
-
-/// Replan under rotation drift with a DRAM budget far below the feature
-/// table: plans commit mid-run and their rows migrate across the
-/// DRAM/SSD boundary.
-fn oversub_drift_config() -> ServeConfig {
+/// [`oversub_drift`] over twice the golden stream: five drift
+/// rotations, time for re-plans to commit and migrate rows mid-run.
+fn long_oversub_drift(policy: PolicyKind) -> ServeConfig {
     ServeConfig {
         num_requests: 1600,
-        drift_period: 300,
-        drift_stride: 1024,
-        replan: ReplanConfig {
-            bucket_requests: 16,
-            window_buckets: 2,
-            cooldown_buckets: 0,
-            ..ReplanConfig::default()
-        },
-        store: StoreConfig {
-            dram_budget_bytes: Some(64 << 10),
-            staging_rows: 64,
-            prefetch_budget: 64,
-            ..StoreConfig::default()
-        },
-        ..serve_config(PolicyKind::Replan)
+        ..oversub_drift(golden(policy))
     }
 }
 
 fn serve_digest(d: &Dataset, cfg: &ServeConfig) -> u64 {
-    snapshot_digest(&serve(&d.graph, &d.features, &clique_server(), cfg).metrics)
+    snapshot_digest(&serve(&d.graph, &d.features, &clique_machine().build(), cfg).metrics)
 }
 
 fn epoch_config() -> LegionConfig {
@@ -512,7 +467,7 @@ fn epoch_config() -> LegionConfig {
 }
 
 fn scenarios() -> Vec<(&'static str, u64)> {
-    let d = dataset();
+    let d = golden_dataset();
     let mut rows: Vec<(&'static str, u64)> = Vec::new();
 
     for (name, policy) in [
@@ -520,11 +475,11 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         ("serve_fifo", PolicyKind::Fifo),
         ("serve_replan", PolicyKind::Replan),
     ] {
-        rows.push((name, serve_digest(&d, &serve_config(policy))));
+        rows.push((name, serve_digest(&d, &golden(policy))));
     }
     rows.push((
         "serve_static_router_qos",
-        serve_digest(&d, &router_qos(serve_config(PolicyKind::StaticHot))),
+        serve_digest(&d, &router_qos(golden(PolicyKind::StaticHot))),
     ));
     {
         // ≈ 3x what one golden-scale machine serves (≈ 4.1 M req/s): the
@@ -532,9 +487,9 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         // serving wave carries many requests' frontiers.
         let cfg = ServeConfig {
             arrival: ArrivalProcess::Poisson { rate: 12e6 },
-            ..serve_config(PolicyKind::StaticHot)
+            ..golden(PolicyKind::StaticHot)
         };
-        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        let report = serve(&d.graph, &d.features, &clique_machine().build(), &cfg);
         let batches: u64 = (0..4)
             .map(|g| report.metrics.counter(&format!("serve.gpu{g}.batches")))
             .sum();
@@ -547,17 +502,11 @@ fn scenarios() -> Vec<(&'static str, u64)> {
     }
     rows.push((
         "serve_fifo_oversub",
-        serve_digest(
-            &d,
-            &ServeConfig {
-                policy: PolicyKind::Fifo,
-                ..oversub_drift_config()
-            },
-        ),
+        serve_digest(&d, &long_oversub_drift(PolicyKind::Fifo)),
     ));
     {
-        let cfg = oversub_drift_config();
-        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        let cfg = long_oversub_drift(PolicyKind::Replan);
+        let report = serve(&d.graph, &d.features, &clique_machine().build(), &cfg);
         assert!(
             report.metrics.counter("serve.replan.count") > 0,
             "fixture must commit plans"
@@ -575,9 +524,9 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         // Re-plan + residency router + QoS + drift on one server, no store.
         let cfg = ServeConfig {
             store: StoreConfig::default(),
-            ..router_qos(oversub_drift_config())
+            ..router_qos(long_oversub_drift(PolicyKind::Replan))
         };
-        let report = serve(&d.graph, &d.features, &clique_server(), &cfg);
+        let report = serve(&d.graph, &d.features, &clique_machine().build(), &cfg);
         assert!(
             report.metrics.counter("serve.replan.count") > 0,
             "fixture must commit plans"
@@ -588,20 +537,14 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         ));
     }
     {
-        let mut cfg = serve_config(PolicyKind::StaticHot);
-        cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
-            ops_per_sec: 100_000.0,
-            compact_threshold: 64,
-        }));
+        let mut cfg = golden(PolicyKind::StaticHot);
+        cfg.mutations = Some(MutationSource::Generate(churn()));
         let fleet = FleetConfig {
-            num_servers: 2,
-            drain_rps: Some(100_000.0),
             uplink: Some(UplinkConfig::default()),
             coalesce: true,
-            ..FleetConfig::default()
+            ..fleet(2)
         };
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet);
+        let r = serve_fleet(&d.graph, &d.features, &clique_machine(), &cfg, &fleet);
         assert!(r.remote_reads > 0, "two shards must go remote");
         assert!(r.metrics.counter("fleet.mut.applied") > 0);
         let mut json = serde_json::to_string(&r.metrics).unwrap();
@@ -612,8 +555,8 @@ fn scenarios() -> Vec<(&'static str, u64)> {
     }
     {
         // Every load point of one sweep, run back to back on one server.
-        let cfg = router_qos(serve_config(PolicyKind::StaticHot));
-        let server = clique_server();
+        let cfg = router_qos(golden(PolicyKind::StaticHot));
+        let server = clique_machine().build();
         let capacity = estimate_capacity_rps(&d.graph, &d.features, &server, &cfg);
         let points = run_sweep(
             &d.graph,
@@ -630,20 +573,14 @@ fn scenarios() -> Vec<(&'static str, u64)> {
         // Three members, each re-planning, routing and migrating through
         // its own oversubscribed store while the front tier resizes the
         // replicated head under them.
-        let mut cfg = router_qos(oversub_drift_config());
-        cfg.mutations = Some(MutationSource::Generate(ChurnConfig {
-            ops_per_sec: 100_000.0,
-            compact_threshold: 64,
-        }));
+        let mut cfg = router_qos(long_oversub_drift(PolicyKind::Replan));
+        cfg.mutations = Some(MutationSource::Generate(churn()));
         let fleet = FleetConfig {
-            num_servers: 3,
-            drain_rps: Some(100_000.0),
             coalesce: true,
             resize_on_drift: true,
-            ..FleetConfig::default()
+            ..fleet(3)
         };
-        let spec = ServerSpec::custom(4, 1 << 30, 2);
-        let r = serve_fleet(&d.graph, &d.features, &spec, &cfg, &fleet);
+        let r = serve_fleet(&d.graph, &d.features, &clique_machine(), &cfg, &fleet);
         let members =
             |name: &str| -> u64 { r.per_server.iter().map(|s| s.metrics.counter(name)).sum() };
         assert!(members("serve.replan.count") > 0, "members must re-plan");
@@ -680,7 +617,7 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             snapshot_digest(&spilled.metrics),
         ));
 
-        let big = ServerSpec::custom(4, 1 << 30, 2).build();
+        let big = clique_machine().build();
         let ctx = cfg.build_context(&ds, &big);
         let gnnlab = legion_baselines::gnnlab::setup(&ctx, 1).unwrap();
         rows.push((
@@ -691,16 +628,13 @@ fn scenarios() -> Vec<(&'static str, u64)> {
 
     {
         let capacity = |cfg: &ServeConfig| {
-            let rps = estimate_capacity_rps(&d.graph, &d.features, &clique_server(), cfg);
+            let rps = estimate_capacity_rps(&d.graph, &d.features, &clique_machine().build(), cfg);
             fnv1a(&rps.to_bits().to_le_bytes())
         };
-        let rr = serve_config(PolicyKind::Fifo);
+        let rr = golden(PolicyKind::Fifo);
         rows.push(("capacity_round_robin", capacity(&rr)));
         rows.push(("capacity_routed", capacity(&router_qos(rr.clone()))));
-        let store = ServeConfig {
-            policy: PolicyKind::Fifo,
-            ..oversub_drift_config()
-        };
+        let store = long_oversub_drift(PolicyKind::Fifo);
         rows.push(("capacity_store_aware", capacity(&store)));
         rows.push(("capacity_routed_store_aware", capacity(&router_qos(store))));
     }

@@ -24,10 +24,12 @@
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
 //! lists matching any alternative.
 
+use legion_fleet::scenarios::{
+    churn, clique_machine, fleet, golden, golden_dataset, oversub_drift,
+};
 use legion_fleet::{serve_fleet, FleetConfig};
-use legion_graph::dataset::{spec_by_name, Dataset};
-use legion_hw::{ServerSpec, UplinkConfig};
-use legion_serve::{serve, ChurnConfig, MutationSource, PolicyKind, ServeConfig, StoreConfig};
+use legion_hw::UplinkConfig;
+use legion_serve::{serve, MutationSource, PolicyKind, ServeConfig};
 use legion_telemetry::Snapshot;
 
 /// Every backticked name in the first column of the OPERATIONS.md
@@ -107,10 +109,6 @@ fn live_names(snapshot: &Snapshot) -> Vec<String> {
         .collect()
 }
 
-fn dataset() -> Dataset {
-    spec_by_name("PR").unwrap().instantiate(500, 42)
-}
-
 /// Live snapshots spanning the metric namespaces: a two-server fleet
 /// run with the contention-aware fabric and streaming mutations on
 /// (fleet.*, fleet.uplink.*, fleet.resize.*, fleet.mut.*,
@@ -119,50 +117,23 @@ fn dataset() -> Dataset {
 /// oversubscribed drifting re-plan run (serve.store.*, store.nvme.*,
 /// serve.phase*, serve.replan.*).
 fn live_snapshots() -> Vec<Snapshot> {
-    let d = dataset();
-    let base = ServeConfig {
-        num_requests: 1200,
-        max_batch: 16,
-        max_wait: 1e-4,
-        queue_capacity: 256,
-        cache_rows_per_gpu: 512,
-        warmup_requests: 128,
-        fanouts: vec![5, 3],
-        policy: PolicyKind::StaticHot,
-        mutations: Some(MutationSource::Generate(ChurnConfig {
-            ops_per_sec: 100_000.0,
-            ..ChurnConfig::default()
-        })),
-        ..ServeConfig::default()
+    let d = golden_dataset();
+    let churned = ServeConfig {
+        mutations: Some(MutationSource::Generate(churn())),
+        ..golden(PolicyKind::StaticHot)
     };
     let fleet = FleetConfig {
-        num_servers: 2,
-        drain_rps: Some(100_000.0),
         uplink: Some(UplinkConfig::default()),
         coalesce: true,
         resize_on_drift: true,
-        ..FleetConfig::default()
+        ..fleet(2)
     };
-    let spec = ServerSpec::custom(4, 1 << 30, 2);
-    let report = serve_fleet(&d.graph, &d.features, &spec, &base, &fleet);
+    let spec = clique_machine();
+    let report = serve_fleet(&d.graph, &d.features, &spec, &churned, &fleet);
     let mut snaps = vec![report.metrics.clone()];
     snaps.extend(report.per_server.iter().map(|r| r.metrics.clone()));
 
-    let store_cfg = ServeConfig {
-        num_requests: 800,
-        max_wait: 0.0,
-        cache_rows_per_gpu: 128,
-        policy: PolicyKind::Replan,
-        drift_period: 200,
-        drift_stride: 128,
-        store: StoreConfig {
-            dram_budget_bytes: Some(4096),
-            staging_rows: 64,
-            prefetch_budget: 64,
-            ..StoreConfig::default()
-        },
-        ..base
-    };
+    let store_cfg = oversub_drift(golden(PolicyKind::Replan));
     snaps.push(serve(&d.graph, &d.features, &spec.build(), &store_cfg).metrics);
     snaps
 }
@@ -492,6 +463,50 @@ fn identities_are_stated_once() {
     assert!(
         restated.is_empty(),
         "identities the run checker owns are restated: {restated:?}"
+    );
+}
+
+/// A serving and a fleet config built from the library defaults, split
+/// so this file holds neither.
+const FIXTURE_DEFAULTS: [&str; 2] = [
+    concat!("ServeConfig::", "default()"),
+    concat!("FleetConfig::", "default()"),
+];
+
+/// How often `text` builds a serving or fleet config from the defaults.
+fn fixtures_written(text: &str) -> usize {
+    FIXTURE_DEFAULTS
+        .iter()
+        .map(|literal| text.matches(literal).count())
+        .sum()
+}
+
+/// The golden-scale serving fixture is written once, in
+/// `legion_fleet::scenarios`; a root test that spells a serving or fleet
+/// config out from the defaults again fails here.
+#[test]
+fn serving_fixture_is_written_once() {
+    // Self-check on text that holds one of each and a near miss.
+    let [serve, fleet] = FIXTURE_DEFAULTS;
+    let text = format!("..{serve} }};\n{fleet}; ClassConfig::default()");
+    assert_eq!(fixtures_written(&text), 2);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    rust_files(&root.join("tests"), &mut files);
+    assert!(
+        files.len() > 5,
+        "test scan collapsed: {} files",
+        files.len()
+    );
+    let retyped: Vec<String> = files
+        .iter()
+        .filter(|file| fixtures_written(&std::fs::read_to_string(file).expect("readable")) > 0)
+        .map(|file| file.display().to_string())
+        .collect();
+    assert!(
+        retyped.is_empty(),
+        "root tests build a serving fixture from the defaults instead of \
+         `legion_fleet::scenarios`: {retyped:?}"
     );
 }
 

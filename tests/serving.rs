@@ -3,43 +3,35 @@
 //! curve. Same-seed replay and the run identities are the config
 //! lattice's (`tests/determinism.rs`) and the run checker's.
 
-use legion_graph::dataset::{spec_by_name, Dataset};
+use legion_fleet::scenarios::{
+    churn, clique_machine, golden, golden_dataset, oversub_drift, router_qos,
+};
 use legion_hw::{MultiGpuServer, ServerSpec};
 use legion_serve::{
     estimate_capacity_rps, generate_requests, plan_deployment, run_sweep, serve, serve_requests,
-    ChurnConfig, ClassConfig, MutationSource, PolicyKind, PriorityClass, ReplanConfig,
-    RouterConfig, RouterPolicy, ServeConfig, StoreConfig,
+    MutationSource, PolicyKind, PriorityClass, RouterPolicy, ServeConfig,
 };
-
-fn pr_dataset() -> Dataset {
-    // Divisor 500 keeps the test fast while preserving PR's skew.
-    spec_by_name("PR").unwrap().instantiate(500, 42)
-}
 
 fn server() -> MultiGpuServer {
     ServerSpec::custom(2, 1 << 30, 1).build()
 }
 
+/// The golden run over twice the stream and twice the cache.
 fn config(policy: PolicyKind) -> ServeConfig {
     ServeConfig {
         num_requests: 1600,
-        max_batch: 16,
         // Age trigger off: batches close as soon as the GPU frees up,
         // which keeps latency monotone in offered load (a size-triggered
         // low-load point would instead wait for the batch to fill).
         max_wait: 0.0,
-        queue_capacity: 256,
         cache_rows_per_gpu: 512,
-        warmup_requests: 128,
-        fanouts: vec![5, 3],
-        policy,
-        ..ServeConfig::default()
+        ..golden(policy)
     }
 }
 
 #[test]
 fn different_seeds_change_the_metrics() {
-    let d = pr_dataset();
+    let d = golden_dataset();
     let server_a = server();
     let a = serve(&d.graph, &d.features, &server_a, &config(PolicyKind::Fifo));
     let server_b = server();
@@ -47,28 +39,6 @@ fn different_seeds_change_the_metrics() {
     cfg.seed = 43;
     let b = serve(&d.graph, &d.features, &server_b, &cfg);
     assert_ne!(a.metrics, b.metrics);
-}
-
-/// 4 GPUs in two NVLink cliques of two — the smallest topology where
-/// clique-aware routing is distinguishable from per-GPU routing.
-fn clique_server() -> MultiGpuServer {
-    ServerSpec::custom(4, 1 << 30, 2).build()
-}
-
-/// Router-enabled config: residency dispatch plus a multi-class QoS mix.
-fn router_config(policy: PolicyKind) -> ServeConfig {
-    ServeConfig {
-        router: RouterConfig {
-            policy: RouterPolicy::Residency,
-            ..RouterConfig::default()
-        },
-        classes: ClassConfig {
-            mix: [0.2, 0.5, 0.3],
-            qos: true,
-            ..ClassConfig::default()
-        },
-        ..config(policy)
-    }
 }
 
 /// A plan is not consumed by a run: two runs of one `Deployment` are
@@ -79,52 +49,36 @@ fn router_config(policy: PolicyKind) -> ServeConfig {
 /// somewhere else.
 #[test]
 fn deployment_serves_twice_byte_identically() {
-    let d = pr_dataset();
-    let oversubscribed = |policy| ServeConfig {
-        drift_period: 300,
-        drift_stride: 1024,
-        cache_rows_per_gpu: 256,
-        max_wait: 1e-4,
-        replan: ReplanConfig {
-            bucket_requests: 16,
-            window_buckets: 2,
-            cooldown_buckets: 0,
-            ..ReplanConfig::default()
-        },
-        store: StoreConfig {
-            dram_budget_bytes: Some(64 << 10),
-            staging_rows: 64,
-            prefetch_budget: 64,
-            ..StoreConfig::default()
-        },
-        ..config(policy)
+    let d = golden_dataset();
+    let oversubscribed = |policy| {
+        oversub_drift(ServeConfig {
+            num_requests: 1600,
+            ..golden(policy)
+        })
     };
     let legs = [
         (
             "static + router + qos",
-            router_config(PolicyKind::StaticHot),
+            router_qos(config(PolicyKind::StaticHot)),
         ),
         ("fifo + store", oversubscribed(PolicyKind::Fifo)),
         ("replan + store + drift", oversubscribed(PolicyKind::Replan)),
         (
             "static + churn",
             ServeConfig {
-                mutations: Some(MutationSource::Generate(ChurnConfig {
-                    ops_per_sec: 100_000.0,
-                    compact_threshold: 64,
-                })),
+                mutations: Some(MutationSource::Generate(churn())),
                 ..config(PolicyKind::StaticHot)
             },
         ),
     ];
     for (leg, cfg) in legs {
         let requests = generate_requests(&d.graph, &cfg);
-        let server = clique_server();
+        let spec = clique_machine();
+        let server = spec.build();
         let deployment = plan_deployment(&d.graph, &d.features, &server, &cfg);
         let first = deployment.serve(&server, &requests, None).metrics;
         let second = deployment.serve(&server, &requests, None).metrics;
-        let fresh =
-            serve_requests(&d.graph, &d.features, &clique_server(), &cfg, &requests).metrics;
+        let fresh = serve_requests(&d.graph, &d.features, &spec.build(), &cfg, &requests).metrics;
         assert_eq!(first, second, "{leg}: the second run saw a used plan");
         assert_eq!(
             first, fresh,
@@ -151,24 +105,11 @@ fn deployment_serves_twice_byte_identically() {
 /// feature-cache hit rate.
 #[test]
 fn residency_routing_beats_round_robin_hit_rate() {
-    let d = pr_dataset();
+    let d = golden_dataset();
     let hit_rate = |router: RouterPolicy| {
-        let server = clique_server();
         let mut cfg = config(PolicyKind::StaticHot);
         cfg.router.policy = router;
-        let report = serve(&d.graph, &d.features, &server, &cfg);
-        let sum = |suffix: &str| {
-            report
-                .metrics
-                .counters
-                .iter()
-                .filter(|c| c.name.starts_with("cache.") && c.name.ends_with(suffix))
-                .map(|c| c.value)
-                .sum::<u64>()
-        };
-        let (h, m) = (sum("feature_hits"), sum("feature_misses"));
-        assert!(h + m > 0);
-        h as f64 / (h + m) as f64
+        serve(&d.graph, &d.features, &clique_machine().build(), &cfg).feature_hit_rate()
     };
     let routed = hit_rate(RouterPolicy::Residency);
     let rr = hit_rate(RouterPolicy::RoundRobin);
@@ -183,24 +124,24 @@ fn residency_routing_beats_round_robin_hit_rate() {
 /// from a class-blind FIFO queue.
 #[test]
 fn qos_overload_sheds_batch_first_and_protects_interactive() {
-    let d = pr_dataset();
+    let d = golden_dataset();
     // 3x the measured capacity: queues stay full and admission has to
     // choose whom to drop, but the Interactive share (20% of traffic)
     // still fits the service rate — so strict inverse-priority shedding
     // can keep it whole. The Interactive SLO sits between the priority
     // drain's tail and the class-blind tail, so attainment separates too.
     let capacity = {
-        let server = clique_server();
+        let server = clique_machine().build();
         estimate_capacity_rps(
             &d.graph,
             &d.features,
             &server,
-            &router_config(PolicyKind::StaticHot),
+            &router_qos(config(PolicyKind::StaticHot)),
         )
     };
     let overloaded = |qos: bool| {
-        let server = clique_server();
-        let mut cfg = router_config(PolicyKind::StaticHot);
+        let server = clique_machine().build();
+        let mut cfg = router_qos(config(PolicyKind::StaticHot));
         cfg.classes.qos = qos;
         cfg.classes.slo_us = [64, 1000, 8000];
         cfg.arrival = legion_serve::ArrivalProcess::Poisson {
@@ -241,7 +182,7 @@ fn qos_overload_sheds_batch_first_and_protects_interactive() {
 
 #[test]
 fn p99_is_monotone_across_the_load_sweep() {
-    let d = pr_dataset();
+    let d = golden_dataset();
     let srv = server();
     let cfg = config(PolicyKind::Fifo);
     let capacity = estimate_capacity_rps(&d.graph, &d.features, &srv, &cfg);
