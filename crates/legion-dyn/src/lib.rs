@@ -21,18 +21,17 @@
 //! The overlay is deliberately graph-agnostic: it holds no reference to
 //! the base graph, so callers pass it at merge/apply time and the
 //! overlay can outlive borrows of the engine that reads it. Clean
-//! vertices (dirty bit unset) never take the lock — the fast path is a
-//! single relaxed atomic load, and the base CSR slice is served
-//! zero-copy exactly as before.
+//! vertices (dirty bit unset) never touch the row map — the fast path is
+//! one bit test, and the base CSR slice is served zero-copy exactly as
+//! before.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use legion_graph::csr::CsrGraph;
 use legion_graph::generate::Zipf;
 use legion_graph::VertexId;
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -286,7 +285,7 @@ pub enum MutationSource {
     Replay {
         /// The logged stream (shared so a fleet can replay one global
         /// stream across servers without cloning).
-        log: Arc<MutationLog>,
+        log: Rc<MutationLog>,
         /// Pending-delta-edge threshold for batch-boundary compaction
         /// (`0` disables), mirroring [`ChurnConfig::compact_threshold`]
         /// so `Generate` and `Replay` of the same stream stay
@@ -310,21 +309,16 @@ impl MutationSource {
 
     /// Resolves to a concrete `(log, compact_threshold)` pair,
     /// generating the stream over `[0, horizon_s)` when needed.
-    pub fn resolve(
-        &self,
-        graph: &CsrGraph,
-        seed: u64,
-        horizon_s: f64,
-    ) -> (Arc<MutationLog>, usize) {
+    pub fn resolve(&self, graph: &CsrGraph, seed: u64, horizon_s: f64) -> (Rc<MutationLog>, usize) {
         match self {
             MutationSource::Generate(cfg) => (
-                Arc::new(MutationLog::generate(graph, cfg, seed, horizon_s)),
+                Rc::new(MutationLog::generate(graph, cfg, seed, horizon_s)),
                 cfg.compact_threshold,
             ),
             MutationSource::Replay {
                 log,
                 compact_threshold,
-            } => (Arc::clone(log), *compact_threshold),
+            } => (Rc::clone(log), *compact_threshold),
         }
     }
 }
@@ -403,11 +397,12 @@ struct OverlayInner {
 
 /// Incremental delta-CSR over a frozen base graph.
 ///
-/// Interior-mutable and `Sync`: readers check a lock-free dirty bitset
-/// first, so vertices that never mutated cost one relaxed atomic load
-/// and are then served straight from the base CSR slice. Dirty rows
-/// take a read lock and merge (effective base minus tombstones, plus
-/// inserts) into a caller-provided buffer.
+/// Interior-mutable, so the sampler reads it and the mutation driver
+/// writes it through shared references: readers check the dirty bitset
+/// first, so vertices that never mutated cost one bit test and are then
+/// served straight from the base CSR slice. Dirty rows borrow the row
+/// map and merge (effective base minus tombstones, plus inserts) into a
+/// caller-provided buffer.
 ///
 /// Dirty bits are sticky: once a row has mutated, readers must keep
 /// treating cached copies of it as stale even after compaction,
@@ -416,22 +411,22 @@ struct OverlayInner {
 #[derive(Debug)]
 pub struct DeltaOverlay {
     /// One bit per vertex, set on first effective mutation.
-    dirty: Vec<AtomicU64>,
-    dirty_rows: AtomicUsize,
-    compactions: AtomicU64,
+    dirty: Vec<Cell<u64>>,
+    dirty_rows: Cell<usize>,
+    compactions: Cell<u64>,
     num_vertices: usize,
-    inner: RwLock<OverlayInner>,
+    inner: RefCell<OverlayInner>,
 }
 
 impl DeltaOverlay {
     /// An empty overlay for a graph with `n` vertices.
     pub fn new(n: usize) -> Self {
         Self {
-            dirty: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            dirty_rows: AtomicUsize::new(0),
-            compactions: AtomicU64::new(0),
+            dirty: vec![Cell::new(0); n.div_ceil(64)],
+            dirty_rows: Cell::new(0),
+            compactions: Cell::new(0),
             num_vertices: n,
-            inner: RwLock::new(OverlayInner::default()),
+            inner: RefCell::new(OverlayInner::default()),
         }
     }
 
@@ -440,37 +435,39 @@ impl DeltaOverlay {
         self.num_vertices
     }
 
-    /// Whether `v` has ever been mutated (lock-free fast path).
+    /// Whether `v` has ever been mutated (the fast path: one bit test).
     #[inline]
     pub fn is_dirty(&self, v: VertexId) -> bool {
         let v = v as usize;
         debug_assert!(v < self.num_vertices);
-        self.dirty[v / 64].load(Ordering::Relaxed) & (1u64 << (v % 64)) != 0
+        self.dirty[v / 64].get() & (1u64 << (v % 64)) != 0
     }
 
     fn mark_dirty(&self, v: VertexId) -> bool {
         let v = v as usize;
-        let prev = self.dirty[v / 64].fetch_or(1u64 << (v % 64), Ordering::Relaxed);
-        let newly = prev & (1u64 << (v % 64)) == 0;
+        let word = &self.dirty[v / 64];
+        let bit = 1u64 << (v % 64);
+        let newly = word.get() & bit == 0;
         if newly {
-            self.dirty_rows.fetch_add(1, Ordering::Relaxed);
+            word.set(word.get() | bit);
+            self.dirty_rows.set(self.dirty_rows.get() + 1);
         }
         newly
     }
 
     /// Rows ever dirtied.
     pub fn dirty_rows(&self) -> usize {
-        self.dirty_rows.load(Ordering::Relaxed)
+        self.dirty_rows.get()
     }
 
     /// Compactions performed.
     pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
+        self.compactions.get()
     }
 
     /// Un-compacted delta entries (insert-list + tombstone entries).
     pub fn pending_delta_edges(&self) -> usize {
-        self.inner.read().pending_delta_edges
+        self.inner.borrow().pending_delta_edges
     }
 
     /// Applies one mutation and reports what changed.
@@ -479,7 +476,7 @@ impl DeltaOverlay {
     /// already-empty row) leave the overlay — and the dirty bitset —
     /// untouched.
     pub fn apply(&self, graph: &CsrGraph, op: &MutationOp) -> ApplyEffect {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         let mut effect = ApplyEffect::default();
         let touched = match *op {
             MutationOp::InsertEdge { src, dst } => {
@@ -536,7 +533,7 @@ impl DeltaOverlay {
         if !self.is_dirty(src) {
             return graph.neighbors(src).contains(&dst);
         }
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         match inner.rows.get(&src) {
             Some(row) => {
                 row.inserts.contains(&dst)
@@ -551,7 +548,7 @@ impl DeltaOverlay {
         if !self.is_dirty(v) {
             return graph.degree(v) as usize;
         }
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         match inner.rows.get(&v) {
             Some(row) => row.merged_len(graph, v),
             None => graph.degree(v) as usize,
@@ -570,7 +567,7 @@ impl DeltaOverlay {
             out.extend_from_slice(graph.neighbors(v));
             return;
         }
-        let inner = self.inner.read();
+        let inner = self.inner.borrow();
         match inner.rows.get(&v) {
             Some(row) => row.merge_into(graph, v, out),
             None => {
@@ -587,7 +584,7 @@ impl DeltaOverlay {
     /// the base CSR. A fold changes nothing about the merged view —
     /// only the representation.
     pub fn compact(&self, graph: &CsrGraph) -> usize {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.borrow_mut();
         let mut folded = 0usize;
         for (&v, row) in inner.rows.iter_mut().filter(|(_, row)| row.pending() > 0) {
             let mut merged = Vec::with_capacity(row.merged_len(graph, v));
@@ -600,7 +597,7 @@ impl DeltaOverlay {
         }
         inner.pending_delta_edges = 0;
         if folded > 0 {
-            self.compactions.fetch_add(1, Ordering::Relaxed);
+            self.compactions.set(self.compactions.get() + 1);
         }
         folded
     }
@@ -803,7 +800,7 @@ mod tests {
         let gen = MutationSource::Generate(cfg.clone());
         let (log, thr) = gen.resolve(&g, 5, 0.01);
         let replay = MutationSource::Replay {
-            log: Arc::clone(&log),
+            log: Rc::clone(&log),
             compact_threshold: thr,
         };
         let (log2, thr2) = replay.resolve(&g, 999, 123.0);

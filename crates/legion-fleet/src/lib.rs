@@ -75,7 +75,7 @@
 
 pub mod scenarios;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,7 +227,7 @@ pub struct FleetPlan {
     pub replicated: Vec<VertexId>,
     /// Per-server ownership bitmaps (shard ∪ replicated head) — what
     /// [`RemoteConfig`] hands each server's engine.
-    pub owned: Vec<Arc<Vec<bool>>>,
+    pub owned: Vec<Rc<Vec<bool>>>,
 }
 
 /// Shards the graph across `fleet.num_servers` servers with the LDG
@@ -268,13 +268,13 @@ pub fn plan_fleet(graph: &CsrGraph, base: &ServeConfig, fleet: &FleetConfig) -> 
     } else {
         Vec::new()
     };
-    let owned: Vec<Arc<Vec<bool>>> = (0..n)
+    let owned: Vec<Rc<Vec<bool>>> = (0..n)
         .map(|s| {
             let mut o: Vec<bool> = shard.iter().map(|&p| p as usize == s).collect();
             for &v in &replicated {
                 o[v as usize] = true;
             }
-            Arc::new(o)
+            Rc::new(o)
         })
         .collect();
     FleetPlan {
@@ -443,7 +443,7 @@ impl HeadResizer {
     fn resize(
         &mut self,
         shard: &[u32],
-        owned: &mut [Arc<Vec<bool>>],
+        owned: &mut [Rc<Vec<bool>>],
         dispatcher: &mut Dispatcher,
     ) -> bool {
         let weights = self.window.feat().row(0);
@@ -460,7 +460,7 @@ impl HeadResizer {
         }
         let mut owner_payload_rows = vec![0u64; self.num_servers];
         for (s, owned_s) in owned.iter_mut().enumerate() {
-            let o = Arc::make_mut(owned_s);
+            let o = Rc::make_mut(owned_s);
             // Replicas the new head drops fall back to shard-only
             // ownership; rows the server's own shard holds stay put.
             for &v in &self.head {
@@ -522,7 +522,7 @@ impl HeadResizer {
         probe: &[VertexId],
         covered: usize,
         shard: &[u32],
-        owned: &mut [Arc<Vec<bool>>],
+        owned: &mut [Rc<Vec<bool>>],
         dispatcher: &mut Dispatcher,
     ) {
         for &v in probe {
@@ -545,7 +545,7 @@ impl HeadResizer {
 
 /// Points every single-server group of the front tier's dispatcher at
 /// that server's owned set.
-fn refresh_owned_groups(dispatcher: &mut Dispatcher, owned: &[Arc<Vec<bool>>]) {
+fn refresh_owned_groups(dispatcher: &mut Dispatcher, owned: &[Rc<Vec<bool>>]) {
     let mut owned_list = Vec::new();
     for (s, owned_s) in owned.iter().enumerate() {
         owned_list.clear();
@@ -568,7 +568,7 @@ struct FrontTier {
     routed: Vec<u64>,
     spilled: Vec<u64>,
     locality: f64,
-    owned: Vec<Arc<Vec<bool>>>,
+    owned: Vec<Rc<Vec<bool>>>,
     resizer: Option<HeadResizer>,
 }
 
@@ -594,7 +594,7 @@ fn route_front_tier(
     let mut dispatcher = Dispatcher::new(groups, graph.num_vertices(), spill_len);
     // Ownership bitmaps start as the plan's; drift-driven resizing
     // mutates this copy at bucket boundaries.
-    let mut owned: Vec<Arc<Vec<bool>>> = plan.owned.clone();
+    let mut owned: Vec<Rc<Vec<bool>>> = plan.owned.clone();
     refresh_owned_groups(&mut dispatcher, &owned);
     let drain = fleet
         .drain_rps
@@ -675,14 +675,14 @@ fn serve_members(
     let n = fleet.num_servers;
     let deployment = plan_deployment(graph, features, &spec.build(), config);
     let net = fleet.effective_net();
-    let shard = fleet.coalesce.then(|| Arc::new(plan.shard.clone()));
+    let shard = fleet.coalesce.then(|| Rc::new(plan.shard.clone()));
     (0..n)
         .map(|s| {
             let remote = (n > 1).then(|| RemoteConfig {
-                owned: Arc::clone(&front.owned[s]),
+                owned: Rc::clone(&front.owned[s]),
                 net,
                 coalesce: shard.as_ref().map(|shard| CoalesceConfig {
-                    shard: Arc::clone(shard),
+                    shard: Rc::clone(shard),
                     num_servers: n,
                 }),
                 concurrent_servers: n,
@@ -732,7 +732,7 @@ pub fn serve_fleet(
         .as_ref()
         .map(|(log, compact_threshold)| ServeConfig {
             mutations: Some(MutationSource::Replay {
-                log: Arc::clone(log),
+                log: Rc::clone(log),
                 compact_threshold: *compact_threshold,
             }),
             ..base.clone()

@@ -1,9 +1,8 @@
 //! Multi-GPU server presets (Table 1) and the assembled simulated machine.
 
-use std::sync::Arc;
+use std::cell::RefCell;
 
 use legion_telemetry::Registry;
-use parking_lot::Mutex;
 
 use crate::device::{GpuDevice, HwError};
 use crate::nvlink::NvLinkTopology;
@@ -143,27 +142,27 @@ impl ServerSpec {
 
 /// The assembled simulated machine: devices + interconnect + counters.
 ///
-/// Counters ([`PcmCounters`], [`TrafficMatrix`]) are internally
-/// thread-safe; device memory is guarded by a mutex so concurrent per-GPU
-/// workers can allocate safely. All counters are registered in a shared
-/// [`legion_telemetry::Registry`] (see [`MultiGpuServer::telemetry`]), so
+/// Device memory sits in a [`RefCell`], so allocation works through a
+/// shared reference like every meter does. All counters
+/// ([`PcmCounters`], [`TrafficMatrix`]) are registered in the server's
+/// own [`legion_telemetry::Registry`] (see [`MultiGpuServer::telemetry`]), so
 /// a [`legion_telemetry::Snapshot`] of the server captures PCM and
 /// traffic-matrix state along with any pipeline metrics other components
 /// registered on the same registry.
 #[derive(Debug)]
 pub struct MultiGpuServer {
     spec: ServerSpec,
-    devices: Mutex<Vec<GpuDevice>>,
+    devices: RefCell<Vec<GpuDevice>>,
     pcie_model: PcieModel,
     pcm: PcmCounters,
     traffic: TrafficMatrix,
-    telemetry: Arc<Registry>,
+    telemetry: Registry,
 }
 
 impl MultiGpuServer {
     /// Builds a fresh machine from a spec.
     pub fn new(spec: ServerSpec) -> Self {
-        let telemetry = Arc::new(Registry::new());
+        let telemetry = Registry::new();
         let devices = (0..spec.num_gpus)
             .map(|id| GpuDevice::new(id, spec.gpu_memory))
             .collect();
@@ -172,7 +171,7 @@ impl MultiGpuServer {
         let traffic = TrafficMatrix::with_registry(spec.num_gpus, &telemetry);
         Self {
             spec,
-            devices: Mutex::new(devices),
+            devices: RefCell::new(devices),
             pcie_model,
             pcm,
             traffic,
@@ -210,16 +209,16 @@ impl MultiGpuServer {
         &self.traffic
     }
 
-    /// The shared metric registry backing this server's counters. Pipeline
+    /// The metric registry backing this server's counters. Pipeline
     /// components register their own metrics here so one snapshot covers
     /// the whole machine.
-    pub fn telemetry(&self) -> &Arc<Registry> {
+    pub fn telemetry(&self) -> &Registry {
         &self.telemetry
     }
 
     /// Allocates `bytes` on `gpu`.
     pub fn alloc(&self, gpu: GpuId, bytes: u64) -> Result<(), HwError> {
-        let mut devs = self.devices.lock();
+        let mut devs = self.devices.borrow_mut();
         devs.get_mut(gpu)
             .ok_or(HwError::NoSuchGpu(gpu))?
             .alloc(bytes)
@@ -227,7 +226,7 @@ impl MultiGpuServer {
 
     /// Frees `bytes` on `gpu`.
     pub fn free(&self, gpu: GpuId, bytes: u64) -> Result<(), HwError> {
-        let mut devs = self.devices.lock();
+        let mut devs = self.devices.borrow_mut();
         devs.get_mut(gpu)
             .ok_or(HwError::NoSuchGpu(gpu))?
             .free(bytes)
@@ -235,18 +234,18 @@ impl MultiGpuServer {
 
     /// Free bytes remaining on `gpu`.
     pub fn free_bytes(&self, gpu: GpuId) -> u64 {
-        self.devices.lock()[gpu].free_bytes()
+        self.devices.borrow()[gpu].free_bytes()
     }
 
     /// Allocated bytes on `gpu`.
     pub fn allocated_bytes(&self, gpu: GpuId) -> u64 {
-        self.devices.lock()[gpu].allocated_bytes()
+        self.devices.borrow()[gpu].allocated_bytes()
     }
 
     /// Releases all device memory and clears all counters — including any
     /// metrics other components registered on [`Self::telemetry`].
     pub fn reset(&self) {
-        for d in self.devices.lock().iter_mut() {
+        for d in self.devices.borrow_mut().iter_mut() {
             d.reset();
         }
         // PCM and traffic counters live in the registry, so this clears

@@ -19,7 +19,7 @@ pub enum Source {
     Cpu,
 }
 
-/// Byte counts per `(destination GPU, source)` pair. Thread-safe.
+/// Byte counts per `(destination GPU, source)` pair.
 ///
 /// Each cell is a [`legion_telemetry::Counter`] registered as
 /// `traffic.dst{d}.src{s}_bytes` (GPU→GPU) or `traffic.dst{d}.cpu_bytes`

@@ -5,8 +5,8 @@
 //! rather than with wall-clock timers: [`StageRecorder`] accumulates each
 //! stage's simulated time into integer-nanosecond counters
 //! (`stage.gpu{g}.sample_ns`, `stage.gpu{g}.extract_ns`,
-//! `stage.gpu{g}.train_ns`). Integer adds commute, so per-GPU totals are
-//! identical whether batches run sequentially or on parallel workers.
+//! `stage.gpu{g}.train_ns`). Integer sums are exact, so per-GPU totals
+//! do not depend on the order the batches are recorded in.
 
 use legion_hw::GpuId;
 use legion_telemetry::{Counter, Histogram, Registry};

@@ -16,10 +16,10 @@
 //!
 //! Every read accumulates its meter deltas in a caller-owned
 //! [`BatchTotals`] of plain `u64`s; [`AccessEngine::flush_totals`] then
-//! moves each counter with **one** atomic add per batch — the counters
-//! are commutative sums, so the totals are the same as per-read updates
-//! would give, but the per-vertex loop touches no shared cache line and
-//! allocates nothing. Topology reads are classified in exactly one
+//! moves each counter **once** per batch. The counters are sums, so the
+//! totals are the same as per-read updates would give, and a batch's
+//! cost can be read off its totals before the flush. The per-vertex
+//! loop allocates nothing. Topology reads are classified in exactly one
 //! place, `AccessEngine::resolve_topology`, which the k-hop sampler
 //! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
 //! for a single vertex. Feature reads are priced in exactly one place,
@@ -30,7 +30,7 @@
 //! [`AccessEngine::read_features_batch`], a FIFO cache's classifier and
 //! a GPU without a cache — prices row by row.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::Rng;
 
@@ -101,7 +101,7 @@ impl CacheLayout {
 }
 
 /// Per-GPU pipeline meters, bound once at engine construction so the hot
-/// read paths touch only pre-resolved atomic handles.
+/// read paths touch only pre-resolved handles.
 struct GpuMeters {
     topology_hits: Counter,
     topology_misses: Counter,
@@ -114,11 +114,11 @@ struct GpuMeters {
 
 /// Locally accumulated meter deltas for one batch of reads.
 ///
-/// Every field mirrors a shared counter a read moves;
-/// [`AccessEngine::flush_totals`] empties the struct into the shared
-/// atomics with one `fetch_add` per non-zero field. Reusing one
-/// `BatchTotals` across batches keeps the hot path allocation-free
-/// (`peer_bytes` is sized to the server's GPU count once).
+/// Every field mirrors a counter a read moves;
+/// [`AccessEngine::flush_totals`] empties the struct into the counters
+/// with one add per field. Reusing one `BatchTotals` across batches
+/// keeps the hot path allocation-free (`peer_bytes` is sized to the
+/// server's GPU count once).
 #[derive(Debug, Default, Clone)]
 pub struct BatchTotals {
     topology_hits: u64,
@@ -225,7 +225,7 @@ pub struct AccessEngine<'a> {
     overlay: Option<&'a DeltaOverlay>,
     /// Bound once per server; engines derived by [`Self::with_layout`]
     /// share them.
-    meters: Arc<[GpuMeters]>,
+    meters: Rc<[GpuMeters]>,
     block_edges: Histogram,
 }
 
@@ -288,7 +288,7 @@ impl<'a> AccessEngine<'a> {
             server: self.server,
             topology_placement: self.topology_placement,
             overlay: self.overlay,
-            meters: Arc::clone(&self.meters),
+            meters: Rc::clone(&self.meters),
             block_edges: self.block_edges.clone(),
         }
     }
@@ -425,13 +425,13 @@ impl<'a> AccessEngine<'a> {
     /// Batched feature gather: clears `out` and fills it with the
     /// row-major features of `vertices` (in order), copied from the base
     /// table for hits and misses alike, metering every row read locally
-    /// and flushing each counter with one atomic add.
+    /// and flushing each counter once.
     ///
     /// For callers that consume the rows; a timing run wants
     /// [`Self::extract_metered`], which charges the same and moves no
     /// payload. Counter totals do not depend on how a vertex list is cut
-    /// into calls; the per-row loop performs no atomic RMW and no
-    /// allocation beyond `out`'s amortized growth.
+    /// into calls; the per-row loop allocates nothing beyond `out`'s
+    /// amortized growth.
     pub fn read_features_batch(
         &self,
         gpu: GpuId,
@@ -541,8 +541,8 @@ impl<'a> AccessEngine<'a> {
         (sample, topology_tx)
     }
 
-    /// Flushes locally accumulated `totals` into the shared meters: one
-    /// atomic add per non-zero counter, then clears `totals` for reuse.
+    /// Flushes locally accumulated `totals` into the meters, one add per
+    /// counter, then clears `totals` for reuse.
     pub fn flush_totals(&self, gpu: GpuId, totals: &mut BatchTotals) {
         debug_assert_eq!(
             totals.feature_hits + totals.feature_misses,

@@ -101,8 +101,7 @@ impl MiniBatchSample {
 /// per-hop `HashMap<VertexId, u32>`), the wave's neighbor draw buffer,
 /// the Floyd's-sampler membership scratch, the union bitmap and the
 /// batch meter accumulator. One scratch per worker keeps the
-/// steady-state sampling path free of per-vertex heap allocation and
-/// per-vertex atomic RMWs.
+/// steady-state sampling path free of per-vertex heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SampleScratch {
     /// `marks[v] == epoch << 32 | i` ⇔ `v` is source `i` of the current
@@ -233,10 +232,10 @@ impl KHopSampler {
     }
 
     /// [`Self::sample_batch`] with caller-owned working memory: no heap
-    /// allocation per vertex, no per-vertex atomic RMW (meters accumulate
-    /// in the scratch's [`BatchTotals`] and flush once at the end), and
-    /// the RNG draw sequence and result of expanding the frontier one
-    /// vertex at a time with [`AccessEngine::sample_neighbors`].
+    /// allocation per vertex (meters accumulate in the scratch's
+    /// [`BatchTotals`] and flush once at the end), and the RNG draw
+    /// sequence and result of expanding the frontier one vertex at a
+    /// time with [`AccessEngine::sample_neighbors`].
     pub fn sample_batch_with<R: Rng + ?Sized>(
         &self,
         engine: &AccessEngine<'_>,

@@ -11,8 +11,8 @@
 //! Arrivals pass through the front-end router first. Under
 //! [`RouterPolicy::RoundRobin`] a request goes to GPU `id % num_gpus` —
 //! byte-identical to the legacy per-GPU loops, because each worker's
-//! event sequence is independent of the interleaving and every shared
-//! meter is a commuting integer add. Under [`RouterPolicy::Residency`]
+//! event sequence is independent of the interleaving and every meter
+//! the workers share is an integer sum. Under [`RouterPolicy::Residency`]
 //! the [`Dispatcher`] scores NVLink cliques by cached-neighborhood
 //! coverage of the request's target (from a per-clique
 //! [`ResidencyIndex`](legion_router::ResidencyIndex) refreshed on every
@@ -34,7 +34,7 @@
 //! the same `(config, dataset, server)` triple reproduces a run down to
 //! byte-identical metric snapshots.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,7 +65,7 @@ use crate::cache_policy::{
 use crate::replan::{
     plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
 };
-use crate::slo::{latency_buckets, SloBatch, SloTracker};
+use crate::slo::{latency_buckets, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
 use crate::{RemoteConfig, ServeConfig, StoreConfig};
 
@@ -152,7 +152,7 @@ impl ServeReport {
 
 /// Run-wide meters of the re-planning loop, registered only for
 /// [`PolicyKind::Replan`] runs; every worker holds handles to the same
-/// atomics. `mid_batch` audits plan-commit visibility: it counts
+/// cells. `mid_batch` audits plan-commit visibility: it counts
 /// batches whose plan version changed *after* the batch-top commit
 /// point — [`ReplanState::roll`] only stages, so the counter must stay
 /// 0 in every run.
@@ -175,9 +175,8 @@ impl ReplanMeters {
 }
 
 /// Shared meters of the out-of-core store, registered only when the
-/// tiered placement actually put rows on the SSD. All counters and
-/// histogram buckets are commuting integer adds, so per-GPU stores
-/// flush into the same names without ordering effects.
+/// tiered placement actually put rows on the SSD. Every per-GPU store
+/// records into the same names.
 struct StoreMeters {
     prefetch_hits: Counter,
     late_stalls: Counter,
@@ -192,7 +191,7 @@ struct StoreMeters {
 }
 
 impl StoreMeters {
-    fn new(registry: &Arc<Registry>) -> Self {
+    fn new(registry: &Registry) -> Self {
         Self {
             prefetch_hits: registry.counter("serve.store.prefetch_hits"),
             late_stalls: registry.counter("serve.store.late_stalls"),
@@ -214,10 +213,10 @@ impl StoreMeters {
 /// share it read-only.
 pub(crate) struct StorePlacement {
     nvme: NvmeModel,
-    tiers: Arc<Vec<Tier>>,
+    tiers: Rc<Vec<Tier>>,
     /// SSD-placed vertices in descending warmup hotness — the order the
     /// staging warm-start fills from (warmup-untouched rows last).
-    ssd_hot: Arc<Vec<VertexId>>,
+    ssd_hot: Rc<Vec<VertexId>>,
 }
 
 /// Runs the three-tier placement for a store-enabled config: warmup
@@ -301,8 +300,8 @@ fn plan_store_placement(
     );
     (ssd_rows > 0).then(|| StorePlacement {
         nvme,
-        tiers: Arc::new(tiers),
-        ssd_hot: Arc::new(ssd_hot),
+        tiers: Rc::new(tiers),
+        ssd_hot: Rc::new(ssd_hot),
     })
 }
 
@@ -312,7 +311,7 @@ fn plan_store_placement(
 /// and scratch.
 pub(crate) struct StoreWorker {
     store: VertexStore,
-    baseline: Arc<Vec<Tier>>,
+    baseline: Rc<Vec<Tier>>,
     meters: StoreMeters,
     lookahead: usize,
     prefetch_neighbors: usize,
@@ -326,7 +325,7 @@ impl StoreWorker {
         placement: &StorePlacement,
         cfg: &StoreConfig,
         row_bytes: u64,
-        registry: &Arc<Registry>,
+        registry: &Registry,
     ) -> Self {
         let mut store = VertexStore::new(
             placement.nvme,
@@ -345,7 +344,7 @@ impl StoreWorker {
         store.warm(placement.ssd_hot.iter().copied());
         Self {
             store,
-            baseline: Arc::clone(&placement.tiers),
+            baseline: Rc::clone(&placement.tiers),
             meters: StoreMeters::new(registry),
             lookahead: cfg.lookahead_requests,
             prefetch_neighbors: cfg.prefetch_neighbors,
@@ -488,7 +487,7 @@ impl StoreWorker {
 /// through [`NetModel::read_seconds`](legion_hw::NetModel::read_seconds)
 /// instead.
 pub(crate) struct RemoteWorker {
-    owned: Arc<Vec<bool>>,
+    owned: Rc<Vec<bool>>,
     net: legion_hw::NetModel,
     row_bytes: u64,
     /// Fleet size assumed concurrently active on the shared uplink.
@@ -510,7 +509,7 @@ const DEDUP_WINDOW_BATCHES: u64 = 4;
 /// plus per-owner row buckets, drained once per batch into one batched
 /// message per owning server.
 struct CoalesceState {
-    shard: Arc<Vec<u32>>,
+    shard: Rc<Vec<u32>>,
     /// `last_fetch[v]` — the batch index that last pulled `v` over the
     /// wire (`u64::MAX` = never). A row re-missed within
     /// [`DEDUP_WINDOW_BATCHES`] of its fetch is still resident in the
@@ -528,9 +527,9 @@ struct CoalesceState {
 }
 
 impl RemoteWorker {
-    fn new(rc: &RemoteConfig, row_bytes: u64, registry: &Arc<Registry>) -> Self {
+    fn new(rc: &RemoteConfig, row_bytes: u64, registry: &Registry) -> Self {
         let coalesce = rc.coalesce.as_ref().map(|cc| CoalesceState {
-            shard: Arc::clone(&cc.shard),
+            shard: Rc::clone(&cc.shard),
             last_fetch: vec![u64::MAX; cc.shard.len()],
             batch_idx: 0,
             owner_rows: vec![0; cc.num_servers],
@@ -541,7 +540,7 @@ impl RemoteWorker {
             per_owner_bytes: registry.counter("serve.remote.per_owner_bytes"),
         });
         Self {
-            owned: Arc::clone(&rc.owned),
+            owned: Rc::clone(&rc.owned),
             net: rc.net,
             row_bytes,
             concurrent: rc.concurrent_servers.max(1),
@@ -626,16 +625,14 @@ impl RemoteWorker {
 /// counters covering the second half of each phase — the "settled" hit
 /// rate after a policy has had time to react to the rotation.
 struct PhaseMeter {
-    registry: Arc<Registry>,
     drift_period: u64,
     hits: Counter,
     misses: Counter,
 }
 
 impl PhaseMeter {
-    fn new(registry: &Arc<Registry>, drift_period: usize, gpu: GpuId) -> Self {
+    fn new(registry: &Registry, drift_period: usize, gpu: GpuId) -> Self {
         Self {
-            registry: Arc::clone(registry),
             drift_period: drift_period as u64,
             hits: registry.counter(&format!("cache.gpu{gpu}.feature_hits")),
             misses: registry.counter(&format!("cache.gpu{gpu}.feature_misses")),
@@ -646,21 +643,23 @@ impl PhaseMeter {
         (self.hits.get(), self.misses.get())
     }
 
-    fn record(&self, first_id: u64, hits_before: u64, misses_before: u64) {
+    /// Books the batch's hit/miss deltas on `registry`'s phase counters,
+    /// registering them on the phase's first batch.
+    fn record(&self, registry: &Registry, first_id: u64, hits_before: u64, misses_before: u64) {
         let dh = self.hits.get() - hits_before;
         let dm = self.misses.get() - misses_before;
         let phase = first_id / self.drift_period;
-        self.registry
+        registry
             .counter(&format!("serve.phase{phase:03}.feature_hits"))
             .add(dh);
-        self.registry
+        registry
             .counter(&format!("serve.phase{phase:03}.feature_misses"))
             .add(dm);
         if (first_id % self.drift_period) * 2 >= self.drift_period {
-            self.registry
+            registry
                 .counter(&format!("serve.phase{phase:03}.tail_feature_hits"))
                 .add(dh);
-            self.registry
+            registry
                 .counter(&format!("serve.phase{phase:03}.tail_feature_misses"))
                 .add(dm);
         }
@@ -684,7 +683,7 @@ fn batch_seeds(batch: &[Request], seeds: &mut Vec<VertexId>) {
 /// Per-GPU scratch reused across every micro-batch of the event loop:
 /// the deduplicated seed list, the sampler's arena, and the batch-local
 /// meter totals. Steady-state batches therefore run without per-vertex
-/// heap allocation or atomic RMWs.
+/// heap allocation.
 struct BatchScratch {
     seeds: Vec<VertexId>,
     sample: SampleScratch,
@@ -766,8 +765,6 @@ struct Worker {
     phase: Option<PhaseMeter>,
     depth: QueueDepthMeter,
     stages: StageRecorder,
-    slo_batch: SloBatch,
-    class_batches: Option<Vec<SloBatch>>,
     policy: WorkerPolicy,
     /// Plan version last pushed into the router's residency index
     /// (Replan + Residency runs only).
@@ -789,7 +786,7 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn new(registry: &Arc<Registry>, dispatcher: Dispatcher, probe_neighbors: usize) -> Self {
+    fn new(registry: &Registry, dispatcher: Dispatcher, probe_neighbors: usize) -> Self {
         let per_group = |suffix: &str| -> Vec<Counter> {
             (0..dispatcher.num_groups())
                 .map(|q| registry.counter(&format!("serve.route.clique{q}.{suffix}")))
@@ -1046,9 +1043,9 @@ fn replan_batch_service(
 }
 
 /// Everything the batch path reads but never mutates: the dataset, the
-/// metered server, the run config, and the shared trackers whose
-/// interior mutability is limited to commuting integer atomics. All
-/// per-GPU mutable state lives in [`Worker`].
+/// metered server, the run config, and the shared trackers, whose only
+/// interior mutability is their metric cells. All per-GPU mutable state
+/// lives in [`Worker`].
 struct ServeContext<'a> {
     graph: &'a CsrGraph,
     features: &'a FeatureTable,
@@ -1058,7 +1055,7 @@ struct ServeContext<'a> {
     time_model: TimeModel,
     sampler: KHopSampler,
     model: GnnModel,
-    registry: Arc<Registry>,
+    registry: &'a Registry,
     slo: SloTracker,
     class_slos: Option<Vec<SloTracker>>,
     shed_total: Counter,
@@ -1089,9 +1086,8 @@ fn offer_request(ctx: &ServeContext<'_>, w: &mut Worker, r: Request, route_shed:
 }
 
 /// Runs one worker's micro-batch launched at `at`: drains the queue,
-/// runs the policy's operators, records stage times and batch-local
-/// latency tallies (flushed to the shared trackers once per batch), and
-/// advances the worker's busy horizon.
+/// runs the policy's operators, records stage times and each request's
+/// latency, and advances the worker's busy horizon.
 fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
     w.depth.observe(w.queue.len());
     let batch = w.queue.take(ctx.config.max_batch);
@@ -1122,7 +1118,7 @@ fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
         sw.prefetch_lookahead(ctx.graph, &w.queue, at);
     }
     if let (Some(p), Some((h0, m0))) = (w.phase.as_ref(), before) {
-        p.record(batch[0].id, h0, m0);
+        p.record(ctx.registry, batch[0].id, h0, m0);
     }
     let service = timing.service();
     w.stages
@@ -1132,16 +1128,9 @@ fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
     let completion = at + service;
     for r in &batch {
         let latency_us = ((completion - r.arrival) * 1e6).round() as u64;
-        ctx.slo.record_batched(&mut w.slo_batch, latency_us);
+        ctx.slo.record(latency_us);
         if let Some(trackers) = ctx.class_slos.as_ref() {
-            let tallies = w.class_batches.as_mut().expect("class tallies");
-            trackers[r.class.index()].record_batched(&mut tallies[r.class.index()], latency_us);
-        }
-    }
-    ctx.slo.flush(&mut w.slo_batch);
-    if let (Some(trackers), Some(tallies)) = (ctx.class_slos.as_ref(), w.class_batches.as_mut()) {
-        for (t, tally) in trackers.iter().zip(tallies.iter_mut()) {
-            t.flush(tally);
+            trackers[r.class.index()].record(latency_us);
         }
     }
     w.free_at = completion;
@@ -1158,7 +1147,7 @@ fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
 /// a fresh plan. Compaction runs only at batch boundaries, once the
 /// overlay's pending delta edges cross the configured threshold.
 pub(crate) struct MutationDriver<'a> {
-    log: Arc<MutationLog>,
+    log: Rc<MutationLog>,
     cursor: usize,
     overlay: &'a DeltaOverlay,
     compact_threshold: usize,
@@ -1175,7 +1164,7 @@ impl<'a> MutationDriver<'a> {
     /// mutation counter families (only churn-enabled runs reach here,
     /// so frozen-graph snapshots never see the names).
     pub(crate) fn new(
-        log: Arc<MutationLog>,
+        log: Rc<MutationLog>,
         compact_threshold: usize,
         overlay: &'a DeltaOverlay,
         registry: &Registry,
@@ -1670,9 +1659,8 @@ impl Deployment<'_> {
         });
         registry.counter("serve.offered").add(requests.len() as u64);
 
-        // Everything the batch path reads but never mutates. All
-        // interior mutability below this point is commuting integer
-        // atomics (counters, histograms, the server's meters).
+        // Everything the batch path reads but never mutates, apart from
+        // the metric cells (counters, histograms, the server's meters).
         let ctx = ServeContext {
             graph,
             features,
@@ -1682,7 +1670,7 @@ impl Deployment<'_> {
             time_model: TimeModel::new(server.spec()),
             sampler: KHopSampler::new(config.fanouts.clone()),
             model,
-            registry: Arc::clone(registry),
+            registry,
             slo,
             class_slos,
             shed_total: registry.counter("serve.shed"),
@@ -1722,7 +1710,7 @@ fn build_workers(
     remote: Option<&RemoteConfig>,
 ) -> Vec<Worker> {
     let (graph, server, config) = (ctx.graph, ctx.server, ctx.config);
-    let (registry, row_bytes) = (&ctx.registry, ctx.row_bytes);
+    let (registry, row_bytes) = (ctx.registry, ctx.row_bytes);
     let num_gpus = server.num_gpus();
     (0..num_gpus)
         .map(|gpu| {
@@ -1780,11 +1768,6 @@ fn build_workers(
                     .then(|| PhaseMeter::new(registry, config.drift_period, gpu)),
                 depth: QueueDepthMeter::for_gpu(registry, gpu),
                 stages: StageRecorder::for_gpu(registry, gpu),
-                slo_batch: ctx.slo.batch(),
-                class_batches: ctx
-                    .class_slos
-                    .as_ref()
-                    .map(|trackers| trackers.iter().map(SloTracker::batch).collect()),
                 policy,
                 last_plan_version: 0,
             }
@@ -1800,7 +1783,7 @@ fn build_report(
     router: Option<&RouterState>,
     offered: u64,
 ) -> ServeReport {
-    let registry = &ctx.registry;
+    let registry = ctx.registry;
     let slo = &ctx.slo;
     let makespan = workers.iter().fold(0.0f64, |m, w| m.max(w.makespan));
     let completed = slo.completed();
@@ -2338,7 +2321,7 @@ mod tests {
         // it (same seed, horizon = last arrival) and swap the source.
         let requests = generate_requests(&g, &config);
         let horizon = requests.last().map(|r| r.arrival).unwrap_or(0.0);
-        let log = Arc::new(MutationLog::generate(&g, &churn, config.seed, horizon));
+        let log = Rc::new(MutationLog::generate(&g, &churn, config.seed, horizon));
         assert!(!log.ops.is_empty(), "churn fixture must generate mutations");
         let mut replayed = config.clone();
         replayed.mutations = Some(MutationSource::Replay {
@@ -2432,10 +2415,10 @@ mod tests {
         shard[7] = 2;
         let config = tiny_config(PolicyKind::Fifo);
         let remote = RemoteConfig {
-            owned: Arc::new(vec![false; 256]),
+            owned: Rc::new(vec![false; 256]),
             net: crate::NetModel::rdma(crate::NetGeneration::Eth400G),
             coalesce: Some(crate::CoalesceConfig {
-                shard: Arc::new(shard),
+                shard: Rc::new(shard),
                 num_servers: 2,
             }),
             concurrent_servers: 2,

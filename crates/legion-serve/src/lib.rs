@@ -209,7 +209,7 @@ pub struct RemoteConfig {
     /// `owned[v]` — whether vertex `v`'s feature row is resident on
     /// this server (its shard or the replicated hot head). Length must
     /// equal the graph's vertex count.
-    pub owned: std::sync::Arc<Vec<bool>>,
+    pub owned: std::rc::Rc<Vec<bool>>,
     /// The analytic network model remote reads are charged through.
     pub net: legion_hw::NetModel,
     /// Per-owning-server coalescing of each batch's remote wave;
@@ -272,7 +272,7 @@ pub struct CoalesceConfig {
     /// `shard[v]` — the server whose shard owns vertex `v` (the fleet
     /// plan's partition vector). Length must equal the graph's vertex
     /// count.
-    pub shard: std::sync::Arc<Vec<u32>>,
+    pub shard: std::rc::Rc<Vec<u32>>,
     /// Servers in the fleet (bounds the shard ids).
     pub num_servers: usize,
 }
@@ -536,10 +536,10 @@ mod tests {
 
     fn remote(owned_len: usize, shard: Vec<u32>, num_servers: usize) -> RemoteConfig {
         RemoteConfig {
-            owned: std::sync::Arc::new(vec![false; owned_len]),
+            owned: std::rc::Rc::new(vec![false; owned_len]),
             net: NetModel::rdma(NetGeneration::Eth400G),
             coalesce: Some(CoalesceConfig {
-                shard: std::sync::Arc::new(shard),
+                shard: std::rc::Rc::new(shard),
                 num_servers,
             }),
             concurrent_servers: 2,

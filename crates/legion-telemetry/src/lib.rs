@@ -1,35 +1,31 @@
-//! Telemetry for the Legion simulator: a lock-free metric registry with
-//! counters, gauges and fixed-bucket histograms.
+//! Telemetry for the Legion simulator: a metric registry with counters,
+//! gauges and fixed-bucket histograms.
 //!
 //! # Design
 //!
-//! Registration (name → handle) takes a mutex, but that happens once per
-//! metric — typically at construction of the server / engines. The hot
-//! paths (PCIe transaction metering, cache hit accounting, per-stage
-//! time accumulation) clone an [`Counter`] handle, which is just an
-//! `Arc<AtomicU64>`, and update it with a relaxed atomic add: no locks,
-//! no allocation, safe from any thread.
+//! The simulator is one thread and one event loop, so a metric is a
+//! plain [`Cell`] shared through an [`Rc`]. Registration (name → handle)
+//! happens once per metric — typically at construction of the server /
+//! engines. The hot paths (PCIe transaction metering, cache hit
+//! accounting, per-stage time accumulation) clone a [`Counter`] handle
+//! and add to its cell: no lookup, no allocation.
 //!
 //! # Determinism
 //!
-//! Counters and histograms hold integers. Integer addition commutes, so
-//! a metric's final value is independent of thread interleaving — which
-//! is what lets two same-seed epoch runs produce byte-identical
-//! [`Snapshot`] JSON even when the runner is parallel. Simulated stage
-//! durations are therefore stored as integer **nanoseconds**
-//! ([`Counter::add_secs`]) rather than accumulated floats. Gauges store
-//! `f64` bits and are meant for values written once from a single
-//! thread (epoch totals, model outputs). Nothing in the registry reads
-//! the wall clock.
+//! Counters and histograms hold integers. Simulated stage durations are
+//! stored as integer **nanoseconds** ([`Counter::add_secs`]) rather than
+//! accumulated floats for exactness: an integer sum has no rounding, so
+//! two same-seed runs produce byte-identical [`Snapshot`] JSON and a
+//! refactor that reorders the additions cannot move a total. Gauges
+//! store `f64` bits and are meant for values written once (epoch totals,
+//! model outputs). Nothing in the registry reads the wall clock.
 //!
 //! Metric names follow a dotted scheme with zero-based device indices,
 //! e.g. `pcm.gpu0.topology_tx`, `traffic.dst1.src0_bytes`,
 //! `stage.gpu2.sample_ns`, `cache.gpu0.feature_hits`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 pub mod snapshot;
 
@@ -38,33 +34,37 @@ pub use snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 /// Nanoseconds per second, the resolution of stage-time counters.
 pub const NANOS_PER_SEC: f64 = 1e9;
 
+/// Adds `delta` to a metric cell.
+#[inline]
+fn bump(cell: &Cell<u64>, delta: u64) {
+    cell.set(cell.get() + delta);
+}
+
 /// A monotonically increasing integer metric.
 ///
 /// Cloning is cheap and shares the underlying cell.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Rc<Cell<u64>>,
 }
 
 impl Counter {
     fn new() -> Self {
         Counter {
-            cell: Arc::new(AtomicU64::new(0)),
+            cell: Rc::new(Cell::new(0)),
         }
     }
 
     /// Adds `delta` to the counter.
     #[inline]
     pub fn add(&self, delta: u64) {
-        if delta != 0 {
-            self.cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        bump(&self.cell, delta);
     }
 
     /// Increments the counter by one.
     #[inline]
     pub fn inc(&self) {
-        self.cell.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
     /// Adds a simulated duration in seconds, stored as integer
@@ -78,7 +78,7 @@ impl Counter {
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.get()
     }
 
     /// The current value interpreted as nanoseconds, in seconds.
@@ -89,33 +89,34 @@ impl Counter {
 
     /// Resets the counter to zero.
     pub fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
+        self.cell.set(0);
     }
 }
 
-/// A last-write-wins `f64` metric (stored as bits in an atomic).
+/// A last-write-wins `f64` metric, stored as its bits so a value
+/// round-trips bit-exactly.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    cell: Arc<AtomicU64>,
+    cell: Rc<Cell<u64>>,
 }
 
 impl Gauge {
     fn new() -> Self {
         Gauge {
-            cell: Arc::new(AtomicU64::new(0f64.to_bits())),
+            cell: Rc::new(Cell::new(0f64.to_bits())),
         }
     }
 
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: f64) {
-        self.cell.store(value.to_bits(), Ordering::Relaxed);
+        self.cell.set(value.to_bits());
     }
 
     /// The current value.
     #[inline]
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
+        f64::from_bits(self.cell.get())
     }
 
     /// Resets the gauge to zero.
@@ -129,14 +130,14 @@ struct HistogramInner {
     /// Upper bounds (inclusive) of each bucket; an implicit overflow
     /// bucket follows the last bound.
     bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
+    counts: Vec<Cell<u64>>,
+    sum: Cell<u64>,
 }
 
 /// A fixed-bucket histogram of `u64` observations.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    inner: Arc<HistogramInner>,
+    inner: Rc<HistogramInner>,
 }
 
 impl Histogram {
@@ -146,10 +147,10 @@ impl Histogram {
             "histogram bounds must be strictly increasing"
         );
         Histogram {
-            inner: Arc::new(HistogramInner {
+            inner: Rc::new(HistogramInner {
                 bounds: bounds.to_vec(),
-                counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum: AtomicU64::new(0),
+                counts: vec![Cell::new(0); bounds.len() + 1],
+                sum: Cell::new(0),
             }),
         }
     }
@@ -158,37 +159,20 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, value: u64) {
         let idx = self.inner.bounds.partition_point(|&bound| bound < value);
-        self.inner.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
+        bump(&self.inner.counts[idx], 1);
+        bump(&self.inner.sum, value);
     }
 
-    /// Index of the bucket `value` falls into (the final index is the
-    /// overflow bucket). `observe(value)` increments exactly this
-    /// bucket — exposed so batch-local accumulators can tally bucket
-    /// counts without touching the shared atomics per observation.
-    #[inline]
-    pub fn bucket_index(&self, value: u64) -> usize {
-        self.inner.bounds.partition_point(|&bound| bound < value)
-    }
-
-    /// Number of buckets, including the overflow bucket — the length
-    /// `merge_counts` expects.
-    pub fn num_buckets(&self) -> usize {
-        self.inner.counts.len()
-    }
-
-    /// Merges a batch-local tally into the histogram: `counts[i]`
-    /// observations in bucket `i` (indexed as by
-    /// [`bucket_index`](Self::bucket_index)) summing to `sum`. One
-    /// atomic add per non-zero bucket plus one for the sum — the bulk
-    /// equivalent of `counts[i]` calls to [`observe`](Self::observe),
-    /// and bit-identical to them because bucket counts and the sum are
-    /// commutative integers.
+    /// Merges a tally into the histogram: `counts[i]` observations in
+    /// bucket `i` (the order [`counts`](Self::counts) reports, overflow
+    /// last) summing to `sum` — the bulk equivalent of `counts[i]` calls
+    /// to [`observe`](Self::observe). For folding one snapshot's
+    /// histogram into another registry.
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len()` differs from
-    /// [`num_buckets`](Self::num_buckets).
+    /// Panics if `counts.len()` differs from the histogram's bucket
+    /// count (its bounds plus the overflow bucket).
     pub fn merge_counts(&self, counts: &[u64], sum: u64) {
         assert_eq!(
             counts.len(),
@@ -196,27 +180,19 @@ impl Histogram {
             "bucket tally length must match the histogram"
         );
         for (slot, &c) in self.inner.counts.iter().zip(counts) {
-            if c > 0 {
-                slot.fetch_add(c, Ordering::Relaxed);
-            }
+            bump(slot, c);
         }
-        if sum > 0 {
-            self.inner.sum.fetch_add(sum, Ordering::Relaxed);
-        }
+        bump(&self.inner.sum, sum);
     }
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.inner.counts.iter().map(Cell::get).sum()
     }
 
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        self.inner.sum.get()
     }
 
     /// The bucket upper bounds.
@@ -226,11 +202,7 @@ impl Histogram {
 
     /// Per-bucket counts (the final entry is the overflow bucket).
     pub fn counts(&self) -> Vec<u64> {
-        self.inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.inner.counts.iter().map(Cell::get).collect()
     }
 
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) of the observed
@@ -276,9 +248,9 @@ impl Histogram {
     /// Clears all buckets.
     pub fn reset(&self) {
         for c in &self.inner.counts {
-            c.store(0, Ordering::Relaxed);
+            c.set(0);
         }
-        self.inner.sum.store(0, Ordering::Relaxed);
+        self.inner.sum.set(0);
     }
 }
 
@@ -301,12 +273,12 @@ impl RegistryInner {
 /// The metric registry: name → handle, get-or-register semantics.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    inner: RefCell<RegistryInner>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("Registry")
             .field("counters", &inner.counters.len())
             .field("gauges", &inner.gauges.len())
@@ -322,9 +294,9 @@ impl Registry {
     }
 
     /// Returns the counter registered under `name`, creating it on
-    /// first use. The returned handle updates lock-free.
+    /// first use. Every handle to one name shares one cell.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(c) = RegistryInner::find(&inner.counters, name) {
             return c;
         }
@@ -336,7 +308,7 @@ impl Registry {
     /// Returns the gauge registered under `name`, creating it on first
     /// use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(g) = RegistryInner::find(&inner.gauges, name) {
             return g;
         }
@@ -353,7 +325,7 @@ impl Registry {
     /// Panics if the name exists with different bounds — that is a
     /// naming-scheme bug, not a runtime condition.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if let Some(h) = RegistryInner::find(&inner.histograms, name) {
             assert_eq!(
                 h.bounds(),
@@ -369,14 +341,14 @@ impl Registry {
 
     /// The value of a counter, or 0 if it was never registered.
     pub fn counter_value(&self, name: &str) -> u64 {
-        RegistryInner::find(&self.inner.lock().counters, name)
+        RegistryInner::find(&self.inner.borrow().counters, name)
             .map(|c| c.get())
             .unwrap_or(0)
     }
 
     /// The value of a gauge, or 0.0 if it was never registered.
     pub fn gauge_value(&self, name: &str) -> f64 {
-        RegistryInner::find(&self.inner.lock().gauges, name)
+        RegistryInner::find(&self.inner.borrow().gauges, name)
             .map(|g| g.get())
             .unwrap_or(0.0)
     }
@@ -384,7 +356,7 @@ impl Registry {
     /// Sums every counter whose name starts with `prefix`.
     pub fn counter_sum(&self, prefix: &str) -> u64 {
         self.inner
-            .lock()
+            .borrow()
             .counters
             .iter()
             .filter(|(n, _)| n.starts_with(prefix))
@@ -395,7 +367,7 @@ impl Registry {
     /// Resets every registered metric to zero, keeping registrations
     /// (and therefore handle bindings) intact.
     pub fn reset(&self) {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         for (_, c) in &inner.counters {
             c.reset();
         }
@@ -411,7 +383,7 @@ impl Registry {
     /// registries serialize to identical JSON regardless of
     /// registration order.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut counters: Vec<CounterSample> = inner
             .counters
             .iter()
@@ -465,20 +437,23 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_safe_across_threads() {
+    fn histogram_reregistration_with_same_bounds_shares_the_cells() {
         let reg = Registry::new();
-        let c = reg.counter("hot");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.get(), 40_000);
+        let a = reg.histogram("lat", &[10, 100]);
+        let b = reg.histogram("lat", &[10, 100]);
+        a.observe(5);
+        b.observe(50);
+        assert_eq!(a.counts(), vec![1, 1, 0]);
+        assert_eq!(b.sum(), 55);
+        assert_eq!(reg.snapshot().histograms.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "re-registered with different bounds")]
+    fn histogram_reregistration_with_other_bounds_panics() {
+        let reg = Registry::new();
+        reg.histogram("lat", &[10, 100]);
+        reg.histogram("lat", &[10, 1000]);
     }
 
     #[test]
@@ -515,19 +490,21 @@ mod tests {
     #[test]
     fn merge_counts_is_bit_identical_to_per_observation_recording() {
         let reg = Registry::new();
-        let scalar = reg.histogram("lat.scalar", &[10, 100, 1000]);
-        let bulk = reg.histogram("lat.bulk", &[10, 100, 1000]);
+        let bounds = [10, 100, 1000];
+        let scalar = reg.histogram("lat.scalar", &bounds);
+        let bulk = reg.histogram("lat.bulk", &bounds);
         let values = [5u64, 10, 11, 100, 101, 5000, 7, 999];
         for &v in &values {
             scalar.observe(v);
         }
-        let mut tally = vec![0u64; bulk.num_buckets()];
-        let mut sum = 0u64;
-        for &v in &values {
-            tally[bulk.bucket_index(v)] += 1;
-            sum += v;
+        // Two tallies, each a scalar histogram over half the values.
+        for (i, half) in values.chunks(4).enumerate() {
+            let part = reg.histogram(&format!("lat.part{i}"), &bounds);
+            for &v in half {
+                part.observe(v);
+            }
+            bulk.merge_counts(&part.counts(), part.sum());
         }
-        bulk.merge_counts(&tally, sum);
         assert_eq!(scalar.counts(), bulk.counts());
         assert_eq!(scalar.sum(), bulk.sum());
         assert_eq!(scalar.quantile(0.99), bulk.quantile(0.99));

@@ -510,6 +510,55 @@ fn serving_fixture_is_written_once() {
     );
 }
 
+/// The names of thread-safety machinery, split so this file holds none.
+const THREAD_MACHINERY: [&str; 4] = [
+    concat!("std::", "sync"),
+    concat!("std::", "thread"),
+    concat!("parking", "_lot"),
+    concat!("cross", "beam"),
+];
+
+/// The thread-safety names `text` mentions.
+fn thread_machinery_named(text: &str) -> Vec<&'static str> {
+    THREAD_MACHINERY
+        .into_iter()
+        .filter(|name| text.contains(name))
+        .collect()
+}
+
+/// The simulator is one thread and one event loop, so library and
+/// binary sources hold plain cells, not locks, atomics or `Arc`s; a
+/// source file under `crates/*/src` that names the machinery fails here.
+#[test]
+fn single_threaded_by_construction() {
+    // Self-check on text that names two of the four.
+    let [sync, _, lot, _] = THREAD_MACHINERY;
+    let text = format!("use {sync}::Arc;\nuse {lot}::Mutex; std::cell::Cell");
+    assert_eq!(thread_machinery_named(&text), [sync, lot]);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is a directory");
+    for krate in crates.flatten() {
+        rust_files(&krate.path().join("src"), &mut files);
+    }
+    assert!(
+        files.len() > 50,
+        "source scan collapsed: {} files",
+        files.len()
+    );
+    let threaded: Vec<String> = files
+        .iter()
+        .filter_map(|file| {
+            let named = thread_machinery_named(&std::fs::read_to_string(file).expect("readable"));
+            (!named.is_empty()).then(|| format!("{} ({})", file.display(), named.join(", ")))
+        })
+        .collect();
+    assert!(
+        threaded.is_empty(),
+        "sources name thread-safety machinery: {threaded:?}"
+    );
+}
+
 /// Whether `path` (segments joined by `::`) is a module file under the
 /// crate sources `src`, or a `pub` item declared in the module its
 /// leading segments name (the whole crate when there are none).
