@@ -17,17 +17,16 @@ use rand::SeedableRng;
 use legion_baselines::{ScheduleKind, SystemSetup};
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::dataset::Dataset;
-use legion_graph::{feature_bytes_for_dim, CsrGraph, VertexId};
+use legion_graph::{feature_bytes_for_dim, VertexId};
 use legion_hw::pcm::{pcm_counter_name, TrafficKind};
 use legion_hw::traffic::{traffic_counter_name, Source};
-use legion_hw::MultiGpuServer;
+use legion_hw::{MultiGpuServer, TimeModel};
 use legion_pipeline::{
     epoch_time_factored, epoch_time_pipelined, epoch_time_serial, BatchCost, StageRecorder,
-    TimeModel,
 };
-use legion_sampling::access::{AccessEngine, BatchTotals};
+use legion_sampling::access::AccessEngine;
 use legion_sampling::extract::HitStats;
-use legion_sampling::{BatchGenerator, KHopSampler, SampleScratch};
+use legion_sampling::{BatchGenerator, BatchStep, Extract, KHopSampler, LowerTier};
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
 
@@ -214,7 +213,6 @@ struct EpochStore {
     cold_reads: Counter,
     nvme_bytes: Counter,
     missed: Vec<VertexId>,
-    candidates: Vec<VertexId>,
 }
 
 impl EpochStore {
@@ -241,13 +239,19 @@ impl EpochStore {
             cold_reads: registry.counter("epoch.store.cold_reads"),
             nvme_bytes: registry.counter("store.nvme.bytes"),
             missed: Vec::new(),
-            candidates: Vec::new(),
         }
     }
+}
 
-    /// Resolves the batch's cache misses (collected in `self.missed` by
-    /// the extraction pass) against the store at epoch time `at` and
-    /// returns the extraction stall to charge.
+impl LowerTier for EpochStore {
+    /// Every HBM miss is the store's: DRAM rows pass through its read
+    /// untouched, SSD rows stall.
+    fn claim(&mut self, v: VertexId) -> bool {
+        self.missed.push(v);
+        true
+    }
+
+    /// Resolves the batch's misses against the store at epoch time `at`.
     fn charge(&mut self, at: f64) -> f64 {
         let out = self.store.read(at, &self.missed);
         self.missed.clear();
@@ -257,99 +261,19 @@ impl EpochStore {
         self.nvme_bytes.add(out.nvme_bytes);
         out.stall_s
     }
-
-    /// Stages an upcoming generator batch's seed rows (and each seed's
-    /// leading neighbors) at epoch time `at`, ahead of its extraction.
-    fn prefetch_batch(&mut self, graph: &CsrGraph, seeds: &[VertexId], at: f64) {
-        self.candidates.clear();
-        for &s in seeds {
-            self.candidates.push(s);
-            self.candidates
-                .extend(graph.neighbors(s).iter().take(PREFETCH_NEIGHBORS).copied());
-        }
-        let out = self
-            .store
-            .prefetch(at, self.candidates.drain(..), PREFETCH_BUDGET);
-        self.nvme_bytes.add(out.nvme_bytes);
-    }
 }
 
-/// The sample→extract→train step of one mini-batch, with the working
-/// memory it reuses across every batch of the epoch (the sampler's
-/// scratch arena and the batch-local meter totals).
-struct BatchStep<'a, 'b> {
-    engine: &'a AccessEngine<'b>,
-    time_model: &'a TimeModel,
-    flops_model: &'a GnnModel,
-    sampler: &'a KHopSampler,
-    schedule: &'a ScheduleKind,
-    scratch: SampleScratch,
-    totals: BatchTotals,
-}
-
-impl BatchStep<'_, '_> {
-    /// Runs one mini-batch through sampling (charged to `sampling_gpu`),
-    /// feature extraction, and training (charged to `trainer_gpu`),
-    /// returning the three stage times.
-    ///
-    /// Extraction is metered, not performed: nothing downstream reads
-    /// the rows, and the stage time comes from the counts alone. When
-    /// `store` carries an out-of-core tier (and the current epoch
-    /// clock), the batch's HBM misses are resolved against it and any
-    /// SSD stall is folded into the extraction time.
-    fn run(
-        &mut self,
-        trainer_gpu: usize,
-        sampling_gpu: usize,
-        batch: &[VertexId],
-        rng: &mut StdRng,
-        mut store: Option<(&mut EpochStore, f64)>,
-    ) -> (f64, f64, f64) {
-        let (sample, topo_tx) = self.engine.sample_metered(
-            self.sampler,
-            sampling_gpu,
-            batch,
-            rng,
-            None,
-            &mut self.scratch,
-        );
-        let edges = sample.total_edges() as u64;
-        let sample_t = match self.schedule {
-            ScheduleKind::CpuSampling => self.time_model.cpu_sample_seconds(edges),
-            _ => self.time_model.sample_seconds(topo_tx, edges),
-        };
-        let (feat_tx, peer_bytes) = self.engine.extract_metered(
-            trainer_gpu,
-            sample.input_vertices(),
-            &mut self.totals,
-            |v| {
-                if let Some((es, _)) = store.as_mut() {
-                    es.missed.push(v);
-                }
-            },
-        );
-        let mut extract_t = self.time_model.extract_seconds(feat_tx, peer_bytes);
-        if let Some((es, at)) = store {
-            extract_t += es.charge(at);
-        }
-        let train_t = self
-            .time_model
-            .train_seconds(self.flops_model.training_flops(&sample));
-        (sample_t, extract_t, train_t)
-    }
-
-    /// How the schedule composes one batch's stage times.
-    fn cost(&self, sample_t: f64, extract_t: f64, train_t: f64) -> BatchCost {
-        match self.schedule {
-            ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
-            // Factored: samplers only sample; trainers extract + train
-            // (GNNLab's feature cache lives on the trainer GPUs).
-            ScheduleKind::Factored { .. } => BatchCost {
-                prep: sample_t,
-                train: extract_t + train_t,
-            },
-            _ => BatchCost::overlapped(sample_t, extract_t, train_t),
-        }
+/// How `schedule` composes one batch's stage times.
+fn batch_cost(schedule: &ScheduleKind, sample_t: f64, extract_t: f64, train_t: f64) -> BatchCost {
+    match schedule {
+        ScheduleKind::Serial => BatchCost::serial(sample_t, extract_t, train_t),
+        // Factored: samplers only sample; trainers extract + train
+        // (GNNLab's feature cache lives on the trainer GPUs).
+        ScheduleKind::Factored { .. } => BatchCost {
+            prep: sample_t,
+            train: extract_t + train_t,
+        },
+        _ => BatchCost::overlapped(sample_t, extract_t, train_t),
     }
 }
 
@@ -418,11 +342,12 @@ pub fn run_epoch_with_store(
 }
 
 /// The one epoch loop: every trainer GPU walks its shuffled batches
-/// through [`BatchStep::run`], and the schedule's pipeline model turns
-/// the per-batch costs into the epoch time. `spill` — the out-of-core
-/// knobs and the rows placed on the SSD — adds a per-trainer store, its
-/// lookahead prefetch and the serial per-GPU clock the device horizon
-/// needs; `None` is the all-resident runner.
+/// through [`BatchStep::run`], prices training from each sample's FLOPs,
+/// and the schedule's pipeline model turns the per-batch costs into the
+/// epoch time. `spill` — the out-of-core knobs and the rows placed on
+/// the SSD — adds a per-trainer store, its lookahead prefetch and the
+/// serial per-GPU clock the device horizon needs; `None` is the
+/// all-resident runner.
 fn epoch_loop(
     setup: &SystemSetup,
     ctx: &BuildContext<'_>,
@@ -435,7 +360,6 @@ fn epoch_loop(
     // Clear all metrics (PCM, traffic, cache, stage counters) so the
     // snapshot covers exactly this epoch.
     server.telemetry().reset();
-    let time_model = TimeModel::new(server.spec());
     let engine = AccessEngine::new(
         graph,
         &ctx.dataset.features,
@@ -443,7 +367,6 @@ fn epoch_loop(
         server,
         setup.topology_placement,
     );
-    let sampler = KHopSampler::new(config.fanouts.clone());
     // A throwaway model instance supplies the FLOP counts; its weights
     // are never updated here.
     let mut flops_rng = StdRng::seed_from_u64(config.seed);
@@ -464,15 +387,11 @@ fn epoch_loop(
     let mut per_gpu_costs: Vec<Vec<BatchCost>> = vec![Vec::new(); n];
     // Round-robin cursor over dedicated samplers (factored design).
     let mut sampler_cursor = 0usize;
-    let mut step = BatchStep {
-        engine: &engine,
-        time_model: &time_model,
-        flops_model: &flops_model,
-        sampler: &sampler,
-        schedule: &setup.schedule,
-        scratch: SampleScratch::new(),
-        totals: BatchTotals::new(n),
-    };
+    let mut step = BatchStep::new(
+        KHopSampler::new(config.fanouts.clone()),
+        TimeModel::new(server.spec()),
+        n,
+    );
     for gpu in 0..n {
         if setup.tablets[gpu].is_empty() {
             continue;
@@ -492,7 +411,14 @@ fn epoch_loop(
             // the serving tier's queue lookahead.
             if let Some(es) = store.as_mut() {
                 for ahead in batches.iter().skip(i + 1).take(LOOKAHEAD_BATCHES) {
-                    es.prefetch_batch(graph, ahead, clock);
+                    let out = es.store.prefetch_around(
+                        clock,
+                        graph,
+                        ahead.iter().copied(),
+                        PREFETCH_NEIGHBORS,
+                        PREFETCH_BUDGET,
+                    );
+                    es.nvme_bytes.add(out.nvme_bytes);
                 }
             }
             let sampling_gpu = match &setup.schedule {
@@ -503,14 +429,36 @@ fn epoch_loop(
                 }
                 _ => gpu,
             };
-            let at = store.as_mut().map(|es| (es, clock));
-            let (sample_t, extract_t, train_t) = step.run(gpu, sampling_gpu, batch, &mut rng, at);
+            // Extraction is metered, not performed: nothing downstream
+            // reads the rows. The store, when there is one, takes every
+            // HBM miss and folds its SSD stall into extraction.
+            let mut tier = store.as_mut().map(|es| es as &mut dyn LowerTier);
+            let out = step.run(
+                &engine,
+                sampling_gpu,
+                gpu,
+                batch,
+                &mut rng,
+                None,
+                Extract::Layout,
+                tier.as_mut_slice(),
+                clock,
+            );
+            let time = step.time();
+            let sample_t = match setup.schedule {
+                ScheduleKind::CpuSampling => {
+                    time.cpu_sample_seconds(out.sample.total_edges() as u64)
+                }
+                _ => out.sample_s,
+            };
+            let extract_t = out.extract_s;
+            let train_t = time.train_seconds(flops_model.training_flops(&out.sample));
             clock += sample_t + extract_t + train_t;
             // Stage times accrue to the trainer GPU's counters (for a
             // factored schedule the sampling ran elsewhere, but the batch
             // belongs to this trainer).
             recorders[gpu].record(sample_t, extract_t, train_t);
-            per_gpu_costs[gpu].push(step.cost(sample_t, extract_t, train_t));
+            per_gpu_costs[gpu].push(batch_cost(&setup.schedule, sample_t, extract_t, train_t));
         }
     }
 
@@ -647,7 +595,7 @@ mod tests {
         let baseline = run_epoch_with_model(&setup, &ctx, &config, ModelKind::GraphSage);
 
         // Infinite DRAM budget: the store is never consulted, so the
-        // epoch is byte-identical to the legacy runner.
+        // epoch is byte-identical to the storeless one.
         let infinite = EpochStoreConfig::default();
         let resident = run_epoch_with_store(&setup, &ctx, &config, ModelKind::GraphSage, &infinite);
         assert_eq!(resident.epoch_seconds, baseline.epoch_seconds);

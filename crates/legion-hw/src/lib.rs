@@ -18,7 +18,9 @@
 //!   analytic shape (per-message overhead + bandwidth + round-trip
 //!   waves) that prices cross-server feature reads in the fleet tier,
 //! * [`traffic::TrafficMatrix`] — GPU↔GPU / CPU→GPU byte matrices
-//!   (Figure 10), and
+//!   (Figure 10),
+//! * [`time_model::TimeModel`] — §5 stage durations from transactions,
+//!   NVLink bytes and FLOPs, and
 //! * [`server::MultiGpuServer`] — Table 1 presets tying it all together.
 
 pub mod device;
@@ -27,6 +29,7 @@ pub mod nvlink;
 pub mod pcie;
 pub mod pcm;
 pub mod server;
+pub mod time_model;
 pub mod traffic;
 
 pub use device::{GpuDevice, HwError};
@@ -35,6 +38,7 @@ pub use nvlink::NvLinkTopology;
 pub use pcie::{PcieGeneration, PcieModel};
 pub use pcm::PcmCounters;
 pub use server::{MultiGpuServer, ServerSpec};
+pub use time_model::TimeModel;
 pub use traffic::TrafficMatrix;
 
 /// Index of a GPU within a server (0-based).

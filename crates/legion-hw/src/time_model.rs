@@ -12,7 +12,7 @@
 //! PCIe host links are shared per switch, so concurrent GPUs divide the
 //! link; NVLink transfers and GPU kernels are charged separately.
 
-use legion_hw::{PcieModel, ServerSpec};
+use crate::{PcieModel, ServerSpec};
 
 /// Converts per-batch resource usage into stage durations.
 #[derive(Debug, Clone)]
@@ -94,7 +94,6 @@ impl TimeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legion_hw::ServerSpec;
 
     fn model() -> TimeModel {
         TimeModel::new(&ServerSpec::dgx_v100())

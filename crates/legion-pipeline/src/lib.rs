@@ -10,7 +10,8 @@
 //! then combine them exactly as the paper's inter-batch/intra-batch
 //! pipeline, a serial baseline (DGL), or GNNLab's factored design would.
 //!
-//! * [`time_model::TimeModel`] — stage durations from traffic and FLOPs,
+//! * [`TimeModel`] — stage durations from traffic and FLOPs; defined in
+//!   `legion-hw` (`legion_hw::time_model`) and re-exported here,
 //! * [`schedule`] — pipelined / serial / factored epoch-time combinators.
 //!
 //! # Examples
@@ -28,8 +29,7 @@
 
 pub mod schedule;
 pub mod stage;
-pub mod time_model;
 
+pub use legion_hw::TimeModel;
 pub use schedule::{epoch_time_factored, epoch_time_pipelined, epoch_time_serial, BatchCost};
 pub use stage::{QueueDepthMeter, StageRecorder};
-pub use time_model::TimeModel;

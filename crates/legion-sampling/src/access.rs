@@ -24,9 +24,9 @@
 //! calls a wave at a time and [`AccessEngine::sample_neighbors`] calls
 //! for a single vertex. Feature reads are priced in exactly one place,
 //! `BatchTotals::charge_feature_rows`, which books a count of rows that
-//! come from one place: a timing run's [`AccessEngine::extract_metered`]
+//! come from one place: a timing run's `AccessEngine::extract_metered`
 //! counts a batch per owner slot in the clique directory and prices each
-//! count once; [`AccessEngine::extract_metered_by`] — under
+//! count once; `AccessEngine::extract_metered_by` — under
 //! [`AccessEngine::read_features_batch`], a FIFO cache's classifier and
 //! a GPU without a cache — prices row by row.
 
@@ -428,8 +428,8 @@ impl<'a> AccessEngine<'a> {
     /// and flushing each counter once.
     ///
     /// For callers that consume the rows; a timing run wants
-    /// [`Self::extract_metered`], which charges the same and moves no
-    /// payload. Counter totals do not depend on how a vertex list is cut
+    /// [`BatchStep::run`](crate::step::BatchStep::run), whose extraction
+    /// charges the same and moves no payload. Counter totals do not depend on how a vertex list is cut
     /// into calls; the per-row loop allocates nothing beyond `out`'s
     /// amortized growth.
     pub fn read_features_batch(
@@ -457,7 +457,7 @@ impl<'a> AccessEngine<'a> {
     /// inputs of the extraction time. No row is read: stage times come
     /// from these counts alone. A GPU without a clique cache misses every
     /// row, through [`Self::extract_metered_by`].
-    pub fn extract_metered(
+    pub(crate) fn extract_metered(
         &self,
         gpu: GpuId,
         vertices: &[VertexId],
@@ -479,7 +479,7 @@ impl<'a> AccessEngine<'a> {
     /// of the layout's directory (a cache whose resident set moves per
     /// access): `classify` says where each row comes from, `None` being
     /// CPU memory, and each row is priced on its own.
-    pub fn extract_metered_by(
+    pub(crate) fn extract_metered_by(
         &self,
         gpu: GpuId,
         vertices: &[VertexId],
@@ -526,7 +526,7 @@ impl<'a> AccessEngine<'a> {
     /// exact because the batched sampler flushes its [`BatchTotals`]
     /// before returning, and the program is one thread: nothing else
     /// charges `gpu`'s topology row while the call runs.
-    pub fn sample_metered<R: Rng + ?Sized>(
+    pub(crate) fn sample_metered<R: Rng + ?Sized>(
         &self,
         sampler: &KHopSampler,
         gpu: GpuId,
@@ -715,8 +715,11 @@ pub fn sample_from_into<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legion_dyn::MutationOp;
+    use legion_graph::builder::from_edges;
     use legion_graph::GraphBuilder;
     use legion_hw::ServerSpec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -966,5 +969,106 @@ mod tests {
         assert_eq!(server.traffic().cpu_to_gpu(0), 16);
         assert!(engine.feature_would_hit(0, 3));
         assert!(!engine.feature_would_hit(0, 5));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The metering pass of a timing run and the copying gather charge
+        /// alike, whatever the layout. Each side has a server of its own, so
+        /// every counter after the flush *is* the batch-local total before it.
+        #[test]
+        fn metering_pass_charges_what_the_copying_gather_charges(
+            n in 8u32..40,
+            dim in prop_oneof![Just(1usize), Just(4), Just(16), Just(33)],
+            layout_kind in 0usize..5,
+            cached in proptest::collection::vec((0u32..40, 0usize..2, 0usize..4), 0..30),
+            vertices in proptest::collection::vec(0u32..40, 0..80),
+            gpu in 0usize..4,
+        ) {
+            let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+            let g = from_edges(n as usize, &ring);
+            let f = FeatureTable::from_flat((0..n as usize * dim).map(|x| x as f32).collect(), dim);
+            let vertices: Vec<VertexId> = vertices.into_iter().map(|v| v % n).collect();
+            // 0: no cache; 1: one clique, GPUs 2 and 3 uncached; 2: two
+            // cliques, local and peer rows; 3: the same under a dirty overlay
+            // (topology-only: extraction must not see it); 4: one 4-GPU
+            // clique, where a peer row has three possible owners.
+            let groups = match layout_kind {
+                4 => vec![vec![0, 1, 2, 3]],
+                kind => [vec![0, 1], vec![2, 3]].into_iter().take(kind.min(2)).collect(),
+            };
+            let mut cliques: Vec<CliqueCache> = groups
+                .into_iter()
+                .map(|gpus| CliqueCache::new(gpus, n as usize, dim))
+                .collect();
+            for &(v, clique, slot) in &cached {
+                if let Some(cc) = cliques.get_mut(clique) {
+                    let slot = slot % cc.gpus().len();
+                    cc.insert_feature(slot, v % n);
+                }
+            }
+            // NVLink bytes into `gpu` by source GPU, from each member's own
+            // view of the directory: a row is read from the peer that holds
+            // it locally.
+            let mut peer_expected = [0u64; 4];
+            if let Some(cc) = cliques.iter().find(|cc| cc.gpus().contains(&gpu)) {
+                for &v in &vertices {
+                    let owner = cc.gpus().iter().enumerate().find(|&(slot, _)| {
+                        cc.lookup_feature(slot, v) == Some(CacheHit::Local)
+                    });
+                    if let Some((_, &src)) = owner.filter(|&(_, &src)| src != gpu) {
+                        peer_expected[src] += f.row_bytes();
+                    }
+                }
+            }
+            let layout = CacheLayout::from_cliques(4, cliques);
+            let overlay = DeltaOverlay::new(n as usize);
+            for &v in vertices.iter().take(3) {
+                overlay.apply(&g, &MutationOp::InsertEdge { src: v, dst: (v + 2) % n });
+            }
+            let clique_size = if layout_kind == 4 { 4 } else { 2 };
+            let server = || ServerSpec::custom(4, 1 << 30, clique_size).build();
+            let (metered, copied) = (server(), server());
+            let engine_on = |server| {
+                AccessEngine::new(&g, &f, &layout, server, TopologyPlacement::CpuUva)
+                    .with_overlay((layout_kind == 3).then_some(&overlay))
+            };
+            let (metering, copying) = (engine_on(&metered), engine_on(&copied));
+            let would_miss: Vec<VertexId> =
+                vertices.iter().copied().filter(|&v| !metering.feature_would_hit(gpu, v)).collect();
+            let rows_of: Vec<f32> = vertices.iter().flat_map(|&v| f.row(v)).copied().collect();
+
+            let (mut totals, mut rows, mut missed) = (BatchTotals::new(4), Vec::new(), Vec::new());
+            // Twice over one reused `totals`: nothing carries into a call.
+            for round in 1..=2u64 {
+                missed.clear();
+                let (feature_tx, peer_bytes) =
+                    metering.extract_metered(gpu, &vertices, &mut totals, |v| missed.push(v));
+                copying.read_features_batch(gpu, &vertices, &mut rows, &mut totals);
+                prop_assert!(totals.is_empty());
+                prop_assert_eq!(&missed, &would_miss);
+                prop_assert_eq!(&rows, &rows_of);
+                let snapshot = metered.telemetry().snapshot();
+                prop_assert_eq!(&snapshot, &copied.telemetry().snapshot());
+                // The returned cost is the counters' movement, and each peer
+                // is billed for the rows it holds.
+                let peer_by_src: Vec<u64> =
+                    (0..4).map(|src| metered.traffic().gpu_to_gpu(src, gpu)).collect();
+                let expected: Vec<u64> = peer_expected.iter().map(|b| b * round).collect();
+                prop_assert_eq!(&peer_by_src, &expected);
+                let peer_in: u64 = peer_by_src.iter().sum();
+                let pcm_feature = metered.pcm().gpu_kind(gpu, TrafficKind::Feature);
+                prop_assert_eq!((feature_tx * round, peer_bytes * round), (pcm_feature, peer_in));
+                prop_assert_eq!(
+                    snapshot.counter(&format!("cache.gpu{gpu}.feature_misses")),
+                    would_miss.len() as u64 * round
+                );
+                prop_assert_eq!(
+                    snapshot.counter(&format!("extract.gpu{gpu}.rows")),
+                    vertices.len() as u64 * round
+                );
+            }
+        }
     }
 }

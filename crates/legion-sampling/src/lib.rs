@@ -12,7 +12,9 @@
 //! * [`batch`] — local/global shuffling and mini-batch generation,
 //! * [`sampler`] — the L-hop fixed-fanout neighbor sampler producing
 //!   message-flow blocks (Figure 1's workflow),
-//! * [`extract`] — the feature extractor operator, and
+//! * [`extract`] — the feature extractor operator,
+//! * [`step`] — the one batch step (sample → extract → the tiers below
+//!   HBM) that training, serving and the capacity probe run, and
 //! * [`presample()`] — the pre-sampling phase that fills `H_T`, `H_F` and
 //!   measures `N_TSUM` (§4.2.2 S1, Figure 6).
 //!
@@ -46,8 +48,10 @@ pub mod batch;
 pub mod extract;
 pub mod presample;
 pub mod sampler;
+pub mod step;
 
 pub use access::{AccessEngine, BatchTotals, CacheLayout, FloydSet, TopologyPlacement};
 pub use batch::BatchGenerator;
 pub use presample::{presample, PresampleOutput};
 pub use sampler::{Block, KHopSampler, MiniBatchSample, SampleScratch};
+pub use step::{BatchStep, Extract, LowerTier, Stepped};

@@ -1,20 +1,17 @@
-//! Property-based tests for the sampler and the traffic accounting.
+//! Property-based tests for the sampler and its topology accounting;
+//! the feature-extraction metering proptest sits beside the crate-private
+//! metered pass, in `access.rs`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::unified::CacheHit;
-use legion_cache::CliqueCache;
 use legion_dyn::{ChurnConfig, DeltaOverlay, MutationLog, MutationOp};
 use legion_graph::builder::from_edges;
 use legion_graph::dataset::spec_by_name;
 use legion_graph::{FeatureTable, VertexId};
-use legion_hw::pcm::TrafficKind;
 use legion_hw::ServerSpec;
-use legion_sampling::access::{
-    sample_from, AccessEngine, BatchTotals, CacheLayout, TopologyPlacement,
-};
+use legion_sampling::access::{sample_from, AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::KHopSampler;
 
 /// The overlay under a whole churn stream at golden scale (PR/500, seed
@@ -176,102 +173,5 @@ proptest! {
         // sampled edge.
         let expected = seeds.len() as u64 + sample.total_edges() as u64;
         prop_assert_eq!(server.pcm().total(), expected);
-    }
-
-    /// The metering pass of a timing run and the copying gather charge
-    /// alike, whatever the layout. Each side has a server of its own, so
-    /// every counter after the flush *is* the batch-local total before it.
-    #[test]
-    fn metering_pass_charges_what_the_copying_gather_charges(
-        n in 8u32..40,
-        dim in prop_oneof![Just(1usize), Just(4), Just(16), Just(33)],
-        layout_kind in 0usize..5,
-        cached in proptest::collection::vec((0u32..40, 0usize..2, 0usize..4), 0..30),
-        vertices in proptest::collection::vec(0u32..40, 0..80),
-        gpu in 0usize..4,
-    ) {
-        let ring: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
-        let g = from_edges(n as usize, &ring);
-        let f = FeatureTable::from_flat((0..n as usize * dim).map(|x| x as f32).collect(), dim);
-        let vertices: Vec<VertexId> = vertices.into_iter().map(|v| v % n).collect();
-        // 0: no cache; 1: one clique, GPUs 2 and 3 uncached; 2: two
-        // cliques, local and peer rows; 3: the same under a dirty overlay
-        // (topology-only: extraction must not see it); 4: one 4-GPU
-        // clique, where a peer row has three possible owners.
-        let groups = match layout_kind {
-            4 => vec![vec![0, 1, 2, 3]],
-            kind => [vec![0, 1], vec![2, 3]].into_iter().take(kind.min(2)).collect(),
-        };
-        let mut cliques: Vec<CliqueCache> = groups
-            .into_iter()
-            .map(|gpus| CliqueCache::new(gpus, n as usize, dim))
-            .collect();
-        for &(v, clique, slot) in &cached {
-            if let Some(cc) = cliques.get_mut(clique) {
-                let slot = slot % cc.gpus().len();
-                cc.insert_feature(slot, v % n);
-            }
-        }
-        // NVLink bytes into `gpu` by source GPU, from each member's own
-        // view of the directory: a row is read from the peer that holds
-        // it locally.
-        let mut peer_expected = [0u64; 4];
-        if let Some(cc) = cliques.iter().find(|cc| cc.gpus().contains(&gpu)) {
-            for &v in &vertices {
-                let owner = cc.gpus().iter().enumerate().find(|&(slot, _)| {
-                    cc.lookup_feature(slot, v) == Some(CacheHit::Local)
-                });
-                if let Some((_, &src)) = owner.filter(|&(_, &src)| src != gpu) {
-                    peer_expected[src] += f.row_bytes();
-                }
-            }
-        }
-        let layout = CacheLayout::from_cliques(4, cliques);
-        let overlay = DeltaOverlay::new(n as usize);
-        for &v in vertices.iter().take(3) {
-            overlay.apply(&g, &MutationOp::InsertEdge { src: v, dst: (v + 2) % n });
-        }
-        let clique_size = if layout_kind == 4 { 4 } else { 2 };
-        let server = || ServerSpec::custom(4, 1 << 30, clique_size).build();
-        let (metered, copied) = (server(), server());
-        let engine_on = |server| {
-            AccessEngine::new(&g, &f, &layout, server, TopologyPlacement::CpuUva)
-                .with_overlay((layout_kind == 3).then_some(&overlay))
-        };
-        let (metering, copying) = (engine_on(&metered), engine_on(&copied));
-        let would_miss: Vec<VertexId> =
-            vertices.iter().copied().filter(|&v| !metering.feature_would_hit(gpu, v)).collect();
-        let rows_of: Vec<f32> = vertices.iter().flat_map(|&v| f.row(v)).copied().collect();
-
-        let (mut totals, mut rows, mut missed) = (BatchTotals::new(4), Vec::new(), Vec::new());
-        // Twice over one reused `totals`: nothing carries into a call.
-        for round in 1..=2u64 {
-            missed.clear();
-            let (feature_tx, peer_bytes) =
-                metering.extract_metered(gpu, &vertices, &mut totals, |v| missed.push(v));
-            copying.read_features_batch(gpu, &vertices, &mut rows, &mut totals);
-            prop_assert!(totals.is_empty());
-            prop_assert_eq!(&missed, &would_miss);
-            prop_assert_eq!(&rows, &rows_of);
-            let snapshot = metered.telemetry().snapshot();
-            prop_assert_eq!(&snapshot, &copied.telemetry().snapshot());
-            // The returned cost is the counters' movement, and each peer
-            // is billed for the rows it holds.
-            let peer_by_src: Vec<u64> =
-                (0..4).map(|src| metered.traffic().gpu_to_gpu(src, gpu)).collect();
-            let expected: Vec<u64> = peer_expected.iter().map(|b| b * round).collect();
-            prop_assert_eq!(&peer_by_src, &expected);
-            let peer_in: u64 = peer_by_src.iter().sum();
-            let pcm_feature = metered.pcm().gpu_kind(gpu, TrafficKind::Feature);
-            prop_assert_eq!((feature_tx * round, peer_bytes * round), (pcm_feature, peer_in));
-            prop_assert_eq!(
-                snapshot.counter(&format!("cache.gpu{gpu}.feature_misses")),
-                would_miss.len() as u64 * round
-            );
-            prop_assert_eq!(
-                snapshot.counter(&format!("extract.gpu{gpu}.rows")),
-                vertices.len() as u64 * round
-            );
-        }
     }
 }

@@ -9,10 +9,8 @@
 //! pipeline, so service time is `max(sample, extract) + infer`.
 //!
 //! Arrivals pass through the front-end router first. Under
-//! [`RouterPolicy::RoundRobin`] a request goes to GPU `id % num_gpus` —
-//! byte-identical to the legacy per-GPU loops, because each worker's
-//! event sequence is independent of the interleaving and every meter
-//! the workers share is an integer sum. Under [`RouterPolicy::Residency`]
+//! [`RouterPolicy::RoundRobin`] a request goes to GPU `id % num_gpus`.
+//! Under [`RouterPolicy::Residency`]
 //! the [`Dispatcher`] scores NVLink cliques by cached-neighborhood
 //! coverage of the request's target (from a per-clique
 //! [`ResidencyIndex`](legion_router::ResidencyIndex) refreshed on every
@@ -39,21 +37,20 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::unified::CacheHit;
 use legion_cache::{cslp, CostModel, FifoCache};
 use legion_dyn::{DeltaOverlay, MutationLog, MutationOp};
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::pcm::TrafficKind;
 use legion_hw::traffic::Source;
-use legion_hw::{GpuId, MultiGpuServer};
+use legion_hw::{GpuId, MultiGpuServer, TimeModel};
 use legion_partition::detect_cliques;
-use legion_pipeline::{QueueDepthMeter, StageRecorder, TimeModel};
+use legion_pipeline::{QueueDepthMeter, StageRecorder};
 use legion_router::{
     fill_probe, Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
-use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
-use legion_sampling::{KHopSampler, SampleScratch};
+use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+use legion_sampling::{BatchStep, Extract, KHopSampler, LowerTier, MiniBatchSample};
 use legion_store::{NvmeModel, Tier, VertexStore};
 use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
@@ -62,9 +59,7 @@ use crate::cache_policy::{
     build_partitioned_layout_adaptive, build_static_layout, ownership_dispatcher,
     warmup_hot_vertices_weighted, PolicyKind,
 };
-use crate::replan::{
-    plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile, WindowEstimator,
-};
+use crate::replan::{plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile};
 use crate::slo::{latency_buckets, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
 use crate::{RemoteConfig, ServeConfig, StoreConfig};
@@ -307,8 +302,8 @@ fn plan_store_placement(
 
 /// Per-worker out-of-core state: the GPU's NUMA-local store (NVMe
 /// namespace + pinned staging window), its placement-time tier map for
-/// migration decisions, the shared meters, and the prefetcher's knobs
-/// and scratch.
+/// migration decisions, the shared meters, the prefetcher's knobs, and
+/// the batch's HBM misses awaiting [`LowerTier::charge`].
 pub(crate) struct StoreWorker {
     store: VertexStore,
     baseline: Rc<Vec<Tier>>,
@@ -317,7 +312,6 @@ pub(crate) struct StoreWorker {
     prefetch_neighbors: usize,
     prefetch_budget: usize,
     missed: Vec<VertexId>,
-    candidates: Vec<VertexId>,
 }
 
 impl StoreWorker {
@@ -350,84 +344,28 @@ impl StoreWorker {
             prefetch_neighbors: cfg.prefetch_neighbors,
             prefetch_budget: cfg.prefetch_budget,
             missed: Vec::new(),
-            candidates: Vec::new(),
         }
     }
 
-    /// Resolves the batch's collected HBM misses (`self.missed`)
-    /// against the store at simulated time `at` and returns the
-    /// extraction stall to charge, metering every outcome.
-    fn charge_batch(&mut self, at: f64) -> f64 {
-        if self.missed.is_empty() {
-            return 0.0;
-        }
-        let out = self.store.read(at, &self.missed);
-        self.missed.clear();
-        self.meters.prefetch_hits.add(out.prefetch_hits);
-        self.meters.late_stalls.add(out.late_stalls);
-        self.meters.cold_reads.add(out.cold_reads);
-        self.meters.evictions.add(out.evictions);
-        if out.nvme_reads > 0 {
-            self.meters.nvme_bytes.add(out.nvme_bytes);
-            self.meters.nvme_queue_depth.observe(out.nvme_reads);
-            self.meters.nvme_read_us.observe(out.read_us);
-        }
-        out.stall_s
-    }
-
-    /// Lookahead prefetch at a batch boundary: peeks the requests still
-    /// queued behind the batch just drained and stages their targets'
-    /// (and leading neighbors') SSD rows, so those batches launch
-    /// against warm staging instead of cold flash.
-    fn prefetch_lookahead(&mut self, graph: &CsrGraph, queue: &ClassedQueue<Request>, at: f64) {
-        if self.lookahead == 0 || self.prefetch_budget == 0 {
-            return;
-        }
-        self.candidates.clear();
-        for r in queue.peek_upto(self.lookahead) {
-            self.candidates.push(r.target);
-            self.candidates.extend(
-                graph
-                    .neighbors(r.target)
-                    .iter()
-                    .take(self.prefetch_neighbors)
-                    .copied(),
-            );
-        }
-        if self.candidates.is_empty() {
-            return;
-        }
-        self.issue_prefetch(at);
-    }
-
-    /// Admission-time prefetch: stages the just-admitted request's
-    /// target and leading neighbors the moment the router commits it to
-    /// a queue, overlapping the NVMe read with the micro-batcher's
-    /// accumulation window. Batch-boundary lookahead alone misses the
-    /// low-load regime, where a request arrives at an idle worker and is
-    /// serviced with no intervening batch boundary to prefetch it.
-    fn prefetch_admitted(&mut self, graph: &CsrGraph, target: VertexId, at: f64) {
-        if self.prefetch_budget == 0 {
-            return;
-        }
-        self.candidates.clear();
-        self.candidates.push(target);
-        self.candidates.extend(
-            graph
-                .neighbors(target)
-                .iter()
-                .take(self.prefetch_neighbors)
-                .copied(),
+    /// Stages the SSD rows around `targets` (each target and its leading
+    /// neighbors) at `at` under the per-call budget, metering the device
+    /// traffic. Called at admission, so the NVMe read overlaps the
+    /// micro-batcher's accumulation window, and at each batch boundary
+    /// for the requests still queued, so the next batches launch against
+    /// warm staging instead of cold flash.
+    fn prefetch_around(
+        &mut self,
+        graph: &CsrGraph,
+        targets: impl IntoIterator<Item = VertexId>,
+        at: f64,
+    ) {
+        let out = self.store.prefetch_around(
+            at,
+            graph,
+            targets,
+            self.prefetch_neighbors,
+            self.prefetch_budget,
         );
-        self.issue_prefetch(at);
-    }
-
-    /// Issues the accumulated `candidates` to the store under the
-    /// per-call budget and meters the device traffic.
-    fn issue_prefetch(&mut self, at: f64) {
-        let out = self
-            .store
-            .prefetch(at, self.candidates.drain(..), self.prefetch_budget);
         if out.issued > 0 {
             self.meters.evictions.add(out.evictions);
             self.meters.nvme_bytes.add(out.nvme_bytes);
@@ -476,6 +414,34 @@ impl StoreWorker {
                 .observe((out.swap_s * 1e6).round() as u64);
         }
         out.swap_s
+    }
+}
+
+impl LowerTier for StoreWorker {
+    /// Every miss the remote wave left is the store's.
+    fn claim(&mut self, v: VertexId) -> bool {
+        self.missed.push(v);
+        true
+    }
+
+    /// Resolves the batch's misses against the store at simulated time
+    /// `at`, metering every outcome.
+    fn charge(&mut self, at: f64) -> f64 {
+        if self.missed.is_empty() {
+            return 0.0;
+        }
+        let out = self.store.read(at, &self.missed);
+        self.missed.clear();
+        self.meters.prefetch_hits.add(out.prefetch_hits);
+        self.meters.late_stalls.add(out.late_stalls);
+        self.meters.cold_reads.add(out.cold_reads);
+        self.meters.evictions.add(out.evictions);
+        if out.nvme_reads > 0 {
+            self.meters.nvme_bytes.add(out.nvme_bytes);
+            self.meters.nvme_queue_depth.observe(out.nvme_reads);
+            self.meters.nvme_read_us.observe(out.read_us);
+        }
+        out.stall_s
     }
 }
 
@@ -550,13 +516,15 @@ impl RemoteWorker {
             coalesce,
         }
     }
+}
 
-    /// Classifies one HBM miss: if `v` is not locally owned it joins
-    /// this batch's remote wave and the local tiers never see it.
-    /// Under coalescing the miss is first checked against the staging
-    /// window (recently fetched rows dedupe) and then bucketed by its
-    /// owning shard.
-    fn note_miss(&mut self, v: VertexId) -> bool {
+impl LowerTier for RemoteWorker {
+    /// Claims an HBM miss that is not locally owned: it joins this
+    /// batch's remote wave and the local tiers never see it. Under
+    /// coalescing the miss is first checked against the staging window
+    /// (recently fetched rows dedupe) and then bucketed by its owning
+    /// shard.
+    fn claim(&mut self, v: VertexId) -> bool {
         if self.owned[v as usize] {
             return false;
         }
@@ -578,13 +546,13 @@ impl RemoteWorker {
     }
 
     /// Charges the batch's accumulated remote reads and returns the
-    /// extraction stall, metering reads and wire bytes. The flat pool
-    /// charges every miss as its own RPC
+    /// extraction stall, metering reads and wire bytes; the wave does not
+    /// depend on `at`. The flat pool charges every miss as its own RPC
     /// ([`NetModel::read_seconds_at`](legion_hw::NetModel::read_seconds_at));
     /// coalescing charges one batched message per owning server —
     /// headers and round-trip waves amortize across each owner's rows,
     /// and staging-window dedup hits cost no wire at all.
-    fn charge_batch(&mut self) -> f64 {
+    fn charge(&mut self, _at: f64) -> f64 {
         if self.pending == 0 {
             if let Some(c) = self.coalesce.as_mut() {
                 c.batch_idx += 1;
@@ -680,26 +648,6 @@ fn batch_seeds(batch: &[Request], seeds: &mut Vec<VertexId>) {
     seeds.dedup();
 }
 
-/// Per-GPU scratch reused across every micro-batch of the event loop:
-/// the deduplicated seed list, the sampler's arena, and the batch-local
-/// meter totals. Steady-state batches therefore run without per-vertex
-/// heap allocation.
-struct BatchScratch {
-    seeds: Vec<VertexId>,
-    sample: SampleScratch,
-    totals: BatchTotals,
-}
-
-impl BatchScratch {
-    fn new(num_gpus: usize) -> Self {
-        Self {
-            seeds: Vec::new(),
-            sample: SampleScratch::new(),
-            totals: BatchTotals::new(num_gpus),
-        }
-    }
-}
-
 /// Replan-only per-worker state: the sliding-window estimator plus the
 /// plan double-buffer, and this GPU's swap/hit meters.
 struct ReplanWorker {
@@ -738,17 +686,50 @@ impl WorkerPolicy {
 }
 
 /// What a batch's operators mutate whatever the cache policy: the RNG
-/// stream, the scratch, and the tiers below the HBM cache. Split from
-/// [`WorkerPolicy`] so a Replan batch can read its plan's layout while
-/// the shared body runs.
+/// stream, the deduplicated seed list, the batch step, and the tiers
+/// below the HBM cache. Split from [`WorkerPolicy`] so a Replan batch
+/// can read its plan's layout while the step runs.
 struct BatchLane {
     rng: StdRng,
-    scratch: BatchScratch,
+    seeds: Vec<VertexId>,
+    step: BatchStep,
     /// Out-of-core store state; `None` unless the run's tiered
     /// placement put rows on the SSD.
     store: Option<Box<StoreWorker>>,
     /// Fleet state; `None` unless this run is one server of a fleet.
     remote: Option<Box<RemoteWorker>>,
+}
+
+impl BatchLane {
+    /// Runs the batch step on `gpu` over `seeds`, offering each HBM miss
+    /// to the remote wave and then to the store, and prices inference
+    /// from the sample's FLOPs.
+    fn run(
+        &mut self,
+        ctx: &ServeContext<'_>,
+        engine: &AccessEngine<'_>,
+        gpu: GpuId,
+        how: Extract<'_>,
+        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        at: f64,
+    ) -> (MiniBatchSample, BatchTiming) {
+        let remote = self.remote.as_deref_mut().map(|r| r as &mut dyn LowerTier);
+        let store = self.store.as_deref_mut().map(|s| s as &mut dyn LowerTier);
+        let mut tiers: Vec<_> = remote.into_iter().chain(store).collect();
+        let (seeds, rng) = (&self.seeds, &mut self.rng);
+        let out = self
+            .step
+            .run(engine, gpu, gpu, seeds, rng, on_edge, how, &mut tiers, at);
+        let flops = ctx.model.inference_flops(&out.sample);
+        let timing = BatchTiming {
+            sample_s: out.sample_s,
+            extract_s: out.extract_s,
+            infer_s: self.step.time().train_seconds(flops),
+            swap_s: 0.0,
+            topo_tx: out.topo_tx,
+        };
+        (out.sample, timing)
+    }
 }
 
 /// One GPU of the event loop: its admission queue, busy horizon, batch
@@ -846,112 +827,12 @@ impl BatchTiming {
     }
 }
 
-/// How a batch's feature rows are classified — the one place the cache
-/// policies differ inside a batch. Either way the rows are metered by
-/// the engine's extraction pass and never read: the stage time comes
-/// from the counts.
-enum Extract<'a> {
-    /// The engine's layout holds the cache (StaticHot's fill, Replan's
-    /// active plan), so its clique directory says hit, peer hit or
-    /// miss. A Replan batch also feeds its window estimator from the
-    /// sampler.
-    Layout {
-        window: Option<&'a mut WindowEstimator>,
-    },
-    /// Dynamic cache: the resident set mutates per access, so each row
-    /// is a local hit or a miss as the FIFO says. Replacement
-    /// bookkeeping itself is not charged to time (an intentional
-    /// simplification; see DESIGN.md).
-    Fifo(&'a mut FifoCache),
-}
-
-/// The batch step every policy shares: sample the deduplicated seeds
-/// (charged to `gpu` through `engine`), meter the sampled vertices' rows
-/// as `how` classifies them, send every HBM miss down the tiers in the
-/// same walk, and derive the stage times from the traffic each stage
-/// caused. Remote and SSD stalls extend extraction, exactly like a
-/// slower PCIe crossing would.
-fn metered_batch(
-    ctx: &ServeContext<'_>,
-    engine: &AccessEngine<'_>,
-    gpu: GpuId,
-    lane: &mut BatchLane,
-    at: f64,
-    mut how: Extract<'_>,
-) -> BatchTiming {
-    let BatchLane {
-        rng,
-        scratch,
-        store,
-        remote,
-    } = lane;
-    let mut window = match &mut how {
-        Extract::Layout { window } => window.as_deref_mut(),
-        Extract::Fifo(_) => None,
-    };
-    let mut note_edge = window
-        .as_deref_mut()
-        .map(|w| move |v: VertexId| w.note_edge(v));
-    let (sample, topo_tx) = engine.sample_metered(
-        &ctx.sampler,
-        gpu,
-        &scratch.seeds,
-        rng,
-        note_edge.as_mut().map(|f| f as &mut dyn FnMut(VertexId)),
-        &mut scratch.sample,
-    );
-    if let Some(w) = window {
-        for &v in &sample.all_vertices {
-            w.note_feature(v);
-        }
-    }
-    let sample_s = ctx
-        .time_model
-        .sample_seconds(topo_tx, sample.total_edges() as u64);
-
-    // Triage of one HBM miss: a row another server owns joins the
-    // remote wave and the local tiers never see it; any other miss is
-    // the store's to resolve (when there is one).
-    let note_miss = |v: VertexId| {
-        if remote.as_deref_mut().is_some_and(|rw| rw.note_miss(v)) {
-            return;
-        }
-        if let Some(sw) = store.as_deref_mut() {
-            sw.missed.push(v);
-        }
-    };
-    let (rows, totals) = (&sample.all_vertices, &mut scratch.totals);
-    let (feat_tx, peer_bytes) = match how {
-        Extract::Layout { .. } => engine.extract_metered(gpu, rows, totals, note_miss),
-        Extract::Fifo(cache) => {
-            let classify = |v| cache.access(v).then_some(CacheHit::Local);
-            engine.extract_metered_by(gpu, rows, totals, classify, note_miss)
-        }
-    };
-    let mut extract_s = ctx.time_model.extract_seconds(feat_tx, peer_bytes);
-    if let Some(rw) = remote.as_deref_mut() {
-        extract_s += rw.charge_batch();
-    }
-    if let Some(sw) = store.as_deref_mut() {
-        extract_s += sw.charge_batch(at);
-    }
-    BatchTiming {
-        sample_s,
-        extract_s,
-        infer_s: ctx
-            .time_model
-            .train_seconds(ctx.model.inference_flops(&sample)),
-        swap_s: 0.0,
-        topo_tx,
-    }
-}
-
 /// Charges a committed plan swap: the entries the new plan holds that
 /// the old one did not are refilled from CPU memory (PCM transactions +
 /// traffic-matrix bytes), the GPU's memory budget is moved to the new
-/// footprint, and the PCIe transfer time is returned so the committing
-/// batch pays for it.
-fn charge_swap(ctx: &ServeContext<'_>, gpu: GpuId, delta: &SwapDelta, rw: &ReplanWorker) -> f64 {
+/// footprint, and the PCIe transactions are returned so the committing
+/// batch pays for them.
+fn charge_swap(ctx: &ServeContext<'_>, gpu: GpuId, delta: &SwapDelta, rw: &ReplanWorker) -> u64 {
     let server = ctx.server;
     let feat_tx =
         delta.new_feat.len() as u64 * server.pcie().transactions_for_payload(ctx.row_bytes);
@@ -973,13 +854,13 @@ fn charge_swap(ctx: &ServeContext<'_>, gpu: GpuId, delta: &SwapDelta, rw: &Repla
         .expect("replanned cache exceeds GPU memory");
     rw.meters.swap_bytes.add(bytes);
     rw.gpu_swap_bytes.add(bytes);
-    ctx.time_model.extract_seconds(feat_tx + topo_tx, 0)
+    feat_tx + topo_tx
 }
 
 /// Runs one replan-policy micro-batch: commit any staged plan (paying
-/// the swap), run the shared batch step against the active plan's
-/// layout while feeding the window estimator, then roll the window
-/// (possibly staging the next plan).
+/// the swap), run the batch step against the active plan's layout while
+/// feeding the window estimator, then roll the window (possibly staging
+/// the next plan).
 fn replan_batch_service(
     ctx: &ServeContext<'_>,
     gpu: GpuId,
@@ -996,7 +877,8 @@ fn replan_batch_service(
     if let Some(delta) = rw.state.commit() {
         rw.gpu_replans.inc();
         rw.meters.count.inc();
-        swap_s = charge_swap(ctx, gpu, &delta, rw);
+        let swap_tx = charge_swap(ctx, gpu, &delta, rw);
+        swap_s = lane.step.time().extract_seconds(swap_tx, 0);
         // Rows the new plan pulls into HBM come up off the SSD; rows
         // that left it fall back to their placement-time tier. Swap
         // bytes are charged to the NVMe model and the committing batch
@@ -1018,10 +900,13 @@ fn replan_batch_service(
     let mut timing = {
         let ReplanState { window, plan, .. } = &mut rw.state;
         let plan_engine = ctx.engine.with_layout(plan.active_layout());
-        let how = Extract::Layout {
-            window: Some(window),
-        };
-        metered_batch(ctx, &plan_engine, gpu, lane, at, how)
+        let mut note_edge = |v| window.note_edge(v);
+        let on_edge = Some(&mut note_edge as &mut dyn FnMut(VertexId));
+        let (sample, timing) = lane.run(ctx, &plan_engine, gpu, Extract::Layout, on_edge, at);
+        for &v in &sample.all_vertices {
+            window.note_feature(v);
+        }
+        timing
     };
     timing.swap_s = swap_s;
     rw.state.window.note_batch(
@@ -1052,8 +937,6 @@ struct ServeContext<'a> {
     server: &'a MultiGpuServer,
     config: &'a ServeConfig,
     engine: AccessEngine<'a>,
-    time_model: TimeModel,
-    sampler: KHopSampler,
     model: GnnModel,
     registry: &'a Registry,
     slo: SloTracker,
@@ -1078,9 +961,11 @@ fn offer_request(ctx: &ServeContext<'_>, w: &mut Worker, r: Request, route_shed:
             matches!(admission, Admission::AdmittedEvicting(_))
         }
     };
+    // Batch-boundary lookahead alone misses a request that reaches an
+    // idle worker: no boundary falls between its arrival and its batch.
     if admitted {
         if let Some(sw) = w.lane.store.as_deref_mut() {
-            sw.prefetch_admitted(ctx.graph, r.target, r.arrival);
+            sw.prefetch_around(ctx.graph, [r.target], r.arrival);
         }
     }
 }
@@ -1097,25 +982,22 @@ fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
         sw.meters.inflight.observe(sw.store.inflight(at) as u64);
     }
     let before = w.phase.as_ref().map(|p| p.totals());
-    batch_seeds(&batch, &mut w.lane.scratch.seeds);
+    batch_seeds(&batch, &mut w.lane.seeds);
+    let (engine, lane) = (&ctx.engine, &mut w.lane);
     let timing = match &mut w.policy {
-        WorkerPolicy::StaticHot => {
-            let how = Extract::Layout { window: None };
-            metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
-        }
+        WorkerPolicy::StaticHot => lane.run(ctx, engine, w.gpu, Extract::Layout, None, at).1,
         WorkerPolicy::Fifo(cache) => {
-            let how = Extract::Fifo(cache);
-            metered_batch(ctx, &ctx.engine, w.gpu, &mut w.lane, at, how)
+            lane.run(ctx, engine, w.gpu, Extract::Fifo(cache), None, at)
+                .1
         }
-        WorkerPolicy::Replan(rw) => {
-            replan_batch_service(ctx, w.gpu, &mut w.lane, rw, batch.len(), at)
-        }
+        WorkerPolicy::Replan(rw) => replan_batch_service(ctx, w.gpu, lane, rw, batch.len(), at),
     };
     // Lookahead prefetch: the requests still queued behind the batch
     // just drained are exactly what the next few batches will ask for —
     // stage their SSD rows now so those launches find warm staging.
     if let Some(sw) = w.lane.store.as_deref_mut() {
-        sw.prefetch_lookahead(ctx.graph, &w.queue, at);
+        let queued = w.queue.peek_upto(sw.lookahead).map(|r| r.target);
+        sw.prefetch_around(ctx.graph, queued, at);
     }
     if let (Some(p), Some((h0, m0))) = (w.phase.as_ref(), before) {
         p.record(ctx.registry, batch[0].id, h0, m0);
@@ -1667,8 +1549,6 @@ impl Deployment<'_> {
             server,
             config,
             engine,
-            time_model: TimeModel::new(server.spec()),
-            sampler: KHopSampler::new(config.fanouts.clone()),
             model,
             registry,
             slo,
@@ -1754,7 +1634,12 @@ fn build_workers(
                     rng: StdRng::seed_from_u64(
                         config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7),
                     ),
-                    scratch: BatchScratch::new(num_gpus),
+                    seeds: Vec::new(),
+                    step: BatchStep::new(
+                        KHopSampler::new(config.fanouts.clone()),
+                        TimeModel::new(server.spec()),
+                        num_gpus,
+                    ),
                     store: deployment
                         .store
                         .as_ref()

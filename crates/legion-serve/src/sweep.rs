@@ -12,13 +12,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use legion_cache::unified::CacheHit;
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{CsrGraph, FeatureTable};
-use legion_hw::MultiGpuServer;
-use legion_pipeline::TimeModel;
-use legion_sampling::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
-use legion_sampling::{KHopSampler, SampleScratch};
+use legion_hw::{MultiGpuServer, TimeModel};
+use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+use legion_sampling::{BatchStep, Extract, KHopSampler, LowerTier};
 
 use legion_graph::VertexId;
 use legion_router::{fill_probe, RouterPolicy, CLASS_COUNT};
@@ -107,17 +105,20 @@ impl ProbeStore {
             cold: 0,
         })
     }
+}
 
-    /// Records one HBM feature miss; returns after noting whether the
-    /// row was DRAM-resident or must stage from NVMe.
-    fn miss(&mut self, v: VertexId) {
+impl LowerTier for ProbeStore {
+    /// Takes every HBM feature miss, noting whether the row was
+    /// DRAM-resident or must stage from NVMe.
+    fn claim(&mut self, v: VertexId) -> bool {
         if !self.dram.access(v) {
             self.cold += 1;
         }
+        true
     }
 
     /// Drains the batch's accumulated cold reads into a staging charge.
-    fn stage_seconds(&mut self) -> f64 {
+    fn charge(&mut self, _at: f64) -> f64 {
         let t = self.nvme.read_seconds(self.cold, self.row_bytes);
         self.cold = 0;
         t
@@ -173,8 +174,11 @@ pub fn estimate_capacity_rps(
     let num_gpus = server.num_gpus();
     let layout = CacheLayout::none(num_gpus);
     let engine = AccessEngine::new(graph, features, &layout, server, TopologyPlacement::CpuUva);
-    let time_model = TimeModel::new(server.spec());
-    let sampler = KHopSampler::new(config.fanouts.clone());
+    let mut step = BatchStep::new(
+        KHopSampler::new(config.fanouts.clone()),
+        TimeModel::new(server.spec()),
+        num_gpus,
+    );
     let mut model_rng = StdRng::seed_from_u64(config.seed ^ 0x51ee_7d00_c0de_cafe);
     let model = GnnModel::new(
         ModelKind::GraphSage,
@@ -216,8 +220,6 @@ pub fn estimate_capacity_rps(
     let mut lens = vec![0usize; lanes];
     let mut probe: Vec<VertexId> = Vec::new();
     let mut per_gpu: Vec<Vec<u32>> = vec![Vec::new(); lanes];
-    let mut scratch = SampleScratch::new();
-    let mut totals = BatchTotals::new(num_gpus);
 
     const WARMUP_BATCHES: usize = 8;
     const PROBES: usize = 4;
@@ -248,26 +250,23 @@ pub fn estimate_capacity_rps(
             // Same dedupe as the engine: duplicate targets expand once.
             seeds.sort_unstable();
             seeds.dedup();
-            let (sample, topo_tx) =
-                engine.sample_metered(&sampler, gpu, seeds, &mut rng, None, &mut scratch);
-            let (fifo, store) = (&mut fifos[gpu], &mut stores[gpu]);
-            let (feat_tx, _) = engine.extract_metered_by(
+            let how = Extract::Fifo(&mut fifos[gpu]);
+            let mut tier = stores[gpu].as_mut().map(|s| s as &mut dyn LowerTier);
+            let out = step.run(
+                &engine,
                 gpu,
-                &sample.all_vertices,
-                &mut totals,
-                |v| fifo.access(v).then_some(CacheHit::Local),
-                |v| {
-                    if let Some(s) = store.as_mut() {
-                        s.miss(v);
-                    }
-                },
+                gpu,
+                seeds,
+                &mut rng,
+                None,
+                how,
+                tier.as_mut_slice(),
+                0.0,
             );
-            let stage_t = store.as_mut().map_or(0.0, ProbeStore::stage_seconds);
-            let sample_t = time_model.sample_seconds(topo_tx, sample.total_edges() as u64);
-            let extract_t = time_model.extract_seconds(feat_tx, 0) + stage_t;
-            let service =
-                sample_t.max(extract_t) + time_model.train_seconds(model.inference_flops(&sample));
-            round = round.max(service);
+            let infer_t = step
+                .time()
+                .train_seconds(model.inference_flops(&out.sample));
+            round = round.max(out.sample_s.max(out.extract_s) + infer_t);
         }
         if i >= WARMUP_BATCHES {
             total += round;

@@ -20,7 +20,7 @@
 //! [`NvmeModel`], so a run's store timeline is reproducible
 //! byte-for-byte.
 
-use legion_graph::VertexId;
+use legion_graph::{CsrGraph, VertexId};
 
 use crate::nvme::NvmeModel;
 use crate::staging::{Staged, StagingBuffer};
@@ -281,6 +281,22 @@ impl VertexStore {
         out
     }
 
+    /// [`prefetch`](Self::prefetch) over the neighbourhoods of
+    /// `targets`: each target, then its first `neighbors` adjacency
+    /// entries, in order — the rows a sampler expanding them reads first.
+    pub fn prefetch_around(
+        &mut self,
+        at_s: f64,
+        graph: &CsrGraph,
+        targets: impl IntoIterator<Item = VertexId>,
+        neighbors: usize,
+        budget: usize,
+    ) -> PrefetchOutcome {
+        let around =
+            |t| std::iter::once(t).chain(graph.neighbors(t).iter().take(neighbors).copied());
+        self.prefetch(at_s, targets.into_iter().flat_map(around), budget)
+    }
+
     /// Migrates rows across the DRAM/SSD boundary at a batch boundary:
     /// `promote` moves SSD rows into permanent DRAM residency (device
     /// reads), `demote` pushes DRAM rows out to the SSD (device
@@ -367,6 +383,22 @@ mod tests {
         assert_eq!(warm_out.prefetch_hits, 3);
         assert_eq!(warm_out.cold_reads, 0);
         assert!(warm_out.stall_s < cold_out.stall_s);
+    }
+
+    #[test]
+    fn prefetch_around_walks_each_target_then_its_leading_neighbors() {
+        let mut b = legion_graph::GraphBuilder::new(64);
+        for (target, first) in [(32u32, 40u32), (33, 44)] {
+            for v in first..first + 4 {
+                b.push_edge(target, v);
+            }
+        }
+        let g = b.build();
+        let mut s = store(16);
+        // Two neighbors each under a budget of five: 32, 40, 41, 33, 44.
+        assert_eq!(s.prefetch_around(0.0, &g, [32, 33], 2, 5).issued, 5);
+        let out = s.read(1.0, &[32, 40, 41, 33, 44, 42, 45]);
+        assert_eq!((out.prefetch_hits, out.cold_reads), (5, 2));
     }
 
     #[test]

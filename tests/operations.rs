@@ -16,9 +16,10 @@
 //! It also checks that every `scripts/…` and `bench/….sh` path the four
 //! top-level docs name is a file in the tree, that every
 //! `` `legion-<crate>::<name>` `` README.md and DESIGN.md write is a
-//! module file or a `pub` item of that crate, and that the
+//! module file or a `pub` item of that crate, that the
 //! configuration-surface table has one row per `pub` field of the run
-//! configs.
+//! configs, and that every first-party manifest's dependencies are the
+//! ones `bench/Cargo.lock` records.
 //!
 //! Pattern language: literal dot-separated names with `{g}`-style
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
@@ -556,6 +557,91 @@ fn single_threaded_by_construction() {
     assert!(
         threaded.is_empty(),
         "sources name thread-safety machinery: {threaded:?}"
+    );
+}
+
+/// The `[dependencies]` names of a `Cargo.toml`, sorted.
+fn manifest_dependencies(manifest: &str) -> Vec<String> {
+    let section = manifest
+        .split_once("[dependencies]")
+        .map_or("", |(_, rest)| rest.split("\n[").next().unwrap_or(""));
+    let mut names: Vec<String> = section
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| line.split(['.', '=', ' ']).next())
+        .map(str::to_string)
+        .collect();
+    names.sort();
+    names
+}
+
+/// Each `[[package]]` of a `Cargo.lock` as its name and its sorted
+/// dependency names (a version suffix dropped).
+fn lock_packages(lock: &str) -> Vec<(String, Vec<String>)> {
+    let package = |block: &str| {
+        let name = block
+            .lines()
+            .find_map(|line| line.strip_prefix("name = "))?;
+        let list = block
+            .split_once("dependencies = [")
+            .map_or("", |(_, rest)| rest.split(']').next().unwrap_or(""));
+        let mut deps: Vec<String> = list
+            .split(',')
+            .map(|dep| dep.trim().trim_matches('"'))
+            .filter_map(|dep| dep.split(' ').next().filter(|name| !name.is_empty()))
+            .map(str::to_string)
+            .collect();
+        deps.sort();
+        Some((name.trim_matches('"').to_string(), deps))
+    };
+    lock.split("[[package]]")
+        .skip(1)
+        .filter_map(package)
+        .collect()
+}
+
+/// `bench/` is a workspace of its own whose committed lock lists every
+/// first-party crate it builds with that crate's dependencies. A
+/// `crates/*/Cargo.toml` edge the lock does not list would rewrite
+/// `bench/Cargo.lock`, which only a benchmark-only change may do; it
+/// fails here rather than first in `scripts/verify.sh`'s `--locked`
+/// build.
+#[test]
+fn manifest_edges_match_bench_lock() {
+    // Self-check on a manifest and a lock that name the same two edges.
+    let manifest = "[package]\nname = \"x\"\n\n[dependencies]\nb.workspace = true\n\
+                    a = { workspace = true }\n\n[dev-dependencies]\nc.workspace = true\n";
+    assert_eq!(manifest_dependencies(manifest), ["a", "b"]);
+    let lock = "version = 3\n\n[[package]]\nname = \"x\"\nversion = \"0.1.0\"\n\
+                dependencies = [\n \"b\",\n \"a 0.2.0\",\n]\n\n[[package]]\nname = \"y\"\n";
+    let expected = [("x", vec!["a", "b"]), ("y", vec![])].map(|(name, deps)| {
+        (
+            name.to_string(),
+            deps.into_iter().map(String::from).collect(),
+        )
+    });
+    assert_eq!(lock_packages(lock), expected);
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lock = std::fs::read_to_string(root.join("bench/Cargo.lock")).expect("bench/ has a lock");
+    let mut compared = 0;
+    for (name, locked) in lock_packages(&lock) {
+        let manifest = root.join("crates").join(&name).join("Cargo.toml");
+        let Ok(manifest) = std::fs::read_to_string(manifest) else {
+            continue;
+        };
+        compared += 1;
+        assert_eq!(
+            manifest_dependencies(&manifest),
+            locked,
+            "crates/{name}/Cargo.toml's [dependencies] differ from bench/Cargo.lock's list; \
+             the edge would rewrite a file under bench/"
+        );
+    }
+    assert!(
+        compared >= 15,
+        "lock parse collapsed: only {compared} crates compared"
     );
 }
 
