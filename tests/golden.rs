@@ -9,11 +9,13 @@
 //! behaviour change re-baselines by pasting the table the failing test
 //! prints over `tests/golden_digests.txt`.
 
+use legion_baselines::{dgl, pagraph, quiver, BuildContext, SystemError, SystemSetup};
 use legion_cache::{cslp, CliqueCache, HotnessMatrix};
+use legion_core::experiments::policies::{build_policy, CachePolicy};
 use legion_core::runner::{
     run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
 };
-use legion_core::system::legion_setup;
+use legion_core::system::{legion_feature_cache_setup, legion_setup};
 use legion_core::LegionConfig;
 use legion_fleet::scenarios::{
     churn, clique_machine, fleet, golden, golden_dataset, oversub_drift, router_qos,
@@ -624,6 +626,35 @@ fn scenarios() -> Vec<(&'static str, u64)> {
             "epoch_gnnlab_factored_gcn",
             snapshot_digest(&run_epoch_with_model(&gnnlab, &ctx, &cfg, ModelKind::Gcn).metrics),
         ));
+
+        // Every other set-up builder, one epoch each on a fresh server.
+        // The fixed-row builders cache 5 % of |V| on every GPU.
+        const ROWS: usize = 120;
+        type Build = fn(&BuildContext<'_>, &LegionConfig) -> Result<SystemSetup, SystemError>;
+        let builders: [(&'static str, Build); 7] = [
+            ("epoch_dgl_serial", |ctx, _| dgl::setup(ctx)),
+            ("epoch_pagraph_cpu_sampling", |ctx, _| pagraph::setup(ctx)),
+            ("epoch_pagraph_plus", |ctx, _| pagraph::setup_plus(ctx)),
+            ("epoch_quiver_plus", |ctx, _| quiver::setup(ctx)),
+            ("epoch_legion_feature_cache", |ctx, cfg| {
+                legion_feature_cache_setup(ctx, cfg, ROWS)
+            }),
+            ("epoch_policy_gnnlab", |ctx, cfg| {
+                build_policy(CachePolicy::GnnLabReplicated, ctx, cfg, ROWS)
+            }),
+            ("epoch_policy_pagraph", |ctx, cfg| {
+                build_policy(CachePolicy::PaGraph, ctx, cfg, ROWS)
+            }),
+        ];
+        for (name, build) in builders {
+            let server = ServerSpec::custom(4, 16 << 20, 2).build();
+            let ctx = cfg.build_context(&ds, &server);
+            let setup = build(&ctx, &cfg).unwrap();
+            rows.push((
+                name,
+                snapshot_digest(&run_epoch(&setup, &ctx, &cfg).metrics),
+            ));
+        }
     }
 
     {
