@@ -14,11 +14,7 @@ use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 ///
 /// [`SystemError::CpuOom`] when graph + features exceed host memory.
 pub fn setup(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
-    let needed = ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes();
-    let available = ctx.server.spec().cpu_memory;
-    if needed > available {
-        return Err(SystemError::CpuOom { needed, available });
-    }
+    ctx.host_gate(ctx.dataset_bytes())?;
     let n = ctx.server.num_gpus();
     Ok(SystemSetup {
         name: "DGL".to_string(),

@@ -14,14 +14,15 @@
 //!   flat-lining curves of Figure 2),
 //! * only the trainer subset contributes training throughput (§6.2).
 
-use legion_cache::hotness_order;
+use legion_cache::{build_feature_caches_replicated, hotness_order};
+use legion_hw::GpuId;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
-use legion_sampling::{presample, KHopSampler};
 
-use crate::policy::build_feature_caches_replicated;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
-/// Builds the GNNLab setup with `num_samplers` dedicated sampling GPUs.
+/// Builds the GNNLab setup with `num_samplers` dedicated sampling GPUs:
+/// the [`cache_design`] on the remaining trainer GPUs, behind the
+/// factored split.
 ///
 /// # Errors
 ///
@@ -37,66 +38,66 @@ pub fn setup(ctx: &BuildContext<'_>, num_samplers: usize) -> Result<SystemSetup,
             n - num_samplers
         )));
     }
-    let needed = ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes();
-    let available = ctx.server.spec().cpu_memory;
-    if needed > available {
-        return Err(SystemError::CpuOom { needed, available });
-    }
+    ctx.host_gate(ctx.dataset_bytes())?;
     let samplers: Vec<usize> = (0..num_samplers).collect();
     let trainers: Vec<usize> = (num_samplers..n).collect();
 
     // Each sampler GPU holds the full topology (plus reservation).
     let topo_bytes = ctx.dataset.topology_bytes();
     for &g in &samplers {
-        ctx.server
-            .alloc(g, topo_bytes + ctx.reserved_per_gpu)
-            .map_err(SystemError::GpuOom)?;
+        ctx.server.alloc(g, topo_bytes + ctx.reserved_per_gpu)?;
     }
 
-    // Pre-sampling on trainer tablets (global shuffle) for the hotness
-    // rank; GNNLab's cache is keyed on global access frequency.
-    let tablets = ctx.even_tablets(trainers.len());
-    let sampler_alg = KHopSampler::new(ctx.fanouts.clone());
-    let pres = presample(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        ctx.server,
-        &trainers,
-        &tablets,
-        &sampler_alg,
-        ctx.batch_size,
-        ctx.presample_epochs,
-        ctx.seed,
-    );
-    let global_hotness = pres.h_f.column_wise_sum();
-    let order = hotness_order(&global_hotness);
-
-    // Identical feature cache replicated on every trainer.
-    let per_gpu_budget = ctx.per_gpu_cache_budget();
-    let cliques = build_feature_caches_replicated(
-        &ctx.dataset.features,
-        ctx.dataset.graph.num_vertices(),
-        ctx.server,
-        &trainers,
-        &order,
-        per_gpu_budget,
-    )
-    .map_err(SystemError::GpuOom)?;
-
-    // Tablets indexed by GPU id: samplers own none.
-    let mut tablets_by_gpu = vec![Vec::new(); n];
-    for (i, &g) in trainers.iter().enumerate() {
-        tablets_by_gpu[g] = tablets[i].clone();
-    }
-
+    let design = cache_design(ctx, &trainers, ctx.per_gpu_cache_budget())?;
     Ok(SystemSetup {
         name: format!("GNNLab({}s/{}t)", samplers.len(), trainers.len()),
-        layout: CacheLayout::from_cliques(n, cliques),
-        tablets: tablets_by_gpu,
         // Samplers hold the topology locally; the runner treats sampling
         // as PCIe-free, which ReplicatedGpu expresses.
         topology_placement: TopologyPlacement::ReplicatedGpu,
         schedule: ScheduleKind::Factored { samplers, trainers },
+        ..design
+    })
+}
+
+/// GNNLab's cache design (§3.1) on the `trainers` GPUs: they pre-sample
+/// hash tablets of the training set (global shuffle), and each holds an
+/// identical replica of the globally hottest `per_gpu_bytes` of
+/// features. Other GPUs train nothing.
+///
+/// On its own this is GNNLab's cache inside the Legion runtime (GPU
+/// sampling over UVA, pipelined), as Figures 2, 3, 9 and 10 compare it;
+/// [`setup`] adds the factored split.
+///
+/// # Errors
+///
+/// [`SystemError::GpuOom`] if a trainer cannot hold its replica.
+pub fn cache_design(
+    ctx: &BuildContext<'_>,
+    trainers: &[GpuId],
+    per_gpu_bytes: u64,
+) -> Result<SystemSetup, SystemError> {
+    let n = ctx.server.num_gpus();
+    let tablets = ctx.even_tablets(trainers.len());
+    let pres = ctx.presample(trainers, &tablets);
+    let order = hotness_order(&pres.h_f.column_wise_sum());
+    let cliques = build_feature_caches_replicated(
+        &ctx.dataset.features,
+        ctx.dataset.graph.num_vertices(),
+        ctx.server,
+        trainers,
+        &order,
+        per_gpu_bytes,
+    )?;
+    let mut tablets_by_gpu = vec![Vec::new(); n];
+    for (&g, tablet) in trainers.iter().zip(tablets) {
+        tablets_by_gpu[g] = tablet;
+    }
+    Ok(SystemSetup {
+        name: "GNNLab".to_string(),
+        layout: CacheLayout::from_cliques(n, cliques),
+        tablets: tablets_by_gpu,
+        topology_placement: TopologyPlacement::CpuUva,
+        schedule: ScheduleKind::Pipelined,
     })
 }
 

@@ -18,7 +18,15 @@
 //!   sampling, in-degree feature cache; plus the PaGraph-plus variant
 //!   (edge-cut partitioning + pre-sampling hotness),
 //! * [`quiver`] — NVLink-clique hash cache replicated across cliques, and
-//! * [`policy`] — the shared cache-construction helpers.
+//! * [`policy`] — the in-degree hotness metric and Quiver's hashed
+//!   placement.
+//!
+//! GNNLab and PaGraph expose their cache design on its own
+//! (`cache_design`), which the figure experiments run inside the Legion
+//! runtime; `setup` adds the system's split, gate or schedule. Every
+//! builder pre-samples through [`BuildContext::presample`], checks host
+//! memory through [`BuildContext::host_gate`] and fills its caches
+//! through `legion_cache::fill`.
 //!
 //! # Examples
 //!
@@ -53,6 +61,7 @@ pub mod quiver;
 use legion_graph::{Dataset, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
+use legion_sampling::{KHopSampler, PresampleOutput};
 
 /// How the system schedules sampling vs. training.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +136,7 @@ impl std::fmt::Display for SystemError {
 impl std::error::Error for SystemError {}
 
 /// Shared inputs for all setup builders.
+#[derive(Clone)]
 pub struct BuildContext<'a> {
     /// The dataset (graph + features + training set).
     pub dataset: &'a Dataset,
@@ -166,5 +176,38 @@ impl<'a> BuildContext<'a> {
     /// global-shuffle systems' effective per-GPU seed assignment).
     pub fn even_tablets(&self, k: usize) -> Vec<Vec<VertexId>> {
         legion_partition::hash::hash_split(&self.dataset.train_vertices, k)
+    }
+
+    /// Pre-samples `tablets[i]` on `gpus[i]` with this context's fan-outs,
+    /// batch size, epochs and seed: the access hotness every
+    /// hotness-ranked cache design starts from (§4.2.2 S1).
+    pub fn presample(&self, gpus: &[GpuId], tablets: &[Vec<VertexId>]) -> PresampleOutput {
+        legion_sampling::presample(
+            &self.dataset.graph,
+            &self.dataset.features,
+            self.server,
+            gpus,
+            tablets,
+            &KHopSampler::new(self.fanouts.clone()),
+            self.batch_size,
+            self.presample_epochs,
+            self.seed,
+        )
+    }
+
+    /// Bytes of the dataset as stored once in host memory: topology plus
+    /// features.
+    pub fn dataset_bytes(&self) -> u64 {
+        self.dataset.topology_bytes() + self.dataset.feature_bytes()
+    }
+
+    /// The host-memory gate: fails with [`SystemError::CpuOom`] when the
+    /// system needs more than the server's host memory.
+    pub fn host_gate(&self, needed: u64) -> Result<(), SystemError> {
+        let available = self.server.spec().cpu_memory;
+        if needed > available {
+            return Err(SystemError::CpuOom { needed, available });
+        }
+        Ok(())
     }
 }

@@ -14,66 +14,82 @@
 //! sampling, pipelined). It fixes the duplication but keeps per-GPU
 //! caches, whose hit rates are unbalanced across partitions (Figure 3).
 
-use legion_cache::hotness_order;
+use legion_cache::{build_feature_cache_single, hotness_order};
 use legion_graph::VertexId;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
-use legion_sampling::{presample, KHopSampler};
 
-use legion_partition::pagraph::pagraph_partition;
+use legion_partition::pagraph::{pagraph_partition, PaGraphPlan};
 use legion_partition::{HashPartitioner, LdgPartitioner, Partitioner};
 
-use crate::policy::{build_feature_cache_single, in_degree_hotness};
+use crate::policy::in_degree_hotness;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Host-memory inflation factor for PaGraph's redundant intermediate
 /// buffers on top of the duplicated L-hop partition storage (§6.2).
 pub const PAGRAPH_HOST_OVERHEAD: f64 = 1.5;
 
-/// Builds the original PaGraph setup.
+/// Builds the original PaGraph setup: the [`cache_design`] behind a
+/// host-memory gate, with CPU sampling.
 ///
 /// # Errors
 ///
 /// [`SystemError::CpuOom`] when the duplicated partitions plus buffers
 /// exceed host memory (the common case on large graphs).
 pub fn setup(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
-    let n = ctx.server.num_gpus();
-    let hops = ctx.fanouts.len() as u32;
-    let plan = pagraph_partition(
-        &ctx.dataset.graph,
-        &ctx.dataset.train_vertices,
-        n,
-        hops,
-        &HashPartitioner,
-    );
+    let plan = self_reliant_partition(ctx);
     // Host memory: every partition stores its closure's topology and
     // features; hubs are stored once per partition.
     let dup = plan.duplication_factor();
-    let base = (ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes()) as f64;
-    let needed = (base * dup * PAGRAPH_HOST_OVERHEAD) as u64;
-    let available = ctx.server.spec().cpu_memory;
-    if needed > available {
-        return Err(SystemError::CpuOom { needed, available });
-    }
-    // Per-GPU cache: highest in-degree vertices of the GPU's own
-    // (extended) partition.
+    ctx.host_gate((ctx.dataset_bytes() as f64 * dup * PAGRAPH_HOST_OVERHEAD) as u64)?;
+    Ok(SystemSetup {
+        schedule: ScheduleKind::CpuSampling,
+        ..cache_design(ctx, &plan, ctx.per_gpu_cache_budget())?
+    })
+}
+
+/// PaGraph's partitioning (§3.1): one hash partition per GPU, extended
+/// with the full L-hop in-neighbourhood of its training vertices.
+pub fn self_reliant_partition(ctx: &BuildContext<'_>) -> PaGraphPlan {
+    pagraph_partition(
+        &ctx.dataset.graph,
+        &ctx.dataset.train_vertices,
+        ctx.server.num_gpus(),
+        ctx.fanouts.len() as u32,
+        &HashPartitioner,
+    )
+}
+
+/// PaGraph's cache design (§3.1) over `plan`: each GPU trains its
+/// partition's training vertices and caches the partition's highest
+/// in-degree vertices, `per_gpu_bytes` of features.
+///
+/// On its own this is PaGraph's cache inside the Legion runtime (GPU
+/// sampling over UVA, pipelined), as Figure 2 compares it; [`setup`]
+/// adds the host-memory gate and CPU sampling.
+///
+/// # Errors
+///
+/// [`SystemError::GpuOom`] if a GPU cannot hold its cache.
+pub fn cache_design(
+    ctx: &BuildContext<'_>,
+    plan: &PaGraphPlan,
+    per_gpu_bytes: u64,
+) -> Result<SystemSetup, SystemError> {
+    let n = ctx.server.num_gpus();
     let in_deg = in_degree_hotness(&ctx.dataset.graph);
-    let budget = ctx.per_gpu_cache_budget();
     let mut cliques = Vec::with_capacity(n);
     let mut tablets: Vec<Vec<VertexId>> = Vec::with_capacity(n);
     for (gpu, part) in plan.partitions.iter().enumerate() {
         let mut order = part.vertices.clone();
         order.sort_by(|&a, &b| in_deg[b as usize].cmp(&in_deg[a as usize]).then(a.cmp(&b)));
-        cliques.push(
-            build_feature_cache_single(
-                &ctx.dataset.features,
-                ctx.dataset.graph.num_vertices(),
-                ctx.server,
-                gpu,
-                &order,
-                budget,
-            )
-            .map_err(SystemError::GpuOom)?,
-        );
+        cliques.push(build_feature_cache_single(
+            &ctx.dataset.features,
+            ctx.dataset.graph.num_vertices(),
+            ctx.server,
+            gpu,
+            &order,
+            per_gpu_bytes,
+        )?);
         tablets.push(part.train_vertices.clone());
     }
     Ok(SystemSetup {
@@ -81,7 +97,7 @@ pub fn setup(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
         layout: CacheLayout::from_cliques(n, cliques),
         tablets,
         topology_placement: TopologyPlacement::CpuUva,
-        schedule: ScheduleKind::CpuSampling,
+        schedule: ScheduleKind::Pipelined,
     })
 }
 
@@ -96,33 +112,19 @@ pub fn setup_plus(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
     }
     // Per-GPU pre-sampling on the GPU's own tablet.
     let gpus: Vec<usize> = (0..n).collect();
-    let sampler = KHopSampler::new(ctx.fanouts.clone());
-    let pres = presample(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        ctx.server,
-        &gpus,
-        &tablets,
-        &sampler,
-        ctx.batch_size,
-        ctx.presample_epochs,
-        ctx.seed,
-    );
+    let pres = ctx.presample(&gpus, &tablets);
     let budget = ctx.per_gpu_cache_budget();
     let mut cliques = Vec::with_capacity(n);
     for gpu in 0..n {
         let order = hotness_order(pres.h_f.row(gpu));
-        cliques.push(
-            build_feature_cache_single(
-                &ctx.dataset.features,
-                ctx.dataset.graph.num_vertices(),
-                ctx.server,
-                gpu,
-                &order,
-                budget,
-            )
-            .map_err(SystemError::GpuOom)?,
-        );
+        cliques.push(build_feature_cache_single(
+            &ctx.dataset.features,
+            ctx.dataset.graph.num_vertices(),
+            ctx.server,
+            gpu,
+            &order,
+            budget,
+        )?);
     }
     Ok(SystemSetup {
         name: "PaGraph-plus".to_string(),

@@ -12,7 +12,6 @@
 use legion_cache::hotness_order;
 use legion_partition::detect_cliques;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
-use legion_sampling::{presample, KHopSampler};
 
 use crate::policy::build_feature_cache_hashed;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
@@ -24,26 +23,11 @@ use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 /// [`SystemError::GpuOom`] / [`SystemError::CpuOom`] on capacity failures.
 pub fn setup(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
     let n = ctx.server.num_gpus();
-    let needed = ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes();
-    let available = ctx.server.spec().cpu_memory;
-    if needed > available {
-        return Err(SystemError::CpuOom { needed, available });
-    }
+    ctx.host_gate(ctx.dataset_bytes())?;
     let cliques = detect_cliques(ctx.server.nvlink());
     let tablets = ctx.even_tablets(n);
     let gpus: Vec<usize> = (0..n).collect();
-    let sampler = KHopSampler::new(ctx.fanouts.clone());
-    let pres = presample(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        ctx.server,
-        &gpus,
-        &tablets,
-        &sampler,
-        ctx.batch_size,
-        ctx.presample_epochs,
-        ctx.seed,
-    );
+    let pres = ctx.presample(&gpus, &tablets);
     let order = hotness_order(&pres.h_f.column_wise_sum());
     let budget = ctx.per_gpu_cache_budget();
     // The same clique-level cache content is replicated in every clique.

@@ -11,6 +11,12 @@
 //! over-committed plan fails with the same out-of-memory error a CUDA
 //! allocation would raise. It copies no row: the cache records residency
 //! and the base CSR and feature table stay the only copy of the data.
+//!
+//! Every cache design fills its feature rows through
+//! [`fill_feature_slot`]: Legion's unified cache ([`build_clique_cache`]),
+//! the single-GPU and replicated caches of PaGraph and GNNLab
+//! ([`build_feature_cache_single`], [`build_feature_caches_replicated`]),
+//! Quiver's per-clique hash and the serving layouts.
 
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
@@ -18,6 +24,77 @@ use legion_hw::{GpuId, HwError, MultiGpuServer};
 use crate::cslp::CslpOutput;
 use crate::planner::CachePlan;
 use crate::unified::CliqueCache;
+
+/// Books `rows`' feature bytes on the GPU behind `slot`, then records
+/// the rows resident in that slot.
+///
+/// # Errors
+///
+/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows; the
+/// cache is left unchanged then.
+pub fn fill_feature_slot(
+    server: &MultiGpuServer,
+    cache: &mut CliqueCache,
+    slot: usize,
+    rows: &[VertexId],
+) -> Result<(), HwError> {
+    server.alloc(
+        cache.gpus()[slot],
+        rows.len() as u64 * cache.feature_row_bytes(),
+    )?;
+    for &v in rows {
+        cache.insert_feature(slot, v);
+    }
+    Ok(())
+}
+
+/// Number of feature rows fitting in `bytes`.
+pub fn rows_in_budget(features: &FeatureTable, bytes: u64) -> usize {
+    bytes.checked_div(features.row_bytes()).unwrap_or(0) as usize
+}
+
+/// Builds one single-GPU feature cache holding the first `budget_bytes`
+/// worth of `order`, allocating on the server.
+///
+/// # Errors
+///
+/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows.
+pub fn build_feature_cache_single(
+    features: &FeatureTable,
+    num_vertices: usize,
+    server: &MultiGpuServer,
+    gpu: GpuId,
+    order: &[VertexId],
+    budget_bytes: u64,
+) -> Result<CliqueCache, HwError> {
+    let rows = rows_in_budget(features, budget_bytes).min(order.len());
+    let mut cache = CliqueCache::new(vec![gpu], num_vertices, features.dim());
+    fill_feature_slot(server, &mut cache, 0, &order[..rows])?;
+    Ok(cache)
+}
+
+/// Replicates the same top-of-`order` cache on every listed GPU
+/// (GNNLab's multi-GPU cache, §3.1). Returns one single-GPU clique per
+/// GPU — replicas never serve peers.
+///
+/// # Errors
+///
+/// Returns [`HwError::OutOfMemory`] at the first GPU that cannot hold
+/// its replica.
+pub fn build_feature_caches_replicated(
+    features: &FeatureTable,
+    num_vertices: usize,
+    server: &MultiGpuServer,
+    gpus: &[GpuId],
+    order: &[VertexId],
+    per_gpu_bytes: u64,
+) -> Result<Vec<CliqueCache>, HwError> {
+    gpus.iter()
+        .map(|&g| {
+            build_feature_cache_single(features, num_vertices, server, g, order, per_gpu_bytes)
+        })
+        .collect()
+}
 
 /// Builds and fills the unified cache of one NVLink clique.
 ///
@@ -77,23 +154,15 @@ pub fn build_clique_cache(
             cache.insert_topology(slot, v, graph.degree(v));
         }
         // Feature fill-up in G_F order.
-        let row_bytes = features.row_bytes();
-        let capacity_rows = feat_share.checked_div(row_bytes).unwrap_or(0) as usize;
-        let rows = feat_order.per_gpu[slot]
-            .iter()
-            .take(capacity_rows)
-            .copied()
-            .collect::<Vec<_>>();
-        server.alloc(gpu, rows.len() as u64 * row_bytes)?;
+        let queue = &feat_order.per_gpu[slot];
+        let rows = &queue[..rows_in_budget(features, feat_share).min(queue.len())];
+        fill_feature_slot(server, &mut cache, slot, rows)?;
         registry
             .counter(&format!("cache_fill.gpu{gpu}.feature_rows"))
             .add(rows.len() as u64);
         registry
             .counter(&format!("cache_fill.gpu{gpu}.feature_bytes"))
-            .add(rows.len() as u64 * row_bytes);
-        for v in rows {
-            cache.insert_feature(slot, v);
-        }
+            .add(rows.len() as u64 * features.row_bytes());
     }
     Ok(cache)
 }
@@ -223,6 +292,54 @@ mod tests {
         assert_eq!(cache.total_topology_bytes(), 0);
         assert_eq!(cache.total_feature_bytes(), 0);
         assert_eq!(server.allocated_bytes(0), 0);
+    }
+
+    fn features(n: usize) -> FeatureTable {
+        FeatureTable::from_flat((0..n * 2).map(|x| x as f32).collect(), 2)
+    }
+
+    #[test]
+    fn single_cache_respects_budget() {
+        let f = features(10);
+        let server = ServerSpec::custom(1, 1 << 20, 1).build();
+        let order: Vec<VertexId> = (0..10).collect();
+        // 3 rows of 8 bytes fit in 25 bytes.
+        let cc = build_feature_cache_single(&f, 10, &server, 0, &order, 25).unwrap();
+        assert_eq!(cc.cache(0).feature_entries(), 3);
+        assert!(cc.has_feature(0) && cc.has_feature(2));
+        assert!(!cc.has_feature(3));
+        assert_eq!(server.allocated_bytes(0), 24);
+    }
+
+    #[test]
+    fn replicated_caches_have_identical_contents() {
+        let f = features(8);
+        let server = ServerSpec::custom(4, 1 << 20, 1).build();
+        let order: Vec<VertexId> = vec![7, 6, 5, 4, 3, 2, 1, 0];
+        let caches =
+            build_feature_caches_replicated(&f, 8, &server, &[0, 1, 2, 3], &order, 16).unwrap();
+        assert_eq!(caches.len(), 4);
+        for cc in &caches {
+            assert!(cc.has_feature(7) && cc.has_feature(6));
+            assert!(!cc.has_feature(5));
+        }
+    }
+
+    #[test]
+    fn oom_propagates() {
+        let f = features(10);
+        let server = ServerSpec::custom(1, 4, 1).build();
+        let order: Vec<VertexId> = (0..10).collect();
+        let err = build_feature_cache_single(&f, 10, &server, 0, &order, 80);
+        assert!(matches!(err, Err(HwError::OutOfMemory { .. })));
+    }
+
+    #[test]
+    fn zero_budget_zero_rows() {
+        let f = features(4);
+        assert_eq!(rows_in_budget(&f, 0), 0);
+        assert_eq!(rows_in_budget(&f, 7), 0);
+        assert_eq!(rows_in_budget(&f, 8), 1);
     }
 
     #[test]

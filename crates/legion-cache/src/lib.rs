@@ -19,7 +19,7 @@
 //! * [`cost_model`] — PCIe-traffic prediction for a cache plan `(B, α)`,
 //! * [`planner`] — the parallel α sweep that picks the optimal plan, and
 //! * [`fill`] — cache initialization and fill-up against the simulated
-//!   server's memory budgets.
+//!   server's memory budgets, for every cache design.
 //!
 //! # Examples
 //!
@@ -62,7 +62,10 @@ pub mod unified;
 pub use cost_model::{CostModel, PlanEvaluation, TieredPlanEvaluation};
 pub use cslp::{cslp, hotness_order, sort_by_hotness, CslpOutput};
 pub use dynamic::{CacheStats, FifoCache, LruCache};
-pub use fill::build_clique_cache;
+pub use fill::{
+    build_clique_cache, build_feature_cache_single, build_feature_caches_replicated,
+    fill_feature_slot,
+};
 pub use hotness::HotnessMatrix;
 pub use planner::{CachePlan, PlannerConfig};
 pub use unified::{CliqueCache, GpuUnifiedCache};

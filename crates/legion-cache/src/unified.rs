@@ -139,6 +139,11 @@ impl CliqueCache {
         &self.caches[slot]
     }
 
+    /// Bytes one cached feature row occupies (Equation 6).
+    pub(crate) fn feature_row_bytes(&self) -> u64 {
+        feature_bytes_for_dim(self.caches[0].feature_dim as u64)
+    }
+
     /// Records `v`'s adjacency row of `degree` edges as resident in
     /// `slot`'s cache. A vertex the clique already caches is left where
     /// it is.

@@ -62,8 +62,7 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
         // Measure the raw 4-way cut the hierarchical S2 step would make.
         let assignment = partitioner.partition(&dataset.graph, 4);
         let cut = edge_cut_ratio(&dataset.graph, &assignment);
-        let Ok(setup) = legion_feature_cache_setup_with(&ctx, &cfg, rows_per_gpu, partitioner)
-        else {
+        let Ok(setup) = legion_feature_cache_setup_with(&ctx, rows_per_gpu, partitioner) else {
             continue;
         };
         let report = run_epoch(&setup, &ctx, &cfg);

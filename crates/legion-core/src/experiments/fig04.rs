@@ -13,7 +13,6 @@ use serde::Serialize;
 
 use legion_cache::{cslp, CostModel};
 use legion_hw::{PcieGeneration, PcieModel, ServerSpec};
-use legion_sampling::{presample, KHopSampler};
 
 use crate::config::LegionConfig;
 
@@ -64,18 +63,9 @@ pub fn run_4b(divisor: u64, config: &LegionConfig) -> Vec<Fig4bRow> {
         .expect("PA registered")
         .instantiate(divisor, config.seed);
     let server = ServerSpec::custom(1, 1 << 40, 1).build();
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let pres = presample(
-        &dataset.graph,
-        &dataset.features,
-        &server,
-        &[0],
-        std::slice::from_ref(&dataset.train_vertices),
-        &sampler,
-        config.batch_size,
-        config.presample_epochs,
-        config.seed,
-    );
+    let pres = config
+        .build_context(&dataset, &server)
+        .presample(&[0], std::slice::from_ref(&dataset.train_vertices));
     let t = cslp(&pres.h_t);
     let f = cslp(&pres.h_f);
     let model = CostModel::new(

@@ -3,17 +3,14 @@
 //! designs of GNNLab, PaGraph-plus, and Quiver-plus in Legion and compare
 //! their cache hit rates").
 //!
-//! Every policy uses the pre-sampling hotness metric, GPU sampling over
-//! UVA, and the pipelined schedule; they differ only in partitioning and
-//! cache placement — exactly the axes Figures 2, 3, 9 and 10 vary.
+//! Every policy uses GPU sampling over UVA and the pipelined schedule;
+//! they differ only in partitioning, hotness metric and cache placement —
+//! exactly the axes Figures 2, 3, 9 and 10 vary. Each policy is its
+//! system's own cache design ([`gnnlab::cache_design`],
+//! [`pagraph::cache_design`], ...); this module only picks one and caps
+//! its per-GPU row budget.
 
-use legion_baselines::policy::build_feature_caches_replicated;
-use legion_baselines::{pagraph, quiver, BuildContext, ScheduleKind, SystemError, SystemSetup};
-use legion_cache::hotness_order;
-use legion_partition::pagraph::pagraph_partition;
-use legion_partition::HashPartitioner;
-use legion_sampling::access::{CacheLayout, TopologyPlacement};
-use legion_sampling::{presample, KHopSampler};
+use legion_baselines::{gnnlab, pagraph, quiver, BuildContext, SystemError, SystemSetup};
 
 use crate::config::LegionConfig;
 use crate::system::legion_feature_cache_setup;
@@ -77,107 +74,20 @@ pub fn build_policy(
     let budget = rows_per_gpu as u64 * ctx.dataset.features.row_bytes();
     let capped = BuildContext {
         cache_budget_override: Some(budget),
-        ..clone_ctx(ctx)
+        ..ctx.clone()
     };
     match policy {
-        CachePolicy::GnnLabReplicated => gnnlab_replicated(&capped, budget),
+        CachePolicy::GnnLabReplicated => {
+            let gpus: Vec<usize> = (0..ctx.server.num_gpus()).collect();
+            gnnlab::cache_design(&capped, &gpus, budget)
+        }
         CachePolicy::QuiverPlus => quiver::setup(&capped),
-        CachePolicy::PaGraph => pagraph_policy(&capped, budget),
+        CachePolicy::PaGraph => {
+            pagraph::cache_design(&capped, &pagraph::self_reliant_partition(&capped), budget)
+        }
         CachePolicy::PaGraphPlus => pagraph::setup_plus(&capped),
         CachePolicy::Legion => legion_feature_cache_setup(&capped, config, rows_per_gpu),
     }
-}
-
-fn clone_ctx<'a>(ctx: &BuildContext<'a>) -> BuildContext<'a> {
-    BuildContext {
-        dataset: ctx.dataset,
-        server: ctx.server,
-        fanouts: ctx.fanouts.clone(),
-        batch_size: ctx.batch_size,
-        presample_epochs: ctx.presample_epochs,
-        reserved_per_gpu: ctx.reserved_per_gpu,
-        cache_budget_override: ctx.cache_budget_override,
-        seed: ctx.seed,
-    }
-}
-
-/// GNNLab's *cache design* in the Legion runtime: globally replicated
-/// pre-sampling-hotness cache, global shuffle, all GPUs train.
-fn gnnlab_replicated(ctx: &BuildContext<'_>, budget: u64) -> Result<SystemSetup, SystemError> {
-    let n = ctx.server.num_gpus();
-    let gpus: Vec<usize> = (0..n).collect();
-    let tablets = ctx.even_tablets(n);
-    let sampler = KHopSampler::new(ctx.fanouts.clone());
-    let pres = presample(
-        &ctx.dataset.graph,
-        &ctx.dataset.features,
-        ctx.server,
-        &gpus,
-        &tablets,
-        &sampler,
-        ctx.batch_size,
-        ctx.presample_epochs,
-        ctx.seed,
-    );
-    let order = hotness_order(&pres.h_f.column_wise_sum());
-    let cliques = build_feature_caches_replicated(
-        &ctx.dataset.features,
-        ctx.dataset.graph.num_vertices(),
-        ctx.server,
-        &gpus,
-        &order,
-        budget,
-    )
-    .map_err(SystemError::GpuOom)?;
-    Ok(SystemSetup {
-        name: "GNNLab".to_string(),
-        layout: CacheLayout::from_cliques(n, cliques),
-        tablets,
-        topology_placement: TopologyPlacement::CpuUva,
-        schedule: ScheduleKind::Pipelined,
-    })
-}
-
-/// Original PaGraph's cache design (self-reliant partitions + in-degree
-/// hotness), without the CPU-memory gate — the Figure 2 curve isolates
-/// cache behaviour.
-fn pagraph_policy(ctx: &BuildContext<'_>, budget: u64) -> Result<SystemSetup, SystemError> {
-    use legion_baselines::policy::{build_feature_cache_single, in_degree_hotness};
-    let n = ctx.server.num_gpus();
-    let hops = ctx.fanouts.len() as u32;
-    let plan = pagraph_partition(
-        &ctx.dataset.graph,
-        &ctx.dataset.train_vertices,
-        n,
-        hops,
-        &HashPartitioner,
-    );
-    let in_deg = in_degree_hotness(&ctx.dataset.graph);
-    let mut cliques = Vec::with_capacity(n);
-    let mut tablets = Vec::with_capacity(n);
-    for (gpu, part) in plan.partitions.iter().enumerate() {
-        let mut order = part.vertices.clone();
-        order.sort_by(|&a, &b| in_deg[b as usize].cmp(&in_deg[a as usize]).then(a.cmp(&b)));
-        cliques.push(
-            build_feature_cache_single(
-                &ctx.dataset.features,
-                ctx.dataset.graph.num_vertices(),
-                ctx.server,
-                gpu,
-                &order,
-                budget,
-            )
-            .map_err(SystemError::GpuOom)?,
-        );
-        tablets.push(part.train_vertices.clone());
-    }
-    Ok(SystemSetup {
-        name: "PaGraph".to_string(),
-        layout: CacheLayout::from_cliques(n, cliques),
-        tablets,
-        topology_placement: TopologyPlacement::CpuUva,
-        schedule: ScheduleKind::Pipelined,
-    })
 }
 
 #[cfg(test)]

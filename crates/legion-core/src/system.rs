@@ -1,10 +1,11 @@
 //! The Legion setup builders: C1 + C2 + C3 assembled.
 
 use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
-use legion_cache::{build_clique_cache, cslp, CachePlan, CostModel, PlannerConfig};
+use legion_cache::{
+    build_clique_cache, cslp, fill_feature_slot, CachePlan, CliqueCache, CostModel, PlannerConfig,
+};
 use legion_partition::hierarchical_partition;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
-use legion_sampling::{presample, KHopSampler};
 
 use crate::config::LegionConfig;
 
@@ -62,11 +63,7 @@ fn legion_setup_inner(
     config: &LegionConfig,
     forced_alpha: Option<f64>,
 ) -> Result<(SystemSetup, Vec<CachePlan>), SystemError> {
-    let needed = ctx.dataset.topology_bytes() + ctx.dataset.feature_bytes();
-    let available = ctx.server.spec().cpu_memory;
-    if needed > available {
-        return Err(SystemError::CpuOom { needed, available });
-    }
+    ctx.host_gate(ctx.dataset_bytes())?;
     // C1: hierarchical partitioning with the configured S2 partitioner.
     let partitioner = config.partitioner.build(config.seed);
     let plan = hierarchical_partition(
@@ -75,7 +72,6 @@ fn legion_setup_inner(
         ctx.server.nvlink(),
         partitioner.as_ref(),
     );
-    let sampler = KHopSampler::new(config.fanouts.clone());
     let planner = PlannerConfig {
         reserved_per_gpu: ctx.reserved_per_gpu,
         delta_alpha: config.delta_alpha,
@@ -89,17 +85,7 @@ fn legion_setup_inner(
             .iter()
             .map(|&g| plan.tablets[g].clone())
             .collect();
-        let pres = presample(
-            &ctx.dataset.graph,
-            &ctx.dataset.features,
-            ctx.server,
-            clique_gpus,
-            &tablets,
-            &sampler,
-            ctx.batch_size,
-            config.presample_epochs,
-            config.seed,
-        );
+        let pres = ctx.presample(clique_gpus, &tablets);
         // C2 S2: CSLP.
         let topo_order = cslp(&pres.h_t);
         let feat_order = cslp(&pres.h_f);
@@ -136,8 +122,7 @@ fn legion_setup_inner(
             &feat_order,
             &cache_plan,
             ctx.server,
-        )
-        .map_err(SystemError::GpuOom)?;
+        )?;
         cliques_out.push(cache);
         plans_out.push(cache_plan);
     }
@@ -161,14 +146,13 @@ pub fn legion_feature_cache_setup(
     rows_per_gpu: usize,
 ) -> Result<SystemSetup, SystemError> {
     let partitioner = config.partitioner.build(config.seed);
-    legion_feature_cache_setup_with(ctx, config, rows_per_gpu, partitioner.as_ref())
+    legion_feature_cache_setup_with(ctx, rows_per_gpu, partitioner.as_ref())
 }
 
 /// [`legion_feature_cache_setup`] with an explicit inter-clique
 /// partitioner — the knob the partitioner-ablation experiment turns.
 pub fn legion_feature_cache_setup_with(
     ctx: &BuildContext<'_>,
-    config: &LegionConfig,
     rows_per_gpu: usize,
     partitioner: &dyn legion_partition::Partitioner,
 ) -> Result<SystemSetup, SystemError> {
@@ -178,43 +162,25 @@ pub fn legion_feature_cache_setup_with(
         ctx.server.nvlink(),
         partitioner,
     );
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let row_bytes = ctx.dataset.features.row_bytes();
     let mut cliques_out = Vec::with_capacity(plan.cliques.len());
     for clique_gpus in &plan.cliques {
         let tablets: Vec<_> = clique_gpus
             .iter()
             .map(|&g| plan.tablets[g].clone())
             .collect();
-        let pres = presample(
-            &ctx.dataset.graph,
-            &ctx.dataset.features,
-            ctx.server,
-            clique_gpus,
-            &tablets,
-            &sampler,
-            ctx.batch_size,
-            config.presample_epochs,
-            config.seed,
-        );
-        let feat_order = cslp(&pres.h_f);
-        let mut cache = legion_cache::CliqueCache::new(
+        let feat_order = cslp(&ctx.presample(clique_gpus, &tablets).h_f);
+        let mut cache = CliqueCache::new(
             clique_gpus.clone(),
             ctx.dataset.graph.num_vertices(),
             ctx.dataset.features.dim(),
         );
-        for (slot, &gpu) in clique_gpus.iter().enumerate() {
-            let rows: Vec<_> = feat_order.per_gpu[slot]
-                .iter()
-                .take(rows_per_gpu)
-                .copied()
-                .collect();
-            ctx.server
-                .alloc(gpu, rows.len() as u64 * row_bytes)
-                .map_err(SystemError::GpuOom)?;
-            for v in rows {
-                cache.insert_feature(slot, v);
-            }
+        for (slot, queue) in feat_order.per_gpu.iter().enumerate() {
+            fill_feature_slot(
+                ctx.server,
+                &mut cache,
+                slot,
+                &queue[..rows_per_gpu.min(queue.len())],
+            )?;
         }
         cliques_out.push(cache);
     }

@@ -53,23 +53,9 @@
 //!
 //! # Fleet telemetry
 //!
-//! | Metric | Kind | Meaning |
-//! |---|---|---|
-//! | `fleet.offered` / `fleet.completed` / `fleet.shed` | counter | cluster-wide request conservation triple (checked with the other fleet identities by [`legion_serve::invariants`]) |
-//! | `fleet.server{s}.routed` / `.spilled` | counter | front-tier placements into server `s` (coverage-chosen vs load-spilled) |
-//! | `fleet.server{s}.shed` | counter | requests server `s` shed at its own admission queues |
-//! | `fleet.server{s}.remote_reads` / `.remote_bytes` | counter | cross-server feature reads server `s` issued, and their wire bytes |
-//! | `fleet.server{s}.hit_rate` | gauge | server `s`'s GPU feature-cache hit rate |
-//! | `fleet.replicated_rows` | counter | hot-head rows replicated to every server |
-//! | `fleet.shard{s}.vertices` | counter | vertices the edge-cut partitioner assigned to server `s` |
-//! | `fleet.locality` | gauge | mean fraction of each routed probe resident on the chosen server |
-//! | `fleet.latency_us` | histogram | per-server latency histograms merged cluster-wide |
-//! | `fleet.p50_us` / `.p95_us` / `.p99_us` | gauge | quantiles of the merged latency histogram |
-//! | `fleet.makespan_s` / `.throughput_rps` | gauge | cluster run summary (max per-server makespan; completed / makespan) |
-//! | `fleet.uplink.servers` / `.oversubscription` / `.nic_serialization` / `.stretch` | gauge | shared-uplink contention model in effect (only when [`FleetConfig::uplink`] is set) |
-//! | `fleet.uplink.coalesced_msgs` / `.dedup_hits` | counter | cluster-wide sums of the per-server coalescing counters (only when [`FleetConfig::coalesce`] is on) |
-//! | `fleet.resize.count` / `.refill_rows` / `.refill_bytes` / `.refill_us` | counter | drift-driven head resizes committed, replica rows refilled, their wire bytes and integer-µs refill time (only when [`FleetConfig::resize_on_drift`] is on) |
-//! | `fleet.resize.head_rows` | gauge | replicated-head rows after the final resize (same condition) |
+//! The `fleet.*` metrics are listed once, in OPERATIONS.md's "Telemetry
+//! counter glossary" ("Fleet tier"), which `tests/operations.rs` checks
+//! against live snapshots in both directions.
 
 #![warn(clippy::too_many_lines)]
 

@@ -21,7 +21,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{hotness_order, CliqueCache};
+use legion_cache::{
+    build_feature_caches_replicated, fill_feature_slot, hotness_order, CliqueCache,
+};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
@@ -140,20 +142,17 @@ pub fn build_static_layout(
     hot: &[VertexId],
     rows_per_gpu: usize,
 ) -> CacheLayout {
-    let rows = rows_per_gpu.min(hot.len());
-    let num_gpus = server.num_gpus();
-    let mut cliques = Vec::with_capacity(num_gpus);
-    for gpu in 0..num_gpus {
-        let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
-        for &v in &hot[..rows] {
-            cc.insert_feature(0, v);
-        }
-        server
-            .alloc(gpu, rows as u64 * features.row_bytes())
-            .expect("static feature cache exceeds GPU memory");
-        cliques.push(cc);
-    }
-    CacheLayout::from_cliques(num_gpus, cliques)
+    let gpus: Vec<GpuId> = (0..server.num_gpus()).collect();
+    let cliques = build_feature_caches_replicated(
+        features,
+        graph.num_vertices(),
+        server,
+        &gpus,
+        hot,
+        rows_per_gpu as u64 * features.row_bytes(),
+    )
+    .expect("static feature cache exceeds GPU memory");
+    CacheLayout::from_cliques(gpus.len(), cliques)
 }
 
 /// Builds the clique-partitioned hybrid layout the residency router
@@ -244,15 +243,14 @@ pub fn build_partitioned_layout_adaptive(
             }
         }
         let mut cc = CliqueCache::new(members.clone(), graph.num_vertices(), features.dim());
-        let mut slot_rows = vec![0u64; members.len()];
-        for (idx, &v) in chosen.iter().enumerate() {
-            let slot = idx % members.len();
-            cc.insert_feature(slot, v);
-            slot_rows[slot] += 1;
-        }
-        for (slot, &gpu) in members.iter().enumerate() {
-            server
-                .alloc(gpu, slot_rows[slot] * features.row_bytes())
+        for slot in 0..members.len() {
+            let stripe: Vec<VertexId> = chosen
+                .iter()
+                .skip(slot)
+                .step_by(members.len())
+                .copied()
+                .collect();
+            fill_feature_slot(server, &mut cc, slot, &stripe)
                 .expect("partitioned feature cache exceeds GPU memory");
         }
         cliques.push(cc);

@@ -51,61 +51,12 @@
 //!   misses under the same counter names, so snapshots are directly
 //!   comparable across policies.
 //!
-//! # Counter-name glossary
+//! # Metric names
 //!
-//! | Metric | Kind | Meaning |
-//! |---|---|---|
-//! | `serve.offered` / `serve.completed` / `serve.shed` | counter | request conservation triple |
-//! | `serve.slo_ok` | counter | completed requests within the SLO |
-//! | `serve.latency_us` | histogram | end-to-end request latency |
-//! | `serve.gpu{g}.batches` / `.busy_ns` / `.shed` | counter | per-GPU loop activity |
-//! | `serve.p50_us` / `.p95_us` / `.p99_us` | gauge | latency quantiles of the run |
-//! | `serve.slo_attainment` / `.makespan_s` / `.throughput_rps` | gauge | run summary |
-//! | `serve.phase{k}.feature_{hits,misses}` | counter | per-drift-phase hit accounting (drift runs only) |
-//! | `serve.phase{k}.tail_feature_{hits,misses}` | counter | same, second half of each phase only |
-//! | `serve.replan.count` / `serve.gpu{g}.replans` | counter | committed plan swaps |
-//! | `serve.replan.swap_bytes` / `serve.gpu{g}.replan.swap_bytes` | counter | refill traffic charged by swaps |
-//! | `serve.replan.recover_us` | histogram | drift-trigger → hit-rate-recovery time |
-//! | `serve.gpu{g}.window_hit_rate` | gauge | sliding-window feature hit rate |
-//! | `cache.gpu{g}.{topology,feature}_{hits,misses}` | counter | shared with `legion-sampling`'s access engine |
-//! | `serve.class{c}.latency_us` | histogram | per-class end-to-end latency (multi-class runs) |
-//! | `serve.class{c}.{completed,slo_ok,shed}` | counter | per-class conservation + SLO accounting |
-//! | `serve.class{c}.p99_us` / `.slo_attainment` | gauge | per-class run summary |
-//! | `serve.route.clique{q}.{routed,spilled,shed}` | counter | per-clique routing outcomes (`--router` runs) |
-//! | `serve.route.locality` | gauge | mean fraction of the routed probe resident in the chosen clique |
-//! | `serve.replan.mid_batch_commits` | counter | audit: plan-version bumps observed mid-batch (always 0 — commits are batch-boundary only) |
-//! | `stage.gpu{g}.{sample,extract,train}_ns` | counter | per-batch stage times (shared with `legion-pipeline`; `train` holds inference) |
-//! | `pipeline.gpu{g}.queue_depth` | histogram | admission-queue depth at each batch launch |
-//! | `serve.store.{prefetch_hits,late_stalls,cold_reads,evictions}` | counter | out-of-core staging outcomes (`--store` runs only) |
-//! | `serve.store.inflight` | histogram | staged-but-unfinished SSD reads at each batch launch |
-//! | `serve.store.{migrations,migrated_bytes}` | counter | DRAM↔SSD rows moved by re-plan commits |
-//! | `store.nvme.bytes` | counter | bytes moved off the simulated NVMe device, whole blocks |
-//! | `store.nvme.queue_depth` | histogram | commands per device wave (cold, prefetch, migrate) |
-//! | `store.nvme.read_us` | histogram | duration of each device wave, microseconds |
-//! | `serve.remote.reads` | counter | HBM misses resolved from another server's shard (fleet runs only) |
-//! | `serve.remote.bytes` | counter | wire bytes (payload + headers) those remote reads moved |
-//! | `serve.remote.coalesced_msgs` | counter | batched per-owner messages the coalesced remote wave sent (coalescing runs only) |
-//! | `serve.remote.dedup_hits` | counter | remote misses served from the coalescing staging window instead of re-fetched |
-//! | `serve.remote.per_owner_bytes` | counter | wire bytes charged through per-owner batched messages |
-//! | `graph.mut.{inserts,deletes}` | counter | stream edge mutations actually applied to the overlay (churn runs only) |
-//! | `graph.mut.compactions` | counter | batch-boundary folds of pending deltas into contiguous rows |
-//! | `graph.mut.overlay_rows` | counter | adjacency rows first dirtied by a mutation |
-//! | `serve.invalidate.topo_rows` | counter | mutations whose vertex had a (now stale) cached topology row |
-//! | `serve.invalidate.residency_bits` | counter | residency-index bits cleared by the mutation fast path |
-//!
-//! (`{g}` is a zero-based GPU index; `{k}` a zero-padded drift-phase
-//! index, e.g. `serve.phase003.feature_hits`; `{c}` a class priority
-//! index — 0 = `Interactive`, 1 = `Standard`, 2 = `Batch`; `{q}` a
-//! route-group / clique index. Class and route metrics are registered
-//! only when the run actually uses them: per-class metrics for
-//! multi-class mixes, route metrics for the residency router,
-//! `serve.store.*` / `store.nvme.*` only when [`StoreConfig`] actually
-//! places rows on the SSD tier, `serve.remote.*` only when the run is
-//! passed a [`RemoteConfig`], marking it as one server of a fleet, the
-//! `serve.remote.{coalesced_msgs,dedup_hits,per_owner_bytes}` triple
-//! only when that config enables per-owner coalescing, and the
-//! `graph.mut.*` / `serve.invalidate.*` families only when
-//! [`ServeConfig::mutations`] streams churn into the run.)
+//! Every metric a run registers — its kind, its meaning and the runs
+//! that register it — is listed once, in OPERATIONS.md's "Telemetry
+//! counter glossary", which `tests/operations.rs` checks against live
+//! snapshots in both directions.
 
 #![warn(clippy::too_many_lines)]
 

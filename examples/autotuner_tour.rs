@@ -8,7 +8,6 @@ use legion_cache::{cslp, CostModel, PlannerConfig};
 use legion_core::LegionConfig;
 use legion_graph::dataset::spec_by_name;
 use legion_hw::ServerSpec;
-use legion_sampling::{presample, KHopSampler};
 
 fn main() {
     let dataset = spec_by_name("PA")
@@ -28,18 +27,9 @@ fn main() {
             dataset.train_vertices[mid..].to_vec(),
         ]
     };
-    let sampler = KHopSampler::new(config.fanouts.clone());
-    let pres = presample(
-        &dataset.graph,
-        &dataset.features,
-        &server,
-        &[0, 1],
-        &tablets,
-        &sampler,
-        config.batch_size,
-        1,
-        config.seed,
-    );
+    let pres = config
+        .build_context(&dataset, &server)
+        .presample(&[0, 1], &tablets);
     println!(
         "pre-sampling: N_TSUM = {} sampling transactions across the clique",
         pres.n_tsum

@@ -467,6 +467,91 @@ fn identities_are_stated_once() {
     );
 }
 
+/// How often `text` calls the free function `name(`: not a method call
+/// (`.name(`), a definition (`fn name(`), a longer identifier or a doc
+/// link.
+fn free_calls(text: &str, name: &str) -> usize {
+    text.match_indices(&format!("{name}("))
+        .filter(|&(at, _)| {
+            let before = &text[..at];
+            let prev = before.chars().next_back();
+            !prev.is_some_and(|c| c.is_ascii_alphanumeric() || "_.`".contains(c))
+                && !before.ends_with("fn ")
+        })
+        .count()
+}
+
+/// How often `text` constructs `variant { .. }` with named fields: a
+/// `variant {` whose braces hold no `..` and are not a match arm.
+fn constructions(text: &str, variant: &str) -> usize {
+    text.match_indices(&format!("{variant} {{"))
+        .filter(|&(at, found)| {
+            let rest = &text[at + found.len()..];
+            let Some(close) = rest.find('}') else {
+                return false;
+            };
+            !rest[..close].contains("..") && !rest[close + 1..].trim_start().starts_with("=>")
+        })
+        .count()
+}
+
+/// Each set-up step is written once: pre-sampling is called only from
+/// `BuildContext::presample`, and the host-memory gate that builds
+/// `SystemError::CpuOom` is `BuildContext::host_gate`. Outside
+/// `legion-sampling`, which defines and unit-tests `presample`, a
+/// library source that calls the free function or builds the error
+/// again fails here. `bench/` is outside the scan, as it is for
+/// `identities_are_stated_once`.
+#[test]
+fn set_up_steps_are_written_once() {
+    // Self-checks on text that holds one of each among near misses.
+    let call = concat!("pre", "sample");
+    let text = format!(
+        "pub fn {call}(&self) {{ legion_sampling::{call}(a) }}\n\
+         ctx.{call}(&g, &t); [`{call}()`]; my_{call}(x)"
+    );
+    assert_eq!(free_calls(&text, call), 1);
+    let oom = concat!("SystemError::Cpu", "Oom");
+    let text = format!(
+        "return Err({oom} {{ needed, available }});\n\
+         {oom} {{ needed, available }} => write!(f),\n\
+         matches!(e, Err({oom} {{ .. }}))"
+    );
+    assert_eq!(constructions(&text, oom), 1);
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is a directory");
+    for krate in crates.flatten() {
+        if !krate.path().ends_with("legion-sampling") {
+            rust_files(&krate.path().join("src"), &mut files);
+        }
+    }
+    assert!(
+        files.len() > 50,
+        "source scan collapsed: {} files",
+        files.len()
+    );
+    let (mut calls, mut gates) = (Vec::new(), Vec::new());
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for _ in 0..free_calls(&text, call) {
+            calls.push(file.display().to_string());
+        }
+        for _ in 0..constructions(&text, oom) {
+            gates.push(file.display().to_string());
+        }
+    }
+    assert!(
+        calls.len() == 1 && calls[0].ends_with("legion-baselines/src/lib.rs"),
+        "pre-sampling is called outside `BuildContext::presample`: {calls:?}"
+    );
+    assert!(
+        gates.len() == 1 && gates[0].ends_with("legion-baselines/src/lib.rs"),
+        "the host-memory gate is written outside `BuildContext::host_gate`: {gates:?}"
+    );
+}
+
 /// A serving and a fleet config built from the library defaults, split
 /// so this file holds neither.
 const FIXTURE_DEFAULTS: [&str; 2] = [
