@@ -27,7 +27,7 @@ use legion_pipeline::{
 use legion_sampling::access::AccessEngine;
 use legion_sampling::extract::HitStats;
 use legion_sampling::{BatchGenerator, BatchStep, Extract, KHopSampler, LowerTier};
-use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
+use legion_store::{NvmeGeneration, NvmeModel, VertexStore};
 use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
 
 use legion_baselines::BuildContext;
@@ -222,16 +222,13 @@ impl EpochStore {
     /// warmup pass.
     fn new(spill: &Spill<'_>, dataset: &Dataset, registry: &Registry) -> Self {
         let Spill { cfg, ssd_rows } = *spill;
-        let mut store = VertexStore::new(
+        let store = VertexStore::with_ssd_rows(
             NvmeModel::new(NvmeGeneration::Gen3x4),
             dataset.graph.num_vertices(),
             feature_bytes_for_dim(dataset.features.dim() as u64),
             cfg.staging_rows,
+            ssd_rows,
         );
-        for &v in ssd_rows {
-            store.assign(v, Tier::Ssd);
-        }
-        store.warm(ssd_rows.iter().copied());
         Self {
             store,
             prefetch_hits: registry.counter("epoch.store.prefetch_hits"),

@@ -67,14 +67,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
-use legion_hw::{NetGeneration, NetModel, ServerSpec, UplinkConfig};
+use legion_hw::{NetModel, ServerSpec, UplinkConfig};
 use legion_partition::{LdgPartitioner, Partitioner};
 use legion_router::{fill_probe, Dispatcher};
 use legion_serve::{
     adaptive_replicated_rows, estimate_capacity_rps, generate_requests, invariants,
-    latency_buckets, plan_deployment, warmup_hot_vertices_weighted, CoalesceConfig, MutationLog,
-    MutationSource, RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler,
-    WindowEstimator,
+    latency_buckets, plan_deployment, warmup_hot_vertices_weighted, MutationLog, MutationSource,
+    RemoteConfig, Request, ServeConfig, ServeReport, TargetSampler, WindowEstimator,
 };
 use legion_telemetry::{Registry, Snapshot};
 
@@ -130,14 +129,12 @@ pub struct FleetConfig {
     /// Shared-uplink contention ([`legion_hw::UplinkConfig`]): per-NIC
     /// serialization plus ToR oversubscription, applied to every
     /// server's remote waves at fleet concurrency. `None` (the
-    /// default) charges each server's waves on an exclusive fabric —
-    /// byte-identical to the pre-contention fleet.
+    /// default) charges each server's waves on an exclusive fabric.
     pub uplink: Option<UplinkConfig>,
     /// Per-owner coalescing of each server's remote waves: dedupe
     /// within the staging window, bucket misses by owning shard, one
     /// batched message per owner per batch. `false` (the default)
-    /// keeps the flat per-row pool, byte-identical to the
-    /// pre-coalescing fleet.
+    /// charges every remote miss as its own RPC.
     pub coalesce: bool,
     /// Drift-driven replica resizing: feed the front tier's routed
     /// probes into a [`legion_serve::WindowEstimator`], and when the
@@ -147,7 +144,7 @@ pub struct FleetConfig {
     /// the next bucket boundary (refills charged through the cluster
     /// [`NetModel`]), and re-route through refreshed dispatcher
     /// groups. `false` (the default) keeps the warmup-planned head for
-    /// the whole run, byte-identical to the pre-resize fleet.
+    /// the whole run.
     pub resize_on_drift: bool,
 }
 
@@ -192,7 +189,7 @@ impl FleetConfig {
     /// billion-scale GPU clusters deploy — with the uplink contention
     /// term attached (when configured).
     pub fn effective_net(&self) -> NetModel {
-        let net = NetModel::rdma(NetGeneration::Eth400G);
+        let net = NetModel::rdma();
         match self.uplink {
             Some(up) => net.with_contention(up),
             None => net,
@@ -667,11 +664,8 @@ fn serve_members(
             let remote = (n > 1).then(|| RemoteConfig {
                 owned: Rc::clone(&front.owned[s]),
                 net,
-                coalesce: shard.as_ref().map(|shard| CoalesceConfig {
-                    shard: Rc::clone(shard),
-                    num_servers: n,
-                }),
-                concurrent_servers: n,
+                num_servers: n,
+                shard: shard.clone(),
             });
             deployment.serve(&spec.build(), &front.streams[s], remote.as_ref())
         })

@@ -13,43 +13,30 @@
 //! so fleet runs stay byte-identical per seed on the same integer-ns
 //! horizon as the rest of the simulator.
 
-/// Network fabric class connecting the servers of a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetGeneration {
-    /// 400 GbE / NDR-class fabric — ~50 GB/s per-link line rate.
-    Eth400G,
-}
-
-impl NetGeneration {
-    /// Achievable peak per-link bandwidth in bytes/s for large,
-    /// well-batched transfers.
-    pub fn peak_bandwidth(self) -> f64 {
-        match self {
-            NetGeneration::Eth400G => 50.0e9,
-        }
-    }
-}
+/// Achievable peak per-link bandwidth of the fleet's 400 GbE / NDR-class
+/// fabric in bytes/s, for large, well-batched transfers.
+const PEAK_BANDWIDTH: f64 = 50.0e9;
 
 /// Per-message overhead in equivalent bytes: Ethernet + IP + transport
 /// headers and the NIC doorbell. Heavier than the PCIe link's 512 B
 /// because each read is a full RPC, lighter than NVMe's FTL traversal.
-pub const DEFAULT_MESSAGE_OVERHEAD_BYTES: f64 = 4096.0;
+const RPC_MESSAGE_OVERHEAD_BYTES: f64 = 4096.0;
 
 /// Base round-trip latency per request wave, seconds (~25 us — a
 /// kernel-bypass RPC across a top-of-rack switch and back).
-pub const DEFAULT_RTT_S: f64 = 25e-6;
+const RPC_RTT_S: f64 = 25e-6;
 
 /// Requests a server keeps in flight concurrently; reads beyond this
 /// wait for the next round-trip wave.
-pub const DEFAULT_MAX_INFLIGHT: u64 = 64;
+const MAX_INFLIGHT: u64 = 64;
 
 /// Per-message overhead of a one-sided RDMA read: just the transport
 /// header and completion-queue entry — no kernel, no RPC framing.
-pub const RDMA_MESSAGE_OVERHEAD_BYTES: f64 = 256.0;
+const RDMA_MESSAGE_OVERHEAD_BYTES: f64 = 256.0;
 
 /// Round-trip latency of a one-sided RDMA read across a rack switch
 /// (~3 us): the fabric class Legion-scale GPU clusters actually deploy.
-pub const RDMA_RTT_S: f64 = 3e-6;
+const RDMA_RTT_S: f64 = 3e-6;
 
 /// Nanoseconds per second, for the integer-ns quantization.
 const NANOS_PER_SEC: f64 = 1e9;
@@ -137,9 +124,9 @@ impl UplinkConfig {
 /// # Examples
 ///
 /// ```
-/// use legion_hw::{NetGeneration, NetModel};
+/// use legion_hw::NetModel;
 ///
-/// let net = NetModel::new(NetGeneration::Eth400G);
+/// let net = NetModel::rpc();
 /// // One remote 512 B feature row is latency-bound, far below peak.
 /// assert!(net.effective_bandwidth(512.0) < 0.2 * net.peak_bandwidth());
 /// // A single remote read pays at least one round trip.
@@ -147,62 +134,36 @@ impl UplinkConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
-    generation: NetGeneration,
     overhead_bytes: f64,
     rtt_s: f64,
-    max_inflight: u64,
     contention: Option<UplinkConfig>,
 }
 
 impl NetModel {
-    /// A model with default message overhead, RTT, and in-flight window.
-    pub fn new(generation: NetGeneration) -> Self {
+    /// A kernel-path RPC fabric: a 4 KiB message overhead and a 25 us
+    /// round trip per wave.
+    pub fn rpc() -> Self {
         Self {
-            generation,
-            overhead_bytes: DEFAULT_MESSAGE_OVERHEAD_BYTES,
-            rtt_s: DEFAULT_RTT_S,
-            max_inflight: DEFAULT_MAX_INFLIGHT,
+            overhead_bytes: RPC_MESSAGE_OVERHEAD_BYTES,
+            rtt_s: RPC_RTT_S,
             contention: None,
         }
     }
 
-    /// A kernel-bypass RDMA fabric of the given line rate: one-sided
-    /// reads with [`RDMA_MESSAGE_OVERHEAD_BYTES`] of header and
-    /// [`RDMA_RTT_S`] per wave — microsecond-class remote memory, the
-    /// deployment the fleet tier defaults to.
-    pub fn rdma(generation: NetGeneration) -> Self {
-        Self::new(generation)
-            .with_overhead(RDMA_MESSAGE_OVERHEAD_BYTES)
-            .with_rtt(RDMA_RTT_S)
-    }
-
-    /// Overrides the per-message overhead.
-    pub fn with_overhead(mut self, bytes: f64) -> Self {
-        self.overhead_bytes = bytes;
-        self
-    }
-
-    /// Overrides the round-trip latency.
-    pub fn with_rtt(mut self, seconds: f64) -> Self {
-        self.rtt_s = seconds;
-        self
-    }
-
-    /// Overrides the in-flight request window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn with_max_inflight(mut self, window: u64) -> Self {
-        assert!(window > 0, "in-flight window must be positive");
-        self.max_inflight = window;
-        self
+    /// A kernel-bypass RDMA fabric: one-sided reads with a 256 B header
+    /// and a 3 us round trip per wave — microsecond-class remote memory,
+    /// the deployment the fleet tier defaults to.
+    pub fn rdma() -> Self {
+        Self {
+            overhead_bytes: RDMA_MESSAGE_OVERHEAD_BYTES,
+            rtt_s: RDMA_RTT_S,
+            contention: None,
+        }
     }
 
     /// Enables the shared-uplink contention model; see
-    /// [`UplinkConfig`]. The default `None` keeps every wave charged
-    /// at the uncontended fabric — byte-identical to the pre-contention
-    /// model.
+    /// [`UplinkConfig`]. Without it every wave is charged at the
+    /// uncontended fabric.
     ///
     /// # Panics
     ///
@@ -213,21 +174,10 @@ impl NetModel {
         self
     }
 
-    /// The shared-uplink contention config, if enabled.
-    #[inline]
-    pub fn contention(&self) -> Option<UplinkConfig> {
-        self.contention
-    }
-
-    /// The fabric class.
-    pub fn generation(&self) -> NetGeneration {
-        self.generation
-    }
-
     /// Maximum concurrent in-flight requests.
     #[inline]
     pub fn max_inflight(&self) -> u64 {
-        self.max_inflight
+        MAX_INFLIGHT
     }
 
     /// Round-trip time per wave, in seconds.
@@ -239,7 +189,7 @@ impl NetModel {
     /// Peak per-link bandwidth in bytes/s.
     #[inline]
     pub fn peak_bandwidth(&self) -> f64 {
-        self.generation.peak_bandwidth()
+        PEAK_BANDWIDTH
     }
 
     /// Effective throughput in bytes/s when every message carries
@@ -279,7 +229,7 @@ impl NetModel {
         if num_reads == 0 {
             return 0.0;
         }
-        let waves = num_reads.div_ceil(self.max_inflight);
+        let waves = num_reads.div_ceil(MAX_INFLIGHT);
         let bytes = num_reads * payload_bytes;
         let seconds = waves as f64 * self.rtt_s
             + bytes as f64 / self.effective_bandwidth(payload_bytes as f64)
@@ -302,7 +252,7 @@ impl NetModel {
         if messages == 0 {
             return 0.0;
         }
-        let waves = messages.div_ceil(self.max_inflight);
+        let waves = messages.div_ceil(MAX_INFLIGHT);
         let bw: f64 = payloads
             .iter()
             .filter(|&&p| p > 0)
@@ -329,7 +279,7 @@ mod tests {
 
     #[test]
     fn effective_bandwidth_monotone_in_payload() {
-        let m = NetModel::new(NetGeneration::Eth400G);
+        let m = NetModel::rpc();
         let mut prev = 0.0;
         for p in [64.0, 512.0, 4096.0, 65536.0, 1048576.0] {
             let bw = m.effective_bandwidth(p);
@@ -343,25 +293,25 @@ mod tests {
     fn network_is_slower_than_the_local_pcie_link() {
         // Remote reads only hurt if the fabric per-row cost exceeds the
         // local extraction cost; a single row must be latency-bound.
-        let m = NetModel::new(NetGeneration::Eth400G);
-        assert!(m.read_seconds(1, 512) >= DEFAULT_RTT_S);
+        let m = NetModel::rpc();
+        assert!(m.read_seconds(1, 512) >= RPC_RTT_S);
         assert_eq!(m.read_seconds(0, 512), 0.0);
     }
 
     #[test]
     fn inflight_window_bounds_concurrency() {
-        let m = NetModel::new(NetGeneration::Eth400G).with_max_inflight(8);
-        let one_wave = m.read_seconds(8, 512);
-        let two_waves = m.read_seconds(9, 512);
-        assert!(two_waves > one_wave + 0.9 * DEFAULT_RTT_S);
+        let m = NetModel::rpc();
+        let one_wave = m.read_seconds(MAX_INFLIGHT, 512);
+        let two_waves = m.read_seconds(MAX_INFLIGHT + 1, 512);
+        assert!(two_waves > one_wave + 0.9 * RPC_RTT_S);
         // Within one wave, the round trip is paid once.
-        let partial = m.read_seconds(4, 512);
-        assert!(one_wave - partial < DEFAULT_RTT_S);
+        let partial = m.read_seconds(MAX_INFLIGHT / 2, 512);
+        assert!(one_wave - partial < RPC_RTT_S);
     }
 
     #[test]
     fn batched_reads_amortize_the_round_trip() {
-        let m = NetModel::new(NetGeneration::Eth400G);
+        let m = NetModel::rpc();
         let solo = m.read_seconds(1, 512);
         let batch = m.read_seconds(64, 512);
         // 64 reads in one wave cost far less than 64 solo reads.
@@ -370,7 +320,7 @@ mod tests {
 
     #[test]
     fn read_seconds_are_whole_nanoseconds() {
-        let m = NetModel::new(NetGeneration::Eth400G);
+        let m = NetModel::rpc();
         for (n, p) in [(1u64, 512u64), (37, 128), (1000, 4096), (63, 260)] {
             let s = m.read_seconds(n, p);
             let ns = s * 1e9;
@@ -383,13 +333,13 @@ mod tests {
 
     #[test]
     fn wire_bytes_include_header_overhead() {
-        let m = NetModel::new(NetGeneration::Eth400G);
+        let m = NetModel::rpc();
         assert_eq!(m.bytes_for_payload(512), 512 + 4096);
     }
 
     #[test]
     fn contention_off_and_one_server_reproduce_the_uncontended_charge() {
-        let plain = NetModel::rdma(NetGeneration::Eth400G);
+        let plain = NetModel::rdma();
         let contended = plain.with_contention(UplinkConfig::default());
         for (n, p) in [(1u64, 512u64), (64, 512), (300, 4096), (7, 64)] {
             // No contention config: any concurrency is charged flat.
@@ -401,7 +351,7 @@ mod tests {
 
     #[test]
     fn contended_time_is_monotone_in_concurrent_servers() {
-        let m = NetModel::rdma(NetGeneration::Eth400G).with_contention(UplinkConfig::default());
+        let m = NetModel::rdma().with_contention(UplinkConfig::default());
         let mut prev = 0.0;
         for k in 1..=32 {
             let t = m.read_seconds_at(256, 512, k);
@@ -431,7 +381,7 @@ mod tests {
 
     #[test]
     fn coalesced_wave_undercuts_per_row_charging() {
-        let m = NetModel::rdma(NetGeneration::Eth400G);
+        let m = NetModel::rdma();
         // 192 rows of 512 B spread over 3 owners vs 192 individual RPCs.
         let per_row = m.read_seconds(192, 512);
         let coalesced = m.coalesced_read_seconds_at(&[64 * 512, 96 * 512, 32 * 512], 1);
@@ -450,7 +400,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "oversubscription must be >= 1")]
     fn undersubscribed_uplink_invalid() {
-        NetModel::new(NetGeneration::Eth400G).with_contention(UplinkConfig {
+        NetModel::rpc().with_contention(UplinkConfig {
             oversubscription: 0.5,
             nic_serialization: 0.0,
         });
@@ -458,9 +408,8 @@ mod tests {
 
     #[test]
     fn rdma_preset_is_strictly_cheaper_than_the_rpc_default() {
-        let rpc = NetModel::new(NetGeneration::Eth400G);
-        let rdma = NetModel::rdma(NetGeneration::Eth400G);
-        assert_eq!(rdma.generation(), NetGeneration::Eth400G);
+        let rpc = NetModel::rpc();
+        let rdma = NetModel::rdma();
         for (n, p) in [(1u64, 512u64), (64, 512), (300, 4096)] {
             assert!(rdma.read_seconds(n, p) < rpc.read_seconds(n, p));
         }

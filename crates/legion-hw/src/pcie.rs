@@ -32,12 +32,12 @@ impl PcieGeneration {
 
 /// Transferred cache-line size used by PCM transaction counting; "CLS
 /// equals 64 in our machine settings" (§4.3.2).
-pub const DEFAULT_CLS: u64 = 64;
+const CLS: u64 = 64;
 
 /// Per-request overhead in equivalent bytes: header + completion latency.
 /// Chosen so that 64 B random reads achieve well under 10% of peak and
 /// ~64 KiB payloads exceed 99% — matching the shape of Figure 4a.
-pub const DEFAULT_REQUEST_OVERHEAD_BYTES: f64 = 512.0;
+const REQUEST_OVERHEAD_BYTES: f64 = 512.0;
 
 /// Analytic PCIe link model.
 ///
@@ -55,46 +55,18 @@ pub const DEFAULT_REQUEST_OVERHEAD_BYTES: f64 = 512.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieModel {
     generation: PcieGeneration,
-    cls: u64,
-    overhead_bytes: f64,
 }
 
 impl PcieModel {
-    /// A model with default CLS and request overhead.
+    /// The link of `generation`, at the paper's CLS and request overhead.
     pub fn new(generation: PcieGeneration) -> Self {
-        Self {
-            generation,
-            cls: DEFAULT_CLS,
-            overhead_bytes: DEFAULT_REQUEST_OVERHEAD_BYTES,
-        }
-    }
-
-    /// Overrides the cache-line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cls == 0`.
-    pub fn with_cls(mut self, cls: u64) -> Self {
-        assert!(cls > 0, "cache line size must be positive");
-        self.cls = cls;
-        self
-    }
-
-    /// Overrides the per-request overhead.
-    pub fn with_overhead(mut self, bytes: f64) -> Self {
-        self.overhead_bytes = bytes;
-        self
-    }
-
-    /// The link generation.
-    pub fn generation(&self) -> PcieGeneration {
-        self.generation
+        Self { generation }
     }
 
     /// Cache-line size (`CLS`).
     #[inline]
     pub fn cls(&self) -> u64 {
-        self.cls
+        CLS
     }
 
     /// Peak achievable bandwidth in bytes/s.
@@ -109,14 +81,14 @@ impl PcieModel {
         if payload_bytes <= 0.0 {
             return 0.0;
         }
-        self.peak_bandwidth() * payload_bytes / (payload_bytes + self.overhead_bytes)
+        self.peak_bandwidth() * payload_bytes / (payload_bytes + REQUEST_OVERHEAD_BYTES)
     }
 
     /// PCM transactions for a single request of `payload_bytes`
     /// (`ceil(payload / CLS)`, minimum 1 for a non-empty payload).
     #[inline]
     pub fn transactions_for_payload(&self, payload_bytes: u64) -> u64 {
-        payload_bytes.div_ceil(self.cls)
+        payload_bytes.div_ceil(CLS)
     }
 }
 
@@ -165,12 +137,6 @@ mod tests {
         assert_eq!(m.transactions_for_payload(65), 2);
         // 128-dim f32 feature: Equation 8 with D=128.
         assert_eq!(m.transactions_for_payload(128 * 4), 8);
-    }
-
-    #[test]
-    fn custom_cls_respected() {
-        let m = PcieModel::new(PcieGeneration::Gen3x16).with_cls(32);
-        assert_eq!(m.transactions_for_payload(64), 2);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use legion_hw::{
-    GpuDevice, NetGeneration, NetModel, NvLinkTopology, PcieGeneration, PcieModel, UplinkConfig,
-};
+use legion_hw::{GpuDevice, NetModel, NvLinkTopology, PcieGeneration, PcieModel, UplinkConfig};
 
 proptest! {
     #[test]
@@ -33,12 +31,9 @@ proptest! {
     }
 
     #[test]
-    fn pcie_transactions_cover_payload(
-        payload in 0u64..1_000_000,
-        cls_pow in 4u32..10,
-    ) {
-        let cls = 1u64 << cls_pow;
-        let model = PcieModel::new(PcieGeneration::Gen3x16).with_cls(cls);
+    fn pcie_transactions_cover_payload(payload in 0u64..1_000_000) {
+        let model = PcieModel::new(PcieGeneration::Gen3x16);
+        let cls = model.cls();
         let tx = model.transactions_for_payload(payload);
         // Lines cover the payload with less than one line of slack.
         prop_assert!(tx * cls >= payload);
@@ -61,7 +56,7 @@ proptest! {
         reads in 1u64..10_000,
         payload in 1u64..100_000,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G);
+        let net = NetModel::rpc();
         // Any nonempty read set pays at least one round trip.
         prop_assert!(net.read_seconds(reads, payload) >= net.rtt_seconds());
     }
@@ -72,7 +67,7 @@ proptest! {
         p1 in 1u64..100_000,
         p2 in 1u64..100_000,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G);
+        let net = NetModel::rpc();
         let (lo, hi) = if p1 < p2 { (p1, p2) } else { (p2, p1) };
         prop_assert!(net.read_seconds(reads, lo) <= net.read_seconds(reads, hi));
     }
@@ -82,7 +77,7 @@ proptest! {
         reads in 1u64..100_000,
         payload in 1u64..4_096,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G);
+        let net = NetModel::rpc();
         // Total time covers ceil(reads / max_inflight) round-trip waves.
         let waves = reads.div_ceil(net.max_inflight());
         prop_assert!(net.read_seconds(reads, payload) >= waves as f64 * net.rtt_seconds());
@@ -97,11 +92,11 @@ proptest! {
         k1 in 1usize..32,
         k2 in 1usize..32,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G)
+        let net = NetModel::rpc()
             .with_contention(UplinkConfig { oversubscription: over, nic_serialization: nic });
         // One server sharing the uplink is the uncontended charge, and
         // the uncontended model at any concurrency too.
-        let alone = NetModel::new(NetGeneration::Eth400G).read_seconds(reads, payload);
+        let alone = NetModel::rpc().read_seconds(reads, payload);
         prop_assert_eq!(net.read_seconds_at(reads, payload, 1), alone);
         let (lo, hi) = if k1 < k2 { (k1, k2) } else { (k2, k1) };
         prop_assert!(
@@ -115,7 +110,7 @@ proptest! {
         payload in 1u64..100_000,
         k in 1usize..32,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G)
+        let net = NetModel::rpc()
             .with_contention(UplinkConfig::default());
         let t = net.read_seconds_at(reads, payload, k);
         let ns = t * 1e9;
@@ -132,7 +127,7 @@ proptest! {
         payloads in proptest::collection::vec(0u64..100_000, 0..64),
         k in 1usize..16,
     ) {
-        let net = NetModel::new(NetGeneration::Eth400G)
+        let net = NetModel::rpc()
             .with_contention(UplinkConfig::default());
         let t = net.coalesced_read_seconds_at(&payloads, k);
         let messages = payloads.iter().filter(|&&p| p > 0).count() as u64;

@@ -202,26 +202,24 @@ impl StoreMeters {
     }
 }
 
-/// The tier assignment shared by every per-GPU store: where each
-/// vertex's feature row lives, as chosen by the three-tier cost-model
-/// sweep, plus the device model. Planned once per [`Deployment`]; runs
-/// share it read-only.
+/// The SSD tier shared by every per-GPU store, planned once per
+/// [`Deployment`]; runs share it read-only.
 pub(crate) struct StorePlacement {
-    nvme: NvmeModel,
-    tiers: Rc<Vec<Tier>>,
-    /// SSD-placed vertices in descending warmup hotness — the order the
-    /// staging warm-start fills from (warmup-untouched rows last).
-    ssd_hot: Rc<Vec<VertexId>>,
+    /// The rows on the SSD, hottest first: the suffix of the CSLP feature
+    /// order past the tiered plan's HBM + DRAM prefix.
+    ssd_rows: Rc<Vec<VertexId>>,
+    /// `on_ssd[v]`: whether `v` is one of `ssd_rows`, the placement-time
+    /// membership a re-plan commit demotes back to.
+    on_ssd: Rc<Vec<bool>>,
 }
 
 /// Runs the three-tier placement for a store-enabled config: warmup
 /// profile → CSLP orders → [`CostModel::best_plan_tiered`] under the
 /// HBM budget (`cache_rows_per_gpu` rows) and the configured DRAM
-/// budget. Vertices the warmup never touched soak up whatever DRAM
-/// budget the warm prefix left over (ascending id); the rest start on
-/// the SSD. Returns `None` when the budget swallows the whole table —
-/// the all-resident degenerate case runs the two-tier path with zero
-/// store state.
+/// budget. Every row past the HBM + DRAM prefix of the feature order
+/// starts on the SSD. Returns `None` when the budget swallows the whole
+/// table — the all-resident degenerate case runs the two-tier path with
+/// zero store state.
 fn plan_store_placement(
     graph: &CsrGraph,
     features: &FeatureTable,
@@ -257,56 +255,28 @@ fn plan_store_placement(
         nvme.block_bytes(),
         ssd_penalty,
     );
-    let hbm_end = tiered.plan.feat_cached_vertices;
-    let dram_end = hbm_end + tiered.dram_feat_vertices;
-    let mut tiers = vec![Tier::Ssd; graph.num_vertices()];
-    let mut placed = vec![false; graph.num_vertices()];
-    for (i, &v) in f.clique_order.iter().enumerate() {
-        tiers[v as usize] = if i < hbm_end {
-            Tier::Hbm
-        } else if i < dram_end {
-            Tier::Dram
-        } else {
-            Tier::Ssd
-        };
-        placed[v as usize] = true;
+    let resident = tiered.plan.feat_cached_vertices + tiered.dram_feat_vertices;
+    let ssd_rows = f.clique_order[resident..].to_vec();
+    if ssd_rows.is_empty() {
+        return None;
     }
-    let mut spare =
-        (dram_budget / row_bytes.max(1)).saturating_sub(tiered.dram_feat_vertices as u64);
-    for (v, was_placed) in placed.iter().enumerate() {
-        if !was_placed && spare > 0 {
-            tiers[v] = Tier::Dram;
-            spare -= 1;
-        }
+    let mut on_ssd = vec![false; graph.num_vertices()];
+    for &v in &ssd_rows {
+        on_ssd[v as usize] = true;
     }
-    let ssd_rows = tiers.iter().filter(|&&t| t == Tier::Ssd).count();
-    // Descending-hotness SSD rows: the warm prefix of the clique order
-    // that spilled past the DRAM budget, then warmup-untouched rows.
-    let mut ssd_hot: Vec<VertexId> = f
-        .clique_order
-        .iter()
-        .skip(dram_end)
-        .copied()
-        .filter(|&v| tiers[v as usize] == Tier::Ssd)
-        .collect();
-    ssd_hot.extend(
-        (0..graph.num_vertices() as VertexId)
-            .filter(|&v| !placed[v as usize] && tiers[v as usize] == Tier::Ssd),
-    );
-    (ssd_rows > 0).then(|| StorePlacement {
-        nvme,
-        tiers: Rc::new(tiers),
-        ssd_hot: Rc::new(ssd_hot),
+    Some(StorePlacement {
+        ssd_rows: Rc::new(ssd_rows),
+        on_ssd: Rc::new(on_ssd),
     })
 }
 
 /// Per-worker out-of-core state: the GPU's NUMA-local store (NVMe
-/// namespace + pinned staging window), its placement-time tier map for
-/// migration decisions, the shared meters, the prefetcher's knobs, and
-/// the batch's HBM misses awaiting [`LowerTier::charge`].
+/// namespace + pinned staging window), the placement-time SSD membership
+/// for migration decisions, the shared meters, the prefetcher's knobs,
+/// and the batch's HBM misses awaiting [`LowerTier::charge`].
 pub(crate) struct StoreWorker {
     store: VertexStore,
-    baseline: Rc<Vec<Tier>>,
+    on_ssd: Rc<Vec<bool>>,
     meters: StoreMeters,
     lookahead: usize,
     prefetch_neighbors: usize,
@@ -321,24 +291,19 @@ impl StoreWorker {
         row_bytes: u64,
         registry: &Registry,
     ) -> Self {
-        let mut store = VertexStore::new(
-            placement.nvme,
-            placement.tiers.len(),
+        // The staging window warms from the hottest SSD rows, the same
+        // warmup traffic the HBM plan was filled from — staged during the
+        // warmup epoch, outside the measured serving window.
+        let store = VertexStore::with_ssd_rows(
+            NvmeModel::new(cfg.nvme),
+            placement.on_ssd.len(),
             row_bytes,
             cfg.staging_rows,
+            &placement.ssd_rows,
         );
-        for (v, &t) in placement.tiers.iter().enumerate() {
-            if t != Tier::Dram {
-                store.assign(v as VertexId, t);
-            }
-        }
-        // Warm-start the staging window with the hottest SSD rows, the
-        // same warmup traffic the HBM plan was filled from — staged
-        // during the warmup epoch, outside the measured serving window.
-        store.warm(placement.ssd_hot.iter().copied());
         Self {
             store,
-            baseline: Rc::clone(&placement.tiers),
+            on_ssd: Rc::clone(&placement.on_ssd),
             meters: StoreMeters::new(registry),
             lookahead: cfg.lookahead_requests,
             prefetch_neighbors: cfg.prefetch_neighbors,
@@ -397,7 +362,7 @@ impl StoreWorker {
             .iter()
             .copied()
             .filter(|&v| new_feat.binary_search(&v).is_err())
-            .filter(|&v| self.baseline[v as usize] == Tier::Ssd && self.store.tier(v) == Tier::Dram)
+            .filter(|&v| self.on_ssd[v as usize] && self.store.tier(v) == Tier::Dram)
             .collect();
         if promote.is_empty() && demote.is_empty() {
             return 0.0;
@@ -456,14 +421,13 @@ pub(crate) struct RemoteWorker {
     owned: Rc<Vec<bool>>,
     net: legion_hw::NetModel,
     row_bytes: u64,
-    /// Fleet size assumed concurrently active on the shared uplink.
-    concurrent: usize,
+    /// Fleet size, all concurrently active on the shared uplink.
+    num_servers: usize,
     reads: Counter,
     bytes: Counter,
     pending: u64,
-    /// Per-owner coalescing state; `None` keeps the flat per-row pool
-    /// (and registers none of the coalescing meters), byte-identical
-    /// to the pre-coalescing engine.
+    /// Per-owner coalescing state; `None` charges each miss as its own
+    /// RPC and registers none of the coalescing meters.
     coalesce: Option<CoalesceState>,
 }
 
@@ -494,11 +458,11 @@ struct CoalesceState {
 
 impl RemoteWorker {
     fn new(rc: &RemoteConfig, row_bytes: u64, registry: &Registry) -> Self {
-        let coalesce = rc.coalesce.as_ref().map(|cc| CoalesceState {
-            shard: Rc::clone(&cc.shard),
-            last_fetch: vec![u64::MAX; cc.shard.len()],
+        let coalesce = rc.shard.as_ref().map(|shard| CoalesceState {
+            shard: Rc::clone(shard),
+            last_fetch: vec![u64::MAX; shard.len()],
             batch_idx: 0,
-            owner_rows: vec![0; cc.num_servers],
+            owner_rows: vec![0; rc.num_servers],
             touched: Vec::new(),
             payloads: Vec::new(),
             coalesced_msgs: registry.counter("serve.remote.coalesced_msgs"),
@@ -509,7 +473,7 @@ impl RemoteWorker {
             owned: Rc::clone(&rc.owned),
             net: rc.net,
             row_bytes,
-            concurrent: rc.concurrent_servers.max(1),
+            num_servers: rc.num_servers,
             reads: registry.counter("serve.remote.reads"),
             bytes: registry.counter("serve.remote.bytes"),
             pending: 0,
@@ -564,7 +528,9 @@ impl LowerTier for RemoteWorker {
         let Some(c) = self.coalesce.as_mut() else {
             self.bytes
                 .add(n * self.net.bytes_for_payload(self.row_bytes));
-            return self.net.read_seconds_at(n, self.row_bytes, self.concurrent);
+            return self
+                .net
+                .read_seconds_at(n, self.row_bytes, self.num_servers);
         };
         // Drain the owner buckets in ascending server order so the
         // payload vector (and therefore the charged time) is a pure
@@ -584,7 +550,7 @@ impl LowerTier for RemoteWorker {
         c.touched.clear();
         c.batch_idx += 1;
         self.net
-            .coalesced_read_seconds_at(&c.payloads, self.concurrent)
+            .coalesced_read_seconds_at(&c.payloads, self.num_servers)
     }
 }
 
@@ -2288,6 +2254,76 @@ mod tests {
         assert!(counter("serve.store.migrated_bytes") > 0);
     }
 
+    /// The SSD tier is the suffix of the warm-up feature order past the
+    /// HBM prefix and as many rows as the DRAM budget holds, at any HBM
+    /// and DRAM budget; a DRAM budget that holds the whole table plans
+    /// no store.
+    #[test]
+    fn store_placement_is_the_hotness_suffix_past_hbm_and_dram() {
+        use rand::Rng;
+        let (g, f) = tiny_graph();
+        let server = ServerSpec::custom(2, 1 << 30, 1).build();
+        let row_bytes = f.row_bytes();
+        let table = g.num_vertices() as u64 * row_bytes;
+        let nvme = NvmeModel::new(StoreConfig::default().nvme);
+        let ssd_penalty = server.pcie().effective_bandwidth(row_bytes as f64)
+            / nvme.effective_bandwidth(nvme.bytes_for_payload(row_bytes) as f64);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut planned = 0;
+        for case in 0..24 {
+            let mut config = tiny_config(PolicyKind::StaticHot);
+            config.cache_rows_per_gpu = rng.gen_range(0..96);
+            let dram_budget = match case {
+                0 => table,
+                _ => rng.gen_range(0..table),
+            };
+            let profile = profile_warmup(
+                &g,
+                &mut warmup_targets(&g, &config),
+                config.warmup_requests,
+                &config.fanouts,
+                config.seed,
+            );
+            let order = legion_cache::hotness_order(profile.feat.row(0));
+            let t = cslp(&profile.topo);
+            let hbm_rows = CostModel::new(
+                &g,
+                &t.clique_order,
+                &t.accumulated,
+                &order,
+                profile.feat.row(0),
+                profile.n_tsum,
+                f.dim(),
+                server.pcie().cls(),
+            )
+            .best_plan_tiered(
+                config.cache_rows_per_gpu as u64 * row_bytes,
+                dram_budget,
+                config.replan.delta_alpha,
+                nvme.block_bytes(),
+                ssd_penalty,
+            )
+            .plan
+            .feat_cached_vertices;
+            let resident = (hbm_rows + (dram_budget / row_bytes) as usize).min(order.len());
+            let expected = &order[resident..];
+            match plan_store_placement(&g, &f, &server, &config, &profile, dram_budget) {
+                None => assert!(expected.is_empty(), "case {case}: no store planned"),
+                Some(p) => {
+                    planned += 1;
+                    assert_eq!(p.ssd_rows.as_slice(), expected, "case {case}");
+                    let members = p.on_ssd.iter().filter(|&&on| on).count();
+                    assert_eq!(members, expected.len(), "case {case}");
+                    assert!(expected.iter().all(|&v| p.on_ssd[v as usize]));
+                }
+            }
+            if case == 0 {
+                assert!(expected.is_empty(), "a whole-table budget spills nothing");
+            }
+        }
+        assert!(planned > 12, "only {planned} of 24 budgets spilled");
+    }
+
     /// `serve_requests` validates the fleet tier's maps at entry: a
     /// shard id past the fleet is a message, not an index panic inside
     /// a batch.
@@ -2301,12 +2337,9 @@ mod tests {
         let config = tiny_config(PolicyKind::Fifo);
         let remote = RemoteConfig {
             owned: Rc::new(vec![false; 256]),
-            net: crate::NetModel::rdma(crate::NetGeneration::Eth400G),
-            coalesce: Some(crate::CoalesceConfig {
-                shard: Rc::new(shard),
-                num_servers: 2,
-            }),
-            concurrent_servers: 2,
+            net: crate::NetModel::rdma(),
+            num_servers: 2,
+            shard: Some(Rc::new(shard)),
         };
         let requests = generate_requests(&g, &config);
         plan_deployment(&g, &f, &server, &config).serve(&server, &requests, Some(&remote));
@@ -2335,7 +2368,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "whose host link is PcieModel { generation: Gen3x16, cls: 64")]
+    #[should_panic(
+        expected = "whose host link is PcieModel { generation: Gen3x16 }, this one's is PcieModel { generation: Gen4x16 }"
+    )]
     fn deployment_rejects_another_host_link() {
         serve_on_a_server_unlike_the_planned_one(ServerSpec {
             pcie: legion_hw::PcieGeneration::Gen4x16,

@@ -81,7 +81,7 @@ pub use legion_dyn::{
     ChurnConfig, DeltaOverlay, Mutation, MutationLog, MutationOp, MutationSource, CHURN_FRAC,
     INSERT_FRAC,
 };
-pub use legion_hw::{NetGeneration, NetModel};
+pub use legion_hw::NetModel;
 pub use legion_router::{PriorityClass, RouterConfig, RouterPolicy, CLASS_COUNT};
 pub use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 pub use replan::{
@@ -153,8 +153,8 @@ pub struct ServeConfig {
 /// on *other* servers' shards. Every HBM-cache miss whose vertex is not
 /// locally owned is charged through the cluster-interconnect model
 /// instead of the local memory hierarchy, and metered under
-/// `serve.remote.{reads,bytes}`. Passing `None` keeps the
-/// single-machine engine (and its snapshots) byte-identical.
+/// `serve.remote.{reads,bytes}`. A run given no remote tier is the
+/// single-machine engine.
 #[derive(Debug, Clone)]
 pub struct RemoteConfig {
     /// `owned[v]` — whether vertex `v`'s feature row is resident on
@@ -163,17 +163,20 @@ pub struct RemoteConfig {
     pub owned: std::rc::Rc<Vec<bool>>,
     /// The analytic network model remote reads are charged through.
     pub net: legion_hw::NetModel,
-    /// Per-owning-server coalescing of each batch's remote wave;
-    /// `None` (the default) keeps the flat per-row pool — every miss
-    /// charged as its own RPC, byte-identical to the pre-coalescing
-    /// engine.
-    pub coalesce: Option<CoalesceConfig>,
-    /// Servers assumed concurrently active on the shared uplink (the
-    /// fleet size) — the `k` handed to
-    /// [`legion_hw::NetModel::read_seconds_at`]. Only meaningful when
-    /// `net` carries an [`legion_hw::UplinkConfig`]; `1` (or a `net`
-    /// without contention) charges the uncontended fabric.
-    pub concurrent_servers: usize,
+    /// Servers in the fleet: the `k` concurrently active on the shared
+    /// uplink ([`legion_hw::NetModel::read_seconds_at`]) and the bound
+    /// of the shard ids.
+    pub num_servers: usize,
+    /// `shard[v]` — the server whose shard owns vertex `v` (the fleet
+    /// plan's partition vector); length must equal the graph's vertex
+    /// count. `Some` coalesces each batch's remote wave per owner:
+    /// misses are bucketed by owning server and charged one batched
+    /// message per owner, so headers and round-trip waves amortize
+    /// across every row the owner ships, and rows fetched within the
+    /// last four batches are deduplicated instead of re-fetched
+    /// (`serve.remote.{coalesced_msgs,dedup_hits,per_owner_bytes}`).
+    /// `None` charges every miss as its own RPC.
+    pub shard: Option<std::rc::Rc<Vec<u32>>>,
 }
 
 impl RemoteConfig {
@@ -187,56 +190,40 @@ impl RemoteConfig {
     /// Panics with a descriptive message on the first violated
     /// invariant.
     pub fn validate(&self, num_vertices: usize) {
+        assert!(
+            self.num_servers > 0,
+            "a remote tier needs at least one server"
+        );
         assert_eq!(
             self.owned.len(),
             num_vertices,
             "remote ownership map must cover every vertex"
         );
-        let Some(cc) = &self.coalesce else { return };
-        assert!(cc.num_servers > 0, "coalescing needs at least one server");
+        let Some(shard) = &self.shard else { return };
         assert_eq!(
-            cc.shard.len(),
+            shard.len(),
             num_vertices,
             "coalescing shard map must cover every vertex"
         );
-        if let Some(v) = cc.shard.iter().position(|&s| s as usize >= cc.num_servers) {
+        if let Some(v) = shard.iter().position(|&s| s as usize >= self.num_servers) {
             panic!(
                 "coalescing shard map sends vertex {v} to server {} of {}",
-                cc.shard[v], cc.num_servers
+                shard[v], self.num_servers
             );
         }
     }
 }
 
-/// Per-owner coalescing of the cross-server remote-read wave.
-///
-/// Instead of charging every unowned HBM miss as its own RPC (payload
-/// plus a full per-message header, one in-flight slot each), the
-/// engine buckets each batch's misses by *owning server* and charges
-/// one batched message per owner — the header and round-trip waves
-/// amortize across every row the owner ships. Rows fetched within the
-/// last four batches are still resident in the remote staging buffer
-/// and are deduplicated instead of re-fetched. Metered under
-/// `serve.remote.{coalesced_msgs,dedup_hits,per_owner_bytes}`.
-#[derive(Debug, Clone)]
-pub struct CoalesceConfig {
-    /// `shard[v]` — the server whose shard owns vertex `v` (the fleet
-    /// plan's partition vector). Length must equal the graph's vertex
-    /// count.
-    pub shard: std::rc::Rc<Vec<u32>>,
-    /// Servers in the fleet (bounds the shard ids).
-    pub num_servers: usize,
-}
-
 /// Configuration of the SSD-backed out-of-core feature tier.
 ///
 /// The default (`dram_budget_bytes: None`) disables the store: feature
-/// rows missing the GPU caches live entirely in host DRAM, exactly the
-/// pre-store engine, and no `store.*` telemetry is registered. Setting
-/// a DRAM budget turns on three-tier placement: the cost model's
-/// tiered sweep ([`legion_cache::CostModel::best_plan_tiered`]) splits
-/// the feature hotness order into HBM / DRAM / SSD prefixes, and every
-/// SSD-tier row is served through a per-GPU [`legion_store::VertexStore`]
+/// rows missing the GPU caches live entirely in host DRAM, and no
+/// `store.*` telemetry is registered. Setting a DRAM budget turns on
+/// three-tier placement: the cost model's tiered sweep
+/// ([`legion_cache::CostModel::best_plan_tiered`]) cuts the feature
+/// hotness order into an HBM prefix, a DRAM prefix and the SSD suffix,
+/// and every SSD-tier row is served through a per-GPU
+/// [`legion_store::VertexStore`]
 /// — staged ahead of time by the lookahead prefetcher when possible,
 /// read cold off the simulated NVMe device when not.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -488,12 +475,9 @@ mod tests {
     fn remote(owned_len: usize, shard: Vec<u32>, num_servers: usize) -> RemoteConfig {
         RemoteConfig {
             owned: std::rc::Rc::new(vec![false; owned_len]),
-            net: NetModel::rdma(NetGeneration::Eth400G),
-            coalesce: Some(CoalesceConfig {
-                shard: std::rc::Rc::new(shard),
-                num_servers,
-            }),
-            concurrent_servers: 2,
+            net: NetModel::rdma(),
+            num_servers,
+            shard: Some(std::rc::Rc::new(shard)),
         }
     }
 
@@ -521,9 +505,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "coalescing needs at least one server")]
+    #[should_panic(expected = "a remote tier needs at least one server")]
     fn coalescing_without_servers_invalid() {
         remote(8, vec![0; 8], 0).validate(8);
+    }
+
+    #[test]
+    #[should_panic(expected = "a remote tier needs at least one server")]
+    fn remote_tier_without_servers_invalid() {
+        RemoteConfig {
+            shard: None,
+            ..remote(8, vec![0; 8], 0)
+        }
+        .validate(8);
     }
 
     #[test]

@@ -7,34 +7,30 @@
 //! an analytic, deterministic model, and the serving engine charges it
 //! into batch service time exactly like the PCIe and NVLink models.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`NvmeModel`] — the device. Mirrors `legion_hw::PcieModel`'s
 //!   payload-dependent bandwidth curve, adds block-granular (4 KiB)
 //!   transaction counting, a bounded queue depth, and a per-wave flash
 //!   read latency.
-//! * [`TierMap`] — where each vertex's feature row lives
-//!   ([`Tier::Hbm`] / [`Tier::Dram`] / [`Tier::Ssd`]), as decided by
-//!   the three-tier cost-model sweep in `legion-cache`.
-//! * [`VertexStore`] — the runtime: a bounded DRAM staging window with
-//!   FIFO eviction and in-flight dedup (kept in ready-time order, so
-//!   "how many reads are in flight" is a binary search), an async
-//!   prefetch path that hides flash latency behind the batch queue's
-//!   lookahead, and batch-boundary DRAM↔SSD migration for the online
-//!   re-planner.
+//! * [`VertexStore`] — the runtime: which rows live on the SSD
+//!   ([`Tier::Ssd`]) and which in DRAM ([`Tier::Dram`]), a bounded DRAM
+//!   staging window with FIFO eviction and in-flight dedup (kept in
+//!   ready-time order, so "how many reads are in flight" is a binary
+//!   search), an async prefetch path that hides flash latency behind the
+//!   batch queue's lookahead, and batch-boundary DRAM↔SSD migration for
+//!   the online re-planner. A placement builds it from one
+//!   hotness-ordered SSD row list ([`VertexStore::with_ssd_rows`]).
 //!
-//! The default configuration — no SSD tier — is the degenerate
-//! two-tier system: [`VertexStore::all_resident`] short-circuits every
-//! call, so existing runs stay byte-identical.
+//! HBM residency lives only in the cache layouts (`legion-cache`); the
+//! store sees the rows that missed them. A store with no SSD row is the
+//! degenerate two-tier system: reads and prefetches return at once.
 
 mod nvme;
 mod staging;
 mod store;
 mod tier;
 
-pub use nvme::{
-    NvmeGeneration, NvmeModel, DEFAULT_BLOCK_BYTES, DEFAULT_COMMAND_OVERHEAD_BYTES,
-    DEFAULT_MAX_QUEUE_DEPTH, DEFAULT_READ_LATENCY_S,
-};
+pub use nvme::{NvmeGeneration, NvmeModel};
 pub use store::{MigrateOutcome, PrefetchOutcome, ReadOutcome, VertexStore};
-pub use tier::{Tier, TierMap};
+pub use tier::Tier;

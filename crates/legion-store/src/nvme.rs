@@ -4,7 +4,7 @@
 //! effective-bandwidth curve plus block-granular transaction counting —
 //! and adds the two properties that make SSDs behave unlike a PCIe
 //! link: a *bounded queue depth* (reads complete in waves of at most
-//! `max_queue_depth` commands) and a per-wave *read latency* that
+//! 32 commands) and a per-wave *read latency* that
 //! dominates small random reads. Both are deterministic functions of
 //! the request stream, so a simulated run reproduces the same device
 //! timeline byte-for-byte; the "latency distribution" a real device
@@ -30,21 +30,21 @@ impl NvmeGeneration {
 }
 
 /// Native flash page / LBA granularity: every read moves whole blocks.
-pub const DEFAULT_BLOCK_BYTES: u64 = 4096;
+const BLOCK_BYTES: u64 = 4096;
 
 /// Per-command overhead in equivalent bytes. Much larger than the PCIe
 /// link's 512 B: an NVMe command traverses the submission queue, the
 /// FTL, and the flash channel. Chosen so a single 4 KiB random read
 /// lands near 25% of peak and >=128 KiB payloads exceed 90%.
-pub const DEFAULT_COMMAND_OVERHEAD_BYTES: f64 = 12288.0;
+const COMMAND_OVERHEAD_BYTES: f64 = 12288.0;
 
 /// Base flash read latency per command wave, seconds (~80 us — a TLC
 /// page read through the controller).
-pub const DEFAULT_READ_LATENCY_S: f64 = 80e-6;
+const READ_LATENCY_S: f64 = 80e-6;
 
 /// Commands the device retires concurrently; reads beyond this wait for
 /// the next wave.
-pub const DEFAULT_MAX_QUEUE_DEPTH: u64 = 32;
+const MAX_QUEUE_DEPTH: u64 = 32;
 
 /// Analytic NVMe read model.
 ///
@@ -63,57 +63,19 @@ pub const DEFAULT_MAX_QUEUE_DEPTH: u64 = 32;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmeModel {
     generation: NvmeGeneration,
-    block_bytes: u64,
-    overhead_bytes: f64,
-    read_latency_s: f64,
-    max_queue_depth: u64,
 }
 
 impl NvmeModel {
-    /// A model with default block size, command overhead, read latency,
-    /// and queue depth.
+    /// A drive of `generation`, with 4 KiB blocks, a 12 KiB-equivalent
+    /// command overhead, an 80 us flash read and 32 queued commands.
     pub fn new(generation: NvmeGeneration) -> Self {
-        Self {
-            generation,
-            block_bytes: DEFAULT_BLOCK_BYTES,
-            overhead_bytes: DEFAULT_COMMAND_OVERHEAD_BYTES,
-            read_latency_s: DEFAULT_READ_LATENCY_S,
-            max_queue_depth: DEFAULT_MAX_QUEUE_DEPTH,
-        }
-    }
-
-    /// Overrides the per-command overhead.
-    pub fn with_overhead(mut self, bytes: f64) -> Self {
-        self.overhead_bytes = bytes;
-        self
-    }
-
-    /// Overrides the queue depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth == 0`.
-    pub fn with_max_queue_depth(mut self, depth: u64) -> Self {
-        assert!(depth > 0, "queue depth must be positive");
-        self.max_queue_depth = depth;
-        self
-    }
-
-    /// The device class.
-    pub fn generation(&self) -> NvmeGeneration {
-        self.generation
+        Self { generation }
     }
 
     /// Block (LBA) size in bytes.
     #[inline]
     pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
-    }
-
-    /// Maximum concurrent commands.
-    #[inline]
-    pub fn max_queue_depth(&self) -> u64 {
-        self.max_queue_depth
+        BLOCK_BYTES
     }
 
     /// Peak sequential read bandwidth in bytes/s.
@@ -129,7 +91,7 @@ impl NvmeModel {
         if payload_bytes <= 0.0 {
             return 0.0;
         }
-        self.peak_bandwidth() * payload_bytes / (payload_bytes + self.overhead_bytes)
+        self.peak_bandwidth() * payload_bytes / (payload_bytes + COMMAND_OVERHEAD_BYTES)
     }
 
     /// Blocks a single read of `payload_bytes` touches
@@ -138,13 +100,13 @@ impl NvmeModel {
     /// cost model's second transfer term counts.
     #[inline]
     pub fn blocks_for_payload(&self, payload_bytes: u64) -> u64 {
-        payload_bytes.div_ceil(self.block_bytes)
+        payload_bytes.div_ceil(BLOCK_BYTES)
     }
 
     /// Bytes actually moved for a read of `payload_bytes`: whole blocks.
     #[inline]
     pub fn bytes_for_payload(&self, payload_bytes: u64) -> u64 {
-        self.blocks_for_payload(payload_bytes) * self.block_bytes
+        self.blocks_for_payload(payload_bytes) * BLOCK_BYTES
     }
 
     /// Seconds for a batch of `num_reads` commands of `payload_bytes`
@@ -155,9 +117,9 @@ impl NvmeModel {
         if num_reads == 0 {
             return 0.0;
         }
-        let waves = num_reads.div_ceil(self.max_queue_depth);
+        let waves = num_reads.div_ceil(MAX_QUEUE_DEPTH);
         let bytes = num_reads * self.bytes_for_payload(payload_bytes);
-        waves as f64 * self.read_latency_s
+        waves as f64 * READ_LATENCY_S
             + bytes as f64 / self.effective_bandwidth(self.bytes_for_payload(payload_bytes) as f64)
     }
 }
@@ -197,19 +159,19 @@ mod tests {
 
     #[test]
     fn queue_depth_bounds_concurrency() {
-        let m = NvmeModel::new(NvmeGeneration::Gen3x4).with_max_queue_depth(8);
-        let one_wave = m.read_seconds(8, 512);
-        let two_waves = m.read_seconds(9, 512);
-        assert!(two_waves > one_wave + 0.9 * DEFAULT_READ_LATENCY_S);
+        let m = NvmeModel::new(NvmeGeneration::Gen3x4);
+        let one_wave = m.read_seconds(MAX_QUEUE_DEPTH, 512);
+        let two_waves = m.read_seconds(MAX_QUEUE_DEPTH + 1, 512);
+        assert!(two_waves > one_wave + 0.9 * READ_LATENCY_S);
         // Within one wave, latency is paid once.
-        let partial = m.read_seconds(4, 512);
-        assert!(one_wave - partial < DEFAULT_READ_LATENCY_S);
+        let partial = m.read_seconds(MAX_QUEUE_DEPTH - 4, 512);
+        assert!(one_wave - partial < READ_LATENCY_S);
     }
 
     #[test]
     fn single_read_pays_the_flash_latency() {
         let m = NvmeModel::new(NvmeGeneration::Gen3x4);
-        assert!(m.read_seconds(1, 512) >= DEFAULT_READ_LATENCY_S);
+        assert!(m.read_seconds(1, 512) >= READ_LATENCY_S);
         assert_eq!(m.read_seconds(0, 512), 0.0);
     }
 

@@ -1,5 +1,5 @@
-//! The per-GPU vertex store: tier map + staging buffer + NVMe device
-//! horizon.
+//! The per-GPU vertex store: which rows live on the SSD, the staging
+//! buffer, and the NVMe device horizon.
 //!
 //! One `VertexStore` sits behind each GPU worker's extraction path
 //! (its NVMe namespace and pinned staging window are NUMA-local, so
@@ -8,8 +8,8 @@
 //! the missed vertices here, and the store answers with deterministic
 //! timing:
 //!
-//! * DRAM-tier rows cost nothing extra — they are the legacy PCIe miss
-//!   path, already metered by the access engine.
+//! * DRAM-tier rows cost nothing extra — the access engine already
+//!   metered their PCIe read.
 //! * SSD-tier rows staged ahead of time are **prefetch hits**: the row
 //!   is already in the DRAM staging window.
 //! * SSD-tier rows in flight stall the batch until their read lands.
@@ -111,7 +111,7 @@ impl VertexStore {
     pub fn new(nvme: NvmeModel, num_vertices: usize, row_bytes: u64, staging_rows: usize) -> Self {
         Self {
             nvme,
-            tiers: TierMap::new(num_vertices, Tier::Dram),
+            tiers: TierMap::new(num_vertices),
             staging: StagingBuffer::new(num_vertices, staging_rows),
             row_bytes,
             free_at_ns: 0,
@@ -120,14 +120,23 @@ impl VertexStore {
         }
     }
 
-    /// The device model.
-    pub fn nvme(&self) -> &NvmeModel {
-        &self.nvme
-    }
-
-    /// Bytes per feature row.
-    pub fn row_bytes(&self) -> u64 {
-        self.row_bytes
+    /// The store a placement spills into: the rows of `ssd_rows`, hottest
+    /// first, live on the SSD, every other row in DRAM, and the staging
+    /// window is warmed from the head of `ssd_rows` (see
+    /// [`warm`](Self::warm)).
+    pub fn with_ssd_rows(
+        nvme: NvmeModel,
+        num_vertices: usize,
+        row_bytes: u64,
+        staging_rows: usize,
+        ssd_rows: &[VertexId],
+    ) -> Self {
+        let mut store = Self::new(nvme, num_vertices, row_bytes, staging_rows);
+        for &v in ssd_rows {
+            store.assign(v, Tier::Ssd);
+        }
+        store.warm(ssd_rows.iter().copied());
+        store
     }
 
     /// The tier of `v`.
@@ -139,16 +148,6 @@ impl VertexStore {
     /// Assigns `v` to `tier` (placement time; no device traffic).
     pub fn assign(&mut self, v: VertexId, tier: Tier) {
         self.tiers.set(v, tier);
-    }
-
-    /// Vertices per tier.
-    pub fn count(&self, tier: Tier) -> usize {
-        self.tiers.count(tier)
-    }
-
-    /// True when no row lives on the SSD — the store is inert.
-    pub fn all_resident(&self) -> bool {
-        self.tiers.all_resident()
     }
 
     /// Rows staged or in flight.
@@ -476,7 +475,6 @@ mod tests {
     #[test]
     fn all_resident_store_is_inert() {
         let mut s = VertexStore::new(NvmeModel::new(NvmeGeneration::Gen3x4), 16, 512, 4);
-        assert!(s.all_resident());
         assert_eq!(s.read(0.0, &[0, 1]), ReadOutcome::default());
         assert_eq!(s.prefetch(0.0, [0u32, 1], 4), PrefetchOutcome::default());
     }

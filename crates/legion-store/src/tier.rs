@@ -1,80 +1,59 @@
-//! The three-tier residency map: which tier owns each vertex's feature
-//! row.
+//! The cold side of the residency hierarchy: whether a feature row that
+//! misses HBM is served from host DRAM or must come off the NVMe store.
 //!
-//! HBM residency is still decided by the unified cache layouts
-//! (`legion-cache`); the tier map records the *cold side* of the
-//! hierarchy — whether a row that misses HBM is served from host DRAM
-//! or must come off the NVMe store. A disabled store is the degenerate
-//! map where every vertex is DRAM-resident, which reproduces the
-//! two-tier system exactly.
+//! HBM residency lives only in the unified cache layouts
+//! (`legion-cache`). A map with no SSD row is the degenerate two-tier
+//! system exactly.
 
 use legion_graph::VertexId;
 
-/// Storage tier of one feature row, hottest to coldest.
+/// Storage tier of one feature row below HBM, hotter first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// GPU HBM — the unified cache.
-    Hbm,
-    /// Host DRAM — the legacy miss path over PCIe.
+    /// Host DRAM — read over PCIe by the access engine.
     Dram,
     /// NVMe SSD — block reads through the [`NvmeModel`](crate::NvmeModel).
     Ssd,
 }
 
-/// Dense per-vertex tier assignment.
+/// Dense per-vertex tier assignment, private to
+/// [`VertexStore`](crate::VertexStore).
 #[derive(Debug, Clone)]
-pub struct TierMap {
+pub(crate) struct TierMap {
     tiers: Vec<Tier>,
-    counts: [usize; 3],
+    ssd_rows: usize,
 }
 
 impl TierMap {
-    /// A map with every vertex in `default` tier.
-    pub fn new(num_vertices: usize, default: Tier) -> Self {
-        let mut counts = [0usize; 3];
-        counts[default as usize] = num_vertices;
+    /// A map with every vertex in DRAM.
+    pub(crate) fn new(num_vertices: usize) -> Self {
         Self {
-            tiers: vec![default; num_vertices],
-            counts,
+            tiers: vec![Tier::Dram; num_vertices],
+            ssd_rows: 0,
         }
-    }
-
-    /// Number of vertices tracked.
-    pub fn len(&self) -> usize {
-        self.tiers.len()
-    }
-
-    /// True when the map tracks no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.tiers.is_empty()
     }
 
     /// The tier of `v`.
     #[inline]
-    pub fn tier(&self, v: VertexId) -> Tier {
+    pub(crate) fn tier(&self, v: VertexId) -> Tier {
         self.tiers[v as usize]
     }
 
     /// Moves `v` to `tier`, returning its previous tier.
-    pub fn set(&mut self, v: VertexId, tier: Tier) -> Tier {
-        let old = self.tiers[v as usize];
-        if old != tier {
-            self.counts[old as usize] -= 1;
-            self.counts[tier as usize] += 1;
-            self.tiers[v as usize] = tier;
+    pub(crate) fn set(&mut self, v: VertexId, tier: Tier) -> Tier {
+        let old = std::mem::replace(&mut self.tiers[v as usize], tier);
+        match (old, tier) {
+            (Tier::Dram, Tier::Ssd) => self.ssd_rows += 1,
+            (Tier::Ssd, Tier::Dram) => self.ssd_rows -= 1,
+            _ => {}
         }
         old
     }
 
-    /// Vertices currently assigned to `tier`.
-    pub fn count(&self, tier: Tier) -> usize {
-        self.counts[tier as usize]
-    }
-
     /// True when no vertex lives on the SSD — the store is inert and
     /// the run must be byte-identical to a two-tier run.
-    pub fn all_resident(&self) -> bool {
-        self.counts[Tier::Ssd as usize] == 0
+    pub(crate) fn all_resident(&self) -> bool {
+        self.ssd_rows == 0
     }
 }
 
@@ -84,31 +63,24 @@ mod tests {
 
     #[test]
     fn default_map_is_all_dram_and_resident() {
-        let m = TierMap::new(100, Tier::Dram);
-        assert_eq!(m.len(), 100);
-        assert_eq!(m.count(Tier::Dram), 100);
-        assert_eq!(m.count(Tier::Ssd), 0);
+        let m = TierMap::new(100);
         assert!(m.all_resident());
-        assert_eq!(m.tier(7), Tier::Dram);
+        assert!((0..100).all(|v| m.tier(v) == Tier::Dram));
     }
 
     #[test]
     fn set_moves_counts() {
-        let mut m = TierMap::new(10, Tier::Dram);
+        let mut m = TierMap::new(10);
         assert_eq!(m.set(3, Tier::Ssd), Tier::Dram);
-        assert_eq!(m.count(Tier::Ssd), 1);
-        assert_eq!(m.count(Tier::Dram), 9);
         assert!(!m.all_resident());
         // Idempotent set keeps counts consistent.
         assert_eq!(m.set(3, Tier::Ssd), Tier::Ssd);
-        assert_eq!(m.count(Tier::Ssd), 1);
-        assert_eq!(m.set(3, Tier::Hbm), Tier::Ssd);
+        assert_eq!(m.set(3, Tier::Dram), Tier::Ssd);
         assert!(m.all_resident());
     }
 
     #[test]
     fn tier_order_is_hot_to_cold() {
-        assert!(Tier::Hbm < Tier::Dram);
         assert!(Tier::Dram < Tier::Ssd);
     }
 }

@@ -211,3 +211,44 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// A store from the spill constructor answers every read, prefetch
+    /// and migrate exactly like one assembled by hand: `new`, each SSD
+    /// row assigned, then warmed from the same list.
+    #[test]
+    fn spilled_store_matches_one_assembled_by_hand(
+        capacity in 0usize..6,
+        ssd_rows in proptest::collection::vec(0..N, 0..N as usize),
+        script in ops(),
+    ) {
+        let nvme = NvmeModel::new(NvmeGeneration::Gen3x4);
+        let mut spilled = VertexStore::with_ssd_rows(nvme, N as usize, ROW_BYTES, capacity, &ssd_rows);
+        let mut by_hand = VertexStore::new(nvme, N as usize, ROW_BYTES, capacity);
+        for &v in &ssd_rows {
+            by_hand.assign(v, Tier::Ssd);
+        }
+        by_hand.warm(ssd_rows.iter().copied());
+        for (op, a, b, budget, at_us) in script {
+            let at = at_us as f64 * 1e-6;
+            match op {
+                0 => prop_assert_eq!(
+                    spilled.prefetch(at, a.iter().copied(), budget),
+                    by_hand.prefetch(at, a.iter().copied(), budget)
+                ),
+                1 | 2 => {
+                    let mut missed = a;
+                    missed.sort_unstable();
+                    missed.dedup();
+                    prop_assert_eq!(spilled.read(at, &missed), by_hand.read(at, &missed));
+                }
+                _ => prop_assert_eq!(spilled.migrate(at, &a, &b), by_hand.migrate(at, &a, &b)),
+            }
+            prop_assert_eq!(spilled.staged_rows(), by_hand.staged_rows());
+            prop_assert_eq!(spilled.inflight(at), by_hand.inflight(at));
+        }
+        for v in 0..N {
+            prop_assert_eq!(spilled.tier(v), by_hand.tier(v));
+        }
+    }
+}

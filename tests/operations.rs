@@ -495,12 +495,21 @@ fn constructions(text: &str, variant: &str) -> usize {
         .count()
 }
 
+/// How often `text` assembles a vertex store by hand: a
+/// `VertexStore::new(` call or an `.assign(` method call.
+fn store_assemblies(text: &str) -> usize {
+    text.matches("VertexStore::new(").count() + text.matches(".assign(").count()
+}
+
 /// Each set-up step is written once: pre-sampling is called only from
-/// `BuildContext::presample`, and the host-memory gate that builds
-/// `SystemError::CpuOom` is `BuildContext::host_gate`. Outside
-/// `legion-sampling`, which defines and unit-tests `presample`, a
-/// library source that calls the free function or builds the error
-/// again fails here. `bench/` is outside the scan, as it is for
+/// `BuildContext::presample`, the host-memory gate that builds
+/// `SystemError::CpuOom` is `BuildContext::host_gate`, and a placement
+/// spills into the SSD tier only through
+/// `VertexStore::with_ssd_rows`. Outside `legion-sampling`, which
+/// defines and unit-tests `presample`, a library source that calls the
+/// free function or builds the error again fails here; outside
+/// `legion-store`, so does one that calls `VertexStore::new` or
+/// `assign`. `bench/` is outside the scan, as it is for
 /// `identities_are_stated_once`.
 #[test]
 fn set_up_steps_are_written_once() {
@@ -518,28 +527,38 @@ fn set_up_steps_are_written_once() {
          matches!(e, Err({oom} {{ .. }}))"
     );
     assert_eq!(constructions(&text, oom), 1);
+    let text = "let mut s = VertexStore::new(nvme, n, b, k);\n\
+                s.assign(v, Tier::Ssd); m.add_assign(&x); VertexStore::with_ssd_rows(a)";
+    assert_eq!(store_assemblies(text), 2);
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut files = Vec::new();
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/ is a directory");
     for krate in crates.flatten() {
-        if !krate.path().ends_with("legion-sampling") {
-            rust_files(&krate.path().join("src"), &mut files);
-        }
+        rust_files(&krate.path().join("src"), &mut files);
     }
     assert!(
         files.len() > 50,
         "source scan collapsed: {} files",
         files.len()
     );
-    let (mut calls, mut gates) = (Vec::new(), Vec::new());
+    let in_crate =
+        |file: &std::path::Path, name: &str| file.starts_with(root.join("crates").join(name));
+    let (mut calls, mut gates, mut stores) = (Vec::new(), Vec::new(), Vec::new());
     for file in &files {
         let text = std::fs::read_to_string(file).expect("readable source");
-        for _ in 0..free_calls(&text, call) {
-            calls.push(file.display().to_string());
+        if !in_crate(file, "legion-sampling") {
+            for _ in 0..free_calls(&text, call) {
+                calls.push(file.display().to_string());
+            }
         }
         for _ in 0..constructions(&text, oom) {
             gates.push(file.display().to_string());
+        }
+        if !in_crate(file, "legion-store") {
+            for _ in 0..store_assemblies(&text) {
+                stores.push(file.display().to_string());
+            }
         }
     }
     assert!(
@@ -549,6 +568,10 @@ fn set_up_steps_are_written_once() {
     assert!(
         gates.len() == 1 && gates[0].ends_with("legion-baselines/src/lib.rs"),
         "the host-memory gate is written outside `BuildContext::host_gate`: {gates:?}"
+    );
+    assert!(
+        stores.is_empty(),
+        "a vertex store is assembled outside `VertexStore::with_ssd_rows`: {stores:?}"
     );
 }
 
@@ -796,4 +819,32 @@ fn documented_crate_items_exist() {
         named >= 10,
         "crate-path parse collapsed: only {named} found"
     );
+}
+
+/// The top-level docs and the byte budget each must fit: its size when
+/// the budget was last set. A change that needs more room raises the
+/// budget in the same diff, so docs stop growing by default.
+const DOC_BUDGETS: [(&str, u64); 6] = [
+    ("README.md", 28907),
+    ("DESIGN.md", 88512),
+    ("OPERATIONS.md", 29025),
+    ("EXPERIMENTS.md", 42503),
+    ("CHANGES.md", 153297),
+    ("ROADMAP.md", 41776),
+];
+
+/// Every top-level doc fits its byte budget.
+#[test]
+fn docs_stay_within_their_byte_budgets() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let over: Vec<String> = DOC_BUDGETS
+        .iter()
+        .filter_map(|&(doc, budget)| {
+            let size = std::fs::metadata(root.join(doc))
+                .unwrap_or_else(|e| panic!("{doc}: {e}"))
+                .len();
+            (size > budget).then(|| format!("{doc} is {size} bytes, over its budget of {budget}"))
+        })
+        .collect();
+    assert!(over.is_empty(), "docs over their byte budget: {over:?}");
 }
