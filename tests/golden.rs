@@ -10,7 +10,7 @@
 //! prints over `tests/golden_digests.txt`.
 
 use legion_baselines::{dgl, pagraph, quiver, BuildContext, SystemError, SystemSetup};
-use legion_cache::{cslp, CliqueCache, HotnessMatrix};
+use legion_cache::{cslp, hotness_order, CliqueCache, HotnessMatrix};
 use legion_core::experiments::policies::{build_policy, CachePolicy};
 use legion_core::runner::{
     run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
@@ -63,6 +63,15 @@ fn ids_digest(ids: &[u32]) -> u64 {
     )
 }
 
+fn words_digest(words: &[u64]) -> u64 {
+    fnv1a(
+        &words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect::<Vec<u8>>(),
+    )
+}
+
 /// A fixed 31-bit LCG stream.
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed;
@@ -89,6 +98,29 @@ fn lcg_hotness(gpus: usize, n: usize, one_in: u64, seed: u64) -> HotnessMatrix {
     h
 }
 
+/// One value from `next` whose bit width is drawn uniformly from
+/// `0..=max_bits`: small values tie often, wide ones span several
+/// radix digits.
+fn lcg_wide(next: &mut impl FnMut() -> u64, max_bits: u64) -> u64 {
+    let bits = next() % (max_bits + 1);
+    let word = (next() << 33) ^ (next() << 2) ^ next();
+    word & ((1u64 << bits) - 1)
+}
+
+/// Everything [`cslp`] returns but the accumulated vector, as one id
+/// stream: the clique order, each GPU queue with its length, and the
+/// owner of every vertex.
+fn cslp_words(h: &HotnessMatrix) -> Vec<u32> {
+    let out = cslp(h);
+    let mut ids = out.clique_order;
+    for queue in &out.per_gpu {
+        ids.push(queue.len() as u32);
+        ids.extend_from_slice(queue);
+    }
+    ids.extend_from_slice(&out.owner);
+    ids
+}
+
 /// The planning routines' own outputs, pinned beside the run snapshots:
 /// the LDG assignment, the CSLP clique order, and one window plan.
 fn planning_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
@@ -106,6 +138,22 @@ fn planning_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
         "cslp_dense_4row",
         ids_digest(&cslp(&lcg_hotness(4, 1200, 2, 11)).clique_order),
     ));
+    {
+        // Cells up to 2^40 on three GPUs, a third of them zero: several
+        // radix digits, long tie runs at small values, and GPU ties.
+        let mut next = lcg(0xC51B);
+        let mut h = HotnessMatrix::new(3, 3000);
+        for gpu in 0..3 {
+            for v in 0..3000u32 {
+                if !next().is_multiple_of(3) {
+                    h.add(gpu, v, lcg_wide(&mut next, 40));
+                }
+            }
+        }
+        rows.push(("cslp_wide_3row", ids_digest(&cslp_words(&h))));
+        let hot: Vec<u64> = (0..5000).map(|_| lcg_wide(&mut next, 63)).collect();
+        rows.push(("hotness_order_wide", ids_digest(&hotness_order(&hot))));
+    }
 
     let n = d.graph.num_vertices();
     let mut targets = TargetSampler::new((0..n as u32).collect(), 1.1, 0, 0);
@@ -655,6 +703,25 @@ fn scenarios() -> Vec<(&'static str, u64)> {
                 snapshot_digest(&run_epoch(&setup, &ctx, &cfg).metrics),
             ));
         }
+
+        // Pre-sampling's own output on the Legion tablets, one clique
+        // after the other on a fresh server.
+        let server = ServerSpec::custom(4, 16 << 20, 2).build();
+        let ctx = cfg.build_context(&ds, &server);
+        let (mut h_t, mut h_f, mut n_tsum) = (Vec::new(), Vec::new(), Vec::new());
+        for clique in [[0, 1], [2, 3]] {
+            let tablets = clique.map(|g| setup.tablets[g].clone());
+            let pres = ctx.presample(&clique, &tablets);
+            for slot in 0..clique.len() {
+                h_t.extend_from_slice(pres.h_t.row(slot));
+                h_f.extend_from_slice(pres.h_f.row(slot));
+            }
+            n_tsum.push(pres.n_tsum);
+        }
+        assert!(h_t.iter().any(|&h| h > 0) && n_tsum.iter().all(|&t| t > 0));
+        rows.push(("presample_epoch_h_t", words_digest(&h_t)));
+        rows.push(("presample_epoch_h_f", words_digest(&h_f)));
+        rows.push(("presample_epoch_n_tsum", words_digest(&n_tsum)));
     }
 
     {
