@@ -31,17 +31,31 @@ pub struct CslpOutput {
 pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     let n = h.num_vertices();
     let kg = h.num_gpus();
-    // Step 1: accumulate each vertex's hotness from the K_g GPUs.
-    let accumulated = h.column_wise_sum();
+    // Steps 1 and 3's argmax in one sweep over the K_g rows, a vertex at
+    // a time: accumulate its hotness and keep the GPU with the highest
+    // local hotness. The strict `>` leaves a tie on the lower GPU.
+    let rows: Vec<&[u64]> = (0..kg).map(|g| h.row(g)).collect();
+    let mut accumulated = Vec::with_capacity(n);
+    let mut owner = Vec::with_capacity(n);
+    let mut sizes = vec![0usize; kg];
+    for v in 0..n {
+        let (mut sum, mut top, mut at) = (0, 0, 0);
+        for (g, row) in rows.iter().enumerate() {
+            let x = row[v];
+            sum += x;
+            at = if x > top { g } else { at };
+            top = top.max(x);
+        }
+        accumulated.push(sum);
+        owner.push(at as u32);
+        sizes[at] += 1;
+    }
     // Step 2: sort vertices by descending hotness.
     let clique_order = hotness_order(&accumulated);
-    // Step 3: assign each vertex to the GPU with the highest local hotness.
-    let mut per_gpu: Vec<Vec<VertexId>> = vec![Vec::new(); kg];
-    let mut owner = vec![0u32; n];
+    // Step 3: each GPU's queue, in clique-order priority.
+    let mut per_gpu: Vec<Vec<VertexId>> = sizes.into_iter().map(Vec::with_capacity).collect();
     for &v in &clique_order {
-        let g = h.argmax_gpu(v);
-        per_gpu[g].push(v);
-        owner[v as usize] = g as u32;
+        per_gpu[owner[v as usize] as usize].push(v);
     }
     CslpOutput {
         accumulated,
@@ -61,15 +75,56 @@ pub fn sort_by_hotness(ids: &mut [VertexId], hotness: &[u64]) {
     });
 }
 
-/// Every vertex `0..hotness.len()` in [`sort_by_hotness`] order. Only the
-/// non-zero support is sorted — `O(V + s log s)`: zero-hotness vertices
-/// all tie, so they follow it in id order.
+/// Bits of the key [`hotness_order`] places per counting pass.
+const DIGIT_BITS: u32 = 11;
+const DIGITS: usize = 1 << DIGIT_BITS;
+
+/// Every vertex `0..hotness.len()` in [`sort_by_hotness`] order, in time
+/// linear in `|V|`. The non-zero support is listed in id order and
+/// counting-sorted, least significant digit first, on the key
+/// `max − hotness`: each pass is stable, so equal hotness keeps the id
+/// order. The largest key sets the number of passes — one while
+/// `max < 2^11`, at most six for any `u64` — and zero-hotness vertices
+/// all tie, so they follow in id order.
 pub fn hotness_order(hotness: &[u64]) -> Vec<VertexId> {
-    let ids = 0..hotness.len() as VertexId;
-    let mut order: Vec<VertexId> = Vec::with_capacity(hotness.len());
-    order.extend(ids.clone().filter(|&v| hotness[v as usize] > 0));
-    sort_by_hotness(&mut order, hotness);
-    order.extend(ids.filter(|&v| hotness[v as usize] == 0));
+    let n = hotness.len();
+    // One listing pass with no branch on the data: every id is written
+    // to both lists, and each list's cursor moves past its own ids only.
+    let mut order: Vec<VertexId> = vec![0; n];
+    let mut zeros: Vec<VertexId> = vec![0; n];
+    let (mut support, mut tail, mut max) = (0, 0, 0);
+    for (v, &h) in hotness.iter().enumerate() {
+        order[support] = v as VertexId;
+        zeros[tail] = v as VertexId;
+        support += usize::from(h > 0);
+        tail += usize::from(h == 0);
+        max = max.max(h);
+    }
+    order.truncate(support);
+    // Room for the zero tail whichever buffer ends up holding the order.
+    let mut spare: Vec<VertexId> = Vec::with_capacity(n);
+    spare.resize(support, 0);
+    let largest_key = max.saturating_sub(1);
+    let mut shift = 0;
+    while shift < u64::BITS && largest_key >> shift != 0 {
+        let digit = |v: VertexId| ((max - hotness[v as usize]) >> shift) as usize % DIGITS;
+        let mut next = [0usize; DIGITS];
+        for &v in &order {
+            next[digit(v)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            at += std::mem::replace(slot, at);
+        }
+        for &v in &order {
+            let d = digit(v);
+            spare[next[d]] = v;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut order, &mut spare);
+        shift += DIGIT_BITS;
+    }
+    order.extend_from_slice(&zeros[..tail]);
     order
 }
 
@@ -146,6 +201,13 @@ mod tests {
         assert_eq!(hotness_order(&[5, 9, 9, 1]), vec![1, 2, 0, 3]);
         // Zero-hotness vertices skip the sort and follow in id order.
         assert_eq!(hotness_order(&[0, 3, 0, 3, 7]), vec![4, 1, 3, 0, 2]);
+        // No support, one value, and keys needing two and six digits.
+        assert!(hotness_order(&[]).is_empty());
+        assert_eq!(hotness_order(&[0, 0, 0]), vec![0, 1, 2]);
+        assert_eq!(hotness_order(&[4, 4, 4]), vec![0, 1, 2]);
+        assert_eq!(hotness_order(&[1, 5000, 2048, 5000]), vec![1, 3, 2, 0]);
+        let wide = [1, u64::MAX, 0, 1 << 40, u64::MAX, 1];
+        assert_eq!(hotness_order(&wide), vec![1, 4, 3, 0, 5, 2]);
     }
 
     #[test]

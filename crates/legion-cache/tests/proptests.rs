@@ -4,13 +4,16 @@
 
 use proptest::prelude::*;
 
-use legion_cache::{cslp, CostModel, CslpOutput, HotnessMatrix};
+use legion_cache::{cslp, hotness_order, sort_by_hotness, CostModel, CslpOutput, HotnessMatrix};
 use legion_graph::builder::from_edges;
 use legion_graph::{feature_bytes_for_dim, topology_bytes_for_degree, CsrGraph, VertexId};
 
+/// Dense matrices whose cells stay below 10^3, 2^24 or 2^44: one, three
+/// or four radix digits of [`hotness_order`]'s key.
 fn hotness_strategy() -> impl Strategy<Value = HotnessMatrix> {
-    (1usize..5, 1usize..40).prop_flat_map(|(gpus, n)| {
-        proptest::collection::vec(0u64..1000, gpus * n).prop_map(move |vals| {
+    let limit = prop_oneof![Just(1000u64), Just(1 << 24), Just(1 << 44)];
+    (1usize..5, 1usize..40, limit).prop_flat_map(|(gpus, n, limit)| {
+        proptest::collection::vec(0u64..limit, gpus * n).prop_map(move |vals| {
             let mut h = HotnessMatrix::new(gpus, n);
             for g in 0..gpus {
                 for v in 0..n {
@@ -36,6 +39,29 @@ fn sparse_tied_hotness() -> impl Strategy<Value = HotnessMatrix> {
             }
             h
         })
+    })
+}
+
+/// Hotness vectors by `shape`: all zero, all equal, or (half the draws)
+/// values of up to `11 * digits` bits — one to six digits of
+/// [`hotness_order`]'s key — with a quarter zero and a quarter in `1..4`,
+/// so ties are common. Lengths start at zero.
+fn hotness_vector() -> impl Strategy<Value = Vec<u64>> {
+    let raw = proptest::collection::vec(any::<u64>(), 0..300);
+    (0u8..4, 1u32..=6, raw).prop_map(|(shape, digits, raw)| {
+        let bits = (11 * digits).min(u64::BITS);
+        match shape {
+            0 => vec![0; raw.len()],
+            1 => vec![raw.first().map_or(0, |&x| x >> (u64::BITS - bits)); raw.len()],
+            _ => raw
+                .iter()
+                .map(|&x| match x % 4 {
+                    0 => 0,
+                    1 => 1 + (x >> 62),
+                    _ => x >> (u64::BITS - bits),
+                })
+                .collect(),
+        }
     })
 }
 
@@ -74,6 +100,15 @@ proptest! {
     #[test]
     fn cslp_matches_the_full_sort_oracle_sparse_with_ties(h in sparse_tied_hotness()) {
         prop_assert_eq!(cslp(&h), cslp_by_full_sort(&h));
+    }
+
+    /// The counting sort lists every vertex in the comparator's order,
+    /// whatever number of digits the hotness spans.
+    #[test]
+    fn hotness_order_matches_the_comparator_sort(hot in hotness_vector()) {
+        let mut expected: Vec<VertexId> = (0..hot.len() as VertexId).collect();
+        sort_by_hotness(&mut expected, &hot);
+        prop_assert_eq!(hotness_order(&hot), expected);
     }
 
     #[test]

@@ -532,11 +532,11 @@ impl<'a> AccessEngine<'a> {
         gpu: GpuId,
         seeds: &[VertexId],
         rng: &mut R,
-        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        on_row: Option<&mut dyn FnMut(VertexId, u64)>,
         scratch: &mut SampleScratch,
     ) -> (MiniBatchSample, u64) {
         let before = self.server.pcm().gpu_kind(gpu, TrafficKind::Topology);
-        let sample = sampler.sample_batch_with(self, gpu, seeds, rng, on_edge, scratch);
+        let sample = sampler.sample_batch_with(self, gpu, seeds, rng, on_row, scratch);
         let topology_tx = self.server.pcm().gpu_kind(gpu, TrafficKind::Topology) - before;
         (sample, topology_tx)
     }

@@ -76,13 +76,13 @@ pub fn presample(
         let mut generator = BatchGenerator::new(tablet.clone(), batch_size);
         for _ in 0..epochs {
             for batch in generator.epoch(&mut rng) {
-                let mut on_edge = |src: VertexId| h_t.add(slot, src, 1);
+                let mut on_row = |v: VertexId, drawn: u64| h_t.add(slot, v, drawn);
                 let sample = sampler.sample_batch_with(
                     &engine,
                     gpu,
                     &batch,
                     &mut rng,
-                    Some(&mut on_edge),
+                    Some(&mut on_row),
                     &mut scratch,
                 );
                 for &v in &sample.all_vertices {
@@ -171,6 +171,47 @@ mod tests {
         assert!(ht_total > 0);
         assert!(out.n_tsum > ht_total);
         assert!(out.n_tsum < 2 * ht_total + 1);
+    }
+
+    #[test]
+    fn topology_hotness_is_the_tally_of_every_blocks_edge_runs() {
+        let (g, f, tablets) = fixture();
+        let fanouts = vec![5, 3];
+        assert!(
+            (0..400).any(|v| g.degree(v) as usize > 4 * fanouts[0]),
+            "fixture needs hubs above the fan-out"
+        );
+        let server = ServerSpec::custom(2, 1 << 30, 2).build();
+        let sampler = KHopSampler::new(fanouts);
+        let out = presample(&g, &f, &server, &[0, 1], &tablets, &sampler, 32, 2, 9);
+        // Replay the same batches with no hook and count, per block, one
+        // hotness per edge on the edge's destination row.
+        let layout = CacheLayout::none(2);
+        let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
+        let mut tally = HotnessMatrix::new(2, 400);
+        let mut scratch = SampleScratch::new();
+        for (slot, tablet) in tablets.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(9 ^ (slot as u64).wrapping_mul(0x9E37_79B9));
+            let mut generator = BatchGenerator::new(tablet.clone(), 32);
+            for _ in 0..2 {
+                for batch in generator.epoch(&mut rng) {
+                    let sample = sampler.sample_batch_with(
+                        &engine,
+                        slot,
+                        &batch,
+                        &mut rng,
+                        None,
+                        &mut scratch,
+                    );
+                    for b in &sample.blocks {
+                        for &dst in &b.edge_dst {
+                            tally.add(slot, b.src_vertices[dst as usize], 1);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(out.h_t, tally);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `WAVE` destinations and every wave runs three passes — resolve all
 //! rows, draw all neighbors, mark all sources — so the chains of one wave
 //! are independent loads the out-of-order core overlaps. State whose
-//! order is observable (the RNG, the `on_edge` callback, the overlay
+//! order is observable (the RNG, the `on_row` callback, the overlay
 //! merge buffer) is touched only by the draw and mark passes, in
 //! destination order, so a batch is bit-identical to expanding one
 //! vertex at a time. The per-hop source index is a dense epoch-tagged
@@ -213,8 +213,9 @@ impl KHopSampler {
     }
 
     /// Samples the multi-hop neighborhood of `seeds` on behalf of `gpu`,
-    /// charging all topology traffic through `engine`. Optionally records
-    /// per-edge-traversal hotness through `on_edge(source_vertex)`.
+    /// charging all topology traffic through `engine`. Optionally reports
+    /// each expanded row with at least one drawn edge, once per frontier
+    /// position, as `on_row(row, drawn_edges)`.
     ///
     /// Convenience wrapper allocating a fresh [`SampleScratch`] per call;
     /// steady-state callers should hold a scratch and use
@@ -225,10 +226,10 @@ impl KHopSampler {
         gpu: GpuId,
         seeds: &[VertexId],
         rng: &mut R,
-        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        on_row: Option<&mut dyn FnMut(VertexId, u64)>,
     ) -> MiniBatchSample {
         let mut scratch = SampleScratch::new();
-        self.sample_batch_with(engine, gpu, seeds, rng, on_edge, &mut scratch)
+        self.sample_batch_with(engine, gpu, seeds, rng, on_row, &mut scratch)
     }
 
     /// [`Self::sample_batch`] with caller-owned working memory: no heap
@@ -242,7 +243,7 @@ impl KHopSampler {
         gpu: GpuId,
         seeds: &[VertexId],
         rng: &mut R,
-        mut on_edge: Option<&mut dyn FnMut(VertexId)>,
+        mut on_row: Option<&mut dyn FnMut(VertexId, u64)>,
         scratch: &mut SampleScratch,
     ) -> MiniBatchSample {
         let num_vertices = engine.graph().num_vertices();
@@ -255,7 +256,7 @@ impl KHopSampler {
                 0 => seeds,
                 _ => &blocks[hop - 1].src_vertices,
             };
-            let block = sample_hop(engine, cache, frontier, fanout, rng, &mut on_edge, scratch);
+            let block = sample_hop(engine, cache, frontier, fanout, rng, &mut on_row, scratch);
             engine.note_block(gpu, block.num_edges() as u64);
             blocks.push(block);
         }
@@ -284,7 +285,7 @@ fn sample_hop<'e, R: Rng + ?Sized>(
     frontier: &[VertexId],
     fanout: usize,
     rng: &mut R,
-    on_edge: &mut Option<&mut dyn FnMut(VertexId)>,
+    on_row: &mut Option<&mut dyn FnMut(VertexId, u64)>,
     scratch: &mut SampleScratch,
 ) -> Block {
     let tag = (scratch.next_epoch() as u64) << 32;
@@ -304,7 +305,7 @@ fn sample_hop<'e, R: Rng + ?Sized>(
     for (w, wave) in frontier.chunks(WAVE).enumerate() {
         resolve_wave(engine, cache, wave, fanout, &mut scratch.totals, &mut rows);
         draw_wave(engine, wave, &rows, fanout, rng, scratch, &mut ends);
-        mark_wave(wave, w * WAVE, &ends, tag, on_edge, scratch, &mut block);
+        mark_wave(wave, w * WAVE, &ends, tag, on_row, scratch, &mut block);
     }
     block
 }
@@ -372,15 +373,16 @@ fn draw_wave<R: Rng + ?Sized>(
 /// is stored either way (a seen pick stores the mark it read). Each
 /// destination's `edge_dst` entries are one run, written as wide as the
 /// wave's widest so the fill's trip count does not depend on the row
-/// (the next run, or the slack, overwrites the overhang). `on_edge(dst)`
-/// fires once per edge of that run — the argument sequence of firing it
-/// per pick. `first_dst` is the wave's offset in the frontier.
+/// (the next run, or the slack, overwrites the overhang). `on_row(dst,
+/// n)` fires once per non-empty run, `n` being its length, so a row with
+/// no drawn edge reports nothing. `first_dst` is the wave's offset in the
+/// frontier.
 fn mark_wave(
     wave: &[VertexId],
     first_dst: usize,
     ends: &[usize; WAVE],
     tag: u64,
-    on_edge: &mut Option<&mut dyn FnMut(VertexId)>,
+    on_row: &mut Option<&mut dyn FnMut(VertexId, u64)>,
     scratch: &mut SampleScratch,
     block: &mut Block,
 ) {
@@ -421,10 +423,12 @@ fn mark_wave(
         lo = hi;
     }
     block.edge_dst.truncate(first_edge + picks.len());
-    if let Some(f) = on_edge.as_deref_mut() {
+    if let Some(f) = on_row.as_deref_mut() {
         let mut lo = 0;
         for (&dst, &hi) in wave.iter().zip(ends) {
-            (lo..hi).for_each(|_| f(dst));
+            if hi > lo {
+                f(dst, (hi - lo) as u64);
+            }
             lo = hi;
         }
     }
@@ -503,8 +507,8 @@ mod tests {
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
         let sampler = KHopSampler::new(vec![2, 2]);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut counts = [0u32; 7];
-        let mut cb = |v: VertexId| counts[v as usize] += 1;
+        let mut counts = [0u64; 7];
+        let mut cb = |v: VertexId, drawn: u64| counts[v as usize] += drawn;
         let _ = sampler.sample_batch(&engine, 0, &[0], &mut rng, Some(&mut cb));
         // Vertex 0 is sampled at hop 1 (2 edges) and again at hop 2
         // (2 edges, since 0 is in the hop-2 frontier).
@@ -540,9 +544,12 @@ mod tests {
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
         let sampler = KHopSampler::new(vec![25, 10]);
         let mut rng = StdRng::seed_from_u64(4);
-        let s = sampler.sample_batch(&engine, 0, &[1], &mut rng, None);
+        let mut rows = Vec::new();
+        let mut on_row = |v: VertexId, drawn: u64| rows.push((v, drawn));
+        let s = sampler.sample_batch(&engine, 0, &[1], &mut rng, Some(&mut on_row));
         assert_eq!(s.total_edges(), 0);
         assert_eq!(s.all_vertices, vec![1]);
+        assert!(rows.is_empty(), "a row with no drawn edge reports nothing");
     }
 
     #[test]
@@ -568,14 +575,16 @@ mod tests {
     }
 
     /// The sampler the wave loop must equal, written straight down: one
-    /// metered resolve per vertex, `HashMap` dedup, sort + dedup union.
+    /// metered resolve per vertex, `HashMap` dedup, sort + dedup union,
+    /// and `on_row(dst, n)` after each destination that drew `n > 0`
+    /// edges.
     fn reference_sample(
         fanouts: &[usize],
         engine: &AccessEngine<'_>,
         gpu: GpuId,
         seeds: &[VertexId],
         rng: &mut StdRng,
-        on_edge: &mut dyn FnMut(VertexId),
+        on_row: &mut dyn FnMut(VertexId, u64),
     ) -> MiniBatchSample {
         let mut blocks: Vec<Block> = Vec::new();
         let mut all = seeds.to_vec();
@@ -592,8 +601,11 @@ mod tests {
                 .collect();
             let (mut edge_dst, mut edge_src) = (Vec::new(), Vec::new());
             for (di, &dst) in frontier.iter().enumerate() {
-                for s in engine.sample_neighbors(gpu, dst, fanout, rng) {
-                    on_edge(dst);
+                let drawn = engine.sample_neighbors(gpu, dst, fanout, rng);
+                if !drawn.is_empty() {
+                    on_row(dst, drawn.len() as u64);
+                }
+                for s in drawn {
                     let si = *index.entry(s).or_insert_with(|| {
                         src_vertices.push(s);
                         src_vertices.len() as u32 - 1
@@ -687,9 +699,27 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Observed {
         sample: MiniBatchSample,
-        traversed: Vec<VertexId>,
+        rows: Vec<(VertexId, u64)>,
         next_draw: u64,
         counters: Snapshot,
+    }
+
+    /// The per-edge destination sequence of every block, collapsed into
+    /// one `(row, edges)` run per frontier position (`edge_dst` holds the
+    /// position, so repeated destinations stay separate runs).
+    fn edge_runs(sample: &MiniBatchSample) -> Vec<(VertexId, u64)> {
+        let mut runs: Vec<(VertexId, u64)> = Vec::new();
+        for b in &sample.blocks {
+            let mut at = None;
+            for &dst in &b.edge_dst {
+                match runs.last_mut() {
+                    Some((_, n)) if at == Some(dst) => *n += 1,
+                    _ => runs.push((b.src_vertices[dst as usize], 1)),
+                }
+                at = Some(dst);
+            }
+        }
+        runs
     }
 
     /// Runs `batches` through `f` on a fresh server, `f` being either
@@ -703,7 +733,7 @@ mod tests {
             GpuId,
             &[VertexId],
             &mut StdRng,
-            &mut dyn FnMut(VertexId),
+            &mut dyn FnMut(VertexId, u64),
         ) -> MiniBatchSample,
     ) -> Vec<Observed> {
         use rand::Rng;
@@ -714,11 +744,14 @@ mod tests {
         batches
             .iter()
             .map(|(gpu, seeds)| {
-                let mut traversed = Vec::new();
-                let sample = f(&engine, *gpu, seeds, &mut rng, &mut |v| traversed.push(v));
+                let mut rows = Vec::new();
+                let sample = f(&engine, *gpu, seeds, &mut rng, &mut |v, n| {
+                    rows.push((v, n))
+                });
+                assert_eq!(rows, edge_runs(&sample), "one report per drawn row");
                 Observed {
                     sample,
-                    traversed,
+                    rows,
                     next_draw: rng.gen(),
                     counters: server.telemetry().snapshot(),
                 }
@@ -736,29 +769,19 @@ mod tests {
         scratch: &mut SampleScratch,
     ) {
         let sampler = KHopSampler::new(fanouts.to_vec());
-        let wave = observe(
-            fx,
-            placement,
-            batches,
-            |engine, gpu, seeds, rng, on_edge| {
-                sampler.sample_batch_with(engine, gpu, seeds, rng, Some(on_edge), scratch)
-            },
-        );
-        let reference = observe(
-            fx,
-            placement,
-            batches,
-            |engine, gpu, seeds, rng, on_edge| {
-                reference_sample(fanouts, engine, gpu, seeds, rng, on_edge)
-            },
-        );
+        let wave = observe(fx, placement, batches, |engine, gpu, seeds, rng, on_row| {
+            sampler.sample_batch_with(engine, gpu, seeds, rng, Some(on_row), scratch)
+        });
+        let reference = observe(fx, placement, batches, |engine, gpu, seeds, rng, on_row| {
+            reference_sample(fanouts, engine, gpu, seeds, rng, on_row)
+        });
         assert_eq!(wave, reference);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Blocks, `all_vertices`, RNG position, `on_edge` sequence and
+        /// Blocks, `all_vertices`, RNG position, `on_row` sequence and
         /// every counter equal the reference — for frontiers around the
         /// wave width, degrees around the fan-out, every row class in
         /// one wave, duplicate seeds, and graphs small enough that every

@@ -77,7 +77,7 @@ impl BatchStep {
     }
 
     /// Runs one mini-batch: samples `seeds` on `sampling_gpu` (reporting
-    /// each edge traversal's source to `on_edge`), meters the sample's
+    /// each expanded row and its drawn-edge count to `on_row`), meters the sample's
     /// rows on `gpu` as `how` classifies them, hands each HBM miss to the
     /// first of `tiers` that claims it, and prices the stages.
     /// `extract_s` is the PCIe / NVLink time plus each tier's
@@ -90,7 +90,7 @@ impl BatchStep {
         gpu: GpuId,
         seeds: &[VertexId],
         rng: &mut R,
-        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        on_row: Option<&mut dyn FnMut(VertexId, u64)>,
         how: Extract<'_>,
         tiers: &mut [&mut dyn LowerTier],
         at: f64,
@@ -100,7 +100,7 @@ impl BatchStep {
             sampling_gpu,
             seeds,
             rng,
-            on_edge,
+            on_row,
             &mut self.scratch,
         );
         let sample_s = self

@@ -28,7 +28,7 @@ use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
 use legion_router::Dispatcher;
-use legion_sampling::access::{sample_from, CacheLayout};
+use legion_sampling::access::{sample_from_into, CacheLayout, FloydSet};
 
 use crate::workload::TargetSampler;
 
@@ -76,21 +76,24 @@ pub fn warmup_hot_vertices_weighted(
 ) -> (Vec<VertexId>, Vec<u64>) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut touches = vec![0u64; graph.num_vertices()];
+    let mut seen = FloydSet::new();
+    let (mut frontier, mut next) = (Vec::new(), Vec::new());
     for _ in 0..warmup_requests {
         let target = targets.next(&mut rng);
         touches[target as usize] += 1;
-        let mut frontier = vec![target];
+        frontier.clear();
+        frontier.push(target);
         for &fanout in fanouts {
-            let mut next = Vec::new();
+            next.clear();
             for &v in &frontier {
-                for s in sample_from(graph.neighbors(v), fanout, &mut rng) {
-                    touches[s as usize] += 1;
-                    next.push(s);
-                }
+                sample_from_into(graph.neighbors(v), fanout, &mut rng, &mut seen, &mut next);
+            }
+            for &s in &next {
+                touches[s as usize] += 1;
             }
             next.sort_unstable();
             next.dedup();
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
         }
     }
     (hotness_order(&touches), touches)

@@ -676,7 +676,7 @@ impl BatchLane {
         engine: &AccessEngine<'_>,
         gpu: GpuId,
         how: Extract<'_>,
-        on_edge: Option<&mut dyn FnMut(VertexId)>,
+        on_row: Option<&mut dyn FnMut(VertexId, u64)>,
         at: f64,
     ) -> (MiniBatchSample, BatchTiming) {
         let remote = self.remote.as_deref_mut().map(|r| r as &mut dyn LowerTier);
@@ -685,7 +685,7 @@ impl BatchLane {
         let (seeds, rng) = (&self.seeds, &mut self.rng);
         let out = self
             .step
-            .run(engine, gpu, gpu, seeds, rng, on_edge, how, &mut tiers, at);
+            .run(engine, gpu, gpu, seeds, rng, on_row, how, &mut tiers, at);
         let flops = ctx.model.inference_flops(&out.sample);
         let timing = BatchTiming {
             sample_s: out.sample_s,
@@ -866,9 +866,9 @@ fn replan_batch_service(
     let mut timing = {
         let ReplanState { window, plan, .. } = &mut rw.state;
         let plan_engine = ctx.engine.with_layout(plan.active_layout());
-        let mut note_edge = |v| window.note_edge(v);
-        let on_edge = Some(&mut note_edge as &mut dyn FnMut(VertexId));
-        let (sample, timing) = lane.run(ctx, &plan_engine, gpu, Extract::Layout, on_edge, at);
+        let mut note_edge = |v, drawn| window.note_edge(v, drawn);
+        let on_row = Some(&mut note_edge as &mut dyn FnMut(VertexId, u64));
+        let (sample, timing) = lane.run(ctx, &plan_engine, gpu, Extract::Layout, on_row, at);
         for &v in &sample.all_vertices {
             window.note_feature(v);
         }
@@ -1080,7 +1080,7 @@ impl<'a> MutationDriver<'a> {
         // slow path (re-planning) will re-examine it next roll.
         for w in workers.iter_mut() {
             if let WorkerPolicy::Replan(rw) = &mut w.policy {
-                rw.state.window.note_edge(v);
+                rw.state.window.note_edge(v, 1);
                 if let MutationOp::InsertEdge { dst, .. } = m.op {
                     rw.state.window.note_feature(dst);
                 }

@@ -39,7 +39,7 @@ use rand::SeedableRng;
 use legion_cache::{sort_by_hotness, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
-use legion_sampling::access::{sample_from, CacheLayout};
+use legion_sampling::access::{sample_from_into, CacheLayout, FloydSet};
 
 use crate::workload::TargetSampler;
 
@@ -167,12 +167,14 @@ impl WindowEstimator {
         }
     }
 
-    /// Records one traversed edge whose source is `v` (the `H_T` rule:
-    /// "whenever an edge is traversed ... the hotness of its source
-    /// vertex is incremented by 1").
-    pub fn note_edge(&mut self, v: VertexId) {
-        self.topo.add(0, v, 1);
-        *self.current.topo.entry(v).or_insert(0) += 1;
+    /// Records `edges > 0` traversed edges whose source is `v` (the `H_T`
+    /// rule: "whenever an edge is traversed ... the hotness of its source
+    /// vertex is incremented by 1"). A vertex has a key in the window
+    /// exactly when its hotness is non-zero, so nothing records zero.
+    pub fn note_edge(&mut self, v: VertexId, edges: u64) {
+        debug_assert!(edges > 0, "a zero count would list {v} with no hotness");
+        self.topo.add(0, v, edges);
+        *self.current.topo.entry(v).or_insert(0) += edges;
     }
 
     /// Records one vertex appearing in a batch's sample results (the
@@ -568,22 +570,26 @@ pub fn profile_warmup(
     let mut topo = HotnessMatrix::new(1, n);
     let mut feat = HotnessMatrix::new(1, n);
     let mut n_tsum = 0u64;
+    let mut seen = FloydSet::new();
+    let (mut touched, mut frontier, mut next) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..warmup_requests {
         let target = targets.next(&mut rng);
-        let mut touched = vec![target];
-        let mut frontier = vec![target];
+        touched.clear();
+        touched.push(target);
+        frontier.clear();
+        frontier.push(target);
         for &fanout in fanouts {
-            let mut next = Vec::new();
+            next.clear();
             for &v in &frontier {
                 let edges_read = (graph.degree(v) as usize).min(fanout) as u64;
                 topo.add(0, v, edges_read);
                 n_tsum += 1 + edges_read;
-                next.extend(sample_from(graph.neighbors(v), fanout, &mut rng));
+                sample_from_into(graph.neighbors(v), fanout, &mut rng, &mut seen, &mut next);
             }
             next.sort_unstable();
             next.dedup();
             touched.extend_from_slice(&next);
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
         }
         touched.sort_unstable();
         touched.dedup();
@@ -799,14 +805,13 @@ mod tests {
     fn window_retires_buckets_exactly() {
         let mut w = WindowEstimator::new(8, 2, 2);
         // Bucket 1: vertex 3 twice.
-        w.note_edge(3);
-        w.note_edge(3);
+        w.note_edge(3, 2);
         w.note_feature(3);
         w.note_batch(2, 1, 1, 10);
         assert!(w.seal_if_due().is_some());
         // Buckets 2 and 3: vertex 5.
         for _ in 0..2 {
-            w.note_edge(5);
+            w.note_edge(5, 1);
             w.note_feature(5);
             w.note_batch(2, 2, 0, 4);
             assert!(w.seal_if_due().is_some());
@@ -902,7 +907,7 @@ mod tests {
     fn feed(w: &mut WindowEstimator, rng: &mut StdRng, span: u32, batches: usize) {
         for _ in 0..batches {
             for _ in 0..rng.gen_range(0..6) {
-                w.note_edge(rng.gen_range(0..span));
+                w.note_edge(rng.gen_range(0..span), rng.gen_range(1..4));
             }
             for _ in 0..rng.gen_range(0..6) {
                 w.note_feature(rng.gen_range(0..span));

@@ -211,7 +211,7 @@ fn filled_layout(d: &Dataset) -> CacheLayout {
 /// The k-hop sampler's whole observable output, pinned beside the run
 /// snapshots: every block and `all_vertices` of three batches run
 /// through one scratch (GPU 0, GPU 3 in the other clique, then a single
-/// seed on GPU 1), the `on_edge` argument sequence, the RNG position
+/// seed on GPU 1), the `on_row` reports expanded to one id per edge, the RNG position
 /// after each call and the engine's counters — for a filled 2-clique layout, a GPU-replicated topology,
 /// an overlay whose dirty rows sit on both sides of every power-of-two
 /// frontier position up to 64, and duplicate seeds.
@@ -316,14 +316,17 @@ fn sampler_rows(d: &Dataset, rows: &mut Vec<(&'static str, u64)>) {
                 (1, &seeds[5..6]),
             ];
             for (gpu, batch) in batches {
+                // Each row once per drawn edge: the sequence a per-edge
+                // hook reported before the hook took counts.
                 let mut traversed: Vec<u32> = Vec::new();
-                let mut on_edge = |v: u32| traversed.push(v);
+                let mut on_row =
+                    |v: u32, drawn: u64| traversed.extend(std::iter::repeat_n(v, drawn as usize));
                 let sample = sampler.sample_batch_with(
                     &engine,
                     gpu,
                     batch,
                     &mut rng,
-                    Some(&mut on_edge),
+                    Some(&mut on_row),
                     &mut scratch,
                 );
                 for b in &sample.blocks {
