@@ -77,9 +77,10 @@ impl BatchStep {
     }
 
     /// Runs one mini-batch: samples `seeds` on `sampling_gpu` (reporting
-    /// each expanded row and its drawn-edge count to `on_row`), meters the sample's
-    /// rows on `gpu` as `how` classifies them, hands each HBM miss to the
-    /// first of `tiers` that claims it, and prices the stages.
+    /// each expanded row and its drawn-edge count to `on_row`), meters
+    /// the sample's rows on `gpu` as `how` classifies them, hands each
+    /// HBM miss to the first of `tiers` that claims it, and prices the
+    /// stages.
     /// `extract_s` is the PCIe / NVLink time plus each tier's
     /// [`LowerTier::charge`] at `at`, added in slice order.
     #[allow(clippy::too_many_arguments)]
