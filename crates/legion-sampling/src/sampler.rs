@@ -723,17 +723,18 @@ mod tests {
     }
 
     /// Runs `batches` through `f` on a fresh server, `f` being either
-    /// sampler under test.
+    /// sampler under test, with the per-row hook on or off.
     fn observe(
         fx: &Fixture,
         placement: TopologyPlacement,
         batches: &[(GpuId, Vec<VertexId>)],
+        hook: bool,
         mut f: impl FnMut(
             &AccessEngine<'_>,
             GpuId,
             &[VertexId],
             &mut StdRng,
-            &mut dyn FnMut(VertexId, u64),
+            Option<&mut dyn FnMut(VertexId, u64)>,
         ) -> MiniBatchSample,
     ) -> Vec<Observed> {
         use rand::Rng;
@@ -745,10 +746,12 @@ mod tests {
             .iter()
             .map(|(gpu, seeds)| {
                 let mut rows = Vec::new();
-                let sample = f(&engine, *gpu, seeds, &mut rng, &mut |v, n| {
-                    rows.push((v, n))
-                });
-                assert_eq!(rows, edge_runs(&sample), "one report per drawn row");
+                let mut report = |v: VertexId, n: u64| rows.push((v, n));
+                let on_row = hook.then_some(&mut report as &mut dyn FnMut(VertexId, u64));
+                let sample = f(&engine, *gpu, seeds, &mut rng, on_row);
+                if hook {
+                    assert_eq!(rows, edge_runs(&sample), "one report per drawn row");
+                }
                 Observed {
                     sample,
                     rows,
@@ -760,21 +763,41 @@ mod tests {
     }
 
     /// Wave sampler against reference on the same batches, one scratch
-    /// across them.
+    /// across them, with the per-row hook on or off.
     fn assert_equals_reference(
         fx: &Fixture,
         placement: TopologyPlacement,
         fanouts: &[usize],
         batches: &[(GpuId, Vec<VertexId>)],
+        hook: bool,
         scratch: &mut SampleScratch,
     ) {
         let sampler = KHopSampler::new(fanouts.to_vec());
-        let wave = observe(fx, placement, batches, |engine, gpu, seeds, rng, on_row| {
-            sampler.sample_batch_with(engine, gpu, seeds, rng, Some(on_row), scratch)
-        });
-        let reference = observe(fx, placement, batches, |engine, gpu, seeds, rng, on_row| {
-            reference_sample(fanouts, engine, gpu, seeds, rng, on_row)
-        });
+        let wave = observe(
+            fx,
+            placement,
+            batches,
+            hook,
+            |engine, gpu, seeds, rng, on_row| {
+                sampler.sample_batch_with(engine, gpu, seeds, rng, on_row, scratch)
+            },
+        );
+        let reference = observe(
+            fx,
+            placement,
+            batches,
+            hook,
+            |engine, gpu, seeds, rng, on_row| {
+                reference_sample(
+                    fanouts,
+                    engine,
+                    gpu,
+                    seeds,
+                    rng,
+                    on_row.unwrap_or(&mut |_, _| {}),
+                )
+            },
+        );
         assert_eq!(wave, reference);
     }
 
@@ -786,7 +809,7 @@ mod tests {
         /// wave width, degrees around the fan-out, every row class in
         /// one wave, duplicate seeds, and graphs small enough that every
         /// union is a bitmap scan or large enough that a short frontier
-        /// sorts.
+        /// sorts; with the `on_row` hook and without it.
         #[test]
         fn wave_sampler_equals_the_reference(
             num_seeds in prop_oneof![
@@ -796,6 +819,7 @@ mod tests {
             fanouts in prop_oneof![Just(vec![3usize]), Just(vec![4, 2]), Just(vec![1, 1, 5])],
             replicated in any::<bool>(),
             duplicate in any::<bool>(),
+            hook in any::<bool>(),
             seed in 0u64..1 << 20,
         ) {
             let fx = fixture(n, fanouts[0], seed);
@@ -813,7 +837,7 @@ mod tests {
             };
             let tail = seeds[num_seeds / 2..].to_vec();
             let batches = [(0, seeds), (1, tail)];
-            assert_equals_reference(&fx, placement, &fanouts, &batches, &mut SampleScratch::new());
+            assert_equals_reference(&fx, placement, &fanouts, &batches, hook, &mut SampleScratch::new());
         }
     }
 
@@ -866,10 +890,10 @@ mod tests {
         // of the tag space: the next two hops are tagged `u32::MAX` and —
         // wrapped — 1 again, which those marks must not answer to.
         let warm = [(0, fx.active[..120].to_vec())];
-        assert_equals_reference(&fx, cpu, &[4], &warm, &mut scratch);
+        assert_equals_reference(&fx, cpu, &[4], &warm, true, &mut scratch);
         scratch.epoch = u32::MAX - 1;
         let batches = [(0, fx.active[..1].to_vec()), (1, fx.active[120..].to_vec())];
-        assert_equals_reference(&fx, cpu, &[4], &batches, &mut scratch);
+        assert_equals_reference(&fx, cpu, &[4], &batches, true, &mut scratch);
         assert_eq!(scratch.epoch, 1, "wrapped");
     }
 
@@ -888,6 +912,7 @@ mod tests {
                 TopologyPlacement::CpuUva,
                 &[3, 3],
                 &batches,
+                true,
                 &mut scratch,
             );
         }

@@ -1,6 +1,8 @@
-//! Serializable point-in-time metric snapshots.
+//! Serializable point-in-time metric snapshots, their canonical text
+//! form and a by-name diff of two texts.
 
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One counter's name and value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -84,5 +86,122 @@ impl Snapshot {
     /// into a fleet-level one.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSample> {
         self.histograms.iter().find(|h| h.name == name)
+    }
+
+    /// The canonical text form, one `name value` line per metric:
+    /// counters, then gauges as round-trip `{:?}` floats (so `-0.0` and
+    /// `0.0` differ), then each histogram's `count`, `sum`, `p50`, `p99`
+    /// and non-empty buckets by bound (`le{bound}`, `over` for the
+    /// overflow bucket) as `key=value` fields. The bounds of empty
+    /// buckets are all it leaves out. [`diff`] compares two texts.
+    pub fn to_text(&self) -> String {
+        let counters = self
+            .counters
+            .iter()
+            .map(|c| format!("{} {}\n", c.name, c.value));
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|g| format!("{} {:?}\n", g.name, g.value));
+        let histograms = self.histograms.iter().map(|h| {
+            let live = crate::Histogram::new(&h.bounds);
+            live.merge_counts(&h.counts, h.sum);
+            let mut line = format!("{} count={} sum={}", h.name, live.count(), h.sum);
+            line += &format!(" p50={} p99={}", live.quantile(0.5), live.quantile(0.99));
+            for (i, &n) in h.counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                line += &match h.bounds.get(i) {
+                    Some(bound) => format!(" le{bound}={n}"),
+                    None => format!(" over={n}"),
+                };
+            }
+            line + "\n"
+        });
+        counters.chain(gauges).chain(histograms).collect()
+    }
+}
+
+/// The metrics that differ between two canonical texts
+/// ([`Snapshot::to_text`]), one line each in name order: `added name
+/// value`, `removed name value` or `changed name old → new`, with the
+/// relative change when both values are numbers (`41 → 43 (+4.9 %)`).
+/// Equal texts give no line.
+pub fn diff(old: &str, new: &str) -> Vec<String> {
+    fn by_name(text: &str) -> BTreeMap<&str, &str> {
+        text.lines()
+            .map(|line| line.split_once(' ').unwrap_or((line, "")))
+            .collect()
+    }
+    let (old, new) = (by_name(old), by_name(new));
+    let names: BTreeSet<&str> = old.keys().chain(new.keys()).copied().collect();
+    let mover = |name: &str| match (old.get(name), new.get(name)) {
+        (Some(a), Some(b)) if a == b => None,
+        (Some(a), Some(b)) => {
+            let relative = match (a.parse::<f64>(), b.parse::<f64>()) {
+                (Ok(a), Ok(b)) if a != 0.0 => format!(" ({:+.1} %)", (b / a - 1.0) * 100.0),
+                _ => String::new(),
+            };
+            Some(format!("changed {name} {a} → {b}{relative}"))
+        }
+        (None, Some(b)) => Some(format!("added {name} {b}")),
+        (Some(a), None) => Some(format!("removed {name} {a}")),
+        (None, None) => None,
+    };
+    names.into_iter().filter_map(mover).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diff;
+    use crate::Registry;
+
+    /// The canonical text of a registry holding a counter at 41, a gauge
+    /// at 0.0 and a `[10, 100]` histogram that saw a 5, after `edit`.
+    fn text(edit: impl Fn(&Registry)) -> String {
+        let reg = Registry::new();
+        reg.counter("serve.completed").add(41);
+        reg.gauge("serve.hit_rate").set(0.0);
+        reg.histogram("serve.latency_us", &[10, 100]).observe(5);
+        edit(&reg);
+        reg.snapshot().to_text()
+    }
+
+    #[test]
+    fn diff_lists_each_mover_once() {
+        let base = text(|_| {});
+        assert_eq!(
+            base,
+            "serve.completed 41\nserve.hit_rate 0.0\n\
+             serve.latency_us count=1 sum=5 p50=10 p99=10 le10=1\n"
+        );
+        let shed = text(|reg| reg.counter("serve.shed").inc());
+        let seen =
+            |v| move |reg: &Registry| reg.histogram("serve.latency_us", &[10, 100]).observe(v);
+        let cases = [
+            // Equal snapshots give no line.
+            (&base, &base, ""),
+            (
+                &base,
+                &text(|reg| reg.counter("serve.completed").inc()),
+                "changed serve.completed 41 → 42 (+2.4 %)",
+            ),
+            (&base, &shed, "added serve.shed 1"),
+            (&shed, &base, "removed serve.shed 1"),
+            // One observation in another bucket is one line.
+            (
+                &text(seen(50)),
+                &text(seen(500)),
+                "changed serve.latency_us count=2 sum=55 p50=10 p99=100 le10=1 le100=1 \
+                 → count=2 sum=505 p50=10 p99=100 le10=1 over=1",
+            ),
+            // The text keeps a gauge's sign of zero, as the JSON did.
+            (
+                &base,
+                &text(|reg| reg.gauge("serve.hit_rate").set(-0.0)),
+                "changed serve.hit_rate 0.0 → -0.0",
+            ),
+        ];
+        for (old, new, movers) in cases {
+            assert_eq!(diff(old, new).join("\n"), movers);
+        }
     }
 }

@@ -9,6 +9,7 @@ use legion_core::system::legion_setup_with_plans;
 use legion_core::LegionConfig;
 use legion_graph::dataset::spec_by_name;
 use legion_hw::ServerSpec;
+use legion_telemetry::snapshot::diff;
 
 fn config(seed: u64) -> LegionConfig {
     LegionConfig {
@@ -16,6 +17,15 @@ fn config(seed: u64) -> LegionConfig {
         batch_size: 64,
         seed,
         ..Default::default()
+    }
+}
+
+/// Fails, naming every metric that moved, when two runs' canonical
+/// snapshot texts differ pair by pair.
+fn assert_same(a: &[String], b: &[String], what: &str) {
+    if a != b {
+        let movers: Vec<String> = a.iter().zip(b).flat_map(|(a, b)| diff(a, b)).collect();
+        panic!("{what}:\n{}", movers.join("\n"));
     }
 }
 
@@ -50,7 +60,7 @@ fn same_seed_byte_identical_metric_snapshots() {
     // The telemetry snapshot is the source of truth for every figure, so
     // replaying a seed must reproduce it bit-for-bit — including the f64
     // gauges, which round-trip through their exact bit patterns.
-    let snapshot_json = |seed: u64| {
+    let snapshot_text = |seed: u64| {
         let ds = spec_by_name("PR").unwrap().instantiate(1000, seed);
         let spec = ServerSpec::custom(4, 16 << 20, 2);
         let server = spec.build();
@@ -58,13 +68,18 @@ fn same_seed_byte_identical_metric_snapshots() {
         let ctx = cfg.build_context(&ds, &server);
         let (setup, _) = legion_setup_with_plans(&ctx, &cfg).unwrap();
         let report = run_epoch(&setup, &ctx, &cfg);
-        serde_json::to_string_pretty(&report.metrics).unwrap()
+        [report.metrics.to_text()]
     };
-    let a = snapshot_json(42);
-    let b = snapshot_json(42);
-    assert_eq!(a, b, "same-seed metric snapshots must be byte-identical");
-    let c = snapshot_json(43);
-    assert_ne!(a, c, "different seeds should change the metric snapshot");
+    let a = snapshot_text(42);
+    assert_same(
+        &a,
+        &snapshot_text(42),
+        "same-seed metric snapshots must be identical",
+    );
+    assert!(
+        a != snapshot_text(43),
+        "different seeds should change the metric snapshot"
+    );
 }
 
 #[test]
@@ -126,7 +141,7 @@ fn batched_reads_match_scalar_reads_byte_identically() {
         engine_a.read_features_batch(1, &[v], &mut one_row, &mut totals);
         scalar_rows.extend_from_slice(&one_row);
     }
-    let snap_a = serde_json::to_string_pretty(&server_a.telemetry().snapshot()).unwrap();
+    let snap_a = [server_a.telemetry().snapshot().to_text()];
 
     // Batched run, same seed, fresh server.
     let server_b = ServerSpec::custom(2, 64 << 20, 2).build();
@@ -160,126 +175,12 @@ fn batched_reads_match_scalar_reads_byte_identically() {
     let mut batched_rows: Vec<f32> = Vec::new();
     engine_b.read_features_batch(1, &vertices, &mut batched_rows, &mut totals);
     assert_eq!(batched_rows, scalar_rows, "gathered feature rows differ");
-    let snap_b = serde_json::to_string_pretty(&server_b.telemetry().snapshot()).unwrap();
-    assert_eq!(
-        snap_a, snap_b,
-        "scalar and batched runs must flush identical counter totals"
+    let snap_b = [server_b.telemetry().snapshot().to_text()];
+    assert_same(
+        &snap_a,
+        &snap_b,
+        "scalar and batched runs must flush identical counter totals",
     );
-}
-
-/// The scratch-arena sampler must reproduce the original HashMap-based
-/// scalar sampler exactly: identical `MiniBatchSample`s and a
-/// byte-identical telemetry snapshot for the same seed.
-#[test]
-fn sample_batch_with_matches_reference_scalar_sampler() {
-    use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-    use legion_sampling::{Block, KHopSampler, MiniBatchSample, SampleScratch};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    // The pre-scratch implementation, kept verbatim as the reference.
-    fn reference_sample_batch<R: Rng + ?Sized>(
-        fanouts: &[usize],
-        engine: &AccessEngine<'_>,
-        gpu: usize,
-        seeds: &[u32],
-        rng: &mut R,
-    ) -> MiniBatchSample {
-        let mut blocks = Vec::with_capacity(fanouts.len());
-        let mut frontier: Vec<u32> = seeds.to_vec();
-        let mut all: Vec<u32> = seeds.to_vec();
-        for &fanout in fanouts {
-            let mut src_vertices: Vec<u32> = frontier.clone();
-            let mut src_index: std::collections::HashMap<u32, u32> = src_vertices
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (v, i as u32))
-                .collect();
-            let mut edge_dst = Vec::new();
-            let mut edge_src = Vec::new();
-            for (di, &dst) in frontier.iter().enumerate() {
-                let sampled = engine.sample_neighbors(gpu, dst, fanout, rng);
-                for s in sampled {
-                    let si = *src_index.entry(s).or_insert_with(|| {
-                        src_vertices.push(s);
-                        (src_vertices.len() - 1) as u32
-                    });
-                    edge_dst.push(di as u32);
-                    edge_src.push(si);
-                }
-            }
-            all.extend_from_slice(&src_vertices[frontier.len()..]);
-            let next_frontier = src_vertices.clone();
-            engine.note_block(gpu, edge_dst.len() as u64);
-            blocks.push(Block {
-                num_dst: frontier.len(),
-                src_vertices,
-                edge_dst,
-                edge_src,
-            });
-            frontier = next_frontier;
-        }
-        all.sort_unstable();
-        all.dedup();
-        MiniBatchSample {
-            seeds: seeds.to_vec(),
-            blocks,
-            all_vertices: all,
-        }
-    }
-
-    let ds = spec_by_name("PR").unwrap().instantiate(1200, 3);
-    let seeds: Vec<u32> = ds.train_vertices.iter().copied().take(96).collect();
-    let fanouts = vec![5usize, 3];
-
-    let server_a = ServerSpec::custom(2, 64 << 20, 2).build();
-    let layout_a = CacheLayout::none(2);
-    let engine_a = AccessEngine::new(
-        &ds.graph,
-        &ds.features,
-        &layout_a,
-        &server_a,
-        TopologyPlacement::CpuUva,
-    );
-    let mut rng_a = StdRng::seed_from_u64(1234);
-    let reference = reference_sample_batch(&fanouts, &engine_a, 0, &seeds, &mut rng_a);
-    let snap_a = serde_json::to_string_pretty(&server_a.telemetry().snapshot()).unwrap();
-
-    let server_b = ServerSpec::custom(2, 64 << 20, 2).build();
-    let layout_b = CacheLayout::none(2);
-    let engine_b = AccessEngine::new(
-        &ds.graph,
-        &ds.features,
-        &layout_b,
-        &server_b,
-        TopologyPlacement::CpuUva,
-    );
-    let sampler = KHopSampler::new(fanouts);
-    let mut rng_b = StdRng::seed_from_u64(1234);
-    let mut scratch = SampleScratch::new();
-    let batched = sampler.sample_batch_with(&engine_b, 0, &seeds, &mut rng_b, None, &mut scratch);
-    let snap_b = serde_json::to_string_pretty(&server_b.telemetry().snapshot()).unwrap();
-
-    assert_eq!(reference, batched, "MiniBatchSamples must be identical");
-    assert_eq!(snap_a, snap_b, "sampling telemetry must be identical");
-    // A second batch through the same scratch stays equivalent (epoch
-    // stamping must not leak state between batches).
-    let reference2 = reference_sample_batch(
-        &[5, 3],
-        &engine_a,
-        1,
-        &seeds[..40.min(seeds.len())],
-        &mut rng_a,
-    );
-    let batched2 = sampler.sample_batch_with(
-        &engine_b,
-        1,
-        &seeds[..40.min(seeds.len())],
-        &mut rng_b,
-        None,
-        &mut scratch,
-    );
-    assert_eq!(reference2, batched2);
 }
 
 #[test]
@@ -292,7 +193,7 @@ fn dataset_instantiation_is_stable_across_calls() {
 }
 
 /// The serving config lattice (ROADMAP 2(b)): fixed-seed draws over every
-/// serving feature at golden-digest scale (PR/500 on two NVLink cliques
+/// serving feature at golden scale (PR/500 on two NVLink cliques
 /// of two GPUs). The run checker (`legion_serve::invariants`) runs inside
 /// every run; on top of it each draw asserts that
 ///
@@ -305,6 +206,7 @@ fn dataset_instantiation_is_stable_across_calls() {
 /// No `validate` relates these axes to one another, so every drawn
 /// combination is legal.
 mod config_lattice {
+    use super::assert_same;
     use legion_fleet::scenarios::{
         churn, clique_machine, fleet, golden, golden_dataset, oversub_drift, router_qos,
     };
@@ -314,7 +216,6 @@ mod config_lattice {
     use legion_serve::{
         serve, ArrivalProcess, ClassConfig, MutationSource, PolicyKind, ServeConfig,
     };
-    use legion_telemetry::Snapshot;
 
     /// Lattice points drawn per run of the test.
     const DRAWS: usize = 96;
@@ -478,18 +379,17 @@ mod config_lattice {
     }
 
     /// One run of `cfg` deployed as `draw` says: the requests it shed,
-    /// and every snapshot it produced serialized (the fleet's first, then
-    /// each member's).
+    /// and the canonical text of every snapshot it produced (the fleet's
+    /// first, then each member's).
     fn run(d: &Dataset, draw: &Draw, cfg: &ServeConfig) -> (u64, Vec<String>) {
         let spec = clique_machine();
-        let json = |m: &Snapshot| serde_json::to_string(m).expect("serializable snapshot");
         if draw.servers == 0 {
             let r = serve(&d.graph, &d.features, &spec.build(), cfg);
-            return (r.shed, vec![json(&r.metrics)]);
+            return (r.shed, vec![r.metrics.to_text()]);
         }
         let r = serve_fleet(&d.graph, &d.features, &spec, cfg, &draw.fleet());
-        let members = r.per_server.iter().map(|s| json(&s.metrics));
-        let snapshots = std::iter::once(json(&r.metrics)).chain(members);
+        let members = r.per_server.iter().map(|s| s.metrics.to_text());
+        let snapshots = std::iter::once(r.metrics.to_text()).chain(members);
         (r.shed, snapshots.collect())
     }
 
@@ -511,18 +411,21 @@ mod config_lattice {
             let cfg = draw.config(table_bytes);
             let (shed, snaps) = run(&d, draw, &cfg);
             assert_eq!(shed > 0, draw.overload, "{draw:?}: only overload sheds");
-            assert!(
-                run(&d, draw, &cfg).1 == snaps,
-                "{draw:?}: same-seed replay differs"
+            let replay = run(&d, draw, &cfg).1;
+            assert_same(
+                &replay,
+                &snaps,
+                &format!("{draw:?}: same-seed replay differs"),
             );
             if draw.store == Store::HoldsTable {
                 let off = Draw {
                     store: Store::Off,
                     ..*draw
                 };
-                assert!(
-                    run(&d, &off, &off.config(table_bytes)).1 == snaps,
-                    "{draw:?}: a DRAM budget that holds the table must be the store off"
+                assert_same(
+                    &run(&d, &off, &off.config(table_bytes)).1,
+                    &snaps,
+                    &format!("{draw:?}: a DRAM budget that holds the table must be the store off"),
                 );
             }
             if draw.servers == 1 {
@@ -530,9 +433,10 @@ mod config_lattice {
                     servers: 0,
                     ..*draw
                 };
-                assert!(
-                    run(&d, &solo, &cfg).1[0] == snaps[1],
-                    "{draw:?}: a one-server fleet's member must be serve()"
+                assert_same(
+                    &run(&d, &solo, &cfg).1,
+                    &snaps[1..],
+                    &format!("{draw:?}: a one-server fleet's member must be serve()"),
                 );
             }
             for (family, on) in draw.families() {
