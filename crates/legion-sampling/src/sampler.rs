@@ -778,8 +778,8 @@ mod tests {
             placement,
             batches,
             hook,
-            |engine, gpu, seeds, rng, on_row| {
-                sampler.sample_batch_with(engine, gpu, seeds, rng, on_row, scratch)
+            |e, gpu, seeds, rng, on_row| {
+                sampler.sample_batch_with(e, gpu, seeds, rng, on_row, scratch)
             },
         );
         let reference = observe(
@@ -787,10 +787,10 @@ mod tests {
             placement,
             batches,
             hook,
-            |engine, gpu, seeds, rng, on_row| {
+            |e, gpu, seeds, rng, on_row| {
                 reference_sample(
                     fanouts,
-                    engine,
+                    e,
                     gpu,
                     seeds,
                     rng,

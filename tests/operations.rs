@@ -821,16 +821,18 @@ fn documented_crate_items_exist() {
     );
 }
 
-/// The top-level docs and the byte budget each must fit: its size when
-/// the budget was last set. A change that needs more room raises the
-/// budget in the same diff, so docs stop growing by default.
-const DOC_BUDGETS: [(&str, u64); 6] = [
+/// The top-level docs, the committed golden values, and the byte budget
+/// each must fit: its size when the budget was last set. A change that
+/// needs more room raises the budget in the same diff, so neither grows
+/// by default.
+const DOC_BUDGETS: [(&str, u64); 7] = [
     ("README.md", 28907),
-    ("DESIGN.md", 88512),
-    ("OPERATIONS.md", 29025),
+    ("DESIGN.md", 88761),
+    ("OPERATIONS.md", 29312),
     ("EXPERIMENTS.md", 42503),
     ("CHANGES.md", 153297),
-    ("ROADMAP.md", 41776),
+    ("ROADMAP.md", 34011),
+    ("tests/golden.txt", 96293),
 ];
 
 /// Every top-level doc fits its byte budget.
