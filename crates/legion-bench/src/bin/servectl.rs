@@ -52,6 +52,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use legion_bench::print_rows;
 use legion_fleet::scenarios::{clique_machine, fleet, router_qos};
 use legion_fleet::{serve_fleet, FleetConfig, FleetPolicy, FleetReport};
 use legion_graph::dataset::{spec_by_name, Dataset};
@@ -65,60 +66,6 @@ use legion_telemetry::Snapshot;
 use serde::{Serialize, Value};
 
 const POLICIES: [PolicyKind; 3] = [PolicyKind::StaticHot, PolicyKind::Fifo, PolicyKind::Replan];
-
-/// Prints `rows` as a table: a header of field names, then one line per
-/// row with each serialized field as a cell, in field order. Text
-/// columns align left, numbers right; an array cell is its items joined
-/// by `/`, and an absent value prints as `-`.
-fn print_rows<T: Serialize>(rows: &[T]) {
-    fn cell(value: &Value) -> String {
-        match value {
-            Value::Str(s) => s.clone(),
-            Value::F64(x) if x.abs() < 1e3 => format!("{x:.3}"),
-            Value::F64(x) => format!("{x:.0}"),
-            Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join("/"),
-            Value::Null => "-".to_string(),
-            other => serde_json::to_string(other).expect("scalar cell"),
-        }
-    }
-    let table: Vec<Vec<(String, Value)>> = rows
-        .iter()
-        .map(|row| match row.serialize() {
-            Value::Object(fields) => fields,
-            other => panic!("a table row serializes to an object, not {other:?}"),
-        })
-        .collect();
-    let Some(first) = table.first() else { return };
-    let header: Vec<String> = first.iter().map(|(name, _)| name.clone()).collect();
-    let left: Vec<bool> = first
-        .iter()
-        .map(|(_, v)| matches!(v, Value::Str(_)))
-        .collect();
-    let cells: Vec<Vec<String>> = table
-        .iter()
-        .map(|row| row.iter().map(|(_, v)| cell(v)).collect())
-        .collect();
-    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-    for row in &cells {
-        for (width, text) in widths.iter_mut().zip(row) {
-            *width = (*width).max(text.len());
-        }
-    }
-    for row in std::iter::once(&header).chain(&cells) {
-        let padded: Vec<String> = row
-            .iter()
-            .zip(widths.iter().zip(&left))
-            .map(|(text, (&w, &left))| {
-                if left {
-                    format!("{text:<w$}")
-                } else {
-                    format!("{text:>w$}")
-                }
-            })
-            .collect();
-        println!("  {}", padded.join("  "));
-    }
-}
 
 /// Per-drift-phase tail feature hit rates (`serve.phase{k}.tail_*`),
 /// keyed by phase index. The tail covers the second half of each phase,

@@ -61,30 +61,34 @@ fn server_spec(name: &str) -> Option<ServerSpec> {
     }
 }
 
+/// Reports a bad command line or config on one line and exits 2.
+fn usage_error(error: &str) -> ! {
+    eprintln!("simctl: {error}; usage: simctl [JSON | @FILE]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let arg = std::env::args().nth(1);
-    let config: Config = match arg.as_deref() {
-        None => Config::default(),
-        Some(path) if path.starts_with('@') => {
-            let body = std::fs::read_to_string(&path[1..])
-                .unwrap_or_else(|e| panic!("cannot read {}: {e}", &path[1..]));
-            serde_json::from_str(&body).expect("invalid JSON config")
-        }
-        Some(json) => serde_json::from_str(json).expect("invalid JSON config"),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let body = match args.as_slice() {
+        [] => "{}".to_string(),
+        [file] if file.starts_with('@') => std::fs::read_to_string(&file[1..])
+            .unwrap_or_else(|e| usage_error(&format!("cannot read {}: {e}", &file[1..]))),
+        [json] => json.clone(),
+        [_, extra, ..] => usage_error(&format!("unexpected argument `{extra}`")),
     };
+    let config: Config = serde_json::from_str(&body)
+        .unwrap_or_else(|e| usage_error(&format!("invalid JSON config: {e}")));
     let Some(base) = server_spec(&config.server) else {
-        eprintln!(
-            "unknown server '{}': use dgx-v100 | siton | dgx-a100",
+        usage_error(&format!(
+            "unknown server '{}' (dgx-v100 | siton | dgx-a100)",
             config.server
-        );
-        std::process::exit(2);
+        ))
     };
     let Some(spec) = legion_graph::dataset::spec_by_name(&config.dataset) else {
-        eprintln!(
-            "unknown dataset '{}': use PR|PA|CO|UKS|UKL|CL",
+        usage_error(&format!(
+            "unknown dataset '{}' (PR|PA|CO|UKS|UKL|CL)",
             config.dataset
-        );
-        std::process::exit(2);
+        ))
     };
     println!(
         "simctl: {} /{}x on {} (systems: {:?})",

@@ -1,30 +1,16 @@
-//! Shared output helpers for the figure/table regeneration binaries.
+//! Shared output helpers for the `figures`, `servectl` and `simctl`
+//! binaries.
 //!
-//! Every `fig*` / `table*` binary prints a human-readable table in the
-//! paper's layout and, when `LEGION_RESULTS_DIR` is set, also writes the
-//! raw rows as JSON for post-processing.
+//! Every table is printed from serialized rows by [`print_rows`] and,
+//! when `LEGION_RESULTS_DIR` is set, the same rows are written as JSON
+//! for post-processing.
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::Path;
 
-use serde::Serialize;
-
-/// Default dataset scale divisor for the mid-size datasets (PA/CO/UKS).
-/// Override with `LEGION_SMALL_DIVISOR`.
-pub const DEFAULT_SMALL_DIVISOR: u64 = 500;
-
-/// Default divisor for the billion-scale datasets (UKL/CL). Override
-/// with `LEGION_LARGE_DIVISOR`.
-pub const DEFAULT_LARGE_DIVISOR: u64 = 4000;
-
-/// Default divisor for Products (PR). PR is the smallest Table 2 graph,
-/// so it gets the gentlest divisor — keeping the per-batch sampling
-/// footprint well below |V| preserves the access skew that cache
-/// policies exploit. Override with `LEGION_PR_DIVISOR`.
-pub const DEFAULT_PR_DIVISOR: u64 = 50;
+use serde::{Serialize, Value};
 
 /// Reads a divisor from the environment with a default.
-pub fn divisor_from_env(var: &str, default: u64) -> u64 {
+fn divisor_from_env(var: &str, default: u64) -> u64 {
     std::env::var(var)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -32,24 +18,19 @@ pub fn divisor_from_env(var: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// The `(small, large)` divisors for this run.
-pub fn divisors() -> (u64, u64) {
-    (
-        divisor_from_env("LEGION_SMALL_DIVISOR", DEFAULT_SMALL_DIVISOR),
-        divisor_from_env("LEGION_LARGE_DIVISOR", DEFAULT_LARGE_DIVISOR),
-    )
-}
-
-/// The scale divisor for a given dataset short name, honoring the
-/// `LEGION_PR_DIVISOR` / `LEGION_SMALL_DIVISOR` / `LEGION_LARGE_DIVISOR`
-/// environment overrides.
+/// The scale divisor for a dataset short name: `LEGION_PR_DIVISOR`
+/// (default 50) for Products, `LEGION_LARGE_DIVISOR` (4000) for the
+/// billion-scale UKL/CL, and `LEGION_SMALL_DIVISOR` (500) for the rest.
+/// PR is the smallest Table 2 graph, so it gets the gentlest divisor —
+/// keeping the per-batch sampling footprint well below |V| preserves the
+/// access skew that cache policies exploit.
 pub fn dataset_divisor(name: &str) -> u64 {
-    let (small, large) = divisors();
-    match name.to_ascii_uppercase().as_str() {
-        "PR" => divisor_from_env("LEGION_PR_DIVISOR", DEFAULT_PR_DIVISOR),
-        "UKL" | "CL" => large,
-        _ => small,
-    }
+    let (var, default) = match name.to_ascii_uppercase().as_str() {
+        "PR" => ("LEGION_PR_DIVISOR", 50),
+        "UKL" | "CL" => ("LEGION_LARGE_DIVISOR", 4000),
+        _ => ("LEGION_SMALL_DIVISOR", 500),
+    };
+    divisor_from_env(var, default)
 }
 
 /// Writes `rows` as JSON under `$LEGION_RESULTS_DIR/<name>.json` when the
@@ -58,22 +39,11 @@ pub fn save_json<T: Serialize>(name: &str, rows: &T) {
     let Ok(dir) = std::env::var("LEGION_RESULTS_DIR") else {
         return;
     };
-    let mut path = PathBuf::from(dir);
-    if std::fs::create_dir_all(&path).is_err() {
-        eprintln!("warning: cannot create results dir {}", path.display());
-        return;
-    }
-    path.push(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let body = serde_json::to_string_pretty(rows).expect("serializable rows");
-            if f.write_all(body.as_bytes()).is_err() {
-                eprintln!("warning: failed writing {}", path.display());
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot create {}: {e}", path.display()),
+    let path = Path::new(&dir).join(format!("{name}.json"));
+    let body = serde_json::to_string_pretty(rows).expect("serializable rows");
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 
@@ -83,11 +53,57 @@ pub fn save_snapshot(name: &str, snapshot: &legion_telemetry::Snapshot) {
     save_json(&format!("{name}.metrics"), snapshot);
 }
 
-/// Formats an `Option<f64>` cell, using "x" for OOM like the paper.
-pub fn cell(v: Option<f64>, digits: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.digits$}"),
-        None => "x".to_string(),
+/// Prints `rows` as a table: a header of field names, then one line per
+/// row with each serialized field as a cell, in field order. Text
+/// columns align left, numbers right; an array cell is its items joined
+/// by `/`, and an absent value prints as `-`.
+pub fn print_rows<T: Serialize>(rows: &[T]) {
+    fn cell(value: &Value) -> String {
+        match value {
+            Value::Str(s) => s.clone(),
+            Value::F64(x) if x.abs() < 1e3 => format!("{x:.3}"),
+            Value::F64(x) => format!("{x:.0}"),
+            Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join("/"),
+            Value::Null => "-".to_string(),
+            other => serde_json::to_string(other).expect("scalar cell"),
+        }
+    }
+    let table: Vec<Vec<(String, Value)>> = rows
+        .iter()
+        .map(|row| match row.serialize() {
+            Value::Object(fields) => fields,
+            other => panic!("a table row serializes to an object, not {other:?}"),
+        })
+        .collect();
+    let Some(first) = table.first() else { return };
+    let header: Vec<String> = first.iter().map(|(name, _)| name.clone()).collect();
+    let left: Vec<bool> = first
+        .iter()
+        .map(|(_, v)| matches!(v, Value::Str(_)))
+        .collect();
+    let cells: Vec<Vec<String>> = table
+        .iter()
+        .map(|row| row.iter().map(|(_, v)| cell(v)).collect())
+        .collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in &cells {
+        for (width, text) in widths.iter_mut().zip(row) {
+            *width = (*width).max(text.len());
+        }
+    }
+    for row in std::iter::once(&header).chain(&cells) {
+        let padded: Vec<String> = row
+            .iter()
+            .zip(widths.iter().zip(&left))
+            .map(|(text, (&w, &left))| {
+                if left {
+                    format!("{text:<w$}")
+                } else {
+                    format!("{text:>w$}")
+                }
+            })
+            .collect();
+        println!("  {}", padded.join("  "));
     }
 }
 
@@ -101,12 +117,6 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cell_formats_oom() {
-        assert_eq!(cell(None, 2), "x");
-        assert_eq!(cell(Some(1.234), 2), "1.23");
-    }
 
     #[test]
     fn divisor_env_parsing() {

@@ -26,15 +26,10 @@ pub struct Fig10Matrix {
     pub total_cpu: f64,
 }
 
-/// Runs all four systems and returns their matrices.
-pub fn run(divisor: u64, config: &LegionConfig) -> Vec<Fig10Matrix> {
-    run_with_metrics(divisor, config).0
-}
-
-/// Like [`run`], but also returns each system's full metric snapshot so
-/// the figure binary can export the raw counters alongside the
-/// normalized matrices.
-pub fn run_with_metrics(
+/// Runs all four systems and returns their matrices, plus each system's
+/// full metric snapshot so the raw counters can be exported alongside
+/// the normalized matrices.
+pub fn run(
     divisor: u64,
     config: &LegionConfig,
 ) -> (Vec<Fig10Matrix>, Vec<(String, legion_telemetry::Snapshot)>) {
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn legion_has_smallest_cpu_volume() {
         let config = LegionConfig::small();
-        let mats = run(4000, &config);
+        let mats = run(4000, &config).0;
         let get = |s: &str| mats.iter().find(|m| m.system == s).unwrap();
         let legion = get("Legion");
         let gnnlab = get("GNNLab");
@@ -114,7 +109,7 @@ mod tests {
         // PaGraph-plus, Legion can still outperform PaGraph-plus because
         // its largest CPU-GPU volume is lower" (§6.3.2).
         let config = LegionConfig::small();
-        let mats = run(4000, &config);
+        let mats = run(4000, &config).0;
         let legion = mats.iter().find(|m| m.system == "Legion").unwrap();
         let pplus = mats.iter().find(|m| m.system == "PaGraph-plus").unwrap();
         assert!(

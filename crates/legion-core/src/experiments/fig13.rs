@@ -42,22 +42,11 @@ impl Fig13Row {
     }
 }
 
-/// Sweeps α for one dataset with a fixed per-GPU cache budget.
-pub fn run_for_dataset(
-    base: &ServerSpec,
-    dataset: &legion_graph::Dataset,
-    dataset_name: &str,
-    config: &LegionConfig,
-    per_gpu_budget: u64,
-    alphas: &[f64],
-) -> Vec<Fig13Row> {
-    run_for_dataset_with_metrics(base, dataset, dataset_name, config, per_gpu_budget, alphas).0
-}
-
-/// Like [`run_for_dataset`], but also returns the metric snapshot of each
-/// α point (labelled `<dataset>_alpha<percent>`), so the figure binary
-/// can export the raw counters behind the measured stage times.
-pub fn run_for_dataset_with_metrics(
+/// Sweeps α for one dataset with a fixed per-GPU cache budget; returns
+/// the rows and the metric snapshot of each α point (labelled
+/// `<dataset>_alpha<percent>`), the raw counters behind the measured
+/// stage times.
+fn sweep_alphas(
     base: &ServerSpec,
     dataset: &legion_graph::Dataset,
     dataset_name: &str,
@@ -96,14 +85,9 @@ pub fn run_for_dataset_with_metrics(
 }
 
 /// Full Figure 13: PA with a 10 GB cache and UKS with an 8 GB cache
-/// (scaled), α from 0 to 0.9. `divisor_for` maps dataset names to scale
-/// divisors.
-pub fn run(divisor_for: &dyn Fn(&str) -> u64, config: &LegionConfig) -> Vec<Fig13Row> {
-    run_with_metrics(divisor_for, config).0
-}
-
-/// Like [`run`], but also returns the per-α metric snapshots.
-pub fn run_with_metrics(
+/// (scaled), α from 0 to 0.9, with the per-α metric snapshots.
+/// `divisor_for` maps dataset names to scale divisors.
+pub fn run(
     divisor_for: &dyn Fn(&str) -> u64,
     config: &LegionConfig,
 ) -> (Vec<Fig13Row>, Vec<(String, legion_telemetry::Snapshot)>) {
@@ -119,8 +103,7 @@ pub fn run_with_metrics(
         let base = scaled_server(&ServerSpec::dgx_v100(), divisor);
         // The paper's budget is for the whole cache; spread per GPU.
         let per_gpu = (cache_gib * gib / divisor) / base.num_gpus as u64;
-        let (rows, snaps) =
-            run_for_dataset_with_metrics(&base, &dataset, name, config, per_gpu, &alphas);
+        let (rows, snaps) = sweep_alphas(&base, &dataset, name, config, per_gpu, &alphas);
         out.extend(rows);
         snapshots.extend(snaps);
     }
@@ -138,7 +121,7 @@ mod tests {
         let base = scaled_server(&ServerSpec::dgx_v100(), divisor);
         let config = LegionConfig::small();
         let budget = (ds.feature_bytes() / 8).max(1);
-        run_for_dataset(
+        sweep_alphas(
             &base,
             &ds,
             "PA",
@@ -146,6 +129,7 @@ mod tests {
             budget,
             &[0.0, 0.2, 0.4, 0.6, 0.8],
         )
+        .0
     }
 
     #[test]
