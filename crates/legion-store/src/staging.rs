@@ -10,8 +10,8 @@
 //! The state is dense and time-ordered. A ring holds `(vertex,
 //! ready_ns)` in stage order and a vertex-indexed table holds each
 //! staged row's ready time, so membership is one array load. Callers
-//! stage with non-decreasing ready times (the store's device horizon
-//! only moves forward), and eviction and removal both preserve ring
+//! stage with non-decreasing ready times (the store's device commands
+//! complete in submission order), and eviction and removal both preserve ring
 //! order, so the ring is sorted by ready time and the rows still in
 //! flight at any instant are a suffix of it.
 //!

@@ -1,5 +1,5 @@
 //! The per-GPU vertex store: which rows live on the SSD, the staging
-//! buffer, and the NVMe device horizon.
+//! buffer, and the NVMe submission queue.
 //!
 //! One `VertexStore` sits behind each GPU worker's extraction path
 //! (its NVMe namespace and pinned staging window are NUMA-local, so
@@ -13,8 +13,13 @@
 //! * SSD-tier rows staged ahead of time are **prefetch hits**: the row
 //!   is already in the DRAM staging window.
 //! * SSD-tier rows in flight stall the batch until their read lands.
-//! * Everything else is a **cold read**: a block read issued at the
-//!   device's busy horizon, stalling the batch for its completion.
+//! * Everything else is a **cold read**: a block read submitted to the
+//!   device queue, stalling the batch for its completion.
+//!
+//! Reads submitted while the device is still busy join the wave queued
+//! behind it, sharing its flash latency and paying only their own
+//! transfer; once that wave has started, the next submission opens a
+//! new one. Commands complete in submission order.
 //!
 //! All device time is integer nanoseconds derived from the analytic
 //! [`NvmeModel`], so a run's store timeline is reproducible
@@ -56,7 +61,8 @@ pub struct ReadOutcome {
     pub nvme_bytes: u64,
     /// Seconds the batch stalled waiting for SSD rows.
     pub stall_s: f64,
-    /// Duration of this batch's cold-read wave, microseconds.
+    /// Device time from the start of the wave the cold reads ran in to
+    /// the last of them completing, microseconds.
     pub read_us: u64,
 }
 
@@ -69,7 +75,8 @@ pub struct PrefetchOutcome {
     pub evictions: u64,
     /// Bytes the requests will move, whole blocks.
     pub nvme_bytes: u64,
-    /// Duration of the prefetch wave, microseconds.
+    /// Device time from the start of the wave the requests ran in to the
+    /// last of them completing, microseconds.
     pub read_us: u64,
 }
 
@@ -82,7 +89,8 @@ pub struct MigrateOutcome {
     pub demoted: u64,
     /// Bytes moved through the device, whole blocks.
     pub nvme_bytes: u64,
-    /// Seconds of device time the swap consumed.
+    /// Seconds from the call until the swap completes: its wait behind
+    /// earlier waves plus its own device time.
     pub swap_s: f64,
 }
 
@@ -93,11 +101,12 @@ pub struct VertexStore {
     tiers: TierMap,
     staging: StagingBuffer,
     row_bytes: u64,
-    /// The device's busy horizon. It only moves forward and a wave's
-    /// rows are staged ready at the horizon it leaves behind, so ready
-    /// times never decrease from one staged row to the next — the order
-    /// the staging window relies on.
+    /// When the device finishes everything submitted so far. Only
+    /// [`submit`](Self::submit) moves it, and only forward.
     free_at_ns: u64,
+    /// The newest wave, `(start_ns, commands)`, while later submissions
+    /// may still join it; a migration closes it.
+    queued: Option<(u64, u64)>,
     /// Per vertex, the prefetch wave that last took it (`waves` counts
     /// them), so a repeated candidate is dropped with one load.
     last_wave: Vec<u64>,
@@ -115,6 +124,7 @@ impl VertexStore {
             staging: StagingBuffer::new(num_vertices, staging_rows),
             row_bytes,
             free_at_ns: 0,
+            queued: None,
             last_wave: vec![0; num_vertices],
             waves: 0,
         }
@@ -160,6 +170,46 @@ impl VertexStore {
         self.staging.inflight(to_ns(at_s))
     }
 
+    /// Device time, nanoseconds, until the first `commands` commands of
+    /// a wave have completed.
+    fn read_ns(&self, commands: u64) -> u64 {
+        to_ns(self.nvme.read_seconds(commands, self.row_bytes))
+    }
+
+    /// Submits `rows` commands at `now_ns`; returns the start of the wave
+    /// they run in and the index of the first of them within it. While
+    /// the newest wave has not started by `now_ns` the rows join it and
+    /// share its flash latency; otherwise they open a wave at the
+    /// device's horizon or at `now_ns`, whichever is later.
+    fn submit(&mut self, now_ns: u64, rows: u64) -> (u64, u64) {
+        let (start_ns, first) = match self.queued {
+            Some((start_ns, commands)) if start_ns > now_ns => (start_ns, commands),
+            _ => (self.free_at_ns.max(now_ns), 0),
+        };
+        self.queued = Some((start_ns, first + rows));
+        self.free_at_ns = start_ns + self.read_ns(first + rows);
+        (start_ns, first)
+    }
+
+    /// Submits `rows` as reads at `now_ns` and stages each one ready as
+    /// its command completes: command `i` of a wave at
+    /// `start + read_ns(i + 1)`. A joining row lands after every row of
+    /// the wave it joined and a new wave starts at or after the horizon,
+    /// so ready times never decrease from one staged row to the next —
+    /// the order the staging window relies on. Returns the evictions and
+    /// the device time from the wave's start to the last row.
+    fn stage_reads(&mut self, now_ns: u64, rows: Vec<VertexId>) -> (u64, u64) {
+        let (start_ns, first) = self.submit(now_ns, rows.len() as u64);
+        let mut evictions = 0;
+        for (i, v) in (first + 1..).zip(rows) {
+            let ready_ns = start_ns + self.read_ns(i);
+            if let Staged::Admitted { evicted: Some(_) } = self.staging.stage(v, ready_ns) {
+                evictions += 1;
+            }
+        }
+        (evictions, self.free_at_ns - start_ns)
+    }
+
     /// Serves a batch's HBM misses at simulated time `at_s`. `missed`
     /// is the deduplicated vertex list the extractor failed to find in
     /// HBM; DRAM-tier rows pass through untouched (the caller already
@@ -187,20 +237,13 @@ impl VertexStore {
             }
         }
         if !cold.is_empty() {
-            let start_ns = self.free_at_ns.max(now_ns);
-            let dur_ns = to_ns(self.nvme.read_seconds(cold.len() as u64, self.row_bytes));
-            let done_ns = start_ns + dur_ns;
-            self.free_at_ns = done_ns;
             out.cold_reads = cold.len() as u64;
             out.nvme_reads = cold.len() as u64;
             out.nvme_bytes = cold.len() as u64 * self.nvme.bytes_for_payload(self.row_bytes);
-            out.read_us = dur_ns / 1_000;
-            stall_ns = stall_ns.max(done_ns - now_ns);
-            for v in cold {
-                if let Staged::Admitted { evicted: Some(_) } = self.staging.stage(v, done_ns) {
-                    out.evictions += 1;
-                }
-            }
+            let (evictions, wave_ns) = self.stage_reads(now_ns, cold);
+            out.evictions = evictions;
+            out.read_us = wave_ns / 1_000;
+            stall_ns = stall_ns.max(self.free_at_ns - now_ns);
         }
         out.stall_s = to_s(stall_ns);
         out
@@ -238,8 +281,8 @@ impl VertexStore {
 
     /// Issues asynchronous staging reads for up to `budget` SSD-tier
     /// rows from `candidates` at simulated time `at_s`. Already-staged
-    /// and in-flight rows are deduplicated; the wave completes at the
-    /// device's horizon without stalling anything.
+    /// and in-flight rows are deduplicated; the reads queue like cold
+    /// reads but stall nothing.
     pub fn prefetch<I>(&mut self, at_s: f64, candidates: I, budget: usize) -> PrefetchOutcome
     where
         I: IntoIterator<Item = VertexId>,
@@ -265,18 +308,11 @@ impl VertexStore {
         if wave.is_empty() {
             return out;
         }
-        let start_ns = self.free_at_ns.max(to_ns(at_s));
-        let dur_ns = to_ns(self.nvme.read_seconds(wave.len() as u64, self.row_bytes));
-        let done_ns = start_ns + dur_ns;
-        self.free_at_ns = done_ns;
         out.issued = wave.len() as u64;
         out.nvme_bytes = wave.len() as u64 * self.nvme.bytes_for_payload(self.row_bytes);
-        out.read_us = dur_ns / 1_000;
-        for v in wave {
-            if let Staged::Admitted { evicted: Some(_) } = self.staging.stage(v, done_ns) {
-                out.evictions += 1;
-            }
-        }
+        let (evictions, wave_ns) = self.stage_reads(to_ns(at_s), wave);
+        out.evictions = evictions;
+        out.read_us = wave_ns / 1_000;
         out
     }
 
@@ -299,8 +335,9 @@ impl VertexStore {
     /// Migrates rows across the DRAM/SSD boundary at a batch boundary:
     /// `promote` moves SSD rows into permanent DRAM residency (device
     /// reads), `demote` pushes DRAM rows out to the SSD (device
-    /// writes). Swap bytes are charged to the device and the returned
-    /// time is the committing batch's to pay.
+    /// writes). The swap queues behind every wave submitted so far and
+    /// later submissions queue behind it. The returned time, from the
+    /// call to the swap's completion, is the committing batch's to pay.
     pub fn migrate(
         &mut self,
         at_s: f64,
@@ -321,11 +358,14 @@ impl VertexStore {
         }
         let moves = out.promoted + out.demoted;
         if moves > 0 {
-            let start_ns = self.free_at_ns.max(to_ns(at_s));
-            let dur_ns = to_ns(self.nvme.read_seconds(moves, self.row_bytes));
-            self.free_at_ns = start_ns + dur_ns;
+            let now_ns = to_ns(at_s);
+            // Closing the queued wave before and after the swap keeps it
+            // from joining one and keeps later reads from joining it.
+            self.queued = None;
+            self.submit(now_ns, moves);
+            self.queued = None;
             out.nvme_bytes = moves * self.nvme.bytes_for_payload(self.row_bytes);
-            out.swap_s = to_s(dur_ns);
+            out.swap_s = to_s(self.free_at_ns - now_ns);
         }
         out
     }
@@ -428,6 +468,69 @@ mod tests {
         // Second wave queues behind the first: in-flight until both done.
         assert_eq!(s.inflight(0.0), 32);
         assert!(s.inflight(1.0) == 0);
+    }
+
+    /// When staged row `v` lands, nanoseconds.
+    fn ready_ns(s: &VertexStore, v: VertexId) -> u64 {
+        let out = s.clone().read(0.0, &[v]);
+        assert_eq!(out.late_stalls, 1, "row {v} is in flight");
+        to_ns(out.stall_s)
+    }
+
+    #[test]
+    fn prefetches_queued_behind_a_busy_device_share_one_latency() {
+        let mut s = store(8);
+        let one = s.read_ns(1);
+        s.prefetch(0.0, [32u32], 8);
+        // The device is busy until `one`: both prefetches below join the
+        // wave queued behind it.
+        let a = s.prefetch(1e-6, [33u32], 8);
+        let b = s.prefetch(2e-6, [34u32, 35], 8);
+        assert_eq!(ready_ns(&s, 33), 2 * one);
+        for (i, v) in [(2, 34), (3, 35)] {
+            assert_eq!(ready_ns(&s, v), one + s.read_ns(i));
+        }
+        // One 80 us latency for the three rows, not one per prefetch.
+        assert!(ready_ns(&s, 35) - ready_ns(&s, 33) < 80_000);
+        assert_eq!((a.read_us, b.read_us), (one / 1_000, s.read_ns(3) / 1_000));
+        assert_eq!(s.read(0.0, &[36]).stall_s, to_s(one + s.read_ns(4)));
+    }
+
+    #[test]
+    fn a_call_after_the_queued_wave_started_opens_a_new_wave() {
+        let mut s = store(8);
+        let one = s.read_ns(1);
+        s.prefetch(0.0, [32u32], 8);
+        s.prefetch(1e-6, [33u32], 8);
+        // The wave holding 33 started at `one`; 34 pays its own latency.
+        s.prefetch(to_s(one + 1), [34u32], 8);
+        assert_eq!(ready_ns(&s, 34), 3 * one);
+        // A wave starting exactly now has started: 35 opens the next one.
+        let cold = s.read(to_s(2 * one), &[35]);
+        assert_eq!(cold.stall_s, to_s(2 * one));
+        assert_eq!(cold.read_us, one / 1_000);
+    }
+
+    #[test]
+    fn migrate_pays_its_wait_behind_an_inflight_wave() {
+        let mut s = store(8);
+        s.prefetch(0.0, 32..40u32, 8);
+        let out = s.migrate(1e-6, &[40], &[0]);
+        assert_eq!(out.nvme_bytes, 2 * 4096);
+        assert!(out.swap_s > s.nvme.read_seconds(2, 512));
+        assert_eq!(to_ns(out.swap_s), s.read_ns(8) + s.read_ns(2) - 1_000);
+    }
+
+    #[test]
+    fn prefetch_after_a_migrate_waits_for_it() {
+        let mut s = store(8);
+        let one = s.read_ns(1);
+        s.prefetch(0.0, [32u32], 8);
+        // Queued behind 32's wave, the swap starts at `one`; a prefetch
+        // issued before then does not join it.
+        s.migrate(1e-6, &[40], &[0]);
+        s.prefetch(2e-6, [33u32], 8);
+        assert_eq!(ready_ns(&s, 33), one + s.read_ns(2) + one);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! `VertexStore` against a naive model: the staging window as a plain
 //! list in stage order, every membership test, eviction, removal and
-//! in-flight count a linear scan.
+//! in-flight count a linear scan, and the device as the list of every
+//! wave it was given.
 
 use legion_store::{
     MigrateOutcome, NvmeGeneration, NvmeModel, PrefetchOutcome, ReadOutcome, Tier, VertexStore,
@@ -20,7 +21,16 @@ struct NaiveStore {
     capacity: usize,
     /// `(vertex, ready_ns)`, oldest first.
     staged: Vec<(u32, u64)>,
-    free_at_ns: u64,
+    /// Every wave so far, oldest first.
+    waves: Vec<Wave>,
+}
+
+/// One device wave: when it starts, how many commands it holds, and
+/// whether a later submission may join it (a swap's wave may not).
+struct Wave {
+    start_ns: u64,
+    commands: u64,
+    joinable: bool,
 }
 
 impl NaiveStore {
@@ -42,12 +52,53 @@ impl NaiveStore {
         full
     }
 
-    /// Charges a wave of `rows` block reads issued at `now_ns`; returns
-    /// `(done_ns, dur_ns)`.
-    fn device_wave(&mut self, now_ns: u64, rows: u64) -> (u64, u64) {
-        let dur = to_ns(self.nvme.read_seconds(rows, ROW_BYTES));
-        self.free_at_ns = self.free_at_ns.max(now_ns) + dur;
-        (self.free_at_ns, dur)
+    /// Device time for the first `commands` commands of a wave.
+    fn wave_ns(&self, commands: u64) -> u64 {
+        to_ns(self.nvme.read_seconds(commands, ROW_BYTES))
+    }
+
+    /// Queues `rows` commands at `now_ns`: into the newest wave if it
+    /// may be joined and has not started by then, else into a new wave
+    /// starting when the newest one completes, or at `now_ns` if later.
+    /// Returns the wave's start and each command's completion time.
+    fn submit(&mut self, now_ns: u64, rows: u64, joinable: bool) -> (u64, Vec<u64>) {
+        let horizon = self
+            .waves
+            .last()
+            .map_or(0, |w| w.start_ns + self.wave_ns(w.commands));
+        let joins = joinable
+            && self
+                .waves
+                .last()
+                .is_some_and(|w| w.joinable && w.start_ns > now_ns);
+        if !joins {
+            self.waves.push(Wave {
+                start_ns: horizon.max(now_ns),
+                commands: 0,
+                joinable,
+            });
+        }
+        let wave = self.waves.last().unwrap();
+        let (start, first) = (wave.start_ns, wave.commands);
+        let done = (first + 1..=first + rows)
+            .map(|i| start + self.wave_ns(i))
+            .collect();
+        self.waves.last_mut().unwrap().commands += rows;
+        (start, done)
+    }
+
+    /// Submits block reads of `rows` at `now_ns` and stages each as it
+    /// lands; returns the evictions, the device time from the wave's
+    /// start to the last row, and when that row lands.
+    fn stage_reads(&mut self, now_ns: u64, rows: Vec<u32>) -> (u64, u64, u64) {
+        let (start, done) = self.submit(now_ns, rows.len() as u64, true);
+        let last = *done.last().unwrap();
+        let evictions = rows
+            .into_iter()
+            .zip(done)
+            .map(|(v, ready)| self.stage(v, ready) as u64)
+            .sum();
+        (evictions, last - start, last)
     }
 
     fn warm(&mut self, candidates: &[u32]) -> u64 {
@@ -78,13 +129,11 @@ impl NaiveStore {
         if wave.is_empty() {
             return out;
         }
-        let (done, dur) = self.device_wave(to_ns(at_s), wave.len() as u64);
         out.issued = wave.len() as u64;
         out.nvme_bytes = out.issued * self.nvme.bytes_for_payload(ROW_BYTES);
+        let (evictions, dur, _) = self.stage_reads(to_ns(at_s), wave);
+        out.evictions = evictions;
         out.read_us = dur / 1_000;
-        for v in wave {
-            out.evictions += self.stage(v, done) as u64;
-        }
         out
     }
 
@@ -104,15 +153,13 @@ impl NaiveStore {
             }
         }
         if !cold.is_empty() {
-            let (done, dur) = self.device_wave(now, cold.len() as u64);
             out.cold_reads = cold.len() as u64;
             out.nvme_reads = out.cold_reads;
             out.nvme_bytes = out.cold_reads * self.nvme.bytes_for_payload(ROW_BYTES);
+            let (evictions, dur, done) = self.stage_reads(now, cold);
+            out.evictions = evictions;
             out.read_us = dur / 1_000;
             stall = stall.max(done - now);
-            for v in cold {
-                out.evictions += self.stage(v, done) as u64;
-            }
         }
         out.stall_s = stall as f64 * 1e-9;
         out
@@ -133,9 +180,10 @@ impl NaiveStore {
         }
         let moves = out.promoted + out.demoted;
         if moves > 0 {
-            let (_, dur) = self.device_wave(to_ns(at_s), moves);
+            let now = to_ns(at_s);
+            let (_, done) = self.submit(now, moves, false);
             out.nvme_bytes = moves * self.nvme.bytes_for_payload(ROW_BYTES);
-            out.swap_s = dur as f64 * 1e-9;
+            out.swap_s = (done.last().unwrap() - now) as f64 * 1e-9;
         }
         out
     }
@@ -174,7 +222,7 @@ proptest! {
             ssd: ssd.iter().map(|&t| t != 0).collect(),
             capacity,
             staged: Vec::new(),
-            free_at_ns: 0,
+            waves: Vec::new(),
         };
         for v in (0..N).filter(|&v| naive.ssd[v as usize]) {
             store.assign(v, Tier::Ssd);

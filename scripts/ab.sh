@@ -30,8 +30,14 @@
 # line is used. AB_DIR names the scratch directory (default: a fresh
 # mktemp one; results stay in $AB_DIR/out). AB_SEEDS / AB_SECONDS shorten
 # a smoke test of this script; numbers from one are not comparable.
+#
+# Both sides run with glibc's mmap threshold pinned at 128 KiB. Under
+# glibc's dynamic threshold, large buffers move between the heap and
+# mmap from run to run, so host_peak_rss_mib lands in one of several
+# modes (235, 244, 248, 250 or 252 MiB); pinned, it read 232.9-233.0 MiB.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072
 
 parent_ref="${1:?usage: scripts/ab.sh <parent-ref> [workload ...]}"
 shift
