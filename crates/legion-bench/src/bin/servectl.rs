@@ -176,8 +176,9 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
             });
         };
 
-    // Below saturation routing quality shows up purely as hit rate: the
-    // age trigger, not queueing, sets the tail here.
+    // Below saturation the tail is batch formation: residency routing
+    // fills one clique member's batch at the clique's whole arrival
+    // rate, where round-robin splits it across every GPU.
     run(
         "round_robin @knee",
         RouterPolicy::RoundRobin,
@@ -210,17 +211,22 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
 
     let (rr_knee, res_knee) = (&rows[0], &rows[1]);
     let (rr_fifo, res_fifo, res_qos) = (&rows[3], &rows[4], &rows[5]);
-    // Routing wins: strictly higher hit rate everywhere, and at
-    // saturation a strictly lower class-blind Interactive tail plus
-    // fewer sheds (faster batches drain deeper backlogs).
+    // Routing wins: strictly higher hit rate everywhere, a strictly
+    // lower Interactive tail at the knee (fuller batches) and at
+    // saturation (class-blind), plus fewer sheds at saturation (faster
+    // batches drain deeper backlogs).
     assert!(
         res_knee.hit_rate > rr_knee.hit_rate,
         "residency routing hit rate {:.4} must beat round-robin {:.4} at the knee",
         res_knee.hit_rate,
         rr_knee.hit_rate
     );
-    // No p99 assert at the knee: below saturation the tail is set by the
-    // batch age trigger, not by service rate, so routing can't move it.
+    assert!(
+        res_knee.interactive_p99_us < rr_knee.interactive_p99_us,
+        "residency interactive p99 {} must strictly beat round-robin {} at the knee",
+        res_knee.interactive_p99_us,
+        rr_knee.interactive_p99_us
+    );
     assert!(
         res_fifo.hit_rate > rr_fifo.hit_rate,
         "residency routing hit rate {:.4} must beat round-robin {:.4} at saturation",
@@ -266,9 +272,12 @@ fn router_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<RouterRow> 
         res_fifo.interactive_p99_us
     );
     println!(
-        "  [router] hit rate +{:.1} pts at the knee; saturation interactive p99 {} -> {} us, \
-         sheds {} -> {}; QoS interactive attainment {:.1}% (class-blind {:.1}%)",
+        "  [router] hit rate +{:.1} pts, interactive p99 {} -> {} us at the knee; saturation \
+         interactive p99 {} -> {} us, sheds {} -> {}; QoS interactive attainment {:.1}% \
+         (class-blind {:.1}%)",
         (res_knee.hit_rate - rr_knee.hit_rate) * 100.0,
+        rr_knee.interactive_p99_us,
+        res_knee.interactive_p99_us,
         rr_fifo.interactive_p99_us,
         res_fifo.interactive_p99_us,
         rr_fifo.shed,

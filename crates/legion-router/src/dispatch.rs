@@ -6,8 +6,15 @@
 //! vertex plus a deterministic probe of its first few neighbors are
 //! resident in the group's cache ([`ResidencyIndex`]). The two
 //! top-scoring groups are compared power-of-two-choices style — equal
-//! coverage falls through to total queued load, then to the lower group
-//! index — and within the chosen group the shortest per-GPU queue wins.
+//! coverage falls through to each group's first GPU in *batch-filling
+//! order*, then to the lower group index — and within the chosen group
+//! the first GPU in that order wins. For a batch size `B`, the order
+//! ranks a queue holding an open batch (`1 ≤ len < B`, fullest first),
+//! then an empty queue, then queues whose next batch is already full
+//! (shortest first), ties to the lowest GPU id: a clique's pooled cache
+//! serves any member equally well, so filling one batch at the clique's
+//! whole arrival rate beats splitting it across members. At `B = 1`
+//! (plain [`Dispatcher::new`]) the order is exactly shortest queue.
 //! When every queue in the best group is at or past the spill
 //! threshold, the request *spills* to the globally least-loaded GPU,
 //! trading locality for queueing delay exactly like the paper's
@@ -27,7 +34,8 @@ pub enum RouterPolicy {
     /// Legacy behavior: request id modulo GPU count, no residency
     /// index, no routing counters.
     RoundRobin,
-    /// Residency-scored clique routing with load tie-break and spill.
+    /// Residency-scored clique routing; ties and the in-clique pick
+    /// follow batch-filling order, with spill past saturation.
     Residency,
 }
 
@@ -107,13 +115,15 @@ pub struct Dispatcher {
     group_of_gpu: Vec<usize>,
     residency: ResidencyIndex,
     spill_len: usize,
+    max_batch: usize,
 }
 
 impl Dispatcher {
     /// A dispatcher over `groups` (one entry per clique, each a
     /// non-empty list of GPU ids). `num_vertices` sizes the residency
     /// bitsets; `spill_len` is the absolute per-GPU queue length at
-    /// which a group counts as saturated.
+    /// which a group counts as saturated. Unbatched (`B = 1`): queues
+    /// rank shortest first; see [`Dispatcher::batched`].
     ///
     /// # Panics
     ///
@@ -140,7 +150,15 @@ impl Dispatcher {
             group_of_gpu,
             residency,
             spill_len: spill_len.max(1),
+            max_batch: 1,
         }
+    }
+
+    /// The same dispatcher ranking queues in batch-filling order for
+    /// micro-batches of `max_batch` requests (clamped to at least 1).
+    pub fn batched(mut self, max_batch: usize) -> Self {
+        self.max_batch = max_batch.max(1);
+        self
     }
 
     /// Number of route groups.
@@ -190,9 +208,6 @@ impl Dispatcher {
     /// first few neighbors; `queue_lens[gpu]` is the current admission
     /// queue depth of each GPU.
     pub fn route(&self, probe: &[VertexId], queue_lens: &[usize]) -> RouteDecision {
-        let group_load =
-            |g: usize| -> usize { self.groups[g].iter().map(|&gpu| queue_lens[gpu]).sum() };
-
         // Top two groups by (coverage desc, index asc).
         let mut best = 0usize;
         let mut best_score = self.score(0, probe);
@@ -209,22 +224,30 @@ impl Dispatcher {
         }
 
         // Power-of-two-choices tie-break: equal coverage goes to the
-        // less-loaded of the top two, further ties to the lower index
-        // (`best` already is the lower index on equal scores).
+        // group whose first GPU ranks earlier in batch-filling order,
+        // further ties to the lower index (`best` already is the lower
+        // index on equal scores).
+        let rank = |gpu: GpuId| self.fill_rank(queue_lens[gpu]);
         let mut chosen = best;
+        let mut gpu = self.first_to_fill(best, queue_lens);
         if let Some((g, s)) = second {
-            if s == best_score && group_load(g) < group_load(best) {
+            let other = self.first_to_fill(g, queue_lens);
+            if s == best_score && rank(other) < rank(gpu) {
                 chosen = g;
+                gpu = other;
             }
         }
 
         // Saturation check: if every GPU in the chosen group is at or
         // past the spill threshold, divert to the globally
-        // least-loaded GPU.
-        let (gpu_in_group, min_len) = Self::least_loaded(&self.groups[chosen], queue_lens);
-        if min_len >= self.spill_len {
-            let all: Vec<GpuId> = (0..queue_lens.len()).collect();
-            let (gpu, _) = Self::least_loaded(&all, queue_lens);
+        // least-loaded GPU (ties to the lowest id).
+        if self.groups[chosen]
+            .iter()
+            .all(|&m| queue_lens[m] >= self.spill_len)
+        {
+            let gpu = (0..queue_lens.len())
+                .min_by_key(|&m| queue_lens[m])
+                .expect("at least one GPU");
             return RouteDecision {
                 gpu,
                 group: self.group_of_gpu[gpu],
@@ -232,29 +255,38 @@ impl Dispatcher {
             };
         }
         RouteDecision {
-            gpu: gpu_in_group,
+            gpu,
             group: chosen,
             spilled: false,
         }
     }
 
-    /// GPU with the shortest queue among `gpus` (ties to the lowest
-    /// id), plus that queue length.
-    fn least_loaded(gpus: &[GpuId], queue_lens: &[usize]) -> (GpuId, usize) {
-        let mut best = gpus[0];
-        let mut best_len = queue_lens[best];
-        for &gpu in &gpus[1..] {
-            if queue_lens[gpu] < best_len {
-                best = gpu;
-                best_len = queue_lens[gpu];
-            }
+    /// Batch-filling rank of a queue `len` deep, lower first: an open
+    /// batch (fullest first), then an empty queue, then a queue whose
+    /// next batch is already full (shortest first).
+    fn fill_rank(&self, len: usize) -> (u8, usize) {
+        match len {
+            0 => (1, 0),
+            l if l < self.max_batch => (0, self.max_batch - l),
+            l => (2, l),
         }
-        (best, best_len)
+    }
+
+    /// Group `g`'s first GPU in batch-filling order (ties to the lowest
+    /// id).
+    fn first_to_fill(&self, g: usize, queue_lens: &[usize]) -> GpuId {
+        self.groups[g]
+            .iter()
+            .copied()
+            .min_by_key(|&gpu| (self.fill_rank(queue_lens[gpu]), gpu))
+            .expect("route groups are non-empty")
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Two cliques of two GPUs: group 0 = {0, 1}, group 1 = {2, 3}.
@@ -341,5 +373,125 @@ mod tests {
         let dec = d.route(&[1, 99], &[9, 9, 0, 0]);
         assert_eq!(dec.group, 0);
         assert!(!dec.spilled);
+    }
+
+    /// Two cliques of two GPUs batching `max_batch` requests.
+    fn batched_dispatcher(spill_len: usize, max_batch: usize) -> Dispatcher {
+        two_clique_dispatcher(spill_len).batched(max_batch)
+    }
+
+    #[test]
+    fn fullest_open_batch_beats_a_shorter_queue() {
+        let d = batched_dispatcher(100, 4);
+        let dec = d.route(&[1, 2], &[1, 3, 0, 0]);
+        assert_eq!((dec.group, dec.gpu), (0, 1), "3 of 4 fills before 1 of 4");
+        let dec = d.route(&[1, 2], &[0, 2, 0, 0]);
+        assert_eq!(dec.gpu, 1, "an open batch beats an empty queue");
+        let dec = d.route(&[1, 2], &[2, 2, 0, 0]);
+        assert_eq!(dec.gpu, 0, "equal open batches tie to the lowest id");
+    }
+
+    #[test]
+    fn an_empty_queue_beats_a_full_one() {
+        let d = batched_dispatcher(100, 4);
+        assert_eq!(d.route(&[1, 2], &[4, 0, 0, 0]).gpu, 1);
+        assert_eq!(d.route(&[1, 2], &[0, 6, 0, 0]).gpu, 0);
+    }
+
+    #[test]
+    fn with_every_next_batch_full_it_is_shortest_queue() {
+        let d = batched_dispatcher(100, 4);
+        assert_eq!(d.route(&[1, 2], &[7, 5, 0, 0]).gpu, 1);
+        assert_eq!(d.route(&[1, 2], &[4, 4, 0, 0]).gpu, 0);
+    }
+
+    #[test]
+    fn coverage_tie_goes_to_the_group_with_the_fuller_open_batch() {
+        let d = batched_dispatcher(100, 4);
+        // Vertex 99 is resident nowhere: scores tie at 0. Group 1 holds
+        // more queued work in total but the fuller open batch.
+        let dec = d.route(&[99], &[0, 0, 3, 3]);
+        assert_eq!((dec.group, dec.gpu), (1, 2));
+        let dec = d.route(&[99], &[1, 0, 0, 0]);
+        assert_eq!(
+            (dec.group, dec.gpu),
+            (0, 0),
+            "open beats empty across groups"
+        );
+        let dec = d.route(&[99], &[2, 5, 2, 0]);
+        assert_eq!(dec.group, 0, "equal first members tie to the lower index");
+    }
+
+    #[test]
+    fn batched_spill_still_reads_real_lengths() {
+        // Batches of 8 but a spill threshold of 4: open batches at 5
+        // and 4 rank first in fill order, yet the group is saturated.
+        let d = batched_dispatcher(4, 8);
+        let dec = d.route(&[1, 2, 3], &[5, 4, 1, 0]);
+        assert!(dec.spilled);
+        assert_eq!((dec.group, dec.gpu), (1, 3));
+        let dec = d.route(&[1, 2, 3], &[5, 3, 0, 0]);
+        assert!(!dec.spilled);
+        assert_eq!(
+            dec.gpu, 0,
+            "one member under the threshold keeps fill order"
+        );
+    }
+
+    /// Naive reference for single-member groups: the top two groups by
+    /// (coverage desc, index asc), the shorter queue of the two on equal
+    /// coverage, spilling to the lowest-id shortest queue at `spill_len`.
+    fn shortest_queue_reference(
+        resident: &[Vec<bool>],
+        probe: &[VertexId],
+        lens: &[usize],
+        spill_len: usize,
+    ) -> RouteDecision {
+        let score = |g: usize| probe.iter().filter(|&&v| resident[g][v as usize]).count();
+        let mut order: Vec<usize> = (0..resident.len()).collect();
+        order.sort_by_key(|&g| std::cmp::Reverse(score(g)));
+        let mut chosen = order[0];
+        if let Some(&g) = order.get(1) {
+            if score(g) == score(chosen) && lens[g] < lens[chosen] {
+                chosen = g;
+            }
+        }
+        if lens[chosen] >= spill_len {
+            let min = *lens.iter().min().unwrap();
+            let gpu = lens.iter().position(|&l| l == min).unwrap();
+            return RouteDecision {
+                gpu,
+                group: gpu,
+                spilled: true,
+            };
+        }
+        RouteDecision {
+            gpu: chosen,
+            group: chosen,
+            spilled: false,
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn unbatched_single_member_groups_route_by_shortest_queue(
+            (resident, lens) in (1usize..6).prop_flat_map(|n| (
+                proptest::collection::vec(proptest::collection::vec(any::<bool>(), 12), n),
+                proptest::collection::vec(0usize..8, n),
+            )),
+            probe in proptest::collection::vec(0u32..12, 1..6),
+            spill_len in 1usize..10,
+        ) {
+            let groups = (0..resident.len()).map(|g| vec![g]).collect();
+            let mut d = Dispatcher::new(groups, 12, spill_len);
+            for (g, bits) in resident.iter().enumerate() {
+                let set: Vec<VertexId> = (0..12).filter(|&v| bits[v as usize]).collect();
+                d.refresh_group(g, &set);
+            }
+            prop_assert_eq!(
+                d.route(&probe, &lens),
+                shortest_queue_reference(&resident, &probe, &lens, spill_len)
+            );
+        }
     }
 }

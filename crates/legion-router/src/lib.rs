@@ -14,7 +14,8 @@
 //! * [`dispatch`] — the residency-aware dispatcher ([`Dispatcher`]):
 //!   scores candidate cliques by expected cached-neighborhood coverage
 //!   of the request's target and a deterministic probe of its first
-//!   neighbors, breaks ties with a power-of-two-choices load rule, and
+//!   neighbors, picks within a clique (and breaks coverage ties) in
+//!   batch-filling order — the fullest open micro-batch first — and
 //!   spills to the globally least-loaded GPU when the best clique's
 //!   queues are saturated;
 //! * [`class`] — the request priority classes

@@ -14,7 +14,8 @@
 //! the [`Dispatcher`] scores NVLink cliques by cached-neighborhood
 //! coverage of the request's target (from a per-clique
 //! [`ResidencyIndex`](legion_router::ResidencyIndex) refreshed on every
-//! plan commit) and spills to the least-loaded GPU when the best clique
+//! plan commit), sends it to the clique member whose open micro-batch is
+//! fullest, and spills to the least-loaded GPU when the best clique
 //! saturates.
 //!
 //! A batch's distinct targets are expanded and fetched once no matter
@@ -1369,7 +1370,8 @@ pub fn plan_deployment<'a>(
                 // the route groups, seeded with what their pools hold.
                 let (partitioned, groups, replicated) =
                     build_partitioned_layout_adaptive(graph, features, twin, &hot, &weight, rows);
-                let mut seeded = Dispatcher::new(groups, num_vertices, spill_len);
+                let mut seeded =
+                    Dispatcher::new(groups, num_vertices, spill_len).batched(config.max_batch);
                 for (g, clique) in partitioned.cliques.iter().enumerate() {
                     seeded.refresh_group(g, &clique.feature_vertices());
                 }
@@ -1383,7 +1385,8 @@ pub fn plan_deployment<'a>(
         // Fifo's cache starts empty: route on each clique's §4.1
         // ownership, which its content will come to track.
         PolicyKind::Fifo => {
-            planned.dispatcher = routed.then(|| ownership_dispatcher(graph, twin, spill_len));
+            planned.dispatcher = routed
+                .then(|| ownership_dispatcher(graph, twin, spill_len).batched(config.max_batch));
         }
         PolicyKind::Replan => {
             let profile = profile.as_ref().expect("replan runs profile warmup");
@@ -1409,7 +1412,8 @@ pub fn plan_deployment<'a>(
             // refreshed on every commit.
             planned.dispatcher = routed.then(|| {
                 let groups = (0..num_gpus).map(|g| vec![g]).collect();
-                let mut seeded = Dispatcher::new(groups, num_vertices, spill_len);
+                let mut seeded =
+                    Dispatcher::new(groups, num_vertices, spill_len).batched(config.max_batch);
                 for (gpu, plan) in planned.initial_plans.iter().enumerate() {
                     seeded.refresh_group(seeded.group_of(gpu), &plan.contents.feat);
                 }

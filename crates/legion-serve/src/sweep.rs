@@ -206,7 +206,7 @@ pub fn estimate_capacity_rps(
     // skew would serialize whole rounds onto the hot clique and
     // undershoot aggregate capacity.
     let dispatcher = (config.router.policy == RouterPolicy::Residency)
-        .then(|| ownership_dispatcher(graph, server, config.max_batch.max(1)));
+        .then(|| ownership_dispatcher(graph, server, config.max_batch).batched(config.max_batch));
     let lanes = if dispatcher.is_some() { num_gpus } else { 1 };
     let row_bytes = features.row_bytes();
     // One FIFO cache and one probe store per timed GPU, like the
@@ -234,7 +234,7 @@ pub fn estimate_capacity_rps(
             let gpu = dispatcher.as_ref().map_or(0, |d| {
                 fill_probe(graph, t, config.router.probe_neighbors, &mut probe);
                 // Projected depths: each placement deepens its GPU,
-                // spreading a clique's round across its members and
+                // filling a clique's members one batch at a time and
                 // spilling past one batch.
                 let dec = d.route(&probe, &lens);
                 lens[dec.gpu] += 1;
