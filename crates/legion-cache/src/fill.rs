@@ -16,7 +16,9 @@
 //! [`fill_feature_slot`]: Legion's unified cache ([`build_clique_cache`]),
 //! the single-GPU and replicated caches of PaGraph and GNNLab
 //! ([`build_feature_cache_single`], [`build_feature_caches_replicated`]),
-//! Quiver's per-clique hash and the serving layouts.
+//! Quiver's per-clique hash and the serving layouts. Topology rows go
+//! through [`fill_topology_slot`]: the unified cache's and serving's
+//! routed static layout.
 
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
@@ -46,6 +48,32 @@ pub fn fill_feature_slot(
         cache.insert_feature(slot, v);
     }
     Ok(())
+}
+
+/// Books `rows`' topology bytes (Equation 3, from each row's degree in
+/// `graph`) on the GPU behind `slot`, then records the rows resident in
+/// that slot. Returns the bytes booked.
+///
+/// # Errors
+///
+/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows; the
+/// cache is left unchanged then.
+pub fn fill_topology_slot(
+    server: &MultiGpuServer,
+    graph: &CsrGraph,
+    cache: &mut CliqueCache,
+    slot: usize,
+    rows: &[VertexId],
+) -> Result<u64, HwError> {
+    let bytes = rows
+        .iter()
+        .map(|&v| topology_bytes_for_degree(graph.degree(v)))
+        .sum();
+    server.alloc(cache.gpus()[slot], bytes)?;
+    for &v in rows {
+        cache.insert_topology(slot, v, graph.degree(v));
+    }
+    Ok(bytes)
 }
 
 /// Number of feature rows fitting in `bytes`.
@@ -133,26 +161,22 @@ pub fn build_clique_cache(
 
     for (slot, &gpu) in clique_gpus.iter().enumerate() {
         // Topology fill-up in G_T order.
-        let mut used = 0u64;
-        let mut to_insert_topo: Vec<VertexId> = Vec::new();
-        for &v in &topo_order.per_gpu[slot] {
-            let cost = topology_bytes_for_degree(graph.degree(v));
-            if used + cost > topo_share {
-                break;
-            }
-            used += cost;
-            to_insert_topo.push(v);
-        }
-        server.alloc(gpu, used)?;
+        let queue = &topo_order.per_gpu[slot];
+        let mut walked = 0u64;
+        let fits = queue
+            .iter()
+            .take_while(|&&v| {
+                walked += topology_bytes_for_degree(graph.degree(v));
+                walked <= topo_share
+            })
+            .count();
+        let used = fill_topology_slot(server, graph, &mut cache, slot, &queue[..fits])?;
         registry
             .counter(&format!("cache_fill.gpu{gpu}.topology_vertices"))
-            .add(to_insert_topo.len() as u64);
+            .add(fits as u64);
         registry
             .counter(&format!("cache_fill.gpu{gpu}.topology_bytes"))
             .add(used);
-        for v in to_insert_topo {
-            cache.insert_topology(slot, v, graph.degree(v));
-        }
         // Feature fill-up in G_F order.
         let queue = &feat_order.per_gpu[slot];
         let rows = &queue[..rows_in_budget(features, feat_share).min(queue.len())];
@@ -340,6 +364,31 @@ mod tests {
         assert_eq!(rows_in_budget(&f, 0), 0);
         assert_eq!(rows_in_budget(&f, 7), 0);
         assert_eq!(rows_in_budget(&f, 8), 1);
+    }
+
+    #[test]
+    fn topology_fill_books_equation_3_bytes() {
+        let (g, ..) = setup();
+        let server = ServerSpec::custom(2, 1 << 20, 2).build();
+        let mut cache = CliqueCache::new(vec![0, 1], 500, 16);
+        let rows: Vec<VertexId> = vec![3, 1, 4];
+        let booked = fill_topology_slot(&server, &g, &mut cache, 1, &rows).unwrap();
+        let expected: u64 = rows
+            .iter()
+            .map(|&v| topology_bytes_for_degree(g.degree(v)))
+            .sum();
+        assert_eq!(booked, expected);
+        assert_eq!(server.allocated_bytes(1), expected);
+        assert_eq!(cache.cache(1).topology_bytes(), expected);
+        assert_eq!(cache.topology_vertices(), vec![1, 3, 4]);
+        // A slot that cannot hold the rows books nothing and caches
+        // nothing.
+        let tiny = ServerSpec::custom(1, 4, 1).build();
+        let mut empty = CliqueCache::new(vec![0], 500, 16);
+        let err = fill_topology_slot(&tiny, &g, &mut empty, 0, &rows);
+        assert!(matches!(err, Err(HwError::OutOfMemory { .. })));
+        assert_eq!(tiny.allocated_bytes(0), 0);
+        assert!(empty.topology_vertices().is_empty());
     }
 
     #[test]

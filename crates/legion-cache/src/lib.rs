@@ -64,7 +64,7 @@ pub use cslp::{cslp, hotness_order, sort_by_hotness, CslpOutput};
 pub use dynamic::{CacheStats, FifoCache, LruCache};
 pub use fill::{
     build_clique_cache, build_feature_cache_single, build_feature_caches_replicated,
-    fill_feature_slot,
+    fill_feature_slot, fill_topology_slot,
 };
 pub use hotness::HotnessMatrix;
 pub use planner::{CachePlan, PlannerConfig};

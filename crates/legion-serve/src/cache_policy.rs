@@ -1,4 +1,4 @@
-//! Feature-cache policies under serving traffic.
+//! Cache policies under serving traffic.
 //!
 //! Training-time Legion plans its cache *offline* from pre-sampled
 //! hotness (§4.2). Serving breaks the planner's core assumption — that
@@ -6,9 +6,11 @@
 //! forever — because request skew drifts. This module names the three
 //! points on that trade-off:
 //!
-//! * [`PolicyKind::StaticHot`] — fill per-GPU feature caches once from a
-//!   warmup sample of request neighborhoods, then never change them
-//!   (Legion's planned cache, pointed at serving traffic);
+//! * [`PolicyKind::StaticHot`] — Legion's unified cache, planned once
+//!   from a warm-up profile of request neighborhoods and never changed:
+//!   the cost model's α splits each GPU's byte budget between the
+//!   hottest topology rows and the hottest feature rows (each clique
+//!   pools its members' budgets under the residency router);
 //! * [`PolicyKind::Fifo`] — an admission-on-miss FIFO cache
 //!   ([`legion_cache::FifoCache`]) that tracks the drifting hot set at
 //!   the cost of replacement churn;
@@ -18,24 +20,31 @@
 //!   at batch boundaries, paying for each swap's refill on the PCIe
 //!   meters.
 
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use legion_cache::{
-    build_feature_caches_replicated, fill_feature_slot, hotness_order, CliqueCache,
+    build_feature_caches_replicated, fill_feature_slot, fill_topology_slot, hotness_order,
+    CliqueCache,
 };
-use legion_graph::{CsrGraph, FeatureTable, VertexId};
+use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
 use legion_router::Dispatcher;
 use legion_sampling::access::{sample_from_into, CacheLayout, FloydSet};
 
+use crate::replan::WarmupProfile;
 use crate::workload::TargetSampler;
 
-/// Which feature-cache policy a serving run uses.
+/// Which cache policy a serving run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// Static per-GPU hot set, planned once from warmup traffic.
+    /// Unified topology + feature cache, planned once from warm-up
+    /// traffic: without the router each GPU holds Replan's initial plan,
+    /// with it each clique pools its members' budgets. Each GPU stays
+    /// within `cache_rows_per_gpu` feature rows' bytes.
     StaticHot,
     /// Dynamic per-GPU FIFO cache, admitted on miss.
     Fifo,
@@ -57,7 +66,8 @@ impl PolicyKind {
 
 /// Ranks vertices by how often `warmup_requests` simulated request
 /// neighborhoods touch them, hottest first (ties broken by vertex id so
-/// the ranking is deterministic).
+/// the ranking is deterministic). The fleet sizes its replicated head
+/// from it; serving caches plan from [`profile_warmup`](crate::replan::profile_warmup).
 ///
 /// The expansion mirrors the serving sampler — `fanouts[h]` uniform
 /// neighbors per frontier vertex at hop `h` — but runs directly on the
@@ -126,14 +136,14 @@ pub(crate) fn ownership_dispatcher(
     dispatcher
 }
 
-/// Builds the static-hotness layout: every GPU gets its own single-GPU
-/// [`CliqueCache`] holding the feature rows of the `rows_per_gpu`
-/// hottest vertices, with the cache footprint charged to the GPU's
-/// memory budget.
+/// Builds a features-only replicated layout: every GPU gets its own
+/// single-GPU [`CliqueCache`] holding the feature rows of the
+/// `rows_per_gpu` hottest vertices and no topology, with the cache
+/// footprint charged to the GPU's memory budget.
 ///
-/// Requests are routed round-robin, so every GPU sees the same skew and
-/// caches the same (global) hot set; single-GPU cliques keep the two
-/// policies on identical topology and NVLink paths.
+/// No [`PolicyKind`] deploys it: StaticHot holds Replan's initial
+/// unified plan instead. It stays for callers that rebuild or compare
+/// against a features-only cache.
 ///
 /// # Panics
 ///
@@ -189,8 +199,9 @@ pub fn build_static_layout(
 ///
 /// With one clique there is nothing to replicate for (`G - 1 = 0`), so
 /// the rule degenerates to a fully partitioned cache. `weight` is the
-/// per-vertex touch count from [`warmup_hot_vertices_weighted`], indexed
-/// by vertex id.
+/// per-vertex hotness `hot` is ranked by (a warm-up profile's feature
+/// row, or [`warmup_hot_vertices_weighted`]'s touch counts), indexed by
+/// vertex id.
 ///
 /// Returns the layout, the clique membership (`groups[g]` is the list
 /// of GPU ids in route group `g`, for the dispatcher), and the
@@ -260,6 +271,80 @@ pub fn build_partitioned_layout_adaptive(
     }
     let layout = CacheLayout::from_cliques(num_gpus, cliques);
     (layout, groups, replicated_per_clique)
+}
+
+/// Routed StaticHot's plan: Legion's unified cache on every NVLink
+/// clique, split by the cost model over the warm-up `profile`. A clique
+/// pools `|clique| × budget` bytes and the cost model's α splits them
+/// into `m_t` topology and `m_f` feature bytes.
+///
+/// * The hottest topology rows of `m_t` bytes are striped across the
+///   clique's members: each row goes to the member holding the fewest
+///   topology bytes, and the stripe stops before a member would pass
+///   `m_t / |clique|`. Every clique of one size holds the same rows.
+/// * The feature rows are [`build_partitioned_layout_adaptive`]'s at
+///   `m_f / row_bytes / |clique|` rows per GPU (the fewest any clique
+///   affords when clique sizes differ), ranked and weighted by the
+///   profile's feature hotness.
+///
+/// So no GPU books more than `budget` bytes. Returns what
+/// [`build_partitioned_layout_adaptive`] returns.
+///
+/// # Panics
+///
+/// Panics if a GPU cannot fit its share of the pooled rows.
+pub(crate) fn build_routed_unified_layout(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    server: &MultiGpuServer,
+    profile: &WarmupProfile,
+    budget: u64,
+    delta_alpha: f64,
+) -> (CacheLayout, Vec<Vec<GpuId>>, Vec<usize>) {
+    let cls = server.pcie().cls();
+    let mut splits = BTreeMap::new();
+    for members in detect_cliques(server.nvlink()) {
+        let k = members.len();
+        splits.entry(k).or_insert_with(|| {
+            profile.best_split(graph, features, k as u64 * budget, delta_alpha, cls)
+        });
+    }
+    let rows_per_gpu = splits
+        .iter()
+        .map(|(&k, (split, _))| split.m_f / features.row_bytes() / k as u64)
+        .min()
+        .unwrap_or(0) as usize;
+    let weight = profile.feat.row(0);
+    let (mut layout, groups, replicated) = build_partitioned_layout_adaptive(
+        graph,
+        features,
+        server,
+        &hotness_order(weight),
+        weight,
+        rows_per_gpu,
+    );
+    for clique in &mut layout.cliques {
+        let k = clique.gpus().len();
+        let (split, topo) = &splits[&k];
+        let cap = split.m_t / k as u64;
+        let mut held = vec![0u64; k];
+        let mut stripes = vec![Vec::new(); k];
+        for &v in topo {
+            let slot = (0..k)
+                .min_by_key(|&s| held[s])
+                .expect("a clique has members");
+            held[slot] += topology_bytes_for_degree(graph.degree(v));
+            if held[slot] > cap {
+                break;
+            }
+            stripes[slot].push(v);
+        }
+        for (slot, stripe) in stripes.iter().enumerate() {
+            fill_topology_slot(server, graph, clique, slot, stripe)
+                .expect("routed topology cache exceeds GPU memory");
+        }
+    }
+    (layout, groups, replicated)
 }
 
 /// The greedy head-sizing rule behind

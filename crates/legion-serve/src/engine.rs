@@ -38,7 +38,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{cslp, CostModel, FifoCache};
+use legion_cache::{cslp, FifoCache};
 use legion_dyn::{DeltaOverlay, MutationLog, MutationOp};
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
@@ -56,11 +56,8 @@ use legion_store::{NvmeModel, Tier, VertexStore};
 use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::batcher::BatchPolicy;
-use crate::cache_policy::{
-    build_partitioned_layout_adaptive, build_static_layout, ownership_dispatcher,
-    warmup_hot_vertices_weighted, PolicyKind,
-};
-use crate::replan::{plan_layout, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile};
+use crate::cache_policy::{build_routed_unified_layout, ownership_dispatcher, PolicyKind};
+use crate::replan::{cost_model, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile};
 use crate::slo::{latency_buckets, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
 use crate::{RemoteConfig, ServeConfig, StoreConfig};
@@ -215,9 +212,9 @@ pub(crate) struct StorePlacement {
 }
 
 /// Runs the three-tier placement for a store-enabled config: warmup
-/// profile → CSLP orders → [`CostModel::best_plan_tiered`] under the
-/// HBM budget (`cache_rows_per_gpu` rows) and the configured DRAM
-/// budget. Every row past the HBM + DRAM prefix of the feature order
+/// profile → CSLP orders →
+/// [`legion_cache::CostModel::best_plan_tiered`] under the HBM budget
+/// (`cache_rows_per_gpu` rows) and the configured DRAM budget. Every row past the HBM + DRAM prefix of the feature order
 /// starts on the SSD. Returns `None` when the budget swallows the whole
 /// table — the all-resident degenerate case runs the two-tier path with
 /// zero store state.
@@ -233,14 +230,12 @@ fn plan_store_placement(
     let nvme = NvmeModel::new(config.store.nvme);
     let t = cslp(&profile.topo);
     let f = cslp(&profile.feat);
-    let model = CostModel::new(
+    let model = cost_model(
         graph,
-        &t.clique_order,
-        &t.accumulated,
-        &f.clique_order,
-        &f.accumulated,
+        features,
+        (&t.clique_order, &t.accumulated),
+        (&f.clique_order, &f.accumulated),
         profile.n_tsum,
-        features.dim(),
         server.pcie().cls(),
     );
     let hbm_budget = config.cache_rows_per_gpu as u64 * row_bytes;
@@ -1264,8 +1259,8 @@ pub struct Deployment<'a> {
     /// fills caches against it, so it holds the plan's per-GPU footprint
     /// and the shape a run's server must match.
     twin: MultiGpuServer,
-    /// StaticHot's warm-up fill; empty for Fifo and Replan, whose caches
-    /// live in the workers.
+    /// StaticHot's unified cache, topology and features; empty for Fifo
+    /// and Replan, whose caches live in the workers.
     layout: CacheLayout,
     /// Replan's warm-up plan per GPU: where its plan buffer starts.
     initial_plans: Vec<Plan>,
@@ -1305,12 +1300,14 @@ fn server_shape(server: &MultiGpuServer) -> [(&'static str, String); 4] {
 /// metric. DESIGN.md §5a "Planning and running" lists what each policy
 /// plans.
 ///
-/// Every planner profiles warm-up traffic drawn from the *initial*
-/// (pre-drift) skew — it cannot see the future, which is exactly the
-/// handicap under drift; a Replan GPU starts from the same position, on
-/// the other policies' byte budget (`cache_rows_per_gpu` feature rows,
-/// split by the cost model's α), but may revise it. A DRAM budget that
-/// swallows the whole table plans no store: the two-tier run exactly.
+/// StaticHot, Replan and the store read one warm-up profile drawn from
+/// the *initial* (pre-drift) skew — no planner can see the future, which
+/// is exactly the handicap under drift. Each GPU's budget is
+/// `cache_rows_per_gpu` feature rows' bytes, split by the cost model's α
+/// between topology and features; an unrouted StaticHot GPU holds
+/// exactly the plan a Replan GPU starts from, but never revises it. A
+/// DRAM budget that swallows the whole table plans no store: the
+/// two-tier run exactly.
 ///
 /// # Panics
 ///
@@ -1326,7 +1323,8 @@ pub fn plan_deployment<'a>(
     let (num_gpus, num_vertices) = (twin.num_gpus(), graph.num_vertices());
     let routed = config.router.policy == RouterPolicy::Residency;
     let spill_len = (config.router.spill_threshold * config.queue_capacity as f64).ceil() as usize;
-    let profile = (config.policy == PolicyKind::Replan || config.store.active()).then(|| {
+    // Fifo plans nothing unless a store needs its placement.
+    let profile = (config.policy != PolicyKind::Fifo || config.store.active()).then(|| {
         profile_warmup(
             graph,
             &mut warmup_targets(graph, config),
@@ -1355,59 +1353,39 @@ pub fn plan_deployment<'a>(
         twin,
     };
     let twin = &planned.twin;
-    match config.policy {
-        PolicyKind::StaticHot => {
-            let (hot, weight) = warmup_hot_vertices_weighted(
-                graph,
-                &mut warmup_targets(graph, config),
-                config.warmup_requests,
-                &config.fanouts,
-                config.seed,
-            );
-            let rows = config.cache_rows_per_gpu;
-            if routed {
-                // Routed runs pool each clique's caches; the cliques are
-                // the route groups, seeded with what their pools hold.
-                let (partitioned, groups, replicated) =
-                    build_partitioned_layout_adaptive(graph, features, twin, &hot, &weight, rows);
-                let mut seeded =
-                    Dispatcher::new(groups, num_vertices, spill_len).batched(config.max_batch);
-                for (g, clique) in partitioned.cliques.iter().enumerate() {
-                    seeded.refresh_group(g, &clique.feature_vertices());
-                }
-                planned.layout = partitioned;
-                planned.dispatcher = Some(seeded);
-                planned.replicated_rows = Some(replicated.iter().map(|&r| r as u64).sum());
-            } else {
-                planned.layout = build_static_layout(graph, features, twin, &hot, rows);
-            }
-        }
+    let budget = config.cache_rows_per_gpu as u64 * features.row_bytes();
+    let delta_alpha = config.replan.delta_alpha;
+    match (config.policy, profile.as_ref()) {
         // Fifo's cache starts empty: route on each clique's §4.1
         // ownership, which its content will come to track.
-        PolicyKind::Fifo => {
+        (PolicyKind::Fifo, _) => {
             planned.dispatcher = routed
                 .then(|| ownership_dispatcher(graph, twin, spill_len).batched(config.max_batch));
         }
-        PolicyKind::Replan => {
-            let profile = profile.as_ref().expect("replan runs profile warmup");
-            let budget = config.cache_rows_per_gpu as u64 * features.row_bytes();
-            for gpu in 0..num_gpus {
-                let plan = plan_layout(
-                    gpu,
-                    num_gpus,
-                    graph,
-                    features,
-                    &profile.topo,
-                    &profile.feat,
-                    profile.n_tsum,
-                    budget,
-                    config.replan.delta_alpha,
-                    twin.pcie().cls(),
-                );
-                twin.alloc(gpu, plan.contents.total_bytes())
-                    .expect("replanned cache exceeds GPU memory");
-                planned.initial_plans.push(plan);
+        (PolicyKind::StaticHot, Some(profile)) if routed => {
+            // Routed runs pool each clique's caches; the cliques are
+            // the route groups, seeded with the feature rows their pools
+            // hold.
+            let (unified, groups, replicated) =
+                build_routed_unified_layout(graph, features, twin, profile, budget, delta_alpha);
+            let mut seeded =
+                Dispatcher::new(groups, num_vertices, spill_len).batched(config.max_batch);
+            for (g, clique) in unified.cliques.iter().enumerate() {
+                seeded.refresh_group(g, &clique.feature_vertices());
             }
+            planned.layout = unified;
+            planned.dispatcher = Some(seeded);
+            planned.replicated_rows = Some(replicated.iter().map(|&r| r as u64).sum());
+        }
+        // Unrouted, each GPU holds Replan's initial plan and keeps it.
+        (PolicyKind::StaticHot, Some(profile)) => {
+            let plans = warmup_plans(twin, graph, features, profile, budget, delta_alpha);
+            let cliques = plans.into_iter().flat_map(|p| p.layout.cliques).collect();
+            planned.layout = CacheLayout::from_cliques(num_gpus, cliques);
+        }
+        (PolicyKind::Replan, Some(profile)) => {
+            planned.initial_plans =
+                warmup_plans(twin, graph, features, profile, budget, delta_alpha);
             // One route group per GPU, seeded from its initial plan and
             // refreshed on every commit.
             planned.dispatcher = routed.then(|| {
@@ -1420,8 +1398,34 @@ pub fn plan_deployment<'a>(
                 seeded
             });
         }
+        (_, None) => unreachable!("planned policies profile warm-up"),
     }
     planned
+}
+
+/// Replan's initial plan for every GPU of `twin` — the cost model's
+/// split of `budget` bytes over `profile` — booked on `twin`.
+fn warmup_plans(
+    twin: &MultiGpuServer,
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    profile: &WarmupProfile,
+    budget: u64,
+    delta_alpha: f64,
+) -> Vec<Plan> {
+    let plans = profile.plans(
+        twin.num_gpus(),
+        graph,
+        features,
+        budget,
+        delta_alpha,
+        twin.pcie().cls(),
+    );
+    for (gpu, plan) in plans.iter().enumerate() {
+        twin.alloc(gpu, plan.contents.total_bytes())
+            .expect("planned cache exceeds GPU memory");
+    }
+    plans
 }
 
 impl Deployment<'_> {
@@ -1796,6 +1800,74 @@ mod tests {
         assert!(hits > 0, "half the graph is cached; hits expected");
     }
 
+    /// A skewed graph: Chung–Lu degrees, so a few rows carry most of the
+    /// sampled edges and the cost model gives topology a share.
+    fn skewed_graph() -> (CsrGraph, FeatureTable) {
+        let g = legion_graph::generate::ChungLuConfig {
+            num_vertices: 512,
+            num_edges: 4096,
+            ..Default::default()
+        }
+        .generate(&mut StdRng::seed_from_u64(5));
+        (g, FeatureTable::zeros(512, 16))
+    }
+
+    /// StaticHot plans Legion's unified cache: routed or not, every
+    /// clique caches topology, and no GPU books more than its budget.
+    #[test]
+    fn static_plan_caches_topology_within_each_gpu_budget() {
+        let (g, f) = skewed_graph();
+        let server = ServerSpec::custom(4, 1 << 30, 2).build();
+        for router in [RouterPolicy::RoundRobin, RouterPolicy::Residency] {
+            let mut config = tiny_config(PolicyKind::StaticHot);
+            config.router.policy = router;
+            let deployment = plan_deployment(&g, &f, &server, &config);
+            let cliques = &deployment.layout.cliques;
+            assert!(!cliques.is_empty(), "{router:?}: a static plan has caches");
+            for (c, clique) in cliques.iter().enumerate() {
+                assert!(
+                    clique.total_topology_bytes() > 0,
+                    "{router:?}: clique {c} caches no topology"
+                );
+                assert!(clique.total_feature_bytes() > 0);
+            }
+            let budget = config.cache_rows_per_gpu as u64 * f.row_bytes();
+            for gpu in 0..server.num_gpus() {
+                let booked = deployment.twin.allocated_bytes(gpu);
+                assert!(
+                    booked <= budget,
+                    "{router:?}: GPU {gpu} books {booked} B of a {budget} B budget"
+                );
+            }
+        }
+    }
+
+    /// Without the router each StaticHot GPU holds exactly the plan a
+    /// Replan GPU starts from.
+    #[test]
+    fn unrouted_static_plan_is_replans_initial_plan() {
+        let (g, f) = skewed_graph();
+        let server = ServerSpec::custom(2, 1 << 30, 1).build();
+        let configs = [PolicyKind::StaticHot, PolicyKind::Replan].map(tiny_config);
+        let planned = plan_deployment(&g, &f, &server, &configs[0]);
+        let replan = plan_deployment(&g, &f, &server, &configs[1]);
+        assert_eq!(replan.initial_plans.len(), 2);
+        for (gpu, plan) in replan.initial_plans.iter().enumerate() {
+            assert!(
+                !plan.contents.topo.is_empty(),
+                "the fixture must cache topology"
+            );
+            let (cache, _) = planned.layout.for_gpu(gpu).expect("every GPU holds a plan");
+            assert_eq!(cache.gpus(), [gpu]);
+            assert_eq!(cache.topology_vertices(), plan.contents.topo);
+            assert_eq!(cache.feature_vertices(), plan.contents.feat);
+            assert_eq!(
+                planned.twin.allocated_bytes(gpu),
+                replan.twin.allocated_bytes(gpu)
+            );
+        }
+    }
+
     /// Regression test for the duplicate-seed double count: on a
     /// single-vertex graph every request targets the one vertex, so a
     /// multi-request batch must expand its (uncached) topology exactly
@@ -2156,16 +2228,11 @@ mod tests {
             counter("graph.mut.compactions") > 0,
             "a 32-edge threshold must trigger batch-boundary compaction"
         );
-        // Static layouts cache features only (topology stays in CPU
-        // UVA), so the topo-row counter is registered but never fires;
-        // the Replan test below covers the firing path.
+        // The static plan caches the hottest topology rows, so churn
+        // on them must count invalidations.
         assert!(
-            report
-                .metrics
-                .counters
-                .iter()
-                .any(|c| c.name == "serve.invalidate.topo_rows"),
-            "churn runs must register the invalidation family"
+            counter("serve.invalidate.topo_rows") > 0,
+            "mutating a plan-cached topology row must count an invalidation"
         );
         assert!(
             counter("serve.invalidate.residency_bits") > 0,
@@ -2290,7 +2357,7 @@ mod tests {
             );
             let order = legion_cache::hotness_order(profile.feat.row(0));
             let t = cslp(&profile.topo);
-            let hbm_rows = CostModel::new(
+            let hbm_rows = legion_cache::CostModel::new(
                 &g,
                 &t.clique_order,
                 &t.accumulated,

@@ -114,14 +114,16 @@ pub struct ServeConfig {
     pub max_wait: f64,
     /// Per-GPU admission-queue capacity; arrivals beyond it are shed.
     pub queue_capacity: usize,
-    /// Feature-cache policy.
+    /// Cache policy.
     pub policy: PolicyKind,
     /// Online re-planning knobs (used only by [`PolicyKind::Replan`]).
     pub replan: ReplanConfig,
-    /// Feature rows each GPU's cache holds (static fill size / FIFO
-    /// capacity).
+    /// Each GPU's cache size in feature rows: FIFO's capacity, and the
+    /// byte budget (`rows × row_bytes`) StaticHot and Replan split
+    /// between topology and features by the cost model's α.
     pub cache_rows_per_gpu: usize,
-    /// Warmup requests the static planner profiles before filling.
+    /// Warmup requests the planned caches and the store profile before
+    /// filling.
     pub warmup_requests: usize,
     /// Per-hop sampling fan-outs (outermost first).
     pub fanouts: Vec<usize>,

@@ -67,8 +67,10 @@ pub struct ReplanConfig {
     /// Sealed buckets that must pass after a swap before the detector
     /// may stage another plan (limits churn while a swap takes effect).
     pub cooldown_buckets: usize,
-    /// `Δα` of the re-planning cost-model sweep (coarser than the
-    /// offline default 0.01 — re-planning runs on the serving path).
+    /// `Δα` of serving's cost-model sweep: every planned serving cache
+    /// (StaticHot's plan, Replan's initial plan and its re-plans, the
+    /// store's tier split) picks its α on this grid. Coarser than the
+    /// offline default 0.01 — re-planning runs on the serving path.
     pub delta_alpha: f64,
     /// Re-plans allowed per drift episode (the detection-time plan plus
     /// refinements from fresher windows). When the cap is hit without
@@ -305,6 +307,11 @@ impl<'a> Ranked<'a> {
         Self { hot, order: listed }
     }
 
+    /// The order and its hotness row, as [`cost_model`] takes them.
+    fn rows(&self) -> (&[VertexId], &[u64]) {
+        (&self.order, self.hot)
+    }
+
     /// Finds the support by scanning `matrix`'s single row.
     fn scan(matrix: &'a HotnessMatrix) -> Self {
         assert_eq!(matrix.num_gpus(), 1, "serving plans one GPU's hotness row");
@@ -479,11 +486,8 @@ pub fn plan_layout(
     )
 }
 
-/// The planner behind [`plan_layout`] and every re-plan. The cost model
-/// takes the support-only orders as they are: the zero-hotness tail it
-/// never sees adds nothing to Equations 4 and 7, so `α`, `N_T` and `N_F`
-/// equal the full-order result, and the cached-vertex counts are exactly
-/// what the plan holds.
+/// The planner behind [`plan_layout`] and every re-plan: the cost
+/// model's split, then the plan it describes for `gpu`.
 #[allow(clippy::too_many_arguments)]
 fn plan_ranked(
     gpu: GpuId,
@@ -497,17 +501,39 @@ fn plan_ranked(
     delta_alpha: f64,
     cls: u64,
 ) -> Plan {
-    let model = CostModel::new(
-        graph,
-        &topo.order,
-        topo.hot,
-        &feat.order,
-        feat.hot,
-        n_tsum,
-        features.dim(),
-        cls,
-    );
-    let evaluation = model.best_plan(budget, delta_alpha);
+    let evaluation = cost_model(graph, features, topo.rows(), feat.rows(), n_tsum, cls)
+        .best_plan(budget, delta_alpha);
+    materialize(gpu, num_gpus, graph, features, topo, feat, evaluation)
+}
+
+/// The §4.3 cost model over `(order, hotness)` rows of topology and
+/// features at PCIe cache-line size `cls` — the one place serving builds
+/// one. A support-only order is taken as it is: the zero-hotness tail it
+/// leaves out adds nothing to Equations 4 and 7, so `α`, `N_T` and `N_F`
+/// equal the full-order result, and the cached-vertex counts are exactly
+/// what a plan holds.
+pub(crate) fn cost_model(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    (q_t, a_t): (&[VertexId], &[u64]),
+    (q_f, a_f): (&[VertexId], &[u64]),
+    n_tsum: u64,
+    cls: u64,
+) -> CostModel {
+    CostModel::new(graph, q_t, a_t, q_f, a_f, n_tsum, features.dim(), cls)
+}
+
+/// `gpu`'s single-GPU cache holding the `evaluation`-sized prefixes of
+/// the two orders.
+fn materialize(
+    gpu: GpuId,
+    num_gpus: usize,
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    topo: &Ranked<'_>,
+    feat: &Ranked<'_>,
+    evaluation: PlanEvaluation,
+) -> Plan {
     let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
     let mut topo_set = topo.order[..evaluation.topo_cached_vertices].to_vec();
     for &v in &topo_set {
@@ -557,7 +583,8 @@ pub struct WarmupProfile {
 
 /// Profiles `warmup_requests` request neighborhoods on the CPU-resident
 /// graph (no simulated traffic is charged — this is an offline planning
-/// step, like [`warmup_hot_vertices_weighted`](crate::cache_policy::warmup_hot_vertices_weighted)).
+/// step). Every planned serving cache and the store's placement read
+/// one such profile.
 pub fn profile_warmup(
     graph: &CsrGraph,
     targets: &mut TargetSampler,
@@ -598,6 +625,57 @@ pub fn profile_warmup(
         }
     }
     WarmupProfile { topo, feat, n_tsum }
+}
+
+impl WarmupProfile {
+    /// Both rows ranked and the cost model's best split of `budget`
+    /// bytes over them.
+    fn priced(
+        &self,
+        graph: &CsrGraph,
+        features: &FeatureTable,
+        budget: u64,
+        delta_alpha: f64,
+        cls: u64,
+    ) -> (Ranked<'_>, Ranked<'_>, PlanEvaluation) {
+        let (topo, feat) = (Ranked::scan(&self.topo), Ranked::scan(&self.feat));
+        let evaluation = cost_model(graph, features, topo.rows(), feat.rows(), self.n_tsum, cls)
+            .best_plan(budget, delta_alpha);
+        (topo, feat, evaluation)
+    }
+
+    /// The cost model's best split of `budget` bytes over this profile,
+    /// with the topology rows it caches, hottest first.
+    pub(crate) fn best_split(
+        &self,
+        graph: &CsrGraph,
+        features: &FeatureTable,
+        budget: u64,
+        delta_alpha: f64,
+        cls: u64,
+    ) -> (PlanEvaluation, Vec<VertexId>) {
+        let (topo, _, evaluation) = self.priced(graph, features, budget, delta_alpha, cls);
+        let mut cached = topo.order;
+        cached.truncate(evaluation.topo_cached_vertices);
+        (evaluation, cached)
+    }
+
+    /// [`plan_layout`] over this profile for every GPU of a `num_gpus`
+    /// server, ranked and priced once: the plans differ only in their GPU.
+    pub(crate) fn plans(
+        &self,
+        num_gpus: usize,
+        graph: &CsrGraph,
+        features: &FeatureTable,
+        budget: u64,
+        delta_alpha: f64,
+        cls: u64,
+    ) -> Vec<Plan> {
+        let (topo, feat, evaluation) = self.priced(graph, features, budget, delta_alpha, cls);
+        (0..num_gpus)
+            .map(|gpu| materialize(gpu, num_gpus, graph, features, &topo, &feat, evaluation))
+            .collect()
+    }
 }
 
 /// What a sealed bucket told the controller, for the engine to export as
