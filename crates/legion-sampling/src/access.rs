@@ -190,6 +190,14 @@ impl BatchTotals {
         }
     }
 
+    /// Books `rows` HBM misses the landing ring still held: plan misses
+    /// that move nothing over PCIe ([`crate::LandingRing`]).
+    #[inline]
+    fn charge_reused_rows(&mut self, rows: u64) {
+        self.extracted_rows += rows;
+        self.feature_misses += rows;
+    }
+
     /// Whether nothing has been accumulated since the last flush.
     pub fn is_empty(&self) -> bool {
         self.topology_hits == 0
@@ -446,7 +454,7 @@ impl<'a> AccessEngine<'a> {
             out.extend_from_slice(self.features.row(v));
             cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v))
         };
-        self.extract_metered_by(gpu, vertices, totals, classify, |_| {});
+        self.extract_metered_by(gpu, vertices, totals, classify, |_| true);
     }
 
     /// The extraction stage of a timing run: counts `vertices` by owner in
@@ -454,24 +462,30 @@ impl<'a> AccessEngine<'a> {
     /// prices each owner's count once, charging what
     /// [`Self::read_features_batch`] would, hands every miss to `on_miss`
     /// (in input order) and returns `(feature_tx, peer_bytes)`, the two
-    /// inputs of the extraction time. No row is read: stage times come
-    /// from these counts alone. A GPU without a clique cache misses every
-    /// row, through [`Self::extract_metered_by`].
+    /// inputs of the extraction time. `on_miss` says whether the row
+    /// crosses PCIe: one it answers `false` for is still a miss but moves
+    /// nothing (the landing ring held it). No row is read: stage times
+    /// come from these counts alone. A GPU without a clique cache misses
+    /// every row, through [`Self::extract_metered_by`].
     pub(crate) fn extract_metered(
         &self,
         gpu: GpuId,
         vertices: &[VertexId],
         totals: &mut BatchTotals,
-        on_miss: impl FnMut(VertexId),
+        mut on_miss: impl FnMut(VertexId) -> bool,
     ) -> (u64, u64) {
         let Some((cache, slot)) = self.layout.for_gpu(gpu) else {
             return self.extract_metered_by(gpu, vertices, totals, |_| None, on_miss);
         };
         let (row_bytes, row_tx) = self.feature_row_price(totals);
-        let tally = cache.count_feature_owners(vertices, on_miss);
+        let mut reused = 0;
+        let mut tally = cache.count_feature_owners(vertices, |v| reused += u64::from(!on_miss(v)));
+        // The last owner is "no GPU": the misses.
+        *tally.last_mut().expect("a miss bucket") -= reused;
         for (owner, &rows) in tally.iter().enumerate() {
             totals.charge_feature_rows(cache.owner_hit(slot, owner), rows, row_bytes, row_tx);
         }
+        totals.charge_reused_rows(reused);
         self.flush_extraction(gpu, totals)
     }
 
@@ -485,14 +499,13 @@ impl<'a> AccessEngine<'a> {
         vertices: &[VertexId],
         totals: &mut BatchTotals,
         mut classify: impl FnMut(VertexId) -> Option<CacheHit>,
-        mut on_miss: impl FnMut(VertexId),
+        mut on_miss: impl FnMut(VertexId) -> bool,
     ) -> (u64, u64) {
         let (row_bytes, row_tx) = self.feature_row_price(totals);
         for &v in vertices {
-            let hit = classify(v);
-            totals.charge_feature_rows(hit, 1, row_bytes, row_tx);
-            if hit.is_none() {
-                on_miss(v);
+            match classify(v) {
+                None if !on_miss(v) => totals.charge_reused_rows(1),
+                hit => totals.charge_feature_rows(hit, 1, row_bytes, row_tx),
             }
         }
         self.flush_extraction(gpu, totals)
@@ -916,7 +929,10 @@ mod tests {
 
             missed.clear();
             let (feature_tx, peer_bytes) =
-                engine.extract_metered(0, &[3, 4, 5, 6], &mut totals, |v| missed.push(v));
+                engine.extract_metered(0, &[3, 4, 5, 6], &mut totals, |v| {
+                    missed.push(v);
+                    true
+                });
             assert_eq!(feature_tx, feat() - feat0);
             assert_eq!(feature_tx, 2 * row_tx, "rows 5 and 6 cross PCIe");
             assert_eq!(peer_bytes, peer() - peer0);
@@ -926,7 +942,7 @@ mod tests {
         }
         // Another GPU's reads do not move GPU 0's reading.
         let (feat0, peer0) = (feat(), peer());
-        let (other_tx, other_peer) = engine.extract_metered(2, &[3, 4], &mut totals, |_| {});
+        let (other_tx, other_peer) = engine.extract_metered(2, &[3, 4], &mut totals, |_| true);
         assert_eq!((other_tx, other_peer), (2 * row_tx, 0));
         assert_eq!((feat(), peer()), (feat0, peer0));
     }
@@ -1044,7 +1060,10 @@ mod tests {
             for round in 1..=2u64 {
                 missed.clear();
                 let (feature_tx, peer_bytes) =
-                    metering.extract_metered(gpu, &vertices, &mut totals, |v| missed.push(v));
+                    metering.extract_metered(gpu, &vertices, &mut totals, |v| {
+                        missed.push(v);
+                        true
+                    });
                 copying.read_features_batch(gpu, &vertices, &mut rows, &mut totals);
                 prop_assert!(totals.is_empty());
                 prop_assert_eq!(&missed, &would_miss);

@@ -14,7 +14,9 @@
 //!   message-flow blocks (Figure 1's workflow),
 //! * [`extract`] — the feature extractor operator,
 //! * [`step`] — the one batch step (sample → extract → the tiers below
-//!   HBM) that training, serving and the capacity probe run, and
+//!   HBM) that training, serving and the capacity probe run,
+//! * [`landing`] — a serving GPU's landing ring, the tier that keeps the
+//!   rows its last batches pulled over PCIe, and
 //! * [`presample()`] — the pre-sampling phase that fills `H_T`, `H_F` and
 //!   measures `N_TSUM` (§4.2.2 S1, Figure 6).
 //!
@@ -46,12 +48,14 @@
 pub mod access;
 pub mod batch;
 pub mod extract;
+pub mod landing;
 pub mod presample;
 pub mod sampler;
 pub mod step;
 
 pub use access::{AccessEngine, BatchTotals, CacheLayout, FloydSet, TopologyPlacement};
 pub use batch::BatchGenerator;
+pub use landing::LandingRing;
 pub use presample::{presample, PresampleOutput};
 pub use sampler::{Block, KHopSampler, MiniBatchSample, SampleScratch};
 pub use step::{BatchStep, Extract, LowerTier, Stepped};

@@ -212,6 +212,19 @@ impl KHopSampler {
         Self { fanouts }
     }
 
+    /// The most feature rows a batch of `seeds` distinct seeds can
+    /// expand to: `seeds × (1 + f₁ + f₁f₂ + …)`, every hop's draws
+    /// distinct.
+    pub fn max_rows(&self, seeds: usize) -> usize {
+        let mut frontier = seeds;
+        let mut rows = seeds;
+        for &f in &self.fanouts {
+            frontier *= f;
+            rows += frontier;
+        }
+        rows
+    }
+
     /// Samples the multi-hop neighborhood of `seeds` on behalf of `gpu`,
     /// charging all topology traffic through `engine`. Optionally reports
     /// each expanded row with at least one drawn edge, once per frontier

@@ -23,6 +23,12 @@ pub trait LowerTier {
     /// Resolves the rows claimed since the last charge at simulated time
     /// `at` and returns the extraction stall, seconds.
     fn charge(&mut self, at: f64) -> f64;
+    /// Whether the rows this tier claims are already in HBM, so they
+    /// cross no PCIe link ([`LandingRing`](crate::LandingRing)). They
+    /// still count as HBM misses.
+    fn in_hbm(&self) -> bool {
+        false
+    }
 }
 
 /// How a batch's feature rows are classified. Either way the rows are
@@ -107,8 +113,14 @@ impl BatchStep {
         let sample_s = self
             .time
             .sample_seconds(topo_tx, sample.total_edges() as u64);
+        // Whether the miss crosses PCIe: unless a tier in HBM claims it.
         let on_miss = |v| {
-            tiers.iter_mut().any(|t| t.claim(v));
+            for tier in tiers.iter_mut() {
+                if tier.claim(v) {
+                    return !tier.in_hbm();
+                }
+            }
+            true
         };
         let (rows, totals) = (&sample.all_vertices, &mut self.totals);
         let (feat_tx, peer_bytes) = match how {
@@ -267,6 +279,106 @@ mod tests {
         let time = TimeModel::new(server.spec());
         let expected = time.extract_seconds(feat_tx, peer_bytes) + 0.25 + 3e-7;
         assert_eq!(out.extract_s.to_bits(), expected.to_bits());
+    }
+
+    /// Runs `seeds` on GPU 0 once per entry of `stream` (the RNG seed of
+    /// that batch), the landing ring `ring` after `remote`, and returns
+    /// each batch's sample and PCIe feature transactions.
+    fn run_stream(
+        stream: &[u64],
+        seeds: &[VertexId],
+        mut ring: Option<&mut crate::LandingRing>,
+        mut remote: Option<&mut Stub>,
+    ) -> Vec<(Vec<VertexId>, u64)> {
+        let server = ServerSpec::custom(2, 1 << 30, 2).build();
+        let (g, f, layout) = fixture();
+        let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
+        let time = TimeModel::new(server.spec());
+        let mut step = BatchStep::new(KHopSampler::new(vec![3, 2]), time, 2);
+        let tx = || server.pcm().gpu_kind(0, TrafficKind::Feature);
+        stream
+            .iter()
+            .map(|&seed| {
+                let remote = remote.as_deref_mut().map(|t| t as &mut dyn LowerTier);
+                let ring = ring.as_deref_mut().map(|t| t as &mut dyn LowerTier);
+                let mut tiers: Vec<_> = remote.into_iter().chain(ring).collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let before = tx();
+                let out = step.run(
+                    &engine,
+                    0,
+                    0,
+                    seeds,
+                    &mut rng,
+                    None,
+                    Extract::Layout,
+                    &mut tiers,
+                    0.0,
+                );
+                (out.sample.all_vertices, tx() - before)
+            })
+            .collect()
+    }
+
+    /// The ring a batch of `seeds` seeds lands in, and its capacity.
+    fn ring_for(seeds: usize) -> (crate::LandingRing, usize) {
+        let capacity = KHopSampler::new(vec![3, 2]).max_rows(seeds);
+        let reused = legion_telemetry::Registry::new().counter("reused");
+        (crate::LandingRing::new(capacity, 64, reused), capacity)
+    }
+
+    /// ROADMAP 11's per-batch relation for the ring: on one batch stream,
+    /// the ring samples the same rows, leaves the first batch's PCIe
+    /// feature transactions as they were and never raises a later one.
+    #[test]
+    fn the_ring_never_raises_a_batchs_pcie_feature_transactions() {
+        let stream = [3, 3, 7, 11, 3, 5, 7, 13];
+        let seeds: Vec<VertexId> = (0..6).collect();
+        let plain = run_stream(&stream, &seeds, None, None);
+        let (mut ring, capacity) = ring_for(seeds.len());
+        let ringed = run_stream(&stream, &seeds, Some(&mut ring), None);
+        for (i, ((rows, tx), (ring_rows, ring_tx))) in plain.iter().zip(&ringed).enumerate() {
+            assert_eq!(rows, ring_rows, "batch {i}: the ring changed the sample");
+            assert!(rows.len() <= capacity, "batch {i} overflows the ring");
+            assert!(ring_tx <= tx, "batch {i}: {ring_tx} > {tx}");
+        }
+        assert_eq!(ringed[0].1, plain[0].1, "an empty ring saves nothing");
+        let total = |run: &[(Vec<VertexId>, u64)]| run.iter().map(|b| b.1).sum::<u64>();
+        assert!(
+            total(&ringed) < total(&plain),
+            "the stream repeats rows, so the ring must save some transactions"
+        );
+    }
+
+    /// A row an earlier tier claims (another server's) never enters the
+    /// ring: a repeated batch re-reads it there, while its own rows come
+    /// from the ring.
+    #[test]
+    fn a_row_an_earlier_tier_takes_never_enters_the_ring() {
+        let seeds: Vec<VertexId> = (0..6).collect();
+        let (mut ring, _) = ring_for(seeds.len());
+        let mut remote = Stub::new(|v| v % 4 == 2, 0.0);
+        let out = run_stream(&[9, 9], &seeds, Some(&mut ring), Some(&mut remote));
+        assert_eq!(out[0].0, out[1].0, "one RNG seed, one sample");
+        let (remote_rows, own): (Vec<VertexId>, Vec<VertexId>) = out[0]
+            .0
+            .iter()
+            .filter(|v| *v % 4 >= 2)
+            .partition(|v| *v % 4 == 2);
+        assert!(
+            !remote_rows.is_empty() && !own.is_empty(),
+            "fixture too small"
+        );
+        let twice: Vec<VertexId> = remote_rows.iter().chain(&remote_rows).copied().collect();
+        assert_eq!(remote.claimed, twice, "the remote tier serves both batches");
+        assert!(remote_rows.iter().all(|&v| !ring.holds(v)));
+        assert!(own.iter().all(|&v| ring.holds(v)));
+        let row_tx = ServerSpec::custom(2, 1 << 30, 2)
+            .build()
+            .pcie()
+            .transactions_for_payload(64);
+        let expected = (remote_rows.len() as u64 * row_tx, own.len() as u64 * row_tx);
+        assert_eq!((out[1].1, out[0].1 - out[1].1), expected);
     }
 
     #[test]

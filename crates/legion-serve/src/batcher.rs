@@ -24,9 +24,15 @@ pub struct BatchPolicy {
 
 impl BatchPolicy {
     /// A policy with the given knobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_batch` is zero or `max_wait` is negative or not
+    /// finite.
     pub fn new(max_batch: usize, max_wait: f64) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         assert!(max_wait >= 0.0, "max_wait must be non-negative");
+        assert!(max_wait.is_finite(), "max_wait must be finite");
         Self {
             max_batch,
             max_wait,
@@ -116,6 +122,12 @@ mod tests {
     #[should_panic(expected = "max_batch must be positive")]
     fn zero_batch_rejected() {
         let _ = BatchPolicy::new(0, 0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_wait must be finite")]
+    fn infinite_wait_rejected() {
+        let _ = BatchPolicy::new(4, f64::INFINITY);
     }
 
     /// Under a QoS queue the age trigger follows the truly-oldest

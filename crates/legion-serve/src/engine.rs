@@ -23,6 +23,12 @@
 //! seeds previously re-expanded the same uncached vertex and
 //! double-counted its miss (see `batch_seeds`).
 //!
+//! Under every policy but [`PolicyKind::Fifo`] each GPU keeps a
+//! [`LandingRing`]: the HBM buffer one full all-miss batch lands in,
+//! holding the last rows this server's host link moved. A miss it still
+//! holds is copied inside HBM instead of crossing PCIe again
+//! (`serve.landing.reused`); it still counts as a cache miss.
+//!
 //! Under [`PolicyKind::Replan`] the loop additionally drives a per-GPU
 //! [`ReplanState`]: staged plans commit at the top of a batch (never
 //! mid-batch), the swap's refill is charged to the PCIe meters and to
@@ -51,7 +57,7 @@ use legion_router::{
     fill_probe, Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-use legion_sampling::{BatchStep, Extract, KHopSampler, LowerTier, MiniBatchSample};
+use legion_sampling::{BatchStep, Extract, KHopSampler, LandingRing, LowerTier, MiniBatchSample};
 use legion_store::{NvmeModel, Tier, VertexStore};
 use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
@@ -655,6 +661,10 @@ struct BatchLane {
     rng: StdRng,
     seeds: Vec<VertexId>,
     step: BatchStep,
+    /// The rows the last batches pulled over this server's host link;
+    /// `None` under [`PolicyKind::Fifo`], whose cache already keeps the
+    /// recent rows.
+    ring: Option<LandingRing>,
     /// Out-of-core store state; `None` unless the run's tiered
     /// placement put rows on the SSD.
     store: Option<Box<StoreWorker>>,
@@ -664,7 +674,8 @@ struct BatchLane {
 
 impl BatchLane {
     /// Runs the batch step on `gpu` over `seeds`, offering each HBM miss
-    /// to the remote wave and then to the store, and prices inference
+    /// to the remote wave, then to the landing ring (so another server's
+    /// rows never enter it) and then to the store, and prices inference
     /// from the sample's FLOPs.
     fn run(
         &mut self,
@@ -676,8 +687,9 @@ impl BatchLane {
         at: f64,
     ) -> (MiniBatchSample, BatchTiming) {
         let remote = self.remote.as_deref_mut().map(|r| r as &mut dyn LowerTier);
+        let ring = self.ring.as_mut().map(|r| r as &mut dyn LowerTier);
         let store = self.store.as_deref_mut().map(|s| s as &mut dyn LowerTier);
-        let mut tiers: Vec<_> = remote.into_iter().chain(store).collect();
+        let mut tiers: Vec<_> = remote.into_iter().chain(ring).chain(store).collect();
         let (seeds, rng) = (&self.seeds, &mut self.rng);
         let out = self
             .step
@@ -1599,6 +1611,16 @@ fn build_workers(
                     }))
                 }
             };
+            let sampler = KHopSampler::new(config.fanouts.clone());
+            // The HBM buffer a full batch of all-miss rows lands in.
+            let ring = (config.policy != PolicyKind::Fifo).then(|| {
+                let rows = sampler.max_rows(config.max_batch);
+                server
+                    .alloc(gpu, rows as u64 * row_bytes)
+                    .expect("landing ring exceeds GPU memory");
+                let reused = registry.counter("serve.landing.reused");
+                LandingRing::new(rows, graph.num_vertices(), reused)
+            });
             Worker {
                 gpu,
                 queue,
@@ -1609,11 +1631,8 @@ fn build_workers(
                         config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7),
                     ),
                     seeds: Vec::new(),
-                    step: BatchStep::new(
-                        KHopSampler::new(config.fanouts.clone()),
-                        TimeModel::new(server.spec()),
-                        num_gpus,
-                    ),
+                    step: BatchStep::new(sampler, TimeModel::new(server.spec()), num_gpus),
+                    ring,
                     store: deployment
                         .store
                         .as_ref()
@@ -1798,6 +1817,36 @@ mod tests {
             .map(|c| c.value)
             .sum::<u64>();
         assert!(hits > 0, "half the graph is cached; hits expected");
+    }
+
+    /// A serving GPU keeps the rows its last batches pulled over PCIe in
+    /// a landing ring booked in its memory: a reused row is a plan miss
+    /// that crosses no link. FIFO, already a recency cache, keeps none.
+    #[test]
+    fn the_landing_ring_takes_recent_misses_off_pcie() {
+        let (g, f) = tiny_graph();
+        let server = ServerSpec::custom(1, 1 << 30, 1).build();
+        let config = tiny_config(PolicyKind::StaticHot);
+        let deployment = plan_deployment(&g, &f, &server, &config);
+        let m = deployment
+            .serve(&server, &generate_requests(&g, &config), None)
+            .metrics;
+        let misses = m.counter("cache.gpu0.feature_misses");
+        let reused = m.counter("serve.landing.reused");
+        assert!(0 < reused && reused < misses, "{reused} of {misses}");
+        let row_tx = server.pcie().transactions_for_payload(f.row_bytes());
+        assert_eq!(m.counter("pcm.gpu0.feature_tx"), (misses - reused) * row_tx);
+        let rows = KHopSampler::new(config.fanouts.clone()).max_rows(config.max_batch);
+        assert_eq!(
+            server.allocated_bytes(0),
+            deployment.twin.allocated_bytes(0) + rows as u64 * f.row_bytes()
+        );
+        let fresh = ServerSpec::custom(1, 1 << 30, 1).build();
+        let fifo = serve(&g, &f, &fresh, &tiny_config(PolicyKind::Fifo)).metrics;
+        assert!(fifo
+            .counters
+            .iter()
+            .all(|c| !c.name.starts_with("serve.landing")));
     }
 
     /// A skewed graph: Chung–Lu degrees, so a few rows carry most of the

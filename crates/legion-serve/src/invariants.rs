@@ -45,6 +45,13 @@ impl Violations {
     }
 }
 
+/// The sum of the counters named `{prefix}{g}{suffix}` over GPUs `g`.
+fn gpu_sum(m: &Snapshot, prefix: &str, suffix: &str) -> u64 {
+    let per_gpu = m.counters.iter().filter(|c| c.name.starts_with(prefix));
+    let named = per_gpu.filter(|c| c.name.ends_with(suffix));
+    named.map(|c| c.value).sum()
+}
+
 fn serve_violations(config: &ServeConfig, r: &ServeReport) -> Violations {
     let (m, mut v) = (&r.metrics, Violations::default());
     let (offered, completed, shed) = (r.offered, r.completed, r.shed);
@@ -60,9 +67,7 @@ fn serve_violations(config: &ServeConfig, r: &ServeReport) -> Violations {
         v.eq("sum(class_completed) == completed", by_class, completed);
     }
     v.eq("sum(class_shed) == shed", r.class_shed.iter().sum(), shed);
-    let is_gpu_shed = |name: &str| name.starts_with("serve.gpu") && name.ends_with(".shed");
-    let gpus = m.counters.iter().filter(|c| is_gpu_shed(&c.name));
-    let (by_gpu, total) = (gpus.map(|c| c.value).sum(), m.counter("serve.shed"));
+    let (by_gpu, total) = (gpu_sum(m, "serve.gpu", ".shed"), m.counter("serve.shed"));
     v.eq("sum(serve.gpu{g}.shed) == serve.shed", by_gpu, total);
     if config.router.policy == RouterPolicy::Residency {
         v.eq("routed + spilled == offered", r.routed + r.spilled, offered);
@@ -72,6 +77,15 @@ fn serve_violations(config: &ServeConfig, r: &ServeReport) -> Violations {
     let sent = m.counter("serve.remote.coalesced_msgs") + m.counter("serve.remote.dedup_hits");
     let reads = m.counter("serve.remote.reads");
     v.le("coalesced_msgs + dedup_hits <= remote.reads", sent, reads);
+    let misses = gpu_sum(m, "cache.gpu", ".feature_misses");
+    let reused = m.counter("serve.landing.reused");
+    v.le("reused <= sum(cache.gpu{g}.feature_misses)", reused, misses);
+    // A reused row reaches no lower tier.
+    let store = ["prefetch_hits", "late_stalls", "cold_reads"]
+        .map(|outcome| m.counter(&format!("serve.store.{outcome}")));
+    let below = store.iter().sum::<u64>() + reads;
+    let identity = "prefetch_hits + late_stalls + cold_reads + remote.reads <= misses - reused";
+    v.le(identity, below, misses.saturating_sub(reused));
     v
 }
 
@@ -153,11 +167,16 @@ mod tests {
     }
 
     fn bump(m: &mut Snapshot, name: &str) {
+        let value = m.counter(name) + 1;
+        set(m, name, value);
+    }
+
+    fn set(m: &mut Snapshot, name: &str, value: u64) {
         match m.counters.iter_mut().find(|c| c.name == name) {
-            Some(c) => c.value += 1,
+            Some(c) => c.value = value,
             None => m.counters.push(CounterSample {
                 name: name.to_string(),
-                value: 1,
+                value,
             }),
         }
     }
@@ -174,7 +193,7 @@ mod tests {
         let (config, good) = good_run();
         assert!(serve_violations(&config, &good).0.is_empty());
         type Break = (&'static str, fn(&mut ServeReport));
-        let breaks: [Break; 10] = [
+        let breaks: [Break; 12] = [
             ("offered == completed + shed", |r| {
                 r.completed += 1;
                 r.class_completed[0] += 1;
@@ -204,6 +223,18 @@ mod tests {
             ("coalesced_msgs + dedup_hits <= remote.reads", |r| {
                 bump(&mut r.metrics, "serve.remote.dedup_hits")
             }),
+            ("reused <= sum(cache.gpu{g}.feature_misses)", |r| {
+                let misses = gpu_sum(&r.metrics, "cache.gpu", ".feature_misses");
+                set(&mut r.metrics, "serve.landing.reused", misses + 1)
+            }),
+            (
+                "prefetch_hits + late_stalls + cold_reads + remote.reads <= misses - reused",
+                |r| {
+                    let reused = r.metrics.counter("serve.landing.reused");
+                    let room = gpu_sum(&r.metrics, "cache.gpu", ".feature_misses") - reused;
+                    set(&mut r.metrics, "serve.store.cold_reads", room + 1)
+                },
+            ),
         ];
         for (identity, broken) in breaks {
             let mut r = good.clone();

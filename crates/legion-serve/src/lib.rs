@@ -418,6 +418,7 @@ impl ServeConfig {
         assert!(self.zipf_exponent > 0.0, "zipf_exponent must be positive");
         assert!(self.max_batch > 0, "max_batch must be positive");
         assert!(self.max_wait >= 0.0, "max_wait must be non-negative");
+        assert!(self.max_wait.is_finite(), "max_wait must be finite");
         assert!(self.queue_capacity > 0, "queue_capacity must be positive");
         assert!(!self.fanouts.is_empty(), "need at least one sampling hop");
         assert!(self.hidden_dim > 0, "hidden_dim must be positive");
@@ -527,6 +528,16 @@ mod tests {
     fn empty_fanouts_invalid() {
         ServeConfig {
             fanouts: vec![],
+            ..ServeConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "max_wait must be finite")]
+    fn infinite_max_wait_invalid() {
+        ServeConfig {
+            max_wait: f64::INFINITY,
             ..ServeConfig::default()
         }
         .validate();

@@ -179,6 +179,7 @@ fn documented_core_metrics_are_observed_live() {
         "serve.remote.coalesced_msgs",
         "serve.remote.dedup_hits",
         "serve.remote.per_owner_bytes",
+        "serve.landing.reused",
         "cache.gpu{g}.{topology,feature}_{hits,misses}",
         "stage.gpu{g}.{sample,extract,train}_ns",
         "pipeline.gpu{g}.queue_depth",
@@ -897,12 +898,12 @@ fn documented_crate_items_exist() {
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
     ("README.md", 28497),
-    ("DESIGN.md", 88801),
-    ("OPERATIONS.md", 29362),
-    ("EXPERIMENTS.md", 42745),
-    ("CHANGES.md", 148728),
+    ("DESIGN.md", 90496),
+    ("OPERATIONS.md", 29808),
+    ("EXPERIMENTS.md", 42862),
+    ("CHANGES.md", 155169),
     ("ROADMAP.md", 35094),
-    ("tests/golden.txt", 96120),
+    ("tests/golden.txt", 96385),
 ];
 
 /// Every top-level doc fits its byte budget.
