@@ -4,9 +4,7 @@
 //! request-skew drift.
 //!
 //! ```bash
-//! cargo run --release -p legion-bench --bin servectl           # full sweep
-//! cargo run --release -p legion-bench --bin servectl -- --smoke # fast path
-//! cargo run --release -p legion-bench --bin servectl -- --drift-only # skip the sweep
+//! cargo run --release -p legion-bench --bin servectl           # sweep + drift + router
 //! cargo run --release -p legion-bench --bin servectl -- --router # routing + QoS head-to-head
 //! cargo run --release -p legion-bench --bin servectl -- --oversubscribe # out-of-core sweep
 //! cargo run --release -p legion-bench --bin servectl -- --fleet 16 # scale-out fleet
@@ -15,15 +13,14 @@
 //!
 //! The scenario flags (`--fleet N`, `--router`, `--oversubscribe`,
 //! `--churn`) compose: each one named runs once, in that order, on the
-//! one instantiated dataset, in place of the base sweep. `--drift-only`
-//! trims the base sweep, so naming it beside a scenario is an error.
+//! one instantiated dataset, in place of the base sweep.
 //!
 //! `--fleet N` runs the scale-out head-to-head: the same open-loop
 //! stream over `N` simulated servers, routed by shard residency +
 //! projected load versus a uniform random-server baseline, with
 //! cross-server feature reads charged through the analytic cluster
 //! network model. Asserts residency capacity at matched p99 strictly
-//! beats random and (non-smoke, N >= 16) a fleet knee at least 10x the
+//! beats random and (N >= 16) a fleet knee at least 10x the
 //! single-machine capacity.
 //!
 //! `--oversubscribe` runs the legion-store envelope: the same skewed
@@ -46,7 +43,7 @@
 //!
 //! The drift comparison prints a per-phase table of *tail* hit rates —
 //! the second half of each drift phase, after a policy has had time to
-//! react to the rotation — and asserts (non-smoke) that re-planning
+//! react to the rotation — and asserts that re-planning
 //! ends strictly above both baselines and recovers to within five
 //! points of its own fresh-plan (phase 0) hit rate in every phase.
 
@@ -60,7 +57,7 @@ use legion_hw::{MultiGpuServer, ServerSpec, UplinkConfig};
 use legion_serve::{
     estimate_capacity_rps, run_sweep, serve, ArrivalProcess, ChurnConfig, LoadPoint,
     MutationSource, PolicyKind, PriorityClass, ReplanConfig, RouterPolicy, ServeConfig,
-    ServeReport, StoreConfig, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
+    ServeReport, StoreConfig, SWEEP_MULTIPLIERS,
 };
 use legion_telemetry::Snapshot;
 use serde::{Serialize, Value};
@@ -329,7 +326,7 @@ fn prefetch_hit_ratio(metrics: &Snapshot) -> f64 {
 /// below the knee the lookahead prefetcher hides the SSD (hit ratio of
 /// at least 80%) and the p99 at half the resident knee stays within 3x
 /// of the resident baseline.
-fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Vec<OversubRow> {
+fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig) -> Vec<OversubRow> {
     // A stable head-heavy skew (the drift-comparison exponent, drift
     // off): out-of-core placement is only meaningful when hotness is a
     // property of the vertex, not of the phase. Single-hop fanout — the
@@ -402,11 +399,7 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
         resident_cap / capacity,
     );
     let mut rows = Vec::new();
-    let multipliers: &[f64] = if smoke {
-        &[0.25, 0.5, 1.0]
-    } else {
-        &[0.25, 0.5, 0.75, 1.0, 1.5]
-    };
+    let multipliers = [0.25, 0.5, 0.75, 1.0, 1.5];
     let mut run = |label: &'static str, store: StoreConfig, mult: f64| {
         let server = server();
         let mut cfg = cfg_for(store);
@@ -430,7 +423,7 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
             migrations: r.metrics.counter("serve.store.migrations"),
         });
     };
-    for &mult in multipliers {
+    for mult in multipliers {
         run("resident", store_off(), mult);
         run("oversub", store_on(), mult);
     }
@@ -475,10 +468,11 @@ fn oversubscribe_sweep(dataset: &Dataset, base: &ServeConfig, smoke: bool) -> Ve
 }
 
 /// One row of the fleet head-to-head: a (routing policy, load) cell
-/// with the cluster-wide tail, locality, and cross-server traffic.
+/// with the cluster-wide tail, locality, and cross-server traffic. A
+/// knee-search point carries its series' label with `/search` appended.
 #[derive(serde::Serialize)]
 struct FleetRow {
-    policy: &'static str,
+    policy: String,
     num_servers: usize,
     load_multiplier: f64,
     offered_rps: f64,
@@ -496,6 +490,36 @@ struct FleetRow {
     replicated_rows: usize,
 }
 
+/// Resolves a series' knee between its grid points. `grid` holds each
+/// load fraction, ascending, with its throughput if that point passed;
+/// `probe` runs one more load fraction and answers the same way. Bisects
+/// between the highest passing grid point (or 0 if none passes) and the
+/// lowest failing one above it down to a 0.01-wide bracket, so it never
+/// runs above the grid's top point, and returns the best passing
+/// throughput (0 if nothing passes).
+fn resolve_knee(grid: &[(f64, Option<f64>)], mut probe: impl FnMut(f64) -> Option<f64>) -> f64 {
+    let mut best = grid.iter().filter_map(|&(_, t)| t).fold(0.0, f64::max);
+    let mut lo = grid
+        .iter()
+        .rev()
+        .find(|(_, t)| t.is_some())
+        .map_or(0.0, |&(frac, _)| frac);
+    let Some(&(mut hi, _)) = grid.iter().find(|&&(frac, _)| frac > lo) else {
+        return best;
+    };
+    while hi - lo > 0.01 {
+        let mid = (lo + hi) / 2.0;
+        match probe(mid) {
+            Some(t) => {
+                best = best.max(t);
+                lo = mid;
+            }
+            None => hi = mid,
+        }
+    }
+    best
+}
+
 /// Scale-out head-to-head: the same open-loop stream over `n` simulated
 /// servers, front-tier routed by shard residency + projected load vs a
 /// uniform random-server baseline, at multiples of the aggregate
@@ -503,14 +527,9 @@ struct FleetRow {
 /// through the cluster network model, so mis-routing shows up as a
 /// lower knee. Asserts the residency locality and remote-traffic wins,
 /// residency knee capacity strictly above random at a matched p99
-/// ceiling, and — in full mode with `n >= 16` — a fleet knee at least
-/// 10x the single-machine capacity.
-fn fleet_head_to_head(
-    dataset: &Dataset,
-    base: &ServeConfig,
-    n: usize,
-    smoke: bool,
-) -> Vec<FleetRow> {
+/// ceiling, and — with `n >= 16` — a fleet knee at least 10x the
+/// single-machine capacity.
+fn fleet_head_to_head(dataset: &Dataset, base: &ServeConfig, n: usize) -> Vec<FleetRow> {
     let spec = ServerSpec::dgx_v100().truncated(4);
     // The fleet comparison pins the per-server engine to the static
     // planned cache: plan quality is fixed, so
@@ -547,15 +566,8 @@ fn fleet_head_to_head(
         cfg.num_requests = cfg.num_requests.saturating_mul(servers);
         serve_fleet(&dataset.graph, &dataset.features, &spec, &cfg, &fleet)
     };
-    let run = |policy: FleetPolicy, servers: usize, frac: f64| -> FleetReport {
-        run_on(policy, servers, frac, None, false)
-    };
 
-    let fractions: &[f64] = if smoke {
-        &[0.3, 0.6, 0.9]
-    } else {
-        &[0.2, 0.4, 0.6, 0.8, 1.1]
-    };
+    let fractions = [0.2, 0.4, 0.6, 0.8, 1.1];
     let mut rows = Vec::new();
     // Series: the measured single-machine baseline (an N=1 fleet, which
     // is byte-identical to the plain engine), then the residency fleet,
@@ -568,7 +580,7 @@ fn fleet_head_to_head(
         series.push(("residency", FleetPolicy::Residency, n));
         series.push(("random", FleetPolicy::Random, n));
     }
-    let make_row = |label: &'static str, servers: usize, frac: f64, r: &FleetReport| FleetRow {
+    let make_row = |label: String, servers: usize, frac: f64, r: &FleetReport| FleetRow {
         policy: label,
         num_servers: servers,
         load_multiplier: frac,
@@ -587,14 +599,40 @@ fn fleet_head_to_head(
         replicated_rows: r.replicated_rows,
     };
     for &(label, policy, servers) in &series {
-        for &frac in fractions {
-            let r = run(policy, servers, frac);
+        for frac in fractions {
+            let r = run_on(policy, servers, frac, None, false);
             if label == "residency" && frac == fractions[fractions.len() - 2] {
                 legion_bench::save_snapshot("servectl_fleet_residency", &r.metrics);
             }
-            rows.push(make_row(label, servers, frac, &r));
+            rows.push(make_row(label.to_string(), servers, frac, &r));
         }
     }
+
+    // Knee capacity at a matched p99: the shared ceiling is 5x the
+    // lowest-load single-machine tail; a series' knee is the best
+    // throughput it sustains at a load that sheds nothing and stays
+    // under the ceiling, searched between the grid points. The grid
+    // rows alone feed every other sum below.
+    fn points<'a>(rows: &'a [FleetRow], label: &str) -> Vec<&'a FleetRow> {
+        rows.iter().filter(|r| r.policy == label).collect()
+    }
+    let p99_cap = 5 * rows[0].p99_us.max(1);
+    let passes = |r: &FleetRow| (r.shed == 0 && r.p99_us <= p99_cap).then_some(r.throughput_rps);
+    let knee = |rows: &mut Vec<FleetRow>, label: &str, policy, servers, uplink| -> f64 {
+        let grid: Vec<_> = points(rows, label)
+            .iter()
+            .map(|r| (r.load_multiplier, passes(r)))
+            .collect();
+        resolve_knee(&grid, |frac| {
+            let r = run_on(policy, servers, frac, uplink, false);
+            rows.push(make_row(format!("{label}/search"), servers, frac, &r));
+            rows.last().and_then(passes)
+        })
+    };
+    let knees: Vec<f64> = series
+        .iter()
+        .map(|&(label, policy, servers)| knee(&mut rows, label, policy, servers, None))
+        .collect();
     let replicated = rows
         .iter()
         .find(|r| r.num_servers == n)
@@ -607,22 +645,7 @@ fn fleet_head_to_head(
     );
     print_rows(&rows);
 
-    // Knee capacity at a matched p99: the shared ceiling is 5x the
-    // lowest-load single-machine tail; a series' knee is the best
-    // throughput it sustained at a load point that sheds nothing and
-    // stays under the ceiling.
-    fn points<'a>(rows: &'a [FleetRow], label: &str) -> Vec<&'a FleetRow> {
-        rows.iter().filter(|r| r.policy == label).collect()
-    }
-    let single = points(&rows, "single");
-    let p99_cap = 5 * single[0].p99_us.max(1);
-    let knee = |pts: &[&FleetRow]| -> f64 {
-        pts.iter()
-            .filter(|r| r.shed == 0 && r.p99_us <= p99_cap)
-            .map(|r| r.throughput_rps)
-            .fold(0.0, f64::max)
-    };
-    let single_knee = knee(&single);
+    let single_knee = knees[0];
     assert!(
         single_knee > 0.0,
         "single-machine baseline must have a point under the p99 ceiling"
@@ -634,18 +657,20 @@ fn fleet_head_to_head(
         );
         return rows;
     }
+    let (res_knee, rnd_knee) = (knees[1], knees[2]);
     let res = points(&rows, "residency");
     let rnd = points(&rows, "random");
-    let (res_knee, rnd_knee) = (knee(&res), knee(&rnd));
     let res_locality = res.iter().map(|r| r.locality).fold(f64::INFINITY, f64::min);
     let rnd_locality = rnd.iter().map(|r| r.locality).fold(0.0, f64::max);
     let res_remote: u64 = res.iter().map(|r| r.remote_reads).sum();
     let rnd_remote: u64 = rnd.iter().map(|r| r.remote_reads).sum();
     println!(
-        "  [fleet] knee capacity at p99 <= {p99_cap} us: residency {res_knee:.0}/s vs random {rnd_knee:.0}/s, \
-         single machine {single_knee:.0}/s ({:.1}x scale-out at N={n}); \
+        "  [fleet] knee capacity at p99 <= {p99_cap} us: residency {res_knee:.0}/s vs random {rnd_knee:.0}/s \
+         ({:+.1} %), single machine {single_knee:.0}/s; scale-out {:.1}x{} at N={n}; \
          locality {:.1}% vs {:.1}%; remote reads {res_remote} vs {rnd_remote}",
+        (res_knee / rnd_knee - 1.0) * 100.0,
         res_knee / single_knee,
+        if n >= 16 { " vs 10x" } else { "" },
         res_locality * 100.0,
         rnd_locality * 100.0,
     );
@@ -661,7 +686,7 @@ fn fleet_head_to_head(
         res_knee > rnd_knee,
         "residency knee capacity {res_knee:.0}/s must strictly beat random {rnd_knee:.0}/s at matched p99"
     );
-    if !smoke && n >= 16 {
+    if n >= 16 {
         assert!(
             res_knee >= 10.0 * single_knee,
             "a {n}-server fleet must sustain >= 10x the single-machine knee with a flat p99: \
@@ -697,11 +722,13 @@ fn fleet_head_to_head(
     ];
     let uncontended = rows.len();
     for &(label, policy, coalesce) in &contended {
-        for &frac in fractions {
+        for frac in fractions {
             let r = run_on(policy, n, frac, Some(uplink), coalesce);
-            rows.push(make_row(label, n, frac, &r));
+            rows.push(make_row(label.to_string(), n, frac, &r));
         }
     }
+    let res_up_knee = knee(&mut rows, "res+up", FleetPolicy::Residency, n, Some(uplink));
+    let rnd_up_knee = knee(&mut rows, "rand+up", FleetPolicy::Random, n, Some(uplink));
     print_rows(&rows[uncontended..]);
     let sum = |label: &str, f: fn(&FleetRow) -> u64| -> u64 {
         rows.iter().filter(|r| r.policy == label).map(f).sum()
@@ -729,12 +756,12 @@ fn fleet_head_to_head(
         co_bytes < raw_bytes,
         "per-owner coalescing must strictly cut wire bytes: {co_bytes} vs {raw_bytes}"
     );
-    let res_up = points(&rows, "res+up");
-    let rnd_up = points(&rows, "rand+up");
-    let (res_up_knee, rnd_up_knee) = (knee(&res_up), knee(&rnd_up));
+    let (widened, uncontended_ratio) = (res_up_knee / rnd_up_knee, res_knee / rnd_knee);
     println!(
         "  [fleet] contended knees at p99 <= {p99_cap} us: residency \
-         {res_up_knee:.0}/s vs random {rnd_up_knee:.0}/s (uncontended {res_knee:.0}/s vs {rnd_knee:.0}/s)"
+         {res_up_knee:.0}/s vs random {rnd_up_knee:.0}/s (uncontended {res_knee:.0}/s vs {rnd_knee:.0}/s); \
+         widen {widened:.3} vs {uncontended_ratio:.3} ({:+.1} %)",
+        (widened / uncontended_ratio - 1.0) * 100.0
     );
     assert!(
         res_up_knee > 0.0,
@@ -887,7 +914,7 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<ChurnRow> {
     let churn_cfg = ChurnConfig {
         ops_per_sec: (0.25 * rate).max(2_000.0),
         // Low enough that batch-boundary compaction actually fires
-        // within a smoke-length stream.
+        // within one stream.
         compact_threshold: 512,
     };
     println!(
@@ -966,8 +993,7 @@ fn churn_head_to_head(dataset: &Dataset, base: &ServeConfig) -> Vec<ChurnRow> {
     rows
 }
 
-const USAGE: &str =
-    "usage: servectl [--smoke] [--drift-only] [--router] [--oversubscribe] [--churn] [--fleet N]";
+const USAGE: &str = "usage: servectl [--router] [--oversubscribe] [--churn] [--fleet N]";
 
 /// A named scenario; each runs instead of the base sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -981,8 +1007,6 @@ enum Scenario {
 /// The flags of one invocation.
 #[derive(Default)]
 struct Cli {
-    smoke: bool,
-    drift_only: bool,
     router: bool,
     oversubscribe: bool,
     churn: bool,
@@ -1003,14 +1027,12 @@ impl Cli {
     }
 }
 
-/// Parses the command line; `Err` says which argument is unknown, lacks
-/// its positive-integer value, or cannot take effect.
+/// Parses the command line; `Err` says which argument is unknown or
+/// lacks its positive-integer value.
 fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--drift-only" => cli.drift_only = true,
             "--router" => cli.router = true,
             "--oversubscribe" => cli.oversubscribe = true,
             "--churn" => cli.churn = true,
@@ -1021,9 +1043,6 @@ fn parse_cli(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             other => return Err(format!("unrecognised argument `{other}`")),
         }
     }
-    if cli.drift_only && !cli.scenarios().is_empty() {
-        return Err("--drift-only has no effect beside a scenario flag".to_string());
-    }
     Ok(cli)
 }
 
@@ -1032,46 +1051,13 @@ fn main() {
         eprintln!("servectl: {e}; {USAGE}");
         std::process::exit(2);
     });
-    let (smoke, drift_only) = (cli.smoke, cli.drift_only);
     let dataset_name = "PR";
-    let divisor = if smoke {
-        legion_bench::dataset_divisor(dataset_name).max(500)
-    } else {
-        legion_bench::dataset_divisor(dataset_name)
-    };
-    let base = if smoke {
-        // Scaled with the 500x dataset: a smaller per-batch neighborhood
-        // (so the FIFO cache holds several batches of history instead of
-        // thrashing), a shorter age trigger, and a shallower queue so the
-        // 4x point still reaches its queue-bound tail within the stream.
-        // The drift stride equals the cache width, so each rotation
-        // displaces the entire cached head — the regime re-planning is
-        // built for.
-        ServeConfig {
-            num_requests: 3000,
-            max_batch: 16,
-            max_wait: 1e-4,
-            queue_capacity: 512,
-            fanouts: vec![5, 3],
-            warmup_requests: 256,
-            cache_rows_per_gpu: 1024,
-            drift_period: 300,
-            drift_stride: 1024,
-            ..ServeConfig::default()
-        }
-    } else {
-        ServeConfig::default()
-    };
-    let multipliers: &[f64] = if smoke {
-        &SMOKE_MULTIPLIERS
-    } else {
-        &SWEEP_MULTIPLIERS
-    };
+    let divisor = legion_bench::dataset_divisor(dataset_name);
+    let base = ServeConfig::default();
 
     legion_bench::banner(&format!(
-        "servectl: online serving sweep on {dataset_name}/{divisor}x ({} requests/point{})",
-        base.num_requests,
-        if smoke { ", smoke" } else { "" }
+        "servectl: online serving sweep on {dataset_name}/{divisor}x ({} requests/point)",
+        base.num_requests
     ));
     let dataset: Dataset = spec_by_name(dataset_name)
         .expect("PR is registered")
@@ -1080,7 +1066,7 @@ fn main() {
     for &scenario in &scenarios {
         match scenario {
             Scenario::Fleet(n) => {
-                let rows = fleet_head_to_head(&dataset, &base, n, smoke);
+                let rows = fleet_head_to_head(&dataset, &base, n);
                 legion_bench::save_json("servectl_fleet", &rows);
                 if n > 1 {
                     let drift_rows = fleet_drift_resize(&dataset, &base, n);
@@ -1092,7 +1078,7 @@ fn main() {
                 legion_bench::save_json("servectl_router", &rows);
             }
             Scenario::Oversubscribe => {
-                let rows = oversubscribe_sweep(&dataset, &base, smoke);
+                let rows = oversubscribe_sweep(&dataset, &base);
                 legion_bench::save_json("servectl_oversubscribe", &rows);
             }
             Scenario::Churn => {
@@ -1130,8 +1116,7 @@ fn main() {
     println!("estimated capacity: {capacity:.0} requests/s (warmed closed-loop probe)\n");
 
     let mut rows: Vec<LoadPoint> = Vec::new();
-    let sweep_policies: &[PolicyKind] = if drift_only { &[] } else { &POLICIES };
-    for &policy in sweep_policies {
+    for policy in POLICIES {
         let mut config = base.clone();
         config.policy = policy;
         let points = run_sweep(
@@ -1140,34 +1125,25 @@ fn main() {
             &server,
             &config,
             capacity,
-            multipliers,
+            &SWEEP_MULTIPLIERS,
         );
         print_rows(&points);
         let (first, last) = (points.first().unwrap(), points.last().unwrap());
         let knee = last.p99_us >= 5 * first.p99_us;
         println!(
-            "  [{}] p99 knee: {} us -> {} us ({:.1}x){}",
+            "  [{}] p99 knee: {} us -> {} us ({:.1}x)",
             policy.as_str(),
             first.p99_us,
             last.p99_us,
             last.p99_us as f64 / first.p99_us.max(1) as f64,
-            if knee {
-                ""
-            } else if smoke {
-                "  (knee not asserted in smoke)"
-            } else {
-                "  (no knee!)"
-            }
         );
-        if !smoke {
-            assert!(
-                knee,
-                "{} curve has no saturation knee: p99 {} -> {}",
-                policy.as_str(),
-                first.p99_us,
-                last.p99_us
-            );
-        }
+        assert!(
+            knee,
+            "{} curve has no saturation knee: p99 {} -> {}",
+            policy.as_str(),
+            first.p99_us,
+            last.p99_us
+        );
         rows.extend(points);
     }
 
@@ -1194,12 +1170,8 @@ fn main() {
     //   holds the hubs plus most of the head, even a fully stale plan
     //   keeps hitting; scarcity is what makes plan *quality* matter.
     const DRIFT_ZIPF: f64 = 1.8;
-    let drift_period = if smoke { 1000 } else { 2000 };
-    let drift_requests = if smoke {
-        base.num_requests
-    } else {
-        6 * drift_period
-    };
+    let drift_period = 2000;
+    let drift_requests = 6 * drift_period;
     let drift_cache_rows = base.cache_rows_per_gpu / 2;
     let drift_stride = base.cache_rows_per_gpu;
     let drift_replan = ReplanConfig {
@@ -1289,26 +1261,22 @@ fn main() {
     );
     assert!(replans > 0, "drift must trigger at least one re-plan");
     assert!(swap_bytes > 0, "re-plans must move refill bytes");
-    if !smoke {
-        assert!(
-            end_rate(2) > end_rate(0) && end_rate(2) > end_rate(1),
-            "replan end-state hit rate {:.3} must beat static {:.3} and fifo {:.3}",
-            end_rate(2),
-            end_rate(0),
-            end_rate(1)
-        );
-        assert!(
-            worst_recovery >= fresh - 0.05,
-            "replan must recover to within 5 points of its fresh-plan rate: worst {:.3} vs fresh {:.3}",
-            worst_recovery,
-            fresh
-        );
-    }
-    if !drift_only {
-        legion_bench::save_json("servectl_curves", &rows);
-        let router_rows = router_head_to_head(&dataset, &base);
-        legion_bench::save_json("servectl_router", &router_rows);
-    }
+    assert!(
+        end_rate(2) > end_rate(0) && end_rate(2) > end_rate(1),
+        "replan end-state hit rate {:.3} must beat static {:.3} and fifo {:.3}",
+        end_rate(2),
+        end_rate(0),
+        end_rate(1)
+    );
+    assert!(
+        worst_recovery >= fresh - 0.05,
+        "replan must recover to within 5 points of its fresh-plan rate: worst {:.3} vs fresh {:.3}",
+        worst_recovery,
+        fresh
+    );
+    legion_bench::save_json("servectl_curves", &rows);
+    let router_rows = router_head_to_head(&dataset, &base);
+    legion_bench::save_json("servectl_router", &router_rows);
     println!("\nservectl: OK");
 }
 
@@ -1329,14 +1297,7 @@ mod tests {
             [Scenario::Router, Scenario::Churn]
         );
         assert_eq!(
-            scenarios(&[
-                "--smoke",
-                "--churn",
-                "--oversubscribe",
-                "--router",
-                "--fleet",
-                "2"
-            ]),
+            scenarios(&["--churn", "--oversubscribe", "--router", "--fleet", "2"]),
             [
                 Scenario::Fleet(2),
                 Scenario::Router,
@@ -1346,8 +1307,32 @@ mod tests {
         );
         // A repeated flag names its scenario once.
         assert_eq!(scenarios(&["--churn", "--churn"]), [Scenario::Churn]);
-        // No scenario flag: the base sweep, whole or trimmed.
-        assert!(scenarios(&["--smoke"]).is_empty());
-        assert!(scenarios(&["--smoke", "--drift-only"]).is_empty());
+        // No scenario flag: the base sweep.
+        assert!(scenarios(&[]).is_empty());
+    }
+
+    #[test]
+    fn knee_search_resolves_a_step_between_grid_points() {
+        // A series that passes every load below `step`, at a throughput
+        // equal to its load: the knee and every load the search probed.
+        let search = |step: f64| {
+            let pass = |frac: f64| (frac < step).then_some(frac);
+            let grid = [0.2, 0.4, 0.6, 0.8, 1.1].map(|frac| (frac, pass(frac)));
+            let mut probed = Vec::new();
+            let knee = resolve_knee(&grid, |frac| {
+                probed.push(frac);
+                pass(frac)
+            });
+            (knee, probed)
+        };
+        for step in [0.537, 0.1, 1.05] {
+            let (knee, probed) = search(step);
+            assert!(knee < step && step - knee <= 0.01, "{step}: {knee}");
+            assert!(probed.len() <= 5, "{step}: {probed:?}");
+            assert!(probed.iter().all(|&frac| frac <= 1.1), "{step}: {probed:?}");
+        }
+        // The top grid point passes: nothing is searched above it.
+        assert_eq!(search(5.0), (1.1, vec![]));
+        assert_eq!(search(0.0).0, 0.0, "nothing passes");
     }
 }

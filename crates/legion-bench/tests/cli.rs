@@ -35,7 +35,8 @@ fn servectl_rejects_unknown_and_valueless_arguments() {
             &["--fleet"],
             &["--fleet", "0"],
             &["--router", "--churn", "--bogus"],
-            &["--drift-only", "--router"],
+            &["--smoke"],
+            &["--drift-only"],
         ],
     );
 }

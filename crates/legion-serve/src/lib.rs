@@ -88,9 +88,7 @@ pub use replan::{
     plan_layout, profile_warmup, PlanBuffer, ReplanConfig, ReplanState, WindowEstimator,
 };
 pub use slo::{latency_buckets, SloTracker};
-pub use sweep::{
-    estimate_capacity_rps, run_sweep, LoadPoint, SMOKE_MULTIPLIERS, SWEEP_MULTIPLIERS,
-};
+pub use sweep::{estimate_capacity_rps, run_sweep, LoadPoint, SWEEP_MULTIPLIERS};
 pub use workload::{
     generate_workload_classed, ArrivalProcess, ClassSampler, Request, TargetSampler,
 };

@@ -31,9 +31,6 @@ use crate::ServeConfig;
 /// possibly shedding).
 pub const SWEEP_MULTIPLIERS: [f64; 8] = [0.25, 0.5, 0.75, 0.9, 1.05, 1.3, 2.0, 4.0];
 
-/// Abbreviated multipliers for smoke runs.
-pub const SMOKE_MULTIPLIERS: [f64; 3] = [0.3, 0.9, 4.0];
-
 /// One row of the throughput–latency curve.
 #[derive(Debug, Clone, Serialize)]
 pub struct LoadPoint {

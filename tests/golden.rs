@@ -32,7 +32,6 @@ use legion_sampling::{KHopSampler, SampleScratch};
 use legion_serve::{
     estimate_capacity_rps, plan_layout, profile_warmup, run_sweep, serve, ArrivalProcess,
     DeltaOverlay, MutationOp, MutationSource, PolicyKind, ServeConfig, StoreConfig, TargetSampler,
-    SMOKE_MULTIPLIERS,
 };
 use legion_store::{NvmeGeneration, NvmeModel, Tier, VertexStore};
 use legion_telemetry::snapshot::diff;
@@ -616,7 +615,7 @@ fn scenarios() -> Rows {
             &server,
             &cfg,
             capacity,
-            &SMOKE_MULTIPLIERS,
+            &[0.3, 0.9, 4.0],
         );
         let lines = points.iter().map(|p| {
             let json = serde_json::to_string(p).expect("serializable load point");

@@ -897,11 +897,11 @@ fn documented_crate_items_exist() {
 /// needs more room raises the budget in the same diff, so neither grows
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
-    ("README.md", 28497),
+    ("README.md", 28283),
     ("DESIGN.md", 90496),
-    ("OPERATIONS.md", 29808),
-    ("EXPERIMENTS.md", 42862),
-    ("CHANGES.md", 155169),
+    ("OPERATIONS.md", 29751),
+    ("EXPERIMENTS.md", 42849),
+    ("CHANGES.md", 159330),
     ("ROADMAP.md", 35094),
     ("tests/golden.txt", 96385),
 ];
