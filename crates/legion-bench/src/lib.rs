@@ -53,15 +53,27 @@ pub fn save_snapshot(name: &str, snapshot: &legion_telemetry::Snapshot) {
     save_json(&format!("{name}.metrics"), snapshot);
 }
 
+/// `x` to four significant digits (`0.0007480`, `12.35`), so a table of
+/// millisecond epochs in seconds still tells its rows apart.
+fn significant(x: f64) -> String {
+    let decimals = if x == 0.0 {
+        3
+    } else {
+        (3 - x.abs().log10().floor() as i32).max(0) as usize
+    };
+    format!("{x:.decimals$}")
+}
+
 /// Prints `rows` as a table: a header of field names, then one line per
 /// row with each serialized field as a cell, in field order. Text
-/// columns align left, numbers right; an array cell is its items joined
-/// by `/`, and an absent value prints as `-`.
+/// columns align left, numbers right, a fraction to four significant
+/// digits; an array cell is its items joined by `/`, and an absent value
+/// prints as `-`.
 pub fn print_rows<T: Serialize>(rows: &[T]) {
     fn cell(value: &Value) -> String {
         match value {
             Value::Str(s) => s.clone(),
-            Value::F64(x) if x.abs() < 1e3 => format!("{x:.3}"),
+            Value::F64(x) if x.abs() < 1e3 => significant(*x),
             Value::F64(x) => format!("{x:.0}"),
             Value::Array(items) => items.iter().map(cell).collect::<Vec<_>>().join("/"),
             Value::Null => "-".to_string(),
@@ -117,6 +129,24 @@ pub fn banner(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cells_keep_four_significant_digits() {
+        let cells: Vec<String> = [0.000748, 0.00084, 0.5, 12.345, 999.9, 0.0, -0.0261]
+            .into_iter()
+            .map(significant)
+            .collect();
+        let expected = [
+            "0.0007480",
+            "0.0008400",
+            "0.5000",
+            "12.35",
+            "999.9",
+            "0.000",
+            "-0.02610",
+        ];
+        assert_eq!(cells, expected);
+    }
 
     #[test]
     fn divisor_env_parsing() {

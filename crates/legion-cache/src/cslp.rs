@@ -2,10 +2,12 @@
 //!
 //! CSLP turns one hotness matrix into (a) the clique-level accumulated
 //! hotness vector `A`, (b) the clique-level descending hotness order `Q`,
-//! and (c) per-GPU priority queues `G` where each vertex is assigned to
-//! the GPU with the highest local hotness. The feature and topology
-//! matrices are processed independently (the paper runs the loop once for
-//! `Q_T` and once for `Q_F`).
+//! and (c) each vertex's owner, the GPU with the highest local hotness.
+//! The paper's per-GPU priority queue `G[g]` is the subsequence of `Q`
+//! that `g` owns; the fill ([`crate::fill`]) walks `Q` itself and reads
+//! the owner per row. The feature and topology matrices are processed
+//! independently (the paper runs the loop once for `Q_T` and once for
+//! `Q_F`).
 
 use legion_graph::VertexId;
 
@@ -19,11 +21,8 @@ pub struct CslpOutput {
     /// Clique-level order (`Q_T` / `Q_F`): vertex ids sorted by descending
     /// accumulated hotness (ties: ascending vertex id, for determinism).
     pub clique_order: Vec<VertexId>,
-    /// Per-GPU orders (`G_T` / `G_F`): `per_gpu[g]` lists the vertices
-    /// assigned to GPU `g`, in clique-order priority.
-    pub per_gpu: Vec<Vec<VertexId>>,
-    /// The GPU slot each vertex was assigned to (same info as `per_gpu`,
-    /// indexed by vertex).
+    /// The GPU slot each vertex is assigned to, indexed by vertex. With
+    /// `clique_order` it encodes the per-GPU orders `G_T` / `G_F`.
     pub owner: Vec<u32>,
 }
 
@@ -37,7 +36,6 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     let rows: Vec<&[u64]> = (0..kg).map(|g| h.row(g)).collect();
     let mut accumulated = Vec::with_capacity(n);
     let mut owner = Vec::with_capacity(n);
-    let mut sizes = vec![0usize; kg];
     for v in 0..n {
         let (mut sum, mut top, mut at) = (0, 0, 0);
         for (g, row) in rows.iter().enumerate() {
@@ -48,19 +46,11 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
         }
         accumulated.push(sum);
         owner.push(at as u32);
-        sizes[at] += 1;
     }
     // Step 2: sort vertices by descending hotness.
-    let clique_order = hotness_order(&accumulated);
-    // Step 3: each GPU's queue, in clique-order priority.
-    let mut per_gpu: Vec<Vec<VertexId>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    for &v in &clique_order {
-        per_gpu[owner[v as usize] as usize].push(v);
-    }
     CslpOutput {
+        clique_order: hotness_order(&accumulated),
         accumulated,
-        clique_order,
-        per_gpu,
         owner,
     }
 }
@@ -159,31 +149,25 @@ mod tests {
         let out = cslp(&example());
         // v0 hotter on gpu0; v1 on gpu1; v2 tie -> gpu0; v3 -> gpu0.
         assert_eq!(out.owner, vec![0, 1, 0, 0]);
-        assert_eq!(out.per_gpu[0], vec![0, 2, 3]);
-        assert_eq!(out.per_gpu[1], vec![1]);
     }
 
     #[test]
     fn per_gpu_queues_partition_all_vertices() {
         let out = cslp(&example());
-        let total: usize = out.per_gpu.iter().map(|g| g.len()).sum();
-        assert_eq!(total, 4);
-        let mut all: Vec<VertexId> = out.per_gpu.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
+        assert_eq!(out.owner.len(), 4);
+        assert!(out.owner.iter().all(|&g| g < 2));
     }
 
     #[test]
     fn per_gpu_order_respects_clique_priority() {
+        // `G[g]` is the clique order filtered to the rows `g` owns.
         let out = cslp(&example());
-        // Within each GPU queue, vertices appear in clique-order.
-        for q in &out.per_gpu {
-            let positions: Vec<usize> = q
-                .iter()
-                .map(|v| out.clique_order.iter().position(|c| c == v).unwrap())
-                .collect();
-            assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        }
+        let queue = |g: u32| -> Vec<VertexId> {
+            let owned = |v: &&VertexId| out.owner[**v as usize] == g;
+            out.clique_order.iter().filter(owned).copied().collect()
+        };
+        assert_eq!(queue(0), vec![0, 2, 3]);
+        assert_eq!(queue(1), vec![1]);
     }
 
     #[test]
@@ -192,8 +176,8 @@ mod tests {
         h.add(0, 2, 10);
         h.add(0, 0, 5);
         let out = cslp(&h);
-        assert_eq!(out.per_gpu.len(), 1);
-        assert_eq!(out.per_gpu[0], vec![2, 0, 1]);
+        assert_eq!(out.clique_order, vec![2, 0, 1]);
+        assert_eq!(out.owner, vec![0, 0, 0]);
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! allocation would raise. It copies no row: the cache records residency
 //! and the base CSR and feature table stay the only copy of the data.
 //!
-//! Every cache design fills its feature rows through
-//! [`fill_feature_slot`]: Legion's unified cache ([`build_clique_cache`]),
-//! the single-GPU and replicated caches of PaGraph and GNNLab
+//! Legion's unified cache ([`build_clique_cache`], [`fill_feature_prefix`])
+//! caches one clique-wide prefix of each CSLP order: the paper's per-GPU
+//! queues `G_T[g]` / `G_F[g]` with equal shares would leave a GPU's share
+//! idle whenever hotness ties send most rows to one owner. Every other
+//! design fills its feature rows through [`fill_feature_slot`]: the
+//! single-GPU and replicated caches of PaGraph and GNNLab
 //! ([`build_feature_cache_single`], [`build_feature_caches_replicated`]),
 //! Quiver's per-clique hash and the serving layouts. Topology rows go
-//! through [`fill_topology_slot`]: the unified cache's and serving's
-//! routed static layout.
+//! through [`fill_topology_slot`] in serving's routed static layout.
 
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
@@ -124,13 +126,81 @@ pub fn build_feature_caches_replicated(
         .collect()
 }
 
+/// Walks `order` (a CSLP clique order `Q_T` / `Q_F`) and hands each row
+/// to a member of a `slots`-GPU clique whose load stays within `cap`:
+/// the row's CSLP `owner` while it has room, else the member holding the
+/// least (ties to the lower slot). Stops at the first row that fits in no
+/// member, so the placed rows are a prefix of `order`. `cost(v)` is the
+/// load a row adds; `place(slot, v)` records it.
+fn place_prefix(
+    order: &[VertexId],
+    owner: &[u32],
+    slots: usize,
+    cap: u64,
+    cost: impl Fn(VertexId) -> u64,
+    mut place: impl FnMut(usize, VertexId),
+) {
+    let mut load = vec![0u64; slots];
+    for &v in order {
+        let c = cost(v);
+        let preferred = owner[v as usize] as usize;
+        let slot = if load[preferred] + c <= cap {
+            preferred
+        } else {
+            // `min_by_key` keeps the first of equal loads: the lower slot.
+            let least = (0..slots)
+                .min_by_key(|&s| load[s])
+                .expect("clique has GPUs");
+            if load[least] + c > cap {
+                return;
+            }
+            least
+        };
+        load[slot] += c;
+        place(slot, v);
+    }
+}
+
+/// Caches the head of `feat_order`'s clique order `Q_F` in `cache`, which
+/// holds no feature rows yet: the first `rows_per_slot` × clique-size
+/// rows, each on its CSLP owner unless the owner already holds
+/// `rows_per_slot`. Then books every slot's feature bytes on its GPU.
+///
+/// # Errors
+///
+/// Returns [`HwError::OutOfMemory`] at the first GPU that cannot hold its
+/// rows.
+pub fn fill_feature_prefix(
+    server: &MultiGpuServer,
+    cache: &mut CliqueCache,
+    feat_order: &CslpOutput,
+    rows_per_slot: usize,
+) -> Result<(), HwError> {
+    let slots = cache.gpus().len();
+    place_prefix(
+        &feat_order.clique_order,
+        &feat_order.owner,
+        slots,
+        rows_per_slot as u64,
+        |_| 1,
+        |slot, v| cache.insert_feature(slot, v),
+    );
+    for slot in 0..slots {
+        server.alloc(cache.gpus()[slot], cache.cache(slot).feature_bytes())?;
+    }
+    Ok(())
+}
+
 /// Builds and fills the unified cache of one NVLink clique.
 ///
-/// Per-GPU budgets are the clique plan divided evenly among the clique's
-/// GPUs (the tablets are hash-balanced, so even shares match the paper's
-/// "randomly sliced and averagely allocated" wording). Each GPU consumes
-/// its own CSLP queue (`G_T[gpu]`, `G_F[gpu]`) in priority order until its
-/// budget share is exhausted.
+/// Each GPU may hold an even share of the clique plan (the tablets are
+/// hash-balanced, so even shares match the paper's "randomly sliced and
+/// averagely allocated" wording). The clique caches the head of each
+/// CSLP clique order — the prefix the cost model priced (Equations 2–8):
+/// for features, as many rows of `Q_F` as the shares hold; for topology,
+/// rows of `Q_T` up to the first that fits in no member's remaining
+/// share. Each row goes to its CSLP owner (local preference) while that
+/// owner has room, else to the least-loaded member (complete sharing).
 ///
 /// # Errors
 ///
@@ -147,46 +217,43 @@ pub fn build_clique_cache(
 ) -> Result<CliqueCache, HwError> {
     let kg = clique_gpus.len();
     assert!(kg > 0, "clique must have GPUs");
-    assert_eq!(
-        topo_order.per_gpu.len(),
-        kg,
-        "topology order shape mismatch"
-    );
-    assert_eq!(feat_order.per_gpu.len(), kg, "feature order shape mismatch");
+    let n = graph.num_vertices();
+    assert_eq!(topo_order.owner.len(), n, "topology order shape mismatch");
+    assert_eq!(feat_order.owner.len(), n, "feature order shape mismatch");
 
     let topo_share = plan.topology_bytes() / kg as u64;
     let feat_share = plan.feature_bytes() / kg as u64;
-    let mut cache = CliqueCache::new(clique_gpus.to_vec(), graph.num_vertices(), features.dim());
-    let registry = server.telemetry();
-
+    let mut cache = CliqueCache::new(clique_gpus.to_vec(), n, features.dim());
+    place_prefix(
+        &topo_order.clique_order,
+        &topo_order.owner,
+        kg,
+        topo_share,
+        |v| topology_bytes_for_degree(graph.degree(v)),
+        |slot, v| cache.insert_topology(slot, v, graph.degree(v)),
+    );
     for (slot, &gpu) in clique_gpus.iter().enumerate() {
-        // Topology fill-up in G_T order.
-        let queue = &topo_order.per_gpu[slot];
-        let mut walked = 0u64;
-        let fits = queue
-            .iter()
-            .take_while(|&&v| {
-                walked += topology_bytes_for_degree(graph.degree(v));
-                walked <= topo_share
-            })
-            .count();
-        let used = fill_topology_slot(server, graph, &mut cache, slot, &queue[..fits])?;
-        registry
-            .counter(&format!("cache_fill.gpu{gpu}.topology_vertices"))
-            .add(fits as u64);
-        registry
-            .counter(&format!("cache_fill.gpu{gpu}.topology_bytes"))
-            .add(used);
-        // Feature fill-up in G_F order.
-        let queue = &feat_order.per_gpu[slot];
-        let rows = &queue[..rows_in_budget(features, feat_share).min(queue.len())];
-        fill_feature_slot(server, &mut cache, slot, rows)?;
-        registry
-            .counter(&format!("cache_fill.gpu{gpu}.feature_rows"))
-            .add(rows.len() as u64);
-        registry
-            .counter(&format!("cache_fill.gpu{gpu}.feature_bytes"))
-            .add(rows.len() as u64 * features.row_bytes());
+        server.alloc(gpu, cache.cache(slot).topology_bytes())?;
+    }
+    fill_feature_prefix(
+        server,
+        &mut cache,
+        feat_order,
+        rows_in_budget(features, feat_share),
+    )?;
+    let registry = server.telemetry();
+    for (slot, &gpu) in clique_gpus.iter().enumerate() {
+        let held = cache.cache(slot);
+        for (name, value) in [
+            ("topology_vertices", held.topology_entries() as u64),
+            ("topology_bytes", held.topology_bytes()),
+            ("feature_rows", held.feature_entries() as u64),
+            ("feature_bytes", held.feature_bytes()),
+        ] {
+            registry
+                .counter(&format!("cache_fill.gpu{gpu}.{name}"))
+                .add(value);
+        }
     }
     Ok(cache)
 }
@@ -273,28 +340,92 @@ mod tests {
         assert!(cache.total_topology_bytes() > 0);
     }
 
+    /// Asserts the fill contract for the kind `lookup` reads: the cached
+    /// rows are a prefix of `order.clique_order`, the first row past it
+    /// fits in no member's remaining `cap`, and each row sits on its
+    /// owner unless the owner was full when the row was placed, else on
+    /// the least-loaded member. Returns the prefix length.
+    fn assert_prefix_contract(
+        cache: &CliqueCache,
+        order: &CslpOutput,
+        cap: u64,
+        cost: impl Fn(VertexId) -> u64,
+        lookup: fn(&CliqueCache, usize, VertexId) -> Option<CacheHit>,
+    ) -> usize {
+        let slots = cache.gpus().len();
+        let holder = |v| (0..slots).find(|&s| lookup(cache, s, v) == Some(CacheHit::Local));
+        let mut load = vec![0u64; slots];
+        let cached = order
+            .clique_order
+            .iter()
+            .take_while(|&&v| holder(v).is_some())
+            .count();
+        for (i, &v) in order.clique_order.iter().enumerate() {
+            let Some(slot) = holder(v) else { continue };
+            assert!(i < cached, "row {v} at {i} cached past the prefix");
+            let owner = order.owner[v as usize] as usize;
+            if slot != owner {
+                assert!(load[owner] + cost(v) > cap, "row {v} left a roomy owner");
+                assert_eq!(load[slot], *load.iter().min().unwrap(), "row {v}");
+            }
+            load[slot] += cost(v);
+            assert!(load[slot] <= cap, "slot {slot} over its share");
+        }
+        if let Some(&next) = order.clique_order.get(cached) {
+            assert!(load.iter().all(|&l| l + cost(next) > cap), "{next} fits");
+        }
+        cached
+    }
+
     #[test]
     fn fill_follows_priority_order() {
         let s = setup();
-        let server = ServerSpec::custom(2, 1 << 20, 2).build();
-        let plan = plan_for(16 * 1024, 0.0, &s);
-        let cache = build_clique_cache(&s.0, &s.1, &[0, 1], &s.2, &s.3, &plan, &server).unwrap();
-        // Every cached feature vertex must be a prefix of its GPU's G_F.
-        for slot in 0..2 {
-            let q = &s.3.per_gpu[slot];
-            let cached = cache.cache(slot).feature_entries();
-            for (i, &v) in q.iter().enumerate() {
-                assert_eq!(
-                    cache.lookup_feature(slot, v),
-                    (i < cached).then_some(CacheHit::Local),
-                    "vertex {v} at priority {i}"
-                );
-            }
-            assert_eq!(
-                cache.cache(slot).feature_bytes(),
-                cached as u64 * s.1.row_bytes()
+        let (g, f, t, fo) = &s;
+        for alpha in [0.0, 0.3, 0.7] {
+            let server = ServerSpec::custom(2, 1 << 20, 2).build();
+            let plan = plan_for(16 * 1024, alpha, &s);
+            let cache = build_clique_cache(g, f, &[0, 1], t, fo, &plan, &server).unwrap();
+            let rows = rows_in_budget(f, plan.feature_bytes() / 2);
+            let feat = CliqueCache::lookup_feature;
+            let cached = assert_prefix_contract(&cache, fo, rows as u64, |_| 1, feat);
+            assert_eq!(cached, 2 * rows);
+            let topo = assert_prefix_contract(
+                &cache,
+                t,
+                plan.topology_bytes() / 2,
+                |v| topology_bytes_for_degree(g.degree(v)),
+                CliqueCache::lookup_topology,
             );
+            assert!(topo < 500, "the budget must not hold the graph");
+            assert_eq!(cache.topology_vertices().len(), topo);
         }
+    }
+
+    #[test]
+    fn all_tie_hotness_still_fills_every_member() {
+        // Every vertex ties, so CSLP gives slot 0 every row. Walking each
+        // GPU's own queue filled slot 0's share and left the rest empty.
+        let s = setup();
+        let (g, f, ..) = &s;
+        let ties = cslp(&HotnessMatrix::new(4, 500));
+        assert!(ties.owner.iter().all(|&o| o == 0));
+        // The split `(m_T, m_F)` depends on the budget and α only.
+        let plan = plan_for(32 * 1024, 0.5, &s);
+        let server = ServerSpec::custom(4, 1 << 20, 4).build();
+        let cache = build_clique_cache(g, f, &[0, 1, 2, 3], &ties, &ties, &plan, &server).unwrap();
+        let rows = rows_in_budget(f, plan.feature_bytes() / 4);
+        assert!(rows > 0);
+        for slot in 0..4 {
+            assert_eq!(cache.cache(slot).feature_entries(), rows, "slot {slot}");
+            assert!(cache.cache(slot).topology_entries() > 0, "slot {slot}");
+        }
+        assert_prefix_contract(
+            &cache,
+            &ties,
+            rows as u64,
+            |_| 1,
+            CliqueCache::lookup_feature,
+        );
     }
 
     #[test]

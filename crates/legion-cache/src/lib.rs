@@ -5,9 +5,10 @@
 //! vertices) and feature rows of hot vertices in GPU memory, spread across
 //! an NVLink clique without replication. Construction follows the paper's
 //! three steps: pre-sampling produces hotness matrices (in
-//! `legion-sampling`), [`cslp()`] (Algorithm 1) orders cache candidates per
-//! GPU, and [`fill`] materializes the caches under a plan chosen by the
-//! [`cost_model`] + [`planner`] (§4.3, Equations 2–8).
+//! `legion-sampling`), [`cslp()`] (Algorithm 1) orders cache candidates
+//! and names each one's owner GPU, and [`fill`] materializes the caches
+//! under a plan chosen by the [`cost_model`] + [`planner`] (§4.3,
+//! Equations 2–8).
 //!
 //! Module map:
 //!
@@ -64,7 +65,7 @@ pub use cslp::{cslp, hotness_order, sort_by_hotness, CslpOutput};
 pub use dynamic::{CacheStats, FifoCache, LruCache};
 pub use fill::{
     build_clique_cache, build_feature_cache_single, build_feature_caches_replicated,
-    fill_feature_slot, fill_topology_slot,
+    fill_feature_prefix, fill_feature_slot, fill_topology_slot,
 };
 pub use hotness::HotnessMatrix;
 pub use planner::{CachePlan, PlannerConfig};

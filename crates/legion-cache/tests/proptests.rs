@@ -74,17 +74,12 @@ fn cslp_by_full_sort(h: &HotnessMatrix) -> CslpOutput {
             .cmp(&accumulated[a as usize])
             .then(a.cmp(&b))
     });
-    let mut per_gpu = vec![Vec::new(); h.num_gpus()];
-    let mut owner = vec![0u32; h.num_vertices()];
-    for &v in &clique_order {
-        let g = h.argmax_gpu(v);
-        per_gpu[g].push(v);
-        owner[v as usize] = g as u32;
-    }
+    let owner = (0..h.num_vertices() as VertexId)
+        .map(|v| h.argmax_gpu(v) as u32)
+        .collect();
     CslpOutput {
         accumulated,
         clique_order,
-        per_gpu,
         owner,
     }
 }
@@ -125,9 +120,9 @@ proptest! {
                 out.accumulated[w[0] as usize] >= out.accumulated[w[1] as usize]
             );
         }
-        // Per-GPU queues partition the vertex set.
-        let total: usize = out.per_gpu.iter().map(|q| q.len()).sum();
-        prop_assert_eq!(total, n);
+        // Every vertex has one owner in the clique.
+        prop_assert_eq!(out.owner.len(), n);
+        prop_assert!(out.owner.iter().all(|&g| (g as usize) < h.num_gpus()));
         // Local preference: each vertex sits on its argmax GPU.
         for v in 0..n as VertexId {
             let owner = out.owner[v as usize] as usize;

@@ -338,6 +338,13 @@ pub fn run_epoch_with_store(
     epoch_loop(setup, ctx, config, model_kind, Some(spill))
 }
 
+/// The RNG trainer GPU `gpu` draws its epoch's shuffle and neighbours
+/// from; a stream apart from pre-sampling's
+/// ([`legion_sampling::presample_rng`]).
+fn trainer_rng(seed: u64, gpu: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7))
+}
+
 /// The one epoch loop: every trainer GPU walks its shuffled batches
 /// through [`BatchStep::run`], prices training from each sample's FLOPs,
 /// and the schedule's pipeline model turns the per-batch costs into the
@@ -394,7 +401,7 @@ fn epoch_loop(
             continue;
         }
         let mut store = spill.map(|s| EpochStore::new(&s, ctx.dataset, server.telemetry()));
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7));
+        let mut rng = trainer_rng(config.seed, gpu);
         let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
             .with_telemetry(server.telemetry(), gpu);
         let batches = generator.epoch(&mut rng);
@@ -459,10 +466,20 @@ fn epoch_loop(
         }
     }
 
+    // Each trainer's makespan is its `epoch.gpu{g}.seconds`; the slowest
+    // sets the epoch.
     let slowest_gpu = |epoch_time: fn(&[BatchCost]) -> f64| {
+        let registry = server.telemetry();
         per_gpu_costs
             .iter()
-            .map(|c| epoch_time(c))
+            .enumerate()
+            .map(|(gpu, c)| {
+                let seconds = epoch_time(c);
+                registry
+                    .gauge(&format!("epoch.gpu{gpu}.seconds"))
+                    .set(seconds);
+                seconds
+            })
             .fold(0.0, f64::max)
     };
     let epoch_seconds = match &setup.schedule {
@@ -546,6 +563,12 @@ mod tests {
             report.metrics.counter_sum("traffic.")
         );
         assert_eq!(report.epoch_seconds, report.metrics.gauge("epoch.seconds"));
+        // The epoch is its slowest trainer's makespan.
+        let makespans: Vec<f64> = (0..2)
+            .map(|g| report.metrics.gauge(&format!("epoch.gpu{g}.seconds")))
+            .collect();
+        assert!(makespans.iter().all(|&s| s > 0.0), "{makespans:?}");
+        assert_eq!(report.epoch_seconds, makespans[0].max(makespans[1]));
         assert_eq!(
             report.feature_hit_rate(),
             report.metrics.gauge("epoch.feature_hit_rate")
@@ -631,6 +654,23 @@ mod tests {
             again.metrics.counter("epoch.store.prefetch_hits"),
             over.metrics.counter("epoch.store.prefetch_hits")
         );
+    }
+
+    #[test]
+    fn training_does_not_replay_the_presampling_draws() {
+        // Unsalted, both streams are the bare seed at GPU 0, whose first
+        // training batch would then be its first pre-sampling batch.
+        let tablet: Vec<VertexId> = (0..256).collect();
+        for gpu in 0..8 {
+            let first = |mut rng: StdRng| {
+                BatchGenerator::new(tablet.clone(), 32).epoch(&mut rng)[0].clone()
+            };
+            assert_ne!(
+                first(trainer_rng(7, gpu)),
+                first(legion_sampling::presample_rng(7, gpu)),
+                "GPU {gpu}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 use legion_cache::{
-    build_clique_cache, cslp, fill_feature_slot, CachePlan, CliqueCache, CostModel, PlannerConfig,
+    build_clique_cache, cslp, fill_feature_prefix, CachePlan, CliqueCache, CostModel, PlannerConfig,
 };
 use legion_partition::hierarchical_partition;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
@@ -138,8 +138,8 @@ fn legion_setup_inner(
 
 /// Feature-cache-only Legion variant used by the fixed-ratio cache
 /// comparisons (Figures 2, 3, 9, 10): hierarchical partitioning + CSLP
-/// feature placement, `rows_per_gpu` feature rows per GPU, no topology
-/// cache.
+/// feature placement, the head of each clique's `Q_F` at `rows_per_gpu`
+/// feature rows per GPU, no topology cache.
 pub fn legion_feature_cache_setup(
     ctx: &BuildContext<'_>,
     config: &LegionConfig,
@@ -174,14 +174,7 @@ pub fn legion_feature_cache_setup_with(
             ctx.dataset.graph.num_vertices(),
             ctx.dataset.features.dim(),
         );
-        for (slot, queue) in feat_order.per_gpu.iter().enumerate() {
-            fill_feature_slot(
-                ctx.server,
-                &mut cache,
-                slot,
-                &queue[..rows_per_gpu.min(queue.len())],
-            )?;
-        }
+        fill_feature_prefix(ctx.server, &mut cache, &feat_order, rows_per_gpu)?;
         cliques_out.push(cache);
     }
     Ok(SystemSetup {

@@ -36,6 +36,17 @@ pub struct PresampleOutput {
     pub n_tsum: u64,
 }
 
+/// Salt that gives pre-sampling an RNG stream of its own. Trainers seed
+/// GPU `g` with `seed ^ g·c` for another constant `c`; unsalted, both
+/// formulas reduce to `seed` at GPU 0, whose training epoch would then
+/// redraw the very shuffle and neighbours its cache was built from.
+const PRESAMPLE_STREAM: u64 = 0x7072_6573_616d_706c; // "presampl"
+
+/// The RNG pre-sampling draws GPU `gpu`'s shuffle and neighbours from.
+pub fn presample_rng(seed: u64, gpu: GpuId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ PRESAMPLE_STREAM ^ (gpu as u64).wrapping_mul(0x9E37_79B9))
+}
+
 /// Runs pre-sampling for one clique.
 ///
 /// * `clique_gpus` — the clique's GPU ids (slot order),
@@ -72,7 +83,7 @@ pub fn presample(
     server.pcm().reset();
     let mut scratch = SampleScratch::new();
     for (slot, (&gpu, tablet)) in clique_gpus.iter().zip(tablets).enumerate() {
-        let mut rng = StdRng::seed_from_u64(seed ^ (gpu as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = presample_rng(seed, gpu);
         let mut generator = BatchGenerator::new(tablet.clone(), batch_size);
         for _ in 0..epochs {
             for batch in generator.epoch(&mut rng) {
@@ -191,7 +202,9 @@ mod tests {
         let mut tally = HotnessMatrix::new(2, 400);
         let mut scratch = SampleScratch::new();
         for (slot, tablet) in tablets.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(9 ^ (slot as u64).wrapping_mul(0x9E37_79B9));
+            let mut rng = StdRng::seed_from_u64(
+                9 ^ PRESAMPLE_STREAM ^ (slot as u64).wrapping_mul(0x9E37_79B9),
+            );
             let mut generator = BatchGenerator::new(tablet.clone(), 32);
             for _ in 0..2 {
                 for batch in generator.epoch(&mut rng) {

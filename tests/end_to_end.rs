@@ -245,3 +245,84 @@ fn cache_byte_counters_equal_the_gpu_allocation() {
         check("Replan warm-up plan", &server, gpu, &plan.layout);
     }
 }
+
+/// Legion's fill caches exactly the prefix of CSLP's clique orders that
+/// the cost model priced (Equations 2–8), on a machine whose budget
+/// cannot hold the graph: the first `k · rows_in_budget(m_F / k)` rows of
+/// `Q_F`, and a prefix of `Q_T` whose first uncached row fits in no
+/// member's remaining `m_T / k`. Each row sits on its CSLP owner unless
+/// the owner was full when the row was placed, and then on the member
+/// holding the least.
+#[test]
+fn every_clique_caches_its_plans_priced_prefix() {
+    use legion_cache::fill::rows_in_budget;
+    use legion_cache::unified::CacheHit;
+    use legion_cache::{cslp, CliqueCache, CslpOutput};
+    use legion_graph::{topology_bytes_for_degree, VertexId};
+
+    /// Asserts the contract over one order; returns the prefix length.
+    fn prefix(
+        cache: &CliqueCache,
+        order: &CslpOutput,
+        cap: u64,
+        cost: impl Fn(VertexId) -> u64,
+        held: impl Fn(&CliqueCache, usize, VertexId) -> Option<CacheHit>,
+    ) -> usize {
+        let k = cache.gpus().len();
+        let holder = |v| (0..k).find(|&s| held(cache, s, v) == Some(CacheHit::Local));
+        let mut load = vec![0u64; k];
+        let cached = order
+            .clique_order
+            .iter()
+            .take_while(|&&v| holder(v).is_some())
+            .count();
+        for &v in &order.clique_order[..cached] {
+            let (slot, owner) = (holder(v).unwrap(), order.owner[v as usize] as usize);
+            if slot != owner {
+                assert!(load[owner] + cost(v) > cap, "{v} left a roomy owner");
+                assert_eq!(load[slot], *load.iter().min().unwrap(), "{v}");
+            }
+            load[slot] += cost(v);
+            assert!(load[slot] <= cap, "slot {slot} books past its share");
+        }
+        let rest = &order.clique_order[cached..];
+        assert!(rest.iter().all(|&v| holder(v).is_none()), "not a prefix");
+        if let Some(&next) = rest.first() {
+            assert!(load.iter().all(|&l| l + cost(next) > cap), "{next} fits");
+        }
+        cached
+    }
+
+    let dataset = spec_by_name("PR").unwrap().instantiate(1000, 99);
+    let server = ServerSpec::custom(4, 1 << 18, 2).build();
+    let cfg = config();
+    let ctx = cfg.build_context(&dataset, &server);
+    let (setup, plans) = legion_setup_with_plans(&ctx, &cfg).expect("setup succeeds");
+    let (graph, features) = (&dataset.graph, &dataset.features);
+    let n = graph.num_vertices();
+    assert_eq!(plans.len(), setup.layout.cliques.len());
+    for (cache, plan) in setup.layout.cliques.iter().zip(&plans) {
+        let gpus = cache.gpus();
+        let k = gpus.len();
+        let tablets: Vec<_> = gpus.iter().map(|&g| setup.tablets[g].clone()).collect();
+        let pres = ctx.presample(gpus, &tablets);
+        let (t, f) = (cslp(&pres.h_t), cslp(&pres.h_f));
+        let rows = rows_in_budget(features, plan.feature_bytes() / k as u64);
+        let feat = prefix(cache, &f, rows as u64, |_| 1, CliqueCache::lookup_feature);
+        assert_eq!(feat, (k * rows).min(n));
+        let topo = prefix(
+            cache,
+            &t,
+            plan.topology_bytes() / k as u64,
+            |v| topology_bytes_for_degree(graph.degree(v)),
+            CliqueCache::lookup_topology,
+        );
+        assert!(feat < n && topo < n, "the budget must not hold the graph");
+        assert!(feat > 0 && topo > 0, "{plan:?}");
+        // The priced prefixes, less at most what the even shares round
+        // away.
+        let priced = &plan.evaluation;
+        assert!(feat <= priced.feat_cached_vertices && feat + k > priced.feat_cached_vertices);
+        assert!(topo <= priced.topo_cached_vertices);
+    }
+}

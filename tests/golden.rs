@@ -109,14 +109,21 @@ fn lcg_wide(next: &mut impl FnMut() -> u64, max_bits: u64) -> u64 {
 }
 
 /// Everything [`cslp`] returns but the accumulated vector, as one id
-/// stream: the clique order, each GPU queue with its length, and the
-/// owner of every vertex.
+/// stream: the clique order, each GPU's queue `G[g]` (the clique order
+/// filtered to the rows `g` owns) with its length, and the owner of
+/// every vertex.
 fn cslp_words(h: &HotnessMatrix) -> Vec<u32> {
     let out = cslp(h);
-    let mut ids = out.clique_order;
-    for queue in &out.per_gpu {
+    let mut ids = out.clique_order.clone();
+    for g in 0..h.num_gpus() as u32 {
+        let queue: Vec<u32> = out
+            .clique_order
+            .iter()
+            .copied()
+            .filter(|&v| out.owner[v as usize] == g)
+            .collect();
         ids.push(queue.len() as u32);
-        ids.extend_from_slice(queue);
+        ids.extend_from_slice(&queue);
     }
     ids.extend_from_slice(&out.owner);
     ids

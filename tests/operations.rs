@@ -898,12 +898,12 @@ fn documented_crate_items_exist() {
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
     ("README.md", 28283),
-    ("DESIGN.md", 90496),
-    ("OPERATIONS.md", 29751),
-    ("EXPERIMENTS.md", 42849),
-    ("CHANGES.md", 159330),
-    ("ROADMAP.md", 35094),
-    ("tests/golden.txt", 96385),
+    ("DESIGN.md", 91413),
+    ("OPERATIONS.md", 29866),
+    ("EXPERIMENTS.md", 42656),
+    ("CHANGES.md", 168071),
+    ("ROADMAP.md", 33209),
+    ("tests/golden.txt", 97760),
 ];
 
 /// Every top-level doc fits its byte budget.
