@@ -14,10 +14,11 @@
 //!   flat-lining curves of Figure 2),
 //! * only the trainer subset contributes training throughput (§6.2).
 
-use legion_cache::{build_feature_caches_replicated, hotness_order};
+use legion_cache::hotness_order;
 use legion_hw::GpuId;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 
+use crate::policy::one_gpu_cache;
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Builds the GNNLab setup with `num_samplers` dedicated sampling GPUs:
@@ -80,14 +81,11 @@ pub fn cache_design(
     let tablets = ctx.even_tablets(trainers.len());
     let pres = ctx.presample(trainers, &tablets);
     let order = hotness_order(&pres.h_f.column_wise_sum());
-    let cliques = build_feature_caches_replicated(
-        &ctx.dataset.features,
-        ctx.dataset.graph.num_vertices(),
-        ctx.server,
-        trainers,
-        &order,
-        per_gpu_bytes,
-    )?;
+    // Replicas never serve peers: one single-GPU clique per trainer.
+    let cliques = trainers
+        .iter()
+        .map(|&g| one_gpu_cache(ctx, g, &order, per_gpu_bytes))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut tablets_by_gpu = vec![Vec::new(); n];
     for (&g, tablet) in trainers.iter().zip(tablets) {
         tablets_by_gpu[g] = tablet;

@@ -14,14 +14,14 @@
 //! sampling, pipelined). It fixes the duplication but keeps per-GPU
 //! caches, whose hit rates are unbalanced across partitions (Figure 3).
 
-use legion_cache::{build_feature_cache_single, hotness_order};
+use legion_cache::hotness_order;
 use legion_graph::VertexId;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 
 use legion_partition::pagraph::{pagraph_partition, PaGraphPlan};
 use legion_partition::{HashPartitioner, LdgPartitioner, Partitioner};
 
-use crate::policy::in_degree_hotness;
+use crate::policy::{in_degree_hotness, one_gpu_cache};
 use crate::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 
 /// Host-memory inflation factor for PaGraph's redundant intermediate
@@ -82,14 +82,7 @@ pub fn cache_design(
     for (gpu, part) in plan.partitions.iter().enumerate() {
         let mut order = part.vertices.clone();
         order.sort_by(|&a, &b| in_deg[b as usize].cmp(&in_deg[a as usize]).then(a.cmp(&b)));
-        cliques.push(build_feature_cache_single(
-            &ctx.dataset.features,
-            ctx.dataset.graph.num_vertices(),
-            ctx.server,
-            gpu,
-            &order,
-            per_gpu_bytes,
-        )?);
+        cliques.push(one_gpu_cache(ctx, gpu, &order, per_gpu_bytes)?);
         tablets.push(part.train_vertices.clone());
     }
     Ok(SystemSetup {
@@ -117,14 +110,7 @@ pub fn setup_plus(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
     let mut cliques = Vec::with_capacity(n);
     for gpu in 0..n {
         let order = hotness_order(pres.h_f.row(gpu));
-        cliques.push(build_feature_cache_single(
-            &ctx.dataset.features,
-            ctx.dataset.graph.num_vertices(),
-            ctx.server,
-            gpu,
-            &order,
-            budget,
-        )?);
+        cliques.push(one_gpu_cache(ctx, gpu, &order, budget)?);
     }
     Ok(SystemSetup {
         name: "PaGraph-plus".to_string(),

@@ -1,12 +1,15 @@
-//! The hotness metric and the cache placement only the baselines use:
-//! in-degree ranking (PaGraph, Quiver) and Quiver's per-clique hash. The
-//! feature fills every design shares live in `legion_cache::fill`.
+//! The hotness metric and the cache placements only the baselines use:
+//! in-degree ranking (PaGraph, Quiver), Quiver's per-clique hash and the
+//! one-GPU caches of PaGraph and GNNLab. Every cache fills through
+//! `legion_cache::fill`'s walk.
 
-use legion_cache::fill::{fill_feature_slot, rows_in_budget};
-use legion_cache::CliqueCache;
+use legion_cache::fill::rows_in_budget;
+use legion_cache::{book_cache, place_prefix, CliqueCache};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
 use legion_partition::hash::hash_part_salted;
+
+use crate::BuildContext;
 
 /// In-degree of every vertex — PaGraph's and Quiver's original hotness
 /// metric ("PaGraph and Quiver use the in-degree of vertexes as the
@@ -16,6 +19,20 @@ pub fn in_degree_hotness(graph: &CsrGraph) -> Vec<u64> {
     (0..graph.num_vertices() as VertexId)
         .map(|v| t.degree(v))
         .collect()
+}
+
+/// `gpu`'s own feature cache: the head of `order` that fits in `bytes`.
+pub(crate) fn one_gpu_cache(
+    ctx: &BuildContext<'_>,
+    gpu: GpuId,
+    order: &[VertexId],
+    bytes: u64,
+) -> Result<CliqueCache, HwError> {
+    let features = &ctx.dataset.features;
+    let mut cache = CliqueCache::new(vec![gpu], ctx.dataset.graph.num_vertices(), features.dim());
+    place_prefix(&mut cache, None, order, bytes, |_| None);
+    book_cache(ctx.server, &cache)?;
+    Ok(cache)
 }
 
 /// Builds one NVLink-clique cache where the top `K_g * capacity` vertices
@@ -31,23 +48,24 @@ pub fn build_feature_cache_hashed(
     per_gpu_bytes: u64,
 ) -> Result<CliqueCache, HwError> {
     let kg = clique_gpus.len();
+    let slot = |v| hash_part_salted(v, kg, 2) as usize;
     let per_gpu_rows = rows_in_budget(features, per_gpu_bytes);
-    let mut shares: Vec<Vec<VertexId>> = vec![Vec::new(); kg];
+    let mut held = vec![0; kg];
+    let mut kept = Vec::new();
     for &v in order {
-        if shares.iter().all(|share| share.len() >= per_gpu_rows) {
+        if kept.len() == kg * per_gpu_rows {
             break;
         }
         // A full share skips the vertex: hash distribution does not
-        // rebalance.
-        let share = &mut shares[hash_part_salted(v, kg, 2) as usize];
-        if share.len() < per_gpu_rows {
-            share.push(v);
+        // rebalance, so every row kept fits on its hash slot.
+        if held[slot(v)] < per_gpu_rows {
+            held[slot(v)] += 1;
+            kept.push(v);
         }
     }
     let mut cc = CliqueCache::new(clique_gpus.to_vec(), num_vertices, features.dim());
-    for (slot, rows) in shares.iter().enumerate() {
-        fill_feature_slot(server, &mut cc, slot, rows)?;
-    }
+    place_prefix(&mut cc, None, &kept, per_gpu_bytes, |v| Some(slot(v)));
+    book_cache(server, &cc)?;
     Ok(cc)
 }
 

@@ -6,187 +6,91 @@
 //! GPU cache according to the corresponding cache orders in `G_T` and
 //! `G_F`."
 //!
-//! The fill books each row's Equation 3 / Equation 6 bytes and allocates
-//! them on the [`MultiGpuServer`]'s simulated device memory, so an
-//! over-committed plan fails with the same out-of-memory error a CUDA
-//! allocation would raise. It copies no row: the cache records residency
-//! and the base CSR and feature table stay the only copy of the data.
+//! Every cache design fills through one walk, [`place_prefix`]: it hands
+//! the rows of an order to a cache's slots, each row to its preferred
+//! slot while that slot has room, else to the least-loaded slot, and
+//! stops at the first row that fits in no slot, so a cache holds a prefix
+//! of its order. Legion's unified cache ([`build_clique_cache`]) prefers
+//! each row's CSLP owner, Quiver its hash slot; the one-GPU caches of
+//! PaGraph and GNNLab and serving's striped layouts state no preference.
 //!
-//! Legion's unified cache ([`build_clique_cache`], [`fill_feature_prefix`])
-//! caches one clique-wide prefix of each CSLP order: the paper's per-GPU
-//! queues `G_T[g]` / `G_F[g]` with equal shares would leave a GPU's share
-//! idle whenever hotness ties send most rows to one owner. Every other
-//! design fills its feature rows through [`fill_feature_slot`]: the
-//! single-GPU and replicated caches of PaGraph and GNNLab
-//! ([`build_feature_cache_single`], [`build_feature_caches_replicated`]),
-//! Quiver's per-clique hash and the serving layouts. Topology rows go
-//! through [`fill_topology_slot`] in serving's routed static layout.
+//! The walk only records residency. [`book_cache`] then books each
+//! slot's Equation 3 / Equation 6 bytes on the [`MultiGpuServer`]'s
+//! simulated device memory, so an over-committed plan fails with the same
+//! out-of-memory error a CUDA allocation would raise. No row is copied:
+//! the base CSR and feature table stay the only copy of the data.
 
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, HwError, MultiGpuServer};
 
 use crate::cslp::CslpOutput;
 use crate::planner::CachePlan;
-use crate::unified::CliqueCache;
-
-/// Books `rows`' feature bytes on the GPU behind `slot`, then records
-/// the rows resident in that slot.
-///
-/// # Errors
-///
-/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows; the
-/// cache is left unchanged then.
-pub fn fill_feature_slot(
-    server: &MultiGpuServer,
-    cache: &mut CliqueCache,
-    slot: usize,
-    rows: &[VertexId],
-) -> Result<(), HwError> {
-    server.alloc(
-        cache.gpus()[slot],
-        rows.len() as u64 * cache.feature_row_bytes(),
-    )?;
-    for &v in rows {
-        cache.insert_feature(slot, v);
-    }
-    Ok(())
-}
-
-/// Books `rows`' topology bytes (Equation 3, from each row's degree in
-/// `graph`) on the GPU behind `slot`, then records the rows resident in
-/// that slot. Returns the bytes booked.
-///
-/// # Errors
-///
-/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows; the
-/// cache is left unchanged then.
-pub fn fill_topology_slot(
-    server: &MultiGpuServer,
-    graph: &CsrGraph,
-    cache: &mut CliqueCache,
-    slot: usize,
-    rows: &[VertexId],
-) -> Result<u64, HwError> {
-    let bytes = rows
-        .iter()
-        .map(|&v| topology_bytes_for_degree(graph.degree(v)))
-        .sum();
-    server.alloc(cache.gpus()[slot], bytes)?;
-    for &v in rows {
-        cache.insert_topology(slot, v, graph.degree(v));
-    }
-    Ok(bytes)
-}
+use crate::unified::{CliqueCache, GpuUnifiedCache};
 
 /// Number of feature rows fitting in `bytes`.
 pub fn rows_in_budget(features: &FeatureTable, bytes: u64) -> usize {
     bytes.checked_div(features.row_bytes()).unwrap_or(0) as usize
 }
 
-/// Builds one single-GPU feature cache holding the first `budget_bytes`
-/// worth of `order`, allocating on the server.
+/// Walks `order` and caches its rows in `cache`'s slots: topology rows
+/// of `graph` when one is given, each costing its Equation 3 bytes, else
+/// feature rows, each costing one row's Equation 6 bytes. A row goes to
+/// its `preferred` slot while that slot's load stays within `cap` bytes,
+/// else to the slot this walk has loaded least (ties to the lower slot).
+/// The walk stops at the first row that fits in no slot, so the placed
+/// rows are a prefix of `order`; it returns how many it placed.
 ///
-/// # Errors
-///
-/// Returns [`HwError::OutOfMemory`] if the GPU cannot hold the rows.
-pub fn build_feature_cache_single(
-    features: &FeatureTable,
-    num_vertices: usize,
-    server: &MultiGpuServer,
-    gpu: GpuId,
+/// With no preference and one cost for every row, slot `s` of `k` holds
+/// rows `s, s + k, …` of the prefix. The walk books no memory; see
+/// [`book_cache`].
+pub fn place_prefix(
+    cache: &mut CliqueCache,
+    graph: Option<&CsrGraph>,
     order: &[VertexId],
-    budget_bytes: u64,
-) -> Result<CliqueCache, HwError> {
-    let rows = rows_in_budget(features, budget_bytes).min(order.len());
-    let mut cache = CliqueCache::new(vec![gpu], num_vertices, features.dim());
-    fill_feature_slot(server, &mut cache, 0, &order[..rows])?;
-    Ok(cache)
-}
-
-/// Replicates the same top-of-`order` cache on every listed GPU
-/// (GNNLab's multi-GPU cache, §3.1). Returns one single-GPU clique per
-/// GPU — replicas never serve peers.
-///
-/// # Errors
-///
-/// Returns [`HwError::OutOfMemory`] at the first GPU that cannot hold
-/// its replica.
-pub fn build_feature_caches_replicated(
-    features: &FeatureTable,
-    num_vertices: usize,
-    server: &MultiGpuServer,
-    gpus: &[GpuId],
-    order: &[VertexId],
-    per_gpu_bytes: u64,
-) -> Result<Vec<CliqueCache>, HwError> {
-    gpus.iter()
-        .map(|&g| {
-            build_feature_cache_single(features, num_vertices, server, g, order, per_gpu_bytes)
-        })
-        .collect()
-}
-
-/// Walks `order` (a CSLP clique order `Q_T` / `Q_F`) and hands each row
-/// to a member of a `slots`-GPU clique whose load stays within `cap`:
-/// the row's CSLP `owner` while it has room, else the member holding the
-/// least (ties to the lower slot). Stops at the first row that fits in no
-/// member, so the placed rows are a prefix of `order`. `cost(v)` is the
-/// load a row adds; `place(slot, v)` records it.
-fn place_prefix(
-    order: &[VertexId],
-    owner: &[u32],
-    slots: usize,
     cap: u64,
-    cost: impl Fn(VertexId) -> u64,
-    mut place: impl FnMut(usize, VertexId),
-) {
-    let mut load = vec![0u64; slots];
-    for &v in order {
-        let c = cost(v);
-        let preferred = owner[v as usize] as usize;
-        let slot = if load[preferred] + c <= cap {
-            preferred
-        } else {
-            // `min_by_key` keeps the first of equal loads: the lower slot.
-            let least = (0..slots)
-                .min_by_key(|&s| load[s])
-                .expect("clique has GPUs");
-            if load[least] + c > cap {
-                return;
+    preferred: impl Fn(VertexId) -> Option<usize>,
+) -> usize {
+    let row_bytes = cache.feature_row_bytes();
+    let mut load = vec![0u64; cache.gpus().len()];
+    for (placed, &v) in order.iter().enumerate() {
+        let cost = graph.map_or(row_bytes, |g| topology_bytes_for_degree(g.degree(v)));
+        let slot = match preferred(v) {
+            Some(p) if load[p] + cost <= cap => p,
+            _ => {
+                // `min_by_key` keeps the first of equal loads: the lower slot.
+                let least = (0..load.len())
+                    .min_by_key(|&s| load[s])
+                    .expect("a clique has GPUs");
+                if load[least] + cost > cap {
+                    return placed;
+                }
+                least
             }
-            least
         };
-        load[slot] += c;
-        place(slot, v);
+        load[slot] += cost;
+        match graph {
+            Some(g) => cache.insert_topology(slot, v, g.degree(v)),
+            None => cache.insert_feature(slot, v),
+        }
     }
+    order.len()
 }
 
-/// Caches the head of `feat_order`'s clique order `Q_F` in `cache`, which
-/// holds no feature rows yet: the first `rows_per_slot` × clique-size
-/// rows, each on its CSLP owner unless the owner already holds
-/// `rows_per_slot`. Then books every slot's feature bytes on its GPU.
+/// Books what `cache` holds on its GPUs: every slot's topology bytes,
+/// then every slot's feature bytes.
 ///
 /// # Errors
 ///
 /// Returns [`HwError::OutOfMemory`] at the first GPU that cannot hold its
-/// rows.
-pub fn fill_feature_prefix(
-    server: &MultiGpuServer,
-    cache: &mut CliqueCache,
-    feat_order: &CslpOutput,
-    rows_per_slot: usize,
-) -> Result<(), HwError> {
-    let slots = cache.gpus().len();
-    place_prefix(
-        &feat_order.clique_order,
-        &feat_order.owner,
-        slots,
-        rows_per_slot as u64,
-        |_| 1,
-        |slot, v| cache.insert_feature(slot, v),
-    );
-    for slot in 0..slots {
-        server.alloc(cache.gpus()[slot], cache.cache(slot).feature_bytes())?;
+/// bytes; what was booked before it stays booked.
+pub fn book_cache(server: &MultiGpuServer, cache: &CliqueCache) -> Result<(), HwError> {
+    for bytes in [
+        GpuUnifiedCache::topology_bytes,
+        GpuUnifiedCache::feature_bytes,
+    ] {
+        for (slot, &gpu) in cache.gpus().iter().enumerate() {
+            server.alloc(gpu, bytes(cache.cache(slot)))?;
+        }
     }
     Ok(())
 }
@@ -221,26 +125,21 @@ pub fn build_clique_cache(
     assert_eq!(topo_order.owner.len(), n, "topology order shape mismatch");
     assert_eq!(feat_order.owner.len(), n, "feature order shape mismatch");
 
-    let topo_share = plan.topology_bytes() / kg as u64;
-    let feat_share = plan.feature_bytes() / kg as u64;
     let mut cache = CliqueCache::new(clique_gpus.to_vec(), n, features.dim());
-    place_prefix(
-        &topo_order.clique_order,
-        &topo_order.owner,
-        kg,
-        topo_share,
-        |v| topology_bytes_for_degree(graph.degree(v)),
-        |slot, v| cache.insert_topology(slot, v, graph.degree(v)),
-    );
-    for (slot, &gpu) in clique_gpus.iter().enumerate() {
-        server.alloc(gpu, cache.cache(slot).topology_bytes())?;
+    for (kind, order, bytes) in [
+        (Some(graph), topo_order, plan.topology_bytes()),
+        (None, feat_order, plan.feature_bytes()),
+    ] {
+        let owner = |v: VertexId| Some(order.owner[v as usize] as usize);
+        place_prefix(
+            &mut cache,
+            kind,
+            &order.clique_order,
+            bytes / kg as u64,
+            owner,
+        );
     }
-    fill_feature_prefix(
-        server,
-        &mut cache,
-        feat_order,
-        rows_in_budget(features, feat_share),
-    )?;
+    book_cache(server, &cache)?;
     let registry = server.telemetry();
     for (slot, &gpu) in clique_gpus.iter().enumerate() {
         let held = cache.cache(slot);
@@ -453,13 +352,26 @@ mod tests {
         FeatureTable::from_flat((0..n * 2).map(|x| x as f32).collect(), 2)
     }
 
+    /// A one-GPU feature cache on `gpu` holding the head of `order` that
+    /// fits in `cap` bytes, booked on `server`.
+    fn one_gpu(
+        server: &MultiGpuServer,
+        gpu: GpuId,
+        order: &[VertexId],
+        cap: u64,
+    ) -> Result<CliqueCache, HwError> {
+        let mut cache = CliqueCache::new(vec![gpu], 10, 2);
+        place_prefix(&mut cache, None, order, cap, |_| None);
+        book_cache(server, &cache)?;
+        Ok(cache)
+    }
+
     #[test]
     fn single_cache_respects_budget() {
-        let f = features(10);
         let server = ServerSpec::custom(1, 1 << 20, 1).build();
         let order: Vec<VertexId> = (0..10).collect();
         // 3 rows of 8 bytes fit in 25 bytes.
-        let cc = build_feature_cache_single(&f, 10, &server, 0, &order, 25).unwrap();
+        let cc = one_gpu(&server, 0, &order, 25).unwrap();
         assert_eq!(cc.cache(0).feature_entries(), 3);
         assert!(cc.has_feature(0) && cc.has_feature(2));
         assert!(!cc.has_feature(3));
@@ -468,33 +380,38 @@ mod tests {
 
     #[test]
     fn replicated_caches_have_identical_contents() {
-        let f = features(8);
         let server = ServerSpec::custom(4, 1 << 20, 1).build();
         let order: Vec<VertexId> = vec![7, 6, 5, 4, 3, 2, 1, 0];
-        let caches =
-            build_feature_caches_replicated(&f, 8, &server, &[0, 1, 2, 3], &order, 16).unwrap();
-        assert_eq!(caches.len(), 4);
-        for cc in &caches {
+        for gpu in 0..4 {
+            let cc = one_gpu(&server, gpu, &order, 16).unwrap();
             assert!(cc.has_feature(7) && cc.has_feature(6));
             assert!(!cc.has_feature(5));
+            assert_eq!(server.allocated_bytes(gpu), 16);
         }
     }
 
     #[test]
     fn oom_propagates() {
-        let f = features(10);
         let server = ServerSpec::custom(1, 4, 1).build();
         let order: Vec<VertexId> = (0..10).collect();
-        let err = build_feature_cache_single(&f, 10, &server, 0, &order, 80);
+        let err = one_gpu(&server, 0, &order, 80);
         assert!(matches!(err, Err(HwError::OutOfMemory { .. })));
+        assert_eq!(server.allocated_bytes(0), 0);
     }
 
     #[test]
     fn zero_budget_zero_rows() {
         let f = features(4);
-        assert_eq!(rows_in_budget(&f, 0), 0);
-        assert_eq!(rows_in_budget(&f, 7), 0);
-        assert_eq!(rows_in_budget(&f, 8), 1);
+        let order: Vec<VertexId> = (0..4).collect();
+        for (bytes, rows) in [(0, 0), (7, 0), (8, 1)] {
+            assert_eq!(rows_in_budget(&f, bytes), rows);
+            let mut cache = CliqueCache::new(vec![0], 4, f.dim());
+            assert_eq!(
+                place_prefix(&mut cache, None, &order, bytes, |_| None),
+                rows
+            );
+            assert_eq!(cache.cache(0).feature_entries(), rows);
+        }
     }
 
     #[test]
@@ -503,23 +420,24 @@ mod tests {
         let server = ServerSpec::custom(2, 1 << 20, 2).build();
         let mut cache = CliqueCache::new(vec![0, 1], 500, 16);
         let rows: Vec<VertexId> = vec![3, 1, 4];
-        let booked = fill_topology_slot(&server, &g, &mut cache, 1, &rows).unwrap();
+        let placed = place_prefix(&mut cache, Some(&g), &rows, u64::MAX, |_| Some(1));
+        assert_eq!(placed, 3);
+        book_cache(&server, &cache).unwrap();
         let expected: u64 = rows
             .iter()
             .map(|&v| topology_bytes_for_degree(g.degree(v)))
             .sum();
-        assert_eq!(booked, expected);
+        assert_eq!(server.allocated_bytes(0), 0);
         assert_eq!(server.allocated_bytes(1), expected);
         assert_eq!(cache.cache(1).topology_bytes(), expected);
         assert_eq!(cache.topology_vertices(), vec![1, 3, 4]);
-        // A slot that cannot hold the rows books nothing and caches
-        // nothing.
+        // A GPU that cannot hold the rows books nothing.
         let tiny = ServerSpec::custom(1, 4, 1).build();
-        let mut empty = CliqueCache::new(vec![0], 500, 16);
-        let err = fill_topology_slot(&tiny, &g, &mut empty, 0, &rows);
+        let mut one = CliqueCache::new(vec![0], 500, 16);
+        place_prefix(&mut one, Some(&g), &rows, u64::MAX, |_| None);
+        let err = book_cache(&tiny, &one);
         assert!(matches!(err, Err(HwError::OutOfMemory { .. })));
         assert_eq!(tiny.allocated_bytes(0), 0);
-        assert!(empty.topology_vertices().is_empty());
     }
 
     #[test]

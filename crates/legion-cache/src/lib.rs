@@ -63,10 +63,7 @@ pub mod unified;
 pub use cost_model::{CostModel, PlanEvaluation, TieredPlanEvaluation};
 pub use cslp::{cslp, hotness_order, sort_by_hotness, CslpOutput};
 pub use dynamic::{CacheStats, FifoCache, LruCache};
-pub use fill::{
-    build_clique_cache, build_feature_cache_single, build_feature_caches_replicated,
-    fill_feature_prefix, fill_feature_slot, fill_topology_slot,
-};
+pub use fill::{book_cache, build_clique_cache, place_prefix};
 pub use hotness::HotnessMatrix;
 pub use planner::{CachePlan, PlannerConfig};
 pub use unified::{CliqueCache, GpuUnifiedCache};

@@ -1,10 +1,14 @@
-//! Property-based tests for CSLP and the cost model — including the
+//! Property-based tests for CSLP, the cost model — including the
 //! §4.3.3 parallel-search machinery checked against a brute-force
-//! reference implementation of Equations 2-8.
+//! reference implementation of Equations 2-8 — and the cache fill walk.
 
 use proptest::prelude::*;
 
-use legion_cache::{cslp, hotness_order, sort_by_hotness, CostModel, CslpOutput, HotnessMatrix};
+use legion_cache::unified::CacheHit;
+use legion_cache::{
+    cslp, hotness_order, place_prefix, sort_by_hotness, CliqueCache, CostModel, CslpOutput,
+    HotnessMatrix,
+};
 use legion_graph::builder::from_edges;
 use legion_graph::{feature_bytes_for_dim, topology_bytes_for_degree, CsrGraph, VertexId};
 
@@ -463,6 +467,118 @@ proptest! {
             prop_assert_eq!(s.hits + s.misses, i as u64 + 1);
             let inserts = if capacity == 0 { 0 } else { s.misses };
             prop_assert_eq!(s.evictions, inserts - s.residents as u64);
+        }
+    }
+}
+
+/// A fill walk's inputs: a graph of `n` vertices whose out-degrees
+/// (0 to 7) set the topology costs, an order (a shuffled subset of its
+/// vertices), each vertex's preferred slot among 1 to 4, a per-slot cap
+/// and a feature dimension.
+#[allow(clippy::type_complexity)]
+fn walk_inputs() -> impl Strategy<Value = (CsrGraph, Vec<VertexId>, Vec<usize>, usize, u64, usize)>
+{
+    (1usize..5, 1usize..60).prop_flat_map(|(slots, n)| {
+        (
+            proptest::collection::vec(0u32..8, n),
+            proptest::collection::vec(any::<u32>(), n),
+            0..=n,
+            proptest::collection::vec(0..slots, n),
+            Just(slots),
+            0u64..400,
+            1usize..4,
+        )
+            .prop_map(move |(degrees, keys, len, preferred, slots, cap, dim)| {
+                let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+                    .flat_map(|v| (1..=degrees[v as usize]).map(move |i| (v, (v + i) % n as u32)))
+                    .collect();
+                let mut order: Vec<VertexId> = (0..n as VertexId).collect();
+                order.sort_by_key(|&v| keys[v as usize]);
+                order.truncate(len);
+                (from_edges(n, &edges), order, preferred, slots, cap, dim)
+            })
+    })
+}
+
+/// Checks one walk over `order` against its contract: topology rows of
+/// `graph` when `topology`, else feature rows of `dim` floats, each on
+/// its preferred slot (when `prefer`) while that slot has room, else on
+/// the least-loaded slot, ties to the lower one.
+fn check_walk(
+    (graph, order, preferred, slots, cap, dim): &(
+        CsrGraph,
+        Vec<VertexId>,
+        Vec<usize>,
+        usize,
+        u64,
+        usize,
+    ),
+    prefer: bool,
+    topology: bool,
+) {
+    let (slots, cap) = (*slots, *cap);
+    let preference = |v: VertexId| prefer.then(|| preferred[v as usize]);
+    let mut cache = CliqueCache::new((0..slots).collect(), graph.num_vertices(), *dim);
+    let placed = place_prefix(
+        &mut cache,
+        topology.then_some(graph),
+        order,
+        cap,
+        preference,
+    );
+    let cost = |v: VertexId| match topology {
+        true => topology_bytes_for_degree(graph.degree(v)),
+        false => feature_bytes_for_dim(*dim as u64),
+    };
+    let lookup = match topology {
+        true => CliqueCache::lookup_topology,
+        false => CliqueCache::lookup_feature,
+    };
+    let holder = |v| (0..slots).find(|&s| lookup(&cache, s, v) == Some(CacheHit::Local));
+    // The placed rows are a prefix of the order.
+    for (i, &v) in order.iter().enumerate() {
+        prop_assert_eq!(holder(v).is_some(), i < placed, "row {} at {}", v, i);
+    }
+    let mut load = vec![0u64; slots];
+    for (i, &v) in order[..placed].iter().enumerate() {
+        let (slot, c) = (holder(v).unwrap(), cost(v));
+        match preference(v) {
+            Some(p) if load[p] + c <= cap => prop_assert_eq!(slot, p, "row {} left its slot", v),
+            _ => {
+                let least = (0..slots).min_by_key(|&s| load[s]).unwrap();
+                prop_assert_eq!(slot, least, "row {} is not on the least-loaded slot", v);
+            }
+        }
+        if !prefer && !topology {
+            prop_assert_eq!(slot, i % slots, "row {} breaks the round-robin stripe", v);
+        }
+        load[slot] += c;
+    }
+    for (s, &l) in load.iter().enumerate() {
+        let held = cache.cache(s);
+        let bytes = match topology {
+            true => held.topology_bytes(),
+            false => held.feature_bytes(),
+        };
+        prop_assert_eq!(bytes, l);
+        prop_assert!(l <= cap, "slot {} holds {} > {}", s, l, cap);
+    }
+    if let Some(&next) = order.get(placed) {
+        prop_assert!(load.iter().all(|&l| l + cost(next) > cap), "{} fits", next);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `place_prefix` keeps its contract for topology and feature rows,
+    /// with a preferred slot per row and with none.
+    #[test]
+    fn fill_walk_places_a_prefix_preferred_then_least_loaded(input in walk_inputs()) {
+        for topology in [true, false] {
+            for prefer in [true, false] {
+                check_walk(&input, prefer, topology);
+            }
         }
     }
 }

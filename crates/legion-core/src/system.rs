@@ -2,7 +2,8 @@
 
 use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 use legion_cache::{
-    build_clique_cache, cslp, fill_feature_prefix, CachePlan, CliqueCache, CostModel, PlannerConfig,
+    book_cache, build_clique_cache, cslp, place_prefix, CachePlan, CliqueCache, CostModel,
+    PlannerConfig,
 };
 use legion_partition::hierarchical_partition;
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
@@ -174,7 +175,14 @@ pub fn legion_feature_cache_setup_with(
             ctx.dataset.graph.num_vertices(),
             ctx.dataset.features.dim(),
         );
-        fill_feature_prefix(ctx.server, &mut cache, &feat_order, rows_per_gpu)?;
+        place_prefix(
+            &mut cache,
+            None,
+            &feat_order.clique_order,
+            rows_per_gpu as u64 * ctx.dataset.features.row_bytes(),
+            |v| Some(feat_order.owner[v as usize] as usize),
+        );
+        book_cache(ctx.server, &cache)?;
         cliques_out.push(cache);
     }
     Ok(SystemSetup {

@@ -25,11 +25,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{
-    build_feature_caches_replicated, fill_feature_slot, fill_topology_slot, hotness_order,
-    CliqueCache,
-};
-use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
+use legion_cache::{book_cache, hotness_order, place_prefix, CliqueCache};
+use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 use legion_partition::{detect_cliques, LdgPartitioner, Partitioner};
 use legion_router::Dispatcher;
@@ -155,17 +152,16 @@ pub fn build_static_layout(
     hot: &[VertexId],
     rows_per_gpu: usize,
 ) -> CacheLayout {
-    let gpus: Vec<GpuId> = (0..server.num_gpus()).collect();
-    let cliques = build_feature_caches_replicated(
-        features,
-        graph.num_vertices(),
-        server,
-        &gpus,
-        hot,
-        rows_per_gpu as u64 * features.row_bytes(),
-    )
-    .expect("static feature cache exceeds GPU memory");
-    CacheLayout::from_cliques(gpus.len(), cliques)
+    let cap = rows_per_gpu as u64 * features.row_bytes();
+    let cliques = (0..server.num_gpus())
+        .map(|gpu| {
+            let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
+            place_prefix(&mut cc, None, hot, cap, |_| None);
+            book_cache(server, &cc).expect("static feature cache exceeds GPU memory");
+            cc
+        })
+        .collect();
+    CacheLayout::from_cliques(server.num_gpus(), cliques)
 }
 
 /// Builds the clique-partitioned hybrid layout the residency router
@@ -218,9 +214,27 @@ pub fn build_partitioned_layout_adaptive(
     weight: &[u64],
     rows_per_gpu: usize,
 ) -> (CacheLayout, Vec<Vec<GpuId>>, Vec<usize>) {
+    let (cliques, groups, replicated) =
+        partitioned_feature_cliques(graph, features, server, hot, weight, rows_per_gpu);
+    for cc in &cliques {
+        book_cache(server, cc).expect("partitioned feature cache exceeds GPU memory");
+    }
+    let layout = CacheLayout::from_cliques(server.num_gpus(), cliques);
+    (layout, groups, replicated)
+}
+
+/// [`build_partitioned_layout_adaptive`]'s cliques, walked but not yet
+/// booked on the server.
+fn partitioned_feature_cliques(
+    graph: &CsrGraph,
+    features: &FeatureTable,
+    server: &MultiGpuServer,
+    hot: &[VertexId],
+    weight: &[u64],
+    rows_per_gpu: usize,
+) -> (Vec<CliqueCache>, Vec<Vec<GpuId>>, Vec<usize>) {
     let groups = detect_cliques(server.nvlink());
     let part = edge_cut_partition(graph, groups.len());
-    let num_gpus = server.num_gpus();
     let mut cliques = Vec::with_capacity(groups.len());
     let mut replicated_per_clique = Vec::with_capacity(groups.len());
     for (gi, members) in groups.iter().enumerate() {
@@ -256,21 +270,14 @@ pub fn build_partitioned_layout_adaptive(
                 chosen.push(v);
             }
         }
+        // Least-loaded at one cost per row, ties to the lower slot: a
+        // round-robin stripe, and every chosen row fits.
         let mut cc = CliqueCache::new(members.clone(), graph.num_vertices(), features.dim());
-        for slot in 0..members.len() {
-            let stripe: Vec<VertexId> = chosen
-                .iter()
-                .skip(slot)
-                .step_by(members.len())
-                .copied()
-                .collect();
-            fill_feature_slot(server, &mut cc, slot, &stripe)
-                .expect("partitioned feature cache exceeds GPU memory");
-        }
+        let cap = rows_per_gpu as u64 * features.row_bytes();
+        place_prefix(&mut cc, None, &chosen, cap, |_| None);
         cliques.push(cc);
     }
-    let layout = CacheLayout::from_cliques(num_gpus, cliques);
-    (layout, groups, replicated_per_clique)
+    (cliques, groups, replicated_per_clique)
 }
 
 /// Routed StaticHot's plan: Legion's unified cache on every NVLink
@@ -315,7 +322,7 @@ pub(crate) fn build_routed_unified_layout(
         .min()
         .unwrap_or(0) as usize;
     let weight = profile.feat.row(0);
-    let (mut layout, groups, replicated) = build_partitioned_layout_adaptive(
+    let (mut cliques, groups, replicated) = partitioned_feature_cliques(
         graph,
         features,
         server,
@@ -323,27 +330,13 @@ pub(crate) fn build_routed_unified_layout(
         weight,
         rows_per_gpu,
     );
-    for clique in &mut layout.cliques {
+    for clique in &mut cliques {
         let k = clique.gpus().len();
         let (split, topo) = &splits[&k];
-        let cap = split.m_t / k as u64;
-        let mut held = vec![0u64; k];
-        let mut stripes = vec![Vec::new(); k];
-        for &v in topo {
-            let slot = (0..k)
-                .min_by_key(|&s| held[s])
-                .expect("a clique has members");
-            held[slot] += topology_bytes_for_degree(graph.degree(v));
-            if held[slot] > cap {
-                break;
-            }
-            stripes[slot].push(v);
-        }
-        for (slot, stripe) in stripes.iter().enumerate() {
-            fill_topology_slot(server, graph, clique, slot, stripe)
-                .expect("routed topology cache exceeds GPU memory");
-        }
+        place_prefix(clique, Some(graph), topo, split.m_t / k as u64, |_| None);
+        book_cache(server, clique).expect("routed unified cache exceeds GPU memory");
     }
+    let layout = CacheLayout::from_cliques(server.num_gpus(), cliques);
     (layout, groups, replicated)
 }
 

@@ -52,7 +52,7 @@ use legion_hw::pcm::TrafficKind;
 use legion_hw::traffic::Source;
 use legion_hw::{GpuId, MultiGpuServer, TimeModel};
 use legion_partition::detect_cliques;
-use legion_pipeline::{QueueDepthMeter, StageRecorder};
+use legion_pipeline::{BatchCost, QueueDepthMeter, StageRecorder};
 use legion_router::{
     fill_probe, Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
@@ -797,7 +797,8 @@ struct BatchTiming {
 impl BatchTiming {
     /// `max(sample, extract) + infer + swap`.
     fn service(&self) -> f64 {
-        self.sample_s.max(self.extract_s) + self.infer_s + self.swap_s
+        let cost = BatchCost::overlapped(self.sample_s, self.extract_s, self.infer_s);
+        cost.prep + cost.train + self.swap_s
     }
 }
 

@@ -36,7 +36,9 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{sort_by_hotness, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation};
+use legion_cache::{
+    place_prefix, sort_by_hotness, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation,
+};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
 use legion_sampling::access::{sample_from_into, CacheLayout, FloydSet};
@@ -535,15 +537,11 @@ fn materialize(
     evaluation: PlanEvaluation,
 ) -> Plan {
     let mut cc = CliqueCache::new(vec![gpu], graph.num_vertices(), features.dim());
+    place_prefix(&mut cc, Some(graph), &topo.order, evaluation.m_t, |_| None);
+    place_prefix(&mut cc, None, &feat.order, evaluation.m_f, |_| None);
     let mut topo_set = topo.order[..evaluation.topo_cached_vertices].to_vec();
-    for &v in &topo_set {
-        cc.insert_topology(0, v, graph.degree(v));
-    }
     let mut feat_set = feat.order[..evaluation.feat_cached_vertices].to_vec();
-    for &v in &feat_set {
-        cc.insert_feature(0, v);
-    }
-    // The cache holds exactly the vertices the cost model priced.
+    // The walk holds exactly the vertices the cost model priced.
     assert_eq!(
         cc.cache(0).topology_entries(),
         evaluation.topo_cached_vertices

@@ -15,6 +15,7 @@ use serde::Serialize;
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{CsrGraph, FeatureTable};
 use legion_hw::{MultiGpuServer, TimeModel};
+use legion_pipeline::BatchCost;
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{BatchStep, Extract, KHopSampler, LowerTier};
 
@@ -263,7 +264,8 @@ pub fn estimate_capacity_rps(
             let infer_t = step
                 .time()
                 .train_seconds(model.inference_flops(&out.sample));
-            round = round.max(out.sample_s.max(out.extract_s) + infer_t);
+            let cost = BatchCost::overlapped(out.sample_s, out.extract_s, infer_t);
+            round = round.max(cost.prep + cost.train);
         }
         if i >= WARMUP_BATCHES {
             total += round;
