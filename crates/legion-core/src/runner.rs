@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use legion_baselines::{ScheduleKind, SystemSetup};
+use legion_cache::hotness_order;
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::dataset::Dataset;
 use legion_graph::{feature_bytes_for_dim, VertexId};
@@ -26,7 +27,7 @@ use legion_pipeline::{
 };
 use legion_sampling::access::AccessEngine;
 use legion_sampling::extract::HitStats;
-use legion_sampling::{BatchGenerator, BatchStep, Extract, KHopSampler, LowerTier};
+use legion_sampling::{worker_rng, BatchGenerator, BatchStep, Extract, KHopSampler, LowerTier};
 use legion_store::{NvmeGeneration, NvmeModel, VertexStore};
 use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
 
@@ -212,7 +213,6 @@ struct EpochStore {
     late_stalls: Counter,
     cold_reads: Counter,
     nvme_bytes: Counter,
-    missed: Vec<VertexId>,
 }
 
 impl EpochStore {
@@ -235,7 +235,6 @@ impl EpochStore {
             late_stalls: registry.counter("epoch.store.late_stalls"),
             cold_reads: registry.counter("epoch.store.cold_reads"),
             nvme_bytes: registry.counter("store.nvme.bytes"),
-            missed: Vec::new(),
         }
     }
 }
@@ -244,14 +243,13 @@ impl LowerTier for EpochStore {
     /// Every HBM miss is the store's: DRAM rows pass through its read
     /// untouched, SSD rows stall.
     fn claim(&mut self, v: VertexId) -> bool {
-        self.missed.push(v);
+        self.store.claim(v);
         true
     }
 
     /// Resolves the batch's misses against the store at epoch time `at`.
     fn charge(&mut self, at: f64) -> f64 {
-        let out = self.store.read(at, &self.missed);
-        self.missed.clear();
+        let out = self.store.charge(at);
         self.prefetch_hits.add(out.prefetch_hits);
         self.late_stalls.add(out.late_stalls);
         self.cold_reads.add(out.cold_reads);
@@ -327,22 +325,16 @@ pub fn run_epoch_with_store(
     // Host-DRAM fill by degree: sampled neighborhoods concentrate on
     // high-degree rows (the same structural hotness the HBM cost model
     // ranks by), so the head stays resident and the long tail spills.
-    // The sort is stable, keeping the placement deterministic across
-    // runs for equal-degree rows.
-    let mut order: Vec<VertexId> = (0..num_vertices as VertexId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(graph.neighbors(v).len()));
+    // Equal degrees rank by id, keeping the placement deterministic.
+    let degrees: Vec<u64> = (0..num_vertices as VertexId)
+        .map(|v| graph.neighbors(v).len() as u64)
+        .collect();
+    let order = hotness_order(&degrees);
     let spill = Spill {
         cfg: store_cfg,
         ssd_rows: &order[dram_rows..],
     };
     epoch_loop(setup, ctx, config, model_kind, Some(spill))
-}
-
-/// The RNG trainer GPU `gpu` draws its epoch's shuffle and neighbours
-/// from; a stream apart from pre-sampling's
-/// ([`legion_sampling::presample_rng`]).
-fn trainer_rng(seed: u64, gpu: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7))
 }
 
 /// The one epoch loop: every trainer GPU walks its shuffled batches
@@ -401,7 +393,7 @@ fn epoch_loop(
             continue;
         }
         let mut store = spill.map(|s| EpochStore::new(&s, ctx.dataset, server.telemetry()));
-        let mut rng = trainer_rng(config.seed, gpu);
+        let mut rng = worker_rng(config.seed, gpu);
         let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
             .with_telemetry(server.telemetry(), gpu);
         let batches = generator.epoch(&mut rng);
@@ -666,7 +658,7 @@ mod tests {
                 BatchGenerator::new(tablet.clone(), 32).epoch(&mut rng)[0].clone()
             };
             assert_ne!(
-                first(trainer_rng(7, gpu)),
+                first(worker_rng(7, gpu)),
                 first(legion_sampling::presample_rng(7, gpu)),
                 "GPU {gpu}"
             );

@@ -339,7 +339,7 @@ const RESIZE_MIN_OVERLAP: f64 = 0.7;
 /// ([`adaptive_replicated_rows`]) — but on the live window curve
 /// instead of the stale warmup curve. Every server's ownership bitmap
 /// is updated, new replicas are refilled over the cluster network
-/// (charged through [`NetModel`] at fleet concurrency), and the
+/// (one [`NetModel::wave`] per server at fleet concurrency), and the
 /// dispatcher's groups are refreshed so routing follows the new head
 /// immediately. Resizes commit only at bucket boundaries — the routing
 /// analog of the engine's batch-boundary plan swaps.
@@ -441,7 +441,7 @@ impl HeadResizer {
         for &v in &new_head {
             in_new[v as usize] = true;
         }
-        let mut owner_payload_rows = vec![0u64; self.num_servers];
+        let mut owner_rows = vec![0u64; self.num_servers];
         for (s, owned_s) in owned.iter_mut().enumerate() {
             let o = Rc::make_mut(owned_s);
             // Replicas the new head drops fall back to shard-only
@@ -453,37 +453,19 @@ impl HeadResizer {
             }
             // New replicas this server lacks are refilled from their
             // owning shards over the cluster fabric.
-            let mut added = 0u64;
-            owner_payload_rows.iter_mut().for_each(|r| *r = 0);
+            owner_rows.fill(0);
             for &v in &new_head {
                 if !o[v as usize] {
                     o[v as usize] = true;
-                    added += 1;
-                    owner_payload_rows[shard[v as usize] as usize] += 1;
+                    owner_rows[shard[v as usize] as usize] += 1;
                 }
             }
-            if added > 0 {
-                self.refill_rows += added;
-                if self.coalesce {
-                    let payloads: Vec<u64> = owner_payload_rows
-                        .iter()
-                        .filter(|&&r| r > 0)
-                        .map(|&r| r * self.row_bytes)
-                        .collect();
-                    self.refill_bytes += payloads
-                        .iter()
-                        .map(|&p| self.net.bytes_for_payload(p))
-                        .sum::<u64>();
-                    self.refill_s += self
-                        .net
-                        .coalesced_read_seconds_at(&payloads, self.num_servers);
-                } else {
-                    self.refill_bytes += added * self.net.bytes_for_payload(self.row_bytes);
-                    self.refill_s +=
-                        self.net
-                            .read_seconds_at(added, self.row_bytes, self.num_servers);
-                }
-            }
+            let wave = self
+                .net
+                .wave(&owner_rows, self.row_bytes, self.coalesce, self.num_servers);
+            self.refill_rows += owner_rows.iter().sum::<u64>();
+            self.refill_bytes += wave.wire_bytes;
+            self.refill_s += wave.seconds;
         }
         for &v in &self.head {
             self.is_replicated[v as usize] = false;

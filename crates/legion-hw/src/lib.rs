@@ -33,7 +33,7 @@ pub mod time_model;
 pub mod traffic;
 
 pub use device::{GpuDevice, HwError};
-pub use net::{NetModel, UplinkConfig};
+pub use net::{NetModel, RemoteWave, UplinkConfig};
 pub use nvlink::NvLinkTopology;
 pub use pcie::{PcieGeneration, PcieModel};
 pub use pcm::PcmCounters;

@@ -44,7 +44,7 @@ const NANOS_PER_SEC: f64 = 1e9;
 /// Shared-uplink contention: what happens when several servers' remote
 /// waves cross the fabric *at the same time*.
 ///
-/// The uncontended [`NetModel::read_seconds`] charges each server's
+/// The uncontended [`NetModel::read_seconds_at`] charges each server's
 /// wave as if it had the fabric to itself. A real rack does not work
 /// that way: every server's NIC also serializes the traffic it *serves*
 /// to its peers, and all the servers' flows funnel through a shared
@@ -119,6 +119,17 @@ impl UplinkConfig {
     }
 }
 
+/// What one remote wave costs ([`NetModel::wave`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RemoteWave {
+    /// Seconds the wave takes, whole nanoseconds.
+    pub seconds: f64,
+    /// Bytes on the wire: payloads plus one header per message.
+    pub wire_bytes: u64,
+    /// Messages sent: one per row, or one per owning server.
+    pub messages: u64,
+}
+
 /// Analytic cluster-network read model.
 ///
 /// # Examples
@@ -130,7 +141,7 @@ impl UplinkConfig {
 /// // One remote 512 B feature row is latency-bound, far below peak.
 /// assert!(net.effective_bandwidth(512.0) < 0.2 * net.peak_bandwidth());
 /// // A single remote read pays at least one round trip.
-/// assert!(net.read_seconds(1, 512) >= 25e-6);
+/// assert!(net.read_seconds_at(1, 512, 1) >= 25e-6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
@@ -210,21 +221,14 @@ impl NetModel {
     }
 
     /// Seconds for a batch of `num_reads` remote reads of
-    /// `payload_bytes` each: the requests complete in
-    /// `ceil(num_reads / max_inflight)` waves, each paying one round
-    /// trip, and the payload moves at the payload-dependent effective
-    /// bandwidth. The result is quantized to whole nanoseconds so it
-    /// composes with the simulator's integer-ns horizon.
-    pub fn read_seconds(&self, num_reads: u64, payload_bytes: u64) -> f64 {
-        self.read_seconds_at(num_reads, payload_bytes, 1)
-    }
-
-    /// [`read_seconds`](Self::read_seconds) under shared-uplink
-    /// contention: the bandwidth term is stretched by
-    /// [`UplinkConfig::stretch`] for `concurrent` simultaneously
-    /// active servers. With no contention config, or a single active
-    /// server, this is exactly the uncontended charge (same integer-ns
-    /// result, bit for bit).
+    /// `payload_bytes` each while `concurrent` servers are active: the
+    /// requests complete in `ceil(num_reads / max_inflight)` waves, each
+    /// paying one round trip, and the payload moves at the
+    /// payload-dependent effective bandwidth, stretched by
+    /// [`UplinkConfig::stretch`] under contention (exactly the
+    /// uncontended charge with no contention config or one server). The
+    /// result is quantized to whole nanoseconds so it composes with the
+    /// simulator's integer-ns horizon.
     pub fn read_seconds_at(&self, num_reads: u64, payload_bytes: u64, concurrent: usize) -> f64 {
         if num_reads == 0 {
             return 0.0;
@@ -248,18 +252,46 @@ impl NetModel {
     /// fewer messages amortize both the per-message header overhead
     /// and the round-trip waves. Quantized to whole nanoseconds.
     pub fn coalesced_read_seconds_at(&self, payloads: &[u64], concurrent: usize) -> f64 {
-        let messages = payloads.iter().filter(|&&p| p > 0).count() as u64;
+        self.wave(payloads, 1, true, concurrent).seconds
+    }
+
+    /// Prices one wave of remote rows, `owner_rows[s]` of `row_bytes`
+    /// each from server `s`, while `concurrent` servers share the
+    /// uplink: per row, each row is its own RPC
+    /// ([`read_seconds_at`](Self::read_seconds_at)); per owner, each
+    /// server's rows go in one message, in server order
+    /// ([`coalesced_read_seconds_at`](Self::coalesced_read_seconds_at)).
+    pub fn wave(
+        &self,
+        owner_rows: &[u64],
+        row_bytes: u64,
+        per_owner: bool,
+        concurrent: usize,
+    ) -> RemoteWave {
+        if !per_owner {
+            let rows: u64 = owner_rows.iter().sum();
+            return RemoteWave {
+                seconds: self.read_seconds_at(rows, row_bytes, concurrent),
+                wire_bytes: rows * self.bytes_for_payload(row_bytes),
+                messages: rows,
+            };
+        }
+        let payloads = owner_rows.iter().map(|&r| r * row_bytes).filter(|&p| p > 0);
+        let messages = payloads.clone().count() as u64;
         if messages == 0 {
-            return 0.0;
+            return RemoteWave::default();
         }
         let waves = messages.div_ceil(MAX_INFLIGHT);
         let bw: f64 = payloads
-            .iter()
-            .filter(|&&p| p > 0)
-            .map(|&p| p as f64 / self.effective_bandwidth(p as f64))
+            .clone()
+            .map(|p| p as f64 / self.effective_bandwidth(p as f64))
             .sum();
         let seconds = waves as f64 * self.rtt_s + bw * self.stretch_for(concurrent);
-        (seconds * NANOS_PER_SEC).round() / NANOS_PER_SEC
+        RemoteWave {
+            seconds: (seconds * NANOS_PER_SEC).round() / NANOS_PER_SEC,
+            wire_bytes: payloads.map(|p| self.bytes_for_payload(p)).sum(),
+            messages,
+        }
     }
 
     /// The active contention stretch for `concurrent` servers; `1.0`
@@ -294,26 +326,26 @@ mod tests {
         // Remote reads only hurt if the fabric per-row cost exceeds the
         // local extraction cost; a single row must be latency-bound.
         let m = NetModel::rpc();
-        assert!(m.read_seconds(1, 512) >= RPC_RTT_S);
-        assert_eq!(m.read_seconds(0, 512), 0.0);
+        assert!(m.read_seconds_at(1, 512, 1) >= RPC_RTT_S);
+        assert_eq!(m.read_seconds_at(0, 512, 1), 0.0);
     }
 
     #[test]
     fn inflight_window_bounds_concurrency() {
         let m = NetModel::rpc();
-        let one_wave = m.read_seconds(MAX_INFLIGHT, 512);
-        let two_waves = m.read_seconds(MAX_INFLIGHT + 1, 512);
+        let one_wave = m.read_seconds_at(MAX_INFLIGHT, 512, 1);
+        let two_waves = m.read_seconds_at(MAX_INFLIGHT + 1, 512, 1);
         assert!(two_waves > one_wave + 0.9 * RPC_RTT_S);
         // Within one wave, the round trip is paid once.
-        let partial = m.read_seconds(MAX_INFLIGHT / 2, 512);
+        let partial = m.read_seconds_at(MAX_INFLIGHT / 2, 512, 1);
         assert!(one_wave - partial < RPC_RTT_S);
     }
 
     #[test]
     fn batched_reads_amortize_the_round_trip() {
         let m = NetModel::rpc();
-        let solo = m.read_seconds(1, 512);
-        let batch = m.read_seconds(64, 512);
+        let solo = m.read_seconds_at(1, 512, 1);
+        let batch = m.read_seconds_at(64, 512, 1);
         // 64 reads in one wave cost far less than 64 solo reads.
         assert!(batch < 0.5 * (64.0 * solo));
     }
@@ -322,11 +354,11 @@ mod tests {
     fn read_seconds_are_whole_nanoseconds() {
         let m = NetModel::rpc();
         for (n, p) in [(1u64, 512u64), (37, 128), (1000, 4096), (63, 260)] {
-            let s = m.read_seconds(n, p);
+            let s = m.read_seconds_at(n, p, 1);
             let ns = s * 1e9;
             assert!(
                 (ns - ns.round()).abs() < 1e-6,
-                "read_seconds({n}, {p}) = {s} is not integer-ns"
+                "read_seconds_at({n}, {p}, 1) = {s} is not integer-ns"
             );
         }
     }
@@ -343,9 +375,15 @@ mod tests {
         let contended = plain.with_contention(UplinkConfig::default());
         for (n, p) in [(1u64, 512u64), (64, 512), (300, 4096), (7, 64)] {
             // No contention config: any concurrency is charged flat.
-            assert_eq!(plain.read_seconds_at(n, p, 16), plain.read_seconds(n, p));
+            assert_eq!(
+                plain.read_seconds_at(n, p, 16),
+                plain.read_seconds_at(n, p, 1)
+            );
             // Contention config but one active server: exclusive fabric.
-            assert_eq!(contended.read_seconds_at(n, p, 1), plain.read_seconds(n, p));
+            assert_eq!(
+                contended.read_seconds_at(n, p, 1),
+                plain.read_seconds_at(n, p, 1)
+            );
         }
     }
 
@@ -383,7 +421,7 @@ mod tests {
     fn coalesced_wave_undercuts_per_row_charging() {
         let m = NetModel::rdma();
         // 192 rows of 512 B spread over 3 owners vs 192 individual RPCs.
-        let per_row = m.read_seconds(192, 512);
+        let per_row = m.read_seconds_at(192, 512, 1);
         let coalesced = m.coalesced_read_seconds_at(&[64 * 512, 96 * 512, 32 * 512], 1);
         assert!(
             coalesced < per_row,
@@ -411,7 +449,7 @@ mod tests {
         let rpc = NetModel::rpc();
         let rdma = NetModel::rdma();
         for (n, p) in [(1u64, 512u64), (64, 512), (300, 4096)] {
-            assert!(rdma.read_seconds(n, p) < rpc.read_seconds(n, p));
+            assert!(rdma.read_seconds_at(n, p, 1) < rpc.read_seconds_at(n, p, 1));
         }
         assert_eq!(rdma.bytes_for_payload(512), 512 + 256);
     }

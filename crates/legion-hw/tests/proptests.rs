@@ -58,7 +58,7 @@ proptest! {
     ) {
         let net = NetModel::rpc();
         // Any nonempty read set pays at least one round trip.
-        prop_assert!(net.read_seconds(reads, payload) >= net.rtt_seconds());
+        prop_assert!(net.read_seconds_at(reads, payload, 1) >= net.rtt_seconds());
     }
 
     #[test]
@@ -69,7 +69,7 @@ proptest! {
     ) {
         let net = NetModel::rpc();
         let (lo, hi) = if p1 < p2 { (p1, p2) } else { (p2, p1) };
-        prop_assert!(net.read_seconds(reads, lo) <= net.read_seconds(reads, hi));
+        prop_assert!(net.read_seconds_at(reads, lo, 1) <= net.read_seconds_at(reads, hi, 1));
     }
 
     #[test]
@@ -80,7 +80,7 @@ proptest! {
         let net = NetModel::rpc();
         // Total time covers ceil(reads / max_inflight) round-trip waves.
         let waves = reads.div_ceil(net.max_inflight());
-        prop_assert!(net.read_seconds(reads, payload) >= waves as f64 * net.rtt_seconds());
+        prop_assert!(net.read_seconds_at(reads, payload, 1) >= waves as f64 * net.rtt_seconds());
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
             .with_contention(UplinkConfig { oversubscription: over, nic_serialization: nic });
         // One server sharing the uplink is the uncontended charge, and
         // the uncontended model at any concurrency too.
-        let alone = NetModel::rpc().read_seconds(reads, payload);
+        let alone = NetModel::rpc().read_seconds_at(reads, payload, 1);
         prop_assert_eq!(net.read_seconds_at(reads, payload, 1), alone);
         let (lo, hi) = if k1 < k2 { (k1, k2) } else { (k2, k1) };
         prop_assert!(
@@ -145,6 +145,58 @@ proptest! {
                 .sum();
             prop_assert!(t <= per_owner + 1e-9);
         }
+    }
+
+    /// A wave of rows per owner costs, bit for bit, what the two raw
+    /// charges give: every row its own RPC per row, one message per owner
+    /// holding rows per owner, each with one header per message. The
+    /// per-owner seconds also equal the coalesced charge's formula,
+    /// written out here as the reference.
+    #[test]
+    fn remote_wave_is_the_raw_charge_plus_its_headers(
+        owner_rows in proptest::collection::vec(
+            (any::<bool>(), 1u64..300).prop_map(|(idle, r)| if idle { 0 } else { r }),
+            0..12,
+        ),
+        row_bytes in 1u64..8192,
+        k in 1usize..20,
+        rdma in any::<bool>(),
+    ) {
+        let base = if rdma { NetModel::rdma() } else { NetModel::rpc() };
+        let net = base.with_contention(UplinkConfig::default());
+        let rows: u64 = owner_rows.iter().sum();
+        let per_row = net.wave(&owner_rows, row_bytes, false, k);
+        prop_assert_eq!(
+            per_row.seconds.to_bits(),
+            net.read_seconds_at(rows, row_bytes, k).to_bits()
+        );
+        prop_assert_eq!(per_row.wire_bytes, rows * net.bytes_for_payload(row_bytes));
+        prop_assert_eq!(per_row.messages, rows);
+        let payloads: Vec<u64> = owner_rows
+            .iter()
+            .filter(|&&r| r > 0)
+            .map(|&r| r * row_bytes)
+            .collect();
+        let per_owner = net.wave(&owner_rows, row_bytes, true, k);
+        prop_assert_eq!(
+            per_owner.seconds.to_bits(),
+            net.coalesced_read_seconds_at(&payloads, k).to_bits()
+        );
+        let messages = payloads.len() as u64;
+        let stretch = if k > 1 { UplinkConfig::default().stretch(k) } else { 1.0 };
+        let bw: f64 = payloads
+            .iter()
+            .map(|&p| p as f64 / net.effective_bandwidth(p as f64))
+            .sum();
+        let seconds = messages.div_ceil(net.max_inflight()) as f64 * net.rtt_seconds()
+            + bw * stretch;
+        let reference = if messages == 0 { 0.0 } else { (seconds * 1e9).round() / 1e9 };
+        prop_assert_eq!(per_owner.seconds.to_bits(), reference.to_bits());
+        prop_assert_eq!(
+            per_owner.wire_bytes,
+            payloads.iter().map(|&p| net.bytes_for_payload(p)).sum::<u64>()
+        );
+        prop_assert_eq!(per_owner.messages, payloads.len() as u64);
     }
 
     #[test]

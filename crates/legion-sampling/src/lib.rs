@@ -56,6 +56,6 @@ pub mod step;
 pub use access::{AccessEngine, BatchTotals, CacheLayout, FloydSet, TopologyPlacement};
 pub use batch::BatchGenerator;
 pub use landing::LandingRing;
-pub use presample::{presample, presample_rng, PresampleOutput};
+pub use presample::{presample, presample_rng, worker_rng, PresampleOutput};
 pub use sampler::{Block, KHopSampler, MiniBatchSample, SampleScratch};
 pub use step::{BatchStep, Extract, LowerTier, Stepped};

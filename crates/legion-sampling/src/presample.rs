@@ -36,15 +36,20 @@ pub struct PresampleOutput {
     pub n_tsum: u64,
 }
 
-/// Salt that gives pre-sampling an RNG stream of its own. Trainers seed
-/// GPU `g` with `seed ^ g·c` for another constant `c`; unsalted, both
-/// formulas reduce to `seed` at GPU 0, whose training epoch would then
-/// redraw the very shuffle and neighbours its cache was built from.
+/// Salt that gives pre-sampling an RNG stream of its own. Workers seed
+/// GPU `g` with `seed ^ g·c` ([`worker_rng`]); unsalted, both formulas
+/// reduce to `seed` at GPU 0, whose training epoch would then redraw the
+/// very shuffle and neighbours its cache was built from.
 const PRESAMPLE_STREAM: u64 = 0x7072_6573_616d_706c; // "presampl"
 
 /// The RNG pre-sampling draws GPU `gpu`'s shuffle and neighbours from.
 pub fn presample_rng(seed: u64, gpu: GpuId) -> StdRng {
     StdRng::seed_from_u64(seed ^ PRESAMPLE_STREAM ^ (gpu as u64).wrapping_mul(0x9E37_79B9))
+}
+
+/// The RNG GPU `gpu`'s trainer or serving worker draws from.
+pub fn worker_rng(seed: u64, gpu: GpuId) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7))
 }
 
 /// Runs pre-sampling for one clique.

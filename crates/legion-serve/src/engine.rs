@@ -44,7 +44,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{cslp, FifoCache};
+use legion_cache::{hotness_order, FifoCache};
 use legion_dyn::{DeltaOverlay, MutationLog, MutationOp};
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
@@ -57,13 +57,15 @@ use legion_router::{
     fill_probe, Admission, ClassedQueue, Dispatcher, PriorityClass, RouterPolicy, CLASS_COUNT,
 };
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
-use legion_sampling::{BatchStep, Extract, KHopSampler, LandingRing, LowerTier, MiniBatchSample};
-use legion_store::{NvmeModel, Tier, VertexStore};
+use legion_sampling::{
+    worker_rng, BatchStep, Extract, KHopSampler, LandingRing, LowerTier, MiniBatchSample,
+};
+use legion_store::{NvmeModel, VertexStore};
 use legion_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
 use crate::batcher::BatchPolicy;
 use crate::cache_policy::{build_routed_unified_layout, ownership_dispatcher, PolicyKind};
-use crate::replan::{cost_model, profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile};
+use crate::replan::{profile_warmup, Plan, ReplanState, SwapDelta, WarmupProfile};
 use crate::slo::{latency_buckets, SloTracker};
 use crate::workload::{generate_workload_classed, ClassSampler, Request, TargetSampler};
 use crate::{RemoteConfig, ServeConfig, StoreConfig};
@@ -204,26 +206,27 @@ impl StoreMeters {
             nvme_read_us: registry.histogram("store.nvme.read_us", &latency_buckets()),
         }
     }
+
+    /// Meters one device wave of `commands` commands moving `bytes`,
+    /// `read_us` from its start to its last completion; none when the
+    /// wave is empty.
+    fn wave(&self, commands: u64, bytes: u64, read_us: u64) {
+        if commands > 0 {
+            self.nvme_bytes.add(bytes);
+            self.nvme_queue_depth.observe(commands);
+            self.nvme_read_us.observe(read_us);
+        }
+    }
 }
 
-/// The SSD tier shared by every per-GPU store, planned once per
-/// [`Deployment`]; runs share it read-only.
-pub(crate) struct StorePlacement {
-    /// The rows on the SSD, hottest first: the suffix of the CSLP feature
-    /// order past the tiered plan's HBM + DRAM prefix.
-    ssd_rows: Rc<Vec<VertexId>>,
-    /// `on_ssd[v]`: whether `v` is one of `ssd_rows`, the placement-time
-    /// membership a re-plan commit demotes back to.
-    on_ssd: Rc<Vec<bool>>,
-}
-
-/// Runs the three-tier placement for a store-enabled config: warmup
-/// profile → CSLP orders →
+/// The three-tier placement's SSD rows, hottest first: the feature
+/// hotness order past the `m_f / row` HBM rows and `dram_budget / row`
+/// DRAM rows of the warm-up profile's cost model's
 /// [`legion_cache::CostModel::best_plan_tiered`] under the HBM budget
-/// (`cache_rows_per_gpu` rows) and the configured DRAM budget. Every row past the HBM + DRAM prefix of the feature order
-/// starts on the SSD. Returns `None` when the budget swallows the whole
-/// table — the all-resident degenerate case runs the two-tier path with
-/// zero store state.
+/// (`cache_rows_per_gpu` rows). The model, its HBM plans' own, ranks the
+/// non-zero support only; the zero tail adds nothing to Eqs. 4, 7 or
+/// `N_NVME`, so `α` and `m_f` are the full order's. `None` when the
+/// budget holds the whole table: the two-tier run, no store state.
 fn plan_store_placement(
     graph: &CsrGraph,
     features: &FeatureTable,
@@ -231,64 +234,46 @@ fn plan_store_placement(
     config: &ServeConfig,
     profile: &WarmupProfile,
     dram_budget: u64,
-) -> Option<StorePlacement> {
+) -> Option<Vec<VertexId>> {
     let row_bytes = features.row_bytes();
     let nvme = NvmeModel::new(config.store.nvme);
-    let t = cslp(&profile.topo);
-    let f = cslp(&profile.feat);
-    let model = cost_model(
-        graph,
-        features,
-        (&t.clique_order, &t.accumulated),
-        (&f.clique_order, &f.accumulated),
-        profile.n_tsum,
-        server.pcie().cls(),
-    );
     let hbm_budget = config.cache_rows_per_gpu as u64 * row_bytes;
     // One NVMe block transaction costs its bandwidth ratio against the
     // PCIe link in PCIe-transaction-equivalent terms.
     let block_payload = nvme.bytes_for_payload(row_bytes) as f64;
     let ssd_penalty = server.pcie().effective_bandwidth(row_bytes as f64)
         / nvme.effective_bandwidth(block_payload);
-    let tiered = model.best_plan_tiered(
-        hbm_budget,
-        dram_budget,
-        config.replan.delta_alpha,
-        nvme.block_bytes(),
-        ssd_penalty,
-    );
-    let resident = tiered.plan.feat_cached_vertices + tiered.dram_feat_vertices;
-    let ssd_rows = f.clique_order[resident..].to_vec();
-    if ssd_rows.is_empty() {
-        return None;
-    }
-    let mut on_ssd = vec![false; graph.num_vertices()];
-    for &v in &ssd_rows {
-        on_ssd[v as usize] = true;
-    }
-    Some(StorePlacement {
-        ssd_rows: Rc::new(ssd_rows),
-        on_ssd: Rc::new(on_ssd),
-    })
+    let m_f = profile
+        .model(graph, features, server.pcie().cls())
+        .best_plan_tiered(
+            hbm_budget,
+            dram_budget,
+            config.replan.delta_alpha,
+            nvme.block_bytes(),
+            ssd_penalty,
+        )
+        .plan
+        .m_f;
+    let mut ssd_rows = hotness_order(profile.feat.row(0));
+    let resident = (m_f / row_bytes).saturating_add(dram_budget / row_bytes);
+    ssd_rows.drain(..resident.min(ssd_rows.len() as u64) as usize);
+    (!ssd_rows.is_empty()).then_some(ssd_rows)
 }
 
 /// Per-worker out-of-core state: the GPU's NUMA-local store (NVMe
-/// namespace + pinned staging window), the placement-time SSD membership
-/// for migration decisions, the shared meters, the prefetcher's knobs,
-/// and the batch's HBM misses awaiting [`LowerTier::charge`].
+/// namespace + pinned staging window, which also holds the placement's
+/// tiers and the batch's claimed misses), the shared meters and the
+/// prefetcher's knobs.
 pub(crate) struct StoreWorker {
     store: VertexStore,
-    on_ssd: Rc<Vec<bool>>,
     meters: StoreMeters,
-    lookahead: usize,
-    prefetch_neighbors: usize,
-    prefetch_budget: usize,
-    missed: Vec<VertexId>,
+    cfg: StoreConfig,
 }
 
 impl StoreWorker {
     fn new(
-        placement: &StorePlacement,
+        ssd_rows: &[VertexId],
+        num_vertices: usize,
         cfg: &StoreConfig,
         row_bytes: u64,
         registry: &Registry,
@@ -298,19 +283,16 @@ impl StoreWorker {
         // warmup epoch, outside the measured serving window.
         let store = VertexStore::with_ssd_rows(
             NvmeModel::new(cfg.nvme),
-            placement.on_ssd.len(),
+            num_vertices,
             row_bytes,
             cfg.staging_rows,
-            &placement.ssd_rows,
+            ssd_rows,
         );
+        let meters = StoreMeters::new(registry);
         Self {
             store,
-            on_ssd: Rc::clone(&placement.on_ssd),
-            meters: StoreMeters::new(registry),
-            lookahead: cfg.lookahead_requests,
-            prefetch_neighbors: cfg.prefetch_neighbors,
-            prefetch_budget: cfg.prefetch_budget,
-            missed: Vec::new(),
+            meters,
+            cfg: *cfg,
         }
     }
 
@@ -330,23 +312,16 @@ impl StoreWorker {
             at,
             graph,
             targets,
-            self.prefetch_neighbors,
-            self.prefetch_budget,
+            self.cfg.prefetch_neighbors,
+            self.cfg.prefetch_budget,
         );
-        if out.issued > 0 {
-            self.meters.evictions.add(out.evictions);
-            self.meters.nvme_bytes.add(out.nvme_bytes);
-            self.meters.nvme_queue_depth.observe(out.issued);
-            self.meters.nvme_read_us.observe(out.read_us);
-        }
+        self.meters.evictions.add(out.evictions);
+        self.meters.wave(out.issued, out.nvme_bytes, out.read_us);
     }
 
-    /// Batch-boundary migration for a committed re-plan: rows entering
-    /// the HBM plan are read up off the SSD (their host copies stay
-    /// DRAM-resident afterwards), while rows that left the plan and
-    /// were SSD-placed at planning time fall back out, keeping DRAM
-    /// occupancy bounded. Returns the device time the committing batch
-    /// pays.
+    /// Batch-boundary migration for a committed re-plan
+    /// ([`VertexStore::migrate_plan`]), metered. Returns the device time
+    /// the committing batch pays.
     fn migrate_commit(
         &mut self,
         at: f64,
@@ -354,32 +329,12 @@ impl StoreWorker {
         new_feat: &[VertexId],
         refill: &[VertexId],
     ) -> f64 {
-        let promote: Vec<VertexId> = refill
-            .iter()
-            .copied()
-            .filter(|&v| self.store.tier(v) == Tier::Ssd)
-            .collect();
-        // `new_feat` is ascending, so membership is a binary search.
-        let demote: Vec<VertexId> = old_feat
-            .iter()
-            .copied()
-            .filter(|&v| new_feat.binary_search(&v).is_err())
-            .filter(|&v| self.on_ssd[v as usize] && self.store.tier(v) == Tier::Dram)
-            .collect();
-        if promote.is_empty() && demote.is_empty() {
-            return 0.0;
-        }
-        let out = self.store.migrate(at, &promote, &demote);
+        let out = self.store.migrate_plan(at, old_feat, new_feat, refill);
         let moves = out.promoted + out.demoted;
-        if moves > 0 {
-            self.meters.migrations.add(moves);
-            self.meters.migrated_bytes.add(out.nvme_bytes);
-            self.meters.nvme_bytes.add(out.nvme_bytes);
-            self.meters.nvme_queue_depth.observe(moves);
-            self.meters
-                .nvme_read_us
-                .observe((out.swap_s * 1e6).round() as u64);
-        }
+        self.meters.migrations.add(moves);
+        self.meters.migrated_bytes.add(out.nvme_bytes);
+        let swap_us = (out.swap_s * 1e6).round() as u64;
+        self.meters.wave(moves, out.nvme_bytes, swap_us);
         out.swap_s
     }
 }
@@ -387,27 +342,20 @@ impl StoreWorker {
 impl LowerTier for StoreWorker {
     /// Every miss the remote wave left is the store's.
     fn claim(&mut self, v: VertexId) -> bool {
-        self.missed.push(v);
+        self.store.claim(v);
         true
     }
 
     /// Resolves the batch's misses against the store at simulated time
     /// `at`, metering every outcome.
     fn charge(&mut self, at: f64) -> f64 {
-        if self.missed.is_empty() {
-            return 0.0;
-        }
-        let out = self.store.read(at, &self.missed);
-        self.missed.clear();
+        let out = self.store.charge(at);
         self.meters.prefetch_hits.add(out.prefetch_hits);
         self.meters.late_stalls.add(out.late_stalls);
         self.meters.cold_reads.add(out.cold_reads);
         self.meters.evictions.add(out.evictions);
-        if out.nvme_reads > 0 {
-            self.meters.nvme_bytes.add(out.nvme_bytes);
-            self.meters.nvme_queue_depth.observe(out.nvme_reads);
-            self.meters.nvme_read_us.observe(out.read_us);
-        }
+        self.meters
+            .wave(out.nvme_reads, out.nvme_bytes, out.read_us);
         out.stall_s
     }
 }
@@ -416,9 +364,8 @@ impl LowerTier for StoreWorker {
 /// server's shard plus the replicated hot head), the cluster-network
 /// model, and the shared remote-read meters. HBM-cache misses on
 /// unowned vertices bypass the local DRAM/SSD tiers entirely — their
-/// rows live on another server — and are charged one batched RPC wave
-/// through [`NetModel::read_seconds`](legion_hw::NetModel::read_seconds)
-/// instead.
+/// rows live on another server — and are charged one remote wave
+/// through [`NetModel::wave`](legion_hw::NetModel::wave) instead.
 pub(crate) struct RemoteWorker {
     owned: Rc<Vec<bool>>,
     net: legion_hw::NetModel,
@@ -448,11 +395,8 @@ struct CoalesceState {
     /// remote staging buffer and is deduplicated instead of re-fetched.
     last_fetch: Vec<u64>,
     batch_idx: u64,
-    /// Rows this batch fetches from each owner; reset per batch by
-    /// walking `touched`.
+    /// Rows this batch fetches from each owner; zeroed once charged.
     owner_rows: Vec<u64>,
-    touched: Vec<u32>,
-    payloads: Vec<u64>,
     coalesced_msgs: Counter,
     dedup_hits: Counter,
     per_owner_bytes: Counter,
@@ -465,8 +409,6 @@ impl RemoteWorker {
             last_fetch: vec![u64::MAX; shard.len()],
             batch_idx: 0,
             owner_rows: vec![0; rc.num_servers],
-            touched: Vec::new(),
-            payloads: Vec::new(),
             coalesced_msgs: registry.counter("serve.remote.coalesced_msgs"),
             dedup_hits: registry.counter("serve.remote.dedup_hits"),
             per_owner_bytes: registry.counter("serve.remote.per_owner_bytes"),
@@ -501,58 +443,36 @@ impl LowerTier for RemoteWorker {
                 c.dedup_hits.inc();
             } else {
                 c.last_fetch[v as usize] = c.batch_idx;
-                let owner = c.shard[v as usize];
-                if c.owner_rows[owner as usize] == 0 {
-                    c.touched.push(owner);
-                }
-                c.owner_rows[owner as usize] += 1;
+                c.owner_rows[c.shard[v as usize] as usize] += 1;
             }
         }
         true
     }
 
-    /// Charges the batch's accumulated remote reads and returns the
+    /// Charges the batch's accumulated remote reads as one
+    /// [`NetModel::wave`](legion_hw::NetModel::wave) and returns the
     /// extraction stall, metering reads and wire bytes; the wave does not
-    /// depend on `at`. The flat pool charges every miss as its own RPC
-    /// ([`NetModel::read_seconds_at`](legion_hw::NetModel::read_seconds_at));
+    /// depend on `at`. The flat pool charges every miss as its own RPC;
     /// coalescing charges one batched message per owning server —
     /// headers and round-trip waves amortize across each owner's rows,
     /// and staging-window dedup hits cost no wire at all.
     fn charge(&mut self, _at: f64) -> f64 {
-        if self.pending == 0 {
-            if let Some(c) = self.coalesce.as_mut() {
-                c.batch_idx += 1;
-            }
-            return 0.0;
-        }
         let n = std::mem::take(&mut self.pending);
         self.reads.add(n);
-        let Some(c) = self.coalesce.as_mut() else {
-            self.bytes
-                .add(n * self.net.bytes_for_payload(self.row_bytes));
-            return self
-                .net
-                .read_seconds_at(n, self.row_bytes, self.num_servers);
+        let (net, row_bytes, servers) = (&self.net, self.row_bytes, self.num_servers);
+        let wave = match self.coalesce.as_mut() {
+            None => net.wave(&[n], row_bytes, false, servers),
+            Some(c) => {
+                c.batch_idx += 1;
+                let wave = net.wave(&c.owner_rows, row_bytes, true, servers);
+                c.owner_rows.fill(0);
+                c.coalesced_msgs.add(wave.messages);
+                c.per_owner_bytes.add(wave.wire_bytes);
+                wave
+            }
         };
-        // Drain the owner buckets in ascending server order so the
-        // payload vector (and therefore the charged time) is a pure
-        // function of the miss set.
-        c.touched.sort_unstable();
-        let mut wire = 0u64;
-        c.payloads.clear();
-        for &owner in &c.touched {
-            let rows = std::mem::take(&mut c.owner_rows[owner as usize]);
-            let payload = rows * self.row_bytes;
-            c.payloads.push(payload);
-            wire += self.net.bytes_for_payload(payload);
-        }
-        c.coalesced_msgs.add(c.payloads.len() as u64);
-        c.per_owner_bytes.add(wire);
-        self.bytes.add(wire);
-        c.touched.clear();
-        c.batch_idx += 1;
-        self.net
-            .coalesced_read_seconds_at(&c.payloads, self.num_servers)
+        self.bytes.add(wave.wire_bytes);
+        wave.seconds
     }
 }
 
@@ -971,7 +891,10 @@ fn run_worker_batch(ctx: &ServeContext<'_>, w: &mut Worker, at: f64) {
     // just drained are exactly what the next few batches will ask for —
     // stage their SSD rows now so those launches find warm staging.
     if let Some(sw) = w.lane.store.as_deref_mut() {
-        let queued = w.queue.peek_upto(sw.lookahead).map(|r| r.target);
+        let queued = w
+            .queue
+            .peek_upto(sw.cfg.lookahead_requests)
+            .map(|r| r.target);
         sw.prefetch_around(ctx.graph, queued, at);
     }
     if let (Some(p), Some((h0, m0))) = (w.phase.as_ref(), before) {
@@ -1277,8 +1200,9 @@ pub struct Deployment<'a> {
     layout: CacheLayout,
     /// Replan's warm-up plan per GPU: where its plan buffer starts.
     initial_plans: Vec<Plan>,
-    /// `None` unless the config's DRAM budget leaves rows on the SSD.
-    store: Option<StorePlacement>,
+    /// The rows on the SSD, hottest first; `None` unless the config's
+    /// DRAM budget leaves rows there.
+    store: Option<Vec<VertexId>>,
     /// Residency router only: the route groups, seeded with the resident
     /// sets they start from.
     dispatcher: Option<Dispatcher>,
@@ -1628,16 +1552,20 @@ fn build_workers(
                 free_at: 0.0,
                 makespan: 0.0,
                 lane: BatchLane {
-                    rng: StdRng::seed_from_u64(
-                        config.seed ^ (gpu as u64).wrapping_mul(0x517c_c1b7),
-                    ),
+                    rng: worker_rng(config.seed, gpu),
                     seeds: Vec::new(),
                     step: BatchStep::new(sampler, TimeModel::new(server.spec()), num_gpus),
                     ring,
-                    store: deployment
-                        .store
-                        .as_ref()
-                        .map(|p| Box::new(StoreWorker::new(p, &config.store, row_bytes, registry))),
+                    store: deployment.store.as_ref().map(|ssd_rows| {
+                        let n = graph.num_vertices();
+                        Box::new(StoreWorker::new(
+                            ssd_rows,
+                            n,
+                            &config.store,
+                            row_bytes,
+                            registry,
+                        ))
+                    }),
                     remote: remote.map(|rc| Box::new(RemoteWorker::new(rc, row_bytes, registry))),
                 },
                 batches: registry.counter(&format!("serve.gpu{gpu}.batches")),
@@ -2406,7 +2334,7 @@ mod tests {
                 config.seed,
             );
             let order = legion_cache::hotness_order(profile.feat.row(0));
-            let t = cslp(&profile.topo);
+            let t = legion_cache::cslp(&profile.topo);
             let hbm_rows = legion_cache::CostModel::new(
                 &g,
                 &t.clique_order,
@@ -2430,12 +2358,17 @@ mod tests {
             let expected = &order[resident..];
             match plan_store_placement(&g, &f, &server, &config, &profile, dram_budget) {
                 None => assert!(expected.is_empty(), "case {case}: no store planned"),
-                Some(p) => {
+                Some(ssd_rows) => {
                     planned += 1;
-                    assert_eq!(p.ssd_rows.as_slice(), expected, "case {case}");
-                    let members = p.on_ssd.iter().filter(|&&on| on).count();
+                    assert_eq!(ssd_rows, expected, "case {case}");
+                    // A worker's store holds exactly these rows on the SSD.
+                    let n = g.num_vertices();
+                    let registry = Registry::new();
+                    let sw = StoreWorker::new(&ssd_rows, n, &config.store, row_bytes, &registry);
+                    let on_ssd = |v| sw.store.tier(v) == legion_store::Tier::Ssd;
+                    let members = (0..n as VertexId).filter(|&v| on_ssd(v)).count();
                     assert_eq!(members, expected.len(), "case {case}");
-                    assert!(expected.iter().all(|&v| p.on_ssd[v as usize]));
+                    assert!(expected.iter().all(|&v| on_ssd(v)));
                 }
             }
             if case == 0 {

@@ -514,7 +514,7 @@ fn plan_ranked(
 /// leaves out adds nothing to Equations 4 and 7, so `α`, `N_T` and `N_F`
 /// equal the full-order result, and the cached-vertex counts are exactly
 /// what a plan holds.
-pub(crate) fn cost_model(
+fn cost_model(
     graph: &CsrGraph,
     features: &FeatureTable,
     (q_t, a_t): (&[VertexId], &[u64]),
@@ -626,20 +626,22 @@ pub fn profile_warmup(
 }
 
 impl WarmupProfile {
-    /// Both rows ranked and the cost model's best split of `budget`
-    /// bytes over them.
-    fn priced(
+    /// Both rows ranked and the cost model over them.
+    fn ranked(
         &self,
         graph: &CsrGraph,
         features: &FeatureTable,
-        budget: u64,
-        delta_alpha: f64,
         cls: u64,
-    ) -> (Ranked<'_>, Ranked<'_>, PlanEvaluation) {
+    ) -> (Ranked<'_>, Ranked<'_>, CostModel) {
         let (topo, feat) = (Ranked::scan(&self.topo), Ranked::scan(&self.feat));
-        let evaluation = cost_model(graph, features, topo.rows(), feat.rows(), self.n_tsum, cls)
-            .best_plan(budget, delta_alpha);
-        (topo, feat, evaluation)
+        let model = cost_model(graph, features, topo.rows(), feat.rows(), self.n_tsum, cls);
+        (topo, feat, model)
+    }
+
+    /// The cost model over this profile's support-ranked rows: the one
+    /// model its HBM plans and the store's SSD cut price with.
+    pub(crate) fn model(&self, graph: &CsrGraph, features: &FeatureTable, cls: u64) -> CostModel {
+        self.ranked(graph, features, cls).2
     }
 
     /// The cost model's best split of `budget` bytes over this profile,
@@ -652,7 +654,8 @@ impl WarmupProfile {
         delta_alpha: f64,
         cls: u64,
     ) -> (PlanEvaluation, Vec<VertexId>) {
-        let (topo, _, evaluation) = self.priced(graph, features, budget, delta_alpha, cls);
+        let (topo, _, model) = self.ranked(graph, features, cls);
+        let evaluation = model.best_plan(budget, delta_alpha);
         let mut cached = topo.order;
         cached.truncate(evaluation.topo_cached_vertices);
         (evaluation, cached)
@@ -669,7 +672,8 @@ impl WarmupProfile {
         delta_alpha: f64,
         cls: u64,
     ) -> Vec<Plan> {
-        let (topo, feat, evaluation) = self.priced(graph, features, budget, delta_alpha, cls);
+        let (topo, feat, model) = self.ranked(graph, features, cls);
+        let evaluation = model.best_plan(budget, delta_alpha);
         (0..num_gpus)
             .map(|gpu| materialize(gpu, num_gpus, graph, features, &topo, &feat, evaluation))
             .collect()

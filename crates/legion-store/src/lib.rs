@@ -20,7 +20,10 @@
 //!   search), an async prefetch path that hides flash latency behind the
 //!   batch queue's lookahead, and batch-boundary DRAM↔SSD migration for
 //!   the online re-planner. A placement builds it from one
-//!   hotness-ordered SSD row list ([`VertexStore::with_ssd_rows`]).
+//!   hotness-ordered SSD row list ([`VertexStore::with_ssd_rows`]); the
+//!   store keeps that placement, so it owns the re-plan rule
+//!   ([`VertexStore::migrate_plan`]) and a batch's claimed misses
+//!   ([`VertexStore::claim`], then [`VertexStore::charge`]).
 //!
 //! HBM residency lives only in the cache layouts (`legion-cache`); the
 //! store sees the rows that missed them. A store with no SSD row is the

@@ -4,8 +4,9 @@
 //! One `VertexStore` sits behind each GPU worker's extraction path
 //! (its NVMe namespace and pinned staging window are NUMA-local, so
 //! workers never share mutable store state). The extractor keeps
-//! using its existing batch interface; after the HBM lookup it hands
-//! the missed vertices here, and the store answers with deterministic
+//! using its existing batch interface; after the HBM lookup it
+//! [claims](VertexStore::claim) the missed vertices here, and the
+//! batch's [charge](VertexStore::charge) answers with deterministic
 //! timing:
 //!
 //! * DRAM-tier rows cost nothing extra — the access engine already
@@ -111,6 +112,10 @@ pub struct VertexStore {
     /// them), so a repeated candidate is dropped with one load.
     last_wave: Vec<u64>,
     waves: u64,
+    /// Whether placement put each row on the SSD.
+    placed_on_ssd: Vec<bool>,
+    /// The batch's HBM misses, claimed and awaiting its charge.
+    claimed: Vec<VertexId>,
 }
 
 impl VertexStore {
@@ -127,6 +132,8 @@ impl VertexStore {
             queued: None,
             last_wave: vec![0; num_vertices],
             waves: 0,
+            placed_on_ssd: vec![false; num_vertices],
+            claimed: Vec::new(),
         }
     }
 
@@ -155,9 +162,11 @@ impl VertexStore {
         self.tiers.tier(v)
     }
 
-    /// Assigns `v` to `tier` (placement time; no device traffic).
+    /// Places `v` in `tier` (no device traffic): its tier now, and the
+    /// one it falls back to on leaving a re-plan.
     pub fn assign(&mut self, v: VertexId, tier: Tier) {
         self.tiers.set(v, tier);
+        self.placed_on_ssd[v as usize] = tier == Tier::Ssd;
     }
 
     /// Rows staged or in flight.
@@ -249,6 +258,21 @@ impl VertexStore {
         out
     }
 
+    /// Claims `v`, one of a batch's HBM misses, for its charge.
+    pub fn claim(&mut self, v: VertexId) {
+        self.claimed.push(v);
+    }
+
+    /// [`read`](Self::read)s the rows claimed since the last charge, in
+    /// claim order, at simulated time `at_s`.
+    pub fn charge(&mut self, at_s: f64) -> ReadOutcome {
+        let claimed = std::mem::take(&mut self.claimed);
+        let out = self.read(at_s, &claimed);
+        self.claimed = claimed;
+        self.claimed.clear();
+        out
+    }
+
     /// Warm-starts the staging window before the serving clock runs:
     /// stages SSD-tier rows from `candidates` (deduplicated, in order)
     /// until the window is full, all ready at t=0, without charging the
@@ -330,6 +354,25 @@ impl VertexStore {
         let around =
             |t| std::iter::once(t).chain(graph.neighbors(t).iter().take(neighbors).copied());
         self.prefetch(at_s, targets.into_iter().flat_map(around), budget)
+    }
+
+    /// [`migrate`](Self::migrate)s for a re-plan from `old_feat` to
+    /// `new_feat` (ascending) that pulls `refill` (within `new_feat`)
+    /// into HBM: refill rows on the SSD are promoted; rows that left the
+    /// plan, were placed on the SSD and sit in DRAM are demoted.
+    pub fn migrate_plan(
+        &mut self,
+        at_s: f64,
+        old_feat: &[VertexId],
+        new_feat: &[VertexId],
+        refill: &[VertexId],
+    ) -> MigrateOutcome {
+        let left: Vec<VertexId> = old_feat
+            .iter()
+            .copied()
+            .filter(|&v| self.placed_on_ssd[v as usize] && new_feat.binary_search(&v).is_err())
+            .collect();
+        self.migrate(at_s, refill, &left)
     }
 
     /// Migrates rows across the DRAM/SSD boundary at a batch boundary:

@@ -300,3 +300,96 @@ proptest! {
         }
     }
 }
+
+/// The re-plan rule as the serving engine wrote it around the store:
+/// refill rows on the SSD are promoted; rows that left the plan, were
+/// placed on the SSD and sit in DRAM are demoted; nothing to move skips
+/// the device.
+fn engine_side_migrate(
+    store: &mut VertexStore,
+    placed_on_ssd: &[bool],
+    at_s: f64,
+    (old_feat, new_feat, refill): (&[u32], &[u32], &[u32]),
+) -> MigrateOutcome {
+    let promote: Vec<u32> = refill
+        .iter()
+        .copied()
+        .filter(|&v| store.tier(v) == Tier::Ssd)
+        .collect();
+    let demote: Vec<u32> = old_feat
+        .iter()
+        .copied()
+        .filter(|&v| new_feat.binary_search(&v).is_err())
+        .filter(|&v| placed_on_ssd[v as usize] && store.tier(v) == Tier::Dram)
+        .collect();
+    if promote.is_empty() && demote.is_empty() {
+        return MigrateOutcome::default();
+    }
+    store.migrate(at_s, &promote, &demote)
+}
+
+/// `ids` ascending without repeats, as a plan's feature set is kept.
+fn set(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+proptest! {
+    /// The store's own claims and re-plan migrations answer exactly like
+    /// the engine-side rule over a store: claimed misses read in claim
+    /// order at the charge, and every migration moves the same rows at
+    /// the same device time, over random placements, plans, refills
+    /// and times.
+    #[test]
+    fn store_side_replan_and_claims_match_the_engine_side_rule(
+        capacity in 0usize..6,
+        ssd_rows in proptest::collection::vec(0..N, 0..N as usize),
+        script in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(0..N, 0..12),
+             proptest::collection::vec(0..N, 0..12),
+             proptest::collection::vec(0..N, 0..8), 0u32..900),
+            0..60,
+        ),
+    ) {
+        let nvme = NvmeModel::new(NvmeGeneration::Gen3x4);
+        let mut store = VertexStore::with_ssd_rows(nvme, N as usize, ROW_BYTES, capacity, &ssd_rows);
+        let mut reference = store.clone();
+        let mut placed_on_ssd = vec![false; N as usize];
+        for &v in &ssd_rows {
+            placed_on_ssd[v as usize] = true;
+        }
+        for (op, a, b, c, at_us) in script {
+            let at = at_us as f64 * 1e-6;
+            match op {
+                0 => prop_assert_eq!(
+                    store.prefetch(at, a.iter().copied(), 4),
+                    reference.prefetch(at, a.iter().copied(), 4)
+                ),
+                1 => {
+                    for &v in &a {
+                        store.claim(v);
+                    }
+                    prop_assert_eq!(store.charge(at), reference.read(at, &a));
+                    // The charge releases its claims.
+                    prop_assert_eq!(store.charge(at), ReadOutcome::default());
+                }
+                _ => {
+                    let (old_feat, new_feat) = (set(a), set(b));
+                    let refill: Vec<u32> =
+                        set(c).into_iter().filter(|v| new_feat.binary_search(v).is_ok()).collect();
+                    let plan = (old_feat.as_slice(), new_feat.as_slice(), refill.as_slice());
+                    prop_assert_eq!(
+                        store.migrate_plan(at, plan.0, plan.1, plan.2),
+                        engine_side_migrate(&mut reference, &placed_on_ssd, at, plan)
+                    );
+                }
+            }
+            prop_assert_eq!(store.staged_rows(), reference.staged_rows());
+            prop_assert_eq!(store.inflight(at), reference.inflight(at));
+            for v in 0..N {
+                prop_assert_eq!(store.tier(v), reference.tier(v), "row {}", v);
+            }
+        }
+    }
+}
