@@ -3,7 +3,8 @@
 //! 1. **Inter-clique partitioner** — hierarchical partitioning with hash /
 //!    LDG / label-propagation / multilevel inter-clique splits: edge-cut
 //!    quality vs. resulting cache hit rate, showing C1's benefit does not
-//!    hinge on one partitioner.
+//!    hinge on one partitioner, and the epoch time and per-clique
+//!    straggler each split leaves.
 //! 2. **Static vs. dynamic caching** — the paper's static pre-sampling
 //!    cache against FIFO (BGL, §7) and LRU dynamic policies on the actual
 //!    feature access trace of an epoch, with replacement counts (the
@@ -39,6 +40,11 @@ pub struct PartitionerAblationRow {
     pub hit_rate: f64,
     /// Feature-side PCIe transactions for one epoch.
     pub pcie_feature: u64,
+    /// Modeled epoch time, seconds: the slowest GPU's.
+    pub epoch_seconds: f64,
+    /// Per clique, the slowest member's `epoch.gpu{g}.seconds` over the
+    /// members' mean: PCIe volume cannot show a straggler, this can.
+    pub clique_max_over_mean: Vec<f64>,
 }
 
 /// Runs the partitioner ablation on the PR stand-in, NV2, 5% cache ratio.
@@ -66,11 +72,27 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
             continue;
         };
         let report = run_epoch(&setup, &ctx, &cfg);
+        let clique_max_over_mean = setup
+            .layout
+            .cliques
+            .iter()
+            .map(|cc| {
+                let seconds: Vec<f64> = cc
+                    .gpus()
+                    .iter()
+                    .map(|g| report.metrics.gauge(&format!("epoch.gpu{g}.seconds")))
+                    .collect();
+                let mean = seconds.iter().sum::<f64>() / seconds.len() as f64;
+                seconds.iter().copied().fold(0.0, f64::max) / mean
+            })
+            .collect();
         out.push(PartitionerAblationRow {
             partitioner: name.to_string(),
             edge_cut_ratio: cut,
             hit_rate: report.feature_hit_rate(),
             pcie_feature: report.pcie_feature,
+            epoch_seconds: report.epoch_seconds,
+            clique_max_over_mean,
         });
     }
     out

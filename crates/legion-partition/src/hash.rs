@@ -1,10 +1,10 @@
 //! Hash partitioning.
 //!
-//! Legion uses hash partitioning *inside* an NVLink clique (§4.1 S3): the
-//! clique's training vertices are "randomly sliced and averagely allocated
-//! among GPUs inside a clique", which is safe because intra-clique peers
-//! reach each other over NVLink. Quiver-style baselines also hash features
-//! across clique members.
+//! The paper's §4.1 S3 slices a clique's training vertices "randomly and
+//! averagely" among its GPUs; the baselines split their training sets with
+//! [`hash_split`], and Quiver-style baselines also hash features across
+//! clique members. Legion's own S3 deals by degree instead (see
+//! [`hierarchical`](crate::hierarchical)).
 
 use legion_graph::{CsrGraph, VertexId};
 
@@ -55,9 +55,9 @@ impl Partitioner for HashPartitioner {
     }
 }
 
-/// Splits an explicit vertex list into `k` tablets by hash — the S3
-/// operation on a clique's training vertex set `VP_i`. Uses a salted hash
-/// so the split is independent of any outer hash partitioning.
+/// Splits an explicit vertex list into `k` tablets by hash — the paper's
+/// S3 on a vertex set, kept by the baselines. Uses a salted hash so the
+/// split is independent of any outer hash partitioning.
 pub fn hash_split(vertices: &[VertexId], k: usize) -> Vec<Vec<VertexId>> {
     let mut tablets = vec![Vec::new(); k];
     for &v in vertices {

@@ -5,7 +5,6 @@ use legion_graph::{CsrGraph, VertexId};
 use legion_hw::{GpuId, NvLinkTopology};
 
 use crate::clique::detect_cliques;
-use crate::hash::hash_split;
 use crate::Partitioner;
 
 /// The assignment plan produced by hierarchical partitioning: which clique
@@ -38,8 +37,9 @@ impl HierarchicalPlan {
 /// * **S1** — clique detection over `topology` (MaxCliqueDyn cover),
 /// * **S2** — inter-clique partition of `graph` into `K_c` parts with the
 ///   supplied edge-cut-minimizing `partitioner` (skipped when `K_c == 1`),
-/// * **S3** — hash split of each clique's training vertices into `K_g`
-///   tablets,
+/// * **S3** — degree deal of each clique's training vertices into `K_g`
+///   tablets: sorted by out-degree and dealt in snake order, so tablet
+///   sizes differ by at most one and each gets the clique's degree mix,
 /// * **S4** — tablet-to-GPU assignment (tablet `j` of clique `i` goes to
 ///   the `j`-th GPU of clique `i`).
 ///
@@ -83,15 +83,12 @@ pub fn hierarchical_partition<P: Partitioner + ?Sized>(
     for &v in train_vertices {
         clique_train[vertex_partition[v as usize] as usize].push(v);
     }
-    // S3 + S4: intra-clique hash split, tablet-to-GPU assignment.
+    // S3 + S4: intra-clique degree deal, tablet-to-GPU assignment.
     let mut tablets: Vec<Vec<VertexId>> = vec![Vec::new(); topology.num_gpus()];
     for (ci, clique) in cliques.iter().enumerate() {
-        let split = hash_split(&clique_train[ci], clique.len());
+        let split = deal_by_degree(graph, &mut clique_train[ci], clique.len());
         for (slot, tablet) in split.into_iter().enumerate() {
-            let gpu = clique[slot];
-            let mut t = tablet;
-            t.sort_unstable();
-            tablets[gpu] = t;
+            tablets[clique[slot]] = tablet;
         }
     }
     HierarchicalPlan {
@@ -102,11 +99,33 @@ pub fn hierarchical_partition<P: Partitioner + ?Sized>(
     }
 }
 
+/// S3: deals a clique's training vertices into `k` tablets by degree, not
+/// at random. The clique's GPUs share one unified cache (§4.2), so a seed
+/// costs the same locality on any of them; what differs is the work its
+/// sampled neighbourhood brings, which grows with its out-degree. The
+/// seeds are sorted by (out-degree descending, id ascending) and dealt in
+/// snake order — slots `0..k`, then `k..0`, and so on — so every tablet
+/// gets the clique's degree mix and tablet sizes differ by at most one.
+/// Each tablet is returned sorted by id; `vertices` is left in deal order.
+fn deal_by_degree(graph: &CsrGraph, vertices: &mut [VertexId], k: usize) -> Vec<Vec<VertexId>> {
+    vertices.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+    let mut tablets = vec![Vec::with_capacity(vertices.len() / k + 1); k];
+    for (i, &v) in vertices.iter().enumerate() {
+        let (round, pos) = (i / k, i % k);
+        let slot = if round % 2 == 0 { pos } else { k - 1 - pos };
+        tablets[slot].push(v);
+    }
+    for t in &mut tablets {
+        t.sort_unstable();
+    }
+    tablets
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{HashPartitioner, MultilevelPartitioner};
-    use legion_graph::generate::SbmConfig;
+    use legion_graph::generate::{ChungLuConfig, SbmConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -161,7 +180,7 @@ mod tests {
         let plan = hierarchical_partition(&g, &train, &topo, &MultilevelPartitioner::default());
         assert_eq!(plan.num_cliques(), 1);
         assert!(plan.vertex_partition.iter().all(|&p| p == 0));
-        // Training vertices hash-split across all 8 GPUs.
+        // Training vertices dealt across all 8 GPUs.
         let sizes: Vec<usize> = plan.tablets.iter().map(|t| t.len()).collect();
         assert!(sizes.iter().all(|&s| s > 0));
     }
@@ -179,14 +198,47 @@ mod tests {
 
     #[test]
     fn tablets_are_roughly_balanced_within_clique() {
-        let (g, train) = setup(4000);
-        let topo = NvLinkTopology::disjoint_cliques(8, 4);
-        let plan = hierarchical_partition(&g, &train, &topo, &HashPartitioner);
-        for clique in &plan.cliques {
-            let sizes: Vec<usize> = clique.iter().map(|&g| plan.tablets[g].len()).collect();
-            let max = *sizes.iter().max().unwrap() as f64;
-            let min = *sizes.iter().min().unwrap() as f64;
-            assert!(max / min.max(1.0) < 1.5, "sizes {sizes:?}");
+        // A community graph and a skewed one (Zipf degrees): either way
+        // each clique's tablets partition its seeds, differ in size by at
+        // most one, and differ in degree sum by at most the clique's
+        // largest seed degree.
+        let (sbm, sbm_train) = setup(4000);
+        let mut rng = StdRng::seed_from_u64(5);
+        let skewed = ChungLuConfig {
+            num_vertices: 4000,
+            num_edges: 60_000,
+            exponent: 1.1,
+            ..Default::default()
+        }
+        .generate(&mut rng);
+        let skewed_train = legion_graph::dataset::sample_without_replacement(4000, 800, &mut rng);
+        for (g, train) in [(&sbm, &sbm_train), (&skewed, &skewed_train)] {
+            let topo = NvLinkTopology::disjoint_cliques(8, 4);
+            let plan = hierarchical_partition(g, train, &topo, &HashPartitioner);
+            for (ci, clique) in plan.cliques.iter().enumerate() {
+                let mut seeds: Vec<VertexId> = train
+                    .iter()
+                    .copied()
+                    .filter(|&v| plan.vertex_partition[v as usize] == ci as u32)
+                    .collect();
+                seeds.sort_unstable();
+                let mut dealt: Vec<VertexId> = clique
+                    .iter()
+                    .flat_map(|&gpu| plan.tablets[gpu].clone())
+                    .collect();
+                dealt.sort_unstable();
+                assert_eq!(dealt, seeds, "clique {ci}'s tablets partition its seeds");
+                let sizes: Vec<usize> = clique.iter().map(|&gpu| plan.tablets[gpu].len()).collect();
+                let spread = sizes.iter().max().unwrap() - sizes.iter().min().unwrap();
+                assert!(spread <= 1, "sizes {sizes:?}");
+                let sums: Vec<u64> = clique
+                    .iter()
+                    .map(|&gpu| plan.tablets[gpu].iter().map(|&v| g.degree(v)).sum())
+                    .collect();
+                let top = seeds.iter().map(|&v| g.degree(v)).max().unwrap_or(0);
+                let spread = sums.iter().max().unwrap() - sums.iter().min().unwrap();
+                assert!(spread <= top, "degree sums {sums:?}, largest degree {top}");
+            }
         }
     }
 

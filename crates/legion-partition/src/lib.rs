@@ -2,10 +2,13 @@
 //!
 //! Legion's first contribution (C1, §4.1) is *NVLink-aware hierarchical
 //! partitioning*: detect NVLink cliques with MaxCliqueDyn (S1), split the
-//! graph across cliques with an edge-cut-minimizing partitioner (S2), hash
-//! each clique's training vertices across its GPUs (S3), and assign tablets
-//! to GPUs as batch seeds (S4). This crate implements that pipeline plus
-//! every partitioner the paper references:
+//! graph across cliques with an edge-cut-minimizing partitioner (S2), deal
+//! each clique's training vertices to its GPUs (S3), and assign tablets to
+//! GPUs as batch seeds (S4). The paper's S3 slices at random into equal
+//! counts; here the seeds are dealt by out-degree in snake order, so every
+//! tablet gets the clique's degree mix and no GPU draws the hubs and sets
+//! the epoch. This crate implements that pipeline plus every partitioner
+//! the paper references:
 //!
 //! * [`clique`] — MaxCliqueDyn maximum-clique search and greedy clique
 //!   cover over the NVLink topology matrix,
@@ -16,7 +19,7 @@
 //!   stand-in for XtraPulp's scalable partitioning,
 //! * [`label_prop`] — balanced label propagation, a third edge-cut
 //!   minimizer for the partitioner ablation,
-//! * [`hash`] — the hash partitioner used intra-clique,
+//! * [`hash`] — the hash partitioner, and the baselines' hash tablets,
 //! * [`pagraph`] — PaGraph's self-reliant partitioning with L-hop neighbor
 //!   extension (the §3.1 baseline, including its duplication pathology),
 //! * [`hierarchical`] — the full C1 pipeline, and

@@ -15,6 +15,9 @@
 //! serves any member equally well, so filling one batch at the clique's
 //! whole arrival rate beats splitting it across members. At `B = 1`
 //! (plain [`Dispatcher::new`]) the order is exactly shortest queue.
+//! [`Dispatcher::route_to_free`] applies that order to the chosen
+//! group's free members first (the serving engine's pick), so a batch
+//! never waits on a busy GPU while a sibling sits idle.
 //! When every queue in the best group is at or past the spill
 //! threshold, the request *spills* to the globally least-loaded GPU,
 //! trading locality for queueing delay exactly like the paper's
@@ -261,6 +264,33 @@ impl Dispatcher {
         }
     }
 
+    /// [`route`](Self::route), then the in-clique pick goes to a sibling
+    /// that would start the batch first: the first GPU in batch-filling
+    /// order among the chosen group's members with `free[gpu]` set (idle,
+    /// nothing in flight). The clique's pooled cache serves every member
+    /// equally, so a busy GPU's open batch waits for its GPU while an idle
+    /// sibling's would launch. With no free member, or on a spill, the
+    /// decision is [`route`](Self::route)'s.
+    pub fn route_to_free(
+        &self,
+        probe: &[VertexId],
+        queue_lens: &[usize],
+        free: &[bool],
+    ) -> RouteDecision {
+        let mut dec = self.route(probe, queue_lens);
+        if !dec.spilled {
+            if let Some(gpu) = self.groups[dec.group]
+                .iter()
+                .copied()
+                .filter(|&m| free[m])
+                .min_by_key(|&m| (self.fill_rank(queue_lens[m]), m))
+            {
+                dec.gpu = gpu;
+            }
+        }
+        dec
+    }
+
     /// Batch-filling rank of a queue `len` deep, lower first: an open
     /// batch (fullest first), then an empty queue, then a queue whose
     /// next batch is already full (shortest first).
@@ -430,12 +460,31 @@ mod tests {
         let dec = d.route(&[1, 2, 3], &[5, 4, 1, 0]);
         assert!(dec.spilled);
         assert_eq!((dec.group, dec.gpu), (1, 3));
+        // A spill ignores which members are free.
+        assert_eq!(d.route_to_free(&[1, 2, 3], &[5, 4, 1, 0], &[true; 4]), dec);
         let dec = d.route(&[1, 2, 3], &[5, 3, 0, 0]);
         assert!(!dec.spilled);
         assert_eq!(
             dec.gpu, 0,
             "one member under the threshold keeps fill order"
         );
+    }
+
+    #[test]
+    fn an_idle_sibling_takes_the_arrival_from_a_busy_one() {
+        let d = batched_dispatcher(100, 4);
+        // GPU 1 holds the fuller open batch but is serving; GPU 0 is idle.
+        let dec = d.route_to_free(&[1, 2], &[1, 3, 0, 0], &[true, false, true, true]);
+        assert_eq!((dec.group, dec.gpu), (0, 0));
+        // Among free members the fullest open batch still wins.
+        let dec = d.route_to_free(&[1, 2], &[1, 3, 0, 0], &[true; 4]);
+        assert_eq!(dec.gpu, 1);
+        // No free member: the fill rank picks, as in `route`.
+        let dec = d.route_to_free(&[1, 2], &[1, 3, 0, 0], &[false, false, true, true]);
+        assert_eq!(dec, d.route(&[1, 2], &[1, 3, 0, 0]));
+        // The clique is still chosen by coverage, not by who is free.
+        let dec = d.route_to_free(&[51, 52], &[0, 0, 2, 1], &[true, true, false, true]);
+        assert_eq!((dec.group, dec.gpu), (1, 3));
     }
 
     /// Naive reference for single-member groups: the top two groups by

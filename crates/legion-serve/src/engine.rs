@@ -658,6 +658,7 @@ struct RouterState {
     probed: u64,
     probe: Vec<VertexId>,
     queue_lens: Vec<usize>,
+    free: Vec<bool>,
 }
 
 impl RouterState {
@@ -677,19 +678,31 @@ impl RouterState {
             probed: 0,
             probe: Vec::new(),
             queue_lens: Vec::new(),
+            free: Vec::new(),
         }
     }
 
     /// Routes one request: builds the probe (target + leading
-    /// neighbors), scores the cliques against current queue depths, and
-    /// returns the destination GPU, metering the decision and the
-    /// locality accumulator.
+    /// neighbors), scores the cliques against current queue depths,
+    /// prefers a free sibling in the chosen clique (no batch in service,
+    /// NVMe queue drained at the arrival), and returns the destination
+    /// GPU, metering the decision and the locality accumulator.
     fn route(&mut self, graph: &CsrGraph, workers: &[Worker], r: &Request) -> GpuId {
         self.queue_lens.clear();
         self.queue_lens
             .extend(workers.iter().map(|w| w.queue.len()));
+        self.free.clear();
+        self.free.extend(workers.iter().map(|w| {
+            w.free_at <= r.arrival
+                && w.lane
+                    .store
+                    .as_ref()
+                    .is_none_or(|sw| sw.store.drained_by(r.arrival))
+        }));
         fill_probe(graph, r.target, self.probe_neighbors, &mut self.probe);
-        let dec = self.dispatcher.route(&self.probe, &self.queue_lens);
+        let dec = self
+            .dispatcher
+            .route_to_free(&self.probe, &self.queue_lens, &self.free);
         self.covered += self.dispatcher.score(dec.group, &self.probe) as u64;
         self.probed += self.probe.len() as u64;
         if dec.spilled {
@@ -2045,6 +2058,57 @@ mod tests {
             .histograms
             .iter()
             .any(|h| h.name == "pipeline.gpu0.queue_depth" && h.counts.iter().sum::<u64>() > 0));
+    }
+
+    /// Inside a clique an arrival goes to a free sibling before it joins
+    /// the fullest open batch on a GPU that is still serving. GPU 0 takes
+    /// a full batch of hubs and GPU 1, once 0 is busy, a full batch of
+    /// leaves; the next arrival finds both busy and opens a batch on GPU
+    /// 0. GPU 1 finishes first, so the one after that goes to GPU 1.
+    #[test]
+    fn an_arrival_skips_a_busy_open_batch_for_a_free_sibling() {
+        // Vertices 0..4 are hubs with 400 out-edges; 400.. have none.
+        let mut b = GraphBuilder::new(512);
+        for hub in 0..4u32 {
+            for d in 0..400u32 {
+                b.push_edge(hub, 8 + (hub * 97 + d) % 500);
+            }
+        }
+        let (g, f) = (b.build(), FeatureTable::zeros(512, 16));
+        let server = ServerSpec::custom(2, 1 << 30, 2).build();
+        let mut config = tiny_config(PolicyKind::StaticHot);
+        config.max_batch = 4;
+        config.max_wait = 1.0;
+        config.fanouts = vec![25];
+        config.router.policy = RouterPolicy::Residency;
+        let request = |id: u64, target: VertexId| Request {
+            id,
+            arrival: id as f64 * 1e-9,
+            target,
+            class: PriorityClass::Standard,
+        };
+        let head: Vec<Request> = [0, 1, 2, 3, 400, 401, 402, 403]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| request(i as u64, v))
+            .collect();
+        // The two full batches alone give each GPU's service time.
+        let deployment = plan_deployment(&g, &f, &server, &config);
+        let alone = deployment.serve(&server, &head, None).metrics;
+        let busy = |m: &Snapshot, gpu: usize| m.counter(&format!("serve.gpu{gpu}.busy_ns"));
+        let (hubs_ns, leaves_ns) = (busy(&alone, 0), busy(&alone, 1));
+        assert!(leaves_ns + 100 < hubs_ns, "{leaves_ns} vs {hubs_ns} ns");
+        let mut requests = head;
+        requests.push(request(8, 404));
+        requests.push(Request {
+            arrival: (leaves_ns + hubs_ns) as f64 / 2.0 * 1e-9,
+            ..request(9, 405)
+        });
+        let m = deployment.serve(&server, &requests, None).metrics;
+        let batches = |gpu: usize| m.counter(&format!("serve.gpu{gpu}.batches"));
+        // GPU 0: the hubs, then the open batch of request 8 alone; GPU 1:
+        // the leaves, then request 9 alone.
+        assert_eq!((batches(0), batches(1)), (2, 2));
     }
 
     /// QoS under 2x-style overload: Batch is shed strictly before

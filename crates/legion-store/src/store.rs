@@ -179,6 +179,12 @@ impl VertexStore {
         self.staging.inflight(to_ns(at_s))
     }
 
+    /// Whether the device has finished everything submitted so far by
+    /// simulated time `at_s`: its queue horizon is at or before `at_s`.
+    pub fn drained_by(&self, at_s: f64) -> bool {
+        self.free_at_ns <= to_ns(at_s)
+    }
+
     /// Device time, nanoseconds, until the first `commands` commands of
     /// a wave have completed.
     fn read_ns(&self, commands: u64) -> u64 {
@@ -511,6 +517,8 @@ mod tests {
         // Second wave queues behind the first: in-flight until both done.
         assert_eq!(s.inflight(0.0), 32);
         assert!(s.inflight(1.0) == 0);
+        assert!(!s.drained_by(0.0));
+        assert!(s.drained_by(1.0));
     }
 
     /// When staged row `v` lands, nanoseconds.

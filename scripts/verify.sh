@@ -53,6 +53,11 @@ cargo test --offline --locked --manifest-path bench/Cargo.toml
 echo "==> bench/run.sh --quick (four workloads, both phases: byte-identical passes, bypass matrix, traced replay == run_epoch)"
 bash bench/run.sh --quick >/dev/null
 
+# Model time is exact per seed: any move is declared and re-baselined
+# (scripts/model_clock.sh), like a golden row.
+echo "==> model clock equals BENCH_model.json"
+bash scripts/model_clock.sh --check
+
 # `--fleet 16` is left out: its contended "advantage widens" claim fails.
 for args in "" "--router --oversubscribe --churn --fleet 2" "--fleet 4" "--fleet 8"; do
     echo "==> servectl $args"

@@ -1041,9 +1041,9 @@ const DOC_BUDGETS: [(&str, u64); 7] = [
     ("DESIGN.md", 92588),
     ("OPERATIONS.md", 29866),
     ("EXPERIMENTS.md", 42656),
-    ("CHANGES.md", 178204),
+    ("CHANGES.md", 186735),
     ("ROADMAP.md", 34100),
-    ("tests/golden.txt", 97760),
+    ("tests/golden.txt", 97828),
 ];
 
 /// Every top-level doc fits its byte budget.
