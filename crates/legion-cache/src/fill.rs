@@ -98,8 +98,8 @@ pub fn book_cache(server: &MultiGpuServer, cache: &CliqueCache) -> Result<(), Hw
 /// Builds and fills the unified cache of one NVLink clique.
 ///
 /// Each GPU may hold an even share of the clique plan (the tablets are
-/// hash-balanced, so even shares match the paper's "randomly sliced and
-/// averagely allocated" wording). The clique caches the head of each
+/// dealt by degree, so each carries the clique's mix and even shares
+/// match the paper's "randomly sliced and averagely allocated" wording). The clique caches the head of each
 /// CSLP clique order — the prefix the cost model priced (Equations 2–8):
 /// for features, as many rows of `Q_F` as the shares hold; for topology,
 /// rows of `Q_T` up to the first that fits in no member's remaining

@@ -45,6 +45,10 @@ pub struct PartitionerAblationRow {
     /// Per clique, the slowest member's `epoch.gpu{g}.seconds` over the
     /// members' mean: PCIe volume cannot show a straggler, this can.
     pub clique_max_over_mean: Vec<f64>,
+    /// The slowest GPU's `epoch.gpu{g}.seconds` over the mean of all
+    /// GPUs: the straggler between cliques, which no per-clique ratio
+    /// shows.
+    pub server_max_over_mean: f64,
 }
 
 /// Runs the partitioner ablation on the PR stand-in, NV2, 5% cache ratio.
@@ -72,20 +76,22 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
             continue;
         };
         let report = run_epoch(&setup, &ctx, &cfg);
+        let max_over_mean = |gpus: &[usize]| {
+            let seconds: Vec<f64> = gpus
+                .iter()
+                .map(|g| report.metrics.gauge(&format!("epoch.gpu{g}.seconds")))
+                .collect();
+            let mean = seconds.iter().sum::<f64>() / seconds.len() as f64;
+            seconds.iter().copied().fold(0.0, f64::max) / mean
+        };
         let clique_max_over_mean = setup
             .layout
             .cliques
             .iter()
-            .map(|cc| {
-                let seconds: Vec<f64> = cc
-                    .gpus()
-                    .iter()
-                    .map(|g| report.metrics.gauge(&format!("epoch.gpu{g}.seconds")))
-                    .collect();
-                let mean = seconds.iter().sum::<f64>() / seconds.len() as f64;
-                seconds.iter().copied().fold(0.0, f64::max) / mean
-            })
+            .map(|cc| max_over_mean(cc.gpus()))
             .collect();
+        let all_gpus: Vec<usize> = (0..server.num_gpus()).collect();
+        let server_max_over_mean = max_over_mean(&all_gpus);
         out.push(PartitionerAblationRow {
             partitioner: name.to_string(),
             edge_cut_ratio: cut,
@@ -93,6 +99,7 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
             pcie_feature: report.pcie_feature,
             epoch_seconds: report.epoch_seconds,
             clique_max_over_mean,
+            server_max_over_mean,
         });
     }
     out

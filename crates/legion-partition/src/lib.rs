@@ -4,11 +4,15 @@
 //! partitioning*: detect NVLink cliques with MaxCliqueDyn (S1), split the
 //! graph across cliques with an edge-cut-minimizing partitioner (S2), deal
 //! each clique's training vertices to its GPUs (S3), and assign tablets to
-//! GPUs as batch seeds (S4). The paper's S3 slices at random into equal
-//! counts; here the seeds are dealt by out-degree in snake order, so every
-//! tablet gets the clique's degree mix and no GPU draws the hubs and sets
-//! the epoch. This crate implements that pipeline plus every partitioner
-//! the paper references:
+//! GPUs as batch seeds (S4). Two steps go past the paper. An edge cut
+//! balances vertex counts, so the hubs' seeds land in one clique; S2b
+//! moves boundary training seeds from the heaviest clique to the lightest,
+//! priced at `√deg` per seed per GPU, until no move lowers the pair's
+//! larger load. The paper's S3 slices at random into equal counts; here
+//! the seeds are dealt by out-degree in snake order, so every tablet gets
+//! the clique's degree mix. Either way no GPU draws the hubs and sets the
+//! epoch. This crate implements that pipeline plus every partitioner the
+//! paper references:
 //!
 //! * [`clique`] — MaxCliqueDyn maximum-clique search and greedy clique
 //!   cover over the NVLink topology matrix,

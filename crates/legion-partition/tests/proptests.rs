@@ -211,5 +211,20 @@ proptest! {
                 prop_assert_eq!(plan.gpu_clique[gpu] as usize, ci);
             }
         }
+        // S2b: the heaviest and lightest cliques' per-GPU `√deg` loads
+        // differ by at most the largest seed price.
+        let price = |v: u32| (g.degree(v) as f64).sqrt();
+        let loads: Vec<f64> = plan
+            .cliques
+            .iter()
+            .map(|clique| {
+                clique.iter().flat_map(|&gpu| &plan.tablets[gpu]).map(|&v| price(v)).sum::<f64>()
+                    / clique.len() as f64
+            })
+            .collect();
+        let top_price = train.iter().map(|&v| price(v)).fold(0.0, f64::max);
+        let spread = loads.iter().copied().fold(0.0, f64::max)
+            - loads.iter().copied().fold(f64::INFINITY, f64::min);
+        prop_assert!(spread <= top_price, "loads {:?}, largest price {}", loads, top_price);
     }
 }

@@ -1037,13 +1037,13 @@ fn documented_crate_items_exist() {
 /// needs more room raises the budget in the same diff, so neither grows
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
-    ("README.md", 28283),
-    ("DESIGN.md", 92588),
+    ("README.md", 28360),
+    ("DESIGN.md", 92955),
     ("OPERATIONS.md", 29866),
-    ("EXPERIMENTS.md", 42656),
-    ("CHANGES.md", 186735),
+    ("EXPERIMENTS.md", 44146),
+    ("CHANGES.md", 195532),
     ("ROADMAP.md", 34100),
-    ("tests/golden.txt", 97828),
+    ("tests/golden.txt", 97833),
 ];
 
 /// Every top-level doc fits its byte budget.
