@@ -48,7 +48,8 @@ pub struct CostModel {
     feat_bytes_prefix: Vec<u64>,
     /// Inclusive prefix sums of feature hotness along `Q_F`.
     feat_hotness_prefix: Vec<u64>,
-    /// `N_TSUM`: PCIe transactions measured by PCM during pre-sampling.
+    /// `N_TSUM`: pre-sampling's sampling PCIe transactions, in the unit
+    /// of the hotness vectors.
     n_tsum: u64,
     /// Equation 8's per-vertex feature transaction count
     /// `ceil(D * s_float32 / CLS)`.
@@ -115,8 +116,8 @@ impl CostModel {
     /// * `graph` — the full graph (for `nc(v)`),
     /// * `q_t` / `q_f` — clique-level cache orders from CSLP,
     /// * `a_t` / `a_f` — accumulated hotness vectors indexed by vertex,
-    /// * `n_tsum` — PCM-measured sampling transactions during
-    ///   pre-sampling,
+    /// * `n_tsum` — pre-sampling's sampling transactions, in the unit of
+    ///   `a_t` / `a_f` (the predictions come out in it too),
     /// * `feature_dim` — `D`,
     /// * `cls` — transferred cache line size.
     ///

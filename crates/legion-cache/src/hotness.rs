@@ -87,6 +87,11 @@ impl HotnessMatrix {
         &self.data[gpu * self.num_vertices..(gpu + 1) * self.num_vertices]
     }
 
+    /// One GPU's full hotness row, writable.
+    pub fn row_mut(&mut self, gpu: usize) -> &mut [u64] {
+        &mut self.data[gpu * self.num_vertices..(gpu + 1) * self.num_vertices]
+    }
+
     /// Column-wise sum — the accumulated clique-level hotness vector
     /// (`A_T` / `A_F`, Algorithm 1 step 1).
     pub fn column_wise_sum(&self) -> Vec<u64> {

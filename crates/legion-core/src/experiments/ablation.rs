@@ -19,7 +19,8 @@ use legion_graph::VertexId;
 use legion_hw::ServerSpec;
 use legion_partition::quality::edge_cut_ratio;
 use legion_partition::{
-    HashPartitioner, LabelPropPartitioner, LdgPartitioner, MultilevelPartitioner, Partitioner,
+    hierarchical_partition, HashPartitioner, LabelPropPartitioner, LdgPartitioner,
+    MultilevelPartitioner, Partitioner,
 };
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 use legion_sampling::{BatchGenerator, KHopSampler};
@@ -27,14 +28,15 @@ use legion_sampling::{BatchGenerator, KHopSampler};
 use crate::config::LegionConfig;
 use crate::experiments::rows_for_ratio;
 use crate::runner::run_epoch;
-use crate::system::legion_feature_cache_setup_with;
+use crate::system::legion_feature_cache_setup_on;
 
 /// One partitioner-ablation row.
 #[derive(Debug, Clone, Serialize)]
 pub struct PartitionerAblationRow {
     /// Partitioner name.
     pub partitioner: String,
-    /// Fraction of edges cut by the inter-clique split.
+    /// Fraction of edges cut by the inter-clique split the setup trains
+    /// on (S2 after S2b's seed moves).
     pub edge_cut_ratio: f64,
     /// Resulting aggregate feature-cache hit rate.
     pub hit_rate: f64,
@@ -69,10 +71,15 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
     for (name, partitioner) in partitioners {
         let server = ServerSpec::custom(8, 1 << 40, 2).build();
         let ctx = cfg.build_context(&dataset, &server);
-        // Measure the raw 4-way cut the hierarchical S2 step would make.
-        let assignment = partitioner.partition(&dataset.graph, 4);
-        let cut = edge_cut_ratio(&dataset.graph, &assignment);
-        let Ok(setup) = legion_feature_cache_setup_with(&ctx, rows_per_gpu, partitioner) else {
+        let plan = hierarchical_partition(
+            &dataset.graph,
+            &dataset.train_vertices,
+            server.nvlink(),
+            partitioner,
+        );
+        // The cut of the split that trains: S2's, with S2b's seed moves.
+        let cut = edge_cut_ratio(&dataset.graph, &plan.vertex_partition);
+        let Ok(setup) = legion_feature_cache_setup_on(&ctx, rows_per_gpu, plan) else {
             continue;
         };
         let report = run_epoch(&setup, &ctx, &cfg);

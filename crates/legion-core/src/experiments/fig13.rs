@@ -10,6 +10,7 @@
 use serde::Serialize;
 
 use legion_hw::ServerSpec;
+use legion_sampling::HOTNESS_UNIT;
 
 use crate::config::LegionConfig;
 use crate::experiments::scaled_server;
@@ -23,9 +24,9 @@ pub struct Fig13Row {
     pub dataset: String,
     /// Forced topology share of the cache budget.
     pub alpha: f64,
-    /// Cost-model prediction: sampling transactions `N_T`.
+    /// Cost-model prediction: sampling transactions `N_T` per epoch.
     pub predicted_n_t: f64,
-    /// Cost-model prediction: feature transactions `N_F`.
+    /// Cost-model prediction: feature transactions `N_F` per epoch.
     pub predicted_n_f: f64,
     /// `N_total`.
     pub predicted_total: f64,
@@ -64,8 +65,10 @@ fn sweep_alphas(
         let Ok((setup, plans)) = legion_setup_forced_alpha(&ctx, &cfg, alpha) else {
             continue;
         };
-        let n_t: f64 = plans.iter().map(|p| p.evaluation.n_t).sum();
-        let n_f: f64 = plans.iter().map(|p| p.evaluation.n_f).sum();
+        // The model counts in pre-sampling's fixed-point unit.
+        let unit = HOTNESS_UNIT as f64;
+        let n_t: f64 = plans.iter().map(|p| p.evaluation.n_t / unit).sum();
+        let n_f: f64 = plans.iter().map(|p| p.evaluation.n_f / unit).sum();
         let report = run_epoch(&setup, &ctx, &cfg);
         snapshots.push((
             format!("{dataset_name}_alpha{:03}", (alpha * 100.0).round() as u64),

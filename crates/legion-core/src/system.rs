@@ -5,7 +5,7 @@ use legion_cache::{
     book_cache, build_clique_cache, cslp, place_prefix, CachePlan, CliqueCache, CostModel,
     PlannerConfig,
 };
-use legion_partition::hierarchical_partition;
+use legion_partition::{hierarchical_partition, HierarchicalPlan};
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 
 use crate::config::LegionConfig;
@@ -13,7 +13,7 @@ use crate::config::LegionConfig;
 /// Builds the full Legion system:
 ///
 /// 1. hierarchical partitioning (S1–S4, §4.1),
-/// 2. per-clique pre-sampling → `H_T`, `H_F`, `N_TSUM` (§4.2.2 S1),
+/// 2. per-clique pre-sampling → expected `H_T`, `H_F`, `N_TSUM` (§4.2.2 S1),
 /// 3. CSLP candidate ordering (Algorithm 1),
 /// 4. cost-model plan search over `(B, α)` (§4.3), and
 /// 5. cache initialization and fill-up.
@@ -147,22 +147,23 @@ pub fn legion_feature_cache_setup(
     rows_per_gpu: usize,
 ) -> Result<SystemSetup, SystemError> {
     let partitioner = config.partitioner.build(config.seed);
-    legion_feature_cache_setup_with(ctx, rows_per_gpu, partitioner.as_ref())
-}
-
-/// [`legion_feature_cache_setup`] with an explicit inter-clique
-/// partitioner — the knob the partitioner-ablation experiment turns.
-pub fn legion_feature_cache_setup_with(
-    ctx: &BuildContext<'_>,
-    rows_per_gpu: usize,
-    partitioner: &dyn legion_partition::Partitioner,
-) -> Result<SystemSetup, SystemError> {
     let plan = hierarchical_partition(
         &ctx.dataset.graph,
         &ctx.dataset.train_vertices,
         ctx.server.nvlink(),
-        partitioner,
+        partitioner.as_ref(),
     );
+    legion_feature_cache_setup_on(ctx, rows_per_gpu, plan)
+}
+
+/// [`legion_feature_cache_setup`] on a given hierarchical partition —
+/// the partitioner-ablation experiment partitions with each candidate
+/// and reads the cut of the split it trains on.
+pub fn legion_feature_cache_setup_on(
+    ctx: &BuildContext<'_>,
+    rows_per_gpu: usize,
+    plan: HierarchicalPlan,
+) -> Result<SystemSetup, SystemError> {
     let mut cliques_out = Vec::with_capacity(plan.cliques.len());
     for clique_gpus in &plan.cliques {
         let tablets: Vec<_> = clique_gpus

@@ -48,6 +48,16 @@ use crate::sampler::{KHopSampler, MiniBatchSample, SampleScratch};
 /// Bucket bounds (edge counts) of the `subgraph.block_edges` histogram.
 pub const BLOCK_EDGE_BUCKETS: [u64; 8] = [1, 4, 16, 64, 256, 1024, 4096, 16384];
 
+/// PCIe transactions of one fine-grained CPU (UVA) read of a row of
+/// `degree` entries that draws under `fanout`: one for the row offsets
+/// plus one 4-byte transaction per drawn edge, `1 + min(degree, fanout)`
+/// (§3.2). Sampling, pre-sampling and serving's warm-up profile all
+/// price a topology read with it.
+#[inline]
+pub fn topology_read_tx(degree: usize, fanout: usize) -> u64 {
+    1 + degree.min(fanout) as u64
+}
+
 /// Where the full graph topology lives (§3.2's "coarse-grained" options
 /// plus Legion's unified cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,15 +160,15 @@ impl BatchTotals {
         }
     }
 
-    /// Books a fine-grained CPU (UVA) read of one adjacency row: one
-    /// transaction for the row offsets plus one 4-byte transaction per
-    /// sampled edge (§3.2).
+    /// Books a fine-grained CPU (UVA) read of one adjacency row of
+    /// `degree` entries under `fanout` ([`topology_read_tx`]).
     #[inline]
-    fn charge_cpu_topology(&mut self, edges_read: u64) {
-        self.sampled_edges += edges_read;
+    fn charge_cpu_topology(&mut self, degree: usize, fanout: usize) {
+        let tx = topology_read_tx(degree, fanout);
+        self.sampled_edges += tx - 1;
         self.topology_misses += 1;
-        self.topology_tx += 1 + edges_read;
-        self.cpu_bytes += edges_read * 4 + 8;
+        self.topology_tx += tx;
+        self.cpu_bytes += (tx - 1) * 4 + 8;
     }
 
     /// Books `rows` feature rows of `row_bytes` that all come from the
@@ -397,11 +407,11 @@ impl<'a> AccessEngine<'a> {
             TopologyPlacement::CpuUva => cache.and_then(|(c, slot)| c.lookup_topology(slot, v)),
         };
         let row = self.graph.neighbors(v);
-        let edges_read = row.len().min(fanout) as u64;
         let Some(hit) = hit else {
-            totals.charge_cpu_topology(edges_read);
+            totals.charge_cpu_topology(row.len(), fanout);
             return Some(row);
         };
+        let edges_read = row.len().min(fanout) as u64;
         totals.sampled_edges += edges_read;
         totals.topology_hits += 1;
         if let CacheHit::Peer(owner) = hit {
@@ -426,7 +436,7 @@ impl<'a> AccessEngine<'a> {
         self.overlay
             .expect("dirty implies overlay")
             .merge_into(self.graph, v, merge);
-        totals.charge_cpu_topology(merge.len().min(fanout) as u64);
+        totals.charge_cpu_topology(merge.len(), fanout);
         merge
     }
 

@@ -17,8 +17,8 @@
 //!   HBM) that training, serving and the capacity probe run,
 //! * [`landing`] — a serving GPU's landing ring, the tier that keeps the
 //!   rows its last batches pulled over PCIe, and
-//! * [`presample()`] — the pre-sampling phase that fills `H_T`, `H_F` and
-//!   measures `N_TSUM` (§4.2.2 S1, Figure 6).
+//! * [`presample()`] — the pre-sampling phase that returns the expected
+//!   `H_T`, `H_F` and `N_TSUM` of an epoch (§4.2.2 S1, Figure 6).
 //!
 //! # Examples
 //!
@@ -56,6 +56,6 @@ pub mod step;
 pub use access::{AccessEngine, BatchTotals, CacheLayout, FloydSet, TopologyPlacement};
 pub use batch::BatchGenerator;
 pub use landing::LandingRing;
-pub use presample::{presample, presample_rng, worker_rng, PresampleOutput};
+pub use presample::{presample, presample_rng, worker_rng, PresampleOutput, HOTNESS_UNIT};
 pub use sampler::{Block, KHopSampler, MiniBatchSample, SampleScratch};
 pub use step::{BatchStep, Extract, LowerTier, Stepped};

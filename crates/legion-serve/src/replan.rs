@@ -41,7 +41,7 @@ use legion_cache::{
 };
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
-use legion_sampling::access::{sample_from_into, CacheLayout, FloydSet};
+use legion_sampling::access::{sample_from_into, topology_read_tx, CacheLayout, FloydSet};
 
 use crate::workload::TargetSampler;
 
@@ -606,9 +606,9 @@ pub fn profile_warmup(
         for &fanout in fanouts {
             next.clear();
             for &v in &frontier {
-                let edges_read = (graph.degree(v) as usize).min(fanout) as u64;
-                topo.add(0, v, edges_read);
-                n_tsum += 1 + edges_read;
+                let tx = topology_read_tx(graph.degree(v) as usize, fanout);
+                topo.add(0, v, tx - 1);
+                n_tsum += tx;
                 sample_from_into(graph.neighbors(v), fanout, &mut rng, &mut seen, &mut next);
             }
             next.sort_unstable();

@@ -8,6 +8,7 @@ use legion_cache::{cslp, CostModel, PlannerConfig};
 use legion_core::LegionConfig;
 use legion_graph::dataset::spec_by_name;
 use legion_hw::ServerSpec;
+use legion_sampling::HOTNESS_UNIT;
 
 fn main() {
     let dataset = spec_by_name("PA")
@@ -30,9 +31,11 @@ fn main() {
     let pres = config
         .build_context(&dataset, &server)
         .presample(&[0, 1], &tablets);
+    // Pre-sampling returns expected tallies in fixed point.
+    let unit = HOTNESS_UNIT as f64;
     println!(
-        "pre-sampling: N_TSUM = {} sampling transactions across the clique",
-        pres.n_tsum
+        "pre-sampling: N_TSUM = {:.0} expected sampling transactions across the clique",
+        pres.n_tsum as f64 / unit
     );
 
     // CSLP orders the candidates; the cost model prices any (B, alpha).
@@ -62,9 +65,9 @@ fn main() {
         println!(
             "{:>6.1} {:>14.0} {:>14.0} {:>14.0}",
             alpha,
-            e.n_t,
-            e.n_f,
-            e.n_total()
+            e.n_t / unit,
+            e.n_f / unit,
+            e.n_total() / unit
         );
     }
 
@@ -80,6 +83,6 @@ fn main() {
         plan.alpha,
         plan.topology_bytes() / 1024,
         plan.feature_bytes() / 1024,
-        plan.evaluation.n_total()
+        plan.evaluation.n_total() / unit
     );
 }

@@ -13,6 +13,7 @@ use legion_core::system::legion_setup_with_plans;
 use legion_core::LegionConfig;
 use legion_graph::dataset::spec_by_name;
 use legion_hw::ServerSpec;
+use legion_sampling::HOTNESS_UNIT;
 
 fn main() {
     // A 1/500-scale OGB-Products stand-in: same degree skew, same feature
@@ -50,7 +51,7 @@ fn main() {
             plan.alpha,
             plan.topology_bytes() / 1024,
             plan.feature_bytes() / 1024,
-            plan.evaluation.n_total(),
+            plan.evaluation.n_total() / HOTNESS_UNIT as f64,
         );
     }
     let legion = run_epoch(&setup, &ctx, &config);

@@ -1037,11 +1037,11 @@ fn documented_crate_items_exist() {
 /// needs more room raises the budget in the same diff, so neither grows
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
-    ("README.md", 28360),
-    ("DESIGN.md", 92955),
-    ("OPERATIONS.md", 29866),
-    ("EXPERIMENTS.md", 44146),
-    ("CHANGES.md", 195532),
+    ("README.md", 28424),
+    ("DESIGN.md", 93607),
+    ("OPERATIONS.md", 29927),
+    ("EXPERIMENTS.md", 44724),
+    ("CHANGES.md", 206556),
     ("ROADMAP.md", 34100),
     ("tests/golden.txt", 97833),
 ];

@@ -2,13 +2,16 @@
 //! server and dataset, and the cross-clique balance of `train_pa`'s
 //! set-up (PA/500 on a DGX-V100 with its memory scaled by 2000).
 
+use legion_baselines::SystemSetup;
+use legion_cache::CachePlan;
 use legion_core::experiments::scaled_server;
-use legion_core::runner::run_epoch;
+use legion_core::runner::{run_epoch, EpochReport};
 use legion_core::system::legion_setup_with_plans;
 use legion_core::LegionConfig;
 use legion_graph::dataset::spec_by_name;
 use legion_graph::VertexId;
 use legion_hw::ServerSpec;
+use legion_sampling::HOTNESS_UNIT;
 
 /// Every Legion epoch, on each server shape x {PA, PR} x two seeds:
 /// each training seed sits in exactly one tablet and is trained once;
@@ -78,10 +81,8 @@ fn every_training_epoch_keeps_its_books() {
     }
 }
 
-/// `train_pa`'s set-up: S2 puts PA's hubs in one clique, and without the
-/// S2b balance that clique's GPUs set the epoch (max / mean 1.47).
-#[test]
-fn train_pa_cliques_finish_together() {
+/// One epoch on `train_pa`'s set-up, seed 1: its plans and its report.
+fn train_pa_epoch() -> (SystemSetup, Vec<CachePlan>, EpochReport) {
     let ds = spec_by_name("PA").expect("PA").instantiate(500, 42);
     let server = scaled_server(&ServerSpec::dgx_v100(), 2000).build();
     let config = LegionConfig {
@@ -90,9 +91,17 @@ fn train_pa_cliques_finish_together() {
         ..LegionConfig::default()
     };
     let ctx = config.build_context(&ds, &server);
-    let (setup, _) = legion_setup_with_plans(&ctx, &config).expect("train_pa set-up");
+    let (setup, plans) = legion_setup_with_plans(&ctx, &config).expect("train_pa set-up");
     let report = run_epoch(&setup, &ctx, &config);
-    let seconds: Vec<f64> = (0..server.num_gpus())
+    (setup, plans, report)
+}
+
+/// `train_pa`'s set-up: S2 puts PA's hubs in one clique, and without the
+/// S2b balance that clique's GPUs set the epoch (max / mean 1.47).
+#[test]
+fn train_pa_cliques_finish_together() {
+    let (setup, _, report) = train_pa_epoch();
+    let seconds: Vec<f64> = (0..setup.tablets.len())
         .map(|g| report.metrics.gauge(&format!("epoch.gpu{g}.seconds")))
         .collect();
     let mean = seconds.iter().sum::<f64>() / seconds.len() as f64;
@@ -101,4 +110,27 @@ fn train_pa_cliques_finish_together() {
         ratio <= 1.15,
         "max / mean of epoch.gpu{{g}}.seconds: {ratio}"
     );
+}
+
+/// The cost model predicts the feature traffic each clique's epoch
+/// reads: pre-sampling's expected `H_F` priced at the chosen plan is
+/// within 6 % of the clique's `pcm.gpu{g}.feature_tx`.
+#[test]
+fn train_pa_cost_model_predicts_feature_traffic() {
+    let (setup, plans, report) = train_pa_epoch();
+    for (cc, plan) in setup.layout.cliques.iter().zip(&plans) {
+        let predicted = plan.evaluation.n_f / HOTNESS_UNIT as f64;
+        let measured: u64 = cc
+            .gpus()
+            .iter()
+            .map(|g| report.metrics.counter(&format!("pcm.gpu{g}.feature_tx")))
+            .sum();
+        let error = (predicted - measured as f64) / measured as f64;
+        assert!(
+            error.abs() <= 0.06,
+            "clique {:?}: predicted N_F {predicted:.0}, measured {measured} ({:+.1} %)",
+            cc.gpus(),
+            error * 100.0
+        );
+    }
 }
