@@ -7,7 +7,10 @@
 //!   `Q_T` until Equation 3's cumulative CSR bytes reach `m_T` yields the
 //!   cached set; Equation 4 gives the hotness-weighted reduction `R_T`
 //!   and Equation 5 the residual sampling traffic
-//!   `N_T = N_TSUM * (1 - R_T)`;
+//!   `N_T = N_TSUM * (1 - R_T)`. Each cached row saves transactions in
+//!   proportion to its hotness and costs its Equation 3 bytes, so
+//!   training's `Q_T` is ranked by hotness per byte ([`mod@crate::cslp`]):
+//!   each prefix is then the greedy knapsack answer for its bytes;
 //! * feature cache size `m_F = B * (1 - α)`; Equations 6–8 give the
 //!   residual feature traffic
 //!   `N_F = ceil(D * s_float32 / CLS) * U_F`;
@@ -114,7 +117,8 @@ impl CostModel {
     /// Builds the model for one clique.
     ///
     /// * `graph` — the full graph (for `nc(v)`),
-    /// * `q_t` / `q_f` — clique-level cache orders from CSLP,
+    /// * `q_t` / `q_f` — clique-level cache orders from CSLP (`q_t` by
+    ///   hotness per byte when pre-sampling sized `H_T`'s rows),
     /// * `a_t` / `a_f` — accumulated hotness vectors indexed by vertex,
     /// * `n_tsum` — pre-sampling's sampling transactions, in the unit of
     ///   `a_t` / `a_f` (the predictions come out in it too),

@@ -8,6 +8,16 @@
 //! the owner per row. The feature and topology matrices are processed
 //! independently (the paper runs the loop once for `Q_T` and once for
 //! `Q_F`).
+//!
+//! The paper sorts both orders by accumulated hotness. A cache plan
+//! spends bytes, though, and topology rows differ in size (Equation 3: a
+//! row costs `4·deg + 8` B), so a kilobyte hub row saves no more
+//! transactions per access than a small one. When the matrix carries its
+//! rows' sizes ([`HotnessMatrix::vertex_bytes`]; pre-sampling gives `H_T`
+//! its Equation 3 sizes) `Q_T` is ranked by hotness per byte instead: the
+//! greedy knapsack order, whose prefix within any budget holds at least
+//! the accumulated hotness of any set that fits it, minus one row's.
+//! Feature rows are all one size, so `Q_F` stays in hotness order.
 
 use legion_graph::VertexId;
 
@@ -19,7 +29,8 @@ pub struct CslpOutput {
     /// Accumulated vertex-wise hotness (`A_T` / `A_F`), indexed by vertex.
     pub accumulated: Vec<u64>,
     /// Clique-level order (`Q_T` / `Q_F`): vertex ids sorted by descending
-    /// accumulated hotness (ties: ascending vertex id, for determinism).
+    /// accumulated hotness, or hotness per byte when the matrix carries
+    /// row sizes (ties: ascending vertex id, for determinism).
     pub clique_order: Vec<VertexId>,
     /// The GPU slot each vertex is assigned to, indexed by vertex. With
     /// `clique_order` it encodes the per-GPU orders `G_T` / `G_F`.
@@ -47,12 +58,40 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
         accumulated.push(sum);
         owner.push(at as u32);
     }
-    // Step 2: sort vertices by descending hotness.
+    // Step 2: sort vertices by descending hotness (per byte).
+    let clique_order = match h.vertex_bytes() {
+        Some(bytes) => density_order(&accumulated, bytes),
+        None => hotness_order(&accumulated),
+    };
     CslpOutput {
-        clique_order: hotness_order(&accumulated),
+        clique_order,
         accumulated,
         owner,
     }
+}
+
+/// Every vertex `0..hotness.len()` by descending `hotness[v] / bytes[v]`,
+/// compared exactly (`h_a·b_b` against `h_b·b_a` in `u128`), ties toward
+/// the smaller id. Zero-hotness vertices all tie at 0, so they follow in
+/// id order, as in [`hotness_order`].
+fn density_order(hotness: &[u64], bytes: &[u64]) -> Vec<VertexId> {
+    assert_eq!(hotness.len(), bytes.len(), "one size per vertex");
+    let mut support: Vec<(u64, u64, VertexId)> = hotness
+        .iter()
+        .zip(bytes)
+        .enumerate()
+        .filter(|(_, (&h, _))| h > 0)
+        .map(|(v, (&h, &b))| (h, b, v as VertexId))
+        .collect();
+    support.sort_unstable_by(|&(h_a, b_a, a), &(h_b, b_b, b)| {
+        (u128::from(h_b) * u128::from(b_a))
+            .cmp(&(u128::from(h_a) * u128::from(b_b)))
+            .then(a.cmp(&b))
+    });
+    let mut order: Vec<VertexId> = support.into_iter().map(|(_, _, v)| v).collect();
+    order.reserve_exact(hotness.len() - order.len());
+    order.extend((0..hotness.len() as VertexId).filter(|&v| hotness[v as usize] == 0));
+    order
 }
 
 /// Sorts `ids` by descending `hotness[id]`, ties toward the smaller id
@@ -121,6 +160,8 @@ pub fn hotness_order(hotness: &[u64]) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostModel;
+    use legion_graph::{topology_bytes_for_degree, CsrGraph, GraphBuilder};
 
     fn example() -> HotnessMatrix {
         // 2 GPUs, 4 vertices.
@@ -192,6 +233,87 @@ mod tests {
         assert_eq!(hotness_order(&[1, 5000, 2048, 5000]), vec![1, 3, 2, 0]);
         let wide = [1, u64::MAX, 0, 1 << 40, u64::MAX, 1];
         assert_eq!(hotness_order(&wide), vec![1, 4, 3, 0, 5, 2]);
+    }
+
+    /// One GPU's hotness over a graph whose vertex 0 is a hub of degree
+    /// 30 (128 B of topology) and whose others have degree 1 (12 B), with
+    /// the rows' Equation 3 sizes attached when `sized`.
+    fn hub_and_small_rows(hotness: &[u64], sized: bool) -> (CsrGraph, CslpOutput) {
+        let n = hotness.len().max(31);
+        let mut b = GraphBuilder::new(n);
+        for v in 1..=30 {
+            b.push_edge(0, v);
+        }
+        for v in 1..n as VertexId {
+            b.push_edge(v, (v % (n as VertexId - 1)) + 1);
+        }
+        let g = b.build();
+        let mut h = HotnessMatrix::new(1, n);
+        for (v, &x) in hotness.iter().enumerate() {
+            h.add(0, v as VertexId, x);
+        }
+        if sized {
+            let bytes = (0..n as VertexId)
+                .map(|v| topology_bytes_for_degree(g.degree(v)))
+                .collect();
+            h = h.with_vertex_bytes(bytes);
+        }
+        (g, cslp(&h))
+    }
+
+    #[test]
+    fn per_byte_order_caches_small_rows_before_a_hub() {
+        // The hub's 8 accesses against four small rows of 2 each (the
+        // same total) and a fifth small row of 1. A 128-byte budget
+        // holds the hub alone or all five small rows.
+        let hotness = [8, 2, 2, 2, 2, 1];
+        let (g, by_hotness) = hub_and_small_rows(&hotness, false);
+        let (_, by_byte) = hub_and_small_rows(&hotness, true);
+        assert_eq!(g.degree(0), 30);
+        assert!((1..=5).all(|v| g.degree(v) == 1));
+        assert_eq!(by_hotness.clique_order[..2], [0, 1]);
+        assert_eq!(by_byte.clique_order[..6], [1, 2, 3, 4, 5, 0]);
+        let n_t = |out: &CslpOutput| {
+            let q = &out.clique_order;
+            let model = CostModel::new(&g, q, &out.accumulated, q, &out.accumulated, 1700, 4, 64);
+            model.evaluate(128, 1.0)
+        };
+        let (hub, small) = (n_t(&by_hotness), n_t(&by_byte));
+        assert_eq!(hub.topo_cached_vertices, 1, "hotness order caches the hub");
+        assert_eq!(
+            small.topo_cached_vertices, 5,
+            "per-byte order caches the rows"
+        );
+        // N_T = N_TSUM · (1 − R_T): R_T is 8/17 against 9/17.
+        assert_eq!(hub.n_t, 1700.0 * (1.0 - 8.0 / 17.0));
+        assert_eq!(small.n_t, 1700.0 * (1.0 - 9.0 / 17.0));
+        assert!(small.n_t < hub.n_t);
+    }
+
+    #[test]
+    fn per_byte_ties_go_to_the_lower_id() {
+        // Vertex 0 (128 B) and vertex 3 (12 B) tie at 1/4 per byte,
+        // 6 and 2 at 1/6; 1, 4 and 5 are cold, 7 carries 1/12.
+        let (_, out) = hub_and_small_rows(&[32, 0, 2, 3, 0, 0, 2, 1], true);
+        assert_eq!(out.clique_order[..5], [0, 3, 2, 6, 7]);
+        // The zero tail follows in id order.
+        assert_eq!(out.clique_order[5..8], [1, 4, 5]);
+        assert!(out.clique_order[8..].windows(2).all(|w| w[0] < w[1]));
+        // The order is a function of the inputs alone.
+        let (_, again) = hub_and_small_rows(&[32, 0, 2, 3, 0, 0, 2, 1], true);
+        assert_eq!(out, again);
+    }
+
+    #[test]
+    fn per_byte_order_compares_exactly() {
+        // 2^53 + 1 and 2^53 round to one `f64`: a float ratio would tie
+        // them and put vertex 0 first.
+        let big = 1 << 53;
+        assert_eq!(density_order(&[big, big + 1], &[12, 12]), vec![1, 0]);
+        // Cross products past `u64::MAX` still compare.
+        let top = u64::MAX;
+        assert_eq!(density_order(&[top, top - 1], &[1000, 999]), vec![1, 0]);
+        assert_eq!(density_order(&[top - 1, top], &[999, 1000]), vec![0, 1]);
     }
 
     #[test]

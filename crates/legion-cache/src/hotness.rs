@@ -3,6 +3,11 @@
 //! "Each matrix's row represents the GPU IDs within an NVLink clique, the
 //! column represents the vertex IDs, and the element `H_ij` of either
 //! matrix represents the hotness of the j-th vertex in the i-th GPU."
+//!
+//! A matrix whose cached rows differ in size carries each vertex's row
+//! bytes ([`HotnessMatrix::with_vertex_bytes`]): pre-sampling gives `H_T`
+//! each row's Equation 3 size, so CSLP ranks `Q_T` by hotness per cached
+//! byte. Feature rows are all one size, so `H_F` carries none.
 
 use legion_graph::VertexId;
 
@@ -24,6 +29,8 @@ pub struct HotnessMatrix {
     num_gpus: usize,
     num_vertices: usize,
     data: Vec<u64>,
+    /// Bytes caching each vertex's row takes, when rows differ in size.
+    vertex_bytes: Option<Vec<u64>>,
 }
 
 impl HotnessMatrix {
@@ -33,7 +40,27 @@ impl HotnessMatrix {
             num_gpus,
             num_vertices,
             data: vec![0; num_gpus * num_vertices],
+            vertex_bytes: None,
         }
+    }
+
+    /// The matrix with each vertex's cached row size attached: `bytes[v]`
+    /// is what caching `v`'s row takes. [`cslp`](crate::cslp()) then ranks
+    /// the vertices by hotness per byte instead of by hotness.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one positive size per vertex column.
+    pub fn with_vertex_bytes(mut self, bytes: Vec<u64>) -> Self {
+        assert_eq!(bytes.len(), self.num_vertices, "one size per vertex");
+        assert!(bytes.iter().all(|&b| b > 0), "a cached row takes bytes");
+        self.vertex_bytes = Some(bytes);
+        self
+    }
+
+    /// Each vertex's cached row size, if the matrix carries them.
+    pub fn vertex_bytes(&self) -> Option<&[u64]> {
+        self.vertex_bytes.as_deref()
     }
 
     /// Number of GPU rows.
@@ -121,7 +148,8 @@ impl HotnessMatrix {
     }
 
     /// Merges another matrix into this one (element-wise add). Used when
-    /// several pre-sampling workers contribute to the same clique.
+    /// several pre-sampling workers contribute to the same clique. The
+    /// row sizes stay this matrix's.
     ///
     /// # Panics
     ///
@@ -210,6 +238,12 @@ mod tests {
         let mut a = HotnessMatrix::new(1, 2);
         let b = HotnessMatrix::new(2, 2);
         a.merge(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "a cached row takes bytes")]
+    fn vertex_bytes_reject_a_free_row() {
+        let _ = HotnessMatrix::new(1, 2).with_vertex_bytes(vec![8, 0]);
     }
 
     #[test]

@@ -137,6 +137,113 @@ proptest! {
     }
 }
 
+/// Hotness split over one to three GPU rows beside each vertex's
+/// Equation 3 row size, for 0 to 59 vertices of degree below 300. A
+/// quarter of the vertices are cold and a quarter carry `1..5`, so
+/// per-byte ties are common; the rest reach 2^40.
+fn sized_hotness() -> impl Strategy<Value = HotnessMatrix> {
+    let cell = (0u64..300, 0u64..4, 0u64..1 << 40, 0usize..3);
+    (1usize..4, proptest::collection::vec(cell, 0..60)).prop_map(|(gpus, cells)| {
+        let mut h = HotnessMatrix::new(gpus, cells.len());
+        for (v, &(_, roll, x, g)) in cells.iter().enumerate() {
+            let hot = match roll {
+                0 => 0,
+                1 => 1 + x % 4,
+                _ => x,
+            };
+            h.add(g % gpus, v as VertexId, hot);
+        }
+        let bytes = cells
+            .iter()
+            .map(|&(deg, ..)| topology_bytes_for_degree(deg))
+            .collect();
+        h.with_vertex_bytes(bytes)
+    })
+}
+
+/// Accumulated hotness of the longest prefix of `order` whose row sizes
+/// fit in `budget` bytes: what a cache plan holds (Equation 3's walk).
+fn prefix_hotness(order: &[VertexId], hot: &[u64], bytes: &[u64], budget: u64) -> u64 {
+    let (mut used, mut held) = (0, 0);
+    for &v in order {
+        used += bytes[v as usize];
+        if used > budget {
+            break;
+        }
+        held += hot[v as usize];
+    }
+    held
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With row sizes attached, `Q_T` is every vertex by descending
+    /// hotness per byte, compared exactly, ties to the lower id; owners
+    /// and the accumulated vector do not depend on the sizes.
+    #[test]
+    fn sized_cslp_orders_by_hotness_per_byte(h in sized_hotness()) {
+        let out = cslp(&h);
+        let bytes = h.vertex_bytes().expect("sized");
+        let hot = &out.accumulated;
+        let mut sorted = out.clique_order.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..h.num_vertices() as VertexId).collect::<Vec<_>>());
+        for w in out.clique_order.windows(2) {
+            let (a, b) = (w[0] as usize, w[1] as usize);
+            let lhs = u128::from(hot[a]) * u128::from(bytes[b]);
+            let rhs = u128::from(hot[b]) * u128::from(bytes[a]);
+            prop_assert!(lhs > rhs || (lhs == rhs && a < b), "{} before {}", a, b);
+        }
+        let mut bare = HotnessMatrix::new(h.num_gpus(), h.num_vertices());
+        bare.merge(&h);
+        let plain = cslp(&bare);
+        prop_assert_eq!(&plain.accumulated, &out.accumulated);
+        prop_assert_eq!(&plain.owner, &out.owner);
+    }
+
+    /// One size for every row (the feature matrix's case) leaves the
+    /// hotness order as it is.
+    #[test]
+    fn uniform_sizes_keep_the_hotness_order(h in hotness_strategy(), size in 1u64..5000) {
+        let sized = h.clone().with_vertex_bytes(vec![size; h.num_vertices()]);
+        prop_assert_eq!(cslp(&sized), cslp(&h));
+    }
+
+    /// The greedy knapsack bound: at every budget, the per-byte prefix
+    /// holds at least the hotness-order prefix's accumulated hotness
+    /// minus the largest single row's.
+    #[test]
+    fn per_byte_prefix_loses_at_most_one_row_to_the_hotness_prefix(
+        h in sized_hotness(),
+        extra in proptest::collection::vec(0u64..1 << 16, 4),
+    ) {
+        let by_byte = cslp(&h);
+        let bytes = h.vertex_bytes().expect("sized");
+        let hot = &by_byte.accumulated;
+        let by_hotness = hotness_order(hot);
+        let largest = hot.iter().copied().max().unwrap_or(0);
+        // Every prefix boundary of either order, and a few in between.
+        let mut budgets = extra;
+        for order in [&by_byte.clique_order, &by_hotness] {
+            let mut used = 0;
+            for &v in order.iter() {
+                used += bytes[v as usize];
+                budgets.extend([used - 1, used]);
+            }
+        }
+        for budget in budgets {
+            let per_byte = prefix_hotness(&by_byte.clique_order, hot, bytes, budget);
+            let hottest = prefix_hotness(&by_hotness, hot, bytes, budget);
+            prop_assert!(
+                per_byte + largest >= hottest,
+                "budget {}: per-byte prefix {} vs hotness prefix {} (largest row {})",
+                budget, per_byte, hottest, largest
+            );
+        }
+    }
+}
+
 /// Brute-force re-implementation of Equations 3-8 by walking the order
 /// linearly (no prefix sums, no binary search).
 #[allow(clippy::too_many_arguments)]

@@ -34,13 +34,18 @@
 //!   `Λ(w)`, and `H_F[w] = inner + (B − inner)·(1 − e^{−Λ/B})`: the leaf
 //!   draws fall evenly over the batches that do not already hold `w`.
 //!
+//! `H_T` carries each row's Equation 3 size
+//! ([`HotnessMatrix::with_vertex_bytes`]), so CSLP ranks `Q_T` by
+//! expected hotness per cached byte: a topology cache plan spends bytes,
+//! and an expectation, unlike one draw, is steady enough to divide.
+//!
 //! No counter is charged.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use legion_cache::HotnessMatrix;
-use legion_graph::{CsrGraph, FeatureTable, VertexId};
+use legion_graph::{topology_bytes_for_degree, CsrGraph, FeatureTable, VertexId};
 use legion_hw::{GpuId, MultiGpuServer};
 
 use crate::access::topology_read_tx;
@@ -57,7 +62,8 @@ pub const HOTNESS_UNIT: u64 = 1 << 16;
 #[derive(Debug, Clone)]
 pub struct PresampleOutput {
     /// Topology hotness matrix `H_T` (rows = clique slots): edges drawn
-    /// from each row.
+    /// from each row. It carries each vertex's Equation 3 row size, so
+    /// CSLP ranks `Q_T` by hotness per byte.
     pub h_t: HotnessMatrix,
     /// Feature hotness matrix `H_F`: batches each vertex appears in.
     pub h_f: HotnessMatrix,
@@ -123,8 +129,11 @@ pub fn presample(
         let (t, f) = (h_t.row_mut(slot), h_f.row_mut(slot));
         walk.last_hop(graph, last, batches.len(), epochs as u64, t, f);
     }
+    let row_bytes = (0..n as VertexId)
+        .map(|v| topology_bytes_for_degree(graph.degree(v)))
+        .collect();
     PresampleOutput {
-        h_t,
+        h_t: h_t.with_vertex_bytes(row_bytes),
         h_f,
         n_tsum: counts(walk.n_tsum, epochs as u64),
     }

@@ -7,7 +7,9 @@
 #   scripts/model_clock.sh            re-baseline: rewrite BENCH_model.json
 #   scripts/model_clock.sh --check    compare a fresh run with BENCH_model.json,
 #                                     print each mover on a line of its own
-#                                     and exit 1 if anything moved
+#                                     and exit 1 if anything moved; also
+#                                     exit 1 if the last BENCH_history.jsonl
+#                                     line's `model` differs from its rows
 #
 # Each reading is `bash bench/run.sh --workload W --seed N --quick --trace 0`
 # (about 25 s for all twelve). A row is `"workload/seed/metric": value`,
@@ -23,6 +25,7 @@ shopt -s inherit_errexit
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_model.json
+HISTORY=BENCH_history.jsonl
 WORKLOADS=(train_pa serve_steady serve_oversub_drift fleet_churn)
 SEEDS=(1 2 3)
 
@@ -34,6 +37,25 @@ case "$mode" in
     exit 2
     ;;
 esac
+
+# committed_rows: BENCH_model.json's rows, one `"workload/seed/metric": value`
+# line each.
+committed_rows() {
+    grep -E '^ +"[a-z_]+/[0-9]+/model_' "$BASELINE" | sed -E 's/^ +//; s/,$//'
+}
+
+# A re-baseline appends its history line: the last line's `model` object
+# holds the committed rows, value for value as printed.
+if [[ "$mode" == --check ]]; then
+    history="$(tail -n 1 "$HISTORY" | { grep -oE '"[a-z_]+/[0-9]+/model_[a-z_]+": [^,}]*' || true; } | sort)"
+    if ! unequal="$(diff <(echo "$history") <(committed_rows | sort))"; then
+        echo "model_clock: the last $HISTORY line's model differs from $BASELINE" \
+            "(< history, > baseline):" >&2
+        grep -E '^[<>]' <<<"$unequal" >&2
+        echo "model_clock: a re-baseline appends its $HISTORY line" >&2
+        exit 1
+    fi
+fi
 
 # rows: one `"workload/seed/metric": value` line per reading.
 rows() {
@@ -66,7 +88,7 @@ case "$mode" in
     echo "model_clock: wrote $(wc -l <<<"$fresh") rows to $BASELINE"
     ;;
 --check)
-    committed="$(grep -E '^ +"[a-z_]+/[0-9]+/model_' "$BASELINE" | sed -E 's/^ +//; s/,$//')"
+    committed="$(committed_rows)"
     # Movers, one per line: `row: old → new (+x %)`; a row on one side
     # only reads `(none)` on the other.
     movers="$(awk -F': ' '

@@ -1037,11 +1037,11 @@ fn documented_crate_items_exist() {
 /// needs more room raises the budget in the same diff, so neither grows
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
-    ("README.md", 28424),
-    ("DESIGN.md", 93607),
+    ("README.md", 28559),
+    ("DESIGN.md", 94409),
     ("OPERATIONS.md", 29927),
-    ("EXPERIMENTS.md", 44724),
-    ("CHANGES.md", 206556),
+    ("EXPERIMENTS.md", 45672),
+    ("CHANGES.md", 214737),
     ("ROADMAP.md", 34100),
     ("tests/golden.txt", 97833),
 ];

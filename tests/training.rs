@@ -134,3 +134,27 @@ fn train_pa_cost_model_predicts_feature_traffic() {
         );
     }
 }
+
+/// The cost model predicts the topology traffic each clique's epoch
+/// reads: pre-sampling's expected `N_TSUM` and `H_T`, with `Q_T` ranked
+/// by hotness per byte and priced at the chosen plan (Equation 5), are
+/// within 10 % of the clique's `pcm.gpu{g}.topology_tx`.
+#[test]
+fn train_pa_cost_model_predicts_topology_traffic() {
+    let (setup, plans, report) = train_pa_epoch();
+    for (cc, plan) in setup.layout.cliques.iter().zip(&plans) {
+        let predicted = plan.evaluation.n_t / HOTNESS_UNIT as f64;
+        let measured: u64 = cc
+            .gpus()
+            .iter()
+            .map(|g| report.metrics.counter(&format!("pcm.gpu{g}.topology_tx")))
+            .sum();
+        let error = (predicted - measured as f64) / measured as f64;
+        assert!(
+            error.abs() <= 0.10,
+            "clique {:?}: predicted N_T {predicted:.0}, measured {measured} ({:+.1} %)",
+            cc.gpus(),
+            error * 100.0
+        );
+    }
+}
