@@ -79,7 +79,7 @@ pub fn partitioner_ablation(divisor: u64, config: &LegionConfig) -> Vec<Partitio
         );
         // The cut of the split that trains: S2's, with S2b's seed moves.
         let cut = edge_cut_ratio(&dataset.graph, &plan.vertex_partition);
-        let Ok(setup) = legion_feature_cache_setup_on(&ctx, rows_per_gpu, plan) else {
+        let Ok(setup) = legion_feature_cache_setup_on(&ctx, &cfg, rows_per_gpu, plan) else {
             continue;
         };
         let report = run_epoch(&setup, &ctx, &cfg);

@@ -36,13 +36,6 @@ pub struct Fig13Row {
     pub measured_extract_seconds: f64,
 }
 
-impl Fig13Row {
-    /// Measured sampling + extraction seconds.
-    pub fn measured_total(&self) -> f64 {
-        self.measured_sample_seconds + self.measured_extract_seconds
-    }
-}
-
 /// Sweeps α for one dataset with a fixed per-GPU cache budget; returns
 /// the rows and the metric snapshot of each α point (labelled
 /// `<dataset>_alpha<percent>`), the raw counters behind the measured
@@ -161,9 +154,9 @@ mod tests {
             .iter()
             .enumerate()
             .min_by(|a, b| {
-                a.1.measured_total()
-                    .partial_cmp(&b.1.measured_total())
-                    .unwrap()
+                let measured =
+                    |r: &Fig13Row| r.measured_sample_seconds + r.measured_extract_seconds;
+                measured(a.1).partial_cmp(&measured(b.1)).unwrap()
             })
             .unwrap()
             .0;

@@ -1,10 +1,7 @@
 //! The Legion setup builders: C1 + C2 + C3 assembled.
 
 use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
-use legion_cache::{
-    book_cache, build_clique_cache, cslp, place_prefix, CachePlan, CliqueCache, CostModel,
-    PlannerConfig,
-};
+use legion_cache::{build_clique_cache, cslp, CachePlan, CostModel, PlannerConfig};
 use legion_partition::{hierarchical_partition, HierarchicalPlan};
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 
@@ -40,7 +37,7 @@ pub fn legion_setup_with_plans(
     ctx: &BuildContext<'_>,
     config: &LegionConfig,
 ) -> Result<(SystemSetup, Vec<CachePlan>), SystemError> {
-    legion_setup_inner(ctx, config, None)
+    legion_setup_inner(ctx, config, None, None, None)
 }
 
 /// Like [`legion_setup_with_plans`] but with the topology fraction `α`
@@ -56,23 +53,32 @@ pub fn legion_setup_forced_alpha(
     alpha: f64,
 ) -> Result<(SystemSetup, Vec<CachePlan>), SystemError> {
     assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-    legion_setup_inner(ctx, config, Some(alpha))
+    legion_setup_inner(ctx, config, None, Some(alpha), None)
 }
 
+/// The set-up every Legion builder shares, on `partition` when one is
+/// given (else C1 with the configured S2 partitioner), with `α` forced
+/// when `forced_alpha` is given (else searched), and each clique's
+/// budget exactly `bytes_per_gpu` per member when that is given (else
+/// the planner's, capped by the context's override).
 fn legion_setup_inner(
     ctx: &BuildContext<'_>,
     config: &LegionConfig,
+    partition: Option<HierarchicalPlan>,
     forced_alpha: Option<f64>,
+    bytes_per_gpu: Option<u64>,
 ) -> Result<(SystemSetup, Vec<CachePlan>), SystemError> {
     ctx.host_gate(ctx.dataset_bytes())?;
-    // C1: hierarchical partitioning with the configured S2 partitioner.
-    let partitioner = config.partitioner.build(config.seed);
-    let plan = hierarchical_partition(
-        &ctx.dataset.graph,
-        &ctx.dataset.train_vertices,
-        ctx.server.nvlink(),
-        partitioner.as_ref(),
-    );
+    let plan = partition.unwrap_or_else(|| {
+        // C1: hierarchical partitioning with the configured S2 partitioner.
+        let partitioner = config.partitioner.build(config.seed);
+        hierarchical_partition(
+            &ctx.dataset.graph,
+            &ctx.dataset.train_vertices,
+            ctx.server.nvlink(),
+            partitioner.as_ref(),
+        )
+    });
     let planner = PlannerConfig {
         reserved_per_gpu: ctx.reserved_per_gpu,
         delta_alpha: config.delta_alpha,
@@ -101,11 +107,16 @@ fn legion_setup_inner(
             ctx.dataset.features.dim(),
             ctx.server.pcie().cls(),
         );
-        let mut budget = planner.clique_budget(ctx.server.spec().gpu_memory, clique_gpus.len());
-        // Fixed-budget experiments cap the clique budget.
-        if let Some(cap) = ctx.cache_budget_override {
-            budget = budget.min(cap * clique_gpus.len() as u64);
-        }
+        let kg = clique_gpus.len() as u64;
+        let budget = match bytes_per_gpu {
+            Some(bytes) => bytes * kg,
+            None => {
+                let budget = planner.clique_budget(ctx.server.spec().gpu_memory, clique_gpus.len());
+                // Fixed-budget experiments cap the clique budget.
+                ctx.cache_budget_override
+                    .map_or(budget, |cap| budget.min(cap * kg))
+            }
+        };
         let cache_plan = match forced_alpha {
             None => planner.plan_with_budget(&model, budget),
             Some(alpha) => CachePlan {
@@ -138,22 +149,17 @@ fn legion_setup_inner(
 }
 
 /// Feature-cache-only Legion variant used by the fixed-ratio cache
-/// comparisons (Figures 2, 3, 9, 10): hierarchical partitioning + CSLP
-/// feature placement, the head of each clique's `Q_F` at `rows_per_gpu`
-/// feature rows per GPU, no topology cache.
+/// comparisons (Figures 2, 3, 9, 10): Legion's set-up at a forced
+/// `α = 0` with exactly `rows_per_gpu` feature rows of budget per GPU —
+/// the head of each clique's `Q_F`, no topology cache.
 pub fn legion_feature_cache_setup(
     ctx: &BuildContext<'_>,
     config: &LegionConfig,
     rows_per_gpu: usize,
 ) -> Result<SystemSetup, SystemError> {
-    let partitioner = config.partitioner.build(config.seed);
-    let plan = hierarchical_partition(
-        &ctx.dataset.graph,
-        &ctx.dataset.train_vertices,
-        ctx.server.nvlink(),
-        partitioner.as_ref(),
-    );
-    legion_feature_cache_setup_on(ctx, rows_per_gpu, plan)
+    let bytes = rows_per_gpu as u64 * ctx.dataset.features.row_bytes();
+    let (setup, _plans) = legion_setup_inner(ctx, config, None, Some(0.0), Some(bytes))?;
+    Ok(setup)
 }
 
 /// [`legion_feature_cache_setup`] on a given hierarchical partition —
@@ -161,38 +167,13 @@ pub fn legion_feature_cache_setup(
 /// and reads the cut of the split it trains on.
 pub fn legion_feature_cache_setup_on(
     ctx: &BuildContext<'_>,
+    config: &LegionConfig,
     rows_per_gpu: usize,
     plan: HierarchicalPlan,
 ) -> Result<SystemSetup, SystemError> {
-    let mut cliques_out = Vec::with_capacity(plan.cliques.len());
-    for clique_gpus in &plan.cliques {
-        let tablets: Vec<_> = clique_gpus
-            .iter()
-            .map(|&g| plan.tablets[g].clone())
-            .collect();
-        let feat_order = cslp(&ctx.presample(clique_gpus, &tablets).h_f);
-        let mut cache = CliqueCache::new(
-            clique_gpus.clone(),
-            ctx.dataset.graph.num_vertices(),
-            ctx.dataset.features.dim(),
-        );
-        place_prefix(
-            &mut cache,
-            None,
-            &feat_order.clique_order,
-            rows_per_gpu as u64 * ctx.dataset.features.row_bytes(),
-            |v| Some(feat_order.owner[v as usize] as usize),
-        );
-        book_cache(ctx.server, &cache)?;
-        cliques_out.push(cache);
-    }
-    Ok(SystemSetup {
-        name: "Legion".to_string(),
-        layout: CacheLayout::from_cliques(ctx.server.num_gpus(), cliques_out),
-        tablets: plan.tablets,
-        topology_placement: TopologyPlacement::CpuUva,
-        schedule: ScheduleKind::Pipelined,
-    })
+    let bytes = rows_per_gpu as u64 * ctx.dataset.features.row_bytes();
+    let (setup, _plans) = legion_setup_inner(ctx, config, Some(plan), Some(0.0), Some(bytes))?;
+    Ok(setup)
 }
 
 #[cfg(test)]

@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn argmax_rows_basics() {
-        let m = Matrix::from_rows(&[&[0.1, 0.9], &[5.0, -1.0]]);
+        let m = Matrix::from_flat(2, 2, vec![0.1, 0.9, 5.0, -1.0]);
         assert_eq!(argmax_rows(&m), vec![1, 0]);
     }
 

@@ -1,47 +1,6 @@
-//! Degree statistics and skew metrics used by experiment drivers and tests.
+//! Degree skew and edge-cut metrics used by experiment drivers and tests.
 
 use crate::csr::CsrGraph;
-
-/// Summary of an out-degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum out-degree.
-    pub min: u64,
-    /// Maximum out-degree.
-    pub max: u64,
-    /// Mean out-degree.
-    pub mean: f64,
-    /// Fraction of edges owned by the top 10% highest-degree vertices.
-    pub top10_edge_share: f64,
-}
-
-/// Computes [`DegreeStats`] for a graph.
-///
-/// # Panics
-///
-/// Panics if the graph has no vertices.
-pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
-    assert!(g.num_vertices() > 0, "graph must have vertices");
-    let mut degrees: Vec<u64> = (0..g.num_vertices() as u32).map(|v| g.degree(v)).collect();
-    let min = *degrees.iter().min().expect("non-empty");
-    let max = *degrees.iter().max().expect("non-empty");
-    let total: u64 = degrees.iter().sum();
-    let mean = total as f64 / degrees.len() as f64;
-    degrees.sort_unstable_by(|a, b| b.cmp(a));
-    let head = degrees.len().div_ceil(10);
-    let head_sum: u64 = degrees[..head].iter().sum();
-    let top10_edge_share = if total == 0 {
-        0.0
-    } else {
-        head_sum as f64 / total as f64
-    };
-    DegreeStats {
-        min,
-        max,
-        mean,
-        top10_edge_share,
-    }
-}
 
 /// Gini coefficient of the out-degree distribution — 0 for perfectly
 /// uniform, approaching 1 for extreme skew. Used to check that synthetic
@@ -77,22 +36,6 @@ pub fn edge_cut(g: &CsrGraph, assignment: &[u32]) -> usize {
 mod tests {
     use super::*;
     use crate::GraphBuilder;
-
-    #[test]
-    fn stats_on_star_graph() {
-        // Vertex 0 points at everyone else.
-        let mut b = GraphBuilder::new(11);
-        for v in 1..11 {
-            b.push_edge(0, v);
-        }
-        let g = b.build();
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 10);
-        assert!((s.mean - 10.0 / 11.0).abs() < 1e-12);
-        // Top 10% (2 vertices) hold all edges.
-        assert_eq!(s.top10_edge_share, 1.0);
-    }
 
     #[test]
     fn gini_zero_for_regular_graph() {

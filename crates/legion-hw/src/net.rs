@@ -6,25 +6,16 @@
 //! `legion_store::NvmeModel`: a payload-dependent effective-bandwidth
 //! curve (`throughput(p) = peak * p / (p + overhead)`), plus the two
 //! properties that make a datacenter network behave unlike a local bus —
-//! a *round-trip latency* per request wave (an RPC to the owning server
-//! and back) and a bounded *in-flight window* (requests beyond the
-//! window wait for the next wave). Every output is a deterministic
-//! function of the request stream and is quantized to whole nanoseconds,
-//! so fleet runs stay byte-identical per seed on the same integer-ns
-//! horizon as the rest of the simulator.
+//! a *round-trip latency* per request wave (a one-sided RDMA read of the
+//! owning server's memory and back) and a bounded *in-flight window*
+//! (requests beyond the window wait for the next wave). Every output is
+//! a deterministic function of the request stream and is quantized to
+//! whole nanoseconds, so fleet runs stay byte-identical per seed on the
+//! same integer-ns horizon as the rest of the simulator.
 
 /// Achievable peak per-link bandwidth of the fleet's 400 GbE / NDR-class
 /// fabric in bytes/s, for large, well-batched transfers.
 const PEAK_BANDWIDTH: f64 = 50.0e9;
-
-/// Per-message overhead in equivalent bytes: Ethernet + IP + transport
-/// headers and the NIC doorbell. Heavier than the PCIe link's 512 B
-/// because each read is a full RPC, lighter than NVMe's FTL traversal.
-const RPC_MESSAGE_OVERHEAD_BYTES: f64 = 4096.0;
-
-/// Base round-trip latency per request wave, seconds (~25 us — a
-/// kernel-bypass RPC across a top-of-rack switch and back).
-const RPC_RTT_S: f64 = 25e-6;
 
 /// Requests a server keeps in flight concurrently; reads beyond this
 /// wait for the next round-trip wave.
@@ -32,11 +23,11 @@ const MAX_INFLIGHT: u64 = 64;
 
 /// Per-message overhead of a one-sided RDMA read: just the transport
 /// header and completion-queue entry — no kernel, no RPC framing.
-const RDMA_MESSAGE_OVERHEAD_BYTES: f64 = 256.0;
+const MESSAGE_OVERHEAD_BYTES: f64 = 256.0;
 
 /// Round-trip latency of a one-sided RDMA read across a rack switch
 /// (~3 us): the fabric class Legion-scale GPU clusters actually deploy.
-const RDMA_RTT_S: f64 = 3e-6;
+const RTT_S: f64 = 3e-6;
 
 /// Nanoseconds per second, for the integer-ns quantization.
 const NANOS_PER_SEC: f64 = 1e9;
@@ -137,39 +128,23 @@ pub struct RemoteWave {
 /// ```
 /// use legion_hw::NetModel;
 ///
-/// let net = NetModel::rpc();
-/// // One remote 512 B feature row is latency-bound, far below peak.
-/// assert!(net.effective_bandwidth(512.0) < 0.2 * net.peak_bandwidth());
+/// let net = NetModel::rdma();
+/// // One remote 64 B row is header-bound, far below peak.
+/// assert!(net.effective_bandwidth(64.0) < 0.25 * net.peak_bandwidth());
 /// // A single remote read pays at least one round trip.
-/// assert!(net.read_seconds_at(1, 512, 1) >= 25e-6);
+/// assert!(net.read_seconds_at(1, 512, 1) >= 3e-6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
-    overhead_bytes: f64,
-    rtt_s: f64,
     contention: Option<UplinkConfig>,
 }
 
 impl NetModel {
-    /// A kernel-path RPC fabric: a 4 KiB message overhead and a 25 us
-    /// round trip per wave.
-    pub fn rpc() -> Self {
-        Self {
-            overhead_bytes: RPC_MESSAGE_OVERHEAD_BYTES,
-            rtt_s: RPC_RTT_S,
-            contention: None,
-        }
-    }
-
     /// A kernel-bypass RDMA fabric: one-sided reads with a 256 B header
     /// and a 3 us round trip per wave — microsecond-class remote memory,
-    /// the deployment the fleet tier defaults to.
+    /// the fabric every fleet runs on.
     pub fn rdma() -> Self {
-        Self {
-            overhead_bytes: RDMA_MESSAGE_OVERHEAD_BYTES,
-            rtt_s: RDMA_RTT_S,
-            contention: None,
-        }
+        Self { contention: None }
     }
 
     /// Enables the shared-uplink contention model; see
@@ -194,7 +169,7 @@ impl NetModel {
     /// Round-trip time per wave, in seconds.
     #[inline]
     pub fn rtt_seconds(&self) -> f64 {
-        self.rtt_s
+        RTT_S
     }
 
     /// Peak per-link bandwidth in bytes/s.
@@ -205,19 +180,19 @@ impl NetModel {
 
     /// Effective throughput in bytes/s when every message carries
     /// `payload_bytes` of useful data — the same saturation curve as
-    /// the PCIe and NVMe models with per-RPC overhead.
+    /// the PCIe and NVMe models with per-message overhead.
     pub fn effective_bandwidth(&self, payload_bytes: f64) -> f64 {
         if payload_bytes <= 0.0 {
             return 0.0;
         }
-        self.peak_bandwidth() * payload_bytes / (payload_bytes + self.overhead_bytes)
+        self.peak_bandwidth() * payload_bytes / (payload_bytes + MESSAGE_OVERHEAD_BYTES)
     }
 
     /// Bytes on the wire for a read of `payload_bytes`: the payload
     /// plus the per-message header overhead, rounded up to whole bytes.
     #[inline]
     pub fn bytes_for_payload(&self, payload_bytes: u64) -> u64 {
-        payload_bytes + self.overhead_bytes.ceil() as u64
+        payload_bytes + MESSAGE_OVERHEAD_BYTES.ceil() as u64
     }
 
     /// Seconds for a batch of `num_reads` remote reads of
@@ -235,7 +210,7 @@ impl NetModel {
         }
         let waves = num_reads.div_ceil(MAX_INFLIGHT);
         let bytes = num_reads * payload_bytes;
-        let seconds = waves as f64 * self.rtt_s
+        let seconds = waves as f64 * RTT_S
             + bytes as f64 / self.effective_bandwidth(payload_bytes as f64)
                 * self.stretch_for(concurrent);
         (seconds * NANOS_PER_SEC).round() / NANOS_PER_SEC
@@ -248,7 +223,7 @@ impl NetModel {
     /// waves — and each message's bytes move at its own
     /// payload-dependent effective bandwidth, stretched by the
     /// contention model for `concurrent` active servers. This is the
-    /// per-owner alternative to charging every row as its own RPC:
+    /// per-owner alternative to charging every row as its own message:
     /// fewer messages amortize both the per-message header overhead
     /// and the round-trip waves. Quantized to whole nanoseconds.
     pub fn coalesced_read_seconds_at(&self, payloads: &[u64], concurrent: usize) -> f64 {
@@ -257,7 +232,7 @@ impl NetModel {
 
     /// Prices one wave of remote rows, `owner_rows[s]` of `row_bytes`
     /// each from server `s`, while `concurrent` servers share the
-    /// uplink: per row, each row is its own RPC
+    /// uplink: per row, each row is its own message
     /// ([`read_seconds_at`](Self::read_seconds_at)); per owner, each
     /// server's rows go in one message, in server order
     /// ([`coalesced_read_seconds_at`](Self::coalesced_read_seconds_at)).
@@ -286,7 +261,7 @@ impl NetModel {
             .clone()
             .map(|p| p as f64 / self.effective_bandwidth(p as f64))
             .sum();
-        let seconds = waves as f64 * self.rtt_s + bw * self.stretch_for(concurrent);
+        let seconds = waves as f64 * RTT_S + bw * self.stretch_for(concurrent);
         RemoteWave {
             seconds: (seconds * NANOS_PER_SEC).round() / NANOS_PER_SEC,
             wire_bytes: payloads.map(|p| self.bytes_for_payload(p)).sum(),
@@ -311,7 +286,7 @@ mod tests {
 
     #[test]
     fn effective_bandwidth_monotone_in_payload() {
-        let m = NetModel::rpc();
+        let m = NetModel::rdma();
         let mut prev = 0.0;
         for p in [64.0, 512.0, 4096.0, 65536.0, 1048576.0] {
             let bw = m.effective_bandwidth(p);
@@ -325,25 +300,25 @@ mod tests {
     fn network_is_slower_than_the_local_pcie_link() {
         // Remote reads only hurt if the fabric per-row cost exceeds the
         // local extraction cost; a single row must be latency-bound.
-        let m = NetModel::rpc();
-        assert!(m.read_seconds_at(1, 512, 1) >= RPC_RTT_S);
+        let m = NetModel::rdma();
+        assert!(m.read_seconds_at(1, 512, 1) >= RTT_S);
         assert_eq!(m.read_seconds_at(0, 512, 1), 0.0);
     }
 
     #[test]
     fn inflight_window_bounds_concurrency() {
-        let m = NetModel::rpc();
+        let m = NetModel::rdma();
         let one_wave = m.read_seconds_at(MAX_INFLIGHT, 512, 1);
         let two_waves = m.read_seconds_at(MAX_INFLIGHT + 1, 512, 1);
-        assert!(two_waves > one_wave + 0.9 * RPC_RTT_S);
+        assert!(two_waves > one_wave + 0.9 * RTT_S);
         // Within one wave, the round trip is paid once.
         let partial = m.read_seconds_at(MAX_INFLIGHT / 2, 512, 1);
-        assert!(one_wave - partial < RPC_RTT_S);
+        assert!(one_wave - partial < RTT_S);
     }
 
     #[test]
     fn batched_reads_amortize_the_round_trip() {
-        let m = NetModel::rpc();
+        let m = NetModel::rdma();
         let solo = m.read_seconds_at(1, 512, 1);
         let batch = m.read_seconds_at(64, 512, 1);
         // 64 reads in one wave cost far less than 64 solo reads.
@@ -352,7 +327,7 @@ mod tests {
 
     #[test]
     fn read_seconds_are_whole_nanoseconds() {
-        let m = NetModel::rpc();
+        let m = NetModel::rdma();
         for (n, p) in [(1u64, 512u64), (37, 128), (1000, 4096), (63, 260)] {
             let s = m.read_seconds_at(n, p, 1);
             let ns = s * 1e9;
@@ -365,8 +340,8 @@ mod tests {
 
     #[test]
     fn wire_bytes_include_header_overhead() {
-        let m = NetModel::rpc();
-        assert_eq!(m.bytes_for_payload(512), 512 + 4096);
+        let m = NetModel::rdma();
+        assert_eq!(m.bytes_for_payload(512), 512 + 256);
     }
 
     #[test]
@@ -420,7 +395,7 @@ mod tests {
     #[test]
     fn coalesced_wave_undercuts_per_row_charging() {
         let m = NetModel::rdma();
-        // 192 rows of 512 B spread over 3 owners vs 192 individual RPCs.
+        // 192 rows of 512 B spread over 3 owners vs 192 individual reads.
         let per_row = m.read_seconds_at(192, 512, 1);
         let coalesced = m.coalesced_read_seconds_at(&[64 * 512, 96 * 512, 32 * 512], 1);
         assert!(
@@ -438,19 +413,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "oversubscription must be >= 1")]
     fn undersubscribed_uplink_invalid() {
-        NetModel::rpc().with_contention(UplinkConfig {
+        NetModel::rdma().with_contention(UplinkConfig {
             oversubscription: 0.5,
             nic_serialization: 0.0,
         });
-    }
-
-    #[test]
-    fn rdma_preset_is_strictly_cheaper_than_the_rpc_default() {
-        let rpc = NetModel::rpc();
-        let rdma = NetModel::rdma();
-        for (n, p) in [(1u64, 512u64), (64, 512), (300, 4096)] {
-            assert!(rdma.read_seconds_at(n, p, 1) < rpc.read_seconds_at(n, p, 1));
-        }
-        assert_eq!(rdma.bytes_for_payload(512), 512 + 256);
     }
 }

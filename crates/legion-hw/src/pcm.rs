@@ -102,12 +102,6 @@ impl PcmCounters {
         self.gpu_kind(gpu, TrafficKind::Topology) + self.gpu_kind(gpu, TrafficKind::Feature)
     }
 
-    /// Sum over a set of GPUs (e.g. an NVLink clique — the paper's
-    /// `N_TSUM` when restricted to topology traffic during pre-sampling).
-    pub fn clique_total(&self, gpus: &[GpuId], kind: TrafficKind) -> u64 {
-        gpus.iter().map(|&g| self.gpu_kind(g, kind)).sum()
-    }
-
     /// Total transactions across the whole server.
     pub fn total(&self) -> u64 {
         (0..self.num_gpus()).map(|g| self.gpu_total(g)).sum()
@@ -133,16 +127,6 @@ mod tests {
         assert_eq!(pcm.gpu_kind(0, TrafficKind::Topology), 5);
         assert_eq!(pcm.gpu_kind(0, TrafficKind::Feature), 7);
         assert_eq!(pcm.gpu_total(0), 12);
-    }
-
-    #[test]
-    fn clique_total_sums_members_only() {
-        let pcm = PcmCounters::new(4);
-        for g in 0..4 {
-            pcm.add(g, TrafficKind::Feature, (g as u64 + 1) * 10);
-        }
-        assert_eq!(pcm.clique_total(&[0, 1], TrafficKind::Feature), 30);
-        assert_eq!(pcm.clique_total(&[2, 3], TrafficKind::Feature), 70);
     }
 
     #[test]

@@ -337,6 +337,6 @@ mod tests {
         srv.reset();
         assert_eq!(srv.allocated_bytes(1), 0);
         assert_eq!(srv.pcm().total(), 0);
-        assert_eq!(srv.traffic().total_cpu_bytes(), 0);
+        assert_eq!(srv.traffic().cpu_to_gpu(0), 0);
     }
 }

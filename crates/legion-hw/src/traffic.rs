@@ -104,16 +104,6 @@ impl TrafficMatrix {
         self.cpu[dst].get()
     }
 
-    /// Total CPU→GPU bytes over all destinations.
-    pub fn total_cpu_bytes(&self) -> u64 {
-        self.cpu.iter().map(|c| c.get()).sum()
-    }
-
-    /// Total GPU→GPU bytes over all pairs.
-    pub fn total_peer_bytes(&self) -> u64 {
-        self.gpu.iter().map(|c| c.get()).sum()
-    }
-
     /// The largest per-GPU CPU→GPU volume. The paper notes "it is the GPU
     /// with the largest CPU-GPU data transferring volume that dominates the
     /// overall performance" (§6.3.2).
@@ -161,9 +151,12 @@ mod tests {
         let m = TrafficMatrix::new(2);
         m.add(0, Source::Cpu, 7);
         m.add(1, Source::Cpu, 3);
-        m.add(0, Source::Gpu(1), 4);
-        assert_eq!(m.total_cpu_bytes(), 10);
-        assert_eq!(m.total_peer_bytes(), 4);
+        m.add(0, Source::Gpu(1), 9);
+        let s = m.snapshot();
+        let cpu: u64 = s.iter().map(|row| row[2]).sum();
+        let peer: u64 = s.iter().flat_map(|row| &row[..2]).sum();
+        assert_eq!((cpu, peer), (10, 9));
+        // Peer bytes never count towards the CPU maximum.
         assert_eq!(m.max_cpu_column(), 7);
     }
 
@@ -182,7 +175,7 @@ mod tests {
         m.add(0, Source::Cpu, 1);
         m.add(1, Source::Gpu(0), 1);
         m.reset();
-        assert_eq!(m.total_cpu_bytes() + m.total_peer_bytes(), 0);
+        assert_eq!(m.snapshot(), vec![vec![0, 0, 0]; 2]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ proptest! {
         reads in 1u64..10_000,
         payload in 1u64..100_000,
     ) {
-        let net = NetModel::rpc();
+        let net = NetModel::rdma();
         // Any nonempty read set pays at least one round trip.
         prop_assert!(net.read_seconds_at(reads, payload, 1) >= net.rtt_seconds());
     }
@@ -67,7 +67,7 @@ proptest! {
         p1 in 1u64..100_000,
         p2 in 1u64..100_000,
     ) {
-        let net = NetModel::rpc();
+        let net = NetModel::rdma();
         let (lo, hi) = if p1 < p2 { (p1, p2) } else { (p2, p1) };
         prop_assert!(net.read_seconds_at(reads, lo, 1) <= net.read_seconds_at(reads, hi, 1));
     }
@@ -77,7 +77,7 @@ proptest! {
         reads in 1u64..100_000,
         payload in 1u64..4_096,
     ) {
-        let net = NetModel::rpc();
+        let net = NetModel::rdma();
         // Total time covers ceil(reads / max_inflight) round-trip waves.
         let waves = reads.div_ceil(net.max_inflight());
         prop_assert!(net.read_seconds_at(reads, payload, 1) >= waves as f64 * net.rtt_seconds());
@@ -92,11 +92,11 @@ proptest! {
         k1 in 1usize..32,
         k2 in 1usize..32,
     ) {
-        let net = NetModel::rpc()
+        let net = NetModel::rdma()
             .with_contention(UplinkConfig { oversubscription: over, nic_serialization: nic });
         // One server sharing the uplink is the uncontended charge, and
         // the uncontended model at any concurrency too.
-        let alone = NetModel::rpc().read_seconds_at(reads, payload, 1);
+        let alone = NetModel::rdma().read_seconds_at(reads, payload, 1);
         prop_assert_eq!(net.read_seconds_at(reads, payload, 1), alone);
         let (lo, hi) = if k1 < k2 { (k1, k2) } else { (k2, k1) };
         prop_assert!(
@@ -110,7 +110,7 @@ proptest! {
         payload in 1u64..100_000,
         k in 1usize..32,
     ) {
-        let net = NetModel::rpc()
+        let net = NetModel::rdma()
             .with_contention(UplinkConfig::default());
         let t = net.read_seconds_at(reads, payload, k);
         let ns = t * 1e9;
@@ -127,7 +127,7 @@ proptest! {
         payloads in proptest::collection::vec(0u64..100_000, 0..64),
         k in 1usize..16,
     ) {
-        let net = NetModel::rpc()
+        let net = NetModel::rdma()
             .with_contention(UplinkConfig::default());
         let t = net.coalesced_read_seconds_at(&payloads, k);
         let messages = payloads.iter().filter(|&&p| p > 0).count() as u64;
@@ -148,7 +148,7 @@ proptest! {
     }
 
     /// A wave of rows per owner costs, bit for bit, what the two raw
-    /// charges give: every row its own RPC per row, one message per owner
+    /// charges give: every row its own message per row, one message per owner
     /// holding rows per owner, each with one header per message. The
     /// per-owner seconds also equal the coalesced charge's formula,
     /// written out here as the reference.
@@ -160,10 +160,8 @@ proptest! {
         ),
         row_bytes in 1u64..8192,
         k in 1usize..20,
-        rdma in any::<bool>(),
     ) {
-        let base = if rdma { NetModel::rdma() } else { NetModel::rpc() };
-        let net = base.with_contention(UplinkConfig::default());
+        let net = NetModel::rdma().with_contention(UplinkConfig::default());
         let rows: u64 = owner_rows.iter().sum();
         let per_row = net.wave(&owner_rows, row_bytes, false, k);
         prop_assert_eq!(

@@ -5,7 +5,7 @@
 //! outputs the number of NVLink cliques `K_c` and the number of GPUs in
 //! each clique `K_g`."
 //!
-//! [`max_clique`] is a faithful MaxCliqueDyn: branch-and-bound with greedy
+//! The solver is a faithful MaxCliqueDyn: branch-and-bound with greedy
 //! graph colouring as the bound and dynamic vertex ordering on the top
 //! levels of the search tree. [`detect_cliques`] then covers the GPU set
 //! with cliques by repeatedly extracting the maximum clique — which on the
@@ -115,7 +115,8 @@ fn expand(adj: &Adj, candidates: &mut Vec<usize>, current: &mut Vec<usize>, best
 }
 
 /// Finds one maximum clique of the whole topology.
-pub fn max_clique(topology: &NvLinkTopology) -> Vec<GpuId> {
+#[cfg(test)]
+fn max_clique(topology: &NvLinkTopology) -> Vec<GpuId> {
     let adj = Adj::from_topology(topology);
     let all: Vec<usize> = (0..adj.n).collect();
     max_clique_among(&adj, &all)
@@ -143,18 +144,6 @@ pub fn detect_cliques(topology: &NvLinkTopology) -> Vec<Vec<GpuId>> {
     cliques
 }
 
-/// Convenience: `(K_c, K_g)` for a topology whose cliques are uniform.
-/// Returns `None` when clique sizes differ.
-pub fn clique_shape(topology: &NvLinkTopology) -> Option<(usize, usize)> {
-    let cliques = detect_cliques(topology);
-    let kg = cliques.first()?.len();
-    if cliques.iter().all(|c| c.len() == kg) {
-        Some((cliques.len(), kg))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,19 +163,18 @@ mod tests {
             cliques,
             vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![6, 7]]
         );
-        assert_eq!(clique_shape(&t), Some((4, 2)));
     }
 
     #[test]
     fn dgx_v100_detects_two_quads() {
         let t = NvLinkTopology::disjoint_cliques(8, 4);
-        assert_eq!(clique_shape(&t), Some((2, 4)));
+        assert_eq!(detect_cliques(&t), vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]]);
     }
 
     #[test]
     fn dgx_a100_detects_single_clique() {
         let t = NvLinkTopology::fully_connected(8);
-        assert_eq!(clique_shape(&t), Some((1, 8)));
+        assert_eq!(detect_cliques(&t), vec![(0..8).collect::<Vec<_>>()]);
     }
 
     #[test]
@@ -194,7 +182,6 @@ mod tests {
         let t = NvLinkTopology::none(4);
         let cliques = detect_cliques(&t);
         assert_eq!(cliques, vec![vec![0], vec![1], vec![2], vec![3]]);
-        assert_eq!(clique_shape(&t), Some((4, 1)));
     }
 
     #[test]
@@ -213,8 +200,6 @@ mod tests {
         let t = NvLinkTopology::from_matrix(n, adj);
         let cliques = detect_cliques(&t);
         assert_eq!(cliques, vec![vec![0, 1, 2], vec![3, 4]]);
-        // Non-uniform sizes -> no uniform shape.
-        assert_eq!(clique_shape(&t), None);
     }
 
     #[test]

@@ -118,7 +118,8 @@ impl<R: QueuedRequest> ClassedQueue<R> {
 
     /// Queued requests of one class (QoS mode; a FIFO queue files every
     /// request under the first class).
-    pub fn class_len(&self, c: PriorityClass) -> usize {
+    #[cfg(test)]
+    fn class_len(&self, c: PriorityClass) -> usize {
         self.deques[c.index()].len()
     }
 

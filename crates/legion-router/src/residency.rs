@@ -23,7 +23,7 @@ pub struct ResidencyIndex {
     num_vertices: usize,
     words_per_group: usize,
     bits: Vec<u64>,
-    counts: Vec<usize>,
+    num_groups: usize,
 }
 
 impl ResidencyIndex {
@@ -35,13 +35,13 @@ impl ResidencyIndex {
             num_vertices,
             words_per_group,
             bits: vec![0u64; words_per_group * num_groups],
-            counts: vec![0usize; num_groups],
+            num_groups,
         }
     }
 
     /// Number of route groups.
     pub fn num_groups(&self) -> usize {
-        self.counts.len()
+        self.num_groups
     }
 
     /// Number of vertices the index covers.
@@ -49,31 +49,24 @@ impl ResidencyIndex {
         self.num_vertices
     }
 
-    /// Replace group `g`'s resident set with `vertices` (duplicates are
-    /// counted once).
+    /// Replace group `g`'s resident set with `vertices` (duplicates set
+    /// the same bit).
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range or any vertex id is `>=
     /// num_vertices`.
     pub fn refresh_group(&mut self, g: usize, vertices: &[VertexId]) {
-        assert!(g < self.counts.len(), "route group {g} out of range");
+        assert!(g < self.num_groups, "route group {g} out of range");
         let base = g * self.words_per_group;
         for w in &mut self.bits[base..base + self.words_per_group] {
             *w = 0;
         }
-        let mut count = 0usize;
         for &v in vertices {
             let v = v as usize;
             assert!(v < self.num_vertices, "vertex {v} out of range");
-            let word = &mut self.bits[base + v / 64];
-            let mask = 1u64 << (v % 64);
-            if *word & mask == 0 {
-                *word |= mask;
-                count += 1;
-            }
+            self.bits[base + v / 64] |= 1u64 << (v % 64);
         }
-        self.counts[g] = count;
     }
 
     /// Clears vertex `v`'s residency bit in group `g`, returning whether
@@ -83,7 +76,7 @@ impl ResidencyIndex {
     /// [`Self::refresh_group`].
     pub fn clear(&mut self, g: usize, v: VertexId) -> bool {
         let v = v as usize;
-        if g >= self.counts.len() || v >= self.num_vertices {
+        if g >= self.num_groups || v >= self.num_vertices {
             return false;
         }
         let word = &mut self.bits[g * self.words_per_group + v / 64];
@@ -92,7 +85,6 @@ impl ResidencyIndex {
             return false;
         }
         *word &= !mask;
-        self.counts[g] -= 1;
         true
     }
 
@@ -108,8 +100,11 @@ impl ResidencyIndex {
     }
 
     /// Number of distinct vertices resident in group `g`.
+    #[cfg(test)]
     pub fn resident_count(&self, g: usize) -> usize {
-        self.counts[g]
+        let base = g * self.words_per_group;
+        let words = &self.bits[base..base + self.words_per_group];
+        words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// How many of `vertices` are resident in group `g` (each slice

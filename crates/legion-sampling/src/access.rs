@@ -613,15 +613,6 @@ impl<'a> AccessEngine<'a> {
         self.meters[gpu].blocks.inc();
         self.block_edges.observe(edges);
     }
-
-    /// Whether `v`'s feature read from `gpu` would hit the cache (local or
-    /// peer). Used for hit-rate reporting without charging traffic.
-    pub fn feature_would_hit(&self, gpu: GpuId, v: VertexId) -> bool {
-        self.layout
-            .for_gpu(gpu)
-            .map(|(cache, _)| cache.has_feature(v))
-            .unwrap_or(false)
-    }
 }
 
 /// Open-addressing membership set over the indices Floyd's algorithm has
@@ -844,7 +835,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let _ = engine.sample_neighbors(0, 0, 10, &mut rng);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().total_cpu_bytes(), 0);
+        assert_eq!(server.traffic().cpu_to_gpu(0), 0);
     }
 
     #[test]
@@ -860,7 +851,7 @@ mod tests {
         // Local hit from GPU 0.
         let _ = engine.sample_neighbors(0, 0, 5, &mut rng);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().total_peer_bytes(), 0);
+        assert_eq!(server.traffic().snapshot(), vec![vec![0, 0, 0]; 2]);
         // Peer hit from GPU 1: NVLink bytes, still no PCIe.
         let _ = engine.sample_neighbors(1, 0, 5, &mut rng);
         assert_eq!(server.pcm().total(), 0);
@@ -989,12 +980,10 @@ mod tests {
         server.reset();
         engine.read_features_batch(1, &[3], &mut rows, &mut totals);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().total_peer_bytes(), 0);
+        assert_eq!(server.traffic().snapshot(), vec![vec![0, 0, 0]; 2]);
         // Miss: PCIe.
         engine.read_features_batch(0, &[5], &mut rows, &mut totals);
         assert_eq!(server.traffic().cpu_to_gpu(0), 16);
-        assert!(engine.feature_would_hit(0, 3));
-        assert!(!engine.feature_would_hit(0, 5));
     }
 
     proptest! {
@@ -1061,8 +1050,9 @@ mod tests {
                     .with_overlay((layout_kind == 3).then_some(&overlay))
             };
             let (metering, copying) = (engine_on(&metered), engine_on(&copied));
+            let cached = |v| layout.for_gpu(gpu).is_some_and(|(cache, _)| cache.has_feature(v));
             let would_miss: Vec<VertexId> =
-                vertices.iter().copied().filter(|&v| !metering.feature_would_hit(gpu, v)).collect();
+                vertices.iter().copied().filter(|&v| !cached(v)).collect();
             let rows_of: Vec<f32> = vertices.iter().flat_map(|&v| f.row(v)).copied().collect();
 
             let (mut totals, mut rows, mut missed) = (BatchTotals::new(4), Vec::new(), Vec::new());

@@ -384,7 +384,9 @@ mod tests {
                 }
             }
         }
-        let n_tsum = server.pcm().clique_total(&[0, 1], TrafficKind::Topology);
+        let n_tsum: u64 = (0..2)
+            .map(|g| server.pcm().gpu_kind(g, TrafficKind::Topology))
+            .sum();
         let mean = |x: u64| x as f64 / runs as f64;
         (mean(n_tsum), mean(h_t), mean(h_f))
     }

@@ -346,13 +346,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// The value of a gauge, or 0.0 if it was never registered.
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        RegistryInner::find(&self.inner.borrow().gauges, name)
-            .map(|g| g.get())
-            .unwrap_or(0.0)
-    }
-
     /// Sums every counter whose name starts with `prefix`.
     pub fn counter_sum(&self, prefix: &str) -> u64 {
         self.inner
@@ -472,7 +465,7 @@ mod tests {
         let g = reg.gauge("alpha");
         g.set(0.35);
         g.set(0.5);
-        assert_eq!(reg.gauge_value("alpha"), 0.5);
+        assert_eq!(reg.gauge("alpha").get(), 0.5);
     }
 
     #[test]

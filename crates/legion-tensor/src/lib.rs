@@ -20,8 +20,8 @@
 //!
 //! // One step of logistic regression by hand.
 //! let mut tape = Tape::new();
-//! let x = tape.constant(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
-//! let w = tape.param(Matrix::from_rows(&[&[0.1, -0.1], &[0.2, 0.3]]));
+//! let x = tape.constant(Matrix::from_flat(2, 2, vec![1.0, 0.0, 0.0, 1.0]));
+//! let w = tape.param(Matrix::from_flat(2, 2, vec![0.1, -0.1, 0.2, 0.3]));
 //! let logits = tape.matmul(x, w);
 //! let loss = tape.cross_entropy_mean(logits, &[0, 1]);
 //! tape.backward(loss);

@@ -9,9 +9,9 @@ use rand::Rng;
 /// ```
 /// use legion_tensor::Matrix;
 ///
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Matrix::eye(2);
-/// assert_eq!(a.matmul(&b), a);
+/// let a = Matrix::from_flat(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+/// let b = Matrix::from_flat(2, 1, vec![1.0, 1.0]);
+/// assert_eq!(a.matmul(&b), Matrix::from_flat(2, 1, vec![3.0, 7.0]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -31,6 +31,7 @@ impl Matrix {
     }
 
     /// Identity matrix.
+    #[cfg(test)]
     pub fn eye(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
@@ -54,6 +55,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics on ragged input.
+    #[cfg(test)]
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         let r = rows.len();
         let c = rows.first().map(|x| x.len()).unwrap_or(0);
@@ -216,6 +218,7 @@ impl Matrix {
     }
 
     /// Element-wise `self += scale * other`.
+    #[cfg(test)]
     pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
         assert_eq!(
             (self.rows, self.cols),

@@ -19,8 +19,9 @@
 //! `` `legion-<crate>::<name>` `` README.md and DESIGN.md write is a
 //! module file or a `pub` item of that crate, that the
 //! configuration-surface table has one row per `pub` field of the run
-//! configs, and that every first-party manifest's dependencies are the
-//! ones `bench/Cargo.lock` records.
+//! configs, that every first-party manifest's dependencies are the
+//! ones `bench/Cargo.lock` records, and that every library `pub fn` is
+//! reached from outside its own unit tests.
 //!
 //! Pattern language: literal dot-separated names with `{g}`-style
 //! placeholders matching one-or-more digits and `{a,b}`-style brace
@@ -667,14 +668,25 @@ fn item_end(text: &str, at: usize) -> usize {
     text.len()
 }
 
+/// Where `text`'s `#[cfg(test)]` items lie.
+fn test_items(text: &str) -> Vec<std::ops::Range<usize>> {
+    let (mut items, mut from) = (Vec::new(), 0);
+    while let Some(at) = text[from..].find("#[cfg(test)]") {
+        let end = item_end(text, from + at);
+        items.push(from + at..end);
+        from = end;
+    }
+    items
+}
+
 /// `text` with every `#[cfg(test)]` item cut out.
 fn non_test(text: &str) -> String {
-    let (mut out, mut rest) = (String::new(), text);
-    while let Some(at) = rest.find("#[cfg(test)]") {
-        out.push_str(&rest[..at]);
-        rest = &rest[item_end(rest, at)..];
+    let (mut out, mut from) = (String::new(), 0);
+    for item in test_items(text) {
+        out.push_str(&text[from..item.start]);
+        from = item.end;
     }
-    out + rest
+    out + &text[from..]
 }
 
 /// The `.rs` files under every `crates/*/src`.
@@ -784,6 +796,147 @@ fn cache_rows_are_placed_by_one_walk() {
         "rows are inserted outside `place_prefix`: {outside:?}"
     );
     assert_eq!(inside, 2, "the walk inserts one row of either kind");
+}
+
+/// `text` with every `//` and `/* */` comment cut out, line breaks kept.
+/// A comment marker inside a string literal opens a comment too.
+fn uncommented(text: &str) -> String {
+    let (mut out, mut rest) = (String::new(), text);
+    loop {
+        let line = rest.find("//");
+        let block = rest.find("/*");
+        let (at, end) = match (line, block) {
+            (Some(l), b) if b.is_none_or(|b| l < b) => {
+                (l, rest[l..].find('\n').map_or(rest.len(), |e| l + e))
+            }
+            (_, Some(b)) => (b, rest[b..].find("*/").map_or(rest.len(), |e| b + e + 2)),
+            _ => return out + rest,
+        };
+        out.push_str(&rest[..at]);
+        out.extend(rest[at..end].matches('\n'));
+        rest = &rest[end..];
+    }
+}
+
+/// Adds to `named` every identifier `text` names, other than right
+/// after `fn` (a definition names nothing).
+fn names(text: &str, named: &mut std::collections::HashSet<String>) {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut previous = "";
+    let mut rest = text;
+    while let Some(start) = rest.find(is_ident) {
+        let gap = &rest[..start];
+        let end = rest[start..]
+            .find(|c| !is_ident(c))
+            .map_or(rest.len(), |e| start + e);
+        let word = &rest[start..end];
+        if !(previous == "fn" && gap.trim().is_empty()) {
+            named.insert(word.to_string());
+        }
+        previous = word;
+        rest = &rest[end..];
+    }
+}
+
+/// The `pub fn`s of `sources` (`(path, text)`, paths relative to the
+/// workspace root) that nothing reaches, as `path:line name`. A
+/// `crates/*/src` file defines the `pub fn`s outside its `#[cfg(test)]`
+/// items, unless it is a binary under `src/bin/`; its non-test code
+/// reaches. Every other source (`examples/`, root `tests/`, `bench/src`,
+/// a crate's `tests/`) reaches with all of its text. Comments reach
+/// nothing.
+fn unreached(sources: &[(String, String)]) -> Vec<String> {
+    let library = |path: &str| path.starts_with("crates/") && path.contains("/src/");
+    let code: Vec<(&str, String)> = sources
+        .iter()
+        .map(|(path, text)| (path.as_str(), uncommented(text)))
+        .collect();
+    let mut named = std::collections::HashSet::new();
+    for (path, text) in &code {
+        if library(path) {
+            names(&non_test(text), &mut named);
+        } else {
+            names(text, &mut named);
+        }
+    }
+    let mut out = Vec::new();
+    for (path, text) in code
+        .iter()
+        .filter(|(p, _)| library(p) && !p.contains("/src/bin/"))
+    {
+        let tests = test_items(text);
+        for (at, _) in text.match_indices("pub fn ") {
+            let start = at + "pub fn ".len();
+            let name: String = text[start..]
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+                .collect();
+            if tests.iter().any(|t| t.contains(&at)) || named.contains(&name) {
+                continue;
+            }
+            let line = text[..at].matches('\n').count() + 1;
+            out.push(format!("{path}:{line} {name}"));
+        }
+    }
+    out
+}
+
+/// Every public function is reached: each `pub fn` of the library crates
+/// is named, other than at its definition and outside comments, by
+/// non-test library code, a binary, `examples/`, root `tests/`,
+/// `bench/src` or a crate's `tests/`. A function only its own unit tests
+/// call goes, with those tests.
+#[test]
+fn public_functions_are_reached() {
+    // Self-checks on literal sources, named so no library function shares them.
+    let source = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let lib = concat!(
+        "/// `tested_only_q` is dead.\npub fn tested_only_q() {}\n",
+        "pub fn called_q() {}\npub fn benched_q() {}\npub fn proptested_q() {}\n",
+        "#[cfg(test)]\npub fn helper_q() {}\n",
+        "#[cfg(test)]\nmod tests {\n    fn t() { tested_only_q(); helper_q(); }\n}\n"
+    );
+    assert_eq!(
+        unreached(&[
+            source("crates/a/src/lib.rs", lib),
+            source(
+                "crates/a/src/other.rs",
+                "fn f() { crate::called_q(); } // proptested_q"
+            ),
+            source("crates/a/src/bin/x.rs", "pub fn in_binary_q() {}"),
+            source("bench/src/probe.rs", "fn p() { a::benched_q() }"),
+            source("crates/a/tests/proptests.rs", "use a::proptested_q;"),
+        ]),
+        ["crates/a/src/lib.rs:2 tested_only_q"]
+    );
+    assert_eq!(uncommented("a /* b\n */ c // d\ne"), "a \n c \ne");
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = library_sources();
+    for dir in ["examples", "tests", "bench/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for krate in std::fs::read_dir(root.join("crates"))
+        .expect("crates/ is a directory")
+        .flatten()
+    {
+        rust_files(&krate.path().join("tests"), &mut files);
+    }
+    let root = root.canonicalize().expect("workspace root");
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|file| {
+            let path = file.canonicalize().expect("source path");
+            let rel = path.strip_prefix(&root).expect("source under the root");
+            let text = std::fs::read_to_string(file).expect("readable source");
+            (rel.display().to_string(), text)
+        })
+        .collect();
+    let dead = unreached(&sources);
+    assert!(
+        dead.is_empty(),
+        "public functions nothing but their own tests reach: {dead:#?}"
+    );
 }
 
 /// A serving and a fleet config built from the library defaults, split
@@ -1037,13 +1190,13 @@ fn documented_crate_items_exist() {
 /// needs more room raises the budget in the same diff, so neither grows
 /// by default.
 const DOC_BUDGETS: [(&str, u64); 7] = [
-    ("README.md", 28559),
-    ("DESIGN.md", 94409),
+    ("README.md", 28532),
+    ("DESIGN.md", 94360),
     ("OPERATIONS.md", 29927),
     ("EXPERIMENTS.md", 45672),
-    ("CHANGES.md", 214737),
+    ("CHANGES.md", 199906),
     ("ROADMAP.md", 34100),
-    ("tests/golden.txt", 97833),
+    ("tests/golden.txt", 98361),
 ];
 
 /// Every top-level doc fits its byte budget.
