@@ -109,7 +109,7 @@ pub fn setup_plus(ctx: &BuildContext<'_>) -> Result<SystemSetup, SystemError> {
     let budget = ctx.per_gpu_cache_budget();
     let mut cliques = Vec::with_capacity(n);
     for gpu in 0..n {
-        let order = hotness_order(pres.h_f.row(gpu));
+        let order = hotness_order(&pres.h_f.row(gpu));
         cliques.push(one_gpu_cache(ctx, gpu, &order, budget)?);
     }
     Ok(SystemSetup {

@@ -72,7 +72,7 @@ pub fn build_feature_cache_hashed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legion_graph::GraphBuilder;
+    use legion_graph::builder::from_edges;
     use legion_hw::ServerSpec;
 
     fn features(n: usize) -> FeatureTable {
@@ -81,11 +81,7 @@ mod tests {
 
     #[test]
     fn in_degree_hotness_counts_incoming() {
-        let g = GraphBuilder::new(3)
-            .edge(0, 2)
-            .edge(1, 2)
-            .edge(2, 0)
-            .build();
+        let g = from_edges(3, &[(0, 2), (1, 2), (2, 0)]);
         assert_eq!(in_degree_hotness(&g), vec![1, 0, 2]);
     }
 

@@ -17,9 +17,10 @@
 //! * `N_total = N_T + N_F` (Equation 2).
 //!
 //! Following §4.3.3, the model precomputes inclusive prefix sums of
-//! per-vertex byte sizes (`S_Tsum`, `S_Fsum`) and hotness (`A_Tsum`,
-//! `A_Fsum`) along `Q_T` / `Q_F`, so evaluating one plan is two binary
-//! searches plus O(1) lookups.
+//! topology byte sizes (`S_Tsum`) and hotness (`A_Tsum`, `A_Fsum`) along
+//! `Q_T` / `Q_F`, so evaluating one plan is a binary search, a division
+//! and O(1) lookups. Feature rows are all one size, so `S_Fsum`'s `i`-th
+//! entry is `(i + 1)·row_bytes` and is not stored.
 //!
 //! # Three-tier extension (out-of-core store)
 //!
@@ -47,9 +48,8 @@ pub struct CostModel {
     topo_bytes_prefix: Vec<u64>,
     /// Inclusive prefix sums of topology hotness along `Q_T`.
     topo_hotness_prefix: Vec<u64>,
-    /// Inclusive prefix sums of Equation 6 byte sizes along `Q_F`.
-    feat_bytes_prefix: Vec<u64>,
-    /// Inclusive prefix sums of feature hotness along `Q_F`.
+    /// Inclusive prefix sums of feature hotness along `Q_F`; its `i`-th
+    /// prefix takes `(i + 1)·feat_row_bytes`, every row being one size.
     feat_hotness_prefix: Vec<u64>,
     /// `N_TSUM`: pre-sampling's sampling PCIe transactions, in the unit
     /// of the hotness vectors.
@@ -119,7 +119,8 @@ impl CostModel {
     /// * `graph` — the full graph (for `nc(v)`),
     /// * `q_t` / `q_f` — clique-level cache orders from CSLP (`q_t` by
     ///   hotness per byte when pre-sampling sized `H_T`'s rows),
-    /// * `a_t` / `a_f` — accumulated hotness vectors indexed by vertex,
+    /// * `a_t` / `a_f` — accumulated hotness vectors indexed by vertex
+    ///   (`a_t` may be empty with `q_t`: a model that caches no topology),
     /// * `n_tsum` — pre-sampling's sampling transactions, in the unit of
     ///   `a_t` / `a_f` (the predictions come out in it too),
     /// * `feature_dim` — `D`,
@@ -141,7 +142,10 @@ impl CostModel {
         cls: u64,
     ) -> Self {
         let n = graph.num_vertices();
-        assert_eq!(a_t.len(), n, "topology hotness length mismatch");
+        assert!(
+            a_t.len() == n || q_t.is_empty(),
+            "topology hotness length mismatch"
+        );
         assert_eq!(a_f.len(), n, "feature hotness length mismatch");
         assert!(q_t.len() <= n && q_f.len() <= n, "order longer than graph");
         assert!(cls > 0, "cache line size must be positive");
@@ -158,21 +162,16 @@ impl CostModel {
         }
 
         let row_bytes = feature_bytes_for_dim(feature_dim as u64);
-        let mut feat_bytes_prefix = Vec::with_capacity(q_f.len());
         let mut feat_hotness_prefix = Vec::with_capacity(q_f.len());
-        let mut fbytes_acc = 0u64;
         let mut fhot_acc = 0u64;
         for &v in q_f {
-            fbytes_acc += row_bytes;
             fhot_acc += a_f[v as usize];
-            feat_bytes_prefix.push(fbytes_acc);
             feat_hotness_prefix.push(fhot_acc);
         }
 
         Self {
             topo_bytes_prefix,
             topo_hotness_prefix,
-            feat_bytes_prefix,
             feat_hotness_prefix,
             n_tsum,
             feat_tx_per_vertex: row_bytes.div_ceil(cls),
@@ -203,6 +202,14 @@ impl CostModel {
         prefix_bytes.partition_point(|&b| b <= budget)
     }
 
+    /// Largest prefix of `Q_F` whose rows fit in `budget` bytes.
+    fn feat_boundary(&self, budget: u64) -> usize {
+        let rows = self.feat_hotness_prefix.len();
+        budget
+            .checked_div(self.feat_row_bytes)
+            .map_or(rows, |fit| fit.min(rows as u64) as usize)
+    }
+
     /// Evaluates one cache plan `(budget, alpha)`.
     ///
     /// # Panics
@@ -227,7 +234,7 @@ impl CostModel {
         };
         let n_t = self.n_tsum as f64 * (1.0 - r_t);
         // Feature side: Equations 6-8.
-        let f_boundary = Self::boundary(&self.feat_bytes_prefix, m_f);
+        let f_boundary = self.feat_boundary(m_f);
         let cached_f_hot = if f_boundary == 0 {
             0
         } else {
@@ -304,16 +311,10 @@ impl CostModel {
     ) -> TieredPlanEvaluation {
         assert!(nvme_block_bytes > 0, "block size must be positive");
         let plan = self.evaluate(hbm_budget, alpha);
-        let hbm_bytes = if plan.feat_cached_vertices == 0 {
-            0
-        } else {
-            self.feat_bytes_prefix[plan.feat_cached_vertices - 1]
-        };
-        let d_boundary = Self::boundary(
-            &self.feat_bytes_prefix,
-            hbm_bytes.saturating_add(dram_budget),
-        )
-        .max(plan.feat_cached_vertices);
+        let hbm_bytes = plan.feat_cached_vertices as u64 * self.feat_row_bytes;
+        let d_boundary = self
+            .feat_boundary(hbm_bytes.saturating_add(dram_budget))
+            .max(plan.feat_cached_vertices);
         let resident_hot = if d_boundary == 0 {
             0
         } else {
@@ -324,7 +325,7 @@ impl CostModel {
         TieredPlanEvaluation {
             plan,
             dram_feat_vertices: d_boundary - plan.feat_cached_vertices,
-            ssd_feat_vertices: self.feat_bytes_prefix.len() - d_boundary,
+            ssd_feat_vertices: self.feat_hotness_prefix.len() - d_boundary,
             n_nvme: (blocks_per_vertex * u_ssd) as f64,
         }
     }
@@ -533,7 +534,7 @@ mod tests {
 
     #[test]
     fn empty_graph_model() {
-        let g = CsrGraph::empty(0);
+        let g = GraphBuilder::new(0).build();
         let m = CostModel::new(&g, &[], &[], &[], &[], 5, 4, 64);
         let e = m.evaluate(100, 0.5);
         assert_eq!(e.n_t, 5.0);

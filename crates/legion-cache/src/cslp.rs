@@ -3,6 +3,9 @@
 //! CSLP turns one hotness matrix into (a) the clique-level accumulated
 //! hotness vector `A`, (b) the clique-level descending hotness order `Q`,
 //! and (c) each vertex's owner, the GPU with the highest local hotness.
+//! It walks the matrix's support ([`HotnessMatrix::columns`]): a vertex
+//! off it has `A = 0`, owner 0, and a place in `Q`'s zero tail, in id
+//! order.
 //! The paper's per-GPU priority queue `G[g]` is the subsequence of `Q`
 //! that `g` owns; the fill ([`crate::fill`]) walks `Q` itself and reads
 //! the owner per row. The feature and topology matrices are processed
@@ -23,8 +26,9 @@ use legion_graph::VertexId;
 
 use crate::hotness::HotnessMatrix;
 
-/// CSLP output for one hotness matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// CSLP output for one hotness matrix. The default is the empty order,
+/// which places no row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CslpOutput {
     /// Accumulated vertex-wise hotness (`A_T` / `A_F`), indexed by vertex.
     pub accumulated: Vec<u64>,
@@ -40,27 +44,25 @@ pub struct CslpOutput {
 /// Runs CSLP on one hotness matrix.
 pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     let n = h.num_vertices();
-    let kg = h.num_gpus();
-    // Steps 1 and 3's argmax in one sweep over the K_g rows, a vertex at
-    // a time: accumulate its hotness and keep the GPU with the highest
-    // local hotness. The strict `>` leaves a tie on the lower GPU.
-    let rows: Vec<&[u64]> = (0..kg).map(|g| h.row(g)).collect();
-    let mut accumulated = Vec::with_capacity(n);
-    let mut owner = Vec::with_capacity(n);
-    for v in 0..n {
+    // Steps 1 and 3's argmax in one walk over the support, a column at a
+    // time: accumulate the vertex's hotness and keep the GPU with the
+    // highest local hotness. The strict `>` leaves a tie on the lower
+    // GPU, and a vertex off the support on GPU 0.
+    let mut accumulated = vec![0; n];
+    let mut owner = vec![0; n];
+    for (v, column) in h.columns() {
         let (mut sum, mut top, mut at) = (0, 0, 0);
-        for (g, row) in rows.iter().enumerate() {
-            let x = row[v];
+        for (g, &x) in column.iter().enumerate() {
             sum += x;
             at = if x > top { g } else { at };
             top = top.max(x);
         }
-        accumulated.push(sum);
-        owner.push(at as u32);
+        accumulated[v as usize] = sum;
+        owner[v as usize] = at as u32;
     }
     // Step 2: sort vertices by descending hotness (per byte).
     let clique_order = match h.vertex_bytes() {
-        Some(bytes) => density_order(&accumulated, bytes),
+        Some(bytes) => density_order(h.support(), &accumulated, bytes),
         None => hotness_order(&accumulated),
     };
     CslpOutput {
@@ -70,25 +72,25 @@ pub fn cslp(h: &HotnessMatrix) -> CslpOutput {
     }
 }
 
-/// Every vertex `0..hotness.len()` by descending `hotness[v] / bytes[v]`,
-/// compared exactly (`h_a·b_b` against `h_b·b_a` in `u128`), ties toward
-/// the smaller id. Zero-hotness vertices all tie at 0, so they follow in
-/// id order, as in [`hotness_order`].
-fn density_order(hotness: &[u64], bytes: &[u64]) -> Vec<VertexId> {
-    assert_eq!(hotness.len(), bytes.len(), "one size per vertex");
-    let mut support: Vec<(u64, u64, VertexId)> = hotness
+/// Every vertex `0..hotness.len()` by descending `hotness[v] / bytes`,
+/// where `support` lists the vertices of non-zero hotness and `bytes`
+/// their sizes in turn. Ratios are compared exactly (`h_a·b_b` against
+/// `h_b·b_a` in `u128`), ties toward the smaller id. Zero-hotness
+/// vertices all tie at 0, so they follow in id order, as in
+/// [`hotness_order`].
+fn density_order(support: &[VertexId], hotness: &[u64], bytes: &[u64]) -> Vec<VertexId> {
+    assert_eq!(support.len(), bytes.len(), "one size per support vertex");
+    let mut ranked: Vec<(u64, u64, VertexId)> = support
         .iter()
         .zip(bytes)
-        .enumerate()
-        .filter(|(_, (&h, _))| h > 0)
-        .map(|(v, (&h, &b))| (h, b, v as VertexId))
+        .map(|(&v, &b)| (hotness[v as usize], b, v))
         .collect();
-    support.sort_unstable_by(|&(h_a, b_a, a), &(h_b, b_b, b)| {
+    ranked.sort_unstable_by(|&(h_a, b_a, a), &(h_b, b_b, b)| {
         (u128::from(h_b) * u128::from(b_a))
             .cmp(&(u128::from(h_a) * u128::from(b_b)))
             .then(a.cmp(&b))
     });
-    let mut order: Vec<VertexId> = support.into_iter().map(|(_, _, v)| v).collect();
+    let mut order: Vec<VertexId> = ranked.into_iter().map(|(_, _, v)| v).collect();
     order.reserve_exact(hotness.len() - order.len());
     order.extend((0..hotness.len() as VertexId).filter(|&v| hotness[v as usize] == 0));
     order
@@ -168,14 +170,7 @@ mod tests {
         //        v0  v1  v2  v3
         // gpu0 [  5,  0,  2,  1 ]
         // gpu1 [  1,  7,  2,  0 ]
-        let mut h = HotnessMatrix::new(2, 4);
-        h.add(0, 0, 5);
-        h.add(0, 2, 2);
-        h.add(0, 3, 1);
-        h.add(1, 0, 1);
-        h.add(1, 1, 7);
-        h.add(1, 2, 2);
-        h
+        HotnessMatrix::from_rows(&[&[5, 0, 2, 1], &[1, 7, 2, 0]])
     }
 
     #[test]
@@ -213,9 +208,7 @@ mod tests {
 
     #[test]
     fn single_gpu_gets_everything_in_order() {
-        let mut h = HotnessMatrix::new(1, 3);
-        h.add(0, 2, 10);
-        h.add(0, 0, 5);
+        let h = HotnessMatrix::from_rows(&[&[5, 0, 10]]);
         let out = cslp(&h);
         assert_eq!(out.clique_order, vec![2, 0, 1]);
         assert_eq!(out.owner, vec![0, 0, 0]);
@@ -248,15 +241,11 @@ mod tests {
             b.push_edge(v, (v % (n as VertexId - 1)) + 1);
         }
         let g = b.build();
-        let mut h = HotnessMatrix::new(1, n);
-        for (v, &x) in hotness.iter().enumerate() {
-            h.add(0, v as VertexId, x);
-        }
+        let mut row = hotness.to_vec();
+        row.resize(n, 0);
+        let mut h = HotnessMatrix::from_rows(&[&row]);
         if sized {
-            let bytes = (0..n as VertexId)
-                .map(|v| topology_bytes_for_degree(g.degree(v)))
-                .collect();
-            h = h.with_vertex_bytes(bytes);
+            h = h.with_vertex_bytes(|v| topology_bytes_for_degree(g.degree(v)));
         }
         (g, cslp(&h))
     }
@@ -309,16 +298,23 @@ mod tests {
         // 2^53 + 1 and 2^53 round to one `f64`: a float ratio would tie
         // them and put vertex 0 first.
         let big = 1 << 53;
-        assert_eq!(density_order(&[big, big + 1], &[12, 12]), vec![1, 0]);
+        let pair = [0, 1];
+        assert_eq!(density_order(&pair, &[big, big + 1], &[12, 12]), vec![1, 0]);
         // Cross products past `u64::MAX` still compare.
         let top = u64::MAX;
-        assert_eq!(density_order(&[top, top - 1], &[1000, 999]), vec![1, 0]);
-        assert_eq!(density_order(&[top - 1, top], &[999, 1000]), vec![0, 1]);
+        assert_eq!(
+            density_order(&pair, &[top, top - 1], &[1000, 999]),
+            vec![1, 0]
+        );
+        assert_eq!(
+            density_order(&pair, &[top - 1, top], &[999, 1000]),
+            vec![0, 1]
+        );
     }
 
     #[test]
     fn all_zero_hotness_is_deterministic() {
-        let h = HotnessMatrix::new(2, 3);
+        let h = HotnessMatrix::from_rows(&[&[0, 0, 0], &[0, 0, 0]]);
         let out = cslp(&h);
         assert_eq!(out.clique_order, vec![0, 1, 2]);
         assert!(out.owner.iter().all(|&o| o == 0));
@@ -326,7 +322,7 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let h = HotnessMatrix::new(2, 0);
+        let h = HotnessMatrix::from_rows(&[&[], &[]]);
         let out = cslp(&h);
         assert!(out.clique_order.is_empty());
         assert!(out.accumulated.is_empty());

@@ -4,69 +4,132 @@
 //! column represents the vertex IDs, and the element `H_ij` of either
 //! matrix represents the hotness of the j-th vertex in the i-th GPU."
 //!
-//! A matrix whose cached rows differ in size carries each vertex's row
-//! bytes ([`HotnessMatrix::with_vertex_bytes`]): pre-sampling gives `H_T`
-//! each row's Equation 3 size, so CSLP ranks `Q_T` by hotness per cached
-//! byte. Feature rows are all one size, so `H_F` carries none.
+//! A matrix stores only its support: the vertices some GPU's row holds
+//! non-zero, each once with its `K_g` values, in the order they were
+//! written. Pre-sampling reaches
+//! a fraction of the graph (on `train_pa`, `H_T`'s support is about a
+//! quarter of `|V|` a clique), so the matrices cost what it touched, not
+//! `K_g × |V|` words. [`cslp`](crate::cslp()) walks the support; a
+//! reader that wants one GPU's dense row builds it with
+//! [`HotnessMatrix::row`].
+//!
+//! A matrix whose cached rows differ in size carries each support
+//! vertex's row bytes ([`HotnessMatrix::with_vertex_bytes`]): pre-sampling
+//! gives `H_T` each row's Equation 3 size, so CSLP ranks `Q_T` by hotness
+//! per cached byte. Feature rows are all one size, so `H_F` carries none.
 
 use legion_graph::VertexId;
 
-/// Row-major `(gpus-in-clique) x (vertices)` hotness counter matrix.
+/// A `(gpus-in-clique) x (vertices)` hotness matrix stored over its
+/// non-zero columns.
 ///
 /// # Examples
 ///
 /// ```
 /// use legion_cache::HotnessMatrix;
 ///
-/// let mut h = HotnessMatrix::new(2, 4);
-/// h.add(0, 1, 3);
-/// h.add(1, 1, 2);
-/// assert_eq!(h.get(0, 1), 3);
-/// assert_eq!(h.column_wise_sum()[1], 5);
+/// let h = HotnessMatrix::from_rows(&[&[0, 3, 0, 0], &[0, 2, 0, 1]]);
+/// assert_eq!(h.support(), &[1, 3]);
+/// assert_eq!(h.row(1), vec![0, 2, 0, 1]);
+/// assert_eq!(h.column_wise_sum(), vec![0, 5, 0, 1]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotnessMatrix {
     num_gpus: usize,
     num_vertices: usize,
-    data: Vec<u64>,
-    /// Bytes caching each vertex's row takes, when rows differ in size.
+    /// Every vertex with a non-zero entry, once.
+    support: Vec<VertexId>,
+    /// `num_gpus` values per support vertex: `values[i·K_g + g]` is
+    /// `H[g][support[i]]`.
+    values: Vec<u64>,
+    /// Bytes caching each support vertex's row takes, when rows differ
+    /// in size.
     vertex_bytes: Option<Vec<u64>>,
 }
 
 impl HotnessMatrix {
-    /// A zeroed matrix for `num_gpus` rows over `num_vertices` columns.
-    pub fn new(num_gpus: usize, num_vertices: usize) -> Self {
+    /// The matrix over `num_vertices` columns whose non-zero columns are
+    /// `support`, each with the `num_gpus` values `values` holds for it in
+    /// turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `num_gpus > 0`, `support` lists distinct vertices
+    /// below `num_vertices`, there are `num_gpus` values per support
+    /// vertex, and every support column holds a non-zero value.
+    pub fn from_support(
+        num_gpus: usize,
+        num_vertices: usize,
+        support: Vec<VertexId>,
+        values: Vec<u64>,
+    ) -> Self {
+        assert!(num_gpus > 0, "a clique has GPUs");
+        assert_eq!(
+            values.len(),
+            support.len() * num_gpus,
+            "K_g values a column"
+        );
+        let mut listed = vec![false; num_vertices];
+        for &v in &support {
+            let seen = listed
+                .get_mut(v as usize)
+                .expect("support vertex out of range");
+            assert!(
+                !std::mem::replace(seen, true),
+                "support vertex {v} listed twice"
+            );
+        }
+        assert!(
+            values
+                .chunks_exact(num_gpus)
+                .all(|c| c.iter().any(|&x| x > 0)),
+            "a support column is non-zero"
+        );
         Self {
             num_gpus,
             num_vertices,
-            data: vec![0; num_gpus * num_vertices],
+            support,
+            values,
             vertex_bytes: None,
         }
     }
 
-    /// The matrix with each vertex's cached row size attached: `bytes[v]`
-    /// is what caching `v`'s row takes. [`cslp`](crate::cslp()) then ranks
-    /// the vertices by hotness per byte instead of by hotness.
+    /// The matrix whose GPU rows are `rows`, all of one length.
     ///
     /// # Panics
     ///
-    /// Panics unless there is one positive size per vertex column.
-    pub fn with_vertex_bytes(mut self, bytes: Vec<u64>) -> Self {
-        assert_eq!(bytes.len(), self.num_vertices, "one size per vertex");
-        assert!(bytes.iter().all(|&b| b > 0), "a cached row takes bytes");
-        self.vertex_bytes = Some(bytes);
+    /// Panics if `rows` is empty or the rows differ in length.
+    pub fn from_rows(rows: &[&[u64]]) -> Self {
+        let n = rows.first().expect("a clique has GPUs").len();
+        assert!(rows.iter().all(|r| r.len() == n), "rows of one length");
+        let (mut support, mut values) = (Vec::new(), Vec::new());
+        for v in 0..n {
+            if rows.iter().any(|r| r[v] > 0) {
+                support.push(v as VertexId);
+                values.extend(rows.iter().map(|r| r[v]));
+            }
+        }
+        Self::from_support(rows.len(), n, support, values)
+    }
+
+    /// The matrix with each support vertex's cached row size attached:
+    /// `bytes(v)` is what caching `v`'s row takes. [`cslp`](crate::cslp())
+    /// then ranks the vertices by hotness per byte instead of by hotness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a support vertex's row takes no bytes.
+    pub fn with_vertex_bytes(mut self, bytes: impl Fn(VertexId) -> u64) -> Self {
+        let sizes: Vec<u64> = self.support.iter().map(|&v| bytes(v)).collect();
+        assert!(sizes.iter().all(|&b| b > 0), "a cached row takes bytes");
+        self.vertex_bytes = Some(sizes);
         self
     }
 
-    /// Each vertex's cached row size, if the matrix carries them.
+    /// Each support vertex's cached row size, in support order, if the
+    /// matrix carries them.
     pub fn vertex_bytes(&self) -> Option<&[u64]> {
         self.vertex_bytes.as_deref()
-    }
-
-    /// Number of GPU rows.
-    #[inline]
-    pub fn num_gpus(&self) -> usize {
-        self.num_gpus
     }
 
     /// Number of vertex columns.
@@ -75,94 +138,41 @@ impl HotnessMatrix {
         self.num_vertices
     }
 
-    /// Increments `H[gpu][v]` by `amount`.
+    /// The vertices with a non-zero entry, in the order they were written.
+    pub fn support(&self) -> &[VertexId] {
+        &self.support
+    }
+
+    /// Each support vertex with its `K_g` values, in support order.
+    pub fn columns(&self) -> impl Iterator<Item = (VertexId, &[u64])> {
+        self.support
+            .iter()
+            .copied()
+            .zip(self.values.chunks_exact(self.num_gpus))
+    }
+
+    /// One GPU's dense hotness row, built on demand.
     ///
     /// # Panics
     ///
-    /// Panics if `gpu` or `v` is out of range.
-    #[inline]
-    pub fn add(&mut self, gpu: usize, v: VertexId, amount: u64) {
+    /// Panics if `gpu` is out of range.
+    pub fn row(&self, gpu: usize) -> Vec<u64> {
         assert!(gpu < self.num_gpus, "gpu row {gpu} out of range");
-        self.data[gpu * self.num_vertices + v as usize] += amount;
-    }
-
-    /// Decrements `H[gpu][v]` by `amount` — the retirement half of a
-    /// sliding window: when an epoch bucket ages out, its per-vertex
-    /// contributions are subtracted from the aggregate matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu` or `v` is out of range, or if `amount` exceeds the
-    /// current value (a retired bucket can only remove hotness it added).
-    #[inline]
-    pub fn sub(&mut self, gpu: usize, v: VertexId, amount: u64) {
-        assert!(gpu < self.num_gpus, "gpu row {gpu} out of range");
-        let cell = &mut self.data[gpu * self.num_vertices + v as usize];
-        *cell = cell
-            .checked_sub(amount)
-            .expect("hotness underflow: bucket retired more than it added");
-    }
-
-    /// Reads `H[gpu][v]`.
-    #[inline]
-    pub fn get(&self, gpu: usize, v: VertexId) -> u64 {
-        self.data[gpu * self.num_vertices + v as usize]
-    }
-
-    /// One GPU's full hotness row.
-    pub fn row(&self, gpu: usize) -> &[u64] {
-        &self.data[gpu * self.num_vertices..(gpu + 1) * self.num_vertices]
-    }
-
-    /// One GPU's full hotness row, writable.
-    pub fn row_mut(&mut self, gpu: usize) -> &mut [u64] {
-        &mut self.data[gpu * self.num_vertices..(gpu + 1) * self.num_vertices]
+        let mut row = vec![0; self.num_vertices];
+        for (v, column) in self.columns() {
+            row[v as usize] = column[gpu];
+        }
+        row
     }
 
     /// Column-wise sum — the accumulated clique-level hotness vector
-    /// (`A_T` / `A_F`, Algorithm 1 step 1).
+    /// (`A_T` / `A_F`, Algorithm 1 step 1), dense.
     pub fn column_wise_sum(&self) -> Vec<u64> {
         let mut acc = vec![0u64; self.num_vertices];
-        for gpu in 0..self.num_gpus {
-            for (a, &h) in acc.iter_mut().zip(self.row(gpu)) {
-                *a += h;
-            }
+        for (v, column) in self.columns() {
+            acc[v as usize] = column.iter().sum();
         }
         acc
-    }
-
-    /// Index of the GPU row with the highest hotness for vertex `v`
-    /// (Algorithm 1 step 3: "assign each vertex to the GPU with the
-    /// highest local hotness"). Ties break toward the lower GPU index.
-    pub fn argmax_gpu(&self, v: VertexId) -> usize {
-        let mut best = 0usize;
-        let mut best_h = self.get(0, v);
-        for gpu in 1..self.num_gpus {
-            let h = self.get(gpu, v);
-            if h > best_h {
-                best = gpu;
-                best_h = h;
-            }
-        }
-        best
-    }
-
-    /// Merges another matrix into this one (element-wise add). Used when
-    /// several pre-sampling workers contribute to the same clique. The
-    /// row sizes stay this matrix's.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn merge(&mut self, other: &HotnessMatrix) {
-        assert_eq!(self.num_gpus, other.num_gpus, "gpu count mismatch");
-        assert_eq!(
-            self.num_vertices, other.num_vertices,
-            "vertex count mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
     }
 }
 
@@ -171,85 +181,81 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_get_roundtrip() {
-        let mut h = HotnessMatrix::new(3, 5);
-        h.add(2, 4, 7);
-        h.add(2, 4, 1);
-        assert_eq!(h.get(2, 4), 8);
-        assert_eq!(h.get(0, 4), 0);
+    fn rows_round_trip_through_the_support() {
+        let rows: [&[u64]; 3] = [&[0, 0, 4, 0, 7], &[0, 0, 0, 0, 1], &[0, 5, 0, 0, 0]];
+        let h = HotnessMatrix::from_rows(&rows);
+        assert_eq!(h.support(), &[1, 2, 4]);
+        for (g, row) in rows.iter().enumerate() {
+            assert_eq!(h.row(g), row.to_vec());
+        }
+        assert_eq!(h.column_wise_sum(), vec![0, 5, 4, 0, 8]);
+        let columns: Vec<_> = h.columns().collect();
+        assert_eq!(columns[2], (4, &[7, 1, 0][..]));
     }
 
     #[test]
     fn column_sum_accumulates_all_rows() {
-        let mut h = HotnessMatrix::new(2, 3);
-        h.add(0, 0, 1);
-        h.add(1, 0, 2);
-        h.add(1, 2, 5);
+        let h = HotnessMatrix::from_rows(&[&[1, 0, 0], &[2, 0, 5]]);
         assert_eq!(h.column_wise_sum(), vec![3, 0, 5]);
     }
 
     #[test]
     fn argmax_prefers_highest_then_lowest_index() {
-        let mut h = HotnessMatrix::new(3, 2);
-        h.add(1, 0, 9);
-        h.add(2, 0, 4);
-        assert_eq!(h.argmax_gpu(0), 1);
-        // All-zero column: lowest GPU wins.
-        assert_eq!(h.argmax_gpu(1), 0);
-        // Tie: lower index wins.
-        h.add(0, 1, 3);
-        h.add(2, 1, 3);
-        assert_eq!(h.argmax_gpu(1), 0);
+        // CSLP's owner is the argmax GPU of the vertex's column.
+        let h = HotnessMatrix::from_rows(&[&[0, 3], &[9, 0], &[4, 3]]);
+        // Vertex 0: GPU 1 is hottest. Vertex 1: GPUs 0 and 2 tie, the
+        // lower index wins.
+        assert_eq!(crate::cslp(&h).owner, vec![1, 0]);
+        // An all-zero column goes to the lowest GPU.
+        let cold = HotnessMatrix::from_rows(&[&[0, 1], &[0, 0]]);
+        assert_eq!(crate::cslp(&cold).owner, vec![0, 0]);
     }
 
     #[test]
-    fn sub_retires_previous_contributions() {
-        let mut h = HotnessMatrix::new(2, 3);
-        h.add(1, 2, 5);
-        h.sub(1, 2, 3);
-        assert_eq!(h.get(1, 2), 2);
-        h.sub(1, 2, 2);
-        assert_eq!(h.get(1, 2), 0);
+    fn empty_and_all_zero_matrices_have_no_support() {
+        let h = HotnessMatrix::from_rows(&[&[0, 0, 0], &[0, 0, 0]]);
+        assert!(h.support().is_empty());
+        assert_eq!(h.row(1), vec![0, 0, 0]);
+        assert!(HotnessMatrix::from_rows(&[&[]])
+            .column_wise_sum()
+            .is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "hotness underflow")]
-    fn sub_rejects_underflow() {
-        let mut h = HotnessMatrix::new(1, 1);
-        h.add(0, 0, 1);
-        h.sub(0, 0, 2);
-    }
-
-    #[test]
-    fn merge_adds_elementwise() {
-        let mut a = HotnessMatrix::new(1, 2);
-        a.add(0, 0, 1);
-        let mut b = HotnessMatrix::new(1, 2);
-        b.add(0, 0, 2);
-        b.add(0, 1, 3);
-        a.merge(&b);
-        assert_eq!(a.get(0, 0), 3);
-        assert_eq!(a.get(0, 1), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "mismatch")]
-    fn merge_rejects_shape_mismatch() {
-        let mut a = HotnessMatrix::new(1, 2);
-        let b = HotnessMatrix::new(2, 2);
-        a.merge(&b);
+    fn vertex_bytes_follow_the_support() {
+        let h = HotnessMatrix::from_rows(&[&[0, 2, 0, 9]]).with_vertex_bytes(|v| 8 + 4 * v as u64);
+        assert_eq!(h.vertex_bytes(), Some(&[12, 20][..]));
     }
 
     #[test]
     #[should_panic(expected = "a cached row takes bytes")]
     fn vertex_bytes_reject_a_free_row() {
-        let _ = HotnessMatrix::new(1, 2).with_vertex_bytes(vec![8, 0]);
+        let _ = HotnessMatrix::from_rows(&[&[1, 1]]).with_vertex_bytes(|v| u64::from(v) * 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "a support column is non-zero")]
+    fn support_rejects_a_zero_column() {
+        let _ = HotnessMatrix::from_support(2, 4, vec![1, 3], vec![1, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn support_rejects_a_repeat() {
+        let _ = HotnessMatrix::from_support(1, 4, vec![3, 1, 3], vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn support_keeps_the_order_it_was_written_in() {
+        let h = HotnessMatrix::from_support(2, 4, vec![3, 0], vec![0, 5, 2, 0]);
+        assert_eq!(h.support(), &[3, 0]);
+        assert_eq!(h.row(1), vec![0, 0, 0, 5]);
+        assert_eq!(h.column_wise_sum(), vec![2, 0, 0, 5]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn add_rejects_bad_gpu() {
-        let mut h = HotnessMatrix::new(1, 1);
-        h.add(1, 0, 1);
+    fn row_rejects_bad_gpu() {
+        let _ = HotnessMatrix::from_rows(&[&[1]]).row(1);
     }
 }

@@ -28,14 +28,11 @@
 //!
 //! ```
 //! use legion_cache::{cslp, CostModel, HotnessMatrix};
-//! use legion_graph::GraphBuilder;
+//! use legion_graph::builder::from_edges;
 //!
-//! let g = GraphBuilder::new(3).edge(0, 1).edge(0, 2).edge(1, 2).build();
+//! let g = from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
 //! // Two GPUs; vertex 0 is hot on GPU 0, vertex 2 on GPU 1.
-//! let mut h = HotnessMatrix::new(2, 3);
-//! h.add(0, 0, 10);
-//! h.add(1, 2, 6);
-//! h.add(0, 1, 1);
+//! let h = HotnessMatrix::from_rows(&[&[10, 1, 0], &[0, 0, 6]]);
 //! let order = cslp(&h);
 //! assert_eq!(order.clique_order[0], 0); // Hottest vertex first.
 //! assert_eq!(order.owner[0], 0);        // ...owned by its hottest GPU.

@@ -254,12 +254,6 @@ impl CliqueCache {
         self.feat_dir[v as usize] != ABSENT
     }
 
-    /// All vertices whose topology is cached anywhere in the clique,
-    /// in ascending id order. Residency export for the serving router.
-    pub fn topology_vertices(&self) -> Vec<VertexId> {
-        present(&self.topo_dir)
-    }
-
     /// All vertices whose features are cached anywhere in the clique,
     /// in ascending id order. Residency export for the serving router.
     pub fn feature_vertices(&self) -> Vec<VertexId> {
@@ -464,7 +458,10 @@ mod tests {
         cc.insert_topology(1, 7, 1);
         cc.insert_topology(0, 3, 2);
         assert_eq!(cc.feature_vertices(), vec![2, 4, 6]);
-        assert_eq!(cc.topology_vertices(), vec![3, 7]);
+        let topo: Vec<VertexId> = (0..8)
+            .filter(|&v| cc.lookup_topology(0, v).is_some())
+            .collect();
+        assert_eq!(topo, vec![3, 7]);
         let empty = CliqueCache::new(vec![2], 8, 1);
         assert!(empty.feature_vertices().is_empty());
     }

@@ -12,36 +12,99 @@ use legion_cache::{
 use legion_graph::builder::from_edges;
 use legion_graph::{feature_bytes_for_dim, topology_bytes_for_degree, CsrGraph, VertexId};
 
-/// Dense matrices whose cells stay below 10^3, 2^24 or 2^44: one, three
-/// or four radix digits of [`hotness_order`]'s key.
-fn hotness_strategy() -> impl Strategy<Value = HotnessMatrix> {
-    let limit = prop_oneof![Just(1000u64), Just(1 << 24), Just(1 << 44)];
-    (1usize..5, 1usize..40, limit).prop_flat_map(|(gpus, n, limit)| {
-        proptest::collection::vec(0u64..limit, gpus * n).prop_map(move |vals| {
-            let mut h = HotnessMatrix::new(gpus, n);
-            for g in 0..gpus {
-                for v in 0..n {
-                    h.add(g, v as VertexId, vals[g * n + v]);
+/// A hotness matrix written out densely: `K_g` rows of one length, and
+/// each vertex's cached row size when the rows differ in size.
+#[derive(Debug, Clone)]
+struct Dense {
+    rows: Vec<Vec<u64>>,
+    bytes: Option<Vec<u64>>,
+}
+
+impl Dense {
+    fn num_vertices(&self) -> usize {
+        self.rows[0].len()
+    }
+
+    /// The matrix `cslp` reads: the rows' support, sized as `bytes` says,
+    /// written odd ids first, then even ones, as pre-sampling writes a
+    /// support in the order its slots first reach the vertices.
+    fn matrix(&self) -> HotnessMatrix {
+        let n = self.num_vertices();
+        let (mut support, mut values) = (Vec::new(), Vec::new());
+        for v in (1..n).step_by(2).chain((0..n).step_by(2)) {
+            if self.rows.iter().any(|r| r[v] > 0) {
+                support.push(v as VertexId);
+                values.extend(self.rows.iter().map(|r| r[v]));
+            }
+        }
+        let h = HotnessMatrix::from_support(self.rows.len(), n, support, values);
+        match &self.bytes {
+            Some(bytes) => h.with_vertex_bytes(|v| bytes[v as usize]),
+            None => h,
+        }
+    }
+}
+
+/// Algorithm 1 over the dense rows as first written: sum and argmax over
+/// every vertex, then one stable sort of every vertex by descending
+/// hotness — per byte, compared exactly, when the rows are sized — ties
+/// toward the smaller id.
+fn cslp_by_full_sort(h: &Dense) -> CslpOutput {
+    let n = h.num_vertices();
+    let accumulated: Vec<u64> = (0..n).map(|v| h.rows.iter().map(|r| r[v]).sum()).collect();
+    let owner = (0..n)
+        .map(|v| {
+            let mut best = 0;
+            for g in 1..h.rows.len() {
+                if h.rows[g][v] > h.rows[best][v] {
+                    best = g;
                 }
             }
-            h
+            best as u32
+        })
+        .collect();
+    let size = |v: VertexId| h.bytes.as_ref().map_or(1, |b| b[v as usize]);
+    let mut clique_order: Vec<VertexId> = (0..n as VertexId).collect();
+    clique_order.sort_by(|&a, &b| {
+        let (h_a, h_b) = (accumulated[a as usize], accumulated[b as usize]);
+        (u128::from(h_b) * u128::from(size(a)))
+            .cmp(&(u128::from(h_a) * u128::from(size(b))))
+            .then(a.cmp(&b))
+    });
+    CslpOutput {
+        accumulated,
+        clique_order,
+        owner,
+    }
+}
+
+/// Dense matrices of 1 to 4 GPU rows whose cells stay below 10^3, 2^24
+/// or 2^44: one, three or four radix digits of [`hotness_order`]'s key.
+/// Every vertex is hot somewhere in most draws: the support is full.
+fn hotness_strategy() -> impl Strategy<Value = Dense> {
+    let limit = prop_oneof![Just(1000u64), Just(1 << 24), Just(1 << 44)];
+    (1usize..=4, 1usize..40, limit).prop_flat_map(|(gpus, n, limit)| {
+        proptest::collection::vec(0u64..limit, gpus * n).prop_map(move |vals| Dense {
+            rows: vals.chunks(n).map(<[u64]>::to_vec).collect(),
+            bytes: None,
         })
     })
 }
 
 /// Sparse matrices over a tiny value range: 1 to 4 GPU rows, 0 to 59
-/// vertices, most cells zero (whole matrices come out all-zero) and
-/// non-zero cells in `1..4`, so hotness ties are the common case.
-fn sparse_tied_hotness() -> impl Strategy<Value = HotnessMatrix> {
-    (1usize..5, 0usize..60, 1u64..12).prop_flat_map(|(gpus, n, one_in)| {
+/// vertices, most cells zero (whole matrices come out all-zero: an empty
+/// support) and non-zero cells in `1..4`, so hotness ties are the common
+/// case.
+fn sparse_tied_hotness() -> impl Strategy<Value = Dense> {
+    (1usize..=4, 0usize..60, 1u64..12).prop_flat_map(|(gpus, n, one_in)| {
         proptest::collection::vec((0..one_in, 1u64..4), gpus * n).prop_map(move |cells| {
-            let mut h = HotnessMatrix::new(gpus, n);
+            let mut rows = vec![vec![0; n]; gpus];
             for (i, &(roll, value)) in cells.iter().enumerate() {
                 if roll == 0 {
-                    h.add(i / n, (i % n) as VertexId, value);
+                    rows[i / n][i % n] = value;
                 }
             }
-            h
+            Dense { rows, bytes: None }
         })
     })
 }
@@ -69,23 +132,51 @@ fn hotness_vector() -> impl Strategy<Value = Vec<u64>> {
     })
 }
 
-/// Algorithm 1 as first written: one stable sort over every vertex.
-fn cslp_by_full_sort(h: &HotnessMatrix) -> CslpOutput {
-    let accumulated = h.column_wise_sum();
-    let mut clique_order: Vec<VertexId> = (0..h.num_vertices() as VertexId).collect();
-    clique_order.sort_by(|&a, &b| {
-        accumulated[b as usize]
-            .cmp(&accumulated[a as usize])
-            .then(a.cmp(&b))
-    });
-    let owner = (0..h.num_vertices() as VertexId)
-        .map(|v| h.argmax_gpu(v) as u32)
-        .collect();
-    CslpOutput {
-        accumulated,
-        clique_order,
-        owner,
-    }
+/// Hotness split over 1 to 4 GPU rows beside each vertex's Equation 3
+/// row size, for 0 to 59 vertices of degree below 300. A quarter of the
+/// vertices are cold and a quarter carry `1..5`, so per-byte ties are
+/// common; the rest reach 2^40.
+fn sized_hotness() -> impl Strategy<Value = Dense> {
+    let cell = (0u64..300, 0u64..4, 0u64..1 << 40, 0usize..4);
+    (1usize..=4, proptest::collection::vec(cell, 0..60)).prop_map(|(gpus, cells)| {
+        let mut rows = vec![vec![0; cells.len()]; gpus];
+        for (v, &(_, roll, x, g)) in cells.iter().enumerate() {
+            rows[g % gpus][v] = match roll {
+                0 => 0,
+                1 => 1 + x % 4,
+                _ => x,
+            };
+        }
+        let bytes = cells
+            .iter()
+            .map(|&(deg, ..)| topology_bytes_for_degree(deg))
+            .collect();
+        Dense {
+            rows,
+            bytes: Some(bytes),
+        }
+    })
+}
+
+/// One GPU row whose ratios only exact arithmetic tells apart: hotness
+/// near 2^53, where neighbouring values round to one `f64`, and near
+/// `u64::MAX`, where the cross products pass `u64`; sizes a few apart.
+fn wide_sized_hotness() -> impl Strategy<Value = Dense> {
+    let base = prop_oneof![Just(1u64 << 53), Just(u64::MAX - 8)];
+    (
+        base,
+        proptest::collection::vec((0u64..8, 996u64..1004), 1..8),
+    )
+        .prop_map(|(base, cells)| {
+            let (hot, bytes) = cells
+                .iter()
+                .map(|&(d, b)| (base.saturating_add(d), b))
+                .unzip();
+            Dense {
+                rows: vec![hot],
+                bytes: Some(bytes),
+            }
+        })
 }
 
 proptest! {
@@ -93,12 +184,24 @@ proptest! {
 
     #[test]
     fn cslp_matches_the_full_sort_oracle_dense(h in hotness_strategy()) {
-        prop_assert_eq!(cslp(&h), cslp_by_full_sort(&h));
+        prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
     }
 
     #[test]
     fn cslp_matches_the_full_sort_oracle_sparse_with_ties(h in sparse_tied_hotness()) {
-        prop_assert_eq!(cslp(&h), cslp_by_full_sort(&h));
+        prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
+    }
+
+    /// The support-walking CSLP, sized rows and all, equals the dense
+    /// full-sort reference over every vertex.
+    #[test]
+    fn sized_cslp_matches_the_full_sort_oracle(h in sized_hotness()) {
+        prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
+    }
+
+    #[test]
+    fn wide_sized_cslp_matches_the_full_sort_oracle(h in wide_sized_hotness()) {
+        prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
     }
 
     /// The counting sort lists every vertex in the comparator's order,
@@ -112,7 +215,7 @@ proptest! {
 
     #[test]
     fn cslp_clique_order_is_a_hotness_sorted_permutation(h in hotness_strategy()) {
-        let out = cslp(&h);
+        let out = cslp(&h.matrix());
         let n = h.num_vertices();
         // Permutation of all vertices.
         let mut sorted = out.clique_order.clone();
@@ -126,39 +229,15 @@ proptest! {
         }
         // Every vertex has one owner in the clique.
         prop_assert_eq!(out.owner.len(), n);
-        prop_assert!(out.owner.iter().all(|&g| (g as usize) < h.num_gpus()));
+        prop_assert!(out.owner.iter().all(|&g| (g as usize) < h.rows.len()));
         // Local preference: each vertex sits on its argmax GPU.
-        for v in 0..n as VertexId {
-            let owner = out.owner[v as usize] as usize;
-            for g in 0..h.num_gpus() {
-                prop_assert!(h.get(owner, v) >= h.get(g, v) || owner < g);
+        for v in 0..n {
+            let owner = out.owner[v] as usize;
+            for (g, row) in h.rows.iter().enumerate() {
+                prop_assert!(h.rows[owner][v] >= row[v] || owner < g);
             }
         }
     }
-}
-
-/// Hotness split over one to three GPU rows beside each vertex's
-/// Equation 3 row size, for 0 to 59 vertices of degree below 300. A
-/// quarter of the vertices are cold and a quarter carry `1..5`, so
-/// per-byte ties are common; the rest reach 2^40.
-fn sized_hotness() -> impl Strategy<Value = HotnessMatrix> {
-    let cell = (0u64..300, 0u64..4, 0u64..1 << 40, 0usize..3);
-    (1usize..4, proptest::collection::vec(cell, 0..60)).prop_map(|(gpus, cells)| {
-        let mut h = HotnessMatrix::new(gpus, cells.len());
-        for (v, &(_, roll, x, g)) in cells.iter().enumerate() {
-            let hot = match roll {
-                0 => 0,
-                1 => 1 + x % 4,
-                _ => x,
-            };
-            h.add(g % gpus, v as VertexId, hot);
-        }
-        let bytes = cells
-            .iter()
-            .map(|&(deg, ..)| topology_bytes_for_degree(deg))
-            .collect();
-        h.with_vertex_bytes(bytes)
-    })
 }
 
 /// Accumulated hotness of the longest prefix of `order` whose row sizes
@@ -183,8 +262,8 @@ proptest! {
     /// and the accumulated vector do not depend on the sizes.
     #[test]
     fn sized_cslp_orders_by_hotness_per_byte(h in sized_hotness()) {
-        let out = cslp(&h);
-        let bytes = h.vertex_bytes().expect("sized");
+        let out = cslp(&h.matrix());
+        let bytes = h.bytes.as_deref().expect("sized");
         let hot = &out.accumulated;
         let mut sorted = out.clique_order.clone();
         sorted.sort_unstable();
@@ -195,9 +274,8 @@ proptest! {
             let rhs = u128::from(hot[b]) * u128::from(bytes[a]);
             prop_assert!(lhs > rhs || (lhs == rhs && a < b), "{} before {}", a, b);
         }
-        let mut bare = HotnessMatrix::new(h.num_gpus(), h.num_vertices());
-        bare.merge(&h);
-        let plain = cslp(&bare);
+        let bare = Dense { bytes: None, ..h };
+        let plain = cslp(&bare.matrix());
         prop_assert_eq!(&plain.accumulated, &out.accumulated);
         prop_assert_eq!(&plain.owner, &out.owner);
     }
@@ -206,8 +284,8 @@ proptest! {
     /// hotness order as it is.
     #[test]
     fn uniform_sizes_keep_the_hotness_order(h in hotness_strategy(), size in 1u64..5000) {
-        let sized = h.clone().with_vertex_bytes(vec![size; h.num_vertices()]);
-        prop_assert_eq!(cslp(&sized), cslp(&h));
+        let sized = h.matrix().with_vertex_bytes(|_| size);
+        prop_assert_eq!(cslp(&sized), cslp(&h.matrix()));
     }
 
     /// The greedy knapsack bound: at every budget, the per-byte prefix
@@ -218,8 +296,8 @@ proptest! {
         h in sized_hotness(),
         extra in proptest::collection::vec(0u64..1 << 16, 4),
     ) {
-        let by_byte = cslp(&h);
-        let bytes = h.vertex_bytes().expect("sized");
+        let by_byte = cslp(&h.matrix());
+        let bytes = h.bytes.as_deref().expect("sized");
         let hot = &by_byte.accumulated;
         let by_hotness = hotness_order(hot);
         let largest = hot.iter().copied().max().unwrap_or(0);

@@ -1,7 +1,7 @@
 //! The Legion setup builders: C1 + C2 + C3 assembled.
 
 use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
-use legion_cache::{build_clique_cache, cslp, CachePlan, CostModel, PlannerConfig};
+use legion_cache::{build_clique_cache, cslp, CachePlan, CostModel, CslpOutput, PlannerConfig};
 use legion_partition::{hierarchical_partition, HierarchicalPlan};
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
 
@@ -93,9 +93,18 @@ fn legion_setup_inner(
             .map(|&g| plan.tablets[g].clone())
             .collect();
         let pres = ctx.presample(clique_gpus, &tablets);
-        // C2 S2: CSLP.
-        let topo_order = cslp(&pres.h_t);
+        // C2 S2: CSLP. A forced α = 0 caches no topology row, so `Q_T`
+        // would decide nothing. The tallies go as soon as CSLP has read
+        // them.
+        let feature_only = forced_alpha == Some(0.0);
+        let topo_order = if feature_only {
+            CslpOutput::default()
+        } else {
+            cslp(&pres.h_t)
+        };
         let feat_order = cslp(&pres.h_f);
+        let n_tsum = pres.n_tsum;
+        drop(pres);
         // C3: cost model + plan search.
         let model = CostModel::new(
             &ctx.dataset.graph,
@@ -103,7 +112,7 @@ fn legion_setup_inner(
             &topo_order.accumulated,
             &feat_order.clique_order,
             &feat_order.accumulated,
-            pres.n_tsum,
+            n_tsum,
             ctx.dataset.features.dim(),
             ctx.server.pcie().cls(),
         );

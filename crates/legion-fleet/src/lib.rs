@@ -429,7 +429,7 @@ impl HeadResizer {
         owned: &mut [Rc<Vec<bool>>],
         dispatcher: &mut Dispatcher,
     ) -> bool {
-        let weights = self.window.feat().row(0);
+        let weights = self.window.feat();
         let hot = self.window.top_feature_vertices(self.budget);
         let rows =
             adaptive_replicated_rows(&hot, weights, self.budget, self.num_servers).min(hot.len());

@@ -199,6 +199,7 @@ mod tests {
     use super::*;
     use crate::model::ModelKind;
     use legion_graph::generate::SbmConfig;
+    use legion_graph::GraphBuilder;
     use legion_hw::ServerSpec;
     use legion_sampling::access::{CacheLayout, TopologyPlacement};
     use rand::rngs::StdRng;
@@ -290,7 +291,7 @@ mod tests {
     #[test]
     fn empty_batch_is_noop() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = CsrGraph::empty(4);
+        let g = GraphBuilder::new(4).build();
         let batch = sample_link_batch(&g, 0, 3, &mut rng);
         assert!(batch.is_empty());
         assert_eq!(auc(&[], &[]), 0.5);

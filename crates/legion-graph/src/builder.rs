@@ -11,7 +11,9 @@ use crate::VertexId;
 /// ```
 /// use legion_graph::GraphBuilder;
 ///
-/// let g = GraphBuilder::new(2).edge(1, 0).edge(0, 1).edge(1, 0).build();
+/// let mut b = GraphBuilder::new(2);
+/// b.extend_edges([(1, 0), (0, 1), (1, 0)]);
+/// let g = b.build();
 /// // Duplicates removed, adjacency sorted.
 /// assert_eq!(g.num_edges(), 2);
 /// assert_eq!(g.neighbors(1), &[0]);
@@ -47,12 +49,6 @@ impl GraphBuilder {
 
     /// Adds a directed edge. Endpoints outside the vertex range are a
     /// programming error and will panic at [`build`](Self::build) time.
-    pub fn edge(mut self, src: VertexId, dst: VertexId) -> Self {
-        self.edges.push((src, dst));
-        self
-    }
-
-    /// Adds a directed edge via mutable reference (for loops).
     pub fn push_edge(&mut self, src: VertexId, dst: VertexId) {
         self.edges.push((src, dst));
     }
@@ -104,27 +100,21 @@ mod tests {
 
     #[test]
     fn build_sorts_adjacency() {
-        let g = GraphBuilder::new(4)
-            .edge(0, 3)
-            .edge(0, 1)
-            .edge(0, 2)
-            .build();
+        let g = from_edges(4, &[(0, 3), (0, 1), (0, 2)]);
         assert_eq!(g.neighbors(0), &[1, 2, 3]);
     }
 
     #[test]
     fn build_dedups_by_default() {
-        let g = GraphBuilder::new(2).edge(0, 1).edge(0, 1).build();
+        let g = from_edges(2, &[(0, 1), (0, 1)]);
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn keep_duplicates_preserves_multiplicity() {
-        let g = GraphBuilder::new(2)
-            .keep_duplicates()
-            .edge(0, 1)
-            .edge(0, 1)
-            .build();
+        let mut b = GraphBuilder::new(2).keep_duplicates();
+        b.extend_edges([(0, 1), (0, 1)]);
+        let g = b.build();
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.neighbors(0), &[1, 1]);
     }
@@ -132,7 +122,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn build_panics_on_out_of_range_edge() {
-        let _ = GraphBuilder::new(2).edge(0, 2).build();
+        let _ = from_edges(2, &[(0, 2)]);
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::{EdgeIndex, VertexId, COL_INDEX_BYTES, ROW_OFFSET_BYTES};
 /// # Examples
 ///
 /// ```
-/// use legion_graph::GraphBuilder;
+/// use legion_graph::builder::from_edges;
 ///
-/// let g = GraphBuilder::new(3).edge(0, 1).edge(0, 2).edge(2, 1).build();
+/// let g = from_edges(3, &[(0, 1), (0, 2), (2, 1)]);
 /// assert_eq!(g.num_vertices(), 3);
 /// assert_eq!(g.num_edges(), 3);
 /// assert_eq!(g.neighbors(0), &[1, 2]);
@@ -106,14 +106,6 @@ impl CsrGraph {
             row_offsets,
             col_indices,
         })
-    }
-
-    /// An empty graph with `n` vertices and no edges.
-    pub fn empty(n: usize) -> Self {
-        Self {
-            row_offsets: vec![0; n + 1],
-            col_indices: Vec::new(),
-        }
     }
 
     /// Number of vertices.
@@ -204,11 +196,23 @@ impl CsrGraph {
         }
     }
 
-    /// Whether every adjacency row is in non-decreasing order (the builder
-    /// guarantees it; [`from_parts`](Self::from_parts) does not).
-    fn rows_sorted(&self) -> bool {
-        (0..self.num_vertices() as VertexId)
-            .all(|v| self.neighbors(v).windows(2).all(|w| w[0] <= w[1]))
+    /// This graph with every adjacency row in non-decreasing order:
+    /// itself when the rows already are (the builder guarantees it;
+    /// [`from_parts`](Self::from_parts) does not), else a copy sorted by
+    /// transposing twice — the counting-sort
+    /// [`transpose`](Self::transpose) emits each row in ascending source
+    /// order.
+    pub fn with_sorted_rows(&self) -> std::borrow::Cow<'_, CsrGraph> {
+        let sorted = (0..self.num_vertices() as VertexId).all(|v| {
+            let row = self.neighbors(v);
+            let pairs = row.iter().zip(row.iter().skip(1));
+            pairs.fold(true, |sorted, (a, b)| sorted & (a <= b))
+        });
+        if sorted {
+            std::borrow::Cow::Borrowed(self)
+        } else {
+            std::borrow::Cow::Owned(self.transpose().transpose())
+        }
     }
 
     /// Returns the symmetrized graph: for every edge `(u, v)` both `(u, v)`
@@ -218,17 +222,11 @@ impl CsrGraph {
     /// `O(V + E)`: the counting-sort [`transpose`](Self::transpose) emits
     /// each row in ascending source order, so row `v` of the result is the
     /// deduplicating merge of two sorted rows — `v`'s in-neighbors and its
-    /// out-neighbors. Unsorted input rows are sorted by transposing twice.
+    /// out-neighbors ([`with_sorted_rows`](Self::with_sorted_rows)).
     pub fn symmetrize(&self) -> CsrGraph {
         let n = self.num_vertices();
         let reverse = self.transpose();
-        let resorted;
-        let forward = if self.rows_sorted() {
-            self
-        } else {
-            resorted = reverse.transpose();
-            &resorted
-        };
+        let forward = self.with_sorted_rows();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
         let mut cols: Vec<VertexId> = Vec::with_capacity(2 * self.num_edges());
@@ -261,6 +259,7 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::from_edges;
     use crate::GraphBuilder;
     use proptest::prelude::*;
 
@@ -334,12 +333,7 @@ mod tests {
 
     fn diamond() -> CsrGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-        GraphBuilder::new(4)
-            .edge(0, 1)
-            .edge(0, 2)
-            .edge(1, 3)
-            .edge(2, 3)
-            .build()
+        from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
     #[test]
@@ -393,7 +387,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_no_edges() {
-        let g = CsrGraph::empty(5);
+        let g = GraphBuilder::new(5).build();
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
         for v in 0..5 {
@@ -428,7 +422,7 @@ mod tests {
 
     #[test]
     fn symmetrize_keeps_self_loop_once() {
-        let g = GraphBuilder::new(2).edge(0, 0).edge(0, 1).build();
+        let g = from_edges(2, &[(0, 0), (0, 1)]);
         let s = g.symmetrize();
         assert_eq!(s.neighbors(0), &[0, 1]);
         assert_eq!(s.neighbors(1), &[0]);

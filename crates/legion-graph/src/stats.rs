@@ -35,15 +35,12 @@ pub fn edge_cut(g: &CsrGraph, assignment: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::from_edges;
     use crate::GraphBuilder;
 
     #[test]
     fn gini_zero_for_regular_graph() {
-        let g = GraphBuilder::new(3)
-            .edge(0, 1)
-            .edge(1, 2)
-            .edge(2, 0)
-            .build();
+        let g = from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         assert!(degree_gini(&g).abs() < 1e-12);
     }
 
@@ -59,16 +56,12 @@ mod tests {
 
     #[test]
     fn gini_zero_for_empty_graph() {
-        assert_eq!(degree_gini(&CsrGraph::empty(4)), 0.0);
+        assert_eq!(degree_gini(&GraphBuilder::new(4).build()), 0.0);
     }
 
     #[test]
     fn edge_cut_counts_cross_edges() {
-        let g = GraphBuilder::new(4)
-            .edge(0, 1)
-            .edge(1, 2)
-            .edge(2, 3)
-            .build();
+        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         // Parts {0,1} and {2,3}: only 1 -> 2 crosses.
         assert_eq!(edge_cut(&g, &[0, 0, 1, 1]), 1);
         assert_eq!(edge_cut(&g, &[0, 0, 0, 0]), 0);

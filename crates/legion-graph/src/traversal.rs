@@ -40,14 +40,10 @@ pub fn l_hop_closure(g: &CsrGraph, seeds: &[VertexId], hops: u32) -> Vec<VertexI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::builder::from_edges;
 
     fn path4() -> CsrGraph {
-        GraphBuilder::new(4)
-            .edge(0, 1)
-            .edge(1, 2)
-            .edge(2, 3)
-            .build()
+        from_edges(4, &[(0, 1), (1, 2), (2, 3)])
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! tracks every allocation lets those placement decisions succeed or OOM
 //! exactly as on real hardware.
 
-use crate::{GpuId, GIB};
+use crate::GpuId;
 
 /// Errors raised by the simulated hardware.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,11 +88,6 @@ impl GpuDevice {
         }
     }
 
-    /// A 16 GB V100-class device.
-    pub fn v100(id: GpuId) -> Self {
-        Self::new(id, 16 * GIB)
-    }
-
     /// Device index within its server.
     #[inline]
     pub fn id(&self) -> GpuId {
@@ -152,6 +147,7 @@ impl GpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GIB;
 
     #[test]
     fn alloc_and_free_roundtrip() {
@@ -196,7 +192,8 @@ mod tests {
 
     #[test]
     fn presets_have_table1_capacities() {
-        assert_eq!(GpuDevice::v100(0).capacity(), 16 * GIB);
+        let v100 = crate::ServerSpec::dgx_v100();
+        assert_eq!(GpuDevice::new(0, v100.gpu_memory).capacity(), 16 * GIB);
     }
 
     #[test]

@@ -26,13 +26,6 @@ pub struct HierarchicalPlan {
     pub gpu_clique: Vec<u32>,
 }
 
-impl HierarchicalPlan {
-    /// Number of cliques (`K_c`).
-    pub fn num_cliques(&self) -> usize {
-        self.cliques.len()
-    }
-}
-
 /// Runs hierarchical partitioning (S1–S4).
 ///
 /// * **S1** — clique detection over `topology` (MaxCliqueDyn cover),
@@ -259,7 +252,7 @@ mod tests {
         let (g, train) = setup(2000);
         let topo = NvLinkTopology::disjoint_cliques(8, 2);
         let plan = hierarchical_partition(&g, &train, &topo, &MultilevelPartitioner::default());
-        assert_eq!(plan.num_cliques(), 4);
+        assert_eq!(plan.cliques.len(), 4);
         let mut all: Vec<VertexId> = plan.tablets.iter().flatten().copied().collect();
         all.sort_unstable();
         let mut expected = train.clone();
@@ -285,7 +278,7 @@ mod tests {
         let (g, train) = setup(1000);
         let topo = NvLinkTopology::fully_connected(8);
         let plan = hierarchical_partition(&g, &train, &topo, &MultilevelPartitioner::default());
-        assert_eq!(plan.num_cliques(), 1);
+        assert_eq!(plan.cliques.len(), 1);
         assert!(plan.vertex_partition.iter().all(|&p| p == 0));
         // Training vertices dealt across all 8 GPUs.
         let sizes: Vec<usize> = plan.tablets.iter().map(|t| t.len()).collect();
@@ -297,7 +290,7 @@ mod tests {
         let (g, train) = setup(1000);
         let topo = NvLinkTopology::none(4);
         let plan = hierarchical_partition(&g, &train, &topo, &MultilevelPartitioner::default());
-        assert_eq!(plan.num_cliques(), 4);
+        assert_eq!(plan.cliques.len(), 4);
         for t in &plan.tablets {
             assert!(!t.is_empty());
         }

@@ -114,6 +114,7 @@ mod tests {
     use crate::quality::{balance, edge_cut_ratio};
     use crate::HashPartitioner;
     use legion_graph::generate::SbmConfig;
+    use legion_graph::GraphBuilder;
 
     fn community_graph() -> CsrGraph {
         let mut rng = StdRng::seed_from_u64(41);
@@ -160,7 +161,7 @@ mod tests {
 
     #[test]
     fn trivial_cases() {
-        let g = CsrGraph::empty(0);
+        let g = GraphBuilder::new(0).build();
         assert!(LabelPropPartitioner::default().partition(&g, 3).is_empty());
         let g1 = community_graph();
         assert!(LabelPropPartitioner::default()

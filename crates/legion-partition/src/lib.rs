@@ -32,19 +32,18 @@
 //! # Examples
 //!
 //! ```
-//! use legion_graph::GraphBuilder;
+//! use legion_graph::builder::from_edges;
 //! use legion_hw::NvLinkTopology;
 //! use legion_partition::{hierarchical_partition, MultilevelPartitioner};
 //!
 //! // Two triangles joined by one edge, training vertices 0 and 5.
-//! let g = GraphBuilder::new(6)
-//!     .edge(0, 1).edge(1, 2).edge(2, 0)
-//!     .edge(3, 4).edge(4, 5).edge(5, 3)
-//!     .edge(2, 3)
-//!     .build();
+//! let g = from_edges(
+//!     6,
+//!     &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)],
+//! );
 //! let topo = NvLinkTopology::disjoint_cliques(4, 2); // Two NVLink pairs.
 //! let plan = hierarchical_partition(&g, &[0, 5], &topo, &MultilevelPartitioner::default());
-//! assert_eq!(plan.num_cliques(), 2);
+//! assert_eq!(plan.cliques.len(), 2);
 //! // Every training vertex landed in exactly one GPU tablet.
 //! let total: usize = plan.tablets.iter().map(|t| t.len()).sum();
 //! assert_eq!(total, 2);

@@ -329,6 +329,7 @@ mod tests {
     use super::*;
     use crate::quality::{balance, edge_cut_ratio};
     use crate::HashPartitioner;
+    use legion_graph::builder::from_edges;
     use legion_graph::generate::SbmConfig;
     use legion_graph::GraphBuilder;
 
@@ -409,13 +410,13 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = CsrGraph::empty(0);
+        let g = GraphBuilder::new(0).build();
         assert!(MultilevelPartitioner::default().partition(&g, 2).is_empty());
     }
 
     #[test]
     fn graph_smaller_than_k() {
-        let g = GraphBuilder::new(3).edge(0, 1).edge(1, 2).build();
+        let g = from_edges(3, &[(0, 1), (1, 2)]);
         let a = MultilevelPartitioner::default().partition(&g, 8);
         assert_eq!(a.len(), 3);
         assert!(a.iter().all(|&p| p < 8));

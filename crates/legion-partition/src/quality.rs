@@ -44,15 +44,12 @@ pub fn part_sizes(assignment: &[u32], k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use legion_graph::builder::from_edges;
     use legion_graph::GraphBuilder;
 
     #[test]
     fn cut_ratio_bounds() {
-        let g = GraphBuilder::new(4)
-            .edge(0, 1)
-            .edge(1, 2)
-            .edge(2, 3)
-            .build();
+        let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         assert_eq!(edge_cut_ratio(&g, &[0, 0, 0, 0]), 0.0);
         assert_eq!(edge_cut_ratio(&g, &[0, 1, 0, 1]), 1.0);
         assert!((edge_cut_ratio(&g, &[0, 0, 1, 1]) - 1.0 / 3.0).abs() < 1e-12);
@@ -60,7 +57,7 @@ mod tests {
 
     #[test]
     fn edgeless_graph_cut_is_zero() {
-        let g = CsrGraph::empty(3);
+        let g = GraphBuilder::new(3).build();
         assert_eq!(edge_cut_ratio(&g, &[0, 1, 2]), 0.0);
     }
 

@@ -35,21 +35,6 @@ impl StageRecorder {
         self.extract_ns.add_secs(extract_secs);
         self.train_ns.add_secs(train_secs);
     }
-
-    /// Accumulated sampling time in seconds.
-    pub fn sample_secs(&self) -> f64 {
-        self.sample_ns.get_secs()
-    }
-
-    /// Accumulated extraction time in seconds.
-    pub fn extract_secs(&self) -> f64 {
-        self.extract_ns.get_secs()
-    }
-
-    /// Accumulated training time in seconds.
-    pub fn train_secs(&self) -> f64 {
-        self.train_ns.get_secs()
-    }
 }
 
 /// Samples one GPU's admission-queue depth at each batch launch into a
@@ -94,9 +79,9 @@ mod tests {
         let rec = StageRecorder::for_gpu(&reg, 3);
         rec.record(0.5, 0.25, 1.0);
         rec.record(0.5, 0.25, 1.0);
-        assert!((rec.sample_secs() - 1.0).abs() < 1e-9);
-        assert!((rec.extract_secs() - 0.5).abs() < 1e-9);
-        assert!((rec.train_secs() - 2.0).abs() < 1e-9);
+        for (stage, ns) in [("sample", 1_000_000_000), ("extract", 500_000_000)] {
+            assert_eq!(reg.counter_value(&format!("stage.gpu3.{stage}_ns")), ns);
+        }
         assert_eq!(reg.counter_value("stage.gpu3.train_ns"), 2_000_000_000);
     }
 
@@ -107,7 +92,7 @@ mod tests {
         let b = StageRecorder::for_gpu(&reg, 0);
         a.record(1.0, 0.0, 0.0);
         b.record(1.0, 0.0, 0.0);
-        assert!((a.sample_secs() - 2.0).abs() < 1e-9);
+        assert_eq!(reg.counter_value("stage.gpu0.sample_ns"), 2_000_000_000);
     }
 
     #[test]

@@ -58,12 +58,12 @@ impl HitStats {
 mod tests {
     use super::*;
     use crate::access::{CacheLayout, TopologyPlacement};
-    use legion_graph::{CsrGraph, FeatureTable};
+    use legion_graph::{FeatureTable, GraphBuilder};
     use legion_hw::ServerSpec;
 
     #[test]
     fn extract_gathers_in_order() {
-        let g = CsrGraph::empty(4);
+        let g = GraphBuilder::new(4).build();
         let f = FeatureTable::from_flat((0..8).map(|x| x as f32).collect(), 2);
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn empty_gather() {
-        let g = CsrGraph::empty(1);
+        let g = GraphBuilder::new(1).build();
         let f = FeatureTable::zeros(1, 3);
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();

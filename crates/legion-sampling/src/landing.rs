@@ -93,7 +93,8 @@ mod tests {
     use super::*;
     use crate::access::{AccessEngine, BatchTotals, CacheLayout, TopologyPlacement};
     use legion_cache::CliqueCache;
-    use legion_graph::{FeatureTable, GraphBuilder};
+    use legion_graph::builder::from_edges;
+    use legion_graph::FeatureTable;
     use legion_hw::ServerSpec;
     use legion_telemetry::Registry;
     use proptest::collection::vec;
@@ -115,7 +116,7 @@ mod tests {
         ring: &mut LandingRing,
         batches: &[Vec<VertexId>],
     ) -> Vec<(Vec<VertexId>, Vec<VertexId>, u64)> {
-        let g = GraphBuilder::new(VERTICES).edge(0, 1).build();
+        let g = from_edges(VERTICES, &[(0, 1)]);
         let f = FeatureTable::zeros(VERTICES, 16);
         let layout = CacheLayout::from_cliques(1, vec![CliqueCache::new(vec![0], VERTICES, 16)]);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();

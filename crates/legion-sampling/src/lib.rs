@@ -23,13 +23,14 @@
 //! # Examples
 //!
 //! ```
-//! use legion_graph::{FeatureTable, GraphBuilder};
+//! use legion_graph::builder::from_edges;
+//! use legion_graph::FeatureTable;
 //! use legion_hw::ServerSpec;
 //! use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
 //! use legion_sampling::KHopSampler;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
-//! let g = GraphBuilder::new(4).edge(0, 1).edge(0, 2).edge(1, 3).build();
+//! let g = from_edges(4, &[(0, 1), (0, 2), (1, 3)]);
 //! let f = FeatureTable::zeros(4, 8);
 //! let layout = CacheLayout::none(1);
 //! let server = ServerSpec::custom(1, 1 << 30, 1).build();

@@ -39,6 +39,13 @@
 //! expected hotness per cached byte: a topology cache plan spends bytes,
 //! and an expectation, unlike one draw, is steady enough to divide.
 //!
+//! **Storage.** The expectation's `f64` tables are `|V|`-sized and
+//! reused across a clique's slots; with the supports they fill they are
+//! the set-up's peak. Each slot's tallies are written straight from them
+//! into the two matrices' supports: only the vertices a batch reaches,
+//! `K_g` counts each, in the order the slots first reach them. On
+//! `train_pa`, `H_T`'s support is about a quarter of `|V|` a clique.
+//!
 //! No counter is charged.
 
 use rand::rngs::StdRng;
@@ -117,8 +124,8 @@ pub fn presample(
     );
     let n = graph.num_vertices();
     let (&last, inner) = sampler.fanouts.split_last().expect("at least one hop");
-    let mut h_t = HotnessMatrix::new(clique_gpus.len(), n);
-    let mut h_f = HotnessMatrix::new(clique_gpus.len(), n);
+    let mut h_t = SupportWriter::new(clique_gpus.len(), n);
+    let mut h_f = SupportWriter::new(clique_gpus.len(), n);
     let mut walk = Expectation::new(n);
     for (slot, (&gpu, tablet)) in clique_gpus.iter().zip(tablets).enumerate() {
         let mut rng = presample_rng(seed, gpu);
@@ -126,16 +133,60 @@ pub fn presample(
         for batch in &batches {
             walk.inner_hops(graph, batch, inner);
         }
-        let (t, f) = (h_t.row_mut(slot), h_f.row_mut(slot));
-        walk.last_hop(graph, last, batches.len(), epochs as u64, t, f);
+        walk.last_hop(graph, last, batches.len(), epochs as u64, |v, t, f| {
+            h_t.put(slot, v, t);
+            h_f.put(slot, v, f);
+        });
     }
-    let row_bytes = (0..n as VertexId)
-        .map(|v| topology_bytes_for_degree(graph.degree(v)))
-        .collect();
     PresampleOutput {
-        h_t: h_t.with_vertex_bytes(row_bytes),
-        h_f,
+        h_t: h_t
+            .finish()
+            .with_vertex_bytes(|v| topology_bytes_for_degree(graph.degree(v))),
+        h_f: h_f.finish(),
         n_tsum: counts(walk.n_tsum, epochs as u64),
+    }
+}
+
+/// One tally matrix as pre-sampling writes it, a slot at a time: the
+/// support in the order the slots first reach it, `K_g` values a vertex.
+struct SupportWriter {
+    num_gpus: usize,
+    /// Each vertex's place in `support`, or [`SupportWriter::ABSENT`].
+    place: Vec<u32>,
+    support: Vec<VertexId>,
+    values: Vec<u64>,
+}
+
+impl SupportWriter {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(num_gpus: usize, num_vertices: usize) -> Self {
+        Self {
+            num_gpus,
+            place: vec![Self::ABSENT; num_vertices],
+            support: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Writes `H[slot][v] = x`; a zero keeps `v` off the support.
+    fn put(&mut self, slot: usize, v: VertexId, x: u64) {
+        if x == 0 {
+            return;
+        }
+        let mut at = self.place[v as usize];
+        if at == Self::ABSENT {
+            at = self.support.len() as u32;
+            self.place[v as usize] = at;
+            self.support.push(v);
+            self.values.resize(self.values.len() + self.num_gpus, 0);
+        }
+        self.values[at as usize * self.num_gpus + slot] = x;
+    }
+
+    fn finish(self) -> HotnessMatrix {
+        let n = self.place.len();
+        HotnessMatrix::from_support(self.num_gpus, n, self.support, self.values)
     }
 }
 
@@ -253,16 +304,16 @@ impl Expectation {
 
     /// The slot's last hop over its `batches` batches: one sweep over
     /// the expanded rows adds their topology terms and spreads their
-    /// draws to the leaves, then every vertex's tallies are written to
-    /// the slot's rows `h_t` / `h_f` and its scratch cleared.
+    /// draws to the leaves, then `write(v, H_T, H_F)` takes the tallies
+    /// of every vertex a batch reaches, in id order, and the scratch is
+    /// cleared.
     fn last_hop(
         &mut self,
         graph: &CsrGraph,
         fanout: usize,
         batches: usize,
         epochs: u64,
-        h_t: &mut [u64],
-        h_f: &mut [u64],
+        mut write: impl FnMut(VertexId, u64, u64),
     ) {
         let leaves = &mut self.leaves;
         for (x, &e) in self.expansions.iter().enumerate() {
@@ -279,20 +330,20 @@ impl Expectation {
             }
         }
         let b = batches as f64;
-        let cells = h_t.iter_mut().zip(h_f.iter_mut());
         let sums = self
             .h_t
             .iter_mut()
             .zip(&mut self.expansions)
             .zip(&mut self.leaves);
-        for ((t, f), ((drawn, inner), leaf)) in cells.zip(sums) {
+        for (v, ((drawn, inner), leaf)) in sums.enumerate() {
             // A vertex no batch reaches keeps its zeros (and `b` may be 0).
             if *inner == 0.0 && *leaf == 0.0 {
                 continue;
             }
             let (inner, leaf) = (std::mem::take(inner), f64::from(std::mem::take(leaf)));
-            *t = counts(std::mem::take(drawn), epochs);
-            *f = counts(inner + (b - inner) * saturation(leaf / b), epochs);
+            let t = counts(std::mem::take(drawn), epochs);
+            let f = counts(inner + (b - inner) * saturation(leaf / b), epochs);
+            write(v as VertexId, t, f);
         }
     }
 }
@@ -397,9 +448,10 @@ mod tests {
         let out = run(&[5, 5], 32, 1, 9);
         // Every seed is in its own batch on its own GPU's H_F row.
         for (slot, tablet) in tablets.iter().enumerate() {
+            let row = out.h_f.row(slot);
             for &v in tablet {
                 assert!(
-                    out.h_f.get(slot, v) >= HOTNESS_UNIT,
+                    row[v as usize] >= HOTNESS_UNIT,
                     "seed {v} missing on slot {slot}"
                 );
             }
@@ -487,7 +539,7 @@ mod tests {
         for (a, b) in [(&one.h_t, &three.h_t), (&one.h_f, &three.h_f)] {
             for slot in 0..2 {
                 let tripled: Vec<u64> = a.row(slot).iter().map(|&h| 3 * h).collect();
-                assert_eq!(b.row(slot), &tripled[..]);
+                assert_eq!(b.row(slot), tripled);
             }
         }
         assert!(one.n_tsum > 0);

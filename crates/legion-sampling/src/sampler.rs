@@ -452,6 +452,7 @@ mod tests {
     use super::*;
     use crate::access::{CacheLayout, TopologyPlacement};
     use legion_dyn::{DeltaOverlay, MutationOp};
+    use legion_graph::builder::from_edges;
     use legion_graph::{CsrGraph, FeatureTable, GraphBuilder};
     use legion_hw::ServerSpec;
     use legion_telemetry::Snapshot;
@@ -467,14 +468,7 @@ mod tests {
         legion_hw::MultiGpuServer,
     ) {
         // A two-level tree: 0 -> {1, 2}, 1 -> {3, 4}, 2 -> {5, 6}.
-        let g = GraphBuilder::new(7)
-            .edge(0, 1)
-            .edge(0, 2)
-            .edge(1, 3)
-            .edge(1, 4)
-            .edge(2, 5)
-            .edge(2, 6)
-            .build();
+        let g = from_edges(7, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]);
         let f = FeatureTable::zeros(7, 4);
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
@@ -574,7 +568,7 @@ mod tests {
     #[test]
     fn duplicate_neighbors_get_single_src_slot() {
         // Both seeds point at vertex 2; it should appear once as a source.
-        let g = GraphBuilder::new(3).edge(0, 2).edge(1, 2).build();
+        let g = from_edges(3, &[(0, 2), (1, 2)]);
         let f = FeatureTable::zeros(3, 4);
         let layout = CacheLayout::none(1);
         let server = ServerSpec::custom(1, 1 << 30, 1).build();

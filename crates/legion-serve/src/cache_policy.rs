@@ -321,7 +321,7 @@ pub(crate) fn build_routed_unified_layout(
         .map(|(&k, (split, _))| split.m_f / features.row_bytes() / k as u64)
         .min()
         .unwrap_or(0) as usize;
-    let weight = profile.feat.row(0);
+    let weight = &profile.feat;
     let (mut cliques, groups, replicated) = partitioned_feature_cliques(
         graph,
         features,

@@ -254,7 +254,7 @@ fn plan_store_placement(
         )
         .plan
         .m_f;
-    let mut ssd_rows = hotness_order(profile.feat.row(0));
+    let mut ssd_rows = hotness_order(&profile.feat);
     let resident = (m_f / row_bytes).saturating_add(dram_budget / row_bytes);
     ssd_rows.drain(..resident.min(ssd_rows.len() as u64) as usize);
     (!ssd_rows.is_empty()).then_some(ssd_rows)
@@ -1850,7 +1850,10 @@ mod tests {
             );
             let (cache, _) = planned.layout.for_gpu(gpu).expect("every GPU holds a plan");
             assert_eq!(cache.gpus(), [gpu]);
-            assert_eq!(cache.topology_vertices(), plan.contents.topo);
+            let topo: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+                .filter(|&v| cache.lookup_topology(0, v).is_some())
+                .collect();
+            assert_eq!(topo, plan.contents.topo);
             assert_eq!(cache.feature_vertices(), plan.contents.feat);
             assert_eq!(
                 planned.twin.allocated_bytes(gpu),
@@ -2397,14 +2400,14 @@ mod tests {
                 &config.fanouts,
                 config.seed,
             );
-            let order = legion_cache::hotness_order(profile.feat.row(0));
-            let t = legion_cache::cslp(&profile.topo);
+            let order = legion_cache::hotness_order(&profile.feat);
+            let t = legion_cache::cslp(&legion_cache::HotnessMatrix::from_rows(&[&profile.topo]));
             let hbm_rows = legion_cache::CostModel::new(
                 &g,
                 &t.clique_order,
                 &t.accumulated,
                 &order,
-                profile.feat.row(0),
+                &profile.feat,
                 profile.n_tsum,
                 f.dim(),
                 server.pcie().cls(),

@@ -9,8 +9,8 @@
 //!
 //! * [`WindowEstimator`] — a ring of epoch-style buckets; each bucket
 //!   holds its own sparse per-vertex deltas so retiring it subtracts
-//!   exactly what it added from the aggregate [`HotnessMatrix`] pair
-//!   (the window's `H_T` / `H_F`) and the windowed `N_TSUM`;
+//!   exactly what it added from the aggregate hotness rows (the
+//!   window's one-GPU `H_T` / `H_F`) and the windowed `N_TSUM`;
 //! * the drift detector — an EWMA of per-bucket hit rates
 //!   ([`EWMA_ALPHA`]) dropping more than [`EWMA_DROP`] below the best
 //!   level seen since the last swap;
@@ -36,9 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_cache::{
-    place_prefix, sort_by_hotness, CliqueCache, CostModel, HotnessMatrix, PlanEvaluation,
-};
+use legion_cache::{place_prefix, sort_by_hotness, CliqueCache, CostModel, PlanEvaluation};
 use legion_graph::{CsrGraph, FeatureTable, VertexId};
 use legion_hw::GpuId;
 use legion_sampling::access::{sample_from_into, topology_read_tx, CacheLayout, FloydSet};
@@ -141,10 +139,10 @@ pub struct BucketStats {
 pub struct WindowEstimator {
     bucket_requests: usize,
     window_buckets: usize,
-    /// Aggregate windowed `H_T` (1 row: this GPU).
-    topo: HotnessMatrix,
+    /// Aggregate windowed `H_T`: this GPU's row, indexed by vertex.
+    topo: Vec<u64>,
     /// Aggregate windowed `H_F`.
-    feat: HotnessMatrix,
+    feat: Vec<u64>,
     /// Windowed `N_TSUM`: topology PCIe transactions in the window.
     n_tsum: u64,
     hits: u64,
@@ -161,8 +159,8 @@ impl WindowEstimator {
         Self {
             bucket_requests,
             window_buckets,
-            topo: HotnessMatrix::new(1, num_vertices),
-            feat: HotnessMatrix::new(1, num_vertices),
+            topo: vec![0; num_vertices],
+            feat: vec![0; num_vertices],
             n_tsum: 0,
             hits: 0,
             misses: 0,
@@ -177,14 +175,14 @@ impl WindowEstimator {
     /// exactly when its hotness is non-zero, so nothing records zero.
     pub fn note_edge(&mut self, v: VertexId, edges: u64) {
         debug_assert!(edges > 0, "a zero count would list {v} with no hotness");
-        self.topo.add(0, v, edges);
+        self.topo[v as usize] += edges;
         *self.current.topo.entry(v).or_insert(0) += edges;
     }
 
     /// Records one vertex appearing in a batch's sample results (the
     /// `H_F` rule).
     pub fn note_feature(&mut self, v: VertexId) {
-        self.feat.add(0, v, 1);
+        self.feat[v as usize] += 1;
         *self.current.feat.entry(v).or_insert(0) += 1;
     }
 
@@ -216,11 +214,13 @@ impl WindowEstimator {
         self.ring.push_back(sealed);
         if self.ring.len() > self.window_buckets {
             let old = self.ring.pop_front().expect("ring non-empty");
-            for (&v, &c) in &old.topo {
-                self.topo.sub(0, v, c);
-            }
-            for (&v, &c) in &old.feat {
-                self.feat.sub(0, v, c);
+            for (row, deltas) in [(&mut self.topo, &old.topo), (&mut self.feat, &old.feat)] {
+                for (&v, &c) in deltas {
+                    let cell = &mut row[v as usize];
+                    *cell = cell
+                        .checked_sub(c)
+                        .expect("hotness underflow: bucket retired more than it added");
+                }
             }
             self.n_tsum -= old.topo_tx;
             self.hits -= old.hits;
@@ -229,13 +229,13 @@ impl WindowEstimator {
         Some(BucketStats { hit_rate })
     }
 
-    /// The windowed topology hotness matrix (1 GPU row).
-    pub fn topo(&self) -> &HotnessMatrix {
+    /// The windowed topology hotness row, indexed by vertex.
+    pub fn topo(&self) -> &[u64] {
         &self.topo
     }
 
-    /// The windowed feature hotness matrix (1 GPU row).
-    pub fn feat(&self) -> &HotnessMatrix {
+    /// The windowed feature hotness row, indexed by vertex.
+    pub fn feat(&self) -> &[u64] {
         &self.feat
     }
 
@@ -270,7 +270,7 @@ impl WindowEstimator {
     /// without a pass over the `|V|`-sized row.
     fn ranked<'a>(
         &'a self,
-        row: &'a HotnessMatrix,
+        row: &'a [u64],
         deltas: impl Fn(&Bucket) -> &HashMap<VertexId, u64>,
     ) -> Ranked<'a> {
         let listed = self
@@ -279,7 +279,7 @@ impl WindowEstimator {
             .chain(std::iter::once(&self.current))
             .flat_map(|b| deltas(b).keys().copied())
             .collect();
-        Ranked::new(row.row(0), listed)
+        Ranked::new(row, listed)
     }
 
     fn ranked_topo(&self) -> Ranked<'_> {
@@ -314,10 +314,8 @@ impl<'a> Ranked<'a> {
         (&self.order, self.hot)
     }
 
-    /// Finds the support by scanning `matrix`'s single row.
-    fn scan(matrix: &'a HotnessMatrix) -> Self {
-        assert_eq!(matrix.num_gpus(), 1, "serving plans one GPU's hotness row");
-        let hot = matrix.row(0);
+    /// Finds the support by scanning the row.
+    fn scan(hot: &'a [u64]) -> Self {
         let listed = (0..hot.len() as VertexId)
             .filter(|&v| hot[v as usize] > 0)
             .collect();
@@ -450,25 +448,21 @@ fn sorted_difference(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     out
 }
 
-/// Runs the planning pass over one GPU's hotness rows (1 x `|V|`
-/// matrices, e.g. a [`WarmupProfile`]): CSLP orders the candidates
+/// Runs the planning pass over one GPU's hotness rows (indexed by
+/// vertex, e.g. a [`WarmupProfile`]'s): CSLP orders the candidates
 /// (Algorithm 1 with a one-GPU "clique"), the cost model sweeps `α`
 /// (§4.3.3), and the winning `(B, α)` prefix of each order is
 /// materialized into a fresh [`CliqueCache`] holding topology *and*
 /// feature entries. Zero-hotness vertices are never candidates, so they
 /// are never cached even when the budget would admit them.
-///
-/// # Panics
-///
-/// Panics if `topo` or `feat` has more than one GPU row.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_layout(
     gpu: GpuId,
     num_gpus: usize,
     graph: &CsrGraph,
     features: &FeatureTable,
-    topo: &HotnessMatrix,
-    feat: &HotnessMatrix,
+    topo: &[u64],
+    feat: &[u64],
     n_tsum: u64,
     budget: u64,
     delta_alpha: f64,
@@ -571,10 +565,10 @@ fn materialize(
 /// edge, the UVA charge of `legion-sampling`'s CPU fallback path).
 #[derive(Debug, Clone)]
 pub struct WarmupProfile {
-    /// Profiled topology hotness (1 row).
-    pub topo: HotnessMatrix,
-    /// Profiled feature hotness (1 row).
-    pub feat: HotnessMatrix,
+    /// Profiled topology hotness, indexed by vertex.
+    pub topo: Vec<u64>,
+    /// Profiled feature hotness, indexed by vertex.
+    pub feat: Vec<u64>,
     /// Analytic topology transaction total of the profile.
     pub n_tsum: u64,
 }
@@ -592,8 +586,8 @@ pub fn profile_warmup(
 ) -> WarmupProfile {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7e57_ab1e_5eed_0001);
     let n = graph.num_vertices();
-    let mut topo = HotnessMatrix::new(1, n);
-    let mut feat = HotnessMatrix::new(1, n);
+    let mut topo = vec![0u64; n];
+    let mut feat = vec![0u64; n];
     let mut n_tsum = 0u64;
     let mut seen = FloydSet::new();
     let (mut touched, mut frontier, mut next) = (Vec::new(), Vec::new(), Vec::new());
@@ -607,7 +601,7 @@ pub fn profile_warmup(
             next.clear();
             for &v in &frontier {
                 let tx = topology_read_tx(graph.degree(v) as usize, fanout);
-                topo.add(0, v, tx - 1);
+                topo[v as usize] += tx - 1;
                 n_tsum += tx;
                 sample_from_into(graph.neighbors(v), fanout, &mut rng, &mut seen, &mut next);
             }
@@ -619,7 +613,7 @@ pub fn profile_warmup(
         touched.sort_unstable();
         touched.dedup();
         for &v in &touched {
-            feat.add(0, v, 1);
+            feat[v as usize] += 1;
         }
     }
     WarmupProfile { topo, feat, n_tsum }
@@ -864,21 +858,19 @@ mod tests {
         b.build()
     }
 
-    fn hot_matrices(n: usize, hot: &[(VertexId, u64)]) -> (HotnessMatrix, HotnessMatrix) {
-        let mut t = HotnessMatrix::new(1, n);
-        let mut f = HotnessMatrix::new(1, n);
+    fn hot_rows(n: usize, hot: &[(VertexId, u64)]) -> Vec<u64> {
+        let mut row = vec![0; n];
         for &(v, h) in hot {
-            t.add(0, v, h);
-            f.add(0, v, h);
+            row[v as usize] += h;
         }
-        (t, f)
+        row
     }
 
     fn plan_for(hot: &[(VertexId, u64)], budget: u64) -> Plan {
         let g = ring_graph(16);
         let feats = FeatureTable::zeros(16, 4);
-        let (t, f) = hot_matrices(16, hot);
-        plan_layout(0, 1, &g, &feats, &t, &f, 100, budget, 0.25, 64)
+        let row = hot_rows(16, hot);
+        plan_layout(0, 1, &g, &feats, &row, &row, 100, budget, 0.25, 64)
     }
 
     #[test]
@@ -897,9 +889,9 @@ mod tests {
             assert!(w.seal_if_due().is_some());
         }
         // Bucket 1 retired: vertex 3's contribution is fully gone.
-        assert_eq!(w.topo().get(0, 3), 0);
-        assert_eq!(w.feat().get(0, 3), 0);
-        assert_eq!(w.topo().get(0, 5), 2);
+        assert_eq!(w.topo()[3], 0);
+        assert_eq!(w.feat()[3], 0);
+        assert_eq!(w.topo()[5], 2);
         assert_eq!(w.n_tsum(), 8);
         assert_eq!(w.hit_rate(), 1.0);
     }
@@ -941,12 +933,13 @@ mod tests {
     /// materialisation that stops at the first zero-hotness vertex.
     fn plan_dense(
         graph: &CsrGraph,
-        topo: &HotnessMatrix,
-        feat: &HotnessMatrix,
+        topo: &[u64],
+        feat: &[u64],
         n_tsum: u64,
         budget: u64,
     ) -> (PlanEvaluation, Vec<VertexId>, Vec<VertexId>) {
-        let (t, f) = (legion_cache::cslp(topo), legion_cache::cslp(feat));
+        let cslp = |row| legion_cache::cslp(&legion_cache::HotnessMatrix::from_rows(&[row]));
+        let (t, f) = (cslp(topo), cslp(feat));
         let model = CostModel::new(
             graph,
             &t.clique_order,
@@ -1004,11 +997,10 @@ mod tests {
             let mut w = WindowEstimator::new(64, 1 + case % 5, 1 + case % 3);
             for _ in 0..12 {
                 feed(&mut w, &mut rng, 64, 5);
-                for (ranked, matrix) in [(w.ranked_topo(), w.topo()), (w.ranked_feat(), w.feat())] {
+                for (ranked, row) in [(w.ranked_topo(), w.topo()), (w.ranked_feat(), w.feat())] {
                     let mut support = ranked.order;
                     support.sort_unstable();
-                    let nonzero: Vec<VertexId> =
-                        (0..64).filter(|&v| matrix.get(0, v) > 0).collect();
+                    let nonzero: Vec<VertexId> = (0..64).filter(|&v| row[v as usize] > 0).collect();
                     assert_eq!(support, nonzero);
                 }
             }
@@ -1186,7 +1178,7 @@ mod tests {
         assert_eq!(a.n_tsum, b.n_tsum);
         // Every expansion charges 1 offset + edges transactions, so
         // n_tsum must exceed the total edge hotness.
-        let edge_hot: u64 = a.topo.row(0).iter().sum();
+        let edge_hot: u64 = a.topo.iter().sum();
         assert!(a.n_tsum > edge_hot);
         assert!(edge_hot > 0);
     }

@@ -81,12 +81,6 @@ impl Counter {
         self.cell.get()
     }
 
-    /// The current value interpreted as nanoseconds, in seconds.
-    #[inline]
-    pub fn get_secs(&self) -> f64 {
-        self.get() as f64 / NANOS_PER_SEC
-    }
-
     /// Resets the counter to zero.
     pub fn reset(&self) {
         self.cell.set(0);
@@ -456,7 +450,6 @@ mod tests {
         c.add_secs(1.25);
         c.add_secs(0.75);
         assert_eq!(c.get(), 2_000_000_000);
-        assert!((c.get_secs() - 2.0).abs() < 1e-12);
     }
 
     #[test]

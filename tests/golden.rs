@@ -88,15 +88,20 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
 /// probability `1 / one_in`, with small values so ties are common.
 fn lcg_hotness(gpus: usize, n: usize, one_in: u64, seed: u64) -> HotnessMatrix {
     let mut next = lcg(seed);
-    let mut h = HotnessMatrix::new(gpus, n);
-    for gpu in 0..gpus {
-        for v in 0..n as u32 {
+    let mut rows = vec![vec![0; n]; gpus];
+    for row in &mut rows {
+        for cell in row.iter_mut() {
             if next().is_multiple_of(one_in) {
-                h.add(gpu, v, 1 + next() % 7);
+                *cell = 1 + next() % 7;
             }
         }
     }
-    h
+    dense_hotness(&rows)
+}
+
+/// The hotness matrix whose GPU rows are `rows`.
+fn dense_hotness(rows: &[Vec<u64>]) -> HotnessMatrix {
+    HotnessMatrix::from_rows(&rows.iter().map(Vec::as_slice).collect::<Vec<_>>())
 }
 
 /// One value from `next` whose bit width is drawn uniformly from
@@ -112,10 +117,10 @@ fn lcg_wide(next: &mut impl FnMut() -> u64, max_bits: u64) -> u64 {
 /// stream: the clique order, each GPU's queue `G[g]` (the clique order
 /// filtered to the rows `g` owns) with its length, and the owner of
 /// every vertex.
-fn cslp_words(h: &HotnessMatrix) -> Vec<u32> {
+fn cslp_words(h: &HotnessMatrix, gpus: u32) -> Vec<u32> {
     let out = cslp(h);
     let mut ids = out.clique_order.clone();
-    for g in 0..h.num_gpus() as u32 {
+    for g in 0..gpus {
         let queue: Vec<u32> = out
             .clique_order
             .iter()
@@ -150,15 +155,16 @@ fn planning_rows(d: &Dataset, rows: &mut Rows) {
         // Cells up to 2^40 on three GPUs, a third of them zero: several
         // radix digits, long tie runs at small values, and GPU ties.
         let mut next = lcg(0xC51B);
-        let mut h = HotnessMatrix::new(3, 3000);
-        for gpu in 0..3 {
-            for v in 0..3000u32 {
+        let mut gpu_rows = vec![vec![0; 3000]; 3];
+        for row in &mut gpu_rows {
+            for cell in row.iter_mut() {
                 if !next().is_multiple_of(3) {
-                    h.add(gpu, v, lcg_wide(&mut next, 40));
+                    *cell = lcg_wide(&mut next, 40);
                 }
             }
         }
-        rows.push(("cslp_wide_3row", ids_row(&cslp_words(&h))));
+        let h = dense_hotness(&gpu_rows);
+        rows.push(("cslp_wide_3row", ids_row(&cslp_words(&h, 3))));
         let hot: Vec<u64> = (0..5000).map(|_| lcg_wide(&mut next, 63)).collect();
         rows.push(("hotness_order_wide", ids_row(&hotness_order(&hot))));
     }
@@ -721,8 +727,8 @@ fn scenarios() -> Rows {
             let tablets = clique.map(|g| setup.tablets[g].clone());
             let pres = ctx.presample(&clique, &tablets);
             for slot in 0..clique.len() {
-                h_t.extend_from_slice(pres.h_t.row(slot));
-                h_f.extend_from_slice(pres.h_f.row(slot));
+                h_t.extend(pres.h_t.row(slot));
+                h_f.extend(pres.h_f.row(slot));
             }
             n_tsum.push(pres.n_tsum);
         }
