@@ -191,11 +191,6 @@ impl CostModel {
         *self.topo_hotness_prefix.last().unwrap_or(&0)
     }
 
-    /// `N_TSUM` as provided at construction.
-    pub fn n_tsum(&self) -> u64 {
-        self.n_tsum
-    }
-
     /// Largest prefix of `prefix_bytes` fitting in `budget` (binary
     /// search on the inclusive prefix-sum array).
     fn boundary(prefix_bytes: &[u64], budget: u64) -> usize {

@@ -280,16 +280,6 @@ impl LruCache {
     pub fn hit_rate(&self) -> f64 {
         self.stats().hit_rate()
     }
-
-    /// Current number of resident vertices.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +331,7 @@ mod lru_tests {
         let mut c = LruCache::new(0);
         assert!(!c.access(5));
         assert!(!c.access(5));
-        assert!(c.is_empty());
+        assert_eq!(c.stats().residents, 0);
     }
 
     #[test]
@@ -350,6 +340,6 @@ mod lru_tests {
         for v in 0..10 {
             c.access(v);
         }
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.stats().residents, 3);
     }
 }

@@ -62,19 +62,10 @@ impl PlannerConfig {
         gpu_memory.saturating_sub(self.reserved_per_gpu) * gpus_in_clique as u64
     }
 
-    /// Runs the §4.3.3 search: sweep `α`, pick the minimal-`N_total` plan.
-    pub fn plan(&self, model: &CostModel, gpu_memory: u64, gpus_in_clique: usize) -> CachePlan {
-        let budget = self.clique_budget(gpu_memory, gpus_in_clique);
-        let evaluation = model.best_plan(budget, self.delta_alpha);
-        CachePlan {
-            budget,
-            alpha: evaluation.alpha,
-            evaluation,
-        }
-    }
-
-    /// Like [`plan`](Self::plan) but with an explicit budget (used by the
-    /// Figure 13 experiment, which fixes the cache memory to 10 GB / 8 GB).
+    /// Runs the §4.3.3 search within `budget` bytes: sweep `α`, pick the
+    /// minimal-`N_total` plan. The budget is
+    /// [`clique_budget`](Self::clique_budget) for training, and fixed by
+    /// the Figure 13 experiment (10 GB / 8 GB).
     pub fn plan_with_budget(&self, model: &CostModel, budget: u64) -> CachePlan {
         let evaluation = model.best_plan(budget, self.delta_alpha);
         CachePlan {
@@ -142,7 +133,7 @@ mod tests {
             delta_alpha: 0.05,
         };
         let model = skewed_model(1000);
-        let plan = cfg.plan(&model, 100, 2);
+        let plan = cfg.plan_with_budget(&model, cfg.clique_budget(100, 2));
         assert_eq!(plan.budget, 200);
         assert_eq!(plan.topology_bytes() + plan.feature_bytes(), plan.budget);
         assert_eq!(plan.evaluation.alpha, plan.alpha);
@@ -155,7 +146,7 @@ mod tests {
             delta_alpha: 0.5,
         };
         let model = skewed_model(77);
-        let plan = cfg.plan(&model, 100, 8);
+        let plan = cfg.plan_with_budget(&model, cfg.clique_budget(100, 8));
         assert_eq!(plan.budget, 0);
         assert_eq!(plan.evaluation.n_t, 77.0);
     }

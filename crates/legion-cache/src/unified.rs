@@ -129,11 +129,6 @@ impl CliqueCache {
         &self.gpus
     }
 
-    /// The clique slot of a GPU id, if it belongs to this clique.
-    pub fn slot_of(&self, gpu: GpuId) -> Option<usize> {
-        self.gpus.iter().position(|&g| g == gpu)
-    }
-
     /// Access to a slot's cache.
     pub fn cache(&self, slot: usize) -> &GpuUnifiedCache {
         &self.caches[slot]

@@ -102,8 +102,9 @@ impl ChurnConfig {
 // Mutation stream
 // ---------------------------------------------------------------------
 
-/// One topology mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One topology mutation, serialized with its variant as the tag:
+/// `{"InsertEdge":{"src":1,"dst":2}}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MutationOp {
     /// Add directed edge `src -> dst` (no-op if already present).
     InsertEdge {
@@ -136,45 +137,6 @@ impl MutationOp {
     }
 }
 
-// The vendored serde_derive does not handle enums, so the op tags are
-// written by hand against the `Value` data model.
-impl Serialize for MutationOp {
-    fn serialize(&self) -> serde::Value {
-        let (kind, a, b) = match *self {
-            MutationOp::InsertEdge { src, dst } => ("insert", src, dst),
-            MutationOp::DeleteEdge { src, dst } => ("delete", src, dst),
-            MutationOp::ChurnVertex { v } => ("churn", v, 0),
-        };
-        serde::Value::Object(vec![
-            ("kind".to_string(), kind.serialize()),
-            ("a".to_string(), a.serialize()),
-            ("b".to_string(), b.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for MutationOp {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| serde::Error::custom(format!("MutationOp missing `{key}`")))
-        };
-        let kind = match field("kind")? {
-            serde::Value::Str(s) => s.clone(),
-            other => return Err(serde::Error::custom(format!("bad op kind: {other:?}"))),
-        };
-        let a = u32::deserialize(field("a")?)?;
-        let b = u32::deserialize(field("b")?)?;
-        match kind.as_str() {
-            "insert" => Ok(MutationOp::InsertEdge { src: a, dst: b }),
-            "delete" => Ok(MutationOp::DeleteEdge { src: a, dst: b }),
-            "churn" => Ok(MutationOp::ChurnVertex { v: a }),
-            other => Err(serde::Error::custom(format!("unknown op kind `{other}`"))),
-        }
-    }
-}
-
 /// A mutation stamped with its simulated arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mutation {
@@ -196,16 +158,6 @@ pub struct MutationLog {
 }
 
 impl MutationLog {
-    /// Number of mutations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Generates a churn stream against `graph` for `horizon_s`
     /// simulated seconds.
     ///
@@ -413,7 +365,6 @@ pub struct DeltaOverlay {
     /// One bit per vertex, set on first effective mutation.
     dirty: Vec<Cell<u64>>,
     dirty_rows: Cell<usize>,
-    compactions: Cell<u64>,
     num_vertices: usize,
     inner: RefCell<OverlayInner>,
 }
@@ -424,15 +375,9 @@ impl DeltaOverlay {
         Self {
             dirty: vec![Cell::new(0); n.div_ceil(64)],
             dirty_rows: Cell::new(0),
-            compactions: Cell::new(0),
             num_vertices: n,
             inner: RefCell::new(OverlayInner::default()),
         }
-    }
-
-    /// Vertex-count this overlay was sized for.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
     }
 
     /// Whether `v` has ever been mutated (the fast path: one bit test).
@@ -458,11 +403,6 @@ impl DeltaOverlay {
     /// Rows ever dirtied.
     pub fn dirty_rows(&self) -> usize {
         self.dirty_rows.get()
-    }
-
-    /// Compactions performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.get()
     }
 
     /// Un-compacted delta entries (insert-list + tombstone entries).
@@ -596,9 +536,6 @@ impl DeltaOverlay {
             folded += 1;
         }
         inner.pending_delta_edges = 0;
-        if folded > 0 {
-            self.compactions.set(self.compactions.get() + 1);
-        }
         folded
     }
 
@@ -752,12 +689,10 @@ mod tests {
         let folded = ov.compact(&g);
         assert!(folded > 0);
         assert_eq!(ov.pending_delta_edges(), 0);
-        assert_eq!(ov.compactions(), 1);
         let after = ov.rebuild_csr(&g);
         assert_eq!(before, after);
         // A second compact with nothing pending folds nothing.
         assert_eq!(ov.compact(&g), 0);
-        assert_eq!(ov.compactions(), 1);
     }
 
     #[test]
@@ -769,7 +704,7 @@ mod tests {
         assert_eq!(a, b, "same seed must generate the same stream");
         let c = MutationLog::generate(&g, &cfg, 43, 0.01);
         assert_ne!(a, c, "different seed must diverge");
-        assert!(!a.is_empty(), "10ms at 10k ops/s should emit ops");
+        assert!(!a.ops.is_empty(), "10ms at 10k ops/s should emit ops");
 
         // Every op is valid against the stream-so-far.
         let ov = DeltaOverlay::new(64);
@@ -785,7 +720,20 @@ mod tests {
     #[test]
     fn log_json_roundtrip_is_lossless() {
         let g = ring_graph(64);
-        let log = MutationLog::generate(&g, &ChurnConfig::default(), 11, 0.005);
+        let mut log = MutationLog::generate(&g, &ChurnConfig::default(), 11, 0.005);
+        let at = log.ops.last().map_or(0.0, |m| m.at);
+        let ops = [
+            MutationOp::InsertEdge { src: 1, dst: 2 },
+            MutationOp::DeleteEdge { src: 3, dst: 4 },
+            MutationOp::ChurnVertex { v: 5 },
+        ];
+        log.ops.extend(ops.map(|op| Mutation { at, op }));
+        assert_eq!(
+            serde_json::to_string(&ops[0]).unwrap(),
+            r#"{"InsertEdge":{"src":1,"dst":2}}"#
+        );
+        let unknown = serde_json::from_str::<MutationOp>(r#"{"MoveEdge":{"src":1,"dst":2}}"#);
+        assert!(unknown.is_err(), "an unknown variant tag is an error");
         let json = serde_json::to_string(&log).unwrap();
         let back: MutationLog = serde_json::from_str(&json).unwrap();
         assert_eq!(log, back);

@@ -98,16 +98,6 @@ pub enum FleetPolicy {
     Random,
 }
 
-impl FleetPolicy {
-    /// Stable lowercase name for tables and JSON rows.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FleetPolicy::Residency => "residency",
-            FleetPolicy::Random => "random",
-        }
-    }
-}
-
 /// Configuration of the fleet tier around a base [`ServeConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {

@@ -41,11 +41,6 @@ impl LinkBatch {
         s
     }
 
-    /// Number of examples.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
     /// True when the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
@@ -216,7 +211,7 @@ mod tests {
         .generate(&mut rng)
         .graph;
         let b = sample_link_batch(&g, 10, 2, &mut rng);
-        assert_eq!(b.len(), 30);
+        assert_eq!(b.labels.len(), 30);
         assert_eq!(b.labels.iter().filter(|&&l| l > 0.5).count(), 10);
         // Every positive is a real edge.
         for i in (0..30).step_by(3) {

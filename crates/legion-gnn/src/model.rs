@@ -31,7 +31,6 @@ pub struct GnnModel {
     kind: ModelKind,
     layers: Vec<Layer>,
     in_dim: usize,
-    num_classes: usize,
 }
 
 impl GnnModel {
@@ -71,28 +70,7 @@ impl GnnModel {
             kind,
             layers,
             in_dim,
-            num_classes,
         }
-    }
-
-    /// Aggregation kind.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
-    }
-
-    /// Number of layers (must match the sampler's hop count).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Expected input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output class count.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 
     /// Flat parameter list (weights and biases interleaved per layer).

@@ -10,19 +10,15 @@
 //!   matching social networks such as Com-Friendster,
 //! * [`sbm`] — planted-partition stochastic block model with
 //!   community-correlated features, giving a *learnable* classification task
-//!   for the convergence experiment (Figure 11),
-//! * [`erdos_renyi`] — uniform random graphs used as an unskewed control in
-//!   tests and ablations, and
+//!   for the convergence experiment (Figure 11), and
 //! * [`zipf`] — the discrete Zipf sampler shared by the other generators.
 
 pub mod chung_lu;
-pub mod erdos_renyi;
 pub mod rmat;
 pub mod sbm;
 pub mod zipf;
 
 pub use chung_lu::ChungLuConfig;
-pub use erdos_renyi::ErdosRenyiConfig;
 pub use rmat::RmatConfig;
 pub use sbm::{SbmConfig, SbmGraph};
 pub use zipf::Zipf;

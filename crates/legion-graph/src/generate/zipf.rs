@@ -52,16 +52,6 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True when there is exactly one outcome (degenerate distribution).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Probability of outcome `k`.
     pub fn pmf(&self, k: usize) -> f64 {
         if k == 0 {

@@ -88,12 +88,6 @@ impl GpuDevice {
         }
     }
 
-    /// Device index within its server.
-    #[inline]
-    pub fn id(&self) -> GpuId {
-        self.id
-    }
-
     /// Total memory capacity in bytes.
     #[inline]
     pub fn capacity(&self) -> u64 {

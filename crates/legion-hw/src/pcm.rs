@@ -31,8 +31,9 @@ pub enum TrafficKind {
 ///
 /// ```
 /// use legion_hw::pcm::{PcmCounters, TrafficKind};
+/// use legion_telemetry::Registry;
 ///
-/// let pcm = PcmCounters::new(2);
+/// let pcm = PcmCounters::with_registry(2, &Registry::new());
 /// pcm.add(0, TrafficKind::Feature, 8);
 /// pcm.add(1, TrafficKind::Topology, 3);
 /// assert_eq!(pcm.total(), 11);
@@ -53,12 +54,6 @@ pub fn pcm_counter_name(gpu: GpuId, kind: TrafficKind) -> String {
 }
 
 impl PcmCounters {
-    /// Standalone counters for a server with `num_gpus` GPUs, backed by
-    /// a private registry.
-    pub fn new(num_gpus: usize) -> Self {
-        Self::with_registry(num_gpus, &Registry::new())
-    }
-
     /// Counters bound into `registry` under the `pcm.gpu{g}.*` names.
     pub fn with_registry(num_gpus: usize, registry: &Registry) -> Self {
         Self {
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn separates_kinds() {
-        let pcm = PcmCounters::new(1);
+        let pcm = PcmCounters::with_registry(1, &Registry::new());
         pcm.add(0, TrafficKind::Topology, 5);
         pcm.add(0, TrafficKind::Feature, 7);
         assert_eq!(pcm.gpu_kind(0, TrafficKind::Topology), 5);
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn reset_clears_every_counter() {
-        let pcm = PcmCounters::new(3);
+        let pcm = PcmCounters::with_registry(3, &Registry::new());
         pcm.add(2, TrafficKind::Topology, 100);
         pcm.add(0, TrafficKind::Feature, 1);
         assert_eq!(pcm.total(), 101);
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_server_total_is_zero() {
-        let pcm = PcmCounters::new(0);
+        let pcm = PcmCounters::with_registry(0, &Registry::new());
         assert_eq!(pcm.total(), 0);
     }
 }

@@ -232,11 +232,6 @@ impl MultiGpuServer {
             .free(bytes)
     }
 
-    /// Free bytes remaining on `gpu`.
-    pub fn free_bytes(&self, gpu: GpuId) -> u64 {
-        self.devices.borrow()[gpu].free_bytes()
-    }
-
     /// Allocated bytes on `gpu`.
     pub fn allocated_bytes(&self, gpu: GpuId) -> u64 {
         self.devices.borrow()[gpu].allocated_bytes()
@@ -297,13 +292,13 @@ mod tests {
     fn server_allocation_and_oom() {
         let srv = ServerSpec::custom(2, 100, 1).build();
         srv.alloc(0, 60).unwrap();
-        assert_eq!(srv.free_bytes(0), 40);
+        assert_eq!(srv.allocated_bytes(0), 60);
         assert!(matches!(
             srv.alloc(0, 41),
             Err(HwError::OutOfMemory { gpu: 0, .. })
         ));
         // GPU 1 untouched.
-        assert_eq!(srv.free_bytes(1), 100);
+        assert_eq!(srv.allocated_bytes(1), 0);
         srv.free(0, 60).unwrap();
         assert_eq!(srv.allocated_bytes(0), 0);
     }
@@ -337,6 +332,6 @@ mod tests {
         srv.reset();
         assert_eq!(srv.allocated_bytes(1), 0);
         assert_eq!(srv.pcm().total(), 0);
-        assert_eq!(srv.traffic().cpu_to_gpu(0), 0);
+        assert_eq!(srv.telemetry().snapshot().counter_sum("traffic."), 0);
     }
 }

@@ -49,11 +49,6 @@ impl TimeModel {
         }
     }
 
-    /// The underlying PCIe model.
-    pub fn pcie(&self) -> &PcieModel {
-        &self.pcie
-    }
-
     /// Seconds consumed on the (shared) PCIe link by one PCM transaction.
     pub fn seconds_per_transaction(&self) -> f64 {
         let effective =

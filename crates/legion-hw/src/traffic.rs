@@ -29,13 +29,14 @@ pub enum Source {
 ///
 /// ```
 /// use legion_hw::traffic::{Source, TrafficMatrix};
+/// use legion_telemetry::Registry;
 ///
-/// let m = TrafficMatrix::new(2);
+/// let registry = Registry::new();
+/// let m = TrafficMatrix::with_registry(2, &registry);
 /// m.add(0, Source::Cpu, 100);
 /// m.add(0, Source::Gpu(1), 40);
-/// assert_eq!(m.cpu_to_gpu(0), 100);
 /// assert_eq!(m.gpu_to_gpu(1, 0), 40);
-/// assert_eq!(m.max_cpu_column(), 100);
+/// assert_eq!(registry.snapshot().counter("traffic.dst0.cpu_bytes"), 100);
 /// ```
 #[derive(Debug)]
 pub struct TrafficMatrix {
@@ -55,12 +56,6 @@ pub fn traffic_counter_name(dst: GpuId, src: Source) -> String {
 }
 
 impl TrafficMatrix {
-    /// A standalone zeroed matrix for `num_gpus` GPUs, backed by a
-    /// private registry.
-    pub fn new(num_gpus: usize) -> Self {
-        Self::with_registry(num_gpus, &Registry::new())
-    }
-
     /// A matrix bound into `registry` under the `traffic.dst{d}.*` names.
     pub fn with_registry(num_gpus: usize, registry: &Registry) -> Self {
         Self {
@@ -75,11 +70,6 @@ impl TrafficMatrix {
                 .map(|dst| registry.counter(&traffic_counter_name(dst, Source::Cpu)))
                 .collect(),
         }
-    }
-
-    /// Number of GPUs.
-    pub fn num_gpus(&self) -> usize {
-        self.n
     }
 
     /// Records `bytes` arriving at `dst` from `src`.
@@ -98,37 +88,6 @@ impl TrafficMatrix {
     pub fn gpu_to_gpu(&self, src: GpuId, dst: GpuId) -> u64 {
         self.gpu[dst * self.n + src].get()
     }
-
-    /// Bytes moved from CPU memory into `dst` (the red column of Fig. 10).
-    pub fn cpu_to_gpu(&self, dst: GpuId) -> u64 {
-        self.cpu[dst].get()
-    }
-
-    /// The largest per-GPU CPU→GPU volume. The paper notes "it is the GPU
-    /// with the largest CPU-GPU data transferring volume that dominates the
-    /// overall performance" (§6.3.2).
-    pub fn max_cpu_column(&self) -> u64 {
-        self.cpu.iter().map(|c| c.get()).max().unwrap_or(0)
-    }
-
-    /// Clears all counters.
-    pub fn reset(&self) {
-        for c in self.gpu.iter().chain(self.cpu.iter()) {
-            c.reset();
-        }
-    }
-
-    /// Dense snapshot: `rows[dst] = [src0, src1, ..., cpu]`, matching the
-    /// Figure 10 layout (green GPU columns then the red CPU column).
-    pub fn snapshot(&self) -> Vec<Vec<u64>> {
-        (0..self.n)
-            .map(|dst| {
-                let mut row: Vec<u64> = (0..self.n).map(|src| self.gpu_to_gpu(src, dst)).collect();
-                row.push(self.cpu_to_gpu(dst));
-                row
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -137,51 +96,49 @@ mod tests {
 
     #[test]
     fn records_by_destination_and_source() {
-        let m = TrafficMatrix::new(3);
+        let m = TrafficMatrix::with_registry(3, &Registry::new());
         m.add(2, Source::Gpu(0), 11);
         m.add(2, Source::Gpu(0), 9);
         m.add(1, Source::Cpu, 5);
         assert_eq!(m.gpu_to_gpu(0, 2), 20);
         assert_eq!(m.gpu_to_gpu(2, 0), 0);
-        assert_eq!(m.cpu_to_gpu(1), 5);
+        assert_eq!(m.cpu[1].get(), 5);
     }
 
-    #[test]
-    fn totals_and_max() {
-        let m = TrafficMatrix::new(2);
-        m.add(0, Source::Cpu, 7);
-        m.add(1, Source::Cpu, 3);
-        m.add(0, Source::Gpu(1), 9);
-        let s = m.snapshot();
-        let cpu: u64 = s.iter().map(|row| row[2]).sum();
-        let peer: u64 = s.iter().flat_map(|row| &row[..2]).sum();
-        assert_eq!((cpu, peer), (10, 9));
-        // Peer bytes never count towards the CPU maximum.
-        assert_eq!(m.max_cpu_column(), 7);
-    }
-
+    /// Figure 10 reads its matrices from the registry: one counter per
+    /// GPU→GPU cell and one per CPU column entry.
     #[test]
     fn snapshot_layout_matches_figure10() {
-        let m = TrafficMatrix::new(2);
+        let registry = Registry::new();
+        let m = TrafficMatrix::with_registry(2, &registry);
         m.add(0, Source::Gpu(1), 8);
         m.add(0, Source::Cpu, 2);
-        let s = m.snapshot();
-        assert_eq!(s, vec![vec![0, 8, 2], vec![0, 0, 0]]);
+        let snap = registry.snapshot();
+        let cells: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .map(|c| (c.name.as_str(), c.value))
+            .collect();
+        assert_eq!(cells.len(), 6);
+        assert!(cells.contains(&("traffic.dst0.src1_bytes", 8)));
+        assert!(cells.contains(&("traffic.dst0.cpu_bytes", 2)));
+        assert_eq!(snap.counter_sum("traffic."), 10);
     }
 
     #[test]
     fn reset_zeroes_everything() {
-        let m = TrafficMatrix::new(2);
+        let registry = Registry::new();
+        let m = TrafficMatrix::with_registry(2, &registry);
         m.add(0, Source::Cpu, 1);
         m.add(1, Source::Gpu(0), 1);
-        m.reset();
-        assert_eq!(m.snapshot(), vec![vec![0, 0, 0]; 2]);
+        registry.reset();
+        assert_eq!((m.cpu[0].get(), m.gpu_to_gpu(0, 1)), (0, 0));
     }
 
     #[test]
     fn zero_gpu_matrix_is_empty() {
-        let m = TrafficMatrix::new(0);
-        assert_eq!(m.max_cpu_column(), 0);
-        assert!(m.snapshot().is_empty());
+        let registry = Registry::new();
+        let _ = TrafficMatrix::with_registry(0, &registry);
+        assert!(registry.snapshot().counters.is_empty());
     }
 }

@@ -137,16 +137,18 @@ impl<P: Partitioner> Partitioner for EdgeSampledPartitioner<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use legion_graph::generate::ErdosRenyiConfig;
+    use legion_graph::generate::ChungLuConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn edge_sampled_partitioner_is_valid() {
         let mut rng = StdRng::seed_from_u64(1);
-        let g = ErdosRenyiConfig {
+        let g = ChungLuConfig {
             num_vertices: 200,
             num_edges: 2000,
+            exponent: 0.0,
+            ..ChungLuConfig::default()
         }
         .generate(&mut rng);
         let p = EdgeSampledPartitioner::new(HashPartitioner, 0.25, 7);

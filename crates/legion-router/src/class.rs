@@ -49,15 +49,6 @@ impl PriorityClass {
     pub fn from_index(i: usize) -> Self {
         Self::ALL[i]
     }
-
-    /// Stable lowercase name used in metrics and JSON rows.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PriorityClass::Interactive => "interactive",
-            PriorityClass::Standard => "standard",
-            PriorityClass::Batch => "batch",
-        }
-    }
 }
 
 /// What the classed queue and dispatcher need to know about a request.
@@ -89,12 +80,5 @@ mod tests {
             assert_eq!(PriorityClass::from_index(i), *c);
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(PriorityClass::Interactive.as_str(), "interactive");
-        assert_eq!(PriorityClass::Standard.as_str(), "standard");
-        assert_eq!(PriorityClass::Batch.as_str(), "batch");
     }
 }

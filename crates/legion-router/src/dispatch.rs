@@ -185,11 +185,6 @@ impl Dispatcher {
         self.residency.refresh_group(g, vertices);
     }
 
-    /// Read access to the residency index.
-    pub fn residency(&self) -> &ResidencyIndex {
-        &self.residency
-    }
-
     /// Clears `v`'s residency bit in every group, returning how many
     /// bits were actually cleared. The mutation fast path: a mutated
     /// vertex's cached rows are stale everywhere, so the router must
@@ -382,11 +377,11 @@ mod tests {
     fn invalidate_vertex_clears_bits_and_redirects_routing() {
         let mut d = two_clique_dispatcher(100);
         d.refresh_group(1, &[1, 50]); // vertex 1 resident in both groups
-        assert_eq!(d.residency().resident_count(0), 4);
+        assert_eq!(d.residency.resident_count(0), 4);
         assert_eq!(d.invalidate_vertex(1), 2, "cleared in both groups");
         assert_eq!(d.invalidate_vertex(1), 0, "second clear is a no-op");
-        assert_eq!(d.residency().resident_count(0), 3);
-        assert!(!d.residency().contains(0, 1));
+        assert_eq!(d.residency.resident_count(0), 3);
+        assert!(!d.residency.contains(0, 1));
         // Out-of-range ids are ignored.
         assert_eq!(d.invalidate_vertex(10_000), 0);
         // Probing only the invalidated vertex now ties at 0 coverage and

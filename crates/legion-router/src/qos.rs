@@ -30,9 +30,10 @@
 //! cannot fill go back to the priority fill.
 //!
 //! Accounting invariant: every offered request is counted exactly once
-//! as either admitted or shed — an admitted-then-evicted request moves
-//! from the admitted count to its class's shed count, so
-//! `admitted() + shed_total()` always equals the number of offers.
+//! as either queued or shed — an admitted-then-evicted request leaves
+//! the queue for its class's shed count, so the requests drained or
+//! still queued plus [`ClassedQueue::shed`] over every class always
+//! equal the number of offers.
 
 use std::collections::VecDeque;
 
@@ -58,7 +59,6 @@ pub struct ClassedQueue<R: QueuedRequest> {
     quotas: [usize; CLASS_COUNT],
     floors: [f64; CLASS_COUNT],
     qos: bool,
-    admitted: u64,
     shed: [u64; CLASS_COUNT],
 }
 
@@ -71,7 +71,6 @@ impl<R: QueuedRequest> ClassedQueue<R> {
             quotas: [0; CLASS_COUNT],
             floors: [0.0; CLASS_COUNT],
             qos: false,
-            admitted: 0,
             shed: [0; CLASS_COUNT],
         }
     }
@@ -88,7 +87,6 @@ impl<R: QueuedRequest> ClassedQueue<R> {
             quotas,
             floors: [0.0; CLASS_COUNT],
             qos: true,
-            admitted: 0,
             shed: [0; CLASS_COUNT],
         }
     }
@@ -133,20 +131,10 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         self.deques.iter().flat_map(VecDeque::iter).take(k)
     }
 
-    /// Requests admitted so far (and not later evicted).
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
     /// Requests shed so far for one class (arrival drops plus
     /// evictions).
     pub fn shed(&self, c: PriorityClass) -> u64 {
         self.shed[c.index()]
-    }
-
-    /// Requests shed so far across all classes.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
     }
 
     /// Offer an arriving request.
@@ -155,7 +143,6 @@ impl<R: QueuedRequest> ClassedQueue<R> {
         if self.len() < self.capacity {
             let filed = if self.qos { class.index() } else { 0 };
             self.deques[filed].push_back(r);
-            self.admitted += 1;
             return Admission::Admitted;
         }
         if !self.qos {
@@ -170,9 +157,7 @@ impl<R: QueuedRequest> ClassedQueue<R> {
             if self.deques[victim_idx].len() > self.quotas[victim_idx] {
                 self.deques[victim_idx].pop_back();
                 self.shed[victim_idx] += 1;
-                self.admitted -= 1;
                 self.deques[class.index()].push_back(r);
-                self.admitted += 1;
                 return Admission::AdmittedEvicting(PriorityClass::from_index(victim_idx));
             }
         }
@@ -322,7 +307,7 @@ mod tests {
         assert_eq!(q.offer(req(2, PriorityClass::Interactive)), Admission::Shed);
         assert_eq!(q.shed(PriorityClass::Interactive), 1);
         assert_eq!(q.shed(PriorityClass::Batch), 0);
-        assert_eq!(q.admitted(), 2);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -481,8 +466,8 @@ mod tests {
             q.offer(req(seq, class));
             offered += 1;
         }
-        assert_eq!(q.admitted() + q.shed_total(), offered);
-        let taken = q.take(10);
-        assert_eq!(taken.len() as u64, q.admitted());
+        let shed: u64 = PriorityClass::ALL.iter().map(|&c| q.shed(c)).sum();
+        assert_eq!(q.len() as u64 + shed, offered);
+        assert_eq!(q.take(10).len(), 3, "a full queue drains whole");
     }
 }

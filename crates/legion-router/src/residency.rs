@@ -39,16 +39,6 @@ impl ResidencyIndex {
         }
     }
 
-    /// Number of route groups.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
-    }
-
-    /// Number of vertices the index covers.
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
     /// Replace group `g`'s resident set with `vertices` (duplicates set
     /// the same bit).
     ///

@@ -311,11 +311,6 @@ impl<'a> AccessEngine<'a> {
         }
     }
 
-    /// The attached overlay, if any.
-    pub fn overlay(&self) -> Option<&'a DeltaOverlay> {
-        self.overlay
-    }
-
     /// Whether `v` has a mutated adjacency row (overlay dirty bit).
     #[inline]
     pub fn topology_dirty(&self, v: VertexId) -> bool {
@@ -335,11 +330,6 @@ impl<'a> AccessEngine<'a> {
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
         self.graph
-    }
-
-    /// The underlying feature table.
-    pub fn features(&self) -> &FeatureTable {
-        self.features
     }
 
     /// Feature dimensionality.
@@ -737,6 +727,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// CPU→GPU bytes the server's registry holds for GPU 0.
+    fn cpu_bytes(server: &MultiGpuServer) -> u64 {
+        let name = legion_hw::traffic::traffic_counter_name(0, Source::Cpu);
+        server.telemetry().snapshot().counter(&name)
+    }
+
     fn star_graph() -> CsrGraph {
         let mut b = GraphBuilder::new(40);
         for v in 1..40 {
@@ -822,7 +818,7 @@ mod tests {
         assert_eq!(s.len(), 10);
         // 1 offset + 10 edge transactions on GPU 0's topology counter.
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Topology), 11);
-        assert_eq!(server.traffic().cpu_to_gpu(0), 10 * 4 + 8);
+        assert_eq!(cpu_bytes(&server), 10 * 4 + 8);
     }
 
     #[test]
@@ -835,7 +831,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let _ = engine.sample_neighbors(0, 0, 10, &mut rng);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().cpu_to_gpu(0), 0);
+        assert_eq!(cpu_bytes(&server), 0);
     }
 
     #[test]
@@ -851,7 +847,7 @@ mod tests {
         // Local hit from GPU 0.
         let _ = engine.sample_neighbors(0, 0, 5, &mut rng);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().snapshot(), vec![vec![0, 0, 0]; 2]);
+        assert_eq!(server.telemetry().snapshot().counter_sum("traffic."), 0);
         // Peer hit from GPU 1: NVLink bytes, still no PCIe.
         let _ = engine.sample_neighbors(1, 0, 5, &mut rng);
         assert_eq!(server.pcm().total(), 0);
@@ -883,7 +879,7 @@ mod tests {
         assert_eq!(s, vec![7]);
         // Metered as a CPU UVA miss of the merged (1-edge) row.
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Topology), 2);
-        assert_eq!(server.traffic().cpu_to_gpu(0), 4 + 8);
+        assert_eq!(cpu_bytes(&server), 4 + 8);
 
         // The batch sampler resolves the row the same way.
         server.reset();
@@ -959,7 +955,7 @@ mod tests {
         let (mut rows, mut totals) = (Vec::new(), BatchTotals::new(1));
         engine.read_features_batch(0, &[7], &mut rows, &mut totals);
         assert_eq!(server.pcm().gpu_kind(0, TrafficKind::Feature), 8);
-        assert_eq!(server.traffic().cpu_to_gpu(0), 512);
+        assert_eq!(cpu_bytes(&server), 512);
     }
 
     #[test]
@@ -980,10 +976,10 @@ mod tests {
         server.reset();
         engine.read_features_batch(1, &[3], &mut rows, &mut totals);
         assert_eq!(server.pcm().total(), 0);
-        assert_eq!(server.traffic().snapshot(), vec![vec![0, 0, 0]; 2]);
+        assert_eq!(server.telemetry().snapshot().counter_sum("traffic."), 0);
         // Miss: PCIe.
         engine.read_features_batch(0, &[5], &mut rows, &mut totals);
-        assert_eq!(server.traffic().cpu_to_gpu(0), 16);
+        assert_eq!(cpu_bytes(&server), 16);
     }
 
     proptest! {

@@ -62,11 +62,6 @@ impl BatchGenerator {
         self.seeds.len().div_ceil(self.batch_size)
     }
 
-    /// Number of seeds.
-    pub fn num_seeds(&self) -> usize {
-        self.seeds.len()
-    }
-
     /// Shuffles the seeds and returns the epoch's batches.
     pub fn epoch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<Vec<VertexId>> {
         let n = self.seeds.len();
@@ -165,8 +160,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let gens = make_generators(&tablets, 10, ShuffleMode::Global, &mut rng);
         // Even re-deal.
-        assert_eq!(gens[0].num_seeds(), 100);
-        assert_eq!(gens[1].num_seeds(), 100);
+        assert_eq!(gens[0].seeds.len(), 100);
+        assert_eq!(gens[1].seeds.len(), 100);
         // With global shuffling, GPU 0's seeds are (almost surely) not all
         // from tablet 0.
         let mut g0 = gens[0].clone();

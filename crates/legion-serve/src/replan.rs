@@ -229,11 +229,6 @@ impl WindowEstimator {
         Some(BucketStats { hit_rate })
     }
 
-    /// The windowed topology hotness row, indexed by vertex.
-    pub fn topo(&self) -> &[u64] {
-        &self.topo
-    }
-
     /// The windowed feature hotness row, indexed by vertex.
     pub fn feat(&self) -> &[u64] {
         &self.feat
@@ -889,9 +884,9 @@ mod tests {
             assert!(w.seal_if_due().is_some());
         }
         // Bucket 1 retired: vertex 3's contribution is fully gone.
-        assert_eq!(w.topo()[3], 0);
+        assert_eq!(w.topo[3], 0);
         assert_eq!(w.feat()[3], 0);
-        assert_eq!(w.topo()[5], 2);
+        assert_eq!(w.topo[5], 2);
         assert_eq!(w.n_tsum(), 8);
         assert_eq!(w.hit_rate(), 1.0);
     }
@@ -997,7 +992,10 @@ mod tests {
             let mut w = WindowEstimator::new(64, 1 + case % 5, 1 + case % 3);
             for _ in 0..12 {
                 feed(&mut w, &mut rng, 64, 5);
-                for (ranked, row) in [(w.ranked_topo(), w.topo()), (w.ranked_feat(), w.feat())] {
+                for (ranked, row) in [
+                    (w.ranked_topo(), w.topo.as_slice()),
+                    (w.ranked_feat(), w.feat()),
+                ] {
                     let mut support = ranked.order;
                     support.sort_unstable();
                     let nonzero: Vec<VertexId> = (0..64).filter(|&v| row[v as usize] > 0).collect();
@@ -1036,7 +1034,7 @@ mod tests {
                 1,
                 &g,
                 &feats,
-                w.topo(),
+                &w.topo,
                 w.feat(),
                 w.n_tsum(),
                 budget,
@@ -1044,7 +1042,7 @@ mod tests {
                 64,
             );
             let (dense, dense_topo, dense_feat) =
-                plan_dense(&g, w.topo(), w.feat(), w.n_tsum(), budget);
+                plan_dense(&g, &w.topo, w.feat(), w.n_tsum(), budget);
             for plan in [&window, &scanned] {
                 assert_eq!(plan.contents.topo, dense_topo);
                 assert_eq!(plan.contents.feat, dense_feat);

@@ -48,11 +48,6 @@ impl SloTracker {
         }
     }
 
-    /// The SLO target in microseconds.
-    pub fn slo_us(&self) -> u64 {
-        self.slo_us
-    }
-
     /// Records one completed request.
     pub fn record(&self, latency_us: u64) {
         self.latency.observe(latency_us);

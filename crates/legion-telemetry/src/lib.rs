@@ -340,17 +340,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Sums every counter whose name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.inner
-            .borrow()
-            .counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .map(|(_, c)| c.get())
-            .sum()
-    }
-
     /// Resets every registered metric to zero, keeping registrations
     /// (and therefore handle bindings) intact.
     pub fn reset(&self) {
@@ -584,8 +573,9 @@ mod tests {
         reg.counter("pcm.gpu0.topology_tx").add(7);
         reg.counter("pcm.gpu1.topology_tx").add(5);
         reg.counter("pcm.gpu0.feature_tx").add(100);
-        assert_eq!(reg.counter_sum("pcm.gpu0."), 107);
-        assert_eq!(reg.counter_sum("pcm."), 112);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_sum("pcm.gpu0."), 107);
+        assert_eq!(snap.counter_sum("pcm."), 112);
     }
 
     #[test]

@@ -1008,6 +1008,207 @@ fn public_functions_are_reached() {
     );
 }
 
+/// Whether a name that `before` (comments and literals cut out) leads up
+/// to sits in a `use` item: walking back over the words, `::`, braces
+/// and commas a use tree is made of reaches the `use` keyword.
+fn in_use_item(before: &str) -> bool {
+    let mut rest = before;
+    loop {
+        let tree = rest.trim_end_matches(|c: char| "{},:* \t\r\n".contains(c));
+        let head = tree.trim_end_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        match &tree[head.len()..] {
+            "use" => return true,
+            "" => return false,
+            _ => rest = head,
+        }
+    }
+}
+
+/// Copies the workspace at `from` into `to`, `bench/` included and
+/// build output left out, passing each file's text through `edit`. A
+/// file is written only when its bytes change and one `from` no longer
+/// holds is deleted, so the copy's target dirs stay warm across runs.
+fn mirror(
+    from: &std::path::Path,
+    to: &std::path::Path,
+    edit: &mut dyn FnMut(&str, String) -> String,
+) {
+    fn walk(dir: &std::path::Path, root: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            let rel = path.strip_prefix(root).expect("under the root");
+            let skipped = [".git", "target", ".bench_build", "bench/out"];
+            if skipped.iter().any(|s| rel.ends_with(s)) {
+                continue;
+            }
+            if path.is_dir() {
+                walk(&path, root, out);
+            } else {
+                out.push(rel.to_path_buf());
+            }
+        }
+    }
+    let (mut files, mut stale) = (Vec::new(), Vec::new());
+    walk(from, from, &mut files);
+    walk(to, to, &mut stale);
+    for rel in &files {
+        let bytes = std::fs::read(from.join(rel)).expect("readable file");
+        let bytes = match String::from_utf8(bytes) {
+            Ok(text) => edit(&rel.to_string_lossy(), text).into_bytes(),
+            Err(binary) => binary.into_bytes(),
+        };
+        let dest = to.join(rel);
+        if std::fs::read(&dest).ok().as_ref() != Some(&bytes) {
+            std::fs::create_dir_all(dest.parent().expect("a parent")).expect("copy dir");
+            std::fs::write(&dest, bytes).expect("copy written");
+        }
+    }
+    for rel in stale.iter().filter(|rel| !files.contains(rel)) {
+        std::fs::remove_file(to.join(rel)).expect("stale copy removed");
+    }
+}
+
+/// The `(file, line, column, n)` of every use of a function marked
+/// `#[deprecated(note = "reach n")]` that `cargo check --all-targets`
+/// reports on the workspace whose manifest is `manifest`, the file
+/// resolved against the manifest's directory.
+fn deprecation_sites(
+    manifest: &std::path::Path,
+    target: &std::path::Path,
+) -> Vec<(std::path::PathBuf, usize, usize, usize)> {
+    let out = std::process::Command::new(env!("CARGO"))
+        .args([
+            "check",
+            "--offline",
+            "--locked",
+            "--workspace",
+            "--all-targets",
+        ])
+        .args(["--message-format=short", "--manifest-path"])
+        .arg(manifest)
+        .arg("--target-dir")
+        .arg(target)
+        // `-D warnings` would stop at the first use of a deprecated fn.
+        .env_remove("RUSTFLAGS")
+        .output()
+        .expect("cargo runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "cargo check failed:\n{stderr}");
+    let dir = manifest.parent().expect("manifest dir");
+    stderr
+        .lines()
+        .filter_map(|line| {
+            let (site, message) = line.split_once(": warning: use of deprecated ")?;
+            let n = message.rsplit_once("`: reach ")?.1.parse().ok()?;
+            let mut parts = site.rsplitn(3, ':');
+            let column = parts.next()?.parse().ok()?;
+            let row = parts.next()?.parse().ok()?;
+            Some((dir.join(parts.next()?), row, column, n))
+        })
+        .collect()
+}
+
+/// The compiler decides what the textual guard approximates: in a copy
+/// of the workspace under `target/`, every `pub fn` under
+/// `crates/*/src` outside binaries and `#[cfg(test)]` items is marked
+/// `#[deprecated]`, and `cargo check --all-targets` runs on the
+/// workspace and on `bench/`. A function is reached when rustc warns of
+/// a use outside a `#[cfg(test)]` item and outside a `use` item: an
+/// import or re-export calls nothing. Unlike the textual guard's bare
+/// names, a field, a std method or another type's method of the same
+/// name reaches nothing. Cold, the two checks take about 20 s;
+/// `scripts/verify.sh` runs this.
+#[test]
+#[ignore = "builds an annotated copy of the workspace; run by scripts/verify.sh"]
+fn public_functions_are_reached_by_the_compiler() {
+    assert!(in_use_item("use a::{b, c::{"));
+    assert!(in_use_item("pub use self::inner::"));
+    for before in [
+        "x.",
+        "let v = a::",
+        "fn f() {\n    ",
+        "S { f: ",
+        "}\n// use\n",
+    ] {
+        assert!(!in_use_item(&code_only(before)), "{before:?}");
+    }
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let scratch = root.join("target/reach-check");
+    let copy = scratch.join("workspace");
+    let mut defined = Vec::new();
+    mirror(&root, &copy, &mut |rel, text| {
+        let library = rel.starts_with("crates/") && rel.contains("/src/");
+        if !library || rel.contains("/src/bin/") || !rel.ends_with(".rs") {
+            return text;
+        }
+        let tests = test_items(&text);
+        let (mut out, mut at) = (String::with_capacity(text.len()), 0);
+        for (row, line) in text.split_inclusive('\n').enumerate() {
+            let code = line.trim_start();
+            let indent = &line[..line.len() - code.len()];
+            let name: String = code
+                .strip_prefix("pub fn ")
+                .unwrap_or("")
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
+                .collect();
+            if !name.is_empty() && !tests.iter().any(|t| t.contains(&at)) {
+                let note = format!("#[deprecated(note = \"reach {}\")]", defined.len());
+                out.push_str(&format!("{indent}{note} {code}"));
+                defined.push((rel.to_string(), row + 1, name));
+            } else {
+                out.push_str(line);
+            }
+            at += line.len();
+        }
+        out
+    });
+    let mut sites = deprecation_sites(&copy.join("Cargo.toml"), &scratch.join("target"));
+    sites.extend(deprecation_sites(
+        &copy.join("bench/Cargo.toml"),
+        &scratch.join("bench-target"),
+    ));
+
+    let mut texts = std::collections::HashMap::new();
+    let mut reached = std::collections::HashSet::new();
+    for (file, row, column, n) in sites {
+        let text = texts
+            .entry(file.clone())
+            .or_insert_with(|| std::fs::read_to_string(&file).expect("warned file"));
+        let line_start: usize = text.split_inclusive('\n').take(row - 1).map(str::len).sum();
+        let at = line_start
+            + text[line_start..]
+                .chars()
+                .take(column - 1)
+                .map(char::len_utf8)
+                .sum::<usize>();
+        let in_test = test_items(text).iter().any(|t| t.contains(&at));
+        if !in_test && !in_use_item(&code_only(&text[..at])) {
+            reached.insert(n);
+        }
+    }
+    assert!(
+        defined.len() > 400,
+        "pub fn scan collapsed: {}",
+        defined.len()
+    );
+    // Clippy's `len_without_is_empty` asks for an `is_empty` beside every
+    // `pub fn len`, so one defined right after a reached `len` stays.
+    let paired = |i: usize| {
+        let ((file, _, name), (len_file, _, len)) = (&defined[i], &defined[i - 1]);
+        name == "is_empty" && len == "len" && file == len_file && reached.contains(&(i - 1))
+    };
+    let dead: Vec<String> = (0..defined.len())
+        .filter(|&i| !(reached.contains(&i) || i > 0 && paired(i)))
+        .map(|i| format!("{}:{} {}", defined[i].0, defined[i].1, defined[i].2))
+        .collect();
+    assert!(
+        dead.is_empty(),
+        "public functions nothing but their own tests reach: {dead:#?}"
+    );
+}
+
 /// A serving and a fleet config built from the library defaults, split
 /// so this file holds neither.
 const FIXTURE_DEFAULTS: [&str; 2] = [
@@ -1263,7 +1464,7 @@ const DOC_BUDGETS: [(&str, u64); 7] = [
     ("DESIGN.md", 94339),
     ("OPERATIONS.md", 29927),
     ("EXPERIMENTS.md", 45672),
-    ("CHANGES.md", 195419),
+    ("CHANGES.md", 170714),
     ("ROADMAP.md", 34100),
     ("tests/golden.txt", 98361),
 ];
