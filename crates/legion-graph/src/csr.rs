@@ -13,7 +13,9 @@ use crate::{EdgeIndex, VertexId, COL_INDEX_BYTES, ROW_OFFSET_BYTES};
 /// * `row_offsets.len() == num_vertices + 1`,
 /// * `row_offsets` is non-decreasing and `row_offsets[0] == 0`,
 /// * `row_offsets[num_vertices] == col_indices.len()`,
-/// * every column index is `< num_vertices`.
+/// * every column index is `< num_vertices`,
+/// * each array's capacity equals its length: no spare allocation stays
+///   resident beside the topology.
 ///
 /// # Examples
 ///
@@ -73,10 +75,11 @@ impl std::error::Error for CsrError {}
 
 impl CsrGraph {
     /// Builds a CSR graph from raw offset and index arrays, validating all
-    /// structural invariants.
+    /// structural invariants. Spare capacity is released: a graph holds
+    /// exactly its arrays' lengths.
     pub fn from_parts(
-        row_offsets: Vec<EdgeIndex>,
-        col_indices: Vec<VertexId>,
+        mut row_offsets: Vec<EdgeIndex>,
+        mut col_indices: Vec<VertexId>,
     ) -> Result<Self, CsrError> {
         if row_offsets.is_empty() {
             return Err(CsrError::EmptyOffsets);
@@ -102,10 +105,18 @@ impl CsrGraph {
                 return Err(CsrError::ColumnOutOfRange { edge: e, vertex: c });
             }
         }
+        row_offsets.shrink_to_fit();
+        col_indices.shrink_to_fit();
         Ok(Self {
             row_offsets,
             col_indices,
         })
+    }
+
+    /// The allocated lengths of the offset and column arrays.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 2] {
+        [self.row_offsets.capacity(), self.col_indices.capacity()]
     }
 
     /// Number of vertices.

@@ -248,6 +248,7 @@ pub fn sample_without_replacement<R: Rng + ?Sized>(
         ids.swap(i, j);
     }
     ids.truncate(k);
+    ids.shrink_to_fit();
     ids.sort_unstable();
     ids
 }
@@ -326,6 +327,28 @@ mod tests {
     fn sample_more_than_population_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = sample_without_replacement(3, 4, &mut rng);
+    }
+
+    /// Every generator, and a builder fed many duplicates, leaves its CSR
+    /// and training ids holding exactly their lengths: no spare capacity
+    /// from the edge list or the id pool stays resident.
+    #[test]
+    fn graphs_and_training_ids_hold_exactly_their_lengths() {
+        let exact = |g: &CsrGraph| g.capacities() == [g.num_vertices() + 1, g.num_edges()];
+        for name in ["PR", "PA", "UKS"] {
+            let d = spec_by_name(name).unwrap().instantiate(u64::MAX, 1);
+            assert!(exact(&d.graph), "{name}: {:?}", d.graph.capacities());
+            assert_eq!(
+                d.train_vertices.capacity(),
+                d.train_vertices.len(),
+                "{name}"
+            );
+        }
+        let repeated: Vec<(VertexId, VertexId)> = (0..4000).map(|i| (i % 7, i % 5)).collect();
+        let g = crate::builder::from_edges(7, &repeated);
+        for g in [g.transpose(), g.symmetrize(), g] {
+            assert!(exact(&g), "{:?}", g.capacities());
+        }
     }
 
     #[test]

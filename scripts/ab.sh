@@ -32,9 +32,11 @@
 # a smoke test of this script; numbers from one are not comparable.
 #
 # Both sides run with glibc's mmap threshold pinned at 128 KiB. Under
-# glibc's dynamic threshold, large buffers move between the heap and
-# mmap from run to run, so host_peak_rss_mib lands in one of several
-# modes (235, 244, 248, 250 or 252 MiB); pinned, it read 232.9-233.0 MiB.
+# glibc's dynamic threshold, large buffers can move between the heap and
+# mmap from run to run, so host_peak_rss_mib can land in one of several
+# modes. On a 2-vCPU Xeon train_pa read 206.1-206.4 MiB pinned and
+# 211.0-211.4 MiB unpinned, serve_steady 101.9-102.2 pinned. bench/run.sh
+# itself sets no tunable, so a plain benchmark run is unpinned.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072
