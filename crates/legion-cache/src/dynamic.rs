@@ -120,16 +120,6 @@ impl FifoCache {
     pub fn hit_rate(&self) -> f64 {
         self.stats().hit_rate()
     }
-
-    /// Current number of resident vertices.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +146,7 @@ mod tests {
             assert!(!c.access(v % 2));
         }
         assert_eq!(c.hit_rate(), 0.0);
-        assert!(c.is_empty());
+        assert_eq!(c.stats().residents, 0);
         assert_eq!(c.stats().evictions, 0);
     }
 

@@ -199,6 +199,15 @@ mod tests {
         (g, f, cslp(&matrix(&h_t)), cslp(&matrix(&h_f)))
     }
 
+    /// What the fill's `cache_fill.gpu{g}.{kind}_bytes` counters book
+    /// across the server.
+    fn filled(server: &MultiGpuServer, kind: &str) -> u64 {
+        let fill = server.telemetry().snapshot();
+        (0..server.num_gpus())
+            .map(|g| fill.counter(&format!("cache_fill.gpu{g}.{kind}_bytes")))
+            .sum()
+    }
+
     fn plan_for(
         budget: u64,
         alpha: f64,
@@ -237,10 +246,10 @@ mod tests {
         let total_alloc = server.allocated_bytes(0) + server.allocated_bytes(1);
         assert_eq!(
             total_alloc,
-            cache.total_topology_bytes() + cache.total_feature_bytes()
+            filled(&server, "topology") + filled(&server, "feature")
         );
-        assert!(cache.total_feature_bytes() > 0);
-        assert!(cache.total_topology_bytes() > 0);
+        assert!(filled(&server, "feature") > 0);
+        assert!(filled(&server, "topology") > 0);
     }
 
     /// Asserts the fill contract for the kind `lookup` reads: the cached
@@ -348,9 +357,9 @@ mod tests {
         let s = setup();
         let server = ServerSpec::custom(2, 1 << 20, 2).build();
         let plan = plan_for(0, 0.5, &s);
-        let cache = build_clique_cache(&s.0, &s.1, &[0, 1], &s.2, &s.3, &plan, &server).unwrap();
-        assert_eq!(cache.total_topology_bytes(), 0);
-        assert_eq!(cache.total_feature_bytes(), 0);
+        build_clique_cache(&s.0, &s.1, &[0, 1], &s.2, &s.3, &plan, &server).unwrap();
+        assert_eq!(filled(&server, "topology"), 0);
+        assert_eq!(filled(&server, "feature"), 0);
         assert_eq!(server.allocated_bytes(0), 0);
     }
 
@@ -454,8 +463,8 @@ mod tests {
         let s = setup();
         let server = ServerSpec::custom(2, 1 << 20, 2).build();
         let plan = plan_for(32 * 1024, 1.0, &s);
-        let cache = build_clique_cache(&s.0, &s.1, &[0, 1], &s.2, &s.3, &plan, &server).unwrap();
-        assert_eq!(cache.total_feature_bytes(), 0);
-        assert!(cache.total_topology_bytes() > 0);
+        build_clique_cache(&s.0, &s.1, &[0, 1], &s.2, &s.3, &plan, &server).unwrap();
+        assert_eq!(filled(&server, "feature"), 0);
+        assert!(filled(&server, "topology") > 0);
     }
 }

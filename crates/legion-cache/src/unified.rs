@@ -254,16 +254,6 @@ impl CliqueCache {
     pub fn feature_vertices(&self) -> Vec<VertexId> {
         present(&self.feat_dir)
     }
-
-    /// Total topology bytes cached across the clique.
-    pub fn total_topology_bytes(&self) -> u64 {
-        self.caches.iter().map(|c| c.topology_bytes()).sum()
-    }
-
-    /// Total feature bytes cached across the clique.
-    pub fn total_feature_bytes(&self) -> u64 {
-        self.caches.iter().map(|c| c.feature_bytes()).sum()
-    }
 }
 
 /// Names `slot` the owner of `v` unless `v` already has one; returns
@@ -327,8 +317,8 @@ mod tests {
         assert_eq!(cc.cache(0).topology_entries(), 1);
         assert_eq!(cc.cache(0).feature_entries(), 1);
         // The first insert's degree is the one booked.
-        assert_eq!(cc.total_topology_bytes(), 8 + 4);
-        assert_eq!(cc.total_feature_bytes(), 4);
+        assert_eq!(cc.cache(0).topology_bytes(), 8 + 4);
+        assert_eq!(cc.cache(0).feature_bytes(), 4);
     }
 
     #[test]
@@ -440,8 +430,12 @@ mod tests {
         cc.insert_topology(0, 0, 2);
         cc.insert_topology(1, 1, 1);
         cc.insert_feature(0, 2);
-        assert_eq!(cc.total_topology_bytes(), (8 + 2 * 4) + (8 + 4));
-        assert_eq!(cc.total_feature_bytes(), 8);
+        let (a, b) = (cc.cache(0), cc.cache(1));
+        assert_eq!(
+            a.topology_bytes() + b.topology_bytes(),
+            (8 + 2 * 4) + (8 + 4)
+        );
+        assert_eq!(a.feature_bytes() + b.feature_bytes(), 8);
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod tests {
         let s = scaled_server(&ServerSpec::dgx_v100(), 1000);
         assert_eq!(s.num_gpus, 8);
         assert_eq!(s.gpu_memory, 16 * legion_hw::GIB / 1000);
-        assert!(s.nvlink.connected(0, 3));
+        assert!(s.nvlink.matrix()[3], "GPUs 0 and 3 share a clique");
     }
 
     #[test]

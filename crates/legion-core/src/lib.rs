@@ -40,5 +40,5 @@ pub mod system;
 
 pub use config::{LegionConfig, PartitionerKind};
 pub use experiments::scaled_server;
-pub use runner::{run_epoch, run_epoch_with_store, EpochReport, EpochStoreConfig};
+pub use runner::{run_epoch, EpochReport};
 pub use system::{legion_feature_cache_setup, legion_setup, legion_setup_with_plans};

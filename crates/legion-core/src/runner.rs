@@ -15,10 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use legion_baselines::{ScheduleKind, SystemSetup};
-use legion_cache::hotness_order;
 use legion_gnn::{GnnModel, ModelKind};
-use legion_graph::dataset::Dataset;
-use legion_graph::{feature_bytes_for_dim, VertexId};
 use legion_hw::pcm::{pcm_counter_name, TrafficKind};
 use legion_hw::traffic::{traffic_counter_name, Source};
 use legion_hw::{MultiGpuServer, TimeModel};
@@ -27,9 +24,8 @@ use legion_pipeline::{
 };
 use legion_sampling::access::AccessEngine;
 use legion_sampling::extract::HitStats;
-use legion_sampling::{worker_rng, BatchGenerator, BatchStep, Extract, KHopSampler, LowerTier};
-use legion_store::{NvmeGeneration, NvmeModel, VertexStore};
-use legion_telemetry::{Counter, Registry, Snapshot, NANOS_PER_SEC};
+use legion_sampling::{worker_rng, BatchGenerator, BatchStep, Extract, KHopSampler};
+use legion_telemetry::{Snapshot, NANOS_PER_SEC};
 
 use legion_baselines::BuildContext;
 
@@ -163,101 +159,6 @@ fn finalize_report(name: String, server: &MultiGpuServer, epoch_seconds: f64) ->
     }
 }
 
-/// Upcoming generator batches the epoch store stages ahead of
-/// extraction.
-const LOOKAHEAD_BATCHES: usize = 2;
-
-/// Leading adjacency rows the epoch store stages per seed vertex.
-const PREFETCH_NEIGHBORS: usize = 16;
-
-/// Maximum rows one epoch-store prefetch call may issue.
-const PREFETCH_BUDGET: usize = 1024;
-
-/// Out-of-core configuration for the offline epoch runner: a host-DRAM
-/// budget for feature rows with the cold tail on a simulated PCIe 3.0
-/// x4 NVMe tier, staged ahead by a batch-generator lookahead
-/// prefetcher. The training-side analogue of
-/// `legion_serve::StoreConfig`.
-#[derive(Debug, Clone)]
-pub struct EpochStoreConfig {
-    /// Host-DRAM budget for feature rows, in bytes. Rows are ranked by
-    /// degree (the structural hotness sampled neighborhoods follow);
-    /// the head fills the budget, the tail lives on the SSD.
-    pub dram_budget_bytes: u64,
-    /// Staging-window rows per trainer GPU (bounded DRAM pin).
-    pub staging_rows: usize,
-}
-
-impl Default for EpochStoreConfig {
-    fn default() -> Self {
-        Self {
-            dram_budget_bytes: u64::MAX,
-            staging_rows: 4096,
-        }
-    }
-}
-
-/// What [`run_epoch_with_store`] adds to the epoch loop: the store
-/// knobs and the rows the DRAM budget left on the SSD.
-#[derive(Clone, Copy)]
-struct Spill<'a> {
-    cfg: &'a EpochStoreConfig,
-    ssd_rows: &'a [VertexId],
-}
-
-/// Per-GPU out-of-core state for the epoch runner: the NUMA-local
-/// store plus the shared epoch-level meters.
-struct EpochStore {
-    store: VertexStore,
-    prefetch_hits: Counter,
-    late_stalls: Counter,
-    cold_reads: Counter,
-    nvme_bytes: Counter,
-}
-
-impl EpochStore {
-    /// One trainer's NUMA-local store over the shared tier assignment
-    /// (`ssd_rows` spill, everything else stays in DRAM); the warm fill
-    /// happens before the measured epoch, mirroring the HBM cache's
-    /// warmup pass.
-    fn new(spill: &Spill<'_>, dataset: &Dataset, registry: &Registry) -> Self {
-        let Spill { cfg, ssd_rows } = *spill;
-        let store = VertexStore::with_ssd_rows(
-            NvmeModel::new(NvmeGeneration::Gen3x4),
-            dataset.graph.num_vertices(),
-            feature_bytes_for_dim(dataset.features.dim() as u64),
-            cfg.staging_rows,
-            ssd_rows,
-        );
-        Self {
-            store,
-            prefetch_hits: registry.counter("epoch.store.prefetch_hits"),
-            late_stalls: registry.counter("epoch.store.late_stalls"),
-            cold_reads: registry.counter("epoch.store.cold_reads"),
-            nvme_bytes: registry.counter("store.nvme.bytes"),
-        }
-    }
-}
-
-impl LowerTier for EpochStore {
-    /// Every HBM miss is the store's: DRAM rows pass through its read
-    /// untouched, SSD rows stall.
-    fn claim(&mut self, v: VertexId) -> bool {
-        self.store.claim(v);
-        true
-    }
-
-    /// Resolves the batch's misses against the store at epoch time `at`.
-    fn charge(&mut self, at: f64) -> f64 {
-        let out = self.store.charge(at);
-        self.prefetch_hits.add(out.prefetch_hits);
-        self.late_stalls.add(out.late_stalls);
-        self.cold_reads.add(out.cold_reads);
-        self.nvme_bytes.add(out.nvme_bytes);
-        out.stall_s
-    }
-}
-
 /// How `schedule` composes one batch's stage times.
 fn batch_cost(schedule: &ScheduleKind, sample_t: f64, extract_t: f64, train_t: f64) -> BatchCost {
     match schedule {
@@ -286,70 +187,15 @@ pub fn run_epoch(
     run_epoch_with_model(setup, ctx, config, ModelKind::GraphSage)
 }
 
-/// [`run_epoch`] with an explicit model kind (GraphSAGE or GCN).
+/// [`run_epoch`] with an explicit model kind (GraphSAGE or GCN): every
+/// trainer GPU walks its shuffled batches through [`BatchStep::run`],
+/// prices training from each sample's FLOPs, and the schedule's pipeline
+/// model turns the per-batch costs into the epoch time.
 pub fn run_epoch_with_model(
     setup: &SystemSetup,
     ctx: &BuildContext<'_>,
     config: &LegionConfig,
     model_kind: ModelKind,
-) -> EpochReport {
-    epoch_loop(setup, ctx, config, model_kind, None)
-}
-
-/// [`run_epoch_with_model`] with an out-of-core feature tier: host DRAM
-/// holds only `store_cfg.dram_budget_bytes` of feature rows and the
-/// cold tail lives on the simulated NVMe device, fronted per trainer
-/// GPU by a staging window and a batch-generator lookahead prefetcher
-/// (the epoch runner knows its future mini-batches exactly, so the
-/// prefetcher stages upcoming seeds and their leading neighbors while
-/// the current batch trains). SSD stalls fold into extraction time and
-/// flow through the same §5 pipeline model as every other stage.
-///
-/// When the budget covers every row the store never sees a request and
-/// the run degenerates to [`run_epoch_with_model`] byte-for-byte.
-pub fn run_epoch_with_store(
-    setup: &SystemSetup,
-    ctx: &BuildContext<'_>,
-    config: &LegionConfig,
-    model_kind: ModelKind,
-    store_cfg: &EpochStoreConfig,
-) -> EpochReport {
-    let graph = &ctx.dataset.graph;
-    let num_vertices = graph.num_vertices();
-    let row_bytes = feature_bytes_for_dim(ctx.dataset.features.dim() as u64);
-    let dram_rows =
-        (store_cfg.dram_budget_bytes / row_bytes.max(1)).min(num_vertices as u64) as usize;
-    if dram_rows >= num_vertices {
-        return epoch_loop(setup, ctx, config, model_kind, None);
-    }
-    // Host-DRAM fill by degree: sampled neighborhoods concentrate on
-    // high-degree rows (the same structural hotness the HBM cost model
-    // ranks by), so the head stays resident and the long tail spills.
-    // Equal degrees rank by id, keeping the placement deterministic.
-    let degrees: Vec<u64> = (0..num_vertices as VertexId)
-        .map(|v| graph.neighbors(v).len() as u64)
-        .collect();
-    let order = hotness_order(&degrees);
-    let spill = Spill {
-        cfg: store_cfg,
-        ssd_rows: &order[dram_rows..],
-    };
-    epoch_loop(setup, ctx, config, model_kind, Some(spill))
-}
-
-/// The one epoch loop: every trainer GPU walks its shuffled batches
-/// through [`BatchStep::run`], prices training from each sample's FLOPs,
-/// and the schedule's pipeline model turns the per-batch costs into the
-/// epoch time. `spill` — the out-of-core knobs and the rows placed on
-/// the SSD — adds a per-trainer store, its lookahead prefetch and the
-/// serial per-GPU clock the device horizon needs; `None` is the
-/// all-resident runner.
-fn epoch_loop(
-    setup: &SystemSetup,
-    ctx: &BuildContext<'_>,
-    config: &LegionConfig,
-    model_kind: ModelKind,
-    spill: Option<Spill<'_>>,
 ) -> EpochReport {
     let server = ctx.server;
     let graph = &ctx.dataset.graph;
@@ -392,31 +238,11 @@ fn epoch_loop(
         if setup.tablets[gpu].is_empty() {
             continue;
         }
-        let mut store = spill.map(|s| EpochStore::new(&s, ctx.dataset, server.telemetry()));
         let mut rng = worker_rng(config.seed, gpu);
         let mut generator = BatchGenerator::new(setup.tablets[gpu].clone(), ctx.batch_size)
             .with_telemetry(server.telemetry(), gpu);
         let batches = generator.epoch(&mut rng);
-        // Per-GPU serial clock: the store's device horizon needs a
-        // monotone notion of "now", and the per-GPU batch stream is
-        // serial regardless of the cross-stage overlap model.
-        let mut clock = 0.0f64;
-        for (i, batch) in batches.iter().enumerate() {
-            // The epoch schedule is known up front, so the prefetcher
-            // looks past the batch in flight — the offline analogue of
-            // the serving tier's queue lookahead.
-            if let Some(es) = store.as_mut() {
-                for ahead in batches.iter().skip(i + 1).take(LOOKAHEAD_BATCHES) {
-                    let out = es.store.prefetch_around(
-                        clock,
-                        graph,
-                        ahead.iter().copied(),
-                        PREFETCH_NEIGHBORS,
-                        PREFETCH_BUDGET,
-                    );
-                    es.nvme_bytes.add(out.nvme_bytes);
-                }
-            }
+        for batch in &batches {
             let sampling_gpu = match &setup.schedule {
                 ScheduleKind::Factored { samplers, .. } => {
                     let g = samplers[sampler_cursor % samplers.len()];
@@ -426,9 +252,7 @@ fn epoch_loop(
                 _ => gpu,
             };
             // Extraction is metered, not performed: nothing downstream
-            // reads the rows. The store, when there is one, takes every
-            // HBM miss and folds its SSD stall into extraction.
-            let mut tier = store.as_mut().map(|es| es as &mut dyn LowerTier);
+            // reads the rows.
             let out = step.run(
                 &engine,
                 sampling_gpu,
@@ -437,8 +261,8 @@ fn epoch_loop(
                 &mut rng,
                 None,
                 Extract::Layout,
-                tier.as_mut_slice(),
-                clock,
+                &mut [],
+                0.0,
             );
             let time = step.time();
             let sample_t = match setup.schedule {
@@ -449,7 +273,6 @@ fn epoch_loop(
             };
             let extract_t = out.extract_s;
             let train_t = time.train_seconds(flops_model.training_flops(&out.sample));
-            clock += sample_t + extract_t + train_t;
             // Stage times accrue to the trainer GPU's counters (for a
             // factored schedule the sampling ran elsewhere, but the batch
             // belongs to this trainer).
@@ -492,6 +315,7 @@ mod tests {
     use crate::system::legion_setup;
     use legion_baselines::dgl;
     use legion_graph::dataset::spec_by_name;
+    use legion_graph::VertexId;
     use legion_hw::ServerSpec;
 
     #[test]
@@ -594,58 +418,6 @@ mod tests {
         let b = run_epoch(&setup, &ctx, &config);
         assert_eq!(a.pcie_total, b.pcie_total);
         assert_eq!(a.epoch_seconds, b.epoch_seconds);
-    }
-
-    #[test]
-    fn store_epoch_degenerates_and_oversubscription_costs() {
-        let ds = spec_by_name("PR").unwrap().instantiate(2000, 3);
-        let config = LegionConfig::small();
-        let server = ServerSpec::custom(2, 32 << 20, 2).build();
-        let ctx = config.build_context(&ds, &server);
-        let setup = dgl::setup(&ctx).unwrap();
-
-        let baseline = run_epoch_with_model(&setup, &ctx, &config, ModelKind::GraphSage);
-
-        // Infinite DRAM budget: the store is never consulted, so the
-        // epoch is byte-identical to the storeless one.
-        let infinite = EpochStoreConfig::default();
-        let resident = run_epoch_with_store(&setup, &ctx, &config, ModelKind::GraphSage, &infinite);
-        assert_eq!(resident.epoch_seconds, baseline.epoch_seconds);
-        assert_eq!(resident.pcie_total, baseline.pcie_total);
-        assert_eq!(resident.metrics.counter("store.nvme.bytes"), 0);
-
-        // A quarter of the features fit in DRAM: SSD traffic must flow
-        // and the flash stalls must make the epoch strictly slower.
-        let tight = EpochStoreConfig {
-            dram_budget_bytes: ds.feature_bytes() / 4,
-            staging_rows: 512,
-        };
-        let over = run_epoch_with_store(&setup, &ctx, &config, ModelKind::GraphSage, &tight);
-        assert!(over.metrics.counter("store.nvme.bytes") > 0);
-        let touched = over.metrics.counter("epoch.store.prefetch_hits")
-            + over.metrics.counter("epoch.store.late_stalls")
-            + over.metrics.counter("epoch.store.cold_reads");
-        assert!(touched > 0, "SSD tier never touched");
-        assert!(
-            over.epoch_seconds > baseline.epoch_seconds,
-            "oversubscribed {} vs resident {}",
-            over.epoch_seconds,
-            baseline.epoch_seconds
-        );
-        // Sampling and training are untouched by the feature tier.
-        assert_eq!(over.pcie_topology, baseline.pcie_topology);
-
-        // The store timeline is integer-ns deterministic.
-        let again = run_epoch_with_store(&setup, &ctx, &config, ModelKind::GraphSage, &tight);
-        assert_eq!(again.epoch_seconds, over.epoch_seconds);
-        assert_eq!(
-            again.metrics.counter("store.nvme.bytes"),
-            over.metrics.counter("store.nvme.bytes")
-        );
-        assert_eq!(
-            again.metrics.counter("epoch.store.prefetch_hits"),
-            over.metrics.counter("epoch.store.prefetch_hits")
-        );
     }
 
     #[test]

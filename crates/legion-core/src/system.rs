@@ -220,9 +220,14 @@ mod tests {
         let (setup, plans) = legion_setup_with_plans(&ctx, &config).unwrap();
         // With room for everything, predicted residual traffic is zero.
         assert_eq!(plans[0].evaluation.n_total(), 0.0);
-        let cc = &setup.layout.cliques[0];
-        assert!(cc.total_topology_bytes() > 0);
-        assert!(cc.total_feature_bytes() > 0);
+        assert_eq!(setup.layout.cliques.len(), 1);
+        let fill = server.telemetry().snapshot();
+        for kind in ["topology", "feature"] {
+            let held: u64 = (0..2)
+                .map(|g| fill.counter(&format!("cache_fill.gpu{g}.{kind}_bytes")))
+                .sum();
+            assert!(held > 0, "{kind}");
+        }
     }
 
     #[test]
@@ -244,10 +249,10 @@ mod tests {
         let ctx = config.build_context(&ds, &server);
         let setup = legion_feature_cache_setup(&ctx, &config, 50).unwrap();
         for cc in &setup.layout.cliques {
-            assert_eq!(cc.total_topology_bytes(), 0);
-            assert!(cc.total_feature_bytes() > 0);
             // Exactly 50 rows per GPU (hot sets are larger than 50).
             for slot in 0..cc.gpus().len() {
+                assert_eq!(cc.cache(slot).topology_bytes(), 0);
+                assert!(cc.cache(slot).feature_bytes() > 0);
                 assert_eq!(cc.cache(slot).feature_entries(), 50);
             }
         }

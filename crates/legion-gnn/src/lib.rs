@@ -8,8 +8,6 @@
 //! gradients via `legion-tensor`. The training loop of the convergence
 //! experiment (Figure 11) is `legion-core`'s `fig11::train_curve`.
 
-pub mod link_prediction;
 pub mod model;
 
-pub use link_prediction::{auc, sample_link_batch, LinkBatch};
 pub use model::{GnnModel, ModelKind};

@@ -213,6 +213,7 @@ mod tests {
     use legion_graph::FeatureTable;
     use legion_hw::ServerSpec;
     use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+    use legion_sampling::extract::extract_features;
     use legion_sampling::KHopSampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -227,7 +228,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let sample = sampler.sample_batch(&engine, 0, &[0, 1], &mut rng, None);
         let inputs = sample.input_vertices().to_vec();
-        let feats = f.gather(&inputs);
+        let feats = extract_features(&engine, 0, &inputs);
         let m = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
         (sample, m)
     }

@@ -4,12 +4,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use legion_gnn::link_prediction::auc;
 use legion_gnn::{GnnModel, ModelKind};
 use legion_graph::builder::from_edges;
 use legion_graph::FeatureTable;
 use legion_hw::ServerSpec;
 use legion_sampling::access::{AccessEngine, CacheLayout, TopologyPlacement};
+use legion_sampling::extract::extract_features;
 use legion_sampling::KHopSampler;
 use legion_tensor::Matrix;
 
@@ -42,7 +42,7 @@ proptest! {
         uniq.dedup();
         let sample = sampler.sample_batch(&engine, 0, &uniq, &mut rng, None);
         let inputs = sample.input_vertices().to_vec();
-        let feats = f.gather(&inputs);
+        let feats = extract_features(&engine, 0, &inputs);
         let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
         let model = GnnModel::new(kind, 6, 8, 3, 2, &mut rng);
         let logits = model.predict(x, &sample);
@@ -50,19 +50,5 @@ proptest! {
         prop_assert_eq!(logits.cols(), 3);
         // Finite outputs.
         prop_assert!(logits.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn auc_is_invariant_to_monotone_score_transforms(
-        raw in proptest::collection::vec((-5.0f32..5.0, any::<bool>()), 2..40),
-    ) {
-        let scores: Vec<f32> = raw.iter().map(|r| r.0).collect();
-        let labels: Vec<f32> = raw.iter().map(|r| if r.1 { 1.0 } else { 0.0 }).collect();
-        let a1 = auc(&scores, &labels);
-        // Apply a strictly increasing transform.
-        let transformed: Vec<f32> = scores.iter().map(|&s| 2.0 * s + 1.0).collect();
-        let a2 = auc(&transformed, &labels);
-        prop_assert!((a1 - a2).abs() < 1e-9, "{a1} vs {a2}");
-        prop_assert!((0.0..=1.0).contains(&a1));
     }
 }

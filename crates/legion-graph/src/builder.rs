@@ -22,7 +22,6 @@ use crate::VertexId;
 pub struct GraphBuilder {
     num_vertices: usize,
     edges: Vec<(VertexId, VertexId)>,
-    dedup: bool,
 }
 
 impl GraphBuilder {
@@ -31,19 +30,12 @@ impl GraphBuilder {
         Self {
             num_vertices,
             edges: Vec::new(),
-            dedup: true,
         }
     }
 
     /// Pre-allocates space for `n` edges.
     pub fn with_edge_capacity(mut self, n: usize) -> Self {
         self.edges.reserve(n);
-        self
-    }
-
-    /// Keeps parallel edges instead of de-duplicating (default: dedup).
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
         self
     }
 
@@ -72,9 +64,7 @@ impl GraphBuilder {
             );
         }
         self.edges.sort_unstable();
-        if self.dedup {
-            self.edges.dedup();
-        }
+        self.edges.dedup();
         let mut offsets = vec![0u64; n + 1];
         for &(s, _) in &self.edges {
             offsets[s as usize + 1] += 1;
@@ -108,15 +98,6 @@ mod tests {
     fn build_dedups_by_default() {
         let g = from_edges(2, &[(0, 1), (0, 1)]);
         assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn keep_duplicates_preserves_multiplicity() {
-        let mut b = GraphBuilder::new(2).keep_duplicates();
-        b.extend_edges([(0, 1), (0, 1)]);
-        let g = b.build();
-        assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.neighbors(0), &[1, 1]);
     }
 
     #[test]

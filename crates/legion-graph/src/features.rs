@@ -108,6 +108,7 @@ impl FeatureTable {
 
     /// Gathers the rows of `vertices` into a new dense table (the feature
     /// extraction output for a mini-batch).
+    #[cfg(test)]
     pub fn gather(&self, vertices: &[VertexId]) -> FeatureTable {
         let mut out = FeatureTable::zeros(vertices.len(), self.dim);
         for (i, &v) in vertices.iter().enumerate() {

@@ -17,7 +17,7 @@
 //!   unified cache,
 //! * [`dataset`] — a registry of the paper's Table 2 datasets at laptop
 //!   scale, and
-//! * [`stats`] / [`traversal`] — degree/skew statistics and traversals used
+//! * [`stats`] / [`traversal`] — the edge-cut metric and traversals used
 //!   by the partitioners and experiment drivers.
 
 pub mod builder;

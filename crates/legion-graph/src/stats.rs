@@ -1,10 +1,10 @@
-//! Degree skew and edge-cut metrics used by experiment drivers and tests.
+//! Edge-cut metric used by the partitioners and the experiment drivers.
 
 use crate::csr::CsrGraph;
 
 /// Gini coefficient of the out-degree distribution — 0 for perfectly
-/// uniform, approaching 1 for extreme skew. Used to check that synthetic
-/// stand-ins match the target dataset's skew class.
+/// uniform, approaching 1 for extreme skew.
+#[cfg(test)]
 pub fn degree_gini(g: &CsrGraph) -> f64 {
     let n = g.num_vertices();
     if n == 0 {

@@ -4,8 +4,25 @@ use proptest::prelude::*;
 
 use legion_graph::builder::from_edges;
 use legion_graph::generate::Zipf;
-use legion_graph::stats::{degree_gini, edge_cut};
+use legion_graph::stats::edge_cut;
 use legion_graph::{CsrGraph, GraphBuilder, VertexId};
+
+/// Gini coefficient of the out-degree distribution — 0 for perfectly
+/// uniform, approaching 1 for extreme skew.
+fn degree_gini(g: &CsrGraph) -> f64 {
+    let n = g.num_vertices();
+    let mut degrees: Vec<u64> = (0..n as u32).map(|v| g.degree(v)).collect();
+    degrees.sort_unstable();
+    let total: u64 = degrees.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let weighted: f64 = (1..=n)
+        .zip(&degrees)
+        .map(|(i, &d)| (i as u64 * d) as f64)
+        .sum();
+    (2.0 * weighted) / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64
+}
 
 /// Arbitrary edge list over `n` vertices.
 fn edges_strategy(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
@@ -20,11 +37,13 @@ proptest! {
     fn builder_output_is_structurally_valid((n, edges) in edges_strategy(64, 256)) {
         let g = from_edges(n, &edges);
         // Round-trip through the validating constructor.
-        let rebuilt = CsrGraph::from_parts(
-            g.row_offsets().to_vec(),
-            g.col_indices().to_vec(),
-        );
-        prop_assert!(rebuilt.is_ok());
+        let ends = (0..n as VertexId).scan(0, |end, v| {
+            *end += g.degree(v);
+            Some(*end)
+        });
+        let offsets = std::iter::once(0).chain(ends).collect();
+        let rebuilt = CsrGraph::from_parts(offsets, g.col_indices().to_vec());
+        prop_assert_eq!(rebuilt.ok().as_ref(), Some(&g));
         // Adjacency is sorted and deduplicated.
         for v in 0..n as VertexId {
             let nb = g.neighbors(v);

@@ -88,12 +88,6 @@ impl GpuDevice {
         }
     }
 
-    /// Total memory capacity in bytes.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently allocated.
     #[inline]
     pub fn allocated_bytes(&self) -> u64 {
@@ -187,7 +181,7 @@ mod tests {
     #[test]
     fn presets_have_table1_capacities() {
         let v100 = crate::ServerSpec::dgx_v100();
-        assert_eq!(GpuDevice::new(0, v100.gpu_memory).capacity(), 16 * GIB);
+        assert_eq!(GpuDevice::new(0, v100.gpu_memory).free_bytes(), 16 * GIB);
     }
 
     #[test]

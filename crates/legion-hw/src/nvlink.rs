@@ -17,9 +17,9 @@ use crate::GpuId;
 /// use legion_hw::NvLinkTopology;
 ///
 /// // Siton: 8 GPUs in 4 NVLink pairs.
-/// let t = NvLinkTopology::disjoint_cliques(8, 2);
-/// assert!(t.connected(0, 1));
-/// assert!(!t.connected(1, 2));
+/// let m = NvLinkTopology::disjoint_cliques(8, 2).matrix();
+/// assert!(m[1]); // GPU 0 row, GPU 1 column
+/// assert!(!m[8 + 2]); // GPU 1 row, GPU 2 column
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NvLinkTopology {
@@ -118,7 +118,7 @@ impl NvLinkTopology {
     }
 
     /// Whether `a` and `b` are NVLink-connected.
-    #[inline]
+    #[cfg(test)]
     pub fn connected(&self, a: GpuId, b: GpuId) -> bool {
         a != b && self.adj[a * self.n + b]
     }

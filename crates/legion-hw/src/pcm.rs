@@ -33,11 +33,12 @@ pub enum TrafficKind {
 /// use legion_hw::pcm::{PcmCounters, TrafficKind};
 /// use legion_telemetry::Registry;
 ///
-/// let pcm = PcmCounters::with_registry(2, &Registry::new());
+/// let registry = Registry::new();
+/// let pcm = PcmCounters::with_registry(2, &registry);
 /// pcm.add(0, TrafficKind::Feature, 8);
 /// pcm.add(1, TrafficKind::Topology, 3);
-/// assert_eq!(pcm.total(), 11);
-/// assert_eq!(pcm.gpu_total(0), 8);
+/// assert_eq!(registry.snapshot().counter_sum("pcm."), 11);
+/// assert_eq!(pcm.gpu_kind(0, TrafficKind::Feature), 8);
 /// ```
 #[derive(Debug)]
 pub struct PcmCounters {
@@ -66,11 +67,6 @@ impl PcmCounters {
         }
     }
 
-    /// Number of GPUs covered.
-    pub fn num_gpus(&self) -> usize {
-        self.topology.len()
-    }
-
     /// Records `transactions` CPU→GPU PCIe transactions for `gpu`.
     ///
     /// # Panics
@@ -91,23 +87,6 @@ impl PcmCounters {
             TrafficKind::Feature => self.feature[gpu].get(),
         }
     }
-
-    /// All transactions recorded for one GPU.
-    pub fn gpu_total(&self, gpu: GpuId) -> u64 {
-        self.gpu_kind(gpu, TrafficKind::Topology) + self.gpu_kind(gpu, TrafficKind::Feature)
-    }
-
-    /// Total transactions across the whole server.
-    pub fn total(&self) -> u64 {
-        (0..self.num_gpus()).map(|g| self.gpu_total(g)).sum()
-    }
-
-    /// Clears all counters.
-    pub fn reset(&self) {
-        for c in self.topology.iter().chain(self.feature.iter()) {
-            c.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,27 +95,30 @@ mod tests {
 
     #[test]
     fn separates_kinds() {
-        let pcm = PcmCounters::with_registry(1, &Registry::new());
+        let registry = Registry::new();
+        let pcm = PcmCounters::with_registry(1, &registry);
         pcm.add(0, TrafficKind::Topology, 5);
         pcm.add(0, TrafficKind::Feature, 7);
         assert_eq!(pcm.gpu_kind(0, TrafficKind::Topology), 5);
         assert_eq!(pcm.gpu_kind(0, TrafficKind::Feature), 7);
-        assert_eq!(pcm.gpu_total(0), 12);
+        assert_eq!(registry.snapshot().counter_sum("pcm.gpu0."), 12);
     }
 
     #[test]
     fn reset_clears_every_counter() {
-        let pcm = PcmCounters::with_registry(3, &Registry::new());
+        let registry = Registry::new();
+        let pcm = PcmCounters::with_registry(3, &registry);
         pcm.add(2, TrafficKind::Topology, 100);
         pcm.add(0, TrafficKind::Feature, 1);
-        assert_eq!(pcm.total(), 101);
-        pcm.reset();
-        assert_eq!(pcm.total(), 0);
+        assert_eq!(registry.snapshot().counter_sum("pcm."), 101);
+        registry.reset();
+        assert_eq!(registry.snapshot().counter_sum("pcm."), 0);
     }
 
     #[test]
     fn empty_server_total_is_zero() {
-        let pcm = PcmCounters::with_registry(0, &Registry::new());
-        assert_eq!(pcm.total(), 0);
+        let registry = Registry::new();
+        let _pcm = PcmCounters::with_registry(0, &registry);
+        assert_eq!(registry.snapshot().counter_sum("pcm."), 0);
     }
 }

@@ -331,7 +331,7 @@ mod tests {
         srv.traffic().add(0, Source::Cpu, 64);
         srv.reset();
         assert_eq!(srv.allocated_bytes(1), 0);
-        assert_eq!(srv.pcm().total(), 0);
+        assert_eq!(srv.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(srv.telemetry().snapshot().counter_sum("traffic."), 0);
     }
 }

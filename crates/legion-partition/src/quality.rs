@@ -17,6 +17,7 @@ pub fn edge_cut_ratio(g: &CsrGraph, assignment: &[u32]) -> f64 {
 /// # Panics
 ///
 /// Panics if `k == 0` or any part id is `>= k`.
+#[cfg(test)]
 pub fn balance(assignment: &[u32], k: usize) -> f64 {
     assert!(k > 0, "k must be positive");
     if assignment.is_empty() {
@@ -33,6 +34,7 @@ pub fn balance(assignment: &[u32], k: usize) -> f64 {
 }
 
 /// Sizes of each part.
+#[cfg(test)]
 pub fn part_sizes(assignment: &[u32], k: usize) -> Vec<usize> {
     let mut sizes = vec![0usize; k];
     for &p in assignment {

@@ -830,7 +830,7 @@ mod tests {
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::ReplicatedGpu);
         let mut rng = StdRng::seed_from_u64(3);
         let _ = engine.sample_neighbors(0, 0, 10, &mut rng);
-        assert_eq!(server.pcm().total(), 0);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(cpu_bytes(&server), 0);
     }
 
@@ -846,11 +846,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         // Local hit from GPU 0.
         let _ = engine.sample_neighbors(0, 0, 5, &mut rng);
-        assert_eq!(server.pcm().total(), 0);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(server.telemetry().snapshot().counter_sum("traffic."), 0);
         // Peer hit from GPU 1: NVLink bytes, still no PCIe.
         let _ = engine.sample_neighbors(1, 0, 5, &mut rng);
-        assert_eq!(server.pcm().total(), 0);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(server.traffic().gpu_to_gpu(0, 1), 5 * 4 + 8);
     }
 
@@ -970,12 +970,12 @@ mod tests {
         let (mut rows, mut totals) = (Vec::new(), BatchTotals::new(2));
         // Peer hit: NVLink row bytes.
         engine.read_features_batch(0, &[3], &mut rows, &mut totals);
-        assert_eq!(server.pcm().total(), 0);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(server.traffic().gpu_to_gpu(1, 0), 16);
         // Local hit: nothing at all.
         server.reset();
         engine.read_features_batch(1, &[3], &mut rows, &mut totals);
-        assert_eq!(server.pcm().total(), 0);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 0);
         assert_eq!(server.telemetry().snapshot().counter_sum("traffic."), 0);
         // Miss: PCIe.
         engine.read_features_batch(0, &[5], &mut rows, &mut totals);

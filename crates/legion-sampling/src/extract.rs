@@ -72,7 +72,7 @@ mod tests {
         assert_eq!(out.row(0), &[6.0, 7.0]);
         assert_eq!(out.row(1), &[0.0, 1.0]);
         // Two uncached rows of 8 bytes: 1 transaction each.
-        assert_eq!(server.pcm().total(), 2);
+        assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 2);
     }
 
     #[test]

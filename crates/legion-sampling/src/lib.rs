@@ -39,7 +39,7 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let sample = sampler.sample_batch(&engine, 0, &[0], &mut rng, None);
 //! // Every uncached topology read crossed (simulated) PCIe.
-//! assert!(server.pcm().total() > 0);
+//! assert!(server.telemetry().snapshot().counter_sum("pcm.") > 0);
 //! assert!(sample.all_vertices.contains(&0));
 //! ```
 

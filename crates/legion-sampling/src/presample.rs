@@ -517,7 +517,11 @@ mod tests {
             1,
             1,
         );
-        assert_eq!(server.pcm().total(), 0, "PCM must be clean for training");
+        assert_eq!(
+            server.telemetry().snapshot().counter_sum("pcm."),
+            0,
+            "PCM must be clean for training"
+        );
     }
 
     #[test]

@@ -172,6 +172,6 @@ proptest! {
         // Uncached UVA sampling: 1 offset transaction per seed + 1 per
         // sampled edge.
         let expected = seeds.len() as u64 + sample.total_edges() as u64;
-        prop_assert_eq!(server.pcm().total(), expected);
+        prop_assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), expected);
     }
 }

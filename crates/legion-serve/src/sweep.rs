@@ -357,7 +357,11 @@ mod tests {
         let b = estimate_capacity_rps(&g, &f, &server, &config);
         assert!(a > 0.0);
         assert_eq!(a, b);
-        assert_eq!(server.pcm().total(), 0, "probe must reset the server");
+        assert_eq!(
+            server.telemetry().snapshot().counter_sum("pcm."),
+            0,
+            "probe must reset the server"
+        );
     }
 
     #[test]
@@ -469,7 +473,11 @@ mod tests {
         let routed_again = estimate_capacity_rps(&g, &f, &server, &config);
         assert!(routed > 0.0);
         assert_eq!(routed.to_bits(), routed_again.to_bits());
-        assert_eq!(server.pcm().total(), 0, "probe must reset the server");
+        assert_eq!(
+            server.telemetry().snapshot().counter_sum("pcm."),
+            0,
+            "probe must reset the server"
+        );
         assert_ne!(
             routed.to_bits(),
             unrouted.to_bits(),

@@ -191,6 +191,7 @@ impl Matrix {
     }
 
     /// Transposed copy.
+    #[cfg(test)]
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {

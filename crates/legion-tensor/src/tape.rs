@@ -35,10 +35,6 @@ enum Op {
         /// Per-destination incoming-edge count (0 allowed).
         dst_degree: Vec<u32>,
     },
-    /// Row-wise dot product of two equally-shaped matrices -> `N x 1`.
-    RowwiseDot(VarId, VarId),
-    /// Mean binary cross-entropy with logits against 0/1 targets.
-    BceWithLogitsMean(VarId, Vec<f32>),
     /// Row-wise log-softmax of `a`.
     LogSoftmax(VarId),
     /// Mean negative log-likelihood of `logp` at `labels`.
@@ -237,57 +233,6 @@ impl Tape {
         )
     }
 
-    /// Row-wise dot product: `out[i] = sum_j a[i][j] * b[i][j]`, an
-    /// `N x 1` column. The link-prediction score of endpoint-embedding
-    /// pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn rowwise_dot(&mut self, a: VarId, b: VarId) -> VarId {
-        let am = self.value(a);
-        let bm = self.value(b);
-        assert_eq!(
-            (am.rows(), am.cols()),
-            (bm.rows(), bm.cols()),
-            "rowwise_dot shape mismatch"
-        );
-        let mut v = Matrix::zeros(am.rows(), 1);
-        for r in 0..am.rows() {
-            let dot: f32 = am.row(r).iter().zip(bm.row(r)).map(|(x, y)| x * y).sum();
-            v.set(r, 0, dot);
-        }
-        let ng = self.needs(a) || self.needs(b);
-        self.push(v, Op::RowwiseDot(a, b), ng)
-    }
-
-    /// Mean binary cross-entropy with logits: for scores `x` (`N x 1`)
-    /// and targets `y in {0, 1}`,
-    /// `loss = mean(max(x, 0) - x*y + ln(1 + exp(-|x|)))` (the
-    /// numerically-stable form). Returns a `1 x 1` scalar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scores` is not a column or lengths mismatch.
-    pub fn bce_with_logits_mean(&mut self, scores: VarId, targets: &[f32]) -> VarId {
-        let sm = self.value(scores);
-        assert_eq!(sm.cols(), 1, "scores must be a column vector");
-        assert_eq!(sm.rows(), targets.len(), "one target per score");
-        let n = targets.len().max(1) as f32;
-        let mut loss = 0.0f32;
-        for (r, &y) in targets.iter().enumerate() {
-            let x = sm.get(r, 0);
-            loss += x.max(0.0) - x * y + (1.0 + (-x.abs()).exp()).ln();
-        }
-        loss /= n;
-        let ng = self.needs(scores);
-        self.push(
-            Matrix::from_flat(1, 1, vec![loss]),
-            Op::BceWithLogitsMean(scores, targets.to_vec()),
-            ng,
-        )
-    }
-
     /// Row-wise log-softmax.
     pub fn log_softmax(&mut self, a: VarId) -> VarId {
         let am = self.value(a);
@@ -456,46 +401,6 @@ impl Tape {
                         }
                     }
                     self.accumulate(srcv, da);
-                }
-                Op::RowwiseDot(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let am = self.nodes[a.0].value.clone();
-                    let bm = self.nodes[b.0].value.clone();
-                    if self.needs(a) {
-                        let mut da = bm.clone();
-                        for r in 0..da.rows() {
-                            let g = grad.get(r, 0);
-                            for x in da.row_mut(r) {
-                                *x *= g;
-                            }
-                        }
-                        self.accumulate(a, da);
-                    }
-                    if self.needs(b) {
-                        let mut db = am;
-                        for r in 0..db.rows() {
-                            let g = grad.get(r, 0);
-                            for x in db.row_mut(r) {
-                                *x *= g;
-                            }
-                        }
-                        self.accumulate(b, db);
-                    }
-                }
-                Op::BceWithLogitsMean(scores, targets) => {
-                    let s = *scores;
-                    let targets = targets.clone();
-                    let g = grad.get(0, 0);
-                    let sm = &self.nodes[s.0].value;
-                    let n = targets.len().max(1) as f32;
-                    let mut ds = Matrix::zeros(sm.rows(), 1);
-                    for (r, &y) in targets.iter().enumerate() {
-                        let x = sm.get(r, 0);
-                        // d/dx = sigmoid(x) - y.
-                        let sig = 1.0 / (1.0 + (-x).exp());
-                        ds.set(r, 0, g * (sig - y) / n);
-                    }
-                    self.accumulate(s, ds);
                 }
                 Op::LogSoftmax(a) => {
                     let a = *a;
@@ -701,48 +606,6 @@ mod tests {
             losses[0],
             losses.last().unwrap()
         );
-    }
-
-    #[test]
-    fn rowwise_dot_gradient() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = Matrix::xavier(4, 3, &mut rng);
-        let b = Matrix::xavier(4, 3, &mut rng);
-        check_grad(a, move |t, p| {
-            let bc = t.constant(b.clone());
-            let dots = t.rowwise_dot(p, bc);
-            sum_to_scalar(t, dots)
-        });
-    }
-
-    #[test]
-    fn bce_with_logits_gradient() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let scores = Matrix::xavier(5, 1, &mut rng);
-        let targets = vec![1.0f32, 0.0, 1.0, 0.0, 1.0];
-        check_grad(scores, move |t, p| t.bce_with_logits_mean(p, &targets));
-    }
-
-    #[test]
-    fn bce_value_behaves() {
-        // Confident correct: near zero; confident wrong: large.
-        let mut t = Tape::new();
-        let good = t.param(Matrix::from_flat(2, 1, vec![8.0, -8.0]));
-        let l = t.bce_with_logits_mean(good, &[1.0, 0.0]);
-        assert!(t.value(l).get(0, 0) < 0.01);
-        let mut t2 = Tape::new();
-        let bad = t2.param(Matrix::from_flat(1, 1, vec![-8.0]));
-        let l2 = t2.bce_with_logits_mean(bad, &[1.0]);
-        assert!(t2.value(l2).get(0, 0) > 5.0);
-    }
-
-    #[test]
-    fn rowwise_dot_values() {
-        let mut t = Tape::new();
-        let a = t.constant(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let b = t.constant(Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]));
-        let d = t.rowwise_dot(a, b);
-        assert_eq!(t.value(d).as_slice(), &[17.0, 53.0]);
     }
 
     #[test]

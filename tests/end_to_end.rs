@@ -7,7 +7,16 @@ use legion_core::system::{legion_feature_cache_setup, legion_setup_with_plans};
 use legion_core::LegionConfig;
 use legion_gnn::ModelKind;
 use legion_graph::dataset::spec_by_name;
-use legion_hw::ServerSpec;
+use legion_hw::{MultiGpuServer, ServerSpec};
+
+/// Bytes the fill's `cache_fill.gpu{g}.{kind}_bytes` counters book
+/// across `server`.
+fn filled(server: &MultiGpuServer, kind: &str) -> u64 {
+    let fill = server.telemetry().snapshot();
+    (0..server.num_gpus())
+        .map(|g| fill.counter(&format!("cache_fill.gpu{g}.{kind}_bytes")))
+        .sum()
+}
 
 fn config() -> LegionConfig {
     LegionConfig {
@@ -33,15 +42,12 @@ fn full_pipeline_produces_consistent_state() {
         assert!(plan.alpha >= 0.0 && plan.alpha <= 1.0);
         assert!(plan.topology_bytes() + plan.feature_bytes() <= plan.budget);
     }
-    // Cache bytes on the server match the cache structures exactly.
-    let structural: u64 = setup
-        .layout
-        .cliques
-        .iter()
-        .map(|c| c.total_topology_bytes() + c.total_feature_bytes())
-        .sum();
+    // Cache bytes on the server match what the fill booked exactly.
     let allocated: u64 = (0..4).map(|g| server.allocated_bytes(g)).sum();
-    assert_eq!(structural, allocated);
+    assert_eq!(
+        filled(&server, "topology") + filled(&server, "feature"),
+        allocated
+    );
 
     // Epoch execution: every tablet trains, traffic is booked.
     let report = run_epoch(&setup, &ctx, &cfg);
@@ -104,8 +110,8 @@ fn unified_cache_serves_both_topology_and_features() {
         "expected some topology cache, alpha = {}",
         plans[0].alpha
     );
-    assert!(cache.total_topology_bytes() > 0);
-    assert!(cache.total_feature_bytes() > 0);
+    assert!(filled(&server, "topology") > 0);
+    assert!(filled(&server, "feature") > 0);
     // Hot vertices are cached for both kinds somewhere in the clique.
     let hot = (0..dataset.graph.num_vertices() as u32)
         .max_by_key(|&v| dataset.graph.degree(v))
@@ -188,7 +194,6 @@ fn extracted_rows_are_conserved_as_hits_plus_misses() {
 fn cache_byte_counters_equal_the_gpu_allocation() {
     use legion_core::system::legion_setup;
     use legion_fleet::scenarios::{clique_machine, golden_dataset};
-    use legion_hw::MultiGpuServer;
     use legion_sampling::access::CacheLayout;
     use legion_serve::{
         build_partitioned_layout_adaptive, plan_layout, profile_warmup,

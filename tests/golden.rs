@@ -13,9 +13,7 @@
 use legion_baselines::{dgl, pagraph, quiver, BuildContext, SystemError, SystemSetup};
 use legion_cache::{cslp, hotness_order, CliqueCache, HotnessMatrix};
 use legion_core::experiments::policies::{build_policy, CachePolicy};
-use legion_core::runner::{
-    run_epoch, run_epoch_with_model, run_epoch_with_store, EpochStoreConfig,
-};
+use legion_core::runner::{run_epoch, run_epoch_with_model};
 use legion_core::system::{legion_feature_cache_setup, legion_setup};
 use legion_core::LegionConfig;
 use legion_fleet::scenarios::{
@@ -668,23 +666,6 @@ fn scenarios() -> Rows {
         let setup = legion_setup(&ctx, &cfg).unwrap();
         let pipelined = run_epoch(&setup, &ctx, &cfg);
         rows.push(("epoch_legion_pipelined", pipelined.metrics.to_text()));
-        // The spill row runs where HBM cannot hold the feature table, so
-        // batches miss HBM and read their SSD rows through the store.
-        let tight = EpochStoreConfig {
-            dram_budget_bytes: ds.feature_bytes() / 4,
-            staging_rows: 512,
-        };
-        let small = ServerSpec::custom(4, 256 << 10, 2).build();
-        let small_ctx = cfg.build_context(&ds, &small);
-        let small_setup = legion_setup(&small_ctx, &cfg).unwrap();
-        let spilled =
-            run_epoch_with_store(&small_setup, &small_ctx, &cfg, ModelKind::GraphSage, &tight);
-        let store_reads: u64 = ["cold_reads", "late_stalls", "prefetch_hits"]
-            .iter()
-            .map(|c| spilled.metrics.counter(&format!("epoch.store.{c}")))
-            .sum();
-        assert!(store_reads > 0, "batches must read SSD rows");
-        rows.push(("epoch_legion_store_spill", spilled.metrics.to_text()));
 
         let big = clique_machine().build();
         let ctx = cfg.build_context(&ds, &big);
