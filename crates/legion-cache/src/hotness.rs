@@ -50,7 +50,8 @@ pub struct HotnessMatrix {
 impl HotnessMatrix {
     /// The matrix over `num_vertices` columns whose non-zero columns are
     /// `support`, each with the `num_gpus` values `values` holds for it in
-    /// turn.
+    /// turn. The matrix holds exactly what it stores: spare capacity in
+    /// `support` or `values` is released.
     ///
     /// # Panics
     ///
@@ -60,8 +61,8 @@ impl HotnessMatrix {
     pub fn from_support(
         num_gpus: usize,
         num_vertices: usize,
-        support: Vec<VertexId>,
-        values: Vec<u64>,
+        mut support: Vec<VertexId>,
+        mut values: Vec<u64>,
     ) -> Self {
         assert!(num_gpus > 0, "a clique has GPUs");
         assert_eq!(
@@ -85,6 +86,8 @@ impl HotnessMatrix {
                 .all(|c| c.iter().any(|&x| x > 0)),
             "a support column is non-zero"
         );
+        support.shrink_to_fit();
+        values.shrink_to_fit();
         Self {
             num_gpus,
             num_vertices,
@@ -102,14 +105,33 @@ impl HotnessMatrix {
     pub fn from_rows(rows: &[&[u64]]) -> Self {
         let n = rows.first().expect("a clique has GPUs").len();
         assert!(rows.iter().all(|r| r.len() == n), "rows of one length");
-        let (mut support, mut values) = (Vec::new(), Vec::new());
+        let dense = (0..n).flat_map(|v| rows.iter().map(move |r| r[v]));
+        Self::from_dense(rows.len(), dense.collect())
+    }
+
+    /// The matrix of a dense table holding `num_gpus` values a vertex,
+    /// `dense[v·K_g + g] = H[g][v]`, compacted in place to its non-zero
+    /// columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `num_gpus > 0` and divides `dense.len()`.
+    pub fn from_dense(num_gpus: usize, mut dense: Vec<u64>) -> Self {
+        assert!(num_gpus > 0, "a clique has GPUs");
+        assert_eq!(dense.len() % num_gpus, 0, "K_g values a column");
+        let n = dense.len() / num_gpus;
+        let held = |column: &[u64]| column.iter().any(|&x| x > 0);
+        let columns = dense.chunks_exact(num_gpus).filter(|c| held(c)).count();
+        let mut support = Vec::with_capacity(columns);
         for v in 0..n {
-            if rows.iter().any(|r| r[v] > 0) {
+            let column = v * num_gpus..(v + 1) * num_gpus;
+            if held(&dense[column.clone()]) {
+                dense.copy_within(column, support.len() * num_gpus);
                 support.push(v as VertexId);
-                values.extend(rows.iter().map(|r| r[v]));
             }
         }
-        Self::from_support(rows.len(), n, support, values)
+        dense.truncate(columns * num_gpus);
+        Self::from_support(num_gpus, n, support, dense)
     }
 
     /// The matrix with each support vertex's cached row size attached:
@@ -130,6 +152,13 @@ impl HotnessMatrix {
     /// matrix carries them.
     pub fn vertex_bytes(&self) -> Option<&[u64]> {
         self.vertex_bytes.as_deref()
+    }
+
+    /// Capacities of the support, the values and the row sizes.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        let bytes = self.vertex_bytes.as_ref().map_or(0, Vec::capacity);
+        [self.support.capacity(), self.values.capacity(), bytes]
     }
 
     /// Number of vertex columns.
@@ -251,6 +280,33 @@ mod tests {
         assert_eq!(h.support(), &[3, 0]);
         assert_eq!(h.row(1), vec![0, 0, 0, 5]);
         assert_eq!(h.column_wise_sum(), vec![2, 0, 0, 5]);
+    }
+
+    /// A matrix holds exactly its length, whatever spare capacity its
+    /// inputs carried: pre-sampling hands over a dense `K_g × |V|` table
+    /// and supports sized for more columns than they hold.
+    #[test]
+    fn a_matrix_holds_exactly_its_length() {
+        let mut support = Vec::with_capacity(64);
+        let mut values = Vec::with_capacity(128);
+        support.extend([4, 1]);
+        values.extend([3, 0, 0, 2]);
+        let h =
+            HotnessMatrix::from_support(2, 8, support, values).with_vertex_bytes(|v| 8 + v as u64);
+        assert_eq!(h.capacities(), [2, 4, 2]);
+        let mut dense = vec![0; 2 * 6];
+        dense[2 * 5 + 1] = 9;
+        dense[2 * 2] = 1;
+        let h = HotnessMatrix::from_dense(2, dense);
+        assert_eq!(h.support(), &[2, 5]);
+        assert_eq!(h.row(1), vec![0, 0, 0, 0, 0, 9]);
+        assert_eq!(h.capacities(), [2, 4, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "K_g values a column")]
+    fn dense_rejects_a_partial_column() {
+        let _ = HotnessMatrix::from_dense(3, vec![1; 7]);
     }
 
     #[test]

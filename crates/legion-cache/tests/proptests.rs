@@ -179,6 +179,31 @@ fn wide_sized_hotness() -> impl Strategy<Value = Dense> {
         })
 }
 
+/// [`hotness_strategy`] and [`sized_hotness`] draws with every column
+/// made cold (an empty support) or hot (a full one): CSLP's zero tail
+/// holds every vertex or none.
+fn extreme_supports() -> impl Strategy<Value = Dense> {
+    let draws = (
+        hotness_strategy(),
+        sized_hotness(),
+        any::<bool>(),
+        any::<bool>(),
+    );
+    draws.prop_map(|(plain, sized, pick_sized, full)| {
+        let mut h = if pick_sized { sized } else { plain };
+        for v in 0..h.num_vertices() {
+            let cold = h.rows.iter().all(|r| r[v] == 0);
+            if !full {
+                h.rows.iter_mut().for_each(|r| r[v] = 0);
+            } else if cold {
+                let gpus = h.rows.len();
+                h.rows[v % gpus][v] = 1 + v as u64 % 3;
+            }
+        }
+        h
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -201,6 +226,14 @@ proptest! {
 
     #[test]
     fn wide_sized_cslp_matches_the_full_sort_oracle(h in wide_sized_hotness()) {
+        prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
+    }
+
+    #[test]
+    fn cslp_matches_the_full_sort_oracle_at_empty_and_full_supports(h in extreme_supports()) {
+        let n = h.num_vertices();
+        let hot = (0..n).filter(|&v| h.rows.iter().any(|r| r[v] > 0)).count();
+        prop_assert!(hot == 0 || hot == n, "{} of {} vertices hot", hot, n);
         prop_assert_eq!(cslp(&h.matrix()), cslp_by_full_sort(&h));
     }
 

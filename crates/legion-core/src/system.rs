@@ -4,6 +4,7 @@ use legion_baselines::{BuildContext, ScheduleKind, SystemError, SystemSetup};
 use legion_cache::{build_clique_cache, cslp, CachePlan, CostModel, CslpOutput, PlannerConfig};
 use legion_partition::{hierarchical_partition, HierarchicalPlan};
 use legion_sampling::access::{CacheLayout, TopologyPlacement};
+use legion_sampling::PresampleOutput;
 
 use crate::config::LegionConfig;
 
@@ -92,19 +93,18 @@ fn legion_setup_inner(
             .iter()
             .map(|&g| plan.tablets[g].clone())
             .collect();
-        let pres = ctx.presample(clique_gpus, &tablets);
-        // C2 S2: CSLP. A forced α = 0 caches no topology row, so `Q_T`
-        // would decide nothing. The tallies go as soon as CSLP has read
-        // them.
-        let feature_only = forced_alpha == Some(0.0);
-        let topo_order = if feature_only {
+        let PresampleOutput { h_t, h_f, n_tsum } = ctx.presample(clique_gpus, &tablets);
+        // C2 S2: CSLP, on the larger `H_F` first. Each matrix goes as
+        // soon as its CSLP returns. A forced α = 0 caches no topology
+        // row, so `Q_T` would decide nothing.
+        let feat_order = cslp(&h_f);
+        drop(h_f);
+        let topo_order = if forced_alpha == Some(0.0) {
             CslpOutput::default()
         } else {
-            cslp(&pres.h_t)
+            cslp(&h_t)
         };
-        let feat_order = cslp(&pres.h_f);
-        let n_tsum = pres.n_tsum;
-        drop(pres);
+        drop(h_t);
         // C3: cost model + plan search.
         let model = CostModel::new(
             &ctx.dataset.graph,

@@ -166,12 +166,6 @@ impl NetModel {
         MAX_INFLIGHT
     }
 
-    /// Round-trip time per wave, in seconds.
-    #[inline]
-    pub fn rtt_seconds(&self) -> f64 {
-        RTT_S
-    }
-
     /// Peak per-link bandwidth in bytes/s.
     #[inline]
     pub fn peak_bandwidth(&self) -> f64 {
@@ -209,10 +203,15 @@ impl NetModel {
             return 0.0;
         }
         let waves = num_reads.div_ceil(MAX_INFLIGHT);
-        let bytes = num_reads * payload_bytes;
-        let seconds = waves as f64 * RTT_S
-            + bytes as f64 / self.effective_bandwidth(payload_bytes as f64)
-                * self.stretch_for(concurrent);
+        // An empty payload moves no bytes: only the round trips are paid.
+        let transfer = match num_reads * payload_bytes {
+            0 => 0.0,
+            bytes => {
+                bytes as f64 / self.effective_bandwidth(payload_bytes as f64)
+                    * self.stretch_for(concurrent)
+            }
+        };
+        let seconds = waves as f64 * RTT_S + transfer;
         (seconds * NANOS_PER_SEC).round() / NANOS_PER_SEC
     }
 
@@ -303,6 +302,16 @@ mod tests {
         let m = NetModel::rdma();
         assert!(m.read_seconds_at(1, 512, 1) >= RTT_S);
         assert_eq!(m.read_seconds_at(0, 512, 1), 0.0);
+    }
+
+    #[test]
+    fn an_empty_payload_pays_only_the_round_trip() {
+        let m = NetModel::rdma().with_contention(UplinkConfig::default());
+        assert_eq!(m.read_seconds_at(1, 0, 1), RTT_S);
+        assert_eq!(m.read_seconds_at(MAX_INFLIGHT + 1, 0, 4), 2.0 * RTT_S);
+        let wave = m.wave(&[3], 0, false, 1);
+        assert!(wave.seconds.is_finite(), "{wave:?}");
+        assert_eq!(wave.seconds, RTT_S);
     }
 
     #[test]

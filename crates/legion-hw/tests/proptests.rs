@@ -54,11 +54,14 @@ proptest! {
     #[test]
     fn net_reads_respect_the_rtt_floor(
         reads in 1u64..10_000,
-        payload in 1u64..100_000,
+        payload in 0u64..100_000,
     ) {
         let net = NetModel::rdma();
-        // Any nonempty read set pays at least one round trip.
-        prop_assert!(net.read_seconds_at(reads, payload, 1) >= net.rtt_seconds());
+        // One read of no payload is one round trip; any nonempty read
+        // set pays at least that, empty payloads included.
+        let rtt = net.read_seconds_at(1, 0, 1);
+        prop_assert!(rtt > 0.0);
+        prop_assert!(net.read_seconds_at(reads, payload, 1) >= rtt);
     }
 
     #[test]
@@ -80,7 +83,8 @@ proptest! {
         let net = NetModel::rdma();
         // Total time covers ceil(reads / max_inflight) round-trip waves.
         let waves = reads.div_ceil(net.max_inflight());
-        prop_assert!(net.read_seconds_at(reads, payload, 1) >= waves as f64 * net.rtt_seconds());
+        let rtt = net.read_seconds_at(1, 0, 1);
+        prop_assert!(net.read_seconds_at(reads, payload, 1) >= waves as f64 * rtt);
     }
 
     #[test]
@@ -135,7 +139,7 @@ proptest! {
             prop_assert_eq!(t, 0.0);
         } else {
             let waves = messages.div_ceil(net.max_inflight());
-            prop_assert!(t >= waves as f64 * net.rtt_seconds());
+            prop_assert!(t >= waves as f64 * net.read_seconds_at(1, 0, 1));
             // One batched message per owner never exceeds charging each
             // owner's payload as its own message.
             let per_owner: f64 = payloads
@@ -186,7 +190,7 @@ proptest! {
             .iter()
             .map(|&p| p as f64 / net.effective_bandwidth(p as f64))
             .sum();
-        let seconds = messages.div_ceil(net.max_inflight()) as f64 * net.rtt_seconds()
+        let seconds = messages.div_ceil(net.max_inflight()) as f64 * net.read_seconds_at(1, 0, 1)
             + bw * stretch;
         let reference = if messages == 0 { 0.0 } else { (seconds * 1e9).round() / 1e9 };
         prop_assert_eq!(per_owner.seconds.to_bits(), reference.to_bits());

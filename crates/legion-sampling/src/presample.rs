@@ -39,12 +39,16 @@
 //! expected hotness per cached byte: a topology cache plan spends bytes,
 //! and an expectation, unlike one draw, is steady enough to divide.
 //!
-//! **Storage.** The expectation's `f64` tables are `|V|`-sized and
-//! reused across a clique's slots; with the supports they fill they are
-//! the set-up's peak. Each slot's tallies are written straight from them
-//! into the two matrices' supports: only the vertices a batch reaches,
-//! `K_g` counts each, in the order the slots first reach them. On
-//! `train_pa`, `H_T`'s support is about a quarter of `|V|` a clique.
+//! **Storage.** Pre-sampling holds what a slot reaches. The `f64` state
+//! of the inner hops (`q`, `miss`, `H_T`, expansions) lives in one record
+//! per vertex the slot's inner hops reach (15–23 K of `train_pa`'s 222 K),
+//! found through one `|V|` `u32` index that the last hop walks in id
+//! order; only the `f32` leaf mass stays dense, since the last hop reaches
+//! about 79 % of the vertices. `H_F` is written into a dense `K_g × |V|`
+//! table compacted in place ([`HotnessMatrix::from_dense`]); `H_T`, a
+//! quarter of `|V|`, as one id-ordered list a slot, merged at its size.
+//! Both supports come out in id order. Heap above the inputs on
+//! `train_pa`: 13.7 MiB at most, against LDG's 13.1 (was 22.2).
 //!
 //! No counter is charged.
 
@@ -58,6 +62,9 @@ use legion_hw::{GpuId, MultiGpuServer};
 use crate::access::topology_read_tx;
 use crate::batch::BatchGenerator;
 use crate::sampler::KHopSampler;
+
+#[cfg(test)]
+mod oracle;
 
 /// Fixed-point unit of every tally in a [`PresampleOutput`]: one expected
 /// edge draw, batch appearance or PCIe transaction is `HOTNESS_UNIT`
@@ -122,10 +129,12 @@ pub fn presample(
         tablets.len(),
         "one tablet per clique GPU"
     );
-    let n = graph.num_vertices();
+    let (n, kg) = (graph.num_vertices(), clique_gpus.len());
     let (&last, inner) = sampler.fanouts.split_last().expect("at least one hop");
-    let mut h_t = SupportWriter::new(clique_gpus.len(), n);
-    let mut h_f = SupportWriter::new(clique_gpus.len(), n);
+    // `H_F` reaches most vertices: a dense `K_g × |V|` table, compacted in
+    // place at the end. `H_T` reaches few: each slot's `(v, H_T[v])` list.
+    let mut h_f = vec![0; kg * n];
+    let mut h_t = Vec::with_capacity(kg);
     let mut walk = Expectation::new(n);
     for (slot, (&gpu, tablet)) in clique_gpus.iter().zip(tablets).enumerate() {
         let mut rng = presample_rng(seed, gpu);
@@ -133,61 +142,46 @@ pub fn presample(
         for batch in &batches {
             walk.inner_hops(graph, batch, inner);
         }
+        let mut drawn = Vec::with_capacity(walk.reached.len());
         walk.last_hop(graph, last, batches.len(), epochs as u64, |v, t, f| {
-            h_t.put(slot, v, t);
-            h_f.put(slot, v, f);
+            if t > 0 {
+                drawn.push((v, t));
+            }
+            h_f[v as usize * kg + slot] = f;
         });
+        h_t.push(drawn);
     }
+    let Expectation { index, n_tsum, .. } = walk;
+    let h_f = HotnessMatrix::from_dense(kg, h_f);
     PresampleOutput {
-        h_t: h_t
-            .finish()
+        h_t: merge_slots(kg, index, h_t)
             .with_vertex_bytes(|v| topology_bytes_for_degree(graph.degree(v))),
-        h_f: h_f.finish(),
-        n_tsum: counts(walk.n_tsum, epochs as u64),
+        h_f,
+        n_tsum: counts(n_tsum, epochs as u64),
     }
 }
 
-/// One tally matrix as pre-sampling writes it, a slot at a time: the
-/// support in the order the slots first reach it, `K_g` values a vertex.
-struct SupportWriter {
-    num_gpus: usize,
-    /// Each vertex's place in `support`, or [`SupportWriter::ABSENT`].
-    place: Vec<u32>,
-    support: Vec<VertexId>,
-    values: Vec<u64>,
-}
-
-impl SupportWriter {
-    const ABSENT: u32 = u32::MAX;
-
-    fn new(num_gpus: usize, num_vertices: usize) -> Self {
-        Self {
-            num_gpus,
-            place: vec![Self::ABSENT; num_vertices],
-            support: Vec::new(),
-            values: Vec::new(),
+/// The matrix of `K_g` slots' id-ordered `(v, H[slot][v])` lists, built
+/// on `place`, a `|V|` table of [`ABSENT`]: its support in id order, at
+/// its size. The lists go before the matrix is returned.
+fn merge_slots(kg: usize, mut place: Vec<u32>, slots: Vec<Vec<(VertexId, u64)>>) -> HotnessMatrix {
+    for &(v, _) in slots.iter().flatten() {
+        place[v as usize] = 0;
+    }
+    let mut support = Vec::with_capacity(place.iter().filter(|&&at| at != ABSENT).count());
+    for (v, at) in place.iter_mut().enumerate() {
+        if *at != ABSENT {
+            *at = support.len() as u32;
+            support.push(v as VertexId);
         }
     }
-
-    /// Writes `H[slot][v] = x`; a zero keeps `v` off the support.
-    fn put(&mut self, slot: usize, v: VertexId, x: u64) {
-        if x == 0 {
-            return;
+    let mut values = vec![0; support.len() * kg];
+    for (slot, list) in slots.iter().enumerate() {
+        for &(v, x) in list {
+            values[place[v as usize] as usize * kg + slot] = x;
         }
-        let mut at = self.place[v as usize];
-        if at == Self::ABSENT {
-            at = self.support.len() as u32;
-            self.place[v as usize] = at;
-            self.support.push(v);
-            self.values.resize(self.values.len() + self.num_gpus, 0);
-        }
-        self.values[at as usize * self.num_gpus + slot] = x;
     }
-
-    fn finish(self) -> HotnessMatrix {
-        let n = self.place.len();
-        HotnessMatrix::from_support(self.num_gpus, n, self.support, self.values)
-    }
+    HotnessMatrix::from_support(kg, place.len(), support, values)
 }
 
 /// `1 − e^{−x}` for `x ≥ 0`: the share of batches a leaf mass of `x` a
@@ -207,46 +201,81 @@ fn counts(x: f64, epochs: u64) -> u64 {
     (x * HOTNESS_UNIT as f64 + 0.5) as u64 * epochs
 }
 
-/// The expectation's working memory, reused across a clique's slots:
-/// one slot's tallies and one batch's frontier, indexed by vertex.
-/// Between slots every table holds its clear value.
+/// An [`Expectation::index`] entry of a vertex the slot has not reached.
+const ABSENT: u32 = u32::MAX;
+
+/// The tallies of one vertex a slot's inner hops reach, and its state in
+/// the current batch.
+struct Reached {
+    /// Probability of being in the batch's current frontier.
+    q: f64,
+    /// `Π (1 − q_x·min(f, deg x)/deg x)` over the hop's frontier rows
+    /// holding the vertex; 1 where no row does.
+    miss: f64,
+    /// `H_T` of the slot so far.
+    drawn: f64,
+    /// Expected last-hop expansions, summed over the slot's batches:
+    /// also `inner`, the batches that hold it before the leaves.
+    expansions: f64,
+}
+
+/// The expectation's working memory, reused across a clique's slots.
+/// Between slots `index` is all [`ABSENT`], `reached` empty and `leaves`
+/// zero.
 struct Expectation {
-    /// `H_T` of the slot's inner hops.
-    h_t: Vec<f64>,
-    /// Each vertex's expected last-hop expansions, summed over the
-    /// slot's batches: also `inner`, the batches that hold it before the
-    /// leaves.
-    expansions: Vec<f64>,
-    /// The leaf mass `Λ` of the slot's last hop; `f32` so that the
-    /// sweep's scattered adds touch half the cache lines.
+    /// Each vertex's place in `reached`, or [`ABSENT`].
+    index: Vec<u32>,
+    /// One record per vertex the slot's inner hops reach, in the order
+    /// they first reach it.
+    reached: Vec<Reached>,
+    /// The leaf mass `Λ` of the slot's last hop, dense: the last hop
+    /// reaches most of the graph. `f32` so that the sweep's scattered
+    /// adds touch half the cache lines.
     leaves: Vec<f32>,
     /// `N_TSUM` of the clique's slots so far, in expected transactions.
     n_tsum: f64,
-    /// Each vertex's probability of being in the batch's current
-    /// frontier (0 outside it).
-    q: Vec<f64>,
-    /// `Π (1 − q_x·min(f, deg x)/deg x)` over the hop's frontier rows
-    /// holding the vertex; 1 where no row does.
-    miss: Vec<f64>,
-    /// The batch's frontier in discovery order; each hop's holds the
-    /// last's.
-    frontier: Vec<VertexId>,
+    /// The batch's frontier in discovery order, with each vertex's place
+    /// in `reached`; each hop's holds the last's.
+    frontier: Vec<(VertexId, u32)>,
     /// The vertices whose `miss` the current hop moved.
-    touched: Vec<VertexId>,
+    touched: Vec<(VertexId, u32)>,
 }
 
 impl Expectation {
     fn new(num_vertices: usize) -> Self {
         Self {
-            h_t: vec![0.0; num_vertices],
-            expansions: vec![0.0; num_vertices],
+            index: vec![ABSENT; num_vertices],
+            reached: Vec::new(),
             leaves: vec![0.0; num_vertices],
             n_tsum: 0.0,
-            q: vec![0.0; num_vertices],
-            miss: vec![1.0; num_vertices],
             frontier: Vec::new(),
             touched: Vec::new(),
         }
+    }
+
+    /// Capacities of `index`, `leaves` and `reached`.
+    #[cfg(test)]
+    fn capacities(&self) -> [usize; 3] {
+        [
+            self.index.capacity(),
+            self.leaves.capacity(),
+            self.reached.capacity(),
+        ]
+    }
+
+    /// `v`'s place in `reached`, given a clear record if it has none.
+    fn reach(index: &mut [u32], reached: &mut Vec<Reached>, v: VertexId) -> u32 {
+        let at = &mut index[v as usize];
+        if *at == ABSENT {
+            *at = reached.len() as u32;
+            reached.push(Reached {
+                q: 0.0,
+                miss: 1.0,
+                drawn: 0.0,
+                expansions: 0.0,
+            });
+        }
+        *at
     }
 
     /// Walks one batch's `seeds` through the inner hops' `fanouts` and
@@ -254,59 +283,61 @@ impl Expectation {
     /// expansions; leaves the frontier scratch clear.
     fn inner_hops(&mut self, graph: &CsrGraph, seeds: &[VertexId], fanouts: &[usize]) {
         let Self {
-            h_t,
-            expansions,
+            index,
+            reached,
             n_tsum,
-            q,
-            miss,
             frontier,
             touched,
             ..
         } = self;
         for &s in seeds {
-            q[s as usize] = 1.0;
+            let at = Self::reach(index, reached, s);
+            reached[at as usize].q = 1.0;
+            frontier.push((s, at));
         }
-        frontier.extend_from_slice(seeds);
         for &fanout in fanouts {
-            for &x in frontier.iter() {
+            for &(x, at) in frontier.iter() {
                 let row = graph.neighbors(x);
                 let tx = topology_read_tx(row.len(), fanout) as f64;
-                let q_x = q[x as usize];
+                let record = &mut reached[at as usize];
+                let q_x = record.q;
                 *n_tsum += q_x * tx;
-                h_t[x as usize] += q_x * (tx - 1.0);
+                record.drawn += q_x * (tx - 1.0);
                 let keep = 1.0 - q_x * (tx - 1.0) / row.len().max(1) as f64;
                 if keep == 1.0 {
                     continue;
                 }
                 for &w in row {
-                    let m = &mut miss[w as usize];
+                    let at = Self::reach(index, reached, w);
+                    let m = &mut reached[at as usize].miss;
                     // A touched product is below 1: its factors are.
                     if *m == 1.0 {
-                        touched.push(w);
+                        touched.push((w, at));
                     }
                     *m *= keep;
                 }
             }
-            for &w in touched.iter() {
-                let (q, m) = (&mut q[w as usize], &mut miss[w as usize]);
+            for &(w, at) in touched.iter() {
+                let Reached { q, miss, .. } = &mut reached[at as usize];
                 if *q == 0.0 {
-                    frontier.push(w);
+                    frontier.push((w, at));
                 }
-                *q = 1.0 - (1.0 - *q) * std::mem::replace(m, 1.0);
+                *q = 1.0 - (1.0 - *q) * std::mem::replace(miss, 1.0);
             }
             touched.clear();
         }
-        for &x in frontier.iter() {
-            expansions[x as usize] += std::mem::take(&mut q[x as usize]);
+        for &(_, at) in frontier.iter() {
+            let record = &mut reached[at as usize];
+            record.expansions += std::mem::take(&mut record.q);
         }
         frontier.clear();
     }
 
     /// The slot's last hop over its `batches` batches: one sweep over
-    /// the expanded rows adds their topology terms and spreads their
-    /// draws to the leaves, then `write(v, H_T, H_F)` takes the tallies
-    /// of every vertex a batch reaches, in id order, and the scratch is
-    /// cleared.
+    /// the expanded rows, in id order, adds their topology terms and
+    /// spreads their draws to the leaves, then `write(v, H_T, H_F)` takes
+    /// the tallies of every vertex a batch reaches, in id order, and the
+    /// scratch is cleared.
     fn last_hop(
         &mut self,
         graph: &CsrGraph,
@@ -316,13 +347,18 @@ impl Expectation {
         mut write: impl FnMut(VertexId, u64, u64),
     ) {
         let leaves = &mut self.leaves;
-        for (x, &e) in self.expansions.iter().enumerate() {
+        for (x, &at) in self.index.iter().enumerate() {
+            if at == ABSENT {
+                continue;
+            }
+            let record = &mut self.reached[at as usize];
+            let e = record.expansions;
             if e == 0.0 {
                 continue;
             }
             let row = graph.neighbors(x as VertexId);
             let tx = topology_read_tx(row.len(), fanout) as f64;
-            self.h_t[x] += e * (tx - 1.0);
+            record.drawn += e * (tx - 1.0);
             self.n_tsum += e * tx;
             let spread = (e * (tx - 1.0) / row.len().max(1) as f64) as f32;
             for &w in row {
@@ -330,21 +366,24 @@ impl Expectation {
             }
         }
         let b = batches as f64;
-        let sums = self
-            .h_t
-            .iter_mut()
-            .zip(&mut self.expansions)
-            .zip(&mut self.leaves);
-        for (v, ((drawn, inner), leaf)) in sums.enumerate() {
+        for (v, (at, leaf)) in self.index.iter_mut().zip(leaves).enumerate() {
+            let (drawn, inner) = match std::mem::replace(at, ABSENT) {
+                ABSENT => (0.0, 0.0),
+                at => {
+                    let record = &self.reached[at as usize];
+                    (record.drawn, record.expansions)
+                }
+            };
             // A vertex no batch reaches keeps its zeros (and `b` may be 0).
-            if *inner == 0.0 && *leaf == 0.0 {
+            if inner == 0.0 && *leaf == 0.0 {
                 continue;
             }
-            let (inner, leaf) = (std::mem::take(inner), f64::from(std::mem::take(leaf)));
-            let t = counts(std::mem::take(drawn), epochs);
+            let leaf = f64::from(std::mem::take(leaf));
+            let t = counts(drawn, epochs);
             let f = counts(inner + (b - inner) * saturation(leaf / b), epochs);
             write(v as VertexId, t, f);
         }
+        self.reached.clear();
     }
 }
 
@@ -567,5 +606,123 @@ mod tests {
         assert_eq!(out.n_tsum, 0);
         assert!(out.h_t.column_wise_sum().iter().all(|&h| h == 0));
         assert!(out.h_f.column_wise_sum().iter().all(|&h| h == 0));
+    }
+
+    /// A 2,000-vertex graph with hubs above every fan-out and a fifth of
+    /// its vertices in training.
+    fn oracle_fixture() -> (CsrGraph, Vec<VertexId>) {
+        let mut rng = StdRng::seed_from_u64(77);
+        let g = ChungLuConfig {
+            num_vertices: 2000,
+            num_edges: 16_000,
+            exponent: 0.9,
+            shuffle_ids: true,
+            ..Default::default()
+        }
+        .generate(&mut rng);
+        let train = (0..2000).filter(|_| rng.gen::<f64>() < 0.2).collect();
+        (g, train)
+    }
+
+    /// `new` equals the oracle's `old` bit for bit: `N_TSUM`, every
+    /// slot's `H_T` and `H_F` row, both support sets and each `H_T`
+    /// support vertex's row size.
+    fn assert_bit_equal(new: &PresampleOutput, old: &PresampleOutput, kg: usize, case: &str) {
+        assert_eq!(new.n_tsum, old.n_tsum, "{case}: N_TSUM");
+        let sized = |h: &HotnessMatrix| {
+            let mut pairs: Vec<(VertexId, u64)> = match h.vertex_bytes() {
+                Some(bytes) => h
+                    .support()
+                    .iter()
+                    .copied()
+                    .zip(bytes.iter().copied())
+                    .collect(),
+                None => h.support().iter().map(|&v| (v, 0)).collect(),
+            };
+            pairs.sort_unstable();
+            pairs
+        };
+        for (name, a, b) in [("H_T", &new.h_t, &old.h_t), ("H_F", &new.h_f, &old.h_f)] {
+            for slot in 0..kg {
+                assert!(a.row(slot) == b.row(slot), "{case}: {name} row {slot}");
+            }
+            assert_eq!(sized(a), sized(b), "{case}: {name} support and sizes");
+        }
+        assert!(new.h_t.vertex_bytes().is_some(), "{case}: H_T is sized");
+    }
+
+    /// The compact walk against the `|V|`-table oracle: fan-outs `[5, 3]`
+    /// and `[4, 3, 2]`, cliques of one to four slots, tablets dealt from
+    /// training or left empty or holding one seed, one epoch and three.
+    #[test]
+    fn tallies_equal_the_dense_oracle_bit_for_bit() {
+        let (g, train) = oracle_fixture();
+        let f = FeatureTable::zeros(2000, 8);
+        let server = ServerSpec::custom(4, 1 << 30, 4).build();
+        for fanouts in [vec![5, 3], vec![4, 3, 2]] {
+            let sampler = KHopSampler::new(fanouts.clone());
+            for kg in 1..=4 {
+                let dealt: Vec<Vec<VertexId>> = (0..kg)
+                    .map(|slot| train.iter().copied().skip(slot).step_by(kg).collect())
+                    .collect();
+                let mut sparse = dealt.clone();
+                sparse[0].clear();
+                sparse[kg - 1].truncate(1);
+                for (shape, tablets) in [("dealt", &dealt), ("empty and one seed", &sparse)] {
+                    let gpus: Vec<GpuId> = (0..kg).collect();
+                    for epochs in [1, 3] {
+                        let case = format!("{fanouts:?}, K_g {kg}, {shape}, {epochs} epochs");
+                        let new =
+                            presample(&g, &f, &server, &gpus, tablets, &sampler, 16, epochs, 3);
+                        let old = oracle::presample(&g, &gpus, tablets, &sampler, 16, epochs, 3);
+                        assert_bit_equal(&new, &old, kg, &case);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pre-sampling's working set is what a slot reaches: the two
+    /// `|V|`-sized tables are a `u32` index and the `f32` leaves, and the
+    /// per-vertex records hold only the vertices a slot's inner hops
+    /// reach — here each seed and its neighbours — and are cleared
+    /// between slots.
+    #[test]
+    fn the_working_set_is_what_a_slot_reaches() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let n = 5000;
+        let g = ChungLuConfig {
+            num_vertices: n,
+            num_edges: 15_000,
+            exponent: 0.9,
+            shuffle_ids: true,
+            ..Default::default()
+        }
+        .generate(&mut rng);
+        let mut walk = Expectation::new(n);
+        let mut most = 0;
+        for slot in 0..3 {
+            let tablet: Vec<VertexId> = (0..24).map(|_| rng.gen_range(0..n as VertexId)).collect();
+            let batches = BatchGenerator::new(tablet, 8).epoch(&mut presample_rng(1, slot));
+            let mut reached = std::collections::BTreeSet::new();
+            for batch in &batches {
+                walk.inner_hops(&g, batch, &[5]);
+                for &s in batch {
+                    reached.insert(s);
+                    reached.extend(g.neighbors(s).iter().copied());
+                }
+            }
+            assert_eq!(walk.reached.len(), reached.len(), "slot {slot}");
+            most = most.max(reached.len());
+            walk.last_hop(&g, 3, batches.len(), 1, |_, _, _| {});
+            assert!(walk.reached.is_empty(), "slot {slot} left records");
+        }
+        assert!(3 * most < n, "the slots reach a small part of the graph");
+        let [index, leaves, records] = walk.capacities();
+        assert_eq!((index, leaves), (n, n));
+        assert!(
+            records < 2 * most,
+            "{records} records held for at most {most} reached"
+        );
     }
 }
