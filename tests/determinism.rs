@@ -196,6 +196,40 @@ fn dataset_instantiation_is_stable_across_calls() {
     assert_eq!(d1.features.as_slice(), d2.features.as_slice());
 }
 
+/// FNV-1a over 64-bit words.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The draws a dataset's generators take from its one seeded stream are
+/// pinned: each featureless dataset's graph and training ids (drawn after
+/// its feature table) and PR's dense feature values. A feature table that
+/// is stored differently must leave every one of these unchanged.
+#[test]
+fn dataset_streams_are_pinned() {
+    let pinned: [(&str, u64, [u64; 2]); 3] = [
+        ("PA", 8000, [0x6dae45ac83f16750, 0xa65a64e139936063]),
+        ("CO", 8000, [0x832e5dacaa3fef80, 0xf6c03f29131e648a]),
+        ("UKS", 20000, [0xc60a73db2c1961bc, 0x99350db193d1bd32]),
+    ];
+    let mut seen = Vec::new();
+    for (name, divisor, _) in pinned {
+        let d = spec_by_name(name).unwrap().instantiate(divisor, 3);
+        let g = &d.graph;
+        let graph = digest((0..g.num_vertices() as u32).flat_map(|v| {
+            std::iter::once(g.degree(v)).chain(g.neighbors(v).iter().map(|&u| u as u64))
+        }));
+        let train = digest(d.train_vertices.iter().map(|&v| v as u64));
+        seen.push((name, divisor, [graph, train]));
+    }
+    let pr = spec_by_name("PR").unwrap().instantiate(1000, 3);
+    let pr_features = digest(pr.features.as_slice().iter().map(|x| x.to_bits() as u64));
+    assert_eq!(seen, pinned, "graph / training-id digests moved");
+    assert_eq!(pr_features, 0xfbb69356d3960eb0, "PR's feature values moved");
+}
+
 /// The serving config lattice (ROADMAP 2(b)): fixed-seed draws over every
 /// serving feature at golden scale (PR/500 on two NVLink cliques
 /// of two GPUs). The run checker (`legion_serve::invariants`) runs inside
