@@ -111,7 +111,7 @@ pub fn train_curve(
                 let sample = sampler.sample_batch(&engine, gpu, batch, &mut rng, None);
                 let inputs = sample.input_vertices().to_vec();
                 let feats = extract_features(&engine, gpu, &inputs);
-                let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
+                let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.to_vec());
                 let y: Vec<u32> = batch.iter().map(|&v| labels[v as usize]).collect();
                 let mut tape = Tape::new();
                 let (pids, logits) = model.forward(&mut tape, x, &sample);
@@ -146,7 +146,7 @@ pub fn train_curve(
             let sample = sampler.sample_batch(&engine, 0, chunk, &mut rng, None);
             let inputs = sample.input_vertices().to_vec();
             let feats = extract_features(&engine, 0, &inputs);
-            let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
+            let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.to_vec());
             let logits = model.predict(x, &sample);
             correct += argmax_rows(&logits)
                 .iter()

@@ -229,7 +229,7 @@ mod tests {
         let sample = sampler.sample_batch(&engine, 0, &[0, 1], &mut rng, None);
         let inputs = sample.input_vertices().to_vec();
         let feats = extract_features(&engine, 0, &inputs);
-        let m = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
+        let m = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.to_vec());
         (sample, m)
     }
 

@@ -43,7 +43,7 @@ proptest! {
         let sample = sampler.sample_batch(&engine, 0, &uniq, &mut rng, None);
         let inputs = sample.input_vertices().to_vec();
         let feats = extract_features(&engine, 0, &inputs);
-        let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.as_slice().to_vec());
+        let x = Matrix::from_flat(feats.num_rows(), feats.dim(), feats.to_vec());
         let model = GnnModel::new(kind, 6, 8, 3, 2, &mut rng);
         let logits = model.predict(x, &sample);
         prop_assert_eq!(logits.rows(), uniq.len());

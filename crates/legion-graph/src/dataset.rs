@@ -60,8 +60,9 @@ pub struct Dataset {
     pub name: String,
     /// Topology.
     pub graph: CsrGraph,
-    /// Dense features (always present; synthesized when the original graph
-    /// has none, exactly as the paper does for CO/UKS/UKL/CL).
+    /// Features, always present. PR's are dense; the datasets whose
+    /// originals have none (CO/UKS/UKL/CL, and PA here) get a generated
+    /// table that stores no rows ([`FeatureTable::random`]).
     pub features: FeatureTable,
     /// Class labels, present only for learnable (SBM-backed) datasets.
     pub labels: Option<Vec<u32>>,

@@ -1,37 +1,73 @@
-//! Dense vertex feature storage.
+//! Vertex feature tables, stored or generated.
 //!
 //! Legion's feature cache stores "the feature vectors of selected hot
 //! vertices in the format of a 2D array, where each row is the feature
 //! vector of a selected hot vertex" (§4.2.1). [`FeatureTable`] is that 2-D
 //! array, also used for the full CPU-resident feature store.
+//!
+//! A table is dense (`zeros`, `from_flat`, and PR's SBM features, whose
+//! values carry the class signal Fig. 11 learns from) or generated. The
+//! paper's featureless datasets get values "manually generated" (Table 2),
+//! and no result depends on them: cache plans, PCIe transactions and
+//! host-memory gates depend on a row's size, not its values. So
+//! [`FeatureTable::random`] keeps only a key drawn from the caller's rng
+//! and computes a value when it is read. On PA/500 that is 108 MiB of
+//! host memory not held. Both storages answer every read alike.
 
 use rand::Rng;
 
 use crate::{feature_bytes_for_dim, VertexId};
 
-/// Row-major 2-D `f32` array: one row per vertex.
+/// A `rows × dim` table of `f32`s: one row per vertex.
 ///
 /// # Examples
 ///
 /// ```
 /// use legion_graph::FeatureTable;
 ///
-/// let mut t = FeatureTable::zeros(3, 4);
-/// t.row_mut(1)[2] = 7.5;
-/// assert_eq!(t.row(1), &[0.0, 0.0, 7.5, 0.0]);
-/// assert_eq!(t.row_bytes(), 16);
+/// let t = FeatureTable::from_flat(vec![0.0, 1.0, 2.0, 3.0, 7.5, 5.0], 2);
+/// let mut row = Vec::new();
+/// t.extend_row(2, &mut row);
+/// assert_eq!(row, [7.5, 5.0]);
+/// assert_eq!(t.row_bytes(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FeatureTable {
-    data: Vec<f32>,
+    values: Values,
+    rows: usize,
     dim: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Values {
+    /// Row-major, `rows · dim` values.
+    Dense(Vec<f32>),
+    /// Value `i = v·dim + j` is [`generated`]`(key, i)`.
+    Generated { key: u64 },
+}
+
+/// SplitMix64's finaliser.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Value `i` of the table keyed `key`: the top 24 bits of a hash, on the
+/// grid `rng.gen::<f32>() - 0.5` draws from, so in `[-0.5, 0.5)`.
+#[inline]
+fn generated(key: u64, i: u64) -> f32 {
+    let h = mix(key.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+    (h >> 40) as f32 * (1.0 / (1u32 << 24) as f32) - 0.5
 }
 
 impl FeatureTable {
     /// All-zero table with `rows` rows of `dim` columns.
     pub fn zeros(rows: usize, dim: usize) -> Self {
         Self {
-            data: vec![0.0; rows * dim],
+            values: Values::Dense(vec![0.0; rows * dim]),
+            rows,
             dim,
         }
     }
@@ -49,21 +85,42 @@ impl FeatureTable {
             data.len(),
             dim
         );
-        Self { data, dim }
+        let rows = data.len() / dim;
+        Self {
+            values: Values::Dense(data),
+            rows,
+            dim,
+        }
     }
 
-    /// Random table with entries uniform in `[-0.5, 0.5)`. Used for the
+    /// Generated table with entries uniform in `[-0.5, 0.5)`, for the
     /// paper datasets that "have no feature" and are "manually generated"
-    /// (Table 2: CO, UKS, UKL, CL).
+    /// (Table 2: CO, UKS, UKL, CL; PA's stand-in here too).
+    ///
+    /// It holds no rows. `rng` advances by exactly the `rows · dim`
+    /// `f32` draws a stored table would take: the first is the key, the
+    /// rest are discarded, so every later draw from `rng` is unchanged.
     pub fn random<R: Rng + ?Sized>(rows: usize, dim: usize, rng: &mut R) -> Self {
-        let data = (0..rows * dim).map(|_| rng.gen::<f32>() - 0.5).collect();
-        Self { data, dim }
+        let draws = rows * dim;
+        let key = if draws == 0 {
+            0
+        } else {
+            u64::from(rng.next_u32())
+        };
+        for _ in 1..draws {
+            rng.next_u32();
+        }
+        Self {
+            values: Values::Generated { key },
+            rows,
+            dim,
+        }
     }
 
     /// Number of rows (vertices).
     #[inline]
     pub fn num_rows(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.rows
     }
 
     /// Feature dimensionality `D`.
@@ -78,49 +135,54 @@ impl FeatureTable {
         feature_bytes_for_dim(self.dim as u64)
     }
 
-    /// Total bytes of the table.
+    /// Bytes the table stands for (`rows · row_bytes`), stored or not:
+    /// what a host holding the real features would hold.
     #[inline]
     pub fn total_bytes(&self) -> u64 {
         self.num_rows() as u64 * self.row_bytes()
     }
 
-    /// The feature row of `v`.
+    /// Appends the feature row of `v` to `out`.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     #[inline]
-    pub fn row(&self, v: VertexId) -> &[f32] {
+    pub fn extend_row(&self, v: VertexId, out: &mut Vec<f32>) {
         let v = v as usize;
-        &self.data[v * self.dim..(v + 1) * self.dim]
-    }
-
-    /// Mutable feature row of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn row_mut(&mut self, v: VertexId) -> &mut [f32] {
-        let v = v as usize;
-        &mut self.data[v * self.dim..(v + 1) * self.dim]
+        assert!(v < self.rows, "vertex {v} out of range");
+        let start = v * self.dim;
+        match &self.values {
+            Values::Dense(data) => out.extend_from_slice(&data[start..start + self.dim]),
+            Values::Generated { key } => {
+                out.extend((start..start + self.dim).map(|i| generated(*key, i as u64)))
+            }
+        }
     }
 
     /// Gathers the rows of `vertices` into a new dense table (the feature
     /// extraction output for a mini-batch).
     #[cfg(test)]
     pub fn gather(&self, vertices: &[VertexId]) -> FeatureTable {
-        let mut out = FeatureTable::zeros(vertices.len(), self.dim);
-        for (i, &v) in vertices.iter().enumerate() {
-            out.row_mut(i as VertexId).copy_from_slice(self.row(v));
+        let mut out = Vec::with_capacity(vertices.len() * self.dim);
+        for &v in vertices {
+            self.extend_row(v, &mut out);
         }
-        out
+        FeatureTable {
+            values: Values::Dense(out),
+            rows: vertices.len(),
+            dim: self.dim,
+        }
     }
 
-    /// Flat row-major view of the whole table.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
+    /// The whole table, row-major.
+    pub fn to_vec(&self) -> Vec<f32> {
+        match &self.values {
+            Values::Dense(data) => data.clone(),
+            Values::Generated { key } => (0..self.rows * self.dim)
+                .map(|i| generated(*key, i as u64))
+                .collect(),
+        }
     }
 }
 
@@ -130,21 +192,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn row_of(t: &FeatureTable, v: VertexId) -> Vec<f32> {
+        let mut out = Vec::new();
+        t.extend_row(v, &mut out);
+        out
+    }
+
     #[test]
     fn zeros_shape() {
         let t = FeatureTable::zeros(5, 8);
         assert_eq!(t.num_rows(), 5);
         assert_eq!(t.dim(), 8);
         assert_eq!(t.total_bytes(), 5 * 8 * 4);
-        assert!(t.as_slice().iter().all(|&x| x == 0.0));
+        assert!(t.to_vec().iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn from_flat_roundtrip() {
         let t = FeatureTable::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2);
         assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.row(0), &[1.0, 2.0]);
-        assert_eq!(t.row(1), &[3.0, 4.0]);
+        assert_eq!(row_of(&t, 0), [1.0, 2.0]);
+        assert_eq!(row_of(&t, 1), [3.0, 4.0]);
+        assert_eq!(t.to_vec(), [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -157,8 +226,7 @@ mod tests {
     fn gather_picks_rows_in_order() {
         let t = FeatureTable::from_flat(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], 2);
         let g = t.gather(&[2, 0]);
-        assert_eq!(g.row(0), &[4.0, 5.0]);
-        assert_eq!(g.row(1), &[0.0, 1.0]);
+        assert_eq!(g.to_vec(), [4.0, 5.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -170,9 +238,71 @@ mod tests {
 
     #[test]
     fn random_fills_range() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let t = FeatureTable::random(10, 4, &mut rng);
-        assert!(t.as_slice().iter().all(|&x| (-0.5..0.5).contains(&x)));
-        assert!(t.as_slice().iter().any(|&x| x != 0.0));
+        let t = FeatureTable::random(2000, 64, &mut StdRng::seed_from_u64(9));
+        let values = t.to_vec();
+        assert!(values.iter().all(|&x| (-0.5..0.5).contains(&x)));
+        // On the grid `rng.gen::<f32>() - 0.5` draws from, centred.
+        assert!(values
+            .iter()
+            .all(|&x| ((x + 0.5) * (1 << 24) as f32).fract() == 0.0));
+        let mean = values.iter().map(|&x| x as f64).sum::<f64>() / values.len() as f64;
+        assert!(mean.abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn a_generated_row_depends_only_on_the_table_and_the_vertex() {
+        let t = FeatureTable::random(300, 16, &mut StdRng::seed_from_u64(5));
+        let whole = t.to_vec();
+        let mut out = Vec::new();
+        for v in (0..300u32).rev().step_by(7) {
+            out.clear();
+            t.extend_row(v, &mut out);
+            let start = v as usize * 16;
+            assert_eq!(out, whole[start..start + 16], "row {v}");
+        }
+        // A clone reads the same, interleaved with the original.
+        let c = t.clone();
+        for v in [3, 299, 0, 3] {
+            assert_eq!(row_of(&c, v), row_of(&t, v));
+        }
+        assert_eq!(
+            t.gather(&[9, 1]).to_vec(),
+            [row_of(&t, 9), row_of(&t, 1)].concat()
+        );
+    }
+
+    #[test]
+    fn generated_values_differ_across_seeds() {
+        let a = FeatureTable::random(50, 8, &mut StdRng::seed_from_u64(1)).to_vec();
+        let b = FeatureTable::random(50, 8, &mut StdRng::seed_from_u64(2)).to_vec();
+        let same = a.iter().zip(&b).filter(|(x, y)| x == y).count();
+        assert!(same < 4, "{same} of 400 values equal across seeds");
+    }
+
+    #[test]
+    fn random_takes_one_draw_per_value() {
+        for (rows, dim) in [(0, 8), (1, 1), (37, 5), (1000, 128)] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let _ = FeatureTable::random(rows, dim, &mut rng);
+            let mut stored = StdRng::seed_from_u64(11);
+            for _ in 0..rows * dim {
+                let _: f32 = stored.gen();
+            }
+            assert_eq!(rng.gen::<u64>(), stored.gen::<u64>(), "{rows} x {dim}");
+        }
+    }
+
+    #[test]
+    fn a_generated_table_holds_no_rows() {
+        let t = FeatureTable::random(1000, 128, &mut StdRng::seed_from_u64(3));
+        assert!(matches!(t.values, Values::Generated { .. }));
+        assert_eq!(t.total_bytes(), 1000 * 128 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_generated_row_past_the_end_panics_as_a_dense_one_does() {
+        let t = FeatureTable::random(4, 2, &mut StdRng::seed_from_u64(3));
+        t.extend_row(4, &mut Vec::new());
     }
 }

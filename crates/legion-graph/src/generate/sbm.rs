@@ -123,17 +123,14 @@ impl SbmConfig {
                 *x = (rng.gen::<f32>() - 0.5) * 2.0 * self.feature_separation;
             }
         }
-        let mut features = FeatureTable::zeros(n, self.feature_dim);
-        for v in 0..n {
-            let mean = &means[labels[v] as usize];
-            let row = features.row_mut(v as VertexId);
-            for (j, x) in row.iter_mut().enumerate() {
-                *x = mean[j] + gaussian(rng) * self.feature_noise;
-            }
+        let mut values = Vec::with_capacity(n * self.feature_dim);
+        for &label in &labels {
+            let mean = &means[label as usize];
+            values.extend(mean.iter().map(|m| m + gaussian(rng) * self.feature_noise));
         }
         SbmGraph {
             graph,
-            features,
+            features: FeatureTable::from_flat(values, self.feature_dim),
             labels,
         }
     }
@@ -209,10 +206,15 @@ mod tests {
         let dist = |a: &[f32], b: &[f32]| -> f32 {
             a.iter().zip(b).map(|(x, y)| (x - y).powi(2)).sum::<f32>()
         };
-        let v0 = g.features.row(0);
-        let v2 = g.features.row(2); // Same community (labels cycle mod k).
-        let v1 = g.features.row(1); // Other community.
-        assert!(dist(v0, v2) < dist(v0, v1));
+        let row = |v| {
+            let mut out = Vec::new();
+            g.features.extend_row(v, &mut out);
+            out
+        };
+        let v0 = row(0);
+        let v2 = row(2); // Same community (labels cycle mod k).
+        let v1 = row(1); // Other community.
+        assert!(dist(&v0, &v2) < dist(&v0, &v1));
     }
 
     #[test]

@@ -451,7 +451,7 @@ impl<'a> AccessEngine<'a> {
         out.reserve(vertices.len() * self.features.dim());
         let cache_slot = self.layout.for_gpu(gpu);
         let classify = |v| {
-            out.extend_from_slice(self.features.row(v));
+            self.features.extend_row(v, out);
             cache_slot.and_then(|(c, slot)| c.lookup_feature(slot, v))
         };
         self.extract_metered_by(gpu, vertices, totals, classify, |_| true);
@@ -1049,7 +1049,8 @@ mod tests {
             let cached = |v| layout.for_gpu(gpu).is_some_and(|(cache, _)| cache.has_feature(v));
             let would_miss: Vec<VertexId> =
                 vertices.iter().copied().filter(|&v| !cached(v)).collect();
-            let rows_of: Vec<f32> = vertices.iter().flat_map(|&v| f.row(v)).copied().collect();
+            let mut rows_of: Vec<f32> = Vec::new();
+            vertices.iter().for_each(|&v| f.extend_row(v, &mut rows_of));
 
             let (mut totals, mut rows, mut missed) = (BatchTotals::new(4), Vec::new(), Vec::new());
             // Twice over one reused `totals`: nothing carries into a call.

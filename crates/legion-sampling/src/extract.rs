@@ -69,8 +69,7 @@ mod tests {
         let server = ServerSpec::custom(1, 1 << 30, 1).build();
         let engine = AccessEngine::new(&g, &f, &layout, &server, TopologyPlacement::CpuUva);
         let out = extract_features(&engine, 0, &[3, 0]);
-        assert_eq!(out.row(0), &[6.0, 7.0]);
-        assert_eq!(out.row(1), &[0.0, 1.0]);
+        assert_eq!(out.to_vec(), [6.0, 7.0, 0.0, 1.0]);
         // Two uncached rows of 8 bytes: 1 transaction each.
         assert_eq!(server.telemetry().snapshot().counter_sum("pcm."), 2);
     }

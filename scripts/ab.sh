@@ -34,8 +34,8 @@
 # Both sides run with glibc's mmap threshold pinned at 128 KiB. Under
 # glibc's dynamic threshold, large buffers can move between the heap and
 # mmap from run to run, so host_peak_rss_mib can land in one of several
-# modes. On a 2-vCPU Xeon train_pa read 201.0-201.3 MiB pinned and
-# 205.6-205.8 MiB unpinned, serve_steady 101.8-102.2 pinned. bench/run.sh
+# modes. On a 2-vCPU Xeon train_pa read 94.7-95.0 MiB pinned and 97.2
+# MiB unpinned, serve_steady 101.8-102.2 pinned. bench/run.sh
 # itself sets no tunable, so a plain benchmark run is unpinned.
 set -euo pipefail
 cd "$(dirname "$0")/.."

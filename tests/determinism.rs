@@ -193,7 +193,7 @@ fn dataset_instantiation_is_stable_across_calls() {
     let d2 = spec_by_name("CO").unwrap().instantiate(4000, 7);
     assert_eq!(d1.graph, d2.graph);
     assert_eq!(d1.train_vertices, d2.train_vertices);
-    assert_eq!(d1.features.as_slice(), d2.features.as_slice());
+    assert_eq!(d1.features.to_vec(), d2.features.to_vec());
 }
 
 /// FNV-1a over 64-bit words.
@@ -225,7 +225,7 @@ fn dataset_streams_are_pinned() {
         seen.push((name, divisor, [graph, train]));
     }
     let pr = spec_by_name("PR").unwrap().instantiate(1000, 3);
-    let pr_features = digest(pr.features.as_slice().iter().map(|x| x.to_bits() as u64));
+    let pr_features = digest(pr.features.to_vec().iter().map(|x| x.to_bits() as u64));
     assert_eq!(seen, pinned, "graph / training-id digests moved");
     assert_eq!(pr_features, 0xfbb69356d3960eb0, "PR's feature values moved");
 }

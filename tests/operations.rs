@@ -1425,7 +1425,7 @@ const DOC_BUDGETS: [(&str, u64); 7] = [
     ("DESIGN.md", 93824),
     ("OPERATIONS.md", 29651),
     ("EXPERIMENTS.md", 45509),
-    ("CHANGES.md", 72143),
+    ("CHANGES.md", 58924),
     ("ROADMAP.md", 31152),
     ("tests/golden.txt", 95392),
 ];
